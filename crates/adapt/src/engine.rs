@@ -1,76 +1,25 @@
-//! The adaptive serving engine: [`fix_serve::serve`]'s two-halves loop
-//! with the control plane closed over it.
+//! The adaptive entry point: [`adaptive_serve`] configures the
+//! [serving kernel](fix_serve::kernel) with the control plane closed
+//! over it.
 //!
-//! Half one is still a deterministic virtual-time simulation — but now
-//! three event sources merge into it (open-loop timelines, closed-loop
-//! client re-arrivals, SNF packet-batch schedules), an admission
-//! controller prices deadline arrivals at the door, and an autoscaler
-//! ticks between dispatches resizing the active driver pool. Every
-//! decision is a pure function of the seed and configuration, so the
-//! report — including the rejection column and the scaling timeline —
-//! is bit-identical across runs and across backends.
-//!
-//! Half two is unchanged in kind: the exact batches the virtual drivers
-//! planned are drained by real OS threads through the submission API.
-//! The pool is provisioned at `scaler.max_drivers`; drivers that the
-//! controller never activated simply carry empty plans.
+//! Three arrival sources feed the kernel's one event loop (open-loop
+//! timelines, closed-loop client re-arrivals, SNF packet-batch
+//! schedules), an [`AdmissionPolicy`] prices deadline arrivals at the
+//! door, and a [`ScalerConfig`] lets the autoscaler tick between
+//! dispatches, resizing the active driver pool. Every decision is a
+//! pure function of the seed and configuration, so the report —
+//! including the rejection column and the scaling timeline — is
+//! bit-identical across runs and across backends. The real pool is
+//! provisioned at `scaler.max_drivers`; drivers the controller never
+//! activated simply carry empty plans.
 
-use crate::closed_loop::{ClosedLoopSpec, ThinkStreams};
-use crate::controller::{AdmissionPolicy, Autoscaler, ScalerConfig};
-use crate::snf::{SnfPipeline, SnfSpec};
-use fix_core::api::{BatchTicket, InvocationApi, Priority, SubmitApi, SubmitOptions};
+use fix_core::api::{InvocationApi, SubmitApi};
 use fix_core::error::{Error, Result};
-use fix_core::handle::Handle;
-use fix_obs::EventKind;
-use fix_serve::loadgen::{merge_timelines, tenant_seed};
-use fix_serve::tenant::draw_kind;
-use fix_serve::{
-    Arrival, ArrivalProcess, DriverReport, LatencyHistogram, Micros, QueuedRequest, RequestFactory,
-    RequestKind, ServeReport, SloClass, TenantClass, TenantQueues, TenantReport, TenantSpec,
-};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use fix_serve::controller::{AdmissionPolicy, ScalerConfig};
+use fix_serve::routing::RoutingPolicy;
+use fix_serve::{kernel, Micros, ServeReport};
 
-/// One tenant of an adaptive run.
-#[derive(Debug, Clone)]
-pub enum AdaptTenant {
-    /// A plain open-loop tenant (any [`ArrivalProcess`], including the
-    /// hostile `FlashCrowd` and `Diurnal` shapes).
-    Open(TenantSpec),
-    /// A closed-loop client population.
-    Closed(ClosedLoopSpec),
-    /// An SNF streaming pipeline.
-    Snf(SnfSpec),
-}
-
-impl AdaptTenant {
-    /// The tenant's display name.
-    pub fn name(&self) -> &str {
-        match self {
-            AdaptTenant::Open(t) => &t.name,
-            AdaptTenant::Closed(t) => &t.name,
-            AdaptTenant::Snf(t) => &t.name,
-        }
-    }
-
-    /// The tenant's weighted-fair share.
-    pub fn weight(&self) -> u32 {
-        match self {
-            AdaptTenant::Open(t) => t.weight,
-            AdaptTenant::Closed(t) => t.weight,
-            AdaptTenant::Snf(t) => t.weight,
-        }
-    }
-
-    /// The tenant's SLO class.
-    pub fn slo(&self) -> SloClass {
-        match self {
-            AdaptTenant::Open(t) => t.slo,
-            AdaptTenant::Closed(t) => t.slo,
-            AdaptTenant::Snf(t) => t.slo,
-        }
-    }
-}
+pub use fix_serve::Tenant as AdaptTenant;
 
 /// Configuration of one adaptive serve run.
 #[derive(Debug, Clone)]
@@ -200,242 +149,9 @@ impl std::fmt::Display for AdaptReport {
     }
 }
 
-/// Trace id of a request (first 8 bytes of its thunk handle), matching
-/// the serve layer's convention so adaptive spans stitch with scheduler
-/// spans.
-fn req_trace_id(h: Handle) -> u64 {
-    u64::from_le_bytes(h.raw()[..8].try_into().expect("handle has 32 bytes"))
-}
-
-/// A planned batch (requests + the tier it was assembled from).
-struct PlannedBatch {
-    requests: Vec<QueuedRequest>,
-    priority: Priority,
-}
-
-/// The virtual-time simulation state. One struct so admission, the
-/// event loop, and the controllers share the queues without fighting
-/// the borrow checker.
-struct Sim<'a, A: InvocationApi> {
-    rt: &'a A,
-    cfg: &'a AdaptConfig,
-    factory: &'a RequestFactory,
-    snf: Vec<Option<SnfPipeline>>,
-    queues: TenantQueues,
-    seen: HashSet<Handle>,
-    /// Pre-generated arrivals (open-loop + SNF), merged and sorted.
-    timeline: Vec<Arrival>,
-    next: usize,
-    /// Pending closed-loop re-arrivals: `Reverse((time, tenant,
-    /// client))` — a deterministic min-heap order.
-    heap: BinaryHeap<Reverse<(Micros, usize, usize)>>,
-    think: Vec<Option<ThinkStreams>>,
-    /// Next sequence number per closed-loop tenant, assigned in
-    /// processed-arrival order (which is time order).
-    closed_seq: Vec<u64>,
-    /// Outstanding closed-loop requests: (tenant, seq) → client.
-    outstanding: HashMap<(usize, u64), usize>,
-    admitted: Vec<u64>,
-    active: usize,
-    tracing: bool,
-}
-
-impl<'a, A: InvocationApi> Sim<'a, A> {
-    /// The next pending arrival's (time, tenant), across both sources.
-    /// A tenant is exclusively open/SNF (timeline) or closed (heap), so
-    /// the pair totally orders the merge.
-    fn peek(&self) -> Option<(Micros, usize)> {
-        let tl = self.timeline.get(self.next).map(|a| (a.time_us, a.tenant));
-        let cl = self.heap.peek().map(|Reverse((t, ten, _))| (*t, *ten));
-        match (tl, cl) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Schedules a closed-loop client's next arrival after a think.
-    fn schedule_client(&mut self, tenant: usize, client: usize, resolved_at: Micros) {
-        let think = self.think[tenant]
-            .as_mut()
-            .expect("closed tenant has think streams")
-            .next(client);
-        let at = resolved_at + think;
-        if at < self.cfg.duration_us {
-            self.heap.push(Reverse((at, tenant, client)));
-        }
-    }
-
-    /// Processes every pending arrival with time ≤ `t`, in (time,
-    /// tenant, order) — admission, rejection, or shedding each.
-    fn admit_up_to(&mut self, t: Micros) -> Result<()> {
-        while let Some((at, _)) = self.peek() {
-            if at > t {
-                break;
-            }
-            let tl = self.timeline.get(self.next).map(|a| (a.time_us, a.tenant));
-            let cl = self.heap.peek().map(|Reverse((tt, ten, _))| (*tt, *ten));
-            let take_timeline = match (tl, cl) {
-                (Some(a), Some(b)) => a <= b,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_timeline {
-                let a = self.timeline[self.next];
-                self.next += 1;
-                self.offer(a, None)?;
-            } else {
-                let Reverse((time_us, tenant, client)) =
-                    self.heap.pop().expect("peek saw a heap entry");
-                let seq = self.closed_seq[tenant];
-                self.closed_seq[tenant] += 1;
-                self.offer(
-                    Arrival {
-                        time_us,
-                        tenant,
-                        seq,
-                    },
-                    Some(client),
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Offers one arrival: capacity shed, admission pricing, then
-    /// enqueue — mirroring [`fix_serve::serve`]'s admission path with
-    /// the controller spliced in between the O(1) capacity check and
-    /// the (thunk-minting) enqueue.
-    fn offer(&mut self, a: Arrival, client: Option<usize>) -> Result<()> {
-        let spec = &self.cfg.tenants[a.tenant];
-        // Capacity first: a shed arrival must stay O(1), before any
-        // pricing or minting work.
-        if self.queues.at_capacity(a.tenant) {
-            self.queues.shed(a.tenant);
-            if self.tracing {
-                fix_obs::emit(
-                    EventKind::ServeShed,
-                    a.time_us,
-                    0,
-                    a.tenant as u32,
-                    self.queues.tenant_depth(a.tenant) as u32,
-                );
-            }
-            if let Some(c) = client {
-                // The client's request resolved (badly) on the spot;
-                // it thinks, then retries.
-                self.schedule_client(a.tenant, c, a.time_us);
-            }
-            return Ok(());
-        }
-        let deadline_us = spec.slo().deadline_us.map(|d| a.time_us + d);
-        // Admission pricing: still no thunk minted — rejection must be
-        // cheap under exactly the overload that triggers it.
-        if let Some(policy) = &self.cfg.admission {
-            let pool = crate::PoolShape {
-                active_drivers: self.active,
-                batch: self.cfg.batch,
-                batch_overhead_us: self.cfg.batch_overhead_us,
-            };
-            if let Some(wait) = policy.price(&self.queues, a.tenant, a.time_us, deadline_us, pool) {
-                self.queues.reject(a.tenant);
-                if self.tracing {
-                    fix_obs::emit(
-                        EventKind::CtrlReject,
-                        a.time_us,
-                        0,
-                        a.tenant as u32,
-                        wait.min(u32::MAX as Micros) as u32,
-                    );
-                }
-                if let Some(c) = client {
-                    self.schedule_client(a.tenant, c, a.time_us);
-                }
-                return Ok(());
-            }
-        }
-        // Admitted path: mint the (content-addressed) thunk and price
-        // its service.
-        let (kind, thunk, service_us) = match spec {
-            AdaptTenant::Snf(_) => {
-                let p = self.snf[a.tenant]
-                    .as_ref()
-                    .expect("SNF tenant has a pipeline");
-                let (flow, batch) = (p.flow_of(a.seq), p.batch_of(a.seq));
-                let service = p.service_us(flow, batch);
-                let thunk = p.mint(self.rt, flow, batch)?;
-                // The kind is a carrier field here (dispatch re-pricing
-                // is a fix-dispatch concern); the SNF service model
-                // already priced the fold.
-                (RequestKind::Add, thunk, service)
-            }
-            AdaptTenant::Open(t) => self.mint_kind(&t.mix, a)?,
-            AdaptTenant::Closed(t) => self.mint_kind(&t.mix, a)?,
-        };
-        if self.queues.offer(QueuedRequest {
-            arrival_us: a.time_us,
-            tenant: a.tenant,
-            seq: a.seq,
-            kind,
-            thunk,
-            service_us,
-            deadline_us,
-        }) {
-            self.admitted[a.tenant] += 1;
-            self.seen.insert(thunk);
-            if let AdaptTenant::Snf(_) = spec {
-                let p = self.snf[a.tenant].as_mut().expect("pipeline exists");
-                let (flow, batch) = (p.flow_of(a.seq), p.batch_of(a.seq));
-                p.admit(flow, batch, thunk)?;
-            }
-            if let Some(c) = client {
-                self.outstanding.insert((a.tenant, a.seq), c);
-            }
-            if self.tracing {
-                fix_obs::emit(
-                    EventKind::ServeAdmit,
-                    a.time_us,
-                    req_trace_id(thunk),
-                    a.tenant as u32,
-                    self.queues.tenant_depth(a.tenant) as u32,
-                );
-            }
-        } else if let Some(c) = client {
-            self.schedule_client(a.tenant, c, a.time_us);
-        }
-        Ok(())
-    }
-
-    /// Mints a mix-drawn request (the open/closed path), priced
-    /// cold/warm by first admitted sight — the same memoization mirror
-    /// as the serve layer.
-    fn mint_kind(
-        &mut self,
-        mix: &[(RequestKind, u32)],
-        a: Arrival,
-    ) -> Result<(RequestKind, Handle, Micros)> {
-        let kind = draw_kind(mix, tenant_seed(self.cfg.seed, a.tenant, 1), a.seq);
-        let thunk = self.factory.mint(self.rt, a.tenant, a.seq, kind)?;
-        let service_us = if self.seen.contains(&thunk) {
-            kind.warm_service_us()
-        } else {
-            kind.cold_service_us()
-        };
-        Ok((kind, thunk, service_us))
-    }
-
-    /// Total modeled service queued across all tenants, µs — the
-    /// scaler's pressure signal.
-    fn total_backlog_us(&self) -> Micros {
-        (0..self.cfg.tenants.len())
-            .map(|t| self.queues.tenant_backlog_us(t))
-            .sum()
-    }
-}
-
-/// Runs the adaptive serving pipeline against `rt`: merge the three
-/// arrival sources, admit/price/schedule them in virtual time under the
-/// closed-loop controllers, then execute the planned batches on a real
-/// driver-thread pool through the submission API (see the module docs).
+/// Runs the serving kernel against `rt` under the adaptive control
+/// plane: the three arrival sources, admission pricing, and the
+/// autoscaling pool of `cfg`, on one node (see the module docs).
 ///
 /// # Examples
 ///
@@ -471,402 +187,36 @@ pub fn adaptive_serve<A: SubmitApi + InvocationApi + Send + Sync>(
         backend: "adapt",
         message,
     })?;
-    // The factory sees every tenant as a TenantSpec view (the arrivals
-    // field of closed/SNF views is a placeholder — their arrivals come
-    // from the heap and the SNF schedule, never from `generate`).
-    let views: Vec<TenantSpec> = cfg
-        .tenants
-        .iter()
-        .map(|t| match t {
-            AdaptTenant::Open(o) => o.clone(),
-            AdaptTenant::Closed(c) => TenantSpec {
-                name: c.name.clone(),
-                weight: c.weight,
-                arrivals: ArrivalProcess::Uniform { period_us: 1 },
-                mix: c.mix.clone(),
-                slo: c.slo,
-            },
-            AdaptTenant::Snf(s) => TenantSpec {
-                name: s.name.clone(),
-                weight: s.weight,
-                arrivals: ArrivalProcess::Uniform { period_us: 1 },
-                mix: vec![(RequestKind::Add, 1)],
-                slo: s.slo,
-            },
-        })
-        .collect();
-    let factory = RequestFactory::install(rt, &views, cfg.seed)?;
-    let snf: Vec<Option<SnfPipeline>> = cfg
-        .tenants
-        .iter()
-        .map(|t| match t {
-            AdaptTenant::Snf(s) => Some(SnfPipeline::install(rt, s.flows)),
-            _ => None,
-        })
-        .collect();
-
-    // Pre-generated arrivals: open-loop streams and SNF schedules.
-    let per_tenant: Vec<Vec<Micros>> = cfg
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| match t {
-            AdaptTenant::Open(o) => o
-                .arrivals
-                .generate(tenant_seed(cfg.seed, i, 0), cfg.duration_us),
-            AdaptTenant::Closed(_) => Vec::new(),
-            AdaptTenant::Snf(s) => s.arrival_times(cfg.duration_us),
-        })
-        .collect();
-    let timeline = merge_timelines(per_tenant);
-
-    let classes: Vec<TenantClass> = cfg
-        .tenants
-        .iter()
-        .map(|t| {
-            let slo = t.slo();
-            TenantClass {
-                weight: t.weight(),
-                priority: slo.priority,
-                deadline_us: slo.deadline_us,
-            }
-        })
-        .collect();
-    let n_tenants = cfg.tenants.len();
-    let tracing = fix_obs::tracing_enabled();
-    let mut sim = Sim {
+    let serve = kernel::run(
         rt,
-        cfg,
-        factory: &factory,
-        snf,
-        queues: TenantQueues::new(classes, cfg.queue_capacity),
-        seen: HashSet::new(),
-        timeline,
-        next: 0,
-        heap: BinaryHeap::new(),
-        think: cfg
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| match t {
-                AdaptTenant::Closed(c) => {
-                    Some(ThinkStreams::new(cfg.seed, i, c.clients, c.think_mean_us))
-                }
-                _ => None,
-            })
-            .collect(),
-        closed_seq: vec![0; n_tenants],
-        outstanding: HashMap::new(),
-        admitted: vec![0; n_tenants],
-        active: cfg.scaler.min_drivers,
-        tracing,
-    };
-    // Every closed-loop client thinks once before its first request.
-    for (i, t) in cfg.tenants.iter().enumerate() {
-        if let AdaptTenant::Closed(c) = t {
-            for client in 0..c.clients {
-                sim.schedule_client(i, client, 0);
-            }
-        }
-    }
-
-    let mut scaler = Autoscaler::new(cfg.scaler);
-    let max_drivers = cfg.scaler.max_drivers;
-    let mut next_control = cfg.scaler.control_interval_us;
-    let mut free: Vec<Micros> = vec![0; max_drivers];
-    let mut plans: Vec<Vec<PlannedBatch>> = (0..max_drivers).map(|_| Vec::new()).collect();
-    let mut drivers: Vec<DriverReport> = (0..max_drivers)
-        .map(|_| DriverReport {
-            batches: 0,
-            requests: 0,
-            busy_us: 0,
-            latency: LatencyHistogram::new(),
-        })
-        .collect();
-    let mut tenant_hists: Vec<LatencyHistogram> =
-        (0..n_tenants).map(|_| LatencyHistogram::new()).collect();
-    let mut wait_hists = tenant_hists.clone();
-    let mut service_hists = tenant_hists.clone();
-    let mut fill_hists = tenant_hists.clone();
-    let depth_gauges: Vec<fix_obs::Gauge> = cfg
-        .tenants
-        .iter()
-        .map(|t| fix_obs::global().gauge(&format!("serve.{}.queue_depth", t.name())))
-        .collect();
-    let mut expired_per_tenant = vec![0u64; n_tenants];
-    let mut makespan: Micros = 0;
-
-    loop {
-        let active = scaler.active();
-        // The earliest-free *active* driver serves next (ties to the
-        // lowest index). Inactive drivers are simply outside the scan.
-        let d = (0..active)
-            .min_by_key(|&i| (free[i], i))
-            .expect("active pool is non-empty");
-        let now = free[d];
-        // A controller tick due at or before the dispatch instant runs
-        // first, over the queue state as of the tick: admit arrivals up
-        // to it, tick, then re-pick the driver (a scale-up introduces a
-        // driver free at the tick instant; a scale-down shrinks the
-        // scan — either way the dispatch decision is re-made).
-        if next_control <= now {
-            sim.admit_up_to(next_control)?;
-            let backlog = sim.total_backlog_us();
-            if let Some(new_active) = scaler.tick(next_control, backlog, tracing) {
-                if new_active > active {
-                    // A newly activated driver is free from the tick
-                    // instant — not from whenever it last ran (virtual
-                    // time moved on while it was deactivated).
-                    for f in free.iter_mut().take(new_active).skip(active) {
-                        *f = (*f).max(next_control);
-                    }
-                }
-                sim.active = new_active;
-            }
-            next_control = next_control.saturating_add(cfg.scaler.control_interval_us);
-            continue;
-        }
-        sim.admit_up_to(now)?;
-        if sim.queues.is_empty() {
-            let Some((t, _)) = sim.peek() else {
-                break; // No queued work, no future arrivals: drained.
-            };
-            if next_control < t {
-                // Keep ticking across the idle gap: an idle pool is
-                // exactly when the scaler should be shedding drivers.
-                sim.admit_up_to(next_control)?;
-                if let Some(new_active) = scaler.tick(next_control, 0, tracing) {
-                    if new_active > sim.active {
-                        for f in free.iter_mut().take(new_active).skip(sim.active) {
-                            *f = (*f).max(next_control);
-                        }
-                    }
-                    sim.active = new_active;
-                }
-                next_control = next_control.saturating_add(cfg.scaler.control_interval_us);
-                continue;
-            }
-            // Idle-advance every driver to the next arrival instant and
-            // admit everything stamped exactly there.
-            sim.admit_up_to(t)?;
-            for f in free.iter_mut() {
-                *f = (*f).max(t);
-            }
-            continue;
-        }
-        let dispatch = sim.queues.next_dispatch(cfg.batch, now);
-        for r in &dispatch.expired {
-            expired_per_tenant[r.tenant] += 1;
-            if tracing {
-                fix_obs::emit(
-                    EventKind::ServeExpire,
-                    now,
-                    req_trace_id(r.thunk),
-                    r.tenant as u32,
-                    0,
-                );
-            }
-            // An expired closed-loop request resolves its client, which
-            // thinks and retries.
-            if let Some(c) = sim.outstanding.remove(&(r.tenant, r.seq)) {
-                sim.schedule_client(r.tenant, c, now);
-            }
-        }
-        let batch = dispatch.requests;
-        if batch.is_empty() {
-            continue;
-        }
-        let service: Micros =
-            cfg.batch_overhead_us + batch.iter().map(|r| r.service_us).sum::<Micros>();
-        let done = now + service;
-        let mut sampled: Vec<usize> = batch.iter().map(|r| r.tenant).collect();
-        sampled.sort_unstable();
-        sampled.dedup();
-        for &t in &sampled {
-            let depth = sim.queues.tenant_depth(t);
-            depth_gauges[t].set(depth as i64);
-            if tracing {
-                fix_obs::emit(EventKind::ServeQueueDepth, now, 0, t as u32, depth as u32);
-            }
-        }
-        for r in &batch {
-            debug_assert!(r.arrival_us <= now, "service must not precede arrival");
-            let latency = done - r.arrival_us;
-            let wait = now - r.arrival_us;
-            let fill = service - r.service_us;
-            tenant_hists[r.tenant].record(latency);
-            wait_hists[r.tenant].record(wait);
-            service_hists[r.tenant].record(r.service_us);
-            fill_hists[r.tenant].record(fill);
-            drivers[d].latency.record(latency);
-            // A served closed-loop request completes at `done`; its
-            // client thinks, then re-arrives.
-            if let Some(c) = sim.outstanding.remove(&(r.tenant, r.seq)) {
-                sim.schedule_client(r.tenant, c, done);
-            }
-            if tracing {
-                let id = req_trace_id(r.thunk);
-                let clamp = |v: Micros| v.min(u32::MAX as Micros) as u32;
-                fix_obs::emit(
-                    EventKind::ServeDispatch,
-                    now,
-                    id,
-                    r.tenant as u32,
-                    clamp(wait),
-                );
-                fix_obs::emit(
-                    EventKind::ServeComplete,
-                    done,
-                    id,
-                    r.tenant as u32,
-                    clamp(latency),
-                );
-            }
-        }
-        drivers[d].batches += 1;
-        drivers[d].requests += batch.len() as u64;
-        drivers[d].busy_us += service;
-        free[d] = done;
-        makespan = makespan.max(done);
-        plans[d].push(PlannedBatch {
-            requests: batch,
-            priority: dispatch.priority,
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Real execution: identical to the serve layer's driver pool — one
-    // OS thread per provisioned driver, an in-flight window each.
-    // ------------------------------------------------------------------
-    let exec_start = std::time::Instant::now();
-    let outcomes: Vec<Tally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|plan| {
-                let inflight = cfg.inflight;
-                scope.spawn(move || {
-                    let mut tally = Tally::new(n_tenants);
-                    let settle =
-                        |batch: &PlannedBatch, results: Vec<Result<Handle>>, tally: &mut Tally| {
-                            for (r, req) in results.iter().zip(&batch.requests) {
-                                match r {
-                                    Ok(_) => tally.ok[req.tenant] += 1,
-                                    Err(Error::DeadlineExceeded { .. }) => {
-                                        tally.expired[req.tenant] += 1
-                                    }
-                                    Err(Error::Cancelled) => tally.cancelled[req.tenant] += 1,
-                                    Err(_) => tally.errors[req.tenant] += 1,
-                                }
-                            }
-                        };
-                    let mut window: VecDeque<(&PlannedBatch, BatchTicket)> =
-                        VecDeque::with_capacity(inflight);
-                    for batch in plan {
-                        while window.len() >= inflight {
-                            let (done, ticket) = window.pop_front().expect("window is non-empty");
-                            settle(done, ticket.wait(), &mut tally);
-                        }
-                        let thunks: Vec<Handle> = batch.requests.iter().map(|r| r.thunk).collect();
-                        let options = SubmitOptions::default().with_priority(batch.priority);
-                        window.push_back((batch, rt.submit_with(&thunks, options)));
-                    }
-                    while let Some((done, ticket)) = window.pop_front() {
-                        settle(done, ticket.wait(), &mut tally);
-                    }
-                    tally
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("driver thread must not panic"))
-            .collect()
-    });
-    let execution_wall = exec_start.elapsed();
-
-    let mut totals = Tally::new(n_tenants);
-    for tally in outcomes {
-        totals.absorb(&tally);
-    }
-
-    let tenants: Vec<TenantReport> = cfg
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            fix_obs::global()
-                .histogram(&format!("serve.{}.latency_us", t.name()))
-                .merge_from(&tenant_hists[i]);
-            TenantReport {
-                name: t.name().to_string(),
-                class: t.slo().priority.label(),
-                offered: sim.queues.offered[i],
-                admitted: sim.admitted[i],
-                dropped: sim.queues.dropped[i],
-                rejected: sim.queues.rejected[i],
-                ok: totals.ok[i],
-                errors: totals.errors[i],
-                expired: expired_per_tenant[i] + totals.expired[i],
-                cancelled: totals.cancelled[i],
-                latency: std::mem::take(&mut tenant_hists[i]),
-                queue_wait: std::mem::take(&mut wait_hists[i]),
-                service: std::mem::take(&mut service_hists[i]),
-                fill: std::mem::take(&mut fill_hists[i]),
-            }
-        })
-        .collect();
-    let completed = tenants.iter().map(|t| t.ok + t.errors).sum();
+        &kernel::Config {
+            seed: cfg.seed,
+            duration_us: cfg.duration_us,
+            batch: cfg.batch,
+            queue_capacity: cfg.queue_capacity,
+            batch_overhead_us: cfg.batch_overhead_us,
+            inflight: cfg.inflight,
+            tenants: cfg.tenants.clone(),
+            admission: cfg.admission,
+            scaler: cfg.scaler,
+            nodes: 1,
+            policy: RoutingPolicy::Affinity,
+            spill_margin: 1,
+            fault: None,
+        },
+    )?;
     let diag = ControlDiagnostics {
         sched_parked: fix_obs::global().gauge("sched.parked").get(),
         sched_steal_rate_permille: fix_obs::global().gauge("sched.steal_rate").get(),
     };
-    Ok(AdaptReport {
-        serve: ServeReport {
-            tenants,
-            drivers,
-            nodes: Vec::new(),
-            scaling: scaler.into_timeline(),
-            makespan_us: makespan,
-            completed,
-            execution_wall,
-        },
-        diag,
-    })
-}
-
-/// Per-tenant outcome counters a driver thread accumulates (the serve
-/// layer's tally, reproduced here because it is private there).
-struct Tally {
-    ok: Vec<u64>,
-    errors: Vec<u64>,
-    expired: Vec<u64>,
-    cancelled: Vec<u64>,
-}
-
-impl Tally {
-    fn new(n: usize) -> Tally {
-        Tally {
-            ok: vec![0; n],
-            errors: vec![0; n],
-            expired: vec![0; n],
-            cancelled: vec![0; n],
-        }
-    }
-
-    fn absorb(&mut self, other: &Tally) {
-        for t in 0..self.ok.len() {
-            self.ok[t] += other.ok[t];
-            self.errors[t] += other.errors[t];
-            self.expired[t] += other.expired[t];
-            self.cancelled[t] += other.cancelled[t];
-        }
-    }
+    Ok(AdaptReport { serve, diag })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fix_serve::SloClass;
+    use crate::{ClosedLoopSpec, SnfSpec};
+    use fix_serve::{ArrivalProcess, RequestKind, SloClass, TenantSpec};
     use fixpoint::Runtime;
 
     fn hostile_cfg(seed: u64) -> AdaptConfig {
@@ -924,19 +274,8 @@ mod tests {
     fn adaptive_run_accounts_for_every_arrival() {
         let rt = Runtime::builder().build();
         let r = adaptive_serve(&rt, &hostile_cfg(42)).unwrap().serve;
+        r.assert_accounting_closure();
         for t in &r.tenants {
-            assert_eq!(
-                t.offered,
-                t.admitted + t.dropped + t.rejected,
-                "tenant {}",
-                t.name
-            );
-            assert_eq!(
-                t.admitted,
-                t.ok + t.errors + t.expired + t.cancelled,
-                "tenant {}",
-                t.name
-            );
             assert_eq!(
                 t.errors, 0,
                 "tenant {}: all minted requests are valid",
@@ -978,51 +317,6 @@ mod tests {
         let inline = adaptive_serve(&Runtime::builder().build(), &cfg).unwrap();
         let workers = adaptive_serve(&Runtime::builder().workers(4).build(), &cfg).unwrap();
         assert_eq!(inline.serve.to_string(), workers.serve.to_string());
-    }
-
-    #[test]
-    fn static_pool_with_no_admission_matches_serve_semantics() {
-        // The degenerate configuration — fixed pool, no controller,
-        // open tenants only — must reproduce plain serve() accounting.
-        let cfg = AdaptConfig {
-            seed: 5,
-            duration_us: 60_000,
-            batch: 8,
-            queue_capacity: 64,
-            batch_overhead_us: 5,
-            inflight: 2,
-            admission: None,
-            scaler: ScalerConfig::fixed(2),
-            tenants: vec![AdaptTenant::Open(TenantSpec::uniform_mix(
-                "poisson",
-                1,
-                ArrivalProcess::Poisson { rate_rps: 2_000.0 },
-                RequestKind::Fib { max_n: 8 },
-            ))],
-        };
-        let adapt = adaptive_serve(&Runtime::builder().build(), &cfg)
-            .unwrap()
-            .serve;
-        let plain = fix_serve::serve(
-            &Runtime::builder().build(),
-            &fix_serve::ServeConfig {
-                seed: 5,
-                duration_us: 60_000,
-                drivers: 2,
-                batch: 8,
-                queue_capacity: 64,
-                batch_overhead_us: 5,
-                inflight: 2,
-                tenants: vec![TenantSpec::uniform_mix(
-                    "poisson",
-                    1,
-                    ArrivalProcess::Poisson { rate_rps: 2_000.0 },
-                    RequestKind::Fib { max_n: 8 },
-                )],
-            },
-        )
-        .unwrap();
-        assert_eq!(adapt.to_string(), plain.to_string());
     }
 
     #[test]

@@ -34,24 +34,22 @@
 //!   chain that makes load shedding a correctness question, not just a
 //!   latency one.
 //!
-//! [`adaptive_serve`] runs all of it through the same two-halves
-//! engine as [`fix_serve::serve`]: a deterministic virtual-time
-//! simulation that plans batches, then a real driver-thread pool that
-//! executes exactly those batches through the submission API on any
-//! [`SubmitApi`](fix_core::api::SubmitApi) backend. Everything printed
-//! is bit-identical across runs and backends for one seed; wall-clock
-//! readings ([`AdaptReport::wall_summary`], scheduler park/steal
-//! gauges) are reported separately and never enter the tables.
+//! [`adaptive_serve`] is the configuration of the serving kernel
+//! (`fix_serve::kernel`) that switches all of it on; the controllers
+//! and tenant sources themselves live beside the kernel in `fix-serve`
+//! and are re-exported here. Everything printed is bit-identical across
+//! runs and backends for one seed; wall-clock readings
+//! ([`AdaptReport::wall_summary`], scheduler park/steal gauges) are
+//! reported separately and never enter the tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod closed_loop;
-pub mod controller;
 pub mod engine;
-pub mod snf;
 
-pub use closed_loop::ClosedLoopSpec;
-pub use controller::{AdmissionPolicy, Autoscaler, PoolShape, ScalerConfig};
 pub use engine::{adaptive_serve, AdaptConfig, AdaptReport, AdaptTenant, ControlDiagnostics};
-pub use snf::{SnfPipeline, SnfSpec};
+// The controllers and tenant sources live beside the kernel that runs
+// them; this crate is where they are configured from.
+pub use fix_serve::closed_loop::{self, ClosedLoopSpec};
+pub use fix_serve::controller::{self, AdmissionPolicy, Autoscaler, PoolShape, ScalerConfig};
+pub use fix_serve::snf::{self, SnfPipeline, SnfSpec};

@@ -1,33 +1,26 @@
-//! The dispatcher tier: N independent node backends behind one
+//! The dispatcher entry point: [`dispatch`] configures the
+//! [serving kernel](fix_serve::kernel) for N node backends behind one
 //! routing front-end, with first-class node failure.
 //!
-//! Like `fix_serve::serve`, a dispatch run has two synchronized halves:
+//! The kernel's virtual half routes every arrival at admission — the
+//! request's thunk is minted first, on the dispatcher's own router
+//! runtime, because the content-addressed handle *is* the routing key
+//! ([`handle_key`](crate::handle_key)): the front-end knows the name of
+//! the computation before any node does. (The price is that shedding a
+//! request is no longer O(1) as in single-node serve; that cost is
+//! confined to the router runtime and never touches a node.) Each node
+//! owns its queues, its memoization mirror, and its driver clocks, so
+//! per-node occupancy, attainment, and warm-hit counters come off the
+//! same virtual clock that makes the single-node tables bit-identical.
 //!
-//! 1. **Virtual time.** One discrete-event simulation interleaves three
-//!    event streams — arrivals (routed to a node at admission), driver
-//!    completions (per node, per driver), and the optional fault plan
-//!    (kill/restart instants) — in deterministic `(time, class)` order.
-//!    Each node owns its own [`TenantQueues`], its own memoization set,
-//!    and its own driver clocks, so per-node occupancy, attainment, and
-//!    warm-hit counters fall out of the same virtual clock that makes
-//!    the single-node tables bit-identical across runs.
-//! 2. **Real execution.** Each node then executes exactly the batches
-//!    its virtual drivers served, on its *own* backend: a fresh
-//!    `fixpoint::Runtime` per node ([`NodeStorage::Memory`]) or one
-//!    rooted in the node's own durable directory
-//!    ([`NodeStorage::Durable`]). A restart splits the node's plan into
-//!    *incarnation segments*: each segment opens the backend anew, so a
-//!    warm restart of a durable node literally reopens its log and
-//!    re-serves memoized work with zero procedures run.
-//!
-//! Routing happens at admission, on the dispatcher's own router
-//! runtime: the request's thunk is minted there first, because the
-//! content-addressed handle *is* the routing key ([`handle_key`]) — the
-//! front-end knows the name of the computation before any node does.
-//! The price is that shedding a request is no longer O(1) as in
-//! single-node serve (the dispatcher has minted a thunk it then
-//! drops); that cost is confined to the router runtime and never
-//! touches a node.
+//! What this module adds is the real half's *placement*: each node
+//! executes exactly the batches its virtual drivers served on its
+//! **own** backend — a fresh `fixpoint::Runtime` per node
+//! ([`NodeStorage::Memory`]) or one rooted in the node's own durable
+//! directory ([`NodeStorage::Durable`]). A restart splits the node's
+//! plan into *incarnation segments*: each segment opens the backend
+//! anew, so a warm restart of a durable node literally reopens its log
+//! and re-serves memoized work with zero procedures run.
 //!
 //! Node failure is part of the model, not an afterthought:
 //! [`FaultPlan`] kills a node at a deterministic virtual instant
@@ -38,20 +31,15 @@
 //! memoization ([`RestartKind::Cold`]), which is exactly the
 //! affinity-recovery difference `figures route` measures.
 
-use crate::routing::{handle_key, Decision, Router, RoutingPolicy};
-use fix_core::api::{BatchTicket, InvocationApi, Priority, SubmitApi, SubmitOptions};
 use fix_core::error::{Error, Result};
-use fix_core::handle::Handle;
 use fix_durable::{DurableOptions, DurableStore, FsyncPolicy};
-use fix_obs::EventKind;
-use fix_serve::loadgen::{merge_timelines, tenant_seed, Arrival, Micros};
-use fix_serve::queue::{QueuedRequest, TenantClass, TenantQueues};
-use fix_serve::telemetry::LatencyHistogram;
-use fix_serve::tenant::{draw_kind, RequestFactory};
-use fix_serve::{DriverReport, NodeReport, ServeConfig, ServeReport, TenantReport};
+use fix_serve::kernel::{self, Segment, Tally};
+use fix_serve::routing::RoutingPolicy;
+use fix_serve::{Micros, RequestFactory, ServeConfig, ServeReport};
 use fixpoint::Runtime;
-use std::collections::{HashSet, VecDeque};
 use std::path::PathBuf;
+
+pub use fix_serve::kernel::{FaultPlan, RestartKind};
 
 /// Where each node keeps its state.
 #[derive(Debug, Clone)]
@@ -61,34 +49,6 @@ pub enum NodeStorage {
     /// Node `i` owns the durable directory `<root>/node<i>` (append-only
     /// log + snapshots, `FsyncPolicy::Always`); a restart reopens it.
     Durable(PathBuf),
-}
-
-/// How a killed node comes back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestartKind {
-    /// Reopen the node's durable log: memoized relations survive, so
-    /// post-restart repeats are warm immediately. Requires
-    /// [`NodeStorage::Durable`].
-    Warm,
-    /// Replace the node with an empty one: its memoization is gone and
-    /// must be re-earned (the cold-replacement baseline).
-    Cold,
-}
-
-/// A deterministic node-failure schedule: kill one node mid-run, then
-/// bring it (or its replacement) back.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// The node to kill.
-    pub node: usize,
-    /// Virtual instant of the kill. In-flight virtual batches complete
-    /// (the kill lands on a batch boundary); the node's queued backlog
-    /// is drained and re-routed to the survivors.
-    pub kill_at_us: Micros,
-    /// Virtual instant the node rejoins the alive set.
-    pub restart_at_us: Micros,
-    /// Warm (reopen the durable log) or cold (empty replacement).
-    pub restart: RestartKind,
 }
 
 /// Configuration of one multi-node dispatch run.
@@ -209,8 +169,7 @@ impl DispatchOutcome {
     /// The accounting-closure identities every dispatch run must
     /// satisfy, fault or not. Panics when violated.
     ///
-    /// * per tenant: `offered == admitted + dropped` and
-    ///   `admitted == ok + errors + expired + cancelled`;
+    /// * per tenant: [`ServeReport::assert_accounting_closure`];
     /// * per run: every admitted request was routed exactly once
     ///   (`Σ routed == Σ admitted`), every placement was priced
     ///   (`Σ (warm + cold) == Σ (routed + rerouted_in)`), and every
@@ -218,500 +177,33 @@ impl DispatchOutcome {
     ///   (`Σ (served + expired) == Σ admitted`) — re-routing moves
     ///   work, it never loses or double-counts it.
     pub fn assert_accounting_closure(&self) {
-        let mut admitted_total = 0u64;
-        for t in &self.report.tenants {
-            assert_eq!(
-                t.offered,
-                t.admitted + t.dropped,
-                "tenant '{}': offered != admitted + dropped",
-                t.name
-            );
-            assert_eq!(
-                t.admitted,
-                t.ok + t.errors + t.expired + t.cancelled,
-                "tenant '{}': admitted != ok + errors + expired + cancelled",
-                t.name
-            );
-            admitted_total += t.admitted;
-        }
+        self.report.assert_accounting_closure();
+        let admitted: u64 = self.report.tenants.iter().map(|t| t.admitted).sum();
         let nodes = &self.report.nodes;
         let routed: u64 = nodes.iter().map(|n| n.routed).sum();
-        assert_eq!(routed, admitted_total, "every admitted request is routed");
+        assert_eq!(routed, admitted, "every admitted request is routed");
         let placements: u64 = nodes.iter().map(|n| n.routed + n.rerouted_in).sum();
         let priced: u64 = nodes.iter().map(|n| n.warm_hits + n.cold_misses).sum();
         assert_eq!(priced, placements, "every placement is priced warm or cold");
         let settled: u64 = nodes.iter().map(|n| n.served + n.expired).sum();
         assert_eq!(
-            settled, admitted_total,
+            settled, admitted,
             "every admitted request is served or expired on some node"
         );
     }
 }
 
-/// A planned batch on one node's driver (the unit the real execution
-/// replays).
-struct PlannedBatch {
-    requests: Vec<QueuedRequest>,
-    priority: Priority,
-}
-
-/// One node incarnation's plans, per driver.
-struct Segment {
-    per_driver: Vec<Vec<PlannedBatch>>,
-}
-
-impl Segment {
-    fn new(drivers: usize) -> Segment {
-        Segment {
-            per_driver: (0..drivers).map(|_| Vec::new()).collect(),
-        }
-    }
-}
-
-/// Trace id of a request (shared convention with the serve layer).
-fn req_trace_id(h: Handle) -> u64 {
-    handle_key(h)
-}
-
-/// The virtual half of a dispatch run: all mutable simulation state.
-struct Sim<'a> {
-    cfg: &'a DispatchConfig,
-    router: Router,
-    router_rt: Runtime,
-    factory: RequestFactory,
-    queues: Vec<TenantQueues>,
-    seen: Vec<HashSet<Handle>>,
-    free: Vec<Vec<Micros>>,
-    alive: Vec<bool>,
-    plans: Vec<Vec<Segment>>,
-    nodes: Vec<NodeReport>,
-    drivers: Vec<DriverReport>,
-    tenant_hists: Vec<LatencyHistogram>,
-    wait_hists: Vec<LatencyHistogram>,
-    service_hists: Vec<LatencyHistogram>,
-    fill_hists: Vec<LatencyHistogram>,
-    admitted: Vec<u64>,
-    expired: Vec<u64>,
-    depth_gauges: Vec<fix_obs::Gauge>,
-    tracing: bool,
-    makespan: Micros,
-    restarted_at: Vec<Option<Micros>>,
-    recovery_window_us: Option<Micros>,
-}
-
-impl<'a> Sim<'a> {
-    fn new(cfg: &'a DispatchConfig) -> Result<Sim<'a>> {
-        let router_rt = Runtime::builder().build();
-        let factory = RequestFactory::install(&router_rt, &cfg.base.tenants, cfg.base.seed)?;
-        let classes: Vec<TenantClass> = cfg
-            .base
-            .tenants
-            .iter()
-            .map(|t| TenantClass {
-                weight: t.weight,
-                priority: t.slo.priority,
-                deadline_us: t.slo.deadline_us,
-            })
-            .collect();
-        let n_tenants = cfg.base.tenants.len();
-        Ok(Sim {
-            router: Router::new(cfg.policy, cfg.spill_margin, cfg.base.seed),
-            router_rt,
-            factory,
-            queues: (0..cfg.nodes)
-                .map(|_| TenantQueues::new(classes.clone(), cfg.base.queue_capacity))
-                .collect(),
-            seen: (0..cfg.nodes).map(|_| HashSet::new()).collect(),
-            free: (0..cfg.nodes).map(|_| vec![0; cfg.base.drivers]).collect(),
-            alive: vec![true; cfg.nodes],
-            plans: (0..cfg.nodes)
-                .map(|_| vec![Segment::new(cfg.base.drivers)])
-                .collect(),
-            nodes: vec![NodeReport::default(); cfg.nodes],
-            drivers: (0..cfg.nodes * cfg.base.drivers)
-                .map(|_| DriverReport {
-                    batches: 0,
-                    requests: 0,
-                    busy_us: 0,
-                    latency: LatencyHistogram::new(),
-                })
-                .collect(),
-            tenant_hists: (0..n_tenants).map(|_| LatencyHistogram::new()).collect(),
-            wait_hists: (0..n_tenants).map(|_| LatencyHistogram::new()).collect(),
-            service_hists: (0..n_tenants).map(|_| LatencyHistogram::new()).collect(),
-            fill_hists: (0..n_tenants).map(|_| LatencyHistogram::new()).collect(),
-            admitted: vec![0; n_tenants],
-            expired: vec![0; n_tenants],
-            depth_gauges: (0..cfg.nodes)
-                .map(|i| fix_obs::global().gauge(&format!("dispatch.node{i}.queue_depth")))
-                .collect(),
-            tracing: fix_obs::tracing_enabled(),
-            makespan: 0,
-            restarted_at: vec![None; cfg.nodes],
-            recovery_window_us: None,
-            cfg,
-        })
-    }
-
-    /// Total queued requests across all nodes.
-    fn backlog(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Counts a placement on `node` as warm or cold and, if this is the
-    /// restarted node's first warm placement, closes the recovery
-    /// window.
-    fn price_placement(&mut self, node: usize, warm: bool, now: Micros) {
-        if warm {
-            self.nodes[node].warm_hits += 1;
-            if self.recovery_window_us.is_none() {
-                if let Some(r) = self.restarted_at[node] {
-                    if now >= r {
-                        self.recovery_window_us = Some(now - r);
-                    }
-                }
-            }
-        } else {
-            self.nodes[node].cold_misses += 1;
-        }
-    }
-
-    /// Routes and admits one arrival.
-    fn admit(&mut self, a: &Arrival) -> Result<()> {
-        let spec = &self.cfg.base.tenants[a.tenant];
-        let kind = draw_kind(
-            &spec.mix,
-            tenant_seed(self.cfg.base.seed, a.tenant, 1),
-            a.seq,
-        );
-        // Mint on the router runtime: the content-addressed handle is
-        // the routing key, known before any node sees the request.
-        let thunk = self.factory.mint(&self.router_rt, a.tenant, a.seq, kind)?;
-        let key = handle_key(thunk);
-        let depths: Vec<usize> = self.queues.iter().map(|q| q.len()).collect();
-        let d: Decision = self.router.route(key, &self.alive, &depths);
-        if d.spilled {
-            self.nodes[d.hrw].spilled_away += 1;
-            if self.tracing {
-                fix_obs::emit(
-                    EventKind::Spill,
-                    a.time_us,
-                    key,
-                    d.node as u32,
-                    d.hrw as u32,
-                );
-            }
-        }
-        let n = d.node;
-        if self.queues[n].at_capacity(a.tenant) {
-            self.queues[n].shed(a.tenant);
-            if self.tracing {
-                fix_obs::emit(
-                    EventKind::ServeShed,
-                    a.time_us,
-                    key,
-                    a.tenant as u32,
-                    self.queues[n].tenant_depth(a.tenant) as u32,
-                );
-            }
-            return Ok(());
-        }
-        let warm = self.seen[n].contains(&thunk);
-        let service_us = if warm {
-            kind.warm_service_us()
-        } else {
-            kind.cold_service_us()
-        };
-        let offered = self.queues[n].offer(QueuedRequest {
-            arrival_us: a.time_us,
-            tenant: a.tenant,
-            seq: a.seq,
-            kind,
-            thunk,
-            service_us,
-            deadline_us: spec.slo.deadline_us.map(|dl| a.time_us + dl),
-        });
-        debug_assert!(offered, "capacity was checked above");
-        self.admitted[a.tenant] += 1;
-        self.seen[n].insert(thunk);
-        self.nodes[n].routed += 1;
-        self.price_placement(n, warm, a.time_us);
-        if self.tracing {
-            fix_obs::emit(EventKind::Route, a.time_us, key, n as u32, warm as u32);
-            fix_obs::emit(
-                EventKind::ServeAdmit,
-                a.time_us,
-                key,
-                a.tenant as u32,
-                self.queues[n].tenant_depth(a.tenant) as u32,
-            );
-        }
-        Ok(())
-    }
-
-    /// Kills the fault's node at virtual instant `t`: in-flight virtual
-    /// batches have already completed (their completions were stamped
-    /// at dispatch), so the kill drains the queued backlog and
-    /// re-routes it among the survivors.
-    fn kill(&mut self, node: usize, t: Micros) {
-        self.alive[node] = false;
-        self.nodes[node].kills += 1;
-        let drained = self.queues[node].drain_all();
-        if self.tracing {
-            fix_obs::emit(EventKind::NodeKill, t, 0, node as u32, drained.len() as u32);
-        }
-        for mut req in drained {
-            let key = handle_key(req.thunk);
-            let depths: Vec<usize> = self.queues.iter().map(|q| q.len()).collect();
-            let d = self.router.route(key, &self.alive, &depths);
-            if d.spilled {
-                self.nodes[d.hrw].spilled_away += 1;
-                if self.tracing {
-                    fix_obs::emit(EventKind::Spill, t, key, d.node as u32, d.hrw as u32);
-                }
-            }
-            let m = d.node;
-            // Re-price against the survivor's memoization: the dead
-            // node's warmth does not transfer.
-            let warm = self.seen[m].contains(&req.thunk);
-            req.service_us = if warm {
-                req.kind.warm_service_us()
-            } else {
-                req.kind.cold_service_us()
-            };
-            // Force-enqueue: the request was admitted (and counted)
-            // once already; failover must not shed or re-offer it.
-            self.queues[m].requeue(req);
-            self.seen[m].insert(req.thunk);
-            self.nodes[m].rerouted_in += 1;
-            self.price_placement(m, warm, t);
-            if self.tracing {
-                fix_obs::emit(EventKind::Route, t, key, m as u32, warm as u32);
-            }
-        }
-    }
-
-    /// Restarts the fault's node at virtual instant `t`, warm or cold,
-    /// opening a new incarnation segment for the real execution.
-    fn restart(&mut self, node: usize, kind: RestartKind, t: Micros) {
-        self.alive[node] = true;
-        self.nodes[node].restarts += 1;
-        if kind == RestartKind::Cold {
-            self.seen[node].clear();
-        }
-        for f in &mut self.free[node] {
-            *f = (*f).max(t);
-        }
-        self.plans[node].push(Segment::new(self.cfg.base.drivers));
-        self.restarted_at[node] = Some(t);
-        if self.tracing {
-            fix_obs::emit(
-                EventKind::NodeRestart,
-                t,
-                0,
-                node as u32,
-                (kind == RestartKind::Warm) as u32,
-            );
-        }
-    }
-
-    /// Serves one batch on node `n`, driver `d`, at virtual time `now`.
-    fn dispatch_on(&mut self, n: usize, d: usize, now: Micros) {
-        let dispatch = self.queues[n].next_dispatch(self.cfg.base.batch, now);
-        for r in &dispatch.expired {
-            self.expired[r.tenant] += 1;
-            self.nodes[n].expired += 1;
-            if self.tracing {
-                fix_obs::emit(
-                    EventKind::ServeExpire,
-                    now,
-                    req_trace_id(r.thunk),
-                    r.tenant as u32,
-                    0,
-                );
-            }
-        }
-        let batch = dispatch.requests;
-        if batch.is_empty() {
-            return;
-        }
-        let service: Micros =
-            self.cfg.base.batch_overhead_us + batch.iter().map(|r| r.service_us).sum::<Micros>();
-        let done = now + service;
-        // Queue-depth sample at dispatch: the node gauge always, plus
-        // one per-tenant lifecycle event per tenant the batch drew from
-        // (mirroring the single-node loop).
-        self.depth_gauges[n].set(self.queues[n].len() as i64);
-        if self.tracing {
-            let mut sampled: Vec<usize> = batch.iter().map(|r| r.tenant).collect();
-            sampled.sort_unstable();
-            sampled.dedup();
-            for &t in &sampled {
-                fix_obs::emit(
-                    EventKind::ServeQueueDepth,
-                    now,
-                    0,
-                    t as u32,
-                    self.queues[n].tenant_depth(t) as u32,
-                );
-            }
-        }
-        let flat = n * self.cfg.base.drivers + d;
-        for r in &batch {
-            debug_assert!(r.arrival_us <= now, "service must not precede arrival");
-            let latency = done - r.arrival_us;
-            let wait = now - r.arrival_us;
-            let fill = service - r.service_us;
-            self.tenant_hists[r.tenant].record(latency);
-            self.wait_hists[r.tenant].record(wait);
-            self.service_hists[r.tenant].record(r.service_us);
-            self.fill_hists[r.tenant].record(fill);
-            self.drivers[flat].latency.record(latency);
-            self.nodes[n].served += 1;
-            if self.tracing {
-                let id = req_trace_id(r.thunk);
-                let clamp = |v: Micros| v.min(u32::MAX as Micros) as u32;
-                fix_obs::emit(
-                    EventKind::ServeDispatch,
-                    now,
-                    id,
-                    r.tenant as u32,
-                    clamp(wait),
-                );
-                fix_obs::emit(
-                    EventKind::ServeComplete,
-                    done,
-                    id,
-                    r.tenant as u32,
-                    clamp(latency),
-                );
-            }
-        }
-        self.drivers[flat].batches += 1;
-        self.drivers[flat].requests += batch.len() as u64;
-        self.drivers[flat].busy_us += service;
-        self.nodes[n].busy_us += service;
-        self.free[n][d] = done;
-        self.makespan = self.makespan.max(done);
-        self.plans[n]
-            .last_mut()
-            .expect("a node always has a current segment")
-            .per_driver[d]
-            .push(PlannedBatch {
-                requests: batch,
-                priority: dispatch.priority,
-            });
-    }
-}
-
-/// Per-tenant outcome counters one node accumulates while settling its
-/// executed batches.
-#[derive(Clone)]
-struct Tally {
-    ok: Vec<u64>,
-    errors: Vec<u64>,
-    expired: Vec<u64>,
-    cancelled: Vec<u64>,
-}
-
-impl Tally {
-    fn new(n: usize) -> Tally {
-        Tally {
-            ok: vec![0; n],
-            errors: vec![0; n],
-            expired: vec![0; n],
-            cancelled: vec![0; n],
-        }
-    }
-
-    fn absorb(&mut self, other: &Tally) {
-        for t in 0..self.ok.len() {
-            self.ok[t] += other.ok[t];
-            self.errors[t] += other.errors[t];
-            self.expired[t] += other.expired[t];
-            self.cancelled[t] += other.cancelled[t];
-        }
-    }
-}
-
-/// Executes one incarnation segment on `rt`: every driver's planned
-/// batches, re-minted on the node's own backend (content addressing
-/// guarantees the same handles the router minted), each driver keeping
-/// `inflight` batches submitted.
-fn run_segment<A: SubmitApi + InvocationApi + Send + Sync>(
-    rt: &A,
-    factory: &RequestFactory,
-    segment: &Segment,
-    inflight: usize,
-    n_tenants: usize,
-) -> Result<Tally> {
-    let tallies: Vec<Result<Tally>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = segment
-            .per_driver
-            .iter()
-            .map(|plan| {
-                scope.spawn(move || -> Result<Tally> {
-                    let mut tally = Tally::new(n_tenants);
-                    let settle =
-                        |batch: &PlannedBatch, results: Vec<Result<Handle>>, tally: &mut Tally| {
-                            for (r, req) in results.iter().zip(&batch.requests) {
-                                match r {
-                                    Ok(_) => tally.ok[req.tenant] += 1,
-                                    Err(Error::DeadlineExceeded { .. }) => {
-                                        tally.expired[req.tenant] += 1
-                                    }
-                                    Err(Error::Cancelled) => tally.cancelled[req.tenant] += 1,
-                                    Err(_) => tally.errors[req.tenant] += 1,
-                                }
-                            }
-                        };
-                    let mut window: VecDeque<(&PlannedBatch, BatchTicket)> =
-                        VecDeque::with_capacity(inflight);
-                    for batch in plan {
-                        while window.len() >= inflight {
-                            let (done, ticket) = window.pop_front().expect("window is non-empty");
-                            settle(done, ticket.wait(), &mut tally);
-                        }
-                        let mut thunks = Vec::with_capacity(batch.requests.len());
-                        for r in &batch.requests {
-                            let minted = factory.mint(rt, r.tenant, r.seq, r.kind)?;
-                            debug_assert_eq!(
-                                minted, r.thunk,
-                                "content addressing must reproduce the routed handle"
-                            );
-                            thunks.push(minted);
-                        }
-                        let options = SubmitOptions::default().with_priority(batch.priority);
-                        window.push_back((batch, rt.submit_with(&thunks, options)));
-                    }
-                    while let Some((done, ticket)) = window.pop_front() {
-                        settle(done, ticket.wait(), &mut tally);
-                    }
-                    Ok(tally)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("driver thread must not panic"))
-            .collect()
-    });
-    let mut total = Tally::new(n_tenants);
-    for t in tallies {
-        total.absorb(&t?);
-    }
-    Ok(total)
-}
-
 /// Executes all of one node's incarnation segments in order, opening
 /// the node's backend anew for each (which is what makes a durable
-/// node's restart a real log reopen).
+/// node's restart a real log reopen) and re-minting the planned thunks
+/// there.
 fn run_node(
     node: usize,
     segments: &[Segment],
     cfg: &DispatchConfig,
 ) -> Result<(Tally, NodeExecStats)> {
-    let n_tenants = cfg.base.tenants.len();
+    let base = &cfg.base;
+    let n_tenants = base.tenants.len();
     let mut tally = Tally::new(n_tenants);
     let mut stats = NodeExecStats::default();
     // A cold restart is a *replacement* node: later incarnations open a
@@ -722,162 +214,63 @@ fn run_node(
         Some(f) if f.node == node && f.restart == RestartKind::Cold
     );
     for (si, segment) in segments.iter().enumerate() {
-        match &cfg.storage {
-            NodeStorage::Memory => {
-                let rt = Runtime::builder().build();
-                let factory = RequestFactory::install(&rt, &cfg.base.tenants, cfg.base.seed)?;
-                tally.absorb(&run_segment(
-                    &rt,
-                    &factory,
-                    segment,
-                    cfg.base.inflight,
-                    n_tenants,
-                )?);
-                stats.segments.push(SegmentExec {
-                    procedures_run: rt.procedures_run(),
-                    replayed_relations: 0,
-                    replayed_nodes: 0,
-                });
-            }
+        let builder = Runtime::builder();
+        let (rt, at_open) = match &cfg.storage {
+            NodeStorage::Memory => (builder.build(), Default::default()),
             NodeStorage::Durable(root) => {
                 let dir = if cold_replacement && si > 0 {
                     root.join(format!("node{node}.r{si}"))
                 } else {
                     root.join(format!("node{node}"))
                 };
-                let store = DurableStore::open(
-                    &dir,
-                    DurableOptions {
-                        fsync: FsyncPolicy::Always,
-                        ..DurableOptions::default()
-                    },
-                )?;
+                let options = DurableOptions {
+                    fsync: FsyncPolicy::Always,
+                    ..DurableOptions::default()
+                };
+                let store = DurableStore::open(&dir, options)?;
                 let at_open = store.stats();
-                let rt = Runtime::builder().durable(store).build();
-                let factory = RequestFactory::install(&rt, &cfg.base.tenants, cfg.base.seed)?;
-                tally.absorb(&run_segment(
-                    &rt,
-                    &factory,
-                    segment,
-                    cfg.base.inflight,
-                    n_tenants,
-                )?);
-                rt.durable().expect("built durable").flush()?;
-                stats.segments.push(SegmentExec {
-                    procedures_run: rt.procedures_run(),
-                    replayed_relations: at_open.replayed_relations,
-                    replayed_nodes: at_open.replayed_nodes,
-                });
+                (builder.durable(store).build(), at_open)
             }
+        };
+        let factory = RequestFactory::install(&rt, &base.tenants, base.seed)?;
+        let executed = kernel::execute(&rt, segment, base.inflight, n_tenants, Some(&factory))?;
+        tally.absorb(&executed);
+        if let Some(durable) = rt.durable() {
+            durable.flush()?;
         }
+        stats.segments.push(SegmentExec {
+            procedures_run: rt.procedures_run(),
+            replayed_relations: at_open.replayed_relations,
+            replayed_nodes: at_open.replayed_nodes,
+        });
     }
     Ok((tally, stats))
 }
 
-/// Runs the full multi-node dispatch pipeline: generate traffic, route
-/// and serve it across `cfg.nodes` virtual nodes (applying the fault
-/// plan, if any), then execute every node's planned batches on its own
-/// real backend.
+/// Runs the serving kernel across `cfg.nodes` nodes: plan on the
+/// dispatcher's own router runtime (routing every arrival and applying
+/// the fault plan, if any), then execute every node's planned batches
+/// on its own real backend — nodes in parallel, drivers within a node
+/// in parallel, a node's incarnation segments in order.
 pub fn dispatch(cfg: &DispatchConfig) -> Result<DispatchOutcome> {
     cfg.validate().map_err(|message| Error::Backend {
         backend: "dispatch",
         message,
     })?;
-    let mut sim = Sim::new(cfg)?;
-
-    let per_tenant: Vec<Vec<Micros>> = cfg
-        .base
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            t.arrivals
-                .generate(tenant_seed(cfg.base.seed, i, 0), cfg.base.duration_us)
-        })
-        .collect();
-    let timeline = merge_timelines(per_tenant);
-
-    // The fault plan as an event queue: kill, then restart.
-    #[derive(Clone, Copy)]
-    enum FaultEv {
-        Kill(usize),
-        Restart(usize, RestartKind),
-    }
-    let mut faults: VecDeque<(Micros, FaultEv)> = VecDeque::new();
-    if let Some(f) = &cfg.fault {
-        faults.push_back((f.kill_at_us, FaultEv::Kill(f.node)));
-        faults.push_back((f.restart_at_us, FaultEv::Restart(f.node, f.restart)));
-    }
-
-    // ------------------------------------------------------------------
-    // The discrete-event loop. Three event classes, merged in
-    // deterministic (time, class) order: faults (0) fire before
-    // arrivals (1) fire before dispatches (2) at the same instant —
-    // so a request arriving at the kill instant already routes to the
-    // survivors, and a dispatch at an arrival instant sees the arrival.
-    // ------------------------------------------------------------------
-    let mut next = 0usize;
-    let mut now_global: Micros = 0;
-    loop {
-        let t_fault = faults.front().map(|&(t, _)| t.max(now_global));
-        let t_arr = (next < timeline.len()).then(|| timeline[next].time_us.max(now_global));
-        // The next dispatch: over alive nodes with backlog, the
-        // earliest-free driver (ties to the lowest node, then driver —
-        // the same deterministic order the single-node loop uses). A
-        // driver that went idle before work arrived picks up at the
-        // current instant, never in the past.
-        let disp = (0..cfg.nodes)
-            .filter(|&n| sim.alive[n] && !sim.queues[n].is_empty())
-            .flat_map(|n| (0..cfg.base.drivers).map(move |d| (n, d)))
-            .min_by_key(|&(n, d)| (sim.free[n][d].max(now_global), n, d));
-        let t_disp = disp.map(|(n, d)| sim.free[n][d].max(now_global));
-
-        let mut best: Option<(Micros, u8)> = None;
-        for cand in [
-            t_fault.map(|t| (t, 0u8)),
-            t_arr.map(|t| (t, 1)),
-            t_disp.map(|t| (t, 2)),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        let Some((t, class)) = best else { break };
-        now_global = t;
-        match class {
-            0 => {
-                let (_, ev) = faults.pop_front().expect("fault event is due");
-                match ev {
-                    FaultEv::Kill(n) => sim.kill(n, t),
-                    FaultEv::Restart(n, k) => sim.restart(n, k, t),
-                }
-            }
-            1 => {
-                while next < timeline.len() && timeline[next].time_us <= t {
-                    sim.admit(&timeline[next])?;
-                    next += 1;
-                }
-            }
-            _ => {
-                let (n, d) = disp.expect("a dispatch candidate was selected");
-                sim.dispatch_on(n, d, t);
-            }
-        }
-    }
-    debug_assert_eq!(sim.backlog(), 0, "the loop drains every queue");
-
-    // ------------------------------------------------------------------
-    // Real execution: each node replays its incarnation segments on its
-    // own backend, nodes in parallel, drivers within a node in
-    // parallel, segments in order.
-    // ------------------------------------------------------------------
+    let plan = kernel::plan(
+        &Runtime::builder().build(),
+        &kernel::Config {
+            nodes: cfg.nodes,
+            policy: cfg.policy,
+            spill_margin: cfg.spill_margin,
+            fault: cfg.fault,
+            ..kernel::Config::from(&cfg.base)
+        },
+    )?;
     let exec_start = std::time::Instant::now();
     let results: Vec<Result<(Tally, NodeExecStats)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sim
-            .plans
+        let handles: Vec<_> = plan
+            .nodes
             .iter()
             .enumerate()
             .map(|(n, segments)| scope.spawn(move || run_node(n, segments, cfg)))
@@ -895,47 +288,10 @@ pub fn dispatch(cfg: &DispatchConfig) -> Result<DispatchOutcome> {
         totals.absorb(&tally);
         exec.push(stats);
     }
-
-    let tenants: Vec<TenantReport> = cfg
-        .base
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            fix_obs::global()
-                .histogram(&format!("serve.{}.latency_us", t.name))
-                .merge_from(&sim.tenant_hists[i]);
-            TenantReport {
-                name: t.name.clone(),
-                class: t.slo.priority.label(),
-                offered: sim.queues.iter().map(|q| q.offered[i]).sum(),
-                admitted: sim.admitted[i],
-                dropped: sim.queues.iter().map(|q| q.dropped[i]).sum(),
-                rejected: sim.queues.iter().map(|q| q.rejected[i]).sum(),
-                ok: totals.ok[i],
-                errors: totals.errors[i],
-                expired: sim.expired[i] + totals.expired[i],
-                cancelled: totals.cancelled[i],
-                latency: std::mem::take(&mut sim.tenant_hists[i]),
-                queue_wait: std::mem::take(&mut sim.wait_hists[i]),
-                service: std::mem::take(&mut sim.service_hists[i]),
-                fill: std::mem::take(&mut sim.fill_hists[i]),
-            }
-        })
-        .collect();
-    let completed = tenants.iter().map(|t| t.ok + t.errors).sum();
     Ok(DispatchOutcome {
-        report: ServeReport {
-            tenants,
-            drivers: sim.drivers,
-            nodes: sim.nodes,
-            scaling: Vec::new(),
-            makespan_us: sim.makespan,
-            completed,
-            execution_wall,
-        },
+        recovery_window_us: plan.recovery_window_us,
+        report: plan.into_report(totals, execution_wall),
         exec,
-        recovery_window_us: sim.recovery_window_us,
     })
 }
 
@@ -1117,6 +473,60 @@ mod tests {
         assert!(
             w < c,
             "warm restart must re-warm sooner ({w} µs) than a cold replacement ({c} µs)"
+        );
+    }
+
+    /// Failover under deadlines. A 200-request burst at t=0 is half
+    /// served when a 60-request burst lands at t=200 and node 0 dies:
+    /// its first-burst leftovers (deadline 500) re-queue onto a survivor
+    /// already holding second-burst requests (deadline 700), and the
+    /// survivor works down to them at about t=550 — past their
+    /// deadline, while its own front is still live. Re-queued in
+    /// deadline order they are served in time or expired; appended at
+    /// the back, the first few ride into a batch behind a live front
+    /// and are served late.
+    #[test]
+    fn failover_never_serves_a_request_past_its_deadline() {
+        use fix_serve::SloClass;
+        let deadline_us = 500;
+        let mut arrivals = vec![0; 200];
+        arrivals.extend([200; 60]);
+        let c = DispatchConfig {
+            base: ServeConfig {
+                seed: 23,
+                duration_us: 1_000,
+                drivers: 1,
+                batch: 4,
+                queue_capacity: 512,
+                batch_overhead_us: 5,
+                inflight: 2,
+                tenants: vec![TenantSpec::uniform_mix(
+                    "spiky",
+                    1,
+                    ArrivalProcess::Trace(arrivals),
+                    RequestKind::Add,
+                )
+                .with_slo(SloClass::latency(deadline_us))],
+            },
+            nodes: 2,
+            policy: RoutingPolicy::Affinity,
+            spill_margin: 512, // Never spill: keep both queues deep.
+            storage: NodeStorage::Memory,
+            fault: Some(FaultPlan {
+                node: 0,
+                kill_at_us: 201,
+                restart_at_us: 900,
+                restart: RestartKind::Cold,
+            }),
+        };
+        let o = dispatch(&c).unwrap();
+        o.assert_accounting_closure();
+        let t = &o.report.tenants[0];
+        assert!(o.report.nodes[1].rerouted_in > 0, "the kill strands work");
+        assert!(
+            t.queue_wait.max() <= deadline_us,
+            "a request dispatched {} µs after arrival outlived its {deadline_us} µs deadline",
+            t.queue_wait.max()
         );
     }
 

@@ -18,10 +18,10 @@
 //!   [`RoutingPolicy::RoundRobin`] and [`RoutingPolicy::Random`]
 //!   baselines so the memoization hit-rate win is measurable under the
 //!   same seed;
-//! * [`dispatcher`] — the two-halves engine (shared with `fix-serve`):
-//!   a deterministic virtual-clock simulation that routes, queues, and
-//!   serves every request per node, then a real execution phase where
-//!   each node replays exactly its planned batches on its own backend;
+//! * [`dispatcher`] — the multi-node configuration of the serving
+//!   kernel (`fix_serve::kernel`): its deterministic virtual-clock
+//!   half routes, queues, and serves every request per node, then each
+//!   node replays exactly its planned batches on its own backend;
 //! * node failure as a first-class event — [`FaultPlan`] kills a node
 //!   at a deterministic instant (its backlog re-routes to the
 //!   survivors), then restarts it [`RestartKind::Warm`] (reopen the
@@ -70,10 +70,11 @@
 #![warn(missing_docs)]
 
 pub mod dispatcher;
-pub mod routing;
 
 pub use dispatcher::{
     dispatch, DispatchConfig, DispatchOutcome, FaultPlan, NodeExecStats, NodeStorage, RestartKind,
     SegmentExec,
 };
-pub use routing::{handle_key, hrw_score, Decision, Router, RoutingPolicy};
+// Routing lives beside the kernel that consults it; this crate is where
+// it is configured from.
+pub use fix_serve::routing::{self, handle_key, hrw_score, Decision, Router, RoutingPolicy};

@@ -85,6 +85,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -211,13 +212,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control char in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so valid).
-                    let s = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(s)
-                        .map_err(|_| self.err("invalid utf-8"))?
-                        .chars()
-                        .next()
-                        .unwrap();
+                    // Copy one UTF-8 scalar. Slicing the `&str` is O(1);
+                    // re-validating the remaining bytes per character
+                    // made parsing quadratic in the document size.
+                    let ch = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -278,6 +280,7 @@ impl<'a> Parser<'a> {
 /// Parses a complete JSON document.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };

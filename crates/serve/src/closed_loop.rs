@@ -15,7 +15,8 @@
 //! computed during the simulation (they depend on completions) instead
 //! of before it.
 
-use fix_serve::{Micros, RequestKind, SloClass};
+use crate::loadgen::{tenant_seed, Micros};
+use crate::tenant::{RequestKind, SloClass};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -57,13 +58,7 @@ impl ThinkStreams {
     pub(crate) fn new(run_seed: u64, tenant: usize, clients: usize, mean_us: f64) -> ThinkStreams {
         ThinkStreams {
             rngs: (0..clients)
-                .map(|c| {
-                    StdRng::seed_from_u64(fix_serve::loadgen::tenant_seed(
-                        run_seed,
-                        tenant,
-                        100 + c as u64,
-                    ))
-                })
+                .map(|c| StdRng::seed_from_u64(tenant_seed(run_seed, tenant, 100 + c as u64)))
                 .collect(),
             mean_us,
         }

@@ -9,8 +9,10 @@
 //! `sched.steal_rate` — are sampled only into the non-deterministic
 //! diagnostics, never into a decision that shapes a table.)
 
+use crate::loadgen::Micros;
+use crate::queue::TenantQueues;
+use crate::server::ScaleEvent;
 use fix_obs::EventKind;
-use fix_serve::{Micros, ScaleEvent, TenantQueues};
 
 /// Attainment-driven admission: reject an arrival that provably cannot
 /// dispatch before its deadline.
@@ -48,7 +50,7 @@ pub struct AdmissionPolicy {
 }
 
 /// The dispatch capacity an arrival is priced against: the live driver
-/// count beside the fixed batch shape. The engine rebuilds this from
+/// count beside the fixed batch shape. The kernel rebuilds this from
 /// the autoscaler's current `active` on every priced arrival, so the
 /// admission bound always reflects the pool the autoscaler just chose.
 #[derive(Debug, Clone, Copy)]
@@ -248,7 +250,7 @@ impl Autoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fix_serve::{QueuedRequest, RequestKind};
+    use crate::{QueuedRequest, RequestKind};
 
     fn queued(tenant: usize, service_us: Micros, deadline_us: Option<Micros>) -> QueuedRequest {
         QueuedRequest {

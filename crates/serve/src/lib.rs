@@ -12,7 +12,7 @@
 //! [`BlockingOffload`](fix_core::api::BlockingOffload) adapter,
 //! unchanged.
 //!
-//! Four pieces:
+//! The pieces:
 //!
 //! * [`loadgen`] — deterministic open-loop arrival processes (seeded
 //!   Poisson, uniform, bursts, traces) merged into one global timeline;
@@ -25,15 +25,18 @@
 //!   round robin) among equals — plus per-tenant drop/expiry
 //!   accounting;
 //! * [`telemetry`] — mergeable fixed-bucket log-scale latency
-//!   histograms with deterministic p50/p90/p99/p999 extraction.
+//!   histograms with deterministic p50/p90/p99/p999 extraction;
+//! * [`kernel`] — the one serving engine: a deterministic virtual-time
+//!   event loop that plans every batch, then a real driver-thread pool
+//!   that executes exactly those batches through the submission-first
+//!   [`SubmitApi`]. Its plug points live beside it — [`controller`]
+//!   (admission pricing, the autoscaler), [`closed_loop`] and [`snf`]
+//!   (feedback-driven arrival sources), [`routing`] (placement across
+//!   nodes) — and are configured from `fix-adapt` and `fix-dispatch`.
 //!
-//! [`serve`] ties them together: a discrete-event simulation schedules
-//! the admitted traffic onto `N` virtual drivers in virtual time (the
-//! reproducible half), and a pool of `N` real threads then executes the
-//! exact same batches through the submission-first
-//! [`SubmitApi`] (the real half), each driver keeping a configurable
-//! window of batches in flight — submit batch *k+1* while *k* executes.
-//! See [`server`] for why the clock/execution split makes the latency
+//! [`serve`] is the kernel's plain configuration: open-loop tenants on
+//! one backend, a fixed driver pool, capacity-only admission. See
+//! [`kernel`] for why the clock/execution split makes the latency
 //! tables bit-identical across runs while every result still comes
 //! from a real evaluation. Backends without native submission (the
 //! cluster client, the baselines) join through
@@ -79,10 +82,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod closed_loop;
+pub mod controller;
+pub mod kernel;
 pub mod loadgen;
 pub mod queue;
 pub mod recovery;
+pub mod routing;
 pub mod server;
+pub mod snf;
 pub mod telemetry;
 pub mod tenant;
 
@@ -94,4 +102,4 @@ pub use server::{
     serve, DriverReport, NodeReport, ScaleEvent, ServeConfig, ServeReport, TenantReport,
 };
 pub use telemetry::LatencyHistogram;
-pub use tenant::{RequestFactory, RequestKind, SloClass, TenantSpec};
+pub use tenant::{RequestFactory, RequestKind, SloClass, Tenant, TenantSpec};

@@ -186,7 +186,8 @@ impl TenantQueues {
     /// `drivers × batch − 1` of its FIFO predecessors can still be
     /// co-batched or in service beside it, so every *earlier*
     /// predecessor — the prefix this method sums — must have been served
-    /// first (see `fix-adapt`'s admission controller for the argument).
+    /// first (see [`AdmissionPolicy`](crate::controller::AdmissionPolicy)
+    /// for the argument).
     pub fn tenant_backlog_prefix_us(&self, tenant: usize, keep_last: usize) -> Micros {
         let q = &self.queues[tenant];
         if keep_last >= q.len() {
@@ -378,9 +379,21 @@ impl TenantQueues {
     /// node that has since died, so it must land on a survivor even if
     /// that survivor's queue is momentarily over its bound; shedding it
     /// here would break the offered = admitted + dropped identity.
+    ///
+    /// A request with a deadline is inserted in deadline order, not at
+    /// the back: it may be older than arrivals the survivor has already
+    /// queued, and expiry and EDF both rely on each tenant's queue
+    /// being deadline-monotone from the front.
     pub fn requeue(&mut self, req: QueuedRequest) {
         self.backlog_us[req.tenant] += req.service_us;
-        self.queues[req.tenant].push_back(req);
+        let queue = &mut self.queues[req.tenant];
+        let at = match req.deadline_us {
+            Some(deadline) => {
+                queue.partition_point(|q| q.deadline_us.is_some_and(|d| d <= deadline))
+            }
+            None => queue.len(),
+        };
+        queue.insert(at, req);
         self.queued += 1;
     }
 
@@ -626,6 +639,30 @@ mod tests {
         assert_eq!(q.dropped, vec![0]);
         let arrivals: Vec<Micros> = q.next_batch(8).iter().map(|r| r.arrival_us).collect();
         assert_eq!(arrivals, vec![1, 2, 3], "requeued work keeps FIFO order");
+    }
+
+    /// Failover can land an *older* request behind newer arrivals; it
+    /// must take its place in deadline order, or `expire` (which only
+    /// scans fronts) would let it be served after its deadline.
+    #[test]
+    fn requeue_keeps_deadlines_monotone_so_late_work_expires() {
+        let class = TenantClass {
+            weight: 1,
+            priority: Priority::Latency,
+            deadline_us: Some(50),
+        };
+        let mut q = TenantQueues::new(vec![class], 10);
+        assert!(q.offer(deadlined(0, 50, 100)));
+        q.requeue(deadlined(0, 0, 50));
+        let d = q.next_dispatch(8, 60);
+        let expired: Vec<Micros> = d.expired.iter().filter_map(|r| r.deadline_us).collect();
+        let served: Vec<Micros> = d.requests.iter().filter_map(|r| r.deadline_us).collect();
+        assert_eq!(
+            expired,
+            vec![50],
+            "the deadline-passed request is withdrawn"
+        );
+        assert_eq!(served, vec![100]);
     }
 
     #[test]

@@ -45,24 +45,9 @@ pub struct RecoveryOutcome {
 }
 
 impl RecoveryOutcome {
-    /// The accounting-closure identities every serve pass must satisfy,
-    /// crash or not: offered = admitted + dropped, and admitted =
-    /// ok + errors + expired + cancelled. Panics when violated.
+    /// [`ServeReport::assert_accounting_closure`] on this pass's report.
     pub fn assert_accounting_closure(&self) {
-        for t in &self.report.tenants {
-            assert_eq!(
-                t.offered,
-                t.admitted + t.dropped,
-                "tenant '{}': offered != admitted + dropped",
-                t.name
-            );
-            assert_eq!(
-                t.admitted,
-                t.ok + t.errors + t.expired + t.cancelled,
-                "tenant '{}': admitted != ok + errors + expired + cancelled",
-                t.name
-            );
-        }
+        self.report.assert_accounting_closure();
     }
 }
 

@@ -17,7 +17,7 @@
 //! Every decision is a pure function of the key, the alive set, the
 //! observed depths, and the router's own deterministic state (cursor or
 //! seeded PRNG) — no wall clock anywhere, which is what keeps the
-//! dispatcher's tables bit-identical across runs.
+//! multi-node tables bit-identical across runs.
 
 use fix_core::handle::Handle;
 
@@ -60,9 +60,10 @@ pub struct Decision {
     pub spilled: bool,
 }
 
-/// The routing key of a request: the first 8 bytes of its root handle —
-/// the same prefix the serve layer uses as a trace id, so routing
-/// decisions and lifecycle events stitch together on one id.
+/// The routing key *and* trace id of a request: the first 8 bytes of its
+/// root handle. One function, so routing decisions and serve-layer
+/// lifecycle events stitch into one span — and line up with the
+/// scheduler events for the same handle.
 pub fn handle_key(h: Handle) -> u64 {
     u64::from_le_bytes(h.raw()[..8].try_into().expect("handle has 32 bytes"))
 }

@@ -1,61 +1,21 @@
-//! The serving engine: open-loop admission simulation + a real driver
-//! pool executing the admitted traffic through the submission-first
-//! [`SubmitApi`].
+//! The plain serving entry point and the report types every serving
+//! tier shares.
 //!
-//! A serve run has two synchronized halves:
-//!
-//! 1. **Virtual time.** Arrivals (from the load generator) flow through
-//!    admission and the two-level SLO dispatcher (strict
-//!    [`Priority`] tiers, EDF within a tier, deficit round robin among
-//!    equals — see [`TenantQueues`] for the discipline) into
-//!    batches served by `N` virtual drivers, under a deterministic
-//!    per-request service model
-//!    ([`RequestKind::cold_service_us`](crate::tenant::RequestKind::cold_service_us)).
-//!    Requests whose SLO deadline passes in the queue are *expired* at
-//!    dispatch — withdrawn and accounted, never executed. This half
-//!    produces the latency/occupancy/drop/expiry telemetry — it is a
-//!    discrete-event queueing simulation, so two runs with the same
-//!    seed print identical tables (the property CI asserts).
-//! 2. **Real execution.** The exact batches the virtual drivers served
-//!    are then drained by `N` real OS threads sharing one backend.
-//!    Each driver keeps up to [`ServeConfig::inflight`] batches in
-//!    flight through [`SubmitApi::submit_with`] — submitting batch
-//!    *k+1* while *k* executes, each batch at the priority tier it was
-//!    dispatched from (expiry was already decided on the virtual clock,
-//!    so the real submissions carry no deadline) — and settles
-//!    completions in order with [`BatchTicket::wait`]. With
-//!    `inflight: 1` this degenerates to the old blocking `eval_many`
-//!    loop; with a wider window, admission overlaps execution (the
-//!    decoupling the submission API exists for). Every result (and
-//!    error) in the report comes from a real evaluation, with
-//!    `Cancelled`/`DeadlineExceeded` outcomes accounted as withdrawn
-//!    work rather than guest faults.
-//!
-//! Splitting the clock from the execution is what reconciles "real
-//! threads, real evaluations" with "bit-identical tables": thread
-//! interleaving — and the in-flight window — can reorder *work*, but it
-//! cannot reorder the virtual timeline, and content-addressed
-//! evaluation makes the results order-independent. The wall-clock cost
-//! of the execution phase is reported separately
-//! ([`ServeReport::execution_wall`]) and deliberately kept out of the
-//! deterministic tables.
+//! [`serve`] configures the [serving kernel](crate::kernel) for the
+//! static single-backend case: open-loop tenants, one node, a fixed
+//! pool of [`ServeConfig::drivers`], capacity-only admission, no
+//! faults. The kernel module documents the two-halves engine — a
+//! deterministic virtual-time plan, then a real driver-thread pool
+//! executing exactly the planned batches — and why that split makes the
+//! tables below bit-identical across runs and backends while every
+//! result still comes from a real evaluation.
 
-use crate::loadgen::{merge_timelines, tenant_seed, Arrival, Micros};
-use crate::queue::{QueuedRequest, TenantClass, TenantQueues};
+use crate::kernel;
+use crate::loadgen::Micros;
 use crate::telemetry::LatencyHistogram;
-use crate::tenant::{draw_kind, RequestFactory, TenantSpec};
-use fix_core::api::{BatchTicket, InvocationApi, Priority, SubmitApi, SubmitOptions};
-use fix_core::error::{Error, Result};
-use fix_core::handle::Handle;
-use fix_obs::EventKind;
-use std::collections::{HashSet, VecDeque};
-
-/// Trace id of a request: the first 8 bytes of its thunk handle, so the
-/// serve-layer lifecycle events for one request stitch into one span —
-/// and line up with the scheduler events for the same handle.
-fn req_trace_id(h: Handle) -> u64 {
-    u64::from_le_bytes(h.raw()[..8].try_into().expect("handle has 32 bytes"))
-}
+use crate::tenant::TenantSpec;
+use fix_core::api::{InvocationApi, SubmitApi};
+use fix_core::error::Result;
 
 /// Configuration of one serve run.
 #[derive(Debug, Clone)]
@@ -134,7 +94,8 @@ pub struct TenantReport {
     /// Arrivals shed at admission.
     pub dropped: u64,
     /// Arrivals refused by an admission *controller* (priced to expire
-    /// before they could dispatch — see `fix-adapt`), accounted
+    /// before they could dispatch — see
+    /// [`AdmissionPolicy`](crate::controller::AdmissionPolicy)), accounted
     /// separately from capacity sheds: a `dropped` arrival found no
     /// queue space, a `rejected` one was refused on policy. Plain
     /// [`serve`] runs have no controller, so this column is zero there.
@@ -349,6 +310,29 @@ impl ServeReport {
         self.tenants.iter().map(|t| t.cancelled).sum()
     }
 
+    /// The accounting-closure identities every serving run must
+    /// satisfy, on every tier: per tenant, every offered arrival was
+    /// admitted, shed, or rejected (`offered == admitted + dropped +
+    /// rejected`), and every admitted request ended exactly one way
+    /// (`admitted == ok + errors + expired + cancelled`). Panics when
+    /// violated.
+    pub fn assert_accounting_closure(&self) {
+        for t in &self.tenants {
+            assert_eq!(
+                t.offered,
+                t.admitted + t.dropped + t.rejected,
+                "tenant '{}': offered != admitted + dropped + rejected",
+                t.name
+            );
+            assert_eq!(
+                t.admitted,
+                t.ok + t.errors + t.expired + t.cancelled,
+                "tenant '{}': admitted != ok + errors + expired + cancelled",
+                t.name
+            );
+        }
+    }
+
     /// The deterministic latency decomposition table: per tenant, how
     /// much of the end-to-end latency was queue wait, own service, and
     /// batch fill (dispatch overhead + co-batched service). All virtual
@@ -510,43 +494,6 @@ impl std::fmt::Display for ServeReport {
     }
 }
 
-/// Per-tenant outcome counters one driver thread accumulates while
-/// settling its executed batches.
-struct Tally {
-    ok: Vec<u64>,
-    errors: Vec<u64>,
-    expired: Vec<u64>,
-    cancelled: Vec<u64>,
-}
-
-impl Tally {
-    fn new(n: usize) -> Tally {
-        Tally {
-            ok: vec![0; n],
-            errors: vec![0; n],
-            expired: vec![0; n],
-            cancelled: vec![0; n],
-        }
-    }
-
-    fn absorb(&mut self, other: &Tally) {
-        for t in 0..self.ok.len() {
-            self.ok[t] += other.ok[t];
-            self.errors[t] += other.errors[t];
-            self.expired[t] += other.expired[t];
-            self.cancelled[t] += other.cancelled[t];
-        }
-    }
-}
-
-/// A virtual driver's planned batch: the requests it served, in order,
-/// and the SLO tier the whole batch was assembled from (two-level
-/// dispatch never mixes tiers in one batch).
-struct PlannedBatch {
-    requests: Vec<QueuedRequest>,
-    priority: Priority,
-}
-
 /// Runs the full serve pipeline against `rt`: generate traffic, admit
 /// and schedule it in virtual time, then execute the planned batches on
 /// a real driver-thread pool through the submission API (each driver
@@ -590,351 +537,7 @@ pub fn serve<A: SubmitApi + InvocationApi + Send + Sync>(
         backend: "serve",
         message,
     })?;
-    let factory = RequestFactory::install(rt, &cfg.tenants, cfg.seed)?;
-
-    // ------------------------------------------------------------------
-    // Load generation: per-tenant arrival streams, merged and minted.
-    // ------------------------------------------------------------------
-    let per_tenant: Vec<Vec<Micros>> = cfg
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            t.arrivals
-                .generate(tenant_seed(cfg.seed, i, 0), cfg.duration_us)
-        })
-        .collect();
-    let timeline = merge_timelines(per_tenant);
-
-    // ------------------------------------------------------------------
-    // Virtual-time admission + dispatch simulation.
-    // ------------------------------------------------------------------
-    let classes: Vec<TenantClass> = cfg
-        .tenants
-        .iter()
-        .map(|t| TenantClass {
-            weight: t.weight,
-            priority: t.slo.priority,
-            deadline_us: t.slo.deadline_us,
-        })
-        .collect();
-    let mut queues = TenantQueues::new(classes, cfg.queue_capacity);
-    let mut free: Vec<Micros> = vec![0; cfg.drivers];
-    let mut plans: Vec<Vec<PlannedBatch>> = (0..cfg.drivers).map(|_| Vec::new()).collect();
-    let mut drivers: Vec<DriverReport> = (0..cfg.drivers)
-        .map(|_| DriverReport {
-            batches: 0,
-            requests: 0,
-            busy_us: 0,
-            latency: LatencyHistogram::new(),
-        })
-        .collect();
-    let mut tenant_hists: Vec<LatencyHistogram> = (0..cfg.tenants.len())
-        .map(|_| LatencyHistogram::new())
-        .collect();
-    let mut wait_hists = tenant_hists.clone();
-    let mut service_hists = tenant_hists.clone();
-    let mut fill_hists = tenant_hists.clone();
-    // One relaxed load for the whole run: the virtual loop either
-    // traces every lifecycle event or none (toggling mid-run would
-    // break cross-run comparability anyway).
-    let tracing = fix_obs::tracing_enabled();
-    // Live per-tenant queue-depth gauges in the process-wide registry,
-    // updated at every dispatch sample.
-    let depth_gauges: Vec<fix_obs::Gauge> = cfg
-        .tenants
-        .iter()
-        .map(|t| fix_obs::global().gauge(&format!("serve.{}.queue_depth", t.name)))
-        .collect();
-    let mut admitted_per_tenant = vec![0u64; cfg.tenants.len()];
-    let mut expired_per_tenant = vec![0u64; cfg.tenants.len()];
-    let mut seen: HashSet<Handle> = HashSet::new();
-    let mut makespan: Micros = 0;
-
-    let offer = |queues: &mut TenantQueues,
-                 seen: &mut HashSet<Handle>,
-                 admitted: &mut [u64],
-                 a: &Arrival|
-     -> Result<()> {
-        // Capacity check before any per-request work: a shed arrival
-        // must cost O(1) — minting a thunk builds and stores real
-        // objects on the backend, exactly what overload protection is
-        // supposed to avoid.
-        if queues.at_capacity(a.tenant) {
-            queues.shed(a.tenant);
-            if tracing {
-                fix_obs::emit(
-                    EventKind::ServeShed,
-                    a.time_us,
-                    0,
-                    a.tenant as u32,
-                    queues.tenant_depth(a.tenant) as u32,
-                );
-            }
-            return Ok(());
-        }
-        let spec = &cfg.tenants[a.tenant];
-        let kind = draw_kind(&spec.mix, tenant_seed(cfg.seed, a.tenant, 1), a.seq);
-        let thunk = factory.mint(rt, a.tenant, a.seq, kind)?;
-        // First *admitted* sight of a thunk pays the cold service time;
-        // repeats are warm — mirroring the backend's memoization (a shed
-        // request never executed, so it warms nothing).
-        let service_us = if seen.contains(&thunk) {
-            kind.warm_service_us()
-        } else {
-            kind.cold_service_us()
-        };
-        if queues.offer(QueuedRequest {
-            arrival_us: a.time_us,
-            tenant: a.tenant,
-            seq: a.seq,
-            kind,
-            thunk,
-            service_us,
-            deadline_us: spec.slo.deadline_us.map(|d| a.time_us + d),
-        }) {
-            admitted[a.tenant] += 1;
-            seen.insert(thunk);
-            if tracing {
-                fix_obs::emit(
-                    EventKind::ServeAdmit,
-                    a.time_us,
-                    req_trace_id(thunk),
-                    a.tenant as u32,
-                    queues.tenant_depth(a.tenant) as u32,
-                );
-            }
-        }
-        Ok(())
-    };
-
-    let mut next = 0usize; // Next unadmitted arrival in the timeline.
-    loop {
-        // The earliest-free driver serves next (ties to the lowest
-        // index, keeping the event order deterministic).
-        let d = (0..cfg.drivers)
-            .min_by_key(|&i| (free[i], i))
-            .expect("pool is non-empty");
-        let now = free[d];
-        // Everything that arrived while drivers were busy is offered in
-        // arrival order before the next dispatch decision.
-        while next < timeline.len() && timeline[next].time_us <= now {
-            offer(
-                &mut queues,
-                &mut seen,
-                &mut admitted_per_tenant,
-                &timeline[next],
-            )?;
-            next += 1;
-        }
-        if queues.is_empty() {
-            if next >= timeline.len() {
-                break; // Drained: the run is over.
-            }
-            // Idle until the next arrival instant (admit every arrival
-            // stamped with that exact time before dispatching). Every
-            // driver already free is idle across the gap, so virtual
-            // time advances for all of them — otherwise a stale driver
-            // clock could "serve" a request before it arrived.
-            let t = timeline[next].time_us;
-            while next < timeline.len() && timeline[next].time_us == t {
-                offer(
-                    &mut queues,
-                    &mut seen,
-                    &mut admitted_per_tenant,
-                    &timeline[next],
-                )?;
-                next += 1;
-            }
-            for f in free.iter_mut() {
-                *f = (*f).max(t);
-            }
-            continue;
-        }
-        let dispatch = queues.next_dispatch(cfg.batch, now);
-        // Deadline-passed requests were withdrawn at dispatch: they
-        // consume no service and record no latency — dead work the
-        // platform refused to execute, accounted as expired.
-        for r in &dispatch.expired {
-            expired_per_tenant[r.tenant] += 1;
-            if tracing {
-                fix_obs::emit(
-                    EventKind::ServeExpire,
-                    now,
-                    req_trace_id(r.thunk),
-                    r.tenant as u32,
-                    0,
-                );
-            }
-        }
-        let batch = dispatch.requests;
-        if batch.is_empty() {
-            // Expiry emptied the backlog; re-check arrivals/idle state.
-            continue;
-        }
-        let service: Micros =
-            cfg.batch_overhead_us + batch.iter().map(|r| r.service_us).sum::<Micros>();
-        let done = now + service;
-        // Queue-depth sample at dispatch: one reading per tenant the
-        // batch drew from, after the batch's pops.
-        let mut sampled: Vec<usize> = batch.iter().map(|r| r.tenant).collect();
-        sampled.sort_unstable();
-        sampled.dedup();
-        for &t in &sampled {
-            let depth = queues.tenant_depth(t);
-            depth_gauges[t].set(depth as i64);
-            if tracing {
-                fix_obs::emit(EventKind::ServeQueueDepth, now, 0, t as u32, depth as u32);
-            }
-        }
-        for r in &batch {
-            debug_assert!(r.arrival_us <= now, "service must not precede arrival");
-            let latency = done - r.arrival_us;
-            // The decomposition: latency = wait + own service + fill
-            // (dispatch overhead + co-batched service), exactly.
-            let wait = now - r.arrival_us;
-            let fill = service - r.service_us;
-            tenant_hists[r.tenant].record(latency);
-            wait_hists[r.tenant].record(wait);
-            service_hists[r.tenant].record(r.service_us);
-            fill_hists[r.tenant].record(fill);
-            drivers[d].latency.record(latency);
-            if tracing {
-                let id = req_trace_id(r.thunk);
-                let clamp = |v: Micros| v.min(u32::MAX as Micros) as u32;
-                fix_obs::emit(
-                    EventKind::ServeDispatch,
-                    now,
-                    id,
-                    r.tenant as u32,
-                    clamp(wait),
-                );
-                fix_obs::emit(
-                    EventKind::ServeComplete,
-                    done,
-                    id,
-                    r.tenant as u32,
-                    clamp(latency),
-                );
-            }
-        }
-        drivers[d].batches += 1;
-        drivers[d].requests += batch.len() as u64;
-        drivers[d].busy_us += service;
-        free[d] = done;
-        makespan = makespan.max(done);
-        plans[d].push(PlannedBatch {
-            requests: batch,
-            priority: dispatch.priority,
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Real execution: one OS thread per driver, a window of up to
-    // `cfg.inflight` submitted batches each. Submission returns
-    // immediately, so batch k+1 enters the backend while batch k is
-    // still executing; completions settle oldest-first.
-    // ------------------------------------------------------------------
-    let exec_start = std::time::Instant::now();
-    let outcomes: Vec<Tally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|plan| {
-                let n_tenants = cfg.tenants.len();
-                let inflight = cfg.inflight;
-                scope.spawn(move || {
-                    let mut tally = Tally::new(n_tenants);
-                    let settle =
-                        |batch: &PlannedBatch, results: Vec<Result<Handle>>, tally: &mut Tally| {
-                            for (r, req) in results.iter().zip(&batch.requests) {
-                                match r {
-                                    Ok(_) => tally.ok[req.tenant] += 1,
-                                    // Withdrawn work is accounted as
-                                    // withdrawn, not as a guest fault.
-                                    Err(Error::DeadlineExceeded { .. }) => {
-                                        tally.expired[req.tenant] += 1
-                                    }
-                                    Err(Error::Cancelled) => tally.cancelled[req.tenant] += 1,
-                                    Err(_) => tally.errors[req.tenant] += 1,
-                                }
-                            }
-                        };
-                    let mut window: VecDeque<(&PlannedBatch, BatchTicket)> =
-                        VecDeque::with_capacity(inflight);
-                    for batch in plan {
-                        while window.len() >= inflight {
-                            let (done, ticket) = window.pop_front().expect("window is non-empty");
-                            settle(done, ticket.wait(), &mut tally);
-                        }
-                        let thunks: Vec<Handle> = batch.requests.iter().map(|r| r.thunk).collect();
-                        // Expiry was already decided at (virtual) dispatch
-                        // time, so the real batch carries no deadline —
-                        // only the tier it was assembled from.
-                        let options = SubmitOptions::default().with_priority(batch.priority);
-                        window.push_back((batch, rt.submit_with(&thunks, options)));
-                    }
-                    while let Some((done, ticket)) = window.pop_front() {
-                        settle(done, ticket.wait(), &mut tally);
-                    }
-                    tally
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("driver thread must not panic"))
-            .collect()
-    });
-    let execution_wall = exec_start.elapsed();
-
-    let mut totals = Tally::new(cfg.tenants.len());
-    for tally in outcomes {
-        totals.absorb(&tally);
-    }
-    let ok = totals.ok;
-    let errors = totals.errors;
-    let cancelled = totals.cancelled;
-    let expired_exec = totals.expired;
-
-    let tenants: Vec<TenantReport> = cfg
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            // Publish the tenant's latency telemetry into the
-            // process-wide registry (accumulating across serve runs)
-            // under its serving name.
-            fix_obs::global()
-                .histogram(&format!("serve.{}.latency_us", t.name))
-                .merge_from(&tenant_hists[i]);
-            TenantReport {
-                name: t.name.clone(),
-                class: t.slo.priority.label(),
-                offered: queues.offered[i],
-                admitted: admitted_per_tenant[i],
-                dropped: queues.dropped[i],
-                rejected: queues.rejected[i],
-                ok: ok[i],
-                errors: errors[i],
-                expired: expired_per_tenant[i] + expired_exec[i],
-                cancelled: cancelled[i],
-                latency: std::mem::take(&mut tenant_hists[i]),
-                queue_wait: std::mem::take(&mut wait_hists[i]),
-                service: std::mem::take(&mut service_hists[i]),
-                fill: std::mem::take(&mut fill_hists[i]),
-            }
-        })
-        .collect();
-    let completed = tenants.iter().map(|t| t.ok + t.errors).sum();
-    Ok(ServeReport {
-        tenants,
-        drivers,
-        nodes: Vec::new(),
-        scaling: Vec::new(),
-        makespan_us: makespan,
-        completed,
-        execution_wall,
-    })
+    kernel::run(rt, &kernel::Config::from(cfg))
 }
 
 #[cfg(test)]
@@ -978,11 +581,10 @@ mod tests {
     fn serve_accounts_for_every_arrival() {
         let rt = Runtime::builder().build();
         let report = serve(&rt, &two_tenant_cfg(11)).unwrap();
+        report.assert_accounting_closure();
         for t in &report.tenants {
-            assert_eq!(t.offered, t.admitted + t.dropped, "tenant {}", t.name);
-            assert_eq!(t.admitted, t.ok + t.errors, "tenant {}", t.name);
+            assert_eq!(t.admitted, t.ok, "tenant {}", t.name);
             assert_eq!(t.admitted, t.latency.count(), "tenant {}", t.name);
-            assert_eq!(t.errors, 0, "all minted requests are valid");
         }
         assert!(report.completed > 0);
         assert!(report.makespan_us > 0);
@@ -1145,15 +747,7 @@ mod tests {
             again.to_string(),
             "SLO dispatch must stay deterministic"
         );
-        for t in &report.tenants {
-            assert_eq!(t.offered, t.admitted + t.dropped, "tenant {}", t.name);
-            assert_eq!(
-                t.admitted,
-                t.ok + t.errors + t.expired + t.cancelled,
-                "tenant {}",
-                t.name
-            );
-        }
+        report.assert_accounting_closure();
         let (_, _, frontend_p99, _) = report.tenants[0].latency.tail_summary();
         let (_, _, reports_p99, _) = report.tenants[1].latency.tail_summary();
         assert!(
@@ -1194,7 +788,7 @@ mod tests {
         let report = serve(&rt, &cfg).unwrap();
         let t = &report.tenants[0];
         assert!(t.expired > 0, "the burst must overrun its deadline");
-        assert_eq!(t.admitted, t.ok + t.errors + t.expired + t.cancelled);
+        report.assert_accounting_closure();
         assert_eq!(t.errors, 0);
         assert_eq!(
             t.latency.count(),

@@ -20,12 +20,13 @@
 //!   backend mints bit-identical handles and the serving tables stay
 //!   backend-independent.
 
+use crate::loadgen::Micros;
+use crate::tenant::SloClass;
 use fix_core::api::InvocationApi;
 use fix_core::data::Blob;
 use fix_core::error::Result;
 use fix_core::handle::Handle;
 use fix_core::limits::ResourceLimits;
-use fix_serve::{Micros, SloClass};
 use std::sync::Arc;
 
 /// One SNF streaming tenant: `flows` flow-state shards, each offered

@@ -9,7 +9,9 @@
 //! count-string map shard (Fig. 8b), and the SeBS `dynamic-html` port
 //! running through Flatware.
 
+use crate::closed_loop::ClosedLoopSpec;
 use crate::loadgen::{ArrivalProcess, Micros};
+use crate::snf::SnfSpec;
 use fix_core::api::{InvocationApi, Priority};
 use fix_core::data::Blob;
 use fix_core::error::Result;
@@ -166,6 +168,61 @@ impl TenantSpec {
     }
 }
 
+/// One tenant of a serving run, by where its arrivals come from. Plain
+/// [`serve`](crate::serve) runs are all [`Open`](Tenant::Open); the
+/// adaptive control plane (`fix-adapt`, which re-exports this type as
+/// `AdaptTenant`) adds the two feedback-driven sources.
+#[derive(Debug, Clone)]
+pub enum Tenant {
+    /// A plain open-loop tenant (any [`ArrivalProcess`], including the
+    /// hostile `FlashCrowd` and `Diurnal` shapes).
+    Open(TenantSpec),
+    /// A closed-loop client population.
+    Closed(ClosedLoopSpec),
+    /// An SNF streaming pipeline.
+    Snf(SnfSpec),
+}
+
+impl Tenant {
+    /// The tenant's display name.
+    pub fn name(&self) -> &str {
+        match self {
+            Tenant::Open(t) => &t.name,
+            Tenant::Closed(t) => &t.name,
+            Tenant::Snf(t) => &t.name,
+        }
+    }
+
+    /// The tenant's weighted-fair share.
+    pub fn weight(&self) -> u32 {
+        match self {
+            Tenant::Open(t) => t.weight,
+            Tenant::Closed(t) => t.weight,
+            Tenant::Snf(t) => t.weight,
+        }
+    }
+
+    /// The tenant's SLO class.
+    pub fn slo(&self) -> SloClass {
+        match self {
+            Tenant::Open(t) => t.slo,
+            Tenant::Closed(t) => t.slo,
+            Tenant::Snf(t) => t.slo,
+        }
+    }
+
+    /// The weighted request mix its requests are drawn from (empty for
+    /// an SNF pipeline, whose folds are minted by
+    /// [`SnfPipeline`](crate::snf::SnfPipeline) instead).
+    pub fn mix(&self) -> &[(RequestKind, u32)] {
+        match self {
+            Tenant::Open(t) => &t.mix,
+            Tenant::Closed(t) => &t.mix,
+            Tenant::Snf(_) => &[],
+        }
+    }
+}
+
 /// Per-backend request factory: registers each tenant's procedures and
 /// data once, then mints the thunk for any `(tenant, seq, kind)`.
 ///
@@ -196,6 +253,16 @@ impl RequestFactory {
         tenants: &[TenantSpec],
         seed: u64,
     ) -> Result<RequestFactory> {
+        Self::install_mixes(rt, tenants.iter().map(|t| t.mix.as_slice()), seed)
+    }
+
+    /// [`install`](Self::install) from the tenants' request mixes alone
+    /// — all the factory reads of a tenant.
+    pub(crate) fn install_mixes<'a, R: InvocationApi>(
+        rt: &R,
+        mixes: impl Iterator<Item = &'a [(RequestKind, u32)]>,
+        seed: u64,
+    ) -> Result<RequestFactory> {
         let add_proc = rt.register_native(
             "serve/add",
             Arc::new(|ctx| {
@@ -213,9 +280,9 @@ impl RequestFactory {
             rt,
             &[("inbox.txt".to_string(), b"serve-layer fixture".to_vec())],
         )?;
-        let mut shards = Vec::with_capacity(tenants.len());
-        for (i, t) in tenants.iter().enumerate() {
-            let shard_bytes = t.mix.iter().find_map(|(k, _)| match k {
+        let mut shards = Vec::new();
+        for (i, mix) in mixes.enumerate() {
+            let shard_bytes = mix.iter().find_map(|(k, _)| match k {
                 RequestKind::Wordcount { shard_bytes } => Some(*shard_bytes),
                 _ => None,
             });

@@ -26,7 +26,8 @@
 //! * [`serve`] — the multi-tenant serving layer: open-loop load
 //!   generation, per-tenant SLO classes (priority tiers, deadlines)
 //!   over two-level dispatch, a batched driver pool, and tail-latency
-//!   telemetry over any One-Fix-API backend;
+//!   telemetry over any One-Fix-API backend — and the one serving
+//!   kernel (`serve::kernel`) that [`adapt`] and [`dispatch`] configure;
 //! * [`durable`] — the persistence tier: an append-only
 //!   content-addressed log with snapshots, lazy faulting restart,
 //!   spill-to-disk, and deterministic kill points for crash-recovery
