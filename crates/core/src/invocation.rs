@@ -134,7 +134,7 @@ impl Selection {
     /// Validates the range against a target length, returning the concrete
     /// `[begin, end)` bounds.
     pub fn bounds(&self, target_len: u64) -> Result<(u64, u64)> {
-        let end = self.end.unwrap_or(self.begin + 1);
+        let end = self.end.unwrap_or(self.begin.saturating_add(1));
         if self.begin > end || end > target_len {
             return Err(Error::BadSelection {
                 target: self.target,

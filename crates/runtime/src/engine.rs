@@ -9,12 +9,17 @@
 //! (paper §4.2.1), so a worker either runs a codelet to completion or
 //! records what must be computed first.
 //!
-//! The three job kinds map onto the memoized relations:
+//! The two job kinds map onto the memoized relations:
 //!
 //! * [`Job::Eval`] — reduce a Thunk until the result is not a Thunk;
-//! * [`Job::Resolve`] — compute what an Encode splices in (style-aware);
 //! * [`Job::Force`] — deep-evaluate a value (strict semantics): all
 //!   Thunks and Encodes inside replaced, all Refs promoted.
+//!
+//! There is no job for an Encode: what it splices in is *derived* from
+//! those two relations ([`RelationCache::resolved`]), so a job that needs
+//! an unresolved Encode waits directly on the relation that is missing —
+//! the `Eval` of the encoded Thunk, then (strict style only) the `Force`
+//! of its value.
 
 use crate::registry::{NativeCtx, ProgramRegistry};
 use fix_core::data::{Blob, Node, Tree};
@@ -34,8 +39,6 @@ use std::sync::Arc;
 pub enum Job {
     /// Reduce a Thunk to a non-Thunk value.
     Eval(Handle),
-    /// Resolve an Encode (what gets spliced into an application tree).
-    Resolve(Handle),
     /// Deep-force a value so that everything inside is accessible.
     Force(Handle),
 }
@@ -44,7 +47,6 @@ impl std::fmt::Display for Job {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Job::Eval(h) => write!(f, "eval({h})"),
-            Job::Resolve(h) => write!(f, "resolve({h})"),
             Job::Force(h) => write!(f, "force({h})"),
         }
     }
@@ -125,6 +127,15 @@ impl<'a> HostApi for StoreHost<'a> {
     }
 }
 
+/// How a resolved Encode appears in the tree a procedure sees: strict →
+/// accessible Object, shallow → Ref (minimum progress: metadata only).
+fn splice(style: EncodeStyle, resolved: Handle) -> Handle {
+    match style {
+        EncodeStyle::Strict => resolved.as_object_handle(),
+        EncodeStyle::Shallow => resolved.as_ref_handle(),
+    }
+}
+
 impl Engine {
     /// Creates an engine over the given storage and registry.
     pub fn new(
@@ -160,7 +171,6 @@ impl Engine {
     pub fn step(&self, job: Job) -> Result<Step> {
         match job {
             Job::Eval(h) => self.step_eval(h),
-            Job::Resolve(h) => self.step_resolve(h),
             Job::Force(h) => self.step_force(h),
         }
     }
@@ -185,9 +195,13 @@ impl Engine {
             }
             Kind::Thunk(ThunkKind::Selection) => self.step_eval_selection(h),
             Kind::Thunk(ThunkKind::Application) => self.step_eval_application(h),
-            Kind::Encode(..) => {
-                // Bare encodes are not values; treat eval(encode) as resolve.
-                self.step_resolve(h)
+            Kind::Encode(style, _) => {
+                // Bare encodes are not values: eval(encode) is what the
+                // encode would splice into a tree.
+                Ok(match self.resolved_or_dep(h)? {
+                    Ok(v) => Step::Done(splice(style, v)),
+                    Err(dep) => Step::Deps(vec![dep]),
+                })
             }
             Kind::Object(_) | Kind::Ref(_) => unreachable!("values returned above"),
         }
@@ -203,9 +217,9 @@ impl Engine {
                 Some(v) => v,
                 None => return Ok(Step::Deps(vec![Job::Eval(sel.target)])),
             },
-            Kind::Encode(..) => match self.cache.resolved(sel.target) {
-                Some(v) => v,
-                None => return Ok(Step::Deps(vec![Job::Resolve(sel.target)])),
+            Kind::Encode(..) => match self.resolved_or_dep(sel.target)? {
+                Ok(v) => v,
+                Err(dep) => return Ok(Step::Deps(vec![dep])),
             },
         };
         // Perform the extraction. The runtime — not the guest — touches the
@@ -261,20 +275,29 @@ impl Engine {
             Some(r) => r,
             None => {
                 let tree = self.store.get_tree(tree_h)?;
-                // Resolve every Encode reachable through the tree first.
+                // Every Encode reachable through the tree comes first.
                 let encodes = collect_encodes(self.store.as_ref(), &tree)?;
                 let mut deps: Vec<Job> = Vec::new();
-                for e in encodes {
-                    if self.cache.resolved(e).is_none() {
-                        deps.push(Job::Resolve(e));
+                for &e in &encodes {
+                    match self.resolved_or_dep(e)? {
+                        // Two styles of one thunk wait on the same job.
+                        Err(dep) if !deps.contains(&dep) => deps.push(dep),
+                        _ => {}
                     }
                 }
                 if !deps.is_empty() {
                     return Ok(Step::Deps(deps));
                 }
-                // Substitute resolved Encodes; the procedure sees this tree.
-                let resolved = self.substitute(&tree)?;
-                let resolved_h = self.store.put_tree(resolved.clone());
+                // Substitute resolved Encodes; the procedure sees this
+                // tree. Without encodes that is the definition tree
+                // itself, already hashed and stored under `tree_h`.
+                let (resolved, resolved_h) = if encodes.is_empty() {
+                    (tree, tree_h)
+                } else {
+                    let resolved = self.substitute(&tree)?;
+                    let resolved_h = self.store.put_tree(resolved.clone());
+                    (resolved, resolved_h)
+                };
                 let raw = self.run_procedure(&resolved, resolved_h)?;
                 if !raw.is_thunk() {
                     if let Some(ledger) = &self.provenance {
@@ -318,10 +341,7 @@ impl Engine {
                         .cache
                         .resolved(entry)
                         .ok_or(Error::NotEvaluated(entry))?;
-                    match style {
-                        EncodeStyle::Strict => r.as_object_handle(),
-                        EncodeStyle::Shallow => r.as_ref_handle(),
-                    }
+                    splice(style, r)
                 }
                 Kind::Object(DataType::Tree) => {
                     let sub = self.store.get_tree(entry)?;
@@ -392,34 +412,25 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Resolve.
+    // Encodes.
     // ------------------------------------------------------------------
 
-    fn step_resolve(&self, e: Handle) -> Result<Step> {
-        let (style, _) = match e.kind() {
-            Kind::Encode(style, kind) => (style, kind),
-            _ => {
-                return Err(Error::TypeMismatch {
-                    handle: e,
-                    expected: "an Encode",
-                })
-            }
-        };
+    /// The value Encode `e` resolves to, exactly as
+    /// [`RelationCache::resolved`] derives it — the evaluation of its
+    /// Thunk, deep-forced for the strict style — or else the job whose
+    /// relation is still missing (`Eval` first, then `Force`).
+    fn resolved_or_dep(&self, e: Handle) -> Result<std::result::Result<Handle, Job>> {
         let thunk = e.encoded_thunk()?;
-        let value = match self.cache.get(Relation::Eval, thunk) {
-            Some(v) => v,
-            None => return Ok(Step::Deps(vec![Job::Eval(thunk)])),
+        let Some(value) = self.cache.get(Relation::Eval, thunk) else {
+            return Ok(Err(Job::Eval(thunk)));
         };
-        match style {
-            EncodeStyle::Shallow => {
-                // Minimum progress: the value, provided as a Ref.
-                Ok(Step::Done(value.as_ref_handle()))
-            }
-            EncodeStyle::Strict => match self.cache.get(Relation::Force, value) {
-                Some(f) => Ok(Step::Done(f.as_object_handle())),
-                None => Ok(Step::Deps(vec![Job::Force(value)])),
-            },
-        }
+        Ok(match e.kind() {
+            Kind::Encode(EncodeStyle::Strict, _) => self
+                .cache
+                .get(Relation::Force, value)
+                .ok_or(Job::Force(value)),
+            _ => Ok(value),
+        })
     }
 
     // ------------------------------------------------------------------

@@ -150,6 +150,24 @@ mod tests {
         let sel3 = rt.select_range(a, 10, 20).unwrap();
         let slice = rt.eval(sel3).unwrap();
         assert_eq!(rt.get_blob(slice).unwrap().as_slice(), &[1u8; 10]);
+
+        // The index is caller-controlled: u64::MAX is out of range like
+        // any other index, not an overflow (a "codelet panicked" trap in
+        // debug builds, a wrapped `end: 0` in release).
+        for target in [tree, a] {
+            let err = rt.eval(rt.select(target, u64::MAX).unwrap()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::BadSelection {
+                        begin: u64::MAX,
+                        end: u64::MAX,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -414,6 +432,55 @@ mod tests {
             .unwrap();
         let err = rt.eval(outer).unwrap_err();
         assert!(matches!(err, Error::Trap(_)), "{err}");
+        // The application fails with the encoded thunk's own error.
+        assert_eq!(err, rt.eval(inner).unwrap_err());
+    }
+
+    /// An application (or selection) waits directly on the relation an
+    /// unresolved encode is missing: `Eval` of its thunk first, then —
+    /// strict style only — `Force` of the value.
+    #[test]
+    fn unresolved_encodes_depend_on_eval_then_force() {
+        let rt = Runtime::builder().build();
+        let first = rt.register_native("first3", Arc::new(|ctx| ctx.arg(0)));
+        let leaf = rt.put_blob(Blob::from_vec(vec![9u8; 64]));
+        let pair = rt.put_tree(Tree::from_handles(vec![leaf.as_ref_handle(), leaf]));
+        // inner evaluates to `pair`, whose deep-forcing differs from it.
+        let inner = rt.apply(limits(), first, &[pair]).unwrap();
+        let strict = rt
+            .apply(limits(), first, &[inner.strict().unwrap()])
+            .unwrap();
+        let shallow = rt
+            .apply(limits(), first, &[inner.shallow().unwrap()])
+            .unwrap();
+        let select = rt.select(inner.strict().unwrap(), 0).unwrap();
+        // Both styles of one thunk in one tree: still one dependency.
+        let both = rt
+            .apply(
+                limits(),
+                first,
+                &[inner.shallow().unwrap(), inner.strict().unwrap()],
+            )
+            .unwrap();
+        let step = |thunk| rt.engine().step(Job::Eval(thunk)).unwrap();
+
+        for thunk in [strict, shallow, select, both] {
+            assert_eq!(step(thunk), Step::Deps(vec![Job::Eval(inner)]));
+        }
+        // Memoize the Eval relation only.
+        assert_eq!(rt.eval(inner).unwrap(), pair);
+        assert_eq!(step(strict), Step::Deps(vec![Job::Force(pair)]));
+        assert_eq!(step(select), Step::Deps(vec![Job::Force(pair)]));
+        // The shallow encode is satisfied by the evaluation alone, and
+        // the procedure sees a Ref.
+        assert_eq!(step(shallow), Step::Done(pair.as_ref_handle()));
+
+        let forced = rt.eval_strict(pair).unwrap();
+        assert_ne!(forced, pair);
+        assert_eq!(step(strict), Step::Done(forced));
+        assert_eq!(step(select), Step::Done(leaf));
+        assert_eq!(rt.eval(both).unwrap(), pair.as_ref_handle());
+        assert_eq!(rt.engine().stats.procedures_run.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -501,7 +568,7 @@ mod tests {
         let (a, b) = shared_encode_pair(&rt);
         rt.eval(a).unwrap();
         // Clear only the relation cache: the scheduler still remembers the
-        // shared Resolve job as done, so stepping `b` can never progress.
+        // shared encode's Eval job as done, so stepping `b` can never progress.
         // The respin guard must turn that livelock into an error.
         rt.cache().clear();
         let err = rt.eval(b).unwrap_err();

@@ -35,8 +35,7 @@ const SHARDS: usize = 32;
 fn shard_of(job: &Job) -> usize {
     let (tag, h) = match job {
         Job::Eval(h) => (0u64, h),
-        Job::Resolve(h) => (1u64, h),
-        Job::Force(h) => (2u64, h),
+        Job::Force(h) => (1u64, h),
     };
     let mut x: u64 = 0xcbf2_9ce4_8422_2325;
     x ^= tag;
@@ -189,13 +188,10 @@ mod tests {
             handles.iter().map(|h| shard_of(&Job::Eval(*h))).collect();
         assert!(shards.len() > SHARDS / 2, "{} shards used", shards.len());
         let h = handles[0];
-        let variants: std::collections::HashSet<usize> = [
-            shard_of(&Job::Eval(h)),
-            shard_of(&Job::Resolve(h)),
-            shard_of(&Job::Force(h)),
-        ]
-        .into_iter()
-        .collect();
+        let variants: std::collections::HashSet<usize> =
+            [shard_of(&Job::Eval(h)), shard_of(&Job::Force(h))]
+                .into_iter()
+                .collect();
         assert!(variants.len() > 1, "variant tag must perturb the shard");
     }
 }

@@ -130,7 +130,7 @@ const PARK_SAFETY: Duration = Duration::from_millis(2);
 /// Compact trace identity of a job: the first 8 bytes of its handle.
 /// Collisions are irrelevant — ids only correlate events in a trace.
 pub(crate) fn job_trace_id(job: &Job) -> u64 {
-    let (Job::Eval(h) | Job::Resolve(h) | Job::Force(h)) = job;
+    let (Job::Eval(h) | Job::Force(h)) = job;
     u64::from_le_bytes(h.raw()[..8].try_into().expect("handle has 32 bytes"))
 }
 

@@ -10,6 +10,10 @@
 //!   format), black-box from the runtime's perspective;
 //! * execution is memory-safe, deterministic, and resource-bounded
 //!   (fuel + memory limits from the invocation's `ResourceLimits`);
+//! * an invocation costs what the guest does: linear memory is
+//!   zero-fill-on-first-write and the interpreter's own state is reused
+//!   per thread (see [`vm`] for the memory model), so fine-grained
+//!   codelets that never touch memory pay for none;
 //! * the only world interface is the Fixpoint host API (paper Listing 1):
 //!   attach/create blobs and trees, build Thunks and Encodes, query
 //!   handle metadata — there are no clocks, no randomness, no sockets;
@@ -445,13 +449,22 @@ mod tests {
     fn tree_get_out_of_bounds() {
         let mut host = TestHost::default();
         let input = empty_input(&mut host);
-        let err = exec_err(
-            "func apply args=0 locals=0\n const 0\n const 5\n tree.get\n ret_handle\nend",
-            &mut host,
-            input,
-            VmConfig::default(),
-        );
-        assert!(matches!(err, Error::BadSelection { .. }), "{err}");
+        // The index is guest-controlled: u64::MAX must be an error like
+        // any other, not an overflow while building that error.
+        for (index, end) in [("5", 6), ("0xFFFFFFFFFFFFFFFF", u64::MAX)] {
+            let err = exec_err(
+                &format!(
+                    "func apply args=0 locals=0\n const 0\n const {index}\n tree.get\n ret_handle\nend"
+                ),
+                &mut host,
+                input,
+                VmConfig::default(),
+            );
+            assert!(
+                matches!(err, Error::BadSelection { end: e, len: 0, .. } if e == end),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -489,6 +502,98 @@ mod tests {
             VmConfig::default(),
         );
         assert!(err.to_string().contains("call depth"), "{err}");
+    }
+
+    /// Regression: locals were unmetered, so 512 frames × 65 535 locals
+    /// × 8 B let 512 fuel allocate 268 MB under a 64 KiB memory limit,
+    /// trapping on call depth only afterwards.
+    #[test]
+    fn live_locals_are_bounded_by_the_stack_limit() {
+        let mut host = TestHost::default();
+        let input = empty_input(&mut host);
+        let greedy = r#"
+            func apply args=0 locals=0
+              call rec
+              drop
+              const 0
+              ret_handle
+            end
+            func rec args=0 locals=65535
+              call rec
+              return
+            end
+        "#;
+        let config = VmConfig {
+            memory_limit: 64 * 1024,
+            ..VmConfig::default()
+        };
+        let err = exec_err(greedy, &mut host, input, config);
+        assert_eq!(err, Error::Trap("locals overflow".into()));
+        // The entry frame is metered like any other.
+        let config = VmConfig {
+            stack_limit: 3,
+            ..VmConfig::default()
+        };
+        let entry = "func apply args=0 locals=4\n const 0\n ret_handle\nend";
+        let err = exec_err(entry, &mut host, input, config);
+        assert_eq!(err, Error::Trap("locals overflow".into()));
+    }
+
+    /// The interpreter parks its stack, locals, frames and handle table
+    /// per thread between runs; nothing of one run may reach the next,
+    /// whether it returned or trapped.
+    #[test]
+    fn runs_on_one_thread_share_no_state() {
+        let mut host = TestHost::default();
+        let input = empty_input(&mut host);
+        let dirty = r#"
+            func apply args=0 locals=2
+              const 7
+              local.set 1
+              const 11
+              const 12
+              const 13
+              blob.create_u64
+              call leaves_a_frame
+            end
+            func leaves_a_frame args=1 locals=3
+              const 5
+              local.set 2
+              const 0
+              ret_handle
+            end
+        "#;
+        let trapping =
+            "func apply args=0 locals=2\n const 9\n local.set 0\n const 1\n unreachable\nend";
+        for (leave_behind, returns) in [(dirty, true), (trapping, false)] {
+            let module = assemble(leave_behind).unwrap();
+            let outcome = run(&module, &mut host, input, VmConfig::default());
+            assert_eq!(outcome.is_ok(), returns, "{outcome:?}");
+            // Locals start zeroed.
+            let out = exec(
+                "func apply args=0 locals=2\n local.get 0\n local.get 1\n add\n blob.create_u64\n ret_handle\nend",
+                &mut host,
+                input,
+            );
+            let sum = fix_core::data::literal_blob(out.result).unwrap().as_u64();
+            assert_eq!(sum, Some(0));
+            // The handle table holds the input and nothing else.
+            let err = exec_err(
+                "func apply args=0 locals=0\n const 1\n size_of\n drop\n const 0\n ret_handle\nend",
+                &mut host,
+                input,
+                VmConfig::default(),
+            );
+            assert_eq!(err, Error::Trap("handle index 1 out of bounds".into()));
+            // The operand stack is empty.
+            let err = exec_err(
+                "func apply args=0 locals=0\n drop\n const 0\n ret_handle\nend",
+                &mut host,
+                input,
+                VmConfig::default(),
+            );
+            assert_eq!(err, Error::Trap("operand stack underflow".into()));
+        }
     }
 
     #[test]

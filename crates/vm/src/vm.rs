@@ -11,7 +11,28 @@
 //!   size are visible);
 //! * **resource limits** — fuel (instruction budget) and memory, from the
 //!   invocation's [`ResourceLimits`]; plus static stack and call-depth
-//!   caps.
+//!   caps (the live locals of all frames count against the stack cap).
+//!
+//! # Linear memory
+//!
+//! A guest starts with `min(64 KiB, memory_bytes)` of byte-addressed
+//! memory (`mem.size`), all zero, and may extend it with `mem.grow` up to
+//! `memory_bytes`, paying one fuel per 64 bytes. Every access is checked
+//! against that size. The memory is *zero-fill-on-first-write*: the
+//! interpreter keeps only the written prefix — up to the highest byte a
+//! store, `blob.read` or `blob.create` has touched — and loads beyond it
+//! read zero, so a guest that never touches memory (the common case for
+//! codelets that only rearrange handles) allocates and clears none, and
+//! `mem.grow` itself commits nothing. None of this is observable to the
+//! guest or the bill: sizes, bounds, trap texts and fuel are those of an
+//! eagerly zeroed memory (`crates/vm/tests/memory_model.rs` pins them).
+//!
+//! # Cost of an invocation
+//!
+//! [`run`] is meant to cost what the guest does. Besides the lazy memory,
+//! the operand stack, locals, frames and handle table are parked per
+//! thread between runs (capacity-capped), so a run-to-completion codelet
+//! on a warm worker allocates only for the data it creates.
 
 use crate::isa::{kind_code, Instr};
 use crate::module::Module;
@@ -19,6 +40,7 @@ use fix_core::data::{Blob, Tree};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, Handle, Kind};
 use fix_core::limits::ResourceLimits;
+use std::cell::Cell;
 
 // The host interface lives in `fix_core::api` since the One Fix API
 // refactor (every backend and the native-codelet registry share it);
@@ -68,7 +90,8 @@ pub struct Outcome {
     pub fuel_used: u64,
 }
 
-const INITIAL_MEMORY: usize = 64 * 1024;
+/// Linear memory size a guest starts with (capped by its memory limit).
+const INITIAL_MEMORY: u64 = 64 * 1024;
 
 struct Frame {
     func: usize,
@@ -99,7 +122,29 @@ pub fn run(
     input: Handle,
     config: VmConfig,
 ) -> Result<Outcome> {
-    Interp::new(module, host, input, config).run()
+    let mut interp = Interp::new(module, host, input, config, SCRATCH.take());
+    let outcome = interp.run();
+    SCRATCH.set(interp.into_scratch());
+    outcome
+}
+
+/// The interpreter's bookkeeping vectors, parked per thread between runs
+/// so an invocation allocates only what it outgrows. (A run nested inside
+/// a host call on the same thread simply starts from empty ones.)
+#[derive(Default)]
+struct Scratch {
+    stack: Vec<u64>,
+    locals: Vec<u64>,
+    frames: Vec<Frame>,
+    handles: Vec<Handle>,
+}
+
+/// Capacity (in elements) a parked vector may keep: one greedy guest
+/// must not pin its high-water mark on the thread forever.
+const SCRATCH_KEEP: usize = 1024;
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 struct Interp<'a> {
@@ -109,6 +154,11 @@ struct Interp<'a> {
     stack: Vec<u64>,
     locals: Vec<u64>,
     frames: Vec<Frame>,
+    /// The guest-visible size of linear memory (`mem.size`); every bounds
+    /// check is against this.
+    mem_size: u64,
+    /// The written prefix of linear memory: `memory.len() <= mem_size`,
+    /// and every byte past it reads as zero.
     memory: Vec<u8>,
     handles: Vec<Handle>,
     builder: Vec<Handle>,
@@ -125,24 +175,48 @@ impl<'a> Interp<'a> {
         host: &'a mut dyn HostApi,
         input: Handle,
         config: VmConfig,
+        scratch: Scratch,
     ) -> Interp<'a> {
-        let entry_locals = module.functions[0].nlocals as usize;
+        let Scratch {
+            stack,
+            locals,
+            mut frames,
+            mut handles,
+        } = scratch;
+        frames.push(Frame {
+            func: 0,
+            ip: 0,
+            locals_base: 0,
+            stack_floor: 0,
+        });
+        handles.push(input);
         Interp {
             module,
             host,
             config,
-            stack: Vec::with_capacity(256),
-            locals: vec![0; entry_locals],
-            frames: vec![Frame {
-                func: 0,
-                ip: 0,
-                locals_base: 0,
-                stack_floor: 0,
-            }],
-            memory: vec![0; INITIAL_MEMORY.min(config.memory_limit as usize)],
-            handles: vec![input],
+            stack,
+            locals,
+            frames,
+            mem_size: INITIAL_MEMORY.min(config.memory_limit),
+            memory: Vec::new(),
+            handles,
             builder: Vec::new(),
             fuel: config.fuel,
+        }
+    }
+
+    /// Empties the bookkeeping vectors for the next run on this thread.
+    fn into_scratch(self) -> Scratch {
+        fn recycle<T>(mut v: Vec<T>) -> Vec<T> {
+            v.clear();
+            v.shrink_to(SCRATCH_KEEP);
+            v
+        }
+        Scratch {
+            stack: recycle(self.stack),
+            locals: recycle(self.locals),
+            frames: recycle(self.frames),
+            handles: recycle(self.handles),
         }
     }
 
@@ -173,6 +247,18 @@ impl<'a> Interp<'a> {
         Ok(self.stack.pop().expect("length checked"))
     }
 
+    /// Reserves `n` zeroed locals for a new frame and returns their base.
+    /// Live locals of all frames together are capped like the operand
+    /// stack, so call depth × locals cannot outgrow the guest's limits.
+    fn push_locals(&mut self, n: usize) -> Result<usize> {
+        let base = self.locals.len();
+        if base + n > self.config.stack_limit {
+            return Err(trap("locals overflow"));
+        }
+        self.locals.resize(base + n, 0);
+        Ok(base)
+    }
+
     fn handle_at(&self, idx: u64) -> Result<Handle> {
         self.handles
             .get(idx as usize)
@@ -192,13 +278,38 @@ impl<'a> Interp<'a> {
         let end = addr
             .checked_add(len)
             .ok_or_else(|| trap("address overflow"))?;
-        if end > self.memory.len() as u64 {
+        if end > self.mem_size {
             return Err(trap(format!(
                 "memory access [{addr}, {end}) out of bounds (size {})",
-                self.memory.len()
+                self.mem_size
             )));
         }
         Ok(addr as usize..end as usize)
+    }
+
+    /// Reads `N` bytes at `addr`; bytes never written read as zero.
+    fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N]> {
+        let r = self.mem_range(addr, N as u64)?;
+        let mut b = [0u8; N];
+        if let Some(written) = self.memory.get(r.start..) {
+            let n = written.len().min(N);
+            b[..n].copy_from_slice(&written[..n]);
+        }
+        Ok(b)
+    }
+
+    /// The bytes `[addr, addr + len)` for writing (or copying out),
+    /// extending the written prefix — zero-filled — to cover them.
+    fn mem_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8]> {
+        let r = self.mem_range(addr, len)?;
+        if r.is_empty() {
+            // In bounds, but possibly past the written prefix.
+            return Ok(&mut []);
+        }
+        if r.end > self.memory.len() {
+            self.memory.resize(r.end, 0);
+        }
+        Ok(&mut self.memory[r])
     }
 
     fn accessible_blob(&self, h: Handle) -> Result<()> {
@@ -223,7 +334,8 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn run(mut self) -> Result<Outcome> {
+    fn run(&mut self) -> Result<Outcome> {
+        self.push_locals(self.module.functions[0].nlocals as usize)?;
         loop {
             let frame = self.frames.last().expect("at least the entry frame");
             let func = &self.module.functions[frame.func];
@@ -310,8 +422,7 @@ impl<'a> Interp<'a> {
                     }
                     let callee = &self.module.functions[f as usize];
                     let nargs = callee.nargs as usize;
-                    let locals_base = self.locals.len();
-                    self.locals.resize(locals_base + callee.nlocals as usize, 0);
+                    let locals_base = self.push_locals(callee.nlocals as usize)?;
                     // Pop arguments; the first-pushed value becomes local 0.
                     for slot in (0..nargs).rev() {
                         let v = self.pop()?;
@@ -338,49 +449,39 @@ impl<'a> Interp<'a> {
 
                 MemLoad8 => {
                     let addr = self.pop()?;
-                    let r = self.mem_range(addr, 1)?;
-                    let v = self.memory[r.start] as u64;
-                    self.push(v)?;
+                    let [v] = self.load::<1>(addr)?;
+                    self.push(v as u64)?;
                 }
                 MemLoad32 => {
                     let addr = self.pop()?;
-                    let r = self.mem_range(addr, 4)?;
-                    let mut b = [0u8; 4];
-                    b.copy_from_slice(&self.memory[r]);
+                    let b = self.load::<4>(addr)?;
                     self.push(u32::from_le_bytes(b) as u64)?;
                 }
                 MemLoad64 => {
                     let addr = self.pop()?;
-                    let r = self.mem_range(addr, 8)?;
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&self.memory[r]);
+                    let b = self.load::<8>(addr)?;
                     self.push(u64::from_le_bytes(b))?;
                 }
                 MemStore8 => {
                     let v = self.pop()?;
                     let addr = self.pop()?;
-                    let r = self.mem_range(addr, 1)?;
-                    self.memory[r.start] = v as u8;
+                    self.mem_mut(addr, 1)?[0] = v as u8;
                 }
                 MemStore32 => {
                     let v = self.pop()?;
                     let addr = self.pop()?;
-                    let r = self.mem_range(addr, 4)?;
-                    self.memory[r].copy_from_slice(&(v as u32).to_le_bytes());
+                    self.mem_mut(addr, 4)?
+                        .copy_from_slice(&(v as u32).to_le_bytes());
                 }
                 MemStore64 => {
                     let v = self.pop()?;
                     let addr = self.pop()?;
-                    let r = self.mem_range(addr, 8)?;
-                    self.memory[r].copy_from_slice(&v.to_le_bytes());
+                    self.mem_mut(addr, 8)?.copy_from_slice(&v.to_le_bytes());
                 }
-                MemSize => {
-                    let v = self.memory.len() as u64;
-                    self.push(v)?;
-                }
+                MemSize => self.push(self.mem_size)?,
                 MemGrow => {
                     let bytes = self.pop()?;
-                    let old = self.memory.len() as u64;
+                    let old = self.mem_size;
                     let new = old
                         .checked_add(bytes)
                         .ok_or_else(|| trap("grow overflow"))?;
@@ -391,7 +492,7 @@ impl<'a> Interp<'a> {
                         });
                     }
                     self.burn(bytes / 64)?;
-                    self.memory.resize(new as usize, 0);
+                    self.mem_size = new;
                     self.push(old)?;
                 }
 
@@ -419,8 +520,7 @@ impl<'a> Interp<'a> {
                             blob.len()
                         )));
                     }
-                    let mr = self.mem_range(mem_off, len)?;
-                    self.memory[mr]
+                    self.mem_mut(mem_off, len)?
                         .copy_from_slice(&blob.as_slice()[blob_off as usize..bend as usize]);
                 }
                 BlobReadU64 => {
@@ -444,8 +544,7 @@ impl<'a> Interp<'a> {
                     let len = self.pop()?;
                     let mem_off = self.pop()?;
                     self.burn(len / 8)?;
-                    let r = self.mem_range(mem_off, len)?;
-                    let data = self.memory[r].to_vec();
+                    let data = self.mem_mut(mem_off, len)?.to_vec();
                     let h = self.host.create_blob(data)?;
                     let idx = self.push_handle(h)?;
                     self.push(idx)?;
@@ -468,12 +567,14 @@ impl<'a> Interp<'a> {
                     let h = self.handle_at(idx)?;
                     self.accessible_tree(h)?;
                     let tree = self.host.load_tree(h)?;
-                    let entry = tree.get(i as usize).ok_or(Error::BadSelection {
-                        target: h,
-                        begin: i,
-                        end: i + 1,
-                        len: tree.len() as u64,
-                    })?;
+                    let entry = usize::try_from(i).ok().and_then(|i| tree.get(i)).ok_or(
+                        Error::BadSelection {
+                            target: h,
+                            begin: i,
+                            end: i.saturating_add(1),
+                            len: tree.len() as u64,
+                        },
+                    )?;
                     let idx = self.push_handle(entry)?;
                     self.push(idx)?;
                 }
