@@ -6,7 +6,7 @@
 //! measurements (Fig. 7a per-invocation overheads; Fig. 7b orchestration
 //! per-step costs) and their *mechanisms* (who talks to whom, what moves
 //! where, when resources are held) are implemented in
-//! [`crate::engine`]. Absolute numbers are therefore paper-calibrated;
+//! `fix_cluster::engine`. Absolute numbers are therefore paper-calibrated;
 //! the shapes come from the mechanisms.
 
 use fix_netsim::Time;

@@ -2,16 +2,15 @@
 //!
 //! The third implementation of the `fix_core::api` trait family: the
 //! same workload that runs on `fixpoint::Runtime` (for real) and
-//! `fix_cluster::ClusterClient` (Fix engine over netsim) runs here under
-//! a baseline [`Profile`] — OpenWhisk, Ray, Pheromone, Faasm — so every
+//! `fix_cluster::ClusterClient` (Fixpoint's profile over netsim) runs
+//! here under a baseline [`Profile`] — OpenWhisk, Ray, Pheromone, Faasm — so every
 //! generic workload is automatically a cost-model row for every
 //! comparator. Results stay bit-identical (semantics come from the
 //! embedded Fix node); what differs is the [`RunReport`] each request
 //! accumulates: dispatch round trips, store GET/PUTs, cold starts, and
 //! early-binding stalls, per the profile.
 
-use crate::engine::{run_baseline, Profile};
-use fix_cluster::{ClientCore, ClusterSetup, JobGraph, RunReport};
+use fix_cluster::{ClientCore, ClusterSetup, Profile, RunReport};
 use fix_core::api::{Evaluator, InvocationApi, NativeFn, ObjectApi};
 use fix_core::data::{Blob, Tree};
 use fix_core::error::{Error, Result};
@@ -48,7 +47,6 @@ use fixpoint::Runtime;
 /// ```
 pub struct BaselineEvaluator {
     core: ClientCore,
-    profile: Profile,
 }
 
 /// Configures a [`BaselineEvaluator`].
@@ -101,8 +99,7 @@ impl BaselineEvaluatorBuilder {
             message: "no profile configured (see fix_baselines::profiles)".into(),
         })?;
         Ok(BaselineEvaluator {
-            core: ClientCore::new("baseline", self.setup, self.task_compute_us, false)?,
-            profile,
+            core: ClientCore::new("baseline", self.setup, profile, self.task_compute_us, false)?,
         })
     }
 }
@@ -115,7 +112,7 @@ impl BaselineEvaluator {
 
     /// The profile this evaluator costs against.
     pub fn profile(&self) -> &Profile {
-        &self.profile
+        self.core.profile()
     }
 
     /// The embedded Fix node.
@@ -131,11 +128,6 @@ impl BaselineEvaluator {
     /// The most recent simulated run, if any.
     pub fn last_report(&self) -> Option<RunReport> {
         self.core.last_report()
-    }
-
-    /// The baseline engine under this profile, as a graph runner.
-    fn runner(&self) -> impl Fn(&ClusterSetup, &JobGraph) -> RunReport + '_ {
-        |setup, graph| run_baseline(setup, graph, &self.profile)
     }
 }
 
@@ -169,15 +161,15 @@ impl InvocationApi for BaselineEvaluator {
 
 impl Evaluator for BaselineEvaluator {
     fn eval(&self, handle: Handle) -> Result<Handle> {
-        self.core.eval_with(handle, &self.runner())
+        self.core.eval(handle)
     }
 
     fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        self.core.eval_strict_with(handle, &self.runner())
+        self.core.eval_strict(handle)
     }
 
     fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        self.core.eval_many_with(handles, &self.runner())
+        self.core.eval_many(handles)
     }
 
     fn footprint(&self, thunk: Handle) -> Result<Footprint> {
@@ -225,6 +217,38 @@ mod tests {
             BaselineEvaluator::builder().build(),
             Err(Error::Backend { .. })
         ));
+    }
+
+    /// Derived tasks need 64 MiB; 32 MiB workers can place nothing, and
+    /// a late-binding profile must not wait for RAM that cannot appear.
+    #[test]
+    fn an_unplaceable_request_is_a_backend_fault_not_a_hang() {
+        let tiny = fix_netsim::NodeSpec {
+            cores: 1,
+            ram_bytes: 32 << 20,
+        };
+        let rb = BaselineEvaluator::builder()
+            .setup(ClusterSetup::workers_only(
+                2,
+                tiny,
+                fix_netsim::NetConfig::default(),
+            ))
+            .profile(profiles::ray_cps(NodeId(0), &CostModel::default()))
+            .build()
+            .unwrap();
+        let t = add_thunk(&rb, 1, 2);
+        let is_fault = |r: &Result<Handle>| match r {
+            Err(Error::Backend { backend, message }) => {
+                *backend == "baseline" && message.contains("task 0 needs 1 cores")
+            }
+            _ => false,
+        };
+        assert!(is_fault(&rb.eval(t)));
+        assert!(is_fault(&rb.eval_strict(t)));
+        let batch = rb.eval_many(&[t, t]);
+        assert!(batch.len() == 2 && batch.iter().all(is_fault));
+        assert_eq!(rb.procedures_run(), 0, "refused before evaluating");
+        assert!(rb.reports().is_empty());
     }
 
     #[test]

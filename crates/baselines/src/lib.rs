@@ -4,11 +4,13 @@
 //! We cannot deploy OpenWhisk, Kubernetes, MinIO, Ray, Pheromone, or
 //! Faasm here, so each is reproduced as a [`Profile`] — its placement
 //! policy, resource-binding order, dispatch path, store usage, and
-//! cold-start behavior — executed by one generalized engine
-//! ([`run_baseline`]) over the same [`fix_cluster::JobGraph`]s and
-//! `fix-netsim` cluster the Fix engine uses. Per-invocation costs are
-//! calibrated from the paper's own Fig. 7a measurements
-//! ([`CostModel`]); see DESIGN.md for the substitution argument.
+//! cold-start behavior ([`profiles`]) — and run by the same simulator
+//! that runs Fixpoint, `fix_cluster::engine`, where Fixpoint is the one
+//! profile with externalized I/O. [`run_baseline`] and [`Profile`] are
+//! re-exports of that engine's entry point and knob set; this crate
+//! owns no simulation code. Per-invocation costs are calibrated from
+//! the paper's own Fig. 7a measurements ([`CostModel`]); see DESIGN.md
+//! for the substitution argument.
 //!
 //! [`BaselineEvaluator`] puts a profile behind the backend-agnostic
 //! `fix_core::api` traits, so any workload written against the One Fix
@@ -18,13 +20,12 @@
 #![warn(missing_docs)]
 
 mod cost;
-mod engine;
 mod evaluator;
 pub mod profiles;
 
 pub use cost::CostModel;
-pub use engine::{run_baseline, Profile};
 pub use evaluator::{BaselineEvaluator, BaselineEvaluatorBuilder};
+pub use fix_cluster::{run_profile as run_baseline, Profile};
 
 #[cfg(test)]
 mod tests {
@@ -159,26 +160,21 @@ mod tests {
         );
     }
 
+    /// Late binding queues for cores after fetching; cores that cannot
+    /// exist must be refused up front, not waited for.
     #[test]
-    fn generalized_engine_agrees_with_fix_engine() {
-        let setup = ClusterSetup {
-            specs: vec![NodeSpec::default(); 10],
-            net: NetConfig::default(),
-            workers: (0..10).map(NodeId).collect(),
-            client: None,
+    #[should_panic(expected = "task 0 needs 8 cores")]
+    fn a_task_that_fits_no_worker_panics_promptly_under_ray_cps() {
+        let small = NodeSpec {
+            cores: 4,
+            ram_bytes: 1 << 30,
         };
-        let g = scattered_map(100, 8 << 20, 5_000);
-        let fix = run_fix(&setup, &g, &FixConfig::default());
-        let generalized = run_baseline(&setup, &g, &profiles::fixpoint_like(&cost()));
-        // Same placement and binding rules -> nearly identical makespans.
-        let ratio = fix.makespan_us as f64 / generalized.makespan_us as f64;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "fix {} vs generalized {}",
-            fix.makespan_us,
-            generalized.makespan_us
-        );
-        assert_eq!(generalized.bytes_moved, 0);
+        let setup = ClusterSetup::workers_only(2, small, NetConfig::default());
+        let mut b = JobGraphBuilder::new();
+        let mut t = small_task(1_000, 8);
+        t.cores = 8;
+        b.task(t);
+        run_baseline(&setup, &b.build(), &profiles::ray_cps(NodeId(0), &cost()));
     }
 
     #[test]
@@ -207,12 +203,12 @@ mod tests {
         }
         let g = b.build();
         let faasm = run_baseline(&setup, &g, &profiles::faasm(&cost()));
-        let fixlike = run_baseline(&setup, &g, &profiles::fixpoint_like(&cost()));
+        let fix = run_baseline(&setup, &g, &Profile::from(&FixConfig::default()));
         assert!(
-            faasm.makespan_us > 100 * fixlike.makespan_us,
-            "faasm {} vs fixpoint-like {}",
+            faasm.makespan_us > 100 * fix.makespan_us,
+            "faasm {} vs fixpoint {}",
             faasm.makespan_us,
-            fixlike.makespan_us
+            fix.makespan_us
         );
     }
 

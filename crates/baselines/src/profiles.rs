@@ -1,8 +1,7 @@
 //! Named baseline profiles, one per comparator system in the paper.
 
 use crate::cost::CostModel;
-use crate::engine::Profile;
-use fix_cluster::{Binding, Placement};
+use fix_cluster::{Binding, Placement, Profile};
 use fix_netsim::NodeId;
 
 /// OpenWhisk + MinIO + Kubernetes (paper §5.1).
@@ -13,6 +12,7 @@ use fix_netsim::NodeId;
 pub fn openwhisk(store: &[NodeId], cost: &CostModel) -> Profile {
     Profile {
         name: "OpenWhisk + MinIO + K8s".into(),
+        externalized_io: false,
         placement: Placement::Random,
         binding: Binding::Early,
         invocation_overhead_us: cost.openwhisk_invocation_us,
@@ -37,6 +37,7 @@ pub fn openwhisk(store: &[NodeId], cost: &CostModel) -> Profile {
 pub fn ray_blocking(driver: NodeId, cost: &CostModel) -> Profile {
     Profile {
         name: "Ray (blocking)".into(),
+        externalized_io: false,
         placement: Placement::Random,
         binding: Binding::Early,
         invocation_overhead_us: cost.ray_invocation_us,
@@ -61,6 +62,7 @@ pub fn ray_blocking(driver: NodeId, cost: &CostModel) -> Profile {
 pub fn ray_cps(driver: NodeId, cost: &CostModel) -> Profile {
     Profile {
         name: "Ray (continuation-passing)".into(),
+        externalized_io: false,
         placement: Placement::Locality,
         binding: Binding::Late,
         invocation_overhead_us: cost.ray_invocation_us,
@@ -83,6 +85,7 @@ pub fn ray_cps(driver: NodeId, cost: &CostModel) -> Profile {
 pub fn ray_minio(driver: NodeId, store: &[NodeId], binary_bytes: u64, cost: &CostModel) -> Profile {
     Profile {
         name: "Ray + MinIO".into(),
+        externalized_io: false,
         placement: Placement::Random,
         binding: Binding::Early,
         invocation_overhead_us: cost.ray_invocation_us + cost.linux_process_us,
@@ -106,6 +109,7 @@ pub fn ray_minio(driver: NodeId, store: &[NodeId], binary_bytes: u64, cost: &Cos
 pub fn pheromone(bucket_store: &[NodeId], cost: &CostModel) -> Profile {
     Profile {
         name: "Pheromone + MinIO".into(),
+        externalized_io: false,
         placement: Placement::Locality,
         binding: Binding::Early,
         invocation_overhead_us: cost.pheromone_step_us,
@@ -128,30 +132,10 @@ pub fn pheromone(bucket_store: &[NodeId], cost: &CostModel) -> Profile {
 pub fn faasm(cost: &CostModel) -> Profile {
     Profile {
         name: "Faasm".into(),
+        externalized_io: false,
         placement: Placement::Random,
         binding: Binding::Early,
         invocation_overhead_us: cost.faasm_invocation_us,
-        dispatch_via: None,
-        fetch_roundtrip_via: None,
-        sequential_fetches: false,
-        inputs_from_store: Vec::new(),
-        outputs_to_store: Vec::new(),
-        store_request_us: 0,
-        cold_start_us: 0,
-        cold_start_bytes: 0,
-        dispatch_service_us: 0,
-        seed: 42,
-    }
-}
-
-/// A Fixpoint-shaped profile for cross-validating the generalized engine
-/// against `fix_cluster::run_fix` (they should broadly agree).
-pub fn fixpoint_like(cost: &CostModel) -> Profile {
-    Profile {
-        name: "Fixpoint (generalized engine)".into(),
-        placement: Placement::Locality,
-        binding: Binding::Late,
-        invocation_overhead_us: cost.fixpoint_invocation_us,
         dispatch_via: None,
         fetch_roundtrip_via: None,
         sequential_fetches: false,

@@ -1,18 +1,26 @@
 //! Golden pins across the commit boundary.
 //!
 //! Every other determinism test compares two runs of the *same* build;
-//! these files were recorded at the commit before the three serving
-//! engines were folded into one kernel, so a refactor that keeps the
-//! tables self-consistent but moves them still fails here.
+//! these files were recorded at the commit before the refactor they
+//! guard (the serving tables before the three serving engines were
+//! folded into one kernel, the cluster tables before the two task-graph
+//! simulators were), so a refactor that keeps the tables self-consistent
+//! but moves them still fails here.
 //!
-//! Two families, all pure functions of the virtual clock:
+//! Four families, all pure functions of the virtual clock:
 //!
 //! * `figures_*_quick.txt` — what `figures serve|adapt|sweep|route|trace
 //!   --quick` print, rendered through the same `fix_bench` functions;
 //! * `kernel_*.txt` — `to_string()` + `decomposition_table()` of
 //!   `serve` / `adaptive_serve` / `dispatch` on copies of the `fixbench`
 //!   `serve_tiers` configurations (seeds 1–3), and of the warm- and
-//!   cold-restart fault configuration from `fix-dispatch`'s own tests.
+//!   cold-restart fault configuration from `fix-dispatch`'s own tests;
+//! * `figures_{fig7b,fig8a}.txt` and `figures_{fig8b,fig10,comparators,
+//!   extbilling}{_quick,}.txt` — what `figures <name> [--quick]` print
+//!   (`fig7b` and `fig8a` have one scale);
+//! * `sim_reports.txt` — `{:?}` of the `RunReport` of `run_fix` over
+//!   seven figure graphs × {Locality, Random} × {Late, Early}, and of
+//!   every baseline profile on the graphs the figures run it on.
 //!
 //! Refresh (only when a table is *meant* to move):
 //! `cargo test --release -p fix-bench --test golden -- --ignored refresh`.
@@ -21,9 +29,19 @@ use fix_adapt::{
     adaptive_serve, AdaptConfig, AdaptTenant, AdmissionPolicy, ClosedLoopSpec, ScalerConfig,
     SnfSpec,
 };
+use fix_baselines::{profiles, run_baseline, BaselineEvaluator, CostModel};
+use fix_cluster::{
+    run_fix, small_task, Binding, ClusterSetup, FixConfig, JobGraph, JobGraphBuilder, Placement,
+    TaskId,
+};
 use fix_dispatch::{dispatch, DispatchConfig, FaultPlan, NodeStorage, RestartKind, RoutingPolicy};
+use fix_netsim::{NetConfig, NodeId, NodeSpec, MS};
 use fix_serve::{
     serve, ArrivalProcess, RequestKind, ServeConfig, ServeReport, SloClass, TenantSpec,
+};
+use fix_workloads::compile::{fig10_graph, Fig10Params};
+use fix_workloads::wordcount::{
+    fig8a_graph, fig8b_graph, run_wordcount_fix, store_shards, Fig8aParams, Fig8bParams,
 };
 use fixpoint::Runtime;
 use std::path::Path;
@@ -242,6 +260,232 @@ fn figures_trace() -> String {
     fix_bench::trace::run(1, dir.path())
 }
 
+fn workers(n: usize) -> Vec<NodeId> {
+    (0..n).map(NodeId).collect()
+}
+
+fn cluster(
+    specs: Vec<NodeSpec>,
+    net: NetConfig,
+    n_workers: usize,
+    client: Option<usize>,
+) -> ClusterSetup {
+    ClusterSetup {
+        specs,
+        net,
+        workers: workers(n_workers),
+        client: client.map(NodeId),
+    }
+}
+
+/// `fix_bench::fig7b`'s chain and its near / remote (21.3 ms RTT) client.
+fn fig7b_case(client_extra_us: u64) -> (ClusterSetup, JobGraph) {
+    let mut b = JobGraphBuilder::new();
+    let mut prev: Option<TaskId> = None;
+    for _ in 0..500 {
+        let mut t = small_task(1, 8);
+        t.deps.extend(prev);
+        prev = Some(b.task(t));
+    }
+    let net = NetConfig::default().with_extra_latency(NodeId(2), client_extra_us);
+    (
+        cluster(vec![NodeSpec::default(); 3], net, 2, Some(2)),
+        b.build(),
+    )
+}
+
+/// `fix_bench::fig8a`: 1024 inputs behind 150 ms storage, one worker.
+fn fig8a_case(worker_cores: u32) -> (ClusterSetup, JobGraph) {
+    let worker = NodeSpec {
+        cores: worker_cores,
+        ram_bytes: 64 << 30,
+    };
+    let net = NetConfig::default().with_extra_latency(NodeId(1), 150 * MS);
+    let graph = fig8a_graph(&Fig8aParams::default());
+    (
+        cluster(vec![worker, NodeSpec::default()], net, 1, None),
+        graph,
+    )
+}
+
+/// `fix_bench::fig8b` at paper scale: ten workers on 300 MB/s volumes.
+fn fig8b_setup() -> ClusterSetup {
+    let net = NetConfig::default().with_bandwidth_bps(300_000_000);
+    cluster(vec![NodeSpec::default(); 12], net, 10, None)
+}
+
+/// `fix_bench::fig10` at `--quick` scale (500 files), sources at `home`.
+fn fig10_case(home: usize) -> (ClusterSetup, JobGraph) {
+    let graph = fig10_graph(&Fig10Params {
+        n_files: 500,
+        source_home: NodeId(home),
+        ..Fig10Params::default()
+    });
+    let setup = cluster(
+        vec![NodeSpec::default(); 12],
+        NetConfig::default(),
+        10,
+        Some(11),
+    );
+    (setup, graph)
+}
+
+/// A hinted pipeline (`f`'s 4 GiB output is consumed next to an 8 GiB
+/// object on node 7) beside a 200-task fan-out over one shared 64 MiB
+/// input, submitted from a client: the graph on which output hints,
+/// transfer coalescing and the one-message submission all show.
+fn hinted_fanout_case() -> (ClusterSetup, JobGraph) {
+    let mut b = JobGraphBuilder::new();
+    let x = b.object_at(1 << 10, &[NodeId(2)]);
+    let z = b.object_at(8 << 30, &[NodeId(7)]);
+    let mut f = small_task(1_000, 4 << 30);
+    f.inputs.push(x);
+    f.output_hint = Some(4 << 30);
+    let f = b.task(f);
+    let mut g = small_task(1_000, 8);
+    g.inputs.push(z);
+    g.deps.push(f);
+    b.task(g);
+    let shared = b.object_at(64 << 20, &[NodeId(3)]);
+    for i in 0..200 {
+        let mut t = small_task(2_000, 8);
+        t.inputs.push(shared);
+        t.inputs.push(b.object_at(1 << 20, &[NodeId(i % 10)]));
+        b.task(t);
+    }
+    let net = NetConfig::default().with_extra_latency(NodeId(11), 5_000);
+    (
+        cluster(vec![NodeSpec::default(); 12], net, 10, Some(11)),
+        b.build(),
+    )
+}
+
+fn sim_reports() -> String {
+    use std::fmt::Write as _;
+    let cost = CostModel::default();
+    let fig8b = (fig8b_setup(), fig8b_graph(&Fig8bParams::default()));
+    let (near, remote) = (fig7b_case(0), fig7b_case(10_600));
+    let mut out = String::new();
+
+    let matrix = [
+        ("fig8b", &fig8b),
+        ("fig7b-near", &near),
+        ("fig7b-remote", &remote),
+        ("fig8a-32", &fig8a_case(32)),
+        ("fig8a-200", &fig8a_case(200)),
+        ("fig10", &fig10_case(11)),
+        ("hinted-fanout", &hinted_fanout_case()),
+    ];
+    for (name, (setup, graph)) in matrix {
+        for placement in [Placement::Locality, Placement::Random] {
+            for binding in [Binding::Late, Binding::Early] {
+                let cfg = FixConfig {
+                    placement,
+                    binding,
+                    ..FixConfig::default()
+                };
+                let report = run_fix(setup, graph, &cfg);
+                writeln!(out, "run_fix {name} {placement:?}/{binding:?}: {report:?}").unwrap();
+            }
+        }
+    }
+
+    let (store, driver) = (workers(10), NodeId(11));
+    let (setup, graph) = &fig8b;
+    let map_only = JobGraph {
+        objects: graph.objects.clone(),
+        tasks: graph.tasks[..984].to_vec(),
+        outputs: graph.outputs[..984].to_vec(),
+    };
+    let fig10 = fig10_case(0);
+    let chain_store = [NodeId(1)];
+    let baselines = [
+        (
+            "ray_cps fig8b",
+            setup,
+            graph,
+            profiles::ray_cps(driver, &cost),
+        ),
+        (
+            "ray_blocking fig8b",
+            setup,
+            graph,
+            profiles::ray_blocking(driver, &cost),
+        ),
+        (
+            "pheromone fig8b-map",
+            setup,
+            &map_only,
+            profiles::pheromone(&store, &cost),
+        ),
+        (
+            "openwhisk fig8b",
+            setup,
+            graph,
+            profiles::openwhisk(&store, &cost),
+        ),
+        (
+            "pheromone fig7b-near",
+            &near.0,
+            &near.1,
+            profiles::pheromone(&chain_store, &cost),
+        ),
+        (
+            "ray_cps fig7b-near",
+            &near.0,
+            &near.1,
+            profiles::ray_cps(NodeId(2), &cost),
+        ),
+        (
+            "pheromone fig7b-remote",
+            &remote.0,
+            &remote.1,
+            profiles::pheromone(&chain_store, &cost),
+        ),
+        (
+            "ray_cps fig7b-remote",
+            &remote.0,
+            &remote.1,
+            profiles::ray_cps(NodeId(2), &cost),
+        ),
+        (
+            "ray_minio fig10",
+            &fig10.0,
+            &fig10.1,
+            profiles::ray_minio(driver, &store, 100 << 20, &cost),
+        ),
+        (
+            "openwhisk fig10",
+            &fig10.0,
+            &fig10.1,
+            profiles::openwhisk(&store, &cost),
+        ),
+    ];
+    for (name, setup, graph, profile) in baselines {
+        let report = run_baseline(setup, graph, &profile);
+        writeln!(out, "{name}: {report:?}").unwrap();
+    }
+    // Faasm only appears in `figures comparators`: the wordcount's
+    // derived graphs under a `BaselineEvaluator`.
+    let faasm = BaselineEvaluator::builder()
+        .profile(profiles::faasm(&cost))
+        .build()
+        .unwrap();
+    let shards = store_shards(&faasm, 11, 16, 16 << 10);
+    run_wordcount_fix(&faasm, &shards, b"of").unwrap();
+    for (i, report) in faasm.reports().into_iter().enumerate() {
+        writeln!(out, "faasm comparators-run{i}: {report:?}").unwrap();
+    }
+    out
+}
+
+fn quick_fig8b() -> Fig8bParams {
+    Fig8bParams {
+        n_shards: 123,
+        ..Fig8bParams::default()
+    }
+}
+
 /// One golden file: its name, the committed bytes, and the renderer.
 type Golden = (&'static str, &'static str, fn() -> String);
 
@@ -269,6 +513,33 @@ const GOLDEN: &[Golden] = &[
     golden!("kernel_adapt.txt", kernel_adapt),
     golden!("kernel_dispatch.txt", kernel_dispatch),
     golden!("kernel_fault.txt", kernel_fault),
+    golden!("figures_fig7b.txt", || fix_bench::fig7b::run(500)
+        .to_string()),
+    golden!("figures_fig8a.txt", || fix_bench::fig8a::run(1024)
+        .to_string()),
+    golden!("figures_fig8b_quick.txt", || {
+        fix_bench::fig8b::run(&quick_fig8b()).to_string()
+    }),
+    golden!("figures_fig8b.txt", || {
+        fix_bench::fig8b::run(&Fig8bParams::default()).to_string()
+    }),
+    golden!("figures_fig10_quick.txt", || fix_bench::fig10::run(500)
+        .to_string()),
+    golden!("figures_fig10.txt", || fix_bench::fig10::run(2000)
+        .to_string()),
+    golden!("figures_comparators_quick.txt", || {
+        fix_bench::comparators::run(16, 16 << 10).to_string()
+    }),
+    golden!("figures_comparators.txt", || {
+        fix_bench::comparators::run(64, 64 << 10).to_string()
+    }),
+    golden!("figures_extbilling_quick.txt", || {
+        fix_bench::ext_billing::run(128)
+    }),
+    golden!("figures_extbilling.txt", || fix_bench::ext_billing::run(
+        1024
+    )),
+    golden!("sim_reports.txt", sim_reports),
 ];
 
 #[test]

@@ -15,8 +15,9 @@
 //!
 //! 1. the request's dataflow — visible up front, because I/O is
 //!    externalized — is derived into a [`JobGraph`] and executed by the
-//!    Fix engine ([`run_fix`]) over `fix-netsim`, producing a
-//!    [`RunReport`] (makespan, bytes moved, CPU states);
+//!    simulator under the client's [`Profile`] (Fixpoint's, for a
+//!    [`ClusterClient`]) over `fix-netsim`, producing a [`RunReport`]
+//!    (makespan, bytes moved, CPU states);
 //! 2. the actual Fix semantics run on the embedded node, so results are
 //!    bit-identical to every other backend.
 //!
@@ -24,8 +25,8 @@
 //! result, so the simulated run is skipped — "pay for results" shows up
 //! in the reports, not just in the counters.
 
-use crate::engine::{run_fix, ClusterSetup, FixConfig};
-use crate::graph::{JobGraphBuilder, ObjectId, TaskId, TaskSpec};
+use crate::engine::{try_run_profile, ClusterSetup, FixConfig, Profile};
+use crate::graph::{JobGraph, JobGraphBuilder, ObjectId, TaskId, TaskSpec};
 use crate::report::{ReportLog, RunReport};
 use fix_core::api::{Evaluator, InvocationApi, NativeFn, ObjectApi};
 use fix_core::data::{Blob, Tree};
@@ -90,37 +91,37 @@ impl ClusterClientBuilder {
 
     /// Builds the client, validating the cluster description.
     pub fn build(self) -> Result<ClusterClient> {
+        let (profile, compute_us) = (Profile::from(&self.cfg), self.task_compute_us);
         Ok(ClusterClient {
-            core: ClientCore::new("cluster", self.setup, self.task_compute_us, self.provenance)?,
+            core: ClientCore::new("cluster", self.setup, profile, compute_us, self.provenance)?,
             cfg: self.cfg,
         })
     }
 }
 
 /// The shared machinery of a simulating One-Fix-API client: an embedded
-/// Fix node for semantics, a simulated cluster description, and the
-/// accumulated run reports. [`ClusterClient`] (the Fix engine) and
-/// `fix_baselines::BaselineEvaluator` (comparator profiles) are thin
-/// wrappers over this, differing only in the function that executes a
-/// derived [`JobGraph`](crate::graph::JobGraph) — so their request
-/// handling (value shortcuts, strict derivation, telemetry) cannot
-/// drift apart.
+/// Fix node for semantics, a simulated cluster description, the
+/// [`Profile`] it is costed under, and the accumulated run reports.
+/// [`ClusterClient`] (Fixpoint's profile) and
+/// `fix_baselines::BaselineEvaluator` (a comparator's) are thin wrappers
+/// over this, differing only in the profile — so their request handling
+/// (value shortcuts, strict derivation, telemetry) cannot drift apart.
 pub struct ClientCore {
+    backend: &'static str,
     inner: Runtime,
     setup: ClusterSetup,
+    profile: Profile,
     task_compute_us: Time,
     reports: ReportLog,
 }
 
-/// How a core executes one derived graph (e.g. `run_fix` with a config,
-/// or `run_baseline` with a profile).
-pub type GraphRunner<'a> = &'a dyn Fn(&ClusterSetup, &crate::graph::JobGraph) -> RunReport;
-
 impl ClientCore {
-    /// Validates `setup` and builds the embedded node.
+    /// Validates `setup` and builds the embedded node; simulation
+    /// failures are reported as faults of `backend`.
     pub fn new(
         backend: &'static str,
         setup: ClusterSetup,
+        profile: Profile,
         task_compute_us: Time,
         provenance: bool,
     ) -> Result<ClientCore> {
@@ -132,8 +133,10 @@ impl ClientCore {
             rt = rt.with_provenance();
         }
         Ok(ClientCore {
+            backend,
             inner: rt.build(),
             setup,
+            profile,
             task_compute_us,
             reports: ReportLog::new(),
         })
@@ -147,6 +150,11 @@ impl ClientCore {
     /// The simulated cluster description.
     pub fn setup(&self) -> &ClusterSetup {
         &self.setup
+    }
+
+    /// The profile every derived graph is simulated under.
+    pub fn profile(&self) -> &Profile {
+        &self.profile
     }
 
     /// Reports of every simulated run so far, in submission order.
@@ -164,47 +172,51 @@ impl ClientCore {
         self.reports.total_makespan_us()
     }
 
-    /// Derives the (not-yet-memoized) dataflow of `roots`, executes it
-    /// with `run`, and records the report; `strict` additionally derives
-    /// the deep-force phase of value roots. A batch with no runnable
-    /// tasks (all values / all memoized) records nothing.
-    fn simulate(&self, roots: &[Handle], strict: bool, run: GraphRunner<'_>) {
-        let Some(graph) = derive_job_graph(
-            &self.inner,
-            roots,
-            strict,
-            &self.setup.workers,
-            self.task_compute_us,
-        ) else {
-            return;
+    /// Derives the (not-yet-memoized) dataflow of `roots`, simulates it
+    /// under the profile, and records the report; `strict` additionally
+    /// derives the deep-force phase of value roots. A batch with no
+    /// runnable tasks (all values / all memoized) records nothing; a
+    /// dataflow the cluster cannot run (a task that fits no worker) is a
+    /// backend fault, raised before anything is evaluated.
+    fn simulate(&self, roots: &[Handle], strict: bool) -> Result<()> {
+        let (rt, workers) = (&self.inner, &self.setup.workers);
+        let Some(graph) = derive_job_graph(rt, roots, strict, workers, self.task_compute_us) else {
+            return Ok(());
         };
-        self.reports.push(run(&self.setup, &graph));
+        let backend = self.backend;
+        let report = try_run_profile(&self.setup, &graph, &self.profile)
+            .map_err(|message| Error::Backend { backend, message })?;
+        self.reports.push(report);
+        Ok(())
     }
 
     /// [`Evaluator::eval`] over the core: simulate, then evaluate for
     /// real on the embedded node.
-    pub fn eval_with(&self, handle: Handle, run: GraphRunner<'_>) -> Result<Handle> {
+    pub fn eval(&self, handle: Handle) -> Result<Handle> {
         if handle.is_value() {
             return Ok(handle);
         }
-        self.simulate(&[handle], false, run);
+        self.simulate(&[handle], false)?;
         self.inner.eval(handle)
     }
 
     /// [`Evaluator::eval_strict`] over the core. Even a value root can
     /// hold work: deep-forcing runs the thunks and encodes nested inside
     /// its trees, so the strict derivation walks those too.
-    pub fn eval_strict_with(&self, handle: Handle, run: GraphRunner<'_>) -> Result<Handle> {
-        self.simulate(&[handle], true, run);
+    pub fn eval_strict(&self, handle: Handle) -> Result<Handle> {
+        self.simulate(&[handle], true)?;
         self.inner.eval_strict(handle)
     }
 
     /// [`Evaluator::eval_many`] over the core: one simulated run serves
     /// the whole batch (the cluster sees the union dataflow and overlaps
-    /// everything it can).
-    pub fn eval_many_with(&self, handles: &[Handle], run: GraphRunner<'_>) -> Vec<Result<Handle>> {
-        self.simulate(handles, false, run);
-        self.inner.eval_many(handles)
+    /// everything it can), so a batch that cannot be simulated fails as
+    /// a whole.
+    pub fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
+        match self.simulate(handles, false) {
+            Ok(()) => self.inner.eval_many(handles),
+            Err(fault) => vec![Err(fault); handles.len()],
+        }
     }
 }
 
@@ -280,11 +292,6 @@ impl ClusterClient {
     pub fn total_simulated_us(&self) -> Time {
         self.core.total_simulated_us()
     }
-
-    /// The Fix engine over this client's cluster, as a graph runner.
-    fn runner(&self) -> impl Fn(&ClusterSetup, &crate::graph::JobGraph) -> RunReport + '_ {
-        |setup, graph| run_fix(setup, graph, &self.cfg)
-    }
 }
 
 /// Derives the cluster dataflow of `roots` from a node's objects and
@@ -305,7 +312,7 @@ pub fn derive_job_graph(
     strict: bool,
     workers: &[NodeId],
     task_compute_us: Time,
-) -> Option<crate::graph::JobGraph> {
+) -> Option<JobGraph> {
     if workers.is_empty() {
         // No placement targets: nothing can run (callers validate their
         // setups up front; this keeps the shared helper panic-free).
@@ -553,15 +560,15 @@ impl InvocationApi for ClusterClient {
 
 impl Evaluator for ClusterClient {
     fn eval(&self, handle: Handle) -> Result<Handle> {
-        self.core.eval_with(handle, &self.runner())
+        self.core.eval(handle)
     }
 
     fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        self.core.eval_strict_with(handle, &self.runner())
+        self.core.eval_strict(handle)
     }
 
     fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        self.core.eval_many_with(handles, &self.runner())
+        self.core.eval_many(handles)
     }
 
     fn footprint(&self, thunk: Handle) -> Result<Footprint> {
@@ -621,6 +628,33 @@ mod tests {
             .setup(missing_spec)
             .build()
             .is_err());
+    }
+
+    /// Derived tasks need 1 core and 64 MiB; these workers have 32 MiB,
+    /// so the setup is well-formed but nothing can be placed on it.
+    #[test]
+    fn an_unplaceable_request_is_a_backend_fault_not_a_panic() {
+        let tiny = NodeSpec {
+            cores: 1,
+            ram_bytes: 32 << 20,
+        };
+        let setup = ClusterSetup::workers_only(2, tiny, NetConfig::default());
+        let cc = ClusterClient::builder().setup(setup).build().unwrap();
+        let add = register_add(&cc);
+        let one = cc.put_blob(Blob::from_u64(1));
+        let thunk = cc.apply(limits(), add, &[one, one]).unwrap();
+        let is_fault = |r: &Result<Handle>| match r {
+            Err(Error::Backend { backend, message }) => {
+                *backend == "cluster" && message.contains("task 0 needs 1 cores")
+            }
+            _ => false,
+        };
+        assert!(is_fault(&cc.eval(thunk)));
+        assert!(is_fault(&cc.eval_strict(thunk)));
+        let batch = cc.eval_many(&[thunk, thunk]);
+        assert!(batch.len() == 2 && batch.iter().all(is_fault));
+        assert_eq!(cc.procedures_run(), 0, "refused before evaluating");
+        assert!(cc.reports().is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Dataflow job graphs: the workload description shared by the Fix
-//! cluster engine and every baseline engine.
+//! Dataflow job graphs: the workload description every profile —
+//! Fixpoint's and each baseline's — is simulated over.
 //!
 //! A [`JobGraph`] is the simulator-level analog of a Fix computation:
 //! content-addressed **objects** (with sizes and initial locations) and
@@ -7,9 +7,9 @@
 //! explicit CPU/RAM demands — the paper's resource limits — and output
 //! sizes, optionally hinted to the scheduler).
 //!
-//! Workload generators in `fix-workloads` produce graphs; engines differ
-//! only in *how* they place, fetch, and bind — which is exactly the
-//! paper's comparison.
+//! Workload generators in `fix-workloads` produce graphs; profiles
+//! differ only in *how* they place, fetch, and bind — which is exactly
+//! the paper's comparison.
 
 use fix_netsim::{NodeId, Time};
 use std::collections::HashMap;
@@ -51,8 +51,8 @@ pub struct TaskSpec {
     /// Output-size hint visible to the scheduler *before* running
     /// (paper §4.2.2); `None` means unhinted.
     pub output_hint: Option<u64>,
-    /// Which function this task invokes. The Fix engine ignores this
-    /// (codelets are just data); baseline engines use it for per-node
+    /// Which function this task invokes. Fixpoint's profile ignores this
+    /// (codelets are just data); baseline profiles use it for per-node
     /// cold starts and binary loads.
     pub func: u32,
 }

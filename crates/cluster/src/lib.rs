@@ -1,4 +1,6 @@
-//! `fix-cluster`: the distributed Fixpoint execution engine, simulated.
+//! `fix-cluster`: the distributed Fixpoint execution engine, simulated
+//! — and, because the paper's comparison is architectural, the one
+//! task-graph simulator every comparator runs on too.
 //!
 //! Implements the paper's §4.2.2 over the `fix-netsim` substrate: a
 //! decentralized, dataflow-aware scheduler in which every invocation's
@@ -9,36 +11,41 @@
 //! [`Binding::Early`]) to regenerate the comparisons in Figs. 8a and 8b.
 //!
 //! Workloads are expressed as [`JobGraph`]s (see `fix-workloads` for the
-//! paper's workload generators); baseline engines over the *same* graphs
-//! and simulator live in `fix-baselines`.
+//! paper's workload generators). A system is a [`Profile`] — see the
+//! [`engine`] module docs for the knob table: Fixpoint is
+//! [`Profile::from`]`(&`[`FixConfig`]`)`, the profile with
+//! [`Profile::externalized_io`], and [`run_fix`] is [`run_profile`] on
+//! it; the comparator profiles live in `fix-baselines`.
 //!
 //! Since the One Fix API refactor the engine is also reachable through
 //! the backend-agnostic `fix_core::api` traits: [`ClusterClient`]
 //! implements `ObjectApi`/`InvocationApi`/`Evaluator`, deriving each
-//! request's dataflow into a [`JobGraph`] and executing it with
-//! [`run_fix`] — so any generic workload doubles as a cluster benchmark.
+//! request's dataflow into a [`JobGraph`] and simulating it under
+//! Fixpoint's profile — so any generic workload doubles as a cluster
+//! benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;
 pub mod density;
-mod engine;
+pub mod engine;
 mod graph;
 mod report;
 
-pub use client::{derive_job_graph, ClientCore, ClusterClient, ClusterClientBuilder, GraphRunner};
+pub use client::{derive_job_graph, ClientCore, ClusterClient, ClusterClientBuilder};
 pub use density::{
     simulate as simulate_density, simulate_profiles as simulate_density_profiles, Admission,
     AppProfile, DensityParams, DensityReport, Phase,
 };
-pub use engine::{run_fix, Binding, ClusterSetup, FixConfig, Placement};
+pub use engine::{run_fix, run_profile, Binding, ClusterSetup, FixConfig, Placement, Profile};
 pub use graph::{small_task, JobGraph, JobGraphBuilder, ObjectId, ObjectSpec, TaskId, TaskSpec};
 pub use report::{ReportLog, RunReport};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::try_run_profile;
     use fix_netsim::{NetConfig, NodeId, NodeSpec, MS, SEC};
 
     fn ten_node_setup() -> ClusterSetup {
@@ -171,14 +178,24 @@ mod tests {
             "chain took {} µs",
             report.makespan_us
         );
+        // Shipping the dataflow is exactly one client → cluster message:
+        // a client that drives the job itself is modeled as starting at
+        // t = 0 (its per-step trips are the profile's dispatch path).
+        let driven = run_profile(&setup, &graph, &fix_with_internal_io());
+        assert_eq!(report.makespan_us - driven.makespan_us, rtt_half + 50);
     }
 
-    #[test]
-    fn output_hint_attracts_task_to_consumer_data() {
-        // Pipeline g(f(x)) where f's output is hinted huge and g also
-        // consumes a huge object on node 7: f should run on node 7 so the
-        // intermediate never crosses the network.
-        let setup = ten_node_setup();
+    /// Fixpoint's profile with only the paper's thesis switched off.
+    fn fix_with_internal_io() -> Profile {
+        Profile {
+            externalized_io: false,
+            ..Profile::from(&FixConfig::default())
+        }
+    }
+
+    /// Pipeline g(f(x)) where f's output is hinted huge and g also
+    /// consumes a huge object on node 7.
+    fn hinted_pipeline() -> JobGraph {
         let mut b = JobGraphBuilder::new();
         let x = b.object_at(1 << 10, &[NodeId(2)]); // f's input: tiny
         let z = b.object_at(8 << 30, &[NodeId(7)]); // g's other input: 8 GiB
@@ -190,13 +207,27 @@ mod tests {
         g.inputs.push(z);
         g.deps.push(f_id);
         b.task(g);
-        let graph = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn output_hint_attracts_task_to_consumer_data() {
+        // f should run on node 7 so the intermediate never crosses the
+        // network: only x (1 KiB) moves, not the 4 GiB intermediate.
+        let (setup, graph) = (ten_node_setup(), hinted_pipeline());
         let report = run_fix(&setup, &graph, &FixConfig::default());
-        // Only x (1 KiB) should move; not the 4 GiB intermediate.
         assert!(
             report.bytes_moved <= 1 << 10,
             "moved {} bytes",
             report.bytes_moved
+        );
+        // A platform that cannot see declared output sizes runs f next
+        // to x and ships the intermediate instead.
+        let blind = run_profile(&setup, &graph, &fix_with_internal_io());
+        assert!(
+            blind.bytes_moved >= 4 << 30,
+            "moved {} bytes",
+            blind.bytes_moved
         );
     }
 
@@ -267,6 +298,59 @@ mod tests {
         let report = run_fix(&setup, &graph, &FixConfig::default());
         // The shared gigabyte moves once, not eight times.
         assert_eq!(report.bytes_moved, 1 << 30);
+        // When each function does its own I/O, each fetches its own copy.
+        let internal = run_profile(&setup, &graph, &fix_with_internal_io());
+        assert_eq!(internal.bytes_moved, 8 << 30);
+    }
+
+    /// One 8-core task on two 4-core workers: it fits nowhere.
+    fn unplaceable() -> (ClusterSetup, JobGraph) {
+        let spec = NodeSpec {
+            cores: 4,
+            ram_bytes: 1 << 30,
+        };
+        let mut b = JobGraphBuilder::new();
+        let mut t = small_task(1_000, 8);
+        t.cores = 8;
+        b.task(t);
+        (
+            ClusterSetup::workers_only(2, spec, NetConfig::default()),
+            b.build(),
+        )
+    }
+
+    #[test]
+    fn a_task_that_fits_no_worker_is_refused_before_simulating() {
+        let (setup, graph) = unplaceable();
+        let why = try_run_profile(&setup, &graph, &Profile::from(&FixConfig::default()));
+        let why = why.expect_err("an 8-core task cannot run on 4-core workers");
+        assert!(why.contains("task 0 needs 8 cores"), "{why}");
+        assert!(why.contains("the largest, node1, has 4 cores"), "{why}");
+    }
+
+    #[test]
+    #[should_panic(expected = "task 0 needs 8 cores")]
+    fn run_fix_panics_with_the_refusal() {
+        let (setup, graph) = unplaceable();
+        run_fix(&setup, &graph, &FixConfig::default());
+    }
+
+    #[test]
+    fn a_task_parked_on_too_small_a_worker_is_a_stall_not_a_hang() {
+        // The task fits node 1 only; over eight seeds random placement
+        // sends it there at least once, and at least once parks it on
+        // node 0, whose cores can never admit it.
+        let (mut setup, graph) = unplaceable();
+        setup.specs[1].cores = 8;
+        let run = |seed| {
+            let mut fix = Profile::from(&FixConfig::default());
+            (fix.placement, fix.seed) = (Placement::Random, seed);
+            try_run_profile(&setup, &graph, &fix)
+        };
+        let outcomes: Vec<_> = (0..8).map(run).collect();
+        assert!(outcomes.iter().any(|r| r.is_ok()), "node 1 runs it");
+        let stalled = outcomes.iter().find_map(|r| r.as_ref().err());
+        assert!(stalled.expect("node 0 cannot").contains("stalled with 0/1"));
     }
 
     #[test]

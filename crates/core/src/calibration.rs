@@ -1,7 +1,7 @@
 //! The shared service-cost calibration table.
 //!
 //! Two simulating layers charge modeled time for work they do not
-//! really measure: the cluster/baseline engines charge a flat compute
+//! really measure: the cluster simulator charges a flat compute
 //! cost per derived task, and the serving layer's virtual clock charges
 //! per-kind cold/warm service times. These constants used to live in
 //! two places (`fix_cluster::ClusterClientBuilder::task_compute_us` and
