@@ -14,7 +14,7 @@
 //! activated simply carry empty plans.
 
 use fix_core::api::{InvocationApi, SubmitApi};
-use fix_core::error::{Error, Result};
+use fix_core::error::Result;
 use fix_serve::controller::{AdmissionPolicy, ScalerConfig};
 use fix_serve::routing::RoutingPolicy;
 use fix_serve::{kernel, Micros, ServeReport};
@@ -49,56 +49,30 @@ pub struct AdaptConfig {
 }
 
 impl AdaptConfig {
-    /// Validates structural invariants.
+    /// The kernel shape of this configuration: one node, no faults.
+    fn kernel_config(&self) -> kernel::Config {
+        kernel::Config {
+            seed: self.seed,
+            duration_us: self.duration_us,
+            batch: self.batch,
+            queue_capacity: self.queue_capacity,
+            batch_overhead_us: self.batch_overhead_us,
+            inflight: self.inflight,
+            tenants: self.tenants.clone(),
+            admission: self.admission,
+            scaler: self.scaler,
+            nodes: 1,
+            policy: RoutingPolicy::Affinity,
+            spill_margin: 1,
+            fault: None,
+        }
+    }
+
+    /// Validates structural invariants: exactly
+    /// [`kernel::Config::validate`] on the kernel shape this
+    /// configuration translates to (every field here is the kernel's).
     pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.batch == 0 {
-            return Err("batch size must be positive".into());
-        }
-        if self.queue_capacity == 0 {
-            return Err("queue capacity must be positive".into());
-        }
-        if self.duration_us == 0 {
-            return Err("duration must be positive".into());
-        }
-        if self.inflight == 0 {
-            return Err("in-flight window must hold at least one batch".into());
-        }
-        self.scaler.validate()?;
-        if self.tenants.is_empty() {
-            return Err("at least one tenant is required".into());
-        }
-        for t in &self.tenants {
-            if t.weight() == 0 {
-                return Err(format!("tenant '{}' has zero weight", t.name()));
-            }
-            match t {
-                AdaptTenant::Open(o) if o.mix.is_empty() => {
-                    return Err(format!("tenant '{}' has an empty mix", o.name));
-                }
-                AdaptTenant::Closed(c) => {
-                    if c.mix.is_empty() {
-                        return Err(format!("tenant '{}' has an empty mix", c.name));
-                    }
-                    if c.clients == 0 {
-                        return Err(format!("tenant '{}' has no clients", c.name));
-                    }
-                    // NaN must fail too, hence the partial_cmp form.
-                    if c.think_mean_us.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                        return Err(format!("tenant '{}' needs a positive think time", c.name));
-                    }
-                }
-                AdaptTenant::Snf(s) => {
-                    if s.flows == 0 {
-                        return Err(format!("tenant '{}' has no flows", s.name));
-                    }
-                    if s.batch_period_us == 0 {
-                        return Err(format!("tenant '{}' needs a positive period", s.name));
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok(())
+        self.kernel_config().validate()
     }
 }
 
@@ -183,28 +157,7 @@ pub fn adaptive_serve<A: SubmitApi + InvocationApi + Send + Sync>(
     rt: &A,
     cfg: &AdaptConfig,
 ) -> Result<AdaptReport> {
-    cfg.validate().map_err(|message| Error::Backend {
-        backend: "adapt",
-        message,
-    })?;
-    let serve = kernel::run(
-        rt,
-        &kernel::Config {
-            seed: cfg.seed,
-            duration_us: cfg.duration_us,
-            batch: cfg.batch,
-            queue_capacity: cfg.queue_capacity,
-            batch_overhead_us: cfg.batch_overhead_us,
-            inflight: cfg.inflight,
-            tenants: cfg.tenants.clone(),
-            admission: cfg.admission,
-            scaler: cfg.scaler,
-            nodes: 1,
-            policy: RoutingPolicy::Affinity,
-            spill_margin: 1,
-            fault: None,
-        },
-    )?;
+    let serve = kernel::run(rt, &cfg.kernel_config())?;
     let diag = ControlDiagnostics {
         sched_parked: fix_obs::global().gauge("sched.parked").get(),
         sched_steal_rate_permille: fix_obs::global().gauge("sched.steal_rate").get(),

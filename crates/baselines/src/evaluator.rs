@@ -1,7 +1,9 @@
 //! [`BaselineEvaluator`]: a comparator system behind the One Fix API.
 //!
-//! The third implementation of the `fix_core::api` trait family: the
-//! same workload that runs on `fixpoint::Runtime` (for real) and
+//! The third implementation of the `fix_core::api` trait family
+//! (`SubmitApi` included — the same [`ClientCore`] submission path as
+//! `fix_cluster::ClusterClient`, through the embedded node's scheduler):
+//! the same workload that runs on `fixpoint::Runtime` (for real) and
 //! `fix_cluster::ClusterClient` (Fixpoint's profile over netsim) runs
 //! here under a baseline [`Profile`] — OpenWhisk, Ray, Pheromone, Faasm — so every
 //! generic workload is automatically a cost-model row for every
@@ -11,11 +13,7 @@
 //! early-binding stalls, per the profile.
 
 use fix_cluster::{ClientCore, ClusterSetup, Profile, RunReport};
-use fix_core::api::{Evaluator, InvocationApi, NativeFn, ObjectApi};
-use fix_core::data::{Blob, Tree};
 use fix_core::error::{Error, Result};
-use fix_core::handle::Handle;
-use fix_core::semantics::Footprint;
 use fix_netsim::Time;
 use fixpoint::Runtime;
 
@@ -131,61 +129,16 @@ impl BaselineEvaluator {
     }
 }
 
-impl ObjectApi for BaselineEvaluator {
-    fn put_blob(&self, blob: Blob) -> Handle {
-        self.inner().put_blob(blob)
-    }
-
-    fn put_tree(&self, tree: Tree) -> Handle {
-        self.inner().put_tree(tree)
-    }
-
-    fn get_blob(&self, handle: Handle) -> Result<Blob> {
-        self.inner().get_blob(handle)
-    }
-
-    fn get_tree(&self, handle: Handle) -> Result<Tree> {
-        self.inner().get_tree(handle)
-    }
-
-    fn contains(&self, handle: Handle) -> bool {
-        self.inner().store().contains(handle)
-    }
-}
-
-impl InvocationApi for BaselineEvaluator {
-    fn register_native(&self, name: &str, f: NativeFn) -> Handle {
-        self.inner().register_native(name, f)
-    }
-}
-
-impl Evaluator for BaselineEvaluator {
-    fn eval(&self, handle: Handle) -> Result<Handle> {
-        self.core.eval(handle)
-    }
-
-    fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        self.core.eval_strict(handle)
-    }
-
-    fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        self.core.eval_many(handles)
-    }
-
-    fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-        self.inner().footprint(thunk)
-    }
-
-    fn procedures_run(&self) -> u64 {
-        self.inner().procedures_run()
-    }
-}
+fix_cluster::impl_one_fix_api!(BaselineEvaluator);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profiles;
     use crate::CostModel;
+    use fix_core::api::{Evaluator, InvocationApi, ObjectApi, Priority, SubmitApi, SubmitOptions};
+    use fix_core::data::Blob;
+    use fix_core::handle::Handle;
     use fix_core::limits::ResourceLimits;
     use fix_netsim::NodeId;
     use std::sync::Arc;
@@ -305,15 +258,13 @@ mod tests {
         );
     }
 
-    /// The request-scoped submission path over a baseline profile:
-    /// `BlockingOffload` lifts the evaluator onto `SubmitApi`, and the
+    /// The request-scoped submission path over a baseline profile: the
+    /// evaluator submits through its embedded node's scheduler, so the
     /// options — strict mode, priorities, deadlines — behave exactly as
     /// on every other backend (the cross-backend agreement itself is
     /// pinned by tests/api_conformance.rs).
     #[test]
-    fn offloaded_submission_honors_request_options() {
-        use fix_core::api::{BlockingOffload, Priority, SubmitApi, SubmitOptions};
-
+    fn native_submission_honors_request_options() {
         let rb = BaselineEvaluator::builder()
             .profile(profiles::openwhisk(
                 &(0..4).map(NodeId).collect::<Vec<_>>(),
@@ -321,26 +272,27 @@ mod tests {
             ))
             .build()
             .unwrap();
-        let off = BlockingOffload::new(rb);
-        let t1 = add_thunk(off.inner(), 40, 2);
-        let t2 = add_thunk(off.inner(), 1, 2);
+        let t1 = add_thunk(&rb, 40, 2);
+        let t2 = add_thunk(&rb, 1, 2);
 
         // Strict, latency-class submission agrees with eval_strict.
         let opts = SubmitOptions::strict().with_priority(Priority::Latency);
-        let results = off.wait_batch(off.submit_with(&[t1, t2], opts));
-        assert_eq!(*results[0].as_ref().unwrap(), off.eval_strict(t1).unwrap());
-        assert_eq!(off.get_u64(*results[1].as_ref().unwrap()).unwrap(), 3);
+        let results = rb.wait_batch(rb.submit_with(&[t1, t2], opts));
+        assert_eq!(*results[0].as_ref().unwrap(), rb.eval_strict(t1).unwrap());
+        assert_eq!(rb.get_u64(*results[1].as_ref().unwrap()).unwrap(), 3);
+        assert_eq!(rb.reports().len(), 1, "one batch, one costed run");
 
-        // A deadline the virtual clock has passed expires the batch
-        // before the (costly) baseline simulation ever runs.
-        off.advance_virtual_clock(10);
-        let expired = off.wait_batch(off.submit_with(
-            &[add_thunk(off.inner(), 5, 5)],
+        // A deadline the virtual clock has passed fails the batch before
+        // the (costly) baseline simulation ever runs.
+        rb.advance_virtual_clock(10);
+        let expired = rb.wait_batch(rb.submit_with(
+            &[add_thunk(&rb, 5, 5)],
             SubmitOptions::default().with_deadline(3),
         ));
         assert!(matches!(
             expired[0],
-            Err(fix_core::Error::DeadlineExceeded { deadline_us: 3 })
+            Err(Error::DeadlineExceeded { deadline_us: 3 })
         ));
+        assert_eq!(rb.reports().len(), 1, "dead work is never costed");
     }
 }

@@ -12,7 +12,7 @@
 
 use fix_baselines::{profiles, BaselineEvaluator, CostModel, Profile};
 use fix_cluster::{ClusterClient, RunReport};
-use fix_core::api::ConcurrentApi;
+use fix_core::api::{Evaluator, InvocationApi};
 use fix_netsim::NodeId;
 use fix_workloads::wordcount::{run_wordcount_fix, store_shards};
 
@@ -45,7 +45,7 @@ pub struct Comparators {
 /// Corpus seed: fixed so every row sees bit-identical shards.
 const SEED: u64 = 11;
 
-fn run_workload<R: ConcurrentApi>(
+fn run_workload<R: InvocationApi + Evaluator>(
     rt: &R,
     n_shards: usize,
     shard_bytes: usize,

@@ -3,26 +3,25 @@
 //!
 //! Runs the fixed-seed [`serve_report`](crate::serve_report) workload
 //! with the event recorder enabled on three submitting backends — the
-//! inline runtime, a 4-worker runtime, and a `BlockingOffload`-lifted
-//! cluster client — and renders the **deterministic** per-layer summary
+//! inline runtime, a 4-worker runtime, and a bare cluster client (which
+//! submits through its embedded node) — and renders the
+//! **deterministic** per-layer summary
 //! of each trace. The serve-layer lifecycle events ride the virtual
 //! clock, so the three summaries (and the latency decomposition table)
 //! are bit-identical: this module asserts that identity instead of just
 //! claiming it, and the `figures trace` CI smoke pins the rendered
 //! output run-to-run.
 //!
-//! Each backend's *full* trace — including the wall-clock scheduler,
-//! durability, and offload diagnostics, which legitimately differ per
-//! backend and per run — is exported as a Chrome trace-event JSON file
+//! Each backend's *full* trace — including the wall-clock scheduler
+//! and durability diagnostics, which legitimately differ per backend
+//! and per run — is exported as a Chrome trace-event JSON file
 //! (loadable in Perfetto / `chrome://tracing`) and validated with the
 //! crate's own parser before the run reports success.
 
-use fix_core::api::BlockingOffload;
 use fix_obs::{recorder, set_tracing, Trace, TraceSummary};
 use fix_serve::{serve, ServeConfig, ServeReport};
 use fixpoint::Runtime;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Serializes recorder use within this process (the recorder and the
 /// tracing toggle are process-global, and tests run concurrently).
@@ -78,14 +77,11 @@ pub fn run_with(cfg: &ServeConfig, out_dir: &Path) -> String {
         runs.push(("runtime-workers4", report, trace));
     }
     {
-        let cc = Arc::new(
-            fix_cluster::ClusterClient::builder()
-                .build()
-                .expect("cluster client"),
-        );
-        let off = BlockingOffload::with_threads(cc, cfg.drivers);
-        let (report, trace) = traced_run(&off, cfg);
-        runs.push(("offload-cluster", report, trace));
+        let cc = fix_cluster::ClusterClient::builder()
+            .build()
+            .expect("cluster client");
+        let (report, trace) = traced_run(&cc, cfg);
+        runs.push(("cluster", report, trace));
     }
 
     let reference = TraceSummary::of(&runs[0].2);
@@ -144,7 +140,7 @@ mod tests {
         assert!(a.contains("serve.admit"));
         assert!(a.contains("latency decomposition"));
         // The per-backend Chrome traces landed on disk.
-        for name in ["runtime-inline", "runtime-workers4", "offload-cluster"] {
+        for name in ["runtime-inline", "runtime-workers4", "cluster"] {
             let p = dir.path().join(format!("serve-{name}.trace.json"));
             let json = std::fs::read_to_string(p).unwrap();
             assert!(fix_obs::validate_chrome_trace(&json).unwrap() > 0);

@@ -1,16 +1,17 @@
 //! [`ClusterClient`]: the distributed engine behind the One Fix API.
 //!
-//! The paper's transparency argument (and Nexus's, for I/O offload) is
-//! that callers should not know which substrate serves them. This module
-//! makes that literal: a `ClusterClient` implements the same
-//! `fix_core::api` traits as the single-node `fixpoint::Runtime`, so a
-//! workload written once against the traits runs unchanged on either —
-//! and the conformance suite holds both to identical results.
+//! The paper's transparency argument (and Nexus's, for transparent
+//! I/O) is that callers should not know which substrate serves them.
+//! This module makes that literal: a `ClusterClient` implements the same
+//! `fix_core::api` traits as the single-node `fixpoint::Runtime` —
+//! [`SubmitApi`](fix_core::api::SubmitApi) included — so a workload or
+//! a serving driver written once against the traits runs unchanged on
+//! either, and the conformance suite holds both to identical results.
 //!
 //! Mechanically the client is a Fix node with the simulated cluster
-//! behind it. Construction calls ([`ObjectApi`], [`InvocationApi`])
-//! build ordinary Fix objects. Each evaluation request is served twice
-//! over, which is exactly the paper's split between *semantics* and
+//! behind it. Construction calls (`ObjectApi`, `InvocationApi`) build
+//! ordinary Fix objects. Each evaluation request is served twice over,
+//! which is exactly the paper's split between *semantics* and
 //! *placement*:
 //!
 //! 1. the request's dataflow — visible up front, because I/O is
@@ -21,6 +22,13 @@
 //! 2. the actual Fix semantics run on the embedded node, so results are
 //!    bit-identical to every other backend.
 //!
+//! Submission is the embedded node's own: [`ClientCore::submit_with`]
+//! simulates the batch, then hands it to the node's scheduler and
+//! returns *its* ticket. Priority tiers, lazy deadline expiry,
+//! cancellation and withdrawal, strict eval→force chains and the
+//! virtual clock are therefore the scheduler's — the same code a bare
+//! `Runtime` runs — not a second engine wrapped around the client.
+//!
 //! Memoized requests ship no tasks: the location view already holds the
 //! result, so the simulated run is skipped — "pay for results" shows up
 //! in the reports, not just in the counters.
@@ -28,11 +36,9 @@
 use crate::engine::{try_run_profile, ClusterSetup, FixConfig, Profile};
 use crate::graph::{JobGraph, JobGraphBuilder, ObjectId, TaskId, TaskSpec};
 use crate::report::{ReportLog, RunReport};
-use fix_core::api::{Evaluator, InvocationApi, NativeFn, ObjectApi};
-use fix_core::data::{Blob, Tree};
+use fix_core::api::{BatchTicket, Mode, SubmitOptions};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, Handle, Kind, ThunkKind};
-use fix_core::semantics::Footprint;
 use fix_netsim::{NetConfig, NodeId, NodeSpec, Time};
 use fix_storage::Relation;
 use fixpoint::Runtime;
@@ -190,7 +196,7 @@ impl ClientCore {
         Ok(())
     }
 
-    /// [`Evaluator::eval`] over the core: simulate, then evaluate for
+    /// `Evaluator::eval` over the core: simulate, then evaluate for
     /// real on the embedded node.
     pub fn eval(&self, handle: Handle) -> Result<Handle> {
         if handle.is_value() {
@@ -200,7 +206,7 @@ impl ClientCore {
         self.inner.eval(handle)
     }
 
-    /// [`Evaluator::eval_strict`] over the core. Even a value root can
+    /// `Evaluator::eval_strict` over the core. Even a value root can
     /// hold work: deep-forcing runs the thunks and encodes nested inside
     /// its trees, so the strict derivation walks those too.
     pub fn eval_strict(&self, handle: Handle) -> Result<Handle> {
@@ -208,15 +214,23 @@ impl ClientCore {
         self.inner.eval_strict(handle)
     }
 
-    /// [`Evaluator::eval_many`] over the core: one simulated run serves
+    /// `SubmitApi::submit_with` over the core: one simulated run serves
     /// the whole batch (the cluster sees the union dataflow and overlaps
-    /// everything it can), so a batch that cannot be simulated fails as
-    /// a whole.
-    pub fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        match self.simulate(handles, false) {
-            Ok(()) => self.inner.eval_many(handles),
-            Err(fault) => vec![Err(fault); handles.len()],
+    /// everything it can; [`Mode::Strict`] derives the force phase too),
+    /// so a batch that cannot be simulated fails as a whole. The batch
+    /// then goes to the embedded node's scheduler and the ticket
+    /// returned is the node's own. A batch whose deadline has already
+    /// passed records no run: the node fails it whole on arrival.
+    pub fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
+        let dead = options
+            .deadline_us
+            .is_some_and(|deadline_us| self.inner.virtual_now() > deadline_us);
+        if !dead {
+            if let Err(fault) = self.simulate(handles, options.mode == Mode::Strict) {
+                return BatchTicket::ready(vec![Err(fault); handles.len()]);
+            }
         }
+        self.inner.submit_with(handles, options)
     }
 }
 
@@ -530,63 +544,94 @@ impl<'a> Deriver<'a> {
 // The One Fix API.
 // ----------------------------------------------------------------------
 
-impl ObjectApi for ClusterClient {
-    fn put_blob(&self, blob: Blob) -> Handle {
-        self.inner().put_blob(blob)
-    }
+/// Implements the One Fix API (`ObjectApi`, `InvocationApi`, `Evaluator`,
+/// `SubmitApi`) for a client type whose `core` field is a
+/// [`ClientCore`]: objects and procedures live on the embedded node,
+/// requests go through the core's simulate-then-run path, and the
+/// virtual clock is the node's. Written once, so [`ClusterClient`] and
+/// `fix_baselines::BaselineEvaluator` cannot drift apart; not part of
+/// the public surface (the expansion names `::fix_core` directly).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! impl_one_fix_api {
+    ($client:ty) => {
+        const _: () = {
+            use ::fix_core::api::{
+                BatchTicket, Evaluator, InvocationApi, NativeFn, ObjectApi, SubmitApi,
+                SubmitOptions,
+            };
+            use ::fix_core::data::{Blob, Tree};
+            use ::fix_core::error::Result;
+            use ::fix_core::handle::Handle;
+            use ::fix_core::semantics::Footprint;
 
-    fn put_tree(&self, tree: Tree) -> Handle {
-        self.inner().put_tree(tree)
-    }
+            impl ObjectApi for $client {
+                fn put_blob(&self, blob: Blob) -> Handle {
+                    self.core.inner().put_blob(blob)
+                }
+                fn put_tree(&self, tree: Tree) -> Handle {
+                    self.core.inner().put_tree(tree)
+                }
+                fn get_blob(&self, handle: Handle) -> Result<Blob> {
+                    self.core.inner().get_blob(handle)
+                }
+                fn get_tree(&self, handle: Handle) -> Result<Tree> {
+                    self.core.inner().get_tree(handle)
+                }
+                fn contains(&self, handle: Handle) -> bool {
+                    self.core.inner().store().contains(handle)
+                }
+            }
 
-    fn get_blob(&self, handle: Handle) -> Result<Blob> {
-        self.inner().get_blob(handle)
-    }
+            impl InvocationApi for $client {
+                fn register_native(&self, name: &str, f: NativeFn) -> Handle {
+                    self.core.inner().register_native(name, f)
+                }
+            }
 
-    fn get_tree(&self, handle: Handle) -> Result<Tree> {
-        self.inner().get_tree(handle)
-    }
+            impl Evaluator for $client {
+                fn eval(&self, handle: Handle) -> Result<Handle> {
+                    self.core.eval(handle)
+                }
+                fn eval_strict(&self, handle: Handle) -> Result<Handle> {
+                    self.core.eval_strict(handle)
+                }
+                fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
+                    self.submit_many(handles).wait()
+                }
+                fn footprint(&self, thunk: Handle) -> Result<Footprint> {
+                    self.core.inner().footprint(thunk)
+                }
+                fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
+                    self.core.inner().footprint_many(thunks)
+                }
+                fn procedures_run(&self) -> u64 {
+                    self.core.inner().procedures_run()
+                }
+            }
 
-    fn contains(&self, handle: Handle) -> bool {
-        self.inner().store().contains(handle)
-    }
+            impl SubmitApi for $client {
+                fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
+                    self.core.submit_with(handles, options)
+                }
+                fn virtual_now(&self) -> u64 {
+                    self.core.inner().virtual_now()
+                }
+                fn advance_virtual_clock(&self, us: u64) {
+                    self.core.inner().advance_virtual_clock(us)
+                }
+            }
+        };
+    };
 }
 
-impl InvocationApi for ClusterClient {
-    fn register_native(&self, name: &str, f: NativeFn) -> Handle {
-        self.inner().register_native(name, f)
-    }
-}
-
-impl Evaluator for ClusterClient {
-    fn eval(&self, handle: Handle) -> Result<Handle> {
-        self.core.eval(handle)
-    }
-
-    fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        self.core.eval_strict(handle)
-    }
-
-    fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        self.core.eval_many(handles)
-    }
-
-    fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-        self.inner().footprint(thunk)
-    }
-
-    fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        self.inner().footprint_many(thunks)
-    }
-
-    fn procedures_run(&self) -> u64 {
-        self.inner().procedures_run()
-    }
-}
+impl_one_fix_api!(ClusterClient);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::{Evaluator, InvocationApi, ObjectApi, SubmitApi};
+    use fix_core::data::Blob;
     use fix_core::limits::ResourceLimits;
     use std::sync::Arc;
 
@@ -827,59 +872,50 @@ mod tests {
         assert_eq!(on_runtime, on_cluster, "content addressing is global truth");
     }
 
-    /// The request-scoped submission path over the cluster: lifted onto
-    /// `SubmitApi` by `BlockingOffload`, the client honors strict mode,
-    /// priority classes, deadline expiry, and cancellation — while the
-    /// simulated substrate keeps recording runs for work it executes.
+    /// The request-scoped submission path over the cluster: the client
+    /// submits through its embedded node's scheduler, so strict mode and
+    /// deadlines are the scheduler's own — while the simulated substrate
+    /// records runs only for live work. (Cancellation on a bare client
+    /// is pinned in tests/api_conformance.rs.)
     #[test]
-    fn offloaded_submission_honors_request_options() {
-        use fix_core::api::{BlockingOffload, SubmitApi, SubmitOptions};
-        use std::sync::Arc;
-
-        let cc = Arc::new(client());
-        let off = BlockingOffload::from_arc(Arc::clone(&cc));
+    fn native_submission_honors_request_options() {
+        let cc = client();
         let add = register_add(&cc);
         let mint = |a: u64| {
-            off.apply(
-                limits(),
-                add,
-                &[
-                    off.put_blob(Blob::from_u64(a)),
-                    off.put_blob(Blob::from_u64(1)),
-                ],
-            )
-            .unwrap()
+            let args = [
+                cc.put_blob(Blob::from_u64(a)),
+                cc.put_blob(Blob::from_u64(1)),
+            ];
+            cc.apply(limits(), add, &args).unwrap()
         };
 
         // Strict submission agrees with eval_strict (one cluster run).
-        let strict = off.wait_batch(off.submit_with(&[mint(41)], SubmitOptions::strict()));
+        let strict = cc.wait_batch(cc.submit_with(&[mint(41)], SubmitOptions::strict()));
         assert_eq!(
             *strict[0].as_ref().unwrap(),
-            off.eval_strict(mint(41)).unwrap()
+            cc.eval_strict(mint(41)).unwrap()
         );
         let runs_after_strict = cc.reports().len();
-        assert!(runs_after_strict > 0, "strict work shipped cluster runs");
+        assert_eq!(
+            runs_after_strict, 1,
+            "the memoized re-evaluation shipped nothing"
+        );
 
-        // An expired deadline withdraws the batch before the cluster
-        // ever sees it: no new simulated run is recorded.
-        off.advance_virtual_clock(1_000);
-        let expired = off
-            .wait_batch(off.submit_with(&[mint(77)], SubmitOptions::default().with_deadline(500)));
+        // A dead-on-arrival batch never reaches the simulator: no run is
+        // recorded and no procedure executes.
+        cc.advance_virtual_clock(1_000);
+        let before = cc.procedures_run();
+        let expired =
+            cc.wait_batch(cc.submit_with(&[mint(77)], SubmitOptions::default().with_deadline(500)));
         assert!(matches!(
             expired[0],
-            Err(fix_core::Error::DeadlineExceeded { deadline_us: 500 })
+            Err(Error::DeadlineExceeded { deadline_us: 500 })
         ));
         assert_eq!(
             cc.reports().len(),
             runs_after_strict,
             "dead work ships nothing"
         );
-
-        // Cancel-before-dispatch likewise never reaches the simulator.
-        off.submit_many(&[mint(99)]).cancel();
-        // (The pool may or may not have started it; give it no chance —
-        // the cancel marked the slot, so at worst one run is recorded.)
-        let resubmitted = off.wait_batch(off.submit_many(&[mint(99)]));
-        assert_eq!(off.get_u64(*resubmitted[0].as_ref().unwrap()).unwrap(), 100);
+        assert_eq!(cc.procedures_run(), before);
     }
 }

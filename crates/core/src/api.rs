@@ -23,8 +23,10 @@
 //!   admission with execution; [`SubmitOptions`] carries a deadline
 //!   (virtual µs), a [`Priority`] class, and the WHNF-vs-strict
 //!   [`Mode`], and [`BatchTicket::cancel`] withdraws still-queued work.
-//!   `fixpoint::Runtime` implements it natively; [`BlockingOffload`]
-//!   lifts any plain [`Evaluator`] onto it.
+//!   Every backend implements it the same way: the batch goes to a Fix
+//!   node's scheduler — `fixpoint::Runtime` *is* that node, and the
+//!   cluster and baseline clients submit through the node they embed
+//!   (after costing the batch on their simulator) and return its ticket.
 //!
 //! Because handles are content addressed, a correct backend is *forced*
 //! to agree with every other backend on results — the conformance suite
@@ -64,6 +66,14 @@
 //! let cluster = fix_cluster::ClusterClient::builder().build().unwrap();
 //! assert_eq!(double_42(&cluster).unwrap(), 42);
 //! ```
+//!
+//! # How small the surface is meant to be
+//!
+//! A backend supplies thirteen methods: five of [`ObjectApi`], one of
+//! [`InvocationApi`], four of [`Evaluator`] (`eval`, `eval_strict`,
+//! `footprint`, `procedures_run`), and three of [`SubmitApi`]
+//! (`submit_with` and the virtual clock). Everything else here is a
+//! provided method defined in terms of those.
 
 use crate::data::{Blob, Node, Tree};
 use crate::error::{Error, Result};
@@ -73,7 +83,6 @@ use crate::limits::ResourceLimits;
 use crate::semantics::Footprint;
 use std::sync::Arc;
 
-pub use crate::offload::BlockingOffload;
 pub use crate::ticket::{BatchTicket, PendingBatch, Ticket};
 
 // ----------------------------------------------------------------------
@@ -361,12 +370,11 @@ pub trait Evaluator {
     /// batch to its scheduler under one lock acquisition, and the cluster
     /// client ships the batch through one simulated run.
     ///
-    /// Blocking is the special case of submission: this default resolves
-    /// the batch at submission time and waits on the resulting (ready)
-    /// ticket, and backends implementing [`SubmitApi`] override it with
-    /// a real `submit_many(..).wait()` — same surface, pipelined engine.
+    /// Blocking is the special case of submission: backends
+    /// implementing [`SubmitApi`] override this default loop with
+    /// `submit_many(..).wait()` — same surface, pipelined engine.
     fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        BatchTicket::ready(handles.iter().map(|&h| self.eval(h)).collect()).wait()
+        handles.iter().map(|&h| self.eval(h)).collect()
     }
 
     /// Computes the minimum repository of a thunk (paper §3.3), using
@@ -393,20 +401,6 @@ pub trait Evaluator {
     /// Procedures the backend has actually executed (memoization cache
     /// misses). The conformance suite observes memoization through this.
     fn procedures_run(&self) -> u64;
-
-    /// Convenience: apply + strict evaluation in one call.
-    fn run_invocation(
-        &self,
-        limits: ResourceLimits,
-        procedure: Handle,
-        args: &[Handle],
-    ) -> Result<Handle>
-    where
-        Self: InvocationApi + Sized,
-    {
-        let thunk = self.apply(limits, procedure, args)?;
-        self.eval_strict(thunk)
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -430,9 +424,8 @@ pub enum Mode {
 }
 
 /// The scheduling class of a submitted batch. Lower tiers dispatch
-/// first wherever the backend holds queued work (the single-node
-/// scheduler's run queues, the [`BlockingOffload`] submission pool, the
-/// `fix-serve` admission queues).
+/// first wherever queued work is held (a node scheduler's run queues,
+/// the `fix-serve` admission queues).
 ///
 /// Ordered: `Latency < Normal < Batch`, so `a < b` means `a` is served
 /// before `b` under contention.
@@ -490,11 +483,10 @@ pub struct SubmitOptions {
     /// [`Error::DeadlineExceeded`] — uniformly on every backend,
     /// before any slot resolves. A deadline that passes *while* the
     /// batch waits in a backend queue expires the still-pending work
-    /// at its next dispatch opportunity (lazily at dequeue in the
-    /// single-node scheduler, before dispatch in [`BlockingOffload`]);
-    /// results the backend already produced by then — memoized slots
-    /// the runtime filled at submission, offloaded batches already
-    /// dispatched — keep their values. `None` (default) never expires.
+    /// at its next dispatch opportunity (lazily, when the scheduler
+    /// dequeues it); results the backend already produced by then —
+    /// memoized slots filled at submission — keep their values. `None`
+    /// (default) never expires.
     pub deadline_us: Option<u64>,
     /// The batch's scheduling class.
     pub priority: Priority,
@@ -542,14 +534,16 @@ impl SubmitOptions {
 /// while *k* executes — which is what lets the `fix-serve` driver pool
 /// overlap admission with execution.
 ///
-/// Implementations:
+/// Implementations — one submission path, three entry points:
 ///
-/// * `fixpoint::Runtime` — native: submission takes the scheduler's
-///   job-map lock once, registers completion watchers, and returns; no
-///   caller thread is parked per batch.
-/// * [`BlockingOffload<T>`] — lifts any plain [`Evaluator`] (the
-///   cluster client, the baselines) onto this trait via a pool of
-///   submission threads.
+/// * `fixpoint::Runtime` — submission takes the scheduler's job-map
+///   lock once, registers completion watchers, and returns; no caller
+///   thread is parked per batch.
+/// * `fix_cluster::ClusterClient` and
+///   `fix_baselines::BaselineEvaluator` — derive and simulate the
+///   batch's dataflow (recording a run report), then submit it to the
+///   `Runtime` they embed and return that node's ticket. Tiers,
+///   deadlines, cancellation and the virtual clock are the node's.
 ///
 /// Submissions are *request scoped*: [`submit_with`](SubmitApi::submit_with)
 /// attaches a [`SubmitOptions`] — deadline in virtual µs, [`Priority`]
@@ -686,11 +680,6 @@ pub trait SubmitApi: Evaluator {
         ticket.poll()
     }
 
-    /// Non-blocking: true once every slot of `ticket` has completed.
-    fn poll_batch(&self, ticket: &mut BatchTicket) -> bool {
-        ticket.poll()
-    }
-
     /// Blocks until the evaluation completes, consuming the ticket.
     fn wait(&self, ticket: Ticket) -> Result<Handle> {
         ticket.wait()
@@ -733,22 +722,6 @@ impl<T: SubmitApi + ?Sized> SubmitApi for Arc<T> {
         (**self).advance_virtual_clock(us)
     }
 }
-
-/// The full One Fix API, shareable across threads: everything a
-/// serving layer needs from a backend — build requests
-/// ([`InvocationApi`]), evaluate them ([`Evaluator`]) — plus the
-/// `Send + Sync` bounds that let one backend be driven by a pool of
-/// worker threads through a shared reference.
-///
-/// Blanket-implemented, so this is a *bound alias*, not a new
-/// capability: `fixpoint::Runtime`, `fix_cluster::ClusterClient`, and
-/// `fix_baselines::BaselineEvaluator` all qualify automatically, as
-/// does `Arc<T>`/`&T` of any of them (via the reference impls above).
-/// Write multi-threaded drivers — e.g. the `fix-serve` driver pool —
-/// against this trait and they run unchanged on every backend.
-pub trait ConcurrentApi: InvocationApi + Evaluator + Send + Sync {}
-
-impl<T: InvocationApi + Evaluator + Send + Sync + ?Sized> ConcurrentApi for T {}
 
 impl<T: Evaluator + ?Sized> Evaluator for &T {
     fn eval(&self, handle: Handle) -> Result<Handle> {

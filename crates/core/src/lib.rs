@@ -16,8 +16,7 @@
 //! * [`api`] — the One Fix API: backend-agnostic [`api::ObjectApi`] /
 //!   [`api::InvocationApi`] / [`api::Evaluator`] / [`api::SubmitApi`]
 //!   traits implemented by every execution engine in the workspace,
-//!   plus the [`ticket`] machinery behind submission-first evaluation
-//!   and the [`offload`] adapter that lifts blocking backends onto it;
+//!   plus the [`ticket`] machinery behind submission-first evaluation;
 //! * [`calibration`] — the shared service-cost table every simulating
 //!   layer (cluster tasks, serving clocks) charges from.
 //!
@@ -55,14 +54,13 @@ pub mod error;
 pub mod handle;
 pub mod invocation;
 pub mod limits;
-pub mod offload;
 pub mod semantics;
 pub mod ticket;
 pub mod wire;
 
 pub use api::{
-    BatchTicket, BlockingOffload, Evaluator, HostApi, InvocationApi, NativeCtx, NativeFn,
-    ObjectApi, SubmitApi, Ticket,
+    BatchTicket, Evaluator, HostApi, InvocationApi, NativeCtx, NativeFn, ObjectApi, SubmitApi,
+    Ticket,
 };
 pub use data::{Blob, Node, Tree};
 pub use error::{Error, Result};

@@ -8,18 +8,16 @@
 //! blocking with [`BatchTicket::poll`], or multiplexed with
 //! [`BatchTicket::wait_any`].
 //!
-//! A ticket is a thin shell over a backend-provided [`PendingBatch`]:
-//! the backend decides *how* completion happens (the single-node runtime
-//! hooks its scheduler's completion notifications; the
-//! [`BlockingOffload`](crate::api::BlockingOffload) adapter parks a
-//! submission thread), while the ticket state machine — pending →
+//! A ticket is a thin shell over a [`PendingBatch`]: the scheduler
+//! decides *how* completion happens (its completion notifications fill
+//! the batch's slots), while the ticket state machine — pending →
 //! resolved → taken — and the cancellation contract live here, shared
 //! by every backend.
 //!
 //! [`BatchTicket::cancel`] is *true cancellation*, not mere
 //! deregistration: the backend fails the batch's unresolved slots with
 //! [`Error::Cancelled`](crate::error::Error::Cancelled), releases its
-//! per-batch bookkeeping (watchers, pool entries), and **withdraws
+//! per-batch bookkeeping (its watchers), and **withdraws
 //! still-queued work that no other live request shares** — a cancelled
 //! batch whose jobs were never dispatched runs zero procedures. Work
 //! another request also watches, work something else depends on, and
@@ -42,24 +40,29 @@ use std::time::Duration;
 /// where one batch's completion cannot signal another batch's condvar.
 const WAIT_ANY_TICK: Duration = Duration::from_micros(500);
 
-/// One in-flight batch, as the backend that accepted it sees it.
+/// One in-flight batch, as the scheduler that accepted it sees it.
 ///
-/// Backends implement this once per submission mechanism; callers never
-/// see it directly — they hold a [`BatchTicket`], which resolves itself
-/// through these hooks. All methods may be called from any thread.
+/// There is one implementor: `fixpoint`'s watched scheduler batch, which
+/// every backend's tickets wrap (the cluster and baseline clients return
+/// their embedded node's ticket). It is a trait rather than that type
+/// only because of the crate graph — `fixpoint` depends on `fix-core`,
+/// so the ticket state machine here cannot name the scheduler — and
+/// because the ticket tests below drive the state machine with
+/// hand-cranked batches. Callers never see it directly: they hold a
+/// [`BatchTicket`], which resolves itself through these hooks. All
+/// methods may be called from any thread.
+///
 /// ## The slot-fill contract
 ///
 /// Completion is per *slot*, and each slot resolves **exactly once**:
 /// whichever event reaches it first — the result, a deadline expiry, a
 /// cancellation, a stall failure — owns the slot's outcome, and every
-/// later writer backs off. Backends are free to implement that with a
-/// lock (serialize fills) or lock-free (the single-node scheduler
-/// claims slots with a first-writer-wins CAS and counts the batch down
-/// atomically); either way, by the time "every slot filled" is
-/// observable, every slot's result must be readable. `try_take` is
-/// called from hot polling loops (`wait_any` re-polls each ticket per
-/// tick), so the done check should be cheap — an atomic flag, not a
-/// lock sweep.
+/// later writer backs off (the scheduler claims slots with a
+/// first-writer-wins CAS and counts the batch down atomically). By the
+/// time "every slot filled" is observable, every slot's result must be
+/// readable. `try_take` is called from hot polling loops (`wait_any`
+/// re-polls each ticket per tick), so the done check should be cheap —
+/// an atomic flag, not a lock sweep.
 pub trait PendingBatch: Send + Sync {
     /// Non-blocking: the positional results, if every slot in the batch
     /// has completed; `None` while any slot is still in flight.
@@ -115,10 +118,9 @@ pub struct BatchTicket {
 }
 
 impl BatchTicket {
-    /// A ticket that was born resolved — evaluation already happened at
-    /// submission time. This is how blocking backends satisfy the
-    /// submission API: blocking is the degenerate pipeline whose window
-    /// closed immediately.
+    /// A ticket that was born resolved: nothing is left in flight — a
+    /// batch of values, a batch dead on arrival, or one its backend
+    /// refused whole.
     pub fn ready(results: Vec<Result<Handle>>) -> BatchTicket {
         let len = results.len();
         BatchTicket {
@@ -228,13 +230,12 @@ impl BatchTicket {
     /// progress through a set.
     ///
     /// Tickets may come from different backends; progress is driven
-    /// through each backend's own [`PendingBatch::advance`], rotating
+    /// through each batch's own [`PendingBatch::advance`], rotating
     /// across the pending tickets so a batch that needs its waiter's
     /// help (an inline scheduler with no worker pool) is never starved
-    /// behind a slow sibling from another backend. A mix of
-    /// scheduler-driven and thread-offloaded batches therefore
-    /// multiplexes correctly, with latency bounded by an internal
-    /// re-poll tick.
+    /// behind a slow sibling from another node. A mix of inline and
+    /// pooled nodes therefore multiplexes correctly, with latency
+    /// bounded by an internal re-poll tick.
     pub fn wait_any(tickets: &mut [BatchTicket]) -> Option<usize> {
         let mut rotation = 0usize;
         loop {

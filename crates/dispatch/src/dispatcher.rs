@@ -71,29 +71,26 @@ pub struct DispatchConfig {
 }
 
 impl DispatchConfig {
-    /// Validates the dispatch-specific invariants on top of
-    /// [`ServeConfig::validate`].
+    /// The kernel shape of this configuration: the base serving shape
+    /// per node, under this routing policy and fault plan.
+    fn kernel_config(&self) -> kernel::Config {
+        kernel::Config {
+            nodes: self.nodes,
+            policy: self.policy,
+            spill_margin: self.spill_margin,
+            fault: self.fault,
+            ..kernel::Config::from(&self.base)
+        }
+    }
+
+    /// Validates the configuration: [`kernel::Config::validate`] on the
+    /// kernel shape, plus the one invariant only the dispatcher can see
+    /// — a warm restart reopens a log, so it needs durable storage.
     pub fn validate(&self) -> std::result::Result<(), String> {
-        self.base.validate()?;
-        if self.nodes == 0 {
-            return Err("at least one node is required".into());
-        }
-        if self.spill_margin == 0 {
-            return Err("spill margin must be positive".into());
-        }
-        if let Some(f) = &self.fault {
-            if f.node >= self.nodes {
-                return Err(format!("fault kills node {} of {}", f.node, self.nodes));
-            }
-            if self.nodes < 2 {
-                return Err("a fault plan needs at least one survivor".into());
-            }
-            if f.restart_at_us <= f.kill_at_us {
-                return Err("restart must come after the kill".into());
-            }
-            if f.restart == RestartKind::Warm && matches!(self.storage, NodeStorage::Memory) {
-                return Err("a warm restart needs durable node storage".into());
-            }
+        self.kernel_config().validate()?;
+        let warm = matches!(self.fault, Some(f) if f.restart == RestartKind::Warm);
+        if warm && matches!(self.storage, NodeStorage::Memory) {
+            return Err("a warm restart needs durable node storage".into());
         }
         Ok(())
     }
@@ -257,16 +254,7 @@ pub fn dispatch(cfg: &DispatchConfig) -> Result<DispatchOutcome> {
         backend: "dispatch",
         message,
     })?;
-    let plan = kernel::plan(
-        &Runtime::builder().build(),
-        &kernel::Config {
-            nodes: cfg.nodes,
-            policy: cfg.policy,
-            spill_margin: cfg.spill_margin,
-            fault: cfg.fault,
-            ..kernel::Config::from(&cfg.base)
-        },
-    )?;
+    let plan = kernel::plan(&Runtime::builder().build(), &cfg.kernel_config())?;
     let exec_start = std::time::Instant::now();
     let results: Vec<Result<(Tally, NodeExecStats)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = plan

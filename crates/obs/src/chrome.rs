@@ -2,7 +2,7 @@
 //! JSON parser used to validate exported files offline.
 //!
 //! The export is the *wall-clock* view: every captured event — including
-//! the non-deterministic scheduler/durable/offload diagnostics that the
+//! the non-deterministic scheduler/durable diagnostics that the
 //! deterministic summary excludes — with `ts`/`dur` in microseconds
 //! since the recorder epoch, one Chrome `tid` per recording thread, and
 //! the emitting layer as the category. Load the file in

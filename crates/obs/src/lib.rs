@@ -2,8 +2,11 @@
 //!
 //! The observability layer of the Fix stack: one structured event
 //! recorder and one metrics registry shared by the scheduler
-//! (`fixpoint`), the serving layer (`fix-serve`), the persistence tier
-//! (`fix-durable`), and the `BlockingOffload` adapter.
+//! (`fixpoint`), the serving layer (`fix-serve`), the dispatcher and
+//! control tiers, and the persistence tier (`fix-durable`). Every
+//! submitting backend is a `fixpoint` scheduler (the cluster and
+//! baseline clients submit through the node they embed), so every
+//! backend's trace carries the same `scheduler` category.
 //!
 //! ## The disabled-path contract
 //!
@@ -38,7 +41,7 @@
 //!   Perfetto-loadable) and the diagnostic latency histograms
 //!   (fsync/snapshot/refault…), which are explicitly *not* pinned.
 //!
-//! Scheduler, durable, and offload events are wall-timing dependent
+//! Scheduler and durable events are wall-timing dependent
 //! (steal counts, park cycles, group-commit batching), so
 //! [`EventKind::deterministic`] excludes them from summaries: they are
 //! Chrome-trace diagnostics. The deterministic surface is the serve

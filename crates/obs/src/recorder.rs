@@ -114,8 +114,6 @@ pub enum Layer {
     Control,
     /// The append-only persistence tier (`fix-durable`).
     Durable,
-    /// The `BlockingOffload` adapter (`fix_core::api`).
-    Offload,
 }
 
 impl Layer {
@@ -127,7 +125,6 @@ impl Layer {
             Layer::Dispatch => "dispatch",
             Layer::Control => "control",
             Layer::Durable => "durable",
-            Layer::Offload => "offload",
         }
     }
 }
@@ -172,12 +169,6 @@ pub enum EventKind {
     DurSnapshot,
     DurEvict,
     DurRefault,
-    // BlockingOffload (its own virtual clock; counts are wall-timing
-    // dependent, so diagnostic).
-    OffloadSubmit,
-    OffloadDispatch,
-    OffloadExpire,
-    OffloadCancel,
 }
 
 impl EventKind {
@@ -194,7 +185,6 @@ impl EventKind {
             Route | Spill | NodeKill | NodeRestart => Layer::Dispatch,
             CtrlReject | CtrlScaleUp | CtrlScaleDown => Layer::Control,
             DurAppend | DurFsync | DurSnapshot | DurEvict | DurRefault => Layer::Durable,
-            OffloadSubmit | OffloadDispatch | OffloadExpire | OffloadCancel => Layer::Offload,
         }
     }
 
@@ -231,10 +221,6 @@ impl EventKind {
             DurSnapshot => "durable.snapshot",
             DurEvict => "durable.evict",
             DurRefault => "durable.refault",
-            OffloadSubmit => "offload.submit",
-            OffloadDispatch => "offload.dispatch",
-            OffloadExpire => "offload.expire",
-            OffloadCancel => "offload.cancel",
         }
     }
 
@@ -287,10 +273,6 @@ impl EventKind {
             DurSnapshot,
             DurEvict,
             DurRefault,
-            OffloadSubmit,
-            OffloadDispatch,
-            OffloadExpire,
-            OffloadCancel,
         ]
     }
 }

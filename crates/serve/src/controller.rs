@@ -138,7 +138,7 @@ impl ScalerConfig {
     /// band, a positive tick period).
     pub fn validate(&self) -> Result<(), String> {
         if self.min_drivers == 0 {
-            return Err("scaler needs at least one driver".into());
+            return Err("driver pool must have at least one driver".into());
         }
         if self.max_drivers < self.min_drivers {
             return Err("scaler max_drivers must be ≥ min_drivers".into());

@@ -87,8 +87,8 @@ pub struct FaultPlan {
     pub restart: RestartKind,
 }
 
-/// Everything one kernel run is a function of. The entry points
-/// validate their own configurations; the kernel trusts this one.
+/// Everything one kernel run is a function of. [`plan`] checks it with
+/// [`Config::validate`] before anything runs.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Run seed; every random choice derives from it.
@@ -139,6 +139,79 @@ impl From<&ServeConfig> for Config {
             spill_margin: 1,
             fault: None,
         }
+    }
+}
+
+impl Config {
+    /// Checks everything the event loop relies on, so a malformed
+    /// configuration is an error instead of a hang (a zero batch or tick
+    /// period never advances the clock) or a panic (an empty pool,
+    /// queue, node set, or in-flight window). The entry points'
+    /// `validate`s delegate here and add only what the kernel cannot
+    /// see.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        if self.batch == 0 {
+            return Err("batch size must be positive".into());
+        }
+        if self.queue_capacity == 0 {
+            return Err("queue capacity must be positive".into());
+        }
+        if self.duration_us == 0 {
+            return Err("duration must be positive".into());
+        }
+        if self.inflight == 0 {
+            return Err("in-flight window must hold at least one batch".into());
+        }
+        self.scaler.validate()?;
+        if self.nodes == 0 {
+            return Err("at least one node is required".into());
+        }
+        if self.spill_margin == 0 {
+            return Err("spill margin must be positive".into());
+        }
+        if let Some(f) = &self.fault {
+            if f.node >= self.nodes {
+                return Err(format!("fault kills node {} of {}", f.node, self.nodes));
+            }
+            if self.nodes < 2 {
+                return Err("a fault plan needs at least one survivor".into());
+            }
+            if f.restart_at_us <= f.kill_at_us {
+                return Err("restart must come after the kill".into());
+            }
+        }
+        if self.tenants.is_empty() {
+            return Err("at least one tenant is required".into());
+        }
+        for t in &self.tenants {
+            let name = t.name();
+            if t.weight() == 0 {
+                return Err(format!("tenant '{name}' has zero weight"));
+            }
+            match t {
+                Tenant::Snf(s) if s.flows == 0 => {
+                    return Err(format!("tenant '{name}' has no flows"));
+                }
+                Tenant::Snf(s) if s.batch_period_us == 0 => {
+                    return Err(format!("tenant '{name}' needs a positive period"));
+                }
+                Tenant::Snf(_) => {}
+                _ if t.mix().is_empty() => {
+                    return Err(format!("tenant '{name}' has an empty mix"));
+                }
+                Tenant::Closed(c) if c.clients == 0 => {
+                    return Err(format!("tenant '{name}' has no clients"));
+                }
+                // NaN must fail too, hence the partial_cmp form.
+                Tenant::Closed(c)
+                    if c.think_mean_us.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) =>
+                {
+                    return Err(format!("tenant '{name}' needs a positive think time"));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -916,6 +989,10 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
 /// The virtual half: generates the traffic and admits, routes, prices,
 /// and schedules it on the virtual clock, minting thunks on `rt`.
 pub fn plan<A: InvocationApi>(rt: &A, cfg: &Config) -> Result<Plan> {
+    cfg.validate().map_err(|message| Error::Backend {
+        backend: "serve",
+        message,
+    })?;
     let mut sim = Sim::new(rt, cfg)?;
     sim.run()?;
     let mut tenants = sim.tenants;

@@ -6,11 +6,11 @@
 //! per-tenant queues, tail latency under load. This crate closes that
 //! gap. It is deliberately *not* a new execution engine — it is a layer
 //! over the One Fix API's submission surface
-//! ([`fix_core::api::SubmitApi`]), so the same serving run drives
-//! `fixpoint::Runtime` natively, or `fix_cluster::ClusterClient` /
-//! `fix_baselines::BaselineEvaluator` through the
-//! [`BlockingOffload`](fix_core::api::BlockingOffload) adapter,
-//! unchanged.
+//! ([`fix_core::api::SubmitApi`]), which every backend implements the
+//! same way — by submitting to a Fix node's scheduler — so the same
+//! serving run drives `fixpoint::Runtime`,
+//! `fix_cluster::ClusterClient`, or `fix_baselines::BaselineEvaluator`,
+//! each passed in bare and unchanged.
 //!
 //! The pieces:
 //!
@@ -38,9 +38,10 @@
 //! one backend, a fixed driver pool, capacity-only admission. See
 //! [`kernel`] for why the clock/execution split makes the latency
 //! tables bit-identical across runs while every result still comes
-//! from a real evaluation. Backends without native submission (the
-//! cluster client, the baselines) join through
-//! [`BlockingOffload`](fix_core::api::BlockingOffload).
+//! from a real evaluation. The kernel is public, so it checks the
+//! [`kernel::Config`] it is handed ([`kernel::Config::validate`]): a
+//! degenerate configuration is an `Error::Backend`, never a hang or a
+//! panic, whichever entry point built it.
 //!
 //! [`SubmitApi`]: fix_core::api::SubmitApi
 //!

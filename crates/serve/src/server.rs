@@ -49,35 +49,10 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Validates structural invariants (positive pool, batch, horizon,
-    /// at least one tenant).
+    /// at least one tenant): exactly [`kernel::Config::validate`] on
+    /// the kernel shape this configuration translates to.
     pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.drivers == 0 {
-            return Err("driver pool must have at least one driver".into());
-        }
-        if self.batch == 0 {
-            return Err("batch size must be positive".into());
-        }
-        if self.queue_capacity == 0 {
-            return Err("queue capacity must be positive".into());
-        }
-        if self.duration_us == 0 {
-            return Err("duration must be positive".into());
-        }
-        if self.inflight == 0 {
-            return Err("in-flight window must hold at least one batch".into());
-        }
-        if self.tenants.is_empty() {
-            return Err("at least one tenant is required".into());
-        }
-        for t in &self.tenants {
-            if t.weight == 0 {
-                return Err(format!("tenant '{}' has zero weight", t.name));
-            }
-            if t.mix.is_empty() {
-                return Err(format!("tenant '{}' has an empty mix", t.name));
-            }
-        }
-        Ok(())
+        kernel::Config::from(self).validate()
     }
 }
 
@@ -499,10 +474,11 @@ impl std::fmt::Display for ServeReport {
 /// a real driver-thread pool through the submission API (each driver
 /// keeps up to [`ServeConfig::inflight`] batches in flight).
 ///
-/// The backend must implement [`SubmitApi`]: `fixpoint::Runtime` does
-/// natively, and any plain blocking backend (the cluster client, the
-/// baselines) is lifted with
-/// [`BlockingOffload`](fix_core::api::BlockingOffload).
+/// Every One-Fix-API backend implements [`SubmitApi`] —
+/// `fixpoint::Runtime`, `fix_cluster::ClusterClient` and
+/// `fix_baselines::BaselineEvaluator` are all passed here bare. A
+/// malformed configuration is refused by the kernel
+/// ([`kernel::Config::validate`]) before anything runs.
 ///
 /// # Examples
 ///
@@ -533,10 +509,6 @@ pub fn serve<A: SubmitApi + InvocationApi + Send + Sync>(
     rt: &A,
     cfg: &ServeConfig,
 ) -> Result<ServeReport> {
-    cfg.validate().map_err(|message| fix_core::Error::Backend {
-        backend: "serve",
-        message,
-    })?;
     kernel::run(rt, &kernel::Config::from(cfg))
 }
 
@@ -685,25 +657,32 @@ mod tests {
         assert!(b.wall_rps() > 0.0);
     }
 
+    /// The cluster client is served bare — it submits through its
+    /// embedded node's scheduler — and is indistinguishable from a
+    /// `Runtime` in everything but its simulated-run telemetry, for a
+    /// blocking window and a pipelined one.
     #[test]
     fn runs_identically_on_the_cluster_backend() {
-        use fix_core::api::BlockingOffload;
-        use std::sync::Arc;
-        let cfg = ServeConfig {
-            duration_us: 30_000,
-            ..two_tenant_cfg(9)
-        };
-        let rt_report = serve(&Runtime::builder().build(), &cfg).unwrap();
-        // A plain blocking backend joins the submission-first driver
-        // pool through the offload adapter (threads = drivers keeps the
-        // backend as parallel as the old direct eval_many calls).
-        let cc = Arc::new(fix_cluster::ClusterClient::builder().build().unwrap());
-        let off = BlockingOffload::with_threads(Arc::clone(&cc), cfg.drivers);
-        let cc_report = serve(&off, &cfg).unwrap();
-        // The virtual-time telemetry is backend-independent; so are the
-        // (content-addressed) evaluation outcomes.
-        assert_eq!(rt_report.to_string(), cc_report.to_string());
-        assert!(!cc.reports().is_empty(), "real cluster runs were recorded");
+        use fix_core::api::Evaluator;
+        for inflight in [1, 4] {
+            let cfg = ServeConfig {
+                duration_us: 30_000,
+                inflight,
+                ..two_tenant_cfg(9)
+            };
+            let rt = Runtime::builder().build();
+            let rt_report = serve(&rt, &cfg).unwrap();
+            let cc = fix_cluster::ClusterClient::builder().build().unwrap();
+            let cc_report = serve(&cc, &cfg).unwrap();
+            // The virtual-time telemetry is backend-independent; so are
+            // the (content-addressed) evaluation outcomes and the work
+            // it took to produce them.
+            assert_eq!(rt_report.to_string(), cc_report.to_string());
+            assert_eq!(rt.procedures_run(), cc.procedures_run());
+            assert!(!cc.reports().is_empty(), "real cluster runs were recorded");
+            assert_eq!(cc.inner().submission_watchers(), 0);
+            assert_eq!(cc.inner().queued_jobs(), 0);
+        }
     }
 
     /// Two-level SLO dispatch: the latency tier preempts the batch

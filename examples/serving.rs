@@ -1,10 +1,10 @@
 //! The serving layer end to end: fixed-seed multi-tenant open-loop
 //! traffic served through the `fix-serve` driver pool — pipelined, two
 //! batches in flight per driver via the submission API — against two
-//! backends of the One Fix API: the single-node runtime (which submits
-//! natively) and the netsim-backed cluster client (lifted onto
-//! `SubmitApi` by `BlockingOffload`), plus a comparator run under the
-//! OpenWhisk baseline profile.
+//! backends of the One Fix API, both passed to `serve` bare: the
+//! single-node runtime and the netsim-backed cluster client (which
+//! submits through the scheduler of the node it embeds), plus a
+//! comparator run under the OpenWhisk baseline profile.
 //!
 //! Three tenants share four drivers: an `interactive` tenant (Poisson
 //! adds and fibs, weight 4), an `analytics` tenant (periodic
@@ -20,7 +20,6 @@ use fix::prelude::*;
 use fix::serve::{serve, ArrivalProcess, RequestKind, ServeConfig, SloClass, TenantSpec};
 use fix_baselines::{profiles, BaselineEvaluator, CostModel};
 use fix_netsim::NodeId;
-use std::sync::Arc;
 
 fn config(scale: u32) -> ServeConfig {
     ServeConfig {
@@ -78,12 +77,11 @@ fn main() {
     println!("{on_runtime}");
 
     // --- Backend 2: the distributed engine over netsim ---------------
-    // A plain blocking backend joins the submission-first driver pool
-    // through BlockingOffload (one submission thread per driver).
-    let cc = Arc::new(ClusterClient::builder().build().expect("cluster client"));
-    let cc_offload = BlockingOffload::with_threads(Arc::clone(&cc), cfg.drivers);
-    let on_cluster = serve(&cc_offload, &cfg).expect("serve on ClusterClient");
-    println!("-- fix_cluster::ClusterClient (via BlockingOffload) --");
+    // The same call: the client costs each batch on the simulator, then
+    // submits it to its embedded node's scheduler.
+    let cc = ClusterClient::builder().build().expect("cluster client");
+    let on_cluster = serve(&cc, &cfg).expect("serve on ClusterClient");
+    println!("-- fix_cluster::ClusterClient --");
     println!("{on_cluster}");
     println!(
         "   (cluster backend additionally recorded {} simulated runs, {} µs total)\n",
@@ -99,9 +97,8 @@ fn main() {
         ))
         .build()
         .expect("baseline evaluator");
-    let rb_offload = BlockingOffload::with_threads(Arc::new(rb), cfg.drivers);
-    let on_baseline = serve(&rb_offload, &cfg).expect("serve on BaselineEvaluator");
-    println!("-- fix_baselines::BaselineEvaluator (OpenWhisk profile, via BlockingOffload) --");
+    let on_baseline = serve(&rb, &cfg).expect("serve on BaselineEvaluator");
+    println!("-- fix_baselines::BaselineEvaluator (OpenWhisk profile) --");
     println!("{on_baseline}");
 
     // --- The guarantees the serving layer makes ----------------------

@@ -91,14 +91,14 @@ pub use flatware;
 /// [`ObjectApi`](fix_core::api::ObjectApi), and the submission-first
 /// [`SubmitApi`](fix_core::api::SubmitApi) with its
 /// [`Ticket`](fix_core::api::Ticket)/[`BatchTicket`](fix_core::api::BatchTicket)
-/// machinery and the [`BlockingOffload`](fix_core::api::BlockingOffload)
-/// adapter) so generic workloads and the backends that run them
-/// (`Runtime`, `ClusterClient`) are one import away.
+/// machinery) so generic workloads and the backends that run them
+/// (`Runtime`, `ClusterClient` — both submit natively, no adapter) are
+/// one import away.
 pub mod prelude {
     pub use fix_cluster::ClusterClient;
     pub use fix_core::api::{
-        BatchTicket, BlockingOffload, ConcurrentApi, Evaluator, HostApi, InvocationApi, Mode,
-        NativeCtx, NativeFn, ObjectApi, Priority, SubmitApi, SubmitOptions, Ticket,
+        BatchTicket, Evaluator, HostApi, InvocationApi, Mode, NativeCtx, NativeFn, ObjectApi,
+        Priority, SubmitApi, SubmitOptions, Ticket,
     };
     pub use fix_core::data::{Blob, Node, Tree};
     pub use fix_core::handle::{DataType, EncodeStyle, Handle, Kind, ThunkKind};

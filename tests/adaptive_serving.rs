@@ -5,9 +5,9 @@
 //! autoscaler live — run through `fix_adapt::adaptive_serve` on every
 //! submission-capable backend of the One Fix API (the same roster as
 //! `api_conformance.rs`): the single-node runtime inline and with
-//! 2- and 4-worker pools, and the `BlockingOffload` lift of the plain
-//! blocking backends (runtime, cluster client, and the OpenWhisk-profile
-//! baseline evaluator).
+//! 2- and 4-worker pools, the bare cluster client, and the bare
+//! OpenWhisk-profile baseline evaluator (both submit through the
+//! scheduler of the node they embed).
 //!
 //! Two properties, on every backend:
 //!
@@ -27,7 +27,6 @@ use fix_adapt::{
     SnfSpec,
 };
 use fix_serve::{ArrivalProcess, RequestKind, ServeReport, SloClass, TenantSpec};
-use std::sync::Arc;
 
 /// The engine's hostile shape, scaled for a cross-backend suite: the
 /// crowd spikes 10x for 40 ms mid-run, the portal population keeps its
@@ -91,23 +90,14 @@ fn run_on<A: SubmitApi + InvocationApi + Send + Sync>(rt: &A) -> ServeReport {
 
 #[test]
 fn accounting_closes_identically_on_every_submitting_backend() {
-    let off_rt = BlockingOffload::with_threads(Arc::new(Runtime::builder().build()), 4);
-    let off_cc = BlockingOffload::with_threads(
-        Arc::new(ClusterClient::builder().build().expect("cluster client")),
-        4,
-    );
-    let off_bl = BlockingOffload::with_threads(
-        Arc::new(
-            fix_baselines::BaselineEvaluator::builder()
-                .profile(fix_baselines::profiles::openwhisk(
-                    &(0..4).map(fix_netsim::NodeId).collect::<Vec<_>>(),
-                    &fix_baselines::CostModel::default(),
-                ))
-                .build()
-                .expect("baseline evaluator"),
-        ),
-        4,
-    );
+    let cluster = ClusterClient::builder().build().expect("cluster client");
+    let baseline = fix_baselines::BaselineEvaluator::builder()
+        .profile(fix_baselines::profiles::openwhisk(
+            &(0..4).map(fix_netsim::NodeId).collect::<Vec<_>>(),
+            &fix_baselines::CostModel::default(),
+        ))
+        .build()
+        .expect("baseline evaluator");
     let reports: Vec<(&str, ServeReport)> = vec![
         ("Runtime", run_on(&Runtime::builder().build())),
         (
@@ -118,9 +108,8 @@ fn accounting_closes_identically_on_every_submitting_backend() {
             "Runtime(workers=4)",
             run_on(&Runtime::builder().workers(4).build()),
         ),
-        ("BlockingOffload<Runtime>", run_on(&off_rt)),
-        ("BlockingOffload<ClusterClient>", run_on(&off_cc)),
-        ("BlockingOffload<BaselineEvaluator>", run_on(&off_bl)),
+        ("ClusterClient", run_on(&cluster)),
+        ("BaselineEvaluator", run_on(&baseline)),
     ];
 
     for (name, report) in &reports {

@@ -3,8 +3,9 @@
 //! One set of semantics assertions — memoization, determinism, laziness,
 //! error equivalence, batching — written once against the
 //! `fix_core::api` traits and executed against every backend: the
-//! single-node `fixpoint::Runtime` and the netsim-backed
-//! `fix_cluster::ClusterClient`. Because handles are content addressed,
+//! single-node `fixpoint::Runtime`, the netsim-backed
+//! `fix_cluster::ClusterClient`, and (for the submission checks) a
+//! `fix_baselines::BaselineEvaluator`. Because handles are content addressed,
 //! conforming backends must agree *bit for bit*, so each check also
 //! returns its result handles and the harness compares them across
 //! backends.
@@ -47,12 +48,31 @@ where
 trait BackendUnderTest: ObjectApi + InvocationApi + Evaluator {}
 impl<T: ObjectApi + InvocationApi + Evaluator> BackendUnderTest for T {}
 
-/// The submission-capable face: every backend that implements the full
-/// One Fix API *including* `SubmitApi` — natively (`Runtime`, with and
-/// without a worker pool) or through the `BlockingOffload` adapter
-/// (which is how the plain blocking backends stay conformant).
-trait SubmittingBackend: BackendUnderTest + SubmitApi {}
-impl<T: BackendUnderTest + SubmitApi> SubmittingBackend for T {}
+/// The submission-capable face: the full One Fix API *including*
+/// `SubmitApi`. Every backend has it — `Runtime` (with and without a
+/// worker pool) is a scheduler, and the cluster and baseline clients
+/// submit through the scheduler of the node they embed, which
+/// [`node`](SubmittingBackend::node) exposes so the leak checks
+/// (no watcher, no queued job left behind) run on all of them.
+trait SubmittingBackend: BackendUnderTest + SubmitApi {
+    /// The Fix node whose scheduler serves this backend's submissions.
+    fn node(&self) -> &Runtime;
+}
+impl SubmittingBackend for Runtime {
+    fn node(&self) -> &Runtime {
+        self
+    }
+}
+impl SubmittingBackend for ClusterClient {
+    fn node(&self) -> &Runtime {
+        self.inner()
+    }
+}
+impl SubmittingBackend for fix_baselines::BaselineEvaluator {
+    fn node(&self) -> &Runtime {
+        self.inner()
+    }
+}
 
 /// Runs `check` on every submission-capable backend and asserts the
 /// returned handles are identical across them.
@@ -65,28 +85,32 @@ where
     // A wider pool than cores on most CI boxes: exercises the sharded
     // job map and cross-deque stealing under genuine oversubscription.
     let pooled4 = Runtime::builder().workers(4).build();
-    let off_rt = BlockingOffload::new(Runtime::builder().build());
-    let off_cc = BlockingOffload::new(ClusterClient::builder().build().expect("cluster client"));
-    let off_bl = BlockingOffload::new(
-        fix_baselines::BaselineEvaluator::builder()
-            .profile(fix_baselines::profiles::openwhisk(
-                &(0..4).map(fix_netsim::NodeId).collect::<Vec<_>>(),
-                &fix_baselines::CostModel::default(),
-            ))
-            .build()
-            .expect("baseline evaluator"),
-    );
+    let cluster = ClusterClient::builder().build().expect("cluster client");
+    let baseline = openwhisk_baseline();
     let backends: Vec<(&str, &dyn SubmittingBackend)> = vec![
         ("Runtime", &inline),
         ("Runtime(workers=2)", &pooled),
         ("Runtime(workers=4)", &pooled4),
-        ("BlockingOffload<Runtime>", &off_rt),
-        ("BlockingOffload<ClusterClient>", &off_cc),
-        ("BlockingOffload<BaselineEvaluator>", &off_bl),
+        ("ClusterClient", &cluster),
+        ("BaselineEvaluator", &baseline),
     ];
     let mut results: Vec<(&str, Vec<Handle>)> = Vec::new();
     for (name, backend) in backends {
         results.push((name, check(backend)));
+        // Whatever the check did — waited, dropped, cancelled, expired —
+        // every ticket is gone, so no watcher may be left, and no queued
+        // job once the node is quiescent (a worker pool may still be
+        // finishing a step whose ticket was cancelled under it).
+        let node = backend.node();
+        assert_eq!(node.submission_watchers(), 0, "{name} leaks watchers");
+        let patience = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while node.queued_jobs() != 0 {
+            assert!(
+                std::time::Instant::now() < patience,
+                "{name} orphans queued jobs"
+            );
+            std::thread::yield_now();
+        }
     }
     let (first_name, first) = &results[0];
     for (name, handles) in &results[1..] {
@@ -95,6 +119,26 @@ where
             "backend '{name}' disagrees with '{first_name}'"
         );
     }
+}
+
+/// Runs `check` on every backend whose node has no worker pool: the
+/// bare `Runtime` and both clients. Nothing drives such a node between
+/// submit and wait, so what is queued and watched at each step is
+/// deterministic and the checks can pin it exactly.
+fn on_every_inline_node<F: Fn(&dyn SubmittingBackend)>(check: F) {
+    check(&Runtime::builder().build());
+    check(&ClusterClient::builder().build().expect("cluster client"));
+    check(&openwhisk_baseline());
+}
+
+fn openwhisk_baseline() -> fix_baselines::BaselineEvaluator {
+    fix_baselines::BaselineEvaluator::builder()
+        .profile(fix_baselines::profiles::openwhisk(
+            &(0..4).map(fix_netsim::NodeId).collect::<Vec<_>>(),
+            &fix_baselines::CostModel::default(),
+        ))
+        .build()
+        .expect("baseline evaluator")
 }
 
 fn register_add(rt: &dyn BackendUnderTest) -> Handle {
@@ -965,43 +1009,44 @@ fn cancel_during_execution_keeps_exactly_once_semantics() {
 /// floats, and the live-token claim keeps every job exactly-once.
 #[test]
 fn cancelled_then_resubmitted_batches_run_exactly_once() {
-    let rt = Runtime::builder().build();
-    let add = register_add(&rt);
-    let batch: Vec<Handle> = (0..8u64)
-        .map(|i| {
-            rt.apply(
-                limits(),
-                add,
-                &[
-                    rt.put_blob(Blob::from_u64(3_000 + i)),
-                    rt.put_blob(Blob::from_u64(4)),
-                ],
-            )
-            .unwrap()
-        })
-        .collect();
-    rt.submit_with(
-        &batch,
-        SubmitOptions::default().with_priority(Priority::Batch),
-    )
-    .cancel();
-    let results = rt.wait_batch(rt.submit_with(
-        &batch,
-        SubmitOptions::default().with_priority(Priority::Latency),
-    ));
-    for (i, r) in results.iter().enumerate() {
+    on_every_inline_node(|rt| {
+        let add = register_add(rt);
+        let batch: Vec<Handle> = (0..8u64)
+            .map(|i| {
+                rt.apply(
+                    limits(),
+                    add,
+                    &[
+                        rt.put_blob(Blob::from_u64(3_000 + i)),
+                        rt.put_blob(Blob::from_u64(4)),
+                    ],
+                )
+                .unwrap()
+            })
+            .collect();
+        rt.submit_with(
+            &batch,
+            SubmitOptions::default().with_priority(Priority::Batch),
+        )
+        .cancel();
+        let results = rt.wait_batch(rt.submit_with(
+            &batch,
+            SubmitOptions::default().with_priority(Priority::Latency),
+        ));
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(
+                rt.get_u64(*r.as_ref().unwrap()).unwrap(),
+                3_000 + i as u64 + 4
+            );
+        }
         assert_eq!(
-            rt.get_u64(*r.as_ref().unwrap()).unwrap(),
-            3_000 + i as u64 + 4
+            rt.procedures_run(),
+            batch.len() as u64,
+            "duplicate queue tokens must not duplicate executions"
         );
-    }
-    assert_eq!(
-        rt.procedures_run(),
-        batch.len() as u64,
-        "duplicate queue tokens must not duplicate executions"
-    );
-    assert_eq!(rt.submission_watchers(), 0);
-    assert_eq!(rt.queued_jobs(), 0);
+        assert_eq!(rt.node().submission_watchers(), 0);
+        assert_eq!(rt.node().queued_jobs(), 0);
+    });
 }
 
 /// The *lazy* expiry path: a batch submitted in time whose deadline
@@ -1010,98 +1055,54 @@ fn cancelled_then_resubmitted_batches_run_exactly_once() {
 /// (Distinct from dead-on-arrival submission, which never enqueues.)
 #[test]
 fn deadline_passing_while_queued_expires_at_dequeue() {
-    // Pool-less runtime: nothing drives the queue between submit and
+    // Pool-less nodes: nothing drives the queue between submit and
     // wait, so the batch is deterministically still queued when the
     // clock passes its deadline.
-    let rt = Runtime::builder().build();
-    let add = register_add(&rt);
-    let batch: Vec<Handle> = (0..4u64)
-        .map(|i| {
-            rt.apply(
-                limits(),
-                add,
-                &[
-                    rt.put_blob(Blob::from_u64(7_000 + i)),
-                    rt.put_blob(Blob::from_u64(1)),
-                ],
-            )
-            .unwrap()
-        })
-        .collect();
-    let before = rt.procedures_run();
-    let ticket = rt.submit_with(&batch, SubmitOptions::default().with_deadline(500));
-    assert_eq!(rt.queued_jobs(), batch.len(), "submitted in time: queued");
-    rt.advance_virtual_clock(1_000); // Deadline passes while queued.
-    for r in rt.wait_batch(ticket) {
-        assert!(
-            matches!(r, Err(Error::DeadlineExceeded { deadline_us: 500 })),
-            "queued-past-deadline slot must expire at dequeue: {r:?}"
+    on_every_inline_node(|rt| {
+        let add = register_add(rt);
+        let batch: Vec<Handle> = (0..4u64)
+            .map(|i| {
+                rt.apply(
+                    limits(),
+                    add,
+                    &[
+                        rt.put_blob(Blob::from_u64(7_000 + i)),
+                        rt.put_blob(Blob::from_u64(1)),
+                    ],
+                )
+                .unwrap()
+            })
+            .collect();
+        let before = rt.procedures_run();
+        let ticket = rt.submit_with(&batch, SubmitOptions::default().with_deadline(500));
+        assert_eq!(
+            rt.node().queued_jobs(),
+            batch.len(),
+            "submitted in time: queued"
         );
-    }
-    assert_eq!(rt.procedures_run(), before, "expired work never executes");
-    assert_eq!(rt.submission_watchers(), 0);
-    assert_eq!(rt.queued_jobs(), 0, "expired jobs are withdrawn");
+        rt.advance_virtual_clock(1_000); // Deadline passes while queued.
+        for r in rt.wait_batch(ticket) {
+            assert!(
+                matches!(r, Err(Error::DeadlineExceeded { deadline_us: 500 })),
+                "queued-past-deadline slot must expire at dequeue: {r:?}"
+            );
+        }
+        assert_eq!(rt.procedures_run(), before, "expired work never executes");
+        assert_eq!(rt.node().submission_watchers(), 0);
+        assert_eq!(rt.node().queued_jobs(), 0, "expired jobs are withdrawn");
+    });
 }
 
-/// The same lazy expiry on the offload pool: a deadlined batch stuck
-/// behind a busy worker expires before dispatch once the clock passes.
-#[test]
-fn offload_expires_batches_queued_past_their_deadline() {
-    use std::sync::{mpsc, Mutex};
-
-    let off = BlockingOffload::new(Runtime::builder().build());
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    let release_rx = Mutex::new(release_rx);
-    let blocker_proc = off.register_native(
-        "conf/offload-blocker",
-        Arc::new(move |ctx| {
-            let _ = release_rx.lock().unwrap().recv();
-            ctx.host.create_blob(1u64.to_le_bytes().to_vec())
-        }),
-    );
-    let add = register_add(&off);
-    let blocker = off.apply(limits(), blocker_proc, &[]).unwrap();
-    let deadlined = off
-        .apply(
-            limits(),
-            add,
-            &[
-                off.put_blob(Blob::from_u64(1)),
-                off.put_blob(Blob::from_u64(2)),
-            ],
-        )
-        .unwrap();
-
-    // Occupy the single submission thread, then queue the deadlined
-    // batch behind it — it is deterministically still pool-queued when
-    // the clock advances.
-    let busy = off.submit_many(&[blocker]);
-    let doomed = off.submit_with(&[deadlined], SubmitOptions::default().with_deadline(500));
-    off.advance_virtual_clock(1_000);
-    release_tx.send(()).unwrap();
-    let results = off.wait_batch(doomed);
-    assert!(
-        matches!(
-            results[0],
-            Err(Error::DeadlineExceeded { deadline_us: 500 })
-        ),
-        "pool-queued-past-deadline batch must expire before dispatch: {:?}",
-        results[0]
-    );
-    for r in off.wait_batch(busy) {
-        r.expect("the blocking batch still resolves");
-    }
-}
-
-/// Runtime-specific: detaching is eager — the scheduler's watcher table
-/// empties the moment a ticket resolves or drops, so long-lived nodes
-/// cannot accumulate per-ticket bookkeeping.
+/// Detaching is eager — the scheduler's watcher table empties the
+/// moment a ticket resolves or drops, so long-lived nodes cannot
+/// accumulate per-ticket bookkeeping — whichever client type the ticket
+/// came through.
 #[test]
 fn runtime_tickets_leave_no_watchers_behind() {
-    let rt = Runtime::builder().build();
-    let add = register_add(&rt);
-    let batch: Vec<Handle> = (0..6u64)
-        .map(|i| {
+    on_every_inline_node(|rt| {
+        let node = rt.node();
+        let add = register_add(rt);
+        let mint = |i: u64| {
             rt.apply(
                 limits(),
                 add,
@@ -1111,44 +1112,41 @@ fn runtime_tickets_leave_no_watchers_behind() {
                 ],
             )
             .unwrap()
-        })
-        .collect();
+        };
+        let batch: Vec<Handle> = (0..6u64).map(mint).collect();
 
-    // Nothing drives a pool-less runtime between submit and wait, so
-    // the watchers are observably registered...
-    let ticket = rt.submit_many(&batch);
-    assert_eq!(rt.submission_watchers(), batch.len());
-    // ...and fully drained once the ticket resolves.
-    for r in rt.wait_batch(ticket) {
-        r.expect("batch member succeeds");
-    }
-    assert_eq!(rt.submission_watchers(), 0);
+        // Nothing drives a pool-less node between submit and wait, so
+        // the watchers are observably registered...
+        let ticket = rt.submit_many(&batch);
+        assert_eq!(node.submission_watchers(), batch.len());
+        // ...and fully drained once the ticket resolves.
+        for r in rt.wait_batch(ticket) {
+            r.expect("batch member succeeds");
+        }
+        assert_eq!(node.submission_watchers(), 0);
 
-    // A dropped ticket deregisters eagerly, even though its jobs are
-    // still queued (nothing has driven them yet).
-    let fresh: Vec<Handle> = (100..104u64)
-        .map(|i| {
-            rt.apply(
-                limits(),
-                add,
-                &[
-                    rt.put_blob(Blob::from_u64(i)),
-                    rt.put_blob(Blob::from_u64(1)),
-                ],
-            )
-            .unwrap()
-        })
-        .collect();
-    let abandoned = rt.submit_many(&fresh);
-    assert_eq!(rt.submission_watchers(), fresh.len());
-    drop(abandoned);
-    assert_eq!(rt.submission_watchers(), 0, "dropped tickets must not leak");
+        // A dropped ticket deregisters eagerly, even though its jobs are
+        // still queued (nothing has driven them yet).
+        let fresh: Vec<Handle> = (100..104u64).map(mint).collect();
+        let abandoned = rt.submit_many(&fresh);
+        assert_eq!(node.submission_watchers(), fresh.len());
+        drop(abandoned);
+        assert_eq!(
+            node.submission_watchers(),
+            0,
+            "dropped tickets must not leak"
+        );
 
-    // The dropped ticket's unshared queued jobs were withdrawn with the
-    // watchers: nothing orphaned stays in the run queue...
-    assert_eq!(rt.queued_jobs(), 0, "dropped tickets must not orphan jobs");
-    // ...and a fresh request for the same thunk simply re-enqueues it.
-    assert_eq!(rt.get_u64(rt.eval(fresh[0]).unwrap()).unwrap(), 101);
+        // The dropped ticket's unshared queued jobs were withdrawn with
+        // the watchers: nothing orphaned stays in the run queue...
+        assert_eq!(
+            node.queued_jobs(),
+            0,
+            "dropped tickets must not orphan jobs"
+        );
+        // ...and a fresh request for the same thunk simply re-enqueues it.
+        assert_eq!(rt.get_u64(rt.eval(fresh[0]).unwrap()).unwrap(), 101);
+    });
 }
 
 /// The acceptance bar for true cancellation: a cancelled 256-request
@@ -1253,4 +1251,30 @@ fn cluster_client_telemetry_is_pure_observation() {
         1,
         "memoized request must not ship a cluster run"
     );
+
+    // Submission is observed the same way: a dead-on-arrival batch is
+    // refused before the simulator sees it...
+    let fresh = |a: u64| {
+        let args = [
+            cc.put_blob(Blob::from_u64(a)),
+            cc.put_blob(Blob::from_u64(6)),
+        ];
+        cc.apply(limits(), add, &args).unwrap()
+    };
+    cc.advance_virtual_clock(100);
+    let dead =
+        cc.wait_batch(cc.submit_with(&[fresh(50)], SubmitOptions::default().with_deadline(50)));
+    assert!(matches!(
+        dead[0],
+        Err(Error::DeadlineExceeded { deadline_us: 50 })
+    ));
+    assert_eq!(cc.reports().len(), 1, "dead work records no run");
+
+    // ...and a batch cancelled before anyone waits on it is withdrawn
+    // from the embedded node whole: it was costed, never executed.
+    let before = cc.procedures_run();
+    cc.submit_many(&[fresh(60), fresh(61)]).cancel();
+    assert_eq!(cc.procedures_run(), before, "cancelled work never runs");
+    assert_eq!(cc.inner().queued_jobs(), 0);
+    assert_eq!(cc.inner().submission_watchers(), 0);
 }

@@ -161,3 +161,42 @@ fn fixed_pool_adaptive_serve_without_admission_is_serve() {
         }
     }
 }
+
+/// `kernel::run` is public, so it validates what it is given: each
+/// configuration below used to spin forever (a zero tick period or batch
+/// never advances the clock) or panic (an empty queue, node set, window,
+/// or pool). The watchdog turns a regression into a failure, not a hung
+/// suite.
+#[test]
+fn degenerate_kernel_configs_are_errors_not_hangs() {
+    use fix::serve::kernel::{self, Config};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    type Breakage = fn(&mut Config);
+    let degenerate: [(&str, Breakage); 6] = [
+        ("control_interval_us: 0", |c| {
+            c.scaler.control_interval_us = 0
+        }),
+        ("batch: 0", |c| c.batch = 0),
+        ("queue_capacity: 0", |c| c.queue_capacity = 0),
+        ("nodes: 0", |c| c.nodes = 0),
+        ("inflight: 0", |c| c.inflight = 0),
+        ("drivers: 0", |c| c.scaler = ScalerConfig::fixed(0)),
+    ];
+    for (what, breakage) in degenerate {
+        let mut cfg = Config::from(&shedding(1));
+        breakage(&mut cfg);
+        assert!(cfg.validate().is_err(), "{what} must not validate");
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = kernel::run(&Runtime::builder().build(), &cfg);
+            let _ = tx.send(outcome.map(|report| report.completed));
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(Err(Error::Backend { .. })) => {}
+            Ok(other) => panic!("{what}: expected a backend error, got {other:?}"),
+            Err(_) => panic!("{what}: kernel::run hung or panicked"),
+        }
+    }
+}

@@ -4,8 +4,9 @@
 //! The deterministic-tracing contract under test: serve-layer lifecycle
 //! events ride the virtual clock, so for a fixed seed the trace summary
 //! is byte-identical across runs, worker counts, and submitting
-//! backends — while scheduler/durable/offload diagnostics are free to
-//! differ. The metrics contract: registry snapshots taken through
+//! backends — while scheduler/durable diagnostics are free to differ
+//! (every backend, the cluster client included, submits through a node
+//! scheduler, so every backend's trace carries a `scheduler` category). The metrics contract: registry snapshots taken through
 //! `Runtime::metrics()` agree exactly with the legacy accessors,
 //! because both read the same live cells.
 
@@ -48,9 +49,10 @@ fn cfg() -> ServeConfig {
     }
 }
 
-/// One traced serve run against `api`, returning the rendered report
-/// and the deterministic trace summary.
-fn traced<A>(api: &A) -> (String, String)
+/// One traced serve run against `api`, returning the rendered report,
+/// the deterministic trace summary, and how many wall-clock scheduler
+/// events the trace carries.
+fn traced<A>(api: &A) -> (String, String, usize)
 where
     A: fix::core::api::SubmitApi + fix::core::api::InvocationApi + Send + Sync,
 {
@@ -61,12 +63,17 @@ where
     let trace = obs::recorder().drain();
     let summary = TraceSummary::of(&trace);
     assert_eq!(summary.dropped(), 0, "recorder must hold the whole run");
-    (report.to_string(), summary.to_string())
+    let scheduler_events = trace
+        .iter()
+        .filter(|e| e.kind.layer() == obs::Layer::Scheduler)
+        .count();
+    (report.to_string(), summary.to_string(), scheduler_events)
 }
 
 /// Same seed → byte-identical deterministic summary on the inline
-/// runtime, a 4-worker runtime, and a `BlockingOffload`-lifted cluster
-/// client — and none of them perturb the untraced serving tables.
+/// runtime, a 4-worker runtime, and a bare cluster client — and none of
+/// them perturb the untraced serving tables. The cluster client's
+/// diagnostics are its embedded node's scheduler events.
 #[test]
 fn trace_summary_is_backend_independent() {
     let _g = TRACE_LOCK.lock().unwrap();
@@ -74,11 +81,14 @@ fn trace_summary_is_backend_independent() {
         .expect("untraced serve run")
         .to_string();
 
-    let (inline_report, inline_summary) = traced(&Runtime::builder().build());
-    let (workers_report, workers_summary) = traced(&Runtime::builder().workers(4).build());
-    let cc = Arc::new(ClusterClient::builder().build().expect("cluster client"));
-    let off = BlockingOffload::with_threads(cc, cfg().drivers);
-    let (cluster_report, cluster_summary) = traced(&off);
+    let (inline_report, inline_summary, _) = traced(&Runtime::builder().build());
+    let (workers_report, workers_summary, _) = traced(&Runtime::builder().workers(4).build());
+    let cc = ClusterClient::builder().build().expect("cluster client");
+    let (cluster_report, cluster_summary, cluster_sched_events) = traced(&cc);
+    assert!(
+        cluster_sched_events > 0,
+        "the cluster backend's trace must carry its node's scheduler events"
+    );
 
     for report in [&inline_report, &workers_report, &cluster_report] {
         assert_eq!(*report, plain, "tracing must not perturb the serve tables");
@@ -86,7 +96,7 @@ fn trace_summary_is_backend_independent() {
     assert_eq!(inline_summary, workers_summary);
     assert_eq!(inline_summary, cluster_summary);
     // Re-running reproduces the summary byte for byte.
-    let (_, again) = traced(&Runtime::builder().build());
+    let (_, again, _) = traced(&Runtime::builder().build());
     assert_eq!(inline_summary, again);
 }
 
