@@ -12,28 +12,36 @@
 //! the paper's own Fig. 7a measurements ([`CostModel`]); see DESIGN.md
 //! for the substitution argument.
 //!
-//! [`BaselineEvaluator`] puts a profile behind the backend-agnostic
-//! `fix_core::api` traits, so any workload written against the One Fix
-//! API can be costed under a comparator without modification.
+//! A comparator goes behind the backend-agnostic `fix_core::api` traits
+//! the same way Fixpoint does —
+//! `fix_cluster::ClusterClient::builder().profile(profiles::…)` — so
+//! any workload written against the One Fix API can be costed under a
+//! comparator without modification; this crate is the profiles and the
+//! cost model, nothing else.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;
-mod evaluator;
 pub mod profiles;
 
 pub use cost::CostModel;
-pub use evaluator::{BaselineEvaluator, BaselineEvaluatorBuilder};
 pub use fix_cluster::{run_profile as run_baseline, Profile};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fix_cluster::{
-        run_fix, small_task, ClusterSetup, FixConfig, JobGraph, JobGraphBuilder, TaskId,
+        run_fix, small_task, ClusterClient, ClusterSetup, FixConfig, JobGraph, JobGraphBuilder,
+        TaskId,
     };
+    use fix_core::api::{Evaluator, InvocationApi, ObjectApi, Priority, SubmitApi, SubmitOptions};
+    use fix_core::data::Blob;
+    use fix_core::error::{Error, Result};
+    use fix_core::handle::Handle;
+    use fix_core::limits::ResourceLimits;
     use fix_netsim::{NetConfig, NodeId, NodeSpec, MS};
+    use std::sync::Arc;
 
     fn cost() -> CostModel {
         CostModel::default()
@@ -322,5 +330,157 @@ mod tests {
             "waited {} core-µs",
             report.cpu.waiting_core_us
         );
+    }
+
+    // ------------------------------------------------------------------
+    // A comparator behind the One Fix API: `ClusterClient` under a
+    // baseline profile.
+    // ------------------------------------------------------------------
+
+    fn add_thunk(rb: &ClusterClient, a: u64, b: u64) -> Handle {
+        let add = rb.register_native(
+            "add",
+            Arc::new(|ctx| {
+                let a = ctx.arg_blob(0)?.as_u64().unwrap();
+                let b = ctx.arg_blob(1)?.as_u64().unwrap();
+                ctx.host
+                    .create_blob(a.wrapping_add(b).to_le_bytes().to_vec())
+            }),
+        );
+        rb.apply(
+            ResourceLimits::default_limits(),
+            add,
+            &[
+                rb.put_blob(Blob::from_u64(a)),
+                rb.put_blob(Blob::from_u64(b)),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// Derived tasks need 64 MiB; 32 MiB workers can place nothing, and
+    /// a late-binding profile must not wait for RAM that cannot appear.
+    #[test]
+    fn an_unplaceable_request_is_a_backend_fault_not_a_hang() {
+        let tiny = fix_netsim::NodeSpec {
+            cores: 1,
+            ram_bytes: 32 << 20,
+        };
+        let rb = ClusterClient::builder()
+            .setup(ClusterSetup::workers_only(
+                2,
+                tiny,
+                fix_netsim::NetConfig::default(),
+            ))
+            .profile(profiles::ray_cps(NodeId(0), &CostModel::default()))
+            .build()
+            .unwrap();
+        let t = add_thunk(&rb, 1, 2);
+        let is_fault = |r: &Result<Handle>| match r {
+            Err(Error::Backend { backend, message }) => {
+                *backend == "cluster" && message.contains("task 0 needs 1 cores")
+            }
+            _ => false,
+        };
+        assert!(is_fault(&rb.eval(t)));
+        assert!(is_fault(&rb.eval_strict(t)));
+        let batch = rb.eval_many(&[t, t]);
+        assert!(batch.len() == 2 && batch.iter().all(is_fault));
+        assert_eq!(rb.procedures_run(), 0, "refused before evaluating");
+        assert!(rb.reports().is_empty());
+    }
+
+    #[test]
+    fn costs_under_the_profile_and_agrees_on_results() {
+        let rb = ClusterClient::builder()
+            .profile(profiles::openwhisk(&[NodeId(0)], &CostModel::default()))
+            .build()
+            .unwrap();
+        let t = add_thunk(&rb, 40, 2);
+        let out = rb.eval(t).unwrap();
+        assert_eq!(rb.get_u64(out).unwrap(), 42);
+        let report = rb.last_report().unwrap();
+        assert_eq!(report.tasks_run, 1);
+        // OpenWhisk's 30.7 ms per-invocation overhead dominates.
+        assert!(report.makespan_us > 10_000, "{}", report.makespan_us);
+    }
+
+    #[test]
+    fn slower_profiles_cost_more_than_the_fix_engine() {
+        let cc = ClusterClient::builder().build().unwrap();
+        let t_fix = {
+            let add = cc.register_native(
+                "add",
+                Arc::new(|ctx| {
+                    let a = ctx.arg_blob(0)?.as_u64().unwrap();
+                    let b = ctx.arg_blob(1)?.as_u64().unwrap();
+                    ctx.host
+                        .create_blob(a.wrapping_add(b).to_le_bytes().to_vec())
+                }),
+            );
+            let t = cc
+                .apply(
+                    ResourceLimits::default_limits(),
+                    add,
+                    &[
+                        cc.put_blob(Blob::from_u64(1)),
+                        cc.put_blob(Blob::from_u64(2)),
+                    ],
+                )
+                .unwrap();
+            cc.eval(t).unwrap();
+            cc.last_report().unwrap().makespan_us
+        };
+        let rb = ClusterClient::builder()
+            .profile(profiles::ray_blocking(NodeId(9), &CostModel::default()))
+            .build()
+            .unwrap();
+        let t = add_thunk(&rb, 1, 2);
+        rb.eval(t).unwrap();
+        let t_ray = rb.last_report().unwrap().makespan_us;
+        assert!(
+            t_ray > t_fix,
+            "ray (blocking) {t_ray} µs should exceed fix {t_fix} µs"
+        );
+    }
+
+    /// The request-scoped submission path over a baseline profile: the
+    /// client submits through its embedded node's scheduler, so the
+    /// options — strict mode, priorities, deadlines — behave exactly as
+    /// on every other backend (the cross-backend agreement itself is
+    /// pinned by tests/api_conformance.rs).
+    #[test]
+    fn native_submission_honors_request_options() {
+        let rb = ClusterClient::builder()
+            .profile(profiles::openwhisk(
+                &(0..4).map(NodeId).collect::<Vec<_>>(),
+                &CostModel::default(),
+            ))
+            .build()
+            .unwrap();
+        let t1 = add_thunk(&rb, 40, 2);
+        let t2 = add_thunk(&rb, 1, 2);
+
+        // Strict, latency-class submission agrees with eval_strict.
+        let opts = SubmitOptions::strict().with_priority(Priority::Latency);
+        let results = rb.submit_with(&[t1, t2], opts).wait();
+        assert_eq!(*results[0].as_ref().unwrap(), rb.eval_strict(t1).unwrap());
+        assert_eq!(rb.get_u64(*results[1].as_ref().unwrap()).unwrap(), 3);
+        assert_eq!(rb.reports().len(), 1, "one batch, one costed run");
+
+        // A deadline the virtual clock has passed fails the batch before
+        // the (costly) baseline simulation ever runs.
+        rb.advance_virtual_clock(10);
+        let expired = rb
+            .submit_with(
+                &[add_thunk(&rb, 5, 5)],
+                SubmitOptions::default().with_deadline(3),
+            )
+            .wait();
+        assert!(matches!(
+            expired[0],
+            Err(Error::DeadlineExceeded { deadline_us: 3 })
+        ));
+        assert_eq!(rb.reports().len(), 1, "dead work is never costed");
     }
 }

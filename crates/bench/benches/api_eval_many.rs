@@ -8,7 +8,7 @@
 //! cost, so it bounds the benefit batching can ever deliver.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fix_core::api::{SubmitApi, SubmitOptions};
+use fix_core::api::SubmitOptions;
 use fix_core::data::Blob;
 use fix_core::handle::Handle;
 use fix_core::limits::ResourceLimits;
@@ -71,7 +71,7 @@ fn bench_batched_dispatch(c: &mut Criterion) {
         // Warm both stages first so the rows isolate dispatch overhead
         // (each strict slot watches two memoized jobs instead of one).
         let (rt, thunks) = warm_batch(n);
-        for r in rt.wait_batch(rt.submit_with(&thunks, SubmitOptions::strict())) {
+        for r in rt.submit_with(&thunks, SubmitOptions::strict()).wait() {
             r.expect("strict warmup");
         }
         group.bench_function(format!("strict_eval_loop/{n}"), |b| {
@@ -83,7 +83,9 @@ fn bench_batched_dispatch(c: &mut Criterion) {
         });
         group.bench_function(format!("strict_submit_batched/{n}"), |b| {
             b.iter(|| {
-                for r in rt.wait_batch(rt.submit_with(black_box(&thunks), SubmitOptions::strict()))
+                for r in rt
+                    .submit_with(black_box(&thunks), SubmitOptions::strict())
+                    .wait()
                 {
                     black_box(r.unwrap());
                 }

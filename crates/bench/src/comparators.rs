@@ -3,16 +3,14 @@
 //!
 //! The One Fix API makes each backend interchangeable, so the same
 //! count-string map-reduce — written once against the traits — runs on
-//! the Fix cluster engine ([`fix_cluster::ClusterClient`]) and under
-//! every baseline [`Profile`] via
-//! [`fix_baselines::BaselineEvaluator`], and the resulting
-//! [`RunReport`]s drop into one table. Results are asserted
+//! one client type, [`fix_cluster::ClusterClient`], under Fixpoint's own
+//! [`Profile`] and under every baseline profile, and the resulting
+//! `RunReport`s drop into one table. Results are asserted
 //! bit-identical across rows (content addressing guarantees it); only
 //! the *costs* differ.
 
-use fix_baselines::{profiles, BaselineEvaluator, CostModel, Profile};
-use fix_cluster::{ClusterClient, RunReport};
-use fix_core::api::{Evaluator, InvocationApi};
+use fix_baselines::{profiles, CostModel, Profile};
+use fix_cluster::ClusterClient;
 use fix_netsim::NodeId;
 use fix_workloads::wordcount::{run_wordcount_fix, store_shards};
 
@@ -45,16 +43,10 @@ pub struct Comparators {
 /// Corpus seed: fixed so every row sees bit-identical shards.
 const SEED: u64 = 11;
 
-fn run_workload<R: InvocationApi + Evaluator>(
-    rt: &R,
-    n_shards: usize,
-    shard_bytes: usize,
-    reports: impl Fn() -> Vec<RunReport>,
-    name: &str,
-) -> Row {
-    let shards = store_shards(rt, SEED, n_shards, shard_bytes);
-    let total = run_wordcount_fix(rt, &shards, b"of").expect("workload runs");
-    let rs = reports();
+fn run_workload(name: &str, cc: &ClusterClient, n_shards: usize, shard_bytes: usize) -> Row {
+    let shards = store_shards(cc, SEED, n_shards, shard_bytes);
+    let total = run_wordcount_fix(cc, &shards, b"of").expect("workload runs");
+    let rs = cc.reports();
     Row {
         name: name.into(),
         total,
@@ -79,31 +71,21 @@ fn baseline_profiles() -> Vec<Profile> {
 
 /// Runs the comparator table at the given workload scale.
 pub fn run(n_shards: usize, shard_bytes: usize) -> Comparators {
-    let mut rows = Vec::new();
-
-    let cc = ClusterClient::builder().build().expect("cluster client");
-    rows.push(run_workload(
-        &cc,
-        n_shards,
-        shard_bytes,
-        || cc.reports(),
-        "Fix (cluster engine)",
-    ));
-
+    // One client type; a row is the profile it was built with.
+    let mut systems = vec![("Fix (cluster engine)".to_string(), ClusterClient::builder())];
     for profile in baseline_profiles() {
-        let name = profile.name.clone();
-        let rb = BaselineEvaluator::builder()
-            .profile(profile)
-            .build()
-            .expect("baseline evaluator");
-        rows.push(run_workload(
-            &rb,
-            n_shards,
-            shard_bytes,
-            || rb.reports(),
-            &name,
+        systems.push((
+            profile.name.clone(),
+            ClusterClient::builder().profile(profile),
         ));
     }
+    let rows: Vec<Row> = systems
+        .into_iter()
+        .map(|(name, builder)| {
+            let cc = builder.build().expect("cluster client");
+            run_workload(&name, &cc, n_shards, shard_bytes)
+        })
+        .collect();
 
     let expected = rows[0].total;
     for r in &rows {

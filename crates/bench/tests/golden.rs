@@ -29,10 +29,10 @@ use fix_adapt::{
     adaptive_serve, AdaptConfig, AdaptTenant, AdmissionPolicy, ClosedLoopSpec, ScalerConfig,
     SnfSpec,
 };
-use fix_baselines::{profiles, run_baseline, BaselineEvaluator, CostModel};
+use fix_baselines::{profiles, run_baseline, CostModel};
 use fix_cluster::{
-    run_fix, small_task, Binding, ClusterSetup, FixConfig, JobGraph, JobGraphBuilder, Placement,
-    TaskId,
+    run_fix, small_task, Binding, ClusterClient, ClusterSetup, FixConfig, JobGraph,
+    JobGraphBuilder, Placement, TaskId,
 };
 use fix_dispatch::{dispatch, DispatchConfig, FaultPlan, NodeStorage, RestartKind, RoutingPolicy};
 use fix_netsim::{NetConfig, NodeId, NodeSpec, MS};
@@ -466,8 +466,8 @@ fn sim_reports() -> String {
         writeln!(out, "{name}: {report:?}").unwrap();
     }
     // Faasm only appears in `figures comparators`: the wordcount's
-    // derived graphs under a `BaselineEvaluator`.
-    let faasm = BaselineEvaluator::builder()
+    // derived graphs under a `ClusterClient` with Faasm's profile.
+    let faasm = ClusterClient::builder()
         .profile(profiles::faasm(&cost))
         .build()
         .unwrap();

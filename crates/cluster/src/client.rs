@@ -4,9 +4,13 @@
 //! I/O) is that callers should not know which substrate serves them.
 //! This module makes that literal: a `ClusterClient` implements the same
 //! `fix_core::api` traits as the single-node `fixpoint::Runtime` —
-//! [`SubmitApi`](fix_core::api::SubmitApi) included — so a workload or
-//! a serving driver written once against the traits runs unchanged on
-//! either, and the conformance suite holds both to identical results.
+//! [`SubmitApi`] included — so a workload or a serving driver written
+//! once against the traits runs unchanged on either, and the
+//! conformance suite holds both to identical results. Which *system*
+//! the simulated cluster runs is a value, not a type: the client is
+//! costed under a [`Profile`] — Fixpoint's by default, or a comparator
+//! literal from `fix_baselines::profiles` — so the next comparator is a
+//! profile handed to [`ClusterClientBuilder::profile`], not a wrapper.
 //!
 //! Mechanically the client is a Fix node with the simulated cluster
 //! behind it. Construction calls (`ObjectApi`, `InvocationApi`) build
@@ -16,18 +20,18 @@
 //!
 //! 1. the request's dataflow — visible up front, because I/O is
 //!    externalized — is derived into a [`JobGraph`] and executed by the
-//!    simulator under the client's [`Profile`] (Fixpoint's, for a
-//!    [`ClusterClient`]) over `fix-netsim`, producing a [`RunReport`]
-//!    (makespan, bytes moved, CPU states);
+//!    simulator under the client's [`Profile`] over `fix-netsim`,
+//!    producing a [`RunReport`] (makespan, bytes moved, CPU states);
 //! 2. the actual Fix semantics run on the embedded node, so results are
 //!    bit-identical to every other backend.
 //!
-//! Submission is the embedded node's own: [`ClientCore::submit_with`]
-//! simulates the batch, then hands it to the node's scheduler and
-//! returns *its* ticket. Priority tiers, lazy deadline expiry,
-//! cancellation and withdrawal, strict eval→force chains and the
-//! virtual clock are therefore the scheduler's — the same code a bare
-//! `Runtime` runs — not a second engine wrapped around the client.
+//! Submission is the embedded node's own: `submit_with` simulates the
+//! batch, then hands it to the node's scheduler and returns *its*
+//! ticket. Priority tiers, lazy deadline expiry, cancellation and
+//! withdrawal, strict eval→force chains and the virtual clock are
+//! therefore the scheduler's — the same code a bare `Runtime` runs —
+//! not a second engine wrapped around the client. `eval`, `eval_strict`
+//! and `eval_many` are the API's provided submit-and-wait.
 //!
 //! Memoized requests ship no tasks: the location view already holds the
 //! result, so the simulated run is skipped — "pay for results" shows up
@@ -36,18 +40,22 @@
 use crate::engine::{try_run_profile, ClusterSetup, FixConfig, Profile};
 use crate::graph::{JobGraph, JobGraphBuilder, ObjectId, TaskId, TaskSpec};
 use crate::report::{ReportLog, RunReport};
-use fix_core::api::{BatchTicket, Mode, SubmitOptions};
+use fix_core::api::{
+    BatchTicket, Evaluator, InvocationApi, Mode, NativeFn, ObjectApi, SubmitApi, SubmitOptions,
+};
+use fix_core::data::Node;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, Handle, Kind, ThunkKind};
+use fix_core::semantics::Footprint;
 use fix_netsim::{NetConfig, NodeId, NodeSpec, Time};
 use fix_storage::Relation;
 use fixpoint::Runtime;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Configures a [`ClusterClient`].
 pub struct ClusterClientBuilder {
     setup: ClusterSetup,
-    cfg: FixConfig,
+    profile: Profile,
     task_compute_us: Time,
     provenance: bool,
 }
@@ -56,7 +64,7 @@ impl Default for ClusterClientBuilder {
     fn default() -> Self {
         ClusterClientBuilder {
             setup: ClusterSetup::workers_only(10, NodeSpec::default(), NetConfig::default()),
-            cfg: FixConfig::default(),
+            profile: Profile::from(&FixConfig::default()),
             task_compute_us: fix_core::calibration::SERVICE_COSTS.task_compute_us,
             provenance: false,
         }
@@ -71,10 +79,19 @@ impl ClusterClientBuilder {
         self
     }
 
-    /// The engine configuration (placement/binding policy, overheads).
-    pub fn config(mut self, cfg: FixConfig) -> Self {
-        self.cfg = cfg;
+    /// The system the cluster runs: every derived graph is simulated
+    /// under this profile (default: Fixpoint's, `FixConfig::default()`;
+    /// the comparators are literals in `fix_baselines::profiles`).
+    pub fn profile(mut self, profile: Profile) -> Self {
+        self.profile = profile;
         self
+    }
+
+    /// Fixpoint under a non-default engine configuration
+    /// (placement/binding policy, overheads): shorthand for
+    /// `.profile(Profile::from(&cfg))`.
+    pub fn config(self, cfg: FixConfig) -> Self {
+        self.profile(Profile::from(&cfg))
     }
 
     /// Modeled compute time per simulated task, in µs. The derivation
@@ -97,145 +114,33 @@ impl ClusterClientBuilder {
 
     /// Builds the client, validating the cluster description.
     pub fn build(self) -> Result<ClusterClient> {
-        let (profile, compute_us) = (Profile::from(&self.cfg), self.task_compute_us);
-        Ok(ClusterClient {
-            core: ClientCore::new("cluster", self.setup, profile, compute_us, self.provenance)?,
-            cfg: self.cfg,
-        })
-    }
-}
-
-/// The shared machinery of a simulating One-Fix-API client: an embedded
-/// Fix node for semantics, a simulated cluster description, the
-/// [`Profile`] it is costed under, and the accumulated run reports.
-/// [`ClusterClient`] (Fixpoint's profile) and
-/// `fix_baselines::BaselineEvaluator` (a comparator's) are thin wrappers
-/// over this, differing only in the profile — so their request handling
-/// (value shortcuts, strict derivation, telemetry) cannot drift apart.
-pub struct ClientCore {
-    backend: &'static str,
-    inner: Runtime,
-    setup: ClusterSetup,
-    profile: Profile,
-    task_compute_us: Time,
-    reports: ReportLog,
-}
-
-impl ClientCore {
-    /// Validates `setup` and builds the embedded node; simulation
-    /// failures are reported as faults of `backend`.
-    pub fn new(
-        backend: &'static str,
-        setup: ClusterSetup,
-        profile: Profile,
-        task_compute_us: Time,
-        provenance: bool,
-    ) -> Result<ClientCore> {
-        setup
-            .validate()
-            .map_err(|message| Error::Backend { backend, message })?;
+        self.setup.validate().map_err(backend_fault)?;
         let mut rt = Runtime::builder();
-        if provenance {
+        if self.provenance {
             rt = rt.with_provenance();
         }
-        Ok(ClientCore {
-            backend,
+        Ok(ClusterClient {
             inner: rt.build(),
-            setup,
-            profile,
-            task_compute_us,
+            setup: self.setup,
+            profile: self.profile,
+            task_compute_us: self.task_compute_us,
             reports: ReportLog::new(),
         })
     }
+}
 
-    /// The embedded Fix node holding objects and memoized relations.
-    pub fn inner(&self) -> &Runtime {
-        &self.inner
-    }
-
-    /// The simulated cluster description.
-    pub fn setup(&self) -> &ClusterSetup {
-        &self.setup
-    }
-
-    /// The profile every derived graph is simulated under.
-    pub fn profile(&self) -> &Profile {
-        &self.profile
-    }
-
-    /// Reports of every simulated run so far, in submission order.
-    pub fn reports(&self) -> Vec<RunReport> {
-        self.reports.all()
-    }
-
-    /// The most recent simulated run, if any.
-    pub fn last_report(&self) -> Option<RunReport> {
-        self.reports.last()
-    }
-
-    /// Total simulated wall-clock spent across all runs, in µs.
-    pub fn total_simulated_us(&self) -> Time {
-        self.reports.total_makespan_us()
-    }
-
-    /// Derives the (not-yet-memoized) dataflow of `roots`, simulates it
-    /// under the profile, and records the report; `strict` additionally
-    /// derives the deep-force phase of value roots. A batch with no
-    /// runnable tasks (all values / all memoized) records nothing; a
-    /// dataflow the cluster cannot run (a task that fits no worker) is a
-    /// backend fault, raised before anything is evaluated.
-    fn simulate(&self, roots: &[Handle], strict: bool) -> Result<()> {
-        let (rt, workers) = (&self.inner, &self.setup.workers);
-        let Some(graph) = derive_job_graph(rt, roots, strict, workers, self.task_compute_us) else {
-            return Ok(());
-        };
-        let backend = self.backend;
-        let report = try_run_profile(&self.setup, &graph, &self.profile)
-            .map_err(|message| Error::Backend { backend, message })?;
-        self.reports.push(report);
-        Ok(())
-    }
-
-    /// `Evaluator::eval` over the core: simulate, then evaluate for
-    /// real on the embedded node.
-    pub fn eval(&self, handle: Handle) -> Result<Handle> {
-        if handle.is_value() {
-            return Ok(handle);
-        }
-        self.simulate(&[handle], false)?;
-        self.inner.eval(handle)
-    }
-
-    /// `Evaluator::eval_strict` over the core. Even a value root can
-    /// hold work: deep-forcing runs the thunks and encodes nested inside
-    /// its trees, so the strict derivation walks those too.
-    pub fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        self.simulate(&[handle], true)?;
-        self.inner.eval_strict(handle)
-    }
-
-    /// `SubmitApi::submit_with` over the core: one simulated run serves
-    /// the whole batch (the cluster sees the union dataflow and overlaps
-    /// everything it can; [`Mode::Strict`] derives the force phase too),
-    /// so a batch that cannot be simulated fails as a whole. The batch
-    /// then goes to the embedded node's scheduler and the ticket
-    /// returned is the node's own. A batch whose deadline has already
-    /// passed records no run: the node fails it whole on arrival.
-    pub fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
-        let dead = options
-            .deadline_us
-            .is_some_and(|deadline_us| self.inner.virtual_now() > deadline_us);
-        if !dead {
-            if let Err(fault) = self.simulate(handles, options.mode == Mode::Strict) {
-                return BatchTicket::ready(vec![Err(fault); handles.len()]);
-            }
-        }
-        self.inner.submit_with(handles, options)
+/// A cluster description or dataflow the simulator refuses.
+fn backend_fault(message: String) -> Error {
+    Error::Backend {
+        backend: "cluster",
+        message,
     }
 }
 
 /// A Fix client whose evaluations are served by the simulated
-/// distributed engine.
+/// distributed engine: an embedded Fix node for semantics, a simulated
+/// cluster description, the [`Profile`] it is costed under, and the
+/// accumulated run reports.
 ///
 /// Implements the whole `fix_core::api` trait family; see the module
 /// docs for the execution model and [`ClusterClient::reports`] for the
@@ -266,8 +171,11 @@ impl ClientCore {
 /// assert_eq!(cc.last_report().unwrap().tasks_run, 1);
 /// ```
 pub struct ClusterClient {
-    core: ClientCore,
-    cfg: FixConfig,
+    inner: Runtime,
+    setup: ClusterSetup,
+    profile: Profile,
+    task_compute_us: Time,
+    reports: ReportLog,
 }
 
 impl ClusterClient {
@@ -279,32 +187,106 @@ impl ClusterClient {
     /// The embedded Fix node that holds this client's objects and
     /// memoized relations.
     pub fn inner(&self) -> &Runtime {
-        self.core.inner()
+        &self.inner
     }
 
     /// The simulated cluster description.
     pub fn setup(&self) -> &ClusterSetup {
-        self.core.setup()
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &FixConfig {
-        &self.cfg
+        &self.setup
     }
 
     /// Reports of every simulated run so far, in submission order.
     pub fn reports(&self) -> Vec<RunReport> {
-        self.core.reports()
+        self.reports.all()
     }
 
     /// The most recent simulated run, if any.
     pub fn last_report(&self) -> Option<RunReport> {
-        self.core.last_report()
+        self.reports.last()
     }
 
     /// Total simulated wall-clock spent across all runs, in µs.
     pub fn total_simulated_us(&self) -> Time {
-        self.core.total_simulated_us()
+        self.reports.total_makespan_us()
+    }
+
+    /// Derives the (not-yet-memoized) dataflow of `roots`, simulates it
+    /// under the profile, and records the report; `strict` additionally
+    /// derives the deep-force phase of value roots. A batch with no
+    /// runnable tasks (all values / all memoized) records nothing; a
+    /// dataflow the cluster cannot run (a task that fits no worker) is a
+    /// backend fault, raised before anything is evaluated.
+    fn simulate(&self, roots: &[Handle], strict: bool) -> Result<()> {
+        let (rt, workers) = (&self.inner, &self.setup.workers);
+        let Some(graph) = derive_job_graph(rt, roots, strict, workers, self.task_compute_us) else {
+            return Ok(());
+        };
+        let report = try_run_profile(&self.setup, &graph, &self.profile).map_err(backend_fault)?;
+        self.reports.push(report);
+        Ok(())
+    }
+}
+
+// ----------------------------------------------------------------------
+// The One Fix API: objects and procedures live on the embedded node,
+// requests are simulated and then submitted to it, the clock is its own.
+// ----------------------------------------------------------------------
+
+impl ObjectApi for ClusterClient {
+    fn put(&self, node: Node) -> Handle {
+        self.inner.put(node)
+    }
+    fn get(&self, handle: Handle) -> Result<Node> {
+        self.inner.store().get(handle)
+    }
+    fn contains(&self, handle: Handle) -> bool {
+        self.inner.store().contains(handle)
+    }
+}
+
+impl InvocationApi for ClusterClient {
+    fn register_native(&self, name: &str, f: NativeFn) -> Handle {
+        self.inner.register_native(name, f)
+    }
+}
+
+impl SubmitApi for ClusterClient {
+    /// One simulated run serves the whole batch (the cluster sees the
+    /// union dataflow and overlaps everything it can; [`Mode::Strict`]
+    /// derives the force phase too — even a value root can hold work
+    /// nested inside its trees), so a batch that cannot be simulated
+    /// fails as a whole. The batch then goes to the embedded node's
+    /// scheduler and the ticket returned is the node's own. A batch
+    /// whose deadline has already passed records no run: the node fails
+    /// it whole on arrival.
+    fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
+        let dead = options
+            .deadline_us
+            .is_some_and(|deadline_us| self.inner.virtual_now() > deadline_us);
+        if !dead {
+            if let Err(fault) = self.simulate(handles, options.mode == Mode::Strict) {
+                return BatchTicket::ready(vec![Err(fault); handles.len()]);
+            }
+        }
+        self.inner.submit_with(handles, options)
+    }
+    fn virtual_now(&self) -> u64 {
+        self.inner.virtual_now()
+    }
+    fn advance_virtual_clock(&self, us: u64) {
+        self.inner.advance_virtual_clock(us)
+    }
+}
+
+impl Evaluator for ClusterClient {
+    fn footprint(&self, thunk: Handle) -> Result<Footprint> {
+        self.inner.footprint(thunk)
+    }
+    fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
+        self.inner.footprint_many(thunks)
+    }
+    fn procedures_run(&self) -> u64 {
+        self.inner.procedures_run()
     }
 }
 
@@ -317,9 +299,10 @@ impl ClusterClient {
 /// of a strict evaluation.
 ///
 /// Returns `None` when nothing needs to run — every root is a value or
-/// fully memoized. Shared by [`ClusterClient`] and the baseline
-/// evaluators in `fix-baselines`, so Fix and its comparators are
-/// costed over the *same* derived graphs.
+/// fully memoized. The graph does not depend on the [`Profile`] it is
+/// then simulated under, so Fix and its comparators are costed over the
+/// *same* derived graphs. Both walks are explicit worklists: dataflow
+/// depth is bounded by memory, not by the caller's stack.
 pub fn derive_job_graph(
     rt: &Runtime,
     roots: &[Handle],
@@ -339,7 +322,6 @@ pub fn derive_job_graph(
         objects: HashMap::new(),
         workers,
         compute_us: task_compute_us,
-        task_count: 0,
     };
     for &root in roots {
         // Derivation failures (e.g. a definition tree missing from
@@ -349,11 +331,10 @@ pub fn derive_job_graph(
         // absent.
         let _ = d.task_for(root);
         if strict {
-            let mut seen = std::collections::HashSet::new();
-            let _ = d.force_tasks(root, &mut seen);
+            let _ = d.force_tasks(root);
         }
     }
-    if d.task_count == 0 {
+    if d.tasks.is_empty() {
         return None;
     }
     Some(d.builder.build())
@@ -372,7 +353,27 @@ struct Deriver<'a> {
     objects: HashMap<Handle, ObjectId>,
     workers: &'a [NodeId],
     compute_us: Time,
-    task_count: usize,
+}
+
+/// A thunk whose task is being assembled: the spec so far and the
+/// definition entries still to visit.
+struct Frame {
+    thunk: Handle,
+    spec: TaskSpec,
+    entries: Vec<Handle>,
+    next: usize,
+    /// A bare thunk is a dependency of a selection (its target must be
+    /// evaluated first) and lazy in an application.
+    thunks_are_deps: bool,
+}
+
+/// What visiting a handle finds.
+enum Visit {
+    /// Nothing to assemble: the task already derived for it, or `None`
+    /// for values and for thunks whose result is already memoized.
+    Known(Option<TaskId>),
+    /// An underived thunk, opened for assembly.
+    Open(Frame),
 }
 
 impl<'a> Deriver<'a> {
@@ -409,228 +410,146 @@ impl<'a> Deriver<'a> {
         Some(o)
     }
 
-    /// Derives the task computing `h`, or `None` when nothing needs to
-    /// run (values, and thunks/encodes whose result is already
-    /// memoized).
-    fn task_for(&mut self, h: Handle) -> Result<Option<TaskId>> {
-        match h.kind() {
-            Kind::Object(_) | Kind::Ref(_) => Ok(None),
-            // An encode's work is evaluating the thunk it wraps; the
-            // memo check happens there.
-            Kind::Encode(..) => self.task_for(h.encoded_thunk()?),
-            Kind::Thunk(kind) => {
-                if let Some(&t) = self.tasks.get(&h) {
-                    return Ok(Some(t));
-                }
-                if self.rt.cache().get(Relation::Eval, h).is_some() {
-                    return Ok(None); // Already computed: pay for results.
-                }
-                let def = h.thunk_definition()?;
-                let mut spec = TaskSpec {
-                    inputs: Vec::new(),
-                    deps: Vec::new(),
-                    compute_us: self.compute_us,
-                    cores: 1,
-                    ram: 64 << 20,
-                    output_size: 8,
-                    output_hint: None,
-                    func: def
-                        .digest()
-                        .map(|d| u32::from_le_bytes(d[..4].try_into().expect("4 bytes")))
-                        .unwrap_or(0),
-                };
-                spec.inputs.extend(self.object_for(def));
-                match kind {
-                    ThunkKind::Application => {
-                        if let Ok(tree) = self.rt.get_tree(def) {
-                            for &e in tree.entries() {
-                                match e.kind() {
-                                    Kind::Encode(..) => {
-                                        if let Some(t) = self.task_for(e)? {
-                                            spec.deps.push(t);
-                                        } else if let Some(r) =
-                                            self.rt.cache().get(Relation::Eval, e.encoded_thunk()?)
-                                        {
-                                            // Memoized dependency: its
-                                            // result is data to fetch,
-                                            // not work to schedule.
-                                            spec.inputs.extend(self.object_for(r));
-                                        }
-                                    }
-                                    // Accessible data is in the minimum
-                                    // repository; Refs contribute metadata
-                                    // only and bare Thunks are lazy.
-                                    Kind::Object(_) => {
-                                        spec.inputs.extend(self.object_for(e));
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                    }
-                    ThunkKind::Selection => {
-                        if let Ok(tree) = self.rt.get_tree(def) {
-                            if let Some(target) = tree.get(0) {
-                                match target.kind() {
-                                    Kind::Thunk(_) | Kind::Encode(..) => {
-                                        if let Some(t) = self.task_for(target)? {
-                                            spec.deps.push(t);
-                                        } else {
-                                            // Memoized dependency: its
-                                            // result is data to fetch,
-                                            // mirroring the Application
-                                            // branch.
-                                            let thunk = match target.kind() {
-                                                Kind::Encode(..) => target.encoded_thunk()?,
-                                                _ => target,
-                                            };
-                                            if let Some(r) =
-                                                self.rt.cache().get(Relation::Eval, thunk)
-                                            {
-                                                spec.inputs.extend(self.object_for(r));
-                                            }
-                                        }
-                                    }
-                                    Kind::Object(_) => {
-                                        spec.inputs.extend(self.object_for(target));
-                                    }
-                                    Kind::Ref(_) => {}
-                                }
-                            }
-                        }
-                    }
-                    ThunkKind::Identification => {
-                        // The definition is the identified datum itself.
-                    }
-                }
-                let t = self.builder.task(spec);
-                self.task_count += 1;
-                self.tasks.insert(h, t);
-                Ok(Some(t))
-            }
-        }
+    fn memoized(&self, thunk: Handle) -> Option<Handle> {
+        self.rt.cache().get(Relation::Eval, thunk)
     }
 
-    /// The force phase of a strict evaluation: walks a value's trees and
-    /// derives a task for every nested thunk/encode (deep-forcing runs
-    /// them all). Ref promotion moves data but runs no procedure, so it
-    /// contributes no task.
-    fn force_tasks(
-        &mut self,
-        h: Handle,
-        seen: &mut std::collections::HashSet<Handle>,
-    ) -> Result<()> {
-        if !seen.insert(h) {
-            return Ok(());
+    /// Looks `h` up, opening a frame when it is a thunk that still has
+    /// to run: the definition is its first input, and its definition
+    /// entries are what the frame goes on to visit.
+    fn visit(&mut self, mut h: Handle) -> Result<Visit> {
+        // An encode's work is evaluating the thunk it wraps; the memo
+        // check happens there.
+        while let Kind::Encode(..) = h.kind() {
+            h = h.encoded_thunk()?;
         }
-        match h.kind() {
-            Kind::Thunk(_) | Kind::Encode(..) => {
-                self.task_for(h)?;
-            }
-            Kind::Object(DataType::Tree) => {
-                if let Ok(tree) = self.rt.get_tree(h) {
-                    for &e in tree.entries() {
-                        self.force_tasks(e, seen)?;
+        let Kind::Thunk(kind) = h.kind() else {
+            return Ok(Visit::Known(None));
+        };
+        if let Some(&t) = self.tasks.get(&h) {
+            return Ok(Visit::Known(Some(t)));
+        }
+        if self.memoized(h).is_some() {
+            return Ok(Visit::Known(None)); // Already computed: pay for results.
+        }
+        let def = h.thunk_definition()?;
+        let mut spec = TaskSpec {
+            inputs: Vec::new(),
+            deps: Vec::new(),
+            compute_us: self.compute_us,
+            cores: 1,
+            ram: 64 << 20,
+            output_size: 8,
+            output_hint: None,
+            func: def
+                .digest()
+                .map(|d| u32::from_le_bytes(d[..4].try_into().expect("4 bytes")))
+                .unwrap_or(0),
+        };
+        spec.inputs.extend(self.object_for(def));
+        let entries = match kind {
+            ThunkKind::Application => self.rt.get_tree(def).map(|t| t.entries().to_vec()),
+            // Only the target; the bounds are literals.
+            ThunkKind::Selection => self
+                .rt
+                .get_tree(def)
+                .map(|t| t.get(0).into_iter().collect()),
+            // The definition is the identified datum itself.
+            ThunkKind::Identification => Ok(Vec::new()),
+        }
+        .unwrap_or_default();
+        Ok(Visit::Open(Frame {
+            thunk: h,
+            spec,
+            entries,
+            next: 0,
+            thunks_are_deps: kind == ThunkKind::Selection,
+        }))
+    }
+
+    /// Derives the task computing `root` and, first, those of every
+    /// unevaluated thunk it depends on — so a task's id follows its
+    /// dependencies' — unless nothing needs to run (values, and
+    /// thunks/encodes whose result is already memoized).
+    ///
+    /// The stack holds the chain of thunks under assembly. A frame
+    /// whose next entry is an underived dependency pushes that
+    /// dependency's frame and stays on the entry; when the dependency's
+    /// task exists the entry is visited again and finds it.
+    fn task_for(&mut self, root: Handle) -> Result<()> {
+        let mut stack = match self.visit(root)? {
+            Visit::Known(_) => return Ok(()),
+            Visit::Open(frame) => vec![frame],
+        };
+        while let Some(frame) = stack.last_mut() {
+            let Some(&e) = frame.entries.get(frame.next) else {
+                let done = stack.pop().expect("the frame just inspected");
+                let task = self.builder.task(done.spec);
+                self.tasks.insert(done.thunk, task);
+                continue;
+            };
+            let dep = match e.kind() {
+                Kind::Encode(..) => Some(e.encoded_thunk()?),
+                Kind::Thunk(_) if frame.thunks_are_deps => Some(e),
+                // Accessible data is in the minimum repository; Refs
+                // contribute metadata only and bare Thunks are lazy.
+                Kind::Object(_) => {
+                    frame.spec.inputs.extend(self.object_for(e));
+                    None
+                }
+                _ => None,
+            };
+            if let Some(thunk) = dep {
+                match self.visit(thunk)? {
+                    Visit::Open(dependency) => {
+                        stack.push(dependency);
+                        continue;
+                    }
+                    Visit::Known(Some(task)) => frame.spec.deps.push(task),
+                    // Memoized dependency: its result is data to
+                    // fetch, not work to schedule.
+                    Visit::Known(None) => {
+                        let result = self.memoized(thunk);
+                        frame
+                            .spec
+                            .inputs
+                            .extend(result.and_then(|r| self.object_for(r)));
                     }
                 }
             }
-            _ => {}
+            frame.next += 1;
+        }
+        Ok(())
+    }
+
+    /// The force phase of a strict evaluation: walks a value's trees
+    /// (depth first, entries in order) and derives a task for every
+    /// nested thunk/encode — deep-forcing runs them all. Ref promotion
+    /// moves data but runs no procedure, so it contributes no task.
+    fn force_tasks(&mut self, root: Handle) -> Result<()> {
+        let mut seen = HashSet::new();
+        let mut stack = vec![root];
+        while let Some(h) = stack.pop() {
+            if !seen.insert(h) {
+                continue;
+            }
+            match h.kind() {
+                Kind::Thunk(_) | Kind::Encode(..) => self.task_for(h)?,
+                Kind::Object(DataType::Tree) => {
+                    if let Ok(tree) = self.rt.get_tree(h) {
+                        stack.extend(tree.entries().iter().rev());
+                    }
+                }
+                _ => {}
+            }
         }
         Ok(())
     }
 }
 
-// ----------------------------------------------------------------------
-// The One Fix API.
-// ----------------------------------------------------------------------
-
-/// Implements the One Fix API (`ObjectApi`, `InvocationApi`, `Evaluator`,
-/// `SubmitApi`) for a client type whose `core` field is a
-/// [`ClientCore`]: objects and procedures live on the embedded node,
-/// requests go through the core's simulate-then-run path, and the
-/// virtual clock is the node's. Written once, so [`ClusterClient`] and
-/// `fix_baselines::BaselineEvaluator` cannot drift apart; not part of
-/// the public surface (the expansion names `::fix_core` directly).
-#[doc(hidden)]
-#[macro_export]
-macro_rules! impl_one_fix_api {
-    ($client:ty) => {
-        const _: () = {
-            use ::fix_core::api::{
-                BatchTicket, Evaluator, InvocationApi, NativeFn, ObjectApi, SubmitApi,
-                SubmitOptions,
-            };
-            use ::fix_core::data::{Blob, Tree};
-            use ::fix_core::error::Result;
-            use ::fix_core::handle::Handle;
-            use ::fix_core::semantics::Footprint;
-
-            impl ObjectApi for $client {
-                fn put_blob(&self, blob: Blob) -> Handle {
-                    self.core.inner().put_blob(blob)
-                }
-                fn put_tree(&self, tree: Tree) -> Handle {
-                    self.core.inner().put_tree(tree)
-                }
-                fn get_blob(&self, handle: Handle) -> Result<Blob> {
-                    self.core.inner().get_blob(handle)
-                }
-                fn get_tree(&self, handle: Handle) -> Result<Tree> {
-                    self.core.inner().get_tree(handle)
-                }
-                fn contains(&self, handle: Handle) -> bool {
-                    self.core.inner().store().contains(handle)
-                }
-            }
-
-            impl InvocationApi for $client {
-                fn register_native(&self, name: &str, f: NativeFn) -> Handle {
-                    self.core.inner().register_native(name, f)
-                }
-            }
-
-            impl Evaluator for $client {
-                fn eval(&self, handle: Handle) -> Result<Handle> {
-                    self.core.eval(handle)
-                }
-                fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-                    self.core.eval_strict(handle)
-                }
-                fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-                    self.submit_many(handles).wait()
-                }
-                fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-                    self.core.inner().footprint(thunk)
-                }
-                fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-                    self.core.inner().footprint_many(thunks)
-                }
-                fn procedures_run(&self) -> u64 {
-                    self.core.inner().procedures_run()
-                }
-            }
-
-            impl SubmitApi for $client {
-                fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
-                    self.core.submit_with(handles, options)
-                }
-                fn virtual_now(&self) -> u64 {
-                    self.core.inner().virtual_now()
-                }
-                fn advance_virtual_clock(&self, us: u64) {
-                    self.core.inner().advance_virtual_clock(us)
-                }
-            }
-        };
-    };
-}
-
-impl_one_fix_api!(ClusterClient);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fix_core::api::{Evaluator, InvocationApi, ObjectApi, SubmitApi};
     use fix_core::data::Blob;
     use fix_core::limits::ResourceLimits;
     use std::sync::Arc;
@@ -890,7 +809,7 @@ mod tests {
         };
 
         // Strict submission agrees with eval_strict (one cluster run).
-        let strict = cc.wait_batch(cc.submit_with(&[mint(41)], SubmitOptions::strict()));
+        let strict = cc.submit_with(&[mint(41)], SubmitOptions::strict()).wait();
         assert_eq!(
             *strict[0].as_ref().unwrap(),
             cc.eval_strict(mint(41)).unwrap()
@@ -905,8 +824,9 @@ mod tests {
         // recorded and no procedure executes.
         cc.advance_virtual_clock(1_000);
         let before = cc.procedures_run();
-        let expired =
-            cc.wait_batch(cc.submit_with(&[mint(77)], SubmitOptions::default().with_deadline(500)));
+        let expired = cc
+            .submit_with(&[mint(77)], SubmitOptions::default().with_deadline(500))
+            .wait();
         assert!(matches!(
             expired[0],
             Err(Error::DeadlineExceeded { deadline_us: 500 })

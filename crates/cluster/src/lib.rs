@@ -19,10 +19,11 @@
 //!
 //! Since the One Fix API refactor the engine is also reachable through
 //! the backend-agnostic `fix_core::api` traits: [`ClusterClient`]
-//! implements `ObjectApi`/`InvocationApi`/`Evaluator`, deriving each
-//! request's dataflow into a [`JobGraph`] and simulating it under
-//! Fixpoint's profile — so any generic workload doubles as a cluster
-//! benchmark.
+//! implements `ObjectApi`/`InvocationApi`/`SubmitApi`/`Evaluator`,
+//! deriving each request's dataflow into a [`JobGraph`] and simulating
+//! it under the [`Profile`] it was built with (Fixpoint's by default) —
+//! so any generic workload doubles as a cluster benchmark, for Fix and
+//! for every comparator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,7 @@ pub mod engine;
 mod graph;
 mod report;
 
-pub use client::{derive_job_graph, ClientCore, ClusterClient, ClusterClientBuilder};
+pub use client::{derive_job_graph, ClusterClient, ClusterClientBuilder};
 pub use density::{
     simulate as simulate_density, simulate_profiles as simulate_density_profiles, Admission,
     AppProfile, DensityParams, DensityReport, Phase,

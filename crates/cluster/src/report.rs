@@ -47,9 +47,7 @@ impl std::fmt::Display for RunReport {
 /// Thread-safe accumulator of simulated [`RunReport`]s, in submission
 /// order.
 ///
-/// Shared plumbing for the One-Fix-API clients ([`crate::ClusterClient`]
-/// and `fix_baselines::BaselineEvaluator`), so their telemetry surfaces
-/// cannot drift apart.
+/// The telemetry behind [`crate::ClusterClient::reports`].
 #[derive(Default)]
 pub struct ReportLog(std::sync::Mutex<Vec<RunReport>>);
 

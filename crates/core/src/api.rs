@@ -4,29 +4,31 @@
 //! computation in one shared representation. This module is that thesis
 //! at the *API* level: a trait family that every execution backend
 //! implements, so a workload written once runs unchanged on the
-//! single-node runtime (`fixpoint::Runtime`), the simulated distributed
-//! engine (`fix_cluster::ClusterClient`), or a comparator cost model
-//! (`fix_baselines::BaselineEvaluator`):
+//! single-node runtime (`fixpoint::Runtime`) or the simulated
+//! distributed engine (`fix_cluster::ClusterClient`) — under Fixpoint's
+//! own `Profile` or a comparator's (`fix_baselines::profiles`):
 //!
 //! * [`ObjectApi`] — the data half of Table 1: store and load Blobs and
 //!   Trees by content-addressed Handle;
 //! * [`InvocationApi`] — the construction half of Table 1: build
 //!   Application/Selection thunks and install procedures;
-//! * [`Evaluator`] — ask for results: lazy ([`Evaluator::eval`]), strict
-//!   ([`Evaluator::eval_strict`]), and batched
-//!   ([`Evaluator::eval_many`]);
-//! * [`SubmitApi`] — ask for results *later*, with request-scoped
-//!   intent: non-blocking [`submit`](SubmitApi::submit) /
-//!   [`submit_many`](SubmitApi::submit_many) /
-//!   [`submit_with`](SubmitApi::submit_with) return [`Ticket`]s
-//!   resolved by `poll`/`wait`/`wait_any`, so a driver can overlap
+//! * [`SubmitApi`] — ask for results, with request-scoped intent:
+//!   [`submit_with`](SubmitApi::submit_with) (and its shorthands
+//!   [`submit`](SubmitApi::submit) /
+//!   [`submit_many`](SubmitApi::submit_many)) returns a [`Ticket`]
+//!   immediately, resolved by the ticket's own `poll`/`wait`/
+//!   [`wait_any`](BatchTicket::wait_any), so a driver can overlap
 //!   admission with execution; [`SubmitOptions`] carries a deadline
 //!   (virtual µs), a [`Priority`] class, and the WHNF-vs-strict
 //!   [`Mode`], and [`BatchTicket::cancel`] withdraws still-queued work.
 //!   Every backend implements it the same way: the batch goes to a Fix
 //!   node's scheduler — `fixpoint::Runtime` *is* that node, and the
-//!   cluster and baseline clients submit through the node they embed
-//!   (after costing the batch on their simulator) and return its ticket.
+//!   cluster client submits through the node it embeds (after costing
+//!   the batch on its simulator) and returns that node's ticket;
+//! * [`Evaluator`] — ask and block: lazy ([`Evaluator::eval`]), strict
+//!   ([`Evaluator::eval_strict`]) and batched
+//!   ([`Evaluator::eval_many`]) are submission followed by an immediate
+//!   `wait`, plus the footprint and memoization observers.
 //!
 //! Because handles are content addressed, a correct backend is *forced*
 //! to agree with every other backend on results — the conformance suite
@@ -69,11 +71,27 @@
 //!
 //! # How small the surface is meant to be
 //!
-//! A backend supplies thirteen methods: five of [`ObjectApi`], one of
-//! [`InvocationApi`], four of [`Evaluator`] (`eval`, `eval_strict`,
-//! `footprint`, `procedures_run`), and three of [`SubmitApi`]
-//! (`submit_with` and the virtual clock). Everything else here is a
-//! provided method defined in terms of those.
+//! The yardstick is the Fix authors' own backend traits: seven data
+//! methods plus `request_execution`. Here a backend supplies nine:
+//!
+//! | trait | required |
+//! |---|---|
+//! | [`ObjectApi`] | `put`, `get`, `contains` |
+//! | [`InvocationApi`] | `register_native` |
+//! | [`SubmitApi`] | `submit_with`, `virtual_now`, `advance_virtual_clock` |
+//! | [`Evaluator`] | `footprint`, `procedures_run` |
+//!
+//! Everything else is a provided method over those — the typed
+//! accessors over `put`/`get`, thunk construction over `put_tree`, and
+//! every way of asking for results over `submit_with` — and is
+//! overridable: `fixpoint::Runtime` overrides `eval`/`eval_strict` with
+//! its allocation-free inline path. There are two hand-written
+//! implementors (`fixpoint::Runtime`, `fix_cluster::ClusterClient`;
+//! `fix_storage::Store` implements the data third) and one forwarding
+//! definition at the bottom of this file, which makes every pointer to
+//! a backend (`&T`, `Arc<T>`, `Box<T>`) that backend. The `Minimal`
+//! backend in `tests/api_conformance.rs` implements exactly the table
+//! and passes the whole submission roster, so the count is pinned.
 
 use crate::data::{Blob, Node, Tree};
 use crate::error::{Error, Result};
@@ -81,6 +99,7 @@ use crate::handle::{EncodeStyle, Handle};
 use crate::invocation::Invocation;
 use crate::limits::ResourceLimits;
 use crate::semantics::Footprint;
+use std::ops::Deref;
 use std::sync::Arc;
 
 pub use crate::ticket::{BatchTicket, PendingBatch, Ticket};
@@ -156,30 +175,39 @@ pub type NativeFn = Arc<dyn Fn(&mut NativeCtx<'_>) -> Result<Handle> + Send + Sy
 /// Table 1 (`create_blob` / `create_tree` / `read_blob` / `read_tree`).
 ///
 /// Implemented by `fix_storage::Store` itself, by `fixpoint::Runtime`,
-/// and by the cluster/baseline clients (which store at the client node).
+/// and by the cluster client (which stores at its client node). A
+/// backend supplies [`put`](ObjectApi::put), [`get`](ObjectApi::get)
+/// and [`contains`](ObjectApi::contains); the typed accessors are
+/// provided over them.
 pub trait ObjectApi {
-    /// Stores a blob, returning its handle.
-    fn put_blob(&self, blob: Blob) -> Handle;
+    /// Stores a datum, returning its handle.
+    fn put(&self, node: Node) -> Handle;
 
-    /// Stores a tree, returning its handle.
-    fn put_tree(&self, tree: Tree) -> Handle;
-
-    /// Reads a blob back.
-    fn get_blob(&self, handle: Handle) -> Result<Blob>;
-
-    /// Reads a tree back.
-    fn get_tree(&self, handle: Handle) -> Result<Tree>;
+    /// Reads a datum back (accessibility tags ignored).
+    fn get(&self, handle: Handle) -> Result<Node>;
 
     /// True when the object behind `handle` is locally resident
     /// (literals are always resident: their payload rides in the handle).
     fn contains(&self, handle: Handle) -> bool;
 
-    /// Stores a whole [`Node`].
-    fn put(&self, node: Node) -> Handle {
-        match node {
-            Node::Blob(b) => self.put_blob(b),
-            Node::Tree(t) => self.put_tree(t),
-        }
+    /// Stores a blob, returning its handle.
+    fn put_blob(&self, blob: Blob) -> Handle {
+        self.put(Node::Blob(blob))
+    }
+
+    /// Stores a tree, returning its handle.
+    fn put_tree(&self, tree: Tree) -> Handle {
+        self.put(Node::Tree(tree))
+    }
+
+    /// Reads a blob back.
+    fn get_blob(&self, handle: Handle) -> Result<Blob> {
+        self.get(handle)?.as_blob().cloned()
+    }
+
+    /// Reads a tree back.
+    fn get_tree(&self, handle: Handle) -> Result<Tree> {
+        self.get(handle)?.as_tree().cloned()
     }
 
     /// Reads a `u64` result blob (common in workloads and tests).
@@ -188,42 +216,6 @@ pub trait ObjectApi {
             handle,
             expected: "a u64 blob",
         })
-    }
-}
-
-impl<T: ObjectApi + ?Sized> ObjectApi for &T {
-    fn put_blob(&self, blob: Blob) -> Handle {
-        (**self).put_blob(blob)
-    }
-    fn put_tree(&self, tree: Tree) -> Handle {
-        (**self).put_tree(tree)
-    }
-    fn get_blob(&self, handle: Handle) -> Result<Blob> {
-        (**self).get_blob(handle)
-    }
-    fn get_tree(&self, handle: Handle) -> Result<Tree> {
-        (**self).get_tree(handle)
-    }
-    fn contains(&self, handle: Handle) -> bool {
-        (**self).contains(handle)
-    }
-}
-
-impl<T: ObjectApi + ?Sized> ObjectApi for Arc<T> {
-    fn put_blob(&self, blob: Blob) -> Handle {
-        (**self).put_blob(blob)
-    }
-    fn put_tree(&self, tree: Tree) -> Handle {
-        (**self).put_tree(tree)
-    }
-    fn get_blob(&self, handle: Handle) -> Result<Blob> {
-        (**self).get_blob(handle)
-    }
-    fn get_tree(&self, handle: Handle) -> Result<Tree> {
-        (**self).get_tree(handle)
-    }
-    fn contains(&self, handle: Handle) -> bool {
-        (**self).contains(handle)
     }
 }
 
@@ -290,121 +282,8 @@ pub trait InvocationApi: ObjectApi {
     }
 }
 
-impl<T: InvocationApi + ?Sized> InvocationApi for &T {
-    fn register_native(&self, name: &str, f: NativeFn) -> Handle {
-        (**self).register_native(name, f)
-    }
-    fn install_module(&self, module_bytes: Vec<u8>) -> Result<Handle> {
-        (**self).install_module(module_bytes)
-    }
-    fn apply(&self, limits: ResourceLimits, procedure: Handle, args: &[Handle]) -> Result<Handle> {
-        (**self).apply(limits, procedure, args)
-    }
-    fn strict_apply(
-        &self,
-        limits: ResourceLimits,
-        procedure: Handle,
-        args: &[Handle],
-    ) -> Result<Handle> {
-        (**self).strict_apply(limits, procedure, args)
-    }
-    fn select(&self, target: Handle, index: u64) -> Result<Handle> {
-        (**self).select(target, index)
-    }
-    fn select_range(&self, target: Handle, begin: u64, end: u64) -> Result<Handle> {
-        (**self).select_range(target, begin, end)
-    }
-}
-
-impl<T: InvocationApi + ?Sized> InvocationApi for Arc<T> {
-    fn register_native(&self, name: &str, f: NativeFn) -> Handle {
-        (**self).register_native(name, f)
-    }
-    fn install_module(&self, module_bytes: Vec<u8>) -> Result<Handle> {
-        (**self).install_module(module_bytes)
-    }
-    fn apply(&self, limits: ResourceLimits, procedure: Handle, args: &[Handle]) -> Result<Handle> {
-        (**self).apply(limits, procedure, args)
-    }
-    fn strict_apply(
-        &self,
-        limits: ResourceLimits,
-        procedure: Handle,
-        args: &[Handle],
-    ) -> Result<Handle> {
-        (**self).strict_apply(limits, procedure, args)
-    }
-    fn select(&self, target: Handle, index: u64) -> Result<Handle> {
-        (**self).select(target, index)
-    }
-    fn select_range(&self, target: Handle, begin: u64, end: u64) -> Result<Handle> {
-        (**self).select_range(target, begin, end)
-    }
-}
-
 // ----------------------------------------------------------------------
-// Evaluator: asking for results.
-// ----------------------------------------------------------------------
-
-/// Evaluation: reduce descriptions of computation to values.
-///
-/// Fix evaluation is deterministic and memoized, so any two conforming
-/// backends return bit-identical handles for the same request — which is
-/// what lets one workload double as a benchmark row for every backend.
-pub trait Evaluator {
-    /// Evaluates a handle to a non-Thunk value (weak head normal form).
-    ///
-    /// Values evaluate to themselves; Thunks are reduced (running
-    /// procedures as needed); Encodes are resolved per their style.
-    fn eval(&self, handle: Handle) -> Result<Handle>;
-
-    /// Fully evaluates: reduces to a value, then deep-forces it so every
-    /// nested Thunk/Encode is resolved and every Ref promoted.
-    fn eval_strict(&self, handle: Handle) -> Result<Handle>;
-
-    /// Evaluates a batch of independent requests.
-    ///
-    /// Semantically identical to mapping [`eval`](Evaluator::eval) over
-    /// `handles` (results are positional), but backends may amortize
-    /// per-request overhead: the single-node runtime submits the whole
-    /// batch to its scheduler under one lock acquisition, and the cluster
-    /// client ships the batch through one simulated run.
-    ///
-    /// Blocking is the special case of submission: backends
-    /// implementing [`SubmitApi`] override this default loop with
-    /// `submit_many(..).wait()` — same surface, pipelined engine.
-    fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        handles.iter().map(|&h| self.eval(h)).collect()
-    }
-
-    /// Computes the minimum repository of a thunk (paper §3.3), using
-    /// whatever evaluation results the backend has already memoized.
-    fn footprint(&self, thunk: Handle) -> Result<Footprint>;
-
-    /// Computes the combined minimum repository of a batch of requests:
-    /// the deduplicated union of per-thunk [`footprint`](Evaluator::footprint)s.
-    /// Data shared between requests appears — and is counted — once, so
-    /// `total_bytes` is what a batch transfer actually ships (and the
-    /// object set is exactly what a snapshot must pin to cover the batch).
-    ///
-    /// The default folds [`Footprint::merge`] over per-thunk footprints;
-    /// backends with direct store access override it to walk shared data
-    /// only once.
-    fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        let mut merged = Footprint::default();
-        for &thunk in thunks {
-            merged.merge(&self.footprint(thunk)?);
-        }
-        Ok(merged)
-    }
-
-    /// Procedures the backend has actually executed (memoization cache
-    /// misses). The conformance suite observes memoization through this.
-    fn procedures_run(&self) -> u64;
-}
-
-// ----------------------------------------------------------------------
-// SubmitApi: asking for results *later*, with request-scoped intent.
+// SubmitApi: asking for results, with request-scoped intent.
 // ----------------------------------------------------------------------
 
 /// How far a submitted request is evaluated.
@@ -524,26 +403,29 @@ impl SubmitOptions {
 
 /// Submission-first evaluation: describe a batch now, resolve it later.
 ///
-/// [`Evaluator`] is call-and-block — every `eval_many` parks the calling
-/// thread until the whole batch resolves. This trait decouples the two
-/// halves, the same decoupling the paper's externalized-I/O design
-/// implies at the API level: [`submit_many`](SubmitApi::submit_many)
-/// registers the batch with the backend and returns a [`BatchTicket`]
-/// immediately, and the caller chooses when (and whether) to block.
-/// A driver can keep a window of batches in flight — submit batch *k+1*
-/// while *k* executes — which is what lets the `fix-serve` driver pool
-/// overlap admission with execution.
+/// [`submit_with`](SubmitApi::submit_with) is the one required way to
+/// ask a backend for results: it registers the batch and returns a
+/// [`BatchTicket`] immediately, and the caller chooses when (and
+/// whether) to block — the same decoupling the paper's externalized-I/O
+/// design implies at the API level. A driver can keep a window of
+/// batches in flight — submit batch *k+1* while *k* executes — which is
+/// what lets the `fix-serve` driver pool overlap admission with
+/// execution. Blocking is the special case: every [`Evaluator`] method
+/// that returns results is submission followed by an immediate `wait`.
+/// Tickets resolve themselves ([`BatchTicket::poll`],
+/// [`BatchTicket::wait`], [`BatchTicket::wait_any`]); the backend is not
+/// involved again.
 ///
-/// Implementations — one submission path, three entry points:
+/// Implementations — one submission path, two entry points:
 ///
 /// * `fixpoint::Runtime` — submission takes the scheduler's job-map
 ///   lock once, registers completion watchers, and returns; no caller
 ///   thread is parked per batch.
-/// * `fix_cluster::ClusterClient` and
-///   `fix_baselines::BaselineEvaluator` — derive and simulate the
-///   batch's dataflow (recording a run report), then submit it to the
-///   `Runtime` they embed and return that node's ticket. Tiers,
-///   deadlines, cancellation and the virtual clock are the node's.
+/// * `fix_cluster::ClusterClient` — derives and simulates the batch's
+///   dataflow under its `Profile` (recording a run report), then
+///   submits it to the `Runtime` it embeds and returns that node's
+///   ticket. Tiers, deadlines, cancellation and the virtual clock are
+///   the node's.
 ///
 /// Submissions are *request scoped*: [`submit_with`](SubmitApi::submit_with)
 /// attaches a [`SubmitOptions`] — deadline in virtual µs, [`Priority`]
@@ -597,8 +479,8 @@ impl SubmitOptions {
 /// let second = rt.submit_many(&batch(100));
 ///
 /// // Resolve in whichever order suits the driver.
-/// let second_results = rt.wait_batch(second);
-/// let first_results = rt.wait_batch(first);
+/// let second_results = second.wait();
+/// let first_results = first.wait();
 /// assert_eq!(rt.get_u64(*first_results[0].as_ref().unwrap()).unwrap(), 1);
 /// assert_eq!(rt.get_u64(*second_results[3].as_ref().unwrap()).unwrap(), 104);
 /// ```
@@ -634,14 +516,14 @@ impl SubmitOptions {
 /// let opts = SubmitOptions::strict()
 ///     .with_priority(Priority::Latency)
 ///     .with_deadline(10_000);
-/// let results = rt.wait_batch(rt.submit_with(&batch, opts));
+/// let results = rt.submit_with(&batch, opts).wait();
 /// // The clock never advanced, so the deadline did not pass; the slot
 /// // agrees with eval_strict: the inner thunk is deep-forced.
 /// let forced = *results[0].as_ref().unwrap();
 /// assert_eq!(forced, rt.eval_strict(batch[0]).unwrap());
 /// assert_eq!(rt.get_u64(rt.get_tree(forced).unwrap().get(0).unwrap()).unwrap(), 42);
 /// ```
-pub trait SubmitApi: Evaluator {
+pub trait SubmitApi {
     /// Begins evaluating a batch of independent requests under
     /// request-scoped `options` (deadline, priority class, evaluation
     /// mode), returning a ticket for the positional results. Must not
@@ -673,94 +555,135 @@ pub trait SubmitApi: Evaluator {
     fn submit(&self, handle: Handle) -> Ticket {
         Ticket::from_batch(self.submit_many(std::slice::from_ref(&handle)))
     }
-
-    /// Non-blocking: true once `ticket` has completed (its result is
-    /// then claimed with [`Ticket::take_result`] or [`wait`](SubmitApi::wait)).
-    fn poll(&self, ticket: &mut Ticket) -> bool {
-        ticket.poll()
-    }
-
-    /// Blocks until the evaluation completes, consuming the ticket.
-    fn wait(&self, ticket: Ticket) -> Result<Handle> {
-        ticket.wait()
-    }
-
-    /// Blocks until the whole batch completes, consuming the ticket;
-    /// results are positional.
-    fn wait_batch(&self, ticket: BatchTicket) -> Vec<Result<Handle>> {
-        ticket.wait()
-    }
-
-    /// Blocks until at least one unclaimed ticket completes, returning
-    /// its index; `None` when every ticket was already claimed. See
-    /// [`BatchTicket::wait_any`].
-    fn wait_any(&self, tickets: &mut [BatchTicket]) -> Option<usize> {
-        BatchTicket::wait_any(tickets)
-    }
 }
 
-impl<T: SubmitApi + ?Sized> SubmitApi for &T {
-    fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
-        (**self).submit_with(handles, options)
-    }
-    fn virtual_now(&self) -> u64 {
-        (**self).virtual_now()
-    }
-    fn advance_virtual_clock(&self, us: u64) {
-        (**self).advance_virtual_clock(us)
-    }
-}
+// ----------------------------------------------------------------------
+// Evaluator: asking for results and blocking on them.
+// ----------------------------------------------------------------------
 
-impl<T: SubmitApi + ?Sized> SubmitApi for Arc<T> {
-    fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
-        (**self).submit_with(handles, options)
-    }
-    fn virtual_now(&self) -> u64 {
-        (**self).virtual_now()
-    }
-    fn advance_virtual_clock(&self, us: u64) {
-        (**self).advance_virtual_clock(us)
-    }
-}
-
-impl<T: Evaluator + ?Sized> Evaluator for &T {
+/// Evaluation: reduce descriptions of computation to values.
+///
+/// Fix evaluation is deterministic and memoized, so any two conforming
+/// backends return bit-identical handles for the same request — which is
+/// what lets one workload double as a benchmark row for every backend.
+///
+/// Blocking is the special case of submission, and that is said here
+/// once: `eval`, `eval_strict` and `eval_many` are provided as
+/// [`SubmitApi::submit_with`] followed by an immediate `wait`, so a
+/// backend supplies only the two observers
+/// ([`footprint`](Evaluator::footprint),
+/// [`procedures_run`](Evaluator::procedures_run)).
+pub trait Evaluator: SubmitApi {
+    /// Evaluates a handle to a non-Thunk value (weak head normal form).
+    ///
+    /// Values evaluate to themselves; Thunks are reduced (running
+    /// procedures as needed); Encodes are resolved per their style.
     fn eval(&self, handle: Handle) -> Result<Handle> {
-        (**self).eval(handle)
+        self.submit(handle).wait()
     }
+
+    /// Fully evaluates: reduces to a value, then deep-forces it so every
+    /// nested Thunk/Encode is resolved and every Ref promoted.
     fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        (**self).eval_strict(handle)
+        let batch = self.submit_with(std::slice::from_ref(&handle), SubmitOptions::strict());
+        Ticket::from_batch(batch).wait()
     }
+
+    /// Evaluates a batch of independent requests.
+    ///
+    /// Semantically identical to mapping [`eval`](Evaluator::eval) over
+    /// `handles` (results are positional), but the batch is one
+    /// submission: the single-node runtime enqueues it under one lock
+    /// acquisition, and the cluster client ships it through one
+    /// simulated run.
     fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        (**self).eval_many(handles)
+        self.submit_many(handles).wait()
     }
-    fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-        (**self).footprint(thunk)
-    }
+
+    /// Computes the minimum repository of a thunk (paper §3.3), using
+    /// whatever evaluation results the backend has already memoized.
+    fn footprint(&self, thunk: Handle) -> Result<Footprint>;
+
+    /// Computes the combined minimum repository of a batch of requests:
+    /// the deduplicated union of per-thunk [`footprint`](Evaluator::footprint)s.
+    /// Data shared between requests appears — and is counted — once, so
+    /// `total_bytes` is what a batch transfer actually ships (and the
+    /// object set is exactly what a snapshot must pin to cover the batch).
+    ///
+    /// The default folds [`Footprint::merge`] over per-thunk footprints;
+    /// backends with direct store access override it to walk shared data
+    /// only once.
     fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        (**self).footprint_many(thunks)
+        let mut merged = Footprint::default();
+        for &thunk in thunks {
+            merged.merge(&self.footprint(thunk)?);
+        }
+        Ok(merged)
     }
-    fn procedures_run(&self) -> u64 {
-        (**self).procedures_run()
-    }
+
+    /// Procedures the backend has actually executed (memoization cache
+    /// misses). The conformance suite observes memoization through this.
+    fn procedures_run(&self) -> u64;
 }
 
-impl<T: Evaluator + ?Sized> Evaluator for Arc<T> {
-    fn eval(&self, handle: Handle) -> Result<Handle> {
-        (**self).eval(handle)
+// ----------------------------------------------------------------------
+// Forwarding: a pointer to a backend is that backend.
+// ----------------------------------------------------------------------
+
+/// The one forwarding definition: implements each listed trait for every
+/// `P: Deref` whose target implements it (`&T`, `Arc<T>`, `Box<T>`, …),
+/// forwarding every method — provided ones included, so a target's
+/// overrides (the runtime's inline `eval`, its shared-walk
+/// `footprint_many`) are what a pointer to it runs. A required method
+/// missing from the list does not compile; a provided one would fall
+/// back to the trait default without a word, so a new provided method
+/// is added here *and* to `pointers_to_a_backend_reach_its_overrides`
+/// in `tests/api_conformance.rs`, which counts every override reached.
+macro_rules! forward_through_deref {
+    ($($api:ident { $(fn $method:ident(&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)* })*) => {$(
+        impl<P: Deref> $api for P
+        where
+            P::Target: $api,
+        {$(
+            fn $method(&self $(, $arg: $ty)*) $(-> $ret)? {
+                (**self).$method($($arg),*)
+            }
+        )*}
+    )*};
+}
+
+forward_through_deref! {
+    ObjectApi {
+        fn put(&self, node: Node) -> Handle;
+        fn get(&self, handle: Handle) -> Result<Node>;
+        fn contains(&self, handle: Handle) -> bool;
+        fn put_blob(&self, blob: Blob) -> Handle;
+        fn put_tree(&self, tree: Tree) -> Handle;
+        fn get_blob(&self, handle: Handle) -> Result<Blob>;
+        fn get_tree(&self, handle: Handle) -> Result<Tree>;
+        fn get_u64(&self, handle: Handle) -> Result<u64>;
     }
-    fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        (**self).eval_strict(handle)
+    InvocationApi {
+        fn register_native(&self, name: &str, f: NativeFn) -> Handle;
+        fn install_module(&self, module_bytes: Vec<u8>) -> Result<Handle>;
+        fn apply(&self, limits: ResourceLimits, procedure: Handle, args: &[Handle]) -> Result<Handle>;
+        fn strict_apply(&self, limits: ResourceLimits, procedure: Handle, args: &[Handle]) -> Result<Handle>;
+        fn select(&self, target: Handle, index: u64) -> Result<Handle>;
+        fn select_range(&self, target: Handle, begin: u64, end: u64) -> Result<Handle>;
     }
-    fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        (**self).eval_many(handles)
+    SubmitApi {
+        fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket;
+        fn virtual_now(&self) -> u64;
+        fn advance_virtual_clock(&self, us: u64);
+        fn submit_many(&self, handles: &[Handle]) -> BatchTicket;
+        fn submit(&self, handle: Handle) -> Ticket;
     }
-    fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-        (**self).footprint(thunk)
-    }
-    fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        (**self).footprint_many(thunks)
-    }
-    fn procedures_run(&self) -> u64 {
-        (**self).procedures_run()
+    Evaluator {
+        fn eval(&self, handle: Handle) -> Result<Handle>;
+        fn eval_strict(&self, handle: Handle) -> Result<Handle>;
+        fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>>;
+        fn footprint(&self, thunk: Handle) -> Result<Footprint>;
+        fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint>;
+        fn procedures_run(&self) -> u64;
     }
 }

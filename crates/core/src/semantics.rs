@@ -218,7 +218,7 @@ fn footprint_into(
     match thunk.kind() {
         Kind::Thunk(ThunkKind::Application) => {
             let def = thunk.thunk_definition()?;
-            add_object_recursive(source, def, resolver, fp, seen)?;
+            add_accessible(source, def, resolver, fp, seen)?;
         }
         Kind::Thunk(ThunkKind::Selection) => {
             let def = thunk.thunk_definition()?;
@@ -269,53 +269,47 @@ fn add_data(
     Ok(())
 }
 
-/// Applies the footprint rules recursively from an accessible handle.
-fn add_object_recursive(
+/// Applies the footprint rules from an accessible handle, depth first
+/// with tree entries in order (`Footprint::objects` is in discovery
+/// order). An explicit worklist, not recursion: nesting depth is data
+/// (a cons list is as deep as it is long) and must not be bounded by
+/// the caller's stack.
+fn add_accessible(
     source: &dyn DataSource,
     handle: Handle,
     resolver: &dyn EncodeResolver,
     fp: &mut Footprint,
     seen: &mut HashSet<[u8; 32]>,
 ) -> Result<()> {
-    match handle.kind() {
-        Kind::Object(DataType::Blob) => add_data(source, handle, fp, seen),
-        Kind::Object(DataType::Tree) => {
-            if !handle.is_literal() && seen.contains(&payload_key(handle)) {
-                return Ok(());
-            }
-            add_data(source, handle, fp, seen)?;
-            let tree = load_tree(source, handle)?;
-            for entry in tree.entries() {
-                add_object_recursive(source, *entry, resolver, fp, seen)?;
-            }
-            Ok(())
-        }
-        Kind::Ref(_) => {
-            fp.refs.push(handle);
-            Ok(())
-        }
-        // Lazy: a thunk's definition is not part of the parent's footprint.
-        Kind::Thunk(_) => Ok(()),
-        Kind::Encode(style, _) => match resolver.resolved(handle) {
-            Some(result) => match style {
-                // Strict results are fully accessible: recurse as Object.
-                EncodeStyle::Strict => {
-                    add_object_recursive(source, result.as_object_handle(), resolver, fp, seen)
+    let mut stack = vec![handle];
+    while let Some(handle) = stack.pop() {
+        match handle.kind() {
+            Kind::Object(DataType::Blob) => add_data(source, handle, fp, seen)?,
+            Kind::Object(DataType::Tree) => {
+                if !handle.is_literal() && seen.contains(&payload_key(handle)) {
+                    continue;
                 }
+                add_data(source, handle, fp, seen)?;
+                let tree = load_tree(source, handle)?;
+                stack.extend(tree.entries().iter().rev());
+            }
+            Kind::Ref(_) => fp.refs.push(handle),
+            // Lazy: a thunk's definition is not part of the parent's footprint.
+            Kind::Thunk(_) => {}
+            Kind::Encode(style, _) => match (resolver.resolved(handle), style) {
+                // Strict results are fully accessible: walk as Object.
+                (Some(result), EncodeStyle::Strict) => stack.push(result.as_object_handle()),
                 // Shallow results are provided as Refs: metadata only.
-                EncodeStyle::Shallow => {
+                (Some(result), EncodeStyle::Shallow) => {
                     if result.is_value() {
                         fp.refs.push(result.as_ref_handle());
                     }
-                    Ok(())
                 }
+                (None, _) => fp.unresolved_encodes.push(handle),
             },
-            None => {
-                fp.unresolved_encodes.push(handle);
-                Ok(())
-            }
-        },
+        }
     }
+    Ok(())
 }
 
 /// The deduplication key for a handle: its payload and type, ignoring

@@ -43,8 +43,8 @@ const WAIT_ANY_TICK: Duration = Duration::from_micros(500);
 /// One in-flight batch, as the scheduler that accepted it sees it.
 ///
 /// There is one implementor: `fixpoint`'s watched scheduler batch, which
-/// every backend's tickets wrap (the cluster and baseline clients return
-/// their embedded node's ticket). It is a trait rather than that type
+/// every backend's tickets wrap (the cluster client returns its
+/// embedded node's ticket). It is a trait rather than that type
 /// only because of the crate graph — `fixpoint` depends on `fix-core`,
 /// so the ticket state machine here cannot name the scheduler — and
 /// because the ticket tests below drive the state machine with

@@ -4,9 +4,9 @@
 //! recorder and one metrics registry shared by the scheduler
 //! (`fixpoint`), the serving layer (`fix-serve`), the dispatcher and
 //! control tiers, and the persistence tier (`fix-durable`). Every
-//! submitting backend is a `fixpoint` scheduler (the cluster and
-//! baseline clients submit through the node they embed), so every
-//! backend's trace carries the same `scheduler` category.
+//! submitting backend is a `fixpoint` scheduler (the cluster client
+//! submits through the node it embeds), so every backend's trace
+//! carries the same `scheduler` category.
 //!
 //! ## The disabled-path contract
 //!

@@ -8,7 +8,7 @@
 use crate::engine::{Engine, Job};
 use crate::registry::{NativeFn, ProgramRegistry};
 use crate::scheduler::{Scheduler, WorkerPool};
-use fix_core::api::{BatchTicket, Ticket};
+use fix_core::api::{BatchTicket, SubmitOptions, Ticket};
 use fix_core::data::{Blob, Node, Tree};
 use fix_core::error::Result;
 use fix_core::handle::Handle;
@@ -273,16 +273,15 @@ impl Runtime {
         self.scheduler.run_inline(Job::Force(value))
     }
 
-    /// Evaluates a batch of independent requests (results positional).
-    ///
-    /// Blocking is the special case of submission: this is exactly
+    /// Evaluates a batch of independent requests (results positional):
     /// [`submit_many`](Runtime::submit_many) followed by an immediate
-    /// [`BatchTicket::wait`]. The whole batch enters the scheduler (and
-    /// registers its completion watchers) under **one** lock acquisition
-    /// and one wakeup broadcast — the batched dispatch path measured by
-    /// the `api_eval_many` bench. Shared sub-computations are
-    /// deduplicated across the batch exactly as they are within one
-    /// evaluation.
+    /// [`BatchTicket::wait`], as
+    /// [`Evaluator::eval_many`](fix_core::api::Evaluator::eval_many)
+    /// defines it. The whole batch enters the scheduler (and registers
+    /// its completion watchers) under **one** lock acquisition and one
+    /// wakeup broadcast — the batched dispatch path measured by the
+    /// `api_eval_many` bench. Shared sub-computations are deduplicated
+    /// across the batch exactly as they are within one evaluation.
     pub fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
         self.submit_many(handles).wait()
     }
@@ -317,18 +316,14 @@ impl Runtime {
     /// [virtual clock](Runtime::virtual_now) passes before dispatch
     /// expires with [`Error::DeadlineExceeded`](fix_core::Error::DeadlineExceeded)
     /// instead of executing.
-    pub fn submit_with(
-        &self,
-        handles: &[Handle],
-        options: fix_core::api::SubmitOptions,
-    ) -> BatchTicket {
+    pub fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
         crate::submit::submit_with(&self.scheduler, handles, options)
     }
 
     /// Begins evaluating a batch with default options (no deadline,
     /// normal priority, WHNF); see [`submit_with`](Runtime::submit_with).
     pub fn submit_many(&self, handles: &[Handle]) -> BatchTicket {
-        self.submit_with(handles, fix_core::api::SubmitOptions::default())
+        self.submit_with(handles, SubmitOptions::default())
     }
 
     /// Begins evaluating one handle (a batch of one); see
@@ -523,24 +518,17 @@ impl Default for Runtime {
 // ----------------------------------------------------------------------
 // The One Fix API (fix_core::api): Runtime is the reference backend.
 // The trait impls delegate to the inherent methods above so that code
-// written against either surface behaves identically.
+// written against either surface behaves identically; everything not
+// listed here is the trait's provided method.
 // ----------------------------------------------------------------------
 
 impl fix_core::api::ObjectApi for Runtime {
-    fn put_blob(&self, blob: Blob) -> Handle {
-        Runtime::put_blob(self, blob)
+    fn put(&self, node: Node) -> Handle {
+        Runtime::put(self, node)
     }
 
-    fn put_tree(&self, tree: Tree) -> Handle {
-        Runtime::put_tree(self, tree)
-    }
-
-    fn get_blob(&self, handle: Handle) -> Result<Blob> {
-        Runtime::get_blob(self, handle)
-    }
-
-    fn get_tree(&self, handle: Handle) -> Result<Tree> {
-        Runtime::get_tree(self, handle)
+    fn get(&self, handle: Handle) -> Result<Node> {
+        self.store.get(handle)
     }
 
     fn contains(&self, handle: Handle) -> bool {
@@ -554,17 +542,29 @@ impl fix_core::api::InvocationApi for Runtime {
     }
 }
 
+impl fix_core::api::SubmitApi for Runtime {
+    fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
+        Runtime::submit_with(self, handles, options)
+    }
+
+    fn virtual_now(&self) -> u64 {
+        Runtime::virtual_now(self)
+    }
+
+    fn advance_virtual_clock(&self, us: u64) {
+        Runtime::advance_virtual_clock(self, us)
+    }
+}
+
 impl fix_core::api::Evaluator for Runtime {
+    /// Overrides the provided submit-and-wait with the allocation-free
+    /// inline drive (the Fig. 7a microsecond path).
     fn eval(&self, handle: Handle) -> Result<Handle> {
         Runtime::eval(self, handle)
     }
 
     fn eval_strict(&self, handle: Handle) -> Result<Handle> {
         Runtime::eval_strict(self, handle)
-    }
-
-    fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        Runtime::eval_many(self, handles)
     }
 
     fn footprint(&self, thunk: Handle) -> Result<Footprint> {
@@ -577,23 +577,5 @@ impl fix_core::api::Evaluator for Runtime {
 
     fn procedures_run(&self) -> u64 {
         Runtime::procedures_run(self)
-    }
-}
-
-impl fix_core::api::SubmitApi for Runtime {
-    fn submit_with(
-        &self,
-        handles: &[Handle],
-        options: fix_core::api::SubmitOptions,
-    ) -> BatchTicket {
-        Runtime::submit_with(self, handles, options)
-    }
-
-    fn virtual_now(&self) -> u64 {
-        Runtime::virtual_now(self)
-    }
-
-    fn advance_virtual_clock(&self, us: u64) {
-        Runtime::advance_virtual_clock(self, us)
     }
 }

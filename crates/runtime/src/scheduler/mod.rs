@@ -452,34 +452,47 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Driving
 
+    /// The one drive loop: until `ready` holds, claim and step a queued
+    /// job, or — when nothing is claimable — park for at most `cap`
+    /// awaiting someone else's progress. With `once`, returns after a
+    /// single step or park instead of looping. Returns true when it
+    /// gave up because of a genuine stall: nobody can make progress and
+    /// `ready`, re-checked once (the finishing step and the stall read
+    /// can race, and a result always wins), still does not hold.
+    #[inline]
+    fn drive(&self, cap: Duration, once: bool, mut ready: impl FnMut() -> bool) -> bool {
+        loop {
+            if ready() {
+                return false;
+            }
+            if let Some(claim) = self.try_claim() {
+                claim.execute();
+            } else {
+                let mut stalled = false;
+                self.park_unless(cap, || {
+                    ready() || self.deques.queued() > 0 || {
+                        stalled = self.stalled_now();
+                        stalled
+                    }
+                });
+                if stalled {
+                    return !ready();
+                }
+            }
+            if once {
+                return false;
+            }
+        }
+    }
+
     /// Drives jobs on the calling thread until the watched batch
     /// completes; cooperates with pool workers and other inline drivers
     /// exactly like [`run_inline`](Scheduler::run_inline). On a genuine
     /// stall the batch's unfinished slots are failed (and its watchers
     /// deregistered) instead of parking forever.
     pub(crate) fn wait_batch(&self, state: &Arc<BatchState>) {
-        loop {
-            if state.is_done() {
-                return;
-            }
-            if let Some(claim) = self.try_claim() {
-                claim.execute();
-                continue;
-            }
-            let mut stalled = false;
-            self.park_unless(PARK_SAFETY, || {
-                state.is_done() || self.deques.queued() > 0 || {
-                    stalled = self.stalled_now();
-                    stalled
-                }
-            });
-            if stalled {
-                if state.is_done() {
-                    return;
-                }
-                self.fail_stalled(state);
-                return;
-            }
+        if self.drive(PARK_SAFETY, false, || state.is_done()) {
+            self.fail_stalled(state);
         }
     }
 
@@ -488,21 +501,7 @@ impl Scheduler {
     /// awaiting someone else's progress (or fails the batch on a genuine
     /// stall). The building block of `wait_any`-style multiplexing.
     pub(crate) fn advance_batch(&self, state: &Arc<BatchState>, timeout: Duration) {
-        if state.is_done() {
-            return;
-        }
-        if let Some(claim) = self.try_claim() {
-            claim.execute();
-            return;
-        }
-        let mut stalled = false;
-        self.park_unless(timeout, || {
-            state.is_done() || self.deques.queued() > 0 || {
-                stalled = self.stalled_now();
-                stalled
-            }
-        });
-        if stalled && !state.is_done() {
+        if self.drive(timeout, true, || state.is_done()) {
             self.fail_stalled(state);
         }
     }
@@ -511,39 +510,23 @@ impl Scheduler {
     ///
     /// If worker threads are also draining jobs, this cooperates with
     /// them; when nothing is momentarily claimable it waits for
-    /// progress. Kept allocation-free separately from the watched-batch
-    /// path (`submit_watched_with` + `wait_batch`, which backs
-    /// `Runtime::eval_many` and the submission tickets) — this is the
-    /// Fig. 7a microsecond path — with the subtle parts (executor
-    /// claims, the stall predicate) shared between the two loops.
+    /// progress. Allocation-free — a pinned `submit` and a job-map
+    /// `poll`, no watched batch — because this is the Fig. 7a
+    /// microsecond path; the loop itself is `drive`, shared with the
+    /// watched-batch path (`submit_watched_with` + `wait_batch`, which
+    /// backs the submission tickets).
     pub fn run_inline(&self, root: Job) -> Result<Handle> {
         self.submit(root);
-        loop {
-            if let Some(result) = self.poll(root) {
-                return result;
-            }
-            if let Some(claim) = self.try_claim() {
-                claim.execute();
-                continue;
-            }
-            let mut stalled = false;
-            self.park_unless(PARK_SAFETY, || {
-                self.poll(root).is_some() || self.deques.queued() > 0 || {
-                    stalled = self.stalled_now();
-                    stalled
-                }
-            });
-            if stalled {
-                // Re-poll once: the finishing step and our stall read
-                // can race, and a result always wins over the error.
-                if let Some(result) = self.poll(root) {
-                    return result;
-                }
-                return Err(Error::Trap(format!(
-                    "evaluation stalled: no runnable jobs for {root}"
-                )));
-            }
-        }
+        let mut result = None;
+        self.drive(PARK_SAFETY, false, || {
+            result = self.poll(root);
+            result.is_some()
+        });
+        result.unwrap_or_else(|| {
+            Err(Error::Trap(format!(
+                "evaluation stalled: no runnable jobs for {root}"
+            )))
+        })
     }
 
     /// Claims the next runnable job for this thread: raises the

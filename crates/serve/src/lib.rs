@@ -8,9 +8,10 @@
 //! over the One Fix API's submission surface
 //! ([`fix_core::api::SubmitApi`]), which every backend implements the
 //! same way — by submitting to a Fix node's scheduler — so the same
-//! serving run drives `fixpoint::Runtime`,
-//! `fix_cluster::ClusterClient`, or `fix_baselines::BaselineEvaluator`,
-//! each passed in bare and unchanged.
+//! serving run drives `fixpoint::Runtime` or
+//! `fix_cluster::ClusterClient` — under Fixpoint's profile or a
+//! comparator's from `fix_baselines::profiles` — each passed in bare
+//! and unchanged.
 //!
 //! The pieces:
 //!
@@ -73,7 +74,7 @@
 //!         ),
 //!     ],
 //! };
-//! // The same run works against ClusterClient or BaselineEvaluator.
+//! // The same run works against a ClusterClient under any profile.
 //! let rt = fixpoint::Runtime::builder().build();
 //! let report = serve(&rt, &cfg).unwrap();
 //! assert_eq!(report.completed + report.total_dropped(),

@@ -475,9 +475,8 @@ impl std::fmt::Display for ServeReport {
 /// keeps up to [`ServeConfig::inflight`] batches in flight).
 ///
 /// Every One-Fix-API backend implements [`SubmitApi`] —
-/// `fixpoint::Runtime`, `fix_cluster::ClusterClient` and
-/// `fix_baselines::BaselineEvaluator` are all passed here bare. A
-/// malformed configuration is refused by the kernel
+/// `fixpoint::Runtime` and `fix_cluster::ClusterClient` (under any
+/// profile) are passed here bare. A malformed configuration is refused by the kernel
 /// ([`kernel::Config::validate`]) before anything runs.
 ///
 /// # Examples

@@ -271,20 +271,12 @@ impl DataSource for Store {
 /// (filesystem builders, parcel plumbing, fixtures) can be written
 /// against the trait and handed either a store or a full runtime.
 impl fix_core::api::ObjectApi for Store {
-    fn put_blob(&self, blob: Blob) -> Handle {
-        Store::put_blob(self, blob)
+    fn put(&self, node: Node) -> Handle {
+        Store::put(self, node)
     }
 
-    fn put_tree(&self, tree: Tree) -> Handle {
-        Store::put_tree(self, tree)
-    }
-
-    fn get_blob(&self, handle: Handle) -> Result<Blob> {
-        Store::get_blob(self, handle)
-    }
-
-    fn get_tree(&self, handle: Handle) -> Result<Tree> {
-        Store::get_tree(self, handle)
+    fn get(&self, handle: Handle) -> Result<Node> {
+        Store::get(self, handle)
     }
 
     fn contains(&self, handle: Handle) -> bool {

@@ -17,8 +17,9 @@
 //!
 //! Since the One Fix API refactor every real-runtime entry point here is
 //! generic over the `fix_core::api` traits, so the same workload runs
-//! unchanged on `fixpoint::Runtime`, `fix_cluster::ClusterClient`, or a
-//! `fix_baselines::BaselineEvaluator`.
+//! unchanged on `fixpoint::Runtime` or on `fix_cluster::ClusterClient`
+//! under Fixpoint's profile or a comparator's
+//! (`fix_baselines::profiles`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,14 +2,15 @@
 //!
 //! 1. **through the One Fix API** — the real count-string workload,
 //!    written once against the backend-agnostic traits, executed by the
-//!    netsim-backed `ClusterClient` and by a baseline evaluator, with
-//!    bit-identical results and per-backend run reports;
+//!    netsim-backed `ClusterClient` under Fixpoint's profile and under
+//!    a baseline's, with bit-identical results and per-backend run
+//!    reports;
 //! 2. **as a Fig. 8b job graph** — the paper-scale workload under the
 //!    Fix engine, its ablations, and the Ray/OpenWhisk baselines.
 //!
 //! Run with: `cargo run --release --example cluster_sim [n_shards]`
 
-use fix::baselines::{profiles, run_baseline, BaselineEvaluator, CostModel};
+use fix::baselines::{profiles, run_baseline, CostModel};
 use fix::cluster::{run_fix, Binding, ClusterSetup, FixConfig, Placement};
 use fix::netsim::{NetConfig, NodeId, NodeSpec};
 use fix::prelude::*;
@@ -41,14 +42,14 @@ fn main() {
         cc.last_report().expect("report")
     );
 
-    let rb = BaselineEvaluator::builder()
+    let rb = ClusterClient::builder()
         .profile(profiles::openwhisk(&[NodeId(0)], &cost))
         .build()
-        .expect("baseline");
+        .expect("client");
     let on_baseline = wordcount_on(&rb).expect("baseline");
     println!(
         "{:<28} count = {on_baseline}   ({})",
-        "BaselineEvaluator (OpenWhisk)",
+        "ClusterClient (OpenWhisk)",
         rb.last_report().expect("report")
     );
 

@@ -18,7 +18,7 @@
 
 use fix::prelude::*;
 use fix::serve::{serve, ArrivalProcess, RequestKind, ServeConfig, SloClass, TenantSpec};
-use fix_baselines::{profiles, BaselineEvaluator, CostModel};
+use fix_baselines::{profiles, CostModel};
 use fix_netsim::NodeId;
 
 fn config(scale: u32) -> ServeConfig {
@@ -90,15 +90,15 @@ fn main() {
     );
 
     // --- Backend 3: a comparator profile, same traffic ---------------
-    let rb = BaselineEvaluator::builder()
+    let rb = ClusterClient::builder()
         .profile(profiles::openwhisk(
             &(0..10).map(NodeId).collect::<Vec<_>>(),
             &CostModel::default(),
         ))
         .build()
-        .expect("baseline evaluator");
-    let on_baseline = serve(&rb, &cfg).expect("serve on BaselineEvaluator");
-    println!("-- fix_baselines::BaselineEvaluator (OpenWhisk profile) --");
+        .expect("cluster client");
+    let on_baseline = serve(&rb, &cfg).expect("serve under the OpenWhisk profile");
+    println!("-- fix_cluster::ClusterClient (fix_baselines OpenWhisk profile) --");
     println!("{on_baseline}");
 
     // --- The guarantees the serving layer makes ----------------------

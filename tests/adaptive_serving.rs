@@ -5,9 +5,9 @@
 //! autoscaler live — run through `fix_adapt::adaptive_serve` on every
 //! submission-capable backend of the One Fix API (the same roster as
 //! `api_conformance.rs`): the single-node runtime inline and with
-//! 2- and 4-worker pools, the bare cluster client, and the bare
-//! OpenWhisk-profile baseline evaluator (both submit through the
-//! scheduler of the node they embed).
+//! 2- and 4-worker pools, and the bare cluster client under Fixpoint's
+//! profile and under OpenWhisk's (it submits through the scheduler of
+//! the node it embeds).
 //!
 //! Two properties, on every backend:
 //!
@@ -91,13 +91,13 @@ fn run_on<A: SubmitApi + InvocationApi + Send + Sync>(rt: &A) -> ServeReport {
 #[test]
 fn accounting_closes_identically_on_every_submitting_backend() {
     let cluster = ClusterClient::builder().build().expect("cluster client");
-    let baseline = fix_baselines::BaselineEvaluator::builder()
+    let openwhisk = ClusterClient::builder()
         .profile(fix_baselines::profiles::openwhisk(
             &(0..4).map(fix_netsim::NodeId).collect::<Vec<_>>(),
             &fix_baselines::CostModel::default(),
         ))
         .build()
-        .expect("baseline evaluator");
+        .expect("cluster client under the OpenWhisk profile");
     let reports: Vec<(&str, ServeReport)> = vec![
         ("Runtime", run_on(&Runtime::builder().build())),
         (
@@ -109,7 +109,7 @@ fn accounting_closes_identically_on_every_submitting_backend() {
             run_on(&Runtime::builder().workers(4).build()),
         ),
         ("ClusterClient", run_on(&cluster)),
-        ("BaselineEvaluator", run_on(&baseline)),
+        ("ClusterClient(openwhisk)", run_on(&openwhisk)),
     ];
 
     for (name, report) in &reports {

@@ -4,15 +4,18 @@
 //! error equivalence, batching — written once against the
 //! `fix_core::api` traits and executed against every backend: the
 //! single-node `fixpoint::Runtime`, the netsim-backed
-//! `fix_cluster::ClusterClient`, and (for the submission checks) a
-//! `fix_baselines::BaselineEvaluator`. Because handles are content addressed,
-//! conforming backends must agree *bit for bit*, so each check also
-//! returns its result handles and the harness compares them across
-//! backends.
+//! `fix_cluster::ClusterClient`, and (for the submission checks) that
+//! client under a comparator profile and a [`Minimal`] backend that
+//! implements nothing but the API's required methods. Because handles
+//! are content addressed, conforming backends must agree *bit for bit*,
+//! so each check also returns its result handles and the harness
+//! compares them across backends.
 
 use fix::prelude::*;
 use fix_cluster::ClusterClient;
+use fix_core::semantics::Footprint;
 use fix_workloads::guests;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn limits() -> ResourceLimits {
@@ -48,13 +51,13 @@ where
 trait BackendUnderTest: ObjectApi + InvocationApi + Evaluator {}
 impl<T: ObjectApi + InvocationApi + Evaluator> BackendUnderTest for T {}
 
-/// The submission-capable face: the full One Fix API *including*
-/// `SubmitApi`. Every backend has it — `Runtime` (with and without a
-/// worker pool) is a scheduler, and the cluster and baseline clients
-/// submit through the scheduler of the node they embed, which
+/// The submission-capable face: the One Fix API plus the Fix node
+/// behind it. Every backend has one — `Runtime` (with and without a
+/// worker pool) is a scheduler, and the cluster client submits through
+/// the scheduler of the node it embeds, which
 /// [`node`](SubmittingBackend::node) exposes so the leak checks
 /// (no watcher, no queued job left behind) run on all of them.
-trait SubmittingBackend: BackendUnderTest + SubmitApi {
+trait SubmittingBackend: BackendUnderTest {
     /// The Fix node whose scheduler serves this backend's submissions.
     fn node(&self) -> &Runtime;
 }
@@ -68,9 +71,56 @@ impl SubmittingBackend for ClusterClient {
         self.inner()
     }
 }
-impl SubmittingBackend for fix_baselines::BaselineEvaluator {
+impl SubmittingBackend for Minimal {
     fn node(&self) -> &Runtime {
-        self.inner()
+        &self.0
+    }
+}
+
+/// The smallest conforming backend: a `Runtime` that forgets its
+/// overrides. It implements *only* the required methods of the four
+/// traits — nine of them — and inherits every provided one, so it stops
+/// compiling the day a required method is added, and running it through
+/// the submission roster proves the provided methods sufficient
+/// (`eval` here is the API's submit-and-wait, not `run_inline`).
+struct Minimal(Runtime);
+
+impl ObjectApi for Minimal {
+    fn put(&self, node: Node) -> Handle {
+        self.0.put(node)
+    }
+    fn get(&self, handle: Handle) -> Result<Node> {
+        self.0.store().get(handle)
+    }
+    fn contains(&self, handle: Handle) -> bool {
+        self.0.store().contains(handle)
+    }
+}
+
+impl InvocationApi for Minimal {
+    fn register_native(&self, name: &str, f: NativeFn) -> Handle {
+        self.0.register_native(name, f)
+    }
+}
+
+impl SubmitApi for Minimal {
+    fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
+        self.0.submit_with(handles, options)
+    }
+    fn virtual_now(&self) -> u64 {
+        self.0.virtual_now()
+    }
+    fn advance_virtual_clock(&self, us: u64) {
+        self.0.advance_virtual_clock(us)
+    }
+}
+
+impl Evaluator for Minimal {
+    fn footprint(&self, thunk: Handle) -> Result<Footprint> {
+        self.0.footprint(thunk)
+    }
+    fn procedures_run(&self) -> u64 {
+        self.0.procedures_run()
     }
 }
 
@@ -86,13 +136,15 @@ where
     // job map and cross-deque stealing under genuine oversubscription.
     let pooled4 = Runtime::builder().workers(4).build();
     let cluster = ClusterClient::builder().build().expect("cluster client");
-    let baseline = openwhisk_baseline();
+    let openwhisk = openwhisk_client();
+    let minimal = Minimal(Runtime::builder().build());
     let backends: Vec<(&str, &dyn SubmittingBackend)> = vec![
         ("Runtime", &inline),
         ("Runtime(workers=2)", &pooled),
         ("Runtime(workers=4)", &pooled4),
         ("ClusterClient", &cluster),
-        ("BaselineEvaluator", &baseline),
+        ("ClusterClient(openwhisk)", &openwhisk),
+        ("Minimal", &minimal),
     ];
     let mut results: Vec<(&str, Vec<Handle>)> = Vec::new();
     for (name, backend) in backends {
@@ -122,23 +174,24 @@ where
 }
 
 /// Runs `check` on every backend whose node has no worker pool: the
-/// bare `Runtime` and both clients. Nothing drives such a node between
+/// bare `Runtime` and the client under both profiles. Nothing drives such a node between
 /// submit and wait, so what is queued and watched at each step is
 /// deterministic and the checks can pin it exactly.
 fn on_every_inline_node<F: Fn(&dyn SubmittingBackend)>(check: F) {
     check(&Runtime::builder().build());
     check(&ClusterClient::builder().build().expect("cluster client"));
-    check(&openwhisk_baseline());
+    check(&openwhisk_client());
 }
 
-fn openwhisk_baseline() -> fix_baselines::BaselineEvaluator {
-    fix_baselines::BaselineEvaluator::builder()
+/// The cluster client costed as a comparator system instead of Fixpoint.
+fn openwhisk_client() -> ClusterClient {
+    ClusterClient::builder()
         .profile(fix_baselines::profiles::openwhisk(
             &(0..4).map(fix_netsim::NodeId).collect::<Vec<_>>(),
             &fix_baselines::CostModel::default(),
         ))
         .build()
-        .expect("baseline evaluator")
+        .expect("cluster client under the OpenWhisk profile")
 }
 
 fn register_add(rt: &dyn BackendUnderTest) -> Handle {
@@ -530,8 +583,8 @@ fn submission_agrees_with_eval_many() {
         batch.push(rt.put_blob(Blob::from_u64(9))); // A ready value slot.
         let ticket = rt.submit_many(&batch);
         assert_eq!(ticket.len(), batch.len());
-        let submitted: Vec<Handle> = rt
-            .wait_batch(ticket)
+        let submitted: Vec<Handle> = ticket
+            .wait()
             .into_iter()
             .map(|r| r.expect("batch member succeeds"))
             .collect();
@@ -584,7 +637,7 @@ fn submission_mixed_outcomes_stay_positional() {
             )
             .unwrap();
 
-        let results = rt.wait_batch(rt.submit_many(&[ok, trap, not_found, tail_ok]));
+        let results = rt.submit_many(&[ok, trap, not_found, tail_ok]).wait();
         assert_eq!(results.len(), 4);
         let first = *results[0].as_ref().expect("slot 0 succeeds");
         assert_eq!(rt.get_u64(first).unwrap(), 42);
@@ -642,7 +695,8 @@ fn dropped_ticket_neither_hangs_nor_leaks() {
 
         // ...and re-submitting the abandoned thunks resolves them fully.
         let results: Vec<Handle> = rt
-            .wait_batch(rt.submit_many(&batch))
+            .submit_many(&batch)
+            .wait()
             .into_iter()
             .map(|r| r.expect("resubmitted member succeeds"))
             .collect();
@@ -678,7 +732,7 @@ fn wait_any_drains_overlapped_batches() {
         let mut tickets: Vec<BatchTicket> =
             bases.iter().map(|&b| rt.submit_many(&mint(b))).collect();
         let mut resolved: Vec<Option<Vec<Handle>>> = vec![None; bases.len()];
-        while let Some(i) = rt.wait_any(&mut tickets) {
+        while let Some(i) = BatchTicket::wait_any(&mut tickets) {
             let results = tickets[i]
                 .take_results()
                 .expect("wait_any returned a completed, unclaimed ticket");
@@ -741,7 +795,8 @@ fn strict_submission_agrees_with_eval_strict() {
         let batch = [nested, value_tree, flat];
 
         let submitted: Vec<Handle> = rt
-            .wait_batch(rt.submit_with(&batch, SubmitOptions::strict()))
+            .submit_with(&batch, SubmitOptions::strict())
+            .wait()
             .into_iter()
             .map(|r| r.expect("strict batch member succeeds"))
             .collect();
@@ -783,7 +838,8 @@ fn cancel_before_execution_withdraws_cleanly() {
         // The backend still serves unrelated work, and the cancelled
         // thunks resubmit and resolve as if the cancel never happened.
         let results: Vec<Handle> = rt
-            .wait_batch(rt.submit_many(&batch))
+            .submit_many(&batch)
+            .wait()
             .into_iter()
             .map(|r| r.expect("resubmitted member succeeds"))
             .collect();
@@ -820,8 +876,8 @@ fn cancel_while_executing_never_hangs_a_concurrent_waiter() {
         let survivor_batch = mint(20_000, 8);
         let survivor = rt.submit_many(&survivor_batch);
         doomed.cancel(); // Possibly before, possibly mid-execution.
-        let results: Vec<Handle> = rt
-            .wait_batch(survivor)
+        let results: Vec<Handle> = survivor
+            .wait()
             .into_iter()
             .map(|r| r.expect("survivor member succeeds"))
             .collect();
@@ -855,7 +911,7 @@ fn cancel_after_completion_discards_results_only() {
         // Resolve the batch fully (wait_any drives backends whose
         // progress comes from the waiting thread), then cancel.
         let mut tickets = vec![rt.submit_many(&batch)];
-        assert_eq!(rt.wait_any(&mut tickets), Some(0));
+        assert_eq!(BatchTicket::wait_any(&mut tickets), Some(0));
         let ticket = tickets.pop().expect("one ticket");
         ticket.cancel(); // After completion: a no-op beyond discarding.
 
@@ -895,7 +951,7 @@ fn deadline_expired_batches_fail_without_executing() {
         rt.advance_virtual_clock(10_000);
         let before = rt.procedures_run();
         let ticket = rt.submit_with(&batch, SubmitOptions::default().with_deadline(5_000));
-        let results = rt.wait_batch(ticket);
+        let results = ticket.wait();
         assert_eq!(results.len(), batch.len());
         for r in &results {
             assert!(
@@ -911,7 +967,8 @@ fn deadline_expired_batches_fail_without_executing() {
             .with_deadline(rt.virtual_now() + 1_000_000)
             .with_priority(Priority::Latency);
         let ok: Vec<Handle> = rt
-            .wait_batch(rt.submit_with(&batch, opts))
+            .submit_with(&batch, opts)
+            .wait()
             .into_iter()
             .map(|r| r.expect("unexpired member succeeds"))
             .collect();
@@ -941,17 +998,18 @@ fn deadline_on_arrival_beats_memoization_uniformly() {
             .unwrap();
         assert_eq!(rt.get_u64(rt.eval(thunk).unwrap()).unwrap(), 17); // Memoized.
         rt.advance_virtual_clock(100);
-        let results =
-            rt.wait_batch(rt.submit_with(&[thunk], SubmitOptions::default().with_deadline(50)));
+        let results = rt
+            .submit_with(&[thunk], SubmitOptions::default().with_deadline(50))
+            .wait();
         assert!(
             matches!(results[0], Err(Error::DeadlineExceeded { deadline_us: 50 })),
             "a memoized slot must not resurrect a dead-on-arrival batch: {:?}",
             results[0]
         );
         // The memo itself is untouched: an in-time request still hits it.
-        let ok = rt.wait_batch(
-            rt.submit_with(&[thunk], SubmitOptions::default().with_deadline(1_000_000)),
-        );
+        let ok = rt
+            .submit_with(&[thunk], SubmitOptions::default().with_deadline(1_000_000))
+            .wait();
         vec![*ok[0].as_ref().expect("in-time request resolves")]
     });
 }
@@ -994,7 +1052,7 @@ fn cancel_during_execution_keeps_exactly_once_semantics() {
     // Unblock enough times for a (buggy) duplicate execution too.
     release_tx.send(()).unwrap();
     let _ = release_tx.send(());
-    let results = rt.wait_batch(survivor);
+    let results = survivor.wait();
     assert_eq!(rt.get_u64(*results[0].as_ref().unwrap()).unwrap(), 7);
     assert_eq!(
         runs.load(Ordering::SeqCst),
@@ -1029,10 +1087,12 @@ fn cancelled_then_resubmitted_batches_run_exactly_once() {
             SubmitOptions::default().with_priority(Priority::Batch),
         )
         .cancel();
-        let results = rt.wait_batch(rt.submit_with(
-            &batch,
-            SubmitOptions::default().with_priority(Priority::Latency),
-        ));
+        let results = rt
+            .submit_with(
+                &batch,
+                SubmitOptions::default().with_priority(Priority::Latency),
+            )
+            .wait();
         for (i, r) in results.iter().enumerate() {
             assert_eq!(
                 rt.get_u64(*r.as_ref().unwrap()).unwrap(),
@@ -1081,7 +1141,7 @@ fn deadline_passing_while_queued_expires_at_dequeue() {
             "submitted in time: queued"
         );
         rt.advance_virtual_clock(1_000); // Deadline passes while queued.
-        for r in rt.wait_batch(ticket) {
+        for r in ticket.wait() {
             assert!(
                 matches!(r, Err(Error::DeadlineExceeded { deadline_us: 500 })),
                 "queued-past-deadline slot must expire at dequeue: {r:?}"
@@ -1120,7 +1180,7 @@ fn runtime_tickets_leave_no_watchers_behind() {
         let ticket = rt.submit_many(&batch);
         assert_eq!(node.submission_watchers(), batch.len());
         // ...and fully drained once the ticket resolves.
-        for r in rt.wait_batch(ticket) {
+        for r in ticket.wait() {
             r.expect("batch member succeeds");
         }
         assert_eq!(node.submission_watchers(), 0);
@@ -1200,7 +1260,7 @@ fn cancelling_a_large_queued_batch_withdraws_everything() {
         let rt = Arc::clone(&rt);
         let batch = waiter_batch.clone();
         std::thread::spawn(move || {
-            let results = rt.wait_batch(rt.submit_many(&batch));
+            let results = rt.submit_many(&batch).wait();
             results
                 .into_iter()
                 .map(|r| r.expect("waiter request succeeds"))
@@ -1262,8 +1322,9 @@ fn cluster_client_telemetry_is_pure_observation() {
         cc.apply(limits(), add, &args).unwrap()
     };
     cc.advance_virtual_clock(100);
-    let dead =
-        cc.wait_batch(cc.submit_with(&[fresh(50)], SubmitOptions::default().with_deadline(50)));
+    let dead = cc
+        .submit_with(&[fresh(50)], SubmitOptions::default().with_deadline(50))
+        .wait();
     assert!(matches!(
         dead[0],
         Err(Error::DeadlineExceeded { deadline_us: 50 })
@@ -1277,4 +1338,203 @@ fn cluster_client_telemetry_is_pure_observation() {
     assert_eq!(cc.procedures_run(), before, "cancelled work never runs");
     assert_eq!(cc.inner().queued_jobs(), 0);
     assert_eq!(cc.inner().submission_watchers(), 0);
+}
+
+/// Depth is data, not stack: a dependency chain or a nested list is as
+/// deep as the program that built it says. These run on a thread with
+/// the 2 MiB stack that spawned threads and pool workers get by
+/// default, which a walk recursing per level overflows (SIGABRT) well
+/// before 50 000.
+fn on_a_default_thread_stack(check: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(check)
+        .expect("spawn")
+        .join()
+        .expect("the check passes")
+}
+
+const DEEP: u64 = 50_000;
+
+/// `derive_job_graph` walks a chain of strict applications with a
+/// worklist: the cluster client evaluates it like the runtime does, and
+/// the simulated run holds one task per link.
+#[test]
+fn a_deep_strict_chain_evaluates_on_the_cluster_client() {
+    fn chain(rt: &dyn BackendUnderTest) -> Handle {
+        let add = register_add(rt);
+        let one = rt.put_blob(Blob::from_u64(1));
+        let mut link = rt.strict_apply(limits(), add, &[one, one]).unwrap();
+        for _ in 1..DEEP {
+            link = rt.strict_apply(limits(), add, &[link, one]).unwrap();
+        }
+        link
+    }
+    on_a_default_thread_stack(|| {
+        let rt = Runtime::builder().build();
+        let cc = ClusterClient::builder().build().expect("cluster client");
+        let on_runtime = rt.eval(chain(&rt)).unwrap();
+        let on_cluster = cc.eval(chain(&cc)).unwrap();
+        assert_eq!(on_runtime, on_cluster);
+        assert_eq!(cc.get_u64(on_cluster).unwrap(), DEEP + 1);
+        assert_eq!(cc.last_report().expect("one run").tasks_run, DEEP);
+    });
+}
+
+/// `footprint` walks nested trees with a worklist: an application over
+/// a cons list names every cell of the list.
+#[test]
+fn the_footprint_of_a_deep_list_names_every_cell() {
+    on_a_default_thread_stack(|| {
+        on_every_backend(|rt| {
+            let add = register_add(rt);
+            let mut list = rt.put_tree(Tree::from_handles(vec![]));
+            for i in 0..DEEP {
+                let item = rt.put_blob(Blob::from_u64(i));
+                list = rt.put_tree(Tree::from_handles(vec![item, list]));
+            }
+            let thunk = rt.apply(limits(), add, &[list]).unwrap();
+            let footprint = rt.footprint(thunk).unwrap();
+            assert!(footprint.objects.len() as u64 >= DEEP);
+            assert!(footprint.is_complete());
+            vec![thunk, *footprint.objects.last().unwrap()]
+        })
+    });
+}
+
+/// A backend that overrides every *provided* method of the four traits
+/// and counts the calls; the required methods are the runtime's.
+struct Overriding(Runtime, AtomicUsize);
+
+/// `fn name(&self, …) -> R;` becomes an override that bumps the counter
+/// and answers with `Runtime`'s implementation of the same trait method.
+macro_rules! counted {
+    ($api:ident: $(fn $method:ident(&self $(, $arg:ident: $ty:ty)*) -> $ret:ty;)*) => {$(
+        fn $method(&self $(, $arg: $ty)*) -> $ret {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            <Runtime as $api>::$method(&self.0 $(, $arg)*)
+        }
+    )*};
+}
+
+impl ObjectApi for Overriding {
+    fn put(&self, node: Node) -> Handle {
+        self.0.put(node)
+    }
+    fn get(&self, handle: Handle) -> Result<Node> {
+        self.0.store().get(handle)
+    }
+    fn contains(&self, handle: Handle) -> bool {
+        self.0.store().contains(handle)
+    }
+    counted! { ObjectApi:
+        fn put_blob(&self, blob: Blob) -> Handle;
+        fn put_tree(&self, tree: Tree) -> Handle;
+        fn get_blob(&self, handle: Handle) -> Result<Blob>;
+        fn get_tree(&self, handle: Handle) -> Result<Tree>;
+        fn get_u64(&self, handle: Handle) -> Result<u64>;
+    }
+}
+
+impl InvocationApi for Overriding {
+    fn register_native(&self, name: &str, f: NativeFn) -> Handle {
+        self.0.register_native(name, f)
+    }
+    counted! { InvocationApi:
+        fn install_module(&self, module_bytes: Vec<u8>) -> Result<Handle>;
+        fn apply(&self, limits: ResourceLimits, procedure: Handle, args: &[Handle]) -> Result<Handle>;
+        fn strict_apply(&self, limits: ResourceLimits, procedure: Handle, args: &[Handle]) -> Result<Handle>;
+        fn select(&self, target: Handle, index: u64) -> Result<Handle>;
+        fn select_range(&self, target: Handle, begin: u64, end: u64) -> Result<Handle>;
+    }
+}
+
+impl SubmitApi for Overriding {
+    fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
+        self.0.submit_with(handles, options)
+    }
+    fn virtual_now(&self) -> u64 {
+        self.0.virtual_now()
+    }
+    fn advance_virtual_clock(&self, us: u64) {
+        self.0.advance_virtual_clock(us)
+    }
+    counted! { SubmitApi:
+        fn submit_many(&self, handles: &[Handle]) -> BatchTicket;
+        fn submit(&self, handle: Handle) -> Ticket;
+    }
+}
+
+impl Evaluator for Overriding {
+    fn footprint(&self, thunk: Handle) -> Result<Footprint> {
+        self.0.footprint(thunk)
+    }
+    fn procedures_run(&self) -> u64 {
+        self.0.procedures_run()
+    }
+    counted! { Evaluator:
+        fn eval(&self, handle: Handle) -> Result<Handle>;
+        fn eval_strict(&self, handle: Handle) -> Result<Handle>;
+        fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>>;
+        fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint>;
+    }
+}
+
+/// The pointer impls (`&T`, `Arc<T>`, `Box<T>`: one forwarding
+/// definition in `fix_core::api`) forward every provided method, so a
+/// backend's overrides — `Runtime`'s inline `eval`, its deduplicating
+/// `footprint_many` — are what runs behind a pointer. A method missing
+/// from the forwarding list would silently run the trait default over
+/// the required methods instead, and its call would not be counted.
+#[test]
+fn pointers_to_a_backend_reach_its_overrides() {
+    fn every_provided_method<B: BackendUnderTest>(b: B, calls: &AtomicUsize) {
+        let mut expected = calls.load(Ordering::Relaxed);
+        let mut counted = |method: &str| {
+            expected += 1;
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                expected,
+                "`{method}` through a pointer ran the trait default, not the override"
+            );
+        };
+        let add = register_add(&b);
+        let one = b.put_blob(Blob::from_u64(1));
+        counted("put_blob");
+        let pair = b.put_tree(Tree::from_handles(vec![one, one]));
+        counted("put_tree");
+        b.get_blob(one).unwrap();
+        counted("get_blob");
+        b.get_tree(pair).unwrap();
+        counted("get_tree");
+        b.get_u64(one).unwrap();
+        counted("get_u64");
+        b.install_module(vec![0u8; 8]).unwrap();
+        counted("install_module");
+        let thunk = b.apply(limits(), add, &[one, one]).unwrap();
+        counted("apply");
+        let strict = b.strict_apply(limits(), add, &[one, one]).unwrap();
+        counted("strict_apply");
+        let first = b.select(pair, 0).unwrap();
+        counted("select");
+        let range = b.select_range(pair, 0, 1).unwrap();
+        counted("select_range");
+        b.submit_many(&[thunk, first]).wait();
+        counted("submit_many");
+        b.submit(range).wait().unwrap();
+        counted("submit");
+        b.eval(thunk).unwrap();
+        counted("eval");
+        b.eval_strict(strict).unwrap();
+        counted("eval_strict");
+        b.eval_many(&[thunk, strict]);
+        counted("eval_many");
+        b.footprint_many(&[thunk, first]).unwrap();
+        counted("footprint_many");
+    }
+    let backend = Arc::new(Overriding(Runtime::builder().build(), AtomicUsize::new(0)));
+    every_provided_method(&*backend, &backend.1);
+    every_provided_method(Arc::clone(&backend), &backend.1);
+    every_provided_method(Box::new(&*backend), &backend.1);
+    assert_eq!(backend.1.load(Ordering::Relaxed), 3 * 16);
 }

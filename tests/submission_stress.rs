@@ -121,8 +121,7 @@ fn producers_and_waiters_share_one_runtime() {
                         }
                     }
                     let (exp, results) = if use_wait_any {
-                        let i = rt
-                            .wait_any(&mut tickets)
+                        let i = BatchTicket::wait_any(&mut tickets)
                             .expect("unclaimed tickets are pending");
                         let results = tickets[i]
                             .take_results()
@@ -201,7 +200,7 @@ fn stress_survives_a_worker_pool() {
                         rt.submit_many(&thunks)
                     })
                     .collect();
-                while let Some(i) = rt.wait_any(&mut tickets) {
+                while let Some(i) = BatchTicket::wait_any(&mut tickets) {
                     for r in tickets[i].take_results().expect("completed") {
                         r.expect("pool stress request succeeds");
                         resolved.fetch_add(1, Ordering::SeqCst);
