@@ -12,6 +12,7 @@
 //!   an evicted result chain (paper §6's delayed-availability storage).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use fix_core::api::{Evaluator, InvocationApi, NativeCtx, ObjectApi};
 use fix_core::data::{Blob, Tree};
 use fix_core::limits::ResourceLimits;
 use fixpoint::Runtime;
@@ -32,19 +33,18 @@ fn fib_runtime() -> (Runtime, fix_core::Handle) {
             }
             let self_h = m2.lock().expect("registered");
             let limits = ResourceLimits::default_limits();
-            let call =
-                |ctx: &mut fixpoint::NativeCtx<'_>, k: u64| -> fix_core::Result<fix_core::Handle> {
-                    let t = fix_core::invocation::Invocation {
-                        limits,
-                        procedure: self_h,
-                        args: vec![Blob::from_u64(k).handle()],
-                    }
-                    .to_tree();
-                    ctx.host
-                        .create_tree(t.entries().to_vec())?
-                        .application()?
-                        .strict()
-                };
+            let call = |ctx: &mut NativeCtx<'_>, k: u64| -> fix_core::Result<fix_core::Handle> {
+                let t = fix_core::invocation::Invocation {
+                    limits,
+                    procedure: self_h,
+                    args: vec![Blob::from_u64(k).handle()],
+                }
+                .to_tree();
+                ctx.host
+                    .create_tree(t.entries().to_vec())?
+                    .application()?
+                    .strict()
+            };
             let e1 = call(ctx, n - 1)?;
             let e2 = call(ctx, n - 2)?;
             // add(e1, e2) via a tiny summing procedure baked in here: use

@@ -8,7 +8,7 @@
 //! cost, so it bounds the benefit batching can ever deliver.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fix_core::api::SubmitOptions;
+use fix_core::api::{Evaluator, InvocationApi, ObjectApi, SubmitApi, SubmitOptions};
 use fix_core::data::Blob;
 use fix_core::handle::Handle;
 use fix_core::limits::ResourceLimits;

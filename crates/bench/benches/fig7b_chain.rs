@@ -7,6 +7,7 @@
 //! evaluation — no blocked threads, no per-step round trips.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fix_core::api::{Evaluator, InvocationApi, ObjectApi};
 use fix_core::data::Blob;
 use fix_core::invocation::Invocation;
 use fix_core::limits::ResourceLimits;

@@ -30,6 +30,7 @@ use fix_adapt::{
     adaptive_serve, AdaptConfig, AdaptTenant, AdmissionPolicy, ClosedLoopSpec, ScalerConfig,
     SnfSpec,
 };
+use fix_core::api::Evaluator;
 use fix_serve::{ArrivalProcess, Micros, RequestKind, ServeReport, SloClass, TenantSpec};
 use fixpoint::Runtime;
 

@@ -17,6 +17,7 @@
 //! through, so the timed path is exactly the served path: apply → eval
 //! on content-addressed thunks, memoization and all.
 
+use fix_core::api::Evaluator;
 use fix_serve::{ArrivalProcess, RequestFactory, RequestKind, TenantSpec};
 use fixpoint::Runtime;
 use std::fmt;

@@ -8,6 +8,7 @@
 //! The workload is a binary histogram-merge tree over `width` shards
 //! (depth grows with log₂ width), on the *real* runtime.
 
+use fix_core::api::{Evaluator, InvocationApi, ObjectApi};
 use fix_core::data::Blob;
 use fix_core::handle::Handle;
 use fix_core::limits::ResourceLimits;

@@ -8,6 +8,7 @@
 //! calibrated [`CostModel`] and are labeled as such.
 
 use fix_baselines::CostModel;
+use fix_core::api::{Evaluator, InvocationApi, ObjectApi};
 use fix_core::data::Blob;
 use fix_core::limits::ResourceLimits;
 use fixpoint::Runtime;

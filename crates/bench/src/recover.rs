@@ -17,7 +17,7 @@
 //! Wall-clock by nature (like `calibrate`), so it is *not* part of
 //! `figures all`; run `figures recover` explicitly.
 
-use fix_core::api::{InvocationApi, ObjectApi};
+use fix_core::api::{Evaluator, InvocationApi, ObjectApi};
 use fix_core::data::Blob;
 use fix_core::limits::ResourceLimits;
 use fix_durable::{DurableOptions, DurableStore, FsyncPolicy};

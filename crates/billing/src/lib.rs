@@ -50,6 +50,7 @@ pub use usage::{meter_eval, InvocationUsage};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::{InvocationApi, ObjectApi};
 
     /// End-to-end: meter a real VM evaluation, bill it both ways.
     #[test]

@@ -2,6 +2,7 @@
 //! what each billing model reads from it.
 
 use crate::perf::PerfSample;
+use fix_core::api::{Evaluator, ObjectApi};
 use fix_core::error::Result;
 use fix_core::handle::Handle;
 use fix_core::invocation::Invocation;
@@ -86,6 +87,7 @@ pub fn meter_eval(rt: &Runtime, thunk: Handle) -> Result<(Handle, InvocationUsag
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::InvocationApi;
     use fix_core::data::Blob;
     use fix_core::limits::ResourceLimits;
 

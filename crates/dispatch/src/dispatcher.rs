@@ -31,6 +31,7 @@
 //! memoization ([`RestartKind::Cold`]), which is exactly the
 //! affinity-recovery difference `figures route` measures.
 
+use fix_core::api::Evaluator;
 use fix_core::error::{Error, Result};
 use fix_durable::{DurableOptions, DurableStore, FsyncPolicy};
 use fix_serve::kernel::{self, Segment, Tally};

@@ -17,7 +17,7 @@ use fix_storage::{
     payload_key, FaultSource, Relation, RelationCache, RelationSink, Store, StoreSink,
 };
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -621,17 +621,9 @@ impl DurableStore {
         // index prune below sees them.
         let _ = self.flush();
         let inner = &self.inner;
-        let mut reachable: HashSet<[u8; 32]> = HashSet::new();
-        let mut stack: Vec<Handle> = roots.to_vec();
-        while let Some(h) = stack.pop() {
-            if h.is_literal() || !reachable.insert(payload_key(h)) {
-                continue;
-            }
-            // Faults lazily-resident trees in so the walk can descend.
-            if let Ok(Node::Tree(t)) = inner.store.get(h) {
-                stack.extend(t.entries().iter().copied());
-            }
-        }
+        // One walk (it faults lazily-resident trees in to descend)
+        // serves both the index prune and the memory sweep.
+        let reachable = inner.store.reachable(roots);
         let mut disk_only_pruned = 0usize;
         {
             let mut index = inner.index.write();
@@ -643,7 +635,7 @@ impl DurableStore {
                 keep
             });
         }
-        inner.store.gc(roots) + disk_only_pruned
+        inner.store.sweep(&reachable) + disk_only_pruned
     }
 
     /// Forgets one object entirely: evicts it from memory *and* drops it

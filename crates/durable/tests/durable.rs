@@ -275,6 +275,34 @@ fn gc_descends_through_non_resident_trees() {
 }
 
 #[test]
+fn gc_on_a_reopened_store_reads_each_reachable_tree_once() {
+    let dir = tempfile::tempdir().unwrap();
+    let (root, dead);
+    {
+        let d = DurableStore::open(dir.path(), opts()).unwrap();
+        let s = d.store();
+        // Leaves are literals (they ride in the handle), so the only
+        // disk reads the walk can cause are its three reachable trees.
+        let lit = |v: u64| Blob::from_u64(v).handle();
+        let left = s.put_tree(Tree::from_handles(vec![lit(1), lit(2)]));
+        let right = s.put_tree(Tree::from_handles(vec![lit(3), lit(4)]));
+        root = s.put_tree(Tree::from_handles(vec![left, right, left]));
+        dead = s.put_tree(Tree::from_handles(vec![lit(5), s.put_blob(blob(9, 40))]));
+        d.flush().unwrap();
+    }
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
+    assert_eq!(d.store().object_count(), 0, "restart must be lazy");
+    // The dead tree and its blob are disk-only: pruned from the index,
+    // counted, never read.
+    assert_eq!(d.gc(&[root]), 2);
+    assert_eq!(d.stats().faults, 3, "one mark walk, one fault per tree");
+    assert_eq!(d.store().object_count(), 3);
+    assert!(!d.store().contains(dead));
+    assert_eq!(d.store().get_tree(root).unwrap().len(), 3);
+    assert_eq!(d.stats().faults, 3, "the walk left its trees resident");
+}
+
+#[test]
 fn forget_drops_an_object_for_good() {
     let dir = tempfile::tempdir().unwrap();
     let b = blob(8, 55);

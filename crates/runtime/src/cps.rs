@@ -20,6 +20,7 @@
 //! ```
 //! use fixpoint::{Runtime, StepOutcome};
 //! use fixpoint::cps::{register_stepper, start};
+//! use fix_core::api::{Evaluator, ObjectApi};
 //! use fix_core::data::Blob;
 //! use fix_core::handle::EncodeStyle;
 //! use std::sync::Arc;
@@ -47,8 +48,8 @@
 //! assert_eq!(rt.get_u64(rt.eval(thunk).unwrap()).unwrap(), 3);
 //! ```
 
-use crate::registry::NativeFn;
 use crate::runtime::Runtime;
+use fix_core::api::{InvocationApi, NativeFn, ObjectApi};
 use fix_core::data::Blob;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{EncodeStyle, Handle};
@@ -209,6 +210,7 @@ pub fn start_with_limits(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::Evaluator;
     use fix_core::data::Tree;
     use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -21,7 +21,8 @@
 //! the `Eval` of the encoded Thunk, then (strict style only) the `Force`
 //! of its value.
 
-use crate::registry::{NativeCtx, ProgramRegistry};
+use crate::registry::ProgramRegistry;
+use fix_core::api::NativeCtx;
 use fix_core::data::{Blob, Node, Tree};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, EncodeStyle, Handle, Kind, ThunkKind};
@@ -36,7 +37,7 @@ use std::sync::Arc;
 
 /// A unit of evaluation work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Job {
+pub(crate) enum Job {
     /// Reduce a Thunk to a non-Thunk value.
     Eval(Handle),
     /// Deep-force a value so that everything inside is accessible.
@@ -54,7 +55,7 @@ impl std::fmt::Display for Job {
 
 /// The outcome of stepping a job once.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
+pub(crate) enum Step {
     /// The job finished with this result.
     Done(Handle),
     /// The job needs these jobs to finish first, then must be re-stepped.
@@ -77,11 +78,11 @@ pub struct EngineStats {
 /// The evaluation engine shared by all workers of one node.
 pub struct Engine {
     /// Object storage for this node.
-    pub store: Arc<Store>,
+    pub(crate) store: Arc<Store>,
     /// Memoized evaluation relations.
-    pub cache: Arc<RelationCache>,
+    pub(crate) cache: Arc<RelationCache>,
     /// Native procedure registry.
-    pub registry: Arc<ProgramRegistry>,
+    pub(crate) registry: Arc<ProgramRegistry>,
     /// Parsed-module cache (content-addressed, so never invalidated).
     modules: RwLock<HashMap<[u8; 24], Arc<Module>>>,
     /// Provenance recording for computational GC (paper §6); `None`
@@ -92,13 +93,13 @@ pub struct Engine {
 }
 
 /// A [`HostApi`] over the node's store: what procedures see.
-pub struct StoreHost<'a> {
+pub(crate) struct StoreHost<'a> {
     store: &'a Store,
 }
 
 impl<'a> StoreHost<'a> {
     /// Wraps a store.
-    pub fn new(store: &'a Store) -> StoreHost<'a> {
+    pub(crate) fn new(store: &'a Store) -> StoreHost<'a> {
         StoreHost { store }
     }
 }
@@ -138,7 +139,7 @@ fn splice(style: EncodeStyle, resolved: Handle) -> Handle {
 
 impl Engine {
     /// Creates an engine over the given storage and registry.
-    pub fn new(
+    pub(crate) fn new(
         store: Arc<Store>,
         cache: Arc<RelationCache>,
         registry: Arc<ProgramRegistry>,
@@ -157,18 +158,13 @@ impl Engine {
     /// procedure run or selection produces is recorded together with a
     /// *resolved* recipe — a Thunk over fully-substituted inputs — so
     /// the bytes can be evicted and recomputed on demand (paper §6).
-    pub fn with_provenance(mut self, ledger: Arc<ProvenanceLedger>) -> Engine {
+    pub(crate) fn with_provenance(mut self, ledger: Arc<ProvenanceLedger>) -> Engine {
         self.provenance = Some(ledger);
         self
     }
 
-    /// The provenance ledger, if recording is enabled.
-    pub fn provenance(&self) -> Option<&Arc<ProvenanceLedger>> {
-        self.provenance.as_ref()
-    }
-
     /// Executes one step of `job`.
-    pub fn step(&self, job: Job) -> Result<Step> {
+    pub(crate) fn step(&self, job: Job) -> Result<Step> {
         match job {
             Job::Eval(h) => self.step_eval(h),
             Job::Force(h) => self.step_force(h),

@@ -7,36 +7,36 @@
 //! which is where the ~microsecond invocation overhead of Fig. 7a comes
 //! from.
 //!
-//! Entry points:
-//!
-//! * [`Runtime`] — the public API (Table 1 operations + evaluation);
-//! * [`engine::Engine`] / [`engine::Job`] — the semantics core, also
-//!   reused by the distributed engine in `fix-cluster`;
-//! * [`registry::ProgramRegistry`] — native codelets;
-//! * [`scheduler::Scheduler`] — dependency tracking over restartable
-//!   jobs, driven inline or by a [`scheduler::WorkerPool`].
+//! [`Runtime`] is the public surface: it implements the One Fix API
+//! (`fix_core::api` — the Table 1 operations, submission and
+//! evaluation) and adds node-local accessors (store, cache, engine
+//! counters, metrics, gc, computational GC in [`recompute`]). Behind it,
+//! crate-private: `engine` (Fix semantics as restartable job steps),
+//! `registry` (native codelets) and `scheduler` (dependency tracking
+//! over those jobs, driven inline or by a worker pool).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cps;
-pub mod engine;
+mod engine;
 pub mod recompute;
-pub mod registry;
+mod registry;
 pub mod runtime;
-pub mod scheduler;
+mod scheduler;
 mod submit;
 
 pub use cps::{StepCtx, StepFn, StepOutcome};
-pub use engine::{Engine, Job, Step};
+pub use engine::{Engine, EngineStats};
 pub use recompute::{EvictionOutcome, RecomputeReport};
-pub use registry::{native_marker, NativeCtx, NativeFn, ProgramRegistry};
+pub use registry::native_marker;
 pub use runtime::{Runtime, RuntimeBuilder};
-pub use scheduler::{Scheduler, WorkerPool};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Job, Step};
+    use fix_core::api::{Evaluator, InvocationApi, ObjectApi};
     use fix_core::data::{Blob, Tree};
     use fix_core::error::Error;
     use fix_core::handle::Kind;

@@ -15,6 +15,7 @@
 
 use crate::engine::Job;
 use crate::runtime::Runtime;
+use fix_core::api::Evaluator;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{Handle, Kind, ThunkKind};
 use fix_storage::{
@@ -84,12 +85,6 @@ impl Runtime {
         let mut in_progress: HashSet<[u8; 32]> = HashSet::new();
         self.materialize_inner(ledger, handle, 1, &mut in_progress, &mut report)?;
         Ok(report)
-    }
-
-    /// Convenience: materialize, then read a blob.
-    pub fn get_blob_recomputing(&self, handle: Handle) -> Result<fix_core::data::Blob> {
-        self.materialize(handle)?;
-        self.get_blob(handle)
     }
 
     fn materialize_inner(
@@ -168,6 +163,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::{InvocationApi, ObjectApi};
     use fix_core::data::Blob;
     use fix_core::limits::ResourceLimits;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,7 +219,8 @@ mod tests {
         assert!(!rt.store().contains(out));
 
         // A cold read transparently re-runs the procedure.
-        let blob = rt.get_blob_recomputing(out).unwrap();
+        rt.materialize(out).unwrap();
+        let blob = rt.get_blob(out).unwrap();
         assert_eq!(
             u64::from_le_bytes(blob.as_slice()[..8].try_into().unwrap()),
             42
@@ -305,7 +302,8 @@ mod tests {
             .any(|v| v.handle == slice.as_object_handle()));
         assert!(!rt.store().contains(slice));
 
-        let got = rt.get_blob_recomputing(slice).unwrap();
+        rt.materialize(slice).unwrap();
+        let got = rt.get_blob(slice).unwrap();
         assert_eq!(got, expect);
     }
 

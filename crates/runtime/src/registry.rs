@@ -17,17 +17,13 @@ use fix_core::data::Blob;
 use fix_core::handle::Handle;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-// The codelet context and signature live in `fix_core::api` since the
-// One Fix API refactor, so backend-agnostic code can register natives
-// through `InvocationApi` without depending on this crate.
-pub use fix_core::api::{NativeCtx, NativeFn};
+use fix_core::api::NativeFn;
 
 /// Maps procedure handles to native implementations.
 #[derive(Default)]
-pub struct ProgramRegistry {
-    by_handle: RwLock<HashMap<[u8; 32], (String, NativeFn)>>,
+pub(crate) struct ProgramRegistry {
+    by_handle: RwLock<HashMap<[u8; 32], NativeFn>>,
 }
 
 /// Builds the content-addressed marker blob for a native procedure name.
@@ -49,7 +45,7 @@ impl ProgramRegistry {
         let handle = blob.handle();
         let mut key = *handle.raw();
         key[30] = 0;
-        self.by_handle.write().insert(key, (name.to_string(), f));
+        self.by_handle.write().insert(key, f);
         (blob, handle)
     }
 
@@ -57,22 +53,14 @@ impl ProgramRegistry {
     pub fn lookup(&self, handle: Handle) -> Option<NativeFn> {
         let mut key = *handle.raw();
         key[30] = 0;
-        self.by_handle.read().get(&key).map(|(_, f)| Arc::clone(f))
-    }
-
-    /// The registered procedure names (for diagnostics).
-    pub fn names(&self) -> Vec<String> {
-        self.by_handle
-            .read()
-            .values()
-            .map(|(n, _)| n.clone())
-            .collect()
+        self.by_handle.read().get(&key).cloned()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn register_and_lookup() {
@@ -90,15 +78,5 @@ mod tests {
         let b = native_marker("add");
         assert_eq!(a.handle(), b.handle());
         assert_ne!(a.handle(), native_marker("sub").handle());
-    }
-
-    #[test]
-    fn names_are_listed() {
-        let reg = ProgramRegistry::new();
-        reg.register("alpha", Arc::new(|ctx| Ok(ctx.input)));
-        reg.register("beta", Arc::new(|ctx| Ok(ctx.input)));
-        let mut names = reg.names();
-        names.sort();
-        assert_eq!(names, vec!["alpha", "beta"]);
     }
 }

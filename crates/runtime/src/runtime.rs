@@ -6,13 +6,14 @@
 //! and ask for evaluation.
 
 use crate::engine::{Engine, Job};
-use crate::registry::{NativeFn, ProgramRegistry};
+use crate::registry::ProgramRegistry;
 use crate::scheduler::{Scheduler, WorkerPool};
-use fix_core::api::{BatchTicket, SubmitOptions, Ticket};
-use fix_core::data::{Blob, Node, Tree};
+use fix_core::api::{
+    BatchTicket, Evaluator, InvocationApi, NativeFn, ObjectApi, SubmitApi, SubmitOptions,
+};
+use fix_core::data::{Blob, Node};
 use fix_core::error::Result;
 use fix_core::handle::Handle;
-use fix_core::limits::ResourceLimits;
 use fix_core::semantics::{footprint, footprint_many, Footprint};
 use fix_durable::DurableStore;
 use fix_storage::{Labels, ProvenanceLedger, RelationCache, Store};
@@ -115,6 +116,7 @@ impl RuntimeBuilder {
 ///
 /// ```
 /// use fixpoint::Runtime;
+/// use fix_core::api::{Evaluator, InvocationApi, ObjectApi};
 /// use fix_core::data::Blob;
 /// use fix_core::limits::ResourceLimits;
 /// use std::sync::Arc;
@@ -183,166 +185,10 @@ impl Runtime {
         &self.scheduler
     }
 
-    // ------------------------------------------------------------------
-    // Data (Table 1: create_blob / create_tree / read_blob / read_tree).
-    // ------------------------------------------------------------------
-
-    /// Stores a blob, returning its handle.
-    pub fn put_blob(&self, blob: Blob) -> Handle {
-        self.store.put_blob(blob)
-    }
-
-    /// Stores a tree, returning its handle.
-    pub fn put_tree(&self, tree: Tree) -> Handle {
-        self.store.put_tree(tree)
-    }
-
-    /// Reads a blob back.
-    pub fn get_blob(&self, handle: Handle) -> Result<Blob> {
-        self.store.get_blob(handle)
-    }
-
-    /// Reads a tree back.
-    pub fn get_tree(&self, handle: Handle) -> Result<Tree> {
-        self.store.get_tree(handle)
-    }
-
-    // ------------------------------------------------------------------
-    // Procedures.
-    // ------------------------------------------------------------------
-
-    /// Registers a native codelet; stores and returns its marker handle.
-    pub fn register_native(&self, name: &str, f: NativeFn) -> Handle {
-        let (blob, handle) = self.registry.register(name, f);
-        self.store.put_blob(blob);
-        handle
-    }
-
     /// Assembles FixVM source, stores the module blob, returns its handle.
     pub fn install_vm_module(&self, source: &str) -> Result<Handle> {
         let module = fix_vm::assemble(source)?;
         Ok(self.store.put_blob(Blob::from_vec(module.to_bytes())))
-    }
-
-    // ------------------------------------------------------------------
-    // Thunks and encodes (Table 1).
-    // ------------------------------------------------------------------
-
-    /// Builds and stores an application tree `[limits, proc, args...]`,
-    /// returning the Application Thunk. (Canonical definition:
-    /// [`InvocationApi::apply`](fix_core::api::InvocationApi::apply) —
-    /// delegated so the generic and concrete call paths cannot diverge.)
-    pub fn apply(
-        &self,
-        limits: ResourceLimits,
-        procedure: Handle,
-        args: &[Handle],
-    ) -> Result<Handle> {
-        fix_core::api::InvocationApi::apply(self, limits, procedure, args)
-    }
-
-    /// Builds and stores a selection thunk for `target[index]`.
-    pub fn select(&self, target: Handle, index: u64) -> Result<Handle> {
-        fix_core::api::InvocationApi::select(self, target, index)
-    }
-
-    /// Builds and stores a selection thunk for `target[begin..end]`.
-    pub fn select_range(&self, target: Handle, begin: u64, end: u64) -> Result<Handle> {
-        fix_core::api::InvocationApi::select_range(self, target, begin, end)
-    }
-
-    // ------------------------------------------------------------------
-    // Evaluation.
-    // ------------------------------------------------------------------
-
-    /// Evaluates a handle to a non-Thunk value (weak head normal form).
-    ///
-    /// Values evaluate to themselves; Thunks are reduced (running
-    /// procedures as needed); Encodes are resolved per their style.
-    pub fn eval(&self, handle: Handle) -> Result<Handle> {
-        if handle.is_value() {
-            return Ok(handle);
-        }
-        self.scheduler.run_inline(Job::Eval(handle))
-    }
-
-    /// Fully evaluates: reduces to a value, then deep-forces it so every
-    /// nested Thunk/Encode is resolved and every Ref promoted.
-    pub fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        let value = self.eval(handle)?;
-        self.scheduler.run_inline(Job::Force(value))
-    }
-
-    /// Evaluates a batch of independent requests (results positional):
-    /// [`submit_many`](Runtime::submit_many) followed by an immediate
-    /// [`BatchTicket::wait`], as
-    /// [`Evaluator::eval_many`](fix_core::api::Evaluator::eval_many)
-    /// defines it. The whole batch enters the scheduler (and registers
-    /// its completion watchers) under **one** lock acquisition and one
-    /// wakeup broadcast — the batched dispatch path measured by the
-    /// `api_eval_many` bench. Shared sub-computations are deduplicated
-    /// across the batch exactly as they are within one evaluation.
-    pub fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
-        self.submit_many(handles).wait()
-    }
-
-    // ------------------------------------------------------------------
-    // Submission (the native SubmitApi backend).
-    // ------------------------------------------------------------------
-
-    /// Begins evaluating a batch under request-scoped options —
-    /// deadline (virtual µs), [`Priority`](fix_core::api::Priority)
-    /// class, WHNF-vs-strict [`Mode`](fix_core::api::Mode) — returning
-    /// a ticket for the positional results; the native implementation
-    /// of [`SubmitApi::submit_with`](fix_core::api::SubmitApi::submit_with).
-    ///
-    /// Submission takes the scheduler's job-map lock once, registers a
-    /// completion watcher per request (a strict request watches its
-    /// whole eval→force chain as one slot), and returns immediately;
-    /// the scheduler's completion notifications fill the ticket as jobs
-    /// finish. No caller thread is parked per batch: with a worker pool
-    /// the batch executes behind the caller's back, and on a pool-less
-    /// runtime waiting on *any* ticket drives the shared queue (so
-    /// overlapped batches still all make progress).
-    ///
-    /// Cancelling the ticket — or dropping it unresolved, cancel's
-    /// implicit form — fails unresolved slots with
-    /// [`Error::Cancelled`](fix_core::Error::Cancelled), withdraws the
-    /// watchers on the spot (see
-    /// [`submission_watchers`](Runtime::submission_watchers)), and
-    /// withdraws still-queued jobs no other live request shares (see
-    /// [`queued_jobs`](Runtime::queued_jobs)); shared or already-running
-    /// jobs remain ordinary scheduler state. A batch whose deadline the
-    /// [virtual clock](Runtime::virtual_now) passes before dispatch
-    /// expires with [`Error::DeadlineExceeded`](fix_core::Error::DeadlineExceeded)
-    /// instead of executing.
-    pub fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
-        crate::submit::submit_with(&self.scheduler, handles, options)
-    }
-
-    /// Begins evaluating a batch with default options (no deadline,
-    /// normal priority, WHNF); see [`submit_with`](Runtime::submit_with).
-    pub fn submit_many(&self, handles: &[Handle]) -> BatchTicket {
-        self.submit_with(handles, SubmitOptions::default())
-    }
-
-    /// Begins evaluating one handle (a batch of one); see
-    /// [`submit_many`](Runtime::submit_many).
-    pub fn submit(&self, handle: Handle) -> Ticket {
-        fix_core::api::SubmitApi::submit(self, handle)
-    }
-
-    /// The scheduler's virtual clock, in µs — the timeline submission
-    /// deadlines are measured on. Starts at zero and never moves with
-    /// wall time.
-    pub fn virtual_now(&self) -> u64 {
-        self.scheduler.virtual_now()
-    }
-
-    /// Advances the virtual clock by `us` µs; queued submissions whose
-    /// deadline the clock passes are expired lazily at dequeue.
-    pub fn advance_virtual_clock(&self, us: u64) {
-        self.scheduler.advance_clock(us)
     }
 
     /// Completion watchers currently registered for in-flight submitted
@@ -369,14 +215,6 @@ impl Runtime {
     /// via exactly this.
     pub fn work_steals(&self) -> u64 {
         self.scheduler.steals()
-    }
-
-    /// The runtime's metrics registry, for registering additional
-    /// counters/gauges/histograms that should appear in
-    /// [`metrics`](Runtime::metrics) snapshots alongside the built-in
-    /// scheduler and engine metrics.
-    pub fn metrics_registry(&self) -> &fix_obs::Registry {
-        &self.metrics
     }
 
     /// A unified metrics snapshot: scheduler counters (adopted live
@@ -412,39 +250,6 @@ impl Runtime {
             snap.merge(&d.metrics());
         }
         snap
-    }
-
-    /// Procedures actually executed so far (memoization cache misses).
-    pub fn procedures_run(&self) -> u64 {
-        self.engine
-            .stats
-            .procedures_run
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Convenience: apply + strict evaluation in one call.
-    pub fn run(
-        &self,
-        limits: ResourceLimits,
-        procedure: Handle,
-        args: &[Handle],
-    ) -> Result<Handle> {
-        let thunk = self.apply(limits, procedure, args)?;
-        self.eval_strict(thunk)
-    }
-
-    /// Computes the minimum repository of a thunk (paper §3.3), using
-    /// whatever evaluation results are already memoized.
-    pub fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-        footprint(self.store.as_ref(), thunk, self.cache.as_ref())
-    }
-
-    /// Computes the combined minimum repository of a batch of requests,
-    /// walking data shared between requests once: the deduplicated set a
-    /// batch transfer must ship, or a snapshot must pin, to cover all of
-    /// them (see [`fix_core::semantics::footprint_many`]).
-    pub fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        footprint_many(self.store.as_ref(), thunks, self.cache.as_ref())
     }
 
     /// Runs garbage collection, keeping only objects reachable from
@@ -486,27 +291,6 @@ impl Runtime {
     pub fn compact_scheduler(&self) -> usize {
         self.scheduler.forget_finished()
     }
-
-    /// Reads a `u64` result blob (common in examples and tests).
-    pub fn get_u64(&self, handle: Handle) -> Result<u64> {
-        fix_core::api::ObjectApi::get_u64(self, handle)
-    }
-
-    /// Builds a strict encode of an application, the most common idiom:
-    /// `strict(application([limits, proc, args...]))`.
-    pub fn strict_apply(
-        &self,
-        limits: ResourceLimits,
-        procedure: Handle,
-        args: &[Handle],
-    ) -> Result<Handle> {
-        fix_core::api::InvocationApi::strict_apply(self, limits, procedure, args)
-    }
-
-    /// Stores a whole [`Node`].
-    pub fn put(&self, node: Node) -> Handle {
-        self.store.put(node)
-    }
 }
 
 impl Default for Runtime {
@@ -516,15 +300,14 @@ impl Default for Runtime {
 }
 
 // ----------------------------------------------------------------------
-// The One Fix API (fix_core::api): Runtime is the reference backend.
-// The trait impls delegate to the inherent methods above so that code
-// written against either surface behaves identically; everything not
-// listed here is the trait's provided method.
+// The One Fix API (fix_core::api): Runtime is the reference backend, and
+// these four impls are the only way to call it. Everything not listed
+// here is the trait's provided method.
 // ----------------------------------------------------------------------
 
-impl fix_core::api::ObjectApi for Runtime {
+impl ObjectApi for Runtime {
     fn put(&self, node: Node) -> Handle {
-        Runtime::put(self, node)
+        self.store.put(node)
     }
 
     fn get(&self, handle: Handle) -> Result<Node> {
@@ -536,46 +319,82 @@ impl fix_core::api::ObjectApi for Runtime {
     }
 }
 
-impl fix_core::api::InvocationApi for Runtime {
+impl InvocationApi for Runtime {
     fn register_native(&self, name: &str, f: NativeFn) -> Handle {
-        Runtime::register_native(self, name, f)
+        let (blob, handle) = self.registry.register(name, f);
+        self.store.put_blob(blob);
+        handle
     }
 }
 
-impl fix_core::api::SubmitApi for Runtime {
+impl SubmitApi for Runtime {
+    /// Submission takes the scheduler's job-map lock once, registers a
+    /// completion watcher per request (a strict request watches its
+    /// whole eval→force chain as one slot), and returns immediately;
+    /// the scheduler's completion notifications fill the ticket as jobs
+    /// finish. No caller thread is parked per batch: with a worker pool
+    /// the batch executes behind the caller's back, and on a pool-less
+    /// runtime waiting on *any* ticket drives the shared queue (so
+    /// overlapped batches still all make progress).
+    ///
+    /// Cancelling the ticket — or dropping it unresolved, cancel's
+    /// implicit form — fails unresolved slots with
+    /// [`Error::Cancelled`](fix_core::Error::Cancelled), withdraws the
+    /// watchers on the spot (see
+    /// [`submission_watchers`](Runtime::submission_watchers)), and
+    /// withdraws still-queued jobs no other live request shares (see
+    /// [`queued_jobs`](Runtime::queued_jobs)); shared or already-running
+    /// jobs remain ordinary scheduler state. A batch whose deadline the
+    /// virtual clock passes before dispatch expires with
+    /// [`Error::DeadlineExceeded`](fix_core::Error::DeadlineExceeded)
+    /// instead of executing.
     fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
-        Runtime::submit_with(self, handles, options)
+        crate::submit::submit_with(&self.scheduler, handles, options)
     }
 
+    /// The scheduler's virtual clock: starts at zero and never moves
+    /// with wall time.
     fn virtual_now(&self) -> u64 {
-        Runtime::virtual_now(self)
+        self.scheduler.virtual_now()
     }
 
+    /// Queued submissions whose deadline the clock passes are expired
+    /// lazily at dequeue.
     fn advance_virtual_clock(&self, us: u64) {
-        Runtime::advance_virtual_clock(self, us)
+        self.scheduler.advance_clock(us)
     }
 }
 
-impl fix_core::api::Evaluator for Runtime {
+impl Evaluator for Runtime {
     /// Overrides the provided submit-and-wait with the allocation-free
     /// inline drive (the Fig. 7a microsecond path).
     fn eval(&self, handle: Handle) -> Result<Handle> {
-        Runtime::eval(self, handle)
+        if handle.is_value() {
+            return Ok(handle);
+        }
+        self.scheduler.run_inline(Job::Eval(handle))
     }
 
     fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        Runtime::eval_strict(self, handle)
+        let value = self.eval(handle)?;
+        self.scheduler.run_inline(Job::Force(value))
     }
 
+    /// Uses whatever evaluation results are already memoized.
     fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-        Runtime::footprint(self, thunk)
+        footprint(self.store.as_ref(), thunk, self.cache.as_ref())
     }
 
+    /// Walks data shared between requests once (see
+    /// [`fix_core::semantics::footprint_many`]).
     fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        Runtime::footprint_many(self, thunks)
+        footprint_many(self.store.as_ref(), thunks, self.cache.as_ref())
     }
 
     fn procedures_run(&self) -> u64 {
-        Runtime::procedures_run(self)
+        self.engine
+            .stats
+            .procedures_run
+            .load(std::sync::atomic::Ordering::Relaxed)
     }
 }

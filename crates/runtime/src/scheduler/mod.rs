@@ -135,7 +135,7 @@ pub(crate) fn job_trace_id(job: &Job) -> u64 {
 }
 
 /// The shared scheduler for one node.
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     engine: Arc<Engine>,
     /// Layer 1: per-job bookkeeping, sharded by job hash.
     jobs: JobMap,
@@ -194,11 +194,6 @@ impl Scheduler {
             workers_running: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
         }
-    }
-
-    /// The engine this scheduler drives.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
     }
 
     /// The virtual clock, in µs.
@@ -941,20 +936,6 @@ impl Scheduler {
         }
     }
 
-    /// Blocks until the job completes (requires a running [`WorkerPool`]
-    /// or another thread driving the queue). The job should have been
-    /// submitted with [`submit`](Scheduler::submit), which pins it —
-    /// an unpinned job could be withdrawn by a cancellation and never
-    /// complete.
-    pub fn wait(&self, job: Job) -> Result<Handle> {
-        loop {
-            if let Some(result) = self.poll(job) {
-                return result;
-            }
-            self.park_unless(PARK_SAFETY, || self.poll(job).is_some());
-        }
-    }
-
     /// Registered completion watchers across all watched batches
     /// (diagnostic; the leak test pins this to zero after tickets are
     /// resolved or dropped).
@@ -1188,7 +1169,7 @@ impl Drop for Claim<'_> {
 
 /// A pool of worker threads draining a scheduler's deques, worker `i`
 /// pinned to deque slot `i`.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     scheduler: Arc<Scheduler>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -1207,14 +1188,6 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { scheduler, threads }
-    }
-
-    /// Signals shutdown and joins all workers.
-    pub fn shutdown(mut self) {
-        self.scheduler.begin_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 

@@ -203,15 +203,23 @@ pub struct Arrival {
     pub seq: u64,
 }
 
-/// Derives tenant `i`'s private RNG stream from the run seed
-/// (SplitMix64-style mixing, so adjacent tenants are uncorrelated).
-pub fn tenant_seed(run_seed: u64, tenant: usize, stream: u64) -> u64 {
-    let mut z = run_seed
-        .wrapping_add((tenant as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+/// The SplitMix64 finalizer: the one stateless mixer behind tenant
+/// seeds, request-kind draws and rendezvous scores. Each caller folds
+/// its own inputs into `z` first.
+pub(crate) fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Derives tenant `i`'s private RNG stream from the run seed
+/// (SplitMix64-style mixing, so adjacent tenants are uncorrelated).
+pub fn tenant_seed(run_seed: u64, tenant: usize, stream: u64) -> u64 {
+    splitmix64_mix(
+        run_seed
+            .wrapping_add((tenant as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+    )
 }
 
 /// Merges per-tenant arrival streams into one globally ordered

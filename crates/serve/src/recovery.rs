@@ -15,6 +15,7 @@
 //! the tests here and by the `durable_serving` example / CI smoke).
 
 use crate::server::{serve, ServeConfig, ServeReport};
+use fix_core::api::Evaluator;
 use fix_core::error::Result;
 use fix_durable::{DurableOptions, DurableStore, FsyncPolicy, KillMode, KillPoint};
 use fixpoint::Runtime;

@@ -19,6 +19,7 @@
 //! seeded PRNG) — no wall clock anywhere, which is what keeps the
 //! multi-node tables bit-identical across runs.
 
+use crate::loadgen::splitmix64_mix;
 use fix_core::handle::Handle;
 
 /// Which placement discipline the dispatcher runs.
@@ -68,13 +69,10 @@ pub fn handle_key(h: Handle) -> u64 {
     u64::from_le_bytes(h.raw()[..8].try_into().expect("handle has 32 bytes"))
 }
 
-/// SplitMix64 finalizer: the same stateless mixer the serve layer draws
+/// One SplitMix64 step: the same stateless mixer the serve layer draws
 /// request kinds with.
 fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64_mix(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// A node's salt depends on its index alone, so changing the node set

@@ -191,6 +191,7 @@ impl SnfPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::{Evaluator, ObjectApi};
     use fixpoint::Runtime;
 
     #[test]

@@ -10,7 +10,7 @@
 //! running through Flatware.
 
 use crate::closed_loop::ClosedLoopSpec;
-use crate::loadgen::{ArrivalProcess, Micros};
+use crate::loadgen::{splitmix64_mix, ArrivalProcess, Micros};
 use crate::snf::SnfSpec;
 use fix_core::api::{InvocationApi, Priority};
 use fix_core::data::Blob;
@@ -359,10 +359,7 @@ pub fn draw_kind(mix: &[(RequestKind, u32)], seed: u64, seq: u64) -> RequestKind
     let total: u64 = mix.iter().map(|(_, w)| *w as u64).sum();
     assert!(total > 0, "tenant mix weights must not all be zero");
     // Stateless splittable draw: hash (seed, seq) to a weight slot.
-    let mut z = seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    let mut slot = (z ^ (z >> 31)) % total;
+    let mut slot = splitmix64_mix(seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % total;
     for (kind, w) in mix {
         if slot < *w as u64 {
             return *kind;
@@ -375,6 +372,7 @@ pub fn draw_kind(mix: &[(RequestKind, u32)], seed: u64, seq: u64) -> RequestKind
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::Evaluator;
     use fixpoint::Runtime;
 
     fn tenants() -> Vec<TenantSpec> {

@@ -8,7 +8,7 @@ use fix_core::error::{Error, Result};
 use fix_core::handle::Handle;
 use fix_core::semantics::DataSource;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -191,14 +191,12 @@ impl Store {
         self.total_bytes.load(Ordering::Relaxed)
     }
 
-    /// Removes everything not reachable from `roots`.
-    ///
-    /// Reachability follows tree entries and thunk/encode definitions;
-    /// this is the conservative sweep behind the paper's "computational
-    /// garbage collection" discussion (§6). Returns the number of objects
-    /// collected.
-    pub fn gc(&self, roots: &[Handle]) -> usize {
-        let mut reachable = std::collections::HashSet::new();
+    /// The mark phase of garbage collection: the payload keys of every
+    /// non-literal object reachable from `roots`, following tree entries
+    /// and thunk/encode definitions. Trees held only by a backing tier
+    /// are faulted in so the walk can descend.
+    pub fn reachable(&self, roots: &[Handle]) -> HashSet<[u8; 32]> {
+        let mut reachable = HashSet::new();
         let mut stack: Vec<Handle> = roots.to_vec();
         while let Some(h) = stack.pop() {
             if h.is_literal() || !reachable.insert(payload_key(h)) {
@@ -208,6 +206,12 @@ impl Store {
                 stack.extend(t.entries().iter().copied());
             }
         }
+        reachable
+    }
+
+    /// The sweep phase: drops every resident object whose payload key is
+    /// not in `reachable`, returning the number dropped.
+    pub fn sweep(&self, reachable: &HashSet<[u8; 32]>) -> usize {
         let mut collected = 0;
         for shard in &self.shards {
             let mut guard = shard.write();
@@ -223,6 +227,16 @@ impl Store {
             collected += before - guard.len();
         }
         collected
+    }
+
+    /// Removes everything not reachable from `roots`
+    /// ([`reachable`](Store::reachable), then [`sweep`](Store::sweep)).
+    ///
+    /// This is the conservative sweep behind the paper's "computational
+    /// garbage collection" discussion (§6). Returns the number of objects
+    /// collected.
+    pub fn gc(&self, roots: &[Handle]) -> usize {
+        self.sweep(&self.reachable(roots))
     }
 
     /// Drops a single object, returning its payload size in bytes, or

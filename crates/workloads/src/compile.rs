@@ -394,6 +394,7 @@ pub fn fig10_graph(p: &Fig10Params) -> JobGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::ObjectApi;
     use fixpoint::Runtime;
 
     #[test]

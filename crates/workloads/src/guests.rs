@@ -39,6 +39,7 @@ pub fn install<R: InvocationApi>(rt: &R, source: &str) -> Result<Handle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_core::api::{Evaluator, ObjectApi};
     use fix_core::data::Blob;
     use fix_core::limits::ResourceLimits;
     use fixpoint::Runtime;

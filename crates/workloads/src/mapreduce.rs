@@ -85,6 +85,7 @@ impl MapReduce {
 mod tests {
     use super::*;
     use crate::wordcount::{register_count_string, register_merge_counts, store_shards};
+    use fix_core::api::ObjectApi;
     use fix_core::data::Blob;
     use fixpoint::Runtime;
     use std::sync::atomic::Ordering;

@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example bptree_kvstore [n_keys]`
 
+use fix::prelude::*;
 use fix::workloads::bptree::{build, lookup_fix, lookup_trusted, register_lookup, table2};
 use fix::workloads::titles::generate_sorted_titles;
-use fixpoint::Runtime;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example compile_farm [n_files]`
 
+use fix::prelude::*;
 use fix::workloads::compile::{build_project_fix, compile_unit, generate_source};
-use fixpoint::Runtime;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 

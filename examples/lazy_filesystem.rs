@@ -5,10 +5,7 @@
 //!
 //! Run with: `cargo run --example lazy_filesystem`
 
-use fix_core::data::Blob;
-use fix_core::invocation::Invocation;
-use fix_core::limits::ResourceLimits;
-use fixpoint::Runtime;
+use fix::prelude::*;
 use flatware::{get_file, register_get_file, FsBuilder};
 
 fn main() {

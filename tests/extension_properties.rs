@@ -2,7 +2,6 @@
 //! hold for *any* workload shape, not just the hand-picked ones.
 
 use fix::prelude::*;
-use fix_attest::{Attestation, ProviderId};
 use fix_billing::{bill_effort, bill_results, InvocationUsage, Money, PriceSheet};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -86,24 +85,6 @@ proptest! {
         prop_assert!(report.max_depth <= planned,
             "materialized depth {} > planned {}", report.max_depth, planned);
         prop_assert_eq!(report.objects_materialized, chain_len);
-    }
-
-    /// Attestations verify exactly for the signing key and content.
-    #[test]
-    fn attestation_authentication(
-        key in any::<[u8; 32]>(),
-        other_key in any::<[u8; 32]>(),
-        name in "[a-zA-Z0-9]{1,12}",
-        payload in proptest::collection::vec(any::<u8>(), 31..64),
-    ) {
-        let blob = Blob::from_slice(&payload);
-        let def = Tree::from_handles(vec![blob.handle()]);
-        let thunk = def.handle().application().unwrap();
-        let att = Attestation::sign(thunk, blob.handle(), ProviderId(name), &key);
-        prop_assert!(att.verify(&key));
-        if other_key != key {
-            prop_assert!(!att.verify(&other_key));
-        }
     }
 
     /// Pay-for-results is invariant in wall time and L3 misses, and

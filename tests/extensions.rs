@@ -1,9 +1,8 @@
 //! Integration tests for the paper-§6 extension systems: computational
-//! garbage collection, pay-for-results billing, and the attested
-//! compute marketplace — exercised together, across crates.
+//! garbage collection and pay-for-results billing — exercised together,
+//! across crates.
 
 use fix::prelude::*;
-use fix_attest::{Behavior, CheckPolicy, InsurancePolicy, Marketplace, Provider};
 use fix_billing::{bill_effort, bill_results, meter_eval, Money, PriceSheet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -189,63 +188,6 @@ fn metered_real_evaluation_produces_consistent_invoices() {
 }
 
 #[test]
-fn marketplace_settles_disputes_over_a_real_job() {
-    // Providers answering a pipeline job; the cheap one lies every time.
-    let customer = Runtime::builder().build();
-    let square = customer
-        .install_vm_module(
-            r#"
-            func apply args=0 locals=0
-              const 64
-              mem.grow
-              drop
-              const 0
-              const 0
-              const 2
-              tree.get
-              const 0
-              blob.read_u64
-              dup
-              mul
-              mem.store64
-              const 0
-              const 48
-              blob.create
-              ret_handle
-            end
-            "#,
-        )
-        .unwrap();
-    let thunk = customer
-        .apply(
-            limits(),
-            square,
-            &[customer.put_blob(Blob::from_u64(1_000_003))],
-        )
-        .unwrap();
-    let job = customer.store().export(thunk).unwrap().to_bytes();
-
-    let mut market = Marketplace::new(
-        vec![
-            Provider::new("Cheap", Money::from_micros(5), Behavior::WrongEvery(1)),
-            Provider::new("Fair", Money::from_micros(40), Behavior::Honest),
-            Provider::new("Dear", Money::from_micros(80), Behavior::Honest),
-        ],
-        InsurancePolicy::default(),
-    );
-    let out = market.submit(&job, CheckPolicy::Replicate(2)).unwrap();
-    assert!(out.disputed);
-    assert_eq!(out.claims.len(), 1);
-
-    let got = market.fetch(&out, &customer).unwrap();
-    let blob = customer.get_blob(got).unwrap();
-    assert_eq!(
-        u64::from_le_bytes(blob.as_slice()[..8].try_into().unwrap()),
-        1_000_003u64 * 1_000_003
-    );
-}
-
-#[test]
 fn provenance_recording_does_not_change_results() {
     // The same pipeline with and without the ledger produces identical
     // handles (recording is pure observation).
@@ -299,42 +241,6 @@ fn recompute_fails_cleanly_when_procedure_is_gone() {
         err.to_string().contains("procedure") || err.to_string().contains("not found"),
         "unexpected error: {err}"
     );
-}
-
-#[test]
-fn marketplace_tie_is_an_error_not_a_coin_flip() {
-    // Two providers, both dishonest in different ways: no majority.
-    let customer = Runtime::builder().build();
-    let neg = customer
-        .install_vm_module(
-            r#"
-            func apply args=0 locals=0
-              const 0
-              const 2
-              tree.get
-              const 0
-              blob.read_u64
-              const 0
-              sub
-              blob.create_u64
-              ret_handle
-            end
-            "#,
-        )
-        .unwrap();
-    let thunk = customer
-        .apply(limits(), neg, &[customer.put_blob(Blob::from_u64(3))])
-        .unwrap();
-    let job = customer.store().export(thunk).unwrap().to_bytes();
-    let mut market = Marketplace::new(
-        vec![
-            Provider::new("LiarA", Money::from_micros(1), Behavior::WrongEvery(1)),
-            Provider::new("LiarB", Money::from_micros(2), Behavior::WrongEvery(1)),
-        ],
-        InsurancePolicy::default(),
-    );
-    let err = market.submit(&job, CheckPolicy::Replicate(2)).unwrap_err();
-    assert!(err.to_string().contains("tie"), "{err}");
 }
 
 #[test]
