@@ -67,7 +67,7 @@ pub use error::{Error, Result};
 pub use handle::{DataType, EncodeStyle, Handle, Kind, ThunkKind};
 pub use invocation::{Invocation, Selection};
 pub use limits::ResourceLimits;
-pub use wire::Parcel;
+pub use wire::{Parcel, VerifiedParcel};
 
 #[cfg(test)]
 mod handle_tests {

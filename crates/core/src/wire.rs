@@ -25,6 +25,9 @@ use crate::handle::{DataType, Handle, Kind};
 /// The 8-byte parcel magic.
 pub const MAGIC: &[u8; 8] = b"FIXWIRE1";
 
+/// Bytes of an object's header inside a parcel: its handle and length.
+const OBJECT_HEADER: usize = 32 + 4;
+
 /// A self-contained shipment of Fix objects plus a root of interest
 /// (a thunk to evaluate remotely, or a value being returned).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,6 +67,17 @@ impl Parcel {
     /// canonical and every payload must hash to its declared handle —
     /// a receiving node never trusts the sender's names.
     pub fn from_bytes(data: &[u8]) -> Result<Parcel> {
+        let verified = Parcel::verify(data)?;
+        Ok(Parcel {
+            root: verified.root,
+            objects: verified.objects.into_iter().map(|(_, n)| n).collect(),
+        })
+    }
+
+    /// [`from_bytes`](Parcel::from_bytes), keeping beside each object the
+    /// canonical handle its payload was hashed to during verification,
+    /// so a receiver that stores the objects need not hash them again.
+    pub fn verify(data: &[u8]) -> Result<VerifiedParcel> {
         let fail = |r: &str| Error::Trap(format!("malformed parcel: {r}"));
         if data.len() < MAGIC.len() + 36 || &data[..MAGIC.len()] != MAGIC {
             return Err(fail("bad magic or truncated header"));
@@ -85,6 +99,12 @@ impl Parcel {
             let b = take(&mut pos, 4)?;
             u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize
         };
+        // The count is the sender's claim: reserve no more than the
+        // remaining bytes could hold (an object is at least its 36-byte
+        // header).
+        if count > (data.len() - pos) / OBJECT_HEADER {
+            return Err(fail("truncated parcel"));
+        }
         let mut objects = Vec::with_capacity(count);
         for _ in 0..count {
             let mut raw = [0u8; 32];
@@ -105,25 +125,44 @@ impl Parcel {
                 _ => return Err(fail("parcel object with a non-value handle")),
             };
             // Verify content addressing: payload must match the name.
-            if node.handle().digest() != declared.digest()
-                || node.handle().size() != declared.size()
-            {
+            let computed = node.handle();
+            if computed.digest() != declared.digest() || computed.size() != declared.size() {
                 return Err(Error::Trap(format!(
-                    "parcel integrity failure: declared {declared}, got {}",
-                    node.handle()
+                    "parcel integrity failure: declared {declared}, got {computed}"
                 )));
             }
-            objects.push(node);
+            objects.push((computed, node));
         }
         if pos != data.len() {
             return Err(fail("trailing bytes"));
         }
-        Ok(Parcel { root, objects })
+        Ok(VerifiedParcel { root, objects })
     }
 
     /// Total payload bytes (the network cost of shipping this parcel).
     pub fn payload_bytes(&self) -> u64 {
         self.objects.iter().map(Node::transfer_size).sum()
+    }
+}
+
+/// A parcel as [`Parcel::verify`] hands it over: each object beside the
+/// canonical handle its bytes were hashed to on the way in. Only
+/// `verify` builds one, so holding one means the names are checked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifiedParcel {
+    root: Handle,
+    objects: Vec<(Handle, Node)>,
+}
+
+impl VerifiedParcel {
+    /// What the shipment is about.
+    pub fn root(&self) -> Handle {
+        self.root
+    }
+
+    /// The shipped objects, each with its verified canonical handle.
+    pub fn into_objects(self) -> Vec<(Handle, Node)> {
+        self.objects
     }
 }
 
@@ -172,6 +211,36 @@ mod tests {
         extended.push(0);
         assert!(Parcel::from_bytes(&extended).is_err());
         assert!(Parcel::from_bytes(b"NOTWIRE0").is_err());
+    }
+
+    #[test]
+    fn rejects_hostile_object_count() {
+        // 80 bytes claiming u32::MAX objects: the reservation must be
+        // bounded by the bytes present, not by the claim.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(Blob::from_slice(b"x").handle().raw());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 36]);
+        assert_eq!(bytes.len(), 80);
+        let err = Parcel::from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("truncated parcel"), "{err}");
+        // One object claimed and one header present still parses as far
+        // as the header allows (here: a literal blob of length zero).
+        let mut one = bytes.clone();
+        one[40..44].copy_from_slice(&1u32.to_le_bytes());
+        one[44..76].copy_from_slice(Blob::from_slice(b"").handle().raw());
+        assert_eq!(Parcel::from_bytes(&one).unwrap().objects.len(), 1);
+    }
+
+    #[test]
+    fn verify_names_each_object_with_its_canonical_handle() {
+        let p = sample();
+        let v = Parcel::verify(&p.to_bytes()).unwrap();
+        assert_eq!(v.root(), p.root);
+        let expect: Vec<(Handle, Node)> =
+            p.objects.iter().map(|n| (n.handle(), n.clone())).collect();
+        assert_eq!(v.into_objects(), expect);
     }
 
     #[test]

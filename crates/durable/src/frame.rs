@@ -20,17 +20,24 @@
 //!   snapshot is valid only if its last frame is a commit naming the
 //!   number of frames before it.
 //!
-//! Scanning is *lazy*: node frames are classified by peeking the key and
-//! the parcel's root handle without parsing (or verifying) the payload —
-//! that work is deferred to first touch. A scan stops at the first
-//! invalid frame (bad length or checksum); everything after it is an
-//! unsynced torn tail, reported so recovery can truncate it.
+//! Scanning is *lazy* and *streamed*: frames are read one at a time
+//! through a reusable buffer, and node frames are classified by peeking
+//! the key and the parcel's root handle without parsing (or verifying)
+//! the payload — that work is deferred to first touch. A scan stops at
+//! the first invalid frame (bad length or checksum); everything after it
+//! is an unsynced torn tail, reported so recovery can truncate it.
+//!
+//! Frames are *built* here too, straight from `(key, handle, node)` into
+//! the caller's buffer: the store already holds the handle, so writing
+//! an object hashes nothing. [`decode_node`] is the one place the
+//! durable tier derives a name from bytes.
 
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
 use fix_core::handle::Handle;
 use fix_core::wire::Parcel;
 use fix_storage::Relation;
+use std::io::{self, Read};
 
 /// The 8-byte magic opening the append-only log.
 pub const LOG_MAGIC: &[u8; 8] = b"FIXLOG1\0";
@@ -44,11 +51,12 @@ const TAG_COMMIT: u8 = 3;
 /// Frame header size: u32 length + u32 checksum.
 pub const FRAME_HEADER: usize = 8;
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Implemented
-// here because the environment is offline; ~10 lines is cheaper than a
-// dependency.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: table `k`
+// advances a byte's contribution past `k` further zero bytes, so eight
+// lookups retire eight input bytes per step. Implemented here because
+// the environment is offline.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -61,77 +69,135 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 checksum of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
 
-/// Appends a frame around `payload` to `out`.
-pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// A frame header's two fields: payload length and payload checksum.
+fn header_fields(header: &[u8]) -> (u32, u32) {
+    let word = |at: usize| {
+        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+    };
+    (word(0), word(4))
 }
 
-/// Encodes a node record payload: `(payload_key, Node)` as key + parcel.
-pub fn encode_node(key: [u8; 32], node: &Node) -> Vec<u8> {
-    let parcel = Parcel::new(node.handle(), vec![node.clone()]);
-    let mut out = Vec::with_capacity(1 + 32 + 64);
-    out.push(TAG_NODE);
-    out.extend_from_slice(&key);
-    out.extend_from_slice(&parcel.to_bytes());
-    out
+/// Appends one frame to `out`: the record `body` writes, behind the
+/// length and checksum of exactly those bytes.
+fn push_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    body(out);
+    let payload = &out[start + FRAME_HEADER..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Encodes a relation record payload.
-pub fn encode_relation(relation: Relation, input: Handle, output: Handle) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 1 + 64);
-    out.push(TAG_RELATION);
-    out.push(match relation {
-        Relation::Eval => 0,
-        Relation::Apply => 1,
-        Relation::Force => 2,
+/// Appends the frame of one stored object: `(payload key, single-object
+/// parcel rooted at handle)`. `handle` is `node`'s canonical handle,
+/// which the caller already holds — nothing is hashed here.
+pub fn push_node(out: &mut Vec<u8>, key: &[u8; 32], handle: Handle, node: &Node) {
+    push_frame(out, |out| {
+        out.push(TAG_NODE);
+        out.extend_from_slice(key);
+        out.extend_from_slice(fix_core::wire::MAGIC);
+        out.extend_from_slice(handle.raw());
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(handle.raw());
+        out.extend_from_slice(&(node.transfer_size() as u32).to_le_bytes());
+        match node {
+            Node::Blob(b) => out.extend_from_slice(b.as_slice()),
+            Node::Tree(t) => {
+                for entry in t.entries() {
+                    out.extend_from_slice(entry.raw());
+                }
+            }
+        }
     });
-    out.extend_from_slice(input.raw());
-    out.extend_from_slice(output.raw());
-    out
 }
 
-/// Encodes a snapshot commit record covering `frames` preceding frames.
-pub fn encode_commit(frames: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.push(TAG_COMMIT);
-    out.extend_from_slice(&frames.to_le_bytes());
-    out
+/// Appends the frame of one memoized relation.
+pub fn push_relation(out: &mut Vec<u8>, relation: Relation, input: Handle, output: Handle) {
+    push_frame(out, |out| {
+        out.push(TAG_RELATION);
+        out.push(match relation {
+            Relation::Eval => 0,
+            Relation::Apply => 1,
+            Relation::Force => 2,
+        });
+        out.extend_from_slice(input.raw());
+        out.extend_from_slice(output.raw());
+    });
 }
 
-/// Parses a node record payload fully, re-verifying the object's bytes
-/// against its content-addressed name (fault-in path).
-pub fn decode_node(payload: &[u8]) -> Result<([u8; 32], Node)> {
+/// Appends a snapshot's commit frame, covering `frames` preceding frames.
+pub fn push_commit(out: &mut Vec<u8>, frames: u64) {
+    push_frame(out, |out| {
+        out.push(TAG_COMMIT);
+        out.extend_from_slice(&frames.to_le_bytes());
+    });
+}
+
+/// Parses one whole frame holding a node record, as read back from the
+/// offset an index slot names (fault-in path): the checksum must match,
+/// the frame must be exactly `frame` long, and the object's bytes are
+/// re-verified against its content-addressed name. Returns the object
+/// beside the handle its bytes were just hashed to; whether that is the
+/// object the caller wanted is the caller's check (the record's own key
+/// field is what the index was built from, not evidence).
+pub fn decode_node(frame: &[u8]) -> Result<(Handle, Node)> {
     let malformed = |r: &str| Error::Backend {
         backend: "durable",
         message: format!("malformed node record: {r}"),
     };
+    let (header, payload) = frame
+        .split_at_checked(FRAME_HEADER)
+        .ok_or_else(|| malformed("truncated frame header"))?;
+    let (len, crc) = header_fields(header);
+    if payload.len() != len as usize || crc32(payload) != crc {
+        return Err(malformed("bad frame length or checksum"));
+    }
     if payload.first() != Some(&TAG_NODE) || payload.len() < 33 {
         return Err(malformed("bad tag or truncated key"));
     }
-    let mut key = [0u8; 32];
-    key.copy_from_slice(&payload[1..33]);
-    let parcel = Parcel::from_bytes(&payload[33..])?;
-    match parcel.objects.as_slice() {
-        [node] if node.handle() == parcel.root => {
-            Ok((key, parcel.objects.into_iter().next().unwrap()))
-        }
+    let parcel = Parcel::verify(&payload[33..])?;
+    let root = parcel.root();
+    match <[_; 1]>::try_from(parcel.into_objects()) {
+        Ok([named @ (handle, _)]) if handle == root => Ok(named),
         _ => Err(malformed("expected exactly one object matching the root")),
     }
 }
@@ -158,49 +224,42 @@ pub enum Scanned {
     Commit(u64),
 }
 
-/// The result of scanning a frame sequence.
-#[derive(Debug, Default)]
-pub struct Scan {
-    /// Every valid record, in file order.
-    pub records: Vec<Scanned>,
-    /// Bytes of valid frames from `base` (i.e. the offset, from the
-    /// file head, one past the last valid frame).
-    pub valid_len: u64,
-    /// Bytes after `valid_len` — a torn or corrupt tail.
-    pub torn_bytes: u64,
-}
-
-/// Scans `data` (the file contents *after* the magic, which starts at
-/// file offset `base`) into records, stopping at the first invalid
-/// frame. Node payloads are classified, not parsed.
-pub fn scan(data: &[u8], base: u64) -> Scan {
-    let mut out = Scan {
-        valid_len: base,
-        ..Scan::default()
-    };
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let rest = &data[pos..];
-        if rest.len() < FRAME_HEADER {
-            break; // Torn mid-header.
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        let declared_crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        let Some(payload) = rest.get(FRAME_HEADER..FRAME_HEADER + len) else {
+/// Streams the frames of a file through `each`, one record at a time,
+/// stopping at the first invalid frame. `reader` stands just past the
+/// magic, at file offset `base`; `end` is the file's length, which bounds
+/// what a frame's length field may claim (so a torn header cannot make
+/// the scan allocate). Node payloads are classified, not parsed.
+///
+/// Returns the offset one past the last valid frame; `end` minus that is
+/// the torn or corrupt tail.
+pub fn scan(
+    reader: &mut impl Read,
+    base: u64,
+    end: u64,
+    mut each: impl FnMut(Scanned),
+) -> io::Result<u64> {
+    let mut valid_len = base;
+    let mut payload = Vec::new();
+    while end - valid_len >= FRAME_HEADER as u64 {
+        let mut header = [0u8; FRAME_HEADER];
+        reader.read_exact(&mut header)?;
+        let (len, declared_crc) = header_fields(&header);
+        let frame_len = FRAME_HEADER as u64 + len as u64;
+        if frame_len > end - valid_len || frame_len > u32::MAX as u64 {
             break; // Torn mid-payload.
-        };
-        if crc32(payload) != declared_crc {
+        }
+        payload.resize(len as usize, 0);
+        reader.read_exact(&mut payload)?;
+        if crc32(&payload) != declared_crc {
             break; // Corrupt: treat like a torn tail (unsynced garbage).
         }
-        let Some(record) = classify(payload, base + pos as u64, (FRAME_HEADER + len) as u32) else {
+        let Some(record) = classify(&payload, valid_len, frame_len as u32) else {
             break; // Unknown tag or malformed record body.
         };
-        out.records.push(record);
-        pos += FRAME_HEADER + len;
-        out.valid_len = base + pos as u64;
+        each(record);
+        valid_len += frame_len;
     }
-    out.torn_bytes = (data.len() - pos) as u64;
-    out
+    Ok(valid_len)
 }
 
 fn classify(payload: &[u8], offset: u64, frame_len: u32) -> Option<Scanned> {
@@ -256,6 +315,42 @@ mod tests {
     use fix_core::data::{Blob, Tree};
     use fix_storage::payload_key;
 
+    /// The byte-at-a-time CRC-32 the log was first written with: the
+    /// oracle for the sliced one.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// A node frame as the first format writer built it: a `Parcel`
+    /// serialized by `fix-core`, behind tag and key, framed around the
+    /// bytewise checksum. The format pin's reference.
+    fn reference_node_frame(key: [u8; 32], node: &Node) -> Vec<u8> {
+        let mut payload = vec![TAG_NODE];
+        payload.extend_from_slice(&key);
+        payload.extend_from_slice(&Parcel::new(node.handle(), vec![node.clone()]).to_bytes());
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32_bytewise(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    fn node_frame(node: &Node) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_node(&mut out, &payload_key(node.handle()), node.handle(), node);
+        out
+    }
+
+    fn scan_all(bytes: &[u8]) -> (Vec<Scanned>, u64) {
+        let mut records = Vec::new();
+        let end = 8 + bytes.len() as u64;
+        let valid_len = scan(&mut &bytes[..], 8, end, |r| records.push(r)).unwrap();
+        (records, valid_len)
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The classic IEEE check value for "123456789".
@@ -264,21 +359,52 @@ mod tests {
     }
 
     #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..2048 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=2048 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn built_frames_are_byte_identical_to_the_parcel_encoding() {
+        let big = Blob::from_vec(vec![7u8; 100]).handle();
+        for node in [
+            Node::Blob(Blob::from_vec((0..=255).collect())),
+            Node::Tree(Tree::from_handles(vec![])),
+            Node::Tree(Tree::from_handles(vec![
+                big,
+                Blob::from_slice(b"lit").handle(),
+                big.as_ref_handle(),
+            ])),
+        ] {
+            let key = payload_key(node.handle());
+            assert_eq!(node_frame(&node), reference_node_frame(key, &node));
+        }
+    }
+
+    #[test]
     fn node_record_round_trips_and_scans_lazily() {
         let node = Node::Blob(Blob::from_vec(vec![7u8; 100]));
         let key = payload_key(node.handle());
-        let payload = encode_node(key, &node);
-        let (got_key, got_node) = decode_node(&payload).unwrap();
-        assert_eq!(got_key, key);
-        assert_eq!(got_node, node);
+        let bytes = node_frame(&node);
+        assert_eq!(decode_node(&bytes).unwrap(), (node.handle(), node.clone()));
 
-        let mut bytes = Vec::new();
-        push_frame(&mut bytes, &payload);
-        let scan = scan(&bytes, 8);
-        assert_eq!(scan.torn_bytes, 0);
-        assert_eq!(scan.valid_len, 8 + bytes.len() as u64);
+        let (records, valid_len) = scan_all(&bytes);
+        assert_eq!(valid_len, 8 + bytes.len() as u64);
         assert_eq!(
-            scan.records,
+            records,
             vec![Scanned::Node {
                 key,
                 handle: node.handle(),
@@ -294,11 +420,12 @@ mod tests {
         let input = tree.handle().application().unwrap();
         let output = Blob::from_vec(vec![9u8; 64]).handle();
         let mut bytes = Vec::new();
-        push_frame(&mut bytes, &encode_relation(Relation::Eval, input, output));
-        push_frame(&mut bytes, &encode_commit(1));
-        let scan = scan(&bytes, 8);
+        push_relation(&mut bytes, Relation::Eval, input, output);
+        push_commit(&mut bytes, 1);
+        let (records, valid_len) = scan_all(&bytes);
+        assert_eq!(valid_len, 8 + bytes.len() as u64);
         assert_eq!(
-            scan.records,
+            records,
             vec![
                 Scanned::Relation(Relation::Eval, input, output),
                 Scanned::Commit(1),
@@ -308,43 +435,52 @@ mod tests {
 
     #[test]
     fn scan_stops_at_torn_tail() {
-        let node = Node::Blob(Blob::from_vec(vec![1u8; 64]));
-        let key = payload_key(node.handle());
-        let mut bytes = Vec::new();
-        push_frame(&mut bytes, &encode_node(key, &node));
+        let mut bytes = node_frame(&Node::Blob(Blob::from_vec(vec![1u8; 64])));
         let valid = bytes.len();
         // A torn frame: a header promising more bytes than exist.
         bytes.extend_from_slice(&1000u32.to_le_bytes());
         bytes.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
         bytes.extend_from_slice(&[0xAB; 11]);
-        let scan = scan(&bytes, 8);
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.valid_len, 8 + valid as u64);
-        assert_eq!(scan.torn_bytes, 8 + 11);
+        let (records, valid_len) = scan_all(&bytes);
+        assert_eq!(records.len(), 1);
+        assert_eq!(valid_len, 8 + valid as u64);
+        assert_eq!(bytes.len() - valid, 8 + 11);
+        // Torn mid-header: fewer than eight bytes after the last frame.
+        let (records, valid_len) = scan_all(&bytes[..valid + 5]);
+        assert_eq!((records.len(), valid_len), (1, 8 + valid as u64));
     }
 
     #[test]
     fn scan_stops_at_corrupt_checksum() {
         let node = Node::Blob(Blob::from_vec(vec![2u8; 64]));
-        let mut bytes = Vec::new();
-        push_frame(&mut bytes, &encode_node(payload_key(node.handle()), &node));
-        push_frame(
-            &mut bytes,
-            &encode_relation(Relation::Apply, node.handle(), node.handle()),
-        );
+        let mut bytes = node_frame(&node);
+        let first = bytes.len();
+        push_relation(&mut bytes, Relation::Apply, node.handle(), node.handle());
         let n = bytes.len();
         bytes[n - 10] ^= 0xFF; // Corrupt the second frame's payload.
-        let scan = scan(&bytes, 8);
-        assert_eq!(scan.records.len(), 1);
-        assert!(scan.torn_bytes > 0);
+        let (records, valid_len) = scan_all(&bytes);
+        assert_eq!(records.len(), 1);
+        assert_eq!(valid_len, 8 + first as u64);
     }
 
     #[test]
     fn decode_rejects_mismatched_payload() {
         let node = Node::Blob(Blob::from_vec(vec![3u8; 64]));
-        let mut payload = encode_node(payload_key(node.handle()), &node);
-        let n = payload.len();
-        payload[n - 5] ^= 0xFF; // Flip a byte of the object's data.
-        assert!(decode_node(&payload).is_err());
+        let good = node_frame(&node);
+        // A flipped data byte fails the checksum ...
+        let mut frame = good.clone();
+        let n = frame.len();
+        frame[n - 5] ^= 0xFF;
+        assert!(decode_node(&frame).is_err());
+        // ... and with the checksum recomputed over it, the content hash.
+        let crc = crc32(&frame[FRAME_HEADER..]);
+        frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        let err = decode_node(&frame).unwrap_err();
+        assert!(err.to_string().contains("integrity"), "{err}");
+        // A frame longer or shorter than its length field is refused.
+        let mut long = good.clone();
+        long.push(0);
+        assert!(decode_node(&long).is_err());
+        assert!(decode_node(&good[..n - 1]).is_err());
     }
 }

@@ -26,6 +26,30 @@
 //!   bounds resident memory by evicting cold persisted objects, which
 //!   refault on demand.
 //!
+//! # Architecture
+//!
+//! Producers (any thread that `put`s or memoizes) and one writer thread
+//! meet at a queue that holds *finished frames*: the producer builds the
+//! frame — header, checksum, record — straight into the queue's byte
+//! buffer from the `(key, handle, node)` the storage hook hands it; the
+//! writer swaps that buffer for an empty spare, issues one `write` per
+//! batch, indexes the batch under one lock, and fsyncs by policy. Reads
+//! that miss memory fault through the index; `open` streams each file
+//! through one buffer. Three invariants hold across all of it:
+//!
+//! * **An object is hashed once per crossing.** On the way in, `put`
+//!   names it and that handle rides through the sink into the frame; on
+//!   the way back, the fault's verifying decode names it and the store
+//!   keeps it under the key it asked for. Nothing in between derives a
+//!   name from bytes again (CI greps `store.rs` for it).
+//! * **A fault returns the object asked for or nothing.** A frame that
+//!   passes its checksum and its own content check is still refused if
+//!   it does not hash to the requested name — a misfiled frame, or a log
+//!   offset reused since the slot was read, ends as `NotFound`.
+//! * **The writer's backlog is bounded.** A producer that finds more
+//!   than a fixed number of frame bytes queued waits for the writer to
+//!   take a batch, so a stalled disk costs latency, not memory.
+//!
 //! # Example
 //!
 //! ```

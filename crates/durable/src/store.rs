@@ -2,13 +2,15 @@
 //! [`Store`]/[`RelationCache`] pair.
 //!
 //! Architecture: callers talk to the wrapped in-memory store as usual;
-//! the storage hooks feed a single group-commit writer thread that owns
-//! the log file. Appends are asynchronous (bounded loss per the
+//! the storage hooks build finished frames into a bounded queue that a
+//! single group-commit writer thread, which owns the log file, drains a
+//! batch at a time. Appends are asynchronous (bounded loss per the
 //! [`FsyncPolicy`](crate::FsyncPolicy)); [`DurableStore::flush`] is the
 //! synchronous barrier. Reads that miss memory fault from disk through
-//! the index this module maintains.
+//! the index this module maintains. Every `std::fs` call of the crate
+//! is in this file; the [crate docs](crate) state the invariants.
 
-use crate::frame::{self, Scanned, FRAME_HEADER, LOG_MAGIC, SNAP_MAGIC};
+use crate::frame::{self, Scanned, LOG_MAGIC, SNAP_MAGIC};
 use crate::{DurableOptions, DurableStats, FsyncPolicy, KillMode};
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
@@ -19,13 +21,18 @@ use fix_storage::{
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Weak};
 
 const LOG_FILE: &str = "log.fixlog";
 const MAGIC_LEN: u64 = 8;
+/// Queued frame bytes past which a producer waits for the writer to take
+/// a batch: what bounds the memory a stalled writer can pile up.
+const MAX_BACKLOG_BYTES: usize = 256 << 10;
+/// Buffer size for streaming a file in (open) or out (snapshot).
+const STREAM_BUFFER: usize = 64 << 10;
 
 fn snap_name(seq: u64) -> String {
     format!("snap-{seq:016x}.fixsnap")
@@ -56,20 +63,24 @@ struct Slot {
     touch: u64,
 }
 
-enum Pending {
-    Node {
-        key: [u8; 32],
-        handle: Handle,
-        payload: Vec<u8>,
-    },
-    Relation {
-        payload: Vec<u8>,
-    },
+/// One finished frame waiting in [`Queue::bytes`].
+struct Queued {
+    len: u32,
+    /// What to index once the frame is on disk (`None` for a relation).
+    node: Option<([u8; 32], Handle)>,
 }
 
 #[derive(Default)]
 struct Queue {
-    pending: Vec<Pending>,
+    /// Finished frames back to back, in enqueue order: exactly the bytes
+    /// the writer hands to `write`. Producers build into it; the writer
+    /// swaps it for an empty spare, so a frame's bytes exist once.
+    bytes: Vec<u8>,
+    /// One entry per frame in `bytes`.
+    frames: Vec<Queued>,
+    /// The writer is waiting on `work`; the producer that clears this
+    /// wakes it (so a busy writer costs producers no syscall).
+    writer_parked: bool,
     /// Ops ever enqueued / fsynced through — flush() waits on these.
     enqueued: u64,
     synced: u64,
@@ -80,6 +91,13 @@ struct Queue {
     /// The deterministic kill point tripped: appends are dropped.
     crashed: bool,
     io_error: Option<String>,
+}
+
+impl Queue {
+    /// Whether an append can still reach the disk (else it is dropped).
+    fn accepting(&self) -> bool {
+        !self.crashed && !self.shutdown && self.io_error.is_none()
+    }
 }
 
 /// The writer's live metric cells. Every counter is a registry-adopted
@@ -151,34 +169,43 @@ struct Inner {
 impl Inner {
     // ---- hook bodies -------------------------------------------------
 
-    fn observe_insert(&self, node: &Node) {
-        let key = payload_key(node.handle());
+    fn observe_insert(&self, handle: Handle, node: &Node) {
+        let key = payload_key(handle);
         if self.index.read().contains_key(&key) {
-            return; // Already persisted (e.g. a refault after a spill).
+            return; // Already persisted (e.g. re-put after a spill).
         }
-        let payload = frame::encode_node(key, node);
-        let mut q = self.queue.lock();
-        if q.crashed || q.shutdown {
-            return;
-        }
-        q.pending.push(Pending::Node {
-            key,
-            handle: node.handle(),
-            payload,
+        self.enqueue(Some((key, handle)), |out| {
+            frame::push_node(out, &key, handle, node)
         });
-        q.enqueued += 1;
-        self.work.notify_one();
     }
 
     fn observe_relation(&self, relation: Relation, input: Handle, output: Handle) {
-        let payload = frame::encode_relation(relation, input, output);
+        self.enqueue(None, |out| {
+            frame::push_relation(out, relation, input, output)
+        });
+    }
+
+    /// Queues one frame, which `build` writes straight into the buffer
+    /// the writer will hand to the file. Blocks while the backlog is
+    /// over its bound; drops the frame once nothing can persist it.
+    fn enqueue(&self, node: Option<([u8; 32], Handle)>, build: impl FnOnce(&mut Vec<u8>)) {
         let mut q = self.queue.lock();
-        if q.crashed || q.shutdown {
+        while q.bytes.len() > MAX_BACKLOG_BYTES && q.accepting() {
+            self.done.wait(&mut q);
+        }
+        if !q.accepting() {
             return;
         }
-        q.pending.push(Pending::Relation { payload });
+        let start = q.bytes.len();
+        build(&mut q.bytes);
+        let len = (q.bytes.len() - start) as u32;
+        q.frames.push(Queued { len, node });
         q.enqueued += 1;
-        self.work.notify_one();
+        let wake = std::mem::take(&mut q.writer_parked);
+        drop(q);
+        if wake {
+            self.work.notify_one();
+        }
     }
 
     fn knows(&self, handle: Handle) -> bool {
@@ -188,11 +215,12 @@ impl Inner {
     fn fault_in(&self, handle: Handle) -> Option<Node> {
         let key = payload_key(handle);
         // A snapshot may move the slot (log → snapshot file) between the
-        // lookup and the read; on a failed read, re-look the slot up.
+        // lookup and the read, and the log offset may by then hold some
+        // other frame: on a failed or mismatched read, re-look the slot up.
         for _ in 0..3 {
             let slot = self.index.read().get(&key).cloned()?;
             let t0 = std::time::Instant::now();
-            if let Some(node) = self.read_node(&slot) {
+            if let Some(node) = self.read_node(&key, &slot) {
                 let dur = t0.elapsed();
                 self.stats.faults.inc();
                 self.stats.fault_us.record(dur.as_micros() as u64);
@@ -218,19 +246,12 @@ impl Inner {
 
     // ---- disk reads --------------------------------------------------
 
-    fn read_node(&self, slot: &Slot) -> Option<Node> {
+    /// Reads the object `slot` points at — or nothing: the frame must
+    /// check out *and* its bytes must hash to `key`, the name asked for.
+    fn read_node(&self, key: &[u8; 32], slot: &Slot) -> Option<Node> {
         let bytes = self.read_frame(slot)?;
-        if bytes.len() < FRAME_HEADER {
-            return None;
-        }
-        let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        let crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        let payload = bytes.get(FRAME_HEADER..FRAME_HEADER + len)?;
-        if frame::crc32(payload) != crc {
-            return None;
-        }
-        let (_, node) = frame::decode_node(payload).ok()?;
-        Some(node)
+        let (computed, node) = frame::decode_node(&bytes).ok()?;
+        (payload_key(computed) == *key).then_some(node)
     }
 
     fn read_frame(&self, slot: &Slot) -> Option<Vec<u8>> {
@@ -286,9 +307,9 @@ impl FaultSource for Hooks {
 }
 
 impl StoreSink for Hooks {
-    fn inserted(&self, node: &Node) {
+    fn inserted(&self, handle: Handle, node: &Node) {
         if let Some(i) = self.0.upgrade() {
-            i.observe_insert(node);
+            i.observe_insert(handle, node);
         }
     }
 }
@@ -357,43 +378,18 @@ impl DurableStore {
         seqs.sort_unstable();
         let next_seq = seqs.last().map_or(0, |s| s + 1);
         for &seq in seqs.iter().rev() {
-            let Ok(bytes) = fs::read(dir.join(snap_name(seq))) else {
-                continue;
-            };
-            if bytes.len() < MAGIC_LEN as usize || &bytes[..8] != SNAP_MAGIC {
-                continue;
+            let committed = File::open(dir.join(snap_name(seq)))
+                .and_then(|f| {
+                    let at = Location::Snapshot(seq);
+                    replay(&f, SNAP_MAGIC, at, &mut index, &mut relations)
+                })
+                .is_ok_and(|r| r.is_some_and(|r| r.committed()));
+            if committed {
+                break;
             }
-            let scan = frame::scan(&bytes[8..], MAGIC_LEN);
-            let committed = scan.torn_bytes == 0
-                && matches!(scan.records.last(),
-                    Some(Scanned::Commit(n)) if *n as usize == scan.records.len() - 1);
-            if !committed {
-                continue;
-            }
-            for rec in scan.records {
-                match rec {
-                    Scanned::Node {
-                        key,
-                        handle,
-                        offset,
-                        len,
-                    } => {
-                        index.insert(
-                            key,
-                            Slot {
-                                file: Location::Snapshot(seq),
-                                offset,
-                                len,
-                                handle,
-                                touch: 0,
-                            },
-                        );
-                    }
-                    Scanned::Relation(r, i, o) => relations.push((r, i, o)),
-                    Scanned::Commit(_) => {}
-                }
-            }
-            break;
+            // Nothing precedes the snapshot, so undoing one is a clear.
+            index.clear();
+            relations.clear();
         }
 
         // --- Log tail (newer than any snapshot; overrides it). ---
@@ -405,45 +401,26 @@ impl DurableStore {
             .truncate(false)
             .open(&log_path)
             .map_err(io_err)?;
-        let mut existing = Vec::new();
-        append.read_to_end(&mut existing).map_err(io_err)?;
-        let truncated;
-        let mut valid_len = MAGIC_LEN;
-        if existing.len() >= MAGIC_LEN as usize && &existing[..8] == LOG_MAGIC {
-            let scan = frame::scan(&existing[MAGIC_LEN as usize..], MAGIC_LEN);
-            valid_len = scan.valid_len;
-            truncated = scan.torn_bytes;
-            for rec in scan.records {
-                match rec {
-                    Scanned::Node {
-                        key,
-                        handle,
-                        offset,
-                        len,
-                    } => {
-                        index.insert(
-                            key,
-                            Slot {
-                                file: Location::Log,
-                                offset,
-                                len,
-                                handle,
-                                touch: 0,
-                            },
-                        );
-                    }
-                    Scanned::Relation(r, i, o) => relations.push((r, i, o)),
-                    Scanned::Commit(_) => {}
-                }
+        let existing = append.metadata().map_err(io_err)?.len();
+        let tail = replay(
+            &append,
+            LOG_MAGIC,
+            Location::Log,
+            &mut index,
+            &mut relations,
+        )
+        .map_err(io_err)?;
+        let (valid_len, truncated) = match tail {
+            Some(tail) => (tail.valid_len, existing - tail.valid_len),
+            None => {
+                // New file, or a header torn mid-creation: start fresh.
+                append.set_len(0).map_err(io_err)?;
+                append.seek(SeekFrom::Start(0)).map_err(io_err)?;
+                append.write_all(LOG_MAGIC).map_err(io_err)?;
+                (MAGIC_LEN, existing)
             }
-        } else {
-            // New file, or a header torn mid-creation: start fresh.
-            truncated = existing.len() as u64;
-            append.set_len(0).map_err(io_err)?;
-            append.seek(SeekFrom::Start(0)).map_err(io_err)?;
-            append.write_all(LOG_MAGIC).map_err(io_err)?;
-        }
-        if existing.len() as u64 > valid_len {
+        };
+        if existing > valid_len {
             // Drop the torn tail so new appends start at a clean edge.
             append.set_len(valid_len).map_err(io_err)?;
             append.sync_data().map_err(io_err)?;
@@ -650,6 +627,78 @@ impl DurableStore {
 }
 
 // ----------------------------------------------------------------------
+// Recovery: streaming one file into the index.
+// ----------------------------------------------------------------------
+
+/// What [`replay`] found in one file.
+struct Replayed {
+    /// The file's length, and the offset one past its last valid frame.
+    len: u64,
+    valid_len: u64,
+    records: u64,
+    last: Option<Scanned>,
+}
+
+impl Replayed {
+    /// A snapshot counts only if it is whole and ends in a commit frame
+    /// naming the number of frames before it.
+    fn committed(&self) -> bool {
+        self.valid_len == self.len
+            && matches!(self.last, Some(Scanned::Commit(n)) if n + 1 == self.records)
+    }
+}
+
+/// Streams `file`'s frames into `index` (as living at `at`) and
+/// `relations`, through one buffered reader and one reusable payload
+/// buffer. `None` if the file does not open with `magic`.
+fn replay(
+    file: &File,
+    magic: &[u8; 8],
+    at: Location,
+    index: &mut HashMap<[u8; 32], Slot>,
+    relations: &mut Vec<(Relation, Handle, Handle)>,
+) -> io::Result<Option<Replayed>> {
+    let len = file.metadata()?.len();
+    let mut reader = BufReader::with_capacity(STREAM_BUFFER, file);
+    let mut head = [0u8; MAGIC_LEN as usize];
+    if len < MAGIC_LEN || reader.read_exact(&mut head).is_err() || &head != magic {
+        return Ok(None);
+    }
+    let (mut records, mut last) = (0u64, None);
+    let valid_len = frame::scan(&mut reader, MAGIC_LEN, len, |rec| {
+        records += 1;
+        last = Some(rec);
+        match rec {
+            Scanned::Node {
+                key,
+                handle,
+                offset,
+                len,
+            } => {
+                index.insert(
+                    key,
+                    Slot {
+                        file: at,
+                        offset,
+                        len,
+                        handle,
+                        touch: 0,
+                    },
+                );
+            }
+            Scanned::Relation(r, i, o) => relations.push((r, i, o)),
+            Scanned::Commit(_) => {}
+        }
+    })?;
+    Ok(Some(Replayed {
+        len,
+        valid_len,
+        records,
+        last,
+    }))
+}
+
+// ----------------------------------------------------------------------
 // The group-commit writer.
 // ----------------------------------------------------------------------
 
@@ -659,90 +708,106 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_s
     let mut snaps_done = 0u64;
     let mut unsynced_frames = 0u64;
     let mut dirty = false;
+    // The batch being written: swapped with the producers' buffers, so
+    // both pairs keep their capacity and no frame is copied.
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut frames: Vec<Queued> = Vec::new();
     loop {
-        let (batch, flush_upto, snap_requests, shutdown) = {
+        let (flush_upto, snap_requests, shutdown) = {
             let mut q = inner.queue.lock();
-            while q.pending.is_empty()
+            while q.frames.is_empty()
                 && q.flush_upto <= synced
                 && q.snap_requests <= snaps_done
                 && !q.shutdown
             {
+                q.writer_parked = true;
                 inner.work.wait(&mut q);
             }
-            (
-                std::mem::take(&mut q.pending),
-                q.flush_upto,
-                q.snap_requests,
-                q.shutdown,
-            )
+            q.writer_parked = false;
+            bytes.clear();
+            frames.clear();
+            std::mem::swap(&mut q.bytes, &mut bytes);
+            std::mem::swap(&mut q.frames, &mut frames);
+            (q.flush_upto, q.snap_requests, q.shutdown)
         };
+        if bytes.len() > MAX_BACKLOG_BYTES {
+            inner.done.notify_all(); // Producers may be waiting for room.
+        }
 
         let mut io_error: Option<String> = None;
         let mut crashed_now = false;
-        for op in batch {
-            durable += 1;
-            if crashed_now || io_error.is_some() {
-                continue; // Dropped; `durable` still advances so flush waiters wake.
-            }
-            let payload = match &op {
-                Pending::Node { payload, .. } | Pending::Relation { payload } => payload,
+        durable += frames.len() as u64; // Advances even if dropped, so flush waiters wake.
+        if !frames.is_empty() {
+            // The deterministic kill point: the frames up to it reach the
+            // disk and the index, the rest of the batch is lost.
+            let before = inner.stats.appended_frames.get();
+            let kill = inner
+                .options
+                .kill
+                .filter(|k| (before + 1..=before + frames.len() as u64).contains(&k.after_frames));
+            let kept = match kill {
+                Some(k) => &frames[..(k.after_frames - before) as usize],
+                None => &frames[..],
             };
-            let mut bytes = Vec::with_capacity(payload.len() + FRAME_HEADER);
-            frame::push_frame(&mut bytes, payload);
+            let kept_bytes: usize = kept.iter().map(|f| f.len as usize).sum();
             let t0 = fix_obs::tracing_enabled().then(std::time::Instant::now);
-            if let Err(e) = append.write_all(&bytes) {
-                io_error = Some(e.to_string());
-                continue;
-            }
-            let offset = log_len;
-            log_len += bytes.len() as u64;
-            inner.stats.appended_frames.inc();
-            inner.stats.appended_bytes.add(bytes.len() as u64);
-            if let Some(t0) = t0 {
-                let id = match &op {
-                    Pending::Node { handle, .. } => trace_id(*handle),
-                    Pending::Relation { .. } => 0,
-                };
-                fix_obs::emit_span(
-                    fix_obs::EventKind::DurAppend,
-                    0,
-                    id,
-                    0,
-                    bytes.len() as u32,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-            unsynced_frames += 1;
-            dirty = true;
-            if let Pending::Node { key, handle, .. } = op {
-                let touch = inner.clock.fetch_add(1, Relaxed);
-                inner.index.write().insert(
-                    key,
-                    Slot {
-                        file: Location::Log,
-                        offset,
-                        len: bytes.len() as u32,
-                        handle,
-                        touch,
-                    },
-                );
-            }
-            // The deterministic kill point: crash mid-batch, leaving a
-            // torn partial frame at the tail for recovery to truncate.
-            if let Some(kill) = inner.options.kill {
-                if inner.stats.appended_frames.get() == kill.after_frames {
-                    let mut torn = Vec::new();
-                    torn.extend_from_slice(&1_000_000u32.to_le_bytes());
-                    torn.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-                    torn.extend_from_slice(&[0xAB; 11]);
-                    let _ = append.write_all(&torn);
-                    let _ = append.sync_data();
-                    match kill.mode {
-                        KillMode::Exit(code) => std::process::exit(code),
-                        KillMode::Stop => crashed_now = true,
+            match append.write_all(&bytes[..kept_bytes]) {
+                Ok(()) => {
+                    let write_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
+                    let mut index = inner.index.write();
+                    for f in kept {
+                        if let Some((key, handle)) = f.node {
+                            let touch = inner.clock.fetch_add(1, Relaxed);
+                            index.insert(
+                                key,
+                                Slot {
+                                    file: Location::Log,
+                                    offset: log_len,
+                                    len: f.len,
+                                    handle,
+                                    touch,
+                                },
+                            );
+                        }
+                        log_len += f.len as u64;
+                        if let Some(write_ns) = write_ns {
+                            // One write covers the batch: a frame's span
+                            // is its share of it by size.
+                            fix_obs::emit_span(
+                                fix_obs::EventKind::DurAppend,
+                                0,
+                                f.node.map_or(0, |(_, handle)| trace_id(handle)),
+                                0,
+                                f.len,
+                                write_ns * f.len as u64 / kept_bytes as u64,
+                            );
+                        }
+                    }
+                    drop(index);
+                    inner.stats.appended_frames.add(kept.len() as u64);
+                    inner.stats.appended_bytes.add(kept_bytes as u64);
+                    unsynced_frames += kept.len() as u64;
+                    dirty = true;
+                    if let Some(kill) = kill {
+                        // Crash mid-batch, leaving a torn partial frame at
+                        // the tail for recovery to truncate.
+                        let mut torn = Vec::new();
+                        torn.extend_from_slice(&1_000_000u32.to_le_bytes());
+                        torn.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+                        torn.extend_from_slice(&[0xAB; 11]);
+                        let _ = append.write_all(&torn);
+                        let _ = append.sync_data();
+                        match kill.mode {
+                            KillMode::Exit(code) => std::process::exit(code),
+                            KillMode::Stop => crashed_now = true,
+                        }
                     }
                 }
+                Err(e) => io_error = Some(e.to_string()),
             }
+        }
+        if bytes.capacity() > 2 * MAX_BACKLOG_BYTES {
+            bytes = Vec::new(); // One huge object must not pin its size.
         }
 
         // Group commit: one fsync covers the whole batch.
@@ -810,17 +875,21 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_s
         q.snaps_done = snaps_done;
         if crashed_now {
             q.crashed = true;
-            q.pending.clear();
             q.synced = q.enqueued;
         }
         if let Some(e) = io_error {
             q.io_error = Some(e);
         }
-        inner.done.notify_all();
-        if q.crashed || q.io_error.is_some() {
-            return;
+        let dead = q.crashed || q.io_error.is_some();
+        if dead {
+            // Nothing queued can be persisted any more: free it.
+            q.bytes = Vec::new();
+            q.frames = Vec::new();
         }
-        if q.shutdown && q.pending.is_empty() {
+        let exit = dead || (q.shutdown && q.frames.is_empty());
+        drop(q);
+        inner.done.notify_all();
+        if exit {
             return;
         }
     }
@@ -854,12 +923,12 @@ fn do_snapshot(
     append: &mut File,
     log_len: &mut u64,
     next_seq: &mut u64,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     let t0 = std::time::Instant::now();
     let seq = *next_seq;
     let final_path = inner.dir.join(snap_name(seq));
     let tmp_path = inner.dir.join(format!("snap-{seq:016x}.tmp"));
-    let mut out = File::create(&tmp_path)?;
+    let mut out = BufWriter::with_capacity(STREAM_BUFFER, File::create(&tmp_path)?);
     out.write_all(SNAP_MAGIC)?;
     let mut pos = MAGIC_LEN;
     let mut frames = 0u64;
@@ -867,7 +936,7 @@ fn do_snapshot(
 
     for (relation, input, output) in inner.cache.entries() {
         buf.clear();
-        frame::push_frame(&mut buf, &frame::encode_relation(relation, input, output));
+        frame::push_relation(&mut buf, relation, input, output);
         out.write_all(&buf)?;
         pos += buf.len() as u64;
         frames += 1;
@@ -881,19 +950,20 @@ fn do_snapshot(
         .collect();
     let mut moved: HashMap<[u8; 32], Slot> = HashMap::with_capacity(slots.len());
     for (key, slot) in slots {
-        // Source each object from memory if resident, else copy its
-        // frame's node from the old file — without making it resident
-        // (a snapshot must not defeat the spill).
+        // Source each object from memory if resident (already named: no
+        // hash), else copy its frame's node from the old file through
+        // the verifying decode — without making it resident (a snapshot
+        // must not defeat the spill).
         let node = if inner.store.resident(slot.handle) {
             inner.store.get(slot.handle).ok()
         } else {
-            inner.read_node(&slot)
+            inner.read_node(&key, &slot)
         };
         let node = node.ok_or_else(|| {
-            std::io::Error::other(format!("snapshot source read failed for {}", slot.handle))
+            io::Error::other(format!("snapshot source read failed for {}", slot.handle))
         })?;
         buf.clear();
-        frame::push_frame(&mut buf, &frame::encode_node(key, &node));
+        frame::push_node(&mut buf, &key, slot.handle, &node);
         out.write_all(&buf)?;
         moved.insert(
             key,
@@ -910,8 +980,9 @@ fn do_snapshot(
     }
 
     buf.clear();
-    frame::push_frame(&mut buf, &frame::encode_commit(frames));
+    frame::push_commit(&mut buf, frames);
     out.write_all(&buf)?;
+    let out = out.into_inner().map_err(io::IntoInnerError::into_error)?;
     out.sync_all()?;
     drop(out);
     fs::rename(&tmp_path, &final_path)?;
@@ -959,4 +1030,112 @@ fn do_snapshot(
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::KillPoint;
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
+
+    const WATCHDOG: Duration = Duration::from_secs(30);
+    /// A relation frame over literal handles: header + 66-byte record.
+    /// Appending one never touches the index, so the tests can stall the
+    /// writer on the index lock without stalling the producer.
+    const RELATION_FRAME: usize = 74;
+    /// Enough relation frames to fill the backlog three times over.
+    const FRAMES: u64 = (3 * MAX_BACKLOG_BYTES / RELATION_FRAME) as u64;
+
+    fn literal(i: u64) -> Handle {
+        Handle::literal(&i.to_le_bytes()).expect("eight bytes fit a literal")
+    }
+
+    fn open(dir: &tempfile::TempDir, kill: Option<KillPoint>) -> DurableStore {
+        let options = DurableOptions {
+            fsync: FsyncPolicy::OnSnapshot,
+            kill,
+            ..DurableOptions::default()
+        };
+        DurableStore::open(dir.path(), options).unwrap()
+    }
+
+    /// Records `FRAMES` relations from a thread of its own; the channel
+    /// fires once every one of them has been handed to the sink.
+    fn produce(d: &DurableStore) -> (JoinHandle<()>, mpsc::Receiver<()>) {
+        let (tx, rx) = mpsc::channel();
+        let d = d.clone();
+        let thread = std::thread::spawn(move || {
+            for i in 0..FRAMES {
+                d.cache().put(Relation::Eval, literal(i), literal(i));
+            }
+            tx.send(()).unwrap();
+        });
+        (thread, rx)
+    }
+
+    /// With the writer stalled, waits until the producer has run into
+    /// the bound, and checks that it then stays put.
+    fn assert_producer_blocks(d: &DurableStore, finished: &mpsc::Receiver<()>) {
+        let t0 = Instant::now();
+        while d.inner.queue.lock().bytes.len() <= MAX_BACKLOG_BYTES {
+            assert!(t0.elapsed() < WATCHDOG, "the backlog never filled");
+            std::thread::yield_now();
+        }
+        assert!(
+            finished.recv_timeout(Duration::from_millis(100)).is_err(),
+            "the producer ran past the bound"
+        );
+        let queued = d.inner.queue.lock().bytes.len();
+        assert!(queued <= MAX_BACKLOG_BYTES + RELATION_FRAME, "{queued}");
+    }
+
+    #[test]
+    fn a_producer_past_the_backlog_bound_waits_for_the_writer() {
+        let dir = tempfile::tempdir().unwrap();
+        let d = open(&dir, None);
+        // The writer indexes each batch under the index's write lock:
+        // holding a read guard stops it with its first batch in hand.
+        let stall = d.inner.index.read();
+        let (thread, finished) = produce(&d);
+        assert_producer_blocks(&d, &finished);
+        drop(stall);
+        finished
+            .recv_timeout(WATCHDOG)
+            .expect("the producer completes once the writer drains");
+        thread.join().unwrap();
+        d.flush().unwrap();
+        assert_eq!(d.stats().appended_frames, FRAMES);
+        drop(d);
+        assert_eq!(open(&dir, None).stats().replayed_relations, FRAMES);
+    }
+
+    #[test]
+    fn a_kill_point_trip_wakes_a_waiting_producer() {
+        let dir = tempfile::tempdir().unwrap();
+        let kill = KillPoint {
+            after_frames: 1,
+            mode: KillMode::Stop,
+        };
+        let d = open(&dir, Some(kill));
+        // The first batch trips the kill point, but only after indexing:
+        // the producer is parked on the bound when the crash happens.
+        let stall = d.inner.index.read();
+        let (thread, finished) = produce(&d);
+        assert_producer_blocks(&d, &finished);
+        drop(stall);
+        finished
+            .recv_timeout(WATCHDOG)
+            .expect("the trip wakes the producer");
+        thread.join().unwrap();
+        assert!(d.crashed());
+        d.flush().unwrap();
+        assert_eq!(d.stats().appended_frames, 1);
+        assert!(d.inner.queue.lock().bytes.is_empty());
+        drop(d);
+        let d = open(&dir, None);
+        assert_eq!(d.stats().replayed_relations, 1);
+        assert_eq!(d.stats().truncated_bytes, 19);
+    }
 }

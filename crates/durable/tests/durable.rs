@@ -2,8 +2,10 @@
 
 use fix_core::data::{Blob, Node, Tree};
 use fix_core::handle::Handle;
-use fix_durable::{DurableOptions, DurableStore, FsyncPolicy, KillMode, KillPoint};
-use fix_storage::Relation;
+use fix_core::wire::Parcel;
+use fix_durable::{crc32, DurableOptions, DurableStore, FsyncPolicy, KillMode, KillPoint};
+use fix_durable::{LOG_MAGIC, SNAP_MAGIC};
+use fix_storage::{payload_key, Relation};
 use std::fs::OpenOptions;
 use std::io::Write;
 
@@ -12,6 +14,23 @@ fn opts() -> DurableOptions {
         fsync: FsyncPolicy::Always,
         ..DurableOptions::default()
     }
+}
+
+/// One frame around `payload`, as the format has always framed it.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// A node frame filed under `key` whose parcel holds `node`, built the
+/// way the first format writer did: through `Parcel::to_bytes`.
+fn node_frame_keyed(key: [u8; 32], node: &Node) -> Vec<u8> {
+    let mut payload = vec![1u8];
+    payload.extend_from_slice(&key);
+    payload.extend_from_slice(&Parcel::new(node.handle(), vec![node.clone()]).to_bytes());
+    framed(&payload)
 }
 
 fn blob(seed: u8, len: usize) -> Blob {
@@ -379,4 +398,236 @@ fn literals_are_never_logged() {
     d.flush().unwrap();
     assert_eq!(d.stats().appended_frames, 0);
     assert_eq!(d.indexed_objects(), 0);
+}
+
+#[test]
+fn a_frame_keyed_for_another_object_is_never_served() {
+    let dir = tempfile::tempdir().unwrap();
+    let (a, b) = (blob(50, 64), blob(51, 64));
+    // A structurally perfect frame — checksum right, parcel verifies —
+    // that files B's bytes under A's key.
+    let mut log = LOG_MAGIC.to_vec();
+    log.extend(node_frame_keyed(
+        payload_key(a.handle()),
+        &Node::Blob(b.clone()),
+    ));
+    std::fs::write(dir.path().join("log.fixlog"), &log).unwrap();
+
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
+    assert_eq!(d.stats().truncated_bytes, 0, "the frame itself is valid");
+    assert_eq!(d.stats().replayed_nodes, 1);
+    assert!(
+        d.store().get_blob(a.handle()).is_err(),
+        "asking for A must never return B's bytes"
+    );
+    assert!(
+        d.store().get_blob(b.handle()).is_err(),
+        "B's key is not indexed"
+    );
+    assert_eq!(d.stats().faults, 0);
+    assert_eq!(d.store().object_count(), 0, "nothing was made resident");
+}
+
+#[test]
+fn a_log_from_the_first_format_writer_opens_faults_and_snapshots() {
+    let dir = tempfile::tempdir().unwrap();
+    let leaf = blob(60, 200);
+    let nodes = [
+        Node::Blob(leaf.clone()),
+        Node::Tree(Tree::from_handles(vec![])),
+        Node::Tree(Tree::from_handles(vec![
+            leaf.handle(),
+            Blob::from_slice(b"lit").handle(),
+            leaf.handle().as_ref_handle(),
+        ])),
+    ];
+    let input = nodes[2].handle().application().unwrap();
+    let mut log = LOG_MAGIC.to_vec();
+    for node in &nodes {
+        log.extend(node_frame_keyed(payload_key(node.handle()), node));
+    }
+    let mut relation = vec![2u8, 0];
+    relation.extend_from_slice(input.raw());
+    relation.extend_from_slice(leaf.handle().raw());
+    log.extend(framed(&relation));
+    std::fs::write(dir.path().join("log.fixlog"), &log).unwrap();
+
+    let read_all = |d: &DurableStore| {
+        for node in &nodes {
+            assert_eq!(&d.store().get(node.handle()).unwrap(), node);
+        }
+        assert_eq!(d.cache().get(Relation::Eval, input), Some(leaf.handle()));
+    };
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
+    assert_eq!(d.stats().truncated_bytes, 0);
+    assert_eq!(d.stats().replayed_nodes, 3);
+    assert_eq!(d.stats().replayed_relations, 1);
+    read_all(&d);
+    assert_eq!(d.stats().faults, 3);
+    // Snapshot with everything resident, reopen, read from the snapshot;
+    // then snapshot again with nothing resident (frame-to-frame copy).
+    d.snapshot().unwrap();
+    drop(d);
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
+    assert_eq!(d.stats().replayed_nodes, 3);
+    d.snapshot().unwrap();
+    assert_eq!(d.stats().faults, 0, "a snapshot faults nothing in");
+    drop(d);
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
+    read_all(&d);
+    assert_eq!(d.stats().faults, 3);
+
+    // The snapshot the new writer produced is, frame for frame, what the
+    // first writer would have written for the same state.
+    let snap = std::fs::read(dir.path().join("snap-0000000000000001.fixsnap")).unwrap();
+    let mut expect: Vec<Vec<u8>> = nodes
+        .iter()
+        .map(|n| node_frame_keyed(payload_key(n.handle()), n))
+        .collect();
+    expect.sort();
+    let relation_frame = framed(&relation);
+    let (head, rest) = snap.split_at(SNAP_MAGIC.len());
+    assert_eq!(head, SNAP_MAGIC);
+    assert_eq!(&rest[..relation_frame.len()], &relation_frame[..]);
+    let mut commit = vec![3u8];
+    commit.extend_from_slice(&4u64.to_le_bytes());
+    let commit = framed(&commit);
+    let body = &rest[relation_frame.len()..rest.len() - commit.len()];
+    assert_eq!(&rest[rest.len() - commit.len()..], &commit[..]);
+    // Node frames come out in index (hash map) order: compare as a set.
+    let mut got = Vec::new();
+    let mut at = 0;
+    while at < body.len() {
+        let len = 8 + u32::from_le_bytes(body[at..at + 4].try_into().unwrap()) as usize;
+        got.push(body[at..at + len].to_vec());
+        at += len;
+    }
+    got.sort();
+    assert_eq!(got, expect);
+}
+
+/// The scripted run of the kill sweep: 20 rounds of three frames — an
+/// output blob, a tree over it, and the relation `tree() → blob`. Odd
+/// rounds record the relation *first*, so a kill between the two leaves
+/// a relation on disk whose output is not.
+struct Script {
+    /// Each round's output blob and the tree over it.
+    rounds: Vec<(Blob, Tree)>,
+}
+
+impl Script {
+    const ROUNDS: usize = 20;
+
+    fn new() -> Script {
+        let rounds = (0..Script::ROUNDS)
+            .map(|i| {
+                let out = blob(100 + i as u8, 40 + i);
+                let tree =
+                    Tree::from_handles(vec![out.handle(), Blob::from_u64(i as u64).handle()]);
+                (out, tree)
+            })
+            .collect();
+        Script { rounds }
+    }
+
+    fn input(&self, round: usize) -> Handle {
+        self.rounds[round].1.handle().application().unwrap()
+    }
+
+    /// Submits the 60 frames in bursts of 1, 2, 3, … rounds with a flush
+    /// between bursts, so a burst tends to reach the writer as one batch
+    /// and kill points land at the start, middle and end of batches.
+    fn run(&self, d: &DurableStore) {
+        let (mut round, mut burst) = (0, 1);
+        while round < Script::ROUNDS {
+            for i in round..(round + burst).min(Script::ROUNDS) {
+                let (out, tree) = &self.rounds[i];
+                let relate = || d.cache().put(Relation::Eval, self.input(i), out.handle());
+                if i % 2 == 1 {
+                    relate();
+                }
+                d.store().put_blob(out.clone());
+                d.store().put_tree(tree.clone());
+                if i % 2 == 0 {
+                    relate();
+                }
+            }
+            d.flush().unwrap();
+            round += burst;
+            burst += 1;
+        }
+    }
+
+    /// Which rounds have their blob, tree and relation frame among the
+    /// first `frames` frames of the log.
+    fn survivors(&self, frames: usize) -> Vec<(bool, bool, bool)> {
+        (0..Script::ROUNDS)
+            .map(|i| {
+                let at = |slot: usize| 3 * i + slot < frames;
+                if i % 2 == 1 {
+                    (at(1), at(2), at(0))
+                } else {
+                    (at(0), at(1), at(2))
+                }
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn every_kill_point_recovers_exactly_the_frames_before_it() {
+    let script = Script::new();
+    for after_frames in 1..=40u64 {
+        let dir = tempfile::tempdir().unwrap();
+        {
+            let d = DurableStore::open(
+                dir.path(),
+                DurableOptions {
+                    fsync: FsyncPolicy::EveryN(4),
+                    kill: Some(KillPoint {
+                        after_frames,
+                        mode: KillMode::Stop,
+                    }),
+                    ..DurableOptions::default()
+                },
+            )
+            .unwrap();
+            script.run(&d);
+            assert!(d.crashed(), "kill point {after_frames} tripped");
+            assert_eq!(d.stats().appended_frames, after_frames);
+        }
+        let d = DurableStore::open(dir.path(), opts()).unwrap();
+        let survivors = script.survivors(after_frames as usize);
+        let nodes = survivors
+            .iter()
+            .map(|s| s.0 as u64 + s.1 as u64)
+            .sum::<u64>();
+        // A relation frame counts only if its output's frame made it too.
+        let relations = survivors.iter().filter(|s| s.2 && s.0).count() as u64;
+        let tag = format!("kill after {after_frames}");
+        assert_eq!(d.stats().truncated_bytes, 19, "{tag}");
+        assert_eq!(d.stats().replayed_nodes, nodes, "{tag}");
+        assert_eq!(d.stats().replayed_relations, relations, "{tag}");
+        for (i, &(has_blob, has_tree, has_relation)) in survivors.iter().enumerate() {
+            let (out, tree) = &script.rounds[i];
+            assert_eq!(
+                d.store().contains(out.handle()),
+                has_blob,
+                "{tag} round {i}"
+            );
+            assert_eq!(
+                d.store().contains(tree.handle()),
+                has_tree,
+                "{tag} round {i}"
+            );
+            let memo = d.cache().get(Relation::Eval, script.input(i));
+            assert_eq!(memo.is_some(), has_relation && has_blob, "{tag} round {i}");
+            if let Some(memo) = memo {
+                assert_eq!(&d.store().get_blob(memo).unwrap(), out, "{tag} round {i}");
+            }
+            if has_tree {
+                assert_eq!(&d.store().get_tree(tree.handle()).unwrap(), tree);
+            }
+        }
+    }
 }

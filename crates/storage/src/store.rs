@@ -93,25 +93,40 @@ impl Store {
     /// Stores a datum, returning its canonical Handle. Idempotent.
     pub fn put(&self, node: Node) -> Handle {
         let handle = node.handle();
+        self.put_named(handle, node);
+        handle
+    }
+
+    /// `put` for a caller that has just computed `handle` from `node`'s
+    /// bytes (hashing them once is the caller's job, not repeated here).
+    #[inline]
+    fn put_named(&self, handle: Handle, node: Node) {
         if handle.is_literal() {
-            return handle;
+            return;
         }
         let key = payload_key(handle);
-        let size = node.transfer_size();
         // Clone for the sink before the map takes ownership (Node clones
         // are refcount bumps); skipped entirely when no tier is attached.
         let observed = self.sink.get().map(|sink| (sink, node.clone()));
+        if self.insert(key, node) {
+            if let Some((sink, node)) = observed {
+                sink.inserted(handle, &node);
+            }
+        }
+    }
+
+    /// Makes `node` resident under `key`; true if the key was new.
+    #[inline]
+    fn insert(&self, key: [u8; 32], node: Node) -> bool {
+        let size = node.transfer_size();
         let fresh = self.shards[shard_of(&key)]
             .write()
             .insert(key, node)
             .is_none();
         if fresh {
             self.total_bytes.fetch_add(size, Ordering::Relaxed);
-            if let Some((sink, node)) = observed {
-                sink.inserted(&node);
-            }
         }
-        handle
+        fresh
     }
 
     /// Stores a blob.
@@ -135,11 +150,13 @@ impl Store {
             return Ok(node);
         }
         // Miss: give the backing tier (lazy restart / spill) a chance to
-        // fault the object in. The fault runs outside any shard lock;
-        // `put` makes the node resident for subsequent reads.
+        // fault the object in. The fault runs outside any shard lock.
+        // The tier has verified the node against `handle`, and it is
+        // already persisted: it becomes resident under the key at hand,
+        // with no second hash and no word to the sink.
         if let Some(tier) = self.fault.get() {
             if let Some(node) = tier.fault(handle) {
-                self.put(node.clone());
+                self.insert(key, node.clone());
                 return Ok(node);
             }
         }
@@ -448,13 +465,16 @@ impl Store {
         Ok(fix_core::wire::Parcel::new(root, objects))
     }
 
-    /// Imports every object of a parcel (verification happened at parse
-    /// time), returning the parcel's root handle.
-    pub fn import(&self, parcel: fix_core::wire::Parcel) -> Handle {
-        for node in parcel.objects {
-            self.put(node);
+    /// Imports every object of a received parcel under the handle
+    /// [`Parcel::verify`](fix_core::wire::Parcel::verify) hashed it to —
+    /// a received object is hashed once end to end — returning the
+    /// parcel's root handle.
+    pub fn import(&self, parcel: fix_core::wire::VerifiedParcel) -> Handle {
+        let root = parcel.root();
+        for (handle, node) in parcel.into_objects() {
+            self.put_named(handle, node);
         }
-        parcel.root
+        root
     }
 }
 
@@ -479,7 +499,7 @@ mod wire_tests {
         let bytes = parcel.to_bytes();
 
         let node_b = Store::new();
-        let root = node_b.import(Parcel::from_bytes(&bytes).unwrap());
+        let root = node_b.import(Parcel::verify(&bytes).unwrap());
         assert_eq!(root, thunk);
         assert!(node_b.contains(def_h));
         assert!(node_b.contains(dh));
@@ -563,7 +583,7 @@ mod proptests {
             let bytes = a.export(root).unwrap().to_bytes();
 
             let b = Store::new();
-            let got = b.import(fix_core::wire::Parcel::from_bytes(&bytes).unwrap());
+            let got = b.import(fix_core::wire::Parcel::verify(&bytes).unwrap());
             prop_assert_eq!(got, root);
             for (h, blob) in entries.iter().zip(&blobs) {
                 let got = b.get_blob(*h).unwrap();

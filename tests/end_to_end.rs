@@ -250,14 +250,12 @@ fn two_real_nodes_delegate_via_parcels() {
     // Node B: a different machine as far as the code is concerned.
     let node_b = Runtime::builder().build();
     register_revsort(&node_b); // B has the code for this function.
-    let root = node_b
-        .store()
-        .import(Parcel::from_bytes(&wire_bytes).unwrap());
+    let root = node_b.store().import(Parcel::verify(&wire_bytes).unwrap());
     let result = node_b.eval(root).unwrap();
 
     // Ship the result back; node A reads it without ever running revsort.
     let back = node_b.store().export(result).unwrap().to_bytes();
-    let result_at_a = node_a.store().import(Parcel::from_bytes(&back).unwrap());
+    let result_at_a = node_a.store().import(Parcel::verify(&back).unwrap());
     let blob = node_a.get_blob(result_at_a).unwrap();
     let mut expect: Vec<u8> = (0u8..200).collect();
     expect.reverse();
@@ -309,7 +307,7 @@ fn vm_code_travels_with_the_parcel() {
 
     // Node B: completely fresh — no registry entries, no modules.
     let node_b = Runtime::builder().build();
-    let root = node_b.store().import(Parcel::from_bytes(&bytes).unwrap());
+    let root = node_b.store().import(Parcel::verify(&bytes).unwrap());
     let out = node_b.eval(root).unwrap();
     assert_eq!(node_b.get_u64(out).unwrap(), 42);
 }
