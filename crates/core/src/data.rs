@@ -12,14 +12,14 @@ use crate::handle::{DataType, Handle, Kind, DIGEST_LEN, MAX_LITERAL};
 use bytes::Bytes;
 use std::sync::{Arc, OnceLock};
 
-fn blob_key() -> &'static [u8; 32] {
-    static KEY: OnceLock<[u8; 32]> = OnceLock::new();
-    KEY.get_or_init(|| fix_hash::hash(b"fix-v1:blob"))
+fn blob_key() -> &'static fix_hash::Key {
+    static KEY: OnceLock<fix_hash::Key> = OnceLock::new();
+    KEY.get_or_init(|| fix_hash::Key::new(&fix_hash::hash(b"fix-v1:blob")))
 }
 
-fn tree_key() -> &'static [u8; 32] {
-    static KEY: OnceLock<[u8; 32]> = OnceLock::new();
-    KEY.get_or_init(|| fix_hash::hash(b"fix-v1:tree"))
+fn tree_key() -> &'static fix_hash::Key {
+    static KEY: OnceLock<fix_hash::Key> = OnceLock::new();
+    KEY.get_or_init(|| fix_hash::Key::new(&fix_hash::hash(b"fix-v1:tree")))
 }
 
 fn truncate(digest: [u8; 32]) -> [u8; DIGEST_LEN] {
@@ -30,12 +30,12 @@ fn truncate(digest: [u8; 32]) -> [u8; DIGEST_LEN] {
 
 /// Computes the truncated, domain-separated digest of blob contents.
 pub fn blob_digest(data: &[u8]) -> [u8; DIGEST_LEN] {
-    truncate(fix_hash::keyed_hash(blob_key(), data))
+    truncate(blob_key().hash(data))
 }
 
 /// Computes the truncated, domain-separated digest of serialized tree entries.
 pub fn tree_digest(serialized_entries: &[u8]) -> [u8; DIGEST_LEN] {
-    truncate(fix_hash::keyed_hash(tree_key(), serialized_entries))
+    truncate(tree_key().hash(serialized_entries))
 }
 
 /// A region of memory: the atomic unit of Fix data.
@@ -228,12 +228,12 @@ impl Tree {
         Ok(Tree::from_handles(entries))
     }
 
-    /// The canonical Handle naming this tree.
+    /// The canonical Handle naming this tree: the digest of
+    /// [`canonical_bytes`](Tree::canonical_bytes), fed to the hash entry
+    /// by entry instead of through that copy.
     pub fn handle(&self) -> Handle {
-        Handle::tree_object(
-            tree_digest(&self.canonical_bytes()),
-            self.entries.len() as u64,
-        )
+        let digest = tree_key().hash_parts(self.entries.iter().map(|h| &h.raw()[..]));
+        Handle::tree_object(truncate(digest), self.entries.len() as u64)
     }
 }
 
@@ -359,6 +359,16 @@ mod tests {
         let parsed = Tree::from_canonical_bytes(&tree.canonical_bytes()).unwrap();
         assert_eq!(parsed.entries(), entries.as_slice());
         assert_eq!(parsed.handle(), tree.handle());
+    }
+
+    #[test]
+    fn tree_handle_is_the_digest_of_its_canonical_bytes() {
+        let leaf = Blob::from_slice(&[3u8; 40]).handle();
+        for len in [0usize, 1, 4, 31, 32, 33, 100] {
+            let tree = Tree::from_handles(vec![leaf; len]);
+            let expect = Handle::tree_object(tree_digest(&tree.canonical_bytes()), len as u64);
+            assert_eq!(tree.handle(), expect, "{len} entries");
+        }
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! (Blob/Tree), the literal bit, and — for literals — the content length.
 
 use crate::error::{Error, Result};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// The two data types of Fix (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -521,5 +524,189 @@ impl fmt::Display for Handle {
 impl fmt::Debug for Handle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(self, f)
+    }
+}
+
+// ----------------------------------------------------------------------
+// Hashing handle-shaped keys.
+// ----------------------------------------------------------------------
+
+/// A `HashMap` keyed on handle bytes (a [`Handle`], a payload key, a
+/// digest, or a small tuple or enum around one), hashed by
+/// [`HandleBuildHasher`].
+pub type HandleMap<K, V> = HashMap<K, V, HandleBuildHasher>;
+
+/// The set counterpart of [`HandleMap`].
+pub type HandleSet<K> = HashSet<K, HandleBuildHasher>;
+
+/// The [`BuildHasher`] for maps keyed on handle bytes.
+///
+/// A canonical handle already *is* a BLAKE3 digest, so running a
+/// general-purpose byte hash over it again buys nothing; this folds the
+/// key's 8-byte words into one `u64` with a multiply per word.
+///
+/// It is **keyed**, with a seed drawn once per process from the standard
+/// library's [`RandomState`](std::collections::hash_map::RandomState):
+/// a literal handle carries up to 30 bytes of caller-chosen content in
+/// the very bytes being folded, and grinding a digest until 20 low bits
+/// collide is cheap, so an unkeyed fold would let outside input pile
+/// every key into one bucket chain. Under a secret seed each word is
+/// xored into unknown state before it is multiplied, and iteration order
+/// stays as unspecified as the default hasher leaves it.
+///
+/// The slice length prefix (`write_usize`) is dropped, so the hasher is
+/// only for fixed-width keys: byte arrays, [`Handle`]s, and enums or
+/// tuples over them (discriminants arrive through `write_isize` and are
+/// folded).
+#[derive(Debug, Clone, Copy)]
+pub struct HandleBuildHasher {
+    seed: u64,
+}
+
+impl Default for HandleBuildHasher {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        let seed =
+            *SEED.get_or_init(|| std::collections::hash_map::RandomState::new().hash_one("fix"));
+        HandleBuildHasher { seed }
+    }
+}
+
+impl HandleBuildHasher {
+    /// Picks one of `shards` lock shards for `key` from the same fold
+    /// the shard's map buckets by. The bits taken sit between the low
+    /// bits (hashbrown's bucket index) and the top seven (its control
+    /// byte), so keys that share a shard still differ in both.
+    pub fn shard_of<K: std::hash::Hash + ?Sized>(&self, key: &K, shards: usize) -> usize {
+        (self.hash_one(key) >> 40) as usize % shards
+    }
+}
+
+impl BuildHasher for HandleBuildHasher {
+    type Hasher = HandleHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> HandleHasher {
+        HandleHasher { state: self.seed }
+    }
+}
+
+/// The word fold behind [`HandleBuildHasher`].
+#[derive(Debug, Clone, Copy)]
+pub struct HandleHasher {
+    state: u64,
+}
+
+impl HandleHasher {
+    /// One folded multiply: the high half of the 128-bit product xored
+    /// into the low half, so every input bit reaches both the low bits
+    /// and the top seven of the result.
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * 0x9E37_79B9_7F4A_7C15_u128;
+        self.state = (product as u64) ^ (product >> 64) as u64;
+    }
+}
+
+impl Hasher for HandleHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.fold(u64::from_le_bytes(last));
+        }
+    }
+
+    /// The length prefix of a slice or array: constant for every key
+    /// this hasher is for, so not folded.
+    #[inline]
+    fn write_usize(&mut self, _len: usize) {}
+
+    /// An enum discriminant (`Job::Eval` vs `Job::Force`, a `Relation`).
+    #[inline]
+    fn write_isize(&mut self, discriminant: isize) {
+        self.fold(discriminant as u64);
+    }
+
+    /// No further mixing: the last fold already spread its input over
+    /// the low bits and the top seven.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::Hash;
+
+    /// Max and mean load when `hashes` are dealt into `buckets` by `f`.
+    fn max_load(hashes: &[u64], buckets: usize, f: impl Fn(u64) -> usize) -> (usize, usize) {
+        let mut load = vec![0usize; buckets];
+        for &h in hashes {
+            load[f(h)] += 1;
+        }
+        (
+            load.into_iter().max().expect("buckets > 0"),
+            hashes.len() / buckets,
+        )
+    }
+
+    /// hashbrown indexes buckets by the low bits and tags slots with the
+    /// top seven: both must spread, for content-keyed and digest-keyed
+    /// handles alike.
+    fn assert_spreads(hashes: &[u64], what: &str) {
+        let (max, mean) = max_load(hashes, 1 << 10, |h| (h & 0x3ff) as usize);
+        assert!(
+            max <= 2 * mean,
+            "{what}: low bits load {max} vs mean {mean}"
+        );
+        let (max, mean) = max_load(hashes, 1 << 7, |h| (h >> 57) as usize);
+        assert!(
+            max <= 2 * mean,
+            "{what}: top bits load {max} vs mean {mean}"
+        );
+    }
+
+    #[test]
+    fn literal_and_digest_handles_spread_over_buckets_and_control_bytes() {
+        let build = HandleBuildHasher::default();
+        let literals: Vec<u64> = (0..1u64 << 16)
+            .map(|i| build.hash_one(Handle::literal(&i.to_le_bytes()).expect("8 bytes")))
+            .collect();
+        assert_spreads(&literals, "u64 literals");
+        let digests: Vec<u64> = (0..1u64 << 16)
+            .map(|i| {
+                let digest = fix_hash::hash_truncated192(&i.to_le_bytes());
+                build.hash_one(Handle::blob_object(digest, 64))
+            })
+            .collect();
+        assert_spreads(&digests, "digest handles");
+    }
+
+    #[test]
+    fn discriminants_and_seeds_reach_the_hash() {
+        #[derive(Hash)]
+        enum Tagged {
+            A(Handle),
+            B(Handle),
+        }
+        let h = Handle::literal(b"same payload").expect("fits");
+        let build = HandleBuildHasher::default();
+        assert_ne!(
+            build.hash_one(Tagged::A(h)),
+            build.hash_one(Tagged::B(h)),
+            "the variant must perturb the hash"
+        );
+        let (one, two) = (HandleBuildHasher { seed: 1 }, HandleBuildHasher { seed: 2 });
+        assert_ne!(one.hash_one(h), two.hash_one(h), "the fold must be keyed");
+        assert_ne!(one.hash_one(*h.raw()), two.hash_one(*h.raw()));
     }
 }

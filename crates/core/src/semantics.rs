@@ -16,9 +16,9 @@
 
 use crate::data::{literal_blob, Blob, Node, Tree};
 use crate::error::{Error, Result};
-use crate::handle::{DataType, EncodeStyle, Handle, Kind, ThunkKind};
+use crate::handle::{DataType, EncodeStyle, Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use crate::invocation::Selection;
-use std::collections::HashSet;
+use std::borrow::Cow;
 
 /// Anything that can produce the data behind canonical handles.
 ///
@@ -108,7 +108,7 @@ impl Footprint {
     /// of per-request footprints is exactly the set a batch transfer — or
     /// a snapshot pinning the batch — must cover.
     pub fn merge(&mut self, other: &Footprint) {
-        let mut seen: HashSet<[u8; 32]> = self.objects.iter().map(|h| payload_key(*h)).collect();
+        let mut seen: HandleSet<[u8; 32]> = self.objects.iter().map(|h| payload_key(*h)).collect();
         for &h in &other.objects {
             if seen.insert(payload_key(h)) {
                 self.objects.push(h);
@@ -131,7 +131,7 @@ fn handle_transfer_size(handle: Handle) -> u64 {
 
 /// Appends the elements of `extra` not already in `dst`, preserving order.
 fn merge_unique(dst: &mut Vec<Handle>, extra: &[Handle]) {
-    let mut seen: HashSet<[u8; 32]> = dst.iter().map(|h| *h.raw()).collect();
+    let mut seen: HandleSet<[u8; 32]> = dst.iter().map(|h| *h.raw()).collect();
     for &h in extra {
         if seen.insert(*h.raw()) {
             dst.push(h);
@@ -174,7 +174,7 @@ pub fn footprint(
     resolver: &dyn EncodeResolver,
 ) -> Result<Footprint> {
     let mut fp = Footprint::default();
-    let mut seen = HashSet::new();
+    let mut seen = HandleSet::default();
     footprint_into(source, thunk, resolver, &mut fp, &mut seen)?;
     Ok(fp)
 }
@@ -192,7 +192,7 @@ pub fn footprint_many(
     resolver: &dyn EncodeResolver,
 ) -> Result<Footprint> {
     let mut fp = Footprint::default();
-    let mut seen = HashSet::new();
+    let mut seen = HandleSet::default();
     for &thunk in thunks {
         footprint_into(source, thunk, resolver, &mut fp, &mut seen)?;
     }
@@ -204,7 +204,7 @@ pub fn footprint_many(
 }
 
 fn dedup_in_place(handles: &mut Vec<Handle>) {
-    let mut seen = HashSet::new();
+    let mut seen = HandleSet::default();
     handles.retain(|h| seen.insert(*h.raw()));
 }
 
@@ -213,7 +213,7 @@ fn footprint_into(
     thunk: Handle,
     resolver: &dyn EncodeResolver,
     fp: &mut Footprint,
-    seen: &mut HashSet<[u8; 32]>,
+    seen: &mut HandleSet<[u8; 32]>,
 ) -> Result<()> {
     match thunk.kind() {
         Kind::Thunk(ThunkKind::Application) => {
@@ -256,7 +256,7 @@ fn add_data(
     source: &dyn DataSource,
     handle: Handle,
     fp: &mut Footprint,
-    seen: &mut HashSet<[u8; 32]>,
+    seen: &mut HandleSet<[u8; 32]>,
 ) -> Result<()> {
     if handle.is_literal() || !seen.insert(payload_key(handle)) {
         return Ok(());
@@ -279,7 +279,7 @@ fn add_accessible(
     handle: Handle,
     resolver: &dyn EncodeResolver,
     fp: &mut Footprint,
-    seen: &mut HashSet<[u8; 32]>,
+    seen: &mut HandleSet<[u8; 32]>,
 ) -> Result<()> {
     let mut stack = vec![handle];
     while let Some(handle) = stack.pop() {
@@ -322,34 +322,39 @@ fn payload_key(handle: Handle) -> [u8; 32] {
 }
 
 /// Collects every Encode appearing in an application tree, recursively
-/// through accessible sub-trees. These are the dependencies the runtime
-/// must resolve before the invocation can launch.
+/// through accessible sub-trees, each once and in first-seen order (depth
+/// first, entries in order). These are the dependencies the runtime must
+/// resolve before the invocation can launch.
+///
+/// An explicit worklist, not recursion: nesting depth is data (a cons
+/// list is as deep as it is long) and must not be bounded by the
+/// caller's stack. A tree with no Encode and no sub-tree — every native
+/// `add`, every map task — is one scan that allocates nothing.
 pub fn collect_encodes(source: &dyn DataSource, tree: &Tree) -> Result<Vec<Handle>> {
     let mut found = Vec::new();
-    let mut seen = HashSet::new();
-    collect_encodes_inner(source, tree, &mut found, &mut seen)?;
-    Ok(found)
-}
-
-fn collect_encodes_inner(
-    source: &dyn DataSource,
-    tree: &Tree,
-    found: &mut Vec<Handle>,
-    seen: &mut HashSet<[u8; 32]>,
-) -> Result<()> {
-    for entry in tree.entries() {
-        match entry.kind() {
-            Kind::Encode(..) if seen.insert(*entry.raw()) => {
-                found.push(*entry);
+    let mut seen = HandleSet::default();
+    // The tree being scanned with the next entry to look at, and the
+    // trees above it suspended where they descended.
+    let mut current = (Cow::Borrowed(tree), 0usize);
+    let mut suspended: Vec<(Cow<'_, Tree>, usize)> = Vec::new();
+    loop {
+        let Some(entry) = current.0.get(current.1) else {
+            match suspended.pop() {
+                Some(parent) => current = parent,
+                None => return Ok(found),
             }
+            continue;
+        };
+        current.1 += 1;
+        match entry.kind() {
+            Kind::Encode(..) if seen.insert(*entry.raw()) => found.push(entry),
             Kind::Object(DataType::Tree) if seen.insert(*entry.raw()) => {
-                let sub = load_tree(source, *entry)?;
-                collect_encodes_inner(source, &sub, found, seen)?;
+                let sub = (Cow::Owned(load_tree(source, entry)?), 0);
+                suspended.push(std::mem::replace(&mut current, sub));
             }
             _ => {}
         }
     }
-    Ok(())
 }
 
 /// Rewrites a tree, replacing each entry by `f(entry)` (recursing is the
@@ -366,7 +371,7 @@ pub fn map_tree(tree: &Tree, mut f: impl FnMut(Handle) -> Result<Handle>) -> Res
 /// A simple in-memory [`DataSource`] for tests, examples, and doc tests.
 #[derive(Debug, Default, Clone)]
 pub struct MapSource {
-    items: std::collections::HashMap<[u8; 32], Node>,
+    items: HandleMap<[u8; 32], Node>,
 }
 
 impl MapSource {

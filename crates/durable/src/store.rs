@@ -14,12 +14,11 @@ use crate::frame::{self, Scanned, LOG_MAGIC, SNAP_MAGIC};
 use crate::{DurableOptions, DurableStats, FsyncPolicy, KillMode};
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
-use fix_core::handle::Handle;
+use fix_core::handle::{Handle, HandleMap};
 use fix_storage::{
     payload_key, FaultSource, Relation, RelationCache, RelationSink, Store, StoreSink,
 };
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -151,7 +150,7 @@ struct Inner {
     options: DurableOptions,
     store: Arc<Store>,
     cache: Arc<RelationCache>,
-    index: RwLock<HashMap<[u8; 32], Slot>>,
+    index: RwLock<HandleMap<[u8; 32], Slot>>,
     queue: Mutex<Queue>,
     /// Wakes the writer (new work / flush / snapshot / shutdown).
     work: Condvar,
@@ -363,7 +362,7 @@ impl DurableStore {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(io_err)?;
 
-        let mut index: HashMap<[u8; 32], Slot> = HashMap::new();
+        let mut index: HandleMap<[u8; 32], Slot> = HandleMap::default();
         let mut relations: Vec<(Relation, Handle, Handle)> = Vec::new();
 
         // --- Newest valid snapshot wins. ---
@@ -655,7 +654,7 @@ fn replay(
     file: &File,
     magic: &[u8; 8],
     at: Location,
-    index: &mut HashMap<[u8; 32], Slot>,
+    index: &mut HandleMap<[u8; 32], Slot>,
     relations: &mut Vec<(Relation, Handle, Handle)>,
 ) -> io::Result<Option<Replayed>> {
     let len = file.metadata()?.len();
@@ -948,7 +947,8 @@ fn do_snapshot(
         .iter()
         .map(|(k, s)| (*k, s.clone()))
         .collect();
-    let mut moved: HashMap<[u8; 32], Slot> = HashMap::with_capacity(slots.len());
+    let mut moved: HandleMap<[u8; 32], Slot> =
+        HandleMap::with_capacity_and_hasher(slots.len(), Default::default());
     for (key, slot) in slots {
         // Source each object from memory if resident (already named: no
         // hash), else copy its frame's node from the old file through

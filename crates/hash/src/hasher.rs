@@ -190,8 +190,13 @@ impl Default for Hasher {
 
 impl Hasher {
     fn new_internal(key_words: [u32; 8], flags: u32) -> Self {
+        Self::from_first_chunk(ChunkState::new(key_words, 0, flags), key_words, flags)
+    }
+
+    /// A hasher whose input so far is what `chunk_state` (chunk 0) holds.
+    fn from_first_chunk(chunk_state: ChunkState, key_words: [u32; 8], flags: u32) -> Self {
         Self {
-            chunk_state: ChunkState::new(key_words, 0, flags),
+            chunk_state,
             key_words,
             cv_stack: [[0; 8]; MAX_DEPTH],
             cv_stack_len: 0,
@@ -206,11 +211,7 @@ impl Hasher {
 
     /// Constructs a hasher for the keyed hash function.
     pub fn new_keyed(key: &[u8; KEY_LEN]) -> Self {
-        let mut key_words = [0u32; 8];
-        for (word, chunk) in key_words.iter_mut().zip(key.chunks_exact(4)) {
-            *word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        Self::new_internal(key_words, KEYED_HASH)
+        Self::new_internal(Key::new(key).words, KEYED_HASH)
     }
 
     fn push_stack(&mut self, cv: [u32; 8]) {
@@ -278,6 +279,72 @@ impl Hasher {
         let mut out = [0u8; OUT_LEN];
         self.finalize_xof(&mut out);
         out
+    }
+}
+
+/// Hashes the concatenation of `parts` in one shot.
+///
+/// Input that fits one chunk — every handle-sized object, every tree of
+/// up to 32 entries — is the root of a one-node hash tree: it needs the
+/// chunk state only, not the [`Hasher`]'s 1.7 KB chaining-value stack,
+/// which is built (around the chunk filled so far) only when a part
+/// would overflow the chunk.
+pub(crate) fn one_shot<'a>(
+    key_words: [u32; 8],
+    flags: u32,
+    parts: impl IntoIterator<Item = &'a [u8]>,
+) -> [u8; OUT_LEN] {
+    let mut chunk = ChunkState::new(key_words, 0, flags);
+    let mut parts = parts.into_iter();
+    while let Some(part) = parts.next() {
+        if chunk.len() + part.len() > CHUNK_LEN {
+            let mut hasher = Hasher::from_first_chunk(chunk, key_words, flags);
+            hasher.update(part);
+            parts.for_each(|part| hasher.update(part));
+            return hasher.finalize();
+        }
+        chunk.update(part);
+    }
+    let mut out = [0u8; OUT_LEN];
+    chunk.output().root_output_bytes(&mut out);
+    out
+}
+
+/// A BLAKE3 key parsed into its eight words once, for callers that hash
+/// many inputs under one key ([`keyed_hash`](crate::keyed_hash) parses
+/// the 32 key bytes on every call).
+///
+/// # Examples
+///
+/// ```
+/// let key = fix_hash::Key::new(&[7u8; 32]);
+/// assert_eq!(key.hash(b"abcdef"), fix_hash::keyed_hash(&[7u8; 32], b"abcdef"));
+/// // Parts hash as their concatenation, without building it.
+/// assert_eq!(key.hash_parts([&b"abc"[..], b"def"]), key.hash(b"abcdef"));
+/// ```
+#[derive(Clone, Copy)]
+pub struct Key {
+    words: [u32; 8],
+}
+
+impl Key {
+    /// Parses a 32-byte key.
+    pub fn new(key: &[u8; KEY_LEN]) -> Key {
+        let mut words = [0u32; 8];
+        for (word, chunk) in words.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        Key { words }
+    }
+
+    /// The keyed hash of `input`.
+    pub fn hash(&self, input: &[u8]) -> [u8; OUT_LEN] {
+        self.hash_parts([input])
+    }
+
+    /// The keyed hash of the concatenation of `parts`.
+    pub fn hash_parts<'a>(&self, parts: impl IntoIterator<Item = &'a [u8]>) -> [u8; OUT_LEN] {
+        one_shot(self.words, KEYED_HASH, parts)
     }
 }
 

@@ -26,20 +26,16 @@ mod compress;
 mod hasher;
 
 pub use compress::{BLOCK_LEN, CHUNK_LEN, IV};
-pub use hasher::{Hasher, KEY_LEN, OUT_LEN};
+pub use hasher::{Hasher, Key, KEY_LEN, OUT_LEN};
 
 /// Hashes `input` and returns the standard 32-byte BLAKE3 digest.
 pub fn hash(input: &[u8]) -> [u8; OUT_LEN] {
-    let mut hasher = Hasher::new();
-    hasher.update(input);
-    hasher.finalize()
+    hasher::one_shot(IV, 0, [input])
 }
 
 /// Hashes `input` with a 32-byte key (BLAKE3 keyed mode).
 pub fn keyed_hash(key: &[u8; KEY_LEN], input: &[u8]) -> [u8; OUT_LEN] {
-    let mut hasher = Hasher::new_keyed(key);
-    hasher.update(input);
-    hasher.finalize()
+    Key::new(key).hash(input)
 }
 
 /// Hashes `input` and returns the first 24 bytes (192 bits) of the digest.
@@ -145,6 +141,27 @@ mod tests {
                 hasher.update(chunk);
             }
             assert_eq!(hasher.finalize(), oneshot, "split size {split}");
+        }
+    }
+
+    /// `Key::hash_parts` against the oracle on the concatenation, with
+    /// the part size and the total chosen to land before, on and past
+    /// the one-chunk boundary (32-byte parts are tree entries).
+    #[test]
+    fn oracle_agreement_keyed_parts() {
+        let key_bytes: [u8; KEY_LEN] = std::array::from_fn(|i| (i * 7) as u8);
+        let key = Key::new(&key_bytes);
+        for &len in &[0usize, 32, 96, 992, 1023, 1024, 1025, 1056, 2048, 5000] {
+            let input = pattern(len);
+            let theirs = blake3::keyed_hash(&key_bytes, &input);
+            for part in [1usize, 32, 100, 1024, 4096] {
+                assert_eq!(
+                    key.hash_parts(input.chunks(part)),
+                    *theirs.as_bytes(),
+                    "length {len} in parts of {part}"
+                );
+            }
+            assert_eq!(key.hash(&input), *theirs.as_bytes(), "length {len}");
         }
     }
 

@@ -7,7 +7,9 @@
 //! cheap and guarantee the expensive work (running a procedure) happens
 //! exactly once. This mirrors Fixpoint's design: procedures never block
 //! (paper §4.2.1), so a worker either runs a codelet to completion or
-//! records what must be computed first.
+//! records what must be computed first. A job whose remaining work is
+//! another job's result — a tail call — says so ([`Step::Tail`]) and is
+//! completed with that result, not stepped again to copy it.
 //!
 //! The two job kinds map onto the memoized relations:
 //!
@@ -25,13 +27,12 @@ use crate::registry::ProgramRegistry;
 use fix_core::api::NativeCtx;
 use fix_core::data::{Blob, Node, Tree};
 use fix_core::error::{Error, Result};
-use fix_core::handle::{DataType, EncodeStyle, Handle, Kind, ThunkKind};
+use fix_core::handle::{DataType, EncodeStyle, Handle, HandleMap, Kind, ThunkKind};
 use fix_core::invocation::{Invocation, Selection};
 use fix_core::semantics::{collect_encodes, EncodeResolver};
 use fix_storage::{ProvenanceLedger, Relation, RelationCache, Store};
 use fix_vm::{HostApi, Module, VmConfig};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,6 +43,16 @@ pub(crate) enum Job {
     Eval(Handle),
     /// Deep-force a value so that everything inside is accessible.
     Force(Handle),
+}
+
+impl Job {
+    /// The memoized relation this job computes, and its input.
+    fn relation(self) -> (Relation, Handle) {
+        match self {
+            Job::Eval(h) => (Relation::Eval, h),
+            Job::Force(h) => (Relation::Force, h),
+        }
+    }
 }
 
 impl std::fmt::Display for Job {
@@ -60,6 +71,12 @@ pub(crate) enum Step {
     Done(Handle),
     /// The job needs these jobs to finish first, then must be re-stepped.
     Deps(Vec<Job>),
+    /// The job's result is this job's result, whatever it turns out to
+    /// be (a tail call, a selection that landed on a thunk, the force of
+    /// an evaluated value): when it finishes, the scheduler records the
+    /// waiter's relation ([`Engine::complete_tail`]) and completes the
+    /// waiter on the spot.
+    Tail(Job),
 }
 
 /// Counters describing engine activity (used by benches and tests).
@@ -84,7 +101,7 @@ pub struct Engine {
     /// Native procedure registry.
     pub(crate) registry: Arc<ProgramRegistry>,
     /// Parsed-module cache (content-addressed, so never invalidated).
-    modules: RwLock<HashMap<[u8; 24], Arc<Module>>>,
+    modules: RwLock<HandleMap<[u8; 24], Arc<Module>>>,
     /// Provenance recording for computational GC (paper §6); `None`
     /// keeps the hot path free of ledger writes.
     provenance: Option<Arc<ProvenanceLedger>>,
@@ -148,7 +165,7 @@ impl Engine {
             store,
             cache,
             registry,
-            modules: RwLock::new(HashMap::new()),
+            modules: RwLock::default(),
             provenance: None,
             stats: EngineStats::default(),
         }
@@ -238,13 +255,7 @@ impl Engine {
         };
         if result.is_thunk() {
             // Chained laziness: keep reducing.
-            match self.cache.get(Relation::Eval, result) {
-                Some(v) => {
-                    self.cache.put(Relation::Eval, h, v);
-                    Ok(Step::Done(v))
-                }
-                None => Ok(Step::Deps(vec![Job::Eval(result)])),
-            }
+            Ok(self.tail(Job::Eval(h), Job::Eval(result)))
         } else {
             if let Some(ledger) = &self.provenance {
                 // Recipe over the *value* target: re-running it later
@@ -312,17 +323,32 @@ impl Engine {
         };
         if raw.is_thunk() {
             // Tail call: the procedure returned another computation.
-            match self.cache.get(Relation::Eval, raw) {
-                Some(v) => {
-                    self.cache.put(Relation::Eval, h, v);
-                    Ok(Step::Done(v))
-                }
-                None => Ok(Step::Deps(vec![Job::Eval(raw)])),
-            }
+            Ok(self.tail(Job::Eval(h), Job::Eval(raw)))
         } else {
             self.cache.put(Relation::Eval, h, raw);
             Ok(Step::Done(raw))
         }
+    }
+
+    /// `job`'s result is `callee`'s: done if that is already memoized,
+    /// else a [`Step::Tail`] on it.
+    fn tail(&self, job: Job, callee: Job) -> Step {
+        let (relation, input) = callee.relation();
+        match self.cache.get(relation, input) {
+            Some(v) => {
+                self.complete_tail(job, v);
+                Step::Done(v)
+            }
+            None => Step::Tail(callee),
+        }
+    }
+
+    /// Records that `job`, which reported [`Step::Tail`], finished with
+    /// its callee's `value`: the relation a re-step would have copied.
+    /// Nothing ran, so there is no provenance to record.
+    pub(crate) fn complete_tail(&self, job: Job, value: Handle) {
+        let (relation, input) = job.relation();
+        self.cache.put(relation, input, value);
     }
 
     /// Rewrites an application tree, splicing in resolved Encode results
@@ -454,25 +480,13 @@ impl Engine {
                     Some(v) => v,
                     None => return Ok(Step::Deps(vec![Job::Eval(h)])),
                 };
-                match self.cache.get(Relation::Force, v) {
-                    Some(f) => {
-                        self.cache.put(Relation::Force, h, f);
-                        Ok(Step::Done(f))
-                    }
-                    None => Ok(Step::Deps(vec![Job::Force(v)])),
-                }
+                Ok(self.tail(Job::Force(h), Job::Force(v)))
             }
             Kind::Encode(..) => {
                 // Force through the encode's thunk, ignoring the style:
                 // strict evaluation makes everything fully accessible.
                 let thunk = h.encoded_thunk()?;
-                match self.cache.get(Relation::Force, thunk) {
-                    Some(f) => {
-                        self.cache.put(Relation::Force, h, f);
-                        Ok(Step::Done(f))
-                    }
-                    None => Ok(Step::Deps(vec![Job::Force(thunk)])),
-                }
+                Ok(self.tail(Job::Force(h), Job::Force(thunk)))
             }
         }
     }

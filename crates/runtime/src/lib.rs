@@ -436,6 +436,90 @@ mod tests {
         assert_eq!(err, rt.eval(inner).unwrap_err());
     }
 
+    /// A procedure that returns a Thunk made a tail call: its caller's
+    /// value is the callee's, so the caller parks as a tail waiter and a
+    /// failing callee fails it with the callee's own error.
+    #[test]
+    fn a_failing_tail_call_fails_its_caller_with_the_same_error() {
+        let rt = Runtime::builder().build();
+        let bad = rt
+            .install_vm_module("func apply args=0 locals=0\n unreachable\nend")
+            .unwrap();
+        let first = rt.register_native("first-lazy", Arc::new(|ctx| ctx.arg(0)));
+        let inner = rt.apply(limits(), bad, &[]).unwrap();
+        // Not encoded: `first` is handed the Thunk itself and returns it.
+        let outer = rt.apply(limits(), first, &[inner]).unwrap();
+        assert_eq!(
+            rt.engine().step(Job::Eval(outer)).unwrap(),
+            Step::Tail(Job::Eval(inner))
+        );
+        let err = rt.eval(outer).unwrap_err();
+        assert!(matches!(err, Error::Trap(_)), "{err}");
+        assert_eq!(err, rt.eval(inner).unwrap_err());
+    }
+
+    /// A ticket cancelled while its job is parked on a tail call leaks
+    /// nothing: the callee still finishes (the parked caller wants it),
+    /// its completion completes the caller, and the caller's relation is
+    /// there for the next request.
+    #[test]
+    fn cancelling_a_ticket_parked_on_a_tail_call_leaks_nothing() {
+        use fix_core::api::SubmitApi;
+        use std::sync::mpsc;
+        let rt = Runtime::builder().workers(1).build();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = parking_lot::Mutex::new((started_tx, release_rx));
+        let gated = rt.register_native(
+            "gated",
+            Arc::new(move |ctx| {
+                let gate = gate.lock();
+                gate.0.send(()).expect("test is listening");
+                gate.1.recv().expect("test releases the gate");
+                ctx.host.create_blob(b"late".to_vec())
+            }),
+        );
+        let first = rt.register_native("first-lazy", Arc::new(|ctx| ctx.arg(0)));
+        let inner = rt.apply(limits(), gated, &[]).unwrap();
+        let outer = rt.apply(limits(), first, &[inner]).unwrap();
+
+        let ticket = rt.submit(outer);
+        // The callee is mid-run, so its caller has parked on it.
+        started_rx.recv().expect("callee started");
+        ticket.cancel();
+        assert_eq!(rt.submission_watchers(), 0);
+        release_tx.send(()).expect("callee is waiting");
+
+        // Evaluating the caller again waits for that completion (a
+        // caller left parked forever would hang here) and runs nothing.
+        let out = rt.eval(outer).unwrap();
+        assert_eq!(rt.get_blob(out).unwrap().as_slice(), b"late");
+        assert_eq!(rt.engine().stats.procedures_run.load(Ordering::Relaxed), 2);
+        assert_eq!(rt.submission_watchers(), 0);
+        assert_eq!(rt.queued_jobs(), 0);
+    }
+
+    /// Nesting depth is data: an argument that is a 10 000-deep cons
+    /// list is scanned for encodes by a worklist, not by recursion.
+    #[test]
+    fn a_deep_cons_list_argument_evaluates_on_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let rt = Runtime::builder().build();
+                let first = rt.register_native("first-lazy", Arc::new(|ctx| ctx.arg(0)));
+                let mut list = rt.put_tree(Tree::from_handles(vec![]));
+                for i in 0..10_000u64 {
+                    list = rt.put_tree(Tree::from_handles(vec![Blob::from_u64(i).handle(), list]));
+                }
+                let thunk = rt.apply(limits(), first, &[list]).unwrap();
+                assert_eq!(rt.eval(thunk).unwrap(), list);
+            })
+            .expect("spawn")
+            .join()
+            .expect("no overflow, no panic");
+    }
+
     /// An application (or selection) waits directly on the relation an
     /// unresolved encode is missing: `Eval` of its thunk first, then —
     /// strict style only — `Force` of the value.

@@ -17,11 +17,10 @@ use crate::engine::Job;
 use crate::runtime::Runtime;
 use fix_core::api::Evaluator;
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, Kind, ThunkKind};
+use fix_core::handle::{Handle, HandleSet, Kind, ThunkKind};
 use fix_storage::{
     apply_eviction, plan_eviction, support_closure, EvictionPlan, ProvenanceLedger, Relation,
 };
-use std::collections::HashSet;
 
 /// What an eviction pass deleted.
 #[derive(Debug, Clone)]
@@ -82,7 +81,7 @@ impl Runtime {
     pub fn materialize(&self, handle: Handle) -> Result<RecomputeReport> {
         let ledger = self.ledger()?;
         let mut report = RecomputeReport::default();
-        let mut in_progress: HashSet<[u8; 32]> = HashSet::new();
+        let mut in_progress: HandleSet<[u8; 32]> = HandleSet::default();
         self.materialize_inner(ledger, handle, 1, &mut in_progress, &mut report)?;
         Ok(report)
     }
@@ -92,7 +91,7 @@ impl Runtime {
         ledger: &ProvenanceLedger,
         handle: Handle,
         depth: u32,
-        in_progress: &mut HashSet<[u8; 32]>,
+        in_progress: &mut HandleSet<[u8; 32]>,
         report: &mut RecomputeReport,
     ) -> Result<()> {
         if !matches!(handle.kind(), Kind::Object(_) | Kind::Ref(_)) {

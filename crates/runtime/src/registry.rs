@@ -14,16 +14,15 @@
 //!   handle.
 
 use fix_core::data::Blob;
-use fix_core::handle::Handle;
+use fix_core::handle::{Handle, HandleMap};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 use fix_core::api::NativeFn;
 
 /// Maps procedure handles to native implementations.
 #[derive(Default)]
 pub(crate) struct ProgramRegistry {
-    by_handle: RwLock<HashMap<[u8; 32], NativeFn>>,
+    by_handle: RwLock<HandleMap<[u8; 32], NativeFn>>,
 }
 
 /// Builds the content-addressed marker blob for a native procedure name.

@@ -5,9 +5,10 @@
 //! its state machine, queue-token accounting, the interest refcount,
 //! the pin bit, the respin counter, its dependency waiters, and the
 //! watched-batch watchers whose current stage it is. The map is
-//! sharded by a hash of the job identity (the same FNV-1a recipe as
-//! the 64-way object store, 32-way relation cache, and 16-way label
-//! namespace), so submissions, claims, and completions of unrelated
+//! sharded by the keyed word fold of the job identity
+//! (`fix_core::handle::HandleBuildHasher`, the same fold each shard's
+//! map buckets by, and the one the object store and relation cache
+//! shard by), so submissions, claims, and completions of unrelated
 //! jobs never contend on a lock.
 //!
 //! The entry is only ever read or mutated under its shard lock. Cross-
@@ -20,9 +21,8 @@ use super::batch::Watcher;
 use crate::engine::Job;
 use fix_core::api::Priority;
 use fix_core::error::Error;
-use fix_core::handle::Handle;
+use fix_core::handle::{Handle, HandleBuildHasher, HandleMap};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
@@ -30,22 +30,6 @@ use std::sync::Arc;
 /// insert/claim/complete round-trip per executed step, which is the
 /// same traffic shape.
 const SHARDS: usize = 32;
-
-/// FNV-1a over the variant tag and the handle bytes.
-fn shard_of(job: &Job) -> usize {
-    let (tag, h) = match job {
-        Job::Eval(h) => (0u64, h),
-        Job::Force(h) => (1u64, h),
-    };
-    let mut x: u64 = 0xcbf2_9ce4_8422_2325;
-    x ^= tag;
-    x = x.wrapping_mul(0x100_0000_01b3);
-    for b in h.raw() {
-        x ^= *b as u64;
-        x = x.wrapping_mul(0x100_0000_01b3);
-    }
-    (x as usize) % SHARDS
-}
 
 #[derive(Debug, Clone)]
 pub(super) enum JobState {
@@ -69,12 +53,18 @@ pub(super) enum JobState {
 /// can fire at any point in between.
 ///
 /// `fired` makes the continuation exactly-once: whichever thread swaps
-/// it first owns the requeue (all dependencies done) or the failure
-/// propagation (a dependency failed); everyone else backs off.
+/// it first owns the requeue (all dependencies done), the tail
+/// completion, or the failure propagation (a dependency failed);
+/// everyone else backs off.
 pub(super) struct DepWait {
     pub(super) job: Job,
     pub(super) pending: AtomicUsize,
     pub(super) fired: AtomicBool,
+    /// The job parked on a tail call (`Step::Tail`): its one
+    /// dependency's value *is* its own, so the dependency's completion
+    /// completes it instead of requeueing it for a step that would only
+    /// copy that value.
+    pub(super) tail: bool,
 }
 
 #[derive(Default)]
@@ -145,28 +135,37 @@ impl JobEntry {
     }
 }
 
+/// One lock shard of the map.
+pub(super) type Shard = HandleMap<Job, JobEntry>;
+
 /// The sharded map itself.
 pub(super) struct JobMap {
-    shards: Vec<Mutex<HashMap<Job, JobEntry>>>,
+    shards: Vec<Mutex<Shard>>,
+    hasher: HandleBuildHasher,
 }
 
 impl JobMap {
     pub(super) fn new() -> JobMap {
         JobMap {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            hasher: HandleBuildHasher::default(),
         }
     }
 
+    fn shard_of(&self, job: &Job) -> usize {
+        self.hasher.shard_of(job, SHARDS)
+    }
+
     /// Locks and returns the shard owning `job`.
-    pub(super) fn shard(&self, job: &Job) -> MutexGuard<'_, HashMap<Job, JobEntry>> {
-        self.shards[shard_of(job)].lock()
+    pub(super) fn shard(&self, job: &Job) -> MutexGuard<'_, Shard> {
+        self.shards[self.shard_of(job)].lock()
     }
 
     /// Runs `f` over every shard in turn (each under its own lock).
     /// Per-shard consistent, not an atomic snapshot of the whole map —
     /// fine for diagnostics, maintenance sweeps, and reset (whose
     /// contract already demands quiescence).
-    pub(super) fn for_each_shard(&self, mut f: impl FnMut(&mut HashMap<Job, JobEntry>)) {
+    pub(super) fn for_each_shard(&self, mut f: impl FnMut(&mut Shard)) {
         for shard in &self.shards {
             f(&mut shard.lock());
         }
@@ -183,15 +182,21 @@ mod tests {
         // Not a distribution-quality claim — just a guard that the hash
         // actually routes different jobs (and the same handle's Eval vs
         // Force) to different locks.
+        use std::hash::BuildHasher;
+        let map = JobMap::new();
         let handles: Vec<Handle> = (0..64u64).map(|i| Blob::from_u64(i).handle()).collect();
-        let shards: std::collections::HashSet<usize> =
-            handles.iter().map(|h| shard_of(&Job::Eval(*h))).collect();
+        let shards: std::collections::HashSet<usize> = handles
+            .iter()
+            .map(|h| map.shard_of(&Job::Eval(*h)))
+            .collect();
         assert!(shards.len() > SHARDS / 2, "{} shards used", shards.len());
-        let h = handles[0];
-        let variants: std::collections::HashSet<usize> =
-            [shard_of(&Job::Eval(h)), shard_of(&Job::Force(h))]
-                .into_iter()
-                .collect();
-        assert!(variants.len() > 1, "variant tag must perturb the shard");
+        // One pair of shard indices can agree by chance (1 in 32); the
+        // hashes they are cut from cannot.
+        assert!(
+            handles.iter().all(|h| {
+                map.hasher.hash_one(Job::Eval(*h)) != map.hasher.hash_one(Job::Force(*h))
+            }),
+            "variant tag must perturb the hash"
+        );
     }
 }

@@ -20,7 +20,8 @@
 //! 1. **The sharded job map** (`jobmap`) — per-job bookkeeping
 //!    (state, queue tokens, the live-token claim bit, interest
 //!    refcounts, pins, respin counters, dependency waiters, batch
-//!    watchers) lives in a 32-way hash-sharded map. Unrelated jobs
+//!    watchers) lives in a 32-way map sharded by the keyed word fold
+//!    of the job (`fix_core::handle::HandleBuildHasher`). Unrelated jobs
 //!    never share a lock; one job's submit-claim-complete round-trip
 //!    touches only its own shard. Dependency edges cross shards through
 //!    an atomic waitgroup (`jobmap::DepWait`), never by nesting shard
@@ -83,6 +84,47 @@
 //!   chain: when its `Eval` completes, the watcher *chains* onto the
 //!   `Force` of the produced value instead of filling, so the slot
 //!   resolves exactly when a blocking `eval_strict` would return.
+//!
+//! # What one transition costs the job map
+//!
+//! A shard visit is a lock, a fold of the job's four words and a probe,
+//! so each transition of a job visits its shard once and carries what it
+//! read to whoever needs it next:
+//!
+//! * **submit** — one visit: enqueue, or hand back the result if the
+//!   job had already finished (`run_inline` returns on the spot);
+//! * **claim** — one visit (`adjudicate_token`): token accounting, lazy
+//!   expiry, and the entry's tier, which rides in the `Claim` so a step
+//!   that parks does not go back for it;
+//! * **complete** — one visit per completed job (`complete_job`), and
+//!   the root's result is taken from that completion when the completing
+//!   thread is the inline driver — `run_inline` polls the root only
+//!   after a step that did *not* complete it, for another driver's sake;
+//! * **park** — one visit per dependency (register the waitgroup) and
+//!   one for the job's own entry (`Waiting`); a parked job's requeue is
+//!   one more.
+//!
+//! A single-step inline request is therefore three visits: submit,
+//! claim, complete.
+//!
+//! # Tail completion
+//!
+//! A step may report that its job's result *is* another job's
+//! (`Step::Tail`: an application whose procedure returned a Thunk, a
+//! selection that landed on one, the force of an evaluated value). The
+//! job parks on that callee like on any dependency, but the callee's
+//! successful completion does not requeue it for a step that would only
+//! copy a value between two relations: `complete_job` records the
+//! waiter's relation through the engine and completes the waiter on the
+//! same worklist a failure travels — watchers fill or chain, its own
+//! waiters fire, a chain of tail calls unwinds iteratively. The callee
+//! stays its own deduplicated job, so exactly-once execution,
+//! `procedures_run`, provenance (the copy recorded none) and strict
+//! watcher chains are what the re-step produced. If the callee finished
+//! before the park registered, the job completes in `park_on_deps`
+//! itself; if it finishes *during* registration (the guard unit is still
+//! held), the job is requeued once and its step finds the value
+//! memoized. A failed callee fails the waiter with the same error.
 //!
 //! # Parking and stall detection
 //!
@@ -174,8 +216,20 @@ enum TokenVerdict {
     /// withdrawn instead of executed. `woke` = an expired fill
     /// completed some batch, so sleepers need a nudge.
     Skipped { woke: bool },
-    /// Live token claimed; run the job.
-    Run { woke: bool },
+    /// Live token claimed; run the job. `priority` is the entry's tier,
+    /// read here so a step that parks does not revisit the shard for it.
+    Run { woke: bool, priority: Priority },
+}
+
+/// How a [`drive`](Scheduler::drive) ended.
+enum Drive {
+    /// The caller's `ready` held (or `once` was asked for).
+    Ready,
+    /// This thread's own step completed the root it drives for: the
+    /// result, taken from the completion instead of a `poll`.
+    Root(Result<Handle>),
+    /// Nobody can make progress and `ready` still does not hold.
+    Stalled,
 }
 
 impl Scheduler {
@@ -248,7 +302,10 @@ impl Scheduler {
     /// Submits a job if it is not already known, pinning it: a
     /// fire-and-forget submission has no ticket whose cancellation
     /// could withdraw it. Returns immediately.
-    pub fn submit(&self, job: Job) {
+    ///
+    /// The one shard visit also answers whether the job had already
+    /// finished: `Some(result)` then, and nothing is enqueued.
+    pub fn submit(&self, job: Job) -> Option<Result<Handle>> {
         self.trace_job(
             EventKind::SchedSubmit,
             &job,
@@ -257,11 +314,17 @@ impl Scheduler {
         );
         let pushed = {
             let mut shard = self.jobs.shard(&job);
-            self.enqueue_entry(shard.entry(job).or_default(), job, Priority::Normal, true)
+            let entry = shard.entry(job).or_default();
+            match &entry.state {
+                Some(JobState::Done(h)) => return Some(Ok(*h)),
+                Some(JobState::Failed(e)) => return Some(Err(e.clone())),
+                _ => self.enqueue_entry(entry, job, Priority::Normal, true),
+            }
         };
         if pushed {
             self.notify_sleepers();
         }
+        None
     }
 
     /// Core enqueue under the job's shard lock: refreshes the entry
@@ -447,21 +510,30 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Driving
 
-    /// The one drive loop: until `ready` holds, claim and step a queued
-    /// job, or — when nothing is claimable — park for at most `cap`
-    /// awaiting someone else's progress. With `once`, returns after a
-    /// single step or park instead of looping. Returns true when it
-    /// gave up because of a genuine stall: nobody can make progress and
-    /// `ready`, re-checked once (the finishing step and the stall read
-    /// can race, and a result always wins), still does not hold.
+    /// The one drive loop, entered by a caller whose `ready` does not
+    /// hold yet: claim and step a queued job, or — when nothing is
+    /// claimable — park for at most `cap` awaiting someone else's
+    /// progress; then re-check `ready` and go again. With `once`,
+    /// returns after a single step or park instead of looping. A step of
+    /// this thread that completes `root` ends the drive with the result
+    /// in hand ([`Drive::Root`]); `ready` is only asked about progress
+    /// someone else may have made. [`Drive::Stalled`] is a genuine
+    /// stall: nobody can make progress and `ready`, re-checked once (the
+    /// finishing step and the stall read can race, and a result always
+    /// wins), still does not hold.
     #[inline]
-    fn drive(&self, cap: Duration, once: bool, mut ready: impl FnMut() -> bool) -> bool {
+    fn drive(
+        &self,
+        cap: Duration,
+        once: bool,
+        root: Option<&Job>,
+        mut ready: impl FnMut() -> bool,
+    ) -> Drive {
         loop {
-            if ready() {
-                return false;
-            }
             if let Some(claim) = self.try_claim() {
-                claim.execute();
+                if let Some(result) = claim.execute(root) {
+                    return Drive::Root(result);
+                }
             } else {
                 let mut stalled = false;
                 self.park_unless(cap, || {
@@ -471,11 +543,15 @@ impl Scheduler {
                     }
                 });
                 if stalled {
-                    return !ready();
+                    return if ready() {
+                        Drive::Ready
+                    } else {
+                        Drive::Stalled
+                    };
                 }
             }
-            if once {
-                return false;
+            if once || ready() {
+                return Drive::Ready;
             }
         }
     }
@@ -486,7 +562,16 @@ impl Scheduler {
     /// stall the batch's unfinished slots are failed (and its watchers
     /// deregistered) instead of parking forever.
     pub(crate) fn wait_batch(&self, state: &Arc<BatchState>) {
-        if self.drive(PARK_SAFETY, false, || state.is_done()) {
+        self.drive_batch(state, PARK_SAFETY, false);
+    }
+
+    fn drive_batch(&self, state: &Arc<BatchState>, cap: Duration, once: bool) {
+        if !state.is_done()
+            && matches!(
+                self.drive(cap, once, None, || state.is_done()),
+                Drive::Stalled
+            )
+        {
             self.fail_stalled(state);
         }
     }
@@ -496,32 +581,35 @@ impl Scheduler {
     /// awaiting someone else's progress (or fails the batch on a genuine
     /// stall). The building block of `wait_any`-style multiplexing.
     pub(crate) fn advance_batch(&self, state: &Arc<BatchState>, timeout: Duration) {
-        if self.drive(timeout, true, || state.is_done()) {
-            self.fail_stalled(state);
-        }
+        self.drive_batch(state, timeout, true);
     }
 
     /// Drives jobs on the calling thread until `root` completes.
     ///
     /// If worker threads are also draining jobs, this cooperates with
     /// them; when nothing is momentarily claimable it waits for
-    /// progress. Allocation-free — a pinned `submit` and a job-map
-    /// `poll`, no watched batch — because this is the Fig. 7a
-    /// microsecond path; the loop itself is `drive`, shared with the
-    /// watched-batch path (`submit_watched_with` + `wait_batch`, which
-    /// backs the submission tickets).
+    /// progress. No watched batch — a pinned `submit`, and the root's
+    /// result taken from this thread's own completing step (a job-map
+    /// `poll` only after a step that did not complete it, in case
+    /// another driver did) — because this is the Fig. 7a microsecond
+    /// path; the loop itself is `drive`, shared with the watched-batch
+    /// path (`submit_watched_with` + `wait_batch`, which backs the
+    /// submission tickets).
     pub fn run_inline(&self, root: Job) -> Result<Handle> {
-        self.submit(root);
-        let mut result = None;
-        self.drive(PARK_SAFETY, false, || {
-            result = self.poll(root);
-            result.is_some()
+        if let Some(finished) = self.submit(root) {
+            return finished;
+        }
+        let mut polled = None;
+        let end = self.drive(PARK_SAFETY, false, Some(&root), || {
+            polled = self.poll(root);
+            polled.is_some()
         });
-        result.unwrap_or_else(|| {
-            Err(Error::Trap(format!(
+        match (end, polled) {
+            (Drive::Root(result), _) | (_, Some(result)) => result,
+            _ => Err(Error::Trap(format!(
                 "evaluation stalled: no runnable jobs for {root}"
-            )))
-        })
+            ))),
+        }
     }
 
     /// Claims the next runnable job for this thread: raises the
@@ -551,13 +639,14 @@ impl Scheduler {
                     }
                     continue;
                 }
-                TokenVerdict::Run { woke } => {
+                TokenVerdict::Run { woke, priority } => {
                     if woke {
                         self.notify_sleepers();
                     }
                     return Some(Claim {
                         scheduler: self,
                         job,
+                        priority,
                     });
                 }
             }
@@ -610,7 +699,10 @@ impl Scheduler {
             }
         }
         if entry.wanted() {
-            TokenVerdict::Run { woke }
+            TokenVerdict::Run {
+                woke,
+                priority: entry.priority,
+            }
         } else {
             // Nothing live wants this job, and the claim is ours:
             // withdraw instead of executing dead work.
@@ -625,7 +717,8 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Execution
 
-    /// Steps a job and records the outcome.
+    /// Steps a job and records the outcome. Returns `root`'s result if
+    /// the step (or a completion it set off) finished `root`.
     ///
     /// A panicking codelet is caught at this boundary and recorded as a
     /// guest [`Error::Trap`] — panics are guest faults like VM traps, and
@@ -633,7 +726,7 @@ impl Scheduler {
     /// Letting the panic unwind instead would lose the job (its entry
     /// stays `Queued` but it is no longer in any deque), permanently
     /// hanging any driver or pool waiting on it.
-    fn execute(&self, job: Job) {
+    fn execute(&self, job: Job, priority: Priority, root: Option<&Job>) -> Option<Result<Handle>> {
         let t0 = fix_obs::tracing_enabled().then(Instant::now);
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.engine.step(job)))
             .unwrap_or_else(|payload| {
@@ -647,7 +740,7 @@ impl Scheduler {
         if let Some(t0) = t0 {
             // Parked-on-deps steps count too: the span is "worker held
             // this job", whatever the step reported.
-            let parked = matches!(step, Ok(Step::Deps(_))) as u32;
+            let parked = matches!(step, Ok(Step::Deps(_) | Step::Tail(_))) as u32;
             fix_obs::emit_span(
                 EventKind::SchedExecute,
                 self.virtual_now(),
@@ -657,42 +750,56 @@ impl Scheduler {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        match step {
-            Ok(Step::Done(h)) => self.complete_job(job, Ok(h)),
-            Err(e) => self.complete_job(job, Err(e)),
-            Ok(Step::Deps(deps)) => self.park_on_deps(job, deps),
-        }
+        let finished = match step {
+            Ok(Step::Done(h)) => self.complete_job(job, Ok(h), root),
+            Err(e) => self.complete_job(job, Err(e), root),
+            Ok(Step::Deps(deps)) => self.park_on_deps(job, priority, &deps, false, root),
+            Ok(Step::Tail(callee)) => self.park_on_deps(job, priority, &[callee], true, root),
+        };
         self.notify_sleepers();
+        finished
     }
 
     /// Parks a stepped job on its unfinished dependencies via a fresh
-    /// [`DepWait`] waitgroup, enqueueing each pending dependency at the
-    /// job's own tier. The waitgroup's guard unit (held until the job's
-    /// state is safely `Waiting`) is what makes the park race-free
+    /// [`DepWait`] waitgroup, enqueueing each pending dependency at
+    /// `tier`, the job's own (dependencies run at the tier of the job
+    /// that needs them). The waitgroup's guard unit (held until the
+    /// job's state is safely `Waiting`) is what makes the park race-free
     /// against dependencies completing on other shards mid-registration.
-    fn park_on_deps(&self, job: Job, deps: Vec<Job>) {
-        // Dependencies run at the tier of the job that needs them.
-        let tier = {
-            self.jobs
-                .shard(&job)
-                .get(&job)
-                .map(|e| e.priority)
-                .unwrap_or_default()
-        };
+    ///
+    /// With `tail`, `deps` is the one job whose result is this job's
+    /// own: if it already finished the job completes here, otherwise its
+    /// completion completes the job (see [`complete_job`](Self::complete_job)).
+    /// Returns `root`'s result if a completion made here finished `root`.
+    fn park_on_deps(
+        &self,
+        job: Job,
+        tier: Priority,
+        deps: &[Job],
+        tail: bool,
+        root: Option<&Job>,
+    ) -> Option<Result<Handle>> {
         let wait = Arc::new(DepWait {
             job,
             pending: AtomicUsize::new(1), // registration guard
             fired: AtomicBool::new(false),
+            tail,
         });
         let mut registered = 0usize;
-        let mut failed: Option<Error> = None;
+        // What the job already finishes with: a dependency's failure,
+        // or a tail callee's value.
+        let mut settled: Option<Result<Handle>> = None;
         let mut pushed_any = false;
-        for dep in deps {
+        for &dep in deps {
             let mut shard = self.jobs.shard(&dep);
             match shard.get(&dep).and_then(|e| e.state.clone()) {
-                Some(JobState::Done(_)) => {}
+                Some(JobState::Done(v)) => {
+                    if tail {
+                        settled = Some(Ok(v));
+                    }
+                }
                 Some(JobState::Failed(e)) => {
-                    failed = Some(e);
+                    settled = Some(Err(e));
                     break;
                 }
                 _ => {
@@ -707,13 +814,14 @@ impl Scheduler {
         if pushed_any {
             self.notify_sleepers();
         }
-        if let Some(e) = failed {
-            // A dependency already failed: the job fails now. Neutralize
-            // the waitgroup so completions of the deps we did register
-            // with cannot requeue or re-fail it.
+        if let Some(result) = settled {
+            // Neutralize the waitgroup so completions of the deps we did
+            // register with cannot requeue or re-fail the job.
             wait.fired.store(true, Ordering::SeqCst);
-            self.complete_job(job, Err(e));
-            return;
+            if let Ok(v) = &result {
+                self.engine.complete_tail(job, *v);
+            }
+            return self.complete_job(job, result, root);
         }
         enum After {
             Requeue,
@@ -752,18 +860,21 @@ impl Scheduler {
             }
             After::Stuck => {
                 wait.fired.store(true, Ordering::SeqCst);
-                self.complete_job(
+                return self.complete_job(
                     job,
                     Err(Error::Trap(format!(
                         "scheduler stuck re-stepping {job}: job states and the \
                          relation cache disagree (was the cache cleared without \
                          Runtime::clear_memoization?)"
                     ))),
+                    root,
                 );
             }
             After::Parked => {
                 // Release the registration guard; if every dependency
-                // finished while we registered, the requeue is ours.
+                // finished while we registered, the requeue is ours (a
+                // tail then re-steps once and finds its callee's value
+                // memoized).
                 if wait.pending.fetch_sub(1, Ordering::AcqRel) == 1
                     && !wait.fired.swap(true, Ordering::AcqRel)
                 {
@@ -771,6 +882,7 @@ impl Scheduler {
                 }
             }
         }
+        None
     }
 
     /// Marks a job finished and wakes its (transitive) waiters, filling
@@ -778,11 +890,30 @@ impl Scheduler {
     /// notification hook behind submission tickets). A strict slot's
     /// watcher does not fill on its eval stage — it chains onto the
     /// `Force` of the produced value, re-registering on that job.
-    fn complete_job(&self, job: Job, result: Result<Handle>) {
-        // Worklist of (job, result) so failure propagation is iterative.
-        let mut worklist: Vec<(Job, Result<Handle>)> = vec![(job, result)];
+    ///
+    /// A waiter parked on the job as its **tail call** is not requeued:
+    /// the job's value is the waiter's, so the waiter's relation is
+    /// recorded ([`Engine::complete_tail`]) and the waiter completed
+    /// here, on the same worklist a failure travels. The callee stays
+    /// its own deduplicated job, so exactly-once execution, provenance
+    /// and watcher chaining are what a copying re-step produced.
+    ///
+    /// Returns `root`'s result if `root` is among the jobs completed.
+    fn complete_job(
+        &self,
+        job: Job,
+        result: Result<Handle>,
+        root: Option<&Job>,
+    ) -> Option<Result<Handle>> {
+        // Completions this one sets off (a failure reaching a waiter, a
+        // value reaching a tail caller) queue here, so propagation is
+        // iterative; the common completion sets off none and the list
+        // never allocates.
+        let mut set_off: Vec<(Job, Result<Handle>)> = Vec::new();
+        let mut current = Some((job, result));
+        let mut root_result = None;
         let mut woke = false;
-        while let Some((job, result)) = worklist.pop() {
+        while let Some((job, result)) = current {
             self.trace_job(EventKind::SchedComplete, &job, 0, result.is_err() as u32);
             let (waiters, watchers) = {
                 let mut shard = self.jobs.shard(&job);
@@ -808,26 +939,36 @@ impl Scheduler {
             }
             for wait in waiters {
                 match &result {
-                    Ok(_) => {
+                    Ok(v) => {
                         if wait.pending.fetch_sub(1, Ordering::AcqRel) == 1
                             && !wait.fired.swap(true, Ordering::AcqRel)
                         {
-                            self.requeue(wait.job);
+                            if wait.tail {
+                                self.engine.complete_tail(wait.job, *v);
+                                set_off.push((wait.job, Ok(*v)));
+                            } else {
+                                self.requeue(wait.job);
+                            }
                         }
                     }
                     Err(e) => {
                         // Fail the waiter and its waiters transitively
                         // (exactly once, however many of its deps fail).
                         if !wait.fired.swap(true, Ordering::AcqRel) {
-                            worklist.push((wait.job, Err(e.clone())));
+                            set_off.push((wait.job, Err(e.clone())));
                         }
                     }
                 }
             }
+            if root == Some(&job) {
+                root_result = Some(result);
+            }
+            current = set_off.pop();
         }
         if woke {
             self.notify_sleepers();
         }
+        root_result
     }
 
     // ----------------------------------------------------------------
@@ -1131,7 +1272,7 @@ impl Scheduler {
                 return;
             }
             if let Some(claim) = self.try_claim() {
-                claim.execute();
+                claim.execute(None);
                 continue;
             }
             self.park_unless(PARK_SAFETY, || {
@@ -1151,12 +1292,15 @@ impl Scheduler {
 struct Claim<'a> {
     scheduler: &'a Scheduler,
     job: Job,
+    /// The job's tier as read when its token was claimed.
+    priority: Priority,
 }
 
 impl Claim<'_> {
-    /// Steps the claimed job, then releases the claim.
-    fn execute(self) {
-        self.scheduler.execute(self.job);
+    /// Steps the claimed job, then releases the claim. Returns `root`'s
+    /// result if the step finished `root`.
+    fn execute(self, root: Option<&Job>) -> Option<Result<Handle>> {
+        self.scheduler.execute(self.job, self.priority, root)
         // Release happens in Drop, which also covers the panic path.
     }
 }

@@ -23,9 +23,8 @@
 
 use crate::store::{payload_key, Store};
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, Kind};
+use fix_core::handle::{Handle, HandleBuildHasher, HandleMap, HandleSet, Kind};
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
 
 const SHARDS: usize = 32;
 
@@ -61,7 +60,8 @@ struct Entry {
 /// assert_eq!(ledger.recipe_for(out), Some(thunk));
 /// ```
 pub struct ProvenanceLedger {
-    shards: Vec<RwLock<HashMap<[u8; 32], Entry>>>,
+    shards: Vec<RwLock<HandleMap<[u8; 32], Entry>>>,
+    hasher: HandleBuildHasher,
 }
 
 impl Default for ProvenanceLedger {
@@ -74,12 +74,13 @@ impl ProvenanceLedger {
     /// Creates an empty ledger.
     pub fn new() -> ProvenanceLedger {
         ProvenanceLedger {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            hasher: HandleBuildHasher::default(),
         }
     }
 
-    fn shard_of(key: &[u8; 32]) -> usize {
-        key[2] as usize % SHARDS
+    fn shard(&self, key: &[u8; 32]) -> &RwLock<HandleMap<[u8; 32], Entry>> {
+        &self.shards[self.hasher.shard_of(key, SHARDS)]
     }
 
     /// Records that evaluating `recipe` produced `object`'s bytes.
@@ -94,7 +95,7 @@ impl ProvenanceLedger {
         if key == payload_key(recipe) {
             return;
         }
-        self.shards[Self::shard_of(&key)].write().insert(
+        self.shard(&key).write().insert(
             key,
             Entry {
                 recipe,
@@ -106,17 +107,14 @@ impl ProvenanceLedger {
     /// The Thunk that produced `object`, if known.
     pub fn recipe_for(&self, object: Handle) -> Option<Handle> {
         let key = payload_key(object);
-        self.shards[Self::shard_of(&key)]
-            .read()
-            .get(&key)
-            .map(|e| e.recipe)
+        self.shard(&key).read().get(&key).map(|e| e.recipe)
     }
 
     /// The recompute depth recorded when `object` was evicted, if it is
     /// currently evicted.
     pub fn evicted_depth(&self, object: Handle) -> Option<u32> {
         let key = payload_key(object);
-        self.shards[Self::shard_of(&key)]
+        self.shard(&key)
             .read()
             .get(&key)
             .and_then(|e| e.evicted_depth)
@@ -125,7 +123,7 @@ impl ProvenanceLedger {
     /// Marks `object` evicted at `depth` (or clears the mark).
     fn set_evicted(&self, object: Handle, depth: Option<u32>) {
         let key = payload_key(object);
-        if let Some(e) = self.shards[Self::shard_of(&key)].write().get_mut(&key) {
+        if let Some(e) = self.shard(&key).write().get_mut(&key) {
             e.evicted_depth = depth;
         }
     }
@@ -156,7 +154,7 @@ impl ProvenanceLedger {
 /// descend through them.
 pub fn support_closure(store: &Store, thunk: Handle) -> Vec<Handle> {
     let mut out = Vec::new();
-    let mut seen: HashSet<[u8; 32]> = HashSet::new();
+    let mut seen: HandleSet<[u8; 32]> = HandleSet::default();
     let mut stack = vec![thunk];
     while let Some(h) = stack.pop() {
         match h.kind() {
@@ -229,7 +227,7 @@ impl EvictionPlan {
 /// never evicted.
 pub fn plan_eviction(store: &Store, ledger: &ProvenanceLedger, pins: &[Handle]) -> EvictionPlan {
     // Everything reachable from a pin stays.
-    let mut pinned: HashSet<[u8; 32]> = HashSet::new();
+    let mut pinned: HandleSet<[u8; 32]> = HandleSet::default();
     let mut stack: Vec<Handle> = pins.to_vec();
     while let Some(h) = stack.pop() {
         let key = payload_key(h);
@@ -272,9 +270,9 @@ pub fn plan_eviction(store: &Store, ledger: &ProvenanceLedger, pins: &[Handle]) 
     // admitted in an earlier round — never an unadmitted co-candidate,
     // since that one may itself be evicted later. Candidates stuck in
     // support cycles are never admitted and so stay resident.
-    let candidate_keys: HashSet<[u8; 32]> =
+    let candidate_keys: HandleSet<[u8; 32]> =
         candidates.iter().map(|c| payload_key(c.handle)).collect();
-    let mut assigned: HashMap<[u8; 32], u32> = HashMap::new();
+    let mut assigned: HandleMap<[u8; 32], u32> = HandleMap::default();
     loop {
         let mut admitted_this_round = false;
         for c in &candidates {

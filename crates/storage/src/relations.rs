@@ -17,9 +17,8 @@
 //! story possible.
 
 use crate::hooks::RelationSink;
-use fix_core::handle::Handle;
+use fix_core::handle::{Handle, HandleBuildHasher, HandleMap};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -53,7 +52,8 @@ const SHARDS: usize = 32;
 /// assert_eq!(cache.get(Relation::Eval, a), Some(b));
 /// ```
 pub struct RelationCache {
-    shards: Vec<RwLock<HashMap<(Relation, Handle), Handle>>>,
+    shards: Vec<RwLock<HandleMap<(Relation, Handle), Handle>>>,
+    hasher: HandleBuildHasher,
     hits: AtomicU64,
     misses: AtomicU64,
     // Persistence hook: notified of fresh relations (see crate::hooks).
@@ -70,7 +70,8 @@ impl RelationCache {
     /// Creates an empty cache.
     pub fn new() -> RelationCache {
         RelationCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            hasher: HandleBuildHasher::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             sink: OnceLock::new(),
@@ -84,16 +85,17 @@ impl RelationCache {
         }
     }
 
-    fn shard_of(handle: Handle) -> usize {
-        handle.raw()[1] as usize % SHARDS
+    /// The shard owning relations over `input`. Picked from the keyed
+    /// fold of the whole handle, never from one of its bytes: a literal's
+    /// bytes are content (byte 1 of every `u64` below 256 is zero), and
+    /// a shard chosen by content is one lock for all small integers.
+    fn shard(&self, input: Handle) -> &RwLock<HandleMap<(Relation, Handle), Handle>> {
+        &self.shards[self.hasher.shard_of(&input, SHARDS)]
     }
 
     /// Looks up a memoized result.
     pub fn get(&self, relation: Relation, input: Handle) -> Option<Handle> {
-        let found = self.shards[Self::shard_of(input)]
-            .read()
-            .get(&(relation, input))
-            .copied();
+        let found = self.shard(input).read().get(&(relation, input)).copied();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -105,9 +107,7 @@ impl RelationCache {
     /// Records a result. Recording the same relation twice is harmless;
     /// by determinism the value must be identical (checked in debug).
     pub fn put(&self, relation: Relation, input: Handle, output: Handle) {
-        let prev = self.shards[Self::shard_of(input)]
-            .write()
-            .insert((relation, input), output);
+        let prev = self.shard(input).write().insert((relation, input), output);
         debug_assert!(
             prev.is_none() || prev == Some(output),
             "nondeterministic relation: {relation:?}({input}) was {prev:?}, now {output}"
@@ -166,9 +166,7 @@ impl RelationCache {
     /// memoized `Apply`/`Eval` entries for its recipe to be dropped
     /// first, else evaluation short-circuits to the (dataless) handle.
     pub fn remove(&self, relation: Relation, input: Handle) -> Option<Handle> {
-        self.shards[Self::shard_of(input)]
-            .write()
-            .remove(&(relation, input))
+        self.shard(input).write().remove(&(relation, input))
     }
 }
 
@@ -245,6 +243,17 @@ mod tests {
         assert_eq!(cache.resolved(strict), None);
         cache.put(Relation::Force, value, forced);
         assert_eq!(cache.resolved(strict), Some(forced));
+    }
+
+    #[test]
+    fn small_integer_literals_spread_over_shards() {
+        let cache = RelationCache::new();
+        for i in 0..256u64 {
+            let h = Blob::from_u64(i).handle();
+            cache.put(Relation::Force, h, h);
+        }
+        let used = cache.shards.iter().filter(|s| !s.read().is_empty()).count();
+        assert!(used > SHARDS / 2, "{used} of {SHARDS} shards used");
     }
 
     #[test]

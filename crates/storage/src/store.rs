@@ -5,10 +5,9 @@
 use crate::hooks::{FaultSource, StoreSink};
 use fix_core::data::{literal_blob, Blob, Node, Tree};
 use fix_core::error::{Error, Result};
-use fix_core::handle::Handle;
+use fix_core::handle::{Handle, HandleBuildHasher, HandleMap, HandleSet};
 use fix_core::semantics::DataSource;
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -23,10 +22,6 @@ pub fn payload_key(handle: Handle) -> [u8; 32] {
     let mut key = *handle.raw();
     key[30] = 0;
     key
-}
-
-fn shard_of(key: &[u8; 32]) -> usize {
-    key[0] as usize % SHARDS
 }
 
 /// A concurrent content-addressed store.
@@ -48,7 +43,8 @@ fn shard_of(key: &[u8; 32]) -> usize {
 /// assert_eq!(store.object_count(), 1);
 /// ```
 pub struct Store {
-    shards: Vec<RwLock<HashMap<[u8; 32], Node>>>,
+    shards: Vec<RwLock<HandleMap<[u8; 32], Node>>>,
+    hasher: HandleBuildHasher,
     total_bytes: AtomicU64,
     // Persistence hooks (see crate::hooks). Both are set at most once,
     // by a durability tier wrapping this store; the hot hit paths never
@@ -68,11 +64,19 @@ impl Store {
     /// Creates an empty store.
     pub fn new() -> Store {
         Store {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            hasher: HandleBuildHasher::default(),
             total_bytes: AtomicU64::new(0),
             fault: OnceLock::new(),
             sink: OnceLock::new(),
         }
+    }
+
+    /// The shard owning `key`, picked from the keyed fold of the whole
+    /// key rather than from one byte of it.
+    #[inline]
+    fn shard(&self, key: &[u8; 32]) -> &RwLock<HandleMap<[u8; 32], Node>> {
+        &self.shards[self.hasher.shard_of(key, SHARDS)]
     }
 
     /// Installs the backing tier consulted after an in-memory miss.
@@ -119,10 +123,7 @@ impl Store {
     #[inline]
     fn insert(&self, key: [u8; 32], node: Node) -> bool {
         let size = node.transfer_size();
-        let fresh = self.shards[shard_of(&key)]
-            .write()
-            .insert(key, node)
-            .is_none();
+        let fresh = self.shard(&key).write().insert(key, node).is_none();
         if fresh {
             self.total_bytes.fetch_add(size, Ordering::Relaxed);
         }
@@ -145,7 +146,7 @@ impl Store {
             return Ok(Node::Blob(b));
         }
         let key = payload_key(handle);
-        let resident = self.shards[shard_of(&key)].read().get(&key).cloned();
+        let resident = self.shard(&key).read().get(&key).cloned();
         if let Some(node) = resident {
             return Ok(node);
         }
@@ -180,7 +181,7 @@ impl Store {
             return true;
         }
         let key = payload_key(handle);
-        if self.shards[shard_of(&key)].read().contains_key(&key) {
+        if self.shard(&key).read().contains_key(&key) {
             return true;
         }
         self.fault.get().is_some_and(|tier| tier.knows(handle))
@@ -195,7 +196,7 @@ impl Store {
             return true;
         }
         let key = payload_key(handle);
-        self.shards[shard_of(&key)].read().contains_key(&key)
+        self.shard(&key).read().contains_key(&key)
     }
 
     /// Number of stored (non-literal) objects.
@@ -212,8 +213,8 @@ impl Store {
     /// non-literal object reachable from `roots`, following tree entries
     /// and thunk/encode definitions. Trees held only by a backing tier
     /// are faulted in so the walk can descend.
-    pub fn reachable(&self, roots: &[Handle]) -> HashSet<[u8; 32]> {
-        let mut reachable = HashSet::new();
+    pub fn reachable(&self, roots: &[Handle]) -> HandleSet<[u8; 32]> {
+        let mut reachable = HandleSet::default();
         let mut stack: Vec<Handle> = roots.to_vec();
         while let Some(h) = stack.pop() {
             if h.is_literal() || !reachable.insert(payload_key(h)) {
@@ -228,7 +229,7 @@ impl Store {
 
     /// The sweep phase: drops every resident object whose payload key is
     /// not in `reachable`, returning the number dropped.
-    pub fn sweep(&self, reachable: &HashSet<[u8; 32]>) -> usize {
+    pub fn sweep(&self, reachable: &HandleSet<[u8; 32]>) -> usize {
         let mut collected = 0;
         for shard in &self.shards {
             let mut guard = shard.write();
@@ -268,7 +269,7 @@ impl Store {
             return None;
         }
         let key = payload_key(handle);
-        let node = self.shards[shard_of(&key)].write().remove(&key)?;
+        let node = self.shard(&key).write().remove(&key)?;
         let size = node.transfer_size();
         self.total_bytes.fetch_sub(size, Ordering::Relaxed);
         Some(size)
@@ -412,6 +413,18 @@ mod tests {
     }
 
     #[test]
+    fn digest_keyed_objects_spread_over_shards() {
+        let store = Store::new();
+        for i in 0..4096u64 {
+            let mut bytes = [0u8; 40];
+            bytes[..8].copy_from_slice(&i.to_le_bytes());
+            store.put_blob(Blob::from_slice(&bytes));
+        }
+        let used = store.shards.iter().filter(|s| !s.read().is_empty()).count();
+        assert!(used > SHARDS / 2, "{used} of {SHARDS} shards used");
+    }
+
+    #[test]
     fn concurrent_puts_and_gets() {
         use std::sync::Arc;
         let store = Arc::new(Store::new());
@@ -438,7 +451,7 @@ impl Store {
     /// can evaluate or read it without further round trips.
     pub fn export(&self, root: Handle) -> Result<fix_core::wire::Parcel> {
         let mut objects = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HandleSet::default();
         let mut stack = vec![root];
         while let Some(h) = stack.pop() {
             match h.kind() {

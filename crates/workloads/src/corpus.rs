@@ -91,11 +91,53 @@ pub fn generate_shard(seed: u64, index: u64, size: usize) -> Vec<u8> {
 }
 
 /// Counts non-overlapping occurrences of `needle` in `haystack`
-/// (the paper's count-string semantics).
+/// (the paper's count-string semantics: scan left to right, and after a
+/// match resume behind it).
+///
+/// Eight positions at a time: position `p` can only match if
+/// `haystack[p]` is the needle's first byte and `haystack[p + n - 1]`
+/// its last, so two unaligned word loads `n - 1` apart, each xored with
+/// its byte splatted, are zero in byte `k` of their OR exactly when
+/// position `p + k` passes both tests. Only those candidates are
+/// compared in full, in ascending order, and one is accepted only at or
+/// after the end of the last accepted match — which is the greedy
+/// non-overlapping scan. The last `< 8 + n` bytes are scanned a byte at
+/// a time.
 pub fn count_nonoverlapping(haystack: &[u8], needle: &[u8]) -> u64 {
-    if needle.is_empty() || haystack.len() < needle.len() {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let n = needle.len();
+    if n == 0 || haystack.len() < n {
         return 0;
     }
+    let word_at =
+        |at: usize| u64::from_le_bytes(haystack[at..at + 8].try_into().expect("8-byte window"));
+    let first = u64::from_le_bytes([needle[0]; 8]);
+    let last = u64::from_le_bytes([needle[n - 1]; 8]);
+    let mut count = 0;
+    // The end of the last accepted match: no match may start before it.
+    let mut free = 0;
+    let mut block = 0;
+    while block + n - 1 + 8 <= haystack.len() {
+        let diff = (word_at(block) ^ first) | (word_at(block + n - 1) ^ last);
+        // 0x80 in exactly the bytes of `diff` that are zero (no borrow
+        // crosses a byte: the add cannot carry out of seven bits).
+        let mut candidates = !(((diff & LOW7) + LOW7) | diff | LOW7);
+        while candidates != 0 {
+            let at = block + candidates.trailing_zeros() as usize / 8;
+            if at >= free && &haystack[at..at + n] == needle {
+                count += 1;
+                free = at + n;
+            }
+            candidates &= candidates - 1;
+        }
+        block += 8;
+    }
+    count + count_bytewise(&haystack[block.max(free)..], needle)
+}
+
+/// The scan [`count_nonoverlapping`] must agree with, one position at a
+/// time: its tail loop, and the oracle its tests compare against.
+fn count_bytewise(haystack: &[u8], needle: &[u8]) -> u64 {
     let mut count = 0;
     let mut i = 0;
     while i + needle.len() <= haystack.len() {
@@ -146,21 +188,38 @@ mod tests {
     }
 
     #[test]
-    fn counting_agrees_with_naive_scan() {
-        let hay = generate_shard(3, 0, 50_000);
-        for needle in [&b"the"[..], b"an", b"ver", b"q"] {
-            // Naive: scan with manual skip.
-            let mut expect = 0u64;
-            let mut i = 0;
-            while i + needle.len() <= hay.len() {
-                if &hay[i..i + needle.len()] == needle {
-                    expect += 1;
-                    i += needle.len();
-                } else {
-                    i += 1;
+    fn counting_agrees_with_bytewise_scan() {
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let check = |hay: &[u8], needle: &[u8]| {
+            assert_eq!(
+                count_nonoverlapping(hay, needle),
+                count_bytewise(hay, needle),
+                "needle {needle:?} in {} bytes starting {:?}",
+                hay.len(),
+                &hay[..hay.len().min(24)]
+            );
+        };
+        // Self-overlapping needles, where greedy skipping matters.
+        check(b"aaaaa", b"aa");
+        check(b"abababab", b"abab");
+        check(b"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", b"aaa");
+        // Short haystacks (down to empty, below 8 + n, below n) over a
+        // two-letter alphabet so matches are dense, then prose shards.
+        let mut haystacks: Vec<Vec<u8>> = (0..=300)
+            .map(|len| (0..len).map(|_| b"ab"[rng.gen_range(0..2)]).collect())
+            .collect();
+        haystacks.extend((0..3).map(|i| generate_shard(11, i, 16 << 10)));
+        for hay in &haystacks {
+            for n in 1..=12usize {
+                // One needle cut from the haystack (when it is long
+                // enough), one drawn at random from its alphabet.
+                if hay.len() >= n {
+                    let at = rng.gen_range(0..hay.len() - n + 1);
+                    check(hay, &hay[at..at + n]);
                 }
+                let random: Vec<u8> = (0..n).map(|_| b"abet "[rng.gen_range(0..5)]).collect();
+                check(hay, &random);
             }
-            assert_eq!(count_nonoverlapping(&hay, needle), expect);
         }
     }
 

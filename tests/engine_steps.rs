@@ -1,15 +1,19 @@
-//! The engine's step contract on the benchmark's `vm_guest` request: one
-//! salted FixVM `fib(12)`, evaluated strictly.
+//! The engine's step contract on two of the benchmark's requests: one
+//! salted FixVM `fib(12)` (`vm_guest`) and one 32-shard count-string job
+//! (`pooled_mapreduce`), each evaluated inline.
 //!
-//! A request costs 24 guest runs (fib(12..=0) plus eleven adds) however
-//! it is scheduled, and on the inline runtime it costs a fixed number of
-//! scheduler steps: an application waits directly on the `Eval` and then
-//! the `Force` of each strict encode, never on an intermediate job that
-//! only forwards what the relation cache already derives.
+//! A request costs a fixed number of procedure runs however it is
+//! scheduled, and on the inline runtime a fixed number of scheduler
+//! steps: an application waits directly on the `Eval` and then the
+//! `Force` of each strict encode, never on an intermediate job that only
+//! forwards what the relation cache already derives, and a job whose
+//! result is its tail call's is completed by that call, never stepped
+//! again to copy it.
 
 use fix::obs::{self, EventKind};
 use fix::prelude::*;
-use fix::workloads::guests;
+use fix::workloads::mapreduce::MapReduce;
+use fix::workloads::{guests, wordcount};
 use std::sync::atomic::Ordering;
 
 const FIB_12: u64 = 144;
@@ -28,10 +32,39 @@ fn procedures_run(rt: &Runtime) -> u64 {
     rt.engine().stats.procedures_run.load(Ordering::Relaxed)
 }
 
-/// One test, not two: the recorder is process-global, and the pooled run
-/// must not emit spans into the inline run's count.
+/// Scheduler steps (`SchedExecute` spans) `request` takes on this thread.
+fn steps_of<T>(request: impl FnOnce() -> T) -> (T, usize) {
+    obs::recorder().clear();
+    obs::set_tracing(true);
+    let out = request();
+    obs::set_tracing(false);
+    let steps = obs::recorder()
+        .drain()
+        .iter()
+        .filter(|ev| ev.kind == EventKind::SchedExecute)
+        .count();
+    (out, steps)
+}
+
+/// One test, not several: the recorder is process-global, and no run may
+/// emit spans into another's count.
 #[test]
-fn salted_fib12_costs_24_procedures_and_41_steps() {
+fn requests_cost_a_fixed_number_of_procedures_and_steps() {
+    salted_fib12_is_24_procedures_and_30_steps();
+    absent_needle_count_string_is_63_procedures_and_94_steps();
+}
+
+/// 30 steps: `fib(n)` for n = 12..=2 runs once and parks on the `add`
+/// application it returned (11 steps, 11 runs — that tail call's
+/// completion completes it, where it used to be stepped a second time
+/// only to copy the value: 41 before); `fib(1)` and `fib(0)` run (2, 2);
+/// each of the 11 adds runs (11, 11); and the six adds reached before
+/// their operands (n even: the deque is LIFO, so `fib(n-2)` is computed
+/// first and the odd adds find both operands memoized) take one more
+/// step to find their two strict encodes unresolved and park on them.
+/// Those six stay: they discover and enqueue the operands, and copy
+/// nothing.
+fn salted_fib12_is_24_procedures_and_30_steps() {
     let inline = Runtime::builder().build();
     let out = inline.eval_strict(salted_fib12(&inline, 7)).unwrap();
     assert_eq!(inline.get_u64(out).unwrap(), FIB_12);
@@ -42,22 +75,41 @@ fn salted_fib12_costs_24_procedures_and_41_steps() {
     // not salted, so their deep-forcings are already memoized and every
     // step left is an `Eval` of an application.
     let thunk = salted_fib12(&inline, 8);
-    obs::recorder().clear();
-    obs::set_tracing(true);
-    let again = inline.eval_strict(thunk);
-    obs::set_tracing(false);
-    let trace = obs::recorder().drain();
+    let (again, steps) = steps_of(|| inline.eval_strict(thunk));
     assert_eq!(again.unwrap(), out);
     assert_eq!(procedures_run(&inline), 48);
-    let steps = trace
-        .iter()
-        .filter(|ev| ev.kind == EventKind::SchedExecute)
-        .count();
-    assert_eq!(steps, 41, "scheduler steps for one salted fib(12)");
+    assert_eq!(steps, 30, "scheduler steps for one salted fib(12)");
 
     // Same handle and the same 24 runs with four workers stealing.
     let pooled = Runtime::builder().workers(4).build();
     let pooled_out = pooled.eval_strict(salted_fib12(&pooled, 7)).unwrap();
     assert_eq!(pooled_out, out);
     assert_eq!(procedures_run(&pooled), 24);
+}
+
+/// 94 steps, before and after tail completion — the job has no tail
+/// call: 32 maps run (32 steps) and each of the 31 merges parks once on
+/// its two strict encodes and then runs (62). Every count is zero, so
+/// after the first job `Force(0)` is memoized; a job whose counts are
+/// non-zero and distinct adds one `Force` job per new value.
+fn absent_needle_count_string_is_63_procedures_and_94_steps() {
+    let rt = Runtime::builder().build();
+    let job = MapReduce {
+        map_proc: wordcount::register_count_string(&rt),
+        reduce_proc: wordcount::register_merge_counts(&rt),
+        limits: ResourceLimits::default_limits(),
+    };
+    let shards = wordcount::store_shards(&rt, 5, 32, 16 << 10);
+    let count = |needle: &[u8]| {
+        let needle = rt.put_blob(Blob::from_slice(needle));
+        let root = job.describe(&rt, &shards, &[needle]).expect("describe");
+        rt.eval_strict(root).and_then(|out| rt.get_u64(out))
+    };
+    assert_eq!(count(b"qzqz").unwrap(), 0);
+    assert_eq!(procedures_run(&rt), 63);
+
+    let (again, steps) = steps_of(|| count(b"zqzq"));
+    assert_eq!(again.unwrap(), 0);
+    assert_eq!(procedures_run(&rt), 126);
+    assert_eq!(steps, 94, "scheduler steps for one count-string job");
 }
