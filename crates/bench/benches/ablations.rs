@@ -87,7 +87,7 @@ fn bench_memoization(c: &mut Criterion) {
     };
     group.bench_function("fib16_cold_cache", |b| {
         b.iter(|| {
-            rt.clear_memoization();
+            rt.cache().clear();
             black_box(eval_fib(&rt, 16))
         })
     });

@@ -34,7 +34,7 @@ fn bench_bptree(c: &mut Criterion) {
                 // forget it to measure cold traversals like the paper's
                 // independent query sets.
                 q = (q + 7919) % n_keys;
-                rt.clear_memoization();
+                rt.cache().clear();
                 black_box(lookup_fix(&rt, proc_h, &tree, &titles[q]).expect("hit"))
             })
         });

@@ -180,6 +180,14 @@ impl Engine {
         self
     }
 
+    /// `job`'s result if it is memoized: its relation, read from the
+    /// cache. The relation cache is the only record of a finished
+    /// evaluation — a failure is never memoized, so `None` covers it.
+    pub(crate) fn memoized(&self, job: Job) -> Option<Handle> {
+        let (relation, input) = job.relation();
+        self.cache.get(relation, input)
+    }
+
     /// Executes one step of `job`.
     pub(crate) fn step(&self, job: Job) -> Result<Step> {
         match job {
@@ -333,8 +341,7 @@ impl Engine {
     /// `job`'s result is `callee`'s: done if that is already memoized,
     /// else a [`Step::Tail`] on it.
     fn tail(&self, job: Job, callee: Job) -> Step {
-        let (relation, input) = callee.relation();
-        match self.cache.get(relation, input) {
+        match self.memoized(callee) {
             Some(v) => {
                 self.complete_tail(job, v);
                 Step::Done(v)

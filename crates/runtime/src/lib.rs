@@ -621,7 +621,7 @@ mod tests {
 
     /// Two applications sharing a strict-encoded sub-computation, so the
     /// second evaluation's dependency set collides with jobs finished by
-    /// the first — the shape that exposed the memo-desync livelock.
+    /// the first.
     fn shared_encode_pair(rt: &Runtime) -> (fix_core::handle::Handle, fix_core::handle::Handle) {
         let add = register_add(rt);
         let one = rt.put_blob(Blob::from_u64(1));
@@ -634,32 +634,18 @@ mod tests {
         (a, b)
     }
 
+    /// The relation cache is the only memo, so clearing it is a
+    /// complete, consistent clear: `b`, which depends on the same strict
+    /// encode the first eval resolved, re-runs it instead of hanging.
     #[test]
-    fn clear_memoization_allows_cold_reevaluation() {
+    fn clearing_the_relation_cache_allows_cold_reevaluation() {
         let rt = Runtime::builder().build();
         let (a, b) = shared_encode_pair(&rt);
         assert_eq!(rt.get_u64(rt.eval(a).unwrap()).unwrap(), 4);
-        rt.clear_memoization();
-        // `b` depends on the same strict encode the first eval resolved;
-        // after a *consistent* clear this must re-run, not hang.
+        rt.cache().clear();
         assert_eq!(rt.get_u64(rt.eval(b).unwrap()).unwrap(), 13);
         assert_eq!(rt.engine().stats.procedures_run.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn desynced_memo_layers_fail_loudly_instead_of_spinning() {
-        let rt = Runtime::builder().build();
-        let (a, b) = shared_encode_pair(&rt);
-        rt.eval(a).unwrap();
-        // Clear only the relation cache: the scheduler still remembers the
-        // shared encode's Eval job as done, so stepping `b` can never progress.
-        // The respin guard must turn that livelock into an error.
-        rt.cache().clear();
-        let err = rt.eval(b).unwrap_err();
-        assert!(
-            err.to_string().contains("clear_memoization"),
-            "unexpected error: {err}"
-        );
+        assert_eq!(rt.job_entries(), 0);
     }
 
     /// Regression: pool shutdown must not race a worker into a missed
@@ -773,21 +759,66 @@ mod tests {
         }
     }
 
+    /// A finished job leaves no job-map record — inline or pooled,
+    /// succeeded or failed, asked for by an eval or by a ticket that
+    /// resolved, was cancelled or expired — and the relations it
+    /// recorded still serve every re-evaluation with no procedure run.
     #[test]
-    fn compact_scheduler_drops_finished_jobs_keeps_results() {
-        let rt = Runtime::builder().build();
-        let add = register_add(&rt);
-        let one = rt.put_blob(Blob::from_u64(1));
-        let two = rt.put_blob(Blob::from_u64(2));
-        let thunk = rt.apply(limits(), add, &[one, two]).unwrap();
-        rt.eval(thunk).unwrap();
-        assert!(rt.compact_scheduler() >= 1);
-        // Re-submission completes from the (intact) relation cache.
-        assert_eq!(rt.get_u64(rt.eval(thunk).unwrap()).unwrap(), 3);
-        assert_eq!(
-            rt.engine().stats.procedures_run.load(Ordering::Relaxed),
-            1,
-            "compaction must not forget memoized relations"
-        );
+    fn finished_jobs_leave_no_record() {
+        use fix_core::api::{SubmitApi, SubmitOptions};
+        for workers in [0usize, 2] {
+            let rt = Runtime::builder().workers(workers).build();
+            let add = register_add(&rt);
+            let pair = |a: u64, b: u64| {
+                rt.apply(
+                    limits(),
+                    add,
+                    &[Blob::from_u64(a).handle(), Blob::from_u64(b).handle()],
+                )
+                .unwrap()
+            };
+            let thunks: Vec<_> = (0..10_000u64).map(|i| pair(i, 1)).collect();
+            for (i, &t) in (0u64..).zip(&thunks) {
+                assert_eq!(rt.get_u64(rt.eval(t).unwrap()).unwrap(), i + 1);
+            }
+            let bad = rt
+                .install_vm_module("func apply args=0 locals=0\n unreachable\nend")
+                .unwrap();
+            let failing = rt.apply(limits(), bad, &[]).unwrap();
+
+            // Pushed in this order so an inline driver, popping its own
+            // deque LIFO, drains every token: the resolving batch's, the
+            // cancelled ticket's stale one, then the expiring one's.
+            let deadline = SubmitOptions::default().with_deadline(rt.virtual_now());
+            let expiring = rt.submit_with(&[pair(1 << 40, 0)], deadline);
+            rt.advance_virtual_clock(1);
+            rt.submit(pair(1 << 41, 0)).cancel();
+            let resolved = rt.submit_many(&[pair(1 << 42, 0), failing]).wait();
+            assert_eq!(rt.get_u64(*resolved[0].as_ref().unwrap()).unwrap(), 1 << 42);
+            assert!(matches!(resolved[1], Err(Error::Trap(_))));
+            let expired = expiring.wait();
+            if workers == 0 {
+                assert!(matches!(expired[0], Err(Error::DeadlineExceeded { .. })));
+            }
+
+            // A pool finishes a cancelled job's step (or drops its stale
+            // token) behind the test's back; wait for it to go quiet.
+            let quiet_by = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while rt.job_entries() > 0 && std::time::Instant::now() < quiet_by {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(rt.job_entries(), 0, "workers={workers}");
+
+            let ran = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+            for &t in &thunks {
+                rt.eval(t).unwrap();
+            }
+            assert_eq!(
+                rt.engine().stats.procedures_run.load(Ordering::Relaxed),
+                ran,
+                "workers={workers}: a re-eval is a relation-cache hit"
+            );
+            assert_eq!(rt.job_entries(), 0, "workers={workers}");
+        }
     }
 }

@@ -13,7 +13,6 @@
 //! payload the original run did. [`Runtime::materialize`] verifies this
 //! and reports a provider-side fault otherwise.
 
-use crate::engine::Job;
 use crate::runtime::Runtime;
 use fix_core::api::Evaluator;
 use fix_core::error::{Error, Result};
@@ -131,17 +130,16 @@ impl Runtime {
             }
         }
 
-        // Forget the memoized result so evaluation actually re-runs.
-        // (Recipes over resolved definitions usually have no memos —
-        // the original run was keyed on the unresolved tree — but the
-        // no-encode case aliases them.)
+        // Forget the memoized result so evaluation actually re-runs: the
+        // relation cache is the only memo. (Recipes over resolved
+        // definitions usually have no memos — the original run was keyed
+        // on the unresolved tree — but the no-encode case aliases them.)
         self.cache().remove(Relation::Eval, recipe);
         if matches!(recipe.kind(), Kind::Thunk(ThunkKind::Application)) {
             if let Ok(def) = recipe.thunk_definition() {
                 self.cache().remove(Relation::Apply, def);
             }
         }
-        self.scheduler().forget(Job::Eval(recipe));
 
         let produced = self.eval(recipe)?;
         if !self.store().contains(handle) {
@@ -315,7 +313,7 @@ mod tests {
             .eval(rt.apply(limits(), double, &[input]).unwrap())
             .unwrap();
         rt.evict_recomputable(&[]).unwrap();
-        rt.clear_memoization();
+        rt.cache().clear();
         rt.materialize(out).unwrap();
         assert_eq!(doubled_value(&rt, out), 16);
     }

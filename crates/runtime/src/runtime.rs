@@ -8,6 +8,7 @@
 use crate::engine::{Engine, Job};
 use crate::registry::ProgramRegistry;
 use crate::scheduler::{Scheduler, WorkerPool};
+use crate::submit::strict_root;
 use fix_core::api::{
     BatchTicket, Evaluator, InvocationApi, NativeFn, ObjectApi, SubmitApi, SubmitOptions,
 };
@@ -159,7 +160,11 @@ impl Runtime {
         &self.store
     }
 
-    /// The node's relation cache.
+    /// The node's relation cache: the only record of a finished
+    /// evaluation (the scheduler keeps none), so `cache().clear()` is a
+    /// complete, consistent way to forget every memoized result — the
+    /// next request for any of them runs cold. A failure is never
+    /// memoized: the next request for it re-attempts it.
     pub fn cache(&self) -> &Arc<RelationCache> {
         &self.cache
     }
@@ -178,11 +183,6 @@ impl Runtime {
     /// [`with_provenance`](RuntimeBuilder::with_provenance).
     pub fn provenance(&self) -> Option<&ProvenanceLedger> {
         self.provenance.as_deref()
-    }
-
-    /// The node's scheduler (recompute needs targeted job invalidation).
-    pub(crate) fn scheduler(&self) -> &Scheduler {
-        &self.scheduler
     }
 
     /// Assembles FixVM source, stores the module blob, returns its handle.
@@ -206,6 +206,13 @@ impl Runtime {
     /// invariant (no orphaned queued work).
     pub fn queued_jobs(&self) -> usize {
         self.scheduler.queued_jobs()
+    }
+
+    /// Job-map entries: zero on a quiescent runtime, however many
+    /// requests it served.
+    #[cfg(test)]
+    pub(crate) fn job_entries(&self) -> usize {
+        self.scheduler.entry_count()
     }
 
     /// Jobs the scheduler dispatched by stealing from another thread's
@@ -270,27 +277,6 @@ impl Runtime {
     pub fn durable(&self) -> Option<&DurableStore> {
         self.durable.as_ref()
     }
-
-    /// Forgets every memoized evaluation: the relation cache *and* the
-    /// scheduler's job-completion records, which mirror it.
-    ///
-    /// Clearing only one layer (e.g. `rt.cache().clear()`) leaves them
-    /// inconsistent — the scheduler would believe dependencies are done
-    /// while the engine finds no memoized result, re-requesting them
-    /// forever. Benchmarks measuring cold evaluations should call this
-    /// between iterations. Must not be called while an evaluation is in
-    /// flight on another thread.
-    pub fn clear_memoization(&self) {
-        self.cache.clear();
-        self.scheduler.reset();
-    }
-
-    /// Drops completed scheduler job records that nothing waits on,
-    /// bounding coordination state on long-lived nodes. Memoized
-    /// relations are unaffected.
-    pub fn compact_scheduler(&self) -> usize {
-        self.scheduler.forget_finished()
-    }
 }
 
 impl Default for Runtime {
@@ -328,14 +314,15 @@ impl InvocationApi for Runtime {
 }
 
 impl SubmitApi for Runtime {
-    /// Submission takes the scheduler's job-map lock once, registers a
-    /// completion watcher per request (a strict request watches its
-    /// whole eval→force chain as one slot), and returns immediately;
-    /// the scheduler's completion notifications fill the ticket as jobs
-    /// finish. No caller thread is parked per batch: with a worker pool
-    /// the batch executes behind the caller's back, and on a pool-less
-    /// runtime waiting on *any* ticket drives the shared queue (so
-    /// overlapped batches still all make progress).
+    /// Submission reads each request's memo first — a memoized request
+    /// fills its slot on the spot — and otherwise takes the job's
+    /// job-map shard once to register a completion watcher (a strict
+    /// request watches its whole eval→force chain as one slot), then
+    /// returns; the scheduler's completion notifications fill the ticket
+    /// as jobs finish. No caller thread is parked per batch: with a
+    /// worker pool the batch executes behind the caller's back, and on a
+    /// pool-less runtime waiting on *any* ticket drives the shared queue
+    /// (so overlapped batches still all make progress).
     ///
     /// Cancelling the ticket — or dropping it unresolved, cancel's
     /// implicit form — fails unresolved slots with
@@ -372,12 +359,13 @@ impl Evaluator for Runtime {
         if handle.is_value() {
             return Ok(handle);
         }
-        self.scheduler.run_inline(Job::Eval(handle))
+        self.scheduler.run_inline(Job::Eval(handle), false)
     }
 
+    /// One strict slot: the eval→force chain a strict ticket watches.
     fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        let value = self.eval(handle)?;
-        self.scheduler.run_inline(Job::Force(value))
+        let (root, then_force) = strict_root(handle);
+        self.scheduler.run_inline(root, then_force)
     }
 
     /// Uses whatever evaluation results are already memoized.

@@ -100,19 +100,15 @@ impl BatchState {
         self.done.load(Ordering::Acquire)
     }
 
-    /// Clones out the positional results. Call only after
+    /// Clones out slot `pos`'s result. Call only after
     /// [`is_done`](Self::is_done) returns true.
-    pub(crate) fn results(&self) -> Vec<Result<Handle>> {
-        debug_assert!(self.is_done(), "results() before the batch completed");
-        self.slots
-            .iter()
-            .map(|s| {
-                s.result
-                    .lock()
-                    .clone()
-                    .expect("completed batch slot is filled")
-            })
-            .collect()
+    pub(crate) fn result(&self, pos: usize) -> Result<Handle> {
+        debug_assert!(self.is_done(), "result() before the batch completed");
+        self.slots[pos]
+            .result
+            .lock()
+            .clone()
+            .expect("completed batch slot is filled")
     }
 
     /// Claims slot `pos` for writing. True exactly once per slot.

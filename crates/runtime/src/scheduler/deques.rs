@@ -191,23 +191,6 @@ impl DequeSet {
         }
         None
     }
-
-    /// Empties every deque (scheduler reset), returning how many tokens
-    /// were dropped.
-    pub(super) fn drain_all(&self) -> usize {
-        let mut n = 0;
-        for slot in &self.slots {
-            for tier in slot {
-                let mut q = tier.lock();
-                n += q.len();
-                q.clear();
-            }
-        }
-        if n > 0 {
-            self.queued.fetch_sub(n, Ordering::SeqCst);
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -248,17 +231,6 @@ mod tests {
         assert_eq!(d.pop(9), Some(job(10)));
         assert_eq!(d.pop(9), Some(job(11)));
         assert_eq!(d.steals(), 3);
-        assert_eq!(d.queued(), 0);
-    }
-
-    #[test]
-    fn drain_zeroes_the_counter() {
-        let d = DequeSet::new();
-        for i in 0..10 {
-            d.push((i % SLOTS as u64) as usize, (i % 3) as usize, job(i));
-        }
-        assert_eq!(d.queued(), 10);
-        assert_eq!(d.drain_all(), 10);
         assert_eq!(d.queued(), 0);
     }
 }

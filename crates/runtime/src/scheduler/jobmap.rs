@@ -1,11 +1,13 @@
 //! Layer 1 of the scheduler: the sharded job map.
 //!
-//! Every job the scheduler has ever been asked about has (at most) one
-//! [`JobEntry`], and the entry owns *all* of the job's bookkeeping:
-//! its state machine, queue-token accounting, the interest refcount,
-//! the pin bit, the respin counter, its dependency waiters, and the
-//! watched-batch watchers whose current stage it is. The map is
-//! sharded by the keyed word fold of the job identity
+//! Every job in flight has (at most) one [`JobEntry`], and the entry
+//! owns *all* of the job's bookkeeping: its state machine, queue-token
+//! accounting, the interest refcount, its dependency waiters, and the
+//! watched-batch watchers whose current stage it is. A finished job has
+//! no entry — its result is its relation in the engine's relation
+//! cache, the only memo — so the map holds work queued, running or
+//! parked, plus withdrawn entries until their last stale token drains.
+//! The map is sharded by the keyed word fold of the job identity
 //! (`fix_core::handle::HandleBuildHasher`, the same fold each shard's
 //! map buckets by, and the one the object store and relation cache
 //! shard by), so submissions, claims, and completions of unrelated
@@ -20,8 +22,7 @@
 use super::batch::Watcher;
 use crate::engine::Job;
 use fix_core::api::Priority;
-use fix_core::error::Error;
-use fix_core::handle::{Handle, HandleBuildHasher, HandleMap};
+use fix_core::handle::{HandleBuildHasher, HandleMap};
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
@@ -31,31 +32,32 @@ use std::sync::Arc;
 /// same traffic shape.
 const SHARDS: usize = 32;
 
-#[derive(Debug, Clone)]
+/// Where a job in flight stands. There is no finished state: a finished
+/// job has no entry.
+#[derive(Debug)]
 pub(super) enum JobState {
     /// In a deque (or about to be, or currently being stepped).
     Queued,
     /// Parked until the pending dependencies of its [`DepWait`] complete.
     Waiting,
-    /// Finished successfully.
-    Done(Handle),
-    /// Finished with an error.
-    Failed(Error),
 }
 
 /// The atomic waitgroup a stepped job parks on when the engine reports
 /// unfinished dependencies. One `DepWait` is created per parking step;
 /// each pending dependency holds a clone and decrements `pending` when
 /// it completes. `pending` starts at one *extra* guard unit held by the
-/// registering thread, so the waiter cannot be requeued (or even
-/// re-completed) until registration has finished and the entry's state
-/// has been moved to `Waiting` — dependency completions on other shards
-/// can fire at any point in between.
+/// registering thread, so the waiter cannot be requeued until
+/// registration has finished and the entry's state has been moved to
+/// `Waiting` — dependency completions on other shards can fire at any
+/// point in between.
 ///
 /// `fired` makes the continuation exactly-once: whichever thread swaps
 /// it first owns the requeue (all dependencies done), the tail
 /// completion, or the failure propagation (a dependency failed);
-/// everyone else backs off.
+/// everyone else backs off. A failure does not wait for the guard, so
+/// the registering thread reads `fired` under the job's own shard lock
+/// before it writes `Waiting`: a job already failed is left to whoever
+/// fired it.
 pub(super) struct DepWait {
     pub(super) job: Job,
     pub(super) pending: AtomicUsize,
@@ -69,8 +71,9 @@ pub(super) struct DepWait {
 
 #[derive(Default)]
 pub(super) struct JobEntry {
-    /// `None` means "no live request wants this job" — either it was
-    /// never submitted, or it was withdrawn after a cancellation.
+    /// `None` means "no live request wants this job": it was withdrawn
+    /// after a cancellation, or it finished while a stale token of it
+    /// still floats (the entry goes when the token drains).
     pub(super) state: Option<JobState>,
     /// Dependency waitgroups this job must decrement when it completes.
     /// The same waiter appears once per dependency edge (a job that
@@ -82,12 +85,6 @@ pub(super) struct JobEntry {
     /// registration and draining ride the same shard lock as the
     /// entry's state transition.
     pub(super) watchers: Vec<Watcher>,
-    /// Consecutive requeues where every reported dependency was already
-    /// finished. Bounded in healthy operation (each requeue follows real
-    /// progress); a runaway count means the job-state map and the
-    /// engine's relation cache disagree, and the job is failed loudly
-    /// instead of spinning forever.
-    pub(super) respins: u32,
     /// Queue tokens currently floating in the deques for this job.
     /// Withdrawal (and tier promotion) cannot cheaply delete from the
     /// middle of a deque, so a dead token is left behind and skipped at
@@ -103,12 +100,9 @@ pub(super) struct JobEntry {
     /// "mid-step" (must complete).
     pub(super) enqueued: bool,
     /// Live watched-batch slots currently staked on this job. Together
-    /// with `pinned` and `waiters` this decides whether a claimed or
-    /// cancelled job is still wanted.
+    /// with `waiters` this decides whether a claimed or cancelled job is
+    /// still wanted.
     pub(super) interest: usize,
-    /// Set by fire-and-forget `Scheduler::submit` (and inline-driven
-    /// roots): the job must never be withdrawn.
-    pub(super) pinned: bool,
     /// The tier a (re)enqueue of this job joins. Fixed at first
     /// submission; a later higher-priority submission promotes the
     /// entry *and* re-tokens an already-queued job at the higher tier
@@ -119,19 +113,12 @@ pub(super) struct JobEntry {
 impl JobEntry {
     /// Does any live request still want this job executed?
     pub(super) fn wanted(&self) -> bool {
-        self.interest > 0 || self.pinned || !self.waiters.is_empty()
+        self.interest > 0 || !self.waiters.is_empty()
     }
 
     /// Can this entry be dropped once its last stale token drains?
     pub(super) fn disposable(&self) -> bool {
         self.state.is_none() && self.tokens == 0 && !self.wanted()
-    }
-
-    pub(super) fn finished(&self) -> bool {
-        matches!(
-            self.state,
-            Some(JobState::Done(_)) | Some(JobState::Failed(_))
-        )
     }
 }
 
@@ -163,8 +150,7 @@ impl JobMap {
 
     /// Runs `f` over every shard in turn (each under its own lock).
     /// Per-shard consistent, not an atomic snapshot of the whole map —
-    /// fine for diagnostics, maintenance sweeps, and reset (whose
-    /// contract already demands quiescence).
+    /// fine for diagnostics.
     pub(super) fn for_each_shard(&self, mut f: impl FnMut(&mut Shard)) {
         for shard in &self.shards {
             f(&mut shard.lock());
@@ -176,6 +162,7 @@ impl JobMap {
 mod tests {
     use super::*;
     use fix_core::data::Blob;
+    use fix_core::handle::Handle;
 
     #[test]
     fn jobs_spread_over_shards() {

@@ -17,13 +17,13 @@
 //! watcher fill through one `Mutex<Shared>`. That monolith is now three
 //! independently synchronized layers:
 //!
-//! 1. **The sharded job map** (`jobmap`) — per-job bookkeeping
-//!    (state, queue tokens, the live-token claim bit, interest
-//!    refcounts, pins, respin counters, dependency waiters, batch
-//!    watchers) lives in a 32-way map sharded by the keyed word fold
-//!    of the job (`fix_core::handle::HandleBuildHasher`). Unrelated jobs
-//!    never share a lock; one job's submit-claim-complete round-trip
-//!    touches only its own shard. Dependency edges cross shards through
+//! 1. **The sharded job map** (`jobmap`) — the bookkeeping of every
+//!    job in flight (state, queue tokens, the live-token claim bit,
+//!    interest refcounts, dependency waiters, batch watchers) lives in
+//!    a 32-way map sharded by the keyed word fold of the job
+//!    (`fix_core::handle::HandleBuildHasher`). Unrelated jobs never
+//!    share a lock; one job's watch-claim-complete round-trip touches
+//!    only its own shard. Dependency edges cross shards through
 //!    an atomic waitgroup (`jobmap::DepWait`), never by nesting shard
 //!    locks.
 //! 2. **Work-stealing deques** (`deques`) — the run queue is 16 slots
@@ -49,7 +49,8 @@
 //!
 //! * **inline** ([`Scheduler::run_inline`]) — the calling thread drains
 //!   jobs itself; this is the microsecond path used when a client
-//!   evaluates a single computation (no thread handoff);
+//!   evaluates a single computation (no thread handoff): a memo read,
+//!   then one watched slot driven to completion;
 //! * **pooled** ([`WorkerPool`]) — N worker threads drain jobs
 //!   concurrently, each pinned to its own deque slot; independent
 //!   sub-computations (e.g. the branches of a parallel map) run in
@@ -78,34 +79,47 @@
 //! * **cancellation** — `cancel_batch` fails a batch's unresolved slots
 //!   with `Error::Cancelled` and withdraws still-queued jobs no other
 //!   live request shares, via the per-job interest refcount the job map
-//!   keeps (watched slots + pinned fire-and-forget submissions +
-//!   dependency waiters all count as interest).
+//!   keeps (watched slots and dependency waiters both count as
+//!   interest).
 //! * **strict mode** — a strict slot watches the whole eval→force job
 //!   chain: when its `Eval` completes, the watcher *chains* onto the
 //!   `Force` of the produced value instead of filling, so the slot
-//!   resolves exactly when a blocking `eval_strict` would return.
+//!   resolves exactly when `eval_strict` (itself one strict slot) would
+//!   return.
 //!
-//! # What one transition costs the job map
+//! # One memo, and what one transition costs the job map
 //!
-//! A shard visit is a lock, a fold of the job's four words and a probe,
-//! so each transition of a job visits its shard once and carries what it
-//! read to whoever needs it next:
+//! The relation cache is the only record of a finished evaluation: the
+//! job map holds work in flight, and `complete_job` removes a job's
+//! entry once its watchers and waiters are served and no stale token of
+//! it is left. A shard visit is a lock, a fold of the job's four words
+//! and a probe, so each transition of a job visits its shard at most
+//! once and carries what it read to whoever needs it next:
 //!
-//! * **submit** — one visit: enqueue, or hand back the result if the
-//!   job had already finished (`run_inline` returns on the spot);
+//! * **memo read** — no visit: `run_inline` and `watch_job` ask the
+//!   engine for the job's relation first (`Engine::memoized`); a hit
+//!   fills the slot, or, for a strict slot, chains to the `Force` of
+//!   the value, without taking a shard or (inline) allocating;
+//! * **watch** — one visit: enqueue the job unless it is in flight, and
+//!   register the slot's watcher;
 //! * **claim** — one visit (`adjudicate_token`): token accounting, lazy
 //!   expiry, and the entry's tier, which rides in the `Claim` so a step
 //!   that parks does not go back for it;
-//! * **complete** — one visit per completed job (`complete_job`), and
-//!   the root's result is taken from that completion when the completing
-//!   thread is the inline driver — `run_inline` polls the root only
-//!   after a step that did *not* complete it, for another driver's sake;
-//! * **park** — one visit per dependency (register the waitgroup) and
-//!   one for the job's own entry (`Waiting`); a parked job's requeue is
-//!   one more.
+//! * **complete and remove** — one visit per completed job
+//!   (`complete_job`): take the watchers and waiters, drop the entry;
+//! * **park** — one visit per dependency and one for the job's own
+//!   entry (`Waiting`); a parked job's requeue is one more. Every
+//!   dependency registers: one that finished just before registration
+//!   has no entry, so it is re-enqueued and its one step is a cache hit.
 //!
-//! A single-step inline request is therefore three visits: submit,
-//! claim, complete.
+//! A single-step inline request is therefore three visits — watch,
+//! claim, complete — and a memoized one none.
+//!
+//! **A failure is not memoized.** A failed job fails every slot and
+//! waiter it reaches and then, like a success, leaves no record. The
+//! next request for it re-attempts it, like any relation that is not in
+//! the cache — so data stored after a request failed for lack of it
+//! serves the next request.
 //!
 //! # Tail completion
 //!
@@ -121,10 +135,11 @@
 //! stays its own deduplicated job, so exactly-once execution,
 //! `procedures_run`, provenance (the copy recorded none) and strict
 //! watcher chains are what the re-step produced. If the callee finished
-//! before the park registered, the job completes in `park_on_deps`
-//! itself; if it finishes *during* registration (the guard unit is still
-//! held), the job is requeued once and its step finds the value
-//! memoized. A failed callee fails the waiter with the same error.
+//! before the park registered, it is re-enqueued like any dependency and
+//! its cache-hit step completes the job; if it finishes *during*
+//! registration (the guard unit is still held), the job is requeued once
+//! and its step finds the value memoized. A failed callee fails the
+//! waiter with the same error.
 //!
 //! # Parking and stall detection
 //!
@@ -159,9 +174,6 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Requeue bound before a job is declared stuck (see [`JobEntry::respins`]).
-const MAX_RESPINS: u32 = 10_000;
 
 /// Upper bound on any single park. The notify protocol is designed to
 /// be lossless; the timeout converts a protocol bug into bounded extra
@@ -219,17 +231,6 @@ enum TokenVerdict {
     /// Live token claimed; run the job. `priority` is the entry's tier,
     /// read here so a step that parks does not revisit the shard for it.
     Run { woke: bool, priority: Priority },
-}
-
-/// How a [`drive`](Scheduler::drive) ended.
-enum Drive {
-    /// The caller's `ready` held (or `once` was asked for).
-    Ready,
-    /// This thread's own step completed the root it drives for: the
-    /// result, taken from the completion instead of a `poll`.
-    Root(Result<Handle>),
-    /// Nobody can make progress and `ready` still does not hold.
-    Stalled,
 }
 
 impl Scheduler {
@@ -299,34 +300,6 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Submission
 
-    /// Submits a job if it is not already known, pinning it: a
-    /// fire-and-forget submission has no ticket whose cancellation
-    /// could withdraw it. Returns immediately.
-    ///
-    /// The one shard visit also answers whether the job had already
-    /// finished: `Some(result)` then, and nothing is enqueued.
-    pub fn submit(&self, job: Job) -> Option<Result<Handle>> {
-        self.trace_job(
-            EventKind::SchedSubmit,
-            &job,
-            0,
-            Priority::Normal.tier() as u32,
-        );
-        let pushed = {
-            let mut shard = self.jobs.shard(&job);
-            let entry = shard.entry(job).or_default();
-            match &entry.state {
-                Some(JobState::Done(h)) => return Some(Ok(*h)),
-                Some(JobState::Failed(e)) => return Some(Err(e.clone())),
-                _ => self.enqueue_entry(entry, job, Priority::Normal, true),
-            }
-        };
-        if pushed {
-            self.notify_sleepers();
-        }
-        None
-    }
-
     /// Core enqueue under the job's shard lock: refreshes the entry
     /// and, unless a live token already floats, pushes a fresh token
     /// into the calling thread's deque slot at the job's tier. Returns
@@ -345,16 +318,7 @@ impl Scheduler {
     /// claim bit keeps execution exactly-once, and whichever token pops
     /// first — usually the higher-tier one — runs the job, leaving the
     /// other to be skipped as stale.
-    fn enqueue_entry(
-        &self,
-        entry: &mut JobEntry,
-        job: Job,
-        priority: Priority,
-        pinned: bool,
-    ) -> bool {
-        if pinned {
-            entry.pinned = true;
-        }
+    fn enqueue_entry(&self, entry: &mut JobEntry, job: Job, priority: Priority) -> bool {
         if entry.state.is_none() {
             // Fresh (or previously withdrawn) job: it runs at the tier
             // of the submission reviving it.
@@ -379,8 +343,7 @@ impl Scheduler {
         false
     }
 
-    /// Requeues a job that already has an entry (dependency satisfied,
-    /// or a benign respin).
+    /// Requeues a parked job: every dependency it waited on completed.
     fn requeue(&self, job: Job) {
         let pushed = {
             let mut shard = self.jobs.shard(&job);
@@ -410,13 +373,13 @@ impl Scheduler {
     }
 
     /// Submits every root and registers a completion watcher for each,
-    /// returning immediately — no caller thread is parked. Roots that
-    /// already finished fill their slots on the spot; the rest fill as
-    /// the completion path reaches them. Each root is `(job,
+    /// returning immediately — no caller thread is parked. Roots whose
+    /// relation is memoized fill their slots on the spot; the rest fill
+    /// as the completion path reaches them. Each root is `(job,
     /// then_force)`: a strict slot submits its `Eval` with
     /// `then_force`, and the watcher chains onto the `Force` of the
     /// result when the eval completes. This is the scheduler half of
-    /// the One Fix API's `submit_with`.
+    /// the One Fix API's `submit_with`, and of `run_inline`.
     pub(crate) fn submit_watched_with(
         &self,
         roots: &[(Job, bool)],
@@ -436,11 +399,11 @@ impl Scheduler {
         state
     }
 
-    /// Points slot `pos` of `state` at `job`: fills immediately if the
-    /// job already finished (chaining through `Force` for strict
-    /// slots), otherwise enqueues the job at the batch's tier and
-    /// registers the completion watcher on the job's shard entry,
-    /// counting one unit of interest.
+    /// Points slot `pos` of `state` at `job`: reads the memo first and
+    /// fills on a hit (chaining through `Force` for strict slots),
+    /// otherwise enqueues the job at the batch's tier unless it is in
+    /// flight, and registers the completion watcher on the job's shard
+    /// entry, counting one unit of interest.
     ///
     /// `stage_moved` says whether `job` differs from the slot's
     /// recorded stage job: false for the initial watch (the slot was
@@ -453,127 +416,57 @@ impl Scheduler {
         &self,
         state: &Arc<BatchState>,
         pos: usize,
-        job: Job,
-        then_force: bool,
-        stage_moved: bool,
+        mut job: Job,
+        mut then_force: bool,
+        mut stage_moved: bool,
     ) {
-        let (mut job, mut then_force, mut stage_moved) = (job, then_force, stage_moved);
-        loop {
-            let fill_now: Result<Handle>;
-            {
-                let mut shard = self.jobs.shard(&job);
-                match shard.get(&job).and_then(|e| e.state.clone()) {
-                    Some(JobState::Done(h)) if then_force => {
-                        // The eval stage is already memoized: the
-                        // slot's fate rests on the force of its value.
-                        drop(shard);
-                        job = Job::Force(h);
-                        then_force = false;
-                        stage_moved = true;
-                        continue;
-                    }
-                    Some(JobState::Done(h)) => fill_now = Ok(h),
-                    Some(JobState::Failed(e)) => fill_now = Err(e),
-                    _ => {
-                        if stage_moved {
-                            state.set_stage(pos, job);
-                        }
-                        if state.slot_claimed(pos) {
-                            // Revoked while the chain advanced: the
-                            // revoker owns the slot's result; register
-                            // nothing.
-                            return;
-                        }
-                        let entry = shard.entry(job).or_default();
-                        let pushed = self.enqueue_entry(entry, job, state.priority, false);
-                        entry.interest += 1;
-                        entry.watchers.push(Watcher {
-                            state: Arc::clone(state),
-                            pos,
-                            then_force,
-                        });
-                        drop(shard);
-                        if pushed {
-                            self.notify_sleepers();
-                        }
-                        return;
-                    }
+        while let Some(v) = self.engine.memoized(job) {
+            if !then_force {
+                if state.fill(pos, Ok(v)) {
+                    self.notify_sleepers();
                 }
+                return;
             }
-            if state.fill(pos, fill_now) {
-                self.notify_sleepers();
+            // The eval stage is memoized: the slot's fate rests on the
+            // force of its value.
+            job = Job::Force(v);
+            then_force = false;
+            stage_moved = true;
+        }
+        let pushed = {
+            let mut shard = self.jobs.shard(&job);
+            if stage_moved {
+                state.set_stage(pos, job);
             }
-            return;
+            if state.slot_claimed(pos) {
+                // Revoked while the chain advanced: the revoker owns the
+                // slot's result; register nothing.
+                return;
+            }
+            let entry = shard.entry(job).or_default();
+            let pushed = self.enqueue_entry(entry, job, state.priority);
+            entry.interest += 1;
+            entry.watchers.push(Watcher {
+                state: Arc::clone(state),
+                pos,
+                then_force,
+            });
+            pushed
+        };
+        if pushed {
+            self.notify_sleepers();
         }
     }
 
     // ----------------------------------------------------------------
     // Driving
 
-    /// The one drive loop, entered by a caller whose `ready` does not
-    /// hold yet: claim and step a queued job, or — when nothing is
-    /// claimable — park for at most `cap` awaiting someone else's
-    /// progress; then re-check `ready` and go again. With `once`,
-    /// returns after a single step or park instead of looping. A step of
-    /// this thread that completes `root` ends the drive with the result
-    /// in hand ([`Drive::Root`]); `ready` is only asked about progress
-    /// someone else may have made. [`Drive::Stalled`] is a genuine
-    /// stall: nobody can make progress and `ready`, re-checked once (the
-    /// finishing step and the stall read can race, and a result always
-    /// wins), still does not hold.
-    #[inline]
-    fn drive(
-        &self,
-        cap: Duration,
-        once: bool,
-        root: Option<&Job>,
-        mut ready: impl FnMut() -> bool,
-    ) -> Drive {
-        loop {
-            if let Some(claim) = self.try_claim() {
-                if let Some(result) = claim.execute(root) {
-                    return Drive::Root(result);
-                }
-            } else {
-                let mut stalled = false;
-                self.park_unless(cap, || {
-                    ready() || self.deques.queued() > 0 || {
-                        stalled = self.stalled_now();
-                        stalled
-                    }
-                });
-                if stalled {
-                    return if ready() {
-                        Drive::Ready
-                    } else {
-                        Drive::Stalled
-                    };
-                }
-            }
-            if once || ready() {
-                return Drive::Ready;
-            }
-        }
-    }
-
     /// Drives jobs on the calling thread until the watched batch
-    /// completes; cooperates with pool workers and other inline drivers
-    /// exactly like [`run_inline`](Scheduler::run_inline). On a genuine
-    /// stall the batch's unfinished slots are failed (and its watchers
-    /// deregistered) instead of parking forever.
+    /// completes; cooperates with pool workers and other inline drivers.
+    /// On a genuine stall the batch's unfinished slots are failed (and
+    /// its watchers deregistered) instead of parking forever.
     pub(crate) fn wait_batch(&self, state: &Arc<BatchState>) {
         self.drive_batch(state, PARK_SAFETY, false);
-    }
-
-    fn drive_batch(&self, state: &Arc<BatchState>, cap: Duration, once: bool) {
-        if !state.is_done()
-            && matches!(
-                self.drive(cap, once, None, || state.is_done()),
-                Drive::Stalled
-            )
-        {
-            self.fail_stalled(state);
-        }
     }
 
     /// Bounded progress toward a watched batch: steps one queued job
@@ -584,32 +477,53 @@ impl Scheduler {
         self.drive_batch(state, timeout, true);
     }
 
-    /// Drives jobs on the calling thread until `root` completes.
-    ///
-    /// If worker threads are also draining jobs, this cooperates with
-    /// them; when nothing is momentarily claimable it waits for
-    /// progress. No watched batch — a pinned `submit`, and the root's
-    /// result taken from this thread's own completing step (a job-map
-    /// `poll` only after a step that did not complete it, in case
-    /// another driver did) — because this is the Fig. 7a microsecond
-    /// path; the loop itself is `drive`, shared with the watched-batch
-    /// path (`submit_watched_with` + `wait_batch`, which backs the
-    /// submission tickets).
-    pub fn run_inline(&self, root: Job) -> Result<Handle> {
-        if let Some(finished) = self.submit(root) {
-            return finished;
+    /// The one drive loop: until `state` is done, claim and step a queued
+    /// job, or — when nothing is claimable — park for at most `cap`
+    /// awaiting someone else's progress. With `once`, returns after a
+    /// single step or park. A stall (nobody can make progress) fails the
+    /// batch's unfinished slots, unless the batch turns out done after
+    /// all: the finishing step and the stall read can race, and a result
+    /// always wins.
+    fn drive_batch(&self, state: &Arc<BatchState>, cap: Duration, once: bool) {
+        while !state.is_done() {
+            if let Some(claim) = self.try_claim() {
+                claim.execute();
+            } else {
+                let mut stalled = false;
+                self.park_unless(cap, || {
+                    state.is_done() || self.deques.queued() > 0 || {
+                        stalled = self.stalled_now();
+                        stalled
+                    }
+                });
+                if stalled {
+                    if !state.is_done() {
+                        self.fail_stalled(state);
+                    }
+                    return;
+                }
+            }
+            if once {
+                return;
+            }
         }
-        let mut polled = None;
-        let end = self.drive(PARK_SAFETY, false, Some(&root), || {
-            polled = self.poll(root);
-            polled.is_some()
-        });
-        match (end, polled) {
-            (Drive::Root(result), _) | (_, Some(result)) => result,
-            _ => Err(Error::Trap(format!(
-                "evaluation stalled: no runnable jobs for {root}"
-            ))),
+    }
+
+    /// Evaluates `root` on the calling thread: a memo read, then one
+    /// watched slot (`then_force`: a strict slot, the eval→force chain
+    /// tickets use) driven by [`wait_batch`](Scheduler::wait_batch), then
+    /// the slot's result. Cooperates with pool workers and other drivers;
+    /// a memo hit takes no shard and allocates nothing. This is the
+    /// Fig. 7a microsecond path.
+    pub fn run_inline(&self, root: Job, then_force: bool) -> Result<Handle> {
+        if !then_force {
+            if let Some(v) = self.engine.memoized(root) {
+                return Ok(v);
+            }
         }
+        let state = self.submit_watched_with(&[(root, then_force)], None, Priority::Normal);
+        self.wait_batch(&state);
+        state.result(0)
     }
 
     /// Claims the next runnable job for this thread: raises the
@@ -717,8 +631,7 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Execution
 
-    /// Steps a job and records the outcome. Returns `root`'s result if
-    /// the step (or a completion it set off) finished `root`.
+    /// Steps a job and records the outcome.
     ///
     /// A panicking codelet is caught at this boundary and recorded as a
     /// guest [`Error::Trap`] — panics are guest faults like VM traps, and
@@ -726,7 +639,7 @@ impl Scheduler {
     /// Letting the panic unwind instead would lose the job (its entry
     /// stays `Queued` but it is no longer in any deque), permanently
     /// hanging any driver or pool waiting on it.
-    fn execute(&self, job: Job, priority: Priority, root: Option<&Job>) -> Option<Result<Handle>> {
+    fn execute(&self, job: Job, priority: Priority) {
         let t0 = fix_obs::tracing_enabled().then(Instant::now);
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.engine.step(job)))
             .unwrap_or_else(|payload| {
@@ -750,146 +663,90 @@ impl Scheduler {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        let finished = match step {
-            Ok(Step::Done(h)) => self.complete_job(job, Ok(h), root),
-            Err(e) => self.complete_job(job, Err(e), root),
-            Ok(Step::Deps(deps)) => self.park_on_deps(job, priority, &deps, false, root),
-            Ok(Step::Tail(callee)) => self.park_on_deps(job, priority, &[callee], true, root),
-        };
+        match step {
+            Ok(Step::Done(h)) => self.complete_job(job, Ok(h)),
+            Err(e) => self.complete_job(job, Err(e)),
+            Ok(Step::Deps(deps)) => self.park_on_deps(job, priority, &deps, false),
+            Ok(Step::Tail(callee)) => self.park_on_deps(job, priority, &[callee], true),
+        }
         self.notify_sleepers();
-        finished
     }
 
     /// Parks a stepped job on its unfinished dependencies via a fresh
-    /// [`DepWait`] waitgroup, enqueueing each pending dependency at
+    /// [`DepWait`] waitgroup: every dependency registers, enqueued at
     /// `tier`, the job's own (dependencies run at the tier of the job
-    /// that needs them). The waitgroup's guard unit (held until the
-    /// job's state is safely `Waiting`) is what makes the park race-free
-    /// against dependencies completing on other shards mid-registration.
+    /// that needs them), then [`settle_park`](Self::settle_park) moves
+    /// the job to `Waiting` and releases the registration guard — the
+    /// guard unit is what makes the park race-free against dependencies
+    /// completing on other shards mid-registration. A dependency that
+    /// finished just before it registered has no entry any more: it is
+    /// re-enqueued, and its one step is a cache hit.
     ///
     /// With `tail`, `deps` is the one job whose result is this job's
-    /// own: if it already finished the job completes here, otherwise its
-    /// completion completes the job (see [`complete_job`](Self::complete_job)).
-    /// Returns `root`'s result if a completion made here finished `root`.
-    fn park_on_deps(
-        &self,
-        job: Job,
-        tier: Priority,
-        deps: &[Job],
-        tail: bool,
-        root: Option<&Job>,
-    ) -> Option<Result<Handle>> {
+    /// own: its completion completes the job (see
+    /// [`complete_job`](Self::complete_job)).
+    fn park_on_deps(&self, job: Job, tier: Priority, deps: &[Job], tail: bool) {
         let wait = Arc::new(DepWait {
             job,
             pending: AtomicUsize::new(1), // registration guard
             fired: AtomicBool::new(false),
             tail,
         });
-        let mut registered = 0usize;
-        // What the job already finishes with: a dependency's failure,
-        // or a tail callee's value.
-        let mut settled: Option<Result<Handle>> = None;
         let mut pushed_any = false;
         for &dep in deps {
-            let mut shard = self.jobs.shard(&dep);
-            match shard.get(&dep).and_then(|e| e.state.clone()) {
-                Some(JobState::Done(v)) => {
-                    if tail {
-                        settled = Some(Ok(v));
-                    }
-                }
-                Some(JobState::Failed(e)) => {
-                    settled = Some(Err(e));
-                    break;
-                }
-                _ => {
-                    let entry = shard.entry(dep).or_default();
-                    pushed_any |= self.enqueue_entry(entry, dep, tier, false);
-                    entry.waiters.push(Arc::clone(&wait));
-                    wait.pending.fetch_add(1, Ordering::AcqRel);
-                    registered += 1;
-                }
-            }
+            pushed_any |= self.register_waiter(dep, &wait, tier);
         }
         if pushed_any {
             self.notify_sleepers();
         }
-        if let Some(result) = settled {
-            // Neutralize the waitgroup so completions of the deps we did
-            // register with cannot requeue or re-fail the job.
-            wait.fired.store(true, Ordering::SeqCst);
-            if let Ok(v) = &result {
-                self.engine.complete_tail(job, *v);
-            }
-            return self.complete_job(job, result, root);
-        }
-        enum After {
-            Requeue,
-            Stuck,
-            Parked,
-        }
-        let after = {
-            let mut shard = self.jobs.shard(&job);
-            let entry = shard.entry(job).or_default();
-            if registered == 0 {
-                // Everything finished in the meantime; go again — but
-                // bound the spins: if the engine keeps reporting deps
-                // the job map says are done, the two memo layers are
-                // out of sync (e.g. the relation cache was cleared
-                // without resetting the scheduler).
-                entry.respins += 1;
-                if entry.respins > MAX_RESPINS {
-                    After::Stuck
-                } else {
-                    After::Requeue
-                }
-            } else {
-                entry.respins = 0;
-                // The state moves to Waiting *before* the guard unit is
-                // released below: a dependency completing right now
-                // still sees pending > 0, so the requeue cannot fire
-                // until we are done here.
-                entry.state = Some(JobState::Waiting);
-                After::Parked
-            }
-        };
-        match after {
-            After::Requeue => {
-                wait.fired.store(true, Ordering::SeqCst);
-                self.requeue(job);
-            }
-            After::Stuck => {
-                wait.fired.store(true, Ordering::SeqCst);
-                return self.complete_job(
-                    job,
-                    Err(Error::Trap(format!(
-                        "scheduler stuck re-stepping {job}: job states and the \
-                         relation cache disagree (was the cache cleared without \
-                         Runtime::clear_memoization?)"
-                    ))),
-                    root,
-                );
-            }
-            After::Parked => {
-                // Release the registration guard; if every dependency
-                // finished while we registered, the requeue is ours (a
-                // tail then re-steps once and finds its callee's value
-                // memoized).
-                if wait.pending.fetch_sub(1, Ordering::AcqRel) == 1
-                    && !wait.fired.swap(true, Ordering::AcqRel)
-                {
-                    self.requeue(job);
-                }
-            }
-        }
-        None
+        self.settle_park(&wait);
     }
 
-    /// Marks a job finished and wakes its (transitive) waiters, filling
-    /// the slots of any watched batches as it goes (the completion
-    /// notification hook behind submission tickets). A strict slot's
-    /// watcher does not fill on its eval stage — it chains onto the
-    /// `Force` of the produced value, re-registering on that job.
+    /// Registers `wait` on `dep`'s entry — enqueueing `dep` at `tier`
+    /// unless it is in flight — and counts it pending. Returns whether
+    /// a token was pushed.
+    fn register_waiter(&self, dep: Job, wait: &Arc<DepWait>, tier: Priority) -> bool {
+        let mut shard = self.jobs.shard(&dep);
+        let entry = shard.entry(dep).or_default();
+        let pushed = self.enqueue_entry(entry, dep, tier);
+        entry.waiters.push(Arc::clone(wait));
+        wait.pending.fetch_add(1, Ordering::AcqRel);
+        pushed
+    }
+
+    /// Ends a park's registration. The job's state moves to `Waiting`
+    /// *before* the guard unit is released: a dependency completing now
+    /// still sees `pending > 0`, so the requeue cannot fire early. If
+    /// every dependency finished while we registered, the requeue is ours
+    /// (a tail then re-steps once and finds its callee's value memoized).
+    ///
+    /// A dependency's *failure* does not wait for the guard: it may have
+    /// fired `wait` and completed the job already. So `fired` is read
+    /// under the job's own shard lock, and a fired job's entry is left to
+    /// whoever fired it — writing `Waiting` there would park the job
+    /// forever, or resurrect the entry its completion removed.
+    fn settle_park(&self, wait: &DepWait) {
+        {
+            let mut shard = self.jobs.shard(&wait.job);
+            if !wait.fired.load(Ordering::SeqCst) {
+                shard.entry(wait.job).or_default().state = Some(JobState::Waiting);
+            }
+        }
+        if wait.pending.fetch_sub(1, Ordering::AcqRel) == 1
+            && !wait.fired.swap(true, Ordering::AcqRel)
+        {
+            self.requeue(wait.job);
+        }
+    }
+
+    /// Finishes a job: removes its entry (or, while a stale token of it
+    /// floats, leaves one wanted by nothing for the claim to drop) and
+    /// wakes its (transitive) waiters, filling the slots of any watched
+    /// batches as it goes (the completion notification hook behind
+    /// submission tickets). A success is already the job's relation in
+    /// the cache; a failure is recorded nowhere. A strict slot's watcher
+    /// does not fill on its eval stage — it chains onto the `Force` of
+    /// the produced value, re-registering on that job.
     ///
     /// A waiter parked on the job as its **tail call** is not requeued:
     /// the job's value is the waiter's, so the waiter's relation is
@@ -897,34 +754,27 @@ impl Scheduler {
     /// here, on the same worklist a failure travels. The callee stays
     /// its own deduplicated job, so exactly-once execution, provenance
     /// and watcher chaining are what a copying re-step produced.
-    ///
-    /// Returns `root`'s result if `root` is among the jobs completed.
-    fn complete_job(
-        &self,
-        job: Job,
-        result: Result<Handle>,
-        root: Option<&Job>,
-    ) -> Option<Result<Handle>> {
+    fn complete_job(&self, job: Job, result: Result<Handle>) {
         // Completions this one sets off (a failure reaching a waiter, a
         // value reaching a tail caller) queue here, so propagation is
         // iterative; the common completion sets off none and the list
         // never allocates.
         let mut set_off: Vec<(Job, Result<Handle>)> = Vec::new();
         let mut current = Some((job, result));
-        let mut root_result = None;
         let mut woke = false;
         while let Some((job, result)) = current {
             self.trace_job(EventKind::SchedComplete, &job, 0, result.is_err() as u32);
             let (waiters, watchers) = {
                 let mut shard = self.jobs.shard(&job);
                 let entry = shard.entry(job).or_default();
-                entry.state = Some(match &result {
-                    Ok(h) => JobState::Done(*h),
-                    Err(e) => JobState::Failed(e.clone()),
-                });
                 let watchers = std::mem::take(&mut entry.watchers);
                 entry.interest = entry.interest.saturating_sub(watchers.len());
-                (std::mem::take(&mut entry.waiters), watchers)
+                let waiters = std::mem::take(&mut entry.waiters);
+                entry.state = None;
+                if entry.tokens == 0 {
+                    shard.remove(&job);
+                }
+                (waiters, watchers)
             };
             // Shard released: fills and chains below take other locks.
             for w in watchers {
@@ -960,15 +810,11 @@ impl Scheduler {
                     }
                 }
             }
-            if root == Some(&job) {
-                root_result = Some(result);
-            }
             current = set_off.pop();
         }
         if woke {
             self.notify_sleepers();
         }
-        root_result
     }
 
     // ----------------------------------------------------------------
@@ -979,7 +825,7 @@ impl Scheduler {
     /// their watchers are deregistered, and still-queued jobs that no
     /// other live request shares are withdrawn — they will be skipped
     /// at claim instead of executed. Jobs that are shared, depended
-    /// on, pinned, or already executing stay ordinary scheduler state
+    /// on, or already executing stay ordinary scheduler state
     /// and complete normally.
     pub(crate) fn cancel_batch(&self, state: &Arc<BatchState>) {
         for pos in state.unclaimed() {
@@ -992,8 +838,8 @@ impl Scheduler {
     }
 
     /// Fails a watched batch's unfinished slots with the stall error
-    /// (mirroring what [`run_inline`](Scheduler::run_inline) reports)
-    /// and deregisters its watchers, so the waiter returns instead of
+    /// (what [`run_inline`](Scheduler::run_inline) then returns) and
+    /// deregisters its watchers, so the waiter returns instead of
     /// parking on a graph that can never progress. Queued jobs are left
     /// alone — there is nothing to withdraw from a drained queue.
     fn fail_stalled(&self, state: &Arc<BatchState>) {
@@ -1061,21 +907,7 @@ impl Scheduler {
     }
 
     // ----------------------------------------------------------------
-    // Queries and maintenance
-
-    /// Returns the job's result if it has finished.
-    pub fn poll(&self, job: Job) -> Option<Result<Handle>> {
-        match self
-            .jobs
-            .shard(&job)
-            .get(&job)
-            .and_then(|e| e.state.as_ref())
-        {
-            Some(JobState::Done(h)) => Some(Ok(*h)),
-            Some(JobState::Failed(e)) => Some(Err(e.clone())),
-            _ => None,
-        }
-    }
+    // Queries
 
     /// Registered completion watchers across all watched batches
     /// (diagnostic; the leak test pins this to zero after tickets are
@@ -1102,66 +934,13 @@ impl Scheduler {
         n
     }
 
-    /// Discards all job state and any queued work.
-    ///
-    /// Job completion records double as a memo consistent with the
-    /// engine's relation cache, so the two must be cleared together
-    /// (see [`Runtime::clear_memoization`](crate::Runtime::clear_memoization)).
-    /// Must only be called while no evaluation is in flight; queued jobs
-    /// are dropped and their waiters never woken. Watched batches still
-    /// in flight are failed loudly rather than silently forgotten, so a
-    /// leaked ticket wait cannot hang.
-    pub fn reset(&self) {
-        self.deques.drain_all();
-        let mut stranded: Vec<(Job, Watcher)> = Vec::new();
-        self.jobs.for_each_shard(|map| {
-            for (job, entry) in map.iter_mut() {
-                for w in std::mem::take(&mut entry.watchers) {
-                    stranded.push((*job, w));
-                }
-            }
-            map.clear();
-        });
-        for (job, w) in stranded {
-            w.state.fill(
-                w.pos,
-                Err(Error::Trap(format!(
-                    "scheduler reset while {job} was in flight"
-                ))),
-            );
-        }
-        self.notify_sleepers();
-    }
-
-    /// Drops one finished job record, so a later submission re-steps it
-    /// against the engine instead of short-circuiting to the recorded
-    /// result. No-op if the job is still queued, running, or waited on.
-    ///
-    /// Used by recompute-on-demand after the matching relation-cache
-    /// entries are removed, keeping the invariant that a `Done` job
-    /// record always has its relations memoized.
-    pub fn forget(&self, job: Job) {
-        let mut shard = self.jobs.shard(&job);
-        if let Some(entry) = shard.get(&job) {
-            if entry.finished() && entry.waiters.is_empty() && entry.tokens == 0 {
-                shard.remove(&job);
-            }
-        }
-    }
-
-    /// Drops completed job records that nothing waits on, bounding the
-    /// job map for long-lived nodes. Results stay reproducible: the
-    /// engine's relation cache still memoizes the underlying relations,
-    /// so a re-submitted job completes from cache without re-running
-    /// procedures.
-    pub fn forget_finished(&self) -> usize {
-        let mut dropped = 0;
-        self.jobs.for_each_shard(|map| {
-            let before = map.len();
-            map.retain(|_, e| !e.finished() || !e.waiters.is_empty() || e.tokens > 0);
-            dropped += before - map.len();
-        });
-        dropped
+    /// Job-map entries, whatever their state. A quiescent scheduler
+    /// holds none: a finished job's record is its relation.
+    #[cfg(test)]
+    pub(crate) fn entry_count(&self) -> usize {
+        let mut n = 0;
+        self.jobs.for_each_shard(|map| n += map.len());
+        n
     }
 
     // ----------------------------------------------------------------
@@ -1272,7 +1051,7 @@ impl Scheduler {
                 return;
             }
             if let Some(claim) = self.try_claim() {
-                claim.execute(None);
+                claim.execute();
                 continue;
             }
             self.park_unless(PARK_SAFETY, || {
@@ -1297,10 +1076,9 @@ struct Claim<'a> {
 }
 
 impl Claim<'_> {
-    /// Steps the claimed job, then releases the claim. Returns `root`'s
-    /// result if the step finished `root`.
-    fn execute(self, root: Option<&Job>) -> Option<Result<Handle>> {
-        self.scheduler.execute(self.job, self.priority, root)
+    /// Steps the claimed job, then releases the claim.
+    fn execute(self) {
+        self.scheduler.execute(self.job, self.priority);
         // Release happens in Drop, which also covers the panic path.
     }
 }
@@ -1341,5 +1119,64 @@ impl Drop for WorkerPool {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ProgramRegistry;
+    use fix_core::data::Blob;
+    use fix_storage::{RelationCache, Store};
+
+    /// The interleaving a stress loop does not find (a ≈ 30 ns window
+    /// that needs a preemption), run by hand: a stepped job registers on
+    /// a dependency, the dependency fails before the job settles its
+    /// park, and the settle leaves the failed job to the failure — it
+    /// neither parks it `Waiting` forever nor resurrects the entry the
+    /// failure removed.
+    #[test]
+    fn a_dependency_failing_mid_registration_leaves_no_waiting_entry() {
+        let engine = Engine::new(
+            Arc::new(Store::new()),
+            Arc::new(RelationCache::new()),
+            Arc::new(ProgramRegistry::new()),
+        );
+        let sched = Scheduler::new(Arc::new(engine));
+        // Job identities only: nothing here is stepped by the engine.
+        let waiter = Job::Eval(Blob::from_u64(1).handle());
+        let dep = Job::Eval(Blob::from_u64(2).handle());
+        // The waiter is mid-step (claimed: `Queued`, no live token), and
+        // one watched slot wants it.
+        let slot = Arc::new(BatchState::new(&[(waiter, false)], None, Priority::Normal));
+        {
+            let mut shard = sched.jobs.shard(&waiter);
+            let entry = shard.entry(waiter).or_default();
+            entry.state = Some(JobState::Queued);
+            entry.interest = 1;
+            entry.watchers.push(Watcher {
+                state: Arc::clone(&slot),
+                pos: 0,
+                then_force: false,
+            });
+        }
+        let wait = Arc::new(DepWait {
+            job: waiter,
+            pending: AtomicUsize::new(1),
+            fired: AtomicBool::new(false),
+            tail: false,
+        });
+
+        assert!(sched.register_waiter(dep, &wait, Priority::Normal));
+        let claim = sched.try_claim().expect("the dependency's token is live");
+        assert_eq!(claim.job, dep);
+        sched.complete_job(dep, Err(Error::Trap("injected".into())));
+        drop(claim);
+        sched.settle_park(&wait);
+
+        assert!(slot.is_done());
+        assert_eq!(slot.result(0), Err(Error::Trap("injected".into())));
+        assert_eq!(sched.entry_count(), 0, "no Waiting entry survives");
+        assert_eq!(sched.deques.queued(), 0);
     }
 }

@@ -45,12 +45,11 @@ pub(crate) struct RuntimePending {
 impl RuntimePending {
     /// Assembles positional results from the (completed) watched batch.
     fn assemble(&self) -> Vec<Result<Handle>> {
-        let results = self.state.results();
         self.plan
             .iter()
             .map(|slot| match slot {
                 Slot::Value(h) => Ok(*h),
-                Slot::Job(i) => results[*i].clone(),
+                Slot::Job(i) => self.state.result(*i),
             })
             .collect()
     }
@@ -75,6 +74,17 @@ impl PendingBatch for RuntimePending {
 
     fn cancel(&self) {
         self.scheduler.cancel_batch(&self.state);
+    }
+}
+
+/// The watched root of a strict request for `h`: a value still needs
+/// its deep force; a thunk is the full chain — eval, then force the
+/// produced value.
+pub(crate) fn strict_root(h: Handle) -> (Job, bool) {
+    if h.is_value() {
+        (Job::Force(h), false)
+    } else {
+        (Job::Eval(h), true)
     }
 }
 
@@ -111,13 +121,7 @@ pub(crate) fn submit_with(
                 Slot::Job(jobs.len() - 1)
             }
             Mode::Strict => {
-                // A value still needs its deep force; a thunk is the
-                // full chain: eval, then force the produced value.
-                if h.is_value() {
-                    jobs.push((Job::Force(h), false));
-                } else {
-                    jobs.push((Job::Eval(h), true));
-                }
+                jobs.push(strict_root(h));
                 Slot::Job(jobs.len() - 1)
             }
         })

@@ -22,6 +22,43 @@ fn missing_input_data_is_reported() {
     assert!(matches!(err, Error::NotFound(h) if h == ghost), "{err}");
 }
 
+/// A failure is not memoized. A request that arrives before its data
+/// fails with `NotFound`; once the data is stored, the next request for
+/// the same thunk succeeds — a failed evaluation is re-attempted like
+/// any relation that is not in the cache. Inline, on a pool, and
+/// through a ticket alike.
+#[test]
+fn a_failure_for_missing_data_is_not_memoized() {
+    for workers in [0usize, 2] {
+        for ticket in [false, true] {
+            let rt = Runtime::builder().workers(workers).build();
+            let len = rt.register_native(
+                "len",
+                Arc::new(|ctx| {
+                    let n = ctx.arg_blob(0)?.len() as u64;
+                    ctx.host.create_blob(n.to_le_bytes().to_vec())
+                }),
+            );
+            let data = Blob::from_vec(vec![7u8; 64]);
+            let name = data.handle(); // Named, not stored (yet).
+            let thunk = rt.apply(limits(), len, &[name]).unwrap();
+            let eval = |rt: &Runtime| {
+                if ticket {
+                    rt.submit(thunk).wait()
+                } else {
+                    rt.eval(thunk)
+                }
+            };
+            let err = eval(&rt).unwrap_err();
+            assert!(matches!(err, Error::NotFound(h) if h == name), "{err}");
+
+            rt.put_blob(data);
+            let out = eval(&rt).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+            assert_eq!(rt.get_u64(out).unwrap(), 64);
+        }
+    }
+}
+
 /// A guest that tries to read Ref data gets a capability fault; the
 /// computation fails without poisoning unrelated evaluations.
 #[test]
