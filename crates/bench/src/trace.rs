@@ -119,31 +119,3 @@ pub fn run_with(cfg: &ServeConfig, out_dir: &Path) -> String {
     out.push_str(&runs[0].1.decomposition_table());
     out
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trace_report_is_deterministic() {
-        // A miniature horizon: the full `run(1, ..)` report is what the
-        // release-mode CI smoke exercises; in debug the same assertions
-        // on a 20× shorter run keep the suite fast.
-        let cfg = ServeConfig {
-            duration_us: 10_000,
-            ..crate::serve_report::config(1)
-        };
-        let dir = tempfile::tempdir().unwrap();
-        let a = run_with(&cfg, dir.path());
-        let b = run_with(&cfg, dir.path());
-        assert_eq!(a, b, "figures trace must render identically run-to-run");
-        assert!(a.contains("serve.admit"));
-        assert!(a.contains("latency decomposition"));
-        // The per-backend Chrome traces landed on disk.
-        for name in ["runtime-inline", "runtime-workers4", "cluster"] {
-            let p = dir.path().join(format!("serve-{name}.trace.json"));
-            let json = std::fs::read_to_string(p).unwrap();
-            assert!(fix_obs::validate_chrome_trace(&json).unwrap() > 0);
-        }
-    }
-}

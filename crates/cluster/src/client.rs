@@ -45,12 +45,11 @@ use fix_core::api::{
 };
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
-use fix_core::handle::{DataType, Handle, Kind, ThunkKind};
+use fix_core::handle::{DataType, Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use fix_core::semantics::Footprint;
 use fix_netsim::{NetConfig, NodeId, NodeSpec, Time};
 use fix_storage::Relation;
 use fixpoint::Runtime;
-use std::collections::{HashMap, HashSet};
 
 /// Configures a [`ClusterClient`].
 pub struct ClusterClientBuilder {
@@ -318,8 +317,8 @@ pub fn derive_job_graph(
     let mut d = Deriver {
         rt,
         builder: JobGraphBuilder::new(),
-        tasks: HashMap::new(),
-        objects: HashMap::new(),
+        tasks: HandleMap::default(),
+        objects: HandleMap::default(),
         workers,
         compute_us: task_compute_us,
     };
@@ -348,9 +347,9 @@ struct Deriver<'a> {
     builder: JobGraphBuilder,
     /// Thunk handle → derived task (content addressing deduplicates
     /// shared sub-computations, mirroring the scheduler's job identity).
-    tasks: HashMap<Handle, TaskId>,
+    tasks: HandleMap<Handle, TaskId>,
     /// Data payload → graph object.
-    objects: HashMap<Handle, ObjectId>,
+    objects: HandleMap<Handle, ObjectId>,
     workers: &'a [NodeId],
     compute_us: Time,
 }
@@ -527,7 +526,7 @@ impl<'a> Deriver<'a> {
     /// nested thunk/encode — deep-forcing runs them all. Ref promotion
     /// moves data but runs no procedure, so it contributes no task.
     fn force_tasks(&mut self, root: Handle) -> Result<()> {
-        let mut seen = HashSet::new();
+        let mut seen = HandleSet::default();
         let mut stack = vec![root];
         while let Some(h) = stack.pop() {
             if !seen.insert(h) {

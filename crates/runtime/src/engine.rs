@@ -359,32 +359,54 @@ impl Engine {
     }
 
     /// Rewrites an application tree, splicing in resolved Encode results
-    /// (strict → accessible Object, shallow → Ref) and recursing through
-    /// accessible sub-trees. All encodes must already be resolved.
+    /// (strict → accessible Object, shallow → Ref) and descending through
+    /// accessible sub-trees; a sub-tree with nothing to splice keeps its
+    /// handle. All encodes must already be resolved.
+    ///
+    /// An explicit worklist, not recursion: nesting depth is data (a cons
+    /// list is as deep as it is long) and must not be bounded by the
+    /// caller's stack.
     fn substitute(&self, tree: &Tree) -> Result<Tree> {
-        let mut entries = Vec::with_capacity(tree.len());
-        for &entry in tree.entries() {
-            entries.push(match entry.kind() {
+        // The tree being rewritten with its rewritten entries so far (so
+        // the next entry to look at is `out.len()`), and the trees above
+        // it suspended where they descended, each with the handle of
+        // the sub-tree it is waiting on.
+        let mut current = (tree.clone(), Vec::with_capacity(tree.len()));
+        let mut suspended: Vec<((Tree, Vec<Handle>), Handle)> = Vec::new();
+        loop {
+            let (source, out) = &mut current;
+            let Some(entry) = source.get(out.len()) else {
+                let rewritten = Tree::from_handles(std::mem::take(out));
+                let Some((parent, sub)) = suspended.pop() else {
+                    return Ok(rewritten);
+                };
+                let unchanged = rewritten == current.0;
+                current = parent;
+                current.1.push(if unchanged {
+                    sub
+                } else {
+                    self.store.put_tree(rewritten)
+                });
+                continue;
+            };
+            match entry.kind() {
                 Kind::Encode(style, _) => {
                     let r = self
                         .cache
                         .resolved(entry)
                         .ok_or(Error::NotEvaluated(entry))?;
-                    splice(style, r)
+                    out.push(splice(style, r));
                 }
                 Kind::Object(DataType::Tree) => {
                     let sub = self.store.get_tree(entry)?;
-                    let rewritten = self.substitute(&sub)?;
-                    if rewritten == sub {
-                        entry
-                    } else {
-                        self.store.put_tree(rewritten)
-                    }
+                    let capacity = sub.len();
+                    let parent =
+                        std::mem::replace(&mut current, (sub, Vec::with_capacity(capacity)));
+                    suspended.push((parent, entry));
                 }
-                _ => entry,
-            });
+                _ => out.push(entry),
+            }
         }
-        Ok(Tree::from_handles(entries))
     }
 
     /// Runs the procedure of a fully-resolved application tree.

@@ -520,6 +520,39 @@ mod tests {
             .expect("no overflow, no panic");
     }
 
+    /// Nesting depth is data for substitution too: a 10 000-deep list
+    /// with an encode at the bottom is rewritten by a worklist, and every
+    /// tree on the path to the encode is re-stored with the value
+    /// spliced in.
+    #[test]
+    fn a_deep_list_with_an_encode_at_the_bottom_substitutes_on_a_small_stack() {
+        const DEPTH: u64 = 10_000;
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let rt = Runtime::builder().build();
+                let first = rt.register_native("first-lazy", Arc::new(|ctx| ctx.arg(0)));
+                let ident = rt.register_native("ident", Arc::new(|ctx| ctx.arg(0)));
+                let blob = rt.put_blob(Blob::from_vec(vec![7u8; 64]));
+                let encode = rt.strict_apply(limits(), ident, &[blob]).unwrap();
+                let mut list = rt.put_tree(Tree::from_handles(vec![encode]));
+                for i in 0..DEPTH {
+                    list = rt.put_tree(Tree::from_handles(vec![Blob::from_u64(i).handle(), list]));
+                }
+                let thunk = rt.apply(limits(), first, &[list]).unwrap();
+                let mut out = rt.eval(thunk).unwrap();
+                for i in (0..DEPTH).rev() {
+                    let cell = rt.get_tree(out).unwrap();
+                    assert_eq!(cell.get(0), Some(Blob::from_u64(i).handle()));
+                    out = cell.get(1).unwrap();
+                }
+                assert_eq!(rt.get_tree(out).unwrap().entries(), &[blob]);
+            })
+            .expect("spawn")
+            .join()
+            .expect("no overflow, no panic");
+    }
+
     /// An application (or selection) waits directly on the relation an
     /// unresolved encode is missing: `Eval` of its thunk first, then —
     /// strict style only — `Force` of the value.

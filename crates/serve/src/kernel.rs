@@ -16,7 +16,7 @@
 //!    from data, not code paths: the pre-generated timeline (open-loop
 //!    processes and SNF schedules, merged) and the closed-loop
 //!    re-arrival heap. Each arrival is shed at capacity, priced by the
-//!    optional [`AdmissionPolicy`], minted, priced cold or warm against
+//!    optional [`AdmissionPolicy`], named, priced cold or warm against
 //!    its node's memoization mirror, and queued on that node's
 //!    [`TenantQueues`]; each dispatch expires deadline-passed work,
 //!    serves one batch on the earliest-free active driver, and records
@@ -37,10 +37,18 @@
 //! The plug points are values the loop observes, not modes: an absent
 //! admission policy prices nothing, [`ScalerConfig::fixed`] never ticks,
 //! one node has nothing to route (so a shed arrival costs O(1) — no
-//! thunk is minted for it), no [`FaultPlan`] queues no fault. With
+//! thunk is named for it), no [`FaultPlan`] queues no fault. With
 //! several nodes the content-addressed handle is the routing key, so
-//! the thunk is minted first, on the planner's backend, and each node's
+//! the thunk is named first, on the planner's backend, and each node's
 //! own backend re-mints it at execution ([`execute`]'s `remint`).
+//!
+//! A request is named once per distinct request, not once per arrival:
+//! the run's name table maps `(tenant, kind, instance)`
+//! ([`RequestKind::instance`]) to the thunk the first such arrival
+//! minted on the planner's backend. It holds names, never results — the
+//! relation cache stays the only memo, and warmth is priced by each
+//! node's mirror as before — and it is bounded by the configuration
+//! (per tenant, the instances its mix can draw).
 
 use crate::closed_loop::ThinkStreams;
 use crate::controller::{AdmissionPolicy, Autoscaler, PoolShape, ScalerConfig};
@@ -53,10 +61,11 @@ use crate::telemetry::LatencyHistogram;
 use crate::tenant::{draw_kind, RequestFactory, RequestKind, Tenant};
 use fix_core::api::{BatchTicket, InvocationApi, Priority, SubmitApi, SubmitOptions};
 use fix_core::error::{Error, Result};
-use fix_core::handle::Handle;
+use fix_core::handle::{Handle, HandleSet};
 use fix_obs::EventKind;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How a killed node comes back.
@@ -314,7 +323,7 @@ impl Plan {
 }
 
 /// Both halves on one backend: plan on `rt`, then execute every segment
-/// there with the thunks the plan already minted. Nodes that share a
+/// there with the thunks the plan already named. Nodes that share a
 /// backend are not worth a table, so [`ServeReport::nodes`] stays empty.
 pub fn run<A: SubmitApi + InvocationApi + Send + Sync>(
     rt: &A,
@@ -399,7 +408,7 @@ struct Node {
     /// memoization. First *admitted* sight pays the cold service time,
     /// repeats are warm (a shed request never executed, so it warms
     /// nothing).
-    seen: HashSet<Handle>,
+    seen: HandleSet<Handle>,
     /// When each provisioned driver is next free.
     free: Vec<Micros>,
     /// Holds the active driver count and the scaling timeline.
@@ -415,6 +424,10 @@ struct Sim<'a, A: InvocationApi> {
     rt: &'a A,
     cfg: &'a Config,
     factory: RequestFactory,
+    /// The run's name table: `(tenant, kind, instance)` → thunk, one
+    /// entry per distinct request admitted or routed so far. Names, never
+    /// results — warmth is each node's `seen` mirror.
+    names: HashMap<(usize, RequestKind, u64), Handle>,
     snf: Vec<Option<SnfPipeline>>,
     think: Vec<Option<ThinkStreams>>,
     router: Router,
@@ -477,6 +490,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             rt,
             cfg,
             factory,
+            names: HashMap::new(),
             snf: cfg
                 .tenants
                 .iter()
@@ -500,7 +514,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             nodes: (0..cfg.nodes)
                 .map(|i| Node {
                     queues: TenantQueues::new(classes.clone(), cfg.queue_capacity),
-                    seen: HashSet::new(),
+                    seen: HandleSet::default(),
                     free: vec![0; max_drivers],
                     scaler: Autoscaler::new(cfg.scaler),
                     segments: vec![Segment::new(max_drivers)],
@@ -629,21 +643,27 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
         Ok(())
     }
 
-    /// Mints the (content-addressed) thunk of arrival `a`.
-    fn mint(&self, a: Arrival) -> Result<(RequestKind, Handle)> {
-        match &self.snf[a.tenant] {
+    /// The (content-addressed) thunk of arrival `a`: minted on the
+    /// planning backend by the first arrival of its instance, looked up
+    /// by every later one.
+    fn name(&mut self, a: Arrival) -> Result<(RequestKind, Handle)> {
+        if let Some(p) = &self.snf[a.tenant] {
             // The kind is a carrier field here: the SNF service model
             // prices the fold.
-            Some(p) => Ok((
-                RequestKind::Add,
-                p.mint(self.rt, p.flow_of(a.seq), p.batch_of(a.seq))?,
-            )),
-            None => {
-                let mix = self.cfg.tenants[a.tenant].mix();
-                let kind = draw_kind(mix, tenant_seed(self.cfg.seed, a.tenant, 1), a.seq);
-                Ok((kind, self.factory.mint(self.rt, a.tenant, a.seq, kind)?))
-            }
+            let fold = p.mint(self.rt, p.flow_of(a.seq), p.batch_of(a.seq))?;
+            return Ok((RequestKind::Add, fold));
         }
+        let mix = self.cfg.tenants[a.tenant].mix();
+        let kind = draw_kind(mix, tenant_seed(self.cfg.seed, a.tenant, 1), a.seq);
+        let mint = || self.factory.mint(self.rt, a.tenant, a.seq, kind);
+        let thunk = match kind.instance(a.seq) {
+            None => mint()?,
+            Some(instance) => match self.names.entry((a.tenant, kind, instance)) {
+                Entry::Occupied(named) => *named.get(),
+                Entry::Vacant(slot) => *slot.insert(mint()?),
+            },
+        };
+        Ok((kind, thunk))
     }
 
     /// Places `thunk` on an alive node by the routing policy.
@@ -676,19 +696,19 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
     }
 
     /// Offers one arrival: route, capacity shed, admission pricing,
-    /// mint, cold/warm pricing, enqueue.
+    /// name, cold/warm pricing, enqueue.
     fn offer(&mut self, a: Arrival, client: Option<usize>) -> Result<()> {
         let cfg = self.cfg;
         let deadline = cfg.tenants[a.tenant].slo().deadline_us;
         let deadline_us = deadline.map(|d| a.time_us + d);
         // With several nodes the handle is the routing key, so the
-        // thunk is minted first; with one node there is nothing to
+        // thunk is named first; with one node there is nothing to
         // route and a shed or rejected arrival stays O(1) — minting
         // builds and stores real objects on the backend, exactly what
         // overload protection is supposed to avoid.
         let (n, routed) = if self.nodes.len() > 1 {
-            let minted = self.mint(a)?;
-            (self.route(minted.1, a.time_us), Some(minted))
+            let named = self.name(a)?;
+            (self.route(named.1, a.time_us), Some(named))
         } else {
             (0, None)
         };
@@ -728,8 +748,8 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             return Ok(());
         }
         let (kind, thunk) = match routed {
-            Some(minted) => minted,
-            None => self.mint(a)?,
+            Some(named) => named,
+            None => self.name(a)?,
         };
         let warm = self.nodes[n].seen.contains(&thunk);
         let service_us = match &self.snf[a.tenant] {
@@ -1022,4 +1042,165 @@ pub fn plan<A: InvocationApi>(rt: &A, cfg: &Config) -> Result<Plan> {
         recovery_window_us: sim.recovery_window_us,
         report,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::closed_loop::ClosedLoopSpec;
+    use crate::loadgen::ArrivalProcess;
+    use crate::snf::SnfSpec;
+    use crate::tenant::{SloClass, TenantSpec};
+    use fix_core::api::{NativeFn, ObjectApi};
+    use fix_core::data::Node;
+    use fix_core::limits::ResourceLimits;
+    use fixpoint::Runtime;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A runtime that counts the application trees put through it.
+    struct CountingApplies {
+        rt: Runtime,
+        applies: AtomicU64,
+    }
+
+    impl ObjectApi for CountingApplies {
+        fn put(&self, node: Node) -> Handle {
+            self.rt.put(node)
+        }
+        fn get(&self, handle: Handle) -> Result<Node> {
+            self.rt.get(handle)
+        }
+        fn contains(&self, handle: Handle) -> bool {
+            self.rt.contains(handle)
+        }
+    }
+
+    impl InvocationApi for CountingApplies {
+        fn register_native(&self, name: &str, f: NativeFn) -> Handle {
+            self.rt.register_native(name, f)
+        }
+        fn apply(
+            &self,
+            limits: ResourceLimits,
+            procedure: Handle,
+            args: &[Handle],
+        ) -> Result<Handle> {
+            self.applies.fetch_add(1, Ordering::Relaxed);
+            self.rt.apply(limits, procedure, args)
+        }
+    }
+
+    fn config(tenants: Vec<Tenant>, nodes: usize) -> Config {
+        Config {
+            seed: 17,
+            duration_us: 10_000,
+            batch: 8,
+            queue_capacity: 1_000,
+            batch_overhead_us: 5,
+            inflight: 2,
+            tenants,
+            admission: None,
+            scaler: ScalerConfig::fixed(2),
+            nodes,
+            policy: RoutingPolicy::Affinity,
+            spill_margin: 1,
+            fault: None,
+        }
+    }
+
+    /// Every planned request, in segment order.
+    fn planned(plan: &Plan) -> impl Iterator<Item = &QueuedRequest> {
+        plan.nodes
+            .iter()
+            .flatten()
+            .flat_map(|s| s.per_driver.iter().flatten())
+            .flat_map(|b| &b.requests)
+    }
+
+    #[test]
+    fn a_distinct_request_is_minted_once_per_run() {
+        let fib = TenantSpec::uniform_mix(
+            "fib",
+            1,
+            ArrivalProcess::Uniform { period_us: 10 },
+            RequestKind::Fib { max_n: 4 },
+        );
+        for nodes in [1, 3] {
+            let rt = CountingApplies {
+                rt: Runtime::builder().build(),
+                applies: AtomicU64::new(0),
+            };
+            let plan = plan(&rt, &config(vec![Tenant::Open(fib.clone())], nodes)).unwrap();
+            assert_eq!(plan.report.tenants[0].admitted, 1_000);
+            assert_eq!(planned(&plan).count(), 1_000);
+            let applies = rt.applies.load(Ordering::Relaxed);
+            assert!(applies <= 4, "{nodes} nodes: {applies} application trees");
+        }
+    }
+
+    #[test]
+    fn the_name_table_holds_what_the_factory_mints() {
+        let crowd = TenantSpec {
+            name: "crowd".into(),
+            weight: 2,
+            arrivals: ArrivalProcess::FlashCrowd {
+                base_rps: 100_000.0,
+                spike_at_us: 3_000,
+                spike_len_us: 3_000,
+                spike_rps: 600_000.0,
+            },
+            mix: vec![
+                (RequestKind::Add, 1),
+                (RequestKind::Fib { max_n: 32 }, 3),
+                (RequestKind::Wordcount { shard_bytes: 1024 }, 1),
+                (RequestKind::SebsHtml { users: 8 }, 1),
+            ],
+            slo: SloClass::latency(3_000),
+        };
+        let tenants = vec![
+            Tenant::Open(crowd),
+            Tenant::Closed(ClosedLoopSpec {
+                name: "portal".into(),
+                weight: 1,
+                clients: 8,
+                think_mean_us: 200.0,
+                mix: vec![(RequestKind::SebsHtml { users: 4 }, 1)],
+                slo: SloClass::latency(8_000),
+            }),
+            Tenant::Snf(SnfSpec {
+                name: "snf".into(),
+                weight: 1,
+                flows: 4,
+                batch_period_us: 500,
+                slo: SloClass::default(),
+            }),
+        ];
+        for nodes in [1, 3] {
+            let cfg = Config {
+                admission: Some(AdmissionPolicy::default()),
+                scaler: ScalerConfig {
+                    min_drivers: 1,
+                    max_drivers: 4,
+                    control_interval_us: 500,
+                    up_backlog_us: 400,
+                    down_backlog_us: 60,
+                    hold_ticks: 2,
+                },
+                ..config(tenants.clone(), nodes)
+            };
+            let plan = plan(&Runtime::builder().build(), &cfg).unwrap();
+            assert!(plan.report.tenants[0].rejected > 0, "the crowd is refused");
+            let cc = fix_cluster::ClusterClient::builder().build().unwrap();
+            let factory =
+                RequestFactory::install_mixes(&cc, cfg.tenants.iter().map(Tenant::mix), cfg.seed)
+                    .unwrap();
+            let mut checked = 0;
+            for r in planned(&plan).filter(|r| !matches!(cfg.tenants[r.tenant], Tenant::Snf(_))) {
+                let minted = factory.mint(&cc, r.tenant, r.seq, r.kind).unwrap();
+                assert_eq!(minted, r.thunk, "{nodes} nodes: {r:?}");
+                checked += 1;
+            }
+            assert!(checked > 1_000, "{nodes} nodes: {checked} requests checked");
+        }
+    }
 }

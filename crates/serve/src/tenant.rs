@@ -23,7 +23,7 @@ use fix_workloads::wordcount::{register_count_string, store_shards};
 use std::sync::Arc;
 
 /// One kind of request a tenant can issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// Native `add` codelet with per-request arguments — every request
     /// is distinct, so this exercises the cold native-invocation path.
@@ -34,8 +34,10 @@ pub enum RequestKind {
         /// Exclusive upper bound on the cycled `n` (≥ 1).
         max_n: u64,
     },
-    /// `count-string` over one of the tenant's corpus shards with a
-    /// per-request needle (the Fig. 8b map task, served one at a time).
+    /// `count-string` over one of the tenant's corpus shards (the Fig. 8b
+    /// map task, served one at a time). Request `seq` is instance
+    /// `seq % 64`: the needle cycles over 64 per tenant, and the shard
+    /// over the tenant's four, so repeats hit the memoization cache.
     Wordcount {
         /// Size of each stored corpus shard, in bytes.
         shard_bytes: usize,
@@ -72,6 +74,20 @@ impl RequestKind {
     /// Fig. 7a warm-memoized path, independent of the procedure.
     pub fn warm_service_us(&self) -> Micros {
         fix_core::calibration::SERVICE_COSTS.warm_hit_us
+    }
+
+    /// Which distinct request `seq` is within its tenant: two requests
+    /// of one tenant and kind with equal instances are the same thunk,
+    /// and [`RequestFactory::mint`] builds a request from its instance
+    /// alone. `None` for [`Add`](RequestKind::Add), whose every request
+    /// is distinct.
+    pub fn instance(&self, seq: u64) -> Option<u64> {
+        match *self {
+            RequestKind::Add => None,
+            RequestKind::Fib { max_n } => Some(seq % max_n.max(1)),
+            RequestKind::Wordcount { .. } => Some(seq % WORDCOUNT_NEEDLES),
+            RequestKind::SebsHtml { users } => Some(seq % users.max(1)),
+        }
     }
 
     /// Short label for tables.
@@ -246,6 +262,12 @@ pub struct RequestFactory {
 /// Shards stored per wordcount tenant (requests cycle across them).
 const SHARDS_PER_TENANT: usize = 4;
 
+/// Needles a wordcount tenant cycles over: its requests' instances.
+const WORDCOUNT_NEEDLES: u64 = 64;
+
+// The instance must determine the shard as well as the needle.
+const _: () = assert!(WORDCOUNT_NEEDLES.is_multiple_of(SHARDS_PER_TENANT as u64));
+
 impl RequestFactory {
     /// Registers procedures and stores per-tenant data on `rt`.
     pub fn install<R: InvocationApi>(
@@ -308,7 +330,8 @@ impl RequestFactory {
         })
     }
 
-    /// Builds the thunk for request `seq` of `tenant` with `kind`.
+    /// Builds the thunk for request `seq` of `tenant` with `kind`, from
+    /// the request's [`instance`](RequestKind::instance) alone.
     pub fn mint<R: InvocationApi>(
         &self,
         rt: &R,
@@ -316,34 +339,31 @@ impl RequestFactory {
         seq: u64,
         kind: RequestKind,
     ) -> Result<Handle> {
+        let instance = kind.instance(seq).unwrap_or(seq);
         match kind {
             RequestKind::Add => rt.apply(
                 self.limits,
                 self.add_proc,
                 &[
-                    rt.put_blob(Blob::from_u64(seq)),
+                    rt.put_blob(Blob::from_u64(instance)),
                     rt.put_blob(Blob::from_u64((tenant as u64) << 32 | 1)),
                 ],
             ),
-            RequestKind::Fib { max_n } => rt.apply(
+            RequestKind::Fib { .. } => rt.apply(
                 self.limits,
                 self.fib_mod,
-                &[
-                    self.fib_add_mod,
-                    rt.put_blob(Blob::from_u64(seq % max_n.max(1))),
-                ],
+                &[self.fib_add_mod, rt.put_blob(Blob::from_u64(instance))],
             ),
             RequestKind::Wordcount { .. } => {
-                let shard = self.shards[tenant][(seq as usize) % SHARDS_PER_TENANT];
-                let needle = rt.put_blob(Blob::from_slice(
-                    format!("t{tenant}w{}", seq % 64).as_bytes(),
-                ));
+                let shard = self.shards[tenant][instance as usize % SHARDS_PER_TENANT];
+                let needle =
+                    rt.put_blob(Blob::from_slice(format!("t{tenant}w{instance}").as_bytes()));
                 rt.apply(self.limits, self.count_proc, &[shard, needle])
             }
-            RequestKind::SebsHtml { users } => {
+            RequestKind::SebsHtml { .. } => {
                 let argv = rt.put_blob(flatware::encode_argv(&[
                     "dynamic-html",
-                    &format!("tenant{tenant}-user{}", seq % users.max(1)),
+                    &format!("tenant{tenant}-user{instance}"),
                     "4",
                 ]));
                 rt.apply(self.limits, self.html_proc, &[argv, self.sebs_root])
@@ -398,20 +418,42 @@ mod tests {
         ]
     }
 
+    /// One of each kind, as tenant 0 of [`tenants`] draws them.
+    const KINDS: [RequestKind; 4] = [
+        RequestKind::Add,
+        RequestKind::Fib { max_n: 10 },
+        RequestKind::Wordcount { shard_bytes: 4096 },
+        RequestKind::SebsHtml { users: 4 },
+    ];
+
     #[test]
     fn every_kind_mints_an_evaluable_thunk() {
         let rt = Runtime::builder().build();
         let specs = tenants();
         let f = RequestFactory::install(&rt, &specs, 5).unwrap();
-        for kind in [
-            RequestKind::Add,
-            RequestKind::Fib { max_n: 10 },
-            RequestKind::Wordcount { shard_bytes: 4096 },
-            RequestKind::SebsHtml { users: 4 },
-        ] {
+        for kind in KINDS {
             let t = f.mint(&rt, 0, 3, kind).unwrap();
             rt.eval(t).unwrap_or_else(|e| panic!("{kind:?}: {e:?}"));
         }
+    }
+
+    #[test]
+    fn equal_instances_and_only_they_mint_equal_handles() {
+        let rt = Runtime::builder().build();
+        let f = RequestFactory::install(&rt, &tenants(), 5).unwrap();
+        for kind in KINDS {
+            let minted: Vec<(Option<u64>, Handle)> = (0..256)
+                .map(|seq| (kind.instance(seq), f.mint(&rt, 0, seq, kind).unwrap()))
+                .collect();
+            for (i, a) in minted.iter().enumerate() {
+                for b in &minted[..i] {
+                    // No instance (an add): every request is distinct.
+                    let same = a.0.is_some() && a.0 == b.0;
+                    assert_eq!(same, a.1 == b.1, "{kind:?}: {a:?} vs {b:?}");
+                }
+            }
+        }
+        assert_eq!(RequestKind::Add.instance(7), None);
     }
 
     #[test]

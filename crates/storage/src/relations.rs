@@ -52,12 +52,21 @@ const SHARDS: usize = 32;
 /// assert_eq!(cache.get(Relation::Eval, a), Some(b));
 /// ```
 pub struct RelationCache {
-    shards: Vec<RwLock<HandleMap<(Relation, Handle), Handle>>>,
+    shards: Vec<Shard>,
     hasher: HandleBuildHasher,
-    hits: AtomicU64,
-    misses: AtomicU64,
     // Persistence hook: notified of fresh relations (see crate::hooks).
     sink: OnceLock<Arc<dyn RelationSink>>,
+}
+
+/// One lock shard and its lookup counters. The counters sit beside the
+/// lock word, on the cache line a `get` has just taken for the read
+/// lock, so counting a lookup touches no line shared across shards.
+#[repr(C, align(64))]
+#[derive(Default)]
+struct Shard {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    map: RwLock<HandleMap<(Relation, Handle), Handle>>,
 }
 
 impl Default for RelationCache {
@@ -70,10 +79,8 @@ impl RelationCache {
     /// Creates an empty cache.
     pub fn new() -> RelationCache {
         RelationCache {
-            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             hasher: HandleBuildHasher::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             sink: OnceLock::new(),
         }
     }
@@ -89,25 +96,31 @@ impl RelationCache {
     /// fold of the whole handle, never from one of its bytes: a literal's
     /// bytes are content (byte 1 of every `u64` below 256 is zero), and
     /// a shard chosen by content is one lock for all small integers.
-    fn shard(&self, input: Handle) -> &RwLock<HandleMap<(Relation, Handle), Handle>> {
+    fn shard(&self, input: Handle) -> &Shard {
         &self.shards[self.hasher.shard_of(&input, SHARDS)]
     }
 
     /// Looks up a memoized result.
     pub fn get(&self, relation: Relation, input: Handle) -> Option<Handle> {
-        let found = self.shard(input).read().get(&(relation, input)).copied();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let shard = self.shard(input);
+        let found = shard.map.read().get(&(relation, input)).copied();
+        let counter = if found.is_some() {
+            &shard.hits
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+            &shard.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
     /// Records a result. Recording the same relation twice is harmless;
     /// by determinism the value must be identical (checked in debug).
     pub fn put(&self, relation: Relation, input: Handle, output: Handle) {
-        let prev = self.shard(input).write().insert((relation, input), output);
+        let prev = self
+            .shard(input)
+            .map
+            .write()
+            .insert((relation, input), output);
         debug_assert!(
             prev.is_none() || prev == Some(output),
             "nondeterministic relation: {relation:?}({input}) was {prev:?}, now {output}"
@@ -121,7 +134,7 @@ impl RelationCache {
 
     /// Number of recorded relations.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.map.read().len()).sum()
     }
 
     /// True if no relations are recorded.
@@ -129,18 +142,21 @@ impl RelationCache {
         self.len() == 0
     }
 
-    /// (hits, misses) counters — used by the memoization ablation bench.
+    /// (hits, misses) counters, summed over the shards — used by the
+    /// memoization ablation bench.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.shards.iter().fold((0, 0), |(hits, misses), s| {
+            (
+                hits + s.hits.load(Ordering::Relaxed),
+                misses + s.misses.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Forgets everything (used by benchmarks to measure cold paths).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.write().clear();
+            shard.map.write().clear();
         }
     }
 
@@ -152,7 +168,7 @@ impl RelationCache {
     pub fn entries(&self) -> Vec<(Relation, Handle, Handle)> {
         let mut out = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            for (&(relation, input), &output) in shard.read().iter() {
+            for (&(relation, input), &output) in shard.map.read().iter() {
                 out.push((relation, input, output));
             }
         }
@@ -166,7 +182,7 @@ impl RelationCache {
     /// memoized `Apply`/`Eval` entries for its recipe to be dropped
     /// first, else evaluation short-circuits to the (dataless) handle.
     pub fn remove(&self, relation: Relation, input: Handle) -> Option<Handle> {
-        self.shard(input).write().remove(&(relation, input))
+        self.shard(input).map.write().remove(&(relation, input))
     }
 }
 
@@ -252,7 +268,11 @@ mod tests {
             let h = Blob::from_u64(i).handle();
             cache.put(Relation::Force, h, h);
         }
-        let used = cache.shards.iter().filter(|s| !s.read().is_empty()).count();
+        let used = cache
+            .shards
+            .iter()
+            .filter(|s| !s.map.read().is_empty())
+            .count();
         assert!(used > SHARDS / 2, "{used} of {SHARDS} shards used");
     }
 
