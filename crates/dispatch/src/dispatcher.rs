@@ -48,7 +48,7 @@ pub enum NodeStorage {
     /// Every node incarnation starts empty (a restart is always cold).
     Memory,
     /// Node `i` owns the durable directory `<root>/node<i>` (append-only
-    /// log + snapshots, `FsyncPolicy::Always`); a restart reopens it.
+    /// log, `FsyncPolicy::Always`); a restart reopens it.
     Durable(PathBuf),
 }
 

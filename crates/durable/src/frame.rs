@@ -1,7 +1,7 @@
 //! The on-disk framing: length-prefixed, checksummed records.
 //!
-//! Both durable files — the append-only log and each snapshot — are a
-//! magic header followed by a sequence of *frames*:
+//! The durable file — the append-only log — is a magic header followed
+//! by a sequence of *frames*:
 //!
 //! ```text
 //! [ u32 payload length ][ u32 CRC-32 of payload ][ payload ]
@@ -16,9 +16,13 @@
 //!   content-addressed name for free.
 //! * `2` (relation) — `[ u8 relation ][ 32-byte input ][ 32-byte output ]`:
 //!   one memoized evaluation relation.
-//! * `3` (commit) — `[ u64 frame count ]`: a snapshot terminator; a
-//!   snapshot is valid only if its last frame is a commit naming the
-//!   number of frames before it.
+//! * `4` (tombstone) — `[ 32-byte payload key ]`: the object under this
+//!   key was collected or forgotten. Replay applies records in log
+//!   order, so a tombstone undoes the node frames before it and a later
+//!   node frame puts the object back.
+//!
+//! (Tag `3` was a snapshot file's commit record; it is not a record of
+//! the log, and a scan stops at it like at any unknown tag.)
 //!
 //! Scanning is *lazy* and *streamed*: frames are read one at a time
 //! through a reusable buffer, and node frames are classified by peeking
@@ -41,15 +45,17 @@ use std::io::{self, Read};
 
 /// The 8-byte magic opening the append-only log.
 pub const LOG_MAGIC: &[u8; 8] = b"FIXLOG1\0";
-/// The 8-byte magic opening a snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"FIXSNAP1";
 
 const TAG_NODE: u8 = 1;
 const TAG_RELATION: u8 = 2;
-const TAG_COMMIT: u8 = 3;
+const TAG_TOMBSTONE: u8 = 4;
 
 /// Frame header size: u32 length + u32 checksum.
 pub const FRAME_HEADER: usize = 8;
+/// Length of a whole relation frame: header, tag, relation, two handles.
+pub const RELATION_FRAME: usize = FRAME_HEADER + 66;
+/// Length of a whole tombstone frame: header, tag, key.
+pub const TOMBSTONE_FRAME: usize = FRAME_HEADER + 33;
 
 // CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: table `k`
 // advances a byte's contribution past `k` further zero bytes, so eight
@@ -164,11 +170,11 @@ pub fn push_relation(out: &mut Vec<u8>, relation: Relation, input: Handle, outpu
     });
 }
 
-/// Appends a snapshot's commit frame, covering `frames` preceding frames.
-pub fn push_commit(out: &mut Vec<u8>, frames: u64) {
+/// Appends the tombstone of the object stored under `key`.
+pub fn push_tombstone(out: &mut Vec<u8>, key: &[u8; 32]) {
     push_frame(out, |out| {
-        out.push(TAG_COMMIT);
-        out.extend_from_slice(&frames.to_le_bytes());
+        out.push(TAG_TOMBSTONE);
+        out.extend_from_slice(key);
     });
 }
 
@@ -220,8 +226,8 @@ pub enum Scanned {
     },
     /// A memoized relation.
     Relation(Relation, Handle, Handle),
-    /// A snapshot commit covering the preceding frame count.
-    Commit(u64),
+    /// The object under this payload key was dropped.
+    Tombstone([u8; 32]),
 }
 
 /// Streams the frames of a file through `each`, one record at a time,
@@ -298,12 +304,9 @@ fn classify(payload: &[u8], offset: u64, frame_len: u32) -> Option<Scanned> {
                 Handle::from_raw(output).ok()?,
             ))
         }
-        TAG_COMMIT => {
-            let n: [u8; 8] = payload.get(1..9)?.try_into().ok()?;
-            if payload.len() != 9 {
-                return None;
-            }
-            Some(Scanned::Commit(u64::from_le_bytes(n)))
+        TAG_TOMBSTONE => {
+            let key: [u8; 32] = payload.get(1..)?.try_into().ok()?;
+            Some(Scanned::Tombstone(key))
         }
         _ => None,
     }
@@ -415,22 +418,41 @@ mod tests {
     }
 
     #[test]
-    fn relation_record_round_trips() {
+    fn relation_and_tombstone_records_round_trip() {
         let tree = Tree::from_handles(vec![]);
         let input = tree.handle().application().unwrap();
         let output = Blob::from_vec(vec![9u8; 64]).handle();
+        let key = payload_key(output);
         let mut bytes = Vec::new();
         push_relation(&mut bytes, Relation::Eval, input, output);
-        push_commit(&mut bytes, 1);
+        assert_eq!(bytes.len(), RELATION_FRAME);
+        push_tombstone(&mut bytes, &key);
+        assert_eq!(bytes.len(), RELATION_FRAME + TOMBSTONE_FRAME);
         let (records, valid_len) = scan_all(&bytes);
         assert_eq!(valid_len, 8 + bytes.len() as u64);
         assert_eq!(
             records,
             vec![
                 Scanned::Relation(Relation::Eval, input, output),
-                Scanned::Commit(1),
+                Scanned::Tombstone(key),
             ]
         );
+    }
+
+    #[test]
+    fn scan_stops_at_a_short_tombstone_and_an_unknown_tag() {
+        let node = Node::Blob(Blob::from_vec(vec![4u8; 64]));
+        let good = node_frame(&node);
+        // Checksums right, records wrong: a tombstone one key byte short,
+        // the retired commit tag, and a tag never assigned.
+        for payload in [&[TAG_TOMBSTONE; 32][..], &[3, 0, 0, 0, 0, 0, 0, 0, 1], &[9]] {
+            let mut bytes = good.clone();
+            push_frame(&mut bytes, |out| out.extend_from_slice(payload));
+            push_relation(&mut bytes, Relation::Eval, node.handle(), node.handle());
+            let (records, valid_len) = scan_all(&bytes);
+            assert_eq!(records.len(), 1, "{payload:?}");
+            assert_eq!(valid_len, 8 + good.len() as u64, "{payload:?}");
+        }
     }
 
     #[test]

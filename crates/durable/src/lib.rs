@@ -1,5 +1,5 @@
-//! `fix-durable`: the persistence tier — an append-only content-addressed
-//! log with snapshots, lazy restart, and spill-to-disk.
+//! `fix-durable`: the persistence tier — one append-only
+//! content-addressed log, lazy restart, and spill-to-disk.
 //!
 //! The Fix paper's core bet is that content addressing makes computation
 //! state portable and replayable, which makes durability nearly free: a
@@ -10,14 +10,26 @@
 //! pair through the storage hooks:
 //!
 //! * every fresh object insert and memoized relation is appended to a
-//!   checksummed frame log (`log.fixlog`) by a batching group-commit
-//!   writer thread, with a configurable [`FsyncPolicy`];
-//! * periodic [`snapshot`](DurableStore::snapshot)s compact the full
-//!   state (all relations + all live objects) into `snap-<seq>.fixsnap`
-//!   and truncate the log;
-//! * recovery ([`DurableStore::open`]) loads the newest valid snapshot,
-//!   replays the log tail, and tolerates a torn final frame (truncated,
-//!   counted in [`DurableStats::truncated_bytes`]);
+//!   checksummed frame log (`log.fixlog`, the only durable file) by a
+//!   batching group-commit writer thread, with a configurable
+//!   [`FsyncPolicy`]. A log of named objects and relations, fsynced, is
+//!   already a complete and verifiable record, so there is nothing else
+//!   to write;
+//! * [`gc`](DurableStore::gc) and [`forget`](DurableStore::forget)
+//!   append one *tombstone* frame per dropped object; replay applies
+//!   frames in log order, so a tombstone undoes the object's earlier
+//!   frames and a later put brings it back;
+//! * the writer counts *dead bytes* as they happen — a node frame
+//!   superseded by a later one, a dropped object's frame, every
+//!   tombstone — and [`open`](DurableStore::open) derives the count from
+//!   the replay. [`snapshot`](DurableStore::snapshot) is the durability
+//!   barrier, and *compacts* only when that count is above zero: the
+//!   live relations and objects are rewritten into `log.fixlog.tmp`,
+//!   which is fsynced and renamed over the log. The writer also compacts
+//!   by itself once dead bytes outweigh live ones past a fixed floor;
+//! * recovery ([`DurableStore::open`]) replays the log and tolerates a
+//!   torn final frame (truncated, counted in
+//!   [`DurableStats::truncated_bytes`]);
 //! * restart is *lazy*: open builds only an index (payload key → file
 //!   offset) and replays relations — object bytes are faulted in from
 //!   disk on first touch, so a warm restart serves its first request
@@ -34,8 +46,10 @@
 //! buffer from the `(key, handle, node)` the storage hook hands it; the
 //! writer swaps that buffer for an empty spare, issues one `write` per
 //! batch, indexes the batch under one lock, and fsyncs by policy. Reads
-//! that miss memory fault through the index; `open` streams each file
-//! through one buffer. Three invariants hold across all of it:
+//! that miss memory fault through the index, which holds the log's read
+//! handle beside the offsets; `open` streams the log through one buffer.
+//! Compaction runs on the writer thread, between batches. These
+//! invariants hold across all of it:
 //!
 //! * **An object is hashed once per crossing.** On the way in, `put`
 //!   names it and that handle rides through the sink into the frame; on
@@ -44,11 +58,18 @@
 //!   name from bytes again (CI greps `store.rs` for it).
 //! * **A fault returns the object asked for or nothing.** A frame that
 //!   passes its checksum and its own content check is still refused if
-//!   it does not hash to the requested name — a misfiled frame, or a log
-//!   offset reused since the slot was read, ends as `NotFound`.
+//!   it does not hash to the requested name — a misfiled frame ends as
+//!   `NotFound`. A compaction swaps the index and the read handle under
+//!   one lock, so an offset is never read from the other file.
+//! * **A dropped key stays dropped across a restart.** `gc` and
+//!   `forget` queue their tombstones under the index lock, before any
+//!   later frame for the same key, and return once they are durable.
 //! * **The writer's backlog is bounded.** A producer that finds more
 //!   than a fixed number of frame bytes queued waits for the writer to
 //!   take a batch, so a stalled disk costs latency, not memory.
+//! * **A compaction fails alone.** If it cannot read a live object, its
+//!   partial file is removed, `snapshot` returns the error, and the
+//!   writer keeps appending to the log it had.
 //!
 //! # Example
 //!
@@ -78,7 +99,7 @@
 mod frame;
 mod store;
 
-pub use frame::{crc32, LOG_MAGIC, SNAP_MAGIC};
+pub use frame::{crc32, LOG_MAGIC};
 pub use store::DurableStore;
 
 /// When the group-commit writer calls `fsync` on the log.
@@ -116,13 +137,14 @@ pub struct KillPoint {
 }
 
 /// Configures a [`DurableStore`].
+///
+/// Compaction has no setting: [`DurableStore::snapshot`] compacts
+/// whenever the log holds dead bytes, and the writer compacts by itself
+/// once they outweigh the live bytes past a fixed floor.
 #[derive(Debug, Clone, Copy)]
 pub struct DurableOptions {
     /// The fsync policy for the group-commit writer.
     pub fsync: FsyncPolicy,
-    /// Take a snapshot (and truncate the log) automatically when the log
-    /// exceeds this many bytes. `None` = snapshot only on request.
-    pub snapshot_log_bytes: Option<u64>,
     /// Evict cold persisted objects from memory when the in-memory store
     /// exceeds this many payload bytes. `None` = never spill.
     pub spill_watermark_bytes: Option<u64>,
@@ -134,7 +156,6 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             fsync: FsyncPolicy::EveryN(64),
-            snapshot_log_bytes: None,
             spill_watermark_bytes: None,
             kill: None,
         }
@@ -144,7 +165,8 @@ impl Default for DurableOptions {
 /// A point-in-time copy of a store's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurableStats {
-    /// Frames appended to the log this run (nodes + relations).
+    /// Frames appended to the log this run (nodes, relations and
+    /// tombstones; a compaction's rewrite is not counted).
     pub appended_frames: u64,
     /// Log bytes written this run (frames only, not the header).
     pub appended_bytes: u64,
@@ -154,7 +176,8 @@ pub struct DurableStats {
     pub faults: u64,
     /// Objects evicted by the spill watermark.
     pub spills: u64,
-    /// Snapshots taken this run.
+    /// Compactions (log rewrites) this run. A snapshot of a log with no
+    /// dead bytes is only a barrier and does not count.
     pub snapshots: u64,
     /// Objects found on disk at open (the lazy index size at open).
     pub replayed_nodes: u64,

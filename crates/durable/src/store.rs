@@ -6,11 +6,13 @@
 //! single group-commit writer thread, which owns the log file, drains a
 //! batch at a time. Appends are asynchronous (bounded loss per the
 //! [`FsyncPolicy`](crate::FsyncPolicy)); [`DurableStore::flush`] is the
-//! synchronous barrier. Reads that miss memory fault from disk through
-//! the index this module maintains. Every `std::fs` call of the crate
-//! is in this file; the [crate docs](crate) state the invariants.
+//! synchronous barrier, and [`DurableStore::snapshot`] the barrier that
+//! also compacts a log holding dead bytes. Reads that miss memory fault
+//! from disk through the index this module maintains. Every `std::fs`
+//! call of the crate is in this file; the [crate docs](crate) state the
+//! invariants.
 
-use crate::frame::{self, Scanned, LOG_MAGIC, SNAP_MAGIC};
+use crate::frame::{self, Scanned, LOG_MAGIC, RELATION_FRAME};
 use crate::{DurableOptions, DurableStats, FsyncPolicy, KillMode};
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
@@ -18,24 +20,26 @@ use fix_core::handle::{Handle, HandleMap};
 use fix_storage::{
     payload_key, FaultSource, Relation, RelationCache, RelationSink, Store, StoreSink,
 };
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Weak};
+use std::sync::{mpsc, Arc, Weak};
 
 const LOG_FILE: &str = "log.fixlog";
+/// A compaction's output until it is renamed over the log.
+const COMPACT_FILE: &str = "log.fixlog.tmp";
 const MAGIC_LEN: u64 = 8;
 /// Queued frame bytes past which a producer waits for the writer to take
 /// a batch: what bounds the memory a stalled writer can pile up.
 const MAX_BACKLOG_BYTES: usize = 256 << 10;
-/// Buffer size for streaming a file in (open) or out (snapshot).
+/// Buffer size for streaming a file in (open) or out (compaction).
 const STREAM_BUFFER: usize = 64 << 10;
-
-fn snap_name(seq: u64) -> String {
-    format!("snap-{seq:016x}.fixsnap")
-}
+/// Dead bytes the writer leaves in place however small the live log is:
+/// below this, a rewrite costs more than the space it returns.
+const COMPACT_FLOOR_BYTES: u64 = 1 << 20;
 
 fn io_err(e: impl std::fmt::Display) -> Error {
     Error::Backend {
@@ -44,17 +48,9 @@ fn io_err(e: impl std::fmt::Display) -> Error {
     }
 }
 
-/// Where a persisted object's frame lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Location {
-    Log,
-    Snapshot(u64),
-}
-
-/// One durable index entry: payload key → on-disk frame.
+/// One durable index entry: payload key → the object's frame in the log.
 #[derive(Debug, Clone)]
 struct Slot {
-    file: Location,
     offset: u64,
     len: u32,
     handle: Handle,
@@ -62,12 +58,45 @@ struct Slot {
     touch: u64,
 }
 
+/// The durable index and the log file its offsets point into, under one
+/// lock: a compaction swaps both at once, so a fault never reads a new
+/// offset from the old file (or the reverse).
+struct Index {
+    slots: HandleMap<[u8; 32], Slot>,
+    /// The log as readers see it; reads are positional, so they share it.
+    file: Arc<File>,
+    /// Log bytes no replay needs: node frames superseded by a later one
+    /// of the same key, the frames of dropped objects, and tombstones.
+    /// (A relation frame made redundant in process is not counted; `open`
+    /// derives the count exactly.)
+    dead: u64,
+}
+
+/// Whether a relation's output can be served after a restart: literals
+/// ride in the handle and non-values name no stored object; any other
+/// output must be indexed.
+fn backed(output: Handle, slots: &HandleMap<[u8; 32], Slot>) -> bool {
+    output.is_literal() || !output.is_value() || slots.contains_key(&payload_key(output))
+}
+
+/// What the writer does for a frame once it is on disk.
+#[derive(Clone, Copy)]
+enum Record {
+    /// Index the object under this key.
+    Node([u8; 32], Handle),
+    Relation,
+    /// Count the tombstone's own bytes as dead.
+    Tombstone,
+}
+
 /// One finished frame waiting in [`Queue::bytes`].
 struct Queued {
     len: u32,
-    /// What to index once the frame is on disk (`None` for a relation).
-    node: Option<([u8; 32], Handle)>,
+    record: Record,
 }
+
+/// A `snapshot()` caller waiting for the writer's answer.
+type SnapshotWaiter = mpsc::Sender<std::result::Result<(), String>>;
 
 #[derive(Default)]
 struct Queue {
@@ -84,8 +113,8 @@ struct Queue {
     enqueued: u64,
     synced: u64,
     flush_upto: u64,
-    snap_requests: u64,
-    snaps_done: u64,
+    /// Snapshots the writer's next round answers.
+    snapshots: Vec<SnapshotWaiter>,
     shutdown: bool,
     /// The deterministic kill point tripped: appends are dropped.
     crashed: bool,
@@ -96,6 +125,16 @@ impl Queue {
     /// Whether an append can still reach the disk (else it is dropped).
     fn accepting(&self) -> bool {
         !self.crashed && !self.shutdown && self.io_error.is_none()
+    }
+
+    /// Queues one frame, which `build` writes straight into the buffer
+    /// the writer will hand to the file.
+    fn push(&mut self, record: Record, build: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.bytes.len();
+        build(&mut self.bytes);
+        let len = (self.bytes.len() - start) as u32;
+        self.frames.push(Queued { len, record });
+        self.enqueued += 1;
     }
 }
 
@@ -118,7 +157,7 @@ struct Counters {
     fsync_us: fix_obs::HistogramCell,
     /// Wall latency of each disk refault, in µs.
     fault_us: fix_obs::HistogramCell,
-    /// Wall latency of each snapshot, in µs.
+    /// Wall latency of each compaction, in µs.
     snapshot_us: fix_obs::HistogramCell,
 }
 
@@ -150,14 +189,12 @@ struct Inner {
     options: DurableOptions,
     store: Arc<Store>,
     cache: Arc<RelationCache>,
-    index: RwLock<HandleMap<[u8; 32], Slot>>,
+    index: RwLock<Index>,
     queue: Mutex<Queue>,
     /// Wakes the writer (new work / flush / snapshot / shutdown).
     work: Condvar,
-    /// Wakes flush/snapshot waiters.
+    /// Wakes flush waiters and producers held by the backlog bound.
     done: Condvar,
-    log_read: Mutex<File>,
-    snap_read: Mutex<Option<(u64, File)>>,
     stats: Counters,
     metrics: fix_obs::Registry,
     clock: AtomicU64,
@@ -170,36 +207,35 @@ impl Inner {
 
     fn observe_insert(&self, handle: Handle, node: &Node) {
         let key = payload_key(handle);
-        if self.index.read().contains_key(&key) {
+        if self.index.read().slots.contains_key(&key) {
             return; // Already persisted (e.g. re-put after a spill).
         }
-        self.enqueue(Some((key, handle)), |out| {
+        self.enqueue(Record::Node(key, handle), |out| {
             frame::push_node(out, &key, handle, node)
         });
     }
 
     fn observe_relation(&self, relation: Relation, input: Handle, output: Handle) {
-        self.enqueue(None, |out| {
+        self.enqueue(Record::Relation, |out| {
             frame::push_relation(out, relation, input, output)
         });
     }
 
-    /// Queues one frame, which `build` writes straight into the buffer
-    /// the writer will hand to the file. Blocks while the backlog is
-    /// over its bound; drops the frame once nothing can persist it.
-    fn enqueue(&self, node: Option<([u8; 32], Handle)>, build: impl FnOnce(&mut Vec<u8>)) {
+    /// Queues one frame. Blocks while the backlog is over its bound;
+    /// drops the frame once nothing can persist it.
+    fn enqueue(&self, record: Record, build: impl FnOnce(&mut Vec<u8>)) {
         let mut q = self.queue.lock();
         while q.bytes.len() > MAX_BACKLOG_BYTES && q.accepting() {
             self.done.wait(&mut q);
         }
-        if !q.accepting() {
-            return;
+        if q.accepting() {
+            q.push(record, build);
         }
-        let start = q.bytes.len();
-        build(&mut q.bytes);
-        let len = (q.bytes.len() - start) as u32;
-        q.frames.push(Queued { len, node });
-        q.enqueued += 1;
+        self.wake_writer(q);
+    }
+
+    /// Releases the queue, waking the writer if it is parked.
+    fn wake_writer(&self, mut q: MutexGuard<'_, Queue>) {
         let wake = std::mem::take(&mut q.writer_parked);
         drop(q);
         if wake {
@@ -207,19 +243,44 @@ impl Inner {
         }
     }
 
+    /// Counts the frames of slots just removed from `index` (whose write
+    /// lock the caller holds) as dead, and queues a tombstone for each,
+    /// in key order so the log is a function of the calls made. The
+    /// tombstones are queued before the lock is released: a put of the
+    /// same object, which finds it unindexed, queues its node frame after
+    /// them. They skip the backlog bound, since the writer needs this
+    /// lock to drain it.
+    fn tombstone(&self, index: &mut Index, mut dropped: Vec<([u8; 32], u32)>) {
+        // Keys are digests, so their first word almost always decides.
+        let word = |key: &[u8; 32]| u64::from_be_bytes(key[..8].try_into().expect("8 of 32"));
+        dropped.sort_unstable_by_key(|&(key, _)| (word(&key), key));
+        let mut q = self.queue.lock();
+        q.bytes.reserve(dropped.len() * frame::TOMBSTONE_FRAME);
+        q.frames.reserve(dropped.len());
+        for (key, len) in &dropped {
+            index.dead += *len as u64;
+            if q.accepting() {
+                q.push(Record::Tombstone, |out| frame::push_tombstone(out, key));
+            }
+        }
+        self.wake_writer(q);
+    }
+
     fn knows(&self, handle: Handle) -> bool {
-        self.index.read().contains_key(&payload_key(handle))
+        self.index.read().slots.contains_key(&payload_key(handle))
     }
 
     fn fault_in(&self, handle: Handle) -> Option<Node> {
         let key = payload_key(handle);
-        // A snapshot may move the slot (log → snapshot file) between the
-        // lookup and the read, and the log offset may by then hold some
-        // other frame: on a failed or mismatched read, re-look the slot up.
+        // A slot is always read from the file it was looked up beside; a
+        // failed read is retried against a fresh lookup as a backstop.
         for _ in 0..3 {
-            let slot = self.index.read().get(&key).cloned()?;
+            let (slot, file) = {
+                let index = self.index.read();
+                (index.slots.get(&key).cloned()?, Arc::clone(&index.file))
+            };
             let t0 = std::time::Instant::now();
-            if let Some(node) = self.read_node(&key, &slot) {
+            if let Some(node) = read_node(&file, &key, &slot) {
                 let dur = t0.elapsed();
                 self.stats.faults.inc();
                 self.stats.fault_us.record(dur.as_micros() as u64);
@@ -234,46 +295,13 @@ impl Inner {
                     );
                 }
                 let tick = self.clock.fetch_add(1, Relaxed);
-                if let Some(s) = self.index.write().get_mut(&key) {
+                if let Some(s) = self.index.write().slots.get_mut(&key) {
                     s.touch = tick;
                 }
                 return Some(node);
             }
         }
         None
-    }
-
-    // ---- disk reads --------------------------------------------------
-
-    /// Reads the object `slot` points at — or nothing: the frame must
-    /// check out *and* its bytes must hash to `key`, the name asked for.
-    fn read_node(&self, key: &[u8; 32], slot: &Slot) -> Option<Node> {
-        let bytes = self.read_frame(slot)?;
-        let (computed, node) = frame::decode_node(&bytes).ok()?;
-        (payload_key(computed) == *key).then_some(node)
-    }
-
-    fn read_frame(&self, slot: &Slot) -> Option<Vec<u8>> {
-        let mut buf = vec![0u8; slot.len as usize];
-        match slot.file {
-            Location::Log => {
-                let mut f = self.log_read.lock();
-                f.seek(SeekFrom::Start(slot.offset)).ok()?;
-                f.read_exact(&mut buf).ok()?;
-            }
-            Location::Snapshot(seq) => {
-                let mut guard = self.snap_read.lock();
-                let stale = !matches!(&*guard, Some((s, _)) if *s == seq);
-                if stale {
-                    let f = File::open(self.dir.join(snap_name(seq))).ok()?;
-                    *guard = Some((seq, f));
-                }
-                let (_, f) = guard.as_mut().unwrap();
-                f.seek(SeekFrom::Start(slot.offset)).ok()?;
-                f.read_exact(&mut buf).ok()?;
-            }
-        }
-        Some(buf)
     }
 
     // ---- shutdown ----------------------------------------------------
@@ -289,6 +317,15 @@ impl Inner {
             let _ = h.join();
         }
     }
+}
+
+/// Reads the object `slot` points at in `file` — or nothing: the frame
+/// must check out *and* its bytes must hash to `key`, the name asked for.
+fn read_node(file: &File, key: &[u8; 32], slot: &Slot) -> Option<Node> {
+    let mut bytes = vec![0u8; slot.len as usize];
+    file.read_exact_at(&mut bytes, slot.offset).ok()?;
+    let (computed, node) = frame::decode_node(&bytes).ok()?;
+    (payload_key(computed) == *key).then_some(node)
 }
 
 /// The hook adapter: weak, so the store/cache (which outlive us inside a
@@ -346,78 +383,60 @@ pub struct DurableStore {
 impl DurableStore {
     /// Opens (or creates) a durable store rooted at `dir`.
     ///
-    /// Recovery: load the newest *valid* snapshot (committed, every
-    /// frame checksummed, terminated by a commit record — a leftover
-    /// `.tmp` from a crash mid-snapshot is ignored), then scan the log
-    /// tail. The scan stops at the first invalid frame; a torn final
-    /// frame — the signature of a crash mid-append — is truncated
-    /// (reported in [`DurableStats::truncated_bytes`]) and the store
-    /// opens with everything before it.
+    /// Recovery replays `log.fixlog` in order — a node frame indexes its
+    /// object, a tombstone drops it, a relation frame is memoized. The
+    /// scan stops at the first invalid frame; a torn final frame — the
+    /// signature of a crash mid-append — is truncated (reported in
+    /// [`DurableStats::truncated_bytes`]) and the store opens with
+    /// everything before it. A `log.fixlog.tmp` left by a crash
+    /// mid-compaction is removed: the log it was to replace is whole.
+    /// A `*.fixsnap` snapshot file, which only the older two-file layout
+    /// wrote, is an [`Error::Backend`] naming it: that state is not in
+    /// the log, and opening without it would silently drop it.
     ///
     /// The restart is lazy: only the index and the memoized relations
     /// are loaded eagerly; object bytes fault in on first touch.
-    /// Relations whose output data fell into the torn tail are dropped,
-    /// so a recovered cache never promises data the log lost.
+    /// Relations whose output data is not in the log (it fell into the
+    /// torn tail, or was dropped) are not replayed, so a recovered cache
+    /// never promises data the log lacks.
     pub fn open(dir: impl AsRef<Path>, options: DurableOptions) -> Result<DurableStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(io_err)?;
-
-        let mut index: HandleMap<[u8; 32], Slot> = HandleMap::default();
-        let mut relations: Vec<(Relation, Handle, Handle)> = Vec::new();
-
-        // --- Newest valid snapshot wins. ---
-        let mut seqs: Vec<u64> = fs::read_dir(&dir)
-            .map_err(io_err)?
-            .filter_map(|e| {
-                let name = e.ok()?.file_name().into_string().ok()?;
-                let seq = name.strip_prefix("snap-")?.strip_suffix(".fixsnap")?;
-                u64::from_str_radix(seq, 16).ok()
-            })
-            .collect();
-        seqs.sort_unstable();
-        let next_seq = seqs.last().map_or(0, |s| s + 1);
-        for &seq in seqs.iter().rev() {
-            let committed = File::open(dir.join(snap_name(seq)))
-                .and_then(|f| {
-                    let at = Location::Snapshot(seq);
-                    replay(&f, SNAP_MAGIC, at, &mut index, &mut relations)
-                })
-                .is_ok_and(|r| r.is_some_and(|r| r.committed()));
-            if committed {
-                break;
+        for entry in fs::read_dir(&dir).map_err(io_err)? {
+            let path = entry.map_err(io_err)?.path();
+            if path.extension().is_some_and(|ext| ext == "fixsnap") {
+                return Err(io_err(format!(
+                    "{} is a snapshot file of the older two-file layout, which this \
+                     version does not read: its state is not in {LOG_FILE}",
+                    path.display()
+                )));
             }
-            // Nothing precedes the snapshot, so undoing one is a clear.
-            index.clear();
-            relations.clear();
+        }
+        match fs::remove_file(dir.join(COMPACT_FILE)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(io_err(e)),
+            _ => {}
         }
 
-        // --- Log tail (newer than any snapshot; overrides it). ---
-        let log_path = dir.join(LOG_FILE);
+        let mut slots: HandleMap<[u8; 32], Slot> = HandleMap::default();
+        let mut relations: Vec<(Relation, Handle, Handle)> = Vec::new();
         let mut append = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&log_path)
+            .open(dir.join(LOG_FILE))
             .map_err(io_err)?;
         let existing = append.metadata().map_err(io_err)?.len();
-        let tail = replay(
-            &append,
-            LOG_MAGIC,
-            Location::Log,
-            &mut index,
-            &mut relations,
-        )
-        .map_err(io_err)?;
-        let (valid_len, truncated) = match tail {
-            Some(tail) => (tail.valid_len, existing - tail.valid_len),
-            None => {
+        let (valid_len, truncated) = match replay(&append, &mut slots, &mut relations) {
+            Ok(Some(valid_len)) => (valid_len, existing - valid_len),
+            Ok(None) => {
                 // New file, or a header torn mid-creation: start fresh.
                 append.set_len(0).map_err(io_err)?;
                 append.seek(SeekFrom::Start(0)).map_err(io_err)?;
                 append.write_all(LOG_MAGIC).map_err(io_err)?;
                 (MAGIC_LEN, existing)
             }
+            Err(e) => return Err(io_err(e)),
         };
         if existing > valid_len {
             // Drop the torn tail so new appends start at a clean edge.
@@ -426,14 +445,10 @@ impl DurableStore {
         }
         append.seek(SeekFrom::Start(valid_len)).map_err(io_err)?;
 
-        // A relation must not promise data the log lost (its value frame
-        // was enqueued before it, so "relation present, value torn" only
-        // happens across the torn tail).
-        // (Literal outputs ride in the handle itself and are never
-        // indexed, so they are always safe to replay.)
-        relations.retain(|(_, _, out)| {
-            out.is_literal() || !out.is_value() || index.contains_key(&payload_key(*out))
-        });
+        // A relation must not promise data the log lacks (its value frame
+        // was enqueued before it, so "relation present, value missing"
+        // only happens across the torn tail or a tombstone).
+        relations.retain(|&(_, _, out)| backed(out, &slots));
 
         let store = Arc::new(Store::new());
         let cache = Arc::new(RelationCache::new());
@@ -441,26 +456,29 @@ impl DurableStore {
             cache.put(r, i, o);
         }
         let replayed = cache.entries();
+        // Every log byte is a live slot's frame, a replayed relation's
+        // frame, or dead.
+        let live = slots.values().map(|s| s.len as u64).sum::<u64>()
+            + (RELATION_FRAME * replayed.len()) as u64;
+        let dead = valid_len - MAGIC_LEN - live;
 
         let stats = Counters::default();
-        stats.replayed_nodes.store(index.len() as u64);
+        stats.replayed_nodes.store(slots.len() as u64);
         stats.replayed_relations.store(replayed.len() as u64);
         stats.truncated_bytes.store(truncated);
         let metrics = fix_obs::Registry::new();
         stats.register(&metrics);
 
-        let log_read = File::open(&log_path).map_err(io_err)?;
+        let file = Arc::new(append.try_clone().map_err(io_err)?);
         let inner = Arc::new(Inner {
             dir,
             options,
             store,
             cache,
-            index: RwLock::new(index),
+            index: RwLock::new(Index { slots, file, dead }),
             queue: Mutex::new(Queue::default()),
             work: Condvar::new(),
             done: Condvar::new(),
-            log_read: Mutex::new(log_read),
-            snap_read: Mutex::new(None),
             stats,
             metrics,
             clock: AtomicU64::new(1),
@@ -480,7 +498,7 @@ impl DurableStore {
         let writer_inner = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
             .name("fix-durable-writer".into())
-            .spawn(move || writer_loop(writer_inner, append, valid_len, next_seq))
+            .spawn(move || writer_loop(writer_inner, append, valid_len))
             .map_err(io_err)?;
         *inner.writer.lock() = Some(handle);
 
@@ -500,7 +518,7 @@ impl DurableStore {
         &self.inner.cache
     }
 
-    /// The directory holding the log and snapshots.
+    /// The directory holding the log.
     pub fn dir(&self) -> &Path {
         &self.inner.dir
     }
@@ -524,7 +542,7 @@ impl DurableStore {
 
     /// A named snapshot of this store's `durable.*` metrics: the
     /// [`stats`](DurableStore::stats) counters plus wall-latency
-    /// histograms for fsyncs, refaults, and snapshots.
+    /// histograms for fsyncs, refaults, and compactions.
     pub fn metrics(&self) -> fix_obs::MetricsSnapshot {
         self.inner.metrics.snapshot()
     }
@@ -537,7 +555,7 @@ impl DurableStore {
 
     /// Objects currently faultable from disk (the durable index size).
     pub fn indexed_objects(&self) -> usize {
-        self.inner.index.read().len()
+        self.inner.index.read().slots.len()
     }
 
     /// True once the deterministic kill point has tripped (appends are
@@ -566,32 +584,42 @@ impl DurableStore {
         }
     }
 
-    /// Takes a snapshot now: compacts all relations and all live objects
-    /// into a fresh `snap-<seq>.fixsnap`, atomically (write, fsync,
-    /// rename), then truncates the log and deletes older snapshots.
-    /// Blocks until done.
+    /// The durability barrier that also reclaims space: blocks until
+    /// everything appended so far is written and fsynced, and, if the
+    /// log holds dead bytes (superseded or dropped objects' frames,
+    /// tombstones), compacts it first — the live relations and objects
+    /// are rewritten into `log.fixlog.tmp`, which is fsynced and renamed
+    /// over the log. A log without dead bytes is not rewritten.
+    ///
+    /// A compaction that cannot read a live object (or write its copy)
+    /// fails alone: this returns the error, the partial file is removed,
+    /// and appends go on to the log as it was.
     pub fn snapshot(&self) -> Result<()> {
         let inner = &self.inner;
-        let mut q = inner.queue.lock();
-        if q.crashed {
-            return Ok(());
+        let (tx, rx) = mpsc::channel();
+        {
+            let mut q = inner.queue.lock();
+            if q.crashed {
+                return Ok(());
+            }
+            if let Some(e) = &q.io_error {
+                return Err(io_err(e));
+            }
+            q.snapshots.push(tx);
         }
-        q.snap_requests += 1;
-        let target = q.snap_requests;
         inner.work.notify_all();
-        while q.snaps_done < target && !q.crashed && q.io_error.is_none() && !q.shutdown {
-            inner.done.wait(&mut q);
-        }
-        match &q.io_error {
-            Some(e) => Err(io_err(e)),
-            None => Ok(()),
+        match rx.recv() {
+            Ok(answer) => answer.map_err(io_err),
+            Err(mpsc::RecvError) => Err(io_err("the durable writer stopped")),
         }
     }
 
     /// Garbage-collects memory *and* the durable index: objects
     /// unreachable from `roots` can neither be read nor faulted back in
-    /// afterwards (no resurrection); their log bytes are reclaimed at
-    /// the next snapshot. Returns the number of objects collected.
+    /// afterwards, and one tombstone frame per dropped object keeps them
+    /// dropped across a restart. Returns once the tombstones are durable,
+    /// with the number of objects collected; their frames are reclaimed
+    /// by the next compaction.
     pub fn gc(&self, roots: &[Handle]) -> usize {
         // Barrier first, so just-inserted objects are indexed and the
         // index prune below sees them.
@@ -603,120 +631,112 @@ impl DurableStore {
         let mut disk_only_pruned = 0usize;
         {
             let mut index = inner.index.write();
-            index.retain(|key, slot| {
+            let mut dropped = Vec::new();
+            index.slots.retain(|key, slot| {
                 let keep = reachable.contains(key);
-                if !keep && !inner.store.resident(slot.handle) {
-                    disk_only_pruned += 1;
+                if !keep {
+                    disk_only_pruned += usize::from(!inner.store.resident(slot.handle));
+                    dropped.push((*key, slot.len));
                 }
                 keep
             });
+            inner.tombstone(&mut index, dropped);
         }
-        inner.store.sweep(&reachable) + disk_only_pruned
+        let collected = inner.store.sweep(&reachable) + disk_only_pruned;
+        let _ = self.flush();
+        collected
     }
 
     /// Forgets one object entirely: evicts it from memory *and* drops it
     /// from the durable index, so it cannot refault (unlike a spill
-    /// eviction, which is transparent). Returns the bytes freed from
-    /// memory, if it was resident.
+    /// eviction, which is transparent), and appends its tombstone, so it
+    /// stays forgotten across a restart. Returns once the tombstone is
+    /// durable, with the bytes freed from memory, if it was resident.
     pub fn forget(&self, handle: Handle) -> Option<u64> {
         let _ = self.flush();
-        self.inner.index.write().remove(&payload_key(handle));
-        self.inner.store.evict(handle)
+        let inner = &self.inner;
+        let key = payload_key(handle);
+        {
+            let mut index = inner.index.write();
+            let dropped = index.slots.remove(&key).map(|slot| (key, slot.len));
+            inner.tombstone(&mut index, dropped.into_iter().collect());
+        }
+        let freed = inner.store.evict(handle);
+        let _ = self.flush();
+        freed
     }
 }
 
 // ----------------------------------------------------------------------
-// Recovery: streaming one file into the index.
+// Recovery: streaming the log into the index.
 // ----------------------------------------------------------------------
 
-/// What [`replay`] found in one file.
-struct Replayed {
-    /// The file's length, and the offset one past its last valid frame.
-    len: u64,
-    valid_len: u64,
-    records: u64,
-    last: Option<Scanned>,
-}
-
-impl Replayed {
-    /// A snapshot counts only if it is whole and ends in a commit frame
-    /// naming the number of frames before it.
-    fn committed(&self) -> bool {
-        self.valid_len == self.len
-            && matches!(self.last, Some(Scanned::Commit(n)) if n + 1 == self.records)
-    }
-}
-
-/// Streams `file`'s frames into `index` (as living at `at`) and
-/// `relations`, through one buffered reader and one reusable payload
-/// buffer. `None` if the file does not open with `magic`.
+/// Streams the log's frames into `slots` and `relations` in log order,
+/// through one buffered reader and one reusable payload buffer. Returns
+/// the offset one past the last valid frame, or `None` if the file does
+/// not open with the log's magic.
 fn replay(
     file: &File,
-    magic: &[u8; 8],
-    at: Location,
-    index: &mut HandleMap<[u8; 32], Slot>,
+    slots: &mut HandleMap<[u8; 32], Slot>,
     relations: &mut Vec<(Relation, Handle, Handle)>,
-) -> io::Result<Option<Replayed>> {
+) -> io::Result<Option<u64>> {
     let len = file.metadata()?.len();
     let mut reader = BufReader::with_capacity(STREAM_BUFFER, file);
     let mut head = [0u8; MAGIC_LEN as usize];
-    if len < MAGIC_LEN || reader.read_exact(&mut head).is_err() || &head != magic {
+    if len < MAGIC_LEN || reader.read_exact(&mut head).is_err() || &head != LOG_MAGIC {
         return Ok(None);
     }
-    let (mut records, mut last) = (0u64, None);
-    let valid_len = frame::scan(&mut reader, MAGIC_LEN, len, |rec| {
-        records += 1;
-        last = Some(rec);
-        match rec {
-            Scanned::Node {
-                key,
-                handle,
+    frame::scan(&mut reader, MAGIC_LEN, len, |rec| match rec {
+        Scanned::Node {
+            key,
+            handle,
+            offset,
+            len,
+        } => {
+            let slot = Slot {
                 offset,
                 len,
-            } => {
-                index.insert(
-                    key,
-                    Slot {
-                        file: at,
-                        offset,
-                        len,
-                        handle,
-                        touch: 0,
-                    },
-                );
-            }
-            Scanned::Relation(r, i, o) => relations.push((r, i, o)),
-            Scanned::Commit(_) => {}
+                handle,
+                touch: 0,
+            };
+            slots.insert(key, slot);
         }
-    })?;
-    Ok(Some(Replayed {
-        len,
-        valid_len,
-        records,
-        last,
-    }))
+        Scanned::Relation(r, i, o) => relations.push((r, i, o)),
+        Scanned::Tombstone(key) => {
+            slots.remove(&key);
+        }
+    })
+    .map(Some)
 }
 
 // ----------------------------------------------------------------------
 // The group-commit writer.
 // ----------------------------------------------------------------------
 
-fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_seq: u64) {
+/// Whether the writer compacts without being asked: dead bytes outweigh
+/// both the live bytes and the floor — and, after a compaction failed
+/// with `retry_at` dead bytes, have doubled since.
+fn compacts_by_itself(dead: u64, live: u64, retry_at: u64) -> bool {
+    dead > live && dead > COMPACT_FLOOR_BYTES && dead >= retry_at
+}
+
+fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
     let mut durable = 0u64; // Ops written (not necessarily synced).
     let mut synced = 0u64; // Ops fsynced through.
-    let mut snaps_done = 0u64;
     let mut unsynced_frames = 0u64;
     let mut dirty = false;
+    let mut retry_at = 0u64;
     // The batch being written: swapped with the producers' buffers, so
     // both pairs keep their capacity and no frame is copied.
     let mut bytes: Vec<u8> = Vec::new();
     let mut frames: Vec<Queued> = Vec::new();
+    let mut snapshots: Vec<SnapshotWaiter> = Vec::new();
     loop {
-        let (flush_upto, snap_requests, shutdown) = {
+        let (flush_upto, shutdown) = {
             let mut q = inner.queue.lock();
             while q.frames.is_empty()
                 && q.flush_upto <= synced
-                && q.snap_requests <= snaps_done
+                && q.snapshots.is_empty()
                 && !q.shutdown
             {
                 q.writer_parked = true;
@@ -727,7 +747,8 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_s
             frames.clear();
             std::mem::swap(&mut q.bytes, &mut bytes);
             std::mem::swap(&mut q.frames, &mut frames);
-            (q.flush_upto, q.snap_requests, q.shutdown)
+            std::mem::swap(&mut q.snapshots, &mut snapshots);
+            (q.flush_upto, q.shutdown)
         };
         if bytes.len() > MAX_BACKLOG_BYTES {
             inner.done.notify_all(); // Producers may be waiting for room.
@@ -753,36 +774,44 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_s
             match append.write_all(&bytes[..kept_bytes]) {
                 Ok(()) => {
                     let write_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
-                    let mut index = inner.index.write();
+                    let mut guard = inner.index.write();
+                    let index = &mut *guard;
                     for f in kept {
-                        if let Some((key, handle)) = f.node {
-                            let touch = inner.clock.fetch_add(1, Relaxed);
-                            index.insert(
-                                key,
-                                Slot {
-                                    file: Location::Log,
+                        match f.record {
+                            Record::Node(key, handle) => {
+                                let touch = inner.clock.fetch_add(1, Relaxed);
+                                let slot = Slot {
                                     offset: log_len,
                                     len: f.len,
                                     handle,
                                     touch,
-                                },
-                            );
+                                };
+                                if let Some(old) = index.slots.insert(key, slot) {
+                                    index.dead += old.len as u64;
+                                }
+                            }
+                            Record::Tombstone => index.dead += f.len as u64,
+                            Record::Relation => {}
                         }
                         log_len += f.len as u64;
                         if let Some(write_ns) = write_ns {
                             // One write covers the batch: a frame's span
                             // is its share of it by size.
+                            let id = match f.record {
+                                Record::Node(_, handle) => trace_id(handle),
+                                _ => 0,
+                            };
                             fix_obs::emit_span(
                                 fix_obs::EventKind::DurAppend,
                                 0,
-                                f.node.map_or(0, |(_, handle)| trace_id(handle)),
+                                id,
                                 0,
                                 f.len,
                                 write_ns * f.len as u64 / kept_bytes as u64,
                             );
                         }
                     }
-                    drop(index);
+                    drop(guard);
                     inner.stats.appended_frames.add(kept.len() as u64);
                     inner.stats.appended_bytes.add(kept_bytes as u64);
                     unsynced_frames += kept.len() as u64;
@@ -809,15 +838,37 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_s
             bytes = Vec::new(); // One huge object must not pin its size.
         }
 
+        // Compaction: when a snapshot asks and the log holds dead bytes,
+        // or unasked once they outweigh the live ones. A success makes
+        // everything written so far durable in the new log.
+        let mut compaction = Ok(());
+        if io_error.is_none() && !crashed_now {
+            let dead = inner.index.read().dead;
+            let live = (log_len - MAGIC_LEN).saturating_sub(dead);
+            let asked = !snapshots.is_empty();
+            if dead > 0 && (asked || compacts_by_itself(dead, live, retry_at)) {
+                match compact(&inner, &mut append, &mut log_len) {
+                    Ok(()) => {
+                        unsynced_frames = 0;
+                        dirty = false;
+                        retry_at = 0;
+                    }
+                    Err(e) => {
+                        retry_at = 2 * dead;
+                        compaction = Err(e.to_string());
+                    }
+                }
+            }
+        }
+
         // Group commit: one fsync covers the whole batch.
         let policy_wants = match inner.options.fsync {
             FsyncPolicy::Always => dirty,
             FsyncPolicy::EveryN(n) => unsynced_frames >= n,
             FsyncPolicy::OnSnapshot => false,
         };
-        let flush_wants = flush_upto > synced;
-        if dirty && io_error.is_none() && !crashed_now && (policy_wants || flush_wants || shutdown)
-        {
+        let barrier = flush_upto > synced || !snapshots.is_empty() || shutdown;
+        if dirty && io_error.is_none() && !crashed_now && (policy_wants || barrier) {
             let t0 = std::time::Instant::now();
             match append.sync_data() {
                 Ok(()) => {
@@ -844,23 +895,6 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_s
             synced = durable;
         }
 
-        // Snapshots: explicit requests, or the auto size threshold.
-        let auto = inner
-            .options
-            .snapshot_log_bytes
-            .is_some_and(|t| log_len - MAGIC_LEN > t);
-        if (snap_requests > snaps_done || auto) && io_error.is_none() && !crashed_now {
-            match do_snapshot(&inner, &mut append, &mut log_len, &mut next_seq) {
-                Ok(()) => {
-                    snaps_done = snaps_done.max(snap_requests);
-                    unsynced_frames = 0;
-                    dirty = false;
-                    synced = durable;
-                }
-                Err(e) => io_error = Some(e.to_string()),
-            }
-        }
-
         // Spill: hold resident bytes under the watermark by evicting the
         // coldest persisted objects (they refault on demand).
         if let Some(wm) = inner.options.spill_watermark_bytes {
@@ -871,7 +905,6 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_s
 
         let mut q = inner.queue.lock();
         q.synced = synced;
-        q.snaps_done = snaps_done;
         if crashed_now {
             q.crashed = true;
             q.synced = q.enqueued;
@@ -879,15 +912,25 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64, mut next_s
         if let Some(e) = io_error {
             q.io_error = Some(e);
         }
-        let dead = q.crashed || q.io_error.is_some();
-        if dead {
+        let halted = q.crashed || q.io_error.is_some();
+        if halted {
             // Nothing queued can be persisted any more: free it.
             q.bytes = Vec::new();
             q.frames = Vec::new();
         }
-        let exit = dead || (q.shutdown && q.frames.is_empty());
+        let exit = halted || (q.shutdown && q.frames.is_empty());
+        if exit {
+            snapshots.append(&mut q.snapshots); // No round will answer them.
+        }
+        let answer = match &q.io_error {
+            Some(e) => Err(e.clone()),
+            None => compaction,
+        };
         drop(q);
         inner.done.notify_all();
+        for waiter in snapshots.drain(..) {
+            let _ = waiter.send(answer.clone());
+        }
         if exit {
             return;
         }
@@ -899,6 +942,7 @@ fn spill(inner: &Arc<Inner>, watermark: u64) {
     let mut candidates: Vec<(u64, Handle)> = inner
         .index
         .read()
+        .slots
         .values()
         .filter(|s| inner.store.resident(s.handle))
         .map(|s| (s.touch, s.handle))
@@ -917,105 +961,55 @@ fn spill(inner: &Arc<Inner>, watermark: u64) {
     }
 }
 
-fn do_snapshot(
-    inner: &Arc<Inner>,
-    append: &mut File,
-    log_len: &mut u64,
-    next_seq: &mut u64,
-) -> io::Result<()> {
+/// A compacted log, written and synced but not yet renamed over the log.
+struct Rewrite {
+    file: File,
+    len: u64,
+    /// Each copied object's key and its frame's new offset and length.
+    moved: Vec<([u8; 32], u64, u32)>,
+    /// The dead bytes the copy leaves behind.
+    dead: u64,
+}
+
+/// Rewrites the log as its live records alone and puts the result in
+/// its place. On success the index's offsets and read handle move to the
+/// new file together, and `append` writes to it; on failure the partial
+/// file is removed and nothing else changes.
+fn compact(inner: &Inner, append: &mut File, log_len: &mut u64) -> io::Result<()> {
     let t0 = std::time::Instant::now();
-    let seq = *next_seq;
-    let final_path = inner.dir.join(snap_name(seq));
-    let tmp_path = inner.dir.join(format!("snap-{seq:016x}.tmp"));
-    let mut out = BufWriter::with_capacity(STREAM_BUFFER, File::create(&tmp_path)?);
-    out.write_all(SNAP_MAGIC)?;
-    let mut pos = MAGIC_LEN;
-    let mut frames = 0u64;
-    let mut buf = Vec::new();
-
-    for (relation, input, output) in inner.cache.entries() {
-        buf.clear();
-        frame::push_relation(&mut buf, relation, input, output);
-        out.write_all(&buf)?;
-        pos += buf.len() as u64;
-        frames += 1;
-    }
-
-    let slots: Vec<([u8; 32], Slot)> = inner
-        .index
-        .read()
-        .iter()
-        .map(|(k, s)| (*k, s.clone()))
-        .collect();
-    let mut moved: HandleMap<[u8; 32], Slot> =
-        HandleMap::with_capacity_and_hasher(slots.len(), Default::default());
-    for (key, slot) in slots {
-        // Source each object from memory if resident (already named: no
-        // hash), else copy its frame's node from the old file through
-        // the verifying decode — without making it resident (a snapshot
-        // must not defeat the spill).
-        let node = if inner.store.resident(slot.handle) {
-            inner.store.get(slot.handle).ok()
-        } else {
-            inner.read_node(&key, &slot)
-        };
-        let node = node.ok_or_else(|| {
-            io::Error::other(format!("snapshot source read failed for {}", slot.handle))
-        })?;
-        buf.clear();
-        frame::push_node(&mut buf, &key, slot.handle, &node);
-        out.write_all(&buf)?;
-        moved.insert(
-            key,
-            Slot {
-                file: Location::Snapshot(seq),
-                offset: pos,
-                len: buf.len() as u32,
-                handle: slot.handle,
-                touch: slot.touch,
-            },
-        );
-        pos += buf.len() as u64;
-        frames += 1;
-    }
-
-    buf.clear();
-    frame::push_commit(&mut buf, frames);
-    out.write_all(&buf)?;
-    let out = out.into_inner().map_err(io::IntoInnerError::into_error)?;
-    out.sync_all()?;
-    drop(out);
-    fs::rename(&tmp_path, &final_path)?;
+    let tmp = inner.dir.join(COMPACT_FILE);
+    let rewrite = write_live(inner, &tmp).and_then(|rewrite| {
+        let reader = Arc::new(rewrite.file.try_clone()?);
+        fs::rename(&tmp, inner.dir.join(LOG_FILE))?;
+        Ok((rewrite, reader))
+    });
+    let (rewrite, reader) = match rewrite {
+        Ok(done) => done,
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
+    };
     if let Ok(d) = File::open(&inner.dir) {
         let _ = d.sync_all();
     }
-
-    // Readers move to the snapshot before the log bytes go away; a
-    // fault that raced the swap retries against the fresh slot.
-    *inner.index.write() = moved;
-    *inner.snap_read.lock() = None;
-    append.set_len(MAGIC_LEN)?;
-    append.sync_data()?;
-    append.seek(SeekFrom::Start(MAGIC_LEN))?;
-    *log_len = MAGIC_LEN;
-
-    // The previous snapshot is superseded only now that the log has
-    // been truncated past it.
-    if let Ok(entries) = fs::read_dir(&inner.dir) {
-        for e in entries.flatten() {
-            if let Ok(name) = e.file_name().into_string() {
-                let old = name
-                    .strip_prefix("snap-")
-                    .and_then(|n| n.strip_suffix(".fixsnap"))
-                    .and_then(|n| u64::from_str_radix(n, 16).ok());
-                if old.is_some_and(|o| o < seq) {
-                    let _ = fs::remove_file(e.path());
-                }
+    let objects = rewrite.moved.len() as u32;
+    {
+        // Objects dropped since the copy keep their tombstones' promise:
+        // they are not re-indexed.
+        let mut index = inner.index.write();
+        for (key, offset, len) in rewrite.moved {
+            if let Some(slot) = index.slots.get_mut(&key) {
+                slot.offset = offset;
+                slot.len = len;
             }
         }
+        index.file = reader;
+        index.dead -= rewrite.dead;
     }
+    *append = rewrite.file;
+    *log_len = rewrite.len;
 
-    *next_seq = seq + 1;
     let dur = t0.elapsed();
     inner.stats.snapshots.inc();
     inner.stats.snapshot_us.record(dur.as_micros() as u64);
@@ -1023,11 +1017,79 @@ fn do_snapshot(
         fix_obs::emit_span(
             fix_obs::EventKind::DurSnapshot,
             0,
-            seq,
+            inner.stats.snapshots.get(),
             0,
-            frames as u32,
+            objects,
             dur.as_nanos() as u64,
         );
+    }
+    Ok(())
+}
+
+/// Writes the live records to `path` and syncs it: the relations whose
+/// output is still indexed, then every indexed object — a resident one
+/// encoded from memory under the handle its slot holds (nothing is
+/// hashed), the rest copied through the verifying decode without being
+/// made resident (a compaction must not defeat the spill).
+fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
+    let (slots, relations, source, dead) = {
+        let index = inner.index.read();
+        let slots: Vec<([u8; 32], Slot)> =
+            index.slots.iter().map(|(k, s)| (*k, s.clone())).collect();
+        let mut relations = inner.cache.entries();
+        relations.retain(|&(_, _, out)| backed(out, &index.slots));
+        (slots, relations, Arc::clone(&index.file), index.dead)
+    };
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)?;
+    // Frames are built in the write buffer itself: each is copied once.
+    let mut out = Vec::with_capacity(2 * STREAM_BUFFER);
+    out.extend_from_slice(LOG_MAGIC);
+    let mut len = 0; // Bytes written; the next frame starts at `len + out.len()`.
+    for (relation, input, output) in relations {
+        frame::push_relation(&mut out, relation, input, output);
+        write_full(&mut file, &mut out, &mut len)?;
+    }
+    let mut moved = Vec::with_capacity(slots.len());
+    for (key, slot) in slots {
+        let node = if inner.store.resident(slot.handle) {
+            inner.store.get(slot.handle).ok()
+        } else {
+            read_node(&source, &key, &slot)
+        };
+        let node = node.ok_or_else(|| {
+            io::Error::other(format!(
+                "compaction cannot read live object {}",
+                slot.handle
+            ))
+        })?;
+        let start = out.len();
+        frame::push_node(&mut out, &key, slot.handle, &node);
+        moved.push((key, len + start as u64, (out.len() - start) as u32));
+        write_full(&mut file, &mut out, &mut len)?;
+    }
+    file.write_all(&out)?;
+    len += out.len() as u64;
+    file.sync_all()?;
+    Ok(Rewrite {
+        file,
+        len,
+        moved,
+        dead,
+    })
+}
+
+/// Writes `out` to `file` once it holds a stream buffer's worth, adding
+/// what went out to `written`.
+fn write_full(file: &mut File, out: &mut Vec<u8>, written: &mut u64) -> io::Result<()> {
+    if out.len() >= STREAM_BUFFER {
+        file.write_all(out)?;
+        *written += out.len() as u64;
+        out.clear();
     }
     Ok(())
 }
@@ -1109,6 +1171,21 @@ mod tests {
         assert_eq!(d.stats().appended_frames, FRAMES);
         drop(d);
         assert_eq!(open(&dir, None).stats().replayed_relations, FRAMES);
+    }
+
+    #[test]
+    fn the_writer_compacts_unasked_past_the_floor_and_retries_once_dead_bytes_double() {
+        let floor = COMPACT_FLOOR_BYTES;
+        assert!(compacts_by_itself(floor + 1, floor, 0));
+        assert!(!compacts_by_itself(floor, 0, 0), "not past the floor");
+        assert!(
+            !compacts_by_itself(2 * floor, 2 * floor, 0),
+            "not past the live bytes"
+        );
+        // A compaction failed with 3 × floor dead bytes.
+        let retry_at = 6 * floor;
+        assert!(!compacts_by_itself(retry_at - 1, 0, retry_at));
+        assert!(compacts_by_itself(retry_at, 0, retry_at));
     }
 
     #[test]

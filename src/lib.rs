@@ -28,10 +28,10 @@
 //!   over two-level dispatch, a batched driver pool, and tail-latency
 //!   telemetry over any One-Fix-API backend — and the one serving
 //!   kernel (`serve::kernel`) that [`adapt`] and [`dispatch`] configure;
-//! * [`durable`] — the persistence tier: an append-only
-//!   content-addressed log with snapshots, lazy faulting restart,
-//!   spill-to-disk, and deterministic kill points for crash-recovery
-//!   testing;
+//! * [`durable`] — the persistence tier: one append-only
+//!   content-addressed log, compacted when it holds dead bytes, lazy
+//!   faulting restart, spill-to-disk, and deterministic kill points for
+//!   crash-recovery testing;
 //! * [`dispatch`] — the multi-node serving tier: rendezvous-hash
 //!   (memoization-affinity) routing with load-based spill across N
 //!   independent node backends, per-node durable state, and

@@ -85,6 +85,30 @@ fn runtime_gc_routes_through_the_durable_index() {
 }
 
 #[test]
+fn a_collected_object_stays_dead_across_a_restart_through_the_runtime() {
+    let dir = tempfile::tempdir().unwrap();
+    let (live, dead);
+    {
+        let durable = DurableStore::open(dir.path(), options()).unwrap();
+        let rt = Runtime::builder().durable(durable).build();
+        live = rt.put_blob(Blob::from_vec(vec![1u8; 80]));
+        dead = rt.put_blob(Blob::from_vec(vec![2u8; 80]));
+        rt.durable().unwrap().flush().unwrap();
+        assert_eq!(rt.gc(&[live]), 1);
+    }
+    // A restart replays the log, which records the collection itself.
+    let durable = DurableStore::open(dir.path(), options()).unwrap();
+    let rt = Runtime::builder().durable(durable).build();
+    assert_eq!(rt.durable().unwrap().stats().replayed_nodes, 1);
+    assert!(
+        rt.get_blob(dead).is_err(),
+        "no resurrection after a restart"
+    );
+    assert!(!rt.contains(dead));
+    assert_eq!(rt.get_blob(live).unwrap().as_slice(), &[1u8; 80][..]);
+}
+
+#[test]
 fn eviction_round_trips_keep_total_bytes_consistent_through_the_runtime() {
     let dir = tempfile::tempdir().unwrap();
     let durable = DurableStore::open(dir.path(), options()).unwrap();
