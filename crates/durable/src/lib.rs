@@ -61,6 +61,12 @@
 //!   it does not hash to the requested name — a misfiled frame ends as
 //!   `NotFound`. A compaction swaps the index and the read handle under
 //!   one lock, so an offset is never read from the other file.
+//! * **A relation serves one output across restarts.** Replay keeps the
+//!   first frame of each `(relation, input)` whose output the log
+//!   backs and counts later ones as dead bytes, even if their output
+//!   differs: deterministic evaluation never writes such a pair, but a
+//!   log holding one must open, not trip the cache's determinism check,
+//!   and the next compaction keeps only the output already served.
 //! * **A dropped key stays dropped across a restart.** `gc` and
 //!   `forget` queue their tombstones under the index lock, before any
 //!   later frame for the same key, and return once they are durable.

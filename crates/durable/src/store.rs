@@ -16,7 +16,7 @@ use crate::frame::{self, Scanned, LOG_MAGIC, RELATION_FRAME};
 use crate::{DurableOptions, DurableStats, FsyncPolicy, KillMode};
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, HandleMap};
+use fix_core::handle::{Handle, HandleMap, HandleSet};
 use fix_storage::{
     payload_key, FaultSource, Relation, RelationCache, RelationSink, Store, StoreSink,
 };
@@ -398,7 +398,9 @@ impl DurableStore {
     /// are loaded eagerly; object bytes fault in on first touch.
     /// Relations whose output data is not in the log (it fell into the
     /// torn tail, or was dropped) are not replayed, so a recovered cache
-    /// never promises data the log lacks.
+    /// never promises data the log lacks. A log naming two outputs for
+    /// one `(relation, input)` — which no deterministic run writes —
+    /// opens and serves the first one it backs, on every reopen.
     pub fn open(dir: impl AsRef<Path>, options: DurableOptions) -> Result<DurableStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(io_err)?;
@@ -447,8 +449,11 @@ impl DurableStore {
 
         // A relation must not promise data the log lacks (its value frame
         // was enqueued before it, so "relation present, value missing"
-        // only happens across the torn tail or a tombstone).
-        relations.retain(|&(_, _, out)| backed(out, &slots));
+        // only happens across the torn tail or a tombstone). Of frames
+        // naming one `(relation, input)`, the first backed one is served;
+        // the rest are dead bytes, even if they name another output.
+        let mut seen = HandleSet::default();
+        relations.retain(|&(r, i, out)| backed(out, &slots) && seen.insert((r, i)));
 
         let store = Arc::new(Store::new());
         let cache = Arc::new(RelationCache::new());

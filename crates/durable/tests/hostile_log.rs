@@ -5,6 +5,11 @@
 //! valid prefix, and serve exactly the objects that prefix leaves
 //! indexed — each hashing to the name it was asked for.
 //!
+//! A log whose frames are all valid can still name two outputs for one
+//! `(relation, input)`. Every such insertion into the seed log must open
+//! too, and serve the first output the log backs, before and after a
+//! compaction.
+//!
 //! The test has a binary of its own: it installs a global allocator that
 //! records the largest single request, which any concurrent test would
 //! disturb.
@@ -111,20 +116,24 @@ fn seed_log() -> (Vec<u8>, Vec<Node>) {
 
 /// What opening `log` must find, worked out apart from the crate's
 /// scanner: the valid prefix's length, the payload keys it leaves
-/// indexed, and how many relations it replays.
+/// indexed, and the relations it replays.
 struct Expected {
     valid: usize,
     indexed: BTreeSet<[u8; 32]>,
-    relations: usize,
+    /// `(relation, input, output)` per replayed `(relation, input)`: its
+    /// first frame whose output can be served.
+    relations: Vec<(Relation, Handle, Handle)>,
     /// Where each frame of the valid prefix starts.
     starts: Vec<usize>,
 }
+
+const RELATIONS: [Relation; 3] = [Relation::Eval, Relation::Apply, Relation::Force];
 
 fn expected(log: &[u8]) -> Expected {
     let mut e = Expected {
         valid: 0,
         indexed: BTreeSet::new(),
-        relations: 0,
+        relations: Vec::new(),
         starts: Vec::new(),
     };
     if log.get(..8) != Some(&LOG_MAGIC[..]) {
@@ -153,8 +162,8 @@ fn expected(log: &[u8]) -> Expected {
             }
             Some(2) if payload.len() == 66 && payload[1] <= 2 => {
                 match (handle(&payload[2..34]), handle(&payload[34..66])) {
-                    (Some(_), Some(out)) => {
-                        outputs.push(((payload[1], payload[2..34].to_vec()), out))
+                    (Some(input), Some(out)) => {
+                        outputs.push((RELATIONS[payload[1] as usize], input, out))
                     }
                     _ => break,
                 }
@@ -168,16 +177,19 @@ fn expected(log: &[u8]) -> Expected {
         at += 8 + len;
     }
     e.valid = at;
-    // A relation is replayed once per (relation, input), if its output
-    // can be served.
+    // A relation is replayed once per (relation, input), from the first
+    // of its frames whose output can be served.
     let backed =
         |out: Handle| out.is_literal() || !out.is_value() || e.indexed.contains(&payload_key(out));
-    let replayed: BTreeSet<_> = outputs
-        .into_iter()
-        .filter(|(_, out)| backed(*out))
-        .map(|(input, _)| input)
-        .collect();
-    e.relations = replayed.len();
+    for (relation, input, out) in outputs {
+        let replayed = e
+            .relations
+            .iter()
+            .any(|&(r, i, _)| (r, i) == (relation, input));
+        if !replayed && backed(out) {
+            e.relations.push((relation, input, out));
+        }
+    }
     e
 }
 
@@ -190,7 +202,7 @@ fn check(dir: &Path, log: &[u8], nodes: &[Node]) {
     let stats = d.stats();
     assert_eq!(stats.truncated_bytes, (log.len() - e.valid) as u64);
     assert_eq!(stats.replayed_nodes, e.indexed.len() as u64);
-    assert_eq!(stats.replayed_relations, e.relations as u64);
+    check_relations(&d, &e);
     for node in nodes {
         let asked = node.handle();
         let indexed = e.indexed.contains(&payload_key(asked));
@@ -208,6 +220,19 @@ fn check(dir: &Path, log: &[u8], nodes: &[Node]) {
         "allocated {largest} bytes for a {}-byte log",
         log.len()
     );
+}
+
+/// The store replays exactly the expected relations, each with its
+/// expected output.
+fn check_relations(d: &DurableStore, e: &Expected) {
+    assert_eq!(d.stats().replayed_relations, e.relations.len() as u64);
+    for &(relation, input, out) in &e.relations {
+        assert_eq!(
+            d.cache().get(relation, input),
+            Some(out),
+            "{relation:?}({input}) serves another output"
+        );
+    }
 }
 
 /// Appends a frame around `payload` with the right checksum.
@@ -305,8 +330,15 @@ fn hostile_logs_open_truncate_exactly_and_serve_only_true_names() {
     assert_eq!(seed.valid, log.len(), "the writer's own log is valid");
     assert_eq!(seed.starts.len(), 6 + 3 + 2 + 1);
     let dir = tempfile::tempdir().unwrap();
-    let run = |case: String, mutant: &[u8]| {
-        let outcome = catch_unwind(AssertUnwindSafe(|| check(dir.path(), mutant, &nodes)));
+    let mut cases = 0u64;
+    let mut run = |case: String, mutant: &[u8], compact: bool| {
+        cases += 1;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            check(dir.path(), mutant, &nodes);
+            if compact {
+                check_compacted(dir.path(), mutant);
+            }
+        }));
         if let Err(panic) = outcome {
             let what = panic
                 .downcast_ref::<String>()
@@ -318,16 +350,53 @@ fn hostile_logs_open_truncate_exactly_and_serve_only_true_names() {
     };
     let t0 = std::time::Instant::now();
     for len in 0..=log.len() {
-        run(format!("truncated to {len}"), &log[..len]);
+        run(format!("truncated to {len}"), &log[..len], false);
     }
     let mut rng = Rng(0x5EED_F1C5_u64);
     for case in 0..RANDOM_CASES {
         let (mutant, kind) = mutate(&mut rng, &log, &seed.starts, &nodes);
-        run(format!("case {case} ({kind})"), &mutant);
+        run(format!("case {case} ({kind})"), &mutant, false);
+    }
+    // Conflicting relations: a frame with a valid checksum naming some
+    // output for the thunk the log memoizes under every relation, at
+    // every frame boundary. Opening serves the first backed frame of
+    // each pair, and so does a reopen after the compaction that drops
+    // the other.
+    let thunk = nodes[nodes.len() - 1].handle().application().unwrap();
+    let outputs = nodes
+        .iter()
+        .map(Node::handle)
+        .chain([9, 10].map(|n| Blob::from_u64(n).handle()));
+    for out in outputs {
+        for (tag, relation) in RELATIONS.iter().enumerate() {
+            for at in seed.starts.iter().copied().chain([log.len()]) {
+                let mut payload = vec![2u8, tag as u8];
+                payload.extend_from_slice(thunk.raw());
+                payload.extend_from_slice(out.raw());
+                let mut mutant = log.clone();
+                let mut frame = Vec::new();
+                push_framed(&mut frame, &payload);
+                mutant.splice(at..at, frame);
+                let case = format!("conflicting relation {relation:?} → {out} at {at}");
+                run(case, &mutant, true);
+            }
+        }
     }
     eprintln!(
-        "{} hostile logs in {:.1} s",
-        log.len() as u64 + 1 + RANDOM_CASES,
+        "{cases} hostile logs in {:.1} s",
         t0.elapsed().as_secs_f64()
     );
+}
+
+/// Compacts the store `check` just opened over `log` and reopens it: the
+/// rewrite keeps exactly the relations the first open served.
+fn check_compacted(dir: &Path, log: &[u8]) {
+    let e = expected(log);
+    DurableStore::open(dir, options())
+        .expect("the log reopens")
+        .snapshot()
+        .expect("the log compacts");
+    let d = DurableStore::open(dir, options()).expect("a compacted log opens");
+    assert_eq!(d.stats().truncated_bytes, 0);
+    check_relations(&d, &e);
 }

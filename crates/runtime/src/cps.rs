@@ -101,6 +101,7 @@ impl StepOutcome {
     pub fn request(mut self, target: Handle, style: EncodeStyle) -> StepOutcome {
         match &mut self {
             StepOutcome::Suspend { requests, .. } => requests.push(Request { target, style }),
+            // invariant: builder misuse by the stepper's author, documented under `# Panics`.
             StepOutcome::Done(_) => panic!("request() on a finished step"),
         }
         self

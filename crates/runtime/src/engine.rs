@@ -224,7 +224,7 @@ impl Engine {
                     Err(dep) => Step::Deps(vec![dep]),
                 })
             }
-            Kind::Object(_) | Kind::Ref(_) => unreachable!("values returned above"),
+            Kind::Object(_) | Kind::Ref(_) => Ok(Step::Done(h)),
         }
     }
 
@@ -249,7 +249,12 @@ impl Engine {
             Node::Tree(tree) => {
                 let (begin, end) = sel.bounds(tree.len() as u64)?;
                 if sel.end.is_none() {
-                    tree.get(begin as usize).expect("bounds checked")
+                    tree.get(begin as usize).ok_or(Error::BadSelection {
+                        target: sel.target,
+                        begin,
+                        end,
+                        len: tree.len() as u64,
+                    })?
                 } else {
                     self.store
                         .put_tree(tree.slice(begin as usize, end as usize))

@@ -31,6 +31,7 @@ pub struct RuntimeBuilder {
 impl RuntimeBuilder {
     /// Number of worker threads. With 0, evaluation runs inline on the
     /// calling thread (the microsecond path and the Fig-9 configuration).
+    /// A worker thread the OS refuses to start is left out.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -72,12 +73,8 @@ impl RuntimeBuilder {
             engine = engine.with_provenance(Arc::clone(l));
         }
         let engine = Arc::new(engine);
-        let scheduler = Arc::new(Scheduler::new(Arc::clone(&engine)));
-        let pool = if self.workers > 0 {
-            Some(WorkerPool::spawn(Arc::clone(&scheduler), self.workers))
-        } else {
-            None
-        };
+        let scheduler = Arc::new(Scheduler::new(Arc::clone(&engine), self.workers));
+        let pool = (self.workers > 0).then(|| WorkerPool::spawn(Arc::clone(&scheduler)));
         // Adopt the scheduler's live steal counter: the registry names
         // the very cell the steal path increments, so `work_steals()`
         // and `metrics()` can never disagree.
@@ -215,11 +212,10 @@ impl Runtime {
         self.scheduler.entry_count()
     }
 
-    /// Jobs the scheduler dispatched by stealing from another thread's
-    /// deque slot. Moves whenever an idle worker (or waiter) picks up
-    /// work that was pushed from a different thread — the starvation
-    /// pin asserts a Latency batch stuck behind a busy worker completes
-    /// via exactly this.
+    /// Jobs the scheduler dispatched by stealing from a deque slot other
+    /// than the claimant's own. Submissions go to the runtime's one
+    /// external slot, so every submitted job a pool worker runs counts,
+    /// as does a waiter taking work a worker's step enqueued.
     pub fn work_steals(&self) -> u64 {
         self.scheduler.steals()
     }

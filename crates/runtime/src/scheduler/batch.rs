@@ -28,7 +28,7 @@
 
 use crate::engine::Job;
 use fix_core::api::Priority;
-use fix_core::error::Result;
+use fix_core::error::{Error, Result};
 use fix_core::handle::Handle;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -101,14 +101,12 @@ impl BatchState {
     }
 
     /// Clones out slot `pos`'s result. Call only after
-    /// [`is_done`](Self::is_done) returns true.
+    /// [`is_done`](Self::is_done) returns true; an unfilled slot reads
+    /// as a trap.
     pub(crate) fn result(&self, pos: usize) -> Result<Handle> {
         debug_assert!(self.is_done(), "result() before the batch completed");
-        self.slots[pos]
-            .result
-            .lock()
-            .clone()
-            .expect("completed batch slot is filled")
+        let result = self.slots[pos].result.lock().clone();
+        result.unwrap_or_else(|| Err(Error::Trap(format!("batch slot {pos} read unfilled"))))
     }
 
     /// Claims slot `pos` for writing. True exactly once per slot.

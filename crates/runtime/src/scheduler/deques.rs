@@ -1,88 +1,56 @@
-//! Layer 2 of the scheduler: per-slot, per-tier work-stealing deques.
+//! Layer 2 of the scheduler: the run queue, one slot of tiered deques
+//! per pool worker plus one shared by every other thread.
 //!
-//! The old scheduler kept one global `[VecDeque; TIERS]` under the
-//! scheduler mutex; every push and pop serialized on it. Here the run
-//! queue is split into [`SLOTS`] independent slots, each holding one
-//! deque per `Priority` tier. A thread always pushes to and pops from
-//! its *home* slot (pool workers pin slot `i`, every other thread is
-//! assigned one round-robin on first contact), so the common case —
-//! a worker draining work it or its completions produced — touches one
-//! uncontended lock.
+//! ## Slot map
+//! - A runtime with `workers` pool workers has `workers + 1` slots, each
+//!   holding one deque per `Priority` tier.
+//! - Pool worker `i` owns slot `i`.
+//! - Every other thread of the runtime — submitters, inline drivers,
+//!   waiters — shares the last slot, the *external* slot.
+//! - A caller names its slot (`worker_loop` its index, the external
+//!   entry points [`DequeSet::external`]). No slot is read from thread
+//!   state, so none outlives its runtime or leaks into another.
 //!
-//! Dispatch discipline:
+//! ## Dispatch order
+//! - **Owner: own slot, LIFO, highest tier first.** Depth-first over
+//!   dependency trees, cache-warm. The external slot's owners are all
+//!   the external threads: each pops its newest token.
+//! - **Thief: other slots, FIFO, tier-major.** An owner with an empty
+//!   slot scans the others highest tier first and takes the oldest
+//!   token of the first non-empty deque. Workers take from the external
+//!   slot this way, like from any other slot.
+//! - **Priority is strict within a slot, eventual across slots.** An
+//!   owner drains its own lower-tier work before stealing another
+//!   slot's higher-tier work; any thread going idle steals tier-major.
 //!
-//! * **own slot first, LIFO** — the owner pops its most recently pushed
-//!   job (depth-first over dependency trees, cache-warm);
-//! * **then steal, FIFO** — an empty owner scans the other slots
-//!   *highest tier first* and steals the oldest job of the first
-//!   non-empty deque it finds, so a hot batch parked behind a busy
-//!   worker is picked up by an idle one;
-//! * **priority is strict per-slot, eventual across slots** — within
-//!   one slot higher tiers always dispatch first, but a thread drains
-//!   its own lower-tier work before stealing another slot's
-//!   higher-tier work. Steals re-establish the global ordering
-//!   whenever any thread goes idle.
-//!
-//! The deques hold *tokens*, not truth: whether a popped token is live
-//! is decided by the job map (layer 1) at claim time, which is also
-//! where stale tokens are skipped and deadline-passed watchers expire.
-//!
-//! `queued` counts tokens across all slots and is maintained
-//! increment-before-push / decrement-after-pop, so "every deque is
-//! empty" is answerable without sweeping [`SLOTS`]` × TIERS` locks —
-//! that single counter is what lets a pool-less waiter's stall check
-//! account for jobs resident in *other* threads' slots or mid-steal.
+//! ## Gotchas
+//! - The deques hold tokens, not truth: the job map (layer 1) decides
+//!   at claim whether a popped token is live, skips stale ones and
+//!   expires deadline-passed watchers.
+//! - `queued` counts tokens in every slot, incremented before a push
+//!   and decremented after a pop, so "every deque is empty" is one load:
+//!   that is how a waiter's stall check sees tokens in other slots or
+//!   mid-steal.
+//! - External threads contend on one lock per tier; a worker's pushes of
+//!   its own dependencies never do.
 
 use crate::engine::Job;
 use fix_core::api::Priority;
 use fix_obs::EventKind;
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Slot count. More slots than any plausible worker pool, so pinned
-/// workers rarely share a slot with round-robin external submitters.
-pub(super) const SLOTS: usize = 16;
-
-thread_local! {
-    /// This thread's home slot (`usize::MAX` = not yet assigned).
-    static HOME_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Round-robin assignment for threads that never pinned. Starts at
-/// `SLOTS / 2` so external threads land away from pool workers (which
-/// pin from 0 up).
-static NEXT_EXTERNAL_SLOT: AtomicUsize = AtomicUsize::new(SLOTS / 2);
-
-/// Pins the calling thread's home slot (used by pool workers so worker
-/// `i` always owns slot `i % SLOTS`).
-pub(super) fn pin_slot(i: usize) {
-    HOME_SLOT.with(|s| s.set(i % SLOTS));
-}
-
-/// The calling thread's home slot, assigning one on first use.
-pub(super) fn current_slot() -> usize {
-    HOME_SLOT.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let v = NEXT_EXTERNAL_SLOT.fetch_add(1, Ordering::Relaxed) % SLOTS;
-        s.set(v);
-        v
-    })
-}
-
-/// The sharded, tiered run queue.
+/// The tiered run queue of one runtime.
 pub(super) struct DequeSet {
+    /// Slot `i` is pool worker `i`'s; the last is the external slot.
     slots: Vec<[Mutex<VecDeque<Job>>; Priority::TIERS]>,
     /// Tokens across all slots; see the module docs for the ordering
     /// contract that makes this the stall check's queue-empty answer.
     queued: AtomicUsize,
-    /// Tokens popped from a non-home slot (diagnostic; the starvation
-    /// pin asserts this moves). A registry-adoptable counter so
-    /// `Runtime` can name it without a second cell.
+    /// Tokens popped from a slot other than the popper's own
+    /// (diagnostic). A registry-adoptable counter so `Runtime` can name
+    /// it without a second cell.
     steals: fix_obs::Counter,
     /// Total successful pops (own-slot + steals), the denominator of
     /// the steal rate.
@@ -96,9 +64,10 @@ pub(super) struct DequeSet {
 }
 
 impl DequeSet {
-    pub(super) fn new() -> DequeSet {
+    /// The run queue of a runtime with `workers` pool workers.
+    pub(super) fn new(workers: usize) -> DequeSet {
         DequeSet {
-            slots: (0..SLOTS)
+            slots: (0..=workers)
                 .map(|_| std::array::from_fn(|_| Mutex::new(VecDeque::new())))
                 .collect(),
             queued: AtomicUsize::new(0),
@@ -106,6 +75,12 @@ impl DequeSet {
             pops: fix_obs::Counter::new(),
             steal_rate: fix_obs::Gauge::new(),
         }
+    }
+
+    /// The slot of every thread that is not a pool worker; also the
+    /// number of worker slots before it.
+    pub(super) fn external(&self) -> usize {
+        self.slots.len() - 1
     }
 
     /// Tokens currently in some deque. A zero reading is trustworthy
@@ -146,7 +121,7 @@ impl DequeSet {
         self.slots[home][tier].lock().push_back(job);
     }
 
-    /// Pops the next token for the thread owning `home`: own slot LIFO
+    /// Pops the next token for an owner of `home`: own slot LIFO
     /// (highest tier first), then a tier-major FIFO steal sweep over
     /// the other slots.
     pub(super) fn pop(&self, home: usize) -> Option<Job> {
@@ -169,9 +144,10 @@ impl DequeSet {
                 return Some(job);
             }
         }
+        let n = self.slots.len();
         for tier in 0..Priority::TIERS {
-            for k in 1..SLOTS {
-                let victim = (home + k) % SLOTS;
+            for k in 1..n {
+                let victim = (home + k) % n;
                 if let Some(job) = self.slots[victim][tier].lock().pop_front() {
                     self.queued.fetch_sub(1, Ordering::SeqCst);
                     self.steals.inc();
@@ -204,7 +180,7 @@ mod tests {
 
     #[test]
     fn own_slot_is_lifo_and_tier_major() {
-        let d = DequeSet::new();
+        let d = DequeSet::new(9);
         d.push(3, 1, job(1));
         d.push(3, 1, job(2));
         d.push(3, 0, job(3));
@@ -219,7 +195,7 @@ mod tests {
 
     #[test]
     fn steals_are_fifo_and_scan_highest_tier_first() {
-        let d = DequeSet::new();
+        let d = DequeSet::new(9);
         d.push(0, 2, job(10)); // old batch-tier work on slot 0
         d.push(0, 2, job(11));
         d.push(5, 0, job(12)); // newer latency-tier work on slot 5
@@ -232,5 +208,25 @@ mod tests {
         assert_eq!(d.pop(9), Some(job(11)));
         assert_eq!(d.steals(), 3);
         assert_eq!(d.queued(), 0);
+    }
+
+    #[test]
+    fn the_external_slot_is_owner_lifo_and_thief_fifo() {
+        let d = DequeSet::new(1);
+        let external = d.external();
+        assert_eq!(external, 1, "one worker slot, then the external slot");
+        for i in 0..3 {
+            d.push(external, 1, job(i));
+        }
+        // The worker steals the oldest token...
+        assert_eq!(d.pop(0), Some(job(0)));
+        // ...an external thread pops the newest, without stealing...
+        assert_eq!(d.pop(external), Some(job(2)));
+        assert_eq!(d.steals(), 1);
+        // ...and a worker's own pushes are its own.
+        d.push(0, 1, job(3));
+        assert_eq!(d.pop(0), Some(job(3)));
+        assert_eq!(d.pop(0), Some(job(1)));
+        assert_eq!(d.steals(), 2);
     }
 }

@@ -26,17 +26,19 @@
 //!    only its own shard. Dependency edges cross shards through
 //!    an atomic waitgroup (`jobmap::DepWait`), never by nesting shard
 //!    locks.
-//! 2. **Work-stealing deques** (`deques`) — the run queue is 16 slots
-//!    × one deque per `Priority` tier. A thread pushes and pops its own
-//!    slot LIFO (depth-first, cache-warm) and steals FIFO from other
-//!    slots when empty, scanning the highest tier first. Priority
-//!    ordering is therefore **strict within a slot but only eventual
-//!    across slots**: a busy worker finishes its own lower-tier job
-//!    before anyone notices the higher-tier token in its deque — but
-//!    any thread going idle steals tier-major, so high-tier work is
-//!    picked up as soon as any capacity frees. Stale tokens are skipped
-//!    and deadlines expire lazily *at the claiming worker*, under the
-//!    job's shard lock.
+//! 2. **Work-stealing deques** (`deques`) — the run queue is
+//!    `workers + 1` slots × one deque per `Priority` tier: pool worker
+//!    `i` owns slot `i`, every other thread shares the last, external
+//!    slot, and entry points pass the slot down (no thread state picks
+//!    it). An owner pushes and pops its slot LIFO (depth-first,
+//!    cache-warm) and steals FIFO from other slots when empty, scanning
+//!    the highest tier first. Priority ordering is therefore **strict
+//!    within a slot but only eventual across slots**: a busy worker
+//!    finishes its own lower-tier job before anyone notices the
+//!    higher-tier token in its deque — but any thread going idle steals
+//!    tier-major, so high-tier work is picked up as soon as any capacity
+//!    frees. Stale tokens are skipped and deadlines expire lazily *at
+//!    the claiming worker*, under the job's shard lock.
 //! 3. **Lock-free batch fills** (`batch`) — a watched batch's slots
 //!    are filled by first-writer-wins CAS claims; `remaining` counts
 //!    down atomically and only the final fill touches the condvar (and
@@ -52,7 +54,7 @@
 //!   evaluates a single computation (no thread handoff): a memo read,
 //!   then one watched slot driven to completion;
 //! * **pooled** ([`WorkerPool`]) — N worker threads drain jobs
-//!   concurrently, each pinned to its own deque slot; independent
+//!   concurrently, each owning its own deque slot; independent
 //!   sub-computations (e.g. the branches of a parallel map) run in
 //!   parallel, and idle workers steal.
 //!
@@ -150,7 +152,7 @@
 //! its pop — requeues, fills, completions — before releasing), and
 //! `workers_running`. A waiter that reads all three as zero has proof
 //! no progress is possible — including jobs resident in *other*
-//! threads' deques or mid-steal, which a per-queue emptiness scan would
+//! slots' deques or mid-steal, which a per-queue emptiness scan would
 //! miss. Threads park on one condvar behind a `sleepers` count, so the
 //! hot path's wakeups are a single atomic load; a bounded park timeout
 //! backstops the protocol against lost-wakeup bugs without masking
@@ -185,7 +187,7 @@ const PARK_SAFETY: Duration = Duration::from_millis(2);
 /// Collisions are irrelevant — ids only correlate events in a trace.
 pub(crate) fn job_trace_id(job: &Job) -> u64 {
     let (Job::Eval(h) | Job::Force(h)) = job;
-    u64::from_le_bytes(h.raw()[..8].try_into().expect("handle has 32 bytes"))
+    u64::from_le_bytes(h.raw()[..8].try_into().unwrap_or_default())
 }
 
 /// The shared scheduler for one node.
@@ -234,12 +236,13 @@ enum TokenVerdict {
 }
 
 impl Scheduler {
-    /// Creates a scheduler over an engine.
-    pub fn new(engine: Arc<Engine>) -> Scheduler {
+    /// Creates a scheduler over an engine, with a deque slot for each of
+    /// `workers` pool workers and one for every other thread.
+    pub fn new(engine: Arc<Engine>, workers: usize) -> Scheduler {
         Scheduler {
             engine,
             jobs: JobMap::new(),
-            deques: DequeSet::new(),
+            deques: DequeSet::new(workers),
             park: Mutex::new(()),
             cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -262,9 +265,8 @@ impl Scheduler {
         self.clock.fetch_add(us, Ordering::Relaxed);
     }
 
-    /// Jobs claimed out of another thread's deque slot since this
-    /// scheduler was built (diagnostic; the starvation pin asserts a
-    /// stuck batch completes via exactly this).
+    /// Jobs claimed out of a deque slot other than the claimant's own
+    /// since this scheduler was built (diagnostic).
     pub fn steals(&self) -> u64 {
         self.deques.steals()
     }
@@ -302,9 +304,9 @@ impl Scheduler {
 
     /// Core enqueue under the job's shard lock: refreshes the entry
     /// and, unless a live token already floats, pushes a fresh token
-    /// into the calling thread's deque slot at the job's tier. Returns
-    /// whether a token was pushed (the caller wakes sleepers *after*
-    /// releasing the shard).
+    /// into deque slot `slot` at the job's tier. Returns whether a
+    /// token was pushed (the caller wakes sleepers *after* releasing
+    /// the shard).
     ///
     /// A revived (previously withdrawn) job always gets a fresh token
     /// at the *reviving* submission's tier — its stale token keeps
@@ -318,33 +320,33 @@ impl Scheduler {
     /// claim bit keeps execution exactly-once, and whichever token pops
     /// first — usually the higher-tier one — runs the job, leaving the
     /// other to be skipped as stale.
-    fn enqueue_entry(&self, entry: &mut JobEntry, job: Job, priority: Priority) -> bool {
+    fn enqueue_entry(&self, entry: &mut JobEntry, job: Job, tier: Priority, slot: usize) -> bool {
         if entry.state.is_none() {
             // Fresh (or previously withdrawn) job: it runs at the tier
             // of the submission reviving it.
-            entry.priority = priority;
+            entry.priority = tier;
             entry.state = Some(JobState::Queued);
             if !entry.enqueued {
                 entry.enqueued = true;
                 entry.tokens += 1;
-                self.push_token(job, entry.priority.tier());
+                self.push_token(job, tier.tier(), slot);
                 return true;
             }
-        } else if priority < entry.priority {
-            entry.priority = priority;
+        } else if tier < entry.priority {
+            entry.priority = tier;
             if matches!(entry.state, Some(JobState::Queued)) && entry.enqueued {
                 // Priority inheritance: re-token the queued job at the
                 // higher tier instead of only promoting future enqueues.
                 entry.tokens += 1;
-                self.push_token(job, priority.tier());
+                self.push_token(job, tier.tier(), slot);
                 return true;
             }
         }
         false
     }
 
-    /// Requeues a parked job: every dependency it waited on completed.
-    fn requeue(&self, job: Job) {
+    /// Requeues a parked job into `slot`: its dependencies completed.
+    fn requeue(&self, job: Job, slot: usize) {
         let pushed = {
             let mut shard = self.jobs.shard(&job);
             let entry = shard.entry(job).or_default();
@@ -352,22 +354,21 @@ impl Scheduler {
             if !entry.enqueued {
                 entry.enqueued = true;
                 entry.tokens += 1;
-                self.push_token(job, entry.priority.tier());
+                self.push_token(job, entry.priority.tier(), slot);
                 true
             } else {
                 false
             }
         };
         if pushed {
-            self.notify_sleepers();
+            self.notify_sleepers(slot);
         }
     }
 
-    /// Pushes a queue token to the calling thread's home slot. Safe
-    /// under a shard lock: deque mutexes are leaves (never held while
-    /// acquiring anything else).
-    fn push_token(&self, job: Job, tier: usize) {
-        let slot = deques::current_slot();
+    /// Pushes a queue token to deque slot `slot`. Safe under a shard
+    /// lock: deque mutexes are leaves (never held while acquiring
+    /// anything else).
+    fn push_token(&self, job: Job, tier: usize, slot: usize) {
         self.trace_job(EventKind::SchedEnqueue, &job, slot as u32, tier as u32);
         self.deques.push(slot, tier, job);
     }
@@ -379,7 +380,8 @@ impl Scheduler {
     /// then_force)`: a strict slot submits its `Eval` with
     /// `then_force`, and the watcher chains onto the `Force` of the
     /// result when the eval completes. This is the scheduler half of
-    /// the One Fix API's `submit_with`, and of `run_inline`.
+    /// the One Fix API's `submit_with`, and of `run_inline`; tokens go
+    /// to the external slot.
     pub(crate) fn submit_watched_with(
         &self,
         roots: &[(Job, bool)],
@@ -387,6 +389,7 @@ impl Scheduler {
         priority: Priority,
     ) -> Arc<BatchState> {
         let state = Arc::new(BatchState::new(roots, deadline_us, priority));
+        let slot = self.deques.external();
         for (pos, &(job, then_force)) in roots.iter().enumerate() {
             self.trace_job(
                 EventKind::SchedSubmit,
@@ -394,16 +397,16 @@ impl Scheduler {
                 pos as u32,
                 priority.tier() as u32,
             );
-            self.watch_job(&state, pos, job, then_force, false);
+            self.watch_job(&state, pos, job, then_force, false, slot);
         }
         state
     }
 
     /// Points slot `pos` of `state` at `job`: reads the memo first and
     /// fills on a hit (chaining through `Force` for strict slots),
-    /// otherwise enqueues the job at the batch's tier unless it is in
-    /// flight, and registers the completion watcher on the job's shard
-    /// entry, counting one unit of interest.
+    /// otherwise enqueues the job into deque slot `slot` at the batch's
+    /// tier unless it is in flight, and registers the completion watcher
+    /// on the job's shard entry, counting one unit of interest.
     ///
     /// `stage_moved` says whether `job` differs from the slot's
     /// recorded stage job: false for the initial watch (the slot was
@@ -419,11 +422,12 @@ impl Scheduler {
         mut job: Job,
         mut then_force: bool,
         mut stage_moved: bool,
+        slot: usize,
     ) {
         while let Some(v) = self.engine.memoized(job) {
             if !then_force {
                 if state.fill(pos, Ok(v)) {
-                    self.notify_sleepers();
+                    self.notify_sleepers(slot);
                 }
                 return;
             }
@@ -444,7 +448,7 @@ impl Scheduler {
                 return;
             }
             let entry = shard.entry(job).or_default();
-            let pushed = self.enqueue_entry(entry, job, state.priority);
+            let pushed = self.enqueue_entry(entry, job, state.priority, slot);
             entry.interest += 1;
             entry.watchers.push(Watcher {
                 state: Arc::clone(state),
@@ -454,7 +458,7 @@ impl Scheduler {
             pushed
         };
         if pushed {
-            self.notify_sleepers();
+            self.notify_sleepers(slot);
         }
     }
 
@@ -483,14 +487,16 @@ impl Scheduler {
     /// single step or park. A stall (nobody can make progress) fails the
     /// batch's unfinished slots, unless the batch turns out done after
     /// all: the finishing step and the stall read can race, and a result
-    /// always wins.
+    /// always wins. The caller is an external thread: it owns the
+    /// external slot.
     fn drive_batch(&self, state: &Arc<BatchState>, cap: Duration, once: bool) {
+        let slot = self.deques.external();
         while !state.is_done() {
-            if let Some(claim) = self.try_claim() {
+            if let Some(claim) = self.try_claim(slot) {
                 claim.execute();
             } else {
                 let mut stalled = false;
-                self.park_unless(cap, || {
+                self.park_unless(cap, slot, || {
                     state.is_done() || self.deques.queued() > 0 || {
                         stalled = self.stalled_now();
                         stalled
@@ -526,41 +532,42 @@ impl Scheduler {
         state.result(0)
     }
 
-    /// Claims the next runnable job for this thread: raises the
-    /// executor claim, then pops tokens (own slot first, then steals)
-    /// until the job map confirms one live — skipping stale tokens and
-    /// lazily expiring deadline-passed watcher slots, the "expire at
-    /// claim" half of request-scoped submission. Returns `None` (and
-    /// drops the claim) when no runnable token is left anywhere.
-    fn try_claim(&self) -> Option<Claim<'_>> {
+    /// Claims the next runnable job for an owner of slot `home`: raises
+    /// the executor claim, then pops tokens (own slot first, then
+    /// steals) until the job map confirms one live — skipping stale
+    /// tokens and lazily expiring deadline-passed watcher slots, the
+    /// "expire at claim" half of request-scoped submission. Returns
+    /// `None` (and drops the claim) when no runnable token is left
+    /// anywhere.
+    fn try_claim(&self, home: usize) -> Option<Claim<'_>> {
         if self.deques.queued() == 0 {
             return None;
         }
         // Raise the claim *before* popping: from here until release,
         // a stall checker reading `executing == 0` cannot miss us.
         self.executing.fetch_add(1, Ordering::SeqCst);
-        let home = deques::current_slot();
         loop {
             let Some(job) = self.deques.pop(home) else {
-                self.release_claim();
+                self.release_claim(home);
                 return None;
             };
             match self.adjudicate_token(job) {
                 TokenVerdict::Stale => continue,
                 TokenVerdict::Skipped { woke } => {
                     if woke {
-                        self.notify_sleepers();
+                        self.notify_sleepers(home);
                     }
                     continue;
                 }
                 TokenVerdict::Run { woke, priority } => {
                     if woke {
-                        self.notify_sleepers();
+                        self.notify_sleepers(home);
                     }
                     return Some(Claim {
                         scheduler: self,
                         job,
                         priority,
+                        slot: home,
                     });
                 }
             }
@@ -592,15 +599,14 @@ impl Scheduler {
         let mut woke = false;
         if !entry.watchers.is_empty() {
             let now = self.clock.load(Ordering::Relaxed);
-            let expires = |w: &Watcher| matches!(w.state.deadline_us, Some(d) if now > d);
-            if entry.watchers.iter().any(expires) {
+            let passed = |w: &Watcher| w.state.deadline_us.filter(|&d| now > d);
+            if entry.watchers.iter().any(|w| passed(w).is_some()) {
                 let mut kept = Vec::with_capacity(entry.watchers.len());
                 let mut expired = 0u32;
                 for w in std::mem::take(&mut entry.watchers) {
-                    if expires(&w) {
+                    if let Some(deadline_us) = passed(&w) {
                         entry.interest = entry.interest.saturating_sub(1);
                         expired += 1;
-                        let deadline_us = w.state.deadline_us.expect("expired ⇒ has deadline");
                         woke |= w
                             .state
                             .fill(w.pos, Err(Error::DeadlineExceeded { deadline_us }));
@@ -631,7 +637,8 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Execution
 
-    /// Steps a job and records the outcome.
+    /// Steps a job claimed by an owner of `slot` and records the
+    /// outcome; what the step enqueues goes to `slot`.
     ///
     /// A panicking codelet is caught at this boundary and recorded as a
     /// guest [`Error::Trap`] — panics are guest faults like VM traps, and
@@ -639,7 +646,7 @@ impl Scheduler {
     /// Letting the panic unwind instead would lose the job (its entry
     /// stays `Queued` but it is no longer in any deque), permanently
     /// hanging any driver or pool waiting on it.
-    fn execute(&self, job: Job, priority: Priority) {
+    fn execute(&self, job: Job, priority: Priority, slot: usize) {
         let t0 = fix_obs::tracing_enabled().then(Instant::now);
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.engine.step(job)))
             .unwrap_or_else(|payload| {
@@ -658,18 +665,18 @@ impl Scheduler {
                 EventKind::SchedExecute,
                 self.virtual_now(),
                 job_trace_id(&job),
-                deques::current_slot() as u32,
+                slot as u32,
                 parked,
                 t0.elapsed().as_nanos() as u64,
             );
         }
         match step {
-            Ok(Step::Done(h)) => self.complete_job(job, Ok(h)),
-            Err(e) => self.complete_job(job, Err(e)),
-            Ok(Step::Deps(deps)) => self.park_on_deps(job, priority, &deps, false),
-            Ok(Step::Tail(callee)) => self.park_on_deps(job, priority, &[callee], true),
+            Ok(Step::Done(h)) => self.complete_job(job, Ok(h), slot),
+            Err(e) => self.complete_job(job, Err(e), slot),
+            Ok(Step::Deps(deps)) => self.park_on_deps(job, priority, &deps, false, slot),
+            Ok(Step::Tail(callee)) => self.park_on_deps(job, priority, &[callee], true, slot),
         }
-        self.notify_sleepers();
+        self.notify_sleepers(slot);
     }
 
     /// Parks a stepped job on its unfinished dependencies via a fresh
@@ -685,7 +692,7 @@ impl Scheduler {
     /// With `tail`, `deps` is the one job whose result is this job's
     /// own: its completion completes the job (see
     /// [`complete_job`](Self::complete_job)).
-    fn park_on_deps(&self, job: Job, tier: Priority, deps: &[Job], tail: bool) {
+    fn park_on_deps(&self, job: Job, tier: Priority, deps: &[Job], tail: bool, slot: usize) {
         let wait = Arc::new(DepWait {
             job,
             pending: AtomicUsize::new(1), // registration guard
@@ -694,21 +701,21 @@ impl Scheduler {
         });
         let mut pushed_any = false;
         for &dep in deps {
-            pushed_any |= self.register_waiter(dep, &wait, tier);
+            pushed_any |= self.register_waiter(dep, &wait, tier, slot);
         }
         if pushed_any {
-            self.notify_sleepers();
+            self.notify_sleepers(slot);
         }
-        self.settle_park(&wait);
+        self.settle_park(&wait, slot);
     }
 
-    /// Registers `wait` on `dep`'s entry — enqueueing `dep` at `tier`
-    /// unless it is in flight — and counts it pending. Returns whether
-    /// a token was pushed.
-    fn register_waiter(&self, dep: Job, wait: &Arc<DepWait>, tier: Priority) -> bool {
+    /// Registers `wait` on `dep`'s entry — enqueueing `dep` into `slot`
+    /// at `tier` unless it is in flight — and counts it pending. Returns
+    /// whether a token was pushed.
+    fn register_waiter(&self, dep: Job, wait: &Arc<DepWait>, tier: Priority, slot: usize) -> bool {
         let mut shard = self.jobs.shard(&dep);
         let entry = shard.entry(dep).or_default();
-        let pushed = self.enqueue_entry(entry, dep, tier);
+        let pushed = self.enqueue_entry(entry, dep, tier, slot);
         entry.waiters.push(Arc::clone(wait));
         wait.pending.fetch_add(1, Ordering::AcqRel);
         pushed
@@ -725,7 +732,7 @@ impl Scheduler {
     /// under the job's own shard lock, and a fired job's entry is left to
     /// whoever fired it — writing `Waiting` there would park the job
     /// forever, or resurrect the entry its completion removed.
-    fn settle_park(&self, wait: &DepWait) {
+    fn settle_park(&self, wait: &DepWait, slot: usize) {
         {
             let mut shard = self.jobs.shard(&wait.job);
             if !wait.fired.load(Ordering::SeqCst) {
@@ -735,7 +742,7 @@ impl Scheduler {
         if wait.pending.fetch_sub(1, Ordering::AcqRel) == 1
             && !wait.fired.swap(true, Ordering::AcqRel)
         {
-            self.requeue(wait.job);
+            self.requeue(wait.job, slot);
         }
     }
 
@@ -754,7 +761,8 @@ impl Scheduler {
     /// here, on the same worklist a failure travels. The callee stays
     /// its own deduplicated job, so exactly-once execution, provenance
     /// and watcher chaining are what a copying re-step produced.
-    fn complete_job(&self, job: Job, result: Result<Handle>) {
+    /// Requeues and chained stages go to `slot`, the completer's.
+    fn complete_job(&self, job: Job, result: Result<Handle>, slot: usize) {
         // Completions this one sets off (a failure reaching a waiter, a
         // value reaching a tail caller) queue here, so propagation is
         // iterative; the common completion sets off none and the list
@@ -782,7 +790,7 @@ impl Scheduler {
                     (Ok(h), true) => {
                         // Strict chain: the slot now rides the
                         // deep-force of the evaluated value.
-                        self.watch_job(&w.state, w.pos, Job::Force(*h), false, true);
+                        self.watch_job(&w.state, w.pos, Job::Force(*h), false, true, slot);
                     }
                     _ => woke |= w.state.fill(w.pos, result.clone()),
                 }
@@ -797,7 +805,7 @@ impl Scheduler {
                                 self.engine.complete_tail(wait.job, *v);
                                 set_off.push((wait.job, Ok(*v)));
                             } else {
-                                self.requeue(wait.job);
+                                self.requeue(wait.job, slot);
                             }
                         }
                     }
@@ -813,7 +821,7 @@ impl Scheduler {
             current = set_off.pop();
         }
         if woke {
-            self.notify_sleepers();
+            self.notify_sleepers(slot);
         }
     }
 
@@ -834,7 +842,7 @@ impl Scheduler {
         }
         // A concurrent waiter of another ticket may be parked on this
         // batch's jobs; the withdrawal changed what is runnable.
-        self.notify_sleepers();
+        self.notify_sleepers(self.deques.external());
     }
 
     /// Fails a watched batch's unfinished slots with the stall error
@@ -848,7 +856,7 @@ impl Scheduler {
                 Error::Trap(format!("evaluation stalled: no runnable jobs for {job}"))
             });
         }
-        self.notify_sleepers();
+        self.notify_sleepers(self.deques.external());
     }
 
     /// Revokes one slot: claims it (backing off if a racing fill won),
@@ -857,7 +865,8 @@ impl Scheduler {
     /// work, and writes the error. The stage re-read loop pairs with
     /// [`watch_job`](Scheduler::watch_job)'s record-stage-then-check-
     /// claim ordering (see the `batch` module docs): however the race
-    /// lands, no watcher survives the revocation.
+    /// lands, no watcher survives the revocation. Only external threads
+    /// revoke.
     fn revoke_slot(
         &self,
         state: &Arc<BatchState>,
@@ -902,7 +911,7 @@ impl Scheduler {
             stage = now; // The chain advanced mid-revoke; chase it.
         }
         if state.finish_claimed(pos, Err(err(stage))) {
-            self.notify_sleepers();
+            self.notify_sleepers(self.deques.external());
         }
     }
 
@@ -947,7 +956,7 @@ impl Scheduler {
     // Parking
 
     /// True when no one can make progress: no pool workers, no driver
-    /// mid-step, and no token in any deque — *including other threads'
+    /// mid-step, and no token in any deque — *including other owners'
     /// slots and tokens mid-steal*, which is exactly what the `queued`
     /// counter (increment-before-push / decrement-after-pop, with the
     /// popper's claim held until its consequences are published) exists
@@ -963,8 +972,9 @@ impl Scheduler {
     /// sleepers-count handshake with [`notify_sleepers`] guarantees
     /// that any state change making `ready` true after our check — all
     /// of which notify under the park lock when sleepers > 0 — wakes
-    /// us. Callers re-check their predicate in a loop.
-    fn park_unless(&self, cap: Duration, mut ready: impl FnMut() -> bool) {
+    /// us. Callers re-check their predicate in a loop; `slot` is the
+    /// caller's, for the trace.
+    fn park_unless(&self, cap: Duration, slot: usize, mut ready: impl FnMut() -> bool) {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut guard = self.park.lock();
         if !ready() {
@@ -977,7 +987,7 @@ impl Scheduler {
                     EventKind::SchedPark,
                     self.virtual_now(),
                     0,
-                    deques::current_slot() as u32,
+                    slot as u32,
                     0,
                     t0.elapsed().as_nanos() as u64,
                 );
@@ -991,8 +1001,9 @@ impl Scheduler {
     /// single atomic load on the hot path (nobody parked); when someone
     /// is, the notify happens under the park lock so it cannot slip
     /// between a sleeper's predicate check and its wait. Never call
-    /// with a job-map shard locked (lock order: park → shard).
-    fn notify_sleepers(&self) {
+    /// with a job-map shard locked (lock order: park → shard). `slot` is
+    /// the notifier's, for the trace.
+    fn notify_sleepers(&self, slot: usize) {
         let sleepers = self.sleepers.load(Ordering::SeqCst);
         if sleepers > 0 {
             if fix_obs::tracing_enabled() {
@@ -1000,7 +1011,7 @@ impl Scheduler {
                     EventKind::SchedUnpark,
                     self.virtual_now(),
                     0,
-                    deques::current_slot() as u32,
+                    slot as u32,
                     sleepers as u32,
                 );
             }
@@ -1011,9 +1022,9 @@ impl Scheduler {
 
     /// Drops an executor claim and re-notifies: the stall predicate may
     /// have just become true for a parked waiter.
-    fn release_claim(&self) {
+    fn release_claim(&self, slot: usize) {
         self.executing.fetch_sub(1, Ordering::SeqCst);
-        self.notify_sleepers();
+        self.notify_sleepers(slot);
     }
 
     /// Raises the shutdown flag so workers exit. The store happens
@@ -1027,8 +1038,8 @@ impl Scheduler {
         self.cv.notify_all();
     }
 
+    /// Pool worker `index`'s loop: it owns deque slot `index`.
     fn worker_loop(&self, index: usize) {
-        deques::pin_slot(index);
         /// Keeps `workers_running` an honest *live*-worker count: the
         /// decrement runs on every exit, including unwinding out of a
         /// panicking codelet. Without it, a dead worker would satisfy
@@ -1050,11 +1061,11 @@ impl Scheduler {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            if let Some(claim) = self.try_claim() {
+            if let Some(claim) = self.try_claim(index) {
                 claim.execute();
                 continue;
             }
-            self.park_unless(PARK_SAFETY, || {
+            self.park_unless(PARK_SAFETY, index, || {
                 self.shutdown.load(Ordering::SeqCst) || self.deques.queued() > 0
             });
         }
@@ -1073,42 +1084,53 @@ struct Claim<'a> {
     job: Job,
     /// The job's tier as read when its token was claimed.
     priority: Priority,
+    /// The claimant's deque slot: what the step enqueues goes there.
+    slot: usize,
 }
 
 impl Claim<'_> {
     /// Steps the claimed job, then releases the claim.
     fn execute(self) {
-        self.scheduler.execute(self.job, self.priority);
+        self.scheduler.execute(self.job, self.priority, self.slot);
         // Release happens in Drop, which also covers the panic path.
     }
 }
 
 impl Drop for Claim<'_> {
     fn drop(&mut self) {
-        self.scheduler.release_claim();
+        self.scheduler.release_claim(self.slot);
     }
 }
 
-/// A pool of worker threads draining a scheduler's deques, worker `i`
-/// pinned to deque slot `i`.
+/// A pool of worker threads draining a scheduler's deques: one worker
+/// per worker slot, worker `i` owning slot `i`.
 pub(crate) struct WorkerPool {
     scheduler: Arc<Scheduler>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Spawns `n` workers over the scheduler.
-    pub fn spawn(scheduler: Arc<Scheduler>, n: usize) -> WorkerPool {
+    /// Spawns a worker for each worker slot of the scheduler. A worker
+    /// the OS refuses to start is left out: nothing is pushed to its
+    /// slot, and the other workers (or, with none, the drivers) run
+    /// everything.
+    pub fn spawn(scheduler: Arc<Scheduler>) -> WorkerPool {
+        let n = scheduler.deques.external();
         scheduler.workers_running.fetch_add(n, Ordering::SeqCst);
-        let threads = (0..n)
-            .map(|i| {
+        let threads: Vec<_> = (0..n)
+            .filter_map(|i| {
                 let sched = Arc::clone(&scheduler);
                 std::thread::Builder::new()
                     .name(format!("fixpoint-worker-{i}"))
                     .spawn(move || sched.worker_loop(i))
-                    .expect("spawn worker")
+                    .ok()
             })
             .collect();
+        // A worker that never started never uncounts itself.
+        let refused = n - threads.len();
+        scheduler
+            .workers_running
+            .fetch_sub(refused, Ordering::SeqCst);
         WorkerPool { scheduler, threads }
     }
 }
@@ -1142,7 +1164,8 @@ mod tests {
             Arc::new(RelationCache::new()),
             Arc::new(ProgramRegistry::new()),
         );
-        let sched = Scheduler::new(Arc::new(engine));
+        let sched = Scheduler::new(Arc::new(engine), 0);
+        let external = sched.deques.external();
         // Job identities only: nothing here is stepped by the engine.
         let waiter = Job::Eval(Blob::from_u64(1).handle());
         let dep = Job::Eval(Blob::from_u64(2).handle());
@@ -1167,12 +1190,14 @@ mod tests {
             tail: false,
         });
 
-        assert!(sched.register_waiter(dep, &wait, Priority::Normal));
-        let claim = sched.try_claim().expect("the dependency's token is live");
+        assert!(sched.register_waiter(dep, &wait, Priority::Normal, external));
+        let claim = sched
+            .try_claim(external)
+            .expect("the dependency's token is live");
         assert_eq!(claim.job, dep);
-        sched.complete_job(dep, Err(Error::Trap("injected".into())));
+        sched.complete_job(dep, Err(Error::Trap("injected".into())), external);
         drop(claim);
-        sched.settle_park(&wait);
+        sched.settle_park(&wait, external);
 
         assert!(slot.is_done());
         assert_eq!(slot.result(0), Err(Error::Trap("injected".into())));
