@@ -175,9 +175,9 @@ fn bench_recompute(c: &mut Criterion) {
     group.sample_size(20);
 
     // A 4-stage transform chain over a 4 KiB blob; every stage's output
-    // is recorded with a recipe.
+    // has its recipe in the relation cache.
     let build = || {
-        let rt = Runtime::builder().with_provenance().build();
+        let rt = Runtime::builder().build();
         let step = rt.register_native(
             "bench/rot",
             Arc::new(|ctx| {

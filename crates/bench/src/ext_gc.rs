@@ -1,8 +1,8 @@
 //! Extension experiment: computational garbage collection (paper §6).
 //!
 //! Not a paper figure — the paper proposes this as future work — but
-//! the design decision it rests on (recipes recorded over resolved
-//! definitions) deserves numbers: how much storage does eviction
+//! the design decision it rests on (recipes read from the relation
+//! cache) deserves numbers: how much storage does eviction
 //! reclaim, and what does a cold read cost at each cascade depth?
 //!
 //! The workload is a binary histogram-merge tree over `width` shards
@@ -96,7 +96,7 @@ pub fn run(widths: &[usize], shard_size: usize) -> String {
     )
     .unwrap();
     for &width in widths {
-        let rt = Runtime::builder().with_provenance().build();
+        let rt = Runtime::builder().build();
         let total = pipeline(&rt, width, shard_size);
 
         let warm_t = Instant::now();

@@ -56,7 +56,6 @@ pub struct ClusterClientBuilder {
     setup: ClusterSetup,
     profile: Profile,
     task_compute_us: Time,
-    provenance: bool,
 }
 
 impl Default for ClusterClientBuilder {
@@ -65,7 +64,6 @@ impl Default for ClusterClientBuilder {
             setup: ClusterSetup::workers_only(10, NodeSpec::default(), NetConfig::default()),
             profile: Profile::from(&FixConfig::default()),
             task_compute_us: fix_core::calibration::SERVICE_COSTS.task_compute_us,
-            provenance: false,
         }
     }
 }
@@ -105,21 +103,11 @@ impl ClusterClientBuilder {
         self
     }
 
-    /// Enables provenance recording on the embedded node.
-    pub fn with_provenance(mut self) -> Self {
-        self.provenance = true;
-        self
-    }
-
     /// Builds the client, validating the cluster description.
     pub fn build(self) -> Result<ClusterClient> {
         self.setup.validate().map_err(backend_fault)?;
-        let mut rt = Runtime::builder();
-        if self.provenance {
-            rt = rt.with_provenance();
-        }
         Ok(ClusterClient {
-            inner: rt.build(),
+            inner: Runtime::builder().build(),
             setup: self.setup,
             profile: self.profile,
             task_compute_us: self.task_compute_us,

@@ -181,7 +181,13 @@ impl Counters {
 
 /// Trace id for durable events: the first 8 bytes of the handle.
 fn trace_id(handle: Handle) -> u64 {
-    u64::from_le_bytes(handle.raw()[..8].try_into().expect("handle has 32 bytes"))
+    u64::from_le_bytes(first_word(handle.raw()))
+}
+
+/// The first 8 of a handle's or a key's 32 bytes.
+fn first_word(bytes: &[u8; 32]) -> [u8; 8] {
+    let [a, b, c, d, e, f, g, h, ..] = *bytes;
+    [a, b, c, d, e, f, g, h]
 }
 
 struct Inner {
@@ -252,7 +258,7 @@ impl Inner {
     /// lock to drain it.
     fn tombstone(&self, index: &mut Index, mut dropped: Vec<([u8; 32], u32)>) {
         // Keys are digests, so their first word almost always decides.
-        let word = |key: &[u8; 32]| u64::from_be_bytes(key[..8].try_into().expect("8 of 32"));
+        let word = |key: &[u8; 32]| u64::from_be_bytes(first_word(key));
         dropped.sort_unstable_by_key(|&(key, _)| (word(&key), key));
         let mut q = self.queue.lock();
         q.bytes.reserve(dropped.len() * frame::TOMBSTONE_FRAME);
@@ -494,11 +500,11 @@ impl DurableStore {
         let hooks = Arc::new(Hooks(Arc::downgrade(&inner)));
         inner
             .store
-            .set_fault_source(Arc::clone(&hooks) as Arc<dyn FaultSource>);
+            .set_fault_source(Arc::clone(&hooks) as Arc<dyn FaultSource>)?;
         inner
             .store
-            .set_sink(Arc::clone(&hooks) as Arc<dyn StoreSink>);
-        inner.cache.set_sink(hooks as Arc<dyn RelationSink>);
+            .set_sink(Arc::clone(&hooks) as Arc<dyn StoreSink>)?;
+        inner.cache.set_sink(hooks as Arc<dyn RelationSink>)?;
 
         let writer_inner = Arc::clone(&inner);
         let handle = std::thread::Builder::new()

@@ -30,7 +30,7 @@ use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, EncodeStyle, Handle, HandleMap, Kind, ThunkKind};
 use fix_core::invocation::{Invocation, Selection};
 use fix_core::semantics::{collect_encodes, EncodeResolver};
-use fix_storage::{ProvenanceLedger, Relation, RelationCache, Store};
+use fix_storage::{Relation, RelationCache, Store};
 use fix_vm::{HostApi, Module, VmConfig};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,9 +102,6 @@ pub struct Engine {
     pub(crate) registry: Arc<ProgramRegistry>,
     /// Parsed-module cache (content-addressed, so never invalidated).
     modules: RwLock<HandleMap<[u8; 24], Arc<Module>>>,
-    /// Provenance recording for computational GC (paper §6); `None`
-    /// keeps the hot path free of ledger writes.
-    provenance: Option<Arc<ProvenanceLedger>>,
     /// Activity counters.
     pub stats: EngineStats,
 }
@@ -166,18 +163,8 @@ impl Engine {
             cache,
             registry,
             modules: RwLock::default(),
-            provenance: None,
             stats: EngineStats::default(),
         }
-    }
-
-    /// Enables provenance recording into `ledger`: every datum a
-    /// procedure run or selection produces is recorded together with a
-    /// *resolved* recipe — a Thunk over fully-substituted inputs — so
-    /// the bytes can be evicted and recomputed on demand (paper §6).
-    pub(crate) fn with_provenance(mut self, ledger: Arc<ProvenanceLedger>) -> Engine {
-        self.provenance = Some(ledger);
-        self
     }
 
     /// `job`'s result if it is memoized: its relation, read from the
@@ -270,20 +257,6 @@ impl Engine {
             // Chained laziness: keep reducing.
             Ok(self.tail(Job::Eval(h), Job::Eval(result)))
         } else {
-            if let Some(ledger) = &self.provenance {
-                // Recipe over the *value* target: re-running it later
-                // must not depend on memoized thunk evaluations.
-                let resolved = Selection {
-                    target,
-                    begin: sel.begin,
-                    end: sel.end,
-                }
-                .to_tree();
-                let resolved_h = self.store.put_tree(resolved);
-                if let Ok(recipe) = resolved_h.selection() {
-                    ledger.record(result, recipe);
-                }
-            }
             self.cache.put(Relation::Eval, h, result);
             Ok(Step::Done(result))
         }
@@ -319,17 +292,6 @@ impl Engine {
                     (resolved, resolved_h)
                 };
                 let raw = self.run_procedure(&resolved, resolved_h)?;
-                if !raw.is_thunk() {
-                    if let Some(ledger) = &self.provenance {
-                        // Recipe over the resolved tree: its support is
-                        // purely structural (no encodes left), so an
-                        // eviction planner sees exactly what a re-run
-                        // will read.
-                        if let Ok(recipe) = resolved_h.application() {
-                            ledger.record(raw, recipe);
-                        }
-                    }
-                }
                 self.cache.put(Relation::Apply, tree_h, raw);
                 raw
             }
@@ -357,7 +319,8 @@ impl Engine {
 
     /// Records that `job`, which reported [`Step::Tail`], finished with
     /// its callee's `value`: the relation a re-step would have copied.
-    /// Nothing ran, so there is no provenance to record.
+    /// Nothing ran, so the relation names no recipe (computational GC
+    /// reads recipes from `Apply` and range-selection `Eval`s only).
     pub(crate) fn complete_tail(&self, job: Job, value: Handle) {
         let (relation, input) = job.relation();
         self.cache.put(relation, input, value);

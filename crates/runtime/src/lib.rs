@@ -644,14 +644,6 @@ mod tests {
         assert!(rt.get_blob(keep).is_ok());
     }
 
-    #[test]
-    fn labels_namespace() {
-        let rt = Runtime::builder().build();
-        let h = rt.put_blob(Blob::from_slice(b"hello"));
-        rt.labels().set("greeting", h);
-        assert_eq!(rt.labels().get("greeting"), Some(h));
-    }
-
     /// Two applications sharing a strict-encoded sub-computation, so the
     /// second evaluation's dependency set collides with jobs finished by
     /// the first.

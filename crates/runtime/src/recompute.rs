@@ -1,11 +1,11 @@
 //! Recompute-on-demand: the runtime half of computational garbage
 //! collection (paper §6, "delayed-availability" storage).
 //!
-//! `fix-storage` records which Thunk produced each object and plans
-//! sound evictions; this module re-creates evicted bytes by re-running
-//! those recipes. Because recipes are recorded over *resolved*
-//! definitions (see `Engine`), a recipe's structural reachability is
-//! exactly what the re-run reads — so materialization can recursively
+//! `fix-storage` plans sound evictions over recipes read from the
+//! relation cache; this module re-creates evicted bytes by re-running
+//! those recipes. A recipe's support closure sees its Encodes and thunk
+//! targets through the same cache a re-run reads them from, so it is
+//! exactly what the re-run needs — and materialization can recursively
 //! restore a cascade of evicted inputs in dependency order, then re-run
 //! the producing procedure once.
 //!
@@ -16,10 +16,11 @@
 use crate::runtime::Runtime;
 use fix_core::api::Evaluator;
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, HandleSet, Kind, ThunkKind};
+use fix_core::handle::{Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use fix_storage::{
-    apply_eviction, plan_eviction, support_closure, EvictionPlan, ProvenanceLedger, Relation,
+    apply_eviction, payload_key, plan_eviction, recipes, support_closure, EvictionPlan, Relation,
 };
+use std::sync::atomic::Ordering;
 
 /// What an eviction pass deleted.
 #[derive(Debug, Clone)]
@@ -42,52 +43,45 @@ pub struct RecomputeReport {
 }
 
 impl Runtime {
-    fn ledger(&self) -> Result<&ProvenanceLedger> {
-        self.provenance().ok_or_else(|| {
-            Error::Trap(
-                "provenance recording is disabled; build the runtime with \
-                 `Runtime::builder().with_provenance()`"
-                    .into(),
-            )
-        })
-    }
-
     /// Deletes every object that can be soundly recomputed from what
     /// remains, keeping everything reachable from `pins`.
     ///
     /// This is the paper's computational garbage collection: the
-    /// provider reclaims RAM/disk for objects whose recipes it knows,
-    /// and later reads pay a recompute instead of a miss. Requires
-    /// provenance recording; must not run concurrently with evaluations.
+    /// provider reclaims RAM/disk for objects whose recipes the relation
+    /// cache names, and later reads pay a recompute instead of a miss.
+    /// Must not run concurrently with evaluations.
     pub fn evict_recomputable(&self, pins: &[Handle]) -> Result<EvictionOutcome> {
-        let ledger = self.ledger()?;
-        let plan = plan_eviction(self.store(), ledger, pins);
-        let bytes_reclaimed = apply_eviction(self.store(), ledger, &plan)?;
+        let plan = plan_eviction(self.store(), self.cache(), pins);
+        let bytes_reclaimed = apply_eviction(self.store(), self.cache(), &plan)?;
         Ok(EvictionOutcome {
             plan,
             bytes_reclaimed,
         })
     }
 
-    /// Ensures `handle`'s bytes are resident, re-running recorded
-    /// recipes as needed (recursively, for evicted inputs).
+    /// Ensures `handle`'s bytes are resident, re-running their recipes
+    /// as needed (recursively, for evicted inputs).
     ///
     /// Returns a report of the work done — `objects_materialized == 0`
-    /// means the read was warm. Fails with [`Error::NotFound`] if the
-    /// object was never produced by a recorded computation, and with a
-    /// trap if a re-run produces different bytes (a determinism fault:
-    /// the paper's "wrong answer" a provider would carry insurance for).
+    /// means the read was warm. Fails with [`Error::NotFound`] if no
+    /// relation in the cache produces the object, and with a trap if a
+    /// re-run produces different bytes (a determinism fault: the paper's
+    /// "wrong answer" a provider would carry insurance for). A re-run
+    /// that fails leaves its recipe in the cache.
     pub fn materialize(&self, handle: Handle) -> Result<RecomputeReport> {
-        let ledger = self.ledger()?;
+        let recipes = recipes(self.store(), self.cache());
+        let runs = || self.engine().stats.procedures_run.load(Ordering::Relaxed);
+        let before = runs();
         let mut report = RecomputeReport::default();
         let mut in_progress: HandleSet<[u8; 32]> = HandleSet::default();
-        self.materialize_inner(ledger, handle, 1, &mut in_progress, &mut report)?;
+        self.materialize_inner(&recipes, handle, 1, &mut in_progress, &mut report)?;
+        report.procedures_rerun = runs() - before;
         Ok(report)
     }
 
     fn materialize_inner(
         &self,
-        ledger: &ProvenanceLedger,
+        recipes: &HandleMap<[u8; 32], (Handle, Handle)>,
         handle: Handle,
         depth: u32,
         in_progress: &mut HandleSet<[u8; 32]>,
@@ -102,23 +96,19 @@ impl Runtime {
         if self.store().contains(handle) {
             return Ok(());
         }
-        let key = {
-            let mut k = *handle.raw();
-            k[30] = 0;
-            k
-        };
+        let key = payload_key(handle);
         if !in_progress.insert(key) {
             return Err(Error::Trap(format!(
                 "recompute cycle involving {handle}; refusing to recurse"
             )));
         }
-        let recipe = ledger.recipe_for(handle).ok_or(Error::NotFound(handle))?;
+        let &(_, recipe) = recipes.get(&key).ok_or(Error::NotFound(handle))?;
 
         // Restore the recipe's support first. Each pass can only see as
         // deep as resident trees allow, so loop until nothing is absent:
         // every pass materializes at least one object or fails.
         loop {
-            let missing: Vec<Handle> = support_closure(self.store(), recipe)
+            let missing: Vec<Handle> = support_closure(self.store(), self.cache(), recipe)
                 .into_iter()
                 .filter(|s| !self.store().contains(*s))
                 .collect();
@@ -126,30 +116,36 @@ impl Runtime {
                 break;
             }
             for s in missing {
-                self.materialize_inner(ledger, s, depth + 1, in_progress, report)?;
+                self.materialize_inner(recipes, s, depth + 1, in_progress, report)?;
             }
         }
 
-        // Forget the memoized result so evaluation actually re-runs: the
-        // relation cache is the only memo. (Recipes over resolved
-        // definitions usually have no memos — the original run was keyed
-        // on the unresolved tree — but the no-encode case aliases them.)
-        self.cache().remove(Relation::Eval, recipe);
-        if matches!(recipe.kind(), Kind::Thunk(ThunkKind::Application)) {
-            if let Ok(def) = recipe.thunk_definition() {
-                self.cache().remove(Relation::Apply, def);
-            }
+        // Forget the recipe's memos so evaluation actually re-runs (the
+        // relation cache is the only memo), and put them back if the
+        // re-run fails: they are the only record of the recipe.
+        let mut memos = vec![(Relation::Eval, recipe)];
+        if recipe.kind() == Kind::Thunk(ThunkKind::Application) {
+            memos.extend(recipe.thunk_definition().map(|def| (Relation::Apply, def)));
         }
-
-        let produced = self.eval(recipe)?;
+        let forgotten: Vec<_> = memos
+            .into_iter()
+            .filter_map(|(relation, input)| {
+                let output = self.cache().remove(relation, input)?;
+                Some((relation, input, output))
+            })
+            .collect();
+        let produced = self.eval(recipe).inspect_err(|_| {
+            for &(relation, input, output) in &forgotten {
+                self.cache().put(relation, input, output);
+            }
+        })?;
         if !self.store().contains(handle) {
             // Same evaluation, different bytes: determinism violation.
             return Err(Error::Trap(format!(
                 "recompute of {handle} produced {produced}: nondeterministic procedure \
-                 or corrupted provenance"
+                 or corrupted relation cache"
             )));
         }
-        ledger.mark_resident(handle);
         report.objects_materialized += 1;
         report.max_depth = report.max_depth.max(depth);
         in_progress.remove(&key);
@@ -170,9 +166,9 @@ mod tests {
         ResourceLimits::default_limits()
     }
 
-    /// A runtime with provenance and a `double` codelet that counts runs.
+    /// A runtime with a `double` codelet that counts runs.
     fn doubling_runtime() -> (Runtime, Handle, Arc<AtomicU64>) {
-        let rt = Runtime::builder().with_provenance().build();
+        let rt = Runtime::builder().build();
         let runs = Arc::new(AtomicU64::new(0));
         let r2 = Arc::clone(&runs);
         let double = rt.register_native(
@@ -251,6 +247,7 @@ mod tests {
         let report = rt.materialize(out2).unwrap();
         assert_eq!(report.objects_materialized, 2);
         assert_eq!(report.max_depth, 2);
+        assert_eq!(report.procedures_rerun, 2);
         assert_eq!(runs.load(Ordering::SeqCst), 4);
         assert_eq!(doubled_value(&rt, out2), 40);
         assert!(rt.store().contains(out1), "inner restored by cascade");
@@ -270,17 +267,10 @@ mod tests {
 
     #[test]
     fn materialize_without_recipe_is_not_found() {
-        let rt = Runtime::builder().with_provenance().build();
+        let rt = Runtime::builder().build();
         let h = rt.put_blob(Blob::from_vec(vec![1u8; 64]));
         rt.store().evict(h);
         assert!(matches!(rt.materialize(h), Err(Error::NotFound(_))));
-    }
-
-    #[test]
-    fn provenance_disabled_reports_clearly() {
-        let rt = Runtime::builder().build();
-        let err = rt.evict_recomputable(&[]).unwrap_err();
-        assert!(err.to_string().contains("with_provenance"), "{err}");
     }
 
     #[test]
@@ -305,8 +295,31 @@ mod tests {
     }
 
     #[test]
-    fn recompute_after_memo_clear_still_works() {
-        // Even if every memo is gone, recipes are self-contained.
+    fn a_selection_over_a_computed_target_restores_the_target_first() {
+        // The selection's target is a thunk: its re-run reads the
+        // target's memoized value, so that value is restored first.
+        let (rt, double, runs) = doubling_runtime();
+        let input = rt.put_blob(Blob::from_u64(3));
+        let thunk = rt.apply(limits(), double, &[input]).unwrap();
+        let sel = rt.select_range(thunk, 0, 40).unwrap();
+        let slice = rt.eval(sel).unwrap();
+        let expect = rt.get_blob(slice).unwrap();
+
+        let outcome = rt.evict_recomputable(&[]).unwrap();
+        assert_eq!(outcome.plan.victims.len(), 2);
+        assert_eq!(outcome.plan.max_depth(), 2);
+
+        let report = rt.materialize(slice).unwrap();
+        assert_eq!(report.objects_materialized, 2);
+        assert_eq!(report.max_depth, 2);
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        assert_eq!(rt.get_blob(slice).unwrap(), expect);
+    }
+
+    #[test]
+    fn recompute_after_memo_clear_is_not_found() {
+        // The cache is the recipe book: clearing it forgets how to
+        // recompute what was evicted.
         let (rt, double, _) = doubling_runtime();
         let input = rt.put_blob(Blob::from_u64(8));
         let out = rt
@@ -314,7 +327,6 @@ mod tests {
             .unwrap();
         rt.evict_recomputable(&[]).unwrap();
         rt.cache().clear();
-        rt.materialize(out).unwrap();
-        assert_eq!(doubled_value(&rt, out), 16);
+        assert!(matches!(rt.materialize(out), Err(Error::NotFound(_))));
     }
 }

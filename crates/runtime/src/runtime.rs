@@ -17,14 +17,13 @@ use fix_core::error::Result;
 use fix_core::handle::Handle;
 use fix_core::semantics::{footprint, footprint_many, Footprint};
 use fix_durable::DurableStore;
-use fix_storage::{Labels, ProvenanceLedger, RelationCache, Store};
+use fix_storage::{RelationCache, Store};
 use std::sync::Arc;
 
 /// Configures a [`Runtime`].
 #[derive(Default)]
 pub struct RuntimeBuilder {
     workers: usize,
-    provenance: bool,
     durable: Option<DurableStore>,
 }
 
@@ -34,15 +33,6 @@ impl RuntimeBuilder {
     /// A worker thread the OS refuses to start is left out.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Enables provenance recording, the opt-in behind computational
-    /// garbage collection (paper §6): each produced object is recorded
-    /// with its recipe so `Runtime::evict_recomputable` /
-    /// `Runtime::materialize` can trade storage for recompute.
-    pub fn with_provenance(mut self) -> Self {
-        self.provenance = true;
         self
     }
 
@@ -63,16 +53,11 @@ impl RuntimeBuilder {
             None => (Arc::new(Store::new()), Arc::new(RelationCache::new())),
         };
         let registry = Arc::new(ProgramRegistry::new());
-        let ledger = self.provenance.then(|| Arc::new(ProvenanceLedger::new()));
-        let mut engine = Engine::new(
+        let engine = Arc::new(Engine::new(
             Arc::clone(&store),
             Arc::clone(&cache),
             Arc::clone(&registry),
-        );
-        if let Some(l) = &ledger {
-            engine = engine.with_provenance(Arc::clone(l));
-        }
-        let engine = Arc::new(engine);
+        ));
         let scheduler = Arc::new(Scheduler::new(Arc::clone(&engine), self.workers));
         let pool = (self.workers > 0).then(|| WorkerPool::spawn(Arc::clone(&scheduler)));
         // Adopt the scheduler's live steal counter: the registry names
@@ -97,8 +82,6 @@ impl RuntimeBuilder {
             registry,
             engine,
             scheduler,
-            labels: Labels::new(),
-            provenance: ledger,
             durable: self.durable,
             metrics,
             _pool: pool,
@@ -139,8 +122,6 @@ pub struct Runtime {
     registry: Arc<ProgramRegistry>,
     engine: Arc<Engine>,
     scheduler: Arc<Scheduler>,
-    labels: Labels,
-    provenance: Option<Arc<ProvenanceLedger>>,
     durable: Option<DurableStore>,
     metrics: fix_obs::Registry,
     _pool: Option<WorkerPool>,
@@ -162,6 +143,11 @@ impl Runtime {
     /// complete, consistent way to forget every memoized result — the
     /// next request for any of them runs cold. A failure is never
     /// memoized: the next request for it re-attempts it.
+    ///
+    /// The cache is also computational GC's recipe book: clearing it
+    /// forgets how to recompute evicted objects too, and
+    /// [`materialize`](Runtime::materialize) of one then returns
+    /// `NotFound`.
     pub fn cache(&self) -> &Arc<RelationCache> {
         &self.cache
     }
@@ -169,17 +155,6 @@ impl Runtime {
     /// The node's evaluation engine (for statistics).
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// The node's label namespace.
-    pub fn labels(&self) -> &Labels {
-        &self.labels
-    }
-
-    /// The provenance ledger, if the runtime was built
-    /// [`with_provenance`](RuntimeBuilder::with_provenance).
-    pub fn provenance(&self) -> Option<&ProvenanceLedger> {
-        self.provenance.as_deref()
     }
 
     /// Assembles FixVM source, stores the module blob, returns its handle.

@@ -135,10 +135,11 @@
 //! same worklist a failure travels — watchers fill or chain, its own
 //! waiters fire, a chain of tail calls unwinds iteratively. The callee
 //! stays its own deduplicated job, so exactly-once execution,
-//! `procedures_run`, provenance (the copy recorded none) and strict
-//! watcher chains are what the re-step produced. If the callee finished
-//! before the park registered, it is re-enqueued like any dependency and
-//! its cache-hit step completes the job; if it finishes *during*
+//! `procedures_run`, the relations computational GC reads recipes from
+//! (the copied `Eval` names none) and strict watcher chains are what
+//! the re-step produced. If the callee finished before the park
+//! registered, it is re-enqueued like any dependency and its cache-hit
+//! step completes the job; if it finishes *during*
 //! registration (the guard unit is still held), the job is requeued once
 //! and its step finds the value memoized. A failed callee fails the
 //! waiter with the same error.
@@ -759,8 +760,8 @@ impl Scheduler {
     /// the job's value is the waiter's, so the waiter's relation is
     /// recorded ([`Engine::complete_tail`]) and the waiter completed
     /// here, on the same worklist a failure travels. The callee stays
-    /// its own deduplicated job, so exactly-once execution, provenance
-    /// and watcher chaining are what a copying re-step produced.
+    /// its own deduplicated job, so exactly-once execution, recipes and
+    /// watcher chaining are what a copying re-step produced.
     /// Requeues and chained stages go to `slot`, the completer's.
     fn complete_job(&self, job: Job, result: Result<Handle>, slot: usize) {
         // Completions this one sets off (a failure reaching a waiter, a

@@ -23,7 +23,16 @@
 
 use crate::relations::Relation;
 use fix_core::data::Node;
+use fix_core::error::Error;
 use fix_core::handle::Handle;
+
+/// The error a second install of a hook returns: each slot takes one.
+pub(crate) fn already_hooked(message: &str) -> Error {
+    Error::Backend {
+        backend: "storage",
+        message: message.into(),
+    }
+}
 
 /// A backing tier that can produce non-resident objects on demand.
 pub trait FaultSource: Send + Sync {

@@ -6,26 +6,22 @@
 //! * [`RelationCache`] — memoized evaluation relations (Eval / Apply /
 //!   Force), the mechanism behind Fix's determinism-powered caching.
 //!
-//! [`Labels`] adds a small human-readable namespace on top (like git refs).
-//!
-//! [`ProvenanceLedger`] and [`plan_eviction`] implement the storage side
-//! of the paper's computational garbage collection (§6): recording which
-//! Thunk produced each object so the bytes can be deleted and recomputed
-//! on demand.
+//! [`plan_eviction`] implements the storage side of the paper's
+//! computational garbage collection (§6): the relation cache names the
+//! Thunk that produced each object ([`recipes`]), so the bytes can be
+//! deleted and recomputed on demand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hooks;
-mod labels;
 mod provenance;
 mod relations;
 mod store;
 
 pub use hooks::{FaultSource, RelationSink, StoreSink};
-pub use labels::Labels;
 pub use provenance::{
-    apply_eviction, plan_eviction, support_closure, EvictionPlan, ProvenanceLedger, Victim,
+    apply_eviction, plan_eviction, recipes, support_closure, EvictionPlan, Victim,
 };
 pub use relations::{Relation, RelationCache};
 pub use store::{payload_key, Store};

@@ -1,161 +1,105 @@
-//! Provenance tracking and computational garbage collection (paper §6).
+//! Computational garbage collection (paper §6), with recipes read from
+//! the relation cache.
 //!
 //! Because Fix computations are deterministic products of known
-//! dependencies, a provider storing the *recipe* for an object — the
+//! dependencies, a provider that knows the *recipe* for an object — the
 //! Thunk whose evaluation produced it — may delete the object's bytes
 //! and recompute them on demand. The paper calls this "computational
 //! 'garbage' collection" under "delayed-availability" storage: users
 //! opt in, and the provider answers later reads within an SLA window by
 //! re-running the recipe.
 //!
-//! Two pieces live here:
+//! The relation cache already names every recipe, so nothing else
+//! records them:
 //!
-//! * [`ProvenanceLedger`] — records `object ← thunk` pairs as the
-//!   engine runs procedures, and remembers what has been evicted (with
-//!   its recompute depth, the cascade length a cold read will pay);
+//! * [`recipes`] — the `object → recipe` map, derived afresh from the
+//!   cache's `Apply` relations and range-selection `Eval`s each time GC
+//!   is asked for;
 //! * [`plan_eviction`] — decides *which* resident objects can be
 //!   soundly deleted: an object is evictable only if everything its
-//!   recipe needs stays resident, is a literal, or is itself evicted at
-//!   a strictly smaller depth — guaranteeing an acyclic recompute order.
+//!   recipe needs stays resident, is a literal, or is recomputable
+//!   (evicted, or a victim) at a strictly smaller depth — guaranteeing an
+//!   acyclic recompute order.
 //!
 //! The recompute itself needs an evaluator, so it lives in the runtime
 //! crate (`fixpoint::Runtime::materialize`).
 
+use crate::relations::{Relation, RelationCache};
 use crate::store::{payload_key, Store};
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, HandleBuildHasher, HandleMap, HandleSet, Kind};
-use parking_lot::RwLock;
+use fix_core::handle::{Handle, HandleMap, HandleSet, Kind, ThunkKind};
+use fix_core::invocation::Selection;
+use fix_core::semantics::EncodeResolver;
 
-const SHARDS: usize = 32;
-
-/// What the ledger knows about one payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    /// The Thunk whose evaluation produced this object's bytes.
-    recipe: Handle,
-    /// `Some(depth)` once the object has been evicted: the number of
-    /// cascaded procedure re-runs (worst case) a cold read will pay.
-    evicted_depth: Option<u32>,
-}
-
-/// Records which Thunk produced each stored object.
+/// Every object `cache` knows how to recompute, keyed by payload: the
+/// object (canonical Object handle) and its recipe.
 ///
-/// Only *immediate* producers are recorded: for an Application thunk
-/// the procedure run that created the bytes, for a Selection thunk the
-/// extraction. Tail calls record under the thunk whose step actually
-/// materialized the data, so re-evaluating the recipe always re-runs
-/// the producing step.
+/// Two relations name a recipe:
 ///
-/// # Examples
+/// * `Apply(tree) → out` with a data `out` — the recipe is
+///   `tree.application()`, the procedure run that created the bytes;
+/// * `Eval(h) → out` where `h` is a *range* selection — the recipe is
+///   `h`, the extraction that created the slice.
 ///
-/// ```
-/// use fix_storage::ProvenanceLedger;
-/// use fix_core::data::{Blob, Tree};
-///
-/// let ledger = ProvenanceLedger::new();
-/// let def = Tree::from_handles(vec![]);
-/// let thunk = def.handle().application().unwrap();
-/// let out = Blob::from_slice(&[7u8; 64]).handle();
-/// ledger.record(out, thunk);
-/// assert_eq!(ledger.recipe_for(out), Some(thunk));
-/// ```
-pub struct ProvenanceLedger {
-    shards: Vec<RwLock<HandleMap<[u8; 32], Entry>>>,
-    hasher: HandleBuildHasher,
-}
-
-impl Default for ProvenanceLedger {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ProvenanceLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> ProvenanceLedger {
-        ProvenanceLedger {
-            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
-            hasher: HandleBuildHasher::default(),
+/// A single-index selection returns an entry of its own target (never
+/// fresh bytes), so it is no recipe. Where several relations produce one
+/// object, the recipe with the lowest handle bytes wins: the choice
+/// never depends on map order.
+pub fn recipes(store: &Store, cache: &RelationCache) -> HandleMap<[u8; 32], (Handle, Handle)> {
+    let mut out: HandleMap<[u8; 32], (Handle, Handle)> = HandleMap::default();
+    for (relation, input, output) in cache.entries() {
+        let recipe = match relation {
+            Relation::Apply => input.application().ok(),
+            Relation::Eval if is_range_selection(store, input) => Some(input),
+            _ => None,
+        };
+        let Some(recipe) = recipe else {
+            continue;
+        };
+        if output.is_literal() || !matches!(output.kind(), Kind::Object(_) | Kind::Ref(_)) {
+            continue;
         }
-    }
-
-    fn shard(&self, key: &[u8; 32]) -> &RwLock<HandleMap<[u8; 32], Entry>> {
-        &self.shards[self.hasher.shard_of(key, SHARDS)]
-    }
-
-    /// Records that evaluating `recipe` produced `object`'s bytes.
-    ///
-    /// Literals are skipped (their bytes travel in the handle), as is
-    /// the degenerate case where the recipe *is* the object.
-    pub fn record(&self, object: Handle, recipe: Handle) {
-        if object.is_literal() || !matches!(object.kind(), Kind::Object(_) | Kind::Ref(_)) {
-            return;
-        }
-        let key = payload_key(object);
+        let key = payload_key(output);
         if key == payload_key(recipe) {
-            return;
+            continue; // The recipe *is* the object.
         }
-        self.shard(&key).write().insert(
-            key,
-            Entry {
-                recipe,
-                evicted_depth: None,
-            },
-        );
-    }
-
-    /// The Thunk that produced `object`, if known.
-    pub fn recipe_for(&self, object: Handle) -> Option<Handle> {
-        let key = payload_key(object);
-        self.shard(&key).read().get(&key).map(|e| e.recipe)
-    }
-
-    /// The recompute depth recorded when `object` was evicted, if it is
-    /// currently evicted.
-    pub fn evicted_depth(&self, object: Handle) -> Option<u32> {
-        let key = payload_key(object);
-        self.shard(&key)
-            .read()
-            .get(&key)
-            .and_then(|e| e.evicted_depth)
-    }
-
-    /// Marks `object` evicted at `depth` (or clears the mark).
-    fn set_evicted(&self, object: Handle, depth: Option<u32>) {
-        let key = payload_key(object);
-        if let Some(e) = self.shard(&key).write().get_mut(&key) {
-            e.evicted_depth = depth;
+        let entry = out
+            .entry(key)
+            .or_insert((output.as_object_handle(), recipe));
+        if recipe.raw() < entry.1.raw() {
+            entry.1 = recipe;
         }
     }
-
-    /// Clears an eviction mark after the object is rematerialized.
-    pub fn mark_resident(&self, object: Handle) {
-        self.set_evicted(object, None);
-    }
-
-    /// Number of recorded recipes.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True if nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    out
 }
 
-/// Every non-literal datum the evaluation of `thunk` may need resident,
-/// discovered conservatively: tree entries (recursively), thunk
-/// definitions, encode targets — the whole reachable closure, whether
-/// or not the lazy branches end up taken.
+fn is_range_selection(store: &Store, h: Handle) -> bool {
+    h.kind() == Kind::Thunk(ThunkKind::Selection)
+        && h.thunk_definition()
+            .and_then(|def| store.get_tree(def))
+            .and_then(|tree| Selection::from_tree(&tree))
+            .is_ok_and(|sel| sel.end.is_some())
+}
+
+/// Every non-literal datum a re-run of `recipe` may need resident,
+/// discovered conservatively: the definition's tree entries
+/// (recursively) and whatever its thunks and Encodes stand for — the
+/// whole reachable closure, whether or not the lazy branches end up
+/// taken.
+///
+/// A re-run sees a thunk (the target it selects from, say) or an Encode
+/// through the cache, so the walk does too: it descends into the
+/// memoized value when there is one (the thunk's `Eval`,
+/// [`EncodeResolver::resolved`]) and into the definition otherwise.
 ///
 /// Handles whose data is absent from `store` are still returned (the
 /// caller decides whether absence is acceptable); the walk simply can't
 /// descend through them.
-pub fn support_closure(store: &Store, thunk: Handle) -> Vec<Handle> {
+pub fn support_closure(store: &Store, cache: &RelationCache, recipe: Handle) -> Vec<Handle> {
     let mut out = Vec::new();
     let mut seen: HandleSet<[u8; 32]> = HandleSet::default();
-    let mut stack = vec![thunk];
+    // The recipe's own memoized value is the object: start below it.
+    let mut stack: Vec<Handle> = recipe.thunk_definition().into_iter().collect();
     while let Some(h) = stack.pop() {
         match h.kind() {
             Kind::Object(_) | Kind::Ref(_) => {
@@ -167,16 +111,14 @@ pub fn support_closure(store: &Store, thunk: Handle) -> Vec<Handle> {
                     stack.extend(tree.entries().iter().copied());
                 }
             }
-            Kind::Thunk(_) => {
-                if let Ok(def) = h.thunk_definition() {
-                    stack.push(def);
-                }
-            }
-            Kind::Encode(..) => {
-                if let Ok(t) = h.encoded_thunk() {
-                    stack.push(t);
-                }
-            }
+            Kind::Thunk(_) => match cache.get(Relation::Eval, h) {
+                Some(value) => stack.push(value),
+                None => stack.extend(h.thunk_definition().ok()),
+            },
+            Kind::Encode(..) => match cache.resolved(h) {
+                Some(value) => stack.push(value),
+                None => stack.extend(h.encoded_thunk().ok()),
+            },
         }
     }
     out
@@ -212,20 +154,23 @@ impl EvictionPlan {
     }
 }
 
-/// Plans a sound computational GC over `store`.
+/// Plans a sound computational GC over `store`, with recipes read from
+/// `cache` ([`recipes`]).
 ///
 /// `pins` name data that must stay resident (live roots: everything
 /// reachable from them through tree entries is protected). Among the
-/// rest, an object is evictable if the ledger knows its recipe and the
-/// recipe's [`support_closure`] contains only: literals, resident
-/// non-victims, objects already evicted (recompute depth known), or
-/// victims assigned at a strictly smaller depth. The returned depth is
-/// `1 + max(depth of recomputed support)` — the recompute cascade bound.
+/// rest, an object is evictable if it has a recipe and the recipe's
+/// [`support_closure`] contains only: literals, resident non-victims, or
+/// recomputable objects — victims and already-evicted objects (a recipe
+/// names them, the store lacks them) — at a strictly smaller depth. The
+/// depth is `1 + max(depth of recomputed support)`, the recompute
+/// cascade bound, worked out afresh in every plan for evicted objects
+/// too: an object evicted earlier costs more once its own support goes.
 ///
 /// Objects whose recipe support includes themselves (possible when a
 /// Selection extracts from a tree that contains its own output) are
 /// never evicted.
-pub fn plan_eviction(store: &Store, ledger: &ProvenanceLedger, pins: &[Handle]) -> EvictionPlan {
+pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> EvictionPlan {
     // Everything reachable from a pin stays.
     let mut pinned: HandleSet<[u8; 32]> = HandleSet::default();
     let mut stack: Vec<Handle> = pins.to_vec();
@@ -239,50 +184,55 @@ pub fn plan_eviction(store: &Store, ledger: &ProvenanceLedger, pins: &[Handle]) 
         }
     }
 
-    // Candidates: resident, unpinned, with a known recipe.
-    struct Candidate {
+    // Nodes: every recomputable object that is either a candidate
+    // (in memory and unpinned: `bytes` is what evicting it frees) or
+    // already evicted (`None`). Objects only the backing tier holds are
+    // neither; like pinned ones, they are free support.
+    struct Node {
         handle: Handle,
-        bytes: u64,
+        bytes: Option<u64>,
         support: Vec<Handle>,
     }
-    let mut candidates: Vec<Candidate> = Vec::new();
-    for h in store.inventory() {
-        if pinned.contains(&payload_key(h)) {
+    let mut nodes: Vec<Node> = Vec::new();
+    for (key, (handle, recipe)) in recipes(store, cache) {
+        let bytes = if store.resident(handle) {
+            if pinned.contains(&key) {
+                continue;
+            }
+            match store.get(handle) {
+                Ok(node) => Some(node.transfer_size()),
+                Err(_) => continue,
+            }
+        } else if store.contains(handle) {
             continue;
-        }
-        let Some(recipe) = ledger.recipe_for(h) else {
-            continue;
+        } else {
+            None
         };
-        let bytes = match store.get(h) {
-            Ok(node) => node.transfer_size(),
-            Err(_) => continue,
-        };
-        candidates.push(Candidate {
-            handle: h,
+        nodes.push(Node {
+            handle,
             bytes,
-            support: support_closure(store, recipe),
+            support: support_closure(store, cache, recipe),
         });
     }
 
-    // Assign depths to a fixpoint. A candidate is admitted once every
-    // support member is covered: a resident *non-candidate* (stays put),
-    // an already-evicted object (depth known), or a co-candidate that was
-    // admitted in an earlier round — never an unadmitted co-candidate,
-    // since that one may itself be evicted later. Candidates stuck in
-    // support cycles are never admitted and so stay resident.
-    let candidate_keys: HandleSet<[u8; 32]> =
-        candidates.iter().map(|c| payload_key(c.handle)).collect();
+    // Assign depths to a fixpoint. A node is admitted once every support
+    // member is covered: a resident non-node (stays put) or an admitted
+    // node — never an unadmitted one, since that one may itself be
+    // unrecomputable. Nodes stuck in support cycles, or
+    // on support nothing can restore, are never admitted, so candidates
+    // among them stay resident.
+    let node_keys: HandleSet<[u8; 32]> = nodes.iter().map(|n| payload_key(n.handle)).collect();
     let mut assigned: HandleMap<[u8; 32], u32> = HandleMap::default();
     loop {
         let mut admitted_this_round = false;
-        for c in &candidates {
-            let key = payload_key(c.handle);
+        for n in &nodes {
+            let key = payload_key(n.handle);
             if assigned.contains_key(&key) {
                 continue;
             }
             let mut depth = 1u32;
             let mut ok = true;
-            for s in &c.support {
+            for s in &n.support {
                 let skey = payload_key(*s);
                 if skey == key {
                     ok = false; // Self-support: never evictable.
@@ -290,16 +240,14 @@ pub fn plan_eviction(store: &Store, ledger: &ProvenanceLedger, pins: &[Handle]) 
                 }
                 if let Some(d) = assigned.get(&skey) {
                     depth = depth.max(d + 1);
-                } else if candidate_keys.contains(&skey) {
-                    ok = false; // Unadmitted co-candidate: wait (or cycle).
+                } else if node_keys.contains(&skey) {
+                    ok = false; // Unadmitted node: wait (or cycle).
                     break;
-                } else if let Some(d) = ledger.evicted_depth(*s) {
-                    depth = depth.max(d + 1);
                 } else if !store.contains(*s) {
                     ok = false; // Absent and not recomputable.
                     break;
                 }
-                // Resident non-candidate: free.
+                // Resident non-node: free.
             }
             if ok {
                 assigned.insert(key, depth);
@@ -311,89 +259,122 @@ pub fn plan_eviction(store: &Store, ledger: &ProvenanceLedger, pins: &[Handle]) 
         }
     }
 
-    let mut victims: Vec<Victim> = candidates
+    let mut victims: Vec<Victim> = nodes
         .iter()
-        .filter_map(|c| {
-            assigned.get(&payload_key(c.handle)).map(|&depth| Victim {
-                handle: c.handle,
-                depth,
-                bytes: c.bytes,
+        .filter_map(|n| {
+            Some(Victim {
+                handle: n.handle,
+                depth: *assigned.get(&payload_key(n.handle))?,
+                bytes: n.bytes?,
             })
         })
         .collect();
-    victims.sort_by_key(|v| v.depth);
+    victims.sort_by_key(|v| (v.depth, *v.handle.raw()));
     EvictionPlan { victims }
 }
 
-/// Executes a plan: deletes each victim's bytes and marks it evicted in
-/// the ledger. Returns the bytes actually reclaimed.
+/// Executes a plan: deletes each victim's bytes. Returns the bytes
+/// actually reclaimed.
 ///
-/// Fails (before deleting anything) if any victim lost its recipe since
-/// planning — eviction without provenance would be data loss.
-pub fn apply_eviction(
-    store: &Store,
-    ledger: &ProvenanceLedger,
-    plan: &EvictionPlan,
-) -> Result<u64> {
+/// Fails (before deleting anything) if any victim's producing relation
+/// has left `cache` since planning — eviction without a recipe would be
+/// data loss.
+pub fn apply_eviction(store: &Store, cache: &RelationCache, plan: &EvictionPlan) -> Result<u64> {
+    let recipes = recipes(store, cache);
     for v in &plan.victims {
-        if ledger.recipe_for(v.handle).is_none() {
+        if !recipes.contains_key(&payload_key(v.handle)) {
             return Err(Error::Trap(format!(
-                "refusing to evict {}: no recipe recorded",
+                "refusing to evict {}: no relation produces it",
                 v.handle
             )));
         }
     }
-    let mut reclaimed = 0;
-    for v in &plan.victims {
-        if let Some(bytes) = store.evict(v.handle) {
-            reclaimed += bytes;
-            ledger.set_evicted(v.handle, Some(v.depth));
-        }
-    }
-    Ok(reclaimed)
+    Ok(plan
+        .victims
+        .iter()
+        .filter_map(|v| store.evict(v.handle))
+        .sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fix_core::data::{Blob, Tree};
+    use fix_core::invocation::build;
 
     fn blob(n: u8) -> Blob {
         Blob::from_vec(vec![n; 64])
     }
 
-    /// A store with `input -> (thunk) -> output` provenance recorded.
-    fn one_step() -> (Store, ProvenanceLedger, Handle, Handle, Handle) {
+    /// Records `output` as the result of running a procedure on a tree
+    /// of `inputs`; returns the recipe (the tree's application).
+    fn produce(
+        store: &Store,
+        cache: &RelationCache,
+        inputs: Vec<Handle>,
+        output: Handle,
+    ) -> Handle {
+        let def = store.put_tree(Tree::from_handles(inputs));
+        cache.put(Relation::Apply, def, output);
+        def.application().unwrap()
+    }
+
+    /// A store with `input -> (thunk) -> output` recorded in the cache.
+    fn one_step() -> (Store, RelationCache, Handle, Handle, Handle) {
         let store = Store::new();
-        let ledger = ProvenanceLedger::new();
+        let cache = RelationCache::new();
         let input = store.put_blob(blob(1));
-        let def = store.put_tree(Tree::from_handles(vec![input]));
-        let thunk = def.application().unwrap();
         let output = store.put_blob(blob(2));
-        ledger.record(output, thunk);
-        (store, ledger, input, thunk, output)
+        let thunk = produce(&store, &cache, vec![input], output);
+        (store, cache, input, thunk, output)
+    }
+
+    fn depth_of(plan: &EvictionPlan, h: Handle) -> Option<u32> {
+        plan.victims
+            .iter()
+            .find(|v| v.handle == h.as_object_handle())
+            .map(|v| v.depth)
     }
 
     #[test]
-    fn ledger_records_and_looks_up() {
-        let (_, ledger, _, thunk, output) = one_step();
-        assert_eq!(ledger.recipe_for(output), Some(thunk));
-        assert_eq!(ledger.recipe_for(output.as_ref_handle()), Some(thunk));
-        assert_eq!(ledger.len(), 1);
+    fn recipes_come_from_applications_and_range_selections() {
+        let (store, cache, _, thunk, output) = one_step();
+        let big = store.put_blob(Blob::from_vec((0..=255u8).collect()));
+        let (range_tree, range) = build::selection_range(big, 10, 80).unwrap();
+        store.put_tree(range_tree);
+        let slice = store.put_blob(Blob::from_vec((10..80u8).collect()));
+        cache.put(Relation::Eval, range, slice);
+        // A single-index selection over a tree returns one of its entries.
+        let holder = store.put_tree(Tree::from_handles(vec![output]));
+        let (index_tree, index) = build::selection(holder, 0).unwrap();
+        store.put_tree(index_tree);
+        cache.put(Relation::Eval, index, output);
+        // Literal and thunk outputs name no recipe.
+        produce(&store, &cache, vec![big], Blob::from_u64(3).handle());
+        produce(&store, &cache, vec![slice], thunk);
+
+        let recipes = recipes(&store, &cache);
+        assert_eq!(recipes.len(), 2);
+        assert_eq!(recipes[&payload_key(output)], (output, thunk));
+        assert_eq!(recipes[&payload_key(slice.as_ref_handle())], (slice, range));
     }
 
     #[test]
-    fn ledger_skips_literals_and_self_recipes() {
-        let ledger = ProvenanceLedger::new();
-        let lit = Blob::from_slice(b"small").handle();
-        let def = Tree::from_handles(vec![]).handle();
-        ledger.record(lit, def.application().unwrap());
-        assert!(ledger.is_empty());
+    fn the_lowest_recipe_wins_whatever_the_map_order() {
+        let (store, cache, input, thunk, output) = one_step();
+        let other = produce(&store, &cache, vec![input, input], output);
+        let lowest = if thunk.raw() < other.raw() {
+            thunk
+        } else {
+            other
+        };
+        assert_eq!(recipes(&store, &cache)[&payload_key(output)].1, lowest);
     }
 
     #[test]
     fn support_closure_walks_trees_thunks_and_encodes() {
         let store = Store::new();
+        let cache = RelationCache::new();
         let leaf = store.put_blob(blob(3));
         let sub = store.put_tree(Tree::from_handles(vec![leaf]));
         let def = store.put_tree(Tree::from_handles(vec![sub.as_ref_handle()]));
@@ -401,31 +382,39 @@ mod tests {
         let enc = thunk.strict().unwrap();
         let outer_def = store.put_tree(Tree::from_handles(vec![enc]));
         let outer = outer_def.application().unwrap();
-        let support = support_closure(&store, outer);
         // outer_def, def, sub, leaf — through the encode and the Ref.
-        assert_eq!(support.len(), 4);
+        assert_eq!(support_closure(&store, &cache, outer).len(), 4);
+
+        // Resolved, the encode is its value: what a re-run splices in.
+        let value = store.put_blob(blob(4));
+        cache.put(Relation::Eval, thunk, value);
+        cache.put(Relation::Force, value, value);
+        let support = support_closure(&store, &cache, outer);
+        assert_eq!(support, vec![outer_def, value]);
     }
 
     #[test]
     fn plan_evicts_output_keeps_inputs() {
-        let (store, ledger, input, _, output) = one_step();
-        let plan = plan_eviction(&store, &ledger, &[]);
+        let (store, cache, input, _, output) = one_step();
+        let plan = plan_eviction(&store, &cache, &[]);
         assert_eq!(plan.victims.len(), 1);
         assert_eq!(plan.victims[0].handle, output.as_object_handle());
         assert_eq!(plan.victims[0].depth, 1);
         assert_eq!(plan.bytes_reclaimed(), 64);
-        let reclaimed = apply_eviction(&store, &ledger, &plan).unwrap();
+        let reclaimed = apply_eviction(&store, &cache, &plan).unwrap();
         assert_eq!(reclaimed, 64);
         assert!(!store.contains(output));
         assert!(store.contains(input));
-        assert_eq!(ledger.evicted_depth(output), Some(1));
+        // Evicted, the object is still named by its relation: nothing
+        // more to plan.
+        assert!(plan_eviction(&store, &cache, &[]).victims.is_empty());
     }
 
     #[test]
     fn pins_protect_reachable_graph() {
-        let (store, ledger, _input, _, output) = one_step();
+        let (store, cache, _input, _, output) = one_step();
         let root = store.put_tree(Tree::from_handles(vec![output]));
-        let plan = plan_eviction(&store, &ledger, &[root]);
+        let plan = plan_eviction(&store, &cache, &[root]);
         assert!(plan.victims.is_empty());
     }
 
@@ -433,27 +422,17 @@ mod tests {
     fn cascades_assign_increasing_depths() {
         // input -> t1 -> mid -> t2 -> out; both mid and out recomputable.
         let store = Store::new();
-        let ledger = ProvenanceLedger::new();
+        let cache = RelationCache::new();
         let input = store.put_blob(blob(1));
-        let d1 = store.put_tree(Tree::from_handles(vec![input]));
-        let t1 = d1.application().unwrap();
         let mid = store.put_blob(blob(2));
-        ledger.record(mid, t1);
-        let d2 = store.put_tree(Tree::from_handles(vec![mid]));
-        let t2 = d2.application().unwrap();
+        produce(&store, &cache, vec![input], mid);
         let out = store.put_blob(blob(3));
-        ledger.record(out, t2);
+        produce(&store, &cache, vec![mid], out);
 
-        let plan = plan_eviction(&store, &ledger, &[]);
-        let depth_of = |h: Handle| {
-            plan.victims
-                .iter()
-                .find(|v| v.handle == h.as_object_handle())
-                .map(|v| v.depth)
-        };
-        assert_eq!(depth_of(mid), Some(1));
+        let plan = plan_eviction(&store, &cache, &[]);
+        assert_eq!(depth_of(&plan, mid), Some(1));
         // out's recipe needs mid, which is itself a victim at depth 1.
-        assert_eq!(depth_of(out), Some(2));
+        assert_eq!(depth_of(&plan, out), Some(2));
         assert_eq!(plan.max_depth(), 2);
         // Depth order: mid before out.
         assert!(plan.victims[0].handle == mid.as_object_handle());
@@ -461,52 +440,65 @@ mod tests {
 
     #[test]
     fn missing_support_blocks_eviction() {
-        let (store, ledger, input, _, output) = one_step();
-        // The recipe's input vanishes without provenance: `output` can
-        // no longer be recomputed, so it must not be evicted.
+        let (store, cache, input, _, _) = one_step();
+        // The recipe's input vanishes and nothing produces it: the
+        // output can no longer be recomputed, so it must not be evicted.
         store.evict(input);
-        let plan = plan_eviction(&store, &ledger, &[]);
+        let plan = plan_eviction(&store, &cache, &[]);
         assert!(plan.victims.is_empty());
-        let _ = output;
     }
 
     #[test]
     fn self_supporting_objects_never_evicted() {
-        // A selection whose target tree contains the output itself.
+        // A procedure that returns one of its own inputs.
         let store = Store::new();
-        let ledger = ProvenanceLedger::new();
+        let cache = RelationCache::new();
         let out = store.put_blob(blob(9));
-        let target = store.put_tree(Tree::from_handles(vec![out]));
-        let (sel_tree, sel) = fix_core::invocation::build::selection(target, 0).unwrap();
-        store.put_tree(sel_tree);
-        ledger.record(out, sel);
-        let plan = plan_eviction(&store, &ledger, &[]);
-        assert!(plan.victims.iter().all(|v| v.handle != out));
+        produce(&store, &cache, vec![out], out);
+        let plan = plan_eviction(&store, &cache, &[]);
+        assert!(plan.victims.is_empty());
     }
 
     #[test]
-    fn second_round_uses_recorded_evicted_depths() {
-        let (store, ledger, _input, _, output) = one_step();
-        let plan = plan_eviction(&store, &ledger, &[]);
-        apply_eviction(&store, &ledger, &plan).unwrap();
+    fn a_recipe_over_an_evicted_object_costs_one_more() {
+        let (store, cache, _input, _, output) = one_step();
+        let plan = plan_eviction(&store, &cache, &[]);
+        apply_eviction(&store, &cache, &plan).unwrap();
 
         // A later object whose recipe reads the (now evicted) output.
-        let d2 = store.put_tree(Tree::from_handles(vec![output]));
-        let t2 = d2.application().unwrap();
         let out2 = store.put_blob(blob(7));
-        ledger.record(out2, t2);
-        let plan2 = plan_eviction(&store, &ledger, &[]);
-        let v = plan2
-            .victims
-            .iter()
-            .find(|v| v.handle == out2.as_object_handle())
-            .expect("out2 evictable");
-        assert_eq!(v.depth, 2);
+        produce(&store, &cache, vec![output], out2);
+        let plan2 = plan_eviction(&store, &cache, &[]);
+        assert_eq!(plan2.victims.len(), 1);
+        assert_eq!(depth_of(&plan2, out2), Some(2));
+    }
+
+    #[test]
+    fn an_evicted_object_is_priced_afresh_once_its_pin_lifts() {
+        // x -> y -> e -> z. Pass 1 pins y and z, so only e goes, at
+        // depth 1. Pass 2 evicts y too, so e costs 2 and z costs 3.
+        let store = Store::new();
+        let cache = RelationCache::new();
+        let x = store.put_blob(blob(1));
+        let [y, e, z] = [2, 3, 4].map(|n| store.put_blob(blob(n)));
+        produce(&store, &cache, vec![x], y);
+        produce(&store, &cache, vec![y], e);
+        produce(&store, &cache, vec![e], z);
+
+        let pass1 = plan_eviction(&store, &cache, &[y, z]);
+        assert_eq!(pass1.victims.len(), 1);
+        assert_eq!(depth_of(&pass1, e), Some(1));
+        apply_eviction(&store, &cache, &pass1).unwrap();
+
+        let pass2 = plan_eviction(&store, &cache, &[]);
+        assert_eq!(depth_of(&pass2, y), Some(1));
+        assert_eq!(depth_of(&pass2, z), Some(3));
+        assert_eq!(pass2.victims.len(), 2);
     }
 
     #[test]
     fn apply_refuses_recipeless_victims() {
-        let (store, ledger, _, _, output) = one_step();
+        let (store, cache, _, thunk, output) = one_step();
         let fake = EvictionPlan {
             victims: vec![Victim {
                 handle: store.put_blob(blob(42)),
@@ -514,7 +506,13 @@ mod tests {
                 bytes: 64,
             }],
         };
-        assert!(apply_eviction(&store, &ledger, &fake).is_err());
+        assert!(apply_eviction(&store, &cache, &fake).is_err());
+        assert!(store.contains(output));
+
+        // A relation dropped between planning and eviction: same refusal.
+        let plan = plan_eviction(&store, &cache, &[]);
+        cache.remove(Relation::Apply, thunk.thunk_definition().unwrap());
+        assert!(apply_eviction(&store, &cache, &plan).is_err());
         assert!(store.contains(output));
     }
 }

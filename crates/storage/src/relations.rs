@@ -16,7 +16,8 @@
 //! in-flight work, and the paper's "computational garbage collection"
 //! story possible.
 
-use crate::hooks::RelationSink;
+use crate::hooks::{already_hooked, RelationSink};
+use fix_core::error::Result;
 use fix_core::handle::{Handle, HandleBuildHasher, HandleMap};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,11 +86,12 @@ impl RelationCache {
         }
     }
 
-    /// Installs the fresh-relation observer. At most one per cache.
-    pub fn set_sink(&self, sink: Arc<dyn RelationSink>) {
-        if self.sink.set(sink).is_err() {
-            panic!("relation cache already has a sink");
-        }
+    /// Installs the fresh-relation observer. At most one per cache; a
+    /// second install is an error.
+    pub fn set_sink(&self, sink: Arc<dyn RelationSink>) -> Result<()> {
+        self.sink
+            .set(sink)
+            .map_err(|_| already_hooked("relation cache already has a sink"))
     }
 
     /// The shard owning relations over `input`. Picked from the keyed
@@ -164,7 +166,8 @@ impl RelationCache {
     ///
     /// The durable tier snapshots the cache through this; relations
     /// recorded concurrently are not lost — they reach the snapshot's
-    /// successor log through the sink instead.
+    /// successor log through the sink instead. Computational GC reads
+    /// its recipes through it too ([`recipes`](crate::recipes)).
     pub fn entries(&self) -> Vec<(Relation, Handle, Handle)> {
         let mut out = Vec::with_capacity(self.len());
         for shard in &self.shards {
@@ -274,6 +277,17 @@ mod tests {
             .filter(|s| !s.map.read().is_empty())
             .count();
         assert!(used > SHARDS / 2, "{used} of {SHARDS} shards used");
+    }
+
+    #[test]
+    fn a_second_sink_is_an_error() {
+        struct Nothing;
+        impl RelationSink for Nothing {
+            fn recorded(&self, _: Relation, _: Handle, _: Handle) {}
+        }
+        let cache = RelationCache::new();
+        assert!(cache.set_sink(Arc::new(Nothing)).is_ok());
+        assert!(cache.set_sink(Arc::new(Nothing)).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! store mapping Handles to Blob/Tree data (paper Fig. 6, "Runtime
 //! Storage: Handles ==> Data").
 
-use crate::hooks::{FaultSource, StoreSink};
+use crate::hooks::{already_hooked, FaultSource, StoreSink};
 use fix_core::data::{literal_blob, Blob, Node, Tree};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{Handle, HandleBuildHasher, HandleMap, HandleSet};
@@ -80,18 +80,19 @@ impl Store {
     }
 
     /// Installs the backing tier consulted after an in-memory miss.
-    /// At most one per store; a second install panics.
-    pub fn set_fault_source(&self, source: Arc<dyn FaultSource>) {
-        if self.fault.set(source).is_err() {
-            panic!("store already has a fault source");
-        }
+    /// At most one per store; a second install is an error.
+    pub fn set_fault_source(&self, source: Arc<dyn FaultSource>) -> Result<()> {
+        self.fault
+            .set(source)
+            .map_err(|_| already_hooked("store already has a fault source"))
     }
 
-    /// Installs the fresh-insert observer. At most one per store.
-    pub fn set_sink(&self, sink: Arc<dyn StoreSink>) {
-        if self.sink.set(sink).is_err() {
-            panic!("store already has an insert sink");
-        }
+    /// Installs the fresh-insert observer. At most one per store; a
+    /// second install is an error.
+    pub fn set_sink(&self, sink: Arc<dyn StoreSink>) -> Result<()> {
+        self.sink
+            .set(sink)
+            .map_err(|_| already_hooked("store already has an insert sink"))
     }
 
     /// Stores a datum, returning its canonical Handle. Idempotent.
@@ -189,8 +190,9 @@ impl Store {
 
     /// True if the datum is in memory right now — unlike
     /// [`contains`](Store::contains), never consults the backing tier.
-    /// The durable tier's spill and snapshot logic distinguishes
-    /// resident from merely-faultable objects through this.
+    /// The durable tier's spill and snapshot logic, and eviction
+    /// planning, distinguish resident from merely-faultable objects
+    /// through this.
     pub fn resident(&self, handle: Handle) -> bool {
         if handle.is_literal() {
             return true;
@@ -319,6 +321,27 @@ impl fix_core::api::ObjectApi for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_second_hook_install_is_an_error() {
+        struct Nothing;
+        impl FaultSource for Nothing {
+            fn fault(&self, _: Handle) -> Option<Node> {
+                None
+            }
+            fn knows(&self, _: Handle) -> bool {
+                false
+            }
+        }
+        impl StoreSink for Nothing {
+            fn inserted(&self, _: Handle, _: &Node) {}
+        }
+        let store = Store::new();
+        assert!(store.set_fault_source(Arc::new(Nothing)).is_ok());
+        assert!(store.set_fault_source(Arc::new(Nothing)).is_err());
+        assert!(store.set_sink(Arc::new(Nothing)).is_ok());
+        assert!(store.set_sink(Arc::new(Nothing)).is_err());
+    }
 
     #[test]
     fn put_get_round_trip() {

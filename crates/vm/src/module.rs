@@ -20,6 +20,9 @@ use fix_core::error::{Error, Result};
 /// The 8-byte module magic.
 pub const MAGIC: &[u8; 8] = b"FIXVM01\0";
 
+/// A function header's size: `nargs`, `nlocals` and `code_len`.
+const FUNCTION_HEADER: usize = 8;
+
 /// One function body after decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
@@ -90,6 +93,14 @@ impl Module {
         let fn_count = read_u16(bytes, &mut pos)? as usize;
         if fn_count == 0 {
             return Err(malformed("module has no functions"));
+        }
+        // Every function has a header, so the count is checked against
+        // the bytes left before anything is reserved for it.
+        if fn_count > (bytes.len() - pos) / FUNCTION_HEADER {
+            return Err(malformed(format!(
+                "{fn_count} functions cannot fit in {} bytes",
+                bytes.len() - pos
+            )));
         }
         let mut functions = Vec::with_capacity(fn_count);
         for idx in 0..fn_count {

@@ -27,8 +27,7 @@ fn parse_hist(blob: &Blob) -> [u64; 256] {
 }
 
 fn main() -> Result<()> {
-    // Provenance recording is the opt-in for delayed-availability.
-    let rt = Runtime::builder().with_provenance().build();
+    let rt = Runtime::builder().build();
 
     // histogram(shard): 256 × u64 counts of each byte value.
     let histogram = rt.register_native(
@@ -67,8 +66,8 @@ fn main() -> Result<()> {
         rt.store().total_bytes() / 1024
     );
 
-    // Map, then binary reduce. Each stage's output is recorded with its
-    // recipe as it runs.
+    // Map, then binary reduce. Each stage's memoized relation is the
+    // recipe eviction will read back.
     let limits = ResourceLimits::default_limits();
     let mut layer: Vec<Handle> = Vec::new();
     for &shard in &shards {

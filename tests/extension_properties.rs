@@ -13,7 +13,7 @@ fn limits() -> ResourceLimits {
 /// A runtime with a keyed transform codelet: out = f(in, salt), 64-byte
 /// outputs so everything is evictable.
 fn transform_runtime() -> (Runtime, Handle) {
-    let rt = Runtime::builder().with_provenance().build();
+    let rt = Runtime::builder().build();
     let f = rt.register_native(
         "transform",
         Arc::new(|ctx| {
@@ -70,14 +70,27 @@ proptest! {
     }
 
     /// The eviction plan's depth bound is an upper bound on what
-    /// materialize actually does.
+    /// materialize actually does — also when an earlier pass evicted
+    /// part of the chain under pins that the last pass lifts.
     #[test]
-    fn planned_depth_bounds_actual_cascade(chain_len in 1usize..6) {
+    fn planned_depth_bounds_actual_cascade(chain_len in 1usize..6, lift_pins in any::<bool>()) {
         let (rt, f) = transform_runtime();
         let mut cur = rt.put_blob(Blob::from_vec(vec![0x11; 64]));
+        let mut outputs = Vec::new();
         for salt in 0..chain_len as u64 {
             let t = rt.apply(limits(), f, &[cur, rt.put_blob(Blob::from_u64(salt))]).unwrap();
             cur = rt.eval(t).unwrap();
+            outputs.push(cur);
+        }
+        if lift_pins {
+            // Pin every output but the one before last: in x → y → e → z
+            // that pins [y, z], so only e goes, at depth 1 — until the
+            // unpinned pass below evicts y under it.
+            let mut pins = outputs.clone();
+            if chain_len >= 2 {
+                pins.remove(chain_len - 2);
+            }
+            rt.evict_recomputable(&pins).unwrap();
         }
         let outcome = rt.evict_recomputable(&[]).unwrap();
         let planned = outcome.plan.max_depth();

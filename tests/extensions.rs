@@ -4,6 +4,7 @@
 
 use fix::prelude::*;
 use fix_billing::{bill_effort, bill_results, meter_eval, Money, PriceSheet};
+use fix_storage::Relation;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -69,7 +70,7 @@ fn histogram_pipeline(rt: &Runtime, n_shards: usize) -> Handle {
 
 #[test]
 fn evicted_pipeline_recomputes_byte_identical_results() {
-    let rt = Runtime::builder().with_provenance().build();
+    let rt = Runtime::builder().build();
     let total = histogram_pipeline(&rt, 8);
     let original = rt.get_blob(total).unwrap();
 
@@ -86,7 +87,7 @@ fn evicted_pipeline_recomputes_byte_identical_results() {
 
 #[test]
 fn partial_eviction_with_pins_limits_recompute_cascade() {
-    let rt = Runtime::builder().with_provenance().build();
+    let rt = Runtime::builder().build();
     let total = histogram_pipeline(&rt, 8);
 
     // Pin the final result: only intermediates are evicted.
@@ -101,7 +102,7 @@ fn partial_eviction_with_pins_limits_recompute_cascade() {
 
 #[test]
 fn eviction_is_idempotent_and_safe_to_repeat() {
-    let rt = Runtime::builder().with_provenance().build();
+    let rt = Runtime::builder().build();
     let total = histogram_pipeline(&rt, 4);
     let first = rt.evict_recomputable(&[]).unwrap();
     assert!(first.bytes_reclaimed > 0);
@@ -188,25 +189,11 @@ fn metered_real_evaluation_produces_consistent_invoices() {
 }
 
 #[test]
-fn provenance_recording_does_not_change_results() {
-    // The same pipeline with and without the ledger produces identical
-    // handles (recording is pure observation).
-    let plain = Runtime::builder().build();
-    let traced = Runtime::builder().with_provenance().build();
-    let a = histogram_pipeline(&plain, 4);
-    let b = histogram_pipeline(&traced, 4);
-    assert_eq!(a, b);
-    assert_eq!(plain.get_blob(a).unwrap(), traced.get_blob(b).unwrap());
-    assert!(traced.provenance().unwrap().len() >= 7);
-    assert!(plain.provenance().is_none());
-}
-
-#[test]
 fn recompute_fails_cleanly_when_procedure_is_gone() {
     // A recipe is only as good as the code it names: ship the evicted
     // store to a runtime that never registered the procedure and the
     // cold read must fail with UnknownProcedure — not hang or corrupt.
-    let rt = Runtime::builder().with_provenance().build();
+    let rt = Runtime::builder().build();
     let double = rt.register_native(
         "ephemeral/double",
         Arc::new(|ctx| {
@@ -228,24 +215,31 @@ fn recompute_fails_cleanly_when_procedure_is_gone() {
     // name with a failing stub is not possible (same handle would run);
     // instead, rebuild the runtime and import everything except the
     // procedure's implementation.
-    let cold = Runtime::builder().with_provenance().build();
+    let cold = Runtime::builder().build();
     for h in rt.store().inventory() {
         let node = rt.store().get(h).unwrap();
         cold.store().put(node);
     }
-    // Copy the ledger's knowledge by re-recording the recipe.
-    let recipe = rt.provenance().unwrap().recipe_for(out).unwrap();
-    cold.provenance().unwrap().record(out, recipe);
-    let err = cold.materialize(out).unwrap_err();
+    // Copy the recipe: the relation that produced `out`.
+    for (relation, input, output) in rt.cache().entries() {
+        if relation == Relation::Apply && output == out {
+            cold.cache().put(relation, input, output);
+        }
+    }
+    // A failed re-run keeps its recipe: the second cold read fails the
+    // same way, not with NotFound.
+    let first = cold.materialize(out).unwrap_err();
     assert!(
-        err.to_string().contains("procedure") || err.to_string().contains("not found"),
-        "unexpected error: {err}"
+        matches!(first, Error::UnknownProcedure(_)),
+        "unexpected error: {first}"
     );
+    let second = cold.materialize(out).unwrap_err();
+    assert_eq!(second.to_string(), first.to_string());
 }
 
 #[test]
 fn recompute_counts_procedures_not_cache_hits() {
-    let rt = Runtime::builder().with_provenance().build();
+    let rt = Runtime::builder().build();
     let total = histogram_pipeline(&rt, 4);
     let runs_before = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
     rt.evict_recomputable(&[]).unwrap();
