@@ -96,7 +96,7 @@
 use crate::data::{Blob, Node, Tree};
 use crate::error::{Error, Result};
 use crate::handle::{EncodeStyle, Handle};
-use crate::invocation::Invocation;
+use crate::invocation::application_tree;
 use crate::limits::ResourceLimits;
 use crate::semantics::Footprint;
 use std::ops::Deref;
@@ -244,15 +244,11 @@ pub trait InvocationApi: ObjectApi {
     }
 
     /// Builds and stores an application tree `[limits, proc, args...]`,
-    /// returning the Application Thunk.
+    /// returning the Application Thunk. Building the tree is one
+    /// allocation.
     fn apply(&self, limits: ResourceLimits, procedure: Handle, args: &[Handle]) -> Result<Handle> {
-        let inv = Invocation {
-            limits,
-            procedure,
-            args: args.to_vec(),
-        };
-        let h = self.put_tree(inv.to_tree());
-        h.application()
+        self.put_tree(application_tree(limits, procedure, args))
+            .application()
     }
 
     /// Builds a strict encode of an application, the most common idiom:

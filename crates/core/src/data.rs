@@ -8,7 +8,7 @@
 //! are computed with different BLAKE3 keys, so a Tree whose serialized
 //! entries happen to equal some Blob's bytes can never alias it.
 
-use crate::handle::{DataType, Handle, Kind, DIGEST_LEN, MAX_LITERAL};
+use crate::handle::{DataType, Handle, Kind, DIGEST_LEN};
 use bytes::Bytes;
 use std::sync::{Arc, OnceLock};
 
@@ -123,10 +123,9 @@ impl Blob {
     /// The canonical Handle naming this blob: a literal for contents of 30
     /// bytes or fewer, otherwise a digest-addressed BlobObject.
     pub fn handle(&self) -> Handle {
-        if self.len() <= MAX_LITERAL {
-            Handle::literal(&self.bytes).expect("length checked")
-        } else {
-            Handle::blob_object(blob_digest(&self.bytes), self.len() as u64)
+        match Handle::literal(&self.bytes) {
+            Some(literal) => literal,
+            None => Handle::blob_object(blob_digest(&self.bytes), self.len() as u64),
         }
     }
 }
@@ -243,9 +242,13 @@ impl From<Vec<Handle>> for Tree {
     }
 }
 
+/// Collects straight into the shared entry slice: an iterator of known
+/// length (a chain of arrays and slices, say) is one allocation.
 impl FromIterator<Handle> for Tree {
     fn from_iter<I: IntoIterator<Item = Handle>>(iter: I) -> Tree {
-        Tree::from_handles(iter.into_iter().collect())
+        Tree {
+            entries: iter.into_iter().collect(),
+        }
     }
 }
 

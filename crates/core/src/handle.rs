@@ -271,7 +271,8 @@ impl Handle {
         match tag {
             TAG_OBJECT => Kind::Object(ty),
             TAG_REF => Kind::Ref(ty),
-            TAG_THUNK | TAG_ENCODE => {
+            // The tag is two bits: TAG_THUNK or TAG_ENCODE.
+            _ => {
                 let tk = match (kind_byte >> 2) & 0b11 {
                     THUNK_APPLICATION => ThunkKind::Application,
                     THUNK_IDENTIFICATION => ThunkKind::Identification,
@@ -288,7 +289,6 @@ impl Handle {
                     Kind::Encode(style, tk)
                 }
             }
-            _ => unreachable!("tag is two bits"),
         }
     }
 
@@ -384,6 +384,7 @@ impl Handle {
     pub fn as_ref_handle(self) -> Handle {
         match self.kind() {
             Kind::Object(_) | Kind::Ref(_) => self.with_kind_byte(TAG_REF),
+            // invariant: the documented contract — callers pass values.
             k => panic!("as_ref_handle on non-value handle ({k})"),
         }
     }
@@ -399,6 +400,7 @@ impl Handle {
     pub fn as_object_handle(self) -> Handle {
         match self.kind() {
             Kind::Object(_) | Kind::Ref(_) => self.with_kind_byte(TAG_OBJECT),
+            // invariant: the documented contract — callers pass values.
             k => panic!("as_object_handle on non-value handle ({k})"),
         }
     }
@@ -509,12 +511,12 @@ impl fmt::Display for Handle {
                 write!(f, "{}:lit:0x{}", self.kind(), fix_hash::to_hex(content))
             }
         } else {
-            let d = self.digest().expect("canonical handle has a digest");
+            // A canonical handle leads with its digest.
             write!(
                 f,
                 "{}:{}…:{}",
                 self.kind(),
-                fix_hash::to_hex(&d[..6]),
+                fix_hash::to_hex(&self.0[..6]),
                 self.size()
             )
         }
@@ -611,11 +613,10 @@ impl HandleHasher {
 impl Hasher for HandleHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.fold(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for &word in words {
+            self.fold(u64::from_le_bytes(word));
         }
-        let rest = words.remainder();
         if !rest.is_empty() {
             let mut last = [0u8; 8];
             last[..rest.len()].copy_from_slice(rest);

@@ -14,6 +14,15 @@ use crate::error::{Error, Result};
 use crate::handle::{DataType, Handle, Kind};
 use crate::limits::ResourceLimits;
 
+/// The application tree `[limits, procedure, args...]`, collected
+/// straight into its shared entry slice: one allocation.
+pub(crate) fn application_tree(limits: ResourceLimits, procedure: Handle, args: &[Handle]) -> Tree {
+    [limits.handle(), procedure]
+        .into_iter()
+        .chain(args.iter().copied())
+        .collect()
+}
+
 /// A parsed application tree: `[limits, procedure, args...]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Invocation {
@@ -29,11 +38,7 @@ pub struct Invocation {
 impl Invocation {
     /// Builds the canonical application tree for this invocation.
     pub fn to_tree(&self) -> Tree {
-        let mut entries = Vec::with_capacity(2 + self.args.len());
-        entries.push(self.limits.handle());
-        entries.push(self.procedure);
-        entries.extend_from_slice(&self.args);
-        Tree::from_handles(entries)
+        application_tree(self.limits, self.procedure, &self.args)
     }
 
     /// Parses an application tree.
@@ -41,7 +46,7 @@ impl Invocation {
     /// The tree must have at least two entries, and slot 0 must be a
     /// literal resource-limits blob.
     pub fn from_tree(tree: &Tree) -> Result<Invocation> {
-        if tree.len() < 2 {
+        let &[limits, procedure, ref args @ ..] = tree.entries() else {
             return Err(Error::MalformedTree {
                 handle: tree.handle(),
                 reason: format!(
@@ -49,14 +54,11 @@ impl Invocation {
                     tree.len()
                 ),
             });
-        }
-        let limits = ResourceLimits::from_handle(tree.get(0).expect("len checked"))?;
-        let procedure = tree.get(1).expect("len checked");
-        let args = tree.entries()[2..].to_vec();
+        };
         Ok(Invocation {
-            limits,
+            limits: ResourceLimits::from_handle(limits)?,
             procedure,
-            args,
+            args: args.to_vec(),
         })
     }
 }
@@ -108,13 +110,16 @@ impl Selection {
 
     /// Parses a selection tree.
     pub fn from_tree(tree: &Tree) -> Result<Selection> {
-        if tree.len() != 2 && tree.len() != 3 {
-            return Err(Error::MalformedTree {
-                handle: tree.handle(),
-                reason: format!("selection tree needs 2 or 3 entries, got {}", tree.len()),
-            });
-        }
-        let target = tree.get(0).expect("len checked");
+        let (target, begin, end) = match *tree.entries() {
+            [target, begin] => (target, begin, None),
+            [target, begin, end] => (target, begin, Some(end)),
+            _ => {
+                return Err(Error::MalformedTree {
+                    handle: tree.handle(),
+                    reason: format!("selection tree needs 2 or 3 entries, got {}", tree.len()),
+                })
+            }
+        };
         let index_of = |h: Handle| -> Result<u64> {
             crate::data::literal_blob(h)
                 .and_then(|b| b.as_u64())
@@ -123,12 +128,11 @@ impl Selection {
                     reason: "selection index must be a small literal integer blob".into(),
                 })
         };
-        let begin = index_of(tree.get(1).expect("len checked"))?;
-        let end = match tree.get(2) {
-            Some(h) => Some(index_of(h)?),
-            None => None,
-        };
-        Ok(Selection { target, begin, end })
+        Ok(Selection {
+            target,
+            begin: index_of(begin)?,
+            end: end.map(index_of).transpose()?,
+        })
     }
 
     /// Validates the range against a target length, returning the concrete

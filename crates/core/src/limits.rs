@@ -60,18 +60,25 @@ impl ResourceLimits {
         ResourceLimits::new(64 << 20, 1 << 32)
     }
 
-    /// Serializes to the canonical 24-byte blob.
-    pub fn to_blob(&self) -> Blob {
+    /// The canonical 24 bytes.
+    fn to_bytes(self) -> [u8; Self::ENCODED_LEN] {
         let mut buf = [0u8; Self::ENCODED_LEN];
         buf[0..8].copy_from_slice(&self.memory_bytes.to_le_bytes());
         buf[8..16].copy_from_slice(&self.fuel.to_le_bytes());
         buf[16..24].copy_from_slice(&self.output_size_hint.to_le_bytes());
-        Blob::from_slice(&buf)
+        buf
     }
 
-    /// The literal Handle of the serialized limits.
+    /// Serializes to the canonical 24-byte blob.
+    pub fn to_blob(&self) -> Blob {
+        Blob::from_slice(&self.to_bytes())
+    }
+
+    /// The literal Handle of the serialized limits, built from the bytes
+    /// on the stack (no blob is allocated).
     pub fn handle(&self) -> Handle {
-        self.to_blob().handle()
+        // invariant: ENCODED_LEN (24) ≤ MAX_LITERAL (30), so this is Some.
+        Handle::literal(&self.to_bytes()).expect("24 bytes fit in a literal")
     }
 
     /// Parses limits back from a blob.

@@ -175,6 +175,7 @@ impl BatchTicket {
         match std::mem::replace(&mut self.state, TicketState::Taken) {
             TicketState::Ready(results) => results,
             TicketState::Pending(pending) => pending.wait(),
+            // invariant: the documented contract — results are claimed once.
             TicketState::Taken => panic!("BatchTicket::wait after the results were taken"),
         }
     }
@@ -189,6 +190,7 @@ impl BatchTicket {
         match std::mem::replace(&mut self.state, TicketState::Taken) {
             TicketState::Ready(results) => Some(results),
             TicketState::Taken => None,
+            // invariant: `poll()` returned true, so the state is not Pending.
             TicketState::Pending(_) => unreachable!("poll() resolved the ticket"),
         }
     }
@@ -312,18 +314,13 @@ impl Ticket {
 
     /// Blocks until the evaluation completes, consuming the ticket.
     pub fn wait(self) -> Result<Handle> {
-        self.batch
-            .wait()
-            .pop()
-            .expect("a Ticket holds exactly one slot")
+        only_result(self.batch.wait())
     }
 
     /// Claims the result without blocking: `Some` exactly once, as soon
     /// as the evaluation is complete.
     pub fn take_result(&mut self) -> Option<Result<Handle>> {
-        self.batch
-            .take_results()
-            .map(|mut results| results.pop().expect("a Ticket holds exactly one slot"))
+        self.batch.take_results().map(only_result)
     }
 
     /// Cancels the request, consuming the ticket; see
@@ -331,6 +328,17 @@ impl Ticket {
     pub fn cancel(self) {
         self.batch.cancel()
     }
+}
+
+/// The one result of a one-slot batch. A backend that completed the
+/// batch with no result at all is a substrate fault, reported as one.
+fn only_result(mut results: Vec<Result<Handle>>) -> Result<Handle> {
+    results.pop().unwrap_or_else(|| {
+        Err(crate::error::Error::Backend {
+            backend: "ticket",
+            message: "a one-slot batch completed with no result".into(),
+        })
+    })
 }
 
 #[cfg(test)]

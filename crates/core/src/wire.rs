@@ -124,9 +124,13 @@ impl Parcel {
                 }
                 _ => return Err(fail("parcel object with a non-value handle")),
             };
-            // Verify content addressing: payload must match the name.
+            // Verify content addressing: the payload's canonical name must
+            // be the declared one, whole — a literal's name is its bytes,
+            // so comparing digests alone would pass any literal. A sender
+            // names objects in canonical (Object) form, so the parcel
+            // re-encodes to exactly the bytes received.
             let computed = node.handle();
-            if computed.digest() != declared.digest() || computed.size() != declared.size() {
+            if computed != declared {
                 return Err(Error::Trap(format!(
                     "parcel integrity failure: declared {declared}, got {computed}"
                 )));
@@ -200,6 +204,20 @@ mod tests {
         bytes[n - 80] ^= 0xFF;
         let err = Parcel::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("integrity"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_literal_whose_bytes_differ_from_its_name() {
+        let abc = Blob::from_slice(b"abc").handle();
+        let mut bytes = Parcel::new(abc, vec![Node::Blob(Blob::from_slice(b"abc"))]).to_bytes();
+        let n = bytes.len();
+        bytes[n - 3..].copy_from_slice(b"xyz");
+        let err = Parcel::from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("integrity"), "{err}");
+        // The same object named as a Ref is not the canonical name either.
+        let mut as_ref = Parcel::new(abc, vec![Node::Blob(Blob::from_slice(b"abc"))]).to_bytes();
+        as_ref[44..76].copy_from_slice(abc.as_ref_handle().raw());
+        assert!(Parcel::from_bytes(&as_ref).is_err());
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! * [`Job::Force`] — deep-evaluate a value (strict semantics): all
 //!   Thunks and Encodes inside replaced, all Refs promoted.
 //!
+//! A finished application leaves one relation, its `Eval`. The third
+//! relation, `Apply(tree) → thunk`, is recorded only when a procedure
+//! makes a tail call: it keeps a re-step from running the procedure
+//! again while the callee is still being evaluated.
+//!
 //! There is no job for an Encode: what it splices in is *derived* from
 //! those two relations ([`RelationCache::resolved`]), so a job that needs
 //! an unresolved Encode waits directly on the relation that is missing —
@@ -292,7 +297,13 @@ impl Engine {
                     (resolved, resolved_h)
                 };
                 let raw = self.run_procedure(&resolved, resolved_h)?;
-                self.cache.put(Relation::Apply, tree_h, raw);
+                if raw.is_thunk() {
+                    // A tail call: until the callee finishes, `Apply` is
+                    // what keeps a re-step from running the procedure
+                    // again. A value needs no `Apply`: its `Eval` below
+                    // is the application's one relation.
+                    self.cache.put(Relation::Apply, tree_h, raw);
+                }
                 raw
             }
         };
@@ -320,7 +331,7 @@ impl Engine {
     /// Records that `job`, which reported [`Step::Tail`], finished with
     /// its callee's `value`: the relation a re-step would have copied.
     /// Nothing ran, so the relation names no recipe (computational GC
-    /// reads recipes from `Apply` and range-selection `Eval`s only).
+    /// skips the `Eval` of an application whose `Apply` is a thunk).
     pub(crate) fn complete_tail(&self, job: Job, value: Handle) {
         let (relation, input) = job.relation();
         self.cache.put(relation, input, value);

@@ -142,10 +142,13 @@ impl Runtime {
     /// evaluation (the scheduler keeps none), so `cache().clear()` is a
     /// complete, consistent way to forget every memoized result — the
     /// next request for any of them runs cold. A failure is never
-    /// memoized: the next request for it re-attempts it.
+    /// memoized: the next request for it re-attempts it. A finished
+    /// application leaves one relation here, its `Eval`; `Apply` is
+    /// recorded only for a tail call.
     ///
-    /// The cache is also computational GC's recipe book: clearing it
-    /// forgets how to recompute evicted objects too, and
+    /// The cache is also computational GC's recipe book (an
+    /// application's `Eval` is the recipe for the bytes it produced):
+    /// clearing it forgets how to recompute evicted objects too, and
     /// [`materialize`](Runtime::materialize) of one then returns
     /// `NotFound`.
     pub fn cache(&self) -> &Arc<RelationCache> {

@@ -13,8 +13,8 @@
 //! records them:
 //!
 //! * [`recipes`] — the `object → recipe` map, derived afresh from the
-//!   cache's `Apply` relations and range-selection `Eval`s each time GC
-//!   is asked for;
+//!   cache's application and range-selection `Eval`s each time GC is
+//!   asked for;
 //! * [`plan_eviction`] — decides *which* resident objects can be
 //!   soundly deleted: an object is evictable only if everything its
 //!   recipe needs stays resident, is a literal, or is recomputable
@@ -36,21 +36,37 @@ use fix_core::semantics::EncodeResolver;
 ///
 /// Two relations name a recipe:
 ///
-/// * `Apply(tree) → out` with a data `out` — the recipe is
-///   `tree.application()`, the procedure run that created the bytes;
+/// * `Eval(h) → out` where `h` is an application — the recipe is `h`,
+///   the procedure run that created the bytes. An application whose
+///   `Apply(tree)` is a thunk made a tail call: its value came from the
+///   callee, so its `Eval` is no recipe;
 /// * `Eval(h) → out` where `h` is a *range* selection — the recipe is
 ///   `h`, the extraction that created the slice.
+///
+/// A log written when every application recorded `Apply(tree) → out`
+/// beside its `Eval` still plans: an `Apply` with a data `out` names the
+/// same recipe, `tree.application()`.
 ///
 /// A single-index selection returns an entry of its own target (never
 /// fresh bytes), so it is no recipe. Where several relations produce one
 /// object, the recipe with the lowest handle bytes wins: the choice
 /// never depends on map order.
 pub fn recipes(store: &Store, cache: &RelationCache) -> HandleMap<[u8; 32], (Handle, Handle)> {
+    let entries = cache.entries();
+    let tail_calls: HandleSet<Handle> = entries
+        .iter()
+        .filter(|&&(relation, _, raw)| relation == Relation::Apply && raw.is_thunk())
+        .map(|&(_, tree, _)| tree)
+        .collect();
     let mut out: HandleMap<[u8; 32], (Handle, Handle)> = HandleMap::default();
-    for (relation, input, output) in cache.entries() {
+    for (relation, input, output) in entries {
         let recipe = match relation {
-            Relation::Apply => input.application().ok(),
+            Relation::Eval if input.kind() == Kind::Thunk(ThunkKind::Application) => input
+                .thunk_definition()
+                .is_ok_and(|tree| !tail_calls.contains(&tree))
+                .then_some(input),
             Relation::Eval if is_range_selection(store, input) => Some(input),
+            Relation::Apply => input.application().ok(),
             _ => None,
         };
         let Some(recipe) = recipe else {
@@ -307,7 +323,9 @@ mod tests {
     }
 
     /// Records `output` as the result of running a procedure on a tree
-    /// of `inputs`; returns the recipe (the tree's application).
+    /// of `inputs` the way the engine does — the application's `Eval`,
+    /// or `Apply(tree)` for a tail call — and returns the recipe (the
+    /// tree's application).
     fn produce(
         store: &Store,
         cache: &RelationCache,
@@ -315,8 +333,13 @@ mod tests {
         output: Handle,
     ) -> Handle {
         let def = store.put_tree(Tree::from_handles(inputs));
-        cache.put(Relation::Apply, def, output);
-        def.application().unwrap()
+        let thunk = def.application().unwrap();
+        if output.is_thunk() {
+            cache.put(Relation::Apply, def, output);
+        } else {
+            cache.put(Relation::Eval, thunk, output);
+        }
+        thunk
     }
 
     /// A store with `input -> (thunk) -> output` recorded in the cache.
@@ -369,6 +392,35 @@ mod tests {
             other
         };
         assert_eq!(recipes(&store, &cache)[&payload_key(output)].1, lowest);
+    }
+
+    #[test]
+    fn a_tail_calls_value_is_its_callees_product() {
+        // `caller` returned the thunk `callee`; `callee` made the bytes.
+        let (store, cache, input, callee, output) = one_step();
+        let caller = produce(&store, &cache, vec![input, input], callee);
+        cache.put(Relation::Eval, caller, output);
+        let recipes = recipes(&store, &cache);
+        assert_eq!(recipes.len(), 1);
+        assert_eq!(recipes[&payload_key(output)], (output, callee));
+    }
+
+    #[test]
+    fn a_log_with_both_relations_per_application_still_plans() {
+        // The older shape: `Apply(tree) → out` beside the `Eval`, or
+        // alone. Both name the same recipe.
+        let (store, cache, _, thunk, output) = one_step();
+        cache.put(Relation::Apply, thunk.thunk_definition().unwrap(), output);
+        let out2 = store.put_blob(blob(3));
+        let def2 = store.put_tree(Tree::from_handles(vec![output]));
+        cache.put(Relation::Apply, def2, out2);
+        let recipes = recipes(&store, &cache);
+        assert_eq!(recipes.len(), 2);
+        assert_eq!(recipes[&payload_key(output)], (output, thunk));
+        assert_eq!(
+            recipes[&payload_key(out2)],
+            (out2, def2.application().unwrap())
+        );
     }
 
     #[test]
@@ -511,7 +563,7 @@ mod tests {
 
         // A relation dropped between planning and eviction: same refusal.
         let plan = plan_eviction(&store, &cache, &[]);
-        cache.remove(Relation::Apply, thunk.thunk_definition().unwrap());
+        cache.remove(Relation::Eval, thunk);
         assert!(apply_eviction(&store, &cache, &plan).is_err());
         assert!(store.contains(output));
     }

@@ -7,14 +7,17 @@
 //!
 //! * `Eval(thunk) → value` — reduction to weak head normal form (a
 //!   non-Thunk handle);
-//! * `Apply(tree) → handle` — the raw result of running a procedure on an
-//!   application tree (possibly another Thunk, for tail calls);
+//! * `Apply(tree) → thunk` — the raw result of running a procedure on an
+//!   application tree, recorded only for a tail call (the procedure
+//!   returned another Thunk); a finished application's one relation is
+//!   its `Eval`;
 //! * `Force(handle) → value` — deep (strict) evaluation: every Thunk and
 //!   Encode inside has been replaced, recursively.
 //!
 //! These memoized relations are what make Fix's memoization, dedup of
 //! in-flight work, and the paper's "computational garbage collection"
-//! story possible.
+//! story possible: an application's `Eval` names the recipe for the
+//! bytes it produced ([`recipes`](crate::recipes)).
 
 use crate::hooks::{already_hooked, RelationSink};
 use fix_core::error::Result;
@@ -28,7 +31,10 @@ use std::sync::{Arc, OnceLock};
 pub enum Relation {
     /// Reduce a Thunk until the result is not a Thunk.
     Eval,
-    /// Run one application step on an application-tree handle.
+    /// Run one application step on an application-tree handle. Recorded
+    /// only for a tail call; a finished application's one relation is its
+    /// `Eval`. (A log from an older writer may also hold `Apply(tree) →
+    /// value`, beside that `Eval`; it replays and plans all the same.)
     Apply,
     /// Deep (strict) evaluation of a value: recursively resolve Thunks
     /// and Encodes inside Trees and promote Refs to Objects.

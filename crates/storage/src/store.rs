@@ -8,6 +8,7 @@ use fix_core::error::{Error, Result};
 use fix_core::handle::{Handle, HandleBuildHasher, HandleMap, HandleSet};
 use fix_core::semantics::DataSource;
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -121,10 +122,20 @@ impl Store {
     }
 
     /// Makes `node` resident under `key`; true if the key was new.
+    ///
+    /// A resident node is kept: an equal `node` put again is dropped
+    /// (after the shard lock is released), so a warm put frees the
+    /// caller's fresh copy rather than the copy readers already share.
     #[inline]
     fn insert(&self, key: [u8; 32], node: Node) -> bool {
         let size = node.transfer_size();
-        let fresh = self.shard(&key).write().insert(key, node).is_none();
+        let fresh = match self.shard(&key).write().entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(node);
+                true
+            }
+            Entry::Occupied(_) => false,
+        };
         if fresh {
             self.total_bytes.fetch_add(size, Ordering::Relaxed);
         }
@@ -371,6 +382,18 @@ mod tests {
         store.put_blob(blob.clone());
         assert_eq!(store.object_count(), 1);
         assert_eq!(store.total_bytes(), 100);
+    }
+
+    #[test]
+    fn a_second_put_keeps_the_resident_node() {
+        let store = Store::new();
+        let entries = vec![Blob::from_slice(&[4u8; 64]).handle(); 3];
+        let h = store.put_tree(Tree::from_handles(entries.clone()));
+        let resident = store.get_tree(h).unwrap().entries().as_ptr();
+        store.put_tree(Tree::from_handles(entries));
+        assert_eq!(store.get_tree(h).unwrap().entries().as_ptr(), resident);
+        assert_eq!(store.object_count(), 1);
+        assert_eq!(store.total_bytes(), 3 * 32);
     }
 
     #[test]

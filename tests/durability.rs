@@ -4,6 +4,7 @@
 
 use fix::durable::{DurableOptions, DurableStore, FsyncPolicy};
 use fix::prelude::*;
+use fix_storage::Relation;
 use std::sync::Arc;
 
 fn options() -> DurableOptions {
@@ -64,6 +65,65 @@ fn memoized_work_survives_a_restart_through_the_runtime() {
     let blob = rt.get_blob(result_warm).unwrap();
     assert_eq!(&blob.as_slice()[..8], &42u64.to_le_bytes());
     assert!(rt.durable().unwrap().stats().faults >= 1);
+}
+
+/// An older writer recorded `Apply(tree) → out` for every finished
+/// application, beside its `Eval` — or alone, if it stopped between the
+/// two. Such a log serves both requests with nothing recomputed, and a
+/// fresh request appends three frames: its tree, its result and its
+/// `Eval`.
+#[test]
+fn a_log_with_an_apply_per_application_serves_without_recomputing() {
+    let dir = tempfile::tempdir().unwrap();
+    let request = |rt: &Runtime, double: Handle, x: u64| {
+        rt.apply(
+            ResourceLimits::default_limits(),
+            double,
+            &[rt.put_blob(Blob::from_u64(x))],
+        )
+        .unwrap()
+    };
+    let (both, apply_only, out_both, out_apply_only);
+    {
+        let durable = DurableStore::open(dir.path(), options()).unwrap();
+        let rt = Runtime::builder().durable(durable).build();
+        let double = register_double(&rt);
+        both = request(&rt, double, 21);
+        out_both = rt.eval(both).unwrap();
+        rt.cache()
+            .put(Relation::Apply, both.thunk_definition().unwrap(), out_both);
+        // The request that stopped after its `Apply`: its tree, its
+        // result and that one relation are on disk.
+        apply_only = request(&rt, double, 22);
+        let mut bytes = 44u64.to_le_bytes().to_vec();
+        bytes.resize(64, 0xD0);
+        out_apply_only = rt.put_blob(Blob::from_vec(bytes));
+        rt.cache().put(
+            Relation::Apply,
+            apply_only.thunk_definition().unwrap(),
+            out_apply_only,
+        );
+        assert_eq!(rt.procedures_run(), 1);
+        rt.durable().unwrap().flush().unwrap();
+    }
+    let durable = DurableStore::open(dir.path(), options()).unwrap();
+    assert_eq!(durable.replayed_relations().len(), 3);
+    let rt = Runtime::builder().durable(durable).build();
+    let double = register_double(&rt);
+    assert_eq!(rt.eval(request(&rt, double, 21)).unwrap(), out_both);
+    assert_eq!(rt.eval(request(&rt, double, 22)).unwrap(), out_apply_only);
+    assert_eq!(rt.procedures_run(), 0, "replayed, not recomputed");
+
+    rt.durable().unwrap().flush().unwrap();
+    let before = rt.durable().unwrap().stats().appended_frames;
+    let fresh = request(&rt, double, 23);
+    let out = rt.eval(fresh).unwrap();
+    assert_eq!(
+        &rt.get_blob(out).unwrap().as_slice()[..8],
+        &46u64.to_le_bytes()
+    );
+    rt.durable().unwrap().flush().unwrap();
+    assert_eq!(rt.durable().unwrap().stats().appended_frames - before, 3);
 }
 
 #[test]

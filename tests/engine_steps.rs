@@ -9,11 +9,15 @@
 //! forwards what the relation cache already derives, and a job whose
 //! result is its tail call's is completed by that call, never stepped
 //! again to copy it.
+//!
+//! Each fact is recorded once: a finished application leaves one
+//! relation, its `Eval`, and `Apply` only where a tail call needs it.
 
 use fix::obs::{self, EventKind};
 use fix::prelude::*;
 use fix::workloads::mapreduce::MapReduce;
 use fix::workloads::{guests, wordcount};
+use fix_storage::Relation;
 use std::sync::atomic::Ordering;
 
 const FIB_12: u64 = 144;
@@ -30,6 +34,19 @@ fn salted_fib12(rt: &Runtime, salt: u64) -> Handle {
 
 fn procedures_run(rt: &Runtime) -> u64 {
     rt.engine().stats.procedures_run.load(Ordering::Relaxed)
+}
+
+/// The relations `rt` holds, counted by kind: `[Apply, Eval, Force]`.
+fn relations(rt: &Runtime) -> [usize; 3] {
+    let mut counts = [0; 3];
+    for (relation, _, _) in rt.cache().entries() {
+        counts[match relation {
+            Relation::Apply => 0,
+            Relation::Eval => 1,
+            Relation::Force => 2,
+        }] += 1;
+    }
+    counts
 }
 
 /// Scheduler steps (`SchedExecute` spans) `request` takes on this thread.
@@ -50,8 +67,31 @@ fn steps_of<T>(request: impl FnOnce() -> T) -> (T, usize) {
 /// emit spans into another's count.
 #[test]
 fn requests_cost_a_fixed_number_of_procedures_and_steps() {
+    a_cold_native_add_is_one_relation();
     salted_fib12_is_24_procedures_and_30_steps();
     absent_needle_count_string_is_63_procedures_and_94_steps();
+}
+
+/// A procedure that returns a value: one run, and its `Eval` is all the
+/// cache keeps (no `Apply` naming the same output beside it).
+fn a_cold_native_add_is_one_relation() {
+    let rt = Runtime::builder().build();
+    let add = rt.register_native(
+        "engine-steps/add",
+        std::sync::Arc::new(|ctx| {
+            let a = ctx.arg_blob(0)?.as_u64().unwrap_or(0);
+            let b = ctx.arg_blob(1)?.as_u64().unwrap_or(0);
+            ctx.host
+                .create_blob(a.wrapping_add(b).to_le_bytes().to_vec())
+        }),
+    );
+    let args = [2, 3].map(|n| rt.put_blob(Blob::from_u64(n)));
+    let thunk = rt
+        .apply(ResourceLimits::default_limits(), add, &args)
+        .unwrap();
+    assert_eq!(rt.get_u64(rt.eval(thunk).unwrap()).unwrap(), 5);
+    assert_eq!(procedures_run(&rt), 1);
+    assert_eq!(relations(&rt), [0, 1, 0], "[Apply, Eval, Force]");
 }
 
 /// 30 steps: `fib(n)` for n = 12..=2 runs once and parks on the `add`
@@ -64,11 +104,17 @@ fn requests_cost_a_fixed_number_of_procedures_and_steps() {
 /// step to find their two strict encodes unresolved and park on them.
 /// Those six stay: they discover and enqueue the operands, and copy
 /// nothing.
+///
+/// The cache then holds 24 `Eval`s (one per application), 12 `Force`s
+/// (one per distinct value, 0 to 144) and 11 `Apply`s: the tail calls of
+/// `fib(n)` for n = 12..=2. The 13 runs that returned a value recorded
+/// no `Apply`.
 fn salted_fib12_is_24_procedures_and_30_steps() {
     let inline = Runtime::builder().build();
     let out = inline.eval_strict(salted_fib12(&inline, 7)).unwrap();
     assert_eq!(inline.get_u64(out).unwrap(), FIB_12);
     assert_eq!(procedures_run(&inline), 24);
+    assert_eq!(relations(&inline), [11, 24, 12], "[Apply, Eval, Force]");
 
     // The steady state the benchmark measures: a second salt is a fully
     // distinct request (24 more runs), but the Fibonacci *values* are

@@ -220,9 +220,10 @@ fn recompute_fails_cleanly_when_procedure_is_gone() {
         let node = rt.store().get(h).unwrap();
         cold.store().put(node);
     }
-    // Copy the recipe: the relation that produced `out`.
+    // Copy the recipe: the application's `Eval`, the relation that
+    // produced `out`.
     for (relation, input, output) in rt.cache().entries() {
-        if relation == Relation::Apply && output == out {
+        if relation == Relation::Eval && output == out {
             cold.cache().put(relation, input, output);
         }
     }
