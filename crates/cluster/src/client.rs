@@ -43,9 +43,11 @@ use crate::report::{ReportLog, RunReport};
 use fix_core::api::{
     BatchTicket, Evaluator, InvocationApi, Mode, NativeFn, ObjectApi, SubmitApi, SubmitOptions,
 };
+use fix_core::calibration::SERVICE_COSTS;
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, Handle, HandleMap, HandleSet, Kind, ThunkKind};
+use fix_core::limits::ResourceLimits;
 use fix_core::semantics::Footprint;
 use fix_netsim::{NetConfig, NodeId, NodeSpec, Time};
 use fix_storage::Relation;
@@ -55,7 +57,6 @@ use fixpoint::Runtime;
 pub struct ClusterClientBuilder {
     setup: ClusterSetup,
     profile: Profile,
-    task_compute_us: Time,
 }
 
 impl Default for ClusterClientBuilder {
@@ -63,7 +64,6 @@ impl Default for ClusterClientBuilder {
         ClusterClientBuilder {
             setup: ClusterSetup::workers_only(10, NodeSpec::default(), NetConfig::default()),
             profile: Profile::from(&FixConfig::default()),
-            task_compute_us: fix_core::calibration::SERVICE_COSTS.task_compute_us,
         }
     }
 }
@@ -84,25 +84,6 @@ impl ClusterClientBuilder {
         self
     }
 
-    /// Fixpoint under a non-default engine configuration
-    /// (placement/binding policy, overheads): shorthand for
-    /// `.profile(Profile::from(&cfg))`.
-    pub fn config(self, cfg: FixConfig) -> Self {
-        self.profile(Profile::from(&cfg))
-    }
-
-    /// Modeled compute time per simulated task, in µs. The derivation
-    /// has no cost model for guest code, so every task is charged this
-    /// flat amount; the default comes from the workspace-wide
-    /// calibration table
-    /// ([`fix_core::calibration::SERVICE_COSTS`]`.task_compute_us`),
-    /// the same table the serving layer's per-kind service model reads,
-    /// so the two simulated clocks cannot drift apart.
-    pub fn task_compute_us(mut self, us: Time) -> Self {
-        self.task_compute_us = us;
-        self
-    }
-
     /// Builds the client, validating the cluster description.
     pub fn build(self) -> Result<ClusterClient> {
         self.setup.validate().map_err(backend_fault)?;
@@ -110,7 +91,6 @@ impl ClusterClientBuilder {
             inner: Runtime::builder().build(),
             setup: self.setup,
             profile: self.profile,
-            task_compute_us: self.task_compute_us,
             reports: ReportLog::new(),
         })
     }
@@ -161,7 +141,6 @@ pub struct ClusterClient {
     inner: Runtime,
     setup: ClusterSetup,
     profile: Profile,
-    task_compute_us: Time,
     reports: ReportLog,
 }
 
@@ -205,7 +184,7 @@ impl ClusterClient {
     /// backend fault, raised before anything is evaluated.
     fn simulate(&self, roots: &[Handle], strict: bool) -> Result<()> {
         let (rt, workers) = (&self.inner, &self.setup.workers);
-        let Some(graph) = derive_job_graph(rt, roots, strict, workers, self.task_compute_us) else {
+        let Some(graph) = derive_job_graph(rt, roots, strict, workers) else {
             return Ok(());
         };
         let report = try_run_profile(&self.setup, &graph, &self.profile).map_err(backend_fault)?;
@@ -285,6 +264,10 @@ impl Evaluator for ClusterClient {
 /// nested inside their trees become tasks too, modeling the force phase
 /// of a strict evaluation.
 ///
+/// Every task is charged the flat `SERVICE_COSTS.task_compute_us`; an
+/// application's declared output size
+/// ([`ResourceLimits::output_size_hint`]) is its task's output hint.
+///
 /// Returns `None` when nothing needs to run — every root is a value or
 /// fully memoized. The graph does not depend on the [`Profile`] it is
 /// then simulated under, so Fix and its comparators are costed over the
@@ -295,7 +278,6 @@ pub fn derive_job_graph(
     roots: &[Handle],
     strict: bool,
     workers: &[NodeId],
-    task_compute_us: Time,
 ) -> Option<JobGraph> {
     if workers.is_empty() {
         // No placement targets: nothing can run (callers validate their
@@ -308,7 +290,6 @@ pub fn derive_job_graph(
         tasks: HandleMap::default(),
         objects: HandleMap::default(),
         workers,
-        compute_us: task_compute_us,
     };
     for &root in roots {
         // Derivation failures (e.g. a definition tree missing from
@@ -339,7 +320,6 @@ struct Deriver<'a> {
     /// Data payload → graph object.
     objects: HandleMap<Handle, ObjectId>,
     workers: &'a [NodeId],
-    compute_us: Time,
 }
 
 /// A thunk whose task is being assembled: the spec so far and the
@@ -423,14 +403,14 @@ impl<'a> Deriver<'a> {
         let mut spec = TaskSpec {
             inputs: Vec::new(),
             deps: Vec::new(),
-            compute_us: self.compute_us,
+            compute_us: SERVICE_COSTS.task_compute_us,
             cores: 1,
             ram: 64 << 20,
             output_size: 8,
             output_hint: None,
             func: def
                 .digest()
-                .map(|d| u32::from_le_bytes(d[..4].try_into().expect("4 bytes")))
+                .map(|[a, b, c, d, ..]| u32::from_le_bytes([a, b, c, d]))
                 .unwrap_or(0),
         };
         spec.inputs.extend(self.object_for(def));
@@ -445,6 +425,14 @@ impl<'a> Deriver<'a> {
             ThunkKind::Identification => Ok(Vec::new()),
         }
         .unwrap_or_default();
+        if kind == ThunkKind::Application {
+            // Entry 0 is the limits literal; zero means "no hint".
+            spec.output_hint = entries
+                .first()
+                .and_then(|&limits| ResourceLimits::from_handle(limits).ok())
+                .map(|limits| limits.output_size_hint)
+                .filter(|&hint| hint > 0);
+        }
         Ok(Visit::Open(Frame {
             thunk: h,
             spec,
@@ -470,7 +458,7 @@ impl<'a> Deriver<'a> {
         };
         while let Some(frame) = stack.last_mut() {
             let Some(&e) = frame.entries.get(frame.next) else {
-                let done = stack.pop().expect("the frame just inspected");
+                let Some(done) = stack.pop() else { break };
                 let task = self.builder.task(done.spec);
                 self.tasks.insert(done.thunk, task);
                 continue;
@@ -668,6 +656,26 @@ mod tests {
         assert_eq!(cc.get_u64(out).unwrap(), 4);
         // Two applications: the inner add and the outer add.
         assert_eq!(cc.last_report().unwrap().tasks_run, 2);
+    }
+
+    /// An application's declared output size reaches the scheduler as
+    /// its task's output hint (paper §4.2.2); zero means unhinted.
+    #[test]
+    fn declared_output_sizes_become_output_hints() {
+        let cc = client();
+        let add = register_add(&cc);
+        let args = [
+            cc.put_blob(Blob::from_u64(5)),
+            cc.put_blob(Blob::from_u64(6)),
+        ];
+        let hint_of = |limits: ResourceLimits| {
+            let thunk = cc.apply(limits, add, &args).unwrap();
+            let graph = derive_job_graph(cc.inner(), &[thunk], false, &cc.setup().workers)
+                .expect("one task to run");
+            graph.task(TaskId(0)).output_hint
+        };
+        assert_eq!(hint_of(limits().with_output_hint(4 << 30)), Some(4 << 30));
+        assert_eq!(hint_of(limits()), None);
     }
 
     #[test]

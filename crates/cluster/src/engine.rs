@@ -218,7 +218,9 @@ impl ClusterSetup {
         graph.validate()?;
         let spec = |w: &NodeId| self.specs[w.0];
         let size = |w: &&NodeId| (spec(w).cores, spec(w).ram_bytes);
-        let largest = self.workers.iter().max_by_key(size).expect("has workers");
+        let Some(largest) = self.workers.iter().max_by_key(size) else {
+            return Err("cluster setup has no worker nodes".into());
+        };
         for (i, t) in graph.tasks.iter().enumerate() {
             let fits = |w: &NodeId| spec(w).cores >= t.cores && spec(w).ram_bytes >= t.ram;
             if !self.workers.iter().any(fits) {
@@ -311,9 +313,10 @@ impl State {
         if self.is_store_input(o) {
             return Self::store_node(&self.profile.inputs_from_store, o);
         }
-        *self.locations[o.0 as usize]
-            .first()
-            .expect("needed object has a location")
+        let placed = self.locations[o.0 as usize].first();
+        // invariant: `JobGraph::validate` places every input, and a
+        // dependency's output is written before its dependents fetch.
+        *placed.expect("needed object has a location")
     }
 
     /// The placement decision (paper §4.2.2).
@@ -343,6 +346,7 @@ impl State {
                 best = Some((cost, load, n));
             }
         }
+        // invariant: `admits` refused a setup without workers.
         best.expect("at least one worker").2
     }
 
@@ -408,6 +412,7 @@ pub fn run_fix(setup: &ClusterSetup, graph: &JobGraph, cfg: &FixConfig) -> RunRe
 /// worker, or placement parked a task on a worker too small for it.
 /// (The One-Fix-API clients report the same causes as `Error::Backend`.)
 pub fn run_profile(setup: &ClusterSetup, graph: &JobGraph, profile: &Profile) -> RunReport {
+    // invariant: the documented contract — an unrunnable graph panics.
     try_run_profile(setup, graph, profile).unwrap_or_else(|why| panic!("{why}"))
 }
 
@@ -549,6 +554,8 @@ fn pump(sim: &mut Sim, state: &Shared, node: NodeId) {
             return; // Head of queue can't fit; wait for a release.
         };
         let mut st = state.borrow_mut();
+        // invariant: `t` was read at this queue's front above, and
+        // claiming cores touches only the simulator.
         st.runnable.get_mut(&node).expect("queue").pop_front();
         drop(st);
         let run: Then = Box::new(move |sim, state| run(sim, state, t, node, claim));

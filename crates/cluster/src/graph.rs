@@ -98,14 +98,17 @@ impl JobGraph {
             .collect()
     }
 
-    /// Validates structural sanity: ids in range, deps acyclic
-    /// (topological order exists), no task needs more cores than any
-    /// node could have.
+    /// Validates structural sanity: ids in range, every input placed
+    /// somewhere (another task's output is a dependency, not an input),
+    /// deps acyclic (topological order exists).
     pub fn validate(&self) -> Result<(), String> {
         for (i, t) in self.tasks.iter().enumerate() {
             for o in &t.inputs {
-                if o.0 as usize >= self.objects.len() {
+                let Some(spec) = self.objects.get(o.0 as usize) else {
                     return Err(format!("task {i}: input object {} out of range", o.0));
+                };
+                if spec.initial_locations.is_empty() {
+                    return Err(format!("task {i}: input object {} has no location", o.0));
                 }
             }
             for d in &t.deps {
@@ -209,6 +212,7 @@ impl JobGraphBuilder {
     /// Panics if the graph fails validation — builders are programming
     /// errors, not runtime conditions.
     pub fn build(self) -> JobGraph {
+        // invariant: the documented contract — a malformed graph panics.
         self.graph.validate().expect("valid job graph");
         self.graph
     }

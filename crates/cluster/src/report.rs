@@ -1,6 +1,7 @@
 //! Run reports: what an engine hands back after executing a job graph.
 
 use fix_netsim::{CpuReport, Time};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The outcome of one simulated job execution.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +50,7 @@ impl std::fmt::Display for RunReport {
 ///
 /// The telemetry behind [`crate::ClusterClient::reports`].
 #[derive(Default)]
-pub struct ReportLog(std::sync::Mutex<Vec<RunReport>>);
+pub struct ReportLog(Mutex<Vec<RunReport>>);
 
 impl ReportLog {
     /// Creates an empty log.
@@ -57,28 +58,29 @@ impl ReportLog {
         ReportLog::default()
     }
 
+    /// The reports, even if a thread panicked holding the lock: every
+    /// change is one `Vec::push`, so the log is whole either way.
+    fn reports(&self) -> MutexGuard<'_, Vec<RunReport>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends one run's report.
     pub fn push(&self, report: RunReport) {
-        self.0.lock().expect("report log lock").push(report);
+        self.reports().push(report);
     }
 
     /// Every report so far, in submission order.
     pub fn all(&self) -> Vec<RunReport> {
-        self.0.lock().expect("report log lock").clone()
+        self.reports().clone()
     }
 
     /// The most recent report, if any.
     pub fn last(&self) -> Option<RunReport> {
-        self.0.lock().expect("report log lock").last().copied()
+        self.reports().last().copied()
     }
 
     /// Total simulated wall-clock across all runs, in µs.
     pub fn total_makespan_us(&self) -> Time {
-        self.0
-            .lock()
-            .expect("report log lock")
-            .iter()
-            .map(|r| r.makespan_us)
-            .sum()
+        self.reports().iter().map(|r| r.makespan_us).sum()
     }
 }

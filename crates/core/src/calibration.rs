@@ -4,7 +4,7 @@
 //! really measure: the cluster simulator charges a flat compute
 //! cost per derived task, and the serving layer's virtual clock charges
 //! per-kind cold/warm service times. These constants used to live in
-//! two places (`fix_cluster::ClusterClientBuilder::task_compute_us` and
+//! two places (the cluster client's builder and
 //! `fix_serve::RequestKind::cold_service_us`) and could drift apart;
 //! this module is the single table both consume.
 //!

@@ -1,5 +1,5 @@
 //! `fix-durable`: the persistence tier — one append-only
-//! content-addressed log, lazy restart, and spill-to-disk.
+//! content-addressed log and lazy restart.
 //!
 //! The Fix paper's core bet is that content addressing makes computation
 //! state portable and replayable, which makes durability nearly free: a
@@ -33,10 +33,9 @@
 //! * restart is *lazy*: open builds only an index (payload key → file
 //!   offset) and replays relations — object bytes are faulted in from
 //!   disk on first touch, so a warm restart serves its first request
-//!   from disk instead of recomputing;
-//! * an optional [`spill_watermark_bytes`](DurableOptions::spill_watermark_bytes)
-//!   bounds resident memory by evicting cold persisted objects, which
-//!   refault on demand.
+//!   from disk instead of recomputing. An object evicted from memory
+//!   refaults the same way, so computational GC's planner frees a logged
+//!   object at depth 0 (`fix_storage::plan_eviction`).
 //!
 //! # Architecture
 //!
@@ -151,9 +150,6 @@ pub struct KillPoint {
 pub struct DurableOptions {
     /// The fsync policy for the group-commit writer.
     pub fsync: FsyncPolicy,
-    /// Evict cold persisted objects from memory when the in-memory store
-    /// exceeds this many payload bytes. `None` = never spill.
-    pub spill_watermark_bytes: Option<u64>,
     /// Deterministic crash injection (tests and the recovery smoke).
     pub kill: Option<KillPoint>,
 }
@@ -162,7 +158,6 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             fsync: FsyncPolicy::EveryN(64),
-            spill_watermark_bytes: None,
             kill: None,
         }
     }
@@ -180,8 +175,6 @@ pub struct DurableStats {
     pub fsyncs: u64,
     /// Objects faulted in from disk on first touch.
     pub faults: u64,
-    /// Objects evicted by the spill watermark.
-    pub spills: u64,
     /// Compactions (log rewrites) this run. A snapshot of a log with no
     /// dead bytes is only a barrier and does not count.
     pub snapshots: u64,

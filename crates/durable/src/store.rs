@@ -25,7 +25,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Weak};
 
 const LOG_FILE: &str = "log.fixlog";
@@ -54,8 +53,6 @@ struct Slot {
     offset: u64,
     len: u32,
     handle: Handle,
-    /// Logical last-touch tick (spill evicts the coldest first).
-    touch: u64,
 }
 
 /// The durable index and the log file its offsets point into, under one
@@ -148,7 +145,6 @@ struct Counters {
     appended_bytes: fix_obs::Counter,
     fsyncs: fix_obs::Counter,
     faults: fix_obs::Counter,
-    spills: fix_obs::Counter,
     snapshots: fix_obs::Counter,
     replayed_nodes: fix_obs::Counter,
     replayed_relations: fix_obs::Counter,
@@ -168,7 +164,6 @@ impl Counters {
         reg.register_counter("durable.appended_bytes", &self.appended_bytes);
         reg.register_counter("durable.fsyncs", &self.fsyncs);
         reg.register_counter("durable.faults", &self.faults);
-        reg.register_counter("durable.spills", &self.spills);
         reg.register_counter("durable.snapshots", &self.snapshots);
         reg.register_counter("durable.replayed_nodes", &self.replayed_nodes);
         reg.register_counter("durable.replayed_relations", &self.replayed_relations);
@@ -203,7 +198,6 @@ struct Inner {
     done: Condvar,
     stats: Counters,
     metrics: fix_obs::Registry,
-    clock: AtomicU64,
     replayed: Vec<(Relation, Handle, Handle)>,
     writer: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -214,7 +208,7 @@ impl Inner {
     fn observe_insert(&self, handle: Handle, node: &Node) {
         let key = payload_key(handle);
         if self.index.read().slots.contains_key(&key) {
-            return; // Already persisted (e.g. re-put after a spill).
+            return; // Already persisted (e.g. re-put after an eviction).
         }
         self.enqueue(Record::Node(key, handle), |out| {
             frame::push_node(out, &key, handle, node)
@@ -299,10 +293,6 @@ impl Inner {
                         slot.len,
                         dur.as_nanos() as u64,
                     );
-                }
-                let tick = self.clock.fetch_add(1, Relaxed);
-                if let Some(s) = self.index.write().slots.get_mut(&key) {
-                    s.touch = tick;
                 }
                 return Some(node);
             }
@@ -492,7 +482,6 @@ impl DurableStore {
             done: Condvar::new(),
             stats,
             metrics,
-            clock: AtomicU64::new(1),
             replayed,
             writer: Mutex::new(None),
         });
@@ -543,7 +532,6 @@ impl DurableStore {
             appended_bytes: c.appended_bytes.get(),
             fsyncs: c.fsyncs.get(),
             faults: c.faults.get(),
-            spills: c.spills.get(),
             snapshots: c.snapshots.get(),
             replayed_nodes: c.replayed_nodes.get(),
             replayed_relations: c.replayed_relations.get(),
@@ -659,10 +647,11 @@ impl DurableStore {
     }
 
     /// Forgets one object entirely: evicts it from memory *and* drops it
-    /// from the durable index, so it cannot refault (unlike a spill
-    /// eviction, which is transparent), and appends its tombstone, so it
-    /// stays forgotten across a restart. Returns once the tombstone is
-    /// durable, with the bytes freed from memory, if it was resident.
+    /// from the durable index, so it cannot refault (unlike
+    /// [`Store::evict`], after which the next read faults it back in),
+    /// and appends its tombstone, so it stays forgotten across a
+    /// restart. Returns once the tombstone is durable, with the bytes
+    /// freed from memory, if it was resident.
     pub fn forget(&self, handle: Handle) -> Option<u64> {
         let _ = self.flush();
         let inner = &self.inner;
@@ -708,7 +697,6 @@ fn replay(
                 offset,
                 len,
                 handle,
-                touch: 0,
             };
             slots.insert(key, slot);
         }
@@ -790,12 +778,10 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
                     for f in kept {
                         match f.record {
                             Record::Node(key, handle) => {
-                                let touch = inner.clock.fetch_add(1, Relaxed);
                                 let slot = Slot {
                                     offset: log_len,
                                     len: f.len,
                                     handle,
-                                    touch,
                                 };
                                 if let Some(old) = index.slots.insert(key, slot) {
                                     index.dead += old.len as u64;
@@ -906,14 +892,6 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
             synced = durable;
         }
 
-        // Spill: hold resident bytes under the watermark by evicting the
-        // coldest persisted objects (they refault on demand).
-        if let Some(wm) = inner.options.spill_watermark_bytes {
-            if inner.store.total_bytes() > wm && io_error.is_none() {
-                spill(&inner, wm);
-            }
-        }
-
         let mut q = inner.queue.lock();
         q.synced = synced;
         if crashed_now {
@@ -944,30 +922,6 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
         }
         if exit {
             return;
-        }
-    }
-}
-
-fn spill(inner: &Arc<Inner>, watermark: u64) {
-    // Coldest-first among resident, persisted objects.
-    let mut candidates: Vec<(u64, Handle)> = inner
-        .index
-        .read()
-        .slots
-        .values()
-        .filter(|s| inner.store.resident(s.handle))
-        .map(|s| (s.touch, s.handle))
-        .collect();
-    candidates.sort_unstable_by_key(|(touch, _)| *touch);
-    for (_, handle) in candidates {
-        if inner.store.total_bytes() <= watermark {
-            break;
-        }
-        if inner.store.evict(handle).is_some() {
-            inner.stats.spills.inc();
-            if fix_obs::tracing_enabled() {
-                fix_obs::emit(fix_obs::EventKind::DurEvict, 0, trace_id(handle), 0, 0);
-            }
         }
     }
 }
@@ -1041,7 +995,7 @@ fn compact(inner: &Inner, append: &mut File, log_len: &mut u64) -> io::Result<()
 /// output is still indexed, then every indexed object — a resident one
 /// encoded from memory under the handle its slot holds (nothing is
 /// hashed), the rest copied through the verifying decode without being
-/// made resident (a compaction must not defeat the spill).
+/// made resident (a compaction must not undo an eviction).
 fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
     let (slots, relations, source, dead) = {
         let index = inner.index.read();
@@ -1129,7 +1083,6 @@ mod tests {
         let options = DurableOptions {
             fsync: FsyncPolicy::OnSnapshot,
             kill,
-            ..DurableOptions::default()
         };
         DurableStore::open(dir.path(), options).unwrap()
     }

@@ -1,4 +1,4 @@
-//! Crash-recovery, compaction, spill, and gc semantics for `DurableStore`.
+//! Crash-recovery, compaction, eviction, and gc semantics for `DurableStore`.
 
 use fix_core::data::{Blob, Node, Tree};
 use fix_core::error::Error;
@@ -251,7 +251,6 @@ fn kill_point_crashes_and_recovery_keeps_the_prefix() {
                     after_frames: 3,
                     mode: KillMode::Stop,
                 }),
-                ..DurableOptions::default()
             },
         )
         .unwrap();
@@ -283,37 +282,28 @@ fn kill_point_crashes_and_recovery_keeps_the_prefix() {
 }
 
 #[test]
-fn spill_evicts_cold_objects_and_refaults_on_demand() {
+fn an_evicted_logged_object_refaults_on_demand() {
     let dir = tempfile::tempdir().unwrap();
     let blobs: Vec<Blob> = (0..10).map(|i| blob(30 + i, 100)).collect();
-    let d = DurableStore::open(
-        dir.path(),
-        DurableOptions {
-            fsync: FsyncPolicy::Always,
-            spill_watermark_bytes: Some(450),
-            ..DurableOptions::default()
-        },
-    )
-    .unwrap();
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
     let handles: Vec<Handle> = blobs
         .iter()
         .map(|b| d.store().put_blob(b.clone()))
         .collect();
     d.flush().unwrap();
-    assert!(
-        d.store().total_bytes() <= 450,
-        "spill holds resident bytes under the watermark, got {}",
-        d.store().total_bytes()
-    );
-    assert!(d.stats().spills >= 6);
-    // Everything is still readable; spilled objects refault transparently
+    for h in &handles[..6] {
+        assert_eq!(d.store().evict(*h), Some(100));
+        assert!(d.store().contains(*h), "the log still holds it");
+    }
+    assert_eq!(d.store().total_bytes(), 4 * 100);
+    // Everything is still readable; evicted objects refault transparently
     // and total_bytes stays consistent across the evict→refault round trip.
     for (b, h) in blobs.iter().zip(&handles) {
         assert_eq!(&d.store().get_blob(*h).unwrap(), b);
     }
     assert_eq!(d.store().object_count(), 10);
     assert_eq!(d.store().total_bytes(), 10 * 100);
-    assert!(d.stats().faults >= 6);
+    assert_eq!(d.stats().faults, 6, "one fault per evicted object");
     drop(d);
     assert_only_the_log(dir.path());
 }
@@ -488,21 +478,12 @@ fn forget_drops_an_object_for_good() {
 #[test]
 fn a_compaction_that_cannot_read_a_live_object_fails_alone() {
     let dir = tempfile::tempdir().unwrap();
-    let d = DurableStore::open(
-        dir.path(),
-        DurableOptions {
-            fsync: FsyncPolicy::Always,
-            spill_watermark_bytes: Some(1),
-            ..DurableOptions::default()
-        },
-    )
-    .unwrap();
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
     let a = Node::Blob(blob(70, 200));
     let a_handle = d.store().put(a.clone());
     let garbage = d.store().put_blob(blob(71, 200));
-    d.flush().unwrap();
     d.forget(garbage);
-    assert!(!d.store().resident(a_handle), "the watermark spilled it");
+    assert_eq!(d.store().evict(a_handle), Some(200));
     // Corrupt `a` on disk behind a valid checksum: the log still scans,
     // but `a`'s frame (the first) no longer hashes to its name.
     let log = dir.path().join("log.fixlog");
@@ -853,7 +834,6 @@ fn every_kill_point_recovers_exactly_the_frames_before_it() {
                         after_frames,
                         mode: KillMode::Stop,
                     }),
-                    ..DurableOptions::default()
                 },
             )
             .unwrap();

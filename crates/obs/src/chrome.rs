@@ -344,7 +344,6 @@ mod tests {
             }],
             dropped_deterministic: 0,
             dropped_diagnostic: 0,
-            sampled_out: 0,
         }
     }
 
@@ -373,7 +372,6 @@ mod tests {
             threads: Vec::new(),
             dropped_deterministic: 0,
             dropped_diagnostic: 0,
-            sampled_out: 0,
         });
         assert_eq!(validate_chrome_trace(&json).unwrap(), 0);
     }

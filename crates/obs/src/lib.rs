@@ -20,10 +20,7 @@
 //! thread appends compact fixed-size [`TraceEvent`] records to its own
 //! bounded buffer; the only lock a recording thread takes is its own
 //! buffer's uncontended mutex, contended only while
-//! [`Recorder::drain`] collects results. For always-on production use,
-//! [`TracingMode::Sampled`] records one of every *n* events per thread
-//! (counted, never silently lost) so trace volume shrinks `n×` while
-//! the disabled path stays the same single relaxed load.
+//! [`Recorder::drain`] collects results.
 //!
 //! ## The virtual-vs-wall timestamp split
 //!
@@ -70,7 +67,7 @@ pub use chrome::{parse_json, validate_chrome_trace, JsonValue};
 pub use hist::LogHistogram;
 pub use metrics::{global, Counter, Gauge, HistogramCell, MetricsSnapshot, Registry};
 pub use recorder::{
-    emit, emit_span, recorder, set_tracing, set_tracing_mode, tracing_enabled, tracing_mode,
-    EventKind, Layer, Recorder, ThreadTrace, Trace, TraceEvent, TracingMode,
+    emit, emit_span, recorder, set_tracing, set_tracing_mode, tracing_enabled, EventKind, Layer,
+    Recorder, ThreadTrace, Trace, TraceEvent, TracingMode,
 };
 pub use summary::TraceSummary;

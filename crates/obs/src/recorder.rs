@@ -12,7 +12,7 @@
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -25,72 +25,28 @@ const PER_THREAD_CAP: usize = 1 << 20;
 /// `OnceLock`: it is one relaxed load, full stop.
 static TRACING: AtomicBool = AtomicBool::new(false);
 
-/// The sampling period when tracing is enabled: `0` means record every
-/// event ([`TracingMode::Full`]); `n ≥ 2` records one of every `n`
-/// events per thread ([`TracingMode::Sampled`]). Consulted only on the
-/// enabled path, so the disabled cost stays exactly one relaxed load of
-/// [`TRACING`].
-static SAMPLE_EVERY: AtomicU32 = AtomicU32::new(0);
-
 /// Whether tracing is currently enabled — one relaxed atomic load.
 #[inline(always)]
 pub fn tracing_enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
-/// How much the recorder captures while enabled.
-///
-/// `Off` and `Full` are the original binary toggle. `Sampled(n)` keeps
-/// tracing affordable for always-on production use: each thread records
-/// one of every `n` events (a deterministic per-thread stride, counted
-/// — never silently lost) so buffer volume and drain cost shrink by
-/// `n×` while the shape of the trace survives. Sampling is uniform
-/// across event kinds, so a sampled trace is a *diagnostic* artifact:
-/// [`TraceSummary`](crate::TraceSummary) tables built from a sampled
-/// trace are not comparable across runs — use `Full` for the
-/// deterministic pins.
+/// Whether the recorder captures events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TracingMode {
     /// Nothing is recorded; instrumentation sites cost one relaxed load.
     Off,
-    /// Every event is recorded (the deterministic-summary mode).
+    /// Every event is recorded.
     Full,
-    /// One of every `n` events per thread is recorded; the rest are
-    /// counted in [`Trace::sampled_out`]. Values `0` and `1` normalise
-    /// to `Full`.
-    Sampled(u32),
 }
 
 /// Sets the tracing mode. Events recorded so far stay buffered until
 /// [`Recorder::drain`]; switching modes does not discard them.
 pub fn set_tracing_mode(mode: TracingMode) {
-    match mode {
-        TracingMode::Off => TRACING.store(false, Ordering::SeqCst),
-        TracingMode::Full | TracingMode::Sampled(0) | TracingMode::Sampled(1) => {
-            SAMPLE_EVERY.store(0, Ordering::SeqCst);
-            TRACING.store(true, Ordering::SeqCst);
-        }
-        TracingMode::Sampled(n) => {
-            SAMPLE_EVERY.store(n, Ordering::SeqCst);
-            TRACING.store(true, Ordering::SeqCst);
-        }
-    }
+    TRACING.store(mode == TracingMode::Full, Ordering::SeqCst);
 }
 
-/// The current tracing mode.
-pub fn tracing_mode() -> TracingMode {
-    if !TRACING.load(Ordering::SeqCst) {
-        return TracingMode::Off;
-    }
-    match SAMPLE_EVERY.load(Ordering::SeqCst) {
-        0 | 1 => TracingMode::Full,
-        n => TracingMode::Sampled(n),
-    }
-}
-
-/// Turns tracing fully on or off — the binary shim over
-/// [`set_tracing_mode`] (`Full`/`Off`) that every pre-sampling call
-/// site uses.
+/// Turns tracing on or off: [`set_tracing_mode`] with `Full`/`Off`.
 pub fn set_tracing(on: bool) {
     set_tracing_mode(if on {
         TracingMode::Full
@@ -167,7 +123,6 @@ pub enum EventKind {
     DurAppend,
     DurFsync,
     DurSnapshot,
-    DurEvict,
     DurRefault,
 }
 
@@ -184,7 +139,7 @@ impl EventKind {
             | ServeQueueDepth => Layer::Serve,
             Route | Spill | NodeKill | NodeRestart => Layer::Dispatch,
             CtrlReject | CtrlScaleUp | CtrlScaleDown => Layer::Control,
-            DurAppend | DurFsync | DurSnapshot | DurEvict | DurRefault => Layer::Durable,
+            DurAppend | DurFsync | DurSnapshot | DurRefault => Layer::Durable,
         }
     }
 
@@ -219,7 +174,6 @@ impl EventKind {
             DurAppend => "durable.append",
             DurFsync => "durable.fsync",
             DurSnapshot => "durable.snapshot",
-            DurEvict => "durable.evict",
             DurRefault => "durable.refault",
         }
     }
@@ -271,7 +225,6 @@ impl EventKind {
             DurAppend,
             DurFsync,
             DurSnapshot,
-            DurEvict,
             DurRefault,
         ]
     }
@@ -310,11 +263,6 @@ struct ThreadBuffer {
     dropped_det: AtomicU64,
     /// Diagnostic events dropped at capacity.
     dropped_diag: AtomicU64,
-    /// Monotone per-thread event tick driving the `Sampled(n)` stride
-    /// (only the owning thread increments it).
-    ticks: AtomicU64,
-    /// Events skipped by the sampling stride (deliberate, not lost).
-    sampled_out: AtomicU64,
 }
 
 /// The process-wide recorder: owns every thread's buffer and the wall
@@ -356,8 +304,6 @@ impl Recorder {
                     events: Mutex::new(Vec::new()),
                     dropped_det: AtomicU64::new(0),
                     dropped_diag: AtomicU64::new(0),
-                    ticks: AtomicU64::new(0),
-                    sampled_out: AtomicU64::new(0),
                 });
                 self.buffers.lock().push(buf.clone());
                 buf
@@ -367,20 +313,10 @@ impl Recorder {
     }
 
     /// Appends `ev` to the calling thread's buffer (dropping and
-    /// counting if the per-thread ring is full). In `Sampled(n)` mode
-    /// only one of every `n` events per thread is appended; the rest
-    /// are counted as sampled out. Callers normally go through
-    /// [`emit`]/[`emit_span`], which check the toggle first.
+    /// counting if the per-thread ring is full). Callers normally go
+    /// through [`emit`]/[`emit_span`], which check the toggle first.
     pub fn record(&self, ev: TraceEvent) {
         self.with_local(|buf| {
-            let every = SAMPLE_EVERY.load(Ordering::Relaxed);
-            if every > 1 {
-                let tick = buf.ticks.fetch_add(1, Ordering::Relaxed);
-                if tick % every as u64 != 0 {
-                    buf.sampled_out.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
             let mut events = buf.events.lock();
             if events.len() < PER_THREAD_CAP {
                 events.push(ev);
@@ -401,12 +337,10 @@ impl Recorder {
         let mut threads = Vec::new();
         let mut dropped_det = 0;
         let mut dropped_diag = 0;
-        let mut sampled_out = 0;
         buffers.retain(|buf| {
             let events = std::mem::take(&mut *buf.events.lock());
             dropped_det += buf.dropped_det.swap(0, Ordering::Relaxed);
             dropped_diag += buf.dropped_diag.swap(0, Ordering::Relaxed);
-            sampled_out += buf.sampled_out.swap(0, Ordering::Relaxed);
             if !events.is_empty() {
                 threads.push(ThreadTrace {
                     tid: buf.tid,
@@ -421,7 +355,6 @@ impl Recorder {
             threads,
             dropped_deterministic: dropped_det,
             dropped_diagnostic: dropped_diag,
-            sampled_out,
         }
     }
 
@@ -448,9 +381,6 @@ pub struct Trace {
     pub dropped_deterministic: u64,
     /// Diagnostic events lost to buffer capacity.
     pub dropped_diagnostic: u64,
-    /// Events skipped by the [`TracingMode::Sampled`] stride —
-    /// deliberate volume reduction, accounted separately from drops.
-    pub sampled_out: u64,
 }
 
 impl Trace {
@@ -571,38 +501,6 @@ pub(crate) mod tests {
         // Exited threads' buffers were pruned after the drain.
         let t2 = recorder().drain();
         assert!(t2.is_empty());
-    }
-
-    #[test]
-    fn sampled_mode_records_every_nth_event() {
-        let _g = GLOBAL_TRACE_LOCK.lock();
-        recorder().clear();
-        set_tracing_mode(TracingMode::Sampled(4));
-        assert_eq!(tracing_mode(), TracingMode::Sampled(4));
-        for i in 0..8 {
-            emit(EventKind::SchedSubmit, 0, i, 0, 0);
-        }
-        set_tracing(false);
-        assert_eq!(tracing_mode(), TracingMode::Off);
-        let t = recorder().drain();
-        assert_eq!(t.len(), 2, "stride 4 keeps ticks 0 and 4 of 8");
-        assert_eq!(t.sampled_out, 6);
-        assert_eq!(t.dropped_diagnostic, 0, "sampling is not a drop");
-    }
-
-    #[test]
-    fn sampled_one_is_full() {
-        let _g = GLOBAL_TRACE_LOCK.lock();
-        recorder().clear();
-        set_tracing_mode(TracingMode::Sampled(1));
-        assert_eq!(tracing_mode(), TracingMode::Full);
-        for i in 0..5 {
-            emit(EventKind::ServeAdmit, i, i, 0, 0);
-        }
-        set_tracing_mode(TracingMode::Off);
-        let t = recorder().drain();
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.sampled_out, 0);
     }
 
     #[test]

@@ -206,7 +206,6 @@ mod tests {
             threads: Vec::new(),
             dropped_deterministic: 0,
             dropped_diagnostic: 0,
-            sampled_out: 0,
         };
         assert!(t.summary().to_string().contains("no deterministic"));
     }

@@ -43,12 +43,14 @@ pub struct RecomputeReport {
 }
 
 impl Runtime {
-    /// Deletes every object that can be soundly recomputed from what
-    /// remains, keeping everything reachable from `pins`.
+    /// Deletes every object that can be soundly brought back from what
+    /// remains, keeping everything reachable from `pins`: the node's one
+    /// eviction entry point.
     ///
     /// This is the paper's computational garbage collection: the
-    /// provider reclaims RAM/disk for objects whose recipes the relation
-    /// cache names, and later reads pay a recompute instead of a miss.
+    /// provider reclaims memory for objects whose recipes the relation
+    /// cache names, and later reads pay a recompute instead of a miss —
+    /// or, for an object a durable log holds, one fault (depth 0).
     /// Must not run concurrently with evaluations.
     pub fn evict_recomputable(&self, pins: &[Handle]) -> Result<EvictionOutcome> {
         let plan = plan_eviction(self.store(), self.cache(), pins);

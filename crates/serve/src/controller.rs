@@ -40,14 +40,11 @@ use fix_obs::EventKind;
 /// under-rejects (the safe direction); a predecessor expiring first
 /// could free capacity the bound did not credit, which is why the bound
 /// is applied only to deadlines the prefix already overruns outright.
+///
+/// The policy has no settings: an arrival is refused exactly when
+/// `now + wait > deadline`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AdmissionPolicy {
-    /// Extra predicted-wait slack, in virtual µs, tolerated before
-    /// rejecting: an arrival is refused only when
-    /// `now + wait > deadline + headroom_us`. Zero (the default) is the
-    /// pure provable-expiry bound; raising it admits borderline work.
-    pub headroom_us: Micros,
-}
+pub struct AdmissionPolicy {}
 
 /// The dispatch capacity an arrival is priced against: the live driver
 /// count beside the fixed batch shape. The kernel rebuilds this from
@@ -92,7 +89,7 @@ impl AdmissionPolicy {
     ) -> Option<Micros> {
         let deadline = deadline_us?;
         let wait = self.predicted_wait_us(queues, tenant, pool);
-        (now_us + wait > deadline.saturating_add(self.headroom_us)).then_some(wait)
+        (now_us + wait > deadline).then_some(wait)
     }
 }
 
@@ -286,9 +283,6 @@ mod tests {
         assert_eq!(p.price(&q, 0, 0, None, pool(1)), None);
         // More drivers spread the prefix and shrink the bound.
         assert!(p.predicted_wait_us(&q, 0, pool(4)) < 907);
-        // Headroom admits borderline work.
-        let lax = AdmissionPolicy { headroom_us: 50 };
-        assert_eq!(lax.price(&q, 0, 0, Some(900), pool(1)), None);
     }
 
     #[test]

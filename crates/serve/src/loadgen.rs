@@ -43,19 +43,6 @@ pub enum ArrivalProcess {
     /// Explicit timestamps (µs), e.g. replayed from a trace. Out-of-range
     /// or unsorted entries are sorted and clipped to the horizon.
     Trace(Vec<Micros>),
-    /// A sinusoidal day/night cycle: a non-homogeneous Poisson process
-    /// whose rate swings between `base_rps` (trough) and `peak_rps`
-    /// (crest) with period `period_us`, starting at the trough.
-    /// Generated by thinning a `peak_rps` Poisson stream, so the
-    /// process is exact, not a step approximation.
-    Diurnal {
-        /// Trough arrival rate, in requests per second.
-        base_rps: f64,
-        /// Crest arrival rate, in requests per second.
-        peak_rps: f64,
-        /// Full cycle length, in µs.
-        period_us: Micros,
-    },
     /// A flash crowd: Poisson at `base_rps` except for one hot window
     /// `[spike_at_us, spike_at_us + spike_len_us)` served at
     /// `spike_rps` — the hostile shape admission control and
@@ -93,10 +80,9 @@ impl ArrivalProcess {
                 let mut out = Vec::new();
                 let mut t = 0.0f64;
                 loop {
-                    // Inverse-CDF exponential gap; u ∈ (0, 1] so ln is
-                    // finite. 53 bits keeps the stream platform-stable.
-                    let u = ((rng.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64;
-                    t += -u.ln() * 1e6 / rate_rps;
+                    // Inverse-CDF exponential gap; `unit_open` is never
+                    // 0, so ln is finite.
+                    t += -unit_open(&mut rng).ln() * 1e6 / rate_rps;
                     if t >= duration_us as f64 {
                         return out;
                     }
@@ -122,34 +108,6 @@ impl ArrivalProcess {
                     times.iter().copied().filter(|&t| t < duration_us).collect();
                 out.sort_unstable();
                 out
-            }
-            ArrivalProcess::Diurnal {
-                base_rps,
-                peak_rps,
-                period_us,
-            } => {
-                assert!(*base_rps > 0.0, "diurnal base rate must be positive");
-                assert!(
-                    peak_rps >= base_rps,
-                    "diurnal peak rate must be at least the base rate"
-                );
-                assert!(*period_us > 0, "diurnal period must be positive");
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut out = Vec::new();
-                let mut t = 0.0f64;
-                loop {
-                    // Thinning: candidate stream at the peak rate, each
-                    // candidate kept with probability rate(t)/peak.
-                    t += -unit_open(&mut rng).ln() * 1e6 / peak_rps;
-                    if t >= duration_us as f64 {
-                        return out;
-                    }
-                    let phase = (t / *period_us as f64) * std::f64::consts::TAU;
-                    let rate = base_rps + (peak_rps - base_rps) * 0.5 * (1.0 - phase.cos());
-                    if unit_open(&mut rng) * peak_rps <= rate {
-                        out.push(t as Micros);
-                    }
-                }
             }
             ArrivalProcess::FlashCrowd {
                 base_rps,
@@ -315,29 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_is_pinned_and_peaks_mid_cycle() {
-        let p = ArrivalProcess::Diurnal {
-            base_rps: 200.0,
-            peak_rps: 4000.0,
-            period_us: 1_000_000,
-        };
-        let a = p.generate(7, 1_000_000);
-        assert_eq!(a, p.generate(7, 1_000_000), "same seed, same stream");
-        assert_eq!(a.len(), 2147, "seeded event count is pinned");
-        assert!(a.windows(2).all(|w| w[0] <= w[1]), "sorted");
-        // The cycle starts at the trough, so the middle half-period
-        // (the crest) must carry far more arrivals than the edges.
-        let crest = a
-            .iter()
-            .filter(|&&t| (250_000..750_000).contains(&t))
-            .count();
-        let trough = a.len() - crest;
-        assert!(crest > 3 * trough, "{crest} at crest vs {trough} at trough");
-    }
-
-    #[test]
     fn new_shapes_merge_in_timeline_order() {
-        // Merge ordering with the new processes follows the same
+        // Merging a flash crowd with a Poisson stream follows the same
         // (time, tenant, seq) total order as the pinned trio.
         let flash = ArrivalProcess::FlashCrowd {
             base_rps: 1000.0,
@@ -346,14 +283,9 @@ mod tests {
             spike_rps: 20_000.0,
         }
         .generate(3, 20_000);
-        let diurnal = ArrivalProcess::Diurnal {
-            base_rps: 1000.0,
-            peak_rps: 2000.0,
-            period_us: 20_000,
-        }
-        .generate(4, 20_000);
-        let merged = merge_timelines(vec![flash.clone(), diurnal.clone()]);
-        assert_eq!(merged.len(), flash.len() + diurnal.len());
+        let poisson = ArrivalProcess::Poisson { rate_rps: 1500.0 }.generate(4, 20_000);
+        let merged = merge_timelines(vec![flash.clone(), poisson.clone()]);
+        assert_eq!(merged.len(), flash.len() + poisson.len());
         assert!(
             merged
                 .windows(2)

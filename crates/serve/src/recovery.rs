@@ -109,7 +109,6 @@ pub fn kill_and_recover(
                 after_frames: kill_after_frames,
                 mode: KillMode::Stop,
             }),
-            ..DurableOptions::default()
         },
     )?;
     // The in-memory half of the crashed node died with `killed`'s

@@ -191,7 +191,7 @@ impl TenantSpec {
 #[derive(Debug, Clone)]
 pub enum Tenant {
     /// A plain open-loop tenant (any [`ArrivalProcess`], including the
-    /// hostile `FlashCrowd` and `Diurnal` shapes).
+    /// hostile `FlashCrowd` shape).
     Open(TenantSpec),
     /// A closed-loop client population.
     Closed(ClosedLoopSpec),

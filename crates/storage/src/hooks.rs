@@ -5,7 +5,7 @@
 //! registering three callbacks here:
 //!
 //! * [`FaultSource`] — consulted on a `get` miss, so objects that live
-//!   only on disk (lazy restart, spill-to-disk) are faulted in on first
+//!   only on disk (lazy restart, or evicted since) are faulted in on first
 //!   touch instead of reported missing;
 //! * [`StoreSink`] — notified of every *fresh* object insert, with the
 //!   handle the store already computed for it, the feed for an

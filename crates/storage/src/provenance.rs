@@ -1,9 +1,11 @@
 //! Computational garbage collection (paper §6), with recipes read from
-//! the relation cache.
+//! the relation cache: the node's one eviction planner.
 //!
-//! Because Fix computations are deterministic products of known
-//! dependencies, a provider that knows the *recipe* for an object — the
-//! Thunk whose evaluation produced it — may delete the object's bytes
+//! A node may drop any bytes it can bring back. There are two ways back:
+//! a *fault*, for an object the backing tier (a durable log) holds
+//! ([`Store::backed`]), and a *recipe*. Because Fix computations are
+//! deterministic products of known dependencies, a provider that knows
+//! the Thunk whose evaluation produced an object may delete its bytes
 //! and recompute them on demand. The paper calls this "computational
 //! 'garbage' collection" under "delayed-availability" storage: users
 //! opt in, and the provider answers later reads within an SLA window by
@@ -16,10 +18,10 @@
 //!   cache's application and range-selection `Eval`s each time GC is
 //!   asked for;
 //! * [`plan_eviction`] — decides *which* resident objects can be
-//!   soundly deleted: an object is evictable only if everything its
-//!   recipe needs stays resident, is a literal, or is recomputable
-//!   (evicted, or a victim) at a strictly smaller depth — guaranteeing an
-//!   acyclic recompute order.
+//!   soundly deleted: a backed object always (depth 0), any other only
+//!   if everything its recipe needs stays resident, is a literal, is
+//!   backed, or is recomputable (evicted, or a victim) at a strictly
+//!   smaller depth — guaranteeing an acyclic recompute order.
 //!
 //! The recompute itself needs an evaluator, so it lives in the runtime
 //! crate (`fixpoint::Runtime::materialize`).
@@ -145,7 +147,8 @@ pub fn support_closure(store: &Store, cache: &RelationCache, recipe: Handle) -> 
 pub struct Victim {
     /// The object (canonical Object handle).
     pub handle: Handle,
-    /// Worst-case cascaded recompute depth for a cold read.
+    /// Worst-case cascaded recompute depth for a cold read: 0 for a
+    /// backed object, which comes back by one fault and no recompute.
     pub depth: u32,
     /// Payload bytes reclaimed.
     pub bytes: u64,
@@ -175,8 +178,10 @@ impl EvictionPlan {
 ///
 /// `pins` name data that must stay resident (live roots: everything
 /// reachable from them through tree entries is protected). Among the
-/// rest, an object is evictable if it has a recipe and the recipe's
-/// [`support_closure`] contains only: literals, resident non-victims, or
+/// rest, an object the backing tier holds ([`Store::backed`]) is a
+/// victim at depth 0, recipe or not: it comes back by a fault. Any other
+/// is evictable if it has a recipe and the recipe's [`support_closure`]
+/// contains only: literals, resident non-victims, backed objects, or
 /// recomputable objects — victims and already-evicted objects (a recipe
 /// names them, the store lacks them) — at a strictly smaller depth. The
 /// depth is `1 + max(depth of recomputed support)`, the recompute
@@ -200,9 +205,24 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
         }
     }
 
-    // Nodes: every recomputable object that is either a candidate
-    // (in memory and unpinned: `bytes` is what evicting it frees) or
-    // already evicted (`None`). Objects only the backing tier holds are
+    // Depth 0: what the backing tier holds comes back by one fault.
+    let mut victims: Vec<Victim> = store
+        .inventory()
+        .into_iter()
+        .filter(|&h| !pinned.contains(&payload_key(h)) && store.backed(h))
+        .filter_map(|handle| {
+            let bytes = store.get(handle).ok()?.transfer_size();
+            Some(Victim {
+                handle,
+                depth: 0,
+                bytes,
+            })
+        })
+        .collect();
+
+    // Nodes: every recomputable object the backing tier lacks that is
+    // either a candidate (in memory and unpinned: `bytes` is what
+    // evicting it frees) or already evicted (`None`). Backed objects are
     // neither; like pinned ones, they are free support.
     struct Node {
         handle: Handle,
@@ -212,7 +232,7 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
     let mut nodes: Vec<Node> = Vec::new();
     for (key, (handle, recipe)) in recipes(store, cache) {
         let bytes = if store.resident(handle) {
-            if pinned.contains(&key) {
+            if pinned.contains(&key) || store.backed(handle) {
                 continue;
             }
             match store.get(handle) {
@@ -275,16 +295,13 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
         }
     }
 
-    let mut victims: Vec<Victim> = nodes
-        .iter()
-        .filter_map(|n| {
-            Some(Victim {
-                handle: n.handle,
-                depth: *assigned.get(&payload_key(n.handle))?,
-                bytes: n.bytes?,
-            })
+    victims.extend(nodes.iter().filter_map(|n| {
+        Some(Victim {
+            handle: n.handle,
+            depth: *assigned.get(&payload_key(n.handle))?,
+            bytes: n.bytes?,
         })
-        .collect();
+    }));
     victims.sort_by_key(|v| (v.depth, *v.handle.raw()));
     EvictionPlan { victims }
 }
@@ -292,15 +309,15 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
 /// Executes a plan: deletes each victim's bytes. Returns the bytes
 /// actually reclaimed.
 ///
-/// Fails (before deleting anything) if any victim's producing relation
-/// has left `cache` since planning — eviction without a recipe would be
-/// data loss.
+/// Fails (before deleting anything) if a victim has lost both ways back
+/// since planning — the backing tier does not hold it and no relation in
+/// `cache` produces it: that eviction would be data loss.
 pub fn apply_eviction(store: &Store, cache: &RelationCache, plan: &EvictionPlan) -> Result<u64> {
     let recipes = recipes(store, cache);
     for v in &plan.victims {
-        if !recipes.contains_key(&payload_key(v.handle)) {
+        if !store.backed(v.handle) && !recipes.contains_key(&payload_key(v.handle)) {
             return Err(Error::Trap(format!(
-                "refusing to evict {}: no relation produces it",
+                "refusing to evict {}: no fault or relation brings it back",
                 v.handle
             )));
         }
@@ -315,8 +332,10 @@ pub fn apply_eviction(store: &Store, cache: &RelationCache, plan: &EvictionPlan)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fix_core::data::{Blob, Tree};
+    use crate::hooks::FaultSource;
+    use fix_core::data::{Blob, Node, Tree};
     use fix_core::invocation::build;
+    use std::sync::Arc;
 
     fn blob(n: u8) -> Blob {
         Blob::from_vec(vec![n; 64])
@@ -546,6 +565,58 @@ mod tests {
         assert_eq!(depth_of(&pass2, y), Some(1));
         assert_eq!(depth_of(&pass2, z), Some(3));
         assert_eq!(pass2.victims.len(), 2);
+    }
+
+    /// A backing tier holding copies of the nodes it was given.
+    struct Holds(HandleMap<[u8; 32], Node>);
+
+    impl FaultSource for Holds {
+        fn fault(&self, handle: Handle) -> Option<Node> {
+            self.0.get(&payload_key(handle)).cloned()
+        }
+
+        fn knows(&self, handle: Handle) -> bool {
+            self.0.contains_key(&payload_key(handle))
+        }
+    }
+
+    #[test]
+    fn backed_objects_are_depth_zero_victims_recipe_or_not() {
+        let store = Store::new();
+        let cache = RelationCache::new();
+        let blobs: Vec<Blob> = (1..=5).map(blob).collect();
+        let handles: Vec<Handle> = blobs.iter().map(|b| store.put_blob(b.clone())).collect();
+        let held = blobs[..3]
+            .iter()
+            .map(|b| (payload_key(b.handle()), Node::Blob(b.clone())))
+            .collect();
+        store.set_fault_source(Arc::new(Holds(held))).unwrap();
+        let planned = |plan: &EvictionPlan| {
+            let mut got: Vec<(Handle, u32)> =
+                plan.victims.iter().map(|v| (v.handle, v.depth)).collect();
+            got.sort_by_key(|(h, _)| *h.raw());
+            got
+        };
+        let at_depth_zero = |of: &[Handle]| {
+            let mut want: Vec<(Handle, u32)> = of.iter().map(|h| (*h, 0)).collect();
+            want.sort_by_key(|(h, _)| *h.raw());
+            want
+        };
+
+        let plan = plan_eviction(&store, &cache, &[]);
+        assert_eq!(planned(&plan), at_depth_zero(&handles[..3]));
+        let pinned = handles[1];
+        let plan = plan_eviction(&store, &cache, &[pinned]);
+        assert_eq!(planned(&plan), at_depth_zero(&[handles[0], handles[2]]));
+        assert_eq!(apply_eviction(&store, &cache, &plan).unwrap(), 2 * 64);
+        assert_eq!(store.total_bytes(), 3 * 64);
+        assert!(store.resident(pinned));
+        assert!(handles[3..].iter().all(|h| store.resident(*h)));
+        // The way back is one fault each.
+        for (b, h) in blobs.iter().zip(&handles).take(3) {
+            assert_eq!(&store.get_blob(*h).unwrap(), b);
+        }
+        assert_eq!(store.total_bytes(), 5 * 64);
     }
 
     #[test]

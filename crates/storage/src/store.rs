@@ -162,7 +162,7 @@ impl Store {
         if let Some(node) = resident {
             return Ok(node);
         }
-        // Miss: give the backing tier (lazy restart / spill) a chance to
+        // Miss: give the backing tier (lazy restart / eviction) a chance to
         // fault the object in. The fault runs outside any shard lock.
         // The tier has verified the node against `handle`, and it is
         // already persisted: it becomes resident under the key at hand,
@@ -193,17 +193,20 @@ impl Store {
             return true;
         }
         let key = payload_key(handle);
-        if self.shard(&key).read().contains_key(&key) {
-            return true;
-        }
-        self.fault.get().is_some_and(|tier| tier.knows(handle))
+        self.shard(&key).read().contains_key(&key) || self.backed(handle)
+    }
+
+    /// True if the backing tier holds the datum, resident or not: after
+    /// an [`evict`](Store::evict), the next read faults it back in. Never
+    /// true without a tier, or for a literal.
+    pub fn backed(&self, handle: Handle) -> bool {
+        !handle.is_literal() && self.fault.get().is_some_and(|tier| tier.knows(handle))
     }
 
     /// True if the datum is in memory right now — unlike
     /// [`contains`](Store::contains), never consults the backing tier.
-    /// The durable tier's spill and snapshot logic, and eviction
-    /// planning, distinguish resident from merely-faultable objects
-    /// through this.
+    /// The durable tier's compaction and eviction planning distinguish
+    /// resident from merely-faultable objects through this.
     pub fn resident(&self, handle: Handle) -> bool {
         if handle.is_literal() {
             return true;
@@ -275,7 +278,8 @@ impl Store {
     ///
     /// This is the mechanism behind "delayed-availability" storage
     /// (paper §6): the caller — see `fixpoint::Runtime::evict_recomputable`
-    /// — is responsible for only evicting objects it knows how to
+    /// — is responsible for only evicting objects it can bring back, by
+    /// a fault from the backing tier ([`backed`](Store::backed)) or by a
     /// recompute.
     pub fn evict(&self, handle: Handle) -> Option<u64> {
         if handle.is_literal() {
@@ -288,7 +292,9 @@ impl Store {
         Some(size)
     }
 
-    /// Lists every resident object handle (canonical Object form).
+    /// Lists every resident object handle (canonical Object form). Each
+    /// is its payload key, itself a valid Object handle: nothing is
+    /// hashed.
     ///
     /// Used by the distributed engine's inventory exchange ("when two
     /// Fixpoint nodes first connect, they each provide the other with a
@@ -296,9 +302,12 @@ impl Store {
     pub fn inventory(&self) -> Vec<Handle> {
         let mut out = Vec::with_capacity(self.object_count());
         for shard in &self.shards {
-            for node in shard.read().values() {
-                out.push(node.handle());
-            }
+            out.extend(
+                shard
+                    .read()
+                    .keys()
+                    .filter_map(|k| Handle::from_raw(*k).ok()),
+            );
         }
         out
     }

@@ -85,7 +85,6 @@ fn main() {
                 after_frames,
                 mode: KillMode::Exit(113),
             }),
-            ..DurableOptions::default()
         };
         // The kill point terminates the process from inside the writer
         // thread — at the latest during the final flush. Reaching the
@@ -155,7 +154,8 @@ fn main() {
     let tmp = tempfile::tempdir().expect("tempdir");
     println!("== durable serving with an in-process crash ==\n");
 
-    let (killed, recovered) = kill_and_recover(tmp.path(), &cfg, 120).expect("kill and recover");
+    // The run appends about 98 frames: frame 60 is mid-run.
+    let (killed, recovered) = kill_and_recover(tmp.path(), &cfg, 60).expect("kill and recover");
     killed.assert_accounting_closure();
     recovered.assert_accounting_closure();
     assert!(killed.crashed, "the kill point must trip");

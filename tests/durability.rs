@@ -168,6 +168,50 @@ fn a_collected_object_stays_dead_across_a_restart_through_the_runtime() {
     assert_eq!(rt.get_blob(live).unwrap().as_slice(), &[1u8; 80][..]);
 }
 
+/// On a durable node, computational GC's planner is the one eviction
+/// entry point: what the log holds goes at depth 0, and its way back is
+/// one fault, not a recompute.
+#[test]
+fn evict_recomputable_frees_logged_objects_that_refault_without_recomputing() {
+    const K: u64 = 8;
+    let dir = tempfile::tempdir().unwrap();
+    let durable = DurableStore::open(dir.path(), options()).unwrap();
+    let rt = Runtime::builder().durable(durable.clone()).build();
+    let double = register_double(&rt);
+    let serve = || -> Vec<Handle> {
+        (0..K)
+            .map(|x| {
+                let input = rt.put_blob(Blob::from_u64(x));
+                let thunk = rt
+                    .apply(ResourceLimits::default_limits(), double, &[input])
+                    .unwrap();
+                rt.eval(thunk).unwrap()
+            })
+            .collect()
+    };
+    let outputs = serve();
+    assert_eq!(rt.procedures_run(), K);
+    durable.flush().unwrap();
+    let before = rt.store().total_bytes();
+
+    let outcome = rt.evict_recomputable(&[]).unwrap();
+    assert!(outcome.plan.victims.iter().all(|v| v.depth == 0));
+    assert!(outcome.bytes_reclaimed > 0);
+    assert_eq!(rt.store().total_bytes(), before - outcome.bytes_reclaimed);
+    assert!(outputs.iter().all(|out| !rt.store().resident(*out)));
+
+    let faults = durable.stats().faults;
+    assert_eq!(serve(), outputs);
+    assert_eq!(rt.procedures_run(), K, "memoized, not recomputed");
+    for (x, out) in (0..K).zip(&outputs) {
+        for _ in 0..2 {
+            let bytes = rt.get_blob(*out).unwrap();
+            assert_eq!(&bytes.as_slice()[..8], &(2 * x).to_le_bytes());
+        }
+    }
+    assert_eq!(durable.stats().faults - faults, K, "one fault per output");
+}
+
 #[test]
 fn eviction_round_trips_keep_total_bytes_consistent_through_the_runtime() {
     let dir = tempfile::tempdir().unwrap();
@@ -180,7 +224,7 @@ fn eviction_round_trips_keep_total_bytes_consistent_through_the_runtime() {
     let store = rt.durable().unwrap().store().clone();
     assert_eq!(store.total_bytes(), 1000);
 
-    // Evict persisted objects (the spill path), then read everything
+    // Evict persisted objects, then read everything
     // back: each read refaults from the log and the byte accounting
     // returns to exactly where it started.
     for h in &handles[..3] {

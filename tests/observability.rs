@@ -12,7 +12,7 @@
 
 use fix::dispatch::{dispatch, DispatchConfig, NodeStorage, RoutingPolicy};
 use fix::durable::{DurableOptions, DurableStore, FsyncPolicy};
-use fix::obs::{self, TraceSummary, TracingMode};
+use fix::obs::{self, TraceSummary};
 use fix::prelude::*;
 use fix::serve::{serve, ArrivalProcess, RequestKind, ServeConfig, TenantSpec};
 use std::sync::{Arc, Mutex};
@@ -305,54 +305,6 @@ fn node_failure_is_traced() {
     assert_eq!((restarts[0].a, restarts[0].virt_us), (0, 14_000));
     assert_eq!(restarts[0].b, 1, "warm restart is flagged");
     outcome.assert_accounting_closure();
-}
-
-/// `TracingMode::Sampled(n)` shrinks the captured volume roughly n×
-/// while counting (never silently dropping) the sampled-out events; the
-/// untraced serve tables are unperturbed.
-#[test]
-fn sampled_tracing_counts_what_it_skips() {
-    let _g = TRACE_LOCK.lock().unwrap();
-    let plain = serve(&Runtime::builder().build(), &cfg())
-        .expect("untraced serve run")
-        .to_string();
-
-    obs::recorder().clear();
-    obs::set_tracing_mode(TracingMode::Full);
-    serve(&Runtime::builder().build(), &cfg()).expect("fully traced run");
-    obs::set_tracing_mode(TracingMode::Off);
-    let full = obs::recorder().drain();
-
-    obs::recorder().clear();
-    obs::set_tracing_mode(TracingMode::Sampled(8));
-    let sampled_report = serve(&Runtime::builder().build(), &cfg()).expect("sampled run");
-    obs::set_tracing_mode(TracingMode::Off);
-    let sampled = obs::recorder().drain();
-
-    assert_eq!(
-        sampled_report.to_string(),
-        plain,
-        "sampling must not perturb the serve tables"
-    );
-    assert!(
-        sampled.len() < full.len() / 4,
-        "8× sampling must shrink the trace"
-    );
-    assert!(sampled.sampled_out > 0, "skips must be counted, not lost");
-
-    // The exact stride contract, pinned on a single thread: over any
-    // window of 80 consecutive per-thread ticks at stride 8, exactly 10
-    // events are captured and 70 are counted as sampled out.
-    obs::recorder().clear();
-    obs::set_tracing_mode(TracingMode::Sampled(8));
-    for i in 0..80u64 {
-        obs::emit(obs::EventKind::ServeAdmit, i, i, 0, 0);
-    }
-    obs::set_tracing_mode(TracingMode::Off);
-    let strided = obs::recorder().drain();
-    assert_eq!(strided.len(), 10);
-    assert_eq!(strided.sampled_out, 70);
-    assert_eq!(obs::tracing_mode(), TracingMode::Off);
 }
 
 /// The serving layer's per-tenant latency decomposition closes exactly:
