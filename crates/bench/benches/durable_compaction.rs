@@ -40,7 +40,6 @@ fn measure() -> ([f64; 3], u64) {
     let dir = tempfile::tempdir().expect("temp dir");
     let options = DurableOptions {
         fsync: FsyncPolicy::EveryN(64),
-        ..DurableOptions::default()
     };
     let d = DurableStore::open(dir.path(), options).expect("opens");
     let handles: Vec<Handle> = (0..OBJECTS).map(|i| d.store().put_blob(blob(i))).collect();
@@ -49,7 +48,7 @@ fn measure() -> ([f64; 3], u64) {
     let live = keep.len() as u64;
 
     let t = Instant::now();
-    assert_eq!(d.gc(&keep) as u64, OBJECTS - live);
+    assert_eq!(d.gc(&keep).expect("collects") as u64, OBJECTS - live);
     let gc_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
     d.snapshot().expect("snapshots");

@@ -238,12 +238,6 @@ impl std::fmt::Display for Fig9 {
     }
 }
 
-/// Convenience: invocation overhead sanity via the real tree (used by
-/// tests and the ablation bench).
-pub fn real_invocations(n_keys: usize, arity: usize) -> u64 {
-    real_run(n_keys, arity, 4).invocations_per_lookup
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -128,7 +128,6 @@ pub fn run(sizes: &[usize]) -> RecoverReport {
         let dir = tempfile::tempdir().expect("tempdir");
         let options = DurableOptions {
             fsync: FsyncPolicy::EveryN(256),
-            ..DurableOptions::default()
         };
 
         // Populate: n memoized invocations, persisted and flushed.

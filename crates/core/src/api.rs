@@ -389,12 +389,6 @@ impl SubmitOptions {
         self.priority = priority;
         self
     }
-
-    /// Sets the evaluation mode.
-    pub fn with_mode(mut self, mode: Mode) -> SubmitOptions {
-        self.mode = mode;
-        self
-    }
 }
 
 /// Submission-first evaluation: describe a batch now, resolve it later.

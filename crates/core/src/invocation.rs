@@ -11,7 +11,7 @@
 
 use crate::data::{Blob, Tree};
 use crate::error::{Error, Result};
-use crate::handle::{DataType, Handle, Kind};
+use crate::handle::{Handle, Kind};
 use crate::limits::ResourceLimits;
 
 /// The application tree `[limits, procedure, args...]`, collected
@@ -196,15 +196,6 @@ pub mod build {
     /// `shallow(thunk)`: requests minimal evaluation, result as a Ref.
     pub fn shallow(thunk: Handle) -> Result<Handle> {
         thunk.encode(EncodeStyle::Shallow)
-    }
-}
-
-/// Classifies a handle as a blob-like or tree-like value for error
-/// messages and scheduling decisions.
-pub fn value_data_type(handle: Handle) -> Option<DataType> {
-    match handle.kind() {
-        Kind::Object(t) | Kind::Ref(t) => Some(t),
-        _ => None,
     }
 }
 

@@ -357,17 +357,6 @@ pub fn collect_encodes(source: &dyn DataSource, tree: &Tree) -> Result<Vec<Handl
     }
 }
 
-/// Rewrites a tree, replacing each entry by `f(entry)` (recursing is the
-/// caller's concern). Returns the new tree; identical output is detected
-/// so unchanged trees keep their identity.
-pub fn map_tree(tree: &Tree, mut f: impl FnMut(Handle) -> Result<Handle>) -> Result<Tree> {
-    let mut entries = Vec::with_capacity(tree.len());
-    for e in tree.entries() {
-        entries.push(f(*e)?);
-    }
-    Ok(Tree::from_handles(entries))
-}
-
 /// A simple in-memory [`DataSource`] for tests, examples, and doc tests.
 #[derive(Debug, Default, Clone)]
 pub struct MapSource {

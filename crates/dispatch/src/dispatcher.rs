@@ -223,7 +223,6 @@ fn run_node(
                 };
                 let options = DurableOptions {
                     fsync: FsyncPolicy::Always,
-                    ..DurableOptions::default()
                 };
                 let store = DurableStore::open(&dir, options)?;
                 let at_open = store.stats();

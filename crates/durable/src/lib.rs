@@ -29,7 +29,9 @@
 //!   by itself once dead bytes outweigh live ones past a fixed floor;
 //! * recovery ([`DurableStore::open`]) replays the log and tolerates a
 //!   torn final frame (truncated, counted in
-//!   [`DurableStats::truncated_bytes`]);
+//!   [`DurableStats::truncated_bytes`]). Evaluation is deterministic, so
+//!   a node that died holds exactly what a prefix of its log holds:
+//!   [`tear_log`] makes that crash offline, from a closed store's log;
 //! * restart is *lazy*: open builds only an index (payload key → file
 //!   offset) and replays relations — object bytes are faulted in from
 //!   disk on first touch, so a warm restart serves its first request
@@ -75,6 +77,12 @@
 //! * **A compaction fails alone.** If it cannot read a live object, its
 //!   partial file is removed, `snapshot` returns the error, and the
 //!   writer keeps appending to the log it had.
+//! * **An I/O error halts the writer, and that is its only halt.**
+//!   After a file call on the log fails, appends are dropped and `flush`,
+//!   `snapshot`, `gc` and `forget` return the error; the next open
+//!   replays what reached the disk. A read error at open is an error,
+//!   never an empty log. The crate's tests sweep an injected fault over
+//!   every file call of a scripted run.
 //!
 //! # Example
 //!
@@ -105,7 +113,7 @@ mod frame;
 mod store;
 
 pub use frame::{crc32, LOG_MAGIC};
-pub use store::DurableStore;
+pub use store::{tear_log, DurableStore};
 
 /// When the group-commit writer calls `fsync` on the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,28 +127,6 @@ pub enum FsyncPolicy {
     OnSnapshot,
 }
 
-/// What the deterministic kill point does when it trips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillMode {
-    /// Stop persisting: write a torn partial frame, then silently drop
-    /// all further appends — the in-process simulation of a crash
-    /// (the caller discards the in-memory state and re-opens).
-    Stop,
-    /// Write a torn partial frame and terminate the process with this
-    /// exit code — the end-to-end crash used by the CI recovery smoke.
-    Exit(i32),
-}
-
-/// A deterministic crash injection point: trip after the N-th appended
-/// frame, mid-batch, leaving a torn final frame for recovery to handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillPoint {
-    /// Trip when this many frames have been written.
-    pub after_frames: u64,
-    /// What tripping does.
-    pub mode: KillMode,
-}
-
 /// Configures a [`DurableStore`].
 ///
 /// Compaction has no setting: [`DurableStore::snapshot`] compacts
@@ -150,15 +136,12 @@ pub struct KillPoint {
 pub struct DurableOptions {
     /// The fsync policy for the group-commit writer.
     pub fsync: FsyncPolicy,
-    /// Deterministic crash injection (tests and the recovery smoke).
-    pub kill: Option<KillPoint>,
 }
 
 impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             fsync: FsyncPolicy::EveryN(64),
-            kill: None,
         }
     }
 }
@@ -185,3 +168,14 @@ pub struct DurableStats {
     /// Torn/corrupt tail bytes truncated during recovery.
     pub truncated_bytes: u64,
 }
+
+// Every file call of the crate goes through `fs`: `std::fs` itself, or,
+// in the crate's own tests, a copy that can fail any one call.
+#[cfg(not(test))]
+use std::fs;
+#[cfg(test)]
+mod faulty;
+#[cfg(test)]
+use faulty as fs;
+#[cfg(test)]
+mod io_faults;

@@ -8,12 +8,15 @@
 //! [`FsyncPolicy`](crate::FsyncPolicy)); [`DurableStore::flush`] is the
 //! synchronous barrier, and [`DurableStore::snapshot`] the barrier that
 //! also compacts a log holding dead bytes. Reads that miss memory fault
-//! from disk through the index this module maintains. Every `std::fs`
-//! call of the crate is in this file; the [crate docs](crate) state the
+//! from disk through the index this module maintains. Every file call of
+//! the crate is in this file, made through the crate's `fs` alias —
+//! `std::fs`, or in the crate's tests a copy that can fail any one call —
+//! and every write is positional; the [crate docs](crate) state the
 //! invariants.
 
-use crate::frame::{self, Scanned, LOG_MAGIC, RELATION_FRAME};
-use crate::{DurableOptions, DurableStats, FsyncPolicy, KillMode};
+use crate::frame::{self, Scanned, LOG_MAGIC, RELATION_FRAME, TOMBSTONE_FRAME};
+use crate::fs::{self, File, OpenOptions};
+use crate::{DurableOptions, DurableStats, FsyncPolicy};
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{Handle, HandleMap, HandleSet};
@@ -21,8 +24,7 @@ use fix_storage::{
     payload_key, FaultSource, Relation, RelationCache, RelationSink, Store, StoreSink,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Weak};
@@ -113,15 +115,14 @@ struct Queue {
     /// Snapshots the writer's next round answers.
     snapshots: Vec<SnapshotWaiter>,
     shutdown: bool,
-    /// The deterministic kill point tripped: appends are dropped.
-    crashed: bool,
+    /// The writer's one halt: a file call failed, and appends are dropped.
     io_error: Option<String>,
 }
 
 impl Queue {
     /// Whether an append can still reach the disk (else it is dropped).
     fn accepting(&self) -> bool {
-        !self.crashed && !self.shutdown && self.io_error.is_none()
+        !self.shutdown && self.io_error.is_none()
     }
 
     /// Queues one frame, which `build` writes straight into the buffer
@@ -198,7 +199,6 @@ struct Inner {
     done: Condvar,
     stats: Counters,
     metrics: fix_obs::Registry,
-    replayed: Vec<(Relation, Handle, Handle)>,
     writer: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -384,7 +384,8 @@ impl DurableStore {
     /// scan stops at the first invalid frame; a torn final frame — the
     /// signature of a crash mid-append — is truncated (reported in
     /// [`DurableStats::truncated_bytes`]) and the store opens with
-    /// everything before it. A `log.fixlog.tmp` left by a crash
+    /// everything before it. A read that fails is an error, never taken
+    /// for a torn or a new log. A `log.fixlog.tmp` left by a crash
     /// mid-compaction is removed: the log it was to replace is whole.
     /// A `*.fixsnap` snapshot file, which only the older two-file layout
     /// wrote, is an [`Error::Backend`] naming it: that state is not in
@@ -417,7 +418,7 @@ impl DurableStore {
 
         let mut slots: HandleMap<[u8; 32], Slot> = HandleMap::default();
         let mut relations: Vec<(Relation, Handle, Handle)> = Vec::new();
-        let mut append = OpenOptions::new()
+        let append = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -425,23 +426,39 @@ impl DurableStore {
             .open(dir.join(LOG_FILE))
             .map_err(io_err)?;
         let existing = append.metadata().map_err(io_err)?.len();
-        let (valid_len, truncated) = match replay(&append, &mut slots, &mut relations) {
-            Ok(Some(valid_len)) => (valid_len, existing - valid_len),
-            Ok(None) => {
+        let scanned = scan_log(&append, existing, |record| match record {
+            Scanned::Node {
+                key,
+                handle,
+                offset,
+                len,
+            } => {
+                let slot = Slot {
+                    offset,
+                    len,
+                    handle,
+                };
+                slots.insert(key, slot);
+            }
+            Scanned::Relation(r, i, o) => relations.push((r, i, o)),
+            Scanned::Tombstone(key) => {
+                slots.remove(&key);
+            }
+        });
+        let (valid_len, truncated) = match scanned.map_err(io_err)? {
+            Some(valid_len) => (valid_len, existing - valid_len),
+            None => {
                 // New file, or a header torn mid-creation: start fresh.
                 append.set_len(0).map_err(io_err)?;
-                append.seek(SeekFrom::Start(0)).map_err(io_err)?;
-                append.write_all(LOG_MAGIC).map_err(io_err)?;
+                append.write_all_at(LOG_MAGIC, 0).map_err(io_err)?;
                 (MAGIC_LEN, existing)
             }
-            Err(e) => return Err(io_err(e)),
         };
         if existing > valid_len {
             // Drop the torn tail so new appends start at a clean edge.
             append.set_len(valid_len).map_err(io_err)?;
             append.sync_data().map_err(io_err)?;
         }
-        append.seek(SeekFrom::Start(valid_len)).map_err(io_err)?;
 
         // A relation must not promise data the log lacks (its value frame
         // was enqueued before it, so "relation present, value missing"
@@ -456,16 +473,15 @@ impl DurableStore {
         for &(r, i, o) in &relations {
             cache.put(r, i, o);
         }
-        let replayed = cache.entries();
         // Every log byte is a live slot's frame, a replayed relation's
         // frame, or dead.
         let live = slots.values().map(|s| s.len as u64).sum::<u64>()
-            + (RELATION_FRAME * replayed.len()) as u64;
+            + (RELATION_FRAME * relations.len()) as u64;
         let dead = valid_len - MAGIC_LEN - live;
 
         let stats = Counters::default();
         stats.replayed_nodes.store(slots.len() as u64);
-        stats.replayed_relations.store(replayed.len() as u64);
+        stats.replayed_relations.store(relations.len() as u64);
         stats.truncated_bytes.store(truncated);
         let metrics = fix_obs::Registry::new();
         stats.register(&metrics);
@@ -482,7 +498,6 @@ impl DurableStore {
             done: Condvar::new(),
             stats,
             metrics,
-            replayed,
             writer: Mutex::new(None),
         });
 
@@ -546,35 +561,21 @@ impl DurableStore {
         self.inner.metrics.snapshot()
     }
 
-    /// The relations recovered at open — the work a restarted node does
-    /// *not* have to redo (each re-submits with zero procedures run).
-    pub fn replayed_relations(&self) -> &[(Relation, Handle, Handle)] {
-        &self.inner.replayed
-    }
-
     /// Objects currently faultable from disk (the durable index size).
     pub fn indexed_objects(&self) -> usize {
         self.inner.index.read().slots.len()
     }
 
-    /// True once the deterministic kill point has tripped (appends are
-    /// being dropped; the next open recovers the pre-crash prefix).
-    pub fn crashed(&self) -> bool {
-        self.inner.queue.lock().crashed
-    }
-
     /// Blocks until everything appended so far is written *and* fsynced
-    /// (regardless of the fsync policy). The durability barrier.
+    /// (regardless of the fsync policy). The durability barrier: an error
+    /// once the writer has halted on a failed file call.
     pub fn flush(&self) -> Result<()> {
         let inner = &self.inner;
         let mut q = inner.queue.lock();
-        if q.crashed {
-            return Ok(());
-        }
         let target = q.enqueued;
         q.flush_upto = q.flush_upto.max(target);
         inner.work.notify_all();
-        while q.synced < target && !q.crashed && q.io_error.is_none() && !q.shutdown {
+        while q.synced < target && q.io_error.is_none() && !q.shutdown {
             inner.done.wait(&mut q);
         }
         match &q.io_error {
@@ -598,9 +599,6 @@ impl DurableStore {
         let (tx, rx) = mpsc::channel();
         {
             let mut q = inner.queue.lock();
-            if q.crashed {
-                return Ok(());
-            }
             if let Some(e) = &q.io_error {
                 return Err(io_err(e));
             }
@@ -616,13 +614,14 @@ impl DurableStore {
     /// Garbage-collects memory *and* the durable index: objects
     /// unreachable from `roots` can neither be read nor faulted back in
     /// afterwards, and one tombstone frame per dropped object keeps them
-    /// dropped across a restart. Returns once the tombstones are durable,
-    /// with the number of objects collected; their frames are reclaimed
-    /// by the next compaction.
-    pub fn gc(&self, roots: &[Handle]) -> usize {
+    /// dropped across a restart. Returns the number of objects collected
+    /// once the tombstones are durable; their frames are reclaimed by the
+    /// next compaction. An error means the collection may not survive a
+    /// restart: the log could not take the tombstones.
+    pub fn gc(&self, roots: &[Handle]) -> Result<usize> {
         // Barrier first, so just-inserted objects are indexed and the
         // index prune below sees them.
-        let _ = self.flush();
+        self.flush()?;
         let inner = &self.inner;
         // One walk (it faults lazily-resident trees in to descend)
         // serves both the index prune and the memory sweep.
@@ -642,18 +641,19 @@ impl DurableStore {
             inner.tombstone(&mut index, dropped);
         }
         let collected = inner.store.sweep(&reachable) + disk_only_pruned;
-        let _ = self.flush();
-        collected
+        self.flush()?;
+        Ok(collected)
     }
 
     /// Forgets one object entirely: evicts it from memory *and* drops it
     /// from the durable index, so it cannot refault (unlike
     /// [`Store::evict`], after which the next read faults it back in),
     /// and appends its tombstone, so it stays forgotten across a
-    /// restart. Returns once the tombstone is durable, with the bytes
-    /// freed from memory, if it was resident.
-    pub fn forget(&self, handle: Handle) -> Option<u64> {
-        let _ = self.flush();
+    /// restart. Returns the bytes freed from memory, if it was resident,
+    /// once the tombstone is durable; an error, like [`gc`](Self::gc)'s,
+    /// means the log could not take it.
+    pub fn forget(&self, handle: Handle) -> Result<Option<u64>> {
+        self.flush()?;
         let inner = &self.inner;
         let key = payload_key(handle);
         {
@@ -662,50 +662,71 @@ impl DurableStore {
             inner.tombstone(&mut index, dropped.into_iter().collect());
         }
         let freed = inner.store.evict(handle);
-        let _ = self.flush();
-        freed
+        self.flush()?;
+        Ok(freed)
     }
 }
 
 // ----------------------------------------------------------------------
-// Recovery: streaming the log into the index.
+// Recovery: streaming the log, and the crash it recovers from.
 // ----------------------------------------------------------------------
 
-/// Streams the log's frames into `slots` and `relations` in log order,
-/// through one buffered reader and one reusable payload buffer. Returns
-/// the offset one past the last valid frame, or `None` if the file does
-/// not open with the log's magic.
-fn replay(
-    file: &File,
-    slots: &mut HandleMap<[u8; 32], Slot>,
-    relations: &mut Vec<(Relation, Handle, Handle)>,
-) -> io::Result<Option<u64>> {
-    let len = file.metadata()?.len();
-    let mut reader = BufReader::with_capacity(STREAM_BUFFER, file);
-    let mut head = [0u8; MAGIC_LEN as usize];
-    if len < MAGIC_LEN || reader.read_exact(&mut head).is_err() || &head != LOG_MAGIC {
+/// Streams the frames of the log `file`, `len` bytes long, through
+/// `each` in log order, through one buffered reader. Returns the offset
+/// one past the last valid frame, or `None` if the file does not open
+/// with the log's magic.
+fn scan_log(file: &File, len: u64, each: impl FnMut(Scanned)) -> io::Result<Option<u64>> {
+    if len < MAGIC_LEN {
         return Ok(None);
     }
-    frame::scan(&mut reader, MAGIC_LEN, len, |rec| match rec {
-        Scanned::Node {
-            key,
-            handle,
-            offset,
-            len,
-        } => {
-            let slot = Slot {
-                offset,
-                len,
-                handle,
+    let mut reader = BufReader::with_capacity(STREAM_BUFFER, file);
+    let mut head = [0u8; MAGIC_LEN as usize];
+    // The file holds a magic's worth, so only an I/O error fails this
+    // read — an error to report, not a log to start afresh.
+    reader.read_exact(&mut head)?;
+    if &head != LOG_MAGIC {
+        return Ok(None);
+    }
+    frame::scan(&mut reader, MAGIC_LEN, len, each).map(Some)
+}
+
+/// Leaves in `dir` what a crash right after the log's `frames`-th frame
+/// leaves: the log's first `frames` frames, then a torn partial frame (a
+/// header promising a megabyte, and 11 bytes of it), synced. The store
+/// on `dir` must be closed. The next [`DurableStore::open`] truncates the
+/// 19 torn bytes and serves the prefix.
+///
+/// Returns an [`Error::Backend`] if `dir` holds no log, or a log of
+/// fewer frames.
+pub fn tear_log(dir: impl AsRef<Path>, frames: u64) -> Result<()> {
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dir.as_ref().join(LOG_FILE))
+        .map_err(io_err)?;
+    let len = file.metadata().map_err(io_err)?.len();
+    let (mut kept, mut cut) = (0, MAGIC_LEN);
+    let scanned = scan_log(&file, len, |record| {
+        if kept < frames {
+            kept += 1;
+            cut += match record {
+                Scanned::Node { len, .. } => len as u64,
+                Scanned::Relation(..) => RELATION_FRAME as u64,
+                Scanned::Tombstone(_) => TOMBSTONE_FRAME as u64,
             };
-            slots.insert(key, slot);
         }
-        Scanned::Relation(r, i, o) => relations.push((r, i, o)),
-        Scanned::Tombstone(key) => {
-            slots.remove(&key);
-        }
-    })
-    .map(Some)
+    });
+    if scanned.map_err(io_err)?.is_none() || kept < frames {
+        return Err(io_err(format!(
+            "{LOG_FILE} holds {kept} frames, fewer than {frames}"
+        )));
+    }
+    let mut torn = 1_000_000u32.to_le_bytes().to_vec();
+    torn.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+    torn.extend_from_slice(&[0xAB; 11]);
+    file.set_len(cut).map_err(io_err)?;
+    file.write_all_at(&torn, cut).map_err(io_err)?;
+    file.sync_data().map_err(io_err)
 }
 
 // ----------------------------------------------------------------------
@@ -754,28 +775,15 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
         }
 
         let mut io_error: Option<String> = None;
-        let mut crashed_now = false;
         durable += frames.len() as u64; // Advances even if dropped, so flush waiters wake.
         if !frames.is_empty() {
-            // The deterministic kill point: the frames up to it reach the
-            // disk and the index, the rest of the batch is lost.
-            let before = inner.stats.appended_frames.get();
-            let kill = inner
-                .options
-                .kill
-                .filter(|k| (before + 1..=before + frames.len() as u64).contains(&k.after_frames));
-            let kept = match kill {
-                Some(k) => &frames[..(k.after_frames - before) as usize],
-                None => &frames[..],
-            };
-            let kept_bytes: usize = kept.iter().map(|f| f.len as usize).sum();
             let t0 = fix_obs::tracing_enabled().then(std::time::Instant::now);
-            match append.write_all(&bytes[..kept_bytes]) {
+            match append.write_all_at(&bytes, log_len) {
                 Ok(()) => {
                     let write_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
                     let mut guard = inner.index.write();
                     let index = &mut *guard;
-                    for f in kept {
+                    for f in &frames {
                         match f.record {
                             Record::Node(key, handle) => {
                                 let slot = Slot {
@@ -804,29 +812,15 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
                                 id,
                                 0,
                                 f.len,
-                                write_ns * f.len as u64 / kept_bytes as u64,
+                                write_ns * f.len as u64 / bytes.len() as u64,
                             );
                         }
                     }
                     drop(guard);
-                    inner.stats.appended_frames.add(kept.len() as u64);
-                    inner.stats.appended_bytes.add(kept_bytes as u64);
-                    unsynced_frames += kept.len() as u64;
+                    inner.stats.appended_frames.add(frames.len() as u64);
+                    inner.stats.appended_bytes.add(bytes.len() as u64);
+                    unsynced_frames += frames.len() as u64;
                     dirty = true;
-                    if let Some(kill) = kill {
-                        // Crash mid-batch, leaving a torn partial frame at
-                        // the tail for recovery to truncate.
-                        let mut torn = Vec::new();
-                        torn.extend_from_slice(&1_000_000u32.to_le_bytes());
-                        torn.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-                        torn.extend_from_slice(&[0xAB; 11]);
-                        let _ = append.write_all(&torn);
-                        let _ = append.sync_data();
-                        match kill.mode {
-                            KillMode::Exit(code) => std::process::exit(code),
-                            KillMode::Stop => crashed_now = true,
-                        }
-                    }
                 }
                 Err(e) => io_error = Some(e.to_string()),
             }
@@ -839,7 +833,7 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
         // or unasked once they outweigh the live ones. A success makes
         // everything written so far durable in the new log.
         let mut compaction = Ok(());
-        if io_error.is_none() && !crashed_now {
+        if io_error.is_none() {
             let dead = inner.index.read().dead;
             let live = (log_len - MAGIC_LEN).saturating_sub(dead);
             let asked = !snapshots.is_empty();
@@ -865,7 +859,7 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
             FsyncPolicy::OnSnapshot => false,
         };
         let barrier = flush_upto > synced || !snapshots.is_empty() || shutdown;
-        if dirty && io_error.is_none() && !crashed_now && (policy_wants || barrier) {
+        if dirty && io_error.is_none() && (policy_wants || barrier) {
             let t0 = std::time::Instant::now();
             match append.sync_data() {
                 Ok(()) => {
@@ -894,14 +888,9 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
 
         let mut q = inner.queue.lock();
         q.synced = synced;
-        if crashed_now {
-            q.crashed = true;
-            q.synced = q.enqueued;
-        }
-        if let Some(e) = io_error {
-            q.io_error = Some(e);
-        }
-        let halted = q.crashed || q.io_error.is_some();
+        // `None` until now: the writer exits on the first error.
+        q.io_error = io_error;
+        let halted = q.io_error.is_some();
         if halted {
             // Nothing queued can be persisted any more: free it.
             q.bytes = Vec::new();
@@ -1005,7 +994,7 @@ fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
         relations.retain(|&(_, _, out)| backed(out, &index.slots));
         (slots, relations, Arc::clone(&index.file), index.dead)
     };
-    let mut file = OpenOptions::new()
+    let file = OpenOptions::new()
         .read(true)
         .write(true)
         .create(true)
@@ -1017,7 +1006,7 @@ fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
     let mut len = 0; // Bytes written; the next frame starts at `len + out.len()`.
     for (relation, input, output) in relations {
         frame::push_relation(&mut out, relation, input, output);
-        write_full(&mut file, &mut out, &mut len)?;
+        write_full(&file, &mut out, &mut len)?;
     }
     let mut moved = Vec::with_capacity(slots.len());
     for (key, slot) in slots {
@@ -1035,9 +1024,9 @@ fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
         let start = out.len();
         frame::push_node(&mut out, &key, slot.handle, &node);
         moved.push((key, len + start as u64, (out.len() - start) as u32));
-        write_full(&mut file, &mut out, &mut len)?;
+        write_full(&file, &mut out, &mut len)?;
     }
-    file.write_all(&out)?;
+    file.write_all_at(&out, len)?;
     len += out.len() as u64;
     file.sync_all()?;
     Ok(Rewrite {
@@ -1050,9 +1039,9 @@ fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
 
 /// Writes `out` to `file` once it holds a stream buffer's worth, adding
 /// what went out to `written`.
-fn write_full(file: &mut File, out: &mut Vec<u8>, written: &mut u64) -> io::Result<()> {
+fn write_full(file: &File, out: &mut Vec<u8>, written: &mut u64) -> io::Result<()> {
     if out.len() >= STREAM_BUFFER {
-        file.write_all(out)?;
+        file.write_all_at(out, *written)?;
         *written += out.len() as u64;
         out.clear();
     }
@@ -1062,7 +1051,7 @@ fn write_full(file: &mut File, out: &mut Vec<u8>, written: &mut u64) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KillPoint;
+    use crate::faulty::{arm, Fault};
     use std::sync::mpsc;
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
@@ -1079,10 +1068,9 @@ mod tests {
         Handle::literal(&i.to_le_bytes()).expect("eight bytes fit a literal")
     }
 
-    fn open(dir: &tempfile::TempDir, kill: Option<KillPoint>) -> DurableStore {
+    fn open(dir: &tempfile::TempDir) -> DurableStore {
         let options = DurableOptions {
             fsync: FsyncPolicy::OnSnapshot,
-            kill,
         };
         DurableStore::open(dir.path(), options).unwrap()
     }
@@ -1120,7 +1108,7 @@ mod tests {
     #[test]
     fn a_producer_past_the_backlog_bound_waits_for_the_writer() {
         let dir = tempfile::tempdir().unwrap();
-        let d = open(&dir, None);
+        let d = open(&dir);
         // The writer indexes each batch under the index's write lock:
         // holding a read guard stops it with its first batch in hand.
         let stall = d.inner.index.read();
@@ -1134,7 +1122,7 @@ mod tests {
         d.flush().unwrap();
         assert_eq!(d.stats().appended_frames, FRAMES);
         drop(d);
-        assert_eq!(open(&dir, None).stats().replayed_relations, FRAMES);
+        assert_eq!(open(&dir).stats().replayed_relations, FRAMES);
     }
 
     #[test]
@@ -1153,30 +1141,29 @@ mod tests {
     }
 
     #[test]
-    fn a_kill_point_trip_wakes_a_waiting_producer() {
+    fn a_failed_write_wakes_a_waiting_producer() {
         let dir = tempfile::tempdir().unwrap();
-        let kill = KillPoint {
-            after_frames: 1,
-            mode: KillMode::Stop,
-        };
-        let d = open(&dir, Some(kill));
-        // The first batch trips the kill point, but only after indexing:
-        // the producer is parked on the bound when the crash happens.
+        let plan = arm(dir.path());
+        let d = open(&dir);
+        // The writer's first batch reaches the disk, then stalls on the
+        // index lock while the producer runs into the bound; its second
+        // write fails with the producer parked.
+        plan.fault(plan.calls().len() + 1, Fault::Fail);
         let stall = d.inner.index.read();
         let (thread, finished) = produce(&d);
         assert_producer_blocks(&d, &finished);
         drop(stall);
         finished
             .recv_timeout(WATCHDOG)
-            .expect("the trip wakes the producer");
+            .expect("the failed write wakes the producer");
         thread.join().unwrap();
-        assert!(d.crashed());
-        d.flush().unwrap();
-        assert_eq!(d.stats().appended_frames, 1);
+        assert!(d.flush().is_err(), "a halted writer fails the barrier");
         assert!(d.inner.queue.lock().bytes.is_empty());
-        drop(d);
-        let d = open(&dir, None);
-        assert_eq!(d.stats().replayed_relations, 1);
-        assert_eq!(d.stats().truncated_bytes, 19);
+        let written = d.stats().appended_frames;
+        assert!(written > 0);
+        drop((d, plan));
+        let d = open(&dir);
+        assert_eq!(d.stats().replayed_relations, written);
+        assert_eq!(d.stats().truncated_bytes, 0);
     }
 }

@@ -5,7 +5,7 @@ use fix_core::error::Error;
 use fix_core::handle::Handle;
 use fix_core::wire::Parcel;
 use fix_durable::LOG_MAGIC;
-use fix_durable::{crc32, DurableOptions, DurableStore, FsyncPolicy, KillMode, KillPoint};
+use fix_durable::{crc32, tear_log, DurableOptions, DurableStore, FsyncPolicy};
 use fix_storage::{payload_key, Relation};
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -14,7 +14,6 @@ use std::path::Path;
 fn opts() -> DurableOptions {
     DurableOptions {
         fsync: FsyncPolicy::Always,
-        ..DurableOptions::default()
     }
 }
 
@@ -137,7 +136,6 @@ fn a_snapshot_is_a_barrier_and_rewrites_only_a_log_with_dead_bytes() {
             dir.path(),
             DurableOptions {
                 fsync: FsyncPolicy::OnSnapshot,
-                ..DurableOptions::default()
             },
         )
         .unwrap();
@@ -155,7 +153,7 @@ fn a_snapshot_is_a_barrier_and_rewrites_only_a_log_with_dead_bytes() {
         // Forgetting half the objects leaves their frames and their four
         // tombstones dead: the next snapshot rewrites the live rest.
         for h in &handles[4..] {
-            d.forget(*h);
+            d.forget(*h).unwrap();
         }
         d.snapshot().unwrap();
         assert_eq!(d.stats().snapshots, 1);
@@ -243,31 +241,21 @@ fn kill_point_crashes_and_recovery_keeps_the_prefix() {
     let survivor_handles: Vec<Handle>;
     let lost_handle;
     {
-        let d = DurableStore::open(
-            dir.path(),
-            DurableOptions {
-                fsync: FsyncPolicy::Always,
-                kill: Some(KillPoint {
-                    after_frames: 3,
-                    mode: KillMode::Stop,
-                }),
-            },
-        )
-        .unwrap();
+        let d = DurableStore::open(dir.path(), opts()).unwrap();
         survivor_handles = survivors
             .iter()
             .map(|b| d.store().put_blob(b.clone()))
             .collect();
-        d.flush().unwrap();
-        assert!(d.crashed(), "the third frame trips the kill point");
-        // Appends after the crash are dropped, and flush doesn't hang.
         lost_handle = d.store().put_blob(lost.clone());
         d.flush().unwrap();
     }
+    // The node died right after its third frame reached the disk.
+    tear_log(dir.path(), 3).unwrap();
     let d = DurableStore::open(dir.path(), opts()).unwrap();
-    assert!(
-        d.stats().truncated_bytes > 0,
-        "the kill point leaves a torn frame for recovery to drop"
+    assert_eq!(
+        d.stats().truncated_bytes,
+        19,
+        "the crash leaves a torn frame for recovery to drop"
     );
     assert_eq!(d.stats().replayed_nodes, 3);
     for (b, h) in survivors.iter().zip(&survivor_handles) {
@@ -275,10 +263,14 @@ fn kill_point_crashes_and_recovery_keeps_the_prefix() {
     }
     assert!(
         !d.store().contains(lost_handle),
-        "post-crash appends are lost"
+        "what followed the crash is lost"
     );
     drop(d);
     assert_only_the_log(dir.path());
+    assert!(
+        tear_log(dir.path(), 4).is_err(),
+        "the recovered log holds three frames"
+    );
 }
 
 #[test]
@@ -319,7 +311,7 @@ fn gc_prunes_the_index_so_collected_objects_cannot_resurrect() {
     let root = d.store().put_tree(Tree::from_handles(vec![live_handle]));
     d.flush().unwrap();
 
-    let collected = d.gc(&[root]);
+    let collected = d.gc(&[root]).unwrap();
     assert_eq!(collected, 1);
     assert_eq!(d.store().get_blob(live_handle).unwrap(), live);
     // The dead object is gone from memory AND the durable index: no
@@ -351,7 +343,7 @@ fn a_collected_object_stays_dead_across_a_restart() {
         dead_handle = d.store().put_blob(dead);
         let root = d.store().put_tree(Tree::from_handles(vec![live_handle]));
         d.flush().unwrap();
-        assert_eq!(d.gc(&[root]), 1);
+        assert_eq!(d.gc(&[root]).unwrap(), 1);
     }
     // No snapshot in between: the log itself records the collection.
     let d = DurableStore::open(dir.path(), opts()).unwrap();
@@ -371,7 +363,7 @@ fn a_forgotten_object_stays_dead_across_a_restart() {
         let d = DurableStore::open(dir.path(), opts()).unwrap();
         h = d.store().put_blob(blob(8, 55));
         d.flush().unwrap();
-        assert_eq!(d.forget(h), Some(55));
+        assert_eq!(d.forget(h).unwrap(), Some(55));
     }
     let d = DurableStore::open(dir.path(), opts()).unwrap();
     assert_eq!(d.stats().replayed_nodes, 0);
@@ -389,7 +381,7 @@ fn an_object_put_again_after_gc_survives_a_restart() {
         let d = DurableStore::open(dir.path(), opts()).unwrap();
         h = d.store().put_blob(b.clone());
         d.flush().unwrap();
-        assert_eq!(d.gc(&[]), 1);
+        assert_eq!(d.gc(&[]).unwrap(), 1);
         assert!(d.store().get(h).is_err());
         // Node, tombstone, node: the later frame wins.
         assert_eq!(d.store().put_blob(b.clone()), h);
@@ -426,7 +418,7 @@ fn gc_descends_through_non_resident_trees() {
     // Nothing resident: the reachability walk must fault trees in to
     // find the leaf, and keep both.
     let d = DurableStore::open(dir.path(), opts()).unwrap();
-    assert_eq!(d.gc(&[root]), 0);
+    assert_eq!(d.gc(&[root]).unwrap(), 0);
     assert_eq!(d.store().get_blob(leaf_handle).unwrap(), leaf);
 }
 
@@ -450,7 +442,7 @@ fn gc_on_a_reopened_store_reads_each_reachable_tree_once() {
     assert_eq!(d.store().object_count(), 0, "restart must be lazy");
     // The dead tree and its blob are disk-only: pruned from the index,
     // counted, never read.
-    assert_eq!(d.gc(&[root]), 2);
+    assert_eq!(d.gc(&[root]).unwrap(), 2);
     assert_eq!(d.stats().faults, 3, "one mark walk, one fault per tree");
     assert_eq!(d.store().object_count(), 3);
     assert!(!d.store().contains(dead));
@@ -467,7 +459,7 @@ fn forget_drops_an_object_for_good() {
     let d = DurableStore::open(dir.path(), opts()).unwrap();
     let h = d.store().put_blob(b);
     d.flush().unwrap();
-    assert_eq!(d.forget(h), Some(55));
+    assert_eq!(d.forget(h).unwrap(), Some(55));
     assert!(!d.store().contains(h));
     assert!(d.store().get(h).is_err(), "forget() means no refault");
     assert_eq!(d.store().total_bytes(), 0);
@@ -482,7 +474,7 @@ fn a_compaction_that_cannot_read_a_live_object_fails_alone() {
     let a = Node::Blob(blob(70, 200));
     let a_handle = d.store().put(a.clone());
     let garbage = d.store().put_blob(blob(71, 200));
-    d.forget(garbage);
+    d.forget(garbage).unwrap();
     assert_eq!(d.store().evict(a_handle), Some(200));
     // Corrupt `a` on disk behind a valid checksum: the log still scans,
     // but `a`'s frame (the first) no longer hashes to its name.
@@ -552,7 +544,7 @@ fn the_writer_compacts_by_itself_once_dead_bytes_outweigh_live_ones() {
         .map(|i| d.store().put_blob(blob(i as u8, 4097 + i)))
         .collect();
     d.flush().unwrap();
-    assert_eq!(d.gc(&[keep_handle]), 300);
+    assert_eq!(d.gc(&[keep_handle]).unwrap(), 300);
     assert_eq!(d.stats().snapshots, 1, "no snapshot was asked for");
     assert_eq!(log_len(dir.path()), 8 + frame_len(&keep));
     assert_eq!(d.store().get(keep_handle).unwrap(), keep);
@@ -698,11 +690,11 @@ fn a_log_from_the_first_format_writer_opens_faults_and_compacts() {
     assert_only_the_log(dir.path());
 }
 
-/// The scripted run of the kill sweep: 20 rounds of three frames — an
+/// The scripted run of the crash sweep: 20 rounds of three frames — an
 /// output blob, a tree over it, and the relation `tree() → blob` — and,
 /// after every fourth round, a gc that drops the blob and tree of the
 /// round two before it: two tombstones, in key order. Odd rounds record
-/// the relation *first*, so a kill between the two leaves a relation on
+/// the relation *first*, so a crash between the two leaves a relation on
 /// disk whose output is not.
 struct Script {
     /// Each round's output blob and the tree over it.
@@ -770,7 +762,7 @@ impl Script {
 
     /// Submits the frames in bursts of 1, 2, 3, … rounds with a flush
     /// between bursts, so a burst tends to reach the writer as one batch
-    /// and kill points land at the start, middle and end of batches.
+    /// and crash points fall at the start, middle and end of batches.
     fn run(&self, d: &DurableStore) {
         let (mut round, mut burst) = (0, 1);
         let mut live: Vec<usize> = Vec::new();
@@ -793,7 +785,7 @@ impl Script {
                         .iter()
                         .flat_map(|&r| [self.rounds[r].0.handle(), self.rounds[r].1.handle()])
                         .collect();
-                    d.gc(&roots);
+                    d.gc(&roots).unwrap();
                 }
             }
             d.flush().unwrap();
@@ -823,28 +815,27 @@ fn every_kill_point_recovers_exactly_the_frames_before_it() {
     let script = Script::new();
     let total = script.frames().len() as u64;
     assert_eq!(total, 70);
+    let run = tempfile::tempdir().unwrap();
+    {
+        let d = DurableStore::open(
+            run.path(),
+            DurableOptions {
+                fsync: FsyncPolicy::EveryN(4),
+            },
+        )
+        .unwrap();
+        script.run(&d);
+        assert_eq!(d.stats().appended_frames, total);
+    }
+    let log = std::fs::read(run.path().join("log.fixlog")).unwrap();
     for after_frames in 1..=total {
         let dir = tempfile::tempdir().unwrap();
-        {
-            let d = DurableStore::open(
-                dir.path(),
-                DurableOptions {
-                    fsync: FsyncPolicy::EveryN(4),
-                    kill: Some(KillPoint {
-                        after_frames,
-                        mode: KillMode::Stop,
-                    }),
-                },
-            )
-            .unwrap();
-            script.run(&d);
-            assert!(d.crashed(), "kill point {after_frames} tripped");
-            assert_eq!(d.stats().appended_frames, after_frames);
-        }
+        std::fs::write(dir.path().join("log.fixlog"), &log).unwrap();
+        tear_log(dir.path(), after_frames).unwrap();
         let d = DurableStore::open(dir.path(), opts()).unwrap();
         let (objects, relations) = script.survivors(after_frames as usize);
         let served = |h: Handle| objects.contains(&h);
-        let tag = format!("kill after {after_frames}");
+        let tag = format!("crash after {after_frames}");
         assert_eq!(d.stats().truncated_bytes, 19, "{tag}");
         assert_eq!(d.stats().replayed_nodes, objects.len() as u64, "{tag}");
         // A relation frame counts only if its output is served too.

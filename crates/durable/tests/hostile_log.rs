@@ -73,7 +73,6 @@ const RANDOM_CASES: u64 = if cfg!(debug_assertions) {
 fn options() -> DurableOptions {
     DurableOptions {
         fsync: FsyncPolicy::OnSnapshot,
-        ..DurableOptions::default()
     }
 }
 
@@ -103,9 +102,9 @@ fn seed_log() -> (Vec<u8>, Vec<Node>) {
         d.cache().put(Relation::Apply, thunk, h[2]);
         d.cache()
             .put(Relation::Force, thunk, Blob::from_u64(9).handle());
-        d.forget(h[3]);
+        d.forget(h[3]).unwrap();
         d.store().put(blobs[3].clone());
-        d.forget(h[4]);
+        d.forget(h[4]).unwrap();
         d.flush().unwrap();
     }
     let log = std::fs::read(dir.path().join("log.fixlog")).unwrap();

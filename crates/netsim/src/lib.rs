@@ -75,11 +75,6 @@ impl Sim {
         self.now
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The network configuration.
     pub fn net(&self) -> &NetConfig {
         &self.net
@@ -111,16 +106,6 @@ impl Sim {
     /// against runaway simulations in tests).
     pub fn set_horizon(&mut self, t: Time) {
         self.horizon = Some(t);
-    }
-
-    /// Pending event count (for diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if no events remain.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     // ------------------------------------------------------------------

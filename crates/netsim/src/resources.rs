@@ -80,13 +80,6 @@ pub struct NodeStats {
     pub tasks_run: u64,
 }
 
-impl NodeStats {
-    /// Busy core-microseconds (user + system).
-    pub fn busy_core_us(&self) -> u64 {
-        self.user_core_us + self.system_core_us
-    }
-}
-
 pub(crate) struct NodeState {
     pub spec: NodeSpec,
     pub cores_free: u32,
@@ -148,10 +141,5 @@ impl CpuReport {
         }
         let busy = self.user_core_us + self.system_core_us;
         100.0 * (self.capacity_core_us.saturating_sub(busy)) as f64 / self.capacity_core_us as f64
-    }
-
-    /// Utilization % (user + system over capacity).
-    pub fn utilization_percent(&self) -> f64 {
-        100.0 - self.waiting_percent()
     }
 }

@@ -43,14 +43,6 @@ impl EventQueue {
         let f = self.events.remove(&seq).expect("event body present");
         Some((at, f))
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]

@@ -639,7 +639,7 @@ mod tests {
         let rt = Runtime::builder().build();
         let keep = rt.put_blob(Blob::from_vec(vec![1u8; 64]));
         let _unused = rt.put_blob(Blob::from_vec(vec![2u8; 64]));
-        let collected = rt.gc(&[keep]);
+        let collected = rt.gc(&[keep]).unwrap();
         assert_eq!(collected, 1);
         assert!(rt.get_blob(keep).is_ok());
     }

@@ -237,11 +237,13 @@ impl Runtime {
     /// `roots` (plus everything literal).
     ///
     /// On a durable runtime this also prunes the on-disk index, so
-    /// collected objects cannot silently refault later.
-    pub fn gc(&self, roots: &[Handle]) -> usize {
+    /// collected objects cannot silently refault later, and `Ok` means
+    /// the collection is durable: an error is a log that could not record
+    /// it ([`DurableStore::gc`]).
+    pub fn gc(&self, roots: &[Handle]) -> Result<usize> {
         match &self.durable {
             Some(d) => d.gc(roots),
-            None => self.store.gc(roots),
+            None => Ok(self.store.gc(roots)),
         }
     }
 

@@ -184,11 +184,6 @@ impl Autoscaler {
         self.active
     }
 
-    /// The controller tick period, µs.
-    pub fn interval_us(&self) -> Micros {
-        self.cfg.control_interval_us
-    }
-
     /// The resizes so far, in virtual-time order.
     pub fn timeline(&self) -> &[ScaleEvent] {
         &self.timeline

@@ -1,11 +1,11 @@
-//! Kill-and-recover serving: crash a durable serve run mid-batch, then
+//! Kill-and-recover serving: crash a durable serve run mid-log, then
 //! reopen the same directory and prove the restart serves from disk.
 //!
 //! The scenario the paper's serving story needs but a purely in-memory
-//! runtime cannot provide: a node crashes partway through a batch (the
-//! deterministic [`KillPoint`] trips inside the group-commit writer,
-//! leaving a torn final frame), the process restarts, and the recovered
-//! store replays the log prefix. Because Fix evaluation is deterministic
+//! runtime cannot provide: a node crashes partway through its log (what
+//! it leaves is a prefix of the log and a torn final frame, which
+//! [`tear_log`] cuts from the finished run's log), the process restarts,
+//! and the recovered store replays the log prefix. Because Fix evaluation is deterministic
 //! and memoized, everything whose relation survived the crash re-serves
 //! with **zero procedures run** — and because `fix-serve`'s latency and
 //! accounting tables are virtual-time constructs of the config alone,
@@ -17,7 +17,7 @@
 use crate::server::{serve, ServeConfig, ServeReport};
 use fix_core::api::Evaluator;
 use fix_core::error::Result;
-use fix_durable::{DurableOptions, DurableStore, FsyncPolicy, KillMode, KillPoint};
+use fix_durable::{tear_log, DurableOptions, DurableStore, FsyncPolicy};
 use fixpoint::Runtime;
 use std::path::Path;
 
@@ -32,8 +32,6 @@ pub struct RecoveryOutcome {
     /// Procedures actually executed during this pass (memoization cache
     /// misses). Zero on a clean warm restart: every request replayed.
     pub procedures_run: u64,
-    /// Whether the deterministic kill point tripped during this pass.
-    pub crashed: bool,
     /// Memoized relations recovered from disk when this pass opened.
     pub replayed_relations: u64,
     /// Objects indexed (not loaded — restart is lazy) at open.
@@ -54,7 +52,7 @@ impl RecoveryOutcome {
 
 /// Runs one serve pass on a durable runtime rooted at `dir`, flushing
 /// the log before returning (so a subsequent open sees everything this
-/// pass persisted — unless a kill point cut persistence short).
+/// pass persisted).
 pub fn serve_durable(
     dir: &Path,
     cfg: &ServeConfig,
@@ -71,7 +69,6 @@ pub fn serve_durable(
     Ok(RecoveryOutcome {
         table: report.to_string(),
         procedures_run,
-        crashed: d.crashed(),
         replayed_relations: at_open.replayed_relations,
         replayed_nodes: at_open.replayed_nodes,
         truncated_bytes: at_open.truncated_bytes,
@@ -80,46 +77,35 @@ pub fn serve_durable(
     })
 }
 
-/// The kill-and-recover scenario: a serve pass that crashes persistence
-/// at a deterministic kill point, then a second pass over the same
-/// directory that recovers and re-serves the identical workload.
+/// The kill-and-recover scenario: a serve pass whose node dies right
+/// after its log's `kill_after_frames`-th frame, then a second pass over
+/// the same directory that recovers and re-serves the identical workload.
 ///
-/// Returns `(killed, recovered)`. The crash-recovery contract, asserted
-/// by the callers:
+/// The first pass serves and flushes; its log is then cut to the prefix
+/// and torn frame that crash leaves ([`tear_log`], an error if the pass
+/// wrote fewer frames). Returns `(killed, recovered)`. The crash-recovery
+/// contract, asserted by the callers:
 ///
 /// * both passes satisfy [accounting closure](RecoveryOutcome::assert_accounting_closure);
 /// * `recovered.table == killed.table` — the deterministic tables are
 ///   bit-identical across the crash boundary;
 /// * `recovered.procedures_run < killed.procedures_run` — relations that
 ///   survived the crash are served from the log, not recomputed (with no
-///   kill point at all, `recovered.procedures_run == 0`);
-/// * `recovered.truncated_bytes > 0` — the torn final frame the kill
-///   point leaves behind was tolerated and truncated.
+///   crash at all, `recovered.procedures_run == 0`);
+/// * `recovered.truncated_bytes > 0` — the torn final frame the crash
+///   leaves behind was tolerated and truncated.
 pub fn kill_and_recover(
     dir: &Path,
     cfg: &ServeConfig,
     kill_after_frames: u64,
 ) -> Result<(RecoveryOutcome, RecoveryOutcome)> {
-    let killed = serve_durable(
-        dir,
-        cfg,
-        DurableOptions {
-            fsync: FsyncPolicy::Always,
-            kill: Some(KillPoint {
-                after_frames: kill_after_frames,
-                mode: KillMode::Stop,
-            }),
-        },
-    )?;
+    let options = DurableOptions {
+        fsync: FsyncPolicy::Always,
+    };
+    let killed = serve_durable(dir, cfg, options)?;
     // The in-memory half of the crashed node died with `killed`'s
     // runtime (dropped above); only the log prefix survives.
-    let recovered = serve_durable(
-        dir,
-        cfg,
-        DurableOptions {
-            fsync: FsyncPolicy::Always,
-            ..DurableOptions::default()
-        },
-    )?;
+    tear_log(dir, kill_after_frames)?;
+    let recovered = serve_durable(dir, cfg, options)?;
     Ok((killed, recovered))
 }

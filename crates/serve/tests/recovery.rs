@@ -41,7 +41,6 @@ fn config() -> ServeConfig {
 fn clean_options() -> DurableOptions {
     DurableOptions {
         fsync: FsyncPolicy::Always,
-        ..DurableOptions::default()
     }
 }
 
@@ -51,7 +50,6 @@ fn warm_restart_replays_everything_with_zero_procedures() {
     let cfg = config();
     let cold = serve_durable(dir.path(), &cfg, clean_options()).unwrap();
     cold.assert_accounting_closure();
-    assert!(!cold.crashed);
     assert!(cold.procedures_run > 0, "the cold run computes");
     assert!(cold.report.completed > 0);
 
@@ -80,8 +78,6 @@ fn kill_mid_batch_recovers_the_persisted_prefix() {
 
     killed.assert_accounting_closure();
     recovered.assert_accounting_closure();
-    assert!(killed.crashed, "the kill point must trip mid-run");
-    assert!(!recovered.crashed);
 
     // The deterministic tables are virtual-time constructs of the config
     // alone, so the crash cannot perturb them.
@@ -90,7 +86,7 @@ fn kill_mid_batch_recovers_the_persisted_prefix() {
         "deterministic tables must be bit-identical across the crash boundary"
     );
 
-    // The kill point leaves a torn final frame; recovery truncates it.
+    // The crash leaves a torn final frame; recovery truncates it.
     assert!(
         recovered.truncated_bytes > 0,
         "recovery must tolerate (and count) the torn final frame"

@@ -1,16 +1,17 @@
-//! Crash-recoverable serving end to end: durable multi-tenant serving
-//! with a deterministic kill point, restart, and self-asserted recovery.
+//! Crash-recoverable serving end to end: durable multi-tenant serving,
+//! a crash after a chosen log frame, restart, and self-asserted recovery.
 //!
-//! Three modes:
+//! A crash leaves a prefix of the log and a torn final frame; this
+//! example makes one by cutting a finished run's log with
+//! `fix::durable::tear_log`. Three modes:
 //!
 //! * no arguments — in-process demo: serve durably into a temp dir,
-//!   crash persistence mid-batch at a deterministic kill point, reopen,
-//!   re-serve, and assert the crash-recovery contract (bit-identical
-//!   tables, accounting closure, replayed work not recomputed);
-//! * `--kill-at N --dir PATH` — serve durably into `PATH` and *really*
-//!   crash: the kill point terminates the process with exit code 113
-//!   mid-batch, leaving a torn final frame in the log (the CI recovery
-//!   smoke asserts the nonzero exit);
+//!   crash after a log frame mid-run, reopen, re-serve, and assert the
+//!   crash-recovery contract (bit-identical tables, accounting closure,
+//!   replayed work not recomputed);
+//! * `--kill-at N --dir PATH` — serve durably into `PATH`, leave in it
+//!   what a crash after frame `N` leaves, and exit with code 113 as the
+//!   crashed process would (the CI recovery smoke asserts that exit);
 //! * `--recover --dir PATH` — reopen `PATH` after such a crash and
 //!   self-assert recovery: the torn frame was truncated, the recovered
 //!   table is bit-identical to a fresh in-memory reference, replayed
@@ -20,7 +21,7 @@
 //!
 //! Run with: `cargo run --release --example durable_serving`
 
-use fix::durable::{DurableOptions, DurableStore, FsyncPolicy, KillMode, KillPoint};
+use fix::durable::{tear_log, DurableOptions, DurableStore, FsyncPolicy};
 use fix::prelude::*;
 use fix::serve::recovery::{kill_and_recover, serve_durable};
 use fix::serve::{serve, ArrivalProcess, RequestKind, ServeConfig, TenantSpec};
@@ -57,7 +58,6 @@ fn config() -> ServeConfig {
 fn clean() -> DurableOptions {
     DurableOptions {
         fsync: FsyncPolicy::Always,
-        ..DurableOptions::default()
     }
 }
 
@@ -79,20 +79,14 @@ fn main() {
             "serving durably into {}, crashing after frame {after_frames}…",
             dir.display()
         );
-        let options = DurableOptions {
-            fsync: FsyncPolicy::Always,
-            kill: Some(KillPoint {
-                after_frames,
-                mode: KillMode::Exit(113),
-            }),
-        };
-        // The kill point terminates the process from inside the writer
-        // thread — at the latest during the final flush. Reaching the
-        // line after it means the run appended fewer frames than the
-        // kill point, which is a configuration error.
-        let _ = serve_durable(&dir, &cfg, options).expect("serve");
-        eprintln!("error: the kill point never tripped (fewer than {after_frames} frames)");
-        std::process::exit(1);
+        serve_durable(&dir, &cfg, clean()).expect("serve");
+        // A run that appended fewer frames cannot crash after frame N:
+        // that is a configuration error.
+        if let Err(e) = tear_log(&dir, after_frames) {
+            eprintln!("error: cannot crash after frame {after_frames}: {e}");
+            std::process::exit(1);
+        }
+        std::process::exit(113);
     }
 
     if std::env::args().any(|a| a == "--recover") {
@@ -127,9 +121,10 @@ fn main() {
         // replayed (non-literal) result — it must arrive via a real
         // disk fault, not recomputation.
         let d = DurableStore::open(&dir, clean()).expect("reopen");
-        let &(_, _, output) = d
-            .replayed_relations()
-            .iter()
+        let (_, _, output) = d
+            .cache()
+            .entries()
+            .into_iter()
             .find(|(_, _, o)| o.is_value() && !o.is_literal())
             .expect("some replayed relation has a stored result");
         d.store().get(output).expect("replayed result readable");
@@ -149,7 +144,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Default: the whole scenario in-process (KillMode::Stop).
+    // Default: the whole scenario in-process.
     // ------------------------------------------------------------------
     let tmp = tempfile::tempdir().expect("tempdir");
     println!("== durable serving with an in-process crash ==\n");
@@ -158,7 +153,6 @@ fn main() {
     let (killed, recovered) = kill_and_recover(tmp.path(), &cfg, 60).expect("kill and recover");
     killed.assert_accounting_closure();
     recovered.assert_accounting_closure();
-    assert!(killed.crashed, "the kill point must trip");
     assert_eq!(
         recovered.table, killed.table,
         "tables must be bit-identical across the crash boundary"
@@ -169,7 +163,7 @@ fn main() {
         "recovered work is replayed, not recomputed"
     );
 
-    println!("-- crashed run (persistence stopped mid-batch) --");
+    println!("-- crashed run (its log cut after frame 60) --");
     println!("{}", killed.table);
     println!("-- recovered run (same directory) --");
     println!("{}", recovered.table);

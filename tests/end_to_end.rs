@@ -172,7 +172,7 @@ fn gc_after_evaluation_keeps_results_reachable() {
         .unwrap();
     let result = rt.eval(thunk).unwrap();
 
-    let collected = rt.gc(&[result]);
+    let collected = rt.gc(&[result]).unwrap();
     assert!(collected > 0, "the unused blob should be collected");
     assert!(rt.get_blob(result).is_ok(), "result survives GC");
     assert!(rt.get_blob(garbage).is_err(), "garbage does not");

@@ -133,7 +133,6 @@ fn metrics_snapshot_agrees_with_legacy_accessors() {
         dir.path(),
         DurableOptions {
             fsync: FsyncPolicy::Always,
-            ..DurableOptions::default()
         },
     )
     .unwrap();
