@@ -446,8 +446,8 @@ mod tests {
 
     /// The request-scoped submission path over a baseline profile: the
     /// client submits through its embedded node's scheduler, so the
-    /// options — strict mode, priorities, deadlines — behave exactly as
-    /// on every other backend (the cross-backend agreement itself is
+    /// options — strict mode and priorities — behave exactly as on every
+    /// other backend (the cross-backend agreement itself is
     /// pinned by tests/api_conformance.rs).
     #[test]
     fn native_submission_honors_request_options() {
@@ -467,20 +467,5 @@ mod tests {
         assert_eq!(*results[0].as_ref().unwrap(), rb.eval_strict(t1).unwrap());
         assert_eq!(rb.get_u64(*results[1].as_ref().unwrap()).unwrap(), 3);
         assert_eq!(rb.reports().len(), 1, "one batch, one costed run");
-
-        // A deadline the virtual clock has passed fails the batch before
-        // the (costly) baseline simulation ever runs.
-        rb.advance_virtual_clock(10);
-        let expired = rb
-            .submit_with(
-                &[add_thunk(&rb, 5, 5)],
-                SubmitOptions::default().with_deadline(3),
-            )
-            .wait();
-        assert!(matches!(
-            expired[0],
-            Err(Error::DeadlineExceeded { deadline_us: 3 })
-        ));
-        assert_eq!(rb.reports().len(), 1, "dead work is never costed");
     }
 }

@@ -27,9 +27,9 @@
 //!
 //! Submission is the embedded node's own: `submit_with` simulates the
 //! batch, then hands it to the node's scheduler and returns *its*
-//! ticket. Priority tiers, lazy deadline expiry, cancellation and
-//! withdrawal, strict eval→force chains and the virtual clock are
-//! therefore the scheduler's — the same code a bare `Runtime` runs —
+//! ticket. Priority tiers, cancellation and withdrawal, and strict
+//! eval→force chains are therefore the scheduler's — the same code a
+//! bare `Runtime` runs —
 //! not a second engine wrapped around the client. `eval`, `eval_strict`
 //! and `eval_many` are the API's provided submit-and-wait.
 //!
@@ -46,7 +46,7 @@ use fix_core::api::{
 use fix_core::calibration::SERVICE_COSTS;
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
-use fix_core::handle::{DataType, Handle, HandleMap, HandleSet, Kind, ThunkKind};
+use fix_core::handle::{transfer_size, DataType, Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use fix_core::limits::ResourceLimits;
 use fix_core::semantics::Footprint;
 use fix_netsim::{NetConfig, NodeId, NodeSpec, Time};
@@ -195,7 +195,7 @@ impl ClusterClient {
 
 // ----------------------------------------------------------------------
 // The One Fix API: objects and procedures live on the embedded node,
-// requests are simulated and then submitted to it, the clock is its own.
+// requests are simulated and then submitted to it.
 // ----------------------------------------------------------------------
 
 impl ObjectApi for ClusterClient {
@@ -222,25 +222,12 @@ impl SubmitApi for ClusterClient {
     /// derives the force phase too — even a value root can hold work
     /// nested inside its trees), so a batch that cannot be simulated
     /// fails as a whole. The batch then goes to the embedded node's
-    /// scheduler and the ticket returned is the node's own. A batch
-    /// whose deadline has already passed records no run: the node fails
-    /// it whole on arrival.
+    /// scheduler and the ticket returned is the node's own.
     fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
-        let dead = options
-            .deadline_us
-            .is_some_and(|deadline_us| self.inner.virtual_now() > deadline_us);
-        if !dead {
-            if let Err(fault) = self.simulate(handles, options.mode == Mode::Strict) {
-                return BatchTicket::ready(vec![Err(fault); handles.len()]);
-            }
+        if let Err(fault) = self.simulate(handles, options.mode == Mode::Strict) {
+            return BatchTicket::ready(vec![Err(fault); handles.len()]);
         }
         self.inner.submit_with(handles, options)
-    }
-    fn virtual_now(&self) -> u64 {
-        self.inner.virtual_now()
-    }
-    fn advance_virtual_clock(&self, us: u64) {
-        self.inner.advance_virtual_clock(us)
     }
 }
 
@@ -352,14 +339,6 @@ impl<'a> Deriver<'a> {
         self.workers[(scatter as usize) % self.workers.len()]
     }
 
-    /// Bytes that must move to make `h` resident (its transfer size).
-    fn transfer_size(h: Handle) -> u64 {
-        match h.kind() {
-            Kind::Object(DataType::Tree) | Kind::Ref(DataType::Tree) => 32 * h.size(),
-            _ => h.size(),
-        }
-    }
-
     fn object_for(&mut self, h: Handle) -> Option<ObjectId> {
         if h.is_literal() {
             return None; // Literals ride inside handles; nothing moves.
@@ -372,7 +351,7 @@ impl<'a> Deriver<'a> {
             return Some(o);
         }
         let node = self.home_node(key);
-        let o = self.builder.object_at(Self::transfer_size(key), &[node]);
+        let o = self.builder.object_at(transfer_size(key), &[node]);
         self.objects.insert(key, o);
         Some(o)
     }
@@ -787,9 +766,9 @@ mod tests {
     }
 
     /// The request-scoped submission path over the cluster: the client
-    /// submits through its embedded node's scheduler, so strict mode and
-    /// deadlines are the scheduler's own — while the simulated substrate
-    /// records runs only for live work. (Cancellation on a bare client
+    /// submits through its embedded node's scheduler, so strict mode is
+    /// the scheduler's own — while the simulated substrate records runs
+    /// only for work not yet memoized. (Cancellation on a bare client
     /// is pinned in tests/api_conformance.rs.)
     #[test]
     fn native_submission_honors_request_options() {
@@ -809,28 +788,10 @@ mod tests {
             *strict[0].as_ref().unwrap(),
             cc.eval_strict(mint(41)).unwrap()
         );
-        let runs_after_strict = cc.reports().len();
-        assert_eq!(
-            runs_after_strict, 1,
-            "the memoized re-evaluation shipped nothing"
-        );
-
-        // A dead-on-arrival batch never reaches the simulator: no run is
-        // recorded and no procedure executes.
-        cc.advance_virtual_clock(1_000);
-        let before = cc.procedures_run();
-        let expired = cc
-            .submit_with(&[mint(77)], SubmitOptions::default().with_deadline(500))
-            .wait();
-        assert!(matches!(
-            expired[0],
-            Err(Error::DeadlineExceeded { deadline_us: 500 })
-        ));
         assert_eq!(
             cc.reports().len(),
-            runs_after_strict,
-            "dead work ships nothing"
+            1,
+            "the memoized re-evaluation shipped nothing"
         );
-        assert_eq!(cc.procedures_run(), before);
     }
 }

@@ -16,12 +16,11 @@
 //!   [`submit_with`](SubmitApi::submit_with) (and its shorthands
 //!   [`submit`](SubmitApi::submit) /
 //!   [`submit_many`](SubmitApi::submit_many)) returns a [`Ticket`]
-//!   immediately, resolved by the ticket's own `poll`/`wait`/
-//!   [`wait_any`](BatchTicket::wait_any), so a driver can overlap
-//!   admission with execution; [`SubmitOptions`] carries a deadline
-//!   (virtual µs), a [`Priority`] class, and the WHNF-vs-strict
-//!   [`Mode`], and [`BatchTicket::cancel`] withdraws still-queued work.
-//!   Every backend implements it the same way: the batch goes to a Fix
+//!   immediately, resolved by the ticket's own
+//!   [`wait`](BatchTicket::wait), so a driver can overlap admission with
+//!   execution; [`SubmitOptions`] carries a [`Priority`] class and the
+//!   WHNF-vs-strict [`Mode`], and dropping an unresolved ticket
+//!   withdraws still-queued work. Every backend implements it the same way: the batch goes to a Fix
 //!   node's scheduler — `fixpoint::Runtime` *is* that node, and the
 //!   cluster client submits through the node it embeds (after costing
 //!   the batch on its simulator) and returns that node's ticket;
@@ -72,13 +71,13 @@
 //! # How small the surface is meant to be
 //!
 //! The yardstick is the Fix authors' own backend traits: seven data
-//! methods plus `request_execution`. Here a backend supplies nine:
+//! methods plus `request_execution`. Here a backend supplies seven:
 //!
 //! | trait | required |
 //! |---|---|
 //! | [`ObjectApi`] | `put`, `get`, `contains` |
 //! | [`InvocationApi`] | `register_native` |
-//! | [`SubmitApi`] | `submit_with`, `virtual_now`, `advance_virtual_clock` |
+//! | [`SubmitApi`] | `submit_with` |
 //! | [`Evaluator`] | `footprint`, `procedures_run` |
 //!
 //! Everything else is a provided method over those — the typed
@@ -341,28 +340,17 @@ impl Priority {
 /// Request-scoped intent attached to a submission (see
 /// [`SubmitApi::submit_with`]).
 ///
-/// A bare `submit_many` carries no intent: the backend cannot know the
-/// request may expire, which traffic to dispatch first, or how deep to
-/// evaluate. `SubmitOptions` names all three, so the platform can
-/// reorder, expire, and withdraw outstanding work — the
-/// request-lifecycle control a serving layer needs.
+/// A bare `submit_many` carries no intent: the backend cannot know
+/// which traffic to dispatch first, or how deep to evaluate.
+/// `SubmitOptions` names both. Deadlines are not a submission's
+/// business: a serving layer expires a request on its own clock before
+/// it submits (`fix_serve`'s dispatch-time expiry).
 ///
-/// The default options (`no deadline, Normal priority, WHNF`) make
+/// The default options (`Normal` priority, WHNF) make
 /// `submit_with(h, SubmitOptions::default())` behave exactly like
 /// `submit_many(h)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOptions {
-    /// Absolute deadline in the backend's virtual clock
-    /// ([`SubmitApi::virtual_now`]), in µs. A batch submitted after
-    /// its deadline already passed fails whole with
-    /// [`Error::DeadlineExceeded`] — uniformly on every backend,
-    /// before any slot resolves. A deadline that passes *while* the
-    /// batch waits in a backend queue expires the still-pending work
-    /// at its next dispatch opportunity (lazily, when the scheduler
-    /// dequeues it); results the backend already produced by then —
-    /// memoized slots filled at submission — keep their values. `None`
-    /// (default) never expires.
-    pub deadline_us: Option<u64>,
     /// The batch's scheduling class.
     pub priority: Priority,
     /// How far each slot is evaluated.
@@ -376,12 +364,6 @@ impl SubmitOptions {
             mode: Mode::Strict,
             ..SubmitOptions::default()
         }
-    }
-
-    /// Sets the absolute virtual-time deadline, in µs.
-    pub fn with_deadline(mut self, deadline_us: u64) -> SubmitOptions {
-        self.deadline_us = Some(deadline_us);
-        self
     }
 
     /// Sets the scheduling class.
@@ -402,9 +384,8 @@ impl SubmitOptions {
 /// what lets the `fix-serve` driver pool overlap admission with
 /// execution. Blocking is the special case: every [`Evaluator`] method
 /// that returns results is submission followed by an immediate `wait`.
-/// Tickets resolve themselves ([`BatchTicket::poll`],
-/// [`BatchTicket::wait`], [`BatchTicket::wait_any`]); the backend is not
-/// involved again.
+/// A ticket is waited on ([`BatchTicket::wait`]) or dropped; the
+/// backend is not involved again.
 ///
 /// Implementations — one submission path, two entry points:
 ///
@@ -414,13 +395,12 @@ impl SubmitOptions {
 /// * `fix_cluster::ClusterClient` — derives and simulates the batch's
 ///   dataflow under its `Profile` (recording a run report), then
 ///   submits it to the `Runtime` it embeds and returns that node's
-///   ticket. Tiers, deadlines, cancellation and the virtual clock are
-///   the node's.
+///   ticket. Tiers and cancellation are the node's.
 ///
 /// Submissions are *request scoped*: [`submit_with`](SubmitApi::submit_with)
-/// attaches a [`SubmitOptions`] — deadline in virtual µs, [`Priority`]
-/// class, WHNF-vs-strict [`Mode`] — so the backend can reorder, expire,
-/// and withdraw outstanding work instead of blindly executing it.
+/// attaches a [`SubmitOptions`] — [`Priority`] class and WHNF-vs-strict
+/// [`Mode`] — so the backend can reorder outstanding work, and a dropped
+/// ticket lets it withdraw work instead of blindly executing it.
 ///
 /// Contract (held by the conformance suite):
 ///
@@ -428,14 +408,11 @@ impl SubmitOptions {
 ///   [`Evaluator::eval_many`]`(h)`, and
 ///   `submit_with(h, SubmitOptions::strict()).wait()` to a loop of
 ///   [`Evaluator::eval_strict`];
-/// * [`BatchTicket::cancel`] (and dropping a ticket, its implicit form)
-///   withdraws still-queued work that no other live request shares,
-///   fails unresolved slots with [`Error::Cancelled`], and neither
-///   hangs other work nor leaks per-batch bookkeeping;
-/// * a batch whose [`SubmitOptions::deadline_us`] passes before
-///   dispatch resolves with [`Error::DeadlineExceeded`] in the expired
-///   slots instead of executing dead work;
-/// * tickets resolve exactly once; `poll` is non-blocking.
+/// * dropping an unresolved ticket withdraws still-queued work that no
+///   other live request shares, fails unresolved slots with
+///   [`Error::Cancelled`], and neither hangs other work nor leaks
+///   per-batch bookkeeping;
+/// * tickets resolve exactly once.
 ///
 /// # Overlapping batches
 ///
@@ -475,7 +452,7 @@ impl SubmitOptions {
 /// assert_eq!(rt.get_u64(*second_results[3].as_ref().unwrap()).unwrap(), 104);
 /// ```
 ///
-/// # A deadline-bounded strict batch
+/// # A strict, latency-tier batch
 ///
 /// ```
 /// use fix_core::api::{Evaluator, InvocationApi, ObjectApi, SubmitApi, SubmitOptions, Priority};
@@ -501,41 +478,23 @@ impl SubmitOptions {
 /// ).unwrap();
 /// let batch = vec![rt.apply(ResourceLimits::default_limits(), wrap, &[inner]).unwrap()];
 ///
-/// // Strict, latency-class, and expired once the virtual clock passes
-/// // 10 ms: the platform may withdraw it instead of executing it late.
-/// let opts = SubmitOptions::strict()
-///     .with_priority(Priority::Latency)
-///     .with_deadline(10_000);
+/// // Strict, and dispatched ahead of every Normal and Batch job queued.
+/// let opts = SubmitOptions::strict().with_priority(Priority::Latency);
 /// let results = rt.submit_with(&batch, opts).wait();
-/// // The clock never advanced, so the deadline did not pass; the slot
-/// // agrees with eval_strict: the inner thunk is deep-forced.
+/// // The slot agrees with eval_strict: the inner thunk is deep-forced.
 /// let forced = *results[0].as_ref().unwrap();
 /// assert_eq!(forced, rt.eval_strict(batch[0]).unwrap());
 /// assert_eq!(rt.get_u64(rt.get_tree(forced).unwrap().get(0).unwrap()).unwrap(), 42);
 /// ```
 pub trait SubmitApi {
     /// Begins evaluating a batch of independent requests under
-    /// request-scoped `options` (deadline, priority class, evaluation
-    /// mode), returning a ticket for the positional results. Must not
-    /// block on evaluation: the work proceeds in the backend (or on
-    /// later `wait`/`advance` calls for inline backends), not in this
-    /// call.
+    /// request-scoped `options` (priority class, evaluation mode),
+    /// returning a ticket for the positional results. Must not block on
+    /// evaluation: the work proceeds in the backend (or on the later
+    /// `wait` for inline backends), not in this call.
     fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket;
 
-    /// The backend's virtual clock, in µs — the timeline
-    /// [`SubmitOptions::deadline_us`] is measured on. Starts at zero
-    /// and only moves when [`advance_virtual_clock`](SubmitApi::advance_virtual_clock)
-    /// is called, so deadlines are deterministic: wall time never
-    /// expires anything.
-    fn virtual_now(&self) -> u64;
-
-    /// Advances the backend's virtual clock by `us` µs. Embedders with
-    /// a notion of time (a serving layer's discrete-event clock, a test
-    /// harness) drive this; queued work whose deadline the clock passes
-    /// is expired at its next dispatch opportunity.
-    fn advance_virtual_clock(&self, us: u64);
-
-    /// Begins evaluating a batch with default options — no deadline,
+    /// Begins evaluating a batch with default options —
     /// [`Priority::Normal`], WHNF. See [`submit_with`](SubmitApi::submit_with).
     fn submit_many(&self, handles: &[Handle]) -> BatchTicket {
         self.submit_with(handles, SubmitOptions::default())
@@ -663,8 +622,6 @@ forward_through_deref! {
     }
     SubmitApi {
         fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket;
-        fn virtual_now(&self) -> u64;
-        fn advance_virtual_clock(&self, us: u64);
         fn submit_many(&self, handles: &[Handle]) -> BatchTicket;
         fn submit(&self, handle: Handle) -> Ticket;
     }

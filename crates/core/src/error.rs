@@ -74,18 +74,11 @@ pub enum Error {
         limit: usize,
     },
     /// The request was cancelled before it completed: its
-    /// [`BatchTicket`](crate::ticket::BatchTicket) was cancelled (or
-    /// dropped unresolved) and the backend withdrew the work it could
-    /// still withdraw. Not a fault of the program — the platform was
-    /// told the result will never be claimed.
+    /// [`BatchTicket`](crate::ticket::BatchTicket) was dropped
+    /// unresolved and the backend withdrew the work it could still
+    /// withdraw. Not a fault of the program — the platform was told the
+    /// result will never be claimed.
     Cancelled,
-    /// The request's submission deadline (in virtual µs, see
-    /// [`SubmitOptions`](crate::api::SubmitOptions)) passed before the
-    /// backend dispatched it; the work was expired instead of executed.
-    DeadlineExceeded {
-        /// The absolute virtual-time deadline that passed, in µs.
-        deadline_us: u64,
-    },
     /// A fault specific to one execution backend (e.g. a cluster client
     /// with no worker nodes). Semantic faults use the shared variants
     /// above so they stay comparable across backends; this variant is
@@ -135,12 +128,6 @@ impl fmt::Display for Error {
                 write!(f, "evaluation depth exceeded the bound of {limit}")
             }
             Error::Cancelled => write!(f, "request cancelled before completion"),
-            Error::DeadlineExceeded { deadline_us } => {
-                write!(
-                    f,
-                    "deadline of {deadline_us} virtual µs passed before dispatch"
-                )
-            }
             Error::Backend { backend, message } => {
                 write!(f, "{backend} backend fault: {message}")
             }

@@ -497,6 +497,27 @@ impl Handle {
     }
 }
 
+/// The canonical lookup key: the handle's payload and type, with the
+/// kind byte stripped (an Object and a Ref to the same bytes are the
+/// same stored datum). Because the canonical Object tag is zero, a
+/// payload key is itself a valid raw Object handle — the durable tier
+/// exploits this to reconstruct a handle from an on-disk key.
+pub fn payload_key(handle: Handle) -> [u8; 32] {
+    let mut key = *handle.raw();
+    key[30] = 0;
+    key
+}
+
+/// Bytes that must move to make the datum `handle` names resident, from
+/// the handle alone (the size rides in the name: blob length, or 32
+/// bytes per tree entry) — `Node::transfer_size` without the node.
+pub fn transfer_size(handle: Handle) -> u64 {
+    match handle.kind() {
+        Kind::Object(DataType::Tree) | Kind::Ref(DataType::Tree) => 32 * handle.size(),
+        _ => handle.size(),
+    }
+}
+
 impl fmt::Display for Handle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(content) = self.literal_content() {

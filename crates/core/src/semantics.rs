@@ -16,7 +16,10 @@
 
 use crate::data::{literal_blob, Blob, Node, Tree};
 use crate::error::{Error, Result};
-use crate::handle::{DataType, EncodeStyle, Handle, HandleMap, HandleSet, Kind, ThunkKind};
+use crate::handle::{
+    payload_key, transfer_size, DataType, EncodeStyle, Handle, HandleMap, HandleSet, Kind,
+    ThunkKind,
+};
 use crate::invocation::Selection;
 use std::borrow::Cow;
 
@@ -112,20 +115,11 @@ impl Footprint {
         for &h in &other.objects {
             if seen.insert(payload_key(h)) {
                 self.objects.push(h);
-                self.total_bytes += handle_transfer_size(h);
+                self.total_bytes += transfer_size(h);
             }
         }
         merge_unique(&mut self.unresolved_encodes, &other.unresolved_encodes);
         merge_unique(&mut self.refs, &other.refs);
-    }
-}
-
-/// [`Node::transfer_size`], computed from the handle alone (the size
-/// rides in the name: blob length, or 32 bytes per tree entry).
-fn handle_transfer_size(handle: Handle) -> u64 {
-    match handle.kind() {
-        Kind::Object(DataType::Tree) | Kind::Ref(DataType::Tree) => 32 * handle.size(),
-        _ => handle.size(),
     }
 }
 
@@ -310,15 +304,6 @@ fn add_accessible(
         }
     }
     Ok(())
-}
-
-/// The deduplication key for a handle: its payload and type, ignoring
-/// accessibility tags (an Object and a Ref to the same tree are one datum).
-fn payload_key(handle: Handle) -> [u8; 32] {
-    let mut key = *handle.raw();
-    // Normalize the kind byte to Object and keep the type/literal flags.
-    key[30] = 0;
-    key
 }
 
 /// Collects every Encode appearing in an application tree, recursively

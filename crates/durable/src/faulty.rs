@@ -21,13 +21,15 @@ pub(crate) enum Fault {
     /// A write lands its first half, a read fills its first half, and
     /// then the call fails. A call that moves no bytes just fails.
     Short,
-    /// A positional read returns its bytes with one bit flipped: this
-    /// index, modulo the bits read. Any other call just fails.
+    /// A read — positional or streamed — returns its bytes with one bit
+    /// flipped: this index, modulo the bits read. Any other call just
+    /// fails.
     ///
-    /// Positional reads are the fault path, which must refuse bytes that
-    /// do not hash to the name asked for. A streamed read at open is not
-    /// flipped: to the scan, a flipped byte is a corrupt frame, and the
-    /// log is cut at its first corrupt frame by design.
+    /// A positional read is the fault path, which must refuse bytes that
+    /// do not hash to the name asked for. A streamed read is the scan at
+    /// open, to which a flipped byte looks like a corrupt frame: open
+    /// must re-read that frame and, finding it whole, refuse to cut the
+    /// log at a misread.
     Flip(u64),
 }
 
@@ -104,6 +106,18 @@ impl Plan {
 
 fn injected() -> io::Error {
     io::Error::other("injected fault")
+}
+
+/// Flips bit `bit`, modulo the bits read, of the `read` bytes at the
+/// head of `buf`; a read of nothing has no bit to flip and fails.
+fn flip(buf: &mut [u8], read: usize, bit: u64) -> io::Result<usize> {
+    let bits = 8 * read as u64;
+    if bits == 0 {
+        return Err(injected());
+    }
+    let bit = bit % bits;
+    buf[(bit / 8) as usize] ^= 1 << (bit % 8);
+    Ok(read)
 }
 
 /// Counts a call that moves no bytes under `plan`: any fault fails it.
@@ -228,13 +242,7 @@ impl FileExt for File {
             }
             Some(Fault::Flip(bit)) => {
                 let read = self.file.read_at(buf, offset)?;
-                let bits = 8 * read as u64;
-                if bits == 0 {
-                    return Err(injected());
-                }
-                let bit = bit % bits;
-                buf[(bit / 8) as usize] ^= 1 << (bit % 8);
-                Ok(read)
+                flip(buf, read, bit)
             }
         }
     }
@@ -260,7 +268,11 @@ impl Read for &File {
                 (&self.file).read(&mut buf[..half])?;
                 Err(injected())
             }
-            Some(_) => Err(injected()),
+            Some(Fault::Flip(bit)) => {
+                let read = (&self.file).read(buf)?;
+                flip(buf, read, bit)
+            }
+            Some(Fault::Fail) => Err(injected()),
         }
     }
 }

@@ -114,7 +114,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// A frame header's two fields: payload length and payload checksum.
-fn header_fields(header: &[u8]) -> (u32, u32) {
+pub(crate) fn header_fields(header: &[u8]) -> (u32, u32) {
     let word = |at: usize| {
         u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
     };

@@ -8,6 +8,11 @@
 //! barrier that returned `Ok` — never brings back what a `gc` or `forget`
 //! that returned `Ok` dropped, serves each object under its own name, and
 //! backs every relation it replays.
+//!
+//! A second sweep flips bits in the reads a reopen of a finished run
+//! makes, streamed and positional: open must tell a misread from a torn
+//! log, so it either fails and leaves the file as it was, or serves the
+//! whole log.
 
 use crate::faulty::{arm, Fault};
 use crate::{DurableOptions, DurableStore, FsyncPolicy};
@@ -24,6 +29,8 @@ const OPTIONS: DurableOptions = DurableOptions {
 const SEED: u64 = 0x5EED_F1A7;
 /// Times the sweep faults each call.
 const PASSES: usize = 8;
+/// Bits the open-time sweep flips in each read.
+const FLIPS: usize = 32;
 
 fn open(dir: &Path) -> DurableStore {
     DurableStore::open(dir, OPTIONS).unwrap()
@@ -273,6 +280,55 @@ fn every_file_call_of_a_scripted_run_can_fail() {
         "swept {} file calls, {PASSES} injected faults each",
         calls.len()
     );
+}
+
+/// A flipped bit in a read at open is a misread, not a torn log: open
+/// must not cut the log at it (which would make the misread permanent,
+/// and bring back an object whose tombstone lay past the cut).
+#[test]
+fn a_flipped_read_at_open_cuts_nothing() {
+    let dir = tempfile::tempdir().unwrap();
+    let run = script(dir.path());
+    let universe = Universe::of(&run);
+    assert_eq!(
+        run.acked,
+        run.frames.len(),
+        "a run without faults is acknowledged"
+    );
+    let plan = arm(dir.path());
+    drop(open(dir.path()));
+    let calls = plan.calls();
+    drop(plan);
+    let log = dir.path().join("log.fixlog");
+    let bytes = std::fs::read(&log).unwrap();
+
+    let mut seed = SEED;
+    let mut flipped = 0;
+    for (at, &name) in calls.iter().enumerate() {
+        if name != "read" && name != "read_at" {
+            continue;
+        }
+        for _ in 0..FLIPS {
+            let fault = Fault::Flip(splitmix(&mut seed));
+            let plan = arm(dir.path());
+            plan.fault(at, fault);
+            let opened = DurableStore::open(dir.path(), OPTIONS);
+            let tag = format!("{fault:?} at call {at}, {name}");
+            if opened.is_err() {
+                assert_eq!(
+                    std::fs::read(&log).unwrap(),
+                    bytes,
+                    "{tag}: the log changed"
+                );
+            }
+            drop(opened);
+            drop(plan);
+            // Served or refused, the next open serves the whole log.
+            check(dir.path(), &run, &universe, &tag);
+            flipped += 1;
+        }
+    }
+    assert!(flipped > 0, "a reopen reads the log");
 }
 
 #[test]

@@ -445,7 +445,19 @@ impl DurableStore {
                 slots.remove(&key);
             }
         });
-        let (valid_len, truncated) = match scanned.map_err(io_err)? {
+        let scanned = scanned.map_err(io_err)?;
+        // The scan stopped short of the end: a torn or corrupt tail, or a
+        // misread. Cutting at a misread would make it permanent, so the
+        // bytes where the scan stopped are read again first.
+        let stopped_at = scanned.unwrap_or(0);
+        if existing > stopped_at
+            && reads_back_whole(&append, stopped_at, existing).map_err(io_err)?
+        {
+            return Err(io_err(format!(
+                "{LOG_FILE} misread at offset {stopped_at}: it reads back whole, so it is not cut"
+            )));
+        }
+        let (valid_len, truncated) = match scanned {
             Some(valid_len) => (valid_len, existing - valid_len),
             None => {
                 // New file, or a header torn mid-creation: start fresh.
@@ -688,6 +700,35 @@ fn scan_log(file: &File, len: u64, each: impl FnMut(Scanned)) -> io::Result<Opti
         return Ok(None);
     }
     frame::scan(&mut reader, MAGIC_LEN, len, each).map(Some)
+}
+
+/// Whether the bytes of the log `file`, `len` bytes long, at `at` — where
+/// a scan stopped — read back valid with positional reads: the magic at
+/// 0, elsewhere a whole frame that fits the file (its header, then its
+/// payload, so no more than one frame is held). True means the scan
+/// misread them; false, that they are torn or corrupt.
+fn reads_back_whole(file: &File, at: u64, len: u64) -> io::Result<bool> {
+    const HEADER: u64 = frame::FRAME_HEADER as u64;
+    if at == 0 {
+        if len < MAGIC_LEN {
+            return Ok(false);
+        }
+        let mut head = [0u8; MAGIC_LEN as usize];
+        file.read_exact_at(&mut head, 0)?;
+        return Ok(&head == LOG_MAGIC);
+    }
+    if len - at < HEADER {
+        return Ok(false);
+    }
+    let mut header = [0u8; frame::FRAME_HEADER];
+    file.read_exact_at(&mut header, at)?;
+    let end = at + HEADER + frame::header_fields(&header).0 as u64;
+    if end > len {
+        return Ok(false);
+    }
+    let mut payload = vec![0u8; (end - at - HEADER) as usize];
+    file.read_exact_at(&mut payload, at + HEADER)?;
+    Ok(frame::scan(&mut header.chain(&payload[..]), at, end, |_| {})? == end)
 }
 
 /// Leaves in `dir` what a crash right after the log's `frames`-th frame

@@ -98,7 +98,6 @@ pub enum EventKind {
     SchedExecute,
     SchedComplete,
     SchedCancel,
-    SchedExpire,
     SchedBatchFill,
     SchedPark,
     SchedUnpark,
@@ -132,9 +131,7 @@ impl EventKind {
         use EventKind::*;
         match self {
             SchedSubmit | SchedEnqueue | SchedPop | SchedSteal | SchedExecute | SchedComplete
-            | SchedCancel | SchedExpire | SchedBatchFill | SchedPark | SchedUnpark => {
-                Layer::Scheduler
-            }
+            | SchedCancel | SchedBatchFill | SchedPark | SchedUnpark => Layer::Scheduler,
             ServeAdmit | ServeShed | ServeDispatch | ServeExpire | ServeComplete
             | ServeQueueDepth => Layer::Serve,
             Route | Spill | NodeKill | NodeRestart => Layer::Dispatch,
@@ -154,7 +151,6 @@ impl EventKind {
             SchedExecute => "scheduler.execute",
             SchedComplete => "scheduler.complete",
             SchedCancel => "scheduler.cancel",
-            SchedExpire => "scheduler.expire",
             SchedBatchFill => "scheduler.batch_fill",
             SchedPark => "scheduler.park",
             SchedUnpark => "scheduler.unpark",
@@ -205,7 +201,6 @@ impl EventKind {
             SchedExecute,
             SchedComplete,
             SchedCancel,
-            SchedExpire,
             SchedBatchFill,
             SchedPark,
             SchedUnpark,

@@ -486,7 +486,7 @@ mod tests {
         let ticket = rt.submit(outer);
         // The callee is mid-run, so its caller has parked on it.
         started_rx.recv().expect("callee started");
-        ticket.cancel();
+        drop(ticket);
         assert_eq!(rt.submission_watchers(), 0);
         release_tx.send(()).expect("callee is waiting");
 
@@ -786,11 +786,11 @@ mod tests {
 
     /// A finished job leaves no job-map record — inline or pooled,
     /// succeeded or failed, asked for by an eval or by a ticket that
-    /// resolved, was cancelled or expired — and the relations it
+    /// resolved or was dropped — and the relations it
     /// recorded still serve every re-evaluation with no procedure run.
     #[test]
     fn finished_jobs_leave_no_record() {
-        use fix_core::api::{SubmitApi, SubmitOptions};
+        use fix_core::api::SubmitApi;
         for workers in [0usize, 2] {
             let rt = Runtime::builder().workers(workers).build();
             let add = register_add(&rt);
@@ -812,21 +812,16 @@ mod tests {
             let failing = rt.apply(limits(), bad, &[]).unwrap();
 
             // Pushed in this order so an inline driver, popping its own
-            // deque LIFO, drains every token: the resolving batch's, the
-            // cancelled ticket's stale one, then the expiring one's.
-            let deadline = SubmitOptions::default().with_deadline(rt.virtual_now());
-            let expiring = rt.submit_with(&[pair(1 << 40, 0)], deadline);
-            rt.advance_virtual_clock(1);
-            rt.submit(pair(1 << 41, 0)).cancel();
-            let resolved = rt.submit_many(&[pair(1 << 42, 0), failing]).wait();
+            // deque LIFO, drains every token: the two dropped tickets'
+            // stale ones, then the resolving batch's.
+            let resolving = rt.submit_many(&[pair(1 << 42, 0), failing]);
+            drop(rt.submit(pair(1 << 40, 0)));
+            drop(rt.submit(pair(1 << 41, 0)));
+            let resolved = resolving.wait();
             assert_eq!(rt.get_u64(*resolved[0].as_ref().unwrap()).unwrap(), 1 << 42);
             assert!(matches!(resolved[1], Err(Error::Trap(_))));
-            let expired = expiring.wait();
-            if workers == 0 {
-                assert!(matches!(expired[0], Err(Error::DeadlineExceeded { .. })));
-            }
 
-            // A pool finishes a cancelled job's step (or drops its stale
+            // A pool finishes a dropped ticket's job (or drops its stale
             // token) behind the test's back; wait for it to go quiet.
             let quiet_by = std::time::Instant::now() + std::time::Duration::from_secs(10);
             while rt.job_entries() > 0 && std::time::Instant::now() < quiet_by {

@@ -14,7 +14,7 @@
 //!   handle.
 
 use fix_core::data::Blob;
-use fix_core::handle::{Handle, HandleMap};
+use fix_core::handle::{payload_key, Handle, HandleMap};
 use parking_lot::RwLock;
 
 use fix_core::api::NativeFn;
@@ -42,17 +42,13 @@ impl ProgramRegistry {
     pub fn register(&self, name: &str, f: NativeFn) -> (Blob, Handle) {
         let blob = native_marker(name);
         let handle = blob.handle();
-        let mut key = *handle.raw();
-        key[30] = 0;
-        self.by_handle.write().insert(key, f);
+        self.by_handle.write().insert(payload_key(handle), f);
         (blob, handle)
     }
 
     /// Looks up the native implementation for a procedure handle.
     pub fn lookup(&self, handle: Handle) -> Option<NativeFn> {
-        let mut key = *handle.raw();
-        key[30] = 0;
-        self.by_handle.read().get(&key).cloned()
+        self.by_handle.read().get(&payload_key(handle)).cloned()
     }
 }
 

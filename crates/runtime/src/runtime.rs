@@ -167,17 +167,17 @@ impl Runtime {
     }
 
     /// Completion watchers currently registered for in-flight submitted
-    /// batches. Resolved, cancelled, and dropped tickets all deregister
+    /// batches. Resolved and dropped tickets both deregister
     /// eagerly, so a quiescent runtime always reports zero — one half of
     /// the invariant the ticket-leak tests pin down.
     pub fn submission_watchers(&self) -> usize {
         self.scheduler.watcher_count()
     }
 
-    /// Jobs currently queued for (or undergoing) execution. Cancelling
+    /// Jobs currently queued for (or undergoing) execution. Dropping
     /// a ticket withdraws the queued jobs no other live request shares,
     /// so a quiescent runtime whose outstanding tickets were all
-    /// cancelled reports zero — the other half of the ticket-leak
+    /// dropped reports zero — the other half of the ticket-leak
     /// invariant (no orphaned queued work).
     pub fn queued_jobs(&self) -> usize {
         self.scheduler.queued_jobs()
@@ -300,31 +300,15 @@ impl SubmitApi for Runtime {
     /// pool-less runtime waiting on *any* ticket drives the shared queue
     /// (so overlapped batches still all make progress).
     ///
-    /// Cancelling the ticket — or dropping it unresolved, cancel's
-    /// implicit form — fails unresolved slots with
+    /// Dropping the ticket unresolved fails unresolved slots with
     /// [`Error::Cancelled`](fix_core::Error::Cancelled), withdraws the
     /// watchers on the spot (see
     /// [`submission_watchers`](Runtime::submission_watchers)), and
     /// withdraws still-queued jobs no other live request shares (see
     /// [`queued_jobs`](Runtime::queued_jobs)); shared or already-running
-    /// jobs remain ordinary scheduler state. A batch whose deadline the
-    /// virtual clock passes before dispatch expires with
-    /// [`Error::DeadlineExceeded`](fix_core::Error::DeadlineExceeded)
-    /// instead of executing.
+    /// jobs remain ordinary scheduler state.
     fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
         crate::submit::submit_with(&self.scheduler, handles, options)
-    }
-
-    /// The scheduler's virtual clock: starts at zero and never moves
-    /// with wall time.
-    fn virtual_now(&self) -> u64 {
-        self.scheduler.virtual_now()
-    }
-
-    /// Queued submissions whose deadline the clock passes are expired
-    /// lazily at dequeue.
-    fn advance_virtual_clock(&self, us: u64) {
-        self.scheduler.advance_clock(us)
     }
 }
 

@@ -3,9 +3,9 @@
 //! The old `BatchState` filled slots under the scheduler's global
 //! mutex, which serialized every completion against every submission.
 //! Here a slot is filled by **claiming** it first — a first-writer-wins
-//! CAS on the slot's `claimed` bit — so the completion path, lazy
-//! deadline expiry, cancellation, and stall failure can all race for a
-//! slot without a shared lock: exactly one of them wins, writes the
+//! CAS on the slot's `claimed` bit — so the completion path,
+//! cancellation, and stall failure can all race for a slot without a
+//! shared lock: exactly one of them wins, writes the
 //! result, and decrements `remaining`; the last fill flips `done`.
 //! Waiters only touch a condvar when `done` flips (and the scheduler
 //! only notifies when someone is actually parked), so a batch of N
@@ -66,18 +66,12 @@ pub(crate) struct BatchState {
     remaining: AtomicUsize,
     /// Set by whichever fill drains `remaining`.
     done: AtomicBool,
-    /// Absolute expiry on the scheduler's virtual clock, in µs.
-    pub(super) deadline_us: Option<u64>,
     /// The batch's scheduling class (inherited by its jobs' enqueues).
     pub(super) priority: Priority,
 }
 
 impl BatchState {
-    pub(super) fn new(
-        roots: &[(Job, bool)],
-        deadline_us: Option<u64>,
-        priority: Priority,
-    ) -> BatchState {
+    pub(super) fn new(roots: &[(Job, bool)], priority: Priority) -> BatchState {
         let n = roots.len();
         BatchState {
             slots: roots
@@ -90,7 +84,6 @@ impl BatchState {
                 .collect(),
             remaining: AtomicUsize::new(n),
             done: AtomicBool::new(n == 0),
-            deadline_us,
             priority,
         }
     }

@@ -26,7 +26,7 @@
 //! ## Gotchas
 //! - The deques hold tokens, not truth: the job map (layer 1) decides
 //!   at claim whether a popped token is live, skips stale ones and
-//!   expires deadline-passed watchers.
+//!   withdraws a job nothing wants any more.
 //! - `queued` counts tokens in every slot, incremented before a push
 //!   and decremented after a pop, so "every deque is empty" is one load:
 //!   that is how a waiter's stall check sees tokens in other slots or

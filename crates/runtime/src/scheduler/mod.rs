@@ -37,8 +37,8 @@
 //!    finishes its own lower-tier job before anyone notices the
 //!    higher-tier token in its deque — but any thread going idle steals
 //!    tier-major, so high-tier work is picked up as soon as any capacity
-//!    frees. Stale tokens are skipped and deadlines expire lazily *at
-//!    the claiming worker*, under the job's shard lock.
+//!    frees. Stale tokens are skipped *at the claiming worker*, under the
+//!    job's shard lock.
 //! 3. **Lock-free batch fills** (`batch`) — a watched batch's slots
 //!    are filled by first-writer-wins CAS claims; `remaining` counts
 //!    down atomically and only the final fill touches the condvar (and
@@ -73,16 +73,13 @@
 //!   entry and pushes a fresh token at the higher tier (priority
 //!   inheritance), so shared work runs at the urgency of the most
 //!   urgent request that wants it.
-//! * **deadlines** — a watched batch may carry an absolute deadline on
-//!   the scheduler's virtual clock; queued work whose deadline has
-//!   passed is expired *lazily at claim*: the expired slots fail with
-//!   `Error::DeadlineExceeded`, and the job itself is skipped when no
-//!   live request still wants it — dead work is withdrawn, not executed.
-//! * **cancellation** — `cancel_batch` fails a batch's unresolved slots
-//!   with `Error::Cancelled` and withdraws still-queued jobs no other
-//!   live request shares, via the per-job interest refcount the job map
-//!   keeps (watched slots and dependency waiters both count as
-//!   interest).
+//! * **cancellation** — a ticket dropped unresolved runs `cancel_batch`,
+//!   which fails the batch's unresolved slots with `Error::Cancelled`
+//!   and withdraws still-queued jobs no other live request shares, via
+//!   the per-job interest refcount the job map keeps (watched slots and
+//!   dependency waiters both count as interest). A job that was parked
+//!   when its only batch was dropped is withdrawn when its requeued
+//!   token is claimed — dead work is withdrawn, not executed.
 //! * **strict mode** — a strict slot watches the whole eval→force job
 //!   chain: when its `Eval` completes, the watcher *chains* onto the
 //!   `Force` of the produced value instead of filling, so the slot
@@ -104,9 +101,9 @@
 //!   the value, without taking a shard or (inline) allocating;
 //! * **watch** — one visit: enqueue the job unless it is in flight, and
 //!   register the slot's watcher;
-//! * **claim** — one visit (`adjudicate_token`): token accounting, lazy
-//!   expiry, and the entry's tier, which rides in the `Claim` so a step
-//!   that parks does not go back for it;
+//! * **claim** — one visit (`adjudicate_token`): token accounting and
+//!   the entry's tier, which rides in the `Claim` so a step that parks
+//!   does not go back for it;
 //! * **complete and remove** — one visit per completed job
 //!   (`complete_job`): take the watchers and waiters, drop the entry;
 //! * **park** — one visit per dependency and one for the job's own
@@ -156,8 +153,12 @@
 //! slots' deques or mid-steal, which a per-queue emptiness scan would
 //! miss. Threads park on one condvar behind a `sleepers` count, so the
 //! hot path's wakeups are a single atomic load; a bounded park timeout
-//! backstops the protocol against lost-wakeup bugs without masking
-//! genuine stalls.
+//! (`PARK_SAFETY`, the one park every thread uses) backstops the
+//! protocol against lost-wakeup bugs without masking genuine stalls.
+//!
+//! The scheduler keeps no clock: its trace events stamp virtual time 0.
+//! Deadlines belong to the serving kernel, which expires a request on
+//! its own virtual clock before it is ever submitted.
 
 mod batch;
 mod deques;
@@ -174,7 +175,7 @@ use fix_core::error::{Error, Result};
 use fix_core::handle::Handle;
 use fix_obs::EventKind;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -217,23 +218,19 @@ pub(crate) struct Scheduler {
     shutdown: AtomicBool,
     /// Number of pool workers attached (used for stall detection).
     workers_running: AtomicUsize,
-    /// The virtual clock (µs) submission deadlines are measured on.
-    /// Advanced only by the embedder, never by wall time, so expiry is
-    /// deterministic.
-    clock: AtomicU64,
 }
 
 /// What became of a popped token once the job map adjudicated it.
 enum TokenVerdict {
     /// Dead token (withdrawn, duplicate, or moved-on job); pop again.
     Stale,
-    /// Live token claimed, but expiry left the job wanted by nothing —
-    /// withdrawn instead of executed. `woke` = an expired fill
-    /// completed some batch, so sleepers need a nudge.
-    Skipped { woke: bool },
-    /// Live token claimed; run the job. `priority` is the entry's tier,
-    /// read here so a step that parks does not revisit the shard for it.
-    Run { woke: bool, priority: Priority },
+    /// Live token claimed, but the job is wanted by nothing (it was
+    /// parked when its only batch was dropped) — withdrawn instead of
+    /// executed; pop again.
+    Skipped,
+    /// Live token claimed; run the job at the entry's tier, read here
+    /// so a step that parks does not revisit the shard for it.
+    Run(Priority),
 }
 
 impl Scheduler {
@@ -251,19 +248,7 @@ impl Scheduler {
             executing: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             workers_running: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
         }
-    }
-
-    /// The virtual clock, in µs.
-    pub fn virtual_now(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
-    }
-
-    /// Advances the virtual clock by `us` µs. Queued jobs whose batch
-    /// deadlines the clock passes expire at their next claim.
-    pub fn advance_clock(&self, us: u64) {
-        self.clock.fetch_add(us, Ordering::Relaxed);
     }
 
     /// Jobs claimed out of a deque slot other than the claimant's own
@@ -296,7 +281,7 @@ impl Scheduler {
     #[inline]
     fn trace_job(&self, kind: EventKind, job: &Job, a: u32, b: u32) {
         if fix_obs::tracing_enabled() {
-            fix_obs::emit(kind, self.virtual_now(), job_trace_id(job), a, b);
+            fix_obs::emit(kind, 0, job_trace_id(job), a, b);
         }
     }
 
@@ -386,10 +371,9 @@ impl Scheduler {
     pub(crate) fn submit_watched_with(
         &self,
         roots: &[(Job, bool)],
-        deadline_us: Option<u64>,
         priority: Priority,
     ) -> Arc<BatchState> {
-        let state = Arc::new(BatchState::new(roots, deadline_us, priority));
+        let state = Arc::new(BatchState::new(roots, priority));
         let slot = self.deques.external();
         for (pos, &(job, then_force)) in roots.iter().enumerate() {
             self.trace_job(
@@ -468,36 +452,21 @@ impl Scheduler {
 
     /// Drives jobs on the calling thread until the watched batch
     /// completes; cooperates with pool workers and other inline drivers.
-    /// On a genuine stall the batch's unfinished slots are failed (and
-    /// its watchers deregistered) instead of parking forever.
+    /// Until `state` is done it claims and steps a queued job, or — when
+    /// nothing is claimable — parks awaiting someone else's progress. A
+    /// stall (nobody can make progress) fails the batch's unfinished
+    /// slots (and deregisters its watchers) instead of parking forever,
+    /// unless the batch turns out done after all: the finishing step and
+    /// the stall read can race, and a result always wins. The caller is
+    /// an external thread: it owns the external slot.
     pub(crate) fn wait_batch(&self, state: &Arc<BatchState>) {
-        self.drive_batch(state, PARK_SAFETY, false);
-    }
-
-    /// Bounded progress toward a watched batch: steps one queued job
-    /// inline if there is one, otherwise parks for at most `timeout`
-    /// awaiting someone else's progress (or fails the batch on a genuine
-    /// stall). The building block of `wait_any`-style multiplexing.
-    pub(crate) fn advance_batch(&self, state: &Arc<BatchState>, timeout: Duration) {
-        self.drive_batch(state, timeout, true);
-    }
-
-    /// The one drive loop: until `state` is done, claim and step a queued
-    /// job, or — when nothing is claimable — park for at most `cap`
-    /// awaiting someone else's progress. With `once`, returns after a
-    /// single step or park. A stall (nobody can make progress) fails the
-    /// batch's unfinished slots, unless the batch turns out done after
-    /// all: the finishing step and the stall read can race, and a result
-    /// always wins. The caller is an external thread: it owns the
-    /// external slot.
-    fn drive_batch(&self, state: &Arc<BatchState>, cap: Duration, once: bool) {
         let slot = self.deques.external();
         while !state.is_done() {
             if let Some(claim) = self.try_claim(slot) {
                 claim.execute();
             } else {
                 let mut stalled = false;
-                self.park_unless(cap, slot, || {
+                self.park_unless(slot, || {
                     state.is_done() || self.deques.queued() > 0 || {
                         stalled = self.stalled_now();
                         stalled
@@ -509,9 +478,6 @@ impl Scheduler {
                     }
                     return;
                 }
-            }
-            if once {
-                return;
             }
         }
     }
@@ -528,7 +494,7 @@ impl Scheduler {
                 return Ok(v);
             }
         }
-        let state = self.submit_watched_with(&[(root, then_force)], None, Priority::Normal);
+        let state = self.submit_watched_with(&[(root, then_force)], Priority::Normal);
         self.wait_batch(&state);
         state.result(0)
     }
@@ -536,8 +502,7 @@ impl Scheduler {
     /// Claims the next runnable job for an owner of slot `home`: raises
     /// the executor claim, then pops tokens (own slot first, then
     /// steals) until the job map confirms one live — skipping stale
-    /// tokens and lazily expiring deadline-passed watcher slots, the
-    /// "expire at claim" half of request-scoped submission. Returns
+    /// tokens and withdrawing jobs nothing wants any more. Returns
     /// `None` (and drops the claim) when no runnable token is left
     /// anywhere.
     fn try_claim(&self, home: usize) -> Option<Claim<'_>> {
@@ -553,23 +518,14 @@ impl Scheduler {
                 return None;
             };
             match self.adjudicate_token(job) {
-                TokenVerdict::Stale => continue,
-                TokenVerdict::Skipped { woke } => {
-                    if woke {
-                        self.notify_sleepers(home);
-                    }
-                    continue;
-                }
-                TokenVerdict::Run { woke, priority } => {
-                    if woke {
-                        self.notify_sleepers(home);
-                    }
+                TokenVerdict::Stale | TokenVerdict::Skipped => continue,
+                TokenVerdict::Run(priority) => {
                     return Some(Claim {
                         scheduler: self,
                         job,
                         priority,
                         slot: home,
-                    });
+                    })
                 }
             }
         }
@@ -594,36 +550,8 @@ impl Scheduler {
         // Claim the live token: from here the job counts as being
         // stepped (never withdrawable), not as queued.
         entry.enqueued = false;
-        // Lazy deadline expiry at the claiming worker. The per-entry
-        // watcher list keeps the no-watched-batches case (plain `eval`
-        // inline driving) at a single emptiness check.
-        let mut woke = false;
-        if !entry.watchers.is_empty() {
-            let now = self.clock.load(Ordering::Relaxed);
-            let passed = |w: &Watcher| w.state.deadline_us.filter(|&d| now > d);
-            if entry.watchers.iter().any(|w| passed(w).is_some()) {
-                let mut kept = Vec::with_capacity(entry.watchers.len());
-                let mut expired = 0u32;
-                for w in std::mem::take(&mut entry.watchers) {
-                    if let Some(deadline_us) = passed(&w) {
-                        entry.interest = entry.interest.saturating_sub(1);
-                        expired += 1;
-                        woke |= w
-                            .state
-                            .fill(w.pos, Err(Error::DeadlineExceeded { deadline_us }));
-                    } else {
-                        kept.push(w);
-                    }
-                }
-                entry.watchers = kept;
-                self.trace_job(EventKind::SchedExpire, &job, 0, expired);
-            }
-        }
         if entry.wanted() {
-            TokenVerdict::Run {
-                woke,
-                priority: entry.priority,
-            }
+            TokenVerdict::Run(entry.priority)
         } else {
             // Nothing live wants this job, and the claim is ours:
             // withdraw instead of executing dead work.
@@ -631,7 +559,7 @@ impl Scheduler {
             if entry.tokens == 0 {
                 shard.remove(&job);
             }
-            TokenVerdict::Skipped { woke }
+            TokenVerdict::Skipped
         }
     }
 
@@ -664,7 +592,7 @@ impl Scheduler {
             let parked = matches!(step, Ok(Step::Deps(_) | Step::Tail(_))) as u32;
             fix_obs::emit_span(
                 EventKind::SchedExecute,
-                self.virtual_now(),
+                0,
                 job_trace_id(&job),
                 slot as u32,
                 parked,
@@ -827,10 +755,9 @@ impl Scheduler {
     }
 
     // ----------------------------------------------------------------
-    // Revocation (cancel, stall, expiry)
+    // Revocation (cancel, stall)
 
-    /// Cancels a watched batch (the ticket was cancelled or dropped
-    /// unresolved): unresolved slots fail with [`Error::Cancelled`],
+    /// Cancels a watched batch (its ticket was dropped unresolved): unresolved slots fail with [`Error::Cancelled`],
     /// their watchers are deregistered, and still-queued jobs that no
     /// other live request shares are withdrawn — they will be skipped
     /// at claim instead of executed. Jobs that are shared, depended
@@ -968,25 +895,25 @@ impl Scheduler {
             && self.deques.queued() == 0
     }
 
-    /// Parks the calling thread until a notify (or the safety timeout),
+    /// Parks the calling thread until a notify (or [`PARK_SAFETY`]),
     /// unless `ready` already holds once the park lock is taken. The
     /// sleepers-count handshake with [`notify_sleepers`] guarantees
     /// that any state change making `ready` true after our check — all
     /// of which notify under the park lock when sleepers > 0 — wakes
     /// us. Callers re-check their predicate in a loop; `slot` is the
     /// caller's, for the trace.
-    fn park_unless(&self, cap: Duration, slot: usize, mut ready: impl FnMut() -> bool) {
+    fn park_unless(&self, slot: usize, mut ready: impl FnMut() -> bool) {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut guard = self.park.lock();
         if !ready() {
             let t0 = fix_obs::tracing_enabled().then(Instant::now);
             self.parked.add(1);
-            self.cv.wait_for(&mut guard, cap);
+            self.cv.wait_for(&mut guard, PARK_SAFETY);
             self.parked.add(-1);
             if let Some(t0) = t0 {
                 fix_obs::emit_span(
                     EventKind::SchedPark,
-                    self.virtual_now(),
+                    0,
                     0,
                     slot as u32,
                     0,
@@ -1008,13 +935,7 @@ impl Scheduler {
         let sleepers = self.sleepers.load(Ordering::SeqCst);
         if sleepers > 0 {
             if fix_obs::tracing_enabled() {
-                fix_obs::emit(
-                    EventKind::SchedUnpark,
-                    self.virtual_now(),
-                    0,
-                    slot as u32,
-                    sleepers as u32,
-                );
+                fix_obs::emit(EventKind::SchedUnpark, 0, 0, slot as u32, sleepers as u32);
             }
             let _guard = self.park.lock();
             self.cv.notify_all();
@@ -1066,7 +987,7 @@ impl Scheduler {
                 claim.execute();
                 continue;
             }
-            self.park_unless(PARK_SAFETY, index, || {
+            self.park_unless(index, || {
                 self.shutdown.load(Ordering::SeqCst) || self.deques.queued() > 0
             });
         }
@@ -1172,7 +1093,7 @@ mod tests {
         let dep = Job::Eval(Blob::from_u64(2).handle());
         // The waiter is mid-step (claimed: `Queued`, no live token), and
         // one watched slot wants it.
-        let slot = Arc::new(BatchState::new(&[(waiter, false)], None, Priority::Normal));
+        let slot = Arc::new(BatchState::new(&[(waiter, false)], Priority::Normal));
         {
             let mut shard = sched.jobs.shard(&waiter);
             let entry = shard.entry(waiter).or_default();

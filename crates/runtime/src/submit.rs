@@ -9,8 +9,7 @@
 //! and the backend-agnostic ticket machinery in `fix_core`.
 //!
 //! The submission's `SubmitOptions` map onto the scheduler directly:
-//! the batch's priority picks the tier its jobs enqueue at, its
-//! deadline rides in the watched batch (expired lazily at dequeue), and
+//! the batch's priority picks the tier its jobs enqueue at, and
 //! [`Mode::Strict`](fix_core::api::Mode) turns each slot into a watched
 //! eval→force chain. Under WHNF, value handles never touch the
 //! scheduler (they evaluate to themselves), so the pending batch
@@ -24,7 +23,6 @@ use fix_core::api::{BatchTicket, Mode, PendingBatch, SubmitOptions};
 use fix_core::error::Result;
 use fix_core::handle::Handle;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Where each requested position gets its answer.
 enum Slot {
@@ -56,20 +54,12 @@ impl RuntimePending {
 }
 
 impl PendingBatch for RuntimePending {
-    fn try_take(&self) -> Option<Vec<Result<Handle>>> {
-        self.state.is_done().then(|| self.assemble())
-    }
-
     fn wait(&self) -> Vec<Result<Handle>> {
         // The waiting thread turns into an inline driver: it executes
         // queued jobs (its own batch's and anyone else's) until the
         // watchers report this batch done.
         self.scheduler.wait_batch(&self.state);
         self.assemble()
-    }
-
-    fn advance(&self, timeout: Duration) {
-        self.scheduler.advance_batch(&self.state, timeout);
     }
 
     fn cancel(&self) {
@@ -91,26 +81,12 @@ pub(crate) fn strict_root(h: Handle) -> (Job, bool) {
 /// Builds the ticket for a batch of handles under request-scoped
 /// options: WHNF values resolve eagerly, everything else becomes one
 /// watched scheduler batch submitted under a single lock acquisition —
-/// strict slots as eval→force chains, at the batch's priority tier,
-/// carrying the batch's deadline.
+/// strict slots as eval→force chains, at the batch's priority tier.
 pub(crate) fn submit_with(
     scheduler: &Arc<Scheduler>,
     handles: &[Handle],
     options: SubmitOptions,
 ) -> BatchTicket {
-    // A batch submitted after its deadline already passed is dead on
-    // arrival — every backend fails it whole, uniformly, before any
-    // slot (even a memoized or value slot) resolves.
-    if let Some(deadline_us) = options.deadline_us {
-        if scheduler.virtual_now() > deadline_us {
-            return BatchTicket::ready(
-                handles
-                    .iter()
-                    .map(|_| Err(fix_core::Error::DeadlineExceeded { deadline_us }))
-                    .collect(),
-            );
-        }
-    }
     let mut jobs: Vec<(Job, bool)> = Vec::new();
     let plan: Vec<Slot> = handles
         .iter()
@@ -130,7 +106,7 @@ pub(crate) fn submit_with(
         // All WHNF values: the ticket is born resolved.
         return BatchTicket::ready(handles.iter().map(|&h| Ok(h)).collect());
     }
-    let state = scheduler.submit_watched_with(&jobs, options.deadline_us, options.priority);
+    let state = scheduler.submit_watched_with(&jobs, options.priority);
     BatchTicket::from_pending(
         Arc::new(RuntimePending {
             scheduler: Arc::clone(scheduler),

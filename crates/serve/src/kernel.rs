@@ -28,7 +28,8 @@
 //!    keeping up to [`Config::inflight`] batches submitted through
 //!    [`SubmitApi::submit_with`] at the tier they were assembled from
 //!    and settling completions oldest-first. Expiry was decided on the
-//!    virtual clock, so real submissions carry no deadline; thread
+//!    virtual clock — the only deadline mechanism there is — so an
+//!    expired request is never submitted; thread
 //!    interleaving can reorder *work* but never the virtual timeline,
 //!    and content-addressed evaluation makes results order-independent.
 //!    The wall-clock cost lands in [`ServeReport::execution_wall`],
@@ -246,11 +247,11 @@ impl Segment {
     }
 }
 
-/// Per-tenant outcome counters of the real execution half.
+/// Per-tenant outcome counters of the real execution half. (Expiry is
+/// the virtual half's: an expired request is never submitted.)
 pub struct Tally {
     ok: Vec<u64>,
     errors: Vec<u64>,
-    expired: Vec<u64>,
     cancelled: Vec<u64>,
 }
 
@@ -260,7 +261,6 @@ impl Tally {
         Tally {
             ok: vec![0; n],
             errors: vec![0; n],
-            expired: vec![0; n],
             cancelled: vec![0; n],
         }
     }
@@ -270,7 +270,6 @@ impl Tally {
         for t in 0..self.ok.len() {
             self.ok[t] += other.ok[t];
             self.errors[t] += other.errors[t];
-            self.expired[t] += other.expired[t];
             self.cancelled[t] += other.cancelled[t];
         }
     }
@@ -281,7 +280,6 @@ impl Tally {
         for (result, req) in results.iter().zip(&batch.requests) {
             match result {
                 Ok(_) => self.ok[req.tenant] += 1,
-                Err(Error::DeadlineExceeded { .. }) => self.expired[req.tenant] += 1,
                 Err(Error::Cancelled) => self.cancelled[req.tenant] += 1,
                 Err(_) => self.errors[req.tenant] += 1,
             }
@@ -310,7 +308,6 @@ impl Plan {
         for (i, t) in report.tenants.iter_mut().enumerate() {
             t.ok = tally.ok[i];
             t.errors = tally.errors[i];
-            t.expired += tally.expired[i];
             t.cancelled = tally.cancelled[i];
             fix_obs::global()
                 .histogram(&format!("serve.{}.latency_us", t.name))
@@ -358,6 +355,7 @@ pub fn execute<A: SubmitApi + InvocationApi + Send + Sync>(
         let mut window: VecDeque<(&PlannedBatch, BatchTicket)> = VecDeque::with_capacity(inflight);
         for batch in plan {
             while window.len() >= inflight {
+                // invariant: `inflight` ≥ 1 (validated), so the window holds one.
                 let (done, ticket) = window.pop_front().expect("window is non-empty");
                 tally.settle(done, ticket.wait());
             }
@@ -391,7 +389,14 @@ pub fn execute<A: SubmitApi + InvocationApi + Send + Sync>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("driver thread must not panic"))
+            .map(|h| {
+                h.join().unwrap_or_else(|_| {
+                    Err(Error::Backend {
+                        backend: "serve",
+                        message: "a driver thread panicked".into(),
+                    })
+                })
+            })
             .collect()
     });
     let mut total = Tally::new(n_tenants);
@@ -592,6 +597,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
     /// Schedules a closed-loop client's next arrival after a think
     /// (clients stop re-arriving past the horizon).
     fn schedule_client(&mut self, tenant: usize, client: usize, resolved_at: Micros) {
+        // invariant: only closed-loop tenants, which have streams, get here.
         let think = self.think[tenant]
             .as_mut()
             .expect("closed tenant has think streams")
@@ -626,6 +632,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
                 self.next += 1;
                 self.offer(a, None)?;
             } else {
+                // invariant: `peek` saw this arrival, not on the timeline.
                 let Reverse((time_us, tenant, client)) =
                     self.heap.pop().expect("peek saw a heap entry");
                 let seq = self.closed_seq[tenant];
@@ -942,6 +949,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
         for r in &batch {
             self.resolve(r, done);
         }
+        // invariant: `Sim::new` and every restart open a segment.
         self.nodes[n]
             .segments
             .last_mut()
@@ -981,6 +989,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             now = t;
             match class {
                 0 => {
+                    // invariant: class 0 is chosen only from a queued fault event.
                     let node = self.cfg.fault.expect("a fault event is due").node;
                     match faults.pop_front().expect("a fault event is due").1 {
                         None => self.kill(node, t),
@@ -993,6 +1002,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
                     next_control = next_control.saturating_add(interval);
                 }
                 _ => {
+                    // invariant: class 3 is chosen only from `Some(dispatch)`.
                     let (_, n, d) = dispatch.expect("a dispatch was selected");
                     self.dispatch_on(n, d, t);
                 }

@@ -20,10 +20,11 @@
 //!    behavior for the default (single-tier, no-deadline)
 //!    configuration.
 //!
-//! Expiry is part of dispatch: a queued request whose absolute deadline
-//! the virtual clock has passed is *expired* — returned separately from
-//! the batch so the caller can account it as `DeadlineExceeded` work
-//! the platform withdrew instead of served.
+//! Expiry is part of dispatch, and the only deadline mechanism the
+//! platform has: a queued request whose absolute deadline the virtual
+//! clock has passed is *expired* — returned separately from the batch so
+//! the caller can account it as work the platform withdrew instead of
+//! served. An expired request is never submitted.
 
 use crate::loadgen::Micros;
 use crate::tenant::RequestKind;
@@ -274,6 +275,7 @@ impl TenantQueues {
             while let Some(front) = queue.front() {
                 match front.deadline_us {
                     Some(deadline) if now > deadline => {
+                        // invariant: `front()` just returned this request.
                         let req = queue.pop_front().expect("front exists");
                         self.backlog_us[t] -= req.service_us;
                         expired.push(req);
@@ -312,6 +314,7 @@ impl TenantQueues {
                     (deadline, (t + n - self.cursor % n) % n)
                 });
             let Some(t) = pick else { break };
+            // invariant: `pick` only names a tenant whose queue is non-empty.
             let req = self.queues[t].pop_front().expect("queue is non-empty");
             self.backlog_us[t] -= req.service_us;
             self.queued -= 1;

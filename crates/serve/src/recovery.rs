@@ -63,6 +63,7 @@ pub fn serve_durable(
     let rt = Runtime::builder().durable(durable).build();
     let report = serve(&rt, cfg)?;
     let procedures_run = rt.procedures_run();
+    // invariant: the runtime was built with `.durable(durable)` above.
     let d = rt.durable().expect("built durable");
     d.flush()?;
     let now = d.stats();

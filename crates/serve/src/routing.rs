@@ -66,7 +66,8 @@ pub struct Decision {
 /// lifecycle events stitch into one span — and line up with the
 /// scheduler events for the same handle.
 pub fn handle_key(h: Handle) -> u64 {
-    u64::from_le_bytes(h.raw()[..8].try_into().expect("handle has 32 bytes"))
+    let [a, b, c, d, e, f, g, i, ..] = *h.raw();
+    u64::from_le_bytes([a, b, c, d, e, f, g, i])
 }
 
 /// One SplitMix64 step: the same stateless mixer the serve layer draws
@@ -124,6 +125,7 @@ impl Router {
                 let least = (0..alive.len())
                     .filter(|&n| alive[n])
                     .min_by_key(|&n| (depths[n], n))
+                    // invariant: the assert above found a live node.
                     .expect("at least one node is alive");
                 if depths[hrw] >= depths[least] + self.spill_margin {
                     Decision {
@@ -157,6 +159,7 @@ impl Router {
                 let n = (0..alive.len())
                     .filter(|&n| alive[n])
                     .nth(pick)
+                    // invariant: `pick` is below the live count `k`.
                     .expect("pick < alive count");
                 Decision {
                     node: n,
@@ -173,6 +176,7 @@ impl Router {
         (0..alive.len())
             .filter(|&n| alive[n])
             .max_by_key(|&n| (hrw_score(n, key), usize::MAX - n))
+            // invariant: `route` asserted a live node before calling.
             .expect("at least one node is alive")
     }
 }

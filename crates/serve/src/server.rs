@@ -80,9 +80,10 @@ pub struct TenantReport {
     /// Requests whose real evaluation returned an error.
     pub errors: u64,
     /// Admitted requests expired instead of served: their SLO deadline
-    /// passed while they queued, and dispatch withdrew them
-    /// (`Error::DeadlineExceeded`) rather than burning a driver on dead
-    /// work. Accounted separately from `dropped` (shed at admission).
+    /// passed on the virtual clock while they queued, and dispatch
+    /// withdrew them before submission rather than burning a driver on
+    /// dead work. Accounted separately from `dropped` (shed at
+    /// admission).
     pub expired: u64,
     /// Admitted requests whose submission was cancelled mid-flight
     /// (`Error::Cancelled`) — withdrawn work, not an evaluation error.

@@ -108,7 +108,8 @@ impl SnfPipeline {
                 let b = packets.as_slice();
                 let word = |i: usize| {
                     b.get(i * 8..i * 8 + 8)
-                        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+                        .and_then(|w| w.try_into().ok())
+                        .map(u64::from_le_bytes)
                         .unwrap_or(0)
                 };
                 let (from, to) = (word(1), word(2));

@@ -118,9 +118,9 @@ pub struct SloClass {
     /// [`Priority::Normal`] preempts [`Priority::Batch`]).
     pub priority: Priority,
     /// Relative deadline, in virtual µs from arrival. A request still
-    /// queued when its deadline passes is expired with
-    /// `Error::DeadlineExceeded` accounting instead of served — the
-    /// platform withdraws dead work rather than burning drivers on it.
+    /// queued when its deadline passes is expired at dispatch, on the
+    /// virtual clock, instead of served — the platform withdraws dead
+    /// work before submitting it rather than burning drivers on it.
     pub deadline_us: Option<Micros>,
 }
 

@@ -19,9 +19,12 @@ mod provenance;
 mod relations;
 mod store;
 
+/// The payload key lives with the handle's byte layout; storage keys
+/// every map by it.
+pub use fix_core::handle::payload_key;
 pub use hooks::{FaultSource, RelationSink, StoreSink};
 pub use provenance::{
     apply_eviction, plan_eviction, recipes, support_closure, EvictionPlan, Victim,
 };
 pub use relations::{Relation, RelationCache};
-pub use store::{payload_key, Store};
+pub use store::Store;

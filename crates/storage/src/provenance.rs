@@ -27,9 +27,9 @@
 //! crate (`fixpoint::Runtime::materialize`).
 
 use crate::relations::{Relation, RelationCache};
-use crate::store::{payload_key, Store};
+use crate::store::Store;
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, HandleMap, HandleSet, Kind, ThunkKind};
+use fix_core::handle::{payload_key, Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use fix_core::invocation::Selection;
 use fix_core::semantics::EncodeResolver;
 

@@ -5,7 +5,7 @@
 use crate::hooks::{already_hooked, FaultSource, StoreSink};
 use fix_core::data::{literal_blob, Blob, Node, Tree};
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, HandleBuildHasher, HandleMap, HandleSet};
+use fix_core::handle::{payload_key, Handle, HandleBuildHasher, HandleMap, HandleSet};
 use fix_core::semantics::DataSource;
 use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
@@ -13,17 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 const SHARDS: usize = 64;
-
-/// The canonical lookup key: the handle's payload and type, with the
-/// accessibility/laziness tag stripped (an Object and a Ref to the same
-/// bytes are the same stored datum). Because the canonical Object tag is
-/// zero, a payload key is itself a valid raw Object handle — the durable
-/// tier exploits this to reconstruct a handle from an on-disk key.
-pub fn payload_key(handle: Handle) -> [u8; 32] {
-    let mut key = *handle.raw();
-    key[30] = 0;
-    key
-}
 
 /// A concurrent content-addressed store.
 ///

@@ -116,6 +116,7 @@ pub fn build(store: &Store, pairs: &[(String, Vec<u8>)], arity: usize) -> BPlusT
                 slots.push(store.put_blob(Blob::from_slice(v)).as_ref_handle());
             }
             let node = store.put_tree(Tree::from_handles(slots));
+            // invariant: `chunks` yields no empty chunk.
             (chunk.last().expect("nonempty chunk").0.clone(), node)
         })
         .collect();
@@ -135,6 +136,7 @@ pub fn build(store: &Store, pairs: &[(String, Vec<u8>)], arity: usize) -> BPlusT
                     slots.push(child.as_ref_handle());
                 }
                 let node = store.put_tree(Tree::from_handles(slots));
+                // invariant: `chunks` yields no empty chunk.
                 (chunk.last().expect("nonempty chunk").0.clone(), node)
             })
             .collect();
@@ -156,6 +158,16 @@ pub struct LookupStats {
     pub key_bytes_read: u64,
 }
 
+/// Slot `i` of the tree `t` stored under `handle`: a B+-tree node's keys
+/// blob (slot 0) and its values or children, or a lookup call's inputs.
+/// A tree too short to hold it is malformed, not a reason to panic.
+fn slot(handle: Handle, t: &Tree, i: usize, what: &str) -> Result<Handle> {
+    t.get(i).ok_or_else(|| Error::MalformedTree {
+        handle,
+        reason: format!("no {what} at slot {i}"),
+    })
+}
+
 /// Trusted (runtime-side) lookup, for oracles and stats.
 pub fn lookup_trusted(
     store: &Store,
@@ -166,14 +178,14 @@ pub fn lookup_trusted(
     let mut node = tree.root;
     loop {
         let t = store.get_tree(node)?;
-        let keys_blob = store.get_blob(t.get(0).expect("keys slot"))?;
+        let keys_blob = store.get_blob(slot(node, &t, 0, "keys blob")?)?;
         stats.nodes_visited += 1;
         stats.key_bytes_read += keys_blob.len() as u64;
         let keys = NodeKeys::from_blob(&keys_blob)?;
         if keys.is_leaf {
             return Ok(match keys.keys.iter().position(|k| k == key) {
                 Some(i) => {
-                    let v = store.get_blob(t.get(i + 1).expect("value slot"))?;
+                    let v = store.get_blob(slot(node, &t, i + 1, "value")?)?;
                     (Some(v.as_slice().to_vec()), stats)
                 }
                 None => (None, stats),
@@ -184,7 +196,7 @@ pub fn lookup_trusted(
             Some(i) => i,
             None => return Ok((None, stats)), // Beyond the largest key.
         };
-        node = t.get(idx + 1).expect("child slot").as_object_handle();
+        node = slot(node, &t, idx + 1, "child")?.as_object_handle();
     }
 }
 
@@ -198,8 +210,8 @@ pub fn register_lookup<R: InvocationApi>(rt: &R) -> Handle {
         "bptree/lookup",
         Arc::new(|ctx| {
             let input = ctx.input_tree()?;
-            let rlimit = input.get(0).expect("limits");
-            let self_proc = input.get(1).expect("proc");
+            let rlimit = slot(ctx.input, &input, 0, "limits")?;
+            let self_proc = slot(ctx.input, &input, 1, "procedure")?;
             let key_blob = ctx.arg_blob(0)?;
             let keys_blob = ctx.arg_blob(1)?;
             let node = ctx.arg(2)?;
@@ -238,7 +250,7 @@ pub fn register_lookup<R: InvocationApi>(rt: &R) -> Handle {
                 .selection()?
                 .encode(EncodeStyle::Strict)?;
             let x1 = child.encode(EncodeStyle::Shallow)?;
-            let key_h = input.get(2).expect("key slot");
+            let key_h = slot(ctx.input, &input, 2, "key")?;
             let next = ctx
                 .host
                 .create_tree(vec![rlimit, self_proc, key_h, x0, x1])?;
@@ -256,7 +268,7 @@ pub fn lookup_fix<R: ObjectApi + Evaluator>(
     key: &str,
 ) -> Result<Handle> {
     let root_tree = rt.get_tree(tree.root)?;
-    let keys_blob = root_tree.get(0).expect("keys slot");
+    let keys_blob = slot(tree.root, &root_tree, 0, "keys blob")?;
     let inv = Invocation {
         limits: ResourceLimits::default_limits(),
         procedure: proc_h,
@@ -398,6 +410,39 @@ mod tests {
             let h = lookup_fix(&rt, proc_h, &tree, key).unwrap();
             let v = rt.get_blob(h).unwrap();
             assert_eq!(v.as_slice(), format!("value-of-{key}").as_bytes());
+        }
+    }
+
+    /// A node tree short of the slots its keys blob promises is a
+    /// malformed tree: both lookups return `Err`, neither panics.
+    #[test]
+    fn lookups_in_a_malformed_tree_are_errors() {
+        let rt = Runtime::builder().build();
+        let store = rt.store();
+        let tree = |root| BPlusTree {
+            root,
+            arity: 2,
+            depth: 1,
+            len: 2,
+        };
+        let no_keys = tree(store.put_tree(Tree::from_handles(vec![])));
+        assert!(lookup_trusted(store, &no_keys, "a").is_err());
+        let proc_h = register_lookup(&rt);
+        assert!(lookup_fix(&rt, proc_h, &no_keys, "a").is_err());
+
+        // Two keys, one value; two maxima, one child.
+        for is_leaf in [true, false] {
+            let keys = NodeKeys {
+                is_leaf,
+                keys: vec!["a".into(), "b".into()],
+            };
+            let one = store.put_blob(Blob::from_slice(b"only one"));
+            let short = store.put_tree(Tree::from_handles(vec![
+                store.put_blob(keys.to_blob()),
+                one.as_ref_handle(),
+            ]));
+            let err = lookup_trusted(store, &tree(short), "b").unwrap_err();
+            assert!(matches!(err, Error::MalformedTree { .. }), "{err}");
         }
     }
 

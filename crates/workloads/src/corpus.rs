@@ -109,6 +109,7 @@ pub fn count_nonoverlapping(haystack: &[u8], needle: &[u8]) -> u64 {
     if n == 0 || haystack.len() < n {
         return 0;
     }
+    // invariant: an `at..at + 8` slice is eight bytes.
     let word_at =
         |at: usize| u64::from_le_bytes(haystack[at..at + 8].try_into().expect("8-byte window"));
     let first = u64::from_le_bytes([needle[0]; 8]);

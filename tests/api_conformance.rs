@@ -79,7 +79,7 @@ impl SubmittingBackend for Minimal {
 
 /// The smallest conforming backend: a `Runtime` that forgets its
 /// overrides. It implements *only* the required methods of the four
-/// traits — nine of them — and inherits every provided one, so it stops
+/// traits — seven of them — and inherits every provided one, so it stops
 /// compiling the day a required method is added, and running it through
 /// the submission roster proves the provided methods sufficient
 /// (`eval` here is the API's submit-and-wait, not `run_inline`).
@@ -106,12 +106,6 @@ impl InvocationApi for Minimal {
 impl SubmitApi for Minimal {
     fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
         self.0.submit_with(handles, options)
-    }
-    fn virtual_now(&self) -> u64 {
-        self.0.virtual_now()
-    }
-    fn advance_virtual_clock(&self, us: u64) {
-        self.0.advance_virtual_clock(us)
     }
 }
 
@@ -707,55 +701,6 @@ fn dropped_ticket_neither_hangs_nor_leaks() {
     });
 }
 
-/// `wait_any` resolves a set of overlapped batches completely, in
-/// whatever order they finish, and then reports exhaustion.
-#[test]
-fn wait_any_drains_overlapped_batches() {
-    on_every_submitting_backend(|rt| {
-        let add = register_add(rt);
-        let mint = |base: u64| -> Vec<Handle> {
-            (0..4u64)
-                .map(|i| {
-                    rt.apply(
-                        limits(),
-                        add,
-                        &[
-                            rt.put_blob(Blob::from_u64(base + i)),
-                            rt.put_blob(Blob::from_u64(7)),
-                        ],
-                    )
-                    .unwrap()
-                })
-                .collect()
-        };
-        let bases = [0u64, 1000, 2000];
-        let mut tickets: Vec<BatchTicket> =
-            bases.iter().map(|&b| rt.submit_many(&mint(b))).collect();
-        let mut resolved: Vec<Option<Vec<Handle>>> = vec![None; bases.len()];
-        while let Some(i) = BatchTicket::wait_any(&mut tickets) {
-            let results = tickets[i]
-                .take_results()
-                .expect("wait_any returned a completed, unclaimed ticket");
-            assert!(resolved[i].is_none(), "each batch resolves exactly once");
-            resolved[i] = Some(
-                results
-                    .into_iter()
-                    .map(|r| r.expect("batch member succeeds"))
-                    .collect(),
-            );
-        }
-        let mut out = Vec::new();
-        for (slot, base) in resolved.iter().zip(bases) {
-            let handles = slot.as_ref().expect("every batch resolved");
-            for (i, h) in handles.iter().enumerate() {
-                assert_eq!(rt.get_u64(*h).unwrap(), base + i as u64 + 7);
-            }
-            out.extend_from_slice(handles);
-        }
-        out
-    });
-}
-
 /// Strict submitted batches must agree positionally with a loop of
 /// `eval_strict` — the whole eval→force chain watched as one slot, on
 /// every submitting backend (including value handles, whose nested
@@ -814,7 +759,7 @@ fn strict_submission_agrees_with_eval_strict() {
     });
 }
 
-/// Cancel before execution: a batch cancelled on a backend that has not
+/// Cancel before execution: a batch dropped on a backend that has not
 /// started it runs nothing, and the same thunks resubmit cleanly.
 #[test]
 fn cancel_before_execution_withdraws_cleanly() {
@@ -833,10 +778,10 @@ fn cancel_before_execution_withdraws_cleanly() {
                 .unwrap()
             })
             .collect();
-        rt.submit_many(&batch).cancel();
+        drop(rt.submit_many(&batch));
 
-        // The backend still serves unrelated work, and the cancelled
-        // thunks resubmit and resolve as if the cancel never happened.
+        // The backend still serves unrelated work, and the dropped
+        // thunks resubmit and resolve as if the drop never happened.
         let results: Vec<Handle> = rt
             .submit_many(&batch)
             .wait()
@@ -850,7 +795,7 @@ fn cancel_before_execution_withdraws_cleanly() {
     });
 }
 
-/// Cancel while executing: cancelling mid-flight must hang nothing —
+/// Cancel while executing: dropping a ticket mid-flight must hang nothing —
 /// a concurrent waiter on a *different* ticket sharing the backend
 /// still resolves, and the backend stays serviceable.
 #[test]
@@ -875,7 +820,7 @@ fn cancel_while_executing_never_hangs_a_concurrent_waiter() {
         let doomed = rt.submit_many(&mint(10_000, 32));
         let survivor_batch = mint(20_000, 8);
         let survivor = rt.submit_many(&survivor_batch);
-        doomed.cancel(); // Possibly before, possibly mid-execution.
+        drop(doomed); // Possibly before, possibly mid-execution.
         let results: Vec<Handle> = survivor
             .wait()
             .into_iter()
@@ -889,7 +834,7 @@ fn cancel_while_executing_never_hangs_a_concurrent_waiter() {
 }
 
 /// Cancel after completion: a ticket whose batch already resolved can
-/// still be cancelled (the results are simply discarded), and the
+/// still be dropped (the results are simply discarded), and the
 /// memoized results remain available to everyone else.
 #[test]
 fn cancel_after_completion_discards_results_only() {
@@ -908,12 +853,14 @@ fn cancel_after_completion_discards_results_only() {
                 .unwrap()
             })
             .collect();
-        // Resolve the batch fully (wait_any drives backends whose
-        // progress comes from the waiting thread), then cancel.
-        let mut tickets = vec![rt.submit_many(&batch)];
-        assert_eq!(BatchTicket::wait_any(&mut tickets), Some(0));
-        let ticket = tickets.pop().expect("one ticket");
-        ticket.cancel(); // After completion: a no-op beyond discarding.
+        // Resolve the batch fully through a second ticket for the same
+        // jobs (its wait drives backends whose progress comes from the
+        // waiting thread), then drop the first.
+        let ticket = rt.submit_many(&batch);
+        for r in rt.submit_many(&batch).wait() {
+            r.expect("batch member succeeds");
+        }
+        drop(ticket); // After completion: a no-op beyond discarding.
 
         // Everything is memoized; a fresh request is a pure cache hit.
         let before = rt.procedures_run();
@@ -924,93 +871,6 @@ fn cancel_after_completion_discards_results_only() {
             .collect();
         assert_eq!(rt.procedures_run(), before, "no re-execution");
         results
-    });
-}
-
-/// Deadline-expiry batches: once the backend's virtual clock passes a
-/// batch's deadline, every still-queued slot fails with
-/// `DeadlineExceeded` instead of executing — on every backend.
-#[test]
-fn deadline_expired_batches_fail_without_executing() {
-    on_every_submitting_backend(|rt| {
-        let add = register_add(rt);
-        let batch: Vec<Handle> = (0..6u64)
-            .map(|i| {
-                rt.apply(
-                    limits(),
-                    add,
-                    &[
-                        rt.put_blob(Blob::from_u64(i)),
-                        rt.put_blob(Blob::from_u64(90)),
-                    ],
-                )
-                .unwrap()
-            })
-            .collect();
-        assert_eq!(rt.virtual_now(), 0, "clocks start at zero");
-        rt.advance_virtual_clock(10_000);
-        let before = rt.procedures_run();
-        let ticket = rt.submit_with(&batch, SubmitOptions::default().with_deadline(5_000));
-        let results = ticket.wait();
-        assert_eq!(results.len(), batch.len());
-        for r in &results {
-            assert!(
-                matches!(r, Err(Error::DeadlineExceeded { deadline_us: 5_000 })),
-                "expired slot must fail with DeadlineExceeded: {r:?}"
-            );
-        }
-        assert_eq!(rt.procedures_run(), before, "expired work must not execute");
-
-        // An unexpired deadline (and priority classes) leave semantics
-        // untouched: the same batch, submitted with headroom, resolves.
-        let opts = SubmitOptions::default()
-            .with_deadline(rt.virtual_now() + 1_000_000)
-            .with_priority(Priority::Latency);
-        let ok: Vec<Handle> = rt
-            .submit_with(&batch, opts)
-            .wait()
-            .into_iter()
-            .map(|r| r.expect("unexpired member succeeds"))
-            .collect();
-        for (i, h) in ok.iter().enumerate() {
-            assert_eq!(rt.get_u64(*h).unwrap(), i as u64 + 90);
-        }
-        ok
-    });
-}
-
-/// A batch submitted *after* its deadline already passed fails whole —
-/// uniformly on every backend, even for slots whose results are
-/// already memoized (no backend may answer a dead-on-arrival request).
-#[test]
-fn deadline_on_arrival_beats_memoization_uniformly() {
-    on_every_submitting_backend(|rt| {
-        let add = register_add(rt);
-        let thunk = rt
-            .apply(
-                limits(),
-                add,
-                &[
-                    rt.put_blob(Blob::from_u64(8)),
-                    rt.put_blob(Blob::from_u64(9)),
-                ],
-            )
-            .unwrap();
-        assert_eq!(rt.get_u64(rt.eval(thunk).unwrap()).unwrap(), 17); // Memoized.
-        rt.advance_virtual_clock(100);
-        let results = rt
-            .submit_with(&[thunk], SubmitOptions::default().with_deadline(50))
-            .wait();
-        assert!(
-            matches!(results[0], Err(Error::DeadlineExceeded { deadline_us: 50 })),
-            "a memoized slot must not resurrect a dead-on-arrival batch: {:?}",
-            results[0]
-        );
-        // The memo itself is untouched: an in-time request still hits it.
-        let ok = rt
-            .submit_with(&[thunk], SubmitOptions::default().with_deadline(1_000_000))
-            .wait();
-        vec![*ok[0].as_ref().expect("in-time request resolves")]
     });
 }
 
@@ -1047,7 +907,7 @@ fn cancel_during_execution_keeps_exactly_once_semantics() {
     started_rx
         .recv()
         .expect("the worker began stepping the job");
-    doomed.cancel(); // Mid-step: must not withdraw the running job.
+    drop(doomed); // Mid-step: must not withdraw the running job.
     let survivor = rt.submit_many(&[thunk]);
     // Unblock enough times for a (buggy) duplicate execution too.
     release_tx.send(()).unwrap();
@@ -1082,11 +942,10 @@ fn cancelled_then_resubmitted_batches_run_exactly_once() {
                 .unwrap()
             })
             .collect();
-        rt.submit_with(
+        drop(rt.submit_with(
             &batch,
             SubmitOptions::default().with_priority(Priority::Batch),
-        )
-        .cancel();
+        ));
         let results = rt
             .submit_with(
                 &batch,
@@ -1106,50 +965,6 @@ fn cancelled_then_resubmitted_batches_run_exactly_once() {
         );
         assert_eq!(rt.node().submission_watchers(), 0);
         assert_eq!(rt.node().queued_jobs(), 0);
-    });
-}
-
-/// The *lazy* expiry path: a batch submitted in time whose deadline
-/// passes while it sits queued is expired at dequeue — watcher slots
-/// fail, the waiter wakes, and the withdrawn jobs leave nothing behind.
-/// (Distinct from dead-on-arrival submission, which never enqueues.)
-#[test]
-fn deadline_passing_while_queued_expires_at_dequeue() {
-    // Pool-less nodes: nothing drives the queue between submit and
-    // wait, so the batch is deterministically still queued when the
-    // clock passes its deadline.
-    on_every_inline_node(|rt| {
-        let add = register_add(rt);
-        let batch: Vec<Handle> = (0..4u64)
-            .map(|i| {
-                rt.apply(
-                    limits(),
-                    add,
-                    &[
-                        rt.put_blob(Blob::from_u64(7_000 + i)),
-                        rt.put_blob(Blob::from_u64(1)),
-                    ],
-                )
-                .unwrap()
-            })
-            .collect();
-        let before = rt.procedures_run();
-        let ticket = rt.submit_with(&batch, SubmitOptions::default().with_deadline(500));
-        assert_eq!(
-            rt.node().queued_jobs(),
-            batch.len(),
-            "submitted in time: queued"
-        );
-        rt.advance_virtual_clock(1_000); // Deadline passes while queued.
-        for r in ticket.wait() {
-            assert!(
-                matches!(r, Err(Error::DeadlineExceeded { deadline_us: 500 })),
-                "queued-past-deadline slot must expire at dequeue: {r:?}"
-            );
-        }
-        assert_eq!(rt.procedures_run(), before, "expired work never executes");
-        assert_eq!(rt.node().submission_watchers(), 0);
-        assert_eq!(rt.node().queued_jobs(), 0, "expired jobs are withdrawn");
     });
 }
 
@@ -1271,7 +1086,7 @@ fn cancelling_a_large_queued_batch_withdraws_everything() {
     // Cancel while the concurrent waiter races the queue; no procedure
     // of the cancelled-only batch may run (the waiter thread only ever
     // dequeues runnable, wanted jobs — the withdrawn 256 are skipped).
-    doomed.cancel();
+    drop(doomed);
     let resolved = waiter.join().expect("concurrent waiter must not hang");
     assert_eq!(resolved.len(), waiter_batch.len());
 
@@ -1312,8 +1127,9 @@ fn cluster_client_telemetry_is_pure_observation() {
         "memoized request must not ship a cluster run"
     );
 
-    // Submission is observed the same way: a dead-on-arrival batch is
-    // refused before the simulator sees it...
+    // Submission is observed the same way: a batch dropped before anyone
+    // waits on it is withdrawn from the embedded node whole — it was
+    // costed, never executed.
     let fresh = |a: u64| {
         let args = [
             cc.put_blob(Blob::from_u64(a)),
@@ -1321,20 +1137,8 @@ fn cluster_client_telemetry_is_pure_observation() {
         ];
         cc.apply(limits(), add, &args).unwrap()
     };
-    cc.advance_virtual_clock(100);
-    let dead = cc
-        .submit_with(&[fresh(50)], SubmitOptions::default().with_deadline(50))
-        .wait();
-    assert!(matches!(
-        dead[0],
-        Err(Error::DeadlineExceeded { deadline_us: 50 })
-    ));
-    assert_eq!(cc.reports().len(), 1, "dead work records no run");
-
-    // ...and a batch cancelled before anyone waits on it is withdrawn
-    // from the embedded node whole: it was costed, never executed.
     let before = cc.procedures_run();
-    cc.submit_many(&[fresh(60), fresh(61)]).cancel();
+    drop(cc.submit_many(&[fresh(60), fresh(61)]));
     assert_eq!(cc.procedures_run(), before, "cancelled work never runs");
     assert_eq!(cc.inner().queued_jobs(), 0);
     assert_eq!(cc.inner().submission_watchers(), 0);
@@ -1452,12 +1256,6 @@ impl InvocationApi for Overriding {
 impl SubmitApi for Overriding {
     fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
         self.0.submit_with(handles, options)
-    }
-    fn virtual_now(&self) -> u64 {
-        self.0.virtual_now()
-    }
-    fn advance_virtual_clock(&self, us: u64) {
-        self.0.advance_virtual_clock(us)
     }
     counted! { SubmitApi:
         fn submit_many(&self, handles: &[Handle]) -> BatchTicket;

@@ -3,7 +3,8 @@
 //! shares the runtime's one external slot.
 //!
 //! The pin: on a 1-worker runtime, 32 short-lived threads each submit
-//! one single-step job and exit, while the test thread only polls. Every
+//! one single-step job and exit, while the test thread only watches the
+//! procedure count. Every
 //! job then sits in the external slot until the worker takes it, and a
 //! worker taking from a slot it does not own is a steal — so the steal
 //! count equals the procedure count. A slot map shared by the whole
@@ -50,11 +51,12 @@ fn every_external_thread_shares_one_slot_the_worker_steals_from() {
                 rt.submit(thunk)
             })
         };
-        let mut ticket = submitter.join().expect("submitter exits cleanly");
-        // Only poll: the test thread never drives the scheduler, so the
-        // worker runs every job.
+        let ticket = submitter.join().expect("submitter exits cleanly");
+        // Wait for the worker to start the job before waiting on it: the
+        // test thread never drives the scheduler (by then no token of
+        // the job is queued), so the worker runs every job.
         let patience = Instant::now() + Duration::from_secs(30);
-        while !ticket.poll() {
+        while rt.procedures_run() <= i {
             assert!(Instant::now() < patience, "job {i} never ran");
             std::thread::sleep(Duration::from_micros(50));
         }

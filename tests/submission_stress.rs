@@ -1,7 +1,7 @@
 //! Concurrency stress for submission-first evaluation: N producer
 //! threads submitting batches while M waiter threads resolve them over
 //! one shared `Runtime`, with no worker pool — every scrap of progress
-//! comes from waiters driving the scheduler through `wait`/`wait_any`.
+//! comes from waiters driving the scheduler through `wait`.
 //!
 //! What this pins down:
 //!
@@ -13,7 +13,7 @@
 //!   exactly one procedure per distinct request;
 //! * **no leaked bookkeeping** — the scheduler's watcher table is empty
 //!   once the books close;
-//! * **cancellation under fire** — a canceller thread revoking a share
+//! * **cancellation under fire** — a canceller thread dropping a share
 //!   of the in-flight tickets must neither hang the waiters nor break
 //!   the books: every surviving request still resolves exactly once,
 //!   and no watcher or orphaned queued job outlives the run;
@@ -93,10 +93,10 @@ fn producers_and_waiters_share_one_runtime() {
             let rt = Arc::clone(&rt);
             let verified = &verified;
             scope.spawn(move || {
-                // Each waiter multiplexes a small window of tickets;
-                // odd waiters resolve sequentially with plain wait() to
-                // mix both resolution styles against one scheduler.
-                let use_wait_any = w % 2 == 0;
+                // Each waiter holds a small window of tickets; even
+                // waiters resolve it oldest-first, odd ones newest-first,
+                // to mix both orders against one scheduler.
+                let oldest_first = w % 2 == 0;
                 let mut expected: Vec<Vec<u64>> = Vec::new();
                 let mut tickets: Vec<BatchTicket> = Vec::new();
                 loop {
@@ -120,18 +120,8 @@ fn producers_and_waiters_share_one_runtime() {
                             Err(_) => return, // Drained and disconnected.
                         }
                     }
-                    let (exp, results) = if use_wait_any {
-                        let i = BatchTicket::wait_any(&mut tickets)
-                            .expect("unclaimed tickets are pending");
-                        let results = tickets[i]
-                            .take_results()
-                            .expect("wait_any returns a completed, unclaimed ticket");
-                        tickets.swap_remove(i);
-                        (expected.swap_remove(i), results)
-                    } else {
-                        let ticket = tickets.pop().expect("window is non-empty");
-                        (expected.pop().expect("paired"), ticket.wait())
-                    };
+                    let i = if oldest_first { 0 } else { tickets.len() - 1 };
+                    let (exp, results) = (expected.remove(i), tickets.remove(i).wait());
                     assert_eq!(results.len(), exp.len());
                     for (r, want) in results.iter().zip(&exp) {
                         let h = *r.as_ref().expect("stress request succeeds");
@@ -182,7 +172,7 @@ fn stress_survives_a_worker_pool() {
             let rt = Arc::clone(&rt);
             let resolved = &resolved;
             scope.spawn(move || {
-                let mut tickets: Vec<BatchTicket> = (0..20u64)
+                let tickets: Vec<BatchTicket> = (0..20u64)
                     .map(|k| {
                         let thunks: Vec<Handle> = (0..BATCH)
                             .map(|j| {
@@ -200,8 +190,8 @@ fn stress_survives_a_worker_pool() {
                         rt.submit_many(&thunks)
                     })
                     .collect();
-                while let Some(i) = BatchTicket::wait_any(&mut tickets) {
-                    for r in tickets[i].take_results().expect("completed") {
+                for ticket in tickets {
+                    for r in ticket.wait() {
                         r.expect("pool stress request succeeds");
                         resolved.fetch_add(1, Ordering::SeqCst);
                     }
@@ -281,7 +271,7 @@ fn canceller_thread_cannot_break_accounting() {
         // The canceller: revokes tickets as fast as they arrive.
         scope.spawn(move || {
             while let Ok(ticket) = doom_rx.recv() {
-                ticket.cancel();
+                drop(ticket);
             }
         });
 
@@ -411,7 +401,7 @@ fn worker_pool_steals_survive_concurrent_cancel() {
 
         scope.spawn(move || {
             while let Ok(ticket) = doom_rx.recv() {
-                ticket.cancel();
+                drop(ticket);
             }
         });
 
