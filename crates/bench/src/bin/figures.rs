@@ -2,7 +2,7 @@
 //! evaluation section.
 //!
 //! ```text
-//! figures [fig7a|fig7b|fig8a|fig8b|fig9|fig10|table2|comparators|serve|adapt|sweep|trace|calibrate|recover|route|summary|all] [--quick]
+//! figures [fig7a|fig7b|fig8a|fig8b|fig9|fig10|table2|comparators|serve|adapt|sweep|trace|calibrate|recover|route|ledger|summary|all] [--quick]
 //! ```
 //!
 //! `trace` runs the serving workload with the `fix-obs` event recorder
@@ -19,6 +19,10 @@
 //! `calibrate` audits the shared `fix_core::calibration::SERVICE_COSTS`
 //! table against measured warm/cold procedure paths on the real
 //! runtime (wall-clock, so the one table that is *not* deterministic).
+//!
+//! `ledger` prints the committed fixbench ledgers (`BENCH_pr-N.json`
+//! and `docs/runs/pr-N.parent.json`) as one trajectory per workload ×
+//! end-to-end metric, judging each move as `fixbench compare` does.
 //!
 //! `--quick` runs everything at reduced scale (CI-friendly); without it,
 //! the cluster simulations use the paper's full parameters (984 × 100 MiB
@@ -149,6 +153,18 @@ fn main() {
     if which == "route" {
         let (scale, nodes) = if quick { (1, 4) } else { (5, 4) };
         println!("{}", fix_bench::route::table_text(scale, nodes));
+    }
+    // The committed perf ledgers as trajectories (reads files, not part
+    // of `all`).
+    if which == "ledger" {
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        match fix_bench::ledger::report(root) {
+            Ok(text) => print!("{text}"),
+            Err(e) => {
+                eprintln!("figures ledger: {e}");
+                std::process::exit(1);
+            }
+        }
     }
     // Extension experiments (paper §6 future work, implemented here).
     if which == "all" || which == "extgc" {

@@ -20,6 +20,7 @@ pub mod fig7b;
 pub mod fig8a;
 pub mod fig8b;
 pub mod fig9;
+pub mod ledger;
 pub mod recover;
 pub mod route;
 pub mod serve_report;

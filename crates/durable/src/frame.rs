@@ -57,10 +57,15 @@ pub const RELATION_FRAME: usize = FRAME_HEADER + 66;
 /// Length of a whole tombstone frame: header, tag, key.
 pub const TOMBSTONE_FRAME: usize = FRAME_HEADER + 33;
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: table `k`
-// advances a byte's contribution past `k` further zero bytes, so eight
-// lookups retire eight input bytes per step. Implemented here because
-// the environment is offline.
+// CRC-32 (IEEE 802.3 polynomial, reflected) has two kernels with one
+// output. `fold` folds 64 bytes per step with carry-less multiplies
+// (PCLMULQDQ) and reduces through Barrett to 32 bits; `sliced` is the
+// slicing-by-8 register update: table `k` advances a byte's
+// contribution past `k` further zero bytes, so eight lookups retire
+// eight input bytes per step. `sliced` runs on a CPU without PCLMULQDQ,
+// on any input under 64 bytes and on `fold`'s tail under 16
+// bytes, and it is the oracle `fold` is pinned to. CPU detection picks
+// the kernel; nothing else does.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -93,10 +98,14 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 
 /// CRC-32 checksum of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    folded(data).unwrap_or_else(|| !sliced(!0, data))
+}
+
+/// Advances the CRC register `c` (not inverted) over `data`.
+fn sliced(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
+    let (words, rest) = data.as_chunks::<8>();
+    for w in words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
         c = t[7][(lo & 0xFF) as usize]
             ^ t[6][((lo >> 8) & 0xFF) as usize]
@@ -107,10 +116,115 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[1][w[6] as usize]
             ^ t[0][w[7] as usize];
     }
-    for &b in words.remainder() {
+    for &b in rest {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// The CRC-32 of `data` by [`fold`], when this CPU has what it needs.
+fn folded(data: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: `fold` enables PCLMULQDQ, detected just above.
+        #[allow(unsafe_code)]
+        let crc = unsafe { fold::fold(data) };
+        return Some(crc);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+    None
+}
+
+#[cfg(target_arch = "x86_64")]
+mod fold {
+    //! The folded CRC-32 (Gopal et al., "Fast CRC Computation for Generic
+    //! Polynomials Using PCLMULQDQ Instruction", Intel, 2009), in its
+    //! bit-reflected form. Each fold constant is `[(x^n mod P(x)) <<
+    //! 32]' << 1`, `'` being bit reflection, for the `n` its fold
+    //! distance needs.
+    use std::arch::x86_64::*;
+
+    /// Folds a lane 512 bits ahead: `x^(4·128+32)`, `x^(4·128-32)`.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    /// Folds a lane 128 bits ahead: `x^(128+32)`, `x^(128-32)`.
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    /// Folds 64 bits down to 32: `x^64`.
+    const K5: i64 = 0x1_63CD_6124;
+    /// The polynomial `P(x)` and Barrett's `⌊x^64 / P(x)⌋`, reflected.
+    const P_X: i64 = 0x1_DB71_0641;
+    const U_PRIME: i64 = 0x1_F701_1641;
+
+    /// One 16-byte block as a 128-bit lane, first byte lowest.
+    #[target_feature(enable = "pclmulqdq")]
+    fn lane(block: &[u8; 16]) -> __m128i {
+        let (lo, hi) = block.split_at(8);
+        let word = |half: &[u8]| {
+            i64::from_le_bytes([
+                half[0], half[1], half[2], half[3], half[4], half[5], half[6], half[7],
+            ])
+        };
+        _mm_set_epi64x(word(hi), word(lo))
+    }
+
+    /// Folds `acc` forward over the distance `keys` encode onto `next`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// The CRC-32 of `data`: four lanes fold 64 bytes per step, then
+    /// one lane, then 128 → 64 → 32 bits; the tail under 16 bytes goes
+    /// through the sliced update.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn fold(data: &[u8]) -> u32 {
+        if data.len() < 64 {
+            return !super::sliced(!0, data);
+        }
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (first, rest) = blocks.split_at(4);
+        let mut x = [
+            _mm_xor_si128(lane(&first[0]), _mm_cvtsi32_si128(!0)),
+            lane(&first[1]),
+            lane(&first[2]),
+            lane(&first[3]),
+        ];
+        let (quads, singles) = rest.as_chunks::<4>();
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for quad in quads {
+            for (acc, block) in x.iter_mut().zip(quad) {
+                *acc = fold_into(*acc, lane(block), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold_into(x[0], x[1], k3k4);
+        acc = fold_into(acc, x[2], k3k4);
+        acc = fold_into(acc, x[3], k3k4);
+        for block in singles {
+            acc = fold_into(acc, lane(block), k3k4);
+        }
+
+        // 128 → 64 bits, then 64 → 32 by Barrett reduction (the
+        // reflected variant keeps the result in the upper word).
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+            _mm_srli_si128::<8>(acc),
+        );
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        let c = _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, t2))) as u32;
+        !super::sliced(c, tail)
+    }
 }
 
 /// A frame header's two fields: payload length and payload checksum.
@@ -321,9 +435,10 @@ mod tests {
     /// The byte-at-a-time CRC-32 the log was first written with: the
     /// oracle for the sliced one.
     fn crc32_bytewise(data: &[u8]) -> u32 {
+        let table = &CRC_TABLES[0];
         let mut c = 0xFFFF_FFFFu32;
         for &b in data {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         c ^ 0xFFFF_FFFF
     }
@@ -354,29 +469,73 @@ mod tests {
         (records, valid_len)
     }
 
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The classic IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    /// The sliced kernel, inverted in and out like [`crc32`].
+    fn crc32_sliced(data: &[u8]) -> u32 {
+        !sliced(!0, data)
     }
 
-    #[test]
-    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..2048 + 8)
+    /// Seeded xorshift bytes.
+    fn noise(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 x as u8
             })
-            .collect();
-        for start in 0..8 {
-            for len in 0..=2048 {
-                let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            .collect()
+    }
+
+    /// Both kernels on one input, each called by name: each must equal
+    /// the bytewise oracle. `folded` is `None` on a CPU without
+    /// PCLMULQDQ (and [`crc32`] is then `sliced`).
+    fn assert_kernels_agree(data: &[u8], what: &str) {
+        let want = crc32_bytewise(data);
+        assert_eq!(crc32_sliced(data), want, "sliced, {what}");
+        if let Some(got) = folded(data) {
+            assert_eq!(got, want, "folded, {what}");
+        }
+    }
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        // The classic IEEE check value for "123456789", on both kernels.
+        for crc in [crc32, crc32_sliced] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+        }
+        if let Some(got) = folded(b"123456789") {
+            assert_eq!(got, 0xCBF4_3926);
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        let buf = noise(4096 + 16, 0x9E37_79B9_7F4A_7C15);
+        for start in 0..16 {
+            for len in 0..=4096 {
+                assert_kernels_agree(
+                    &buf[start..start + len],
+                    &format!("start {start} len {len}"),
+                );
             }
+        }
+    }
+
+    #[test]
+    fn crc32_kernels_agree_on_seeded_lengths_up_to_64_kib() {
+        let buf = noise(64 * 1024 + 16, 0x2545_F491_4F6C_DD1D);
+        let mut x = 0x1234_5678_9ABC_DEF1u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let len = (x % (64 * 1024 + 1)) as usize;
+            let start = ((x >> 32) % 16) as usize;
+            assert_kernels_agree(
+                &buf[start..start + len],
+                &format!("start {start} len {len}"),
+            );
         }
     }
 

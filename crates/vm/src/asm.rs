@@ -92,12 +92,10 @@ pub fn assemble(source: &str) -> Result<Module> {
             .next()
             .unwrap_or("")
             .trim();
-        if line.is_empty() {
-            continue;
-        }
-
         let mut tokens = line.split_whitespace();
-        let head = tokens.next().expect("nonempty line");
+        let Some(head) = tokens.next() else {
+            continue; // A blank or comment-only line.
+        };
 
         if head == "func" {
             if current.is_some() {

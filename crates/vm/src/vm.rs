@@ -239,11 +239,27 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
+    /// The innermost frame.
+    #[inline(always)]
+    fn frame(&self) -> &Frame {
+        // invariant: `new` pushes the entry frame and `Return` never pops the last one.
+        self.frames.last().expect("the entry frame is never popped")
+    }
+
+    /// The innermost frame, to move its instruction pointer.
+    #[inline(always)]
+    fn frame_mut(&mut self) -> &mut Frame {
+        // invariant: `new` pushes the entry frame and `Return` never pops the last one.
+        self.frames
+            .last_mut()
+            .expect("the entry frame is never popped")
+    }
+
     fn pop(&mut self) -> Result<u64> {
-        let floor = self.frames.last().expect("frame exists").stack_floor;
-        if self.stack.len() <= floor {
+        if self.stack.len() <= self.frame().stack_floor {
             return Err(trap("operand stack underflow"));
         }
+        // invariant: the stack is longer than the frame's floor, checked just above.
         Ok(self.stack.pop().expect("length checked"))
     }
 
@@ -337,7 +353,7 @@ impl<'a> Interp<'a> {
     fn run(&mut self) -> Result<Outcome> {
         self.push_locals(self.module.functions[0].nlocals as usize)?;
         loop {
-            let frame = self.frames.last().expect("at least the entry frame");
+            let frame = self.frame();
             let func = &self.module.functions[frame.func];
             let Some(&instr) = func.code.get(frame.ip) else {
                 // Fell off the end of the function body.
@@ -348,7 +364,7 @@ impl<'a> Interp<'a> {
             };
             self.burn(1)?;
             // Advance the ip before executing; jumps overwrite it.
-            self.frames.last_mut().expect("frame").ip += 1;
+            self.frame_mut().ip += 1;
 
             use Instr::*;
             match instr {
@@ -356,13 +372,13 @@ impl<'a> Interp<'a> {
                 Unreachable => return Err(trap("unreachable executed")),
                 Const(v) => self.push(v)?,
                 LocalGet(i) => {
-                    let base = self.frames.last().expect("frame").locals_base;
+                    let base = self.frame().locals_base;
                     let v = self.locals[base + i as usize];
                     self.push(v)?;
                 }
                 LocalSet(i) => {
                     let v = self.pop()?;
-                    let base = self.frames.last().expect("frame").locals_base;
+                    let base = self.frame().locals_base;
                     self.locals[base + i as usize] = v;
                 }
                 Drop => {
@@ -405,15 +421,15 @@ impl<'a> Interp<'a> {
                     self.push((v == 0) as u64)?;
                 }
 
-                Jump(t) => self.frames.last_mut().expect("frame").ip = t as usize,
+                Jump(t) => self.frame_mut().ip = t as usize,
                 JumpIf(t) => {
                     if self.pop()? != 0 {
-                        self.frames.last_mut().expect("frame").ip = t as usize;
+                        self.frame_mut().ip = t as usize;
                     }
                 }
                 JumpIfZero(t) => {
                     if self.pop()? == 0 {
-                        self.frames.last_mut().expect("frame").ip = t as usize;
+                        self.frame_mut().ip = t as usize;
                     }
                 }
                 Call(f) => {
@@ -441,6 +457,7 @@ impl<'a> Interp<'a> {
                         return Err(trap("entry function must finish with ret_handle"));
                     }
                     let v = self.pop()?;
+                    // invariant: two frames or more; a lone entry frame errs just above.
                     let frame = self.frames.pop().expect("length checked");
                     self.stack.truncate(frame.stack_floor);
                     self.locals.truncate(frame.locals_base);
