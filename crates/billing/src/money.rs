@@ -5,6 +5,11 @@
 //! across millions of invocations. All amounts here are integers in
 //! units of 10⁻¹² dollars; a `u128` holds about 3.4 × 10²⁶ dollars,
 //! comfortably beyond any invoice.
+//!
+//! Arithmetic past that range panics ("invoice overflow") rather than
+//! wrap or saturate: either would print a wrong bill as a right one.
+//! Billing runs over metered counters after the fact, off every request
+//! path, so a loud failure costs no request its answer.
 
 use std::fmt;
 use std::iter::Sum;
@@ -50,15 +55,22 @@ impl Money {
     /// `self × numerator / denominator` with intermediate headroom;
     /// rounds down. Used for fractional quantities (e.g. GiB-ms from
     /// byte-µs) and basis-point multipliers.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero denominator, and if `self × numerator` overflows.
     pub fn scaled(self, numerator: u128, denominator: u128) -> Money {
         assert!(denominator != 0, "scaling by zero denominator");
-        Money(self.0 * numerator / denominator)
+        // invariant: no invoice reaches 3.4 × 10²⁶ $ (see the module docs).
+        let product = self.0.checked_mul(numerator).expect("invoice overflow");
+        Money(product / denominator)
     }
 }
 
 impl Add for Money {
     type Output = Money;
     fn add(self, rhs: Money) -> Money {
+        // invariant: no invoice reaches 3.4 × 10²⁶ $ (see the module docs).
         Money(self.0.checked_add(rhs.0).expect("invoice overflow"))
     }
 }
@@ -72,6 +84,7 @@ impl AddAssign for Money {
 impl Mul<u128> for Money {
     type Output = Money;
     fn mul(self, rhs: u128) -> Money {
+        // invariant: no invoice reaches 3.4 × 10²⁶ $ (see the module docs).
         Money(self.0.checked_mul(rhs).expect("invoice overflow"))
     }
 }
@@ -128,5 +141,11 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn overflow_is_loud() {
         let _ = Money::from_picos(u128::MAX) + Money::from_picos(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invoice overflow")]
+    fn an_overflowing_scale_is_loud_not_wrapped() {
+        let _ = Money::from_picos(u128::MAX / 2).scaled(3, 4);
     }
 }

@@ -263,9 +263,14 @@ pub fn dispatch(cfg: &DispatchConfig) -> Result<DispatchOutcome> {
             .enumerate()
             .map(|(n, segments)| scope.spawn(move || run_node(n, segments, cfg)))
             .collect();
+        let panicked = |n: usize| Error::Backend {
+            backend: "dispatch",
+            message: format!("node {n}'s thread panicked"),
+        };
         handles
             .into_iter()
-            .map(|h| h.join().expect("node thread must not panic"))
+            .enumerate()
+            .map(|(n, h)| h.join().unwrap_or_else(|_| Err(panicked(n))))
             .collect()
     });
     let execution_wall = exec_start.elapsed();

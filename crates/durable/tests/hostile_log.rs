@@ -10,55 +10,21 @@
 //! too, and serve the first output the log backs, before and after a
 //! compaction.
 //!
-//! The test has a binary of its own: it installs a global allocator that
-//! records the largest single request, which any concurrent test would
-//! disturb.
+//! The fuzz kit (`tests/support/hostile.rs`) installs a global allocator;
+//! the test reads its process-wide maximum (`open`'s writer thread
+//! allocates too), which any concurrent test would disturb.
 
 use fix_core::data::{Blob, Node, Tree};
 use fix_core::handle::Handle;
 use fix_durable::{crc32, DurableOptions, DurableStore, FsyncPolicy, LOG_MAGIC};
 use fix_storage::{payload_key, Relation};
-use std::alloc::{GlobalAlloc, Layout, System};
+use hostile::{Cases, Rng};
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// Records the largest single allocation request since the last reset.
-struct Largest;
-
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the maximum is a plain
-// statistic and never influences a pointer, a layout, or a result.
-unsafe impl GlobalAlloc for Largest {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Relaxed);
-        // SAFETY: the caller's obligations for `alloc` pass through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Relaxed);
-        // SAFETY: the caller's obligations for `alloc_zeroed` pass through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST.fetch_max(new_size, Relaxed);
-        // SAFETY: the caller's obligations for `realloc` pass through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations for `dealloc` pass through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Largest = Largest;
+#[allow(dead_code)]
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;
 
 /// The buffer `open` streams the log through, whatever its length.
 const OPEN_READ_BUFFER: usize = 64 << 10;
@@ -70,11 +36,9 @@ const RANDOM_CASES: u64 = if cfg!(debug_assertions) {
     100_000
 };
 
-fn options() -> DurableOptions {
-    DurableOptions {
-        fsync: FsyncPolicy::OnSnapshot,
-    }
-}
+const OPTIONS: DurableOptions = DurableOptions {
+    fsync: FsyncPolicy::OnSnapshot,
+};
 
 /// A log the writer produced: node frames (blobs and a tree), relation
 /// frames (one with a literal output), two tombstones, and an object put
@@ -94,7 +58,7 @@ fn seed_log() -> (Vec<u8>, Vec<Node>) {
     ]));
     let thunk = tree.handle().application().unwrap();
     {
-        let d = DurableStore::open(dir.path(), options()).unwrap();
+        let d = DurableStore::open(dir.path(), OPTIONS).unwrap();
         for node in blobs.iter().chain([&tree]) {
             d.store().put(node.clone());
         }
@@ -116,6 +80,7 @@ fn seed_log() -> (Vec<u8>, Vec<Node>) {
 /// What opening `log` must find, worked out apart from the crate's
 /// scanner: the valid prefix's length, the payload keys it leaves
 /// indexed, and the relations it replays.
+#[derive(Default)]
 struct Expected {
     valid: usize,
     indexed: BTreeSet<[u8; 32]>,
@@ -129,12 +94,7 @@ struct Expected {
 const RELATIONS: [Relation; 3] = [Relation::Eval, Relation::Apply, Relation::Force];
 
 fn expected(log: &[u8]) -> Expected {
-    let mut e = Expected {
-        valid: 0,
-        indexed: BTreeSet::new(),
-        relations: Vec::new(),
-        starts: Vec::new(),
-    };
+    let mut e = Expected::default();
     if log.get(..8) != Some(&LOG_MAGIC[..]) {
         return e;
     }
@@ -192,12 +152,13 @@ fn expected(log: &[u8]) -> Expected {
     e
 }
 
-/// Opens `log` and checks it against [`expected`].
-fn check(dir: &Path, log: &[u8], nodes: &[Node]) {
+/// Opens `log` and checks it against [`expected`]; true if every byte
+/// of it was valid.
+fn check(dir: &Path, log: &[u8], nodes: &[Node]) -> bool {
     std::fs::write(dir.join("log.fixlog"), log).unwrap();
     let e = expected(log);
-    LARGEST.store(0, Relaxed);
-    let d = DurableStore::open(dir, options()).expect("a hostile log opens");
+    hostile::reset();
+    let d = DurableStore::open(dir, OPTIONS).expect("a hostile log opens");
     let stats = d.stats();
     assert_eq!(stats.truncated_bytes, (log.len() - e.valid) as u64);
     assert_eq!(stats.replayed_nodes, e.indexed.len() as u64);
@@ -213,12 +174,13 @@ fn check(dir: &Path, log: &[u8], nodes: &[Node]) {
             Err(_) => assert!(!indexed, "lost {asked}"),
         }
     }
-    let largest = LARGEST.load(Relaxed);
+    let largest = hostile::process_largest();
     assert!(
         largest <= log.len().max(OPEN_READ_BUFFER),
         "allocated {largest} bytes for a {}-byte log",
         log.len()
     );
+    e.valid == log.len()
 }
 
 /// The store replays exactly the expected relations, each with its
@@ -234,69 +196,37 @@ fn check_relations(d: &DurableStore, e: &Expected) {
     }
 }
 
-/// Appends a frame around `payload` with the right checksum.
-fn push_framed(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+/// Splices a frame around `payload`, with the right checksum, into
+/// `log` at `at`.
+fn insert_frame(log: &mut Vec<u8>, at: usize, payload: &[u8]) {
+    let header = [
+        (payload.len() as u32).to_le_bytes(),
+        crc32(payload).to_le_bytes(),
+    ];
+    log.splice(
+        at..at,
+        header.concat().into_iter().chain(payload.iter().copied()),
+    );
 }
 
 /// One random mutant of `log`, whose frames start at `starts`, and the
 /// name of the mutation.
 fn mutate(rng: &mut Rng, log: &[u8], starts: &[usize], nodes: &[Node]) -> (Vec<u8>, &'static str) {
     let mut out = log.to_vec();
-    // A frame boundary: a frame start, or the end of the log.
-    let boundary = |rng: &mut Rng| {
-        starts
-            .get(rng.below(starts.len() + 1))
-            .map_or(log.len(), |&s| s)
-    };
-    let insert = |out: &mut Vec<u8>, at: usize, payload: &[u8]| {
-        let mut frame = Vec::new();
-        push_framed(&mut frame, payload);
-        out.splice(at..at, frame);
-    };
-    match rng.below(5) {
+    // The rest insert one frame, at a frame start or the end of the log.
+    let (payload, kind) = match rng.below(5) {
         0 => {
-            for _ in 0..1 + rng.below(3) {
-                let bit = rng.below(8 * out.len());
-                out[bit / 8] ^= 1 << (bit % 8);
-            }
-            (out, "bit flips")
+            hostile::flip_bits(rng, &mut out, 3);
+            return (out, "bit flips");
         }
         1 => {
             let at = starts[rng.below(starts.len())];
-            let declared = u32::from_le_bytes(out[at..at + 4].try_into().unwrap());
-            let len = match rng.below(4) {
-                0 => u32::MAX,
-                1 => rng.next() as u32,
-                2 => declared.wrapping_add(1 + rng.below(16) as u32),
-                _ => declared.wrapping_sub(1 + rng.below(16) as u32),
-            };
-            out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-            (out, "length field")
+            hostile::poke_length(rng, &mut out, at);
+            return (out, "length field");
         }
         2 => {
-            let mut payload = vec![4u8];
-            payload.extend((0..rng.below(32)).map(|_| rng.next() as u8));
-            let at = boundary(rng);
-            insert(&mut out, at, &payload);
-            (out, "short tombstone")
+            let len = rng.below(32);
+            ([vec![4u8], rng.bytes(len)].concat(), "short tombstone")
         }
         3 => {
             let tag = loop {
@@ -305,21 +235,20 @@ fn mutate(rng: &mut Rng, log: &[u8], starts: &[usize], nodes: &[Node]) -> (Vec<u
                     break tag;
                 }
             };
-            let mut payload = vec![tag];
-            payload.extend((0..rng.below(80)).map(|_| rng.next() as u8));
-            let at = boundary(rng);
-            insert(&mut out, at, &payload);
-            (out, "unknown tag")
+            let len = rng.below(80);
+            ([vec![tag], rng.bytes(len)].concat(), "unknown tag")
         }
+        // A well-formed tombstone anywhere: the served set must follow.
         _ => {
-            // A well-formed tombstone anywhere: the served set must follow.
-            let mut payload = vec![4u8];
-            payload.extend_from_slice(&payload_key(nodes[rng.below(nodes.len())].handle()));
-            let at = boundary(rng);
-            insert(&mut out, at, &payload);
-            (out, "tombstone")
+            let key = payload_key(nodes[rng.below(nodes.len())].handle());
+            ([&[4u8][..], &key].concat(), "tombstone")
         }
-    }
+    };
+    let at = starts
+        .get(rng.below(starts.len() + 1))
+        .map_or(log.len(), |&s| s);
+    insert_frame(&mut out, at, &payload);
+    (out, kind)
 }
 
 #[test]
@@ -329,32 +258,14 @@ fn hostile_logs_open_truncate_exactly_and_serve_only_true_names() {
     assert_eq!(seed.valid, log.len(), "the writer's own log is valid");
     assert_eq!(seed.starts.len(), 6 + 3 + 2 + 1);
     let dir = tempfile::tempdir().unwrap();
-    let mut cases = 0u64;
-    let mut run = |case: String, mutant: &[u8], compact: bool| {
-        cases += 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            check(dir.path(), mutant, &nodes);
-            if compact {
-                check_compacted(dir.path(), mutant);
-            }
-        }));
-        if let Err(panic) = outcome {
-            let what = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("a panic");
-            panic!("{case}: {what}\nmutant: {mutant:02x?}");
-        }
-    };
+    let opens = |mutant: &[u8]| check(dir.path(), mutant, &nodes);
+    let mut cases = Cases::default();
     let t0 = std::time::Instant::now();
-    for len in 0..=log.len() {
-        run(format!("truncated to {len}"), &log[..len], false);
-    }
+    cases.prefixes(&[&log], opens);
     let mut rng = Rng(0x5EED_F1C5_u64);
     for case in 0..RANDOM_CASES {
         let (mutant, kind) = mutate(&mut rng, &log, &seed.starts, &nodes);
-        run(format!("case {case} ({kind})"), &mutant, false);
+        cases.run(format_args!("case {case} ({kind})"), &mutant[..], opens);
     }
     // Conflicting relations: a frame with a valid checksum naming some
     // output for the thunk the log memoizes under every relation, at
@@ -369,33 +280,32 @@ fn hostile_logs_open_truncate_exactly_and_serve_only_true_names() {
     for out in outputs {
         for (tag, relation) in RELATIONS.iter().enumerate() {
             for at in seed.starts.iter().copied().chain([log.len()]) {
-                let mut payload = vec![2u8, tag as u8];
-                payload.extend_from_slice(thunk.raw());
-                payload.extend_from_slice(out.raw());
+                let payload = [&[2u8, tag as u8][..], thunk.raw(), out.raw()].concat();
                 let mut mutant = log.clone();
-                let mut frame = Vec::new();
-                push_framed(&mut frame, &payload);
-                mutant.splice(at..at, frame);
-                let case = format!("conflicting relation {relation:?} → {out} at {at}");
-                run(case, &mutant, true);
+                insert_frame(&mut mutant, at, &payload);
+                let case = format_args!("conflicting relation {relation:?} → {out} at {at}");
+                cases.run(case, &mutant[..], |mutant| {
+                    let whole = opens(mutant);
+                    check_compacted(dir.path(), mutant);
+                    whole
+                });
             }
         }
     }
-    eprintln!(
-        "{cases} hostile logs in {:.1} s",
-        t0.elapsed().as_secs_f64()
-    );
+    let Cases { run, accepted } = cases;
+    let secs = t0.elapsed().as_secs_f64();
+    eprintln!("{run} hostile logs, {accepted} valid to the last byte, in {secs:.1} s");
 }
 
 /// Compacts the store `check` just opened over `log` and reopens it: the
 /// rewrite keeps exactly the relations the first open served.
 fn check_compacted(dir: &Path, log: &[u8]) {
     let e = expected(log);
-    DurableStore::open(dir, options())
+    DurableStore::open(dir, OPTIONS)
         .expect("the log reopens")
         .snapshot()
         .expect("the log compacts");
-    let d = DurableStore::open(dir, options()).expect("a compacted log opens");
+    let d = DurableStore::open(dir, OPTIONS).expect("a compacted log opens");
     assert_eq!(d.stats().truncated_bytes, 0);
     check_relations(&d, &e);
 }

@@ -150,10 +150,9 @@ impl FsBuilder {
     /// directories are created; adding over an existing directory fails.
     pub fn add_file(&mut self, path: &str, contents: Vec<u8>) -> Result<()> {
         let mut parts: Vec<&str> = path.split('/').filter(|p| !p.is_empty()).collect();
-        if parts.is_empty() {
+        let Some(file) = parts.pop() else {
             return Err(Error::Trap("empty path".into()));
-        }
-        let file = parts.pop().expect("nonempty");
+        };
         let mut dir = &mut self.root;
         for part in parts {
             let next = dir
@@ -186,8 +185,7 @@ impl FsBuilder {
 
 fn build_dir<A: ObjectApi>(dir: &BTreeMap<String, NodeBuilder>, store: &A) -> Handle {
     let mut info = DirInfo::default();
-    let mut slots: Vec<Handle> = Vec::with_capacity(dir.len() + 1);
-    slots.push(Handle::literal(b"").expect("empty literal")); // Placeholder.
+    let mut entries: Vec<Handle> = Vec::with_capacity(dir.len());
     for (name, node) in dir {
         match node {
             NodeBuilder::File(contents) => {
@@ -198,7 +196,7 @@ fn build_dir<A: ObjectApi>(dir: &BTreeMap<String, NodeBuilder>, store: &A) -> Ha
                     size: contents.len() as u64,
                 });
                 // Entries are Refs: naming a file must not fetch it.
-                slots.push(h.as_ref_handle());
+                entries.push(h.as_ref_handle());
             }
             NodeBuilder::Dir(children) => {
                 let h = build_dir(children, store);
@@ -207,12 +205,12 @@ fn build_dir<A: ObjectApi>(dir: &BTreeMap<String, NodeBuilder>, store: &A) -> Ha
                     kind: EntryKind::Dir,
                     size: h.size(),
                 });
-                slots.push(h.as_ref_handle());
+                entries.push(h.as_ref_handle());
             }
         }
     }
-    slots[0] = store.put_blob(info.to_blob());
-    store.put_tree(Tree::from_handles(slots))
+    let slots = std::iter::once(store.put_blob(info.to_blob())).chain(entries);
+    store.put_tree(Tree::from_handles(slots.collect()))
 }
 
 /// Trusted (runtime-side) path resolution: walks the directory trees

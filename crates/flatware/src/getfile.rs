@@ -29,6 +29,7 @@ pub fn register_get_file<R: InvocationApi>(rt: &R) -> Handle {
         "flatware/get-file",
         Arc::new(|ctx| {
             let input = ctx.input_tree()?;
+            // invariant: a codelet runs on an application tree: [limits, procedure, ..].
             let rlimit = input.get(0).expect("limits slot");
             let self_proc = input.get(1).expect("procedure slot");
             let path_blob = ctx.arg_blob(0)?;

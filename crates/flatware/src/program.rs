@@ -100,7 +100,10 @@ impl<'a, 'b> PosixWorld<'a, 'b> {
             let idx = info
                 .index_of(part)
                 .ok_or_else(|| Error::Trap(format!("'{part}': no such file or directory")))?;
-            current = tree.get(idx + 1).expect("info and tree agree");
+            current = tree.get(idx + 1).ok_or_else(|| Error::MalformedTree {
+                handle: current,
+                reason: format!("info lists entry {idx} but tree is too short"),
+            })?;
         }
         Ok(current)
     }
@@ -225,6 +228,26 @@ mod tests {
         let cat = cat_program(&rt);
         let err = run_program(&rt, cat, &["cat", "nope"], root).unwrap_err();
         assert!(err.to_string().contains("no such file"), "{err}");
+    }
+
+    #[test]
+    fn a_directory_shorter_than_its_info_is_malformed() {
+        let rt = Runtime::builder().build();
+        let info = crate::fs::DirInfo {
+            entries: vec![DirEntry {
+                name: "ghost".into(),
+                kind: crate::fs::EntryKind::File,
+                size: 1,
+            }],
+        };
+        let short = rt.put_tree(Tree::from_handles(vec![rt.put_blob(info.to_blob())]));
+        let cat = cat_program(&rt);
+        let err = run_program(&rt, cat, &["cat", "ghost"], short).unwrap_err();
+        assert!(
+            matches!(&err, Error::MalformedTree { handle, reason }
+                if *handle == short && reason.contains("entry 0 but tree is too short")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -150,6 +150,7 @@ impl Sim {
     /// Panics if the claim is unknown (already released).
     pub fn set_claim_state(&mut self, id: ClaimId, state: CoreState) {
         let now = self.now;
+        // invariant: the engine releases each claim once and acts on live ones.
         let claim = self.claims.get_mut(&id).expect("live claim");
         let elapsed = now - claim.since;
         let node = claim.node;
@@ -166,6 +167,7 @@ impl Sim {
     ///
     /// Panics if the claim is unknown (double release).
     pub fn release(&mut self, id: ClaimId) {
+        // invariant: the engine releases each claim once and acts on live ones.
         let claim = self.claims.remove(&id).expect("live claim");
         let elapsed = self.now - claim.since;
         let ns = &mut self.nodes[claim.node.0];

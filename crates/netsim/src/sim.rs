@@ -40,6 +40,7 @@ impl EventQueue {
 
     pub fn pop(&mut self) -> Option<(Time, EventFn)> {
         let Reverse((at, seq)) = self.heap.pop()?;
+        // invariant: `push` stores a body under every sequence number it queues.
         let f = self.events.remove(&seq).expect("event body present");
         Some((at, f))
     }

@@ -991,6 +991,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
                 0 => {
                     // invariant: class 0 is chosen only from a queued fault event.
                     let node = self.cfg.fault.expect("a fault event is due").node;
+                    // invariant: the same queued fault event is popped here.
                     match faults.pop_front().expect("a fault event is due").1 {
                         None => self.kill(node, t),
                         Some(kind) => self.restart(node, kind, t),

@@ -30,8 +30,8 @@
 //!   kernel (`serve::kernel`) that [`adapt`] and [`dispatch`] configure;
 //! * [`durable`] — the persistence tier: one append-only
 //!   content-addressed log, compacted when it holds dead bytes, lazy
-//!   faulting restart (an evicted logged object refaults the same way),
-//!   and deterministic kill points for crash-recovery testing;
+//!   faulting restart (an evicted logged object refaults the same way);
+//!   a crash is a log prefix (`tear_log`);
 //! * [`dispatch`] — the multi-node serving tier: rendezvous-hash
 //!   (memoization-affinity) routing with load-based spill across N
 //!   independent node backends, per-node durable state, and
