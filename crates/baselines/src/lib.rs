@@ -35,7 +35,7 @@ mod tests {
         run_fix, small_task, ClusterClient, ClusterSetup, FixConfig, JobGraph, JobGraphBuilder,
         TaskId,
     };
-    use fix_core::api::{Evaluator, InvocationApi, ObjectApi, Priority, SubmitApi, SubmitOptions};
+    use fix_core::api::{Evaluator, InvocationApi, ObjectApi, SubmitApi, SubmitOptions};
     use fix_core::data::Blob;
     use fix_core::error::{Error, Result};
     use fix_core::handle::Handle;
@@ -446,7 +446,7 @@ mod tests {
 
     /// The request-scoped submission path over a baseline profile: the
     /// client submits through its embedded node's scheduler, so the
-    /// options — strict mode and priorities — behave exactly as on every
+    /// options — strict mode — behave exactly as on every
     /// other backend (the cross-backend agreement itself is
     /// pinned by tests/api_conformance.rs).
     #[test]
@@ -461,9 +461,8 @@ mod tests {
         let t1 = add_thunk(&rb, 40, 2);
         let t2 = add_thunk(&rb, 1, 2);
 
-        // Strict, latency-class submission agrees with eval_strict.
-        let opts = SubmitOptions::strict().with_priority(Priority::Latency);
-        let results = rb.submit_with(&[t1, t2], opts).wait();
+        // Strict submission agrees with eval_strict.
+        let results = rb.submit_with(&[t1, t2], SubmitOptions::strict()).wait();
         assert_eq!(*results[0].as_ref().unwrap(), rb.eval_strict(t1).unwrap());
         assert_eq!(rb.get_u64(*results[1].as_ref().unwrap()).unwrap(), 3);
         assert_eq!(rb.reports().len(), 1, "one batch, one costed run");

@@ -18,9 +18,9 @@
 //!   [`submit_many`](SubmitApi::submit_many)) returns a [`Ticket`]
 //!   immediately, resolved by the ticket's own
 //!   [`wait`](BatchTicket::wait), so a driver can overlap admission with
-//!   execution; [`SubmitOptions`] carries a [`Priority`] class and the
-//!   WHNF-vs-strict [`Mode`], and dropping an unresolved ticket
-//!   withdraws still-queued work. Every backend implements it the same way: the batch goes to a Fix
+//!   execution; [`SubmitOptions`] carries the WHNF-vs-strict [`Mode`],
+//!   and dropping an unresolved ticket withdraws still-queued work.
+//!   Every backend implements it the same way: the batch goes to a Fix
 //!   node's scheduler — `fixpoint::Runtime` *is* that node, and the
 //!   cluster client submits through the node it embeds (after costing
 //!   the batch on its simulator) and returns that node's ticket;
@@ -297,62 +297,20 @@ pub enum Mode {
     Strict,
 }
 
-/// The scheduling class of a submitted batch. Lower tiers dispatch
-/// first wherever queued work is held (a node scheduler's run queues,
-/// the `fix-serve` admission queues).
-///
-/// Ordered: `Latency < Normal < Batch`, so `a < b` means `a` is served
-/// before `b` under contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Priority {
-    /// Latency-sensitive traffic: dispatched before every other tier.
-    Latency,
-    /// The default tier.
-    #[default]
-    Normal,
-    /// Throughput traffic: served only when higher tiers are idle.
-    Batch,
-}
-
-impl Priority {
-    /// Number of priority tiers.
-    pub const TIERS: usize = 3;
-
-    /// The tier index (0 dispatches first).
-    pub fn tier(self) -> usize {
-        match self {
-            Priority::Latency => 0,
-            Priority::Normal => 1,
-            Priority::Batch => 2,
-        }
-    }
-
-    /// Short label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::Latency => "latency",
-            Priority::Normal => "normal",
-            Priority::Batch => "batch",
-        }
-    }
-}
-
 /// Request-scoped intent attached to a submission (see
 /// [`SubmitApi::submit_with`]).
 ///
-/// A bare `submit_many` carries no intent: the backend cannot know
-/// which traffic to dispatch first, or how deep to evaluate.
-/// `SubmitOptions` names both. Deadlines are not a submission's
-/// business: a serving layer expires a request on its own clock before
-/// it submits (`fix_serve`'s dispatch-time expiry).
+/// A bare `submit_many` evaluates each slot to WHNF; `SubmitOptions`
+/// says how deep to evaluate instead. Ordering and deadlines are not a
+/// submission's business: a serving layer decides which request goes
+/// first, and expires one, on its own clock before it submits
+/// (`fix_serve`'s tiered dispatch queues).
 ///
-/// The default options (`Normal` priority, WHNF) make
+/// The default options (WHNF) make
 /// `submit_with(h, SubmitOptions::default())` behave exactly like
 /// `submit_many(h)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOptions {
-    /// The batch's scheduling class.
-    pub priority: Priority,
     /// How far each slot is evaluated.
     pub mode: Mode,
 }
@@ -360,16 +318,7 @@ pub struct SubmitOptions {
 impl SubmitOptions {
     /// Options for a fully strict submission (deep-forced results).
     pub fn strict() -> SubmitOptions {
-        SubmitOptions {
-            mode: Mode::Strict,
-            ..SubmitOptions::default()
-        }
-    }
-
-    /// Sets the scheduling class.
-    pub fn with_priority(mut self, priority: Priority) -> SubmitOptions {
-        self.priority = priority;
-        self
+        SubmitOptions { mode: Mode::Strict }
     }
 }
 
@@ -395,12 +344,12 @@ impl SubmitOptions {
 /// * `fix_cluster::ClusterClient` — derives and simulates the batch's
 ///   dataflow under its `Profile` (recording a run report), then
 ///   submits it to the `Runtime` it embeds and returns that node's
-///   ticket. Tiers and cancellation are the node's.
+///   ticket. Cancellation is the node's.
 ///
 /// Submissions are *request scoped*: [`submit_with`](SubmitApi::submit_with)
-/// attaches a [`SubmitOptions`] — [`Priority`] class and WHNF-vs-strict
-/// [`Mode`] — so the backend can reorder outstanding work, and a dropped
-/// ticket lets it withdraw work instead of blindly executing it.
+/// attaches a [`SubmitOptions`] — the WHNF-vs-strict [`Mode`] — and a
+/// dropped ticket lets the backend withdraw work instead of blindly
+/// executing it.
 ///
 /// Contract (held by the conformance suite):
 ///
@@ -452,10 +401,10 @@ impl SubmitOptions {
 /// assert_eq!(rt.get_u64(*second_results[3].as_ref().unwrap()).unwrap(), 104);
 /// ```
 ///
-/// # A strict, latency-tier batch
+/// # A strict batch
 ///
 /// ```
-/// use fix_core::api::{Evaluator, InvocationApi, ObjectApi, SubmitApi, SubmitOptions, Priority};
+/// use fix_core::api::{Evaluator, InvocationApi, ObjectApi, SubmitApi, SubmitOptions};
 /// use fix_core::data::Blob;
 /// use fix_core::limits::ResourceLimits;
 /// use std::sync::Arc;
@@ -478,9 +427,7 @@ impl SubmitOptions {
 /// ).unwrap();
 /// let batch = vec![rt.apply(ResourceLimits::default_limits(), wrap, &[inner]).unwrap()];
 ///
-/// // Strict, and dispatched ahead of every Normal and Batch job queued.
-/// let opts = SubmitOptions::strict().with_priority(Priority::Latency);
-/// let results = rt.submit_with(&batch, opts).wait();
+/// let results = rt.submit_with(&batch, SubmitOptions::strict()).wait();
 /// // The slot agrees with eval_strict: the inner thunk is deep-forced.
 /// let forced = *results[0].as_ref().unwrap();
 /// assert_eq!(forced, rt.eval_strict(batch[0]).unwrap());
@@ -488,14 +435,14 @@ impl SubmitOptions {
 /// ```
 pub trait SubmitApi {
     /// Begins evaluating a batch of independent requests under
-    /// request-scoped `options` (priority class, evaluation mode),
+    /// request-scoped `options` (the evaluation mode),
     /// returning a ticket for the positional results. Must not block on
     /// evaluation: the work proceeds in the backend (or on the later
     /// `wait` for inline backends), not in this call.
     fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket;
 
-    /// Begins evaluating a batch with default options —
-    /// [`Priority::Normal`], WHNF. See [`submit_with`](SubmitApi::submit_with).
+    /// Begins evaluating a batch with default options (WHNF). See
+    /// [`submit_with`](SubmitApi::submit_with).
     fn submit_many(&self, handles: &[Handle]) -> BatchTicket {
         self.submit_with(handles, SubmitOptions::default())
     }

@@ -86,11 +86,12 @@ impl Layer {
 }
 
 /// What happened. Field conventions per kind are documented on the
-/// emitting layer; `a`/`b` are small operands (slot/tier/tenant/depth).
+/// emitting layer; `a`/`b` are small operands (slot/tenant/depth/count).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // Variant meanings are the emitting layers' docs.
 pub enum EventKind {
-    // Scheduler (wall-clock diagnostics; a = slot or shard, b = tier).
+    // Scheduler (wall-clock diagnostics; a = slot or batch position,
+    // b = a count or flag, 0 when the kind has none).
     SchedSubmit,
     SchedEnqueue,
     SchedPop,
@@ -243,7 +244,7 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Kind-specific small operand (slot, shard, or tenant index).
     pub a: u32,
-    /// Kind-specific small operand (tier, queue depth, latency µs…).
+    /// Kind-specific small operand (queue depth, latency µs, a flag…).
     pub b: u32,
 }
 

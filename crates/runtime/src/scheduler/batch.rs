@@ -27,7 +27,6 @@
 //! its slot.
 
 use crate::engine::Job;
-use fix_core::api::Priority;
 use fix_core::error::{Error, Result};
 use fix_core::handle::Handle;
 use parking_lot::Mutex;
@@ -66,12 +65,10 @@ pub(crate) struct BatchState {
     remaining: AtomicUsize,
     /// Set by whichever fill drains `remaining`.
     done: AtomicBool,
-    /// The batch's scheduling class (inherited by its jobs' enqueues).
-    pub(super) priority: Priority,
 }
 
 impl BatchState {
-    pub(super) fn new(roots: &[(Job, bool)], priority: Priority) -> BatchState {
+    pub(super) fn new(roots: &[(Job, bool)]) -> BatchState {
         let n = roots.len();
         BatchState {
             slots: roots
@@ -84,7 +81,6 @@ impl BatchState {
                 .collect(),
             remaining: AtomicUsize::new(n),
             done: AtomicBool::new(n == 0),
-            priority,
         }
     }
 

@@ -1,9 +1,9 @@
-//! Layer 2 of the scheduler: the run queue, one slot of tiered deques
-//! per pool worker plus one shared by every other thread.
+//! Layer 2 of the scheduler: the run queue, one deque per pool worker
+//! plus one shared by every other thread.
 //!
 //! ## Slot map
 //! - A runtime with `workers` pool workers has `workers + 1` slots, each
-//!   holding one deque per `Priority` tier.
+//!   holding one deque.
 //! - Pool worker `i` owns slot `i`.
 //! - Every other thread of the runtime — submitters, inline drivers,
 //!   waiters — shares the last slot, the *external* slot.
@@ -12,39 +12,37 @@
 //!   state, so none outlives its runtime or leaks into another.
 //!
 //! ## Dispatch order
-//! - **Owner: own slot, LIFO, highest tier first.** Depth-first over
-//!   dependency trees, cache-warm. The external slot's owners are all
-//!   the external threads: each pops its newest token.
-//! - **Thief: other slots, FIFO, tier-major.** An owner with an empty
-//!   slot scans the others highest tier first and takes the oldest
-//!   token of the first non-empty deque. Workers take from the external
-//!   slot this way, like from any other slot.
-//! - **Priority is strict within a slot, eventual across slots.** An
-//!   owner drains its own lower-tier work before stealing another
-//!   slot's higher-tier work; any thread going idle steals tier-major.
+//! - **Owner: own slot, LIFO.** Depth-first over dependency trees,
+//!   cache-warm. The external slot's owners are all the external
+//!   threads: each pops its newest token.
+//! - **Thief: other slots, FIFO.** An owner with an empty slot scans the
+//!   others in ring order and takes the oldest token of the first
+//!   non-empty deque. Workers take from the external slot this way,
+//!   like from any other slot.
+//! - The queue is not tiered: the serving kernel put its batches in
+//!   order on its virtual clock before submitting them.
 //!
 //! ## Gotchas
 //! - The deques hold tokens, not truth: the job map (layer 1) decides
-//!   at claim whether a popped token is live, skips stale ones and
-//!   withdraws a job nothing wants any more.
+//!   at claim whether a popped token is live, and drops a job nothing
+//!   wants any more.
 //! - `queued` counts tokens in every slot, incremented before a push
 //!   and decremented after a pop, so "every deque is empty" is one load:
 //!   that is how a waiter's stall check sees tokens in other slots or
 //!   mid-steal.
-//! - External threads contend on one lock per tier; a worker's pushes of
-//!   its own dependencies never do.
+//! - External threads contend on one lock; a worker's pushes of its
+//!   own dependencies never do.
 
 use crate::engine::Job;
-use fix_core::api::Priority;
 use fix_obs::EventKind;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The tiered run queue of one runtime.
+/// The run queue of one runtime.
 pub(super) struct DequeSet {
     /// Slot `i` is pool worker `i`'s; the last is the external slot.
-    slots: Vec<[Mutex<VecDeque<Job>>; Priority::TIERS]>,
+    slots: Vec<Mutex<VecDeque<Job>>>,
     /// Tokens across all slots; see the module docs for the ordering
     /// contract that makes this the stall check's queue-empty answer.
     queued: AtomicUsize,
@@ -67,9 +65,7 @@ impl DequeSet {
     /// The run queue of a runtime with `workers` pool workers.
     pub(super) fn new(workers: usize) -> DequeSet {
         DequeSet {
-            slots: (0..=workers)
-                .map(|_| std::array::from_fn(|_| Mutex::new(VecDeque::new())))
-                .collect(),
+            slots: (0..=workers).map(|_| Mutex::default()).collect(),
             queued: AtomicUsize::new(0),
             steals: fix_obs::Counter::new(),
             pops: fix_obs::Counter::new(),
@@ -115,57 +111,41 @@ impl DequeSet {
             .set((self.steals.get().saturating_mul(1000) / pops.max(1)) as i64);
     }
 
-    /// Pushes a token onto `home`'s deque for `tier`.
-    pub(super) fn push(&self, home: usize, tier: usize, job: Job) {
+    /// Pushes a token onto `home`'s deque.
+    pub(super) fn push(&self, home: usize, job: Job) {
         self.queued.fetch_add(1, Ordering::SeqCst);
-        self.slots[home][tier].lock().push_back(job);
+        self.slots[home].lock().push_back(job);
     }
 
-    /// Pops the next token for an owner of `home`: own slot LIFO
-    /// (highest tier first), then a tier-major FIFO steal sweep over
-    /// the other slots.
+    /// Pops the next token for an owner of `home`: own slot LIFO, then a
+    /// FIFO steal sweep over the other slots.
     pub(super) fn pop(&self, home: usize) -> Option<Job> {
         if self.queued() == 0 {
             return None;
         }
-        for tier in 0..Priority::TIERS {
-            if let Some(job) = self.slots[home][tier].lock().pop_back() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.note_pop();
-                if fix_obs::tracing_enabled() {
-                    fix_obs::emit(
-                        EventKind::SchedPop,
-                        0,
-                        super::job_trace_id(&job),
-                        home as u32,
-                        tier as u32,
-                    );
-                }
+        if let Some(job) = self.slots[home].lock().pop_back() {
+            self.took(EventKind::SchedPop, home, &job);
+            return Some(job);
+        }
+        let n = self.slots.len();
+        for k in 1..n {
+            let victim = (home + k) % n;
+            if let Some(job) = self.slots[victim].lock().pop_front() {
+                self.steals.inc();
+                self.took(EventKind::SchedSteal, victim, &job);
                 return Some(job);
             }
         }
-        let n = self.slots.len();
-        for tier in 0..Priority::TIERS {
-            for k in 1..n {
-                let victim = (home + k) % n;
-                if let Some(job) = self.slots[victim][tier].lock().pop_front() {
-                    self.queued.fetch_sub(1, Ordering::SeqCst);
-                    self.steals.inc();
-                    self.note_pop();
-                    if fix_obs::tracing_enabled() {
-                        fix_obs::emit(
-                            EventKind::SchedSteal,
-                            0,
-                            super::job_trace_id(&job),
-                            victim as u32,
-                            tier as u32,
-                        );
-                    }
-                    return Some(job);
-                }
-            }
-        }
         None
+    }
+
+    /// Accounts a token popped from `slot` (a steal is counted first).
+    fn took(&self, kind: EventKind, slot: usize, job: &Job) {
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        self.note_pop();
+        if fix_obs::tracing_enabled() {
+            fix_obs::emit(kind, 0, super::job_trace_id(job), slot as u32, 0);
+        }
     }
 }
 
@@ -179,33 +159,22 @@ mod tests {
     }
 
     #[test]
-    fn own_slot_is_lifo_and_tier_major() {
+    fn own_slot_is_lifo_and_steals_are_fifo() {
         let d = DequeSet::new(9);
-        d.push(3, 1, job(1));
-        d.push(3, 1, job(2));
-        d.push(3, 0, job(3));
-        // Tier 0 drains before tier 1; within a tier, newest first.
+        d.push(3, job(1));
+        d.push(3, job(2));
+        d.push(3, job(3));
+        // The owner takes its newest token...
         assert_eq!(d.pop(3), Some(job(3)));
-        assert_eq!(d.pop(3), Some(job(2)));
-        assert_eq!(d.pop(3), Some(job(1)));
-        assert_eq!(d.pop(3), None);
-        assert_eq!(d.queued(), 0);
         assert_eq!(d.steals(), 0);
-    }
-
-    #[test]
-    fn steals_are_fifo_and_scan_highest_tier_first() {
-        let d = DequeSet::new(9);
-        d.push(0, 2, job(10)); // old batch-tier work on slot 0
-        d.push(0, 2, job(11));
-        d.push(5, 0, job(12)); // newer latency-tier work on slot 5
-                               // A thief on slot 9 must take the latency job first even though
-                               // slot 0 comes earlier in the ring...
-        assert_eq!(d.pop(9), Some(job(12)));
+        // ...a thief on slot 9 the oldest one...
+        assert_eq!(d.pop(9), Some(job(1)));
         assert_eq!(d.steals(), 1);
-        // ...and then steal slot 0's *oldest* token (FIFO).
-        assert_eq!(d.pop(9), Some(job(10)));
-        assert_eq!(d.pop(9), Some(job(11)));
+        // ...and a thief scans the ring from its own slot onward.
+        d.push(5, job(4));
+        assert_eq!(d.pop(4), Some(job(4)));
+        assert_eq!(d.pop(4), Some(job(2)));
+        assert_eq!(d.pop(4), None);
         assert_eq!(d.steals(), 3);
         assert_eq!(d.queued(), 0);
     }
@@ -216,7 +185,7 @@ mod tests {
         let external = d.external();
         assert_eq!(external, 1, "one worker slot, then the external slot");
         for i in 0..3 {
-            d.push(external, 1, job(i));
+            d.push(external, job(i));
         }
         // The worker steals the oldest token...
         assert_eq!(d.pop(0), Some(job(0)));
@@ -224,7 +193,7 @@ mod tests {
         assert_eq!(d.pop(external), Some(job(2)));
         assert_eq!(d.steals(), 1);
         // ...and a worker's own pushes are its own.
-        d.push(0, 1, job(3));
+        d.push(0, job(3));
         assert_eq!(d.pop(0), Some(job(3)));
         assert_eq!(d.pop(0), Some(job(1)));
         assert_eq!(d.steals(), 2);

@@ -1,12 +1,13 @@
 //! Layer 1 of the scheduler: the sharded job map.
 //!
 //! Every job in flight has (at most) one [`JobEntry`], and the entry
-//! owns *all* of the job's bookkeeping: its state machine, queue-token
-//! accounting, the interest refcount, its dependency waiters, and the
-//! watched-batch watchers whose current stage it is. A finished job has
-//! no entry — its result is its relation in the engine's relation
-//! cache, the only memo — so the map holds work queued, running or
-//! parked, plus withdrawn entries until their last stale token drains.
+//! owns *all* of the job's bookkeeping: its state machine, whether its
+//! one queue token is in a deque, the interest refcount, its dependency
+//! waiters, and the watched-batch watchers whose current stage it is. A
+//! finished job has no entry — its result is its relation in the
+//! engine's relation cache, the only memo — so the map holds work
+//! queued, running or parked, plus withdrawn entries until their token
+//! is popped.
 //! The map is sharded by the keyed word fold of the job identity
 //! (`fix_core::handle::HandleBuildHasher`, the same fold each shard's
 //! map buckets by, and the one the object store and relation cache
@@ -21,7 +22,6 @@
 
 use super::batch::Watcher;
 use crate::engine::Job;
-use fix_core::api::Priority;
 use fix_core::handle::{HandleBuildHasher, HandleMap};
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
@@ -72,8 +72,9 @@ pub(super) struct DepWait {
 #[derive(Default)]
 pub(super) struct JobEntry {
     /// `None` means "no live request wants this job": it was withdrawn
-    /// after a cancellation, or it finished while a stale token of it
-    /// still floats (the entry goes when the token drains).
+    /// after a cancellation while its token still sits in a deque (the
+    /// entry goes when the token is popped, unless a new request revives
+    /// the job first).
     pub(super) state: Option<JobState>,
     /// Dependency waitgroups this job must decrement when it completes.
     /// The same waiter appears once per dependency edge (a job that
@@ -85,40 +86,23 @@ pub(super) struct JobEntry {
     /// registration and draining ride the same shard lock as the
     /// entry's state transition.
     pub(super) watchers: Vec<Watcher>,
-    /// Queue tokens currently floating in the deques for this job.
-    /// Withdrawal (and tier promotion) cannot cheaply delete from the
-    /// middle of a deque, so a dead token is left behind and skipped at
-    /// claim time; the count bounds how long the entry must outlive its
-    /// work.
-    pub(super) tokens: u32,
-    /// True while exactly one of the floating tokens is *live*: popping
-    /// any token while this is set claims the job for execution and
-    /// clears it, so even with stale duplicates in the deques a job is
-    /// stepped by at most one thread at a time. A `Queued` entry with
-    /// `enqueued == false` is popped-and-executing, which is what lets
-    /// withdrawal distinguish "still in a deque" (revocable) from
-    /// "mid-step" (must complete).
-    pub(super) enqueued: bool,
+    /// True while this job's one queue token is in a deque. A job has at
+    /// most one token: a withdrawn job that is wanted again re-arms the
+    /// token still in a deque instead of pushing another. Popping the
+    /// token clears this, so a `Queued` entry with `queued == false` is
+    /// popped-and-executing, which is what lets withdrawal tell "still
+    /// in a deque" (revocable) from "mid-step" (must complete).
+    pub(super) queued: bool,
     /// Live watched-batch slots currently staked on this job. Together
     /// with `waiters` this decides whether a claimed or cancelled job is
     /// still wanted.
     pub(super) interest: usize,
-    /// The tier a (re)enqueue of this job joins. Fixed at first
-    /// submission; a later higher-priority submission promotes the
-    /// entry *and* re-tokens an already-queued job at the higher tier
-    /// (priority inheritance for deduplicated work).
-    pub(super) priority: Priority,
 }
 
 impl JobEntry {
     /// Does any live request still want this job executed?
     pub(super) fn wanted(&self) -> bool {
         self.interest > 0 || !self.waiters.is_empty()
-    }
-
-    /// Can this entry be dropped once its last stale token drains?
-    pub(super) fn disposable(&self) -> bool {
-        self.state.is_none() && self.tokens == 0 && !self.wanted()
     }
 }
 

@@ -18,7 +18,7 @@
 //! independently synchronized layers:
 //!
 //! 1. **The sharded job map** (`jobmap`) — the bookkeeping of every
-//!    job in flight (state, queue tokens, the live-token claim bit,
+//!    job in flight (state, whether its one queue token is in a deque,
 //!    interest refcounts, dependency waiters, batch watchers) lives in
 //!    a 32-way map sharded by the keyed word fold of the job
 //!    (`fix_core::handle::HandleBuildHasher`). Unrelated jobs never
@@ -26,19 +26,16 @@
 //!    only its own shard. Dependency edges cross shards through
 //!    an atomic waitgroup (`jobmap::DepWait`), never by nesting shard
 //!    locks.
-//! 2. **Work-stealing deques** (`deques`) — the run queue is
-//!    `workers + 1` slots × one deque per `Priority` tier: pool worker
-//!    `i` owns slot `i`, every other thread shares the last, external
-//!    slot, and entry points pass the slot down (no thread state picks
-//!    it). An owner pushes and pops its slot LIFO (depth-first,
-//!    cache-warm) and steals FIFO from other slots when empty, scanning
-//!    the highest tier first. Priority ordering is therefore **strict
-//!    within a slot but only eventual across slots**: a busy worker
-//!    finishes its own lower-tier job before anyone notices the
-//!    higher-tier token in its deque — but any thread going idle steals
-//!    tier-major, so high-tier work is picked up as soon as any capacity
-//!    frees. Stale tokens are skipped *at the claiming worker*, under the
-//!    job's shard lock.
+//! 2. **Work-stealing deques** (`deques`) — the run queue is one deque
+//!    per slot, `workers + 1` slots: pool worker `i` owns slot `i`,
+//!    every other thread shares the last, external slot, and entry
+//!    points pass the slot down (no thread state picks it). An owner
+//!    pushes and pops its slot LIFO (depth-first, cache-warm) and
+//!    steals FIFO from other slots when empty. The queue is not tiered:
+//!    which request goes first is decided once, by the serving kernel
+//!    on its virtual clock, before the batch is submitted. A withdrawn
+//!    job's token is dropped *at the claiming worker*, under the job's
+//!    shard lock.
 //! 3. **Lock-free batch fills** (`batch`) — a watched batch's slots
 //!    are filled by first-writer-wins CAS claims; `remaining` counts
 //!    down atomically and only the final fill touches the condvar (and
@@ -68,18 +65,16 @@
 //!
 //! Watched submissions are *request scoped* (`fix_core::api::SubmitOptions`):
 //!
-//! * **priority** — a job's tier is set at its first enqueue; a later
-//!   *higher*-priority submission of a deduplicated job promotes the
-//!   entry and pushes a fresh token at the higher tier (priority
-//!   inheritance), so shared work runs at the urgency of the most
-//!   urgent request that wants it.
 //! * **cancellation** — a ticket dropped unresolved runs `cancel_batch`,
 //!   which fails the batch's unresolved slots with `Error::Cancelled`
 //!   and withdraws still-queued jobs no other live request shares, via
 //!   the per-job interest refcount the job map keeps (watched slots and
 //!   dependency waiters both count as interest). A job that was parked
 //!   when its only batch was dropped is withdrawn when its requeued
-//!   token is claimed — dead work is withdrawn, not executed.
+//!   token is claimed — dead work is withdrawn, not executed. A
+//!   withdrawn job keeps its token in the deque until it is popped; a
+//!   request that wants the job again before then re-arms that token
+//!   instead of pushing a second, so a job never has more than one.
 //! * **strict mode** — a strict slot watches the whole eval→force job
 //!   chain: when its `Eval` completes, the watcher *chains* onto the
 //!   `Force` of the produced value instead of filling, so the slot
@@ -90,10 +85,10 @@
 //!
 //! The relation cache is the only record of a finished evaluation: the
 //! job map holds work in flight, and `complete_job` removes a job's
-//! entry once its watchers and waiters are served and no stale token of
-//! it is left. A shard visit is a lock, a fold of the job's four words
-//! and a probe, so each transition of a job visits its shard at most
-//! once and carries what it read to whoever needs it next:
+//! entry once its watchers and waiters are served. A shard visit is a
+//! lock, a fold of the job's four words and a probe, so each transition
+//! of a job visits its shard at most once and carries what it read to
+//! whoever needs it next:
 //!
 //! * **memo read** — no visit: `run_inline` and `watch_job` ask the
 //!   engine for the job's relation first (`Engine::memoized`); a hit
@@ -101,9 +96,8 @@
 //!   the value, without taking a shard or (inline) allocating;
 //! * **watch** — one visit: enqueue the job unless it is in flight, and
 //!   register the slot's watcher;
-//! * **claim** — one visit (`adjudicate_token`): token accounting and
-//!   the entry's tier, which rides in the `Claim` so a step that parks
-//!   does not go back for it;
+//! * **claim** — one visit (`claim_token`): the token leaves its deque,
+//!   and the entry says whether anything still wants the job;
 //! * **complete and remove** — one visit per completed job
 //!   (`complete_job`): take the watchers and waiters, drop the entry;
 //! * **park** — one visit per dependency and one for the job's own
@@ -170,7 +164,6 @@ use deques::DequeSet;
 use jobmap::{DepWait, JobEntry, JobMap, JobState};
 
 use crate::engine::{Engine, Job, Step};
-use fix_core::api::Priority;
 use fix_core::error::{Error, Result};
 use fix_core::handle::Handle;
 use fix_obs::EventKind;
@@ -197,7 +190,7 @@ pub(crate) struct Scheduler {
     engine: Arc<Engine>,
     /// Layer 1: per-job bookkeeping, sharded by job hash.
     jobs: JobMap,
-    /// Layer 2: the tiered work-stealing run queue.
+    /// Layer 2: the work-stealing run queue.
     deques: DequeSet,
     /// Park control. Never held while doing work — only around the
     /// park/notify handshake, so a notifier can't slip between a
@@ -218,19 +211,6 @@ pub(crate) struct Scheduler {
     shutdown: AtomicBool,
     /// Number of pool workers attached (used for stall detection).
     workers_running: AtomicUsize,
-}
-
-/// What became of a popped token once the job map adjudicated it.
-enum TokenVerdict {
-    /// Dead token (withdrawn, duplicate, or moved-on job); pop again.
-    Stale,
-    /// Live token claimed, but the job is wanted by nothing (it was
-    /// parked when its only batch was dropped) — withdrawn instead of
-    /// executed; pop again.
-    Skipped,
-    /// Live token claimed; run the job at the entry's tier, read here
-    /// so a step that parks does not revisit the shard for it.
-    Run(Priority),
 }
 
 impl Scheduler {
@@ -288,47 +268,20 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Submission
 
-    /// Core enqueue under the job's shard lock: refreshes the entry
-    /// and, unless a live token already floats, pushes a fresh token
-    /// into deque slot `slot` at the job's tier. Returns whether a
-    /// token was pushed (the caller wakes sleepers *after* releasing
-    /// the shard).
+    /// Core enqueue under the job's shard lock: a job in flight is left
+    /// as it is; a fresh or withdrawn one is queued. Returns whether a
+    /// token was pushed (the caller wakes sleepers *after* releasing the
+    /// shard).
     ///
-    /// A revived (previously withdrawn) job always gets a fresh token
-    /// at the *reviving* submission's tier — its stale token keeps
-    /// floating in the old tier and is skipped at claim (though a stale
-    /// token in a higher tier may still dispatch the job earlier than
-    /// the new tier would; never later).
-    ///
-    /// A later *higher*-priority submission of an already-queued job
-    /// promotes the entry and pushes an extra token at the higher tier
-    /// (priority inheritance for deduplicated work): the live-token
-    /// claim bit keeps execution exactly-once, and whichever token pops
-    /// first — usually the higher-tier one — runs the job, leaving the
-    /// other to be skipped as stale.
-    fn enqueue_entry(&self, entry: &mut JobEntry, job: Job, tier: Priority, slot: usize) -> bool {
-        if entry.state.is_none() {
-            // Fresh (or previously withdrawn) job: it runs at the tier
-            // of the submission reviving it.
-            entry.priority = tier;
-            entry.state = Some(JobState::Queued);
-            if !entry.enqueued {
-                entry.enqueued = true;
-                entry.tokens += 1;
-                self.push_token(job, tier.tier(), slot);
-                return true;
-            }
-        } else if tier < entry.priority {
-            entry.priority = tier;
-            if matches!(entry.state, Some(JobState::Queued)) && entry.enqueued {
-                // Priority inheritance: re-token the queued job at the
-                // higher tier instead of only promoting future enqueues.
-                entry.tokens += 1;
-                self.push_token(job, tier.tier(), slot);
-                return true;
-            }
+    /// A withdrawn job whose token is still in a deque is revived on
+    /// that token, which the next claim finds live again; one whose
+    /// token was popped gets a new one in deque slot `slot`.
+    fn enqueue_entry(&self, entry: &mut JobEntry, job: Job, slot: usize) -> bool {
+        if entry.state.is_some() {
+            return false;
         }
-        false
+        entry.state = Some(JobState::Queued);
+        self.push_token(entry, job, slot)
     }
 
     /// Requeues a parked job into `slot`: its dependencies completed.
@@ -337,26 +290,25 @@ impl Scheduler {
             let mut shard = self.jobs.shard(&job);
             let entry = shard.entry(job).or_default();
             entry.state = Some(JobState::Queued);
-            if !entry.enqueued {
-                entry.enqueued = true;
-                entry.tokens += 1;
-                self.push_token(job, entry.priority.tier(), slot);
-                true
-            } else {
-                false
-            }
+            self.push_token(entry, job, slot)
         };
         if pushed {
             self.notify_sleepers(slot);
         }
     }
 
-    /// Pushes a queue token to deque slot `slot`. Safe under a shard
-    /// lock: deque mutexes are leaves (never held while acquiring
+    /// Pushes the entry's one queue token to deque slot `slot`, unless
+    /// it is in a deque already; returns whether it pushed. Safe under a
+    /// shard lock: deque mutexes are leaves (never held while acquiring
     /// anything else).
-    fn push_token(&self, job: Job, tier: usize, slot: usize) {
-        self.trace_job(EventKind::SchedEnqueue, &job, slot as u32, tier as u32);
-        self.deques.push(slot, tier, job);
+    fn push_token(&self, entry: &mut JobEntry, job: Job, slot: usize) -> bool {
+        if entry.queued {
+            return false;
+        }
+        entry.queued = true;
+        self.trace_job(EventKind::SchedEnqueue, &job, slot as u32, 0);
+        self.deques.push(slot, job);
+        true
     }
 
     /// Submits every root and registers a completion watcher for each,
@@ -368,20 +320,11 @@ impl Scheduler {
     /// result when the eval completes. This is the scheduler half of
     /// the One Fix API's `submit_with`, and of `run_inline`; tokens go
     /// to the external slot.
-    pub(crate) fn submit_watched_with(
-        &self,
-        roots: &[(Job, bool)],
-        priority: Priority,
-    ) -> Arc<BatchState> {
-        let state = Arc::new(BatchState::new(roots, priority));
+    pub(crate) fn submit_watched_with(&self, roots: &[(Job, bool)]) -> Arc<BatchState> {
+        let state = Arc::new(BatchState::new(roots));
         let slot = self.deques.external();
         for (pos, &(job, then_force)) in roots.iter().enumerate() {
-            self.trace_job(
-                EventKind::SchedSubmit,
-                &job,
-                pos as u32,
-                priority.tier() as u32,
-            );
+            self.trace_job(EventKind::SchedSubmit, &job, pos as u32, 0);
             self.watch_job(&state, pos, job, then_force, false, slot);
         }
         state
@@ -389,9 +332,9 @@ impl Scheduler {
 
     /// Points slot `pos` of `state` at `job`: reads the memo first and
     /// fills on a hit (chaining through `Force` for strict slots),
-    /// otherwise enqueues the job into deque slot `slot` at the batch's
-    /// tier unless it is in flight, and registers the completion watcher
-    /// on the job's shard entry, counting one unit of interest.
+    /// otherwise enqueues the job into deque slot `slot` unless it is in
+    /// flight, and registers the completion watcher on the job's shard
+    /// entry, counting one unit of interest.
     ///
     /// `stage_moved` says whether `job` differs from the slot's
     /// recorded stage job: false for the initial watch (the slot was
@@ -433,7 +376,7 @@ impl Scheduler {
                 return;
             }
             let entry = shard.entry(job).or_default();
-            let pushed = self.enqueue_entry(entry, job, state.priority, slot);
+            let pushed = self.enqueue_entry(entry, job, slot);
             entry.interest += 1;
             entry.watchers.push(Watcher {
                 state: Arc::clone(state),
@@ -494,17 +437,16 @@ impl Scheduler {
                 return Ok(v);
             }
         }
-        let state = self.submit_watched_with(&[(root, then_force)], Priority::Normal);
+        let state = self.submit_watched_with(&[(root, then_force)]);
         self.wait_batch(&state);
         state.result(0)
     }
 
     /// Claims the next runnable job for an owner of slot `home`: raises
     /// the executor claim, then pops tokens (own slot first, then
-    /// steals) until the job map confirms one live — skipping stale
-    /// tokens and withdrawing jobs nothing wants any more. Returns
-    /// `None` (and drops the claim) when no runnable token is left
-    /// anywhere.
+    /// steals) until the job map confirms one live — dropping the
+    /// entries of jobs nothing wants any more. Returns `None` (and drops
+    /// the claim) when no runnable token is left anywhere.
     fn try_claim(&self, home: usize) -> Option<Claim<'_>> {
         if self.deques.queued() == 0 {
             return None;
@@ -517,50 +459,39 @@ impl Scheduler {
                 self.release_claim(home);
                 return None;
             };
-            match self.adjudicate_token(job) {
-                TokenVerdict::Stale | TokenVerdict::Skipped => continue,
-                TokenVerdict::Run(priority) => {
-                    return Some(Claim {
-                        scheduler: self,
-                        job,
-                        priority,
-                        slot: home,
-                    })
-                }
+            if self.claim_token(job) {
+                return Some(Claim {
+                    scheduler: self,
+                    job,
+                    slot: home,
+                });
             }
         }
     }
 
-    /// Decides a popped token's fate under the job's shard lock.
-    fn adjudicate_token(&self, job: Job) -> TokenVerdict {
+    /// Takes a popped token's job out of the deques, under the job's
+    /// shard lock. True when the job is to be stepped; false when it was
+    /// withdrawn, or nothing wants it any more (it was parked when its
+    /// only batch was dropped) — then its entry goes instead.
+    fn claim_token(&self, job: Job) -> bool {
         let mut shard = self.jobs.shard(&job);
-        let Some(entry) = shard.get_mut(&job) else {
-            return TokenVerdict::Stale; // Withdrawn and fully dropped.
+        let entry = shard.get_mut(&job);
+        debug_assert!(
+            entry.as_ref().is_some_and(|e| e.queued),
+            "a token in a deque is its job's one token"
+        );
+        let Some(entry) = entry else {
+            return false;
         };
-        entry.tokens = entry.tokens.saturating_sub(1);
-        if !(matches!(entry.state, Some(JobState::Queued)) && entry.enqueued) {
-            // Stale token: the job was withdrawn, is already being
-            // stepped by someone who claimed the live token, or has
-            // moved on entirely.
-            if entry.disposable() {
-                shard.remove(&job);
-            }
-            return TokenVerdict::Stale;
+        // From here the job counts as being stepped (never withdrawable),
+        // not as queued.
+        entry.queued = false;
+        if matches!(entry.state, Some(JobState::Queued)) && entry.wanted() {
+            return true;
         }
-        // Claim the live token: from here the job counts as being
-        // stepped (never withdrawable), not as queued.
-        entry.enqueued = false;
-        if entry.wanted() {
-            TokenVerdict::Run(entry.priority)
-        } else {
-            // Nothing live wants this job, and the claim is ours:
-            // withdraw instead of executing dead work.
-            entry.state = None;
-            if entry.tokens == 0 {
-                shard.remove(&job);
-            }
-            TokenVerdict::Skipped
-        }
+        debug_assert!(!entry.wanted(), "a withdrawn job is wanted by nothing");
+        shard.remove(&job);
+        false
     }
 
     // ----------------------------------------------------------------
@@ -575,7 +506,7 @@ impl Scheduler {
     /// Letting the panic unwind instead would lose the job (its entry
     /// stays `Queued` but it is no longer in any deque), permanently
     /// hanging any driver or pool waiting on it.
-    fn execute(&self, job: Job, priority: Priority, slot: usize) {
+    fn execute(&self, job: Job, slot: usize) {
         let t0 = fix_obs::tracing_enabled().then(Instant::now);
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.engine.step(job)))
             .unwrap_or_else(|payload| {
@@ -602,26 +533,25 @@ impl Scheduler {
         match step {
             Ok(Step::Done(h)) => self.complete_job(job, Ok(h), slot),
             Err(e) => self.complete_job(job, Err(e), slot),
-            Ok(Step::Deps(deps)) => self.park_on_deps(job, priority, &deps, false, slot),
-            Ok(Step::Tail(callee)) => self.park_on_deps(job, priority, &[callee], true, slot),
+            Ok(Step::Deps(deps)) => self.park_on_deps(job, &deps, false, slot),
+            Ok(Step::Tail(callee)) => self.park_on_deps(job, &[callee], true, slot),
         }
         self.notify_sleepers(slot);
     }
 
     /// Parks a stepped job on its unfinished dependencies via a fresh
-    /// [`DepWait`] waitgroup: every dependency registers, enqueued at
-    /// `tier`, the job's own (dependencies run at the tier of the job
-    /// that needs them), then [`settle_park`](Self::settle_park) moves
-    /// the job to `Waiting` and releases the registration guard — the
-    /// guard unit is what makes the park race-free against dependencies
-    /// completing on other shards mid-registration. A dependency that
-    /// finished just before it registered has no entry any more: it is
-    /// re-enqueued, and its one step is a cache hit.
+    /// [`DepWait`] waitgroup: every dependency registers, then
+    /// [`settle_park`](Self::settle_park) moves the job to `Waiting` and
+    /// releases the registration guard — the guard unit is what makes
+    /// the park race-free against dependencies completing on other
+    /// shards mid-registration. A dependency that finished just before
+    /// it registered has no entry any more: it is re-enqueued, and its
+    /// one step is a cache hit.
     ///
     /// With `tail`, `deps` is the one job whose result is this job's
     /// own: its completion completes the job (see
     /// [`complete_job`](Self::complete_job)).
-    fn park_on_deps(&self, job: Job, tier: Priority, deps: &[Job], tail: bool, slot: usize) {
+    fn park_on_deps(&self, job: Job, deps: &[Job], tail: bool, slot: usize) {
         let wait = Arc::new(DepWait {
             job,
             pending: AtomicUsize::new(1), // registration guard
@@ -630,7 +560,7 @@ impl Scheduler {
         });
         let mut pushed_any = false;
         for &dep in deps {
-            pushed_any |= self.register_waiter(dep, &wait, tier, slot);
+            pushed_any |= self.register_waiter(dep, &wait, slot);
         }
         if pushed_any {
             self.notify_sleepers(slot);
@@ -639,12 +569,12 @@ impl Scheduler {
     }
 
     /// Registers `wait` on `dep`'s entry — enqueueing `dep` into `slot`
-    /// at `tier` unless it is in flight — and counts it pending. Returns
-    /// whether a token was pushed.
-    fn register_waiter(&self, dep: Job, wait: &Arc<DepWait>, tier: Priority, slot: usize) -> bool {
+    /// unless it is in flight — and counts it pending. Returns whether a
+    /// token was pushed.
+    fn register_waiter(&self, dep: Job, wait: &Arc<DepWait>, slot: usize) -> bool {
         let mut shard = self.jobs.shard(&dep);
         let entry = shard.entry(dep).or_default();
-        let pushed = self.enqueue_entry(entry, dep, tier, slot);
+        let pushed = self.enqueue_entry(entry, dep, slot);
         entry.waiters.push(Arc::clone(wait));
         wait.pending.fetch_add(1, Ordering::AcqRel);
         pushed
@@ -675,14 +605,13 @@ impl Scheduler {
         }
     }
 
-    /// Finishes a job: removes its entry (or, while a stale token of it
-    /// floats, leaves one wanted by nothing for the claim to drop) and
-    /// wakes its (transitive) waiters, filling the slots of any watched
-    /// batches as it goes (the completion notification hook behind
-    /// submission tickets). A success is already the job's relation in
-    /// the cache; a failure is recorded nowhere. A strict slot's watcher
-    /// does not fill on its eval stage — it chains onto the `Force` of
-    /// the produced value, re-registering on that job.
+    /// Finishes a job: removes its entry and wakes its (transitive)
+    /// waiters, filling the slots of any watched batches as it goes (the
+    /// completion notification hook behind submission tickets). A
+    /// success is already the job's relation in the cache; a failure is
+    /// recorded nowhere. A strict slot's watcher does not fill on its
+    /// eval stage — it chains onto the `Force` of the produced value,
+    /// re-registering on that job.
     ///
     /// A waiter parked on the job as its **tail call** is not requeued:
     /// the job's value is the waiter's, so the waiter's relation is
@@ -701,18 +630,15 @@ impl Scheduler {
         let mut woke = false;
         while let Some((job, result)) = current {
             self.trace_job(EventKind::SchedComplete, &job, 0, result.is_err() as u32);
-            let (waiters, watchers) = {
-                let mut shard = self.jobs.shard(&job);
-                let entry = shard.entry(job).or_default();
-                let watchers = std::mem::take(&mut entry.watchers);
-                entry.interest = entry.interest.saturating_sub(watchers.len());
-                let waiters = std::mem::take(&mut entry.waiters);
-                entry.state = None;
-                if entry.tokens == 0 {
-                    shard.remove(&job);
-                }
-                (waiters, watchers)
-            };
+            let JobEntry {
+                waiters,
+                watchers,
+                queued,
+                ..
+            } = self.jobs.shard(&job).remove(&job).unwrap_or_default();
+            // Only a popped token's job is stepped, and a parked job has
+            // none in a deque.
+            debug_assert!(!queued, "a completed job's token is in a deque");
             // Shard released: fills and chains below take other locks.
             for w in watchers {
                 match (&result, w.then_force) {
@@ -818,17 +744,15 @@ impl Scheduler {
                     if withdraw
                         && !entry.wanted()
                         && matches!(entry.state, Some(JobState::Queued))
-                        && entry.enqueued
+                        && entry.queued
                     {
-                        // Genuinely in a deque (live token unclaimed —
-                        // a popped, mid-step job must complete, or a
-                        // later submission of the same job could run it
-                        // twice concurrently) and nothing live wants
-                        // it: withdraw. The stale token is skipped at
-                        // claim, which also drops the entry once the
-                        // last token drains.
+                        // Genuinely in a deque (token unclaimed — a
+                        // popped, mid-step job must complete, or a later
+                        // submission of the same job could run it twice
+                        // concurrently) and nothing live wants it:
+                        // withdraw. The claim of its token drops the
+                        // entry, unless a request revives the job first.
                         entry.state = None;
-                        entry.enqueued = false;
                     }
                 }
             }
@@ -1004,8 +928,6 @@ impl Scheduler {
 struct Claim<'a> {
     scheduler: &'a Scheduler,
     job: Job,
-    /// The job's tier as read when its token was claimed.
-    priority: Priority,
     /// The claimant's deque slot: what the step enqueues goes there.
     slot: usize,
 }
@@ -1013,7 +935,7 @@ struct Claim<'a> {
 impl Claim<'_> {
     /// Steps the claimed job, then releases the claim.
     fn execute(self) {
-        self.scheduler.execute(self.job, self.priority, self.slot);
+        self.scheduler.execute(self.job, self.slot);
         // Release happens in Drop, which also covers the panic path.
     }
 }
@@ -1071,6 +993,8 @@ mod tests {
     use super::*;
     use crate::registry::ProgramRegistry;
     use fix_core::data::Blob;
+    use fix_core::invocation::Invocation;
+    use fix_core::limits::ResourceLimits;
     use fix_storage::{RelationCache, Store};
 
     /// The interleaving a stress loop does not find (a ≈ 30 ns window
@@ -1091,9 +1015,9 @@ mod tests {
         // Job identities only: nothing here is stepped by the engine.
         let waiter = Job::Eval(Blob::from_u64(1).handle());
         let dep = Job::Eval(Blob::from_u64(2).handle());
-        // The waiter is mid-step (claimed: `Queued`, no live token), and
+        // The waiter is mid-step (claimed: `Queued`, token popped), and
         // one watched slot wants it.
-        let slot = Arc::new(BatchState::new(&[(waiter, false)], Priority::Normal));
+        let slot = Arc::new(BatchState::new(&[(waiter, false)]));
         {
             let mut shard = sched.jobs.shard(&waiter);
             let entry = shard.entry(waiter).or_default();
@@ -1112,7 +1036,7 @@ mod tests {
             tail: false,
         });
 
-        assert!(sched.register_waiter(dep, &wait, Priority::Normal, external));
+        assert!(sched.register_waiter(dep, &wait, external));
         let claim = sched
             .try_claim(external)
             .expect("the dependency's token is live");
@@ -1125,5 +1049,60 @@ mod tests {
         assert_eq!(slot.result(0), Err(Error::Trap("injected".into())));
         assert_eq!(sched.entry_count(), 0, "no Waiting entry survives");
         assert_eq!(sched.deques.queued(), 0);
+    }
+
+    /// A job has at most one queue token. Dropping a ticket withdraws its
+    /// queued jobs but leaves their tokens in the deque; resubmitting the
+    /// same jobs before a driver pops them re-arms those tokens instead
+    /// of pushing a second set, and each job still runs once.
+    #[test]
+    fn a_withdrawn_job_wanted_again_reuses_its_token() {
+        const N: u64 = 8;
+        let store = Arc::new(Store::new());
+        let registry = Arc::new(ProgramRegistry::new());
+        let (marker, add) = registry.register(
+            "add",
+            Arc::new(|ctx| {
+                let a = ctx.arg_blob(0)?.as_u64().expect("u64 arg");
+                let b = ctx.arg_blob(1)?.as_u64().expect("u64 arg");
+                ctx.host.create_blob((a + b).to_le_bytes().to_vec())
+            }),
+        );
+        store.put_blob(marker);
+        let engine = Arc::new(Engine::new(
+            Arc::clone(&store),
+            Arc::new(RelationCache::new()),
+            registry,
+        ));
+        let sched = Scheduler::new(Arc::clone(&engine), 0);
+        let jobs: Vec<(Job, bool)> = (0..N)
+            .map(|i| {
+                let invocation = Invocation {
+                    limits: ResourceLimits::default_limits(),
+                    procedure: add,
+                    args: vec![
+                        store.put_blob(Blob::from_u64(i)),
+                        store.put_blob(Blob::from_u64(1)),
+                    ],
+                };
+                let tree = store.put_tree(invocation.to_tree());
+                let thunk = tree.application().expect("a tree names an application");
+                (Job::Eval(thunk), false)
+            })
+            .collect();
+
+        let dropped = sched.submit_watched_with(&jobs);
+        sched.cancel_batch(&dropped);
+        let state = sched.submit_watched_with(&jobs);
+        assert_eq!(sched.deques.queued(), N as usize, "one token per job");
+
+        sched.wait_batch(&state);
+        for (i, pos) in (0..N).zip(0..) {
+            let sum = store.get_blob(state.result(pos).expect("add succeeds"));
+            assert_eq!(sum.expect("the sum is stored").as_u64(), Some(i + 1));
+        }
+        assert_eq!(engine.stats.procedures_run.load(Ordering::Relaxed), N);
+        assert_eq!(sched.deques.queued(), 0);
+        assert_eq!(sched.entry_count(), 0);
     }
 }

@@ -9,7 +9,6 @@
 //! and the backend-agnostic ticket machinery in `fix_core`.
 //!
 //! The submission's `SubmitOptions` map onto the scheduler directly:
-//! the batch's priority picks the tier its jobs enqueue at, and
 //! [`Mode::Strict`](fix_core::api::Mode) turns each slot into a watched
 //! eval→force chain. Under WHNF, value handles never touch the
 //! scheduler (they evaluate to themselves), so the pending batch
@@ -81,7 +80,7 @@ pub(crate) fn strict_root(h: Handle) -> (Job, bool) {
 /// Builds the ticket for a batch of handles under request-scoped
 /// options: WHNF values resolve eagerly, everything else becomes one
 /// watched scheduler batch submitted under a single lock acquisition —
-/// strict slots as eval→force chains, at the batch's priority tier.
+/// strict slots as eval→force chains.
 pub(crate) fn submit_with(
     scheduler: &Arc<Scheduler>,
     handles: &[Handle],
@@ -106,7 +105,7 @@ pub(crate) fn submit_with(
         // All WHNF values: the ticket is born resolved.
         return BatchTicket::ready(handles.iter().map(|&h| Ok(h)).collect());
     }
-    let state = scheduler.submit_watched_with(&jobs, options.priority);
+    let state = scheduler.submit_watched_with(&jobs);
     BatchTicket::from_pending(
         Arc::new(RuntimePending {
             scheduler: Arc::clone(scheduler),

@@ -26,10 +26,11 @@
 //! 2. **Real execution** ([`execute`]). The exact batches the virtual
 //!    drivers served are drained by one OS thread per driver, each
 //!    keeping up to [`Config::inflight`] batches submitted through
-//!    [`SubmitApi::submit_with`] at the tier they were assembled from
-//!    and settling completions oldest-first. Expiry was decided on the
-//!    virtual clock — the only deadline mechanism there is — so an
-//!    expired request is never submitted; thread
+//!    [`SubmitApi::submit_many`] and settling completions oldest-first.
+//!    Order and expiry were decided on the virtual clock — the only
+//!    tiered queue and the only deadline mechanism there is — so a
+//!    batch goes to the backend as planned and an expired request is
+//!    never submitted; thread
 //!    interleaving can reorder *work* but never the virtual timeline,
 //!    and content-addressed evaluation makes results order-independent.
 //!    The wall-clock cost lands in [`ServeReport::execution_wall`],
@@ -60,7 +61,7 @@ use crate::server::{DriverReport, NodeReport, ServeConfig, ServeReport, TenantRe
 use crate::snf::SnfPipeline;
 use crate::telemetry::LatencyHistogram;
 use crate::tenant::{draw_kind, RequestFactory, RequestKind, Tenant};
-use fix_core::api::{BatchTicket, InvocationApi, Priority, SubmitApi, SubmitOptions};
+use fix_core::api::{BatchTicket, InvocationApi, SubmitApi};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{Handle, HandleSet};
 use fix_obs::EventKind;
@@ -225,12 +226,11 @@ impl Config {
     }
 }
 
-/// A virtual driver's planned batch: the requests it served, in order,
-/// and the SLO tier the whole batch was assembled from (two-level
-/// dispatch never mixes tiers in one batch).
+/// A virtual driver's planned batch: the requests it served, in order.
+/// Their tier was decided when [`TenantQueues`] assembled the batch, so
+/// the batch is submitted as it stands.
 pub struct PlannedBatch {
     requests: Vec<QueuedRequest>,
-    priority: Priority,
 }
 
 /// One node incarnation's planned batches, per driver — the unit
@@ -373,8 +373,7 @@ pub fn execute<A: SubmitApi + InvocationApi + Send + Sync>(
                     }
                 });
             }
-            let options = SubmitOptions::default().with_priority(batch.priority);
-            window.push_back((batch, rt.submit_with(&thunks, options)));
+            window.push_back((batch, rt.submit_many(&thunks)));
         }
         while let Some((done, ticket)) = window.pop_front() {
             tally.settle(done, ticket.wait());
@@ -955,10 +954,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             .last_mut()
             .expect("a node always has a current segment")
             .per_driver[d]
-            .push(PlannedBatch {
-                requests: batch,
-                priority: dispatch.priority,
-            });
+            .push(PlannedBatch { requests: batch });
     }
 
     /// The discrete-event loop (see the module docs for the order).

@@ -96,7 +96,6 @@ pub mod snf;
 pub mod telemetry;
 pub mod tenant;
 
-pub use fix_core::api::Priority;
 pub use loadgen::{Arrival, ArrivalProcess, Micros};
 pub use queue::{Dispatch, QueuedRequest, TenantClass, TenantQueues};
 pub use recovery::{kill_and_recover, serve_durable, RecoveryOutcome};
@@ -104,4 +103,4 @@ pub use server::{
     serve, DriverReport, NodeReport, ScaleEvent, ServeConfig, ServeReport, TenantReport,
 };
 pub use telemetry::LatencyHistogram;
-pub use tenant::{RequestFactory, RequestKind, SloClass, Tenant, TenantSpec};
+pub use tenant::{Priority, RequestFactory, RequestKind, SloClass, Tenant, TenantSpec};

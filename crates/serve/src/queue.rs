@@ -27,8 +27,7 @@
 //! served. An expired request is never submitted.
 
 use crate::loadgen::Micros;
-use crate::tenant::RequestKind;
-use fix_core::api::Priority;
+use crate::tenant::{Priority, RequestKind};
 use fix_core::handle::Handle;
 use std::collections::VecDeque;
 
@@ -79,9 +78,6 @@ pub struct Dispatch {
     /// Requests whose deadline passed while queued: withdrawn, not
     /// served, to be accounted as expired.
     pub expired: Vec<QueuedRequest>,
-    /// The tier the batch was assembled from (the whole batch shares
-    /// it, so the driver can submit it at that priority).
-    pub priority: Priority,
 }
 
 /// Per-tenant bounded FIFO queues with two-level SLO dispatch.
@@ -246,7 +242,6 @@ impl TenantQueues {
             return Dispatch {
                 requests: Vec::new(),
                 expired,
-                priority: Priority::Normal,
             };
         };
         let tier_has_deadlines = (0..self.queues.len()).any(|t| {
@@ -259,11 +254,7 @@ impl TenantQueues {
         } else {
             self.next_batch_drr(max, tier)
         };
-        Dispatch {
-            requests,
-            expired,
-            priority: tier,
-        }
+        Dispatch { requests, expired }
     }
 
     /// Pops every request whose absolute deadline `now` has passed.
@@ -570,13 +561,11 @@ mod tests {
             q.offer(req(1, i));
         }
         let d = q.next_dispatch(4, 100);
-        assert_eq!(d.priority, Priority::Latency);
         assert!(
             d.requests.iter().all(|r| r.tenant == 1),
             "the latency tier must be served before the batch tier"
         );
         let d = q.next_dispatch(4, 100);
-        assert_eq!(d.priority, Priority::Batch);
         assert!(d.requests.iter().all(|r| r.tenant == 0));
     }
 

@@ -12,7 +12,7 @@
 use crate::closed_loop::ClosedLoopSpec;
 use crate::loadgen::{splitmix64_mix, ArrivalProcess, Micros};
 use crate::snf::SnfSpec;
-use fix_core::api::{InvocationApi, Priority};
+use fix_core::api::InvocationApi;
 use fix_core::data::Blob;
 use fix_core::error::Result;
 use fix_core::handle::Handle;
@@ -97,6 +97,36 @@ impl RequestKind {
             RequestKind::Fib { .. } => "fib",
             RequestKind::Wordcount { .. } => "wordcount",
             RequestKind::SebsHtml { .. } => "sebs-html",
+        }
+    }
+}
+
+/// A request's dispatch tier, decided once by [`TenantQueues`] on the
+/// kernel's virtual clock. The node scheduler never sees it: a batch is
+/// submitted after the queue has put it in order.
+///
+/// Ordered: `Latency < Normal < Batch`, so `a < b` means `a` is served
+/// before `b` under contention.
+///
+/// [`TenantQueues`]: crate::queue::TenantQueues
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub enum Priority {
+    /// Latency-sensitive traffic: dispatched before every other tier.
+    Latency,
+    /// The default tier.
+    #[default]
+    Normal,
+    /// Throughput traffic: served only when higher tiers are idle.
+    Batch,
+}
+
+impl Priority {
+    /// Short label for tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            Priority::Latency => "latency",
+            Priority::Normal => "normal",
+            Priority::Batch => "batch",
         }
     }
 }

@@ -139,8 +139,8 @@ fn main() {
     // tenant is latency-class with a 25 ms deadline (expired, not
     // served, when missed), and analytics is batch-class (served only
     // when the latency tier is idle). Dispatch becomes two-level —
-    // strict priority tiers, EDF within a tier — and every batch is
-    // submitted through `submit_with` at its tier.
+    // strict priority tiers, EDF within a tier — decided once, on the
+    // virtual clock; every batch is then submitted as planned.
     let slo_cfg = slo_config(&cfg);
     let on_slo = serve(&Runtime::builder().build(), &slo_cfg).expect("serve SLO config");
     println!("-- fixpoint::Runtime, two-class SLO config --");

@@ -98,12 +98,13 @@ pub mod prelude {
     pub use fix_cluster::ClusterClient;
     pub use fix_core::api::{
         BatchTicket, Evaluator, HostApi, InvocationApi, Mode, NativeCtx, NativeFn, ObjectApi,
-        Priority, SubmitApi, SubmitOptions, Ticket,
+        SubmitApi, SubmitOptions, Ticket,
     };
     pub use fix_core::data::{Blob, Node, Tree};
     pub use fix_core::handle::{DataType, EncodeStyle, Handle, Kind, ThunkKind};
     pub use fix_core::invocation::{build, Invocation, Selection};
     pub use fix_core::limits::ResourceLimits;
     pub use fix_core::{Error, Result};
+    pub use fix_serve::Priority;
     pub use fixpoint::Runtime;
 }

@@ -922,9 +922,8 @@ fn cancel_during_execution_keeps_exactly_once_semantics() {
     assert_eq!(rt.submission_watchers(), 0);
 }
 
-/// Cancel-then-resubmit at a different priority: the revival gets a
-/// fresh queue token at the new tier while the stale token still
-/// floats, and the live-token claim keeps every job exactly-once.
+/// Cancel-then-resubmit: the revival re-arms each withdrawn job's queue
+/// token, still in the deque, and every job runs exactly once.
 #[test]
 fn cancelled_then_resubmitted_batches_run_exactly_once() {
     on_every_inline_node(|rt| {
@@ -942,16 +941,8 @@ fn cancelled_then_resubmitted_batches_run_exactly_once() {
                 .unwrap()
             })
             .collect();
-        drop(rt.submit_with(
-            &batch,
-            SubmitOptions::default().with_priority(Priority::Batch),
-        ));
-        let results = rt
-            .submit_with(
-                &batch,
-                SubmitOptions::default().with_priority(Priority::Latency),
-            )
-            .wait();
+        drop(rt.submit_many(&batch));
+        let results = rt.submit_many(&batch).wait();
         for (i, r) in results.iter().enumerate() {
             assert_eq!(
                 rt.get_u64(*r.as_ref().unwrap()).unwrap(),
@@ -961,7 +952,7 @@ fn cancelled_then_resubmitted_batches_run_exactly_once() {
         assert_eq!(
             rt.procedures_run(),
             batch.len() as u64,
-            "duplicate queue tokens must not duplicate executions"
+            "a revived job must not run twice"
         );
         assert_eq!(rt.node().submission_watchers(), 0);
         assert_eq!(rt.node().queued_jobs(), 0);
@@ -1064,10 +1055,7 @@ fn cancelling_a_large_queued_batch_withdraws_everything() {
         })
         .collect();
 
-    let doomed = rt.submit_with(
-        &doomed_batch,
-        SubmitOptions::default().with_priority(Priority::Batch),
-    );
+    let doomed = rt.submit_many(&doomed_batch);
     assert_eq!(rt.submission_watchers(), 256);
     assert_eq!(rt.queued_jobs(), 256);
 

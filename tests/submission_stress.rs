@@ -22,7 +22,7 @@
 //!   that makes progress on them crossed a deque boundary: the steal
 //!   tests pin that cross-slot claiming keeps the same exactly-once
 //!   books, that a submitting thread's exit never strands its queued
-//!   work, and that a latency batch overtakes a busy worker.
+//!   work, and that a batch completes past a busy worker.
 
 use fix::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -331,8 +331,8 @@ fn canceller_thread_cannot_break_accounting() {
 /// have claimed a job just before the only ticket wanting it was
 /// cancelled: such a job is mid-step, not withdrawable, and still
 /// `Queued` for a few microseconds after the scope joins (measured: an
-/// entry with its live token claimed, no watcher, no waiter, an
-/// executor claim held, gone within 100 µs).
+/// entry with its token popped, no watcher, no waiter, an executor
+/// claim held, gone within 100 µs).
 #[test]
 fn worker_pool_steals_survive_concurrent_cancel() {
     const POOL_BATCHES: usize = 20;
@@ -508,12 +508,12 @@ fn exited_submitters_work_is_stolen_not_stalled() {
 }
 
 /// The starvation pin: with a 2-worker pool, one worker is wedged on a
-/// long batch-tier job (a codelet blocked on a channel). A latency-tier
-/// batch submitted from an external thread must still complete — the
-/// idle worker or the waiter takes it past the busy worker — and only
-/// then is the wedged job released.
+/// long job (a codelet blocked on a channel). A batch submitted from an
+/// external thread must still complete — the idle worker or the waiter
+/// takes it past the busy worker — and only then is the wedged job
+/// released.
 #[test]
-fn latency_batch_overtakes_a_busy_worker_via_stealing() {
+fn a_batch_completes_past_a_busy_worker_via_stealing() {
     let rt = Arc::new(Runtime::builder().workers(2).build());
     let (started_tx, started_rx) = mpsc::channel::<()>();
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
@@ -539,20 +539,17 @@ fn latency_batch_overtakes_a_busy_worker_via_stealing() {
         }),
     );
 
-    // Wedge one worker on a batch-tier job and wait until it is
+    // Wedge one worker on a job and wait until it is
     // actually executing (the main thread never drives the scheduler
     // here, so only a pool worker can have claimed it — via a steal
     // from the external slot this thread submitted to).
     let blocker_thunk = rt
         .apply(limits(), blocker, &[rt.put_blob(Blob::from_u64(0))])
         .unwrap();
-    let blocker_ticket = rt.submit_with(
-        &[blocker_thunk],
-        SubmitOptions::default().with_priority(Priority::Batch),
-    );
+    let blocker_ticket = rt.submit_many(&[blocker_thunk]);
     started_rx.recv().expect("a worker claims the blocker");
 
-    // A latency batch submitted from a fresh thread, which exits
+    // A batch submitted from a fresh thread, which exits
     // immediately: completion must not wait for the wedged worker.
     let (tx, rx) = mpsc::channel::<(Vec<u64>, BatchTicket)>();
     std::thread::scope(|scope| {
@@ -572,19 +569,14 @@ fn latency_batch_overtakes_a_busy_worker_via_stealing() {
                 })
                 .collect();
             let expected: Vec<u64> = (0..BATCH).map(|j| 8_000_000 + j + 11).collect();
-            let ticket = rt.submit_with(
-                &thunks,
-                SubmitOptions::default().with_priority(Priority::Latency),
-            );
+            let ticket = rt.submit_many(&thunks);
             tx.send((expected, ticket)).unwrap();
         });
     });
     let (expected, ticket) = rx.recv().unwrap();
     let results = ticket.wait();
     for (r, want) in results.iter().zip(&expected) {
-        let h = *r
-            .as_ref()
-            .expect("latency request completes despite the wedge");
+        let h = *r.as_ref().expect("the request completes despite the wedge");
         assert_eq!(rt.get_u64(h).unwrap(), *want);
     }
     assert!(
@@ -599,75 +591,6 @@ fn latency_batch_overtakes_a_busy_worker_via_stealing() {
     for r in blocker_ticket.wait() {
         r.expect("blocker completes once released");
     }
-    assert_eq!(rt.submission_watchers(), 0);
-    assert_eq!(rt.queued_jobs(), 0);
-}
-
-/// Priority inheritance: re-submitting an already-queued job at a
-/// higher tier must re-token it at that tier, so the later
-/// latency-class submission overtakes batch work queued ahead of it —
-/// instead of inheriting the stale batch position.
-#[test]
-fn resubmission_at_higher_tier_jumps_the_queue() {
-    let rt = Runtime::builder().build();
-    let add = rt.register_native(
-        "stress/tier-add",
-        Arc::new(|ctx| {
-            let a = ctx.arg_blob(0)?.as_u64().unwrap();
-            let b = ctx.arg_blob(1)?.as_u64().unwrap();
-            ctx.host
-                .create_blob(a.wrapping_add(b).to_le_bytes().to_vec())
-        }),
-    );
-    let mk = |a: u64| {
-        rt.apply(
-            limits(),
-            add,
-            &[
-                rt.put_blob(Blob::from_u64(a)),
-                rt.put_blob(Blob::from_u64(5)),
-            ],
-        )
-        .unwrap()
-    };
-    let shared = mk(9_000_000);
-    let filler_a = mk(9_000_001);
-    let filler_b = mk(9_000_002);
-
-    // Queue [shared, filler_a, filler_b] at batch tier, then re-submit
-    // `shared` alone at latency tier. All tokens sit in this thread's
-    // own slot, where dispatch is tier-major LIFO: without inheritance
-    // the latency wait would first chew through both fillers (batch
-    // LIFO order) before reaching `shared`.
-    let batch_ticket = rt.submit_with(
-        &[shared, filler_a, filler_b],
-        SubmitOptions::default().with_priority(Priority::Batch),
-    );
-    let latency_ticket = rt.submit_with(
-        &[shared],
-        SubmitOptions::default().with_priority(Priority::Latency),
-    );
-
-    for r in latency_ticket.wait() {
-        let h = *r.as_ref().expect("latency resubmission succeeds");
-        assert_eq!(rt.get_u64(h).unwrap(), 9_000_005);
-    }
-    assert_eq!(
-        rt.procedures_run(),
-        1,
-        "the re-tokened job must run before the batch fillers queued ahead of it"
-    );
-
-    // The batch ticket still resolves every slot, and the shared job
-    // ran exactly once for both tickets.
-    for r in batch_ticket.wait() {
-        r.expect("batch slots all resolve");
-    }
-    assert_eq!(
-        rt.procedures_run(),
-        3,
-        "fillers ran once each, shared never re-ran"
-    );
     assert_eq!(rt.submission_watchers(), 0);
     assert_eq!(rt.queued_jobs(), 0);
 }
