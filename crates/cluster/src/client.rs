@@ -27,7 +27,7 @@
 //!
 //! Submission is the embedded node's own: `submit_with` simulates the
 //! batch, then hands it to the node's scheduler and returns *its*
-//! ticket. Cancellation and withdrawal, and strict eval→force chains,
+//! ticket. Cancellation and strict eval→force chains
 //! are therefore the scheduler's — the same code a
 //! bare `Runtime` runs —
 //! not a second engine wrapped around the client. `eval`, `eval_strict`

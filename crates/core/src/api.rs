@@ -19,7 +19,7 @@
 //!   immediately, resolved by the ticket's own
 //!   [`wait`](BatchTicket::wait), so a driver can overlap admission with
 //!   execution; [`SubmitOptions`] carries the WHNF-vs-strict [`Mode`],
-//!   and dropping an unresolved ticket withdraws still-queued work.
+//!   and a still-queued job only a dropped ticket wanted never runs.
 //!   Every backend implements it the same way: the batch goes to a Fix
 //!   node's scheduler — `fixpoint::Runtime` *is* that node, and the
 //!   cluster client submits through the node it embeds (after costing
@@ -348,7 +348,7 @@ impl SubmitOptions {
 ///
 /// Submissions are *request scoped*: [`submit_with`](SubmitApi::submit_with)
 /// attaches a [`SubmitOptions`] — the WHNF-vs-strict [`Mode`] — and a
-/// dropped ticket lets the backend withdraw work instead of blindly
+/// dropped ticket lets the backend drop work instead of blindly
 /// executing it.
 ///
 /// Contract (held by the conformance suite):
@@ -357,10 +357,10 @@ impl SubmitOptions {
 ///   [`Evaluator::eval_many`]`(h)`, and
 ///   `submit_with(h, SubmitOptions::strict()).wait()` to a loop of
 ///   [`Evaluator::eval_strict`];
-/// * dropping an unresolved ticket withdraws still-queued work that no
-///   other live request shares, fails unresolved slots with
-///   [`Error::Cancelled`], and neither hangs other work nor leaks
-///   per-batch bookkeeping;
+/// * dropping an unresolved ticket lets go of its results: still-queued
+///   work that no live request or parked job wants never runs, shared
+///   and running work completes, and the drop neither hangs other work
+///   nor leaves a live watcher or wanted queued job behind;
 /// * tickets resolve exactly once.
 ///
 /// # Overlapping batches

@@ -73,12 +73,6 @@ pub enum Error {
         /// The configured bound.
         limit: usize,
     },
-    /// The request was cancelled before it completed: its
-    /// [`BatchTicket`](crate::ticket::BatchTicket) was dropped
-    /// unresolved and the backend withdrew the work it could still
-    /// withdraw. Not a fault of the program — the platform was told the
-    /// result will never be claimed.
-    Cancelled,
     /// A fault specific to one execution backend (e.g. a cluster client
     /// with no worker nodes). Semantic faults use the shared variants
     /// above so they stay comparable across backends; this variant is
@@ -127,7 +121,6 @@ impl fmt::Display for Error {
             Error::DepthExceeded { limit } => {
                 write!(f, "evaluation depth exceeded the bound of {limit}")
             }
-            Error::Cancelled => write!(f, "request cancelled before completion"),
             Error::Backend { backend, message } => {
                 write!(f, "{backend} backend fault: {message}")
             }

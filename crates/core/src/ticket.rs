@@ -13,18 +13,16 @@
 //! resolved — and the cancellation contract live here, shared by every
 //! backend.
 //!
-//! Dropping an unresolved ticket is *true cancellation*, not mere
-//! deregistration: the backend fails the batch's unresolved slots with
-//! [`Error::Cancelled`](crate::error::Error::Cancelled) (results nobody
-//! can read any more), releases its per-batch bookkeeping (its
-//! watchers), and **withdraws still-queued work that no other live
-//! request shares** — a dropped batch whose jobs were never dispatched
-//! runs zero procedures. Work another request also watches, work
-//! something else depends on, and work already executing are left to
-//! complete normally. The backend must neither hang concurrent work nor
-//! leak (the conformance suite holds backends to this, and the runtime
-//! exposes `submission_watchers()` / `queued_jobs()` so the leak checks
-//! are pinned, not assumed).
+//! Dropping an unresolved ticket lets go of its results: nobody can read
+//! a dropped ticket's slots, so the backend writes none of them. It
+//! marks the batch's unresolved slots as claimed, and **still-queued
+//! work that no live request or parked job wants never runs** — a
+//! dropped batch whose jobs were never dispatched runs zero procedures.
+//! Work another request also watches, work something else depends on,
+//! and work already executing complete normally. The backend must
+//! neither hang concurrent work nor leak (the conformance suite holds
+//! backends to this, and the runtime exposes `submission_watchers()` /
+//! `queued_jobs()` so the leak checks are pinned, not assumed).
 
 use crate::error::Result;
 use crate::handle::Handle;
@@ -44,11 +42,12 @@ use std::sync::Arc;
 ///
 /// ## The slot-fill contract
 ///
-/// Completion is per *slot*, and each slot resolves **exactly once**:
+/// Completion is per *slot*, and each slot is claimed **exactly once**:
 /// whichever event reaches it first — the result, a cancellation, a
-/// stall failure — owns the slot's outcome, and every later writer
-/// backs off (the scheduler claims slots with a first-writer-wins CAS
-/// and counts the batch down atomically). By the time "every slot
+/// stall failure — owns the slot, and every later writer backs off
+/// (the scheduler claims slots with a first-writer-wins CAS and counts
+/// the batch down atomically). A cancellation's claim writes nothing,
+/// since nobody can wait on a dropped ticket. By the time "every slot
 /// filled" is observable, every slot's result must be readable.
 pub trait PendingBatch: Send + Sync {
     /// Blocks until the batch completes and returns the positional
@@ -58,12 +57,12 @@ pub trait PendingBatch: Send + Sync {
     fn wait(&self) -> Vec<Result<Handle>>;
 
     /// The ticket was dropped unresolved: the results will never be
-    /// claimed. The batch must fail its unresolved slots with
-    /// [`Error::Cancelled`](crate::error::Error::Cancelled), release
-    /// every piece of per-batch bookkeeping it holds in the backend,
-    /// and withdraw still-queued work that no other live request
-    /// shares — all without disturbing other in-flight work or hanging
-    /// a concurrent waiter.
+    /// read. The batch claims its unresolved slots, so nothing wants
+    /// their results any more; still-queued work that no live request
+    /// or parked job wants must then never run, and the batch's
+    /// bookkeeping must be freed no later than the work it watched —
+    /// all without disturbing other in-flight work or hanging a
+    /// concurrent waiter.
     fn cancel(&self);
 }
 
@@ -81,8 +80,7 @@ enum TicketState {
 /// submission, exactly as
 /// [`Evaluator::eval_many`](crate::api::Evaluator::eval_many) would.
 /// Dropping the ticket unresolved revokes the request: still-queued
-/// work no other live request shares is withdrawn (see
-/// [`PendingBatch::cancel`]).
+/// work nothing else wants never runs (see [`PendingBatch::cancel`]).
 pub struct BatchTicket {
     state: TicketState,
     len: usize,

@@ -499,6 +499,53 @@ mod tests {
         assert_eq!(rt.queued_jobs(), 0);
     }
 
+    /// A job parked on a dependency when its only ticket is dropped is
+    /// never stepped again: the dependency still runs (the parked job's
+    /// waiter wants it) and requeues the job, and the pop of that token
+    /// finds nothing live wanting the job and drops its entry.
+    #[test]
+    fn a_parked_job_whose_only_ticket_is_dropped_is_not_stepped_again() {
+        use fix_core::api::SubmitApi;
+        use std::sync::mpsc;
+        let rt = Runtime::builder().workers(1).build();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = parking_lot::Mutex::new((started_tx, release_rx));
+        let gated = rt.register_native(
+            "gated",
+            Arc::new(move |ctx| {
+                let gate = gate.lock();
+                gate.0.send(()).expect("test is listening");
+                gate.1.recv().expect("test releases the gate");
+                ctx.host.create_blob(2u64.to_le_bytes().to_vec())
+            }),
+        );
+        let add = register_add(&rt);
+        let inner = rt.apply(limits(), gated, &[]).unwrap();
+        let one = rt.put_blob(Blob::from_u64(1));
+        let outer = rt
+            .apply(limits(), add, &[inner.strict().unwrap(), one])
+            .unwrap();
+
+        let ticket = rt.submit(outer);
+        // The dependency is mid-run, so the job has parked on it.
+        started_rx.recv().expect("dependency started");
+        drop(ticket);
+        release_tx.send(()).expect("dependency is waiting");
+
+        let quiet_by = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while rt.job_entries() > 0 && std::time::Instant::now() < quiet_by {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(rt.job_entries(), 0);
+        assert_eq!(
+            rt.engine().stats.procedures_run.load(Ordering::Relaxed),
+            1,
+            "only the dependency ran"
+        );
+        assert!(rt.engine().memoized(Job::Eval(outer)).is_none());
+    }
+
     /// Nesting depth is data: an argument that is a 10 000-deep cons
     /// list is scanned for encodes by a worklist, not by recursion.
     #[test]

@@ -166,19 +166,21 @@ impl Runtime {
         Ok(self.store.put_blob(Blob::from_vec(module.to_bytes())))
     }
 
-    /// Completion watchers currently registered for in-flight submitted
-    /// batches. Resolved and dropped tickets both deregister
-    /// eagerly, so a quiescent runtime always reports zero — one half of
-    /// the invariant the ticket-leak tests pin down.
+    /// Live completion watchers of in-flight submitted batches. A
+    /// resolved ticket's watchers are gone and a dropped ticket's are
+    /// dead at once (each is freed with its job's entry later), so a
+    /// runtime with no unresolved ticket reports zero — one half of the
+    /// invariant the ticket-leak tests pin down.
     pub fn submission_watchers(&self) -> usize {
         self.scheduler.watcher_count()
     }
 
-    /// Jobs currently queued for (or undergoing) execution. Dropping
-    /// a ticket withdraws the queued jobs no other live request shares,
-    /// so a quiescent runtime whose outstanding tickets were all
-    /// dropped reports zero — the other half of the ticket-leak
-    /// invariant (no orphaned queued work).
+    /// Jobs queued for (or undergoing) execution that a live ticket or a
+    /// parked job still wants. A job only dropped tickets wanted does not
+    /// count — it is dropped, not run, when its token is popped — so a
+    /// quiescent runtime whose outstanding tickets were all dropped
+    /// reports zero: the other half of the ticket-leak invariant (no
+    /// orphaned queued work).
     pub fn queued_jobs(&self) -> usize {
         self.scheduler.queued_jobs()
     }
@@ -300,13 +302,12 @@ impl SubmitApi for Runtime {
     /// pool-less runtime waiting on *any* ticket drives the shared queue
     /// (so overlapped batches still all make progress).
     ///
-    /// Dropping the ticket unresolved fails unresolved slots with
-    /// [`Error::Cancelled`](fix_core::Error::Cancelled), withdraws the
-    /// watchers on the spot (see
-    /// [`submission_watchers`](Runtime::submission_watchers)), and
-    /// withdraws still-queued jobs no other live request shares (see
-    /// [`queued_jobs`](Runtime::queued_jobs)); shared or already-running
-    /// jobs remain ordinary scheduler state.
+    /// Dropping the ticket unresolved claims its unresolved slots, which
+    /// kills their watchers on the spot (see
+    /// [`submission_watchers`](Runtime::submission_watchers)); a queued
+    /// job no live request or parked job wants is then dropped when its
+    /// token is popped (see [`queued_jobs`](Runtime::queued_jobs)).
+    /// Shared or already-running jobs complete as usual.
     fn submit_with(&self, handles: &[Handle], options: SubmitOptions) -> BatchTicket {
         crate::submit::submit_with(&self.scheduler, handles, options)
     }

@@ -11,20 +11,18 @@
 //! only notifies when someone is actually parked), so a batch of N
 //! results costs N CASes, not N lock round-trips.
 //!
-//! The claim bit also closes the cancel-versus-strict-chain race: a
-//! strict slot's watcher re-registers on the `Force` job when its
-//! `Eval` completes, and cancellation must deregister the watcher from
-//! whichever stage the chain currently points at. The protocol is:
-//!
-//! * the *chain* records the new stage (under the new stage's job-map
-//!   shard lock) and then checks `claimed` before registering the
-//!   watcher — a claimed slot registers nothing;
-//! * the *revoker* claims first, then removes the watcher from the
-//!   recorded stage, re-reading the stage until it is stable.
-//!
-//! Whichever order the CAS lands in, the watcher is either never
-//! registered or found by the revoker's re-read: no watcher outlives
-//! its slot.
+//! **A watcher whose slot is claimed is dead.** Cancellation is the
+//! claim alone: it writes no result (nobody can read a dropped ticket's
+//! slots) and touches no job-map entry. A dead watcher stays where it
+//! was registered — on the job its slot was waiting for — and is freed
+//! with that job's entry: when the job completes (its fill loses the
+//! CAS, its strict chain registers nothing), or when the job's token is
+//! popped and nothing live wants it. There is no protocol between the
+//! claim and a strict chain advancing onto its `Force`: a chain that
+//! registers after the claim registers a dead watcher, which is freed
+//! the same way. The cost is that a dropped or stalled batch's
+//! `BatchState` lives until the last entry holding one of its watchers
+//! goes.
 
 use crate::engine::Job;
 use fix_core::error::{Error, Result};
@@ -43,6 +41,14 @@ pub(super) struct Watcher {
     pub(super) then_force: bool,
 }
 
+impl Watcher {
+    /// Whether the slot still wants this watcher's job: its slot is
+    /// unclaimed. A dead watcher is freed with its job's entry.
+    pub(super) fn live(&self) -> bool {
+        !self.state.slot_claimed(self.pos)
+    }
+}
+
 /// One slot of a watched batch.
 struct SlotCell {
     /// First-writer-wins: whoever CASes this owns the slot's result.
@@ -50,10 +56,9 @@ struct SlotCell {
     /// The result, written by the claim owner before `remaining` is
     /// decremented (so `is_done` ⇒ every result is readable).
     result: Mutex<Option<Result<Handle>>>,
-    /// The job currently answering this slot (the `Force` stage of a
-    /// strict slot replaces the `Eval` stage when the chain advances).
-    /// Revocation looks the watcher up through this.
-    stage: Mutex<Job>,
+    /// The slot's root job (a strict slot's `Eval`, however far its
+    /// chain has advanced): what stall messages and trace ids name.
+    job: Job,
 }
 
 /// The completion state of one watched batch: positional result slots
@@ -76,7 +81,7 @@ impl BatchState {
                 .map(|&(job, _)| SlotCell {
                     claimed: AtomicBool::new(false),
                     result: Mutex::new(None),
-                    stage: Mutex::new(job),
+                    job,
                 })
                 .collect(),
             remaining: AtomicUsize::new(n),
@@ -106,24 +111,26 @@ impl BatchState {
             .is_ok()
     }
 
-    /// Whether slot `pos` has been claimed (it may still be mid-write;
-    /// only chain registration uses this, and a claimed slot never
-    /// wants a watcher again).
+    /// Whether slot `pos` has been claimed (it may still be mid-write).
+    /// A claimed slot never wants a watcher again.
     pub(super) fn slot_claimed(&self, pos: usize) -> bool {
         self.slots[pos].claimed.load(Ordering::SeqCst)
     }
 
-    /// Writes the result of a slot the caller already claimed. Returns
-    /// true when this write completed the batch (the caller then owns
-    /// waking waiters).
-    pub(super) fn finish_claimed(&self, pos: usize, result: Result<Handle>) -> bool {
+    /// Claims slot `pos` and writes its result: false if another writer
+    /// owns the slot, otherwise whether this write completed the batch
+    /// (the caller then owns waking waiters).
+    pub(super) fn fill(&self, pos: usize, result: Result<Handle>) -> bool {
+        if !self.claim_slot(pos) {
+            return false;
+        }
         *self.slots[pos].result.lock() = Some(result);
         let left = self.remaining.fetch_sub(1, Ordering::AcqRel) - 1;
         if fix_obs::tracing_enabled() {
             fix_obs::emit(
                 fix_obs::EventKind::SchedBatchFill,
                 0,
-                super::job_trace_id(&self.stage(pos)),
+                super::job_trace_id(&self.job(pos)),
                 pos as u32,
                 left as u32,
             );
@@ -135,37 +142,13 @@ impl BatchState {
         false
     }
 
-    /// Claim-and-fill in one call: false if another writer owns the
-    /// slot, otherwise fills it and returns whether the batch is now
-    /// done.
-    pub(super) fn fill(&self, pos: usize, result: Result<Handle>) -> bool {
-        if !self.claim_slot(pos) {
-            return false;
-        }
-        self.finish_claimed(pos, result)
+    /// Slot `pos`'s root job.
+    pub(super) fn job(&self, pos: usize) -> Job {
+        self.slots[pos].job
     }
 
-    /// The job currently answering slot `pos`.
-    pub(super) fn stage(&self, pos: usize) -> Job {
-        *self.slots[pos].stage.lock()
-    }
-
-    /// Records the job now answering slot `pos` (the chain advanced).
-    /// Called under the new stage's job-map shard lock, *before* the
-    /// chain's `claimed` check — see the module docs.
-    pub(super) fn set_stage(&self, pos: usize, job: Job) {
-        *self.slots[pos].stage.lock() = job;
-    }
-
-    /// The slots no writer has claimed yet. A revocation sweep's
-    /// worklist: each still has to be claimed individually (a racing
-    /// fill may win any of them first).
-    pub(super) fn unclaimed(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.claimed.load(Ordering::SeqCst))
-            .map(|(i, _)| i)
-            .collect()
+    /// The number of slots.
+    pub(super) fn len(&self) -> usize {
+        self.slots.len()
     }
 }

@@ -1,13 +1,13 @@
 //! Layer 1 of the scheduler: the sharded job map.
 //!
 //! Every job in flight has (at most) one [`JobEntry`], and the entry
-//! owns *all* of the job's bookkeeping: its state machine, whether its
-//! one queue token is in a deque, the interest refcount, its dependency
-//! waiters, and the watched-batch watchers whose current stage it is. A
+//! owns *all* of the job's bookkeeping: its state, its dependency
+//! waiters, and the watched-batch watchers registered on it. A
 //! finished job has no entry — its result is its relation in the
 //! engine's relation cache, the only memo — so the map holds work
-//! queued, running or parked, plus withdrawn entries until their token
-//! is popped.
+//! queued, running or parked. An entry is created with the job's one
+//! queue token, so a `Queued` entry's token is in a deque; a job nothing
+//! wants any more keeps its entry until that token is popped.
 //! The map is sharded by the keyed word fold of the job identity
 //! (`fix_core::handle::HandleBuildHasher`, the same fold each shard's
 //! map buckets by, and the one the object store and relation cache
@@ -34,10 +34,14 @@ const SHARDS: usize = 32;
 
 /// Where a job in flight stands. There is no finished state: a finished
 /// job has no entry.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) enum JobState {
-    /// In a deque (or about to be, or currently being stepped).
+    /// Its one token is in a deque: the entry was just created, or the
+    /// parked job was requeued.
+    #[default]
     Queued,
+    /// Its token was popped and the job is being stepped.
+    Running,
     /// Parked until the pending dependencies of its [`DepWait`] complete.
     Waiting,
 }
@@ -71,38 +75,23 @@ pub(super) struct DepWait {
 
 #[derive(Default)]
 pub(super) struct JobEntry {
-    /// `None` means "no live request wants this job": it was withdrawn
-    /// after a cancellation while its token still sits in a deque (the
-    /// entry goes when the token is popped, unless a new request revives
-    /// the job first).
-    pub(super) state: Option<JobState>,
+    pub(super) state: JobState,
     /// Dependency waitgroups this job must decrement when it completes.
     /// The same waiter appears once per dependency edge (a job that
     /// reported the same dependency twice is counted twice, matching
     /// the `pending` count).
     pub(super) waiters: Vec<Arc<DepWait>>,
-    /// Watched-batch slots whose *current stage* is this job, moved
-    /// here from the old scheduler-global watcher table so watcher
-    /// registration and draining ride the same shard lock as the
-    /// entry's state transition.
+    /// Watched-batch slots waiting for this job, live or dead (see
+    /// `Watcher::live`), kept beside the state so registration and
+    /// draining ride the same shard lock as the state transition.
     pub(super) watchers: Vec<Watcher>,
-    /// True while this job's one queue token is in a deque. A job has at
-    /// most one token: a withdrawn job that is wanted again re-arms the
-    /// token still in a deque instead of pushing another. Popping the
-    /// token clears this, so a `Queued` entry with `queued == false` is
-    /// popped-and-executing, which is what lets withdrawal tell "still
-    /// in a deque" (revocable) from "mid-step" (must complete).
-    pub(super) queued: bool,
-    /// Live watched-batch slots currently staked on this job. Together
-    /// with `waiters` this decides whether a claimed or cancelled job is
-    /// still wanted.
-    pub(super) interest: usize,
 }
 
 impl JobEntry {
-    /// Does any live request still want this job executed?
+    /// Does a live watcher or a dependency waiter still want this job
+    /// executed?
     pub(super) fn wanted(&self) -> bool {
-        self.interest > 0 || !self.waiters.is_empty()
+        !self.waiters.is_empty() || self.watchers.iter().any(Watcher::live)
     }
 }
 

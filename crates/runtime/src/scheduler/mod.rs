@@ -18,9 +18,8 @@
 //! independently synchronized layers:
 //!
 //! 1. **The sharded job map** (`jobmap`) — the bookkeeping of every
-//!    job in flight (state, whether its one queue token is in a deque,
-//!    interest refcounts, dependency waiters, batch watchers) lives in
-//!    a 32-way map sharded by the keyed word fold of the job
+//!    job in flight (state, dependency waiters, batch watchers) lives
+//!    in a 32-way map sharded by the keyed word fold of the job
 //!    (`fix_core::handle::HandleBuildHasher`). Unrelated jobs never
 //!    share a lock; one job's watch-claim-complete round-trip touches
 //!    only its own shard. Dependency edges cross shards through
@@ -33,9 +32,9 @@
 //!    pushes and pops its slot LIFO (depth-first, cache-warm) and
 //!    steals FIFO from other slots when empty. The queue is not tiered:
 //!    which request goes first is decided once, by the serving kernel
-//!    on its virtual clock, before the batch is submitted. A withdrawn
-//!    job's token is dropped *at the claiming worker*, under the job's
-//!    shard lock.
+//!    on its virtual clock, before the batch is submitted. A job has at
+//!    most one token: one is pushed only when its entry is created or
+//!    its parked job is requeued.
 //! 3. **Lock-free batch fills** (`batch`) — a watched batch's slots
 //!    are filled by first-writer-wins CAS claims; `remaining` counts
 //!    down atomically and only the final fill touches the condvar (and
@@ -66,15 +65,17 @@
 //! Watched submissions are *request scoped* (`fix_core::api::SubmitOptions`):
 //!
 //! * **cancellation** — a ticket dropped unresolved runs `cancel_batch`,
-//!   which fails the batch's unresolved slots with `Error::Cancelled`
-//!   and withdraws still-queued jobs no other live request shares, via
-//!   the per-job interest refcount the job map keeps (watched slots and
-//!   dependency waiters both count as interest). A job that was parked
-//!   when its only batch was dropped is withdrawn when its requeued
-//!   token is claimed — dead work is withdrawn, not executed. A
-//!   withdrawn job keeps its token in the deque until it is popped; a
-//!   request that wants the job again before then re-arms that token
-//!   instead of pushing a second, so a job never has more than one.
+//!   which claims the batch's unresolved slots, one CAS each, and does
+//!   nothing else: no job-map lock, no slot write, no wakeup. A watcher
+//!   whose slot is claimed is dead (see the `batch` module docs).
+//!   Whether queued work runs is decided once, when its token is popped
+//!   (`claim_token`): a job a live watcher or a dependency waiter wants
+//!   is stepped, and any other job's entry is dropped there, dead
+//!   watchers and all. So a job only a dropped ticket wanted — queued,
+//!   or parked and then requeued — never runs, and a request that wants
+//!   it again before its token is popped simply registers on the entry
+//!   that token belongs to. The price: a dropped batch's `BatchState`
+//!   lives until the last entry holding one of its dead watchers goes.
 //! * **strict mode** — a strict slot watches the whole eval→force job
 //!   chain: when its `Eval` completes, the watcher *chains* onto the
 //!   `Force` of the produced value instead of filling, so the slot
@@ -161,13 +162,14 @@ mod jobmap;
 pub(crate) use batch::BatchState;
 use batch::Watcher;
 use deques::DequeSet;
-use jobmap::{DepWait, JobEntry, JobMap, JobState};
+use jobmap::{DepWait, JobEntry, JobMap, JobState, Shard};
 
 use crate::engine::{Engine, Job, Step};
 use fix_core::error::{Error, Result};
 use fix_core::handle::Handle;
 use fix_obs::EventKind;
 use parking_lot::{Condvar, Mutex};
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -268,47 +270,41 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Submission
 
-    /// Core enqueue under the job's shard lock: a job in flight is left
-    /// as it is; a fresh or withdrawn one is queued. Returns whether a
-    /// token was pushed (the caller wakes sleepers *after* releasing the
-    /// shard).
-    ///
-    /// A withdrawn job whose token is still in a deque is revived on
-    /// that token, which the next claim finds live again; one whose
-    /// token was popped gets a new one in deque slot `slot`.
-    fn enqueue_entry(&self, entry: &mut JobEntry, job: Job, slot: usize) -> bool {
-        if entry.state.is_some() {
-            return false;
+    /// Core enqueue under the job's shard lock: a job in flight keeps
+    /// its entry; a new one gets an entry and its one queue token, in
+    /// deque slot `slot`. Returns the entry and whether a token was
+    /// pushed (the caller wakes sleepers *after* releasing the shard).
+    fn enqueue_entry<'s>(
+        &self,
+        shard: &'s mut Shard,
+        job: Job,
+        slot: usize,
+    ) -> (&'s mut JobEntry, bool) {
+        match shard.entry(job) {
+            Entry::Occupied(entry) => (entry.into_mut(), false),
+            Entry::Vacant(entry) => {
+                self.push_token(job, slot);
+                (entry.insert(JobEntry::default()), true)
+            }
         }
-        entry.state = Some(JobState::Queued);
-        self.push_token(entry, job, slot)
     }
 
     /// Requeues a parked job into `slot`: its dependencies completed.
     fn requeue(&self, job: Job, slot: usize) {
-        let pushed = {
+        {
             let mut shard = self.jobs.shard(&job);
-            let entry = shard.entry(job).or_default();
-            entry.state = Some(JobState::Queued);
-            self.push_token(entry, job, slot)
-        };
-        if pushed {
-            self.notify_sleepers(slot);
+            shard.entry(job).or_default().state = JobState::Queued;
+            self.push_token(job, slot);
         }
+        self.notify_sleepers(slot);
     }
 
-    /// Pushes the entry's one queue token to deque slot `slot`, unless
-    /// it is in a deque already; returns whether it pushed. Safe under a
-    /// shard lock: deque mutexes are leaves (never held while acquiring
+    /// Pushes `job`'s token to deque slot `slot`. Safe under a shard
+    /// lock: deque mutexes are leaves (never held while acquiring
     /// anything else).
-    fn push_token(&self, entry: &mut JobEntry, job: Job, slot: usize) -> bool {
-        if entry.queued {
-            return false;
-        }
-        entry.queued = true;
+    fn push_token(&self, job: Job, slot: usize) {
         self.trace_job(EventKind::SchedEnqueue, &job, slot as u32, 0);
         self.deques.push(slot, job);
-        true
     }
 
     /// Submits every root and registers a completion watcher for each,
@@ -325,7 +321,7 @@ impl Scheduler {
         let slot = self.deques.external();
         for (pos, &(job, then_force)) in roots.iter().enumerate() {
             self.trace_job(EventKind::SchedSubmit, &job, pos as u32, 0);
-            self.watch_job(&state, pos, job, then_force, false, slot);
+            self.watch_job(&state, pos, job, then_force, slot);
         }
         state
     }
@@ -334,24 +330,21 @@ impl Scheduler {
     /// fills on a hit (chaining through `Force` for strict slots),
     /// otherwise enqueues the job into deque slot `slot` unless it is in
     /// flight, and registers the completion watcher on the job's shard
-    /// entry, counting one unit of interest.
-    ///
-    /// `stage_moved` says whether `job` differs from the slot's
-    /// recorded stage job: false for the initial watch (the slot was
-    /// constructed pointing at its root job), true when a strict chain
-    /// advanced onto the `Force`. A moved stage is recorded (and the
-    /// slot's claim re-checked) *under the new stage's shard lock*,
-    /// which is the chain's half of the revocation protocol — see the
-    /// `batch` module docs.
+    /// entry. A claimed slot registers nothing: its watcher would be
+    /// dead on arrival. That check only skips useless work — a watcher
+    /// whose slot is claimed a moment later is freed with its job's
+    /// entry like any dead watcher.
     fn watch_job(
         &self,
         state: &Arc<BatchState>,
         pos: usize,
         mut job: Job,
         mut then_force: bool,
-        mut stage_moved: bool,
         slot: usize,
     ) {
+        if state.slot_claimed(pos) {
+            return;
+        }
         while let Some(v) = self.engine.memoized(job) {
             if !then_force {
                 if state.fill(pos, Ok(v)) {
@@ -363,21 +356,10 @@ impl Scheduler {
             // force of its value.
             job = Job::Force(v);
             then_force = false;
-            stage_moved = true;
         }
         let pushed = {
             let mut shard = self.jobs.shard(&job);
-            if stage_moved {
-                state.set_stage(pos, job);
-            }
-            if state.slot_claimed(pos) {
-                // Revoked while the chain advanced: the revoker owns the
-                // slot's result; register nothing.
-                return;
-            }
-            let entry = shard.entry(job).or_default();
-            let pushed = self.enqueue_entry(entry, job, slot);
-            entry.interest += 1;
+            let (entry, pushed) = self.enqueue_entry(&mut shard, job, slot);
             entry.watchers.push(Watcher {
                 state: Arc::clone(state),
                 pos,
@@ -398,11 +380,11 @@ impl Scheduler {
     /// Until `state` is done it claims and steps a queued job, or — when
     /// nothing is claimable — parks awaiting someone else's progress. A
     /// stall (nobody can make progress) fails the batch's unfinished
-    /// slots (and deregisters its watchers) instead of parking forever,
+    /// slots (which kills their watchers) instead of parking forever,
     /// unless the batch turns out done after all: the finishing step and
     /// the stall read can race, and a result always wins. The caller is
     /// an external thread: it owns the external slot.
-    pub(crate) fn wait_batch(&self, state: &Arc<BatchState>) {
+    pub(crate) fn wait_batch(&self, state: &BatchState) {
         let slot = self.deques.external();
         while !state.is_done() {
             if let Some(claim) = self.try_claim(slot) {
@@ -470,26 +452,26 @@ impl Scheduler {
     }
 
     /// Takes a popped token's job out of the deques, under the job's
-    /// shard lock. True when the job is to be stepped; false when it was
-    /// withdrawn, or nothing wants it any more (it was parked when its
-    /// only batch was dropped) — then its entry goes instead.
+    /// shard lock. This is the one place that decides whether queued
+    /// work runs: a job a live watcher or a dependency waiter wants is
+    /// stepped (`Running`, true); any other job's entry goes, dead
+    /// watchers and all (false).
     fn claim_token(&self, job: Job) -> bool {
         let mut shard = self.jobs.shard(&job);
         let entry = shard.get_mut(&job);
         debug_assert!(
-            entry.as_ref().is_some_and(|e| e.queued),
+            entry
+                .as_ref()
+                .is_some_and(|e| matches!(e.state, JobState::Queued)),
             "a token in a deque is its job's one token"
         );
         let Some(entry) = entry else {
             return false;
         };
-        // From here the job counts as being stepped (never withdrawable),
-        // not as queued.
-        entry.queued = false;
-        if matches!(entry.state, Some(JobState::Queued)) && entry.wanted() {
+        if entry.wanted() {
+            entry.state = JobState::Running;
             return true;
         }
-        debug_assert!(!entry.wanted(), "a withdrawn job is wanted by nothing");
         shard.remove(&job);
         false
     }
@@ -504,7 +486,7 @@ impl Scheduler {
     /// guest [`Error::Trap`] — panics are guest faults like VM traps, and
     /// converting them here lets failure propagation wake every waiter.
     /// Letting the panic unwind instead would lose the job (its entry
-    /// stays `Queued` but it is no longer in any deque), permanently
+    /// stays `Running` but nothing steps it any more), permanently
     /// hanging any driver or pool waiting on it.
     fn execute(&self, job: Job, slot: usize) {
         let t0 = fix_obs::tracing_enabled().then(Instant::now);
@@ -573,8 +555,7 @@ impl Scheduler {
     /// token was pushed.
     fn register_waiter(&self, dep: Job, wait: &Arc<DepWait>, slot: usize) -> bool {
         let mut shard = self.jobs.shard(&dep);
-        let entry = shard.entry(dep).or_default();
-        let pushed = self.enqueue_entry(entry, dep, slot);
+        let (entry, pushed) = self.enqueue_entry(&mut shard, dep, slot);
         entry.waiters.push(Arc::clone(wait));
         wait.pending.fetch_add(1, Ordering::AcqRel);
         pushed
@@ -595,7 +576,7 @@ impl Scheduler {
         {
             let mut shard = self.jobs.shard(&wait.job);
             if !wait.fired.load(Ordering::SeqCst) {
-                shard.entry(wait.job).or_default().state = Some(JobState::Waiting);
+                shard.entry(wait.job).or_default().state = JobState::Waiting;
             }
         }
         if wait.pending.fetch_sub(1, Ordering::AcqRel) == 1
@@ -611,7 +592,9 @@ impl Scheduler {
     /// success is already the job's relation in the cache; a failure is
     /// recorded nowhere. A strict slot's watcher does not fill on its
     /// eval stage — it chains onto the `Force` of the produced value,
-    /// re-registering on that job.
+    /// re-registering on that job. A dead watcher (its slot claimed by a
+    /// cancel or a stall) is freed here with the entry: its fill loses
+    /// the claim, and its chain registers nothing.
     ///
     /// A waiter parked on the job as its **tail call** is not requeued:
     /// the job's value is the waiter's, so the waiter's relation is
@@ -630,22 +613,25 @@ impl Scheduler {
         let mut woke = false;
         while let Some((job, result)) = current {
             self.trace_job(EventKind::SchedComplete, &job, 0, result.is_err() as u32);
-            let JobEntry {
-                waiters,
-                watchers,
-                queued,
-                ..
-            } = self.jobs.shard(&job).remove(&job).unwrap_or_default();
+            let entry = self.jobs.shard(&job).remove(&job);
             // Only a popped token's job is stepped, and a parked job has
             // none in a deque.
-            debug_assert!(!queued, "a completed job's token is in a deque");
+            debug_assert!(
+                entry
+                    .as_ref()
+                    .is_some_and(|e| !matches!(e.state, JobState::Queued)),
+                "a completed job is in flight, its token out of the deques"
+            );
+            let JobEntry {
+                waiters, watchers, ..
+            } = entry.unwrap_or_default();
             // Shard released: fills and chains below take other locks.
             for w in watchers {
                 match (&result, w.then_force) {
                     (Ok(h), true) => {
                         // Strict chain: the slot now rides the
                         // deep-force of the evaluated value.
-                        self.watch_job(&w.state, w.pos, Job::Force(*h), false, true, slot);
+                        self.watch_job(&w.state, w.pos, Job::Force(*h), false, slot);
                     }
                     _ => woke |= w.state.fill(w.pos, result.clone()),
                 }
@@ -681,115 +667,73 @@ impl Scheduler {
     }
 
     // ----------------------------------------------------------------
-    // Revocation (cancel, stall)
+    // Cancel and stall
 
-    /// Cancels a watched batch (its ticket was dropped unresolved): unresolved slots fail with [`Error::Cancelled`],
-    /// their watchers are deregistered, and still-queued jobs that no
-    /// other live request shares are withdrawn — they will be skipped
-    /// at claim instead of executed. Jobs that are shared, depended
-    /// on, or already executing stay ordinary scheduler state
-    /// and complete normally.
-    pub(crate) fn cancel_batch(&self, state: &Arc<BatchState>) {
-        for pos in state.unclaimed() {
-            self.trace_job(EventKind::SchedCancel, &state.stage(pos), pos as u32, 0);
-            self.revoke_slot(state, pos, true, |_| Error::Cancelled);
+    /// Cancels a watched batch (its ticket was dropped unresolved): one
+    /// claim per unresolved slot, which makes the slot's watcher dead.
+    /// A job only this batch wanted is dropped when its token is popped;
+    /// a job that is shared, depended on or already running completes
+    /// as usual. Takes no job-map lock, writes no slot (nobody can read
+    /// a dropped ticket's results) and wakes nobody (nothing runnable
+    /// changed).
+    pub(crate) fn cancel_batch(&self, state: &BatchState) {
+        for pos in 0..state.len() {
+            if state.claim_slot(pos) {
+                self.trace_job(EventKind::SchedCancel, &state.job(pos), pos as u32, 0);
+            }
         }
-        // A concurrent waiter of another ticket may be parked on this
-        // batch's jobs; the withdrawal changed what is runnable.
-        self.notify_sleepers(self.deques.external());
     }
 
     /// Fails a watched batch's unfinished slots with the stall error
-    /// (what [`run_inline`](Scheduler::run_inline) then returns) and
-    /// deregisters its watchers, so the waiter returns instead of
-    /// parking on a graph that can never progress. Queued jobs are left
-    /// alone — there is nothing to withdraw from a drained queue.
-    fn fail_stalled(&self, state: &Arc<BatchState>) {
-        for pos in state.unclaimed() {
-            self.revoke_slot(state, pos, false, |job| {
-                Error::Trap(format!("evaluation stalled: no runnable jobs for {job}"))
-            });
+    /// (what [`run_inline`](Scheduler::run_inline) then returns), so the
+    /// waiter returns instead of parking on a graph that can never
+    /// progress. Unlike a cancel it writes each slot: the batch has a
+    /// waiter. Its watchers are dead from here, and stay on the stalled
+    /// graph's entries.
+    fn fail_stalled(&self, state: &BatchState) {
+        for pos in 0..state.len() {
+            let job = state.job(pos);
+            state.fill(
+                pos,
+                Err(Error::Trap(format!(
+                    "evaluation stalled: no runnable jobs for {job}"
+                ))),
+            );
         }
         self.notify_sleepers(self.deques.external());
-    }
-
-    /// Revokes one slot: claims it (backing off if a racing fill won),
-    /// deregisters its watcher from whichever job the slot's stage
-    /// chain currently points at, optionally withdraws orphaned queued
-    /// work, and writes the error. The stage re-read loop pairs with
-    /// [`watch_job`](Scheduler::watch_job)'s record-stage-then-check-
-    /// claim ordering (see the `batch` module docs): however the race
-    /// lands, no watcher survives the revocation. Only external threads
-    /// revoke.
-    fn revoke_slot(
-        &self,
-        state: &Arc<BatchState>,
-        pos: usize,
-        withdraw: bool,
-        err: impl Fn(Job) -> Error,
-    ) {
-        if !state.claim_slot(pos) {
-            return; // A fill got here first; the slot has a result.
-        }
-        let mut stage = state.stage(pos);
-        loop {
-            {
-                let mut shard = self.jobs.shard(&stage);
-                if let Some(entry) = shard.get_mut(&stage) {
-                    let before = entry.watchers.len();
-                    entry
-                        .watchers
-                        .retain(|w| !(Arc::ptr_eq(&w.state, state) && w.pos == pos));
-                    entry.interest = entry.interest.saturating_sub(before - entry.watchers.len());
-                    if withdraw
-                        && !entry.wanted()
-                        && matches!(entry.state, Some(JobState::Queued))
-                        && entry.queued
-                    {
-                        // Genuinely in a deque (token unclaimed — a
-                        // popped, mid-step job must complete, or a later
-                        // submission of the same job could run it twice
-                        // concurrently) and nothing live wants it:
-                        // withdraw. The claim of its token drops the
-                        // entry, unless a request revives the job first.
-                        entry.state = None;
-                    }
-                }
-            }
-            let now = state.stage(pos);
-            if now == stage {
-                break;
-            }
-            stage = now; // The chain advanced mid-revoke; chase it.
-        }
-        if state.finish_claimed(pos, Err(err(stage))) {
-            self.notify_sleepers(self.deques.external());
-        }
     }
 
     // ----------------------------------------------------------------
     // Queries
 
-    /// Registered completion watchers across all watched batches
-    /// (diagnostic; the leak test pins this to zero after tickets are
-    /// resolved or dropped).
+    /// Live completion watchers across all watched batches (diagnostic;
+    /// the leak test pins this to zero after tickets are resolved or
+    /// dropped). A dropped ticket's watchers are dead at once, though
+    /// each stays on its job's entry until the entry goes.
     pub fn watcher_count(&self) -> usize {
         let mut n = 0;
-        self.jobs
-            .for_each_shard(|map| n += map.values().map(|e| e.watchers.len()).sum::<usize>());
+        self.jobs.for_each_shard(|map| {
+            n += map
+                .values()
+                .flat_map(|e| &e.watchers)
+                .filter(|w| w.live())
+                .count();
+        });
         n
     }
 
-    /// Jobs currently queued for (or undergoing) execution. Withdrawn
-    /// jobs do not count: after cancelling the only ticket that wanted
-    /// a batch, a quiescent scheduler reports zero — the "no orphaned
-    /// queued work" half of the ticket-leak pin.
+    /// Jobs queued for, or undergoing, execution that a live watcher or
+    /// a dependency waiter still wants. A job only a dropped ticket
+    /// wanted does not count, though its entry stays until its token is
+    /// popped: after dropping the only ticket that wanted a batch, a
+    /// quiescent scheduler reports zero — the "no orphaned queued work"
+    /// half of the ticket-leak pin.
     pub fn queued_jobs(&self) -> usize {
         let mut n = 0;
         self.jobs.for_each_shard(|map| {
             n += map
                 .values()
-                .filter(|e| matches!(e.state, Some(JobState::Queued)))
+                .filter(|e| !matches!(e.state, JobState::Waiting) && e.wanted())
                 .count();
         });
         n
@@ -997,6 +941,41 @@ mod tests {
     use fix_core::limits::ResourceLimits;
     use fix_storage::{RelationCache, Store};
 
+    /// A store, an engine over it and a registered native `add`.
+    fn adder() -> (Arc<Store>, Arc<Engine>, Handle) {
+        let store = Arc::new(Store::new());
+        let registry = Arc::new(ProgramRegistry::new());
+        let (marker, add) = registry.register(
+            "add",
+            Arc::new(|ctx| {
+                let a = ctx.arg_blob(0)?.as_u64().expect("u64 arg");
+                let b = ctx.arg_blob(1)?.as_u64().expect("u64 arg");
+                ctx.host.create_blob((a + b).to_le_bytes().to_vec())
+            }),
+        );
+        store.put_blob(marker);
+        let engine = Arc::new(Engine::new(
+            Arc::clone(&store),
+            Arc::new(RelationCache::new()),
+            registry,
+        ));
+        (store, engine, add)
+    }
+
+    /// The thunk of `add(a, b)`.
+    fn add_thunk(store: &Store, add: Handle, a: u64, b: u64) -> Handle {
+        let invocation = Invocation {
+            limits: ResourceLimits::default_limits(),
+            procedure: add,
+            args: vec![
+                store.put_blob(Blob::from_u64(a)),
+                store.put_blob(Blob::from_u64(b)),
+            ],
+        };
+        let tree = store.put_tree(invocation.to_tree());
+        tree.application().expect("a tree names an application")
+    }
+
     /// The interleaving a stress loop does not find (a ≈ 30 ns window
     /// that needs a preemption), run by hand: a stepped job registers on
     /// a dependency, the dependency fails before the job settles its
@@ -1015,14 +994,13 @@ mod tests {
         // Job identities only: nothing here is stepped by the engine.
         let waiter = Job::Eval(Blob::from_u64(1).handle());
         let dep = Job::Eval(Blob::from_u64(2).handle());
-        // The waiter is mid-step (claimed: `Queued`, token popped), and
-        // one watched slot wants it.
+        // The waiter is mid-step (`Running`, token popped), and one
+        // watched slot wants it.
         let slot = Arc::new(BatchState::new(&[(waiter, false)]));
         {
             let mut shard = sched.jobs.shard(&waiter);
             let entry = shard.entry(waiter).or_default();
-            entry.state = Some(JobState::Queued);
-            entry.interest = 1;
+            entry.state = JobState::Running;
             entry.watchers.push(Watcher {
                 state: Arc::clone(&slot),
                 pos: 0,
@@ -1051,44 +1029,18 @@ mod tests {
         assert_eq!(sched.deques.queued(), 0);
     }
 
-    /// A job has at most one queue token. Dropping a ticket withdraws its
-    /// queued jobs but leaves their tokens in the deque; resubmitting the
-    /// same jobs before a driver pops them re-arms those tokens instead
-    /// of pushing a second set, and each job still runs once.
+    /// A job has at most one queue token. Dropping a ticket leaves its
+    /// queued jobs' entries and tokens where they are, its watchers dead;
+    /// resubmitting the same jobs before a driver pops them registers
+    /// live watchers on those entries instead of pushing a second set of
+    /// tokens, and each job still runs once.
     #[test]
     fn a_withdrawn_job_wanted_again_reuses_its_token() {
         const N: u64 = 8;
-        let store = Arc::new(Store::new());
-        let registry = Arc::new(ProgramRegistry::new());
-        let (marker, add) = registry.register(
-            "add",
-            Arc::new(|ctx| {
-                let a = ctx.arg_blob(0)?.as_u64().expect("u64 arg");
-                let b = ctx.arg_blob(1)?.as_u64().expect("u64 arg");
-                ctx.host.create_blob((a + b).to_le_bytes().to_vec())
-            }),
-        );
-        store.put_blob(marker);
-        let engine = Arc::new(Engine::new(
-            Arc::clone(&store),
-            Arc::new(RelationCache::new()),
-            registry,
-        ));
+        let (store, engine, add) = adder();
         let sched = Scheduler::new(Arc::clone(&engine), 0);
         let jobs: Vec<(Job, bool)> = (0..N)
-            .map(|i| {
-                let invocation = Invocation {
-                    limits: ResourceLimits::default_limits(),
-                    procedure: add,
-                    args: vec![
-                        store.put_blob(Blob::from_u64(i)),
-                        store.put_blob(Blob::from_u64(1)),
-                    ],
-                };
-                let tree = store.put_tree(invocation.to_tree());
-                let thunk = tree.application().expect("a tree names an application");
-                (Job::Eval(thunk), false)
-            })
+            .map(|i| (Job::Eval(add_thunk(&store, add, i, 1)), false))
             .collect();
 
         let dropped = sched.submit_watched_with(&jobs);
@@ -1103,6 +1055,64 @@ mod tests {
         }
         assert_eq!(engine.stats.procedures_run.load(Ordering::Relaxed), N);
         assert_eq!(sched.deques.queued(), 0);
+        assert_eq!(sched.entry_count(), 0);
+    }
+
+    /// Dropping a ticket is one claim per slot: it takes no job-map
+    /// lock, so a cancel lands while another thread holds the shard of
+    /// the batch's job.
+    #[test]
+    fn dropping_a_ticket_takes_no_job_map_lock() {
+        let (store, engine, add) = adder();
+        let sched = Scheduler::new(engine, 0);
+        let job = Job::Eval(add_thunk(&store, add, 1, 2));
+        let state = sched.submit_watched_with(&[(job, false)]);
+        std::thread::scope(|scope| {
+            // Declared inside the scope, so a failed assert releases the
+            // shard while unwinding, before the scope joins the canceller.
+            let shard = sched.jobs.shard(&job);
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let (sched, state) = (&sched, &state);
+            scope.spawn(move || {
+                sched.cancel_batch(state);
+                // The receiver is gone only if the assert below failed.
+                let _ = done_tx.send(());
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+                "cancel_batch waited on the job's shard"
+            );
+            drop(shard);
+        });
+        assert_eq!(sched.watcher_count(), 0);
+        assert_eq!(sched.queued_jobs(), 0);
+        // The pop drops the job nothing live wants.
+        assert!(sched.try_claim(sched.deques.external()).is_none());
+        assert_eq!(sched.entry_count(), 0);
+    }
+
+    /// A strict slot cancelled while its `Eval` runs leaves a dead
+    /// watcher on the `Eval`'s entry. The `Eval`'s completion frees it,
+    /// and the chain registers nothing on the `Force` of the value.
+    #[test]
+    fn a_dead_strict_watcher_does_not_chain() {
+        let (store, engine, add) = adder();
+        let sched = Scheduler::new(engine, 0);
+        let external = sched.deques.external();
+        let eval = Job::Eval(add_thunk(&store, add, 3, 4));
+        let state = sched.submit_watched_with(&[(eval, true)]);
+        let claim = sched.try_claim(external).expect("the eval is wanted");
+        assert_eq!(claim.job, eval);
+        sched.cancel_batch(&state);
+
+        let v = Blob::from_u64(7).handle();
+        sched.complete_job(eval, Ok(v), external);
+        drop(claim);
+
+        let force = Job::Force(v);
+        assert_eq!(sched.watcher_count(), 0);
+        assert_eq!(sched.deques.queued(), 0);
+        assert!(sched.jobs.shard(&force).get(&force).is_none());
         assert_eq!(sched.entry_count(), 0);
     }
 }

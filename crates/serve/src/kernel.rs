@@ -252,7 +252,6 @@ impl Segment {
 pub struct Tally {
     ok: Vec<u64>,
     errors: Vec<u64>,
-    cancelled: Vec<u64>,
 }
 
 impl Tally {
@@ -261,7 +260,6 @@ impl Tally {
         Tally {
             ok: vec![0; n],
             errors: vec![0; n],
-            cancelled: vec![0; n],
         }
     }
 
@@ -270,17 +268,14 @@ impl Tally {
         for t in 0..self.ok.len() {
             self.ok[t] += other.ok[t];
             self.errors[t] += other.errors[t];
-            self.cancelled[t] += other.cancelled[t];
         }
     }
 
-    /// Settles one executed batch. Withdrawn work is accounted as
-    /// withdrawn, not as a guest fault.
+    /// Settles one executed batch.
     fn settle(&mut self, batch: &PlannedBatch, results: Vec<Result<Handle>>) {
         for (result, req) in results.iter().zip(&batch.requests) {
             match result {
                 Ok(_) => self.ok[req.tenant] += 1,
-                Err(Error::Cancelled) => self.cancelled[req.tenant] += 1,
                 Err(_) => self.errors[req.tenant] += 1,
             }
         }
@@ -308,7 +303,6 @@ impl Plan {
         for (i, t) in report.tenants.iter_mut().enumerate() {
             t.ok = tally.ok[i];
             t.errors = tally.errors[i];
-            t.cancelled = tally.cancelled[i];
             fix_obs::global()
                 .histogram(&format!("serve.{}.latency_us", t.name))
                 .merge_from(&t.latency);

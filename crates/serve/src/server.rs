@@ -85,8 +85,9 @@ pub struct TenantReport {
     /// dead work. Accounted separately from `dropped` (shed at
     /// admission).
     pub expired: u64,
-    /// Admitted requests whose submission was cancelled mid-flight
-    /// (`Error::Cancelled`) — withdrawn work, not an evaluation error.
+    /// Always 0: the kernel waits on every ticket it submits, so no
+    /// admitted request is cancelled. Kept because `fixbench` and the
+    /// serve tables read it.
     pub cancelled: u64,
     /// Virtual queueing + service latency of admitted requests.
     pub latency: LatencyHistogram,

@@ -907,7 +907,7 @@ fn cancel_during_execution_keeps_exactly_once_semantics() {
     started_rx
         .recv()
         .expect("the worker began stepping the job");
-    drop(doomed); // Mid-step: must not withdraw the running job.
+    drop(doomed); // Mid-step: the running job must still complete.
     let survivor = rt.submit_many(&[thunk]);
     // Unblock enough times for a (buggy) duplicate execution too.
     release_tx.send(()).unwrap();
@@ -922,8 +922,9 @@ fn cancel_during_execution_keeps_exactly_once_semantics() {
     assert_eq!(rt.submission_watchers(), 0);
 }
 
-/// Cancel-then-resubmit: the revival re-arms each withdrawn job's queue
-/// token, still in the deque, and every job runs exactly once.
+/// Cancel-then-resubmit: the resubmission registers on each dropped
+/// job's entry, whose one token is still in the deque, and every job
+/// runs exactly once.
 #[test]
 fn cancelled_then_resubmitted_batches_run_exactly_once() {
     on_every_inline_node(|rt| {
@@ -991,8 +992,8 @@ fn runtime_tickets_leave_no_watchers_behind() {
         }
         assert_eq!(node.submission_watchers(), 0);
 
-        // A dropped ticket deregisters eagerly, even though its jobs are
-        // still queued (nothing has driven them yet).
+        // A dropped ticket's watchers are dead at once, even though its
+        // jobs are still queued (nothing has driven them yet).
         let fresh: Vec<Handle> = (100..104u64).map(mint).collect();
         let abandoned = rt.submit_many(&fresh);
         assert_eq!(node.submission_watchers(), fresh.len());
@@ -1003,14 +1004,15 @@ fn runtime_tickets_leave_no_watchers_behind() {
             "dropped tickets must not leak"
         );
 
-        // The dropped ticket's unshared queued jobs were withdrawn with
-        // the watchers: nothing orphaned stays in the run queue...
+        // Nothing live wants the dropped ticket's unshared queued jobs,
+        // so none counts as queued work: each is dropped when its token
+        // is popped...
         assert_eq!(
             node.queued_jobs(),
             0,
             "dropped tickets must not orphan jobs"
         );
-        // ...and a fresh request for the same thunk simply re-enqueues it.
+        // ...and a fresh request for the same thunk wants it again.
         assert_eq!(rt.get_u64(rt.eval(fresh[0]).unwrap()).unwrap(), 101);
     });
 }
@@ -1073,7 +1075,7 @@ fn cancelling_a_large_queued_batch_withdraws_everything() {
 
     // Cancel while the concurrent waiter races the queue; no procedure
     // of the cancelled-only batch may run (the waiter thread only ever
-    // dequeues runnable, wanted jobs — the withdrawn 256 are skipped).
+    // steps wanted jobs — the dropped 256 are popped and let go).
     drop(doomed);
     let resolved = waiter.join().expect("concurrent waiter must not hang");
     assert_eq!(resolved.len(), waiter_batch.len());
@@ -1116,7 +1118,7 @@ fn cluster_client_telemetry_is_pure_observation() {
     );
 
     // Submission is observed the same way: a batch dropped before anyone
-    // waits on it is withdrawn from the embedded node whole — it was
+    // waits on it never runs on the embedded node — it was
     // costed, never executed.
     let fresh = |a: u64| {
         let args = [

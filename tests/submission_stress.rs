@@ -329,10 +329,9 @@ fn canceller_thread_cannot_break_accounting() {
 ///
 /// "Nothing leaks" is read once the pool is quiescent. A worker may
 /// have claimed a job just before the only ticket wanting it was
-/// cancelled: such a job is mid-step, not withdrawable, and still
-/// `Queued` for a few microseconds after the scope joins (measured: an
-/// entry with its token popped, no watcher, no waiter, an executor
-/// claim held, gone within 100 µs).
+/// cancelled: such a job is mid-step and completes as usual, a few
+/// microseconds after the scope joins (its entry `Running`, its one
+/// watcher dead, an executor claim held).
 #[test]
 fn worker_pool_steals_survive_concurrent_cancel() {
     const POOL_BATCHES: usize = 20;
