@@ -5,9 +5,9 @@
 //! state portable and replayable, which makes durability nearly free: a
 //! stored object's name *is* its checksum, and a memoized relation is a
 //! fact about deterministic evaluation that can be replayed on any node.
-//! [`DurableStore`] exploits both. It wraps a
-//! [`fix_storage::Store`]/[`RelationCache`](fix_storage::RelationCache)
-//! pair through the storage hooks:
+//! [`DurableStore`] exploits both. It wraps a node's one table, a
+//! [`fix_storage::Store`] of objects and memoized relations, through the
+//! table's one backing-tier hook ([`fix_storage::Tier`]):
 //!
 //! * every fresh object insert and memoized relation is appended to a
 //!   checksummed frame log (`log.fixlog`, the only durable file) by a
@@ -44,7 +44,7 @@
 //! Producers (any thread that `put`s or memoizes) and one writer thread
 //! meet at a queue that holds *finished frames*: the producer builds the
 //! frame — header, checksum, record — straight into the queue's byte
-//! buffer from the `(key, handle, node)` the storage hook hands it; the
+//! buffer from the `(key, handle, node)` the tier hook hands it; the
 //! writer swaps that buffer for an empty spare, issues one `write` per
 //! batch, indexes the batch under one lock, and fsyncs by policy. Reads
 //! that miss memory fault through the index, which holds the log's read
@@ -53,7 +53,7 @@
 //! invariants hold across all of it:
 //!
 //! * **An object is hashed once per crossing.** On the way in, `put`
-//!   names it and that handle rides through the sink into the frame; on
+//!   names it and that handle rides through the hook into the frame; on
 //!   the way back, the fault's verifying decode names it and the store
 //!   keeps it under the key it asked for. Nothing in between derives a
 //!   name from bytes again (CI greps `store.rs` for it).

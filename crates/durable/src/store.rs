@@ -1,10 +1,10 @@
-//! [`DurableStore`]: the persistence tier around a
-//! [`Store`]/[`RelationCache`] pair.
+//! [`DurableStore`]: the persistence tier around a node's one table, a
+//! [`Store`] of objects and memoized relations.
 //!
-//! Architecture: callers talk to the wrapped in-memory store as usual;
-//! the storage hooks build finished frames into a bounded queue that a
-//! single group-commit writer thread, which owns the log file, drains a
-//! batch at a time. Appends are asynchronous (bounded loss per the
+//! Architecture: callers talk to the wrapped in-memory table as usual;
+//! its one [`Tier`] hook builds finished frames into a bounded queue
+//! that a single group-commit writer thread, which owns the log file,
+//! drains a batch at a time. Appends are asynchronous (bounded loss per the
 //! [`FsyncPolicy`](crate::FsyncPolicy)); [`DurableStore::flush`] is the
 //! synchronous barrier, and [`DurableStore::snapshot`] the barrier that
 //! also compacts a log holding dead bytes. Reads that miss memory fault
@@ -20,9 +20,7 @@ use crate::{DurableOptions, DurableStats, FsyncPolicy};
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{Handle, HandleMap, HandleSet};
-use fix_storage::{
-    payload_key, FaultSource, Relation, RelationCache, RelationSink, Store, StoreSink,
-};
+use fix_storage::{payload_key, Relation, RelationCache, Store, Tier};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::io::{self, BufReader, Read};
 use std::os::unix::fs::FileExt;
@@ -190,7 +188,6 @@ struct Inner {
     dir: PathBuf,
     options: DurableOptions,
     store: Arc<Store>,
-    cache: Arc<RelationCache>,
     index: RwLock<Index>,
     queue: Mutex<Queue>,
     /// Wakes the writer (new work / flush / snapshot / shutdown).
@@ -203,22 +200,9 @@ struct Inner {
 }
 
 impl Inner {
-    // ---- hook bodies -------------------------------------------------
-
-    fn observe_insert(&self, handle: Handle, node: &Node) {
-        let key = payload_key(handle);
-        if self.index.read().slots.contains_key(&key) {
-            return; // Already persisted (e.g. re-put after an eviction).
-        }
-        self.enqueue(Record::Node(key, handle), |out| {
-            frame::push_node(out, &key, handle, node)
-        });
-    }
-
-    fn observe_relation(&self, relation: Relation, input: Handle, output: Handle) {
-        self.enqueue(Record::Relation, |out| {
-            frame::push_relation(out, relation, input, output)
-        });
+    /// Whether the log holds an object under `key`.
+    fn indexed(&self, key: &[u8; 32]) -> bool {
+        self.index.read().slots.contains_key(key)
     }
 
     /// Queues one frame. Blocks while the backlog is over its bound;
@@ -264,10 +248,6 @@ impl Inner {
             }
         }
         self.wake_writer(q);
-    }
-
-    fn knows(&self, handle: Handle) -> bool {
-        self.index.read().slots.contains_key(&payload_key(handle))
     }
 
     fn fault_in(&self, handle: Handle) -> Option<Node> {
@@ -324,32 +304,35 @@ fn read_node(file: &File, key: &[u8; 32], slot: &Slot) -> Option<Node> {
     (payload_key(computed) == *key).then_some(node)
 }
 
-/// The hook adapter: weak, so the store/cache (which outlive us inside a
-/// `Runtime`) don't keep the writer machinery alive in a cycle.
+/// The hook adapter: weak, so the table (which outlives us inside a
+/// `Runtime`) doesn't keep the writer machinery alive in a cycle.
 struct Hooks(Weak<Inner>);
 
-impl FaultSource for Hooks {
+impl Tier for Hooks {
     fn fault(&self, handle: Handle) -> Option<Node> {
         self.0.upgrade()?.fault_in(handle)
     }
 
     fn knows(&self, handle: Handle) -> bool {
-        self.0.upgrade().is_some_and(|i| i.knows(handle))
+        let key = payload_key(handle);
+        self.0.upgrade().is_some_and(|i| i.indexed(&key))
     }
-}
 
-impl StoreSink for Hooks {
     fn inserted(&self, handle: Handle, node: &Node) {
-        if let Some(i) = self.0.upgrade() {
-            i.observe_insert(handle, node);
+        let key = payload_key(handle);
+        // Skipped once persisted (e.g. a re-put after an eviction).
+        if let Some(i) = self.0.upgrade().filter(|i| !i.indexed(&key)) {
+            i.enqueue(Record::Node(key, handle), |out| {
+                frame::push_node(out, &key, handle, node)
+            });
         }
     }
-}
 
-impl RelationSink for Hooks {
     fn recorded(&self, relation: Relation, input: Handle, output: Handle) {
         if let Some(i) = self.0.upgrade() {
-            i.observe_relation(relation, input, output);
+            i.enqueue(Record::Relation, |out| {
+                frame::push_relation(out, relation, input, output)
+            });
         }
     }
 }
@@ -363,8 +346,8 @@ impl Drop for ShutdownGuard {
     }
 }
 
-/// A crash-recoverable, content-addressed store: a [`Store`] and
-/// [`RelationCache`] whose state survives the process.
+/// A crash-recoverable, content-addressed table: a [`Store`] whose
+/// objects and memoized relations survive the process.
 ///
 /// See the [crate docs](crate) for the design; see
 /// [`DurableStore::open`] for recovery semantics. Clones share one
@@ -394,7 +377,7 @@ impl DurableStore {
     /// The restart is lazy: only the index and the memoized relations
     /// are loaded eagerly; object bytes fault in on first touch.
     /// Relations whose output data is not in the log (it fell into the
-    /// torn tail, or was dropped) are not replayed, so a recovered cache
+    /// torn tail, or was dropped) are not replayed, so a recovered table
     /// never promises data the log lacks. A log naming two outputs for
     /// one `(relation, input)` — which no deterministic run writes —
     /// opens and serves the first one it backs, on every reopen.
@@ -481,9 +464,9 @@ impl DurableStore {
         relations.retain(|&(r, i, out)| backed(out, &slots) && seen.insert((r, i)));
 
         let store = Arc::new(Store::new());
-        let cache = Arc::new(RelationCache::new());
+        let replayed = RelationCache::of(Arc::clone(&store));
         for &(r, i, o) in &relations {
-            cache.put(r, i, o);
+            replayed.put(r, i, o);
         }
         // Every log byte is a live slot's frame, a replayed relation's
         // frame, or dead.
@@ -503,7 +486,6 @@ impl DurableStore {
             dir,
             options,
             store,
-            cache,
             index: RwLock::new(Index { slots, file, dead }),
             queue: Mutex::new(Queue::default()),
             work: Condvar::new(),
@@ -513,14 +495,8 @@ impl DurableStore {
             writer: Mutex::new(None),
         });
 
-        let hooks = Arc::new(Hooks(Arc::downgrade(&inner)));
-        inner
-            .store
-            .set_fault_source(Arc::clone(&hooks) as Arc<dyn FaultSource>)?;
-        inner
-            .store
-            .set_sink(Arc::clone(&hooks) as Arc<dyn StoreSink>)?;
-        inner.cache.set_sink(hooks as Arc<dyn RelationSink>)?;
+        let hooks = Hooks(Arc::downgrade(&inner));
+        inner.store.attach(Arc::new(hooks))?;
 
         let writer_inner = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
@@ -535,14 +511,14 @@ impl DurableStore {
         })
     }
 
-    /// The wrapped in-memory object store (hand this to a runtime).
+    /// The wrapped in-memory table (hand this to a runtime).
     pub fn store(&self) -> &Arc<Store> {
         &self.inner.store
     }
 
-    /// The wrapped relation cache, pre-loaded with replayed relations.
-    pub fn cache(&self) -> &Arc<RelationCache> {
-        &self.inner.cache
+    /// The table's relations, pre-loaded with replayed ones.
+    pub fn cache(&self) -> RelationCache {
+        RelationCache::of(Arc::clone(&self.inner.store))
     }
 
     /// The directory holding the log.
@@ -1031,7 +1007,7 @@ fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
         let index = inner.index.read();
         let slots: Vec<([u8; 32], Slot)> =
             index.slots.iter().map(|(k, s)| (*k, s.clone())).collect();
-        let mut relations = inner.cache.entries();
+        let mut relations = RelationCache::of(Arc::clone(&inner.store)).entries();
         relations.retain(|&(_, _, out)| backed(out, &index.slots));
         (slots, relations, Arc::clone(&index.file), index.dead)
     };
@@ -1117,7 +1093,7 @@ mod tests {
     }
 
     /// Records `FRAMES` relations from a thread of its own; the channel
-    /// fires once every one of them has been handed to the sink.
+    /// fires once every one of them has been handed to the tier.
     fn produce(d: &DurableStore) -> (JoinHandle<()>, mpsc::Receiver<()>) {
         let (tx, rx) = mpsc::channel();
         let d = d.clone();

@@ -3,7 +3,7 @@
 //! Every unit of evaluation is a [`Job`]; executing a job either completes
 //! with a Handle or reports the jobs it depends on ([`Step::Deps`]). Jobs
 //! are *restartable*: when dependencies finish, the job is simply stepped
-//! again — memoized relations (the [`RelationCache`]) make the replay
+//! again — memoized relations (the table's [`RelationCache`]) make the replay
 //! cheap and guarantee the expensive work (running a procedure) happens
 //! exactly once. This mirrors Fixpoint's design: procedures never block
 //! (paper §4.2.1), so a worker either runs a codelet to completion or
@@ -99,10 +99,10 @@ pub struct EngineStats {
 
 /// The evaluation engine shared by all workers of one node.
 pub struct Engine {
-    /// Object storage for this node.
+    /// The node's one table: its objects and memoized relations.
     pub(crate) store: Arc<Store>,
-    /// Memoized evaluation relations.
-    pub(crate) cache: Arc<RelationCache>,
+    /// The table's relation face.
+    pub(crate) cache: RelationCache,
     /// Native procedure registry.
     pub(crate) registry: Arc<ProgramRegistry>,
     /// Parsed-module cache (content-addressed, so never invalidated).
@@ -157,15 +157,11 @@ fn splice(style: EncodeStyle, resolved: Handle) -> Handle {
 }
 
 impl Engine {
-    /// Creates an engine over the given storage and registry.
-    pub(crate) fn new(
-        store: Arc<Store>,
-        cache: Arc<RelationCache>,
-        registry: Arc<ProgramRegistry>,
-    ) -> Engine {
+    /// Creates an engine over the given table and registry.
+    pub(crate) fn new(store: Arc<Store>, registry: Arc<ProgramRegistry>) -> Engine {
         Engine {
+            cache: RelationCache::of(Arc::clone(&store)),
             store,
-            cache,
             registry,
             modules: RwLock::default(),
             stats: EngineStats::default(),
@@ -173,7 +169,7 @@ impl Engine {
     }
 
     /// `job`'s result if it is memoized: its relation, read from the
-    /// cache. The relation cache is the only record of a finished
+    /// table. The table's relations are the only record of a finished
     /// evaluation — a failure is never memoized, so `None` covers it.
     pub(crate) fn memoized(&self, job: Job) -> Option<Handle> {
         let (relation, input) = job.relation();

@@ -9,8 +9,9 @@
 //!
 //! [`Runtime`] is the public surface: it implements the One Fix API
 //! (`fix_core::api` — the Table 1 operations, submission and
-//! evaluation) and adds node-local accessors (store, cache, engine
-//! counters, metrics, gc, computational GC in [`recompute`]). Behind it,
+//! evaluation) and adds node-local accessors (the node's one table and
+//! its relation face, engine counters, metrics, gc, computational GC in
+//! [`recompute`]). Behind it,
 //! crate-private: `engine` (Fix semantics as restartable job steps),
 //! `registry` (native codelets) and `scheduler` (dependency tracking
 //! over those jobs, driven inline or by a worker pool).
@@ -706,7 +707,7 @@ mod tests {
         (a, b)
     }
 
-    /// The relation cache is the only memo, so clearing it is a
+    /// The table's relations are the only memo, so clearing them is a
     /// complete, consistent clear: `b`, which depends on the same strict
     /// encode the first eval resolved, re-runs it instead of hanging.
     #[test]

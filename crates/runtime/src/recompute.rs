@@ -2,9 +2,10 @@
 //! collection (paper §6, "delayed-availability" storage).
 //!
 //! `fix-storage` plans sound evictions over recipes read from the
-//! relation cache; this module re-creates evicted bytes by re-running
-//! those recipes. A recipe's support closure sees its Encodes and thunk
-//! targets through the same cache a re-run reads them from, so it is
+//! table's memoized relations; this module re-creates evicted bytes by
+//! re-running those recipes. A recipe's support closure sees its Encodes
+//! and thunk targets through the same relations a re-run reads them
+//! from, so it is
 //! exactly what the re-run needs — and materialization can recursively
 //! restore a cascade of evicted inputs in dependency order, then re-run
 //! the producing procedure once.
@@ -48,13 +49,13 @@ impl Runtime {
     /// eviction entry point.
     ///
     /// This is the paper's computational garbage collection: the
-    /// provider reclaims memory for objects whose recipes the relation
-    /// cache names, and later reads pay a recompute instead of a miss —
+    /// provider reclaims memory for objects whose recipes the table's
+    /// relations name, and later reads pay a recompute instead of a miss —
     /// or, for an object a durable log holds, one fault (depth 0).
     /// Must not run concurrently with evaluations.
     pub fn evict_recomputable(&self, pins: &[Handle]) -> Result<EvictionOutcome> {
-        let plan = plan_eviction(self.store(), self.cache(), pins);
-        let bytes_reclaimed = apply_eviction(self.store(), self.cache(), &plan)?;
+        let plan = plan_eviction(self.store(), pins);
+        let bytes_reclaimed = apply_eviction(self.store(), &plan)?;
         Ok(EvictionOutcome {
             plan,
             bytes_reclaimed,
@@ -66,12 +67,12 @@ impl Runtime {
     ///
     /// Returns a report of the work done — `objects_materialized == 0`
     /// means the read was warm. Fails with [`Error::NotFound`] if no
-    /// relation in the cache produces the object, and with a trap if a
+    /// memoized relation produces the object, and with a trap if a
     /// re-run produces different bytes (a determinism fault: the paper's
     /// "wrong answer" a provider would carry insurance for). A re-run
-    /// that fails leaves its recipe in the cache.
+    /// that fails leaves its recipe in the table.
     pub fn materialize(&self, handle: Handle) -> Result<RecomputeReport> {
-        let recipes = recipes(self.store(), self.cache());
+        let recipes = recipes(self.store());
         let runs = || self.engine().stats.procedures_run.load(Ordering::Relaxed);
         let before = runs();
         let mut report = RecomputeReport::default();
@@ -110,7 +111,7 @@ impl Runtime {
         // deep as resident trees allow, so loop until nothing is absent:
         // every pass materializes at least one object or fails.
         loop {
-            let missing: Vec<Handle> = support_closure(self.store(), self.cache(), recipe)
+            let missing: Vec<Handle> = support_closure(self.store(), recipe)
                 .into_iter()
                 .filter(|s| !self.store().contains(*s))
                 .collect();
@@ -123,7 +124,7 @@ impl Runtime {
         }
 
         // Forget the recipe's memos so evaluation actually re-runs (the
-        // relation cache is the only memo), and put them back if the
+        // table's relations are the only memo), and put them back if the
         // re-run fails: they are the only record of the recipe.
         let mut memos = vec![(Relation::Eval, recipe)];
         if recipe.kind() == Kind::Thunk(ThunkKind::Application) {

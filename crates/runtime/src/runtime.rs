@@ -1,9 +1,9 @@
 //! The public Fixpoint API: a single-node Fix runtime.
 //!
-//! [`Runtime`] owns the storage, relation cache, program registry,
-//! scheduler, and (optionally) a worker pool. Its surface mirrors the
-//! paper's Table 1: create blobs and trees, build thunks and encodes,
-//! and ask for evaluation.
+//! [`Runtime`] owns the node's table (objects and memoized relations),
+//! program registry, scheduler, and (optionally) a worker pool. Its
+//! surface mirrors the paper's Table 1: create blobs and trees, build
+//! thunks and encodes, and ask for evaluation.
 
 use crate::engine::{Engine, Job};
 use crate::registry::ProgramRegistry;
@@ -48,16 +48,12 @@ impl RuntimeBuilder {
 
     /// Builds the runtime.
     pub fn build(self) -> Runtime {
-        let (store, cache) = match &self.durable {
-            Some(d) => (Arc::clone(d.store()), Arc::clone(d.cache())),
-            None => (Arc::new(Store::new()), Arc::new(RelationCache::new())),
-        };
+        let store = self
+            .durable
+            .as_ref()
+            .map_or_else(Default::default, |d| Arc::clone(d.store()));
         let registry = Arc::new(ProgramRegistry::new());
-        let engine = Arc::new(Engine::new(
-            Arc::clone(&store),
-            Arc::clone(&cache),
-            Arc::clone(&registry),
-        ));
+        let engine = Arc::new(Engine::new(store, Arc::clone(&registry)));
         let scheduler = Arc::new(Scheduler::new(Arc::clone(&engine), self.workers));
         let pool = (self.workers > 0).then(|| WorkerPool::spawn(Arc::clone(&scheduler)));
         // Adopt the scheduler's live steal counter: the registry names
@@ -77,8 +73,6 @@ impl RuntimeBuilder {
         fix_obs::global().register_gauge("sched.parked", &scheduler.parked_gauge());
         fix_obs::global().register_gauge("sched.steal_rate", &scheduler.steal_rate_gauge());
         Runtime {
-            store,
-            cache,
             registry,
             engine,
             scheduler,
@@ -117,8 +111,6 @@ impl RuntimeBuilder {
 /// assert_eq!(rt.get_blob(result).unwrap().as_u64(), Some(3));
 /// ```
 pub struct Runtime {
-    store: Arc<Store>,
-    cache: Arc<RelationCache>,
     registry: Arc<ProgramRegistry>,
     engine: Arc<Engine>,
     scheduler: Arc<Scheduler>,
@@ -133,26 +125,27 @@ impl Runtime {
         RuntimeBuilder::default()
     }
 
-    /// The node's object store.
+    /// The node's one table: its objects and its memoized relations.
     pub fn store(&self) -> &Arc<Store> {
-        &self.store
+        &self.engine.store
     }
 
-    /// The node's relation cache: the only record of a finished
-    /// evaluation (the scheduler keeps none), so `cache().clear()` is a
-    /// complete, consistent way to forget every memoized result — the
-    /// next request for any of them runs cold. A failure is never
+    /// The relation side of the node's table ([`store`](Runtime::store)):
+    /// the only record of a finished evaluation (the scheduler keeps
+    /// none), so `cache().clear()` is a complete, consistent way to
+    /// forget every memoized result — the next request for any of them
+    /// runs cold — and leaves every object resident. A failure is never
     /// memoized: the next request for it re-attempts it. A finished
     /// application leaves one relation here, its `Eval`; `Apply` is
     /// recorded only for a tail call.
     ///
-    /// The cache is also computational GC's recipe book (an
+    /// The relations are also computational GC's recipe book (an
     /// application's `Eval` is the recipe for the bytes it produced):
-    /// clearing it forgets how to recompute evicted objects too, and
+    /// clearing them forgets how to recompute evicted objects too, and
     /// [`materialize`](Runtime::materialize) of one then returns
     /// `NotFound`.
-    pub fn cache(&self) -> &Arc<RelationCache> {
-        &self.cache
+    pub fn cache(&self) -> &RelationCache {
+        &self.engine.cache
     }
 
     /// The node's evaluation engine (for statistics).
@@ -163,7 +156,7 @@ impl Runtime {
     /// Assembles FixVM source, stores the module blob, returns its handle.
     pub fn install_vm_module(&self, source: &str) -> Result<Handle> {
         let module = fix_vm::assemble(source)?;
-        Ok(self.store.put_blob(Blob::from_vec(module.to_bytes())))
+        Ok(self.store().put_blob(Blob::from_vec(module.to_bytes())))
     }
 
     /// Live completion watchers of in-flight submitted batches. A
@@ -245,7 +238,7 @@ impl Runtime {
     pub fn gc(&self, roots: &[Handle]) -> Result<usize> {
         match &self.durable {
             Some(d) => d.gc(roots),
-            None => Ok(self.store.gc(roots)),
+            None => Ok(self.store().gc(roots)),
         }
     }
 
@@ -271,22 +264,22 @@ impl Default for Runtime {
 
 impl ObjectApi for Runtime {
     fn put(&self, node: Node) -> Handle {
-        self.store.put(node)
+        self.store().put(node)
     }
 
     fn get(&self, handle: Handle) -> Result<Node> {
-        self.store.get(handle)
+        self.store().get(handle)
     }
 
     fn contains(&self, handle: Handle) -> bool {
-        self.store.contains(handle)
+        self.store().contains(handle)
     }
 }
 
 impl InvocationApi for Runtime {
     fn register_native(&self, name: &str, f: NativeFn) -> Handle {
         let (blob, handle) = self.registry.register(name, f);
-        self.store.put_blob(blob);
+        self.store().put_blob(blob);
         handle
     }
 }
@@ -331,13 +324,13 @@ impl Evaluator for Runtime {
 
     /// Uses whatever evaluation results are already memoized.
     fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-        footprint(self.store.as_ref(), thunk, self.cache.as_ref())
+        footprint(self.store().as_ref(), thunk, self.cache())
     }
 
     /// Walks data shared between requests once (see
     /// [`fix_core::semantics::footprint_many`]).
     fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        footprint_many(self.store.as_ref(), thunks, self.cache.as_ref())
+        footprint_many(self.store().as_ref(), thunks, self.cache())
     }
 
     fn procedures_run(&self) -> u64 {

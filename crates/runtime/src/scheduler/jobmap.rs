@@ -4,14 +4,14 @@
 //! owns *all* of the job's bookkeeping: its state, its dependency
 //! waiters, and the watched-batch watchers registered on it. A
 //! finished job has no entry — its result is its relation in the
-//! engine's relation cache, the only memo — so the map holds work
+//! node's table, the only memo — so the map holds work
 //! queued, running or parked. An entry is created with the job's one
 //! queue token, so a `Queued` entry's token is in a deque; a job nothing
 //! wants any more keeps its entry until that token is popped.
 //! The map is sharded by the keyed word fold of the job identity
 //! (`fix_core::handle::HandleBuildHasher`, the same fold each shard's
-//! map buckets by, and the one the object store and relation cache
-//! shard by), so submissions, claims, and completions of unrelated
+//! map buckets by, and the one the node's table shards by), so
+//! submissions, claims, and completions of unrelated
 //! jobs never contend on a lock.
 //!
 //! The entry is only ever read or mutated under its shard lock. Cross-
@@ -27,9 +27,8 @@ use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
-/// Lock shards. Matches the relation cache: the job map sees one
-/// insert/claim/complete round-trip per executed step, which is the
-/// same traffic shape.
+/// Lock shards: the job map sees one insert/claim/complete round-trip
+/// per executed step.
 const SHARDS: usize = 32;
 
 /// Where a job in flight stands. There is no finished state: a finished

@@ -84,7 +84,7 @@
 //!
 //! # One memo, and what one transition costs the job map
 //!
-//! The relation cache is the only record of a finished evaluation: the
+//! The table's relations are the only record of a finished evaluation: the
 //! job map holds work in flight, and `complete_job` removes a job's
 //! entry once its watchers and waiters are served. A shard visit is a
 //! lock, a fold of the job's four words and a probe, so each transition
@@ -939,9 +939,9 @@ mod tests {
     use fix_core::data::Blob;
     use fix_core::invocation::Invocation;
     use fix_core::limits::ResourceLimits;
-    use fix_storage::{RelationCache, Store};
+    use fix_storage::Store;
 
-    /// A store, an engine over it and a registered native `add`.
+    /// A table, an engine over it and a registered native `add`.
     fn adder() -> (Arc<Store>, Arc<Engine>, Handle) {
         let store = Arc::new(Store::new());
         let registry = Arc::new(ProgramRegistry::new());
@@ -954,11 +954,7 @@ mod tests {
             }),
         );
         store.put_blob(marker);
-        let engine = Arc::new(Engine::new(
-            Arc::clone(&store),
-            Arc::new(RelationCache::new()),
-            registry,
-        ));
+        let engine = Arc::new(Engine::new(Arc::clone(&store), registry));
         (store, engine, add)
     }
 
@@ -984,11 +980,7 @@ mod tests {
     /// failure removed.
     #[test]
     fn a_dependency_failing_mid_registration_leaves_no_waiting_entry() {
-        let engine = Engine::new(
-            Arc::new(Store::new()),
-            Arc::new(RelationCache::new()),
-            Arc::new(ProgramRegistry::new()),
-        );
+        let engine = Engine::new(Arc::default(), Arc::new(ProgramRegistry::new()));
         let sched = Scheduler::new(Arc::new(engine), 0);
         let external = sched.deques.external();
         // Job identities only: nothing here is stepped by the engine.

@@ -1,15 +1,17 @@
 //! `fix-storage`: content-addressed runtime storage for Fix.
 //!
-//! Two structures back every Fixpoint node (paper Fig. 6):
-//!
-//! * [`Store`] — the object store, mapping Handles to Blob/Tree data;
-//! * [`RelationCache`] — memoized evaluation relations (Eval / Apply /
-//!   Force), the mechanism behind Fix's determinism-powered caching.
+//! One table backs every Fixpoint node (paper Fig. 6): [`Store`] maps
+//! Handles to Blob/Tree data and holds the memoized evaluation
+//! relations (Eval / Apply / Force) over those names, the mechanism
+//! behind Fix's determinism-powered caching. Both are sharded by payload
+//! key, so an object and the relations whose input shares its payload
+//! sit under one lock. [`RelationCache`] is the relation side's face,
+//! and one [`Tier`] hook connects the table to a backing tier.
 //!
 //! [`plan_eviction`] implements the storage side of the paper's
-//! computational garbage collection (§6): the relation cache names the
-//! Thunk that produced each object ([`recipes`]), so the bytes can be
-//! deleted and recomputed on demand.
+//! computational garbage collection (§6): the memoized relations name
+//! the Thunk that produced each object ([`recipes`]), so the bytes can
+//! be deleted and recomputed on demand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +24,7 @@ mod store;
 /// The payload key lives with the handle's byte layout; storage keys
 /// every map by it.
 pub use fix_core::handle::payload_key;
-pub use hooks::{FaultSource, RelationSink, StoreSink};
+pub use hooks::Tier;
 pub use provenance::{
     apply_eviction, plan_eviction, recipes, support_closure, EvictionPlan, Victim,
 };

@@ -1,5 +1,5 @@
 //! Computational garbage collection (paper §6), with recipes read from
-//! the relation cache: the node's one eviction planner.
+//! the table's memoized relations: the node's one eviction planner.
 //!
 //! A node may drop any bytes it can bring back. There are two ways back:
 //! a *fault*, for an object the backing tier (a durable log) holds
@@ -11,11 +11,11 @@
 //! opt in, and the provider answers later reads within an SLA window by
 //! re-running the recipe.
 //!
-//! The relation cache already names every recipe, so nothing else
+//! The table's relations already name every recipe, so nothing else
 //! records them:
 //!
 //! * [`recipes`] — the `object → recipe` map, derived afresh from the
-//!   cache's application and range-selection `Eval`s each time GC is
+//!   table's application and range-selection `Eval`s each time GC is
 //!   asked for;
 //! * [`plan_eviction`] — decides *which* resident objects can be
 //!   soundly deleted: a backed object always (depth 0), any other only
@@ -26,14 +26,13 @@
 //! The recompute itself needs an evaluator, so it lives in the runtime
 //! crate (`fixpoint::Runtime::materialize`).
 
-use crate::relations::{Relation, RelationCache};
+use crate::relations::{resolved, Relation};
 use crate::store::Store;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{payload_key, Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use fix_core::invocation::Selection;
-use fix_core::semantics::EncodeResolver;
 
-/// Every object `cache` knows how to recompute, keyed by payload: the
+/// Every object `table` knows how to recompute, keyed by payload: the
 /// object (canonical Object handle) and its recipe.
 ///
 /// Two relations name a recipe:
@@ -41,7 +40,9 @@ use fix_core::semantics::EncodeResolver;
 /// * `Eval(h) → out` where `h` is an application — the recipe is `h`,
 ///   the procedure run that created the bytes. An application whose
 ///   `Apply(tree)` is a thunk made a tail call: its value came from the
-///   callee, so its `Eval` is no recipe;
+///   callee, so its `Eval` is no recipe. The `Apply` is in the `Eval`'s
+///   shard (a thunk and its tree share a payload key), so this is a
+///   lookup beside it;
 /// * `Eval(h) → out` where `h` is a *range* selection — the recipe is
 ///   `h`, the extraction that created the slice.
 ///
@@ -53,50 +54,67 @@ use fix_core::semantics::EncodeResolver;
 /// fresh bytes), so it is no recipe. Where several relations produce one
 /// object, the recipe with the lowest handle bytes wins: the choice
 /// never depends on map order.
-pub fn recipes(store: &Store, cache: &RelationCache) -> HandleMap<[u8; 32], (Handle, Handle)> {
-    let entries = cache.entries();
-    let tail_calls: HandleSet<Handle> = entries
-        .iter()
-        .filter(|&&(relation, _, raw)| relation == Relation::Apply && raw.is_thunk())
-        .map(|&(_, tree, _)| tree)
-        .collect();
+pub fn recipes(table: &Store) -> HandleMap<[u8; 32], (Handle, Handle)> {
     let mut out: HandleMap<[u8; 32], (Handle, Handle)> = HandleMap::default();
-    for (relation, input, output) in entries {
-        let recipe = match relation {
-            Relation::Eval if input.kind() == Kind::Thunk(ThunkKind::Application) => input
-                .thunk_definition()
-                .is_ok_and(|tree| !tail_calls.contains(&tree))
-                .then_some(input),
-            Relation::Eval if is_range_selection(store, input) => Some(input),
-            Relation::Apply => input.application().ok(),
-            _ => None,
-        };
-        let Some(recipe) = recipe else {
-            continue;
-        };
-        if output.is_literal() || !matches!(output.kind(), Kind::Object(_) | Kind::Ref(_)) {
-            continue;
+    // A selection's tree is read after its shard's lock is released.
+    let mut selections = Vec::new();
+    table.scan_memos(|memos| {
+        for (&(relation, input), &output) in memos {
+            let recipe = match relation {
+                Relation::Eval if input.kind() == Kind::Thunk(ThunkKind::Application) => {
+                    let tail_call = |tree| {
+                        memos
+                            .get(&(Relation::Apply, tree))
+                            .is_some_and(|raw| raw.is_thunk())
+                    };
+                    input
+                        .thunk_definition()
+                        .is_ok_and(|tree| !tail_call(tree))
+                        .then_some(input)
+                }
+                Relation::Eval if input.kind() == Kind::Thunk(ThunkKind::Selection) => {
+                    selections.push((input, output));
+                    None
+                }
+                Relation::Apply => input.application().ok(),
+                _ => None,
+            };
+            if let Some(recipe) = recipe {
+                add_recipe(&mut out, recipe, output);
+            }
         }
-        let key = payload_key(output);
-        if key == payload_key(recipe) {
-            continue; // The recipe *is* the object.
-        }
-        let entry = out
-            .entry(key)
-            .or_insert((output.as_object_handle(), recipe));
-        if recipe.raw() < entry.1.raw() {
-            entry.1 = recipe;
+    });
+    for (input, output) in selections {
+        if is_range_selection(table, input) {
+            add_recipe(&mut out, input, output);
         }
     }
     out
 }
 
-fn is_range_selection(store: &Store, h: Handle) -> bool {
-    h.kind() == Kind::Thunk(ThunkKind::Selection)
-        && h.thunk_definition()
-            .and_then(|def| store.get_tree(def))
-            .and_then(|tree| Selection::from_tree(&tree))
-            .is_ok_and(|sel| sel.end.is_some())
+/// Files `recipe` as the way back to `output`, if `output` is stored
+/// data other than the recipe itself and no lower recipe makes it.
+fn add_recipe(out: &mut HandleMap<[u8; 32], (Handle, Handle)>, recipe: Handle, output: Handle) {
+    if output.is_literal() || !matches!(output.kind(), Kind::Object(_) | Kind::Ref(_)) {
+        return;
+    }
+    let key = payload_key(output);
+    if key == payload_key(recipe) {
+        return; // The recipe *is* the object.
+    }
+    let entry = out
+        .entry(key)
+        .or_insert((output.as_object_handle(), recipe));
+    if recipe.raw() < entry.1.raw() {
+        entry.1 = recipe;
+    }
+}
+
+fn is_range_selection(table: &Store, h: Handle) -> bool {
+    h.thunk_definition()
+        .and_then(|def| table.get_tree(def))
+        .and_then(|tree| Selection::from_tree(&tree))
+        .is_ok_and(|sel| sel.end.is_some())
 }
 
 /// Every non-literal datum a re-run of `recipe` may need resident,
@@ -106,14 +124,15 @@ fn is_range_selection(store: &Store, h: Handle) -> bool {
 /// taken.
 ///
 /// A re-run sees a thunk (the target it selects from, say) or an Encode
-/// through the cache, so the walk does too: it descends into the
-/// memoized value when there is one (the thunk's `Eval`,
-/// [`EncodeResolver::resolved`]) and into the definition otherwise.
+/// through the table's relations, so the walk does too: it descends into
+/// the memoized value when there is one (the thunk's `Eval`, an Encode's
+/// [`resolved`](fix_core::semantics::EncodeResolver::resolved) value)
+/// and into the definition otherwise.
 ///
-/// Handles whose data is absent from `store` are still returned (the
+/// Handles whose data is absent from `table` are still returned (the
 /// caller decides whether absence is acceptable); the walk simply can't
 /// descend through them.
-pub fn support_closure(store: &Store, cache: &RelationCache, recipe: Handle) -> Vec<Handle> {
+pub fn support_closure(table: &Store, recipe: Handle) -> Vec<Handle> {
     let mut out = Vec::new();
     let mut seen: HandleSet<[u8; 32]> = HandleSet::default();
     // The recipe's own memoized value is the object: start below it.
@@ -125,15 +144,15 @@ pub fn support_closure(store: &Store, cache: &RelationCache, recipe: Handle) -> 
                     continue;
                 }
                 out.push(h.as_object_handle());
-                if let Ok(tree) = store.get_tree(h) {
+                if let Ok(tree) = table.get_tree(h) {
                     stack.extend(tree.entries().iter().copied());
                 }
             }
-            Kind::Thunk(_) => match cache.get(Relation::Eval, h) {
+            Kind::Thunk(_) => match table.memo(Relation::Eval, h) {
                 Some(value) => stack.push(value),
                 None => stack.extend(h.thunk_definition().ok()),
             },
-            Kind::Encode(..) => match cache.resolved(h) {
+            Kind::Encode(..) => match resolved(table, h) {
                 Some(value) => stack.push(value),
                 None => stack.extend(h.encoded_thunk().ok()),
             },
@@ -173,8 +192,8 @@ impl EvictionPlan {
     }
 }
 
-/// Plans a sound computational GC over `store`, with recipes read from
-/// `cache` ([`recipes`]).
+/// Plans a sound computational GC over `table`, with recipes read from
+/// its relations ([`recipes`]).
 ///
 /// `pins` name data that must stay resident (live roots: everything
 /// reachable from them through tree entries is protected). Among the
@@ -191,7 +210,7 @@ impl EvictionPlan {
 /// Objects whose recipe support includes themselves (possible when a
 /// Selection extracts from a tree that contains its own output) are
 /// never evicted.
-pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> EvictionPlan {
+pub fn plan_eviction(table: &Store, pins: &[Handle]) -> EvictionPlan {
     // Everything reachable from a pin stays.
     let mut pinned: HandleSet<[u8; 32]> = HandleSet::default();
     let mut stack: Vec<Handle> = pins.to_vec();
@@ -200,18 +219,18 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
         if h.is_literal() || !pinned.insert(key) {
             continue;
         }
-        if let Ok(tree) = store.get_tree(h) {
+        if let Ok(tree) = table.get_tree(h) {
             stack.extend(tree.entries().iter().copied());
         }
     }
 
     // Depth 0: what the backing tier holds comes back by one fault.
-    let mut victims: Vec<Victim> = store
+    let mut victims: Vec<Victim> = table
         .inventory()
         .into_iter()
-        .filter(|&h| !pinned.contains(&payload_key(h)) && store.backed(h))
+        .filter(|&h| !pinned.contains(&payload_key(h)) && table.backed(h))
         .filter_map(|handle| {
-            let bytes = store.get(handle).ok()?.transfer_size();
+            let bytes = table.get(handle).ok()?.transfer_size();
             Some(Victim {
                 handle,
                 depth: 0,
@@ -230,16 +249,16 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
         support: Vec<Handle>,
     }
     let mut nodes: Vec<Node> = Vec::new();
-    for (key, (handle, recipe)) in recipes(store, cache) {
-        let bytes = if store.resident(handle) {
-            if pinned.contains(&key) || store.backed(handle) {
+    for (key, (handle, recipe)) in recipes(table) {
+        let bytes = if table.resident(handle) {
+            if pinned.contains(&key) || table.backed(handle) {
                 continue;
             }
-            match store.get(handle) {
+            match table.get(handle) {
                 Ok(node) => Some(node.transfer_size()),
                 Err(_) => continue,
             }
-        } else if store.contains(handle) {
+        } else if table.contains(handle) {
             continue;
         } else {
             None
@@ -247,7 +266,7 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
         nodes.push(Node {
             handle,
             bytes,
-            support: support_closure(store, cache, recipe),
+            support: support_closure(table, recipe),
         });
     }
 
@@ -279,7 +298,7 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
                 } else if node_keys.contains(&skey) {
                     ok = false; // Unadmitted node: wait (or cycle).
                     break;
-                } else if !store.contains(*s) {
+                } else if !table.contains(*s) {
                     ok = false; // Absent and not recomputable.
                     break;
                 }
@@ -311,11 +330,11 @@ pub fn plan_eviction(store: &Store, cache: &RelationCache, pins: &[Handle]) -> E
 ///
 /// Fails (before deleting anything) if a victim has lost both ways back
 /// since planning — the backing tier does not hold it and no relation in
-/// `cache` produces it: that eviction would be data loss.
-pub fn apply_eviction(store: &Store, cache: &RelationCache, plan: &EvictionPlan) -> Result<u64> {
-    let recipes = recipes(store, cache);
+/// `table` produces it: that eviction would be data loss.
+pub fn apply_eviction(table: &Store, plan: &EvictionPlan) -> Result<u64> {
+    let recipes = recipes(table);
     for v in &plan.victims {
-        if !store.backed(v.handle) && !recipes.contains_key(&payload_key(v.handle)) {
+        if !table.backed(v.handle) && !recipes.contains_key(&payload_key(v.handle)) {
             return Err(Error::Trap(format!(
                 "refusing to evict {}: no fault or relation brings it back",
                 v.handle
@@ -325,14 +344,15 @@ pub fn apply_eviction(store: &Store, cache: &RelationCache, plan: &EvictionPlan)
     Ok(plan
         .victims
         .iter()
-        .filter_map(|v| store.evict(v.handle))
+        .filter_map(|v| table.evict(v.handle))
         .sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::FaultSource;
+    use crate::hooks::Tier;
+    use crate::relations::RelationCache;
     use fix_core::data::{Blob, Node, Tree};
     use fix_core::invocation::build;
     use std::sync::Arc;
@@ -345,14 +365,10 @@ mod tests {
     /// of `inputs` the way the engine does — the application's `Eval`,
     /// or `Apply(tree)` for a tail call — and returns the recipe (the
     /// tree's application).
-    fn produce(
-        store: &Store,
-        cache: &RelationCache,
-        inputs: Vec<Handle>,
-        output: Handle,
-    ) -> Handle {
+    fn produce(store: &Arc<Store>, inputs: Vec<Handle>, output: Handle) -> Handle {
         let def = store.put_tree(Tree::from_handles(inputs));
         let thunk = def.application().unwrap();
+        let cache = RelationCache::of(Arc::clone(store));
         if output.is_thunk() {
             cache.put(Relation::Apply, def, output);
         } else {
@@ -361,13 +377,18 @@ mod tests {
         thunk
     }
 
-    /// A store with `input -> (thunk) -> output` recorded in the cache.
-    fn one_step() -> (Store, RelationCache, Handle, Handle, Handle) {
-        let store = Store::new();
-        let cache = RelationCache::new();
+    /// A fresh table and its relations.
+    fn table() -> (Arc<Store>, RelationCache) {
+        let store = Arc::new(Store::new());
+        (Arc::clone(&store), RelationCache::of(store))
+    }
+
+    /// A table with `input -> (thunk) -> output` recorded in it.
+    fn one_step() -> (Arc<Store>, RelationCache, Handle, Handle, Handle) {
+        let (store, cache) = table();
         let input = store.put_blob(blob(1));
         let output = store.put_blob(blob(2));
-        let thunk = produce(&store, &cache, vec![input], output);
+        let thunk = produce(&store, vec![input], output);
         (store, cache, input, thunk, output)
     }
 
@@ -392,10 +413,10 @@ mod tests {
         store.put_tree(index_tree);
         cache.put(Relation::Eval, index, output);
         // Literal and thunk outputs name no recipe.
-        produce(&store, &cache, vec![big], Blob::from_u64(3).handle());
-        produce(&store, &cache, vec![slice], thunk);
+        produce(&store, vec![big], Blob::from_u64(3).handle());
+        produce(&store, vec![slice], thunk);
 
-        let recipes = recipes(&store, &cache);
+        let recipes = recipes(&store);
         assert_eq!(recipes.len(), 2);
         assert_eq!(recipes[&payload_key(output)], (output, thunk));
         assert_eq!(recipes[&payload_key(slice.as_ref_handle())], (slice, range));
@@ -403,23 +424,23 @@ mod tests {
 
     #[test]
     fn the_lowest_recipe_wins_whatever_the_map_order() {
-        let (store, cache, input, thunk, output) = one_step();
-        let other = produce(&store, &cache, vec![input, input], output);
+        let (store, _, input, thunk, output) = one_step();
+        let other = produce(&store, vec![input, input], output);
         let lowest = if thunk.raw() < other.raw() {
             thunk
         } else {
             other
         };
-        assert_eq!(recipes(&store, &cache)[&payload_key(output)].1, lowest);
+        assert_eq!(recipes(&store)[&payload_key(output)].1, lowest);
     }
 
     #[test]
     fn a_tail_calls_value_is_its_callees_product() {
         // `caller` returned the thunk `callee`; `callee` made the bytes.
         let (store, cache, input, callee, output) = one_step();
-        let caller = produce(&store, &cache, vec![input, input], callee);
+        let caller = produce(&store, vec![input, input], callee);
         cache.put(Relation::Eval, caller, output);
-        let recipes = recipes(&store, &cache);
+        let recipes = recipes(&store);
         assert_eq!(recipes.len(), 1);
         assert_eq!(recipes[&payload_key(output)], (output, callee));
     }
@@ -433,7 +454,7 @@ mod tests {
         let out2 = store.put_blob(blob(3));
         let def2 = store.put_tree(Tree::from_handles(vec![output]));
         cache.put(Relation::Apply, def2, out2);
-        let recipes = recipes(&store, &cache);
+        let recipes = recipes(&store);
         assert_eq!(recipes.len(), 2);
         assert_eq!(recipes[&payload_key(output)], (output, thunk));
         assert_eq!(
@@ -444,8 +465,7 @@ mod tests {
 
     #[test]
     fn support_closure_walks_trees_thunks_and_encodes() {
-        let store = Store::new();
-        let cache = RelationCache::new();
+        let (store, cache) = table();
         let leaf = store.put_blob(blob(3));
         let sub = store.put_tree(Tree::from_handles(vec![leaf]));
         let def = store.put_tree(Tree::from_handles(vec![sub.as_ref_handle()]));
@@ -454,53 +474,52 @@ mod tests {
         let outer_def = store.put_tree(Tree::from_handles(vec![enc]));
         let outer = outer_def.application().unwrap();
         // outer_def, def, sub, leaf — through the encode and the Ref.
-        assert_eq!(support_closure(&store, &cache, outer).len(), 4);
+        assert_eq!(support_closure(&store, outer).len(), 4);
 
         // Resolved, the encode is its value: what a re-run splices in.
         let value = store.put_blob(blob(4));
         cache.put(Relation::Eval, thunk, value);
         cache.put(Relation::Force, value, value);
-        let support = support_closure(&store, &cache, outer);
+        let support = support_closure(&store, outer);
         assert_eq!(support, vec![outer_def, value]);
     }
 
     #[test]
     fn plan_evicts_output_keeps_inputs() {
-        let (store, cache, input, _, output) = one_step();
-        let plan = plan_eviction(&store, &cache, &[]);
+        let (store, _, input, _, output) = one_step();
+        let plan = plan_eviction(&store, &[]);
         assert_eq!(plan.victims.len(), 1);
         assert_eq!(plan.victims[0].handle, output.as_object_handle());
         assert_eq!(plan.victims[0].depth, 1);
         assert_eq!(plan.bytes_reclaimed(), 64);
-        let reclaimed = apply_eviction(&store, &cache, &plan).unwrap();
+        let reclaimed = apply_eviction(&store, &plan).unwrap();
         assert_eq!(reclaimed, 64);
         assert!(!store.contains(output));
         assert!(store.contains(input));
         // Evicted, the object is still named by its relation: nothing
         // more to plan.
-        assert!(plan_eviction(&store, &cache, &[]).victims.is_empty());
+        assert!(plan_eviction(&store, &[]).victims.is_empty());
     }
 
     #[test]
     fn pins_protect_reachable_graph() {
-        let (store, cache, _input, _, output) = one_step();
+        let (store, _, _input, _, output) = one_step();
         let root = store.put_tree(Tree::from_handles(vec![output]));
-        let plan = plan_eviction(&store, &cache, &[root]);
+        let plan = plan_eviction(&store, &[root]);
         assert!(plan.victims.is_empty());
     }
 
     #[test]
     fn cascades_assign_increasing_depths() {
         // input -> t1 -> mid -> t2 -> out; both mid and out recomputable.
-        let store = Store::new();
-        let cache = RelationCache::new();
+        let store = Arc::new(Store::new());
         let input = store.put_blob(blob(1));
         let mid = store.put_blob(blob(2));
-        produce(&store, &cache, vec![input], mid);
+        produce(&store, vec![input], mid);
         let out = store.put_blob(blob(3));
-        produce(&store, &cache, vec![mid], out);
+        produce(&store, vec![mid], out);
 
-        let plan = plan_eviction(&store, &cache, &[]);
+        let plan = plan_eviction(&store, &[]);
         assert_eq!(depth_of(&plan, mid), Some(1));
         // out's recipe needs mid, which is itself a victim at depth 1.
         assert_eq!(depth_of(&plan, out), Some(2));
@@ -511,35 +530,34 @@ mod tests {
 
     #[test]
     fn missing_support_blocks_eviction() {
-        let (store, cache, input, _, _) = one_step();
+        let (store, _, input, _, _) = one_step();
         // The recipe's input vanishes and nothing produces it: the
         // output can no longer be recomputed, so it must not be evicted.
         store.evict(input);
-        let plan = plan_eviction(&store, &cache, &[]);
+        let plan = plan_eviction(&store, &[]);
         assert!(plan.victims.is_empty());
     }
 
     #[test]
     fn self_supporting_objects_never_evicted() {
         // A procedure that returns one of its own inputs.
-        let store = Store::new();
-        let cache = RelationCache::new();
+        let store = Arc::new(Store::new());
         let out = store.put_blob(blob(9));
-        produce(&store, &cache, vec![out], out);
-        let plan = plan_eviction(&store, &cache, &[]);
+        produce(&store, vec![out], out);
+        let plan = plan_eviction(&store, &[]);
         assert!(plan.victims.is_empty());
     }
 
     #[test]
     fn a_recipe_over_an_evicted_object_costs_one_more() {
-        let (store, cache, _input, _, output) = one_step();
-        let plan = plan_eviction(&store, &cache, &[]);
-        apply_eviction(&store, &cache, &plan).unwrap();
+        let (store, _, _input, _, output) = one_step();
+        let plan = plan_eviction(&store, &[]);
+        apply_eviction(&store, &plan).unwrap();
 
         // A later object whose recipe reads the (now evicted) output.
         let out2 = store.put_blob(blob(7));
-        produce(&store, &cache, vec![output], out2);
-        let plan2 = plan_eviction(&store, &cache, &[]);
+        produce(&store, vec![output], out2);
+        let plan2 = plan_eviction(&store, &[]);
         assert_eq!(plan2.victims.len(), 1);
         assert_eq!(depth_of(&plan2, out2), Some(2));
     }
@@ -548,20 +566,19 @@ mod tests {
     fn an_evicted_object_is_priced_afresh_once_its_pin_lifts() {
         // x -> y -> e -> z. Pass 1 pins y and z, so only e goes, at
         // depth 1. Pass 2 evicts y too, so e costs 2 and z costs 3.
-        let store = Store::new();
-        let cache = RelationCache::new();
+        let store = Arc::new(Store::new());
         let x = store.put_blob(blob(1));
         let [y, e, z] = [2, 3, 4].map(|n| store.put_blob(blob(n)));
-        produce(&store, &cache, vec![x], y);
-        produce(&store, &cache, vec![y], e);
-        produce(&store, &cache, vec![e], z);
+        produce(&store, vec![x], y);
+        produce(&store, vec![y], e);
+        produce(&store, vec![e], z);
 
-        let pass1 = plan_eviction(&store, &cache, &[y, z]);
+        let pass1 = plan_eviction(&store, &[y, z]);
         assert_eq!(pass1.victims.len(), 1);
         assert_eq!(depth_of(&pass1, e), Some(1));
-        apply_eviction(&store, &cache, &pass1).unwrap();
+        apply_eviction(&store, &pass1).unwrap();
 
-        let pass2 = plan_eviction(&store, &cache, &[]);
+        let pass2 = plan_eviction(&store, &[]);
         assert_eq!(depth_of(&pass2, y), Some(1));
         assert_eq!(depth_of(&pass2, z), Some(3));
         assert_eq!(pass2.victims.len(), 2);
@@ -570,7 +587,7 @@ mod tests {
     /// A backing tier holding copies of the nodes it was given.
     struct Holds(HandleMap<[u8; 32], Node>);
 
-    impl FaultSource for Holds {
+    impl Tier for Holds {
         fn fault(&self, handle: Handle) -> Option<Node> {
             self.0.get(&payload_key(handle)).cloned()
         }
@@ -578,19 +595,22 @@ mod tests {
         fn knows(&self, handle: Handle) -> bool {
             self.0.contains_key(&payload_key(handle))
         }
+
+        fn inserted(&self, _: Handle, _: &Node) {}
+
+        fn recorded(&self, _: Relation, _: Handle, _: Handle) {}
     }
 
     #[test]
     fn backed_objects_are_depth_zero_victims_recipe_or_not() {
-        let store = Store::new();
-        let cache = RelationCache::new();
+        let store = Arc::new(Store::new());
         let blobs: Vec<Blob> = (1..=5).map(blob).collect();
         let handles: Vec<Handle> = blobs.iter().map(|b| store.put_blob(b.clone())).collect();
         let held = blobs[..3]
             .iter()
             .map(|b| (payload_key(b.handle()), Node::Blob(b.clone())))
             .collect();
-        store.set_fault_source(Arc::new(Holds(held))).unwrap();
+        store.attach(Arc::new(Holds(held))).unwrap();
         let planned = |plan: &EvictionPlan| {
             let mut got: Vec<(Handle, u32)> =
                 plan.victims.iter().map(|v| (v.handle, v.depth)).collect();
@@ -603,12 +623,12 @@ mod tests {
             want
         };
 
-        let plan = plan_eviction(&store, &cache, &[]);
+        let plan = plan_eviction(&store, &[]);
         assert_eq!(planned(&plan), at_depth_zero(&handles[..3]));
         let pinned = handles[1];
-        let plan = plan_eviction(&store, &cache, &[pinned]);
+        let plan = plan_eviction(&store, &[pinned]);
         assert_eq!(planned(&plan), at_depth_zero(&[handles[0], handles[2]]));
-        assert_eq!(apply_eviction(&store, &cache, &plan).unwrap(), 2 * 64);
+        assert_eq!(apply_eviction(&store, &plan).unwrap(), 2 * 64);
         assert_eq!(store.total_bytes(), 3 * 64);
         assert!(store.resident(pinned));
         assert!(handles[3..].iter().all(|h| store.resident(*h)));
@@ -629,13 +649,13 @@ mod tests {
                 bytes: 64,
             }],
         };
-        assert!(apply_eviction(&store, &cache, &fake).is_err());
+        assert!(apply_eviction(&store, &fake).is_err());
         assert!(store.contains(output));
 
         // A relation dropped between planning and eviction: same refusal.
-        let plan = plan_eviction(&store, &cache, &[]);
+        let plan = plan_eviction(&store, &[]);
         cache.remove(Relation::Eval, thunk);
-        assert!(apply_eviction(&store, &cache, &plan).is_err());
+        assert!(apply_eviction(&store, &plan).is_err());
         assert!(store.contains(output));
     }
 }

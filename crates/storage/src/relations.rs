@@ -1,4 +1,5 @@
-//! The relation cache: memoized results of Fix evaluation.
+//! The relation side of a node's table: memoized results of Fix
+//! evaluation.
 //!
 //! Because Fix procedures are deterministic functions of content-addressed
 //! inputs, every evaluation step is a *relation* between names that can be
@@ -18,13 +19,14 @@
 //! in-flight work, and the paper's "computational garbage collection"
 //! story possible: an application's `Eval` names the recipe for the
 //! bytes it produced ([`recipes`](crate::recipes)).
+//!
+//! They live in the node's one table, [`Store`], beside the objects
+//! whose payload key their input shares. [`RelationCache`] is their
+//! face: a handle on the table that spells each relation operation once.
 
-use crate::hooks::{already_hooked, RelationSink};
-use fix_core::error::Result;
-use fix_core::handle::{Handle, HandleBuildHasher, HandleMap};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use crate::store::Store;
+use fix_core::handle::Handle;
+use std::sync::Arc;
 
 /// The kinds of memoized relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,9 +43,8 @@ pub enum Relation {
     Force,
 }
 
-const SHARDS: usize = 32;
-
-/// A concurrent memoization table for evaluation relations.
+/// The relation side of a node's table: a cheap, clonable handle on a
+/// [`Store`] that reads and records its memoized relations.
 ///
 /// # Examples
 ///
@@ -58,91 +59,38 @@ const SHARDS: usize = 32;
 /// cache.put(Relation::Eval, a, b);
 /// assert_eq!(cache.get(Relation::Eval, a), Some(b));
 /// ```
+#[derive(Clone, Default)]
 pub struct RelationCache {
-    shards: Vec<Shard>,
-    hasher: HandleBuildHasher,
-    // Persistence hook: notified of fresh relations (see crate::hooks).
-    sink: OnceLock<Arc<dyn RelationSink>>,
-}
-
-/// One lock shard and its lookup counters. The counters sit beside the
-/// lock word, on the cache line a `get` has just taken for the read
-/// lock, so counting a lookup touches no line shared across shards.
-#[repr(C, align(64))]
-#[derive(Default)]
-struct Shard {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    map: RwLock<HandleMap<(Relation, Handle), Handle>>,
-}
-
-impl Default for RelationCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    table: Arc<Store>,
 }
 
 impl RelationCache {
-    /// Creates an empty cache.
+    /// The relations of a fresh table of their own.
     pub fn new() -> RelationCache {
-        RelationCache {
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
-            hasher: HandleBuildHasher::default(),
-            sink: OnceLock::new(),
-        }
+        RelationCache::default()
     }
 
-    /// Installs the fresh-relation observer. At most one per cache; a
-    /// second install is an error.
-    pub fn set_sink(&self, sink: Arc<dyn RelationSink>) -> Result<()> {
-        self.sink
-            .set(sink)
-            .map_err(|_| already_hooked("relation cache already has a sink"))
-    }
-
-    /// The shard owning relations over `input`. Picked from the keyed
-    /// fold of the whole handle, never from one of its bytes: a literal's
-    /// bytes are content (byte 1 of every `u64` below 256 is zero), and
-    /// a shard chosen by content is one lock for all small integers.
-    fn shard(&self, input: Handle) -> &Shard {
-        &self.shards[self.hasher.shard_of(&input, SHARDS)]
+    /// The relations of `table`.
+    pub fn of(table: Arc<Store>) -> RelationCache {
+        RelationCache { table }
     }
 
     /// Looks up a memoized result.
     pub fn get(&self, relation: Relation, input: Handle) -> Option<Handle> {
-        let shard = self.shard(input);
-        let found = shard.map.read().get(&(relation, input)).copied();
-        let counter = if found.is_some() {
-            &shard.hits
-        } else {
-            &shard.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+        self.table.memo(relation, input)
     }
 
     /// Records a result. Recording the same relation twice is harmless;
     /// by determinism the value must be identical (checked in debug).
     pub fn put(&self, relation: Relation, input: Handle, output: Handle) {
-        let prev = self
-            .shard(input)
-            .map
-            .write()
-            .insert((relation, input), output);
-        debug_assert!(
-            prev.is_none() || prev == Some(output),
-            "nondeterministic relation: {relation:?}({input}) was {prev:?}, now {output}"
-        );
-        if prev.is_none() {
-            if let Some(sink) = self.sink.get() {
-                sink.recorded(relation, input, output);
-            }
-        }
+        self.table.memoize(relation, input, output)
     }
 
     /// Number of recorded relations.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.read().len()).sum()
+        let mut len = 0;
+        self.table.scan_memos(|memos| len += memos.len());
+        len
     }
 
     /// True if no relations are recorded.
@@ -150,37 +98,32 @@ impl RelationCache {
         self.len() == 0
     }
 
-    /// (hits, misses) counters, summed over the shards — used by the
+    /// (hits, misses) of [`get`](RelationCache::get) — used by the
     /// memoization ablation bench.
     pub fn stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(hits, misses), s| {
-            (
-                hits + s.hits.load(Ordering::Relaxed),
-                misses + s.misses.load(Ordering::Relaxed),
-            )
-        })
+        self.table.memo_stats()
     }
 
-    /// Forgets everything (used by benchmarks to measure cold paths).
+    /// Forgets every relation (used by benchmarks to measure cold
+    /// paths). The table's objects stay.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.map.write().clear();
-        }
+        self.table.clear_memos()
     }
 
     /// A point-in-time copy of every recorded relation, in shard order.
     ///
-    /// The durable tier snapshots the cache through this; relations
-    /// recorded concurrently are not lost — they reach the snapshot's
-    /// successor log through the sink instead. Computational GC reads
-    /// its recipes through it too ([`recipes`](crate::recipes)).
+    /// The durable tier compacts its log through this; relations recorded
+    /// concurrently are not lost — they reach the log through the tier
+    /// hook instead.
     pub fn entries(&self) -> Vec<(Relation, Handle, Handle)> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            for (&(relation, input), &output) in shard.map.read().iter() {
-                out.push((relation, input, output));
-            }
-        }
+        let mut out = Vec::new();
+        self.table.scan_memos(|memos| {
+            out.extend(
+                memos
+                    .iter()
+                    .map(|(&(r, input), &output)| (r, input, output)),
+            )
+        });
         out
     }
 
@@ -191,23 +134,28 @@ impl RelationCache {
     /// memoized `Apply`/`Eval` entries for its recipe to be dropped
     /// first, else evaluation short-circuits to the (dataless) handle.
     pub fn remove(&self, relation: Relation, input: Handle) -> Option<Handle> {
-        self.shard(input).map.write().remove(&(relation, input))
+        self.table.unmemoize(relation, input)
     }
 }
 
 impl fix_core::semantics::EncodeResolver for RelationCache {
     fn resolved(&self, encode: Handle) -> Option<Handle> {
-        // An encode is resolved when its thunk has a memoized evaluation
-        // (both styles evaluate the thunk to a non-Thunk value first).
-        let thunk = encode.encoded_thunk().ok()?;
-        let value = self.get(Relation::Eval, thunk)?;
-        match encode.kind() {
-            fix_core::handle::Kind::Encode(fix_core::handle::EncodeStyle::Strict, _) => {
-                // Strict encodes additionally require the deep forcing.
-                self.get(Relation::Force, value)
-            }
-            _ => Some(value),
+        resolved(&self.table, encode)
+    }
+}
+
+/// What `encode` splices in, read from `table`'s relations: an encode is
+/// resolved when its thunk has a memoized evaluation (both styles
+/// evaluate the thunk to a non-Thunk value first), and a strict one
+/// also needs that value's deep forcing.
+pub(crate) fn resolved(table: &Store, encode: Handle) -> Option<Handle> {
+    let thunk = encode.encoded_thunk().ok()?;
+    let value = table.memo(Relation::Eval, thunk)?;
+    match encode.kind() {
+        fix_core::handle::Kind::Encode(fix_core::handle::EncodeStyle::Strict, _) => {
+            table.memo(Relation::Force, value)
         }
+        _ => Some(value),
     }
 }
 
@@ -271,29 +219,14 @@ mod tests {
     }
 
     #[test]
-    fn small_integer_literals_spread_over_shards() {
-        let cache = RelationCache::new();
-        for i in 0..256u64 {
-            let h = Blob::from_u64(i).handle();
-            cache.put(Relation::Force, h, h);
-        }
-        let used = cache
-            .shards
-            .iter()
-            .filter(|s| !s.map.read().is_empty())
-            .count();
-        assert!(used > SHARDS / 2, "{used} of {SHARDS} shards used");
-    }
-
-    #[test]
-    fn a_second_sink_is_an_error() {
-        struct Nothing;
-        impl RelationSink for Nothing {
-            fn recorded(&self, _: Relation, _: Handle, _: Handle) {}
-        }
-        let cache = RelationCache::new();
-        assert!(cache.set_sink(Arc::new(Nothing)).is_ok());
-        assert!(cache.set_sink(Arc::new(Nothing)).is_err());
+    fn faces_of_one_table_share_its_relations() {
+        let table = Arc::new(Store::new());
+        let cache = RelationCache::of(Arc::clone(&table));
+        let a = Blob::from_slice(&[1u8; 40]).handle();
+        cache.put(Relation::Eval, a, a);
+        assert_eq!(RelationCache::of(table).get(Relation::Eval, a), Some(a));
+        assert_eq!(cache.clone().stats(), (1, 0));
+        assert!(RelationCache::new().is_empty());
     }
 
     #[test]
