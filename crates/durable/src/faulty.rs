@@ -6,8 +6,12 @@
 //! the plan names suffers its [`Fault`]. A file takes its plan when it is
 //! opened. Tests that run side by side use directories of their own, so
 //! their plans never meet; without a plan, every call is `std`'s own.
+//!
+//! A plan can also [`park`](Plan::park) the calls of one name until its
+//! guard drops: a test stops the writer at its next write, or a
+//! compaction at its rename, and acts while it waits.
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -48,6 +52,8 @@ impl Fault {
 pub(crate) struct Plan {
     dir: PathBuf,
     state: Mutex<State>,
+    /// Wakes the calls parked at [`State::park`] when it is lifted.
+    unparked: Condvar,
 }
 
 #[derive(Default)]
@@ -56,6 +62,10 @@ struct State {
     calls: Vec<&'static str>,
     /// The call that faults, as an index into `calls`, and how.
     target: Option<(usize, Fault)>,
+    /// Calls of this name wait, before they are counted or made.
+    park: Option<&'static str>,
+    /// How many calls wait at `park` now.
+    parked: usize,
 }
 
 /// The armed plans. Each is found by its directory, so two stores never
@@ -68,6 +78,7 @@ pub(crate) fn arm(dir: &Path) -> Arc<Plan> {
     let plan = Arc::new(Plan {
         dir: dir.to_path_buf(),
         state: Mutex::new(State::default()),
+        unparked: Condvar::new(),
     });
     let mut plans = PLANS.lock();
     plans.retain(|p| p.strong_count() > 0);
@@ -95,12 +106,44 @@ impl Plan {
         self.state.lock().calls.clone()
     }
 
+    /// Parks every call named `name`, on whichever thread makes it, until
+    /// the returned guard drops; a parked call is counted, and made, once
+    /// it is let go.
+    pub(crate) fn park(&self, name: &'static str) -> Parked<'_> {
+        self.state.lock().park = Some(name);
+        Parked(self)
+    }
+
     /// Counts a call named `name`: the fault it suffers, if planned.
     fn call(&self, name: &'static str) -> Option<Fault> {
         let mut state = self.state.lock();
+        if state.park == Some(name) {
+            state.parked += 1;
+            while state.park == Some(name) {
+                self.unparked.wait(&mut state);
+            }
+            state.parked -= 1;
+        }
         state.calls.push(name);
         let at = state.calls.len() - 1;
         state.target.filter(|&(call, _)| call == at).map(|(_, f)| f)
+    }
+}
+
+/// Parks the calls of one name while it lives (see [`Plan::park`]).
+pub(crate) struct Parked<'a>(&'a Plan);
+
+impl Parked<'_> {
+    /// Whether a call waits here now.
+    pub(crate) fn holds_a_call(&self) -> bool {
+        self.0.state.lock().parked > 0
+    }
+}
+
+impl Drop for Parked<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().park = None;
+        self.0.unparked.notify_all();
     }
 }
 

@@ -9,12 +9,17 @@
 //! that returned `Ok` dropped, serves each object under its own name, and
 //! backs every relation it replays.
 //!
+//! The script also races a compaction: parked at its rename, it has
+//! copied every located object, and a fault and a `forget` run before it
+//! moves their locations. The fault must read its object, and an object
+//! whose `forget` returned `Ok` must never refault.
+//!
 //! A second sweep flips bits in the reads a reopen of a finished run
 //! makes, streamed and positional: open must tell a misread from a torn
 //! log, so it either fails and leaves the file as it was, or serves the
 //! whole log.
 
-use crate::faulty::{arm, Fault};
+use crate::faulty::{arm, Fault, Plan};
 use crate::{DurableOptions, DurableStore, FsyncPolicy};
 use fix_core::data::{Blob, Node, Tree};
 use fix_core::error::Result;
@@ -74,6 +79,9 @@ struct Run {
     acked: usize,
     /// What a `gc` or `forget` that returned `Ok` dropped.
     collected: Vec<Handle>,
+    /// The raced compaction waited at its rename for the fault and the
+    /// `forget`.
+    raced: bool,
 }
 
 impl Run {
@@ -111,19 +119,56 @@ impl Run {
         }
     }
 
-    fn forget(&mut self, d: &DurableStore, handle: Handle) {
+    /// A `forget` of `handle` that answered `answer`.
+    fn forget(&mut self, handle: Handle, answer: Result<Option<u64>>) {
         self.frames.push(Frame::Tombstone(handle));
-        if d.forget(handle).is_ok() {
+        if answer.is_ok() {
             self.acked = self.frames.len();
             self.collected.push(handle);
         }
     }
+
+    /// A snapshot that a fault of `faulted` (evicted) and a `forget` of
+    /// `forgotten` race: both run while the compaction waits at its
+    /// rename, or, if it fails or never starts, once it has answered.
+    fn race(&mut self, d: &DurableStore, plan: &Plan, faulted: Handle, forgotten: Handle) {
+        d.store().evict(faulted);
+        let gate = plan.park("rename");
+        let (snapshot, forget) = std::thread::scope(|s| {
+            let snapshot = s.spawn(|| d.snapshot());
+            while !gate.holds_a_call() && !snapshot.is_finished() {
+                std::thread::yield_now();
+            }
+            self.raced = gate.holds_a_call();
+            if d.store().backed(faulted) {
+                let read = d.store().get(faulted).map(|node| node.handle());
+                assert_eq!(read.ok(), Some(faulted), "a fault racing a compaction");
+            }
+            let forget = s.spawn(|| d.forget(forgotten));
+            // Its tombstone is queued once the object is unlocated; the
+            // `forget` then waits for the writer.
+            while d.store().backed(forgotten) && !forget.is_finished() {
+                std::thread::yield_now();
+            }
+            drop(gate);
+            (snapshot.join().unwrap(), forget.join().unwrap())
+        });
+        self.barrier(snapshot);
+        if forget.is_ok() {
+            assert!(
+                d.store().get(forgotten).is_err(),
+                "a forgotten object refaulted"
+            );
+        }
+        self.forget(forgotten, forget);
+    }
 }
 
 /// The scripted run: puts, relations, an eviction and its refault, two
-/// `gc`s, a `forget`, a compaction, and a restart that reads everything
-/// back. It stops where `open` fails.
-fn script(dir: &Path) -> Run {
+/// `gc`s, a `forget`, a compaction, a second one raced by a fault and a
+/// `forget`, and a restart that reads everything back. It stops where
+/// `open` fails. `plan` is `dir`'s.
+fn script(dir: &Path, plan: &Plan) -> Run {
     let mut run = Run::default();
     let Ok(d) = DurableStore::open(dir, OPTIONS) else {
         return run;
@@ -138,7 +183,7 @@ fn script(dir: &Path) -> Run {
     let _ = d.store().get(h[0]);
     run.gc(&d, &[t0, h[2]], &[h[3], h[4]]);
     // The first relation's output: that relation is no longer backed.
-    run.forget(&d, h[2]);
+    run.forget(h[2], d.forget(h[2]));
     h.extend(blobs[5..8].iter().map(|b| run.put(&d, b.clone())));
     let t1 = run.put(&d, tree(&[h[5], h[6]]));
     run.relate(&d, t1.application().unwrap(), h[7]);
@@ -147,6 +192,7 @@ fn script(dir: &Path) -> Run {
     run.barrier(d.snapshot());
     h.push(run.put(&d, blobs[8].clone()));
     run.gc(&d, &[t0, t1, h[7]], &[h[8]]);
+    run.race(&d, plan, h[6], h[1]);
     drop(d);
     let Ok(d) = DurableStore::open(dir, OPTIONS) else {
         return run;
@@ -252,12 +298,13 @@ fn check(dir: &Path, run: &Run, universe: &Universe, tag: &str) {
 fn every_file_call_of_a_scripted_run_can_fail() {
     let dir = tempfile::tempdir().unwrap();
     let plan = arm(dir.path());
-    let clean = script(dir.path());
+    let clean = script(dir.path(), &plan);
     let calls = plan.calls();
     drop(plan);
     let universe = Universe::of(&clean);
-    assert_eq!(clean.frames.len(), 17);
-    assert_eq!(clean.acked, 17, "a run without faults is acknowledged");
+    assert_eq!(clean.frames.len(), 18);
+    assert_eq!(clean.acked, 18, "a run without faults is acknowledged");
+    assert!(clean.raced, "the compaction waited at its rename");
     check(dir.path(), &clean, &universe, "no fault");
 
     // Each pass faults every call once; the seed's stream picks a fresh
@@ -269,7 +316,7 @@ fn every_file_call_of_a_scripted_run_can_fail() {
             let dir = tempfile::tempdir().unwrap();
             let plan = arm(dir.path());
             plan.fault(at, fault);
-            let run = script(dir.path());
+            let run = script(dir.path(), &plan);
             assert_eq!(plan.calls().get(at), Some(&name), "call {at} moved");
             drop(plan);
             let tag = format!("{fault:?} at call {at}, {name}");
@@ -288,7 +335,9 @@ fn every_file_call_of_a_scripted_run_can_fail() {
 #[test]
 fn a_flipped_read_at_open_cuts_nothing() {
     let dir = tempfile::tempdir().unwrap();
-    let run = script(dir.path());
+    let plan = arm(dir.path());
+    let run = script(dir.path(), &plan);
+    drop(plan);
     let universe = Universe::of(&run);
     assert_eq!(
         run.acked,

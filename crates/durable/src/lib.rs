@@ -32,25 +32,38 @@
 //!   [`DurableStats::truncated_bytes`]). Evaluation is deterministic, so
 //!   a node that died holds exactly what a prefix of its log holds:
 //!   [`tear_log`] makes that crash offline, from a closed store's log;
-//! * restart is *lazy*: open builds only an index (payload key → file
-//!   offset) and replays relations — object bytes are faulted in from
-//!   disk on first touch, so a warm restart serves its first request
-//!   from disk instead of recomputing. An object evicted from memory
-//!   refaults the same way, so computational GC's planner frees a logged
-//!   object at depth 0 (`fix_storage::plan_eviction`).
+//! * restart is *lazy*: open scans the log straight into the table —
+//!   each logged object's [`Loc`](fix_storage::Loc)ation (offset, length,
+//!   generation) under its payload key — and replays relations; object
+//!   bytes are faulted in from disk on first touch, so a warm restart
+//!   serves its first request from disk instead of recomputing. An object
+//!   evicted from memory refaults the same way, so computational GC's
+//!   planner frees a logged object at depth 0
+//!   (`fix_storage::plan_eviction`).
 //!
 //! # Architecture
+//!
+//! A logged object has one entry: its payload key in the node's table,
+//! which keeps the object's bytes (when resident) and its location in
+//! the log side by side, under the key's shard lock. The crate keeps no
+//! index of its own: to find or file a location, a fresh insert, a fault
+//! and a writer batch lock only the shards of the keys they touch. A
+//! fault also takes the read lock of the table of log files (at most
+//! two, by generation), which only a compaction writes. Producers and
+//! the writer still meet at the frame queue.
 //!
 //! Producers (any thread that `put`s or memoizes) and one writer thread
 //! meet at a queue that holds *finished frames*: the producer builds the
 //! frame — header, checksum, record — straight into the queue's byte
 //! buffer from the `(key, handle, node)` the tier hook hands it; the
 //! writer swaps that buffer for an empty spare, issues one `write` per
-//! batch, indexes the batch under one lock, and fsyncs by policy. Reads
-//! that miss memory fault through the index, which holds the log's read
-//! handle beside the offsets; `open` streams the log through one buffer.
-//! Compaction runs on the writer thread, between batches. These
-//! invariants hold across all of it:
+//! batch, files each object's location under its own shard's lock, and
+//! fsyncs by policy. A `put` reaches the hook only for a key with no
+//! location. A read that misses memory takes the location from the same
+//! guard as the miss and faults from the file of the location's
+//! generation; `open` streams the log through one buffer. Compaction runs
+//! on the writer thread, between batches. These invariants hold across
+//! all of it:
 //!
 //! * **An object is hashed once per crossing.** On the way in, `put`
 //!   names it and that handle rides through the hook into the frame; on
@@ -60,23 +73,45 @@
 //! * **A fault returns the object asked for or nothing.** A frame that
 //!   passes its checksum and its own content check is still refused if
 //!   it does not hash to the requested name — a misfiled frame ends as
-//!   `NotFound`. A compaction swaps the index and the read handle under
-//!   one lock, so an offset is never read from the other file.
+//!   `NotFound`. An offset is only read from its own generation's file.
+//! * **A compaction moves locations by generation.** The live log of
+//!   generation *g* is rewritten, then:
+//!   1. the rewrite is renamed over the log as generation *g*+1, and its
+//!      file joins *g*'s in the table faults read files from;
+//!   2. each location still in *g* moves to *g*+1 under its shard's lock.
+//!      A key dropped since the copy is not moved: it keeps its
+//!      tombstone's promise, and its copy counts as dead;
+//!   3. *g*'s file is retired, since no location names it any more.
+//!
+//!   A fault reads from its location's generation; if that generation
+//!   was retired meanwhile, it reads the key's location afresh, which
+//!   costs none of its three tries: the location has moved forward, so
+//!   back-to-back compactions cannot make a live object miss. A fault
+//!   whose object was dropped while it read is not made resident.
 //! * **A relation serves one output across restarts.** Replay keeps the
 //!   first frame of each `(relation, input)` whose output the log
 //!   backs and counts later ones as dead bytes, even if their output
 //!   differs: deterministic evaluation never writes such a pair, but a
 //!   log holding one must open, not trip the cache's determinism check,
 //!   and the next compaction keeps only the output already served.
-//! * **A dropped key stays dropped across a restart.** `gc` and
-//!   `forget` queue their tombstones under the index lock, before any
-//!   later frame for the same key, and return once they are durable.
+//! * **A dropped key stays dropped, in memory and across a restart.**
+//!   `gc` and `forget` drop keys under those keys' shard locks (all
+//!   shards for `gc`, the one key's shard for `forget`, with no scan):
+//!   the bytes and the locations go together, and the key-sorted
+//!   tombstones are queued before the locks are released, so they
+//!   precede any later frame for the same key. They return once the
+//!   tombstones are durable. Locks are taken shard, then queue — never
+//!   the reverse. The table's own `Store::gc` drops bytes alone, a shard
+//!   at a time, like an eviction: what it collects stays located, so it
+//!   faults back in, now and after a restart.
 //! * **The writer's backlog is bounded.** A producer that finds more
 //!   than a fixed number of frame bytes queued waits for the writer to
 //!   take a batch, so a stalled disk costs latency, not memory.
-//! * **A compaction fails alone.** If it cannot read a live object, its
-//!   partial file is removed, `snapshot` returns the error, and the
-//!   writer keeps appending to the log it had.
+//! * **A compaction fails alone, until its rename.** If it cannot read a
+//!   live object, its partial file is removed, `snapshot` returns the
+//!   error, and the writer keeps appending to the log it had. Once the
+//!   rename is made the old log has left the namespace: a directory that
+//!   then cannot be synced is the writer's one halt.
 //! * **An I/O error halts the writer, and that is its only halt.**
 //!   After a file call on the log fails, appends are dropped and `flush`,
 //!   `snapshot`, `gc` and `forget` return the error; the next open
@@ -111,7 +146,7 @@
 //!     d.flush().unwrap();
 //!     handle
 //! };
-//! // A new process: the object is indexed but not resident, and the
+//! // A new process: the object is located but not resident, and the
 //! // first read faults it in from disk.
 //! let d = DurableStore::open(dir.path(), DurableOptions::default()).unwrap();
 //! assert_eq!(d.store().object_count(), 0);
@@ -174,7 +209,7 @@ pub struct DurableStats {
     /// Compactions (log rewrites) this run. A snapshot of a log with no
     /// dead bytes is only a barrier and does not count.
     pub snapshots: u64,
-    /// Objects found on disk at open (the lazy index size at open).
+    /// Objects found on disk at open (those located at open).
     pub replayed_nodes: u64,
     /// Memoized relations replayed into the cache at open.
     pub replayed_relations: u64,

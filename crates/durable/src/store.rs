@@ -8,23 +8,24 @@
 //! [`FsyncPolicy`](crate::FsyncPolicy)); [`DurableStore::flush`] is the
 //! synchronous barrier, and [`DurableStore::snapshot`] the barrier that
 //! also compacts a log holding dead bytes. Reads that miss memory fault
-//! from disk through the index this module maintains. Every file call of
-//! the crate is in this file, made through the crate's `fs` alias —
-//! `std::fs`, or in the crate's tests a copy that can fail any one call —
-//! and every write is positional; the [crate docs](crate) state the
-//! invariants.
+//! from disk at the location the table keeps beside each logged object.
+//! Every file call of the crate is in this file, made through the
+//! crate's `fs` alias — `std::fs`, or in the crate's tests a copy that
+//! can fail any one call — and every write is positional; the
+//! [crate docs](crate) state the invariants.
 
 use crate::frame::{self, Scanned, LOG_MAGIC, RELATION_FRAME, TOMBSTONE_FRAME};
 use crate::fs::{self, File, OpenOptions};
 use crate::{DurableOptions, DurableStats, FsyncPolicy};
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, HandleMap, HandleSet};
-use fix_storage::{payload_key, Relation, RelationCache, Store, Tier};
+use fix_core::handle::{Handle, HandleSet};
+use fix_storage::{payload_key, Loc, Relation, RelationCache, Store, Tier};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::io::{self, BufReader, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Weak};
 
 const LOG_FILE: &str = "log.fixlog";
@@ -47,40 +48,18 @@ fn io_err(e: impl std::fmt::Display) -> Error {
     }
 }
 
-/// One durable index entry: payload key → the object's frame in the log.
-#[derive(Debug, Clone)]
-struct Slot {
-    offset: u64,
-    len: u32,
-    handle: Handle,
-}
-
-/// The durable index and the log file its offsets point into, under one
-/// lock: a compaction swaps both at once, so a fault never reads a new
-/// offset from the old file (or the reverse).
-struct Index {
-    slots: HandleMap<[u8; 32], Slot>,
-    /// The log as readers see it; reads are positional, so they share it.
-    file: Arc<File>,
-    /// Log bytes no replay needs: node frames superseded by a later one
-    /// of the same key, the frames of dropped objects, and tombstones.
-    /// (A relation frame made redundant in process is not counted; `open`
-    /// derives the count exactly.)
-    dead: u64,
-}
-
 /// Whether a relation's output can be served after a restart: literals
 /// ride in the handle and non-values name no stored object; any other
-/// output must be indexed.
-fn backed(output: Handle, slots: &HandleMap<[u8; 32], Slot>) -> bool {
-    output.is_literal() || !output.is_value() || slots.contains_key(&payload_key(output))
+/// output must be located in the log.
+fn backed(store: &Store, output: Handle) -> bool {
+    output.is_literal() || !output.is_value() || store.backed(output)
 }
 
 /// What the writer does for a frame once it is on disk.
 #[derive(Clone, Copy)]
 enum Record {
-    /// Index the object under this key.
-    Node([u8; 32], Handle),
+    /// Locate the object under this key.
+    Node([u8; 32]),
     Relation,
     /// Count the tombstone's own bytes as dead.
     Tombstone,
@@ -173,9 +152,10 @@ impl Counters {
     }
 }
 
-/// Trace id for durable events: the first 8 bytes of the handle.
-fn trace_id(handle: Handle) -> u64 {
-    u64::from_le_bytes(first_word(handle.raw()))
+/// Trace id for durable events: the first 8 bytes of the handle, which
+/// its payload key shares.
+fn trace_id(key: &[u8; 32]) -> u64 {
+    u64::from_le_bytes(first_word(key))
 }
 
 /// The first 8 of a handle's or a key's 32 bytes.
@@ -188,7 +168,17 @@ struct Inner {
     dir: PathBuf,
     options: DurableOptions,
     store: Arc<Store>,
-    index: RwLock<Index>,
+    /// The log files faults read, as `(generation, file)`: the current
+    /// one, and during a compaction the one it replaces. Reads are
+    /// positional, so they share each file.
+    logs: RwLock<Vec<(u32, Arc<File>)>>,
+    /// Log bytes no replay needs, by generation parity: node frames
+    /// superseded by a later one of the same key, the frames of dropped
+    /// objects, and tombstones. A drop counts its frame in the
+    /// generation its location names, so the two generations a
+    /// compaction spans count apart. (A relation frame made redundant in
+    /// process is not counted; `open` derives the count exactly.)
+    dead: [AtomicU64; 2],
     queue: Mutex<Queue>,
     /// Wakes the writer (new work / flush / snapshot / shutdown).
     work: Condvar,
@@ -200,9 +190,9 @@ struct Inner {
 }
 
 impl Inner {
-    /// Whether the log holds an object under `key`.
-    fn indexed(&self, key: &[u8; 32]) -> bool {
-        self.index.read().slots.contains_key(key)
+    /// The dead bytes of the log of generation `generation`.
+    fn dead(&self, generation: u32) -> &AtomicU64 {
+        &self.dead[(generation & 1) as usize]
     }
 
     /// Queues one frame. Blocks while the backlog is over its bound;
@@ -227,22 +217,23 @@ impl Inner {
         }
     }
 
-    /// Counts the frames of slots just removed from `index` (whose write
-    /// lock the caller holds) as dead, and queues a tombstone for each,
-    /// in key order so the log is a function of the calls made. The
-    /// tombstones are queued before the lock is released: a put of the
-    /// same object, which finds it unindexed, queues its node frame after
-    /// them. They skip the backlog bound, since the writer needs this
-    /// lock to drain it.
-    fn tombstone(&self, index: &mut Index, mut dropped: Vec<([u8; 32], u32)>) {
+    /// Counts the frames of locations just removed from the table (whose
+    /// shard locks the caller holds) as dead, and queues a tombstone for
+    /// each, in key order so the log is a function of the calls made. The
+    /// tombstones are queued before the locks are released (shard, then
+    /// queue; never the reverse): a put of the same object, which finds
+    /// it unlocated, queues its node frame after them. They skip the
+    /// backlog bound, since the writer needs those locks to drain it.
+    fn tombstone(&self, mut dropped: Vec<([u8; 32], Loc)>) {
         // Keys are digests, so their first word almost always decides.
         let word = |key: &[u8; 32]| u64::from_be_bytes(first_word(key));
         dropped.sort_unstable_by_key(|&(key, _)| (word(&key), key));
         let mut q = self.queue.lock();
         q.bytes.reserve(dropped.len() * frame::TOMBSTONE_FRAME);
         q.frames.reserve(dropped.len());
-        for (key, len) in &dropped {
-            index.dead += *len as u64;
+        for (key, loc) in &dropped {
+            self.dead(loc.generation)
+                .fetch_add(u64::from(loc.len), Relaxed);
             if q.accepting() {
                 q.push(Record::Tombstone, |out| frame::push_tombstone(out, key));
             }
@@ -250,17 +241,24 @@ impl Inner {
         self.wake_writer(q);
     }
 
-    fn fault_in(&self, handle: Handle) -> Option<Node> {
+    /// Reads the object at `loc` from the file of `loc`'s generation,
+    /// retrying against the key's location read afresh. A generation
+    /// retired meanwhile costs no try, since the location it moved to is
+    /// newer; three failed reads, or a location that names a retired
+    /// generation twice, give up.
+    fn fault_in(&self, handle: Handle, mut loc: Loc) -> Option<Node> {
         let key = payload_key(handle);
-        // A slot is always read from the file it was looked up beside; a
-        // failed read is retried against a fresh lookup as a backstop.
-        for _ in 0..3 {
-            let (slot, file) = {
-                let index = self.index.read();
-                (index.slots.get(&key).cloned()?, Arc::clone(&index.file))
-            };
+        let mut tries = 0;
+        while tries < 3 {
             let t0 = std::time::Instant::now();
-            if let Some(node) = read_node(&file, &key, &slot) {
+            let file = self
+                .logs
+                .read()
+                .iter()
+                .find(|(generation, _)| *generation == loc.generation)
+                .map(|(_, file)| Arc::clone(file));
+            let retired = file.is_none();
+            if let Some(node) = file.and_then(|file| read_node(&file, &key, loc)) {
                 let dur = t0.elapsed();
                 self.stats.faults.inc();
                 self.stats.fault_us.record(dur.as_micros() as u64);
@@ -268,14 +266,17 @@ impl Inner {
                     fix_obs::emit_span(
                         fix_obs::EventKind::DurRefault,
                         0,
-                        trace_id(handle),
+                        trace_id(&key),
                         0,
-                        slot.len,
+                        loc.len,
                         dur.as_nanos() as u64,
                     );
                 }
                 return Some(node);
             }
+            let fresh = self.store.location(handle)?;
+            tries += usize::from(!retired || fresh == loc);
+            loc = fresh;
         }
         None
     }
@@ -295,11 +296,11 @@ impl Inner {
     }
 }
 
-/// Reads the object `slot` points at in `file` — or nothing: the frame
+/// Reads the object `loc` points at in `file` — or nothing: the frame
 /// must check out *and* its bytes must hash to `key`, the name asked for.
-fn read_node(file: &File, key: &[u8; 32], slot: &Slot) -> Option<Node> {
-    let mut bytes = vec![0u8; slot.len as usize];
-    file.read_exact_at(&mut bytes, slot.offset).ok()?;
+fn read_node(file: &File, key: &[u8; 32], loc: Loc) -> Option<Node> {
+    let mut bytes = vec![0u8; loc.len as usize];
+    file.read_exact_at(&mut bytes, loc.offset).ok()?;
     let (computed, node) = frame::decode_node(&bytes).ok()?;
     (payload_key(computed) == *key).then_some(node)
 }
@@ -309,20 +310,14 @@ fn read_node(file: &File, key: &[u8; 32], slot: &Slot) -> Option<Node> {
 struct Hooks(Weak<Inner>);
 
 impl Tier for Hooks {
-    fn fault(&self, handle: Handle) -> Option<Node> {
-        self.0.upgrade()?.fault_in(handle)
-    }
-
-    fn knows(&self, handle: Handle) -> bool {
-        let key = payload_key(handle);
-        self.0.upgrade().is_some_and(|i| i.indexed(&key))
+    fn fault(&self, handle: Handle, loc: Loc) -> Option<Node> {
+        self.0.upgrade()?.fault_in(handle, loc)
     }
 
     fn inserted(&self, handle: Handle, node: &Node) {
         let key = payload_key(handle);
-        // Skipped once persisted (e.g. a re-put after an eviction).
-        if let Some(i) = self.0.upgrade().filter(|i| !i.indexed(&key)) {
-            i.enqueue(Record::Node(key, handle), |out| {
+        if let Some(i) = self.0.upgrade() {
+            i.enqueue(Record::Node(key), |out| {
                 frame::push_node(out, &key, handle, node)
             });
         }
@@ -362,7 +357,7 @@ pub struct DurableStore {
 impl DurableStore {
     /// Opens (or creates) a durable store rooted at `dir`.
     ///
-    /// Recovery replays `log.fixlog` in order — a node frame indexes its
+    /// Recovery replays `log.fixlog` in order — a node frame locates its
     /// object, a tombstone drops it, a relation frame is memoized. The
     /// scan stops at the first invalid frame; a torn final frame — the
     /// signature of a crash mid-append — is truncated (reported in
@@ -374,8 +369,9 @@ impl DurableStore {
     /// wrote, is an [`Error::Backend`] naming it: that state is not in
     /// the log, and opening without it would silently drop it.
     ///
-    /// The restart is lazy: only the index and the memoized relations
-    /// are loaded eagerly; object bytes fault in on first touch.
+    /// The restart is lazy: only each object's location (filed in the
+    /// table) and the memoized relations are loaded eagerly; object bytes
+    /// fault in on first touch.
     /// Relations whose output data is not in the log (it fell into the
     /// torn tail, or was dropped) are not replayed, so a recovered table
     /// never promises data the log lacks. A log naming two outputs for
@@ -399,7 +395,7 @@ impl DurableStore {
             _ => {}
         }
 
-        let mut slots: HandleMap<[u8; 32], Slot> = HandleMap::default();
+        let store = Arc::new(Store::new());
         let mut relations: Vec<(Relation, Handle, Handle)> = Vec::new();
         let append = OpenOptions::new()
             .read(true)
@@ -411,22 +407,10 @@ impl DurableStore {
         let existing = append.metadata().map_err(io_err)?.len();
         let scanned = scan_log(&append, existing, |record| match record {
             Scanned::Node {
-                key,
-                handle,
-                offset,
-                len,
-            } => {
-                let slot = Slot {
-                    offset,
-                    len,
-                    handle,
-                };
-                slots.insert(key, slot);
-            }
+                key, offset, len, ..
+            } => _ = store.locate(key, Some(Loc::new(offset, len, 0))),
             Scanned::Relation(r, i, o) => relations.push((r, i, o)),
-            Scanned::Tombstone(key) => {
-                slots.remove(&key);
-            }
+            Scanned::Tombstone(key) => _ = store.locate(key, None),
         });
         let scanned = scanned.map_err(io_err)?;
         // The scan stopped short of the end: a torn or corrupt tail, or a
@@ -461,21 +445,24 @@ impl DurableStore {
         // naming one `(relation, input)`, the first backed one is served;
         // the rest are dead bytes, even if they name another output.
         let mut seen = HandleSet::default();
-        relations.retain(|&(r, i, out)| backed(out, &slots) && seen.insert((r, i)));
+        relations.retain(|&(r, i, out)| backed(&store, out) && seen.insert((r, i)));
 
-        let store = Arc::new(Store::new());
         let replayed = RelationCache::of(Arc::clone(&store));
         for &(r, i, o) in &relations {
             replayed.put(r, i, o);
         }
-        // Every log byte is a live slot's frame, a replayed relation's
-        // frame, or dead.
-        let live = slots.values().map(|s| s.len as u64).sum::<u64>()
-            + (RELATION_FRAME * relations.len()) as u64;
+        // Every log byte is a located object's frame, a replayed
+        // relation's frame, or dead.
+        let (mut located, mut live) = (0, (RELATION_FRAME * relations.len()) as u64);
+        store.scan_locations(|_, loc| {
+            located += 1;
+            live += u64::from(loc.len);
+        });
+
         let dead = valid_len - MAGIC_LEN - live;
 
         let stats = Counters::default();
-        stats.replayed_nodes.store(slots.len() as u64);
+        stats.replayed_nodes.store(located);
         stats.replayed_relations.store(relations.len() as u64);
         stats.truncated_bytes.store(truncated);
         let metrics = fix_obs::Registry::new();
@@ -486,7 +473,8 @@ impl DurableStore {
             dir,
             options,
             store,
-            index: RwLock::new(Index { slots, file, dead }),
+            logs: RwLock::new(vec![(0, file)]),
+            dead: [AtomicU64::new(dead), AtomicU64::new(0)],
             queue: Mutex::new(Queue::default()),
             work: Condvar::new(),
             done: Condvar::new(),
@@ -521,11 +509,6 @@ impl DurableStore {
         RelationCache::of(Arc::clone(&self.inner.store))
     }
 
-    /// The directory holding the log.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-
     /// A point-in-time copy of the counters — thin reads of the same
     /// live cells [`metrics`](DurableStore::metrics) snapshots.
     pub fn stats(&self) -> DurableStats {
@@ -547,11 +530,6 @@ impl DurableStore {
     /// histograms for fsyncs, refaults, and compactions.
     pub fn metrics(&self) -> fix_obs::MetricsSnapshot {
         self.inner.metrics.snapshot()
-    }
-
-    /// Objects currently faultable from disk (the durable index size).
-    pub fn indexed_objects(&self) -> usize {
-        self.inner.index.read().slots.len()
     }
 
     /// Blocks until everything appended so far is written *and* fsynced
@@ -599,42 +577,29 @@ impl DurableStore {
         }
     }
 
-    /// Garbage-collects memory *and* the durable index: objects
-    /// unreachable from `roots` can neither be read nor faulted back in
+    /// Garbage-collects memory *and* the log: objects unreachable from
+    /// `roots` lose their bytes and their locations together, under every
+    /// shard lock, so they can neither be read nor faulted back in
     /// afterwards, and one tombstone frame per dropped object keeps them
     /// dropped across a restart. Returns the number of objects collected
     /// once the tombstones are durable; their frames are reclaimed by the
     /// next compaction. An error means the collection may not survive a
     /// restart: the log could not take the tombstones.
     pub fn gc(&self, roots: &[Handle]) -> Result<usize> {
-        // Barrier first, so just-inserted objects are indexed and the
-        // index prune below sees them.
+        // Barrier first, so just-inserted objects are located and the
+        // purge below drops their locations too.
         self.flush()?;
         let inner = &self.inner;
-        // One walk (it faults lazily-resident trees in to descend)
-        // serves both the index prune and the memory sweep.
+        // One walk (it faults lazily-resident trees in to descend).
         let reachable = inner.store.reachable(roots);
-        let mut disk_only_pruned = 0usize;
-        {
-            let mut index = inner.index.write();
-            let mut dropped = Vec::new();
-            index.slots.retain(|key, slot| {
-                let keep = reachable.contains(key);
-                if !keep {
-                    disk_only_pruned += usize::from(!inner.store.resident(slot.handle));
-                    dropped.push((*key, slot.len));
-                }
-                keep
-            });
-            inner.tombstone(&mut index, dropped);
-        }
-        let collected = inner.store.sweep(&reachable) + disk_only_pruned;
+        let keep = |key: &[u8; 32]| reachable.contains(key);
+        let collected = inner.store.purge(keep, |d| inner.tombstone(d));
         self.flush()?;
         Ok(collected)
     }
 
-    /// Forgets one object entirely: evicts it from memory *and* drops it
-    /// from the durable index, so it cannot refault (unlike
+    /// Forgets one object entirely: drops its bytes *and* its location,
+    /// under its shard's lock, so it cannot refault (unlike
     /// [`Store::evict`], after which the next read faults it back in),
     /// and appends its tombstone, so it stays forgotten across a
     /// restart. Returns the bytes freed from memory, if it was resident,
@@ -642,14 +607,8 @@ impl DurableStore {
     /// means the log could not take it.
     pub fn forget(&self, handle: Handle) -> Result<Option<u64>> {
         self.flush()?;
-        let inner = &self.inner;
-        let key = payload_key(handle);
-        {
-            let mut index = inner.index.write();
-            let dropped = index.slots.remove(&key).map(|slot| (key, slot.len));
-            inner.tombstone(&mut index, dropped.into_iter().collect());
-        }
-        let freed = inner.store.evict(handle);
+        let (inner, store) = (&self.inner, &self.inner.store);
+        let freed = store.remove(handle, |k, l| inner.tombstone(vec![(k, l)]));
         self.flush()?;
         Ok(freed)
     }
@@ -763,6 +722,8 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
     let mut unsynced_frames = 0u64;
     let mut dirty = false;
     let mut retry_at = 0u64;
+    // The generation of `append`, the log file appends go to.
+    let mut generation = 0u32;
     // The batch being written: swapped with the producers' buffers, so
     // both pairs keep their capacity and no frame is copied.
     let mut bytes: Vec<u8> = Vec::new();
@@ -798,29 +759,24 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
             match append.write_all_at(&bytes, log_len) {
                 Ok(()) => {
                     let write_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
-                    let mut guard = inner.index.write();
-                    let index = &mut *guard;
                     for f in &frames {
-                        match f.record {
-                            Record::Node(key, handle) => {
-                                let slot = Slot {
-                                    offset: log_len,
-                                    len: f.len,
-                                    handle,
-                                };
-                                if let Some(old) = index.slots.insert(key, slot) {
-                                    index.dead += old.len as u64;
-                                }
+                        // Each object is located under its own shard's
+                        // lock; a superseded frame is dead.
+                        let dead = match f.record {
+                            Record::Node(key) => {
+                                let loc = Loc::new(log_len, f.len, generation);
+                                inner.store.locate(key, Some(loc)).map_or(0, |old| old.len)
                             }
-                            Record::Tombstone => index.dead += f.len as u64,
-                            Record::Relation => {}
-                        }
+                            Record::Tombstone => f.len,
+                            Record::Relation => 0,
+                        };
+                        inner.dead(generation).fetch_add(u64::from(dead), Relaxed);
                         log_len += f.len as u64;
                         if let Some(write_ns) = write_ns {
                             // One write covers the batch: a frame's span
                             // is its share of it by size.
                             let id = match f.record {
-                                Record::Node(_, handle) => trace_id(handle),
+                                Record::Node(key) => trace_id(&key),
                                 _ => 0,
                             };
                             fix_obs::emit_span(
@@ -833,7 +789,6 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
                             );
                         }
                     }
-                    drop(guard);
                     inner.stats.appended_frames.add(frames.len() as u64);
                     inner.stats.appended_bytes.add(bytes.len() as u64);
                     unsynced_frames += frames.len() as u64;
@@ -851,15 +806,16 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
         // everything written so far durable in the new log.
         let mut compaction = Ok(());
         if io_error.is_none() {
-            let dead = inner.index.read().dead;
+            let dead = inner.dead(generation).load(Relaxed);
             let live = (log_len - MAGIC_LEN).saturating_sub(dead);
             let asked = !snapshots.is_empty();
             if dead > 0 && (asked || compacts_by_itself(dead, live, retry_at)) {
-                match compact(&inner, &mut append, &mut log_len) {
-                    Ok(()) => {
+                match compact(&inner, &mut append, &mut log_len, &mut generation) {
+                    Ok(renamed) => {
                         unsynced_frames = 0;
                         dirty = false;
                         retry_at = 0;
+                        io_error = renamed.err().map(|e| e.to_string());
                     }
                     Err(e) => {
                         retry_at = 2 * dead;
@@ -936,50 +892,51 @@ fn writer_loop(inner: Arc<Inner>, mut append: File, mut log_len: u64) {
 struct Rewrite {
     file: File,
     len: u64,
-    /// Each copied object's key and its frame's new offset and length.
-    moved: Vec<([u8; 32], u64, u32)>,
-    /// The dead bytes the copy leaves behind.
-    dead: u64,
+    /// Each copied object's key and its frame's new location.
+    moved: Vec<([u8; 32], Loc)>,
 }
 
-/// Rewrites the log as its live records alone and puts the result in
-/// its place. On success the index's offsets and read handle move to the
-/// new file together, and `append` writes to it; on failure the partial
-/// file is removed and nothing else changes.
-fn compact(inner: &Inner, append: &mut File, log_len: &mut u64) -> io::Result<()> {
+/// Rewrites the log of `generation` as its live records alone and puts
+/// the result in its place as generation + 1 (the crate docs state the
+/// protocol): renamed in, then each shard's locations moved to it, then
+/// the old file retired; `append` writes to the new file. An `Err` is a
+/// compaction that failed alone: its partial file is removed and nothing
+/// else changes. Past the rename the old log has left the namespace, so
+/// a directory that cannot be synced is an `Ok(Err)`: the new log is
+/// in, and the writer halts.
+fn compact(
+    inner: &Inner,
+    append: &mut File,
+    log_len: &mut u64,
+    generation: &mut u32,
+) -> io::Result<io::Result<()>> {
     let t0 = std::time::Instant::now();
     let tmp = inner.dir.join(COMPACT_FILE);
-    let rewrite = write_live(inner, &tmp).and_then(|rewrite| {
+    let next = generation.wrapping_add(1);
+    let rewrite = write_live(inner, append, &tmp, next).and_then(|rewrite| {
         let reader = Arc::new(rewrite.file.try_clone()?);
         fs::rename(&tmp, inner.dir.join(LOG_FILE))?;
         Ok((rewrite, reader))
     });
-    let (rewrite, reader) = match rewrite {
-        Ok(done) => done,
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
+    let (rewrite, reader) = rewrite.inspect_err(|_| _ = fs::remove_file(&tmp))?;
+    let renamed = File::open(&inner.dir).and_then(|d| d.sync_all());
+    inner.logs.write().push((next, reader));
+    // No location names `next`'s parity now: the generation before
+    // `generation` was retired by the last compaction. Objects dropped
+    // since the copy keep their tombstones' promise: they are not
+    // relocated, and their copies are dead.
+    let dead = inner.dead(next);
+    dead.store(0, Relaxed);
+    for &(key, to) in &rewrite.moved {
+        if !inner.store.relocate(&key, *generation, to) {
+            dead.fetch_add(u64::from(to.len), Relaxed);
         }
-    };
-    if let Ok(d) = File::open(&inner.dir) {
-        let _ = d.sync_all();
     }
+    inner.logs.write().retain(|(g, _)| *g == next);
     let objects = rewrite.moved.len() as u32;
-    {
-        // Objects dropped since the copy keep their tombstones' promise:
-        // they are not re-indexed.
-        let mut index = inner.index.write();
-        for (key, offset, len) in rewrite.moved {
-            if let Some(slot) = index.slots.get_mut(&key) {
-                slot.offset = offset;
-                slot.len = len;
-            }
-        }
-        index.file = reader;
-        index.dead -= rewrite.dead;
-    }
     *append = rewrite.file;
     *log_len = rewrite.len;
+    *generation = next;
 
     let dur = t0.elapsed();
     inner.stats.snapshots.inc();
@@ -994,23 +951,21 @@ fn compact(inner: &Inner, append: &mut File, log_len: &mut u64) -> io::Result<()
             dur.as_nanos() as u64,
         );
     }
-    Ok(())
+    Ok(renamed)
 }
 
-/// Writes the live records to `path` and syncs it: the relations whose
-/// output is still indexed, then every indexed object — a resident one
-/// encoded from memory under the handle its slot holds (nothing is
+/// Writes the live records of the log `source` to `path`, as the file
+/// of `generation`, and syncs it: the relations whose output is still
+/// located, then every located object — a resident one encoded from
+/// memory under its key, which is its canonical handle (nothing is
 /// hashed), the rest copied through the verifying decode without being
 /// made resident (a compaction must not undo an eviction).
-fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
-    let (slots, relations, source, dead) = {
-        let index = inner.index.read();
-        let slots: Vec<([u8; 32], Slot)> =
-            index.slots.iter().map(|(k, s)| (*k, s.clone())).collect();
-        let mut relations = RelationCache::of(Arc::clone(&inner.store)).entries();
-        relations.retain(|&(_, _, out)| backed(out, &index.slots));
-        (slots, relations, Arc::clone(&index.file), index.dead)
-    };
+fn write_live(inner: &Inner, source: &File, path: &Path, generation: u32) -> io::Result<Rewrite> {
+    let store = &inner.store;
+    let mut located = Vec::new();
+    store.scan_locations(|key, loc| located.push((*key, loc)));
+    let mut relations = RelationCache::of(Arc::clone(store)).entries();
+    relations.retain(|&(_, _, out)| backed(store, out));
     let file = OpenOptions::new()
         .read(true)
         .write(true)
@@ -1025,33 +980,29 @@ fn write_live(inner: &Inner, path: &Path) -> io::Result<Rewrite> {
         frame::push_relation(&mut out, relation, input, output);
         write_full(&file, &mut out, &mut len)?;
     }
-    let mut moved = Vec::with_capacity(slots.len());
-    for (key, slot) in slots {
-        let node = if inner.store.resident(slot.handle) {
-            inner.store.get(slot.handle).ok()
+    let mut moved = Vec::with_capacity(located.len());
+    for (key, loc) in located {
+        let handle = Handle::from_raw(key).map_err(io::Error::other)?;
+        let node = if store.resident(handle) {
+            store.get(handle).ok()
         } else {
-            read_node(&source, &key, &slot)
+            read_node(source, &key, loc)
         };
         let node = node.ok_or_else(|| {
-            io::Error::other(format!(
-                "compaction cannot read live object {}",
-                slot.handle
-            ))
+            io::Error::other(format!("compaction cannot read live object {handle}"))
         })?;
         let start = out.len();
-        frame::push_node(&mut out, &key, slot.handle, &node);
-        moved.push((key, len + start as u64, (out.len() - start) as u32));
+        frame::push_node(&mut out, &key, handle, &node);
+        moved.push((
+            key,
+            Loc::new(len + start as u64, (out.len() - start) as u32, generation),
+        ));
         write_full(&file, &mut out, &mut len)?;
     }
     file.write_all_at(&out, len)?;
     len += out.len() as u64;
     file.sync_all()?;
-    Ok(Rewrite {
-        file,
-        len,
-        moved,
-        dead,
-    })
+    Ok(Rewrite { file, len, moved })
 }
 
 /// Writes `out` to `file` once it holds a stream buffer's worth, adding
@@ -1069,14 +1020,15 @@ fn write_full(file: &File, out: &mut Vec<u8>, written: &mut u64) -> io::Result<(
 mod tests {
     use super::*;
     use crate::faulty::{arm, Fault};
+    use fix_core::data::Blob;
     use std::sync::mpsc;
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
     const WATCHDOG: Duration = Duration::from_secs(30);
     /// A relation frame over literal handles: header + 66-byte record.
-    /// Appending one never touches the index, so the tests can stall the
-    /// writer on the index lock without stalling the producer.
+    /// Recording one makes no file call, so the tests can park the writer
+    /// at its next write without stalling the producer.
     const RELATION_FRAME: usize = 74;
     /// Enough relation frames to fill the backlog three times over.
     const FRAMES: u64 = (3 * MAX_BACKLOG_BYTES / RELATION_FRAME) as u64;
@@ -1086,10 +1038,14 @@ mod tests {
     }
 
     fn open(dir: &tempfile::TempDir) -> DurableStore {
+        open_in(dir.path())
+    }
+
+    fn open_in(dir: &Path) -> DurableStore {
         let options = DurableOptions {
             fsync: FsyncPolicy::OnSnapshot,
         };
-        DurableStore::open(dir.path(), options).unwrap()
+        DurableStore::open(dir, options).unwrap()
     }
 
     /// Records `FRAMES` relations from a thread of its own; the channel
@@ -1125,10 +1081,11 @@ mod tests {
     #[test]
     fn a_producer_past_the_backlog_bound_waits_for_the_writer() {
         let dir = tempfile::tempdir().unwrap();
+        let plan = arm(dir.path());
         let d = open(&dir);
-        // The writer indexes each batch under the index's write lock:
-        // holding a read guard stops it with its first batch in hand.
-        let stall = d.inner.index.read();
+        // Parking the writer at its next write stops it with its first
+        // batch in hand.
+        let stall = plan.park("write_at");
         let (thread, finished) = produce(&d);
         assert_producer_blocks(&d, &finished);
         drop(stall);
@@ -1162,11 +1119,11 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let plan = arm(dir.path());
         let d = open(&dir);
-        // The writer's first batch reaches the disk, then stalls on the
-        // index lock while the producer runs into the bound; its second
-        // write fails with the producer parked.
+        // The writer parks at its first write, batch in hand, while the
+        // producer runs into the bound; let go, that batch reaches the
+        // disk and the second write fails with the producer waiting.
         plan.fault(plan.calls().len() + 1, Fault::Fail);
-        let stall = d.inner.index.read();
+        let stall = plan.park("write_at");
         let (thread, finished) = produce(&d);
         assert_producer_blocks(&d, &finished);
         drop(stall);
@@ -1182,5 +1139,80 @@ mod tests {
         let d = open(&dir);
         assert_eq!(d.stats().replayed_relations, written);
         assert_eq!(d.stats().truncated_bytes, 0);
+    }
+
+    /// Puts a 64-byte blob and flushes, so each batch is one frame and
+    /// the run's file calls are the same from run to run.
+    fn put(d: &DurableStore, seed: u8) -> Handle {
+        let handle = d.store().put_blob(Blob::from_vec(vec![seed; 64]));
+        d.flush().unwrap();
+        handle
+    }
+
+    #[test]
+    fn a_failed_directory_sync_after_the_rename_halts_the_writer() {
+        // Dead bytes for the snapshot to compact, flushed first.
+        let scenario = |dir: &Path| {
+            let d = open_in(dir);
+            let [kept, dropped] = [1, 2].map(|seed| put(&d, seed));
+            d.forget(dropped).unwrap();
+            (d.snapshot(), d, kept)
+        };
+        let counted = tempfile::tempdir().unwrap();
+        let plan = arm(counted.path());
+        let (answer, d, _) = scenario(counted.path());
+        answer.expect("the compaction itself succeeds");
+        assert_eq!(d.stats().snapshots, 1);
+        let calls = plan.calls();
+        let rename = calls.iter().position(|&c| c == "rename").unwrap();
+        drop((d, plan));
+
+        // The directory is opened, then synced, after the rename.
+        for name in ["open", "sync_all"] {
+            let at = rename + calls[rename..].iter().position(|&c| c == name).unwrap();
+            let dir = tempfile::tempdir().unwrap();
+            let plan = arm(dir.path());
+            plan.fault(at, Fault::Fail);
+            let (answer, d, kept) = scenario(dir.path());
+            assert_eq!(plan.calls()[at], name, "call {at} moved");
+            assert!(
+                answer.is_err(),
+                "{name} failed after the rename, and snapshot said Ok"
+            );
+            assert!(d.flush().is_err(), "{name}: the writer did not halt");
+            assert_eq!(d.store().get_blob(kept).unwrap().len(), 64);
+            drop((d, plan));
+            // The rename stands: the compacted log serves the kept object.
+            let d = open_in(dir.path());
+            assert_eq!(d.stats().replayed_nodes, 1, "{name}");
+            assert_eq!(d.store().get_blob(kept).unwrap().len(), 64);
+        }
+    }
+
+    #[test]
+    fn a_fault_at_a_retired_generation_reads_the_location_afresh() {
+        let dir = tempfile::tempdir().unwrap();
+        let d = open(&dir);
+        let [kept, dropped] = [1, 2].map(|seed| put(&d, seed));
+        let node = d.store().get(kept).unwrap();
+        let stale = d.store().location(kept).unwrap();
+        let gone = d.store().location(dropped).unwrap();
+        d.forget(dropped).unwrap();
+        d.snapshot().unwrap();
+        let fresh = d.store().location(kept).unwrap();
+        assert_eq!((stale.generation, fresh.generation), (0, 1));
+        assert_eq!(d.inner.logs.read().len(), 1);
+        // Generation 0 is retired: its location is read afresh.
+        assert_eq!(d.inner.fault_in(kept, stale), Some(node));
+        // A dropped object has no location to read afresh.
+        assert_eq!(d.inner.fault_in(dropped, gone), None);
+        // Moving on from a retired generation costs no try, but a location
+        // that stays on one is no progress: the fault gives up, not spins.
+        let stuck = Loc {
+            generation: 9,
+            ..fresh
+        };
+        d.store().locate(payload_key(kept), Some(stuck));
+        assert_eq!(d.inner.fault_in(kept, stale), None);
     }
 }

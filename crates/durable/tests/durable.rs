@@ -301,6 +301,34 @@ fn an_evicted_logged_object_refaults_on_demand() {
 }
 
 #[test]
+fn the_tables_own_gc_on_a_durable_table_drops_bytes_only() {
+    // `Store::gc` on the table under a durable store frees memory, like an
+    // eviction: the object stays located, so it faults back in now and
+    // comes back after a restart, and the table keeps matching the log.
+    let dir = tempfile::tempdir().unwrap();
+    let (kept, collected) = (blob(40, 90), blob(41, 90));
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
+    let kept_handle = d.store().put_blob(kept.clone());
+    let collected_handle = d.store().put_blob(collected.clone());
+    d.flush().unwrap();
+    assert_eq!(d.store().gc(&[kept_handle]), 1);
+    assert!(!d.store().resident(collected_handle));
+    assert!(d.store().contains(collected_handle) && d.store().backed(collected_handle));
+    assert_eq!(d.store().total_bytes(), 90);
+    assert_eq!(d.store().get_blob(collected_handle).unwrap(), collected);
+    assert_eq!(d.stats().faults, 1);
+    d.store().gc(&[kept_handle]);
+    drop(d);
+
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
+    assert_eq!(d.stats().replayed_nodes, 2);
+    assert_eq!(d.store().get_blob(collected_handle).unwrap(), collected);
+    assert_eq!(d.store().get_blob(kept_handle).unwrap(), kept);
+    drop(d);
+    assert_only_the_log(dir.path());
+}
+
+#[test]
 fn gc_prunes_the_index_so_collected_objects_cannot_resurrect() {
     let dir = tempfile::tempdir().unwrap();
     let live = blob(5, 70);
@@ -564,7 +592,9 @@ fn literals_are_never_logged() {
     assert!(h.is_literal());
     d.flush().unwrap();
     assert_eq!(d.stats().appended_frames, 0);
-    assert_eq!(d.indexed_objects(), 0);
+    drop(d);
+    let d = DurableStore::open(dir.path(), opts()).unwrap();
+    assert_eq!(d.stats().replayed_nodes, 0);
     drop(d);
     assert_only_the_log(dir.path());
 }
@@ -872,4 +902,81 @@ fn every_kill_point_recovers_exactly_the_frames_before_it() {
         drop(d);
         assert_only_the_log(dir.path());
     }
+}
+
+/// Two readers evict and fault objects back in while the writer compacts
+/// again and again, and a third thread forgets a third of them, one at a
+/// time. A fault can hold a location a compaction is moving, or one whose
+/// file it has retired: every read of an object whose `forget` has not
+/// begun returns its bytes, never `NotFound`, and an object whose
+/// `forget` has returned never refaults, then or after a restart.
+#[test]
+fn faults_and_forgets_race_repeated_compactions() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    const OBJECTS: usize = 48;
+    const FORGOTTEN: usize = 16;
+    const COMPACTIONS: u64 = 64;
+    let dir = tempfile::tempdir().unwrap();
+    let options = DurableOptions {
+        fsync: FsyncPolicy::OnSnapshot,
+    };
+    let d = DurableStore::open(dir.path(), options).unwrap();
+    let objects: Vec<(Handle, Blob)> = (0..OBJECTS)
+        .map(|i| {
+            let b = blob(i as u8, 1000 + i);
+            (d.store().put_blob(b.clone()), b)
+        })
+        .collect();
+    d.flush().unwrap();
+    // Forgets begun and returned, in object order.
+    let (begun, returned) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !stop.load(SeqCst) {
+                    for (i, (h, b)) in objects.iter().enumerate() {
+                        let forgotten = i < returned.load(SeqCst);
+                        d.store().evict(*h);
+                        let read = d.store().get_blob(*h);
+                        if forgotten {
+                            assert!(matches!(read, Err(Error::NotFound(_))), "{i} refaulted");
+                        } else if i >= begun.load(SeqCst) {
+                            assert_eq!(read.as_ref().ok(), Some(b), "{i}: {read:?}");
+                        }
+                    }
+                }
+            });
+        }
+        s.spawn(|| {
+            for (i, (h, _)) in objects[..FORGOTTEN].iter().enumerate() {
+                begun.store(i + 1, SeqCst);
+                d.forget(*h).unwrap();
+                returned.store(i + 1, SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        });
+        for round in 0..COMPACTIONS {
+            // Dead bytes for each snapshot to compact: an object's frame
+            // and its tombstone.
+            let dead = d.store().put_blob(blob(200, 64 + round as usize));
+            d.forget(dead).unwrap();
+            d.snapshot().unwrap();
+        }
+        stop.store(true, SeqCst);
+    });
+    assert_eq!(d.stats().snapshots, COMPACTIONS);
+    drop(d);
+    let d = DurableStore::open(dir.path(), options).unwrap();
+    assert_eq!(d.stats().replayed_nodes, (OBJECTS - FORGOTTEN) as u64);
+    for (i, (h, b)) in objects.iter().enumerate() {
+        let read = d.store().get_blob(*h);
+        if i < FORGOTTEN {
+            assert!(read.is_err(), "{i} came back after a restart");
+        } else {
+            assert_eq!(read.unwrap(), *b);
+        }
+    }
+    drop(d);
+    assert_only_the_log(dir.path());
 }

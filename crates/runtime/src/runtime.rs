@@ -231,10 +231,10 @@ impl Runtime {
     /// Runs garbage collection, keeping only objects reachable from
     /// `roots` (plus everything literal).
     ///
-    /// On a durable runtime this also prunes the on-disk index, so
-    /// collected objects cannot silently refault later, and `Ok` means
-    /// the collection is durable: an error is a log that could not record
-    /// it ([`DurableStore::gc`]).
+    /// On a durable runtime this also drops the collected objects' log
+    /// locations and logs a tombstone for each, so they cannot silently
+    /// refault later, and `Ok` means the collection is durable: an error
+    /// is a log that could not record it ([`DurableStore::gc`]).
     pub fn gc(&self, roots: &[Handle]) -> Result<usize> {
         match &self.durable {
             Some(d) => d.gc(roots),

@@ -6,7 +6,8 @@
 //! behind Fix's determinism-powered caching. Both are sharded by payload
 //! key, so an object and the relations whose input shares its payload
 //! sit under one lock. [`RelationCache`] is the relation side's face,
-//! and one [`Tier`] hook connects the table to a backing tier.
+//! and one [`Tier`] hook connects the table to a backing tier, whose
+//! [`Loc`]ation of each object it holds sits in the object's shard.
 //!
 //! [`plan_eviction`] implements the storage side of the paper's
 //! computational garbage collection (§6): the memoized relations name
@@ -29,4 +30,4 @@ pub use provenance::{
     apply_eviction, plan_eviction, recipes, support_closure, EvictionPlan, Victim,
 };
 pub use relations::{Relation, RelationCache};
-pub use store::Store;
+pub use store::{Loc, Store};

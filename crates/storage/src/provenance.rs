@@ -212,17 +212,7 @@ impl EvictionPlan {
 /// never evicted.
 pub fn plan_eviction(table: &Store, pins: &[Handle]) -> EvictionPlan {
     // Everything reachable from a pin stays.
-    let mut pinned: HandleSet<[u8; 32]> = HandleSet::default();
-    let mut stack: Vec<Handle> = pins.to_vec();
-    while let Some(h) = stack.pop() {
-        let key = payload_key(h);
-        if h.is_literal() || !pinned.insert(key) {
-            continue;
-        }
-        if let Ok(tree) = table.get_tree(h) {
-            stack.extend(tree.entries().iter().copied());
-        }
-    }
+    let pinned = table.reachable(pins);
 
     // Depth 0: what the backing tier holds comes back by one fault.
     let mut victims: Vec<Victim> = table
@@ -353,6 +343,7 @@ mod tests {
     use super::*;
     use crate::hooks::Tier;
     use crate::relations::RelationCache;
+    use crate::store::Loc;
     use fix_core::data::{Blob, Node, Tree};
     use fix_core::invocation::build;
     use std::sync::Arc;
@@ -588,12 +579,8 @@ mod tests {
     struct Holds(HandleMap<[u8; 32], Node>);
 
     impl Tier for Holds {
-        fn fault(&self, handle: Handle) -> Option<Node> {
+        fn fault(&self, handle: Handle, _: Loc) -> Option<Node> {
             self.0.get(&payload_key(handle)).cloned()
-        }
-
-        fn knows(&self, handle: Handle) -> bool {
-            self.0.contains_key(&payload_key(handle))
         }
 
         fn inserted(&self, _: Handle, _: &Node) {}
@@ -606,10 +593,18 @@ mod tests {
         let store = Arc::new(Store::new());
         let blobs: Vec<Blob> = (1..=5).map(blob).collect();
         let handles: Vec<Handle> = blobs.iter().map(|b| store.put_blob(b.clone())).collect();
-        let held = blobs[..3]
+        let held: HandleMap<[u8; 32], Node> = blobs[..3]
             .iter()
             .map(|b| (payload_key(b.handle()), Node::Blob(b.clone())))
             .collect();
+        for (i, key) in held.keys().enumerate() {
+            let loc = Loc {
+                offset: 64 * i as u64,
+                len: 64,
+                generation: 0,
+            };
+            store.locate(*key, Some(loc));
+        }
         store.attach(Arc::new(Holds(held))).unwrap();
         let planned = |plan: &EvictionPlan| {
             let mut got: Vec<(Handle, u32)> =

@@ -7,6 +7,11 @@
 //! tree's `Apply` and the thunk's `Eval` — sit in one shard, under one
 //! lock. The relation side's public face is
 //! [`RelationCache`](crate::RelationCache).
+//!
+//! A backing tier's [`Loc`]ations of the objects it holds sit in the same
+//! shards, under the same locks: whether an object is resident, and
+//! where the tier keeps it, is one lookup. Only a tier fills them; a
+//! table without one keeps no map for them.
 
 use crate::hooks::Tier;
 use crate::relations::Relation;
@@ -23,6 +28,30 @@ const SHARDS: usize = 64;
 
 /// Memoized relations, keyed by kind and input.
 pub(crate) type Memos = HandleMap<(Relation, Handle), Handle>;
+
+/// Where a backing tier holds an object: the frame of `len` bytes at
+/// `offset` in the tier's file of generation `generation`. Sixteen bytes,
+/// kept per payload key in the object's shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Loc {
+    /// The frame's first byte.
+    pub offset: u64,
+    /// The frame's length.
+    pub len: u32,
+    /// Which of the tier's files `offset` is in.
+    pub generation: u32,
+}
+
+impl Loc {
+    /// The frame of `len` bytes at `offset` in generation `generation`.
+    pub fn new(offset: u64, len: u32, generation: u32) -> Loc {
+        Loc {
+            offset,
+            len,
+            generation,
+        }
+    }
+}
 
 /// A node's table: content-addressed objects and the memoized relations
 /// over them.
@@ -50,27 +79,37 @@ pub struct Store {
     total_bytes: AtomicU64,
     // The backing tier (see crate::hooks), attached at most once. The hot
     // hit paths never touch it: it is consulted only after an in-memory
-    // miss, on a fresh insert and on a fresh relation.
+    // miss of a located key, on a fresh insert of an unlocated key and on
+    // a fresh relation.
     tier: OnceLock<Arc<dyn Tier>>,
 }
 
-/// What one lock guards: the objects of its payload keys and the
-/// relations whose inputs share them.
+/// What one lock guards: the objects of its payload keys, the backing
+/// tier's locations of them, and the relations whose inputs share them.
 #[derive(Default)]
 struct Shard {
     nodes: HandleMap<[u8; 32], Node>,
     memos: Memos,
+    /// Boxed on the first location, so a shard of a table without a tier
+    /// grows by a pointer, not by a map.
+    locs: Option<Box<HandleMap<[u8; 32], Loc>>>,
+}
+
+impl Shard {
+    fn loc(&self, key: &[u8; 32]) -> Option<Loc> {
+        self.locs.as_ref()?.get(key).copied()
+    }
 }
 
 /// One shard's relation lookup counters, on a cache line of their own, so
 /// counting a lookup touches no line another shard's lookups write.
 ///
 /// They sit beside the shards rather than in them, so a shard is just the
-/// lock and its two maps (88 bytes, unaligned). Padding each shard to two
-/// cache lines made the shards one 8 KiB aligned block per table, and
-/// `serve_tiers`' peak RSS then jumped by 3–6 MiB in about one run in
-/// nine, against about one in twenty-five with this layout (2-vCPU VM,
-/// glibc malloc).
+/// lock, its two maps and the boxed locations (104 bytes, unaligned).
+/// Padding each shard to two cache lines made the shards one 8 KiB
+/// aligned block per table, and `serve_tiers`' peak RSS then jumped by
+/// 3–6 MiB in about one run in nine, against about one in twenty-five
+/// with this layout (2-vCPU VM, glibc malloc).
 #[repr(C, align(64))]
 #[derive(Default)]
 struct Lookups {
@@ -111,6 +150,13 @@ impl Store {
         &self.shards[self.index(key)]
     }
 
+    /// `look` at a stored datum's shard under its read lock; `None` for a
+    /// literal, which no shard holds.
+    fn lookup<R>(&self, handle: Handle, look: impl FnOnce(&Shard, &[u8; 32]) -> R) -> Option<R> {
+        let key = payload_key(handle);
+        (!handle.is_literal()).then(|| look(&self.shard(&key).read(), &key))
+    }
+
     /// Attaches the backing tier. At most one per table; a second attach
     /// is an error.
     pub fn attach(&self, tier: Arc<dyn Tier>) -> Result<()> {
@@ -138,32 +184,33 @@ impl Store {
         // Clone for the tier before the map takes ownership (Node clones
         // are refcount bumps); skipped entirely when no tier is attached.
         let observed = self.tier.get().map(|tier| (tier, node.clone()));
-        if self.insert(key, node) {
+        if self.insert(key, node, false) {
             if let Some((tier, node)) = observed {
                 tier.inserted(handle, &node);
             }
         }
     }
 
-    /// Makes `node` resident under `key`; true if the key was new.
+    /// Makes `node` resident under `key`; true if the key was new to the
+    /// table, neither resident nor located. A `faulted` node is made
+    /// resident only while its key is still located: a key dropped while
+    /// its fault was reading stays dropped.
     ///
     /// A resident node is kept: an equal `node` put again is dropped
     /// (after the shard lock is released), so a warm put frees the
     /// caller's fresh copy rather than the copy readers already share.
     #[inline]
-    fn insert(&self, key: [u8; 32], node: Node) -> bool {
+    fn insert(&self, key: [u8; 32], node: Node, faulted: bool) -> bool {
         let size = node.transfer_size();
-        let fresh = match self.shard(&key).write().nodes.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(node);
-                true
-            }
-            Entry::Occupied(_) => false,
+        let mut shard = self.shard(&key).write();
+        let located = shard.loc(&key).is_some();
+        match shard.nodes.entry(key) {
+            Entry::Vacant(slot) if located || !faulted => slot.insert(node),
+            _ => return false,
         };
-        if fresh {
-            self.total_bytes.fetch_add(size, Ordering::Relaxed);
-        }
-        fresh
+        drop(shard);
+        self.total_bytes.fetch_add(size, Ordering::Relaxed);
+        !located
     }
 
     /// Stores a blob.
@@ -182,18 +229,20 @@ impl Store {
             return Ok(Node::Blob(b));
         }
         let key = payload_key(handle);
-        let resident = self.shard(&key).read().nodes.get(&key).cloned();
-        if let Some(node) = resident {
-            return Ok(node);
+        let shard = self.shard(&key).read();
+        if let Some(node) = shard.nodes.get(&key) {
+            return Ok(node.clone());
         }
-        // Miss: give the backing tier (lazy restart / eviction) a chance to
-        // fault the object in. The fault runs outside any shard lock.
+        let loc = shard.loc(&key);
+        drop(shard);
+        // Miss: a located object (lazy restart / eviction) is faulted in
+        // from where the backing tier holds it, outside any shard lock.
         // The tier has verified the node against `handle`, and it is
         // already persisted: it becomes resident under the key at hand,
         // with no second hash and no word to the tier.
-        if let Some(tier) = self.tier.get() {
-            if let Some(node) = tier.fault(handle) {
-                self.insert(key, node.clone());
+        if let (Some(loc), Some(tier)) = (loc, self.tier.get()) {
+            if let Some(node) = tier.fault(handle, loc) {
+                self.insert(key, node.clone(), true);
                 return Ok(node);
             }
         }
@@ -210,29 +259,121 @@ impl Store {
         self.get(handle)?.as_tree().cloned()
     }
 
-    /// True if the datum is resident or faultable from a backing tier
-    /// (always true for literals).
+    /// True if the datum is resident or located in a backing tier, so
+    /// faultable (always true for literals): one lookup under the shard's
+    /// lock.
     pub fn contains(&self, handle: Handle) -> bool {
-        self.resident(handle) || self.backed(handle)
+        let held = |s: &Shard, k: &[u8; 32]| s.nodes.contains_key(k) || s.loc(k).is_some();
+        self.lookup(handle, held).unwrap_or(true)
     }
 
-    /// True if the backing tier holds the datum, resident or not: after
-    /// an [`evict`](Store::evict), the next read faults it back in. Never
-    /// true without a tier, or for a literal.
+    /// True if the backing tier holds the datum, resident or not: it has
+    /// a [`location`](Store::location), so after an
+    /// [`evict`](Store::evict) the next read faults it back in. Never true
+    /// without a tier, or for a literal.
     pub fn backed(&self, handle: Handle) -> bool {
-        !handle.is_literal() && self.tier.get().is_some_and(|tier| tier.knows(handle))
+        self.location(handle).is_some()
+    }
+
+    /// Where the backing tier holds the datum, if it does: one lookup
+    /// under the shard's lock. Never for a literal.
+    pub fn location(&self, handle: Handle) -> Option<Loc> {
+        self.lookup(handle, Shard::loc).flatten()
+    }
+
+    /// Sets the backing tier's location of the object under `key`, or
+    /// with `None` removes it, returning the location it replaces. The
+    /// object's bytes, resident or not, are not touched.
+    pub fn locate(&self, key: [u8; 32], loc: Option<Loc>) -> Option<Loc> {
+        let mut shard = self.shard(&key).write();
+        match loc {
+            Some(loc) => shard.locs.get_or_insert_with(Box::default).insert(key, loc),
+            None => shard.locs.as_mut()?.remove(&key),
+        }
+    }
+
+    /// Hands every location to `each`, a shard at a time under its read
+    /// lock.
+    pub fn scan_locations(&self, mut each: impl FnMut(&[u8; 32], Loc)) {
+        for shard in &self.shards {
+            for (key, loc) in shard.read().locs.iter().flat_map(|locs| locs.iter()) {
+                each(key, *loc);
+            }
+        }
+    }
+
+    /// Moves the location of `key` to `to` if it is still in generation
+    /// `from`, under its shard's write lock; true if it moved. A key no
+    /// longer located was dropped meanwhile, and stays dropped.
+    pub fn relocate(&self, key: &[u8; 32], from: u32, to: Loc) -> bool {
+        let mut shard = self.shard(key).write();
+        let loc = shard.locs.as_mut().and_then(|locs| locs.get_mut(key));
+        let moved = loc.filter(|loc| loc.generation == from);
+        moved.map(|loc| *loc = to).is_some()
+    }
+
+    /// Drops objects for good — their bytes *and* their locations, where
+    /// [`gc`](Store::gc) drops only the bytes: each object whose payload
+    /// key `keep` refuses. Every shard stays write-locked until `dropped`
+    /// has been handed the removed locations, so a backing tier can log
+    /// their removal, in one order, before any other call on those keys
+    /// gets in. Returns the number of objects dropped: resident, located
+    /// or both.
+    pub fn purge(
+        &self,
+        keep: impl Fn(&[u8; 32]) -> bool,
+        dropped: impl FnOnce(Vec<([u8; 32], Loc)>),
+    ) -> usize {
+        let mut shards: Vec<_> = self.shards.iter().map(|shard| shard.write()).collect();
+        let (mut objects, mut removed) = (0, Vec::new());
+        for shard in &mut shards {
+            let Shard { nodes, locs, .. } = &mut **shard;
+            for (key, loc) in locs.iter_mut().flat_map(|l| l.extract_if(|k, _| !keep(k))) {
+                objects += usize::from(!nodes.contains_key(&key));
+                removed.push((key, loc));
+            }
+            objects += self.unload(shard, &keep);
+        }
+        dropped(removed);
+        objects
+    }
+
+    /// Drops one object for good — its bytes *and* its location, where
+    /// [`evict`](Store::evict) drops only the bytes. Its shard stays
+    /// write-locked until `dropped` has been handed the payload key and
+    /// the removed location, if it had one, so a backing tier can log the
+    /// removal before any other call on the key gets in. Returns the
+    /// bytes freed from memory, if it was resident.
+    pub fn remove(&self, handle: Handle, dropped: impl FnOnce([u8; 32], Loc)) -> Option<u64> {
+        let key = payload_key(handle);
+        let mut shard = self.shard(&key).write();
+        if let Some(loc) = shard.locs.as_mut().and_then(|locs| locs.remove(&key)) {
+            dropped(key, loc);
+        }
+        shard.nodes.remove(&key).map(|node| self.unloaded(&node))
+    }
+
+    /// Drops the bytes of each object in `shard` whose payload key `keep`
+    /// refuses, returning how many went.
+    fn unload(&self, shard: &mut Shard, keep: impl Fn(&[u8; 32]) -> bool) -> usize {
+        let dropped = shard.nodes.extract_if(|key, _| !keep(key));
+        dropped.inspect(|(_, node)| _ = self.unloaded(node)).count()
+    }
+
+    /// Takes `node`'s bytes off the total, returning them.
+    fn unloaded(&self, node: &Node) -> u64 {
+        let size = node.transfer_size();
+        self.total_bytes.fetch_sub(size, Ordering::Relaxed);
+        size
     }
 
     /// True if the datum is in memory right now — unlike
-    /// [`contains`](Store::contains), never consults the backing tier.
-    /// The durable tier's compaction and eviction planning distinguish
+    /// [`contains`](Store::contains), never counts a location. The
+    /// durable tier's compaction and eviction planning distinguish
     /// resident from merely-faultable objects through this.
     pub fn resident(&self, handle: Handle) -> bool {
-        if handle.is_literal() {
-            return true;
-        }
-        let key = payload_key(handle);
-        self.shard(&key).read().nodes.contains_key(&key)
+        let resident = |s: &Shard, k: &[u8; 32]| s.nodes.contains_key(k);
+        self.lookup(handle, resident).unwrap_or(true)
     }
 
     /// Number of stored (non-literal) objects. Relations are not objects.
@@ -263,35 +404,22 @@ impl Store {
         reachable
     }
 
-    /// The sweep phase: drops every resident object whose payload key is
-    /// not in `reachable`, returning the number dropped. Memoized
-    /// relations stay.
-    pub fn sweep(&self, reachable: &HandleSet<[u8; 32]>) -> usize {
-        let mut collected = 0;
-        for shard in &self.shards {
-            let nodes = &mut shard.write().nodes;
-            let before = nodes.len();
-            nodes.retain(|key, node| {
-                let keep = reachable.contains(key);
-                if !keep {
-                    self.total_bytes
-                        .fetch_sub(node.transfer_size(), Ordering::Relaxed);
-                }
-                keep
-            });
-            collected += before - nodes.len();
-        }
-        collected
-    }
-
-    /// Removes everything not reachable from `roots`
-    /// ([`reachable`](Store::reachable), then [`sweep`](Store::sweep)).
+    /// Drops the bytes of everything not reachable from `roots`
+    /// ([`reachable`](Store::reachable)), a shard at a time. Memoized
+    /// relations and locations stay: on a table with a backing tier a
+    /// collected object still faults back in, and the table still matches
+    /// the tier. Collecting for good is the tier's
+    /// (`fix_durable::DurableStore::gc`, through [`purge`](Store::purge)),
+    /// which also logs each drop.
     ///
     /// This is the conservative sweep behind the paper's "computational
     /// garbage collection" discussion (§6). Returns the number of objects
     /// collected.
     pub fn gc(&self, roots: &[Handle]) -> usize {
-        self.sweep(&self.reachable(roots))
+        let reachable = self.reachable(roots);
+        let keep = |key: &[u8; 32]| reachable.contains(key);
+        let each = |shard: &RwLock<Shard>| self.unload(&mut shard.write(), keep);
+        self.shards.iter().map(each).sum()
     }
 
     /// Drops a single object, returning its payload size in bytes, or
@@ -308,9 +436,7 @@ impl Store {
         }
         let key = payload_key(handle);
         let node = self.shard(&key).write().nodes.remove(&key)?;
-        let size = node.transfer_size();
-        self.total_bytes.fetch_sub(size, Ordering::Relaxed);
-        Some(size)
+        Some(self.unloaded(&node))
     }
 
     /// Lists every resident object handle (canonical Object form). Each
@@ -445,14 +571,115 @@ mod tests {
     struct Nothing;
 
     impl Tier for Nothing {
-        fn fault(&self, _: Handle) -> Option<Node> {
+        fn fault(&self, _: Handle, _: Loc) -> Option<Node> {
             None
-        }
-        fn knows(&self, _: Handle) -> bool {
-            false
         }
         fn inserted(&self, _: Handle, _: &Node) {}
         fn recorded(&self, _: Relation, _: Handle, _: Handle) {}
+    }
+
+    /// A tier that serves `held` on a fault, and records the faults it
+    /// serves and the inserts it is told of. With `dropping`, each fault
+    /// first drops the object it reads from the table, as a `remove`
+    /// racing the read would.
+    #[derive(Default)]
+    struct Recording {
+        held: Option<Node>,
+        table: OnceLock<std::sync::Weak<Store>>,
+        dropping: bool,
+        faults: parking_lot::Mutex<Vec<Loc>>,
+        inserted: parking_lot::Mutex<Vec<Handle>>,
+    }
+
+    impl Tier for Recording {
+        fn fault(&self, handle: Handle, loc: Loc) -> Option<Node> {
+            self.faults.lock().push(loc);
+            if self.dropping {
+                let table = self.table.get()?.upgrade()?;
+                table.remove(handle, |_, _| {});
+            }
+            self.held.clone()
+        }
+        fn inserted(&self, handle: Handle, _: &Node) {
+            self.inserted.lock().push(handle);
+        }
+        fn recorded(&self, _: Relation, _: Handle, _: Handle) {}
+    }
+
+    /// A table with a [`Recording`] tier holding `node`.
+    fn recorded(node: &Node, dropping: bool) -> (Arc<Store>, Arc<Recording>) {
+        let table = Arc::new(Store::new());
+        let tier = Arc::new(Recording {
+            held: Some(node.clone()),
+            dropping,
+            ..Recording::default()
+        });
+        tier.table.set(Arc::downgrade(&table)).unwrap();
+        table.attach(Arc::clone(&tier) as Arc<dyn Tier>).unwrap();
+        (table, tier)
+    }
+
+    #[test]
+    fn a_location_backs_an_object_until_a_remove_drops_both() {
+        assert_eq!(std::mem::size_of::<Loc>(), 16);
+        let node = Node::Blob(Blob::from_slice(&[6u8; 64]));
+        let (table, tier) = recorded(&node, false);
+        let h = table.put(node.clone());
+        let key = payload_key(h);
+        assert_eq!(*tier.inserted.lock(), [h]);
+        assert!(!table.backed(h) && table.location(h).is_none());
+
+        let at = Loc::new(8, 100, 0);
+        assert_eq!(table.locate(key, Some(at)), None);
+        assert_eq!(table.location(h), Some(at));
+        assert_eq!(table.evict(h), Some(64));
+        assert!(table.contains(h) && table.backed(h) && !table.resident(h));
+        // A miss faults at the location read with it.
+        assert_eq!(table.get(h).unwrap(), node);
+        assert_eq!(*tier.faults.lock(), [at]);
+        assert!(table.resident(h));
+        // A located key put again is not news to the tier.
+        table.evict(h);
+        table.put(node.clone());
+        assert_eq!(tier.inserted.lock().len(), 1);
+
+        // Only a key still in the generation named moves.
+        let to = Loc::new(8, 100, 1);
+        assert!(!table.relocate(&key, 1, to));
+        assert!(table.relocate(&key, 0, to));
+        assert_eq!(table.location(h), Some(to));
+
+        // A collection drops only the bytes: the object still faults in.
+        assert_eq!(table.gc(&[]), 1);
+        assert!(table.backed(h) && !table.resident(h));
+        assert_eq!(table.get(h).unwrap(), node);
+        assert_eq!(*tier.faults.lock(), [at, to]);
+
+        let mut dropped = None;
+        assert_eq!(table.remove(h, |k, loc| dropped = Some((k, loc))), Some(64));
+        assert_eq!(dropped, Some((key, to)));
+        assert_eq!(table.remove(h, |_, _| panic!("dropped twice")), None);
+        assert!(!table.contains(h));
+        assert!(matches!(table.get(h), Err(Error::NotFound(_))));
+        assert_eq!((table.object_count(), table.total_bytes()), (0, 0));
+        assert!(!table.relocate(&key, 1, to), "a dropped key stays dropped");
+        // Unlocated, the key is news again.
+        table.put(node);
+        assert_eq!(tier.inserted.lock().len(), 2);
+    }
+
+    #[test]
+    fn an_object_dropped_while_its_fault_reads_stays_dropped() {
+        let node = Node::Blob(Blob::from_slice(&[7u8; 64]));
+        let (table, tier) = recorded(&node, true);
+        let h = node.handle();
+        table.locate(payload_key(h), Some(Loc::new(8, 100, 0)));
+        // The read began before the drop, so it may return the bytes; the
+        // table must not keep them.
+        assert!(table.get(h).is_ok());
+        assert_eq!(tier.faults.lock().len(), 1);
+        assert!(!table.resident(h) && !table.contains(h));
+        assert!(matches!(table.get(h), Err(Error::NotFound(_))));
     }
 
     #[test]
@@ -634,7 +861,7 @@ mod tests {
         // Objects go; relations stay.
         assert_eq!(table.evict(value), Some(64));
         memos_unchanged(&cache);
-        assert_eq!(table.sweep(&HandleSet::default()), 1);
+        assert_eq!(table.purge(|_| false, |_| {}), 1);
         memos_unchanged(&cache);
         table.put_blob(Blob::from_slice(&[3u8; 64]));
         table.put_tree(Tree::from_handles(vec![value]));
