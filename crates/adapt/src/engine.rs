@@ -76,45 +76,12 @@ impl AdaptConfig {
     }
 }
 
-/// Non-deterministic control-plane diagnostics: wall-timing-dependent
-/// scheduler readings sampled once at the end of the execution phase.
-/// Reported beside the deterministic tables (like
-/// [`ServeReport::execution_wall`]), never inside them.
-#[derive(Debug, Clone, Copy)]
-pub struct ControlDiagnostics {
-    /// `sched.parked` at sample time: worker threads blocked on the
-    /// scheduler condvar (0 once a drained pool unparks).
-    pub sched_parked: i64,
-    /// `sched.steal_rate` at sample time: cross-slot steals in permille
-    /// of all successful scheduler pops.
-    pub sched_steal_rate_permille: i64,
-}
-
 /// The outcome of one adaptive serve run: the full (deterministic)
-/// [`ServeReport`] — rejection column and scaling timeline populated —
-/// plus the wall-clock control diagnostics.
+/// [`ServeReport`], rejection column and scaling timeline populated.
 pub struct AdaptReport {
     /// The deterministic report (its `Display` is the bit-identical
     /// table surface).
     pub serve: ServeReport,
-    /// Wall-clock scheduler readings (non-deterministic).
-    pub diag: ControlDiagnostics,
-}
-
-impl AdaptReport {
-    /// The non-deterministic half, as one line: real execution wall
-    /// time and throughput plus the scheduler gauges. Kept out of
-    /// [`Display`](std::fmt::Display) so the printed tables stay
-    /// bit-identical.
-    pub fn wall_summary(&self) -> String {
-        format!(
-            "execution wall {:?} ({:.0} req/s real), sched parked {}, steal rate {}‰",
-            self.serve.execution_wall,
-            self.serve.wall_rps(),
-            self.diag.sched_parked,
-            self.diag.sched_steal_rate_permille,
-        )
-    }
 }
 
 impl std::fmt::Display for AdaptReport {
@@ -158,11 +125,7 @@ pub fn adaptive_serve<A: SubmitApi + InvocationApi + Send + Sync>(
     cfg: &AdaptConfig,
 ) -> Result<AdaptReport> {
     let serve = kernel::run(rt, &cfg.kernel_config())?;
-    let diag = ControlDiagnostics {
-        sched_parked: fix_obs::global().gauge("sched.parked").get(),
-        sched_steal_rate_permille: fix_obs::global().gauge("sched.steal_rate").get(),
-    };
-    Ok(AdaptReport { serve, diag })
+    Ok(AdaptReport { serve })
 }
 
 #[cfg(test)]

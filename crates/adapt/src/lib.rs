@@ -39,15 +39,16 @@
 //! and tenant sources themselves live beside the kernel in `fix-serve`
 //! and are re-exported here. Everything printed is bit-identical across
 //! runs and backends for one seed; wall-clock readings
-//! ([`AdaptReport::wall_summary`], scheduler park/steal gauges) are
-//! reported separately and never enter the tables.
+//! ([`ServeReport::execution_wall`](fix_serve::ServeReport::execution_wall),
+//! the scheduler's park/steal gauges in `Runtime::metrics()`) never
+//! enter the tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
 
-pub use engine::{adaptive_serve, AdaptConfig, AdaptReport, AdaptTenant, ControlDiagnostics};
+pub use engine::{adaptive_serve, AdaptConfig, AdaptReport, AdaptTenant};
 // The controllers and tenant sources live beside the kernel that runs
 // them; this crate is where they are configured from.
 pub use fix_serve::closed_loop::{self, ClosedLoopSpec};

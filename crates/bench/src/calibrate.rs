@@ -205,7 +205,7 @@ mod tests {
     /// The pin behind the ROADMAP item: the table must stay within an
     /// order of magnitude of what the real runtime measures, row by
     /// row. The honest 10× bound applies to release builds (CI runs
-    /// this test in release alongside the serving smoke); debug builds
+    /// this test in release, in a step of its own); debug builds
     /// run the unoptimized interpreter on shared, possibly contended
     /// runners, so the default `cargo test` pass only sanity-checks the
     /// rows instead of flaking tier 1 on machine load.

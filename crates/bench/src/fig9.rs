@@ -122,7 +122,7 @@ pub fn run(real_keys: usize, real_arities: &[u32]) -> Fig9 {
 }
 
 fn real_run(n_keys: usize, arity: usize, queries: usize) -> RealRow {
-    use std::sync::atomic::Ordering;
+    use fix_core::api::Evaluator;
     let rt = Runtime::builder().build();
     let titles = generate_sorted_titles(17, n_keys);
     let pairs: Vec<(String, Vec<u8>)> = titles
@@ -145,14 +145,14 @@ fn real_run(n_keys: usize, arity: usize, queries: usize) -> RealRow {
     }
 
     // Warm nothing: each key is a fresh Fix-level traversal.
-    let before = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+    let before = rt.procedures_run();
     let start = Instant::now();
     for k in &keys {
         let h = lookup_fix(&rt, proc_h, &tree, k).expect("fix lookup");
         std::hint::black_box(h);
     }
     let elapsed = start.elapsed().as_micros();
-    let after = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+    let after = rt.procedures_run();
 
     RealRow {
         log2_arity: arity.trailing_zeros(),

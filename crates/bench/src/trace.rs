@@ -9,7 +9,7 @@
 //! of each trace. The serve-layer lifecycle events ride the virtual
 //! clock, so the three summaries (and the latency decomposition table)
 //! are bit-identical: this module asserts that identity instead of just
-//! claiming it, and the `figures trace` CI smoke pins the rendered
+//! claiming it, and the `figures_trace_quick.txt` golden pins the rendered
 //! output run-to-run.
 //!
 //! Each backend's *full* trace — including the wall-clock scheduler
@@ -43,7 +43,7 @@ where
 /// Chrome trace JSON per backend under `out_dir`, and returns the
 /// deterministic report (summary table, decomposition, identity
 /// checks). Panics if any determinism property fails — this is the
-/// assertion the CI smoke runs in release mode.
+/// assertion the golden test runs at `scale` 1.
 pub fn run(scale: u32, out_dir: &Path) -> String {
     run_with(&crate::serve_report::config(scale), out_dir)
 }

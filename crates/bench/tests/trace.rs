@@ -12,8 +12,8 @@ use fix_serve::ServeConfig;
 #[test]
 fn trace_report_is_deterministic() {
     // A miniature horizon: the full `run(1, ..)` report is what the
-    // release-mode CI smoke exercises; in debug the same assertions on a
-    // 20× shorter run keep the suite fast.
+    // golden test renders; here the same assertions on a 20× shorter
+    // run keep the suite fast.
     let cfg = ServeConfig {
         duration_us: 10_000,
         ..serve_report::config(1)

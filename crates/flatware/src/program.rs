@@ -289,17 +289,9 @@ mod tests {
         let root = fs.build(rt.store());
         let cat = cat_program(&rt);
         let (_, a) = run_program(&rt, cat, &["cat", "x"], root).unwrap();
-        let before = rt
-            .engine()
-            .stats
-            .procedures_run
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let before = rt.procedures_run();
         let (_, b) = run_program(&rt, cat, &["cat", "x"], root).unwrap();
-        let after = rt
-            .engine()
-            .stats
-            .procedures_run
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let after = rt.procedures_run();
         assert_eq!(a, b);
         assert_eq!(before, after, "second run must hit the relation cache");
     }

@@ -5,8 +5,8 @@
 //! whose timestamps come from the virtual clock. Aggregation is
 //! order-insensitive (counts, min/max timestamps, histogram merges), so
 //! the rendered tables are byte-identical across runs, worker counts,
-//! and submitting backends for the same seed — the property the CI
-//! trace smoke and `figures trace` pin.
+//! and submitting backends for the same seed — the property
+//! `figures trace` asserts and its golden file pins.
 
 use crate::hist::LogHistogram;
 use crate::recorder::{EventKind, Trace};

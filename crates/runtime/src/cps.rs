@@ -274,12 +274,11 @@ mod tests {
         let rt = Runtime::builder().build();
         let head = linked_list(&rt, &[0, 1, 2, 3, 4, 5, 6, 7]);
         let get = register_get(&rt);
-        let runs = |rt: &Runtime| rt.engine().stats.procedures_run.load(Ordering::Relaxed);
-        let before = runs(&rt);
+        let before = rt.procedures_run();
         let thunk = start(&rt, get, &6u64.to_le_bytes(), &[head]).unwrap();
         rt.eval(thunk).unwrap();
         // i+1 stepper invocations: hops 6..0.
-        assert_eq!(runs(&rt) - before, 7);
+        assert_eq!(rt.procedures_run() - before, 7);
     }
 
     #[test]

@@ -244,10 +244,7 @@ mod tests {
         let out = rt.eval(thunk).unwrap();
         assert_eq!(rt.get_blob(out).unwrap().as_slice(), b"done");
         // 101 applications ran (100 tail calls + base case).
-        assert_eq!(
-            rt.engine().stats.procedures_run.load(Ordering::Relaxed),
-            101
-        );
+        assert_eq!(rt.procedures_run(), 101);
     }
 
     #[test]
@@ -360,7 +357,7 @@ mod tests {
         assert_eq!(rt.get_u64(out).unwrap(), 55);
         // Memoization collapses the exponential call tree: fib(0..=10) plus
         // the adds, not 2^10 invocations.
-        let runs = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+        let runs = rt.procedures_run();
         assert!(runs <= 25, "expected memoized recursion, got {runs} runs");
     }
 
@@ -495,7 +492,7 @@ mod tests {
         // caller left parked forever would hang here) and runs nothing.
         let out = rt.eval(outer).unwrap();
         assert_eq!(rt.get_blob(out).unwrap().as_slice(), b"late");
-        assert_eq!(rt.engine().stats.procedures_run.load(Ordering::Relaxed), 2);
+        assert_eq!(rt.procedures_run(), 2);
         assert_eq!(rt.submission_watchers(), 0);
         assert_eq!(rt.queued_jobs(), 0);
     }
@@ -539,11 +536,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(rt.job_entries(), 0);
-        assert_eq!(
-            rt.engine().stats.procedures_run.load(Ordering::Relaxed),
-            1,
-            "only the dependency ran"
-        );
+        assert_eq!(rt.procedures_run(), 1, "only the dependency ran");
         assert!(rt.engine().memoized(Job::Eval(outer)).is_none());
     }
 
@@ -645,7 +638,7 @@ mod tests {
         assert_eq!(step(strict), Step::Done(forced));
         assert_eq!(step(select), Step::Done(leaf));
         assert_eq!(rt.eval(both).unwrap(), pair.as_ref_handle());
-        assert_eq!(rt.engine().stats.procedures_run.load(Ordering::Relaxed), 4);
+        assert_eq!(rt.procedures_run(), 4);
     }
 
     #[test]
@@ -717,7 +710,7 @@ mod tests {
         assert_eq!(rt.get_u64(rt.eval(a).unwrap()).unwrap(), 4);
         rt.cache().clear();
         assert_eq!(rt.get_u64(rt.eval(b).unwrap()).unwrap(), 13);
-        assert_eq!(rt.engine().stats.procedures_run.load(Ordering::Relaxed), 4);
+        assert_eq!(rt.procedures_run(), 4);
         assert_eq!(rt.job_entries(), 0);
     }
 
@@ -877,12 +870,12 @@ mod tests {
             }
             assert_eq!(rt.job_entries(), 0, "workers={workers}");
 
-            let ran = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+            let ran = rt.procedures_run();
             for &t in &thunks {
                 rt.eval(t).unwrap();
             }
             assert_eq!(
-                rt.engine().stats.procedures_run.load(Ordering::Relaxed),
+                rt.procedures_run(),
                 ran,
                 "workers={workers}: a re-eval is a relation-cache hit"
             );

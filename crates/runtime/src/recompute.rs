@@ -21,7 +21,6 @@ use fix_core::handle::{Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use fix_storage::{
     apply_eviction, payload_key, plan_eviction, recipes, support_closure, EvictionPlan, Relation,
 };
-use std::sync::atomic::Ordering;
 
 /// What an eviction pass deleted.
 #[derive(Debug, Clone)]
@@ -73,12 +72,11 @@ impl Runtime {
     /// that fails leaves its recipe in the table.
     pub fn materialize(&self, handle: Handle) -> Result<RecomputeReport> {
         let recipes = recipes(self.store());
-        let runs = || self.engine().stats.procedures_run.load(Ordering::Relaxed);
-        let before = runs();
+        let before = self.procedures_run();
         let mut report = RecomputeReport::default();
         let mut in_progress: HandleSet<[u8; 32]> = HandleSet::default();
         self.materialize_inner(&recipes, handle, 1, &mut in_progress, &mut report)?;
-        report.procedures_rerun = runs() - before;
+        report.procedures_rerun = self.procedures_run() - before;
         Ok(report)
     }
 

@@ -61,17 +61,10 @@ impl RuntimeBuilder {
         // and `metrics()` can never disagree.
         let metrics = fix_obs::Registry::new();
         metrics.register_counter("scheduler.work_steals", &scheduler.steals_counter());
-        // Park/steal diagnostics as plain registry gauges, in this
-        // runtime's registry and adopted into the process-wide one so a
-        // load controller can read scheduler pressure like any other
-        // metric. Both are wall-timing dependent (diagnostic only), and
-        // in the global registry the most recently built runtime's
-        // cells win — the usual one-runtime-per-process case reads its
-        // own scheduler.
+        // Park/steal diagnostics as plain gauges in this runtime's
+        // registry. Both are wall-timing dependent (diagnostic only).
         metrics.register_gauge("sched.parked", &scheduler.parked_gauge());
         metrics.register_gauge("sched.steal_rate", &scheduler.steal_rate_gauge());
-        fix_obs::global().register_gauge("sched.parked", &scheduler.parked_gauge());
-        fix_obs::global().register_gauge("sched.steal_rate", &scheduler.steal_rate_gauge());
         Runtime {
             registry,
             engine,

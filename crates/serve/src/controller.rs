@@ -4,10 +4,10 @@
 //! Both run on the virtual clock inside the simulation loop, so their
 //! decisions are part of the bit-identical report surface — the same
 //! seed produces the same rejections and the same scaling timeline on
-//! every backend. (The *wall-clock* scheduler gauges they can be
-//! steered by in a live deployment — `sched.parked`,
-//! `sched.steal_rate` — are sampled only into the non-deterministic
-//! diagnostics, never into a decision that shapes a table.)
+//! every backend. (The *wall-clock* scheduler gauges, `sched.parked`
+//! and `sched.steal_rate`, stay in each runtime's own registry,
+//! `Runtime::metrics()`, and never feed a decision that shapes a
+//! table.)
 
 use crate::loadgen::Micros;
 use crate::queue::TenantQueues;

@@ -12,7 +12,7 @@
 //! the recovered run's table is **bit-identical** to the pre-crash one.
 //! Those two properties together are the crash-recovery contract, and
 //! [`kill_and_recover`] packages them as a reusable scenario (used by
-//! the tests here and by the `durable_serving` example / CI smoke).
+//! the crate's `recovery` tests).
 
 use crate::server::{serve, ServeConfig, ServeReport};
 use fix_core::api::Evaluator;

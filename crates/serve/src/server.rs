@@ -661,10 +661,14 @@ mod tests {
     /// The cluster client is served bare — it submits through its
     /// embedded node's scheduler — and is indistinguishable from a
     /// `Runtime` in everything but its simulated-run telemetry, for a
-    /// blocking window and a pipelined one.
+    /// blocking window and a pipelined one, under Fixpoint's profile
+    /// and under a comparator's (OpenWhisk).
     #[test]
     fn runs_identically_on_the_cluster_backend() {
         use fix_core::api::Evaluator;
+        let workers: Vec<fix_netsim::NodeId> = (0..10).map(fix_netsim::NodeId).collect();
+        let openwhisk =
+            fix_baselines::profiles::openwhisk(&workers, &fix_baselines::CostModel::default());
         for inflight in [1, 4] {
             let cfg = ServeConfig {
                 duration_us: 30_000,
@@ -673,16 +677,24 @@ mod tests {
             };
             let rt = Runtime::builder().build();
             let rt_report = serve(&rt, &cfg).unwrap();
-            let cc = fix_cluster::ClusterClient::builder().build().unwrap();
-            let cc_report = serve(&cc, &cfg).unwrap();
-            // The virtual-time telemetry is backend-independent; so are
-            // the (content-addressed) evaluation outcomes and the work
-            // it took to produce them.
-            assert_eq!(rt_report.to_string(), cc_report.to_string());
-            assert_eq!(rt.procedures_run(), cc.procedures_run());
-            assert!(!cc.reports().is_empty(), "real cluster runs were recorded");
-            assert_eq!(cc.inner().submission_watchers(), 0);
-            assert_eq!(cc.inner().queued_jobs(), 0);
+            let clients = [
+                fix_cluster::ClusterClient::builder().build().unwrap(),
+                fix_cluster::ClusterClient::builder()
+                    .profile(openwhisk.clone())
+                    .build()
+                    .unwrap(),
+            ];
+            for cc in &clients {
+                let cc_report = serve(cc, &cfg).unwrap();
+                // The virtual-time telemetry is backend-independent; so
+                // are the (content-addressed) evaluation outcomes and
+                // the work it took to produce them.
+                assert_eq!(rt_report.to_string(), cc_report.to_string());
+                assert_eq!(rt.procedures_run(), cc.procedures_run());
+                assert!(!cc.reports().is_empty(), "real cluster runs were recorded");
+                assert_eq!(cc.inner().submission_watchers(), 0);
+                assert_eq!(cc.inner().queued_jobs(), 0);
+            }
         }
     }
 

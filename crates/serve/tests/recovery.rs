@@ -1,13 +1,16 @@
 //! The crash-recovery contract for durable serving (see
 //! `fix_serve::recovery`): accounting closure on both sides of a crash,
 //! bit-identical deterministic tables across the boundary, zero
-//! recomputation of replayed memoized requests, and a torn final frame
-//! tolerated at recovery.
+//! recomputation of replayed memoized requests, a torn final frame
+//! tolerated at recovery, and a recovered table equal to an in-memory
+//! run's, with replayed results served from disk.
 
-use fix_durable::{DurableOptions, FsyncPolicy};
+use fix_core::api::Evaluator;
+use fix_durable::{DurableOptions, DurableStore, FsyncPolicy};
 use fix_serve::{
-    kill_and_recover, serve_durable, ArrivalProcess, RequestKind, ServeConfig, TenantSpec,
+    kill_and_recover, serve, serve_durable, ArrivalProcess, RequestKind, ServeConfig, TenantSpec,
 };
+use fixpoint::Runtime;
 
 fn config() -> ServeConfig {
     ServeConfig {
@@ -111,4 +114,67 @@ fn kill_mid_batch_recovers_the_persisted_prefix() {
         settled.procedures_run, 0,
         "once re-served and re-persisted, the workload is fully memoized again"
     );
+}
+
+/// A crash mid-log, recovered: the recovered run's table is the one a
+/// fresh in-memory runtime prints for the same config, it re-runs fewer
+/// procedures than that runtime, and a replayed (non-literal) result is
+/// read back by a disk fault, not recomputed.
+#[test]
+fn a_recovered_run_matches_memory_and_faults_its_results_from_disk() {
+    let cfg = ServeConfig {
+        seed: 42,
+        duration_us: 40_000,
+        drivers: 2,
+        batch: 8,
+        queue_capacity: 64,
+        batch_overhead_us: 5,
+        inflight: 2,
+        tenants: vec![
+            TenantSpec::uniform_mix(
+                "interactive",
+                3,
+                ArrivalProcess::Poisson { rate_rps: 900.0 },
+                RequestKind::Add,
+            ),
+            // Renders produce large (non-literal) result blobs, so a
+            // replayed result has bytes in the log to fault.
+            TenantSpec::uniform_mix(
+                "webapp",
+                1,
+                ArrivalProcess::Poisson { rate_rps: 300.0 },
+                RequestKind::SebsHtml { users: 4 },
+            ),
+        ],
+    };
+    let dir = tempfile::tempdir().unwrap();
+    // The run appends about 98 frames: frame 60 is mid-run.
+    let (_, recovered) = kill_and_recover(dir.path(), &cfg, 60).unwrap();
+    recovered.assert_accounting_closure();
+    assert!(recovered.truncated_bytes > 0, "the torn frame is cut");
+    assert!(recovered.replayed_relations > 0, "the log prefix replays");
+
+    let memory = Runtime::builder().build();
+    let reference = serve(&memory, &cfg).unwrap();
+    assert_eq!(
+        recovered.table,
+        reference.to_string(),
+        "the recovered table is the in-memory one"
+    );
+    assert!(
+        recovered.procedures_run < memory.procedures_run(),
+        "replayed work must not be recomputed ({} vs {})",
+        recovered.procedures_run,
+        memory.procedures_run()
+    );
+
+    let d = DurableStore::open(dir.path(), clean_options()).unwrap();
+    let (_, _, output) = d
+        .cache()
+        .entries()
+        .into_iter()
+        .find(|(_, _, out)| out.is_value() && !out.is_literal())
+        .expect("some replayed relation has a stored result");
+    d.store().get(output).unwrap();
+    assert_eq!(d.stats().faults, 1, "the result came from disk");
 }

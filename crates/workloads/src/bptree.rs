@@ -456,13 +456,12 @@ mod tests {
 
     #[test]
     fn invocations_scale_with_depth() {
-        use std::sync::atomic::Ordering;
         let (rt, tree, titles) = sample_tree(256, 4);
         assert_eq!(tree.depth, 4); // 4^4 = 256.
         let proc_h = register_lookup(&rt);
-        let before = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+        let before = rt.procedures_run();
         lookup_fix(&rt, proc_h, &tree, &titles[123]).unwrap();
-        let after = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+        let after = rt.procedures_run();
         // One invocation per level (the paper's `d`).
         assert_eq!(after - before, tree.depth as u64);
     }

@@ -465,13 +465,7 @@ mod tests {
         assert!(text.starts_with("FIXLINK01"), "{text}");
         assert!(text.contains("units=25"));
         // 25 compiles + 1 link.
-        assert_eq!(
-            rt.engine()
-                .stats
-                .procedures_run
-                .load(std::sync::atomic::Ordering::Relaxed),
-            26
-        );
+        assert_eq!(rt.procedures_run(), 26);
     }
 
     #[test]

@@ -88,7 +88,6 @@ mod tests {
     use fix_core::api::ObjectApi;
     use fix_core::data::Blob;
     use fixpoint::Runtime;
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     fn job(rt: &Runtime) -> MapReduce {
@@ -107,14 +106,10 @@ mod tests {
         let needle = rt.put_blob(Blob::from_slice(b"the"));
         let root = mr.describe(&rt, &shards, &[needle]).unwrap();
         assert!(root.is_thunk());
-        assert_eq!(
-            rt.engine().stats.procedures_run.load(Ordering::Relaxed),
-            0,
-            "description must be pure"
-        );
+        assert_eq!(rt.procedures_run(), 0, "description must be pure");
         // The whole job is 8 maps + 7 merges once evaluated.
         rt.eval(root).unwrap();
-        assert_eq!(rt.engine().stats.procedures_run.load(Ordering::Relaxed), 15);
+        assert_eq!(rt.procedures_run(), 15);
     }
 
     #[test]
@@ -146,7 +141,7 @@ mod tests {
         let out = mr.run(&rt, &shards, &[needle]).unwrap();
         assert!(rt.get_u64(out).unwrap() > 0);
         // 1 map, 0 merges.
-        assert_eq!(rt.engine().stats.procedures_run.load(Ordering::Relaxed), 1);
+        assert_eq!(rt.procedures_run(), 1);
     }
 
     #[test]
@@ -190,9 +185,9 @@ mod tests {
         let mr = job(&rt);
         let needle = rt.put_blob(Blob::from_slice(b"the"));
         mr.run(&rt, &shards[..4], &[needle]).unwrap();
-        let before = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+        let before = rt.procedures_run();
         mr.run(&rt, &shards[..6], &[needle]).unwrap();
-        let delta = rt.engine().stats.procedures_run.load(Ordering::Relaxed) - before;
+        let delta = rt.procedures_run() - before;
         // Only the 2 new maps + the new merge spine run; the first four
         // map results come from the relation cache.
         assert!(delta <= 2 + 5, "ran {delta} procedures");

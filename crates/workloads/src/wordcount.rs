@@ -235,15 +235,14 @@ mod tests {
 
     #[test]
     fn wordcount_memoizes_repeat_queries() {
-        use std::sync::atomic::Ordering;
         let rt = Runtime::builder().build();
         let shards = store_shards(&rt, 7, 8, 8 << 10);
         let a = run_wordcount_fix(&rt, &shards, b"and").unwrap();
-        let runs = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+        let runs = rt.procedures_run();
         let b = run_wordcount_fix(&rt, &shards, b"and").unwrap();
         assert_eq!(a, b);
         assert_eq!(
-            rt.engine().stats.procedures_run.load(Ordering::Relaxed),
+            rt.procedures_run(),
             runs,
             "identical job must be fully memoized"
         );

@@ -7,7 +7,6 @@
 use fix::prelude::*;
 use fix::workloads::bptree::{build, lookup_fix, lookup_trusted, register_lookup, table2};
 use fix::workloads::titles::generate_sorted_titles;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 fn main() {
@@ -43,7 +42,7 @@ fn main() {
             bytes += stats.key_bytes_read;
         }
 
-        let before = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+        let before = rt.procedures_run();
         let start = Instant::now();
         for k in &keys {
             let value = lookup_fix(&rt, proc_h, &tree, k).expect("fix lookup");
@@ -51,7 +50,7 @@ fn main() {
             assert!(blob.as_slice().starts_with(b"article body of"));
         }
         let elapsed = start.elapsed();
-        let invocations = rt.engine().stats.procedures_run.load(Ordering::Relaxed) - before;
+        let invocations = rt.procedures_run() - before;
         println!(
             "  10 lookups in {elapsed:?}  ({} invocations, {} key-bytes read per lookup)",
             invocations,

@@ -7,7 +7,6 @@
 
 use fix::prelude::*;
 use fix::workloads::compile::{build_project_fix, compile_unit, generate_source};
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 fn main() {
@@ -32,10 +31,7 @@ fn main() {
         String::from_utf8_lossy(summary.as_slice())
     );
     println!("built in {elapsed:?}");
-    println!(
-        "procedures run: {}",
-        rt.engine().stats.procedures_run.load(Ordering::Relaxed)
-    );
+    println!("procedures run: {}", rt.procedures_run());
 
     // Rebuild: everything is memoized, nothing recompiles.
     let start = Instant::now();
@@ -48,7 +44,7 @@ fn main() {
 
     // Touch one file (different seed for unit 0) and rebuild: only that
     // unit recompiles — content addressing gives free incremental builds.
-    let before = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+    let before = rt.procedures_run();
     let src0 = generate_source(100, 0, 4);
     let _ = compile_unit(&src0).expect("unit compiles");
     println!(

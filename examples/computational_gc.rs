@@ -90,12 +90,7 @@ fn main() -> Result<()> {
     let count_e = parse_hist(&rt.get_blob(total)?)[b'e' as usize];
     println!("total 'e' bytes in corpus: {count_e}");
 
-    let procedures = |rt: &Runtime| {
-        rt.engine()
-            .stats
-            .procedures_run
-            .load(std::sync::atomic::Ordering::Relaxed)
-    };
+    let procedures = |rt: &Runtime| rt.procedures_run();
     let before_bytes = rt.store().total_bytes();
     let before_runs = procedures(&rt);
 

@@ -82,25 +82,18 @@ fn main() -> Result<()> {
         }),
     );
 
-    let runs = |rt: &Runtime| {
-        rt.engine()
-            .stats
-            .procedures_run
-            .load(std::sync::atomic::Ordering::Relaxed)
-    };
-
     println!(
         "{:>6} {:>22} {:>24} {:>20}",
         "i", "cps (invocations)", "cps bytes fetched", "blocking bytes"
     );
     for i in [0u64, 15, 63, 255] {
-        let before = runs(&rt);
+        let before = rt.procedures_run();
         let thunk = start(&rt, get, &i.to_le_bytes(), &[head])?;
         let out = rt.eval(thunk)?;
         let value = rt.get_blob(out)?;
         let got = u64::from_le_bytes(value.as_slice()[..8].try_into().expect("u64"));
         assert_eq!(got, i);
-        let invocations = runs(&rt) - before;
+        let invocations = rt.procedures_run() - before;
 
         let (got_b, blocking_bytes) = get_blocking(&rt, head, i)?;
         assert_eq!(got_b, i);

@@ -173,9 +173,8 @@ fn main() {
     // The scheduler shards its job map and steals work across per-worker
     // deques, so with workers the same traffic executes in a genuinely
     // different interleaving — and the virtual-clock tables must not
-    // care. This runs in the release CI smoke, so a scheduler change
-    // that lets wall-clock interleaving leak into the deterministic
-    // telemetry fails the build.
+    // care (`figures trace` and its golden file pin the same on a
+    // 4-worker runtime).
     let one = serve(&Runtime::builder().workers(1).build(), &cfg).expect("serve workers=1");
     let four = serve(&Runtime::builder().workers(4).build(), &cfg).expect("serve workers=4");
     assert_eq!(
@@ -192,9 +191,8 @@ fn main() {
     // The fix-obs recorder rides along on the same run: turning it on
     // must not move the deterministic tables, its serve-layer summary is
     // itself a pure function of (config, seed), and the full trace
-    // exports as Chrome trace-event JSON. This runs in the release CI
-    // smoke, so instrumentation that perturbs serving — or an export
-    // that stops parsing — fails the build.
+    // exports as Chrome trace-event JSON (`fix-bench`'s `trace` test
+    // asserts the same).
     fix::obs::recorder().clear();
     fix::obs::set_tracing(true);
     let traced = serve(&Runtime::builder().build(), &cfg).expect("traced serve");

@@ -1,16 +1,459 @@
 //! Architecture guards: structure the design has given up, checked by
 //! reading the source tree, so a name that comes back fails a test.
+//!
+//! A guard names the trees it reads and the patterns it forbids. A tree
+//! is a directory, read recursively and in full (every file, not only
+//! `*.rs`), or one file; paths are relative to the repository root.
+//! This file spells every forbidden name, so no guard reads it. A
+//! pattern is matched within one line: it is a literal, with an
+//! optional `\b` at either end that asks for a word boundary there, as
+//! in grep (`\bPriority\b` is a whole word; `fn knows\b` is not the head
+//! of a longer name such as `fn knows_all`; a bare `set_stage` matches
+//! anywhere).
 
 use std::fs;
 use std::path::Path;
 
-/// Whether `text` holds `name` as a whole name, not as the head of a
-/// longer identifier (`fn indexed` is not `fn indexed_objects`).
-fn holds(text: &str, name: &str) -> bool {
+/// The file that spells every forbidden name.
+const GUARDS: &str = "tests/architecture.rs";
+
+/// One line of a file the guards read.
+struct Line {
+    path: String,
+    no: usize,
+    text: String,
+}
+
+impl std::fmt::Debug for Line {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}: {}", self.path, self.no, self.text.trim())
+    }
+}
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The names in directory `rel`, sorted.
+fn entries(rel: &str) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(root().join(rel))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Pushes `rel` if it is a file, or every file under it, in name order.
+fn walk(rel: String, out: &mut Vec<String>) {
+    if !root().join(&rel).is_dir() {
+        out.push(rel);
+        return;
+    }
+    for name in entries(&rel) {
+        walk(format!("{rel}/{name}"), out);
+    }
+}
+
+/// The lines under `trees` that `bad` picks out.
+fn found(trees: &[impl AsRef<str>], bad: impl Fn(&Line) -> bool) -> Vec<Line> {
+    let mut files = Vec::new();
+    for tree in trees {
+        walk(tree.as_ref().to_string(), &mut files);
+    }
+    let mut hits = Vec::new();
+    for path in files.into_iter().filter(|path| path != GUARDS) {
+        let bytes = fs::read(root().join(&path)).unwrap();
+        for (i, text) in String::from_utf8_lossy(&bytes).lines().enumerate() {
+            let line = Line {
+                path: path.clone(),
+                no: i + 1,
+                text: text.to_string(),
+            };
+            if bad(&line) {
+                hits.push(line);
+            }
+        }
+    }
+    hits
+}
+
+/// Whether `text` holds `pattern` (spelled as the module docs say).
+fn holds(text: &str, pattern: &str) -> bool {
+    let lead = pattern.starts_with(r"\b");
+    let trail = pattern.ends_with(r"\b");
+    let name = &pattern[if lead { 2 } else { 0 }..pattern.len() - if trail { 2 } else { 0 }];
+    // A word boundary: the line's end, or a character outside a name.
+    let edge = |c: Option<char>| !c.is_some_and(|c| c.is_alphanumeric() || c == '_');
     text.match_indices(name).any(|(at, _)| {
-        let next = text[at + name.len()..].chars().next();
-        !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+        (!lead || edge(text[..at].chars().next_back()))
+            && (!trail || edge(text[at + name.len()..].chars().next()))
     })
+}
+
+/// Fails on every line under `trees` that holds one of `patterns`.
+fn forbid(trees: &[impl AsRef<str>], patterns: &[impl AsRef<str>]) {
+    let hits = found(trees, |line| {
+        patterns.iter().any(|p| holds(&line.text, p.as_ref()))
+    });
+    assert!(hits.is_empty(), "a deleted name is back: {hits:#?}");
+}
+
+/// The trees the repository's code, tests and examples live in.
+const ALL: &[&str] = &["crates", "src", "tests", "examples"];
+
+/// One surface: `Runtime` is called through its `fix_core::api` impls.
+/// An inherent method restating a trait method would shadow it for
+/// every caller without failing anything else, so forbid the names.
+#[test]
+fn one_surface() {
+    let names = [
+        "put",
+        "put_blob",
+        "put_tree",
+        "get_blob",
+        "get_tree",
+        "get_u64",
+        "register_native",
+        "apply",
+        "strict_apply",
+        "select",
+        "select_range",
+        "eval",
+        "eval_strict",
+        "eval_many",
+        "submit",
+        "submit_many",
+        "submit_with",
+        "procedures_run",
+        "footprint",
+        "footprint_many",
+    ];
+    let patterns: Vec<String> = names.iter().map(|n| format!(r"pub fn {n}\b")).collect();
+    forbid(&["crates/runtime/src/runtime.rs"], &patterns);
+}
+
+/// Name once: the durable store is handed every handle it needs (by
+/// `Store::put` through the `Tier` hook, by `frame::decode_node` on a
+/// fault, or as a payload key, itself the canonical handle) and never
+/// derives a name from bytes itself — a stray `.handle()` there is a
+/// second hash of the same object.
+#[test]
+fn name_once() {
+    forbid(&["crates/durable/src/store.rs"], &[".handle()"]);
+}
+
+/// Handles are hashes: a map or set keyed on handle bytes (a payload
+/// key, a module digest, a `Job`, a relation's input, a `Handle`) folds
+/// the key's words under `fix_core::handle::HandleBuildHasher` —
+/// spelled `HandleMap` / `HandleSet` — instead of running SipHash over
+/// a BLAKE3 digest. The default hasher creeping back in fails nothing
+/// else, so forbid the spellings (a line naming `HandleBuildHasher`
+/// is one of them built right).
+#[test]
+fn handles_are_hashes() {
+    let mut patterns = Vec::new();
+    for map in ["HashMap", "HashSet"] {
+        for key in [
+            "[u8; 32]",
+            "[u8; 24]",
+            r"Job\b",
+            "(Relation, Handle)",
+            r"Handle\b",
+        ] {
+            patterns.push(format!("{map}<{key}"));
+        }
+    }
+    let trees = [
+        "crates/core/src",
+        "crates/storage/src",
+        "crates/runtime/src",
+        "crates/durable/src",
+        "crates/serve/src",
+        "crates/cluster/src",
+    ];
+    let hits = found(&trees, |line| {
+        patterns.iter().any(|p| holds(&line.text, p)) && !line.text.contains("HandleBuildHasher")
+    });
+    assert!(hits.is_empty(), "a default-hashed handle key: {hits:#?}");
+}
+
+/// One memo: the memoized relations in the node's table are the only
+/// record of a finished evaluation. The job map holds work in flight,
+/// so a finished-job state, or the calls that kept a second memo in
+/// step with the table, coming back fails nothing else — forbid the
+/// names.
+#[test]
+fn one_memo() {
+    forbid(
+        &["crates/runtime/src"],
+        &[
+            "JobState::Done",
+            "JobState::Failed",
+            "forget_finished",
+            "compact_scheduler",
+            "clear_memoization",
+        ],
+    );
+}
+
+/// One recipe book: the table's memoized relations are computational
+/// GC's provenance — an application's recipe is its `Eval` (its one
+/// relation; `Apply` is kept only for a tail call, in the same shard),
+/// and range-selection `Eval`s are the other recipes, read afresh per
+/// plan. A second ledger, the opt-in that fed it, or a remembered
+/// eviction depth (which goes stale when an object's own support is
+/// evicted later) coming back fails nothing else — forbid the names.
+#[test]
+fn one_recipe_book() {
+    forbid(
+        ALL,
+        &[
+            "ProvenanceLedger",
+            "with_provenance",
+            "recipe_for",
+            "mark_resident",
+            "evicted_depth",
+        ],
+    );
+}
+
+/// One table: a node's objects and memoized relations share one
+/// sharded `fix_storage::Store` (one lock per payload key), and one
+/// `Tier` hook, installed by `Store::attach`, connects it to a backing
+/// tier. `RelationCache` is the relation side's face and owns no map,
+/// lock or shard of its own. The three hook traits and their installs,
+/// or a second sharded map behind the face, coming back fail nothing
+/// else — forbid them.
+#[test]
+fn one_table() {
+    forbid(
+        ALL,
+        &[
+            "trait FaultSource",
+            "trait StoreSink",
+            "trait RelationSink",
+            "set_fault_source",
+            "fn set_sink",
+        ],
+    );
+    forbid(
+        &["crates/storage/src/relations.rs"],
+        &["RwLock", "HandleMap", "shards"],
+    );
+}
+
+/// Every knob has a caller, and a node has one eviction planner:
+/// `plan_eviction` frees what the durable log holds at depth 0, so a
+/// second, recipe-blind eviction policy (the spill watermark, its
+/// counter and event) is not needed. That policy, or an option no
+/// workload sets (sampled tracing, diurnal arrivals, admission
+/// headroom, a per-client task cost), coming back fails nothing else —
+/// forbid the names.
+#[test]
+fn every_knob_has_a_caller() {
+    forbid(
+        ALL,
+        &[
+            "spill_watermark",
+            "SAMPLE_EVERY",
+            "TracingMode::Sampled",
+            "sampled_out",
+            "Diurnal",
+            "headroom_us",
+            "fn task_compute_us",
+            "durable.spills",
+            "DurEvict",
+        ],
+    );
+}
+
+/// One way to fail: the durable writer halts only on an I/O error,
+/// which the crate's tests inject at every file call. A crash is a log
+/// prefix, made offline by `tear_log`; an in-process kill point, or the
+/// second halt state it fed, coming back fails nothing else — forbid
+/// the names.
+#[test]
+fn one_way_to_fail() {
+    forbid(ALL, &["KillPoint", "KillMode", "fn crashed", ".crashed()"]);
+}
+
+/// Scheduler state is per runtime: pool worker `i` owns deque slot
+/// `i`, every other thread shares the runtime's one external slot, and
+/// the slot is passed down from the entry point. A thread-local or a
+/// static atomic under the scheduler would let a slot outlive its
+/// runtime or leak into another, failing nothing else — forbid them,
+/// and the names of the process-wide slot table they replaced.
+#[test]
+fn scheduler_state_is_per_runtime() {
+    let names = [
+        "thread_local!",
+        r"\bSLOTS\b",
+        r"\bHOME_SLOT\b",
+        r"\bNEXT_EXTERNAL_SLOT\b",
+        r"\bpin_slot\b",
+        r"\bcurrent_slot\b",
+    ];
+    let hits = found(&["crates/runtime/src/scheduler"], |line| {
+        let text = &line.text;
+        let static_atomic = text
+            .find("static ")
+            .is_some_and(|at| text[at + "static ".len()..].contains("Atomic"));
+        static_atomic || names.iter().any(|p| holds(text, p))
+    });
+    assert!(hits.is_empty(), "process-wide scheduler state: {hits:#?}");
+}
+
+/// A ticket is waited on or dropped: the serving kernel expires a
+/// request on its own virtual clock before submitting it, so the
+/// scheduler keeps no second deadline clock, and dropping a ticket is
+/// its cancellation. A submission deadline, the clock behind it, or the
+/// polling, multiplexing and explicit-cancel surface that only tests
+/// called coming back fails nothing else — forbid them.
+#[test]
+fn a_ticket_is_waited_on_or_dropped() {
+    forbid(
+        ALL,
+        &[
+            "with_deadline",
+            "virtual_now",
+            "advance_virtual_clock",
+            "advance_clock",
+            "DeadlineExceeded",
+            "SchedExpire",
+            "wait_any",
+            r"take_result\b",
+            r"take_results\b",
+            "try_take",
+            "advance_batch",
+            "WAIT_ANY_TICK",
+        ],
+    );
+    forbid(
+        &["crates/core/src/ticket.rs"],
+        &[r"pub fn poll\b", r"pub fn cancel\b"],
+    );
+}
+
+/// One tiered queue: request priority is decided once, by the serving
+/// kernel's `TenantQueues` on its virtual clock, and lives in
+/// `fix-serve` beside `SloClass`. The node scheduler's run queue has
+/// one deque per slot and a job has at most one token in it. A
+/// submission priority or scheduler tiers coming back fails nothing
+/// else — forbid the names where they lived.
+#[test]
+fn one_tiered_queue() {
+    forbid(
+        &["crates/core/src", "crates/runtime/src"],
+        &[r"\bPriority\b", "with_priority", "TokenVerdict"],
+    );
+}
+
+/// A dropped ticket lets go: cancelling is one claim per slot, and
+/// whether queued work runs is decided once, when its token is popped.
+/// A cancel error nobody can read, a revocation that chases a slot's
+/// moving stage, or the job map's second count of its watchers and its
+/// withdrawn state coming back fails nothing else — forbid the names.
+#[test]
+fn a_dropped_ticket_lets_go() {
+    forbid(
+        ALL,
+        &[
+            r"\bCancelled\b",
+            "fn revoke_slot",
+            "set_stage",
+            "fn unclaimed",
+        ],
+    );
+    let scheduler = "crates/runtime/src/scheduler";
+    let modules: Vec<String> = entries(scheduler)
+        .into_iter()
+        .filter(|name| name.ends_with(".rs"))
+        .map(|name| format!("{scheduler}/{name}"))
+        .collect();
+    forbid(
+        &modules,
+        &[r"\binterest\b", "queued: bool", "Option<JobState>"],
+    );
+}
+
+/// One payload key: a handle's kind byte is stripped in one place,
+/// `fix_core::handle::payload_key`, which owns the byte layout. A
+/// private copy coming back fails nothing else — forbid it.
+#[test]
+fn one_payload_key() {
+    let hits = found(&["crates"], |line| {
+        line.path.ends_with(".rs")
+            && line.path != "crates/core/src/handle.rs"
+            && line.text.contains("key[30]")
+    });
+    assert!(hits.is_empty(), "a private payload key: {hits:#?}");
+}
+
+/// Unsafe is a CPU dispatch: the two integrity kernels (the log's
+/// folded CRC-32, BLAKE3's row compression) are safe code under
+/// `#[target_feature]`, and calling one after runtime detection is the
+/// only `unsafe` in library code — one `allow` in each of the two
+/// crates, whose roots `deny` it; every other library crate `forbid`s
+/// it. An `unsafe` anywhere else fails nothing else, so count the sites
+/// and the roots.
+#[test]
+fn unsafe_is_a_cpu_dispatch() {
+    let mut srcs: Vec<String> = entries("crates")
+        .into_iter()
+        .map(|name| format!("crates/{name}/src"))
+        .filter(|src| root().join(src).is_dir())
+        .collect();
+    srcs.push("src".into());
+
+    let mut allows: Vec<String> = found(&srcs, |line| line.text.contains("allow(unsafe_code)"))
+        .into_iter()
+        .map(|line| line.path)
+        .collect();
+    allows.sort();
+    assert_eq!(
+        allows,
+        ["crates/durable/src/frame.rs", "crates/hash/src/compress.rs"],
+        "an `allow(unsafe_code)` moved, or a third appeared"
+    );
+
+    for src in &srcs {
+        let Ok(text) = fs::read_to_string(root().join(src).join("lib.rs")) else {
+            continue;
+        };
+        let lint = match src.as_str() {
+            "crates/hash/src" | "crates/durable/src" => "#![deny(unsafe_code)]",
+            _ => "#![forbid(unsafe_code)]",
+        };
+        assert!(
+            text.lines().any(|line| line.starts_with(lint)),
+            "{src}/lib.rs: unsafe_code lint changed (want {lint})"
+        );
+    }
+}
+
+/// One fuzz kit: the hostile-bytes suites share
+/// `tests/support/hostile.rs` — its counting allocator, generator,
+/// byte mutators and panic-catching runner — and keep only their seeds,
+/// oracles and format-aware mutations. A suite growing a private copy
+/// back fails nothing else, so count the definitions. (fixbench's own
+/// counting allocator is outside these trees and frozen with the
+/// benchmark.)
+#[test]
+fn one_fuzz_kit() {
+    for name in ["GlobalAlloc for", "struct Rng"] {
+        let sites: Vec<String> = found(&["crates", "tests"], |line| {
+            line.path.ends_with(".rs") && line.text.contains(name)
+        })
+        .into_iter()
+        .map(|line| line.path)
+        .collect();
+        assert_eq!(
+            sites,
+            ["tests/support/hostile.rs"],
+            "`{name}` must be defined once, in the fuzz kit"
+        );
+    }
 }
 
 /// A logged object has one name and one entry: its payload key in the
@@ -20,31 +463,14 @@ fn holds(text: &str, name: &str) -> bool {
 /// the backing-tier hook has no `knows`.
 #[test]
 fn one_name_per_object() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut found = Vec::new();
-    for dir in ["crates/durable/src", "crates/storage/src"] {
-        for entry in fs::read_dir(root.join(dir)).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_none_or(|ext| ext != "rs") {
-                continue;
-            }
-            let text = fs::read_to_string(&path).unwrap();
-            for name in ["struct Index", "struct Slot", "fn knows", "fn indexed"] {
-                if holds(&text, name) {
-                    found.push(format!("{}: {name}", path.display()));
-                }
-            }
-        }
-    }
-    let store = "crates/durable/src/store.rs";
-    if fs::read_to_string(root.join(store))
-        .unwrap()
-        .contains("HandleMap<[u8; 32]")
-    {
-        found.push(format!("{store}: HandleMap<[u8; 32]"));
-    }
-    assert!(
-        found.is_empty(),
-        "a second name for a logged object: {found:?}"
+    forbid(
+        &["crates/durable/src", "crates/storage/src"],
+        &[
+            r"struct Index\b",
+            r"struct Slot\b",
+            r"fn knows\b",
+            r"fn indexed\b",
+        ],
     );
+    forbid(&["crates/durable/src/store.rs"], &["HandleMap<[u8; 32]"]);
 }

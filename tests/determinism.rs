@@ -140,11 +140,9 @@ proptest! {
         let args: Vec<Handle> = inputs.iter().map(|&v| rt.put_blob(Blob::from_u64(v))).collect();
         let thunk = rt.apply(limits(), sum, &args).unwrap();
         let first = rt.eval(thunk).unwrap();
-        let runs_before = rt.engine().stats.procedures_run
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let runs_before = rt.procedures_run();
         let second = rt.eval(thunk).unwrap();
-        let runs_after = rt.engine().stats.procedures_run
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let runs_after = rt.procedures_run();
         prop_assert_eq!(first, second);
         prop_assert_eq!(runs_before, runs_after);
         prop_assert_eq!(

@@ -25,11 +25,7 @@ fn vm_fibonacci_with_memoized_recursion() {
         assert_eq!(rt.get_u64(out).unwrap(), expect, "fib({n})");
     }
     // Exponential call tree, linear executions: memoization at work.
-    let runs = rt
-        .engine()
-        .stats
-        .procedures_run
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let runs = rt.procedures_run();
     assert!(runs < 50, "expected ~2·20 runs, got {runs}");
 }
 
@@ -260,15 +256,7 @@ fn two_real_nodes_delegate_via_parcels() {
     let mut expect: Vec<u8> = (0u8..200).collect();
     expect.reverse();
     assert_eq!(blob.as_slice(), expect.as_slice());
-    assert_eq!(
-        node_a
-            .engine()
-            .stats
-            .procedures_run
-            .load(std::sync::atomic::Ordering::Relaxed),
-        0,
-        "node A never executed anything"
-    );
+    assert_eq!(node_a.procedures_run(), 0, "node A never executed anything");
 }
 
 /// Delegation of sandboxed code: the FixVM module travels inside the

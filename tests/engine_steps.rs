@@ -18,7 +18,6 @@ use fix::prelude::*;
 use fix::workloads::mapreduce::MapReduce;
 use fix::workloads::{guests, wordcount};
 use fix_storage::Relation;
-use std::sync::atomic::Ordering;
 
 const FIB_12: u64 = 144;
 
@@ -33,7 +32,7 @@ fn salted_fib12(rt: &Runtime, salt: u64) -> Handle {
 }
 
 fn procedures_run(rt: &Runtime) -> u64 {
-    rt.engine().stats.procedures_run.load(Ordering::Relaxed)
+    rt.procedures_run()
 }
 
 /// The relations `rt` holds, counted by kind: `[Apply, Eval, Force]`.

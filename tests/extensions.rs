@@ -5,7 +5,6 @@
 use fix::prelude::*;
 use fix_billing::{bill_effort, bill_results, meter_eval, Money, PriceSheet};
 use fix_storage::Relation;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn limits() -> ResourceLimits {
@@ -242,10 +241,10 @@ fn recompute_fails_cleanly_when_procedure_is_gone() {
 fn recompute_counts_procedures_not_cache_hits() {
     let rt = Runtime::builder().build();
     let total = histogram_pipeline(&rt, 4);
-    let runs_before = rt.engine().stats.procedures_run.load(Ordering::Relaxed);
+    let runs_before = rt.procedures_run();
     rt.evict_recomputable(&[]).unwrap();
     rt.materialize(total).unwrap();
-    let reran = rt.engine().stats.procedures_run.load(Ordering::Relaxed) - runs_before;
+    let reran = rt.procedures_run() - runs_before;
     // 4 histograms + 3 merges re-ran; nothing else.
     assert_eq!(reran, 7);
 }

@@ -1,30 +1,10 @@
-//! Smoke test guarding the quickstart path documented in `src/lib.rs`:
-//! build a `Runtime`, register a native codelet, and round-trip a blob
-//! through `apply`/`eval`. If this breaks, the front-page example is
-//! broken for every new user, whatever the deeper suites say.
+//! Smoke tests of the front-page API beside the `src/lib.rs` doctest
+//! (which `cargo test` runs as the quickstart round trip): a blob
+//! round-trips through the store, and a second `eval` of one thunk is a
+//! relation-cache hit.
 
 use fix::prelude::*;
 use std::sync::Arc;
-
-#[test]
-fn quickstart_round_trip() {
-    let rt = Runtime::builder().build();
-    let double = rt.register_native(
-        "double",
-        Arc::new(|ctx| {
-            let x = ctx.arg_blob(0)?.as_u64().unwrap();
-            ctx.host.create_blob((2 * x).to_le_bytes().to_vec())
-        }),
-    );
-    let thunk = rt
-        .apply(
-            ResourceLimits::default_limits(),
-            double,
-            &[rt.put_blob(Blob::from_u64(21))],
-        )
-        .unwrap();
-    assert_eq!(rt.get_u64(rt.eval(thunk).unwrap()).unwrap(), 42);
-}
 
 #[test]
 fn blob_round_trips_through_the_store() {
@@ -54,17 +34,9 @@ fn eval_is_memoized_across_calls() {
         )
         .unwrap();
     let first = rt.eval(thunk).unwrap();
-    let runs_after_first = rt
-        .engine()
-        .stats
-        .procedures_run
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let runs_after_first = rt.procedures_run();
     let second = rt.eval(thunk).unwrap();
-    let runs_after_second = rt
-        .engine()
-        .stats
-        .procedures_run
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let runs_after_second = rt.procedures_run();
     assert_eq!(first, second, "determinism: same thunk, same handle");
     assert_eq!(
         runs_after_first, runs_after_second,
