@@ -32,9 +32,10 @@
 //! pinned bit-identical across repeat runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fix_adapt::adaptive_serve;
-use fix_dispatch::{dispatch, DispatchConfig, NodeStorage, RoutingPolicy};
-use fix_serve::{serve, ArrivalProcess, RequestKind, ServeConfig, SloClass, TenantSpec};
+use fix_serve::{
+    adaptive_serve, dispatch, serve, ArrivalProcess, DispatchConfig, NodeStorage, RequestKind,
+    RoutingPolicy, ServeConfig, SloClass, TenantSpec,
+};
 use fixpoint::Runtime;
 use std::hint::black_box;
 
@@ -300,7 +301,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `admission_*` rows run the `fix-adapt` flash-crowd scenario with
+/// The `admission_*` rows run the `adaptive_serve` flash-crowd scenario with
 /// the admission controller off (the static pool — shed by deadline
 /// expiry) and on (provably-late arrivals priced out at the door),
 /// same seed. The attainment delta is virtual-clock exact and printed;

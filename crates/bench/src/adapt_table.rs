@@ -7,7 +7,7 @@
 //!   capacity-only admission (expressed in the adaptive engine as
 //!   [`ScalerConfig::fixed`] + `admission: None`, which the engine's
 //!   tests pin byte-identical to plain [`fix_serve::serve`]);
-//! * **adaptive** — the same tenants under `fix-adapt`: provable-expiry
+//! * **adaptive** — the same tenants under `adaptive_serve`: provable-expiry
 //!   admission pricing plus the hysteresis autoscaler.
 //!
 //! The comparison the table makes is the control plane's whole case:
@@ -26,24 +26,23 @@
 //! evaluations of one fixed set — the rendered text is bit-identical
 //! across runs and across inline vs. worker-pool runtimes.
 
-use fix_adapt::{
-    adaptive_serve, AdaptConfig, AdaptTenant, AdmissionPolicy, ClosedLoopSpec, ScalerConfig,
-    SnfSpec,
-};
 use fix_core::api::Evaluator;
-use fix_serve::{ArrivalProcess, Micros, RequestKind, ServeReport, SloClass, TenantSpec};
+use fix_serve::{
+    adaptive_serve, AdaptConfig, AdmissionPolicy, ArrivalProcess, ClosedLoopSpec, Micros,
+    RequestKind, ScalerConfig, ServeReport, SloClass, SnfSpec, Tenant, TenantSpec,
+};
 use fixpoint::Runtime;
 
 /// The hostile scenario both control planes face. `scale` stretches the
 /// calm post-spike tail (1 → 60 ms, CI-quick; 5 → 300 ms — the longer
 /// tail lets the full scale-down staircase play out); the spike window
 /// itself is fixed so both scales fight the same crowd.
-fn tenants() -> Vec<AdaptTenant> {
+fn tenants() -> Vec<Tenant> {
     vec![
         // The flash crowd: warm-dominated interactive traffic (the 32
         // fib keys all go cold→warm during the calm 20 ms) that jumps
         // three decades above the base rate for 20 ms.
-        AdaptTenant::Open(
+        Tenant::Open(
             TenantSpec::uniform_mix(
                 "crowd",
                 2,
@@ -59,7 +58,7 @@ fn tenants() -> Vec<AdaptTenant> {
         ),
         // A closed-loop client population: feedback traffic that
         // self-throttles while the crowd rages.
-        AdaptTenant::Closed(ClosedLoopSpec {
+        Tenant::Closed(ClosedLoopSpec {
             name: "portal".into(),
             weight: 1,
             clients: 8,
@@ -70,7 +69,7 @@ fn tenants() -> Vec<AdaptTenant> {
         // An SNF streaming pipeline: no deadline, so neither control
         // plane may shed it — its chained folds are identical work in
         // both runs.
-        AdaptTenant::Snf(SnfSpec {
+        Tenant::Snf(SnfSpec {
             name: "snf".into(),
             weight: 1,
             flows: 4,

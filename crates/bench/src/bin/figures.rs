@@ -108,7 +108,7 @@ fn main() {
         println!("{}", fix_bench::serve_report::table_text(scale));
     }
     // Static-vs-adaptive control plane under a flash crowd (the
-    // `fix-adapt` figure: same seed, two control planes, one verdict).
+    // adaptive-serving figure: same seed, two control planes, one verdict).
     if which == "all" || which == "adapt" {
         let scale = if quick { 1 } else { 5 };
         println!("{}\n", fix_bench::adapt_table::table_text(scale));

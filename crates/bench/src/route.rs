@@ -20,10 +20,10 @@
 //! directories, so (like `trace`) this table is *not* part of
 //! `figures all`; run `figures route` explicitly.
 
-use fix_dispatch::{
-    dispatch, DispatchConfig, DispatchOutcome, FaultPlan, NodeStorage, RestartKind, RoutingPolicy,
+use fix_serve::{
+    dispatch, ArrivalProcess, DispatchConfig, DispatchOutcome, FaultPlan, NodeStorage, RequestKind,
+    RestartKind, RoutingPolicy, ServeConfig, TenantSpec,
 };
-use fix_serve::{ArrivalProcess, RequestKind, ServeConfig, TenantSpec};
 use std::fmt;
 
 /// One policy's row in the comparison table.

@@ -14,7 +14,7 @@
 //! * `kernel_*.txt` — `to_string()` + `decomposition_table()` of
 //!   `serve` / `adaptive_serve` / `dispatch` on copies of the `fixbench`
 //!   `serve_tiers` configurations (seeds 1–3), and of the warm- and
-//!   cold-restart fault configuration from `fix-dispatch`'s own tests;
+//!   cold-restart fault configuration from `fix_serve::dispatch`'s own tests;
 //! * `figures_{fig7b,fig8a}.txt` and `figures_{fig8b,fig10,comparators,
 //!   extbilling}{_quick,}.txt` — what `figures <name> [--quick]` print
 //!   (`fig7b` and `fig8a` have one scale);
@@ -25,19 +25,16 @@
 //! Refresh (only when a table is *meant* to move):
 //! `cargo test --release -p fix-bench --test golden -- --ignored refresh`.
 
-use fix_adapt::{
-    adaptive_serve, AdaptConfig, AdaptTenant, AdmissionPolicy, ClosedLoopSpec, ScalerConfig,
-    SnfSpec,
-};
 use fix_baselines::{profiles, run_baseline, CostModel};
 use fix_cluster::{
     run_fix, small_task, Binding, ClusterClient, ClusterSetup, FixConfig, JobGraph,
     JobGraphBuilder, Placement, TaskId,
 };
-use fix_dispatch::{dispatch, DispatchConfig, FaultPlan, NodeStorage, RestartKind, RoutingPolicy};
 use fix_netsim::{NetConfig, NodeId, NodeSpec, MS};
 use fix_serve::{
-    serve, ArrivalProcess, RequestKind, ServeConfig, ServeReport, SloClass, TenantSpec,
+    adaptive_serve, dispatch, serve, AdaptConfig, AdmissionPolicy, ArrivalProcess, ClosedLoopSpec,
+    DispatchConfig, FaultPlan, NodeStorage, RequestKind, RestartKind, RoutingPolicy, ScalerConfig,
+    ServeConfig, ServeReport, SloClass, SnfSpec, Tenant, TenantSpec,
 };
 use fix_workloads::compile::{fig10_graph, Fig10Params};
 use fix_workloads::wordcount::{
@@ -104,7 +101,7 @@ fn adapt_config(seed: u64) -> AdaptConfig {
             hold_ticks: 2,
         },
         tenants: vec![
-            AdaptTenant::Open(
+            Tenant::Open(
                 TenantSpec::uniform_mix(
                     "crowd",
                     2,
@@ -118,7 +115,7 @@ fn adapt_config(seed: u64) -> AdaptConfig {
                 )
                 .with_slo(SloClass::latency(3_000)),
             ),
-            AdaptTenant::Closed(ClosedLoopSpec {
+            Tenant::Closed(ClosedLoopSpec {
                 name: "portal".into(),
                 weight: 1,
                 clients: 8,
@@ -126,7 +123,7 @@ fn adapt_config(seed: u64) -> AdaptConfig {
                 mix: vec![(RequestKind::SebsHtml { users: 4 }, 1)],
                 slo: SloClass::latency(8_000),
             }),
-            AdaptTenant::Snf(SnfSpec {
+            Tenant::Snf(SnfSpec {
                 name: "snf".into(),
                 weight: 1,
                 flows: 4,
@@ -186,7 +183,7 @@ fn dispatch_config(seed: u64) -> DispatchConfig {
     }
 }
 
-/// `fix-dispatch`'s `fault_cfg` test configuration, copied: node 1 of 3
+/// `fix_serve::dispatch`'s `fault_cfg` test configuration, copied: node 1 of 3
 /// durable nodes dies with a stranded burst and comes back.
 fn fault_config(root: &Path, restart: RestartKind) -> DispatchConfig {
     DispatchConfig {

@@ -63,9 +63,9 @@ pub enum Layer {
     Scheduler,
     /// The multi-tenant serving layer (`fix-serve`).
     Serve,
-    /// The multi-node dispatcher tier (`fix-dispatch`).
+    /// The multi-node dispatcher tier (`fix_serve::dispatch`).
     Dispatch,
-    /// The adaptive control plane (`fix-adapt`): admission rejections
+    /// The adaptive control plane (`fix_serve::adapt`): admission rejections
     /// and driver-pool scaling decisions, all on the virtual clock.
     Control,
     /// The append-only persistence tier (`fix-durable`).

@@ -1,6 +1,6 @@
 //! The adaptive entry point: [`adaptive_serve`] configures the
-//! [serving kernel](fix_serve::kernel) with the control plane closed
-//! over it.
+//! [serving kernel](crate::kernel) with the control plane closed over
+//! it.
 //!
 //! Three arrival sources feed the kernel's one event loop (open-loop
 //! timelines, closed-loop client re-arrivals, SNF packet-batch
@@ -13,13 +13,11 @@
 //! provisioned at `scaler.max_drivers`; drivers the controller never
 //! activated simply carry empty plans.
 
+use crate::controller::{AdmissionPolicy, ScalerConfig};
+use crate::routing::RoutingPolicy;
+use crate::{kernel, Micros, ServeReport, Tenant};
 use fix_core::api::{InvocationApi, SubmitApi};
 use fix_core::error::Result;
-use fix_serve::controller::{AdmissionPolicy, ScalerConfig};
-use fix_serve::routing::RoutingPolicy;
-use fix_serve::{kernel, Micros, ServeReport};
-
-pub use fix_serve::Tenant as AdaptTenant;
 
 /// Configuration of one adaptive serve run.
 #[derive(Debug, Clone)]
@@ -36,7 +34,7 @@ pub struct AdaptConfig {
     /// Fixed per-batch dispatch overhead, virtual µs.
     pub batch_overhead_us: Micros,
     /// In-flight submission window per driver thread (see
-    /// [`fix_serve::ServeConfig::inflight`]).
+    /// [`ServeConfig::inflight`](crate::ServeConfig::inflight)).
     pub inflight: usize,
     /// The admission controller, or `None` for capacity-only admission
     /// (the static baseline).
@@ -45,7 +43,7 @@ pub struct AdaptConfig {
     /// static pool in the same engine).
     pub scaler: ScalerConfig,
     /// The tenants.
-    pub tenants: Vec<AdaptTenant>,
+    pub tenants: Vec<Tenant>,
 }
 
 impl AdaptConfig {
@@ -97,8 +95,9 @@ impl std::fmt::Display for AdaptReport {
 /// # Examples
 ///
 /// ```
-/// use fix_adapt::{adaptive_serve, AdaptConfig, AdaptTenant, ScalerConfig};
-/// use fix_serve::{ArrivalProcess, RequestKind, TenantSpec};
+/// use fix_serve::{
+///     adaptive_serve, AdaptConfig, ArrivalProcess, RequestKind, ScalerConfig, Tenant, TenantSpec,
+/// };
 ///
 /// let cfg = AdaptConfig {
 ///     seed: 7,
@@ -109,7 +108,7 @@ impl std::fmt::Display for AdaptReport {
 ///     inflight: 2,
 ///     admission: None,
 ///     scaler: ScalerConfig::fixed(2),
-///     tenants: vec![AdaptTenant::Open(TenantSpec::uniform_mix(
+///     tenants: vec![Tenant::Open(TenantSpec::uniform_mix(
 ///         "t0",
 ///         1,
 ///         ArrivalProcess::Uniform { period_us: 500 },
@@ -131,8 +130,7 @@ pub fn adaptive_serve<A: SubmitApi + InvocationApi + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClosedLoopSpec, SnfSpec};
-    use fix_serve::{ArrivalProcess, RequestKind, SloClass, TenantSpec};
+    use crate::{ArrivalProcess, ClosedLoopSpec, RequestKind, SloClass, SnfSpec, TenantSpec};
     use fixpoint::Runtime;
 
     fn hostile_cfg(seed: u64) -> AdaptConfig {
@@ -153,7 +151,7 @@ mod tests {
                 hold_ticks: 2,
             },
             tenants: vec![
-                AdaptTenant::Open(
+                Tenant::Open(
                     TenantSpec::uniform_mix(
                         "crowd",
                         1,
@@ -167,7 +165,7 @@ mod tests {
                     )
                     .with_slo(SloClass::latency(3_000)),
                 ),
-                AdaptTenant::Closed(ClosedLoopSpec {
+                Tenant::Closed(ClosedLoopSpec {
                     name: "portal".into(),
                     weight: 1,
                     clients: 8,
@@ -175,7 +173,7 @@ mod tests {
                     mix: vec![(RequestKind::SebsHtml { users: 4 }, 1)],
                     slo: SloClass::latency(8_000),
                 }),
-                AdaptTenant::Snf(SnfSpec {
+                Tenant::Snf(SnfSpec {
                     name: "snf".into(),
                     weight: 1,
                     flows: 4,
@@ -249,7 +247,7 @@ mod tests {
             inflight: 1,
             admission: None,
             scaler: ScalerConfig::fixed(1),
-            tenants: vec![AdaptTenant::Closed(ClosedLoopSpec {
+            tenants: vec![Tenant::Closed(ClosedLoopSpec {
                 name: "clients".into(),
                 weight: 1,
                 clients: 4,
@@ -288,7 +286,7 @@ mod tests {
         cfg.scaler.down_backlog_us = cfg.scaler.up_backlog_us; // no dead band
         assert!(adaptive_serve(&rt, &cfg).is_err());
         let mut cfg = hostile_cfg(1);
-        if let AdaptTenant::Closed(c) = &mut cfg.tenants[1] {
+        if let Tenant::Closed(c) = &mut cfg.tenants[1] {
             c.clients = 0;
         }
         assert!(adaptive_serve(&rt, &cfg).is_err());

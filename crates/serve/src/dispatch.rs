@@ -1,11 +1,11 @@
 //! The dispatcher entry point: [`dispatch`] configures the
-//! [serving kernel](fix_serve::kernel) for N node backends behind one
+//! [serving kernel](crate::kernel) for N node backends behind one
 //! routing front-end, with first-class node failure.
 //!
 //! The kernel's virtual half routes every arrival at admission — the
 //! request's thunk is minted first, on the dispatcher's own router
 //! runtime, because the content-addressed handle *is* the routing key
-//! ([`handle_key`](crate::handle_key)): the front-end knows the name of
+//! ([`handle_key`](crate::routing::handle_key)): the front-end knows the name of
 //! the computation before any node does. (The price is that shedding a
 //! request is no longer O(1) as in single-node serve; that cost is
 //! confined to the router runtime and never touches a node.) Each node
@@ -31,16 +31,14 @@
 //! memoization ([`RestartKind::Cold`]), which is exactly the
 //! affinity-recovery difference `figures route` measures.
 
+use crate::kernel::{self, FaultPlan, RestartKind, Segment, Tally};
+use crate::routing::RoutingPolicy;
+use crate::{Micros, RequestFactory, ServeConfig, ServeReport};
 use fix_core::api::Evaluator;
 use fix_core::error::{Error, Result};
 use fix_durable::{DurableOptions, DurableStore, FsyncPolicy};
-use fix_serve::kernel::{self, Segment, Tally};
-use fix_serve::routing::RoutingPolicy;
-use fix_serve::{Micros, RequestFactory, ServeConfig, ServeReport};
 use fixpoint::Runtime;
 use std::path::PathBuf;
-
-pub use fix_serve::kernel::{FaultPlan, RestartKind};
 
 /// Where each node keeps its state.
 #[derive(Debug, Clone)]
@@ -108,6 +106,9 @@ pub struct SegmentExec {
     pub replayed_relations: u64,
     /// Objects indexed from disk at open.
     pub replayed_nodes: u64,
+    /// Torn or corrupt tail bytes the log's recovery cut at open (a
+    /// crash's torn final frame).
+    pub truncated_bytes: u64,
 }
 
 /// Per-node real-execution stats, one entry per incarnation.
@@ -142,12 +143,6 @@ pub struct DispatchOutcome {
 }
 
 impl DispatchOutcome {
-    /// The deterministic `Display` table (what must be bit-identical
-    /// across runs and across the failure boundary).
-    pub fn table(&self) -> String {
-        self.report.to_string()
-    }
-
     /// Total procedures executed across all nodes and incarnations.
     pub fn procedures_run(&self) -> u64 {
         self.exec.iter().map(|e| e.procedures_run()).sum()
@@ -239,6 +234,7 @@ fn run_node(
             procedures_run: rt.procedures_run(),
             replayed_relations: at_open.replayed_relations,
             replayed_nodes: at_open.replayed_nodes,
+            truncated_bytes: at_open.truncated_bytes,
         });
     }
     Ok((tally, stats))
@@ -249,6 +245,41 @@ fn run_node(
 /// the fault plan, if any), then execute every node's planned batches
 /// on its own real backend — nodes in parallel, drivers within a node
 /// in parallel, a node's incarnation segments in order.
+///
+/// # Examples
+///
+/// ```
+/// use fix_serve::{
+///     dispatch, ArrivalProcess, DispatchConfig, NodeStorage, RequestKind, RoutingPolicy,
+///     ServeConfig, TenantSpec,
+/// };
+///
+/// let cfg = DispatchConfig {
+///     base: ServeConfig {
+///         seed: 7,
+///         duration_us: 30_000,
+///         drivers: 1, // per node
+///         batch: 8,
+///         queue_capacity: 64,
+///         batch_overhead_us: 5,
+///         inflight: 2,
+///         tenants: vec![TenantSpec::uniform_mix(
+///             "t0",
+///             1,
+///             ArrivalProcess::Uniform { period_us: 400 },
+///             RequestKind::Fib { max_n: 8 },
+///         )],
+///     },
+///     nodes: 3,
+///     policy: RoutingPolicy::Affinity,
+///     spill_margin: 8,
+///     storage: NodeStorage::Memory,
+///     fault: None,
+/// };
+/// let outcome = dispatch(&cfg).unwrap();
+/// outcome.assert_accounting_closure();
+/// assert_eq!(outcome.report.nodes.len(), 3);
+/// ```
 pub fn dispatch(cfg: &DispatchConfig) -> Result<DispatchOutcome> {
     cfg.validate().map_err(|message| Error::Backend {
         backend: "dispatch",
@@ -291,7 +322,7 @@ pub fn dispatch(cfg: &DispatchConfig) -> Result<DispatchOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fix_serve::{ArrivalProcess, RequestKind, TenantSpec};
+    use crate::{ArrivalProcess, RequestKind, TenantSpec};
     use std::path::Path;
 
     /// A repeat-heavy two-tenant workload: fib cycles 6 distinct
@@ -372,10 +403,18 @@ mod tests {
         ] {
             let a = dispatch(&cfg(11, 4, policy)).unwrap();
             let b = dispatch(&cfg(11, 4, policy)).unwrap();
-            assert_eq!(a.table(), b.table(), "{policy:?} must be deterministic");
+            assert_eq!(
+                a.report.to_string(),
+                b.report.to_string(),
+                "{policy:?} must be deterministic"
+            );
             a.assert_accounting_closure();
             let c = dispatch(&cfg(12, 4, policy)).unwrap();
-            assert_ne!(a.table(), c.table(), "a different seed must shift traffic");
+            assert_ne!(
+                a.report.to_string(),
+                c.report.to_string(),
+                "a different seed must shift traffic"
+            );
         }
     }
 
@@ -441,12 +480,12 @@ mod tests {
         // the failure boundary.
         let dir_b = tempfile::tempdir().unwrap();
         let b = dispatch(&fault_cfg(dir_b.path(), RestartKind::Warm)).unwrap();
-        assert_eq!(a.table(), b.table());
+        assert_eq!(a.report.to_string(), b.report.to_string());
 
         // Same config, same directories: every relation is already
         // logged, so the whole re-run replays with zero procedures.
         let c = dispatch(&fault_cfg(dir_a.path(), RestartKind::Warm)).unwrap();
-        assert_eq!(a.table(), c.table());
+        assert_eq!(a.report.to_string(), c.report.to_string());
         assert_eq!(c.procedures_run(), 0, "a warm re-serve replays everything");
         assert!(a.procedures_run() > 0, "the first pass really executed");
     }
@@ -480,7 +519,7 @@ mod tests {
     /// and are served late.
     #[test]
     fn failover_never_serves_a_request_past_its_deadline() {
-        use fix_serve::SloClass;
+        use crate::SloClass;
         let deadline_us = 500;
         let mut arrivals = vec![0; 200];
         arrivals.extend([200; 60]);

@@ -1,6 +1,6 @@
 //! The serving kernel: the one two-halves engine behind
-//! [`serve`](crate::serve), `fix_adapt::adaptive_serve`, and
-//! `fix_dispatch::dispatch`. Those entry points translate their
+//! [`serve`](crate::serve), [`adaptive_serve`](crate::adaptive_serve),
+//! and [`dispatch`](crate::dispatch()). Those entry points translate their
 //! configuration into a [`Config`], call in here, and wrap the report;
 //! everything that admits, dispatches, executes, or settles a request
 //! lives in this module and nowhere else.
@@ -209,6 +209,14 @@ impl Config {
                 Tenant::Snf(_) => {}
                 _ if t.mix().is_empty() => {
                     return Err(format!("tenant '{name}' has an empty mix"));
+                }
+                _ if t.mix().iter().all(|&(_, w)| w == 0) => {
+                    return Err(format!("tenant '{name}' has only zero mix weights"));
+                }
+                Tenant::Open(o) => {
+                    o.arrivals
+                        .validate()
+                        .map_err(|e| format!("tenant '{name}': {e}"))?;
                 }
                 Tenant::Closed(c) if c.clients == 0 => {
                     return Err(format!("tenant '{name}' has no clients"));

@@ -1,48 +1,68 @@
-//! `fix-serve`: a multi-tenant serving layer over the One Fix API.
+//! `fix-serve`: the serving layer over the One Fix API — one serving
+//! kernel and its three entry points.
 //!
 //! The ROADMAP's north star is a platform that "serves heavy traffic
 //! from millions of users", and the serving-oriented related work
 //! (Nexus, SNF) evaluates exactly that regime: open-loop arrivals,
-//! per-tenant queues, tail latency under load. This crate closes that
-//! gap. It is deliberately *not* a new execution engine — it is a layer
-//! over the One Fix API's submission surface
-//! ([`fix_core::api::SubmitApi`]), which every backend implements the
-//! same way — by submitting to a Fix node's scheduler — so the same
-//! serving run drives `fixpoint::Runtime` or
-//! `fix_cluster::ClusterClient` — under Fixpoint's profile or a
+//! per-tenant queues, tail latency under load. This crate is
+//! deliberately *not* a new execution engine — it is a layer over the
+//! One Fix API's submission surface ([`fix_core::api::SubmitApi`]),
+//! which every backend implements the same way — by submitting to a Fix
+//! node's scheduler — so the same serving run drives `fixpoint::Runtime`
+//! or `fix_cluster::ClusterClient` — under Fixpoint's profile or a
 //! comparator's from `fix_baselines::profiles` — each passed in bare
 //! and unchanged.
 //!
-//! The pieces:
+//! [`kernel`] is the one serving engine: a deterministic virtual-time
+//! event loop that plans every batch, then a real driver-thread pool
+//! that executes exactly those batches through the submission-first
+//! [`SubmitApi`]. Each entry point translates its configuration into a
+//! [`kernel::Config`] and calls in:
 //!
-//! * [`loadgen`] — deterministic open-loop arrival processes (seeded
-//!   Poisson, uniform, bursts, traces) merged into one global timeline;
-//! * [`tenant`] — per-tenant request mixes drawn from the repo's real
-//!   workloads (native `add`, FixVM `fib`, `count-string` shards, the
-//!   SeBS `dynamic-html` port), minted as ordinary Fix thunks;
-//! * [`queue`] — admission control and SLO dispatch: bounded per-tenant
-//!   FIFO queues with two-level scheduling — strict [`Priority`] tiers,
-//!   earliest-deadline-first within a tier, weighted-fair (deficit
-//!   round robin) among equals — plus per-tenant drop/expiry
-//!   accounting;
-//! * [`telemetry`] — mergeable fixed-bucket log-scale latency
-//!   histograms with deterministic p50/p90/p99/p999 extraction;
-//! * [`kernel`] — the one serving engine: a deterministic virtual-time
-//!   event loop that plans every batch, then a real driver-thread pool
-//!   that executes exactly those batches through the submission-first
-//!   [`SubmitApi`]. Its plug points live beside it — [`controller`]
-//!   (admission pricing, the autoscaler), [`closed_loop`] and [`snf`]
-//!   (feedback-driven arrival sources), [`routing`] (placement across
-//!   nodes) — and are configured from `fix-adapt` and `fix-dispatch`.
+//! * [`serve`] — open-loop tenants on one backend, a fixed driver pool,
+//!   capacity-only admission;
+//! * [`adaptive_serve`] ([`adapt`]) — the control plane closed over one
+//!   node, for hostile traffic. An [`AdmissionPolicy`] prices every
+//!   deadline arrival at the door and *rejects* one that provably cannot
+//!   dispatch in time (the `rejectd` column, apart from capacity sheds);
+//!   an autoscaler ([`ScalerConfig`]) ticks on the virtual clock and
+//!   resizes the driver pool with hysteresis, each resize a
+//!   [`ScaleEvent`] in the table; closed-loop clients
+//!   ([`ClosedLoopSpec`]) think, then re-arrive after their last
+//!   completion, so they self-throttle under overload; and SNF streaming
+//!   tenants ([`SnfSpec`]) chain each packet batch on the previous
+//!   flow-state handle, so a shed batch makes its successor dearer;
+//! * [`dispatch`](fn@dispatch) ([`dispatch`](mod@dispatch)) — N node
+//!   backends behind one routing front-end. A request's root handle is
+//!   computable before any node is involved, so rendezvous hashing on it
+//!   ([`routing`], with load-based spill, against the round-robin and
+//!   random baselines) sends a repeat to the node that has it memoized:
+//!   cache-aware placement is information, not a heuristic. Each node
+//!   executes its planned batches on its own backend, in memory or in
+//!   its own durable directory ([`NodeStorage`]); a [`FaultPlan`] kills
+//!   a node at a deterministic instant, re-routes its backlog to the
+//!   survivors, and restarts it warm (its log reopened) or cold. A
+//!   durable serving node is a `dispatch` node: a crash is recovered by
+//!   a one-node [`NodeStorage::Durable`] pass over the torn log.
 //!
-//! [`serve`] is the kernel's plain configuration: open-loop tenants on
-//! one backend, a fixed driver pool, capacity-only admission. See
-//! [`kernel`] for why the clock/execution split makes the latency
-//! tables bit-identical across runs while every result still comes
-//! from a real evaluation. The kernel is public, so it checks the
-//! [`kernel::Config`] it is handed ([`kernel::Config::validate`]): a
-//! degenerate configuration is an `Error::Backend`, never a hang or a
-//! panic, whichever entry point built it.
+//! Beside them: [`loadgen`] (seeded Poisson, uniform, burst, flash-crowd
+//! and trace arrivals merged into one timeline), [`tenant`] (request
+//! mixes drawn from the repo's real workloads — native `add`, FixVM
+//! `fib`, `count-string` shards, the SeBS `dynamic-html` port — minted
+//! as ordinary Fix thunks), [`queue`] (bounded per-tenant queues:
+//! strict [`Priority`] tiers, earliest-deadline-first within a tier,
+//! deficit round robin among equals) and [`telemetry`] (mergeable
+//! log-scale latency histograms).
+//!
+//! Every table is a pure function of the seed and the configuration:
+//! bit-identical across runs, backends, worker counts and the failure
+//! boundary, while every result still comes from a real evaluation (see
+//! [`kernel`]). Wall-clock readings ([`ServeReport::execution_wall`],
+//! the scheduler's gauges in `Runtime::metrics()`) never enter the
+//! tables. The kernel is public, so it checks the [`kernel::Config`] it
+//! is handed ([`kernel::Config::validate`]): a degenerate configuration
+//! is an `Error::Backend`, never a hang or a panic, whichever entry
+//! point built it.
 //!
 //! [`SubmitApi`]: fix_core::api::SubmitApi
 //!
@@ -84,23 +104,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adapt;
 pub mod closed_loop;
 pub mod controller;
+pub mod dispatch;
 pub mod kernel;
 pub mod loadgen;
 pub mod queue;
-pub mod recovery;
 pub mod routing;
 pub mod server;
 pub mod snf;
 pub mod telemetry;
 pub mod tenant;
 
+pub use adapt::{adaptive_serve, AdaptConfig, AdaptReport};
+pub use closed_loop::ClosedLoopSpec;
+pub use controller::{AdmissionPolicy, ScalerConfig};
+pub use dispatch::{dispatch, DispatchConfig, DispatchOutcome, NodeStorage};
+pub use kernel::{FaultPlan, RestartKind};
 pub use loadgen::{Arrival, ArrivalProcess, Micros};
 pub use queue::{Dispatch, QueuedRequest, TenantClass, TenantQueues};
-pub use recovery::{kill_and_recover, serve_durable, RecoveryOutcome};
+pub use routing::RoutingPolicy;
 pub use server::{
     serve, DriverReport, NodeReport, ScaleEvent, ServeConfig, ServeReport, TenantReport,
 };
+pub use snf::SnfSpec;
 pub use telemetry::LatencyHistogram;
 pub use tenant::{Priority, RequestFactory, RequestKind, SloClass, Tenant, TenantSpec};

@@ -67,15 +67,49 @@ fn unit_open(rng: &mut StdRng) -> f64 {
     ((rng.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64
 }
 
+/// Whether `rate` is a usable arrival rate: positive and finite (the gap
+/// loops never reach the horizon on a negative, NaN or infinite one).
+fn positive_rate(rate: f64) -> bool {
+    rate.is_finite() && rate > 0.0
+}
+
 impl ArrivalProcess {
+    /// Checks the parameters [`generate`](Self::generate) relies on: every
+    /// rate positive and finite, every period positive.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            ArrivalProcess::Poisson { rate_rps } if !positive_rate(*rate_rps) => Err(format!(
+                "Poisson rate {rate_rps} must be positive and finite"
+            )),
+            ArrivalProcess::FlashCrowd {
+                base_rps,
+                spike_rps,
+                ..
+            } if !positive_rate(*base_rps) || !positive_rate(*spike_rps) => Err(format!(
+                "flash-crowd rates {base_rps} and {spike_rps} must be positive and finite"
+            )),
+            ArrivalProcess::Uniform { period_us: 0 }
+            | ArrivalProcess::Bursts { period_us: 0, .. } => {
+                Err("arrival period must be positive".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Generates the sorted arrival timestamps in `[0, duration_us)`.
     ///
     /// Deterministic: the stream depends only on `seed` (ignored by the
     /// non-random processes) and the process parameters.
+    ///
+    /// # Panics
+    ///
+    /// On a process [`validate`](Self::validate) rejects.
     pub fn generate(&self, seed: u64, duration_us: Micros) -> Vec<Micros> {
+        if let Err(message) = self.validate() {
+            panic!("{message}");
+        }
         match self {
             ArrivalProcess::Poisson { rate_rps } => {
-                assert!(*rate_rps > 0.0, "Poisson rate must be positive");
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut out = Vec::new();
                 let mut t = 0.0f64;
@@ -90,11 +124,9 @@ impl ArrivalProcess {
                 }
             }
             ArrivalProcess::Uniform { period_us } => {
-                assert!(*period_us > 0, "period must be positive");
                 (0..duration_us).step_by(*period_us as usize).collect()
             }
             ArrivalProcess::Bursts { period_us, burst } => {
-                assert!(*period_us > 0, "period must be positive");
                 let mut out = Vec::new();
                 let mut t = 0;
                 while t < duration_us {
@@ -115,8 +147,6 @@ impl ArrivalProcess {
                 spike_len_us,
                 spike_rps,
             } => {
-                assert!(*base_rps > 0.0, "flash-crowd base rate must be positive");
-                assert!(*spike_rps > 0.0, "flash-crowd spike rate must be positive");
                 let spike_end = spike_at_us.saturating_add(*spike_len_us);
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut out = Vec::new();

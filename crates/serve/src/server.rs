@@ -120,7 +120,8 @@ impl TenantReport {
 /// One driver-pool resize in an adaptive run's deterministic scaling
 /// timeline: at virtual instant `at_us` the controller moved the active
 /// driver count `from → to`. Plain [`serve`] runs (fixed pool) carry an
-/// empty timeline; `fix-adapt` populates it.
+/// empty timeline; [`adaptive_serve`](crate::adaptive_serve) populates
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleEvent {
     /// Virtual instant of the resize decision, µs.
@@ -146,10 +147,10 @@ pub struct DriverReport {
 
 /// Per-node serving outcome for multi-node (dispatcher) runs.
 ///
-/// Populated by `fix-dispatch`; a single-backend [`serve`] run leaves
-/// [`ServeReport::nodes`] empty. Every field is derived from the
-/// virtual clock, so the node table is part of the deterministic
-/// (bit-identical) report surface.
+/// Populated by [`dispatch`](crate::dispatch()); a single-backend
+/// [`serve`] run leaves [`ServeReport::nodes`] empty. Every field is
+/// derived from the virtual clock, so the node table is part of the
+/// deterministic (bit-identical) report surface.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeReport {
     /// Requests routed to this node (admitted onto its queues).
@@ -208,9 +209,9 @@ pub struct ServeReport {
     pub nodes: Vec<NodeReport>,
     /// The deterministic driver-pool scaling timeline, in virtual-time
     /// order. Empty for fixed-pool [`serve`] runs; an adaptive run
-    /// (`fix-adapt`) records every controller resize here, and the
-    /// timeline prints with the table — it is part of the bit-identical
-    /// report surface.
+    /// ([`adaptive_serve`](crate::adaptive_serve)) records every
+    /// controller resize here, and the timeline prints with the table —
+    /// it is part of the bit-identical report surface.
     pub scaling: Vec<ScaleEvent>,
     /// Virtual end-to-end makespan (origin to last completion).
     pub makespan_us: Micros,
@@ -619,19 +620,66 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_degenerate_setups() {
-        let mut cfg = two_tenant_cfg(1);
-        cfg.drivers = 0;
+        let with = |edit: &dyn Fn(&mut ServeConfig)| {
+            let mut cfg = two_tenant_cfg(1);
+            edit(&mut cfg);
+            cfg
+        };
+        let arrivals = |a: ArrivalProcess| with(&move |c| c.tenants[0].arrivals = a.clone());
+        let flash = |base_rps, spike_rps| ArrivalProcess::FlashCrowd {
+            base_rps,
+            spike_at_us: 10_000,
+            spike_len_us: 10_000,
+            spike_rps,
+        };
+        let degenerate = [
+            with(&|c| c.drivers = 0),
+            with(&|c| c.tenants.clear()),
+            with(&|c| c.tenants[0].mix.clear()),
+            with(&|c| c.tenants[0].mix = vec![(RequestKind::Add, 0)]),
+            with(&|c| c.inflight = 0),
+            arrivals(ArrivalProcess::Poisson { rate_rps: 0.0 }),
+            arrivals(ArrivalProcess::Poisson { rate_rps: f64::NAN }),
+            arrivals(ArrivalProcess::Uniform { period_us: 0 }),
+            arrivals(ArrivalProcess::Bursts {
+                period_us: 0,
+                burst: 4,
+            }),
+            arrivals(flash(0.0, 1_000.0)),
+            arrivals(flash(1_000.0, f64::NAN)),
+        ];
         let rt = Runtime::builder().build();
-        assert!(serve(&rt, &cfg).is_err());
-        let mut cfg = two_tenant_cfg(1);
-        cfg.tenants.clear();
-        assert!(serve(&rt, &cfg).is_err());
-        let mut cfg = two_tenant_cfg(1);
-        cfg.tenants[0].mix.clear();
-        assert!(serve(&rt, &cfg).is_err());
-        let mut cfg = two_tenant_cfg(1);
-        cfg.inflight = 0;
-        assert!(serve(&rt, &cfg).is_err());
+        // Every entry point delegates to the kernel's check.
+        for cfg in &degenerate {
+            assert!(kernel::Config::from(cfg).validate().is_err(), "{cfg:?}");
+            assert!(serve(&rt, cfg).is_err(), "{cfg:?}");
+            let adapt = crate::AdaptConfig {
+                seed: cfg.seed,
+                duration_us: cfg.duration_us,
+                batch: cfg.batch,
+                queue_capacity: cfg.queue_capacity,
+                batch_overhead_us: cfg.batch_overhead_us,
+                inflight: cfg.inflight,
+                admission: None,
+                scaler: crate::ScalerConfig::fixed(cfg.drivers),
+                tenants: cfg
+                    .tenants
+                    .iter()
+                    .cloned()
+                    .map(crate::Tenant::Open)
+                    .collect(),
+            };
+            assert!(crate::adaptive_serve(&rt, &adapt).is_err(), "{cfg:?}");
+            let dispatch = crate::DispatchConfig {
+                base: cfg.clone(),
+                nodes: 1,
+                policy: crate::RoutingPolicy::Affinity,
+                spill_margin: 1,
+                storage: crate::NodeStorage::Memory,
+                fault: None,
+            };
+            assert!(crate::dispatch(&dispatch).is_err(), "{cfg:?}");
+        }
     }
 
     /// The in-flight window changes only wall-clock execution, never

@@ -216,8 +216,8 @@ impl TenantSpec {
 
 /// One tenant of a serving run, by where its arrivals come from. Plain
 /// [`serve`](crate::serve) runs are all [`Open`](Tenant::Open); the
-/// adaptive control plane (`fix-adapt`, which re-exports this type as
-/// `AdaptTenant`) adds the two feedback-driven sources.
+/// adaptive control plane ([`adaptive_serve`](crate::adaptive_serve))
+/// adds the two feedback-driven sources.
 #[derive(Debug, Clone)]
 pub enum Tenant {
     /// A plain open-loop tenant (any [`ArrivalProcess`], including the

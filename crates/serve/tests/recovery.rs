@@ -1,16 +1,25 @@
-//! The crash-recovery contract for durable serving (see
-//! `fix_serve::recovery`): accounting closure on both sides of a crash,
-//! bit-identical deterministic tables across the boundary, zero
-//! recomputation of replayed memoized requests, a torn final frame
-//! tolerated at recovery, and a recovered table equal to an in-memory
-//! run's, with replayed results served from disk.
+//! The crash-recovery contract for durable serving, through a one-node
+//! [`dispatch`] whose node keeps its state in a durable directory:
+//! accounting closure on both sides of a crash, bit-identical
+//! deterministic tables across the boundary, zero recomputation of
+//! replayed memoized requests, a torn final frame tolerated at recovery,
+//! and a recovered table equal to an in-memory run's, with replayed
+//! results served from disk.
+//!
+//! A crash is made offline: a pass serves and flushes, then
+//! [`tear_log`] cuts its node's log to a frame prefix plus the torn
+//! frame a crash leaves (the in-memory half of the node died with the
+//! pass), and the next pass over the same directory recovers from it.
 
 use fix_core::api::Evaluator;
-use fix_durable::{DurableOptions, DurableStore, FsyncPolicy};
+use fix_durable::{tear_log, DurableOptions, DurableStore, FsyncPolicy};
+use fix_serve::dispatch::SegmentExec;
 use fix_serve::{
-    kill_and_recover, serve, serve_durable, ArrivalProcess, RequestKind, ServeConfig, TenantSpec,
+    dispatch, serve, ArrivalProcess, DispatchConfig, DispatchOutcome, NodeStorage, RequestKind,
+    RoutingPolicy, ServeConfig, TenantSpec,
 };
 use fixpoint::Runtime;
+use std::path::{Path, PathBuf};
 
 fn config() -> ServeConfig {
     ServeConfig {
@@ -41,25 +50,41 @@ fn config() -> ServeConfig {
     }
 }
 
-fn clean_options() -> DurableOptions {
-    DurableOptions {
-        fsync: FsyncPolicy::Always,
-    }
+/// One durable serving pass: a one-node dispatch rooted at `root`,
+/// flushed before it returns. The outcome, the node's one incarnation,
+/// and its deterministic table.
+fn pass(root: &Path, cfg: &ServeConfig) -> (DispatchOutcome, SegmentExec, String) {
+    let outcome = dispatch(&DispatchConfig {
+        base: cfg.clone(),
+        nodes: 1,
+        policy: RoutingPolicy::Affinity,
+        spill_margin: 1,
+        storage: NodeStorage::Durable(root.to_path_buf()),
+        fault: None,
+    })
+    .expect("durable pass");
+    outcome.assert_accounting_closure();
+    let segment = outcome.exec[0].segments[0];
+    let table = outcome.report.to_string();
+    (outcome, segment, table)
+}
+
+/// The node's durable directory under `root`.
+fn node_dir(root: &Path) -> PathBuf {
+    root.join("node0")
 }
 
 #[test]
 fn warm_restart_replays_everything_with_zero_procedures() {
     let dir = tempfile::tempdir().unwrap();
     let cfg = config();
-    let cold = serve_durable(dir.path(), &cfg, clean_options()).unwrap();
-    cold.assert_accounting_closure();
+    let (cold_run, cold, cold_table) = pass(dir.path(), &cfg);
     assert!(cold.procedures_run > 0, "the cold run computes");
-    assert!(cold.report.completed > 0);
+    assert!(cold_run.report.completed > 0);
 
-    let warm = serve_durable(dir.path(), &cfg, clean_options()).unwrap();
-    warm.assert_accounting_closure();
+    let (_, warm, warm_table) = pass(dir.path(), &cfg);
     assert_eq!(
-        warm.table, cold.table,
+        warm_table, cold_table,
         "deterministic tables must be bit-identical across a restart"
     );
     assert_eq!(
@@ -77,15 +102,14 @@ fn warm_restart_replays_everything_with_zero_procedures() {
 fn kill_mid_batch_recovers_the_persisted_prefix() {
     let dir = tempfile::tempdir().unwrap();
     let cfg = config();
-    let (killed, recovered) = kill_and_recover(dir.path(), &cfg, 90).unwrap();
-
-    killed.assert_accounting_closure();
-    recovered.assert_accounting_closure();
+    let (_, killed, killed_table) = pass(dir.path(), &cfg);
+    tear_log(node_dir(dir.path()), 90).unwrap();
+    let (_, recovered, recovered_table) = pass(dir.path(), &cfg);
 
     // The deterministic tables are virtual-time constructs of the config
     // alone, so the crash cannot perturb them.
     assert_eq!(
-        recovered.table, killed.table,
+        recovered_table, killed_table,
         "deterministic tables must be bit-identical across the crash boundary"
     );
 
@@ -107,19 +131,19 @@ fn kill_mid_batch_recovers_the_persisted_prefix() {
     );
 
     // A second restart — now past the crash — replays everything.
-    let settled = serve_durable(dir.path(), &cfg, clean_options()).unwrap();
-    settled.assert_accounting_closure();
-    assert_eq!(settled.table, killed.table);
+    let (_, settled, settled_table) = pass(dir.path(), &cfg);
+    assert_eq!(settled_table, killed_table);
     assert_eq!(
         settled.procedures_run, 0,
         "once re-served and re-persisted, the workload is fully memoized again"
     );
 }
 
-/// A crash mid-log, recovered: the recovered run's table is the one a
-/// fresh in-memory runtime prints for the same config, it re-runs fewer
-/// procedures than that runtime, and a replayed (non-literal) result is
-/// read back by a disk fault, not recomputed.
+/// A crash mid-log, recovered: the recovered run's table is the one
+/// `serve` prints on a fresh in-memory runtime for the same config (the
+/// node table aside), it re-runs fewer procedures than that runtime, and
+/// a replayed (non-literal) result is read back by a disk fault, not
+/// recomputed.
 #[test]
 fn a_recovered_run_matches_memory_and_faults_its_results_from_disk() {
     let cfg = ServeConfig {
@@ -149,15 +173,18 @@ fn a_recovered_run_matches_memory_and_faults_its_results_from_disk() {
     };
     let dir = tempfile::tempdir().unwrap();
     // The run appends about 98 frames: frame 60 is mid-run.
-    let (_, recovered) = kill_and_recover(dir.path(), &cfg, 60).unwrap();
-    recovered.assert_accounting_closure();
+    pass(dir.path(), &cfg);
+    tear_log(node_dir(dir.path()), 60).unwrap();
+    let (recovered_run, recovered, _) = pass(dir.path(), &cfg);
     assert!(recovered.truncated_bytes > 0, "the torn frame is cut");
     assert!(recovered.replayed_relations > 0, "the log prefix replays");
 
     let memory = Runtime::builder().build();
     let reference = serve(&memory, &cfg).unwrap();
+    let mut report = recovered_run.report;
+    report.nodes.clear();
     assert_eq!(
-        recovered.table,
+        report.to_string(),
         reference.to_string(),
         "the recovered table is the in-memory one"
     );
@@ -168,7 +195,10 @@ fn a_recovered_run_matches_memory_and_faults_its_results_from_disk() {
         memory.procedures_run()
     );
 
-    let d = DurableStore::open(dir.path(), clean_options()).unwrap();
+    let options = DurableOptions {
+        fsync: FsyncPolicy::Always,
+    };
+    let d = DurableStore::open(node_dir(dir.path()), options).unwrap();
     let (_, _, output) = d
         .cache()
         .entries()

@@ -23,29 +23,22 @@
 //! * [`flatware`] — the Unix-like filesystem layer;
 //! * [`workloads`] — every workload of the paper's
 //!   evaluation;
-//! * [`serve`] — the multi-tenant serving layer: open-loop load
-//!   generation, per-tenant SLO classes (priority tiers, deadlines)
-//!   over two-level dispatch, a batched driver pool, and tail-latency
-//!   telemetry over any One-Fix-API backend — and the one serving
-//!   kernel (`serve::kernel`) that [`adapt`] and [`dispatch`] configure;
+//! * [`serve`] — the serving layer: one discrete-event kernel
+//!   (`serve::kernel`) over any One-Fix-API backend and its three entry
+//!   points — `serve` (open-loop tenants, SLO classes, a batched driver
+//!   pool, tail-latency telemetry), `adaptive_serve` (admission pricing,
+//!   an autoscaling pool, closed-loop and SNF streaming tenants) and
+//!   `dispatch` (memoization-affinity routing across N node backends,
+//!   per-node durable state, node failure with warm recovery). [`adapt`]
+//!   and [`dispatch`] are the same items under their older crate names;
 //! * [`durable`] — the persistence tier: one append-only
 //!   content-addressed log, compacted when it holds dead bytes, lazy
 //!   faulting restart (an evicted logged object refaults the same way);
 //!   a crash is a log prefix (`tear_log`);
-//! * [`dispatch`] — the multi-node serving tier: rendezvous-hash
-//!   (memoization-affinity) routing with load-based spill across N
-//!   independent node backends, per-node durable state, and
-//!   first-class node failure with warm (log-reopen) recovery;
 //! * [`obs`] — the observability layer: a structured event recorder
 //!   (one relaxed atomic load when disabled), a unified metrics
 //!   registry, deterministic virtual-clock trace summaries, and a
-//!   Perfetto-loadable Chrome trace export;
-//! * [`adapt`] — the adaptive control plane over the serving layer:
-//!   attainment-driven admission (provable-expiry pricing against the
-//!   calibrated service model), a deterministic autoscaling driver
-//!   pool, closed-loop client populations, and SNF-style streaming
-//!   tenants whose packet batches chain on strict-encoded previous
-//!   state.
+//!   Perfetto-loadable Chrome trace export.
 //!
 //! # Examples
 //!

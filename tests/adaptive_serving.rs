@@ -2,7 +2,7 @@
 //!
 //! One hostile scenario — flash-crowd open-loop tenant, closed-loop
 //! client population, SNF streaming pipeline, admission pricing on, the
-//! autoscaler live — run through `fix_adapt::adaptive_serve` on every
+//! autoscaler live — run through `fix_serve::adaptive_serve` on every
 //! submission-capable backend of the One Fix API (the same roster as
 //! `api_conformance.rs`): the single-node runtime inline and with
 //! 2- and 4-worker pools, and the bare cluster client under Fixpoint's
@@ -22,11 +22,10 @@
 //!   every thunk is content-addressed.
 
 use fix::prelude::*;
-use fix_adapt::{
-    adaptive_serve, AdaptConfig, AdaptTenant, AdmissionPolicy, ClosedLoopSpec, ScalerConfig,
-    SnfSpec,
+use fix_serve::{
+    adaptive_serve, AdaptConfig, AdmissionPolicy, ArrivalProcess, ClosedLoopSpec, RequestKind,
+    ScalerConfig, ServeReport, SloClass, SnfSpec, Tenant, TenantSpec,
 };
-use fix_serve::{ArrivalProcess, RequestKind, ServeReport, SloClass, TenantSpec};
 
 /// The engine's hostile shape, scaled for a cross-backend suite: the
 /// crowd spikes 10x for 40 ms mid-run, the portal population keeps its
@@ -49,7 +48,7 @@ fn hostile_cfg() -> AdaptConfig {
             hold_ticks: 2,
         },
         tenants: vec![
-            AdaptTenant::Open(
+            Tenant::Open(
                 TenantSpec::uniform_mix(
                     "crowd",
                     1,
@@ -63,7 +62,7 @@ fn hostile_cfg() -> AdaptConfig {
                 )
                 .with_slo(SloClass::latency(3_000)),
             ),
-            AdaptTenant::Closed(ClosedLoopSpec {
+            Tenant::Closed(ClosedLoopSpec {
                 name: "portal".into(),
                 weight: 1,
                 clients: 8,
@@ -71,7 +70,7 @@ fn hostile_cfg() -> AdaptConfig {
                 mix: vec![(RequestKind::SebsHtml { users: 4 }, 1)],
                 slo: SloClass::latency(8_000),
             }),
-            AdaptTenant::Snf(SnfSpec {
+            Tenant::Snf(SnfSpec {
                 name: "snf".into(),
                 weight: 1,
                 flows: 4,

@@ -474,3 +474,43 @@ fn one_name_per_object() {
     );
     forbid(&["crates/durable/src/store.rs"], &["HandleMap<[u8; 32]"]);
 }
+
+/// One serving crate: `serve`, `adaptive_serve` and `dispatch` live
+/// beside their kernel in `fix-serve`. `fix-adapt` and `fix-dispatch`
+/// stay only as one-file shells of re-exports, for dependents that
+/// still name them (through the umbrella's `adapt` and `dispatch`). A
+/// caller naming a shell, or code growing back in one, fails nothing
+/// else — forbid both.
+#[test]
+fn one_serving_crate() {
+    let shells = ["crates/adapt", "crates/dispatch"];
+    let names = [
+        "fix_adapt",
+        "fix_dispatch",
+        "fix-adapt",
+        "fix-dispatch",
+        "fix::adapt",
+        "fix::dispatch",
+    ];
+    let hits = found(ALL, |line| {
+        let exempt = shells.iter().any(|s| line.path.starts_with(s))
+            || line.path == "src/lib.rs"
+            || line.path.ends_with("Cargo.toml");
+        !exempt && names.iter().any(|name| line.text.contains(name))
+    });
+    assert!(hits.is_empty(), "a caller names a shell crate: {hits:#?}");
+    for shell in shells {
+        assert_eq!(entries(&format!("{shell}/src")), ["lib.rs"], "{shell}");
+    }
+    let srcs: Vec<String> = shells.iter().map(|s| format!("{s}/src")).collect();
+    forbid(
+        &srcs,
+        &[
+            r"\bfn\b",
+            r"\bstruct\b",
+            r"\benum\b",
+            r"\bimpl\b",
+            "#[test]",
+        ],
+    );
+}

@@ -14,11 +14,11 @@
 //! expires, so the identity covers the capacity and deadline paths, not
 //! just the happy one.
 
-use fix::adapt::{adaptive_serve, AdaptConfig, AdaptTenant, ScalerConfig};
-use fix::dispatch::{dispatch, DispatchConfig, NodeStorage, RoutingPolicy};
 use fix::prelude::*;
 use fix::serve::{
-    serve, ArrivalProcess, RequestKind, ServeConfig, ServeReport, SloClass, TenantSpec,
+    adaptive_serve, dispatch, serve, AdaptConfig, ArrivalProcess, DispatchConfig, NodeStorage,
+    RequestKind, RoutingPolicy, ScalerConfig, ServeConfig, ServeReport, SloClass, Tenant,
+    TenantSpec,
 };
 
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=12;
@@ -151,7 +151,7 @@ fn fixed_pool_adaptive_serve_without_admission_is_serve() {
                     inflight: cfg.inflight,
                     admission: None,
                     scaler: ScalerConfig::fixed(cfg.drivers),
-                    tenants: cfg.tenants.iter().cloned().map(AdaptTenant::Open).collect(),
+                    tenants: cfg.tenants.iter().cloned().map(Tenant::Open).collect(),
                 },
             )
             .expect("adaptive run")

@@ -10,11 +10,13 @@
 //! `Runtime::metrics()` agree exactly with the legacy accessors,
 //! because both read the same live cells.
 
-use fix::dispatch::{dispatch, DispatchConfig, NodeStorage, RoutingPolicy};
 use fix::durable::{DurableOptions, DurableStore, FsyncPolicy};
 use fix::obs::{self, TraceSummary};
 use fix::prelude::*;
-use fix::serve::{serve, ArrivalProcess, RequestKind, ServeConfig, TenantSpec};
+use fix::serve::{
+    dispatch, serve, ArrivalProcess, DispatchConfig, FaultPlan, NodeStorage, RequestKind,
+    RestartKind, RoutingPolicy, ServeConfig, TenantSpec,
+};
 use std::sync::{Arc, Mutex};
 
 /// The recorder and tracing toggle are process-global; tests in this
@@ -278,11 +280,11 @@ fn node_failure_is_traced() {
         policy: RoutingPolicy::Affinity,
         spill_margin: 8,
         storage: NodeStorage::Durable(dir.path().to_path_buf()),
-        fault: Some(fix::dispatch::FaultPlan {
+        fault: Some(FaultPlan {
             node: 0,
             kill_at_us: 10_000,
             restart_at_us: 14_000,
-            restart: fix::dispatch::RestartKind::Warm,
+            restart: RestartKind::Warm,
         }),
     };
     obs::recorder().clear();
