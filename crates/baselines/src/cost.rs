@@ -14,8 +14,6 @@ use fix_netsim::Time;
 /// Per-system cost constants, in µs of virtual time.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    /// Fixpoint per-invocation overhead (paper: 1.46 µs; we charge 2).
-    pub fixpoint_invocation_us: Time,
     /// `vfork`+`exec` of a Linux process (paper: 449 µs).
     pub linux_process_us: Time,
     /// Pheromone per-invocation overhead (paper Fig. 7a: 1.05 ms).
@@ -40,7 +38,6 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            fixpoint_invocation_us: 2,
             linux_process_us: 449,
             pheromone_invocation_us: 1_050,
             pheromone_step_us: 35,
@@ -56,13 +53,16 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fix_cluster::FixConfig;
 
     #[test]
     fn defaults_track_paper_fig7a() {
         let c = CostModel::default();
+        // Fixpoint runs here; its overhead is the engine's own.
+        let fix = FixConfig::default().invocation_overhead_us;
         // Relative factors the paper headlines (within rounding).
-        assert!(c.ray_invocation_us / c.fixpoint_invocation_us >= 500);
-        assert!(c.openwhisk_invocation_us / c.fixpoint_invocation_us >= 10_000);
+        assert!(c.ray_invocation_us / fix >= 500);
+        assert!(c.openwhisk_invocation_us / fix >= 10_000);
         assert!(c.faasm_invocation_us > c.ray_invocation_us);
         assert!(c.pheromone_invocation_us < c.ray_invocation_us);
     }

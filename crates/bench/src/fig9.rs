@@ -11,6 +11,7 @@
 //!   measured (not modeled) data-access counts.
 
 use fix_baselines::CostModel;
+use fix_cluster::FixConfig;
 use fix_workloads::bptree::{
     build, depth_for, fig9_time_us, lookup_fix, lookup_trusted, register_lookup, table2,
 };
@@ -71,6 +72,7 @@ pub const LOAD_BW: u64 = 100_000_000;
 /// Runs the cost model at paper scale and real trees at `real_keys`.
 pub fn run(real_keys: usize, real_arities: &[u32]) -> Fig9 {
     let cost = CostModel::default();
+    let fix_invocation_us = FixConfig::default().invocation_overhead_us;
     let model_keys = 6_000_000u64;
     let queries = 10;
 
@@ -87,7 +89,7 @@ pub fn run(real_keys: usize, real_arities: &[u32]) -> Fig9 {
                     * fig9_time_us(
                         rows[0].invocations,
                         rows[0].data_accessed,
-                        cost.fixpoint_invocation_us,
+                        fix_invocation_us,
                         LOAD_BW,
                     ),
                 ray_cps_us: queries

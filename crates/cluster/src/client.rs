@@ -19,8 +19,10 @@
 //! *placement*:
 //!
 //! 1. the request's dataflow — visible up front, because I/O is
-//!    externalized — is derived into a [`JobGraph`] and executed by the
-//!    simulator under the client's [`Profile`] over `fix-netsim`,
+//!    externalized — is derived into a [`JobGraph`] (each task's inputs
+//!    are its thunk's §3.3 footprint; its dependencies, the footprint's
+//!    unresolved encodes) and executed
+//!    by the simulator under the client's [`Profile`] over `fix-netsim`,
 //!    producing a [`RunReport`] (makespan, bytes moved, CPU states);
 //! 2. the actual Fix semantics run on the embedded node, so results are
 //!    bit-identical to every other backend.
@@ -244,12 +246,18 @@ impl Evaluator for ClusterClient {
 }
 
 /// Derives the cluster dataflow of `roots` from a node's objects and
-/// memoized relations: one task per unevaluated thunk, dependency edges
-/// along encodes, input objects for accessible definition data
-/// (scattered deterministically over `workers` by content hash). With
-/// `strict`, value roots are also deep-walked — the thunks and encodes
-/// nested inside their trees become tasks too, modeling the force phase
-/// of a strict evaluation.
+/// memoized relations by the runtime's own rule, the minimum repository
+/// (paper §3.3, [`fix_core::semantics::footprint`]): one task per
+/// unevaluated thunk, whose inputs are its thunk's footprint objects,
+/// each once (scattered deterministically over `workers` by content
+/// hash), and whose dependencies are the tasks of the footprint's
+/// unresolved encodes, each once (a selection's thunk target is listed
+/// there as its shallow encode). An unresolved strict encode whose
+/// thunk is evaluated but not yet forced runs no task: its value's data
+/// is one more input. A thunk whose data is missing gets no task; the
+/// real evaluation reports the error. With `strict`, value roots are
+/// also deep-walked — the thunks and encodes nested inside their trees
+/// become tasks too, modeling the force phase of a strict evaluation.
 ///
 /// Every task is charged the flat `SERVICE_COSTS.task_compute_us`; an
 /// application's declared output size
@@ -279,14 +287,9 @@ pub fn derive_job_graph(
         workers,
     };
     for &root in roots {
-        // Derivation failures (e.g. a definition tree missing from
-        // storage) surface as semantic errors from the real evaluation;
-        // the simulation keeps whatever subgraph was derived before the
-        // failure, so telemetry for a malformed root is approximate, not
-        // absent.
-        let _ = d.task_for(root);
+        d.task_for(root);
         if strict {
-            let _ = d.force_tasks(root);
+            d.force_tasks(root);
         }
     }
     if d.tasks.is_empty() {
@@ -295,30 +298,27 @@ pub fn derive_job_graph(
     Some(d.builder.build())
 }
 
-/// Walks Fix objects into a [`JobGraph`]: one task per unevaluated
-/// thunk, dependency edges along strict/shallow encodes, input objects
-/// for the accessible data in each definition tree.
+/// Turns Fix objects into a [`JobGraph`]: one task per unevaluated
+/// thunk, reading its inputs and dependencies off the thunk's footprint.
 struct Deriver<'a> {
     rt: &'a Runtime,
     builder: JobGraphBuilder,
     /// Thunk handle → derived task (content addressing deduplicates
     /// shared sub-computations, mirroring the scheduler's job identity).
     tasks: HandleMap<Handle, TaskId>,
-    /// Data payload → graph object.
+    /// Footprint object → graph object.
     objects: HandleMap<Handle, ObjectId>,
     workers: &'a [NodeId],
 }
 
-/// A thunk whose task is being assembled: the spec so far and the
-/// definition entries still to visit.
+/// A thunk whose task is being assembled: the spec so far (its inputs
+/// are final) and the thunks it waits on, of which `next` is the first
+/// not yet visited.
 struct Frame {
     thunk: Handle,
     spec: TaskSpec,
-    entries: Vec<Handle>,
+    waits_on: Vec<Handle>,
     next: usize,
-    /// A bare thunk is a dependency of a selection (its target must be
-    /// evaluated first) and lazy in an application.
-    thunks_are_deps: bool,
 }
 
 /// What visiting a handle finds.
@@ -331,38 +331,24 @@ enum Visit {
 }
 
 impl<'a> Deriver<'a> {
-    /// The node a stored object "lives on": scattered deterministically
-    /// by content hash, modeling content-addressed placement across the
-    /// cluster.
-    fn home_node(&self, h: Handle) -> NodeId {
+    /// The graph object of a stored (canonical, non-literal) object, on
+    /// the node it "lives on": scattered by content hash, modeling
+    /// content-addressed placement across the cluster.
+    fn object_for(&mut self, h: Handle) -> ObjectId {
+        if let Some(&o) = self.objects.get(&h) {
+            return o;
+        }
         let scatter = h.digest().map(|d| d[0]).unwrap_or(0);
-        self.workers[(scatter as usize) % self.workers.len()]
-    }
-
-    fn object_for(&mut self, h: Handle) -> Option<ObjectId> {
-        if h.is_literal() {
-            return None; // Literals ride inside handles; nothing moves.
-        }
-        let key = match h.kind() {
-            Kind::Ref(_) => h.as_object_handle(),
-            _ => h,
-        };
-        if let Some(&o) = self.objects.get(&key) {
-            return Some(o);
-        }
-        let node = self.home_node(key);
-        let o = self.builder.object_at(transfer_size(key), &[node]);
-        self.objects.insert(key, o);
-        Some(o)
-    }
-
-    fn memoized(&self, thunk: Handle) -> Option<Handle> {
-        self.rt.cache().get(Relation::Eval, thunk)
+        let node = self.workers[(scatter as usize) % self.workers.len()];
+        let o = self.builder.object_at(transfer_size(h), &[node]);
+        self.objects.insert(h, o);
+        o
     }
 
     /// Looks `h` up, opening a frame when it is a thunk that still has
-    /// to run: the definition is its first input, and its definition
-    /// entries are what the frame goes on to visit.
+    /// to run: its footprint's objects are the task's inputs, and the
+    /// thunks of its unresolved encodes are what the frame goes on to
+    /// visit.
     fn visit(&mut self, mut h: Handle) -> Result<Visit> {
         // An encode's work is evaluating the thunk it wraps; the memo
         // check happens there.
@@ -375,49 +361,51 @@ impl<'a> Deriver<'a> {
         if let Some(&t) = self.tasks.get(&h) {
             return Ok(Visit::Known(Some(t)));
         }
-        if self.memoized(h).is_some() {
+        if self.rt.cache().get(Relation::Eval, h).is_some() {
             return Ok(Visit::Known(None)); // Already computed: pay for results.
         }
+        let footprint = self.rt.footprint(h)?;
         let def = h.thunk_definition()?;
-        let mut spec = TaskSpec {
-            inputs: Vec::new(),
+        // Entry 0 of an application's definition: its limits.
+        let limits = match kind {
+            ThunkKind::Application => self.rt.get_tree(def)?.get(0),
+            _ => None,
+        };
+        let mut waits_on = Vec::new();
+        for encode in footprint.unresolved_encodes {
+            // Two styles of one thunk wait on the same task.
+            let thunk = encode.encoded_thunk()?;
+            if !waits_on.contains(&thunk) {
+                waits_on.push(thunk);
+            }
+        }
+        // A zero hint means "no hint".
+        let output_hint = limits
+            .and_then(|limits| ResourceLimits::from_handle(limits).ok())
+            .map(|limits| limits.output_size_hint)
+            .filter(|&hint| hint > 0);
+        let spec = TaskSpec {
+            inputs: footprint
+                .objects
+                .iter()
+                .map(|&o| self.object_for(o))
+                .collect(),
             deps: Vec::new(),
             compute_us: SERVICE_COSTS.task_compute_us,
             cores: 1,
             ram: 64 << 20,
             output_size: 8,
-            output_hint: None,
+            output_hint,
             func: def
                 .digest()
                 .map(|[a, b, c, d, ..]| u32::from_le_bytes([a, b, c, d]))
                 .unwrap_or(0),
         };
-        spec.inputs.extend(self.object_for(def));
-        let entries = match kind {
-            ThunkKind::Application => self.rt.get_tree(def).map(|t| t.entries().to_vec()),
-            // Only the target; the bounds are literals.
-            ThunkKind::Selection => self
-                .rt
-                .get_tree(def)
-                .map(|t| t.get(0).into_iter().collect()),
-            // The definition is the identified datum itself.
-            ThunkKind::Identification => Ok(Vec::new()),
-        }
-        .unwrap_or_default();
-        if kind == ThunkKind::Application {
-            // Entry 0 is the limits literal; zero means "no hint".
-            spec.output_hint = entries
-                .first()
-                .and_then(|&limits| ResourceLimits::from_handle(limits).ok())
-                .map(|limits| limits.output_size_hint)
-                .filter(|&hint| hint > 0);
-        }
         Ok(Visit::Open(Frame {
             thunk: h,
             spec,
-            entries,
+            waits_on,
             next: 0,
-            thunks_are_deps: kind == ThunkKind::Selection,
         }))
     }
 
@@ -427,60 +415,55 @@ impl<'a> Deriver<'a> {
     /// thunks/encodes whose result is already memoized).
     ///
     /// The stack holds the chain of thunks under assembly. A frame
-    /// whose next entry is an underived dependency pushes that
-    /// dependency's frame and stays on the entry; when the dependency's
-    /// task exists the entry is visited again and finds it.
-    fn task_for(&mut self, root: Handle) -> Result<()> {
-        let mut stack = match self.visit(root)? {
-            Visit::Known(_) => return Ok(()),
-            Visit::Open(frame) => vec![frame],
+    /// whose next dependency is underived pushes that dependency's
+    /// frame and stays on it; when the dependency's task exists it is
+    /// visited again and found.
+    ///
+    /// A thunk whose footprint fails (data missing from storage) gets no
+    /// task, and whoever waits on it keeps assembling: the real
+    /// evaluation reports the error, and the telemetry for the rest of
+    /// the request stays.
+    fn task_for(&mut self, root: Handle) {
+        let mut stack = match self.visit(root) {
+            Ok(Visit::Open(frame)) => vec![frame],
+            _ => return,
         };
         while let Some(frame) = stack.last_mut() {
-            let Some(&e) = frame.entries.get(frame.next) else {
+            let Some(&thunk) = frame.waits_on.get(frame.next) else {
                 let Some(done) = stack.pop() else { break };
                 let task = self.builder.task(done.spec);
                 self.tasks.insert(done.thunk, task);
                 continue;
             };
-            let dep = match e.kind() {
-                Kind::Encode(..) => Some(e.encoded_thunk()?),
-                Kind::Thunk(_) if frame.thunks_are_deps => Some(e),
-                // Accessible data is in the minimum repository; Refs
-                // contribute metadata only and bare Thunks are lazy.
-                Kind::Object(_) => {
-                    frame.spec.inputs.extend(self.object_for(e));
-                    None
+            match self.visit(thunk) {
+                Ok(Visit::Open(dependency)) => {
+                    stack.push(dependency);
+                    continue;
                 }
-                _ => None,
-            };
-            if let Some(thunk) = dep {
-                match self.visit(thunk)? {
-                    Visit::Open(dependency) => {
-                        stack.push(dependency);
-                        continue;
-                    }
-                    Visit::Known(Some(task)) => frame.spec.deps.push(task),
-                    // Memoized dependency: its result is data to
-                    // fetch, not work to schedule.
-                    Visit::Known(None) => {
-                        let result = self.memoized(thunk);
-                        frame
-                            .spec
-                            .inputs
-                            .extend(result.and_then(|r| self.object_for(r)));
+                Ok(Visit::Known(Some(task))) => frame.spec.deps.push(task),
+                // Evaluated but its encode unresolved: a strict encode of
+                // a value not yet forced. Forcing runs no procedure, and
+                // the value is data the task reads beyond its footprint.
+                Ok(Visit::Known(None)) => {
+                    let value = self.rt.cache().get(Relation::Eval, thunk);
+                    if let Some(value) = value.filter(|v| !v.is_literal()) {
+                        let o = self.object_for(value.as_object_handle());
+                        if !frame.spec.inputs.contains(&o) {
+                            frame.spec.inputs.push(o);
+                        }
                     }
                 }
+                Err(_) => {}
             }
             frame.next += 1;
         }
-        Ok(())
     }
 
     /// The force phase of a strict evaluation: walks a value's trees
     /// (depth first, entries in order) and derives a task for every
     /// nested thunk/encode — deep-forcing runs them all. Ref promotion
     /// moves data but runs no procedure, so it contributes no task.
-    fn force_tasks(&mut self, root: Handle) -> Result<()> {
+    fn force_tasks(&mut self, root: Handle) {
         let mut seen = HandleSet::default();
         let mut stack = vec![root];
         while let Some(h) = stack.pop() {
@@ -488,7 +471,7 @@ impl<'a> Deriver<'a> {
                 continue;
             }
             match h.kind() {
-                Kind::Thunk(_) | Kind::Encode(..) => self.task_for(h)?,
+                Kind::Thunk(_) | Kind::Encode(..) => self.task_for(h),
                 Kind::Object(DataType::Tree) => {
                     if let Ok(tree) = self.rt.get_tree(h) {
                         stack.extend(tree.entries().iter().rev());
@@ -497,14 +480,13 @@ impl<'a> Deriver<'a> {
                 _ => {}
             }
         }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fix_core::data::Blob;
+    use fix_core::data::{Blob, Tree};
     use fix_core::limits::ResourceLimits;
     use std::sync::Arc;
 
@@ -526,6 +508,198 @@ mod tests {
                     .create_blob(a.wrapping_add(b).to_le_bytes().to_vec())
             }),
         )
+    }
+
+    /// `sum(a, b)`: adds two u64 arguments, either of which may be a
+    /// tree holding the number as its first entry.
+    fn register_sum(cc: &ClusterClient) -> Handle {
+        cc.register_native(
+            "sum",
+            Arc::new(|ctx| {
+                let mut total = 0u64;
+                for i in 0..2 {
+                    let mut arg = ctx.arg(i)?;
+                    if let Kind::Object(DataType::Tree) = arg.kind() {
+                        arg = ctx.host.load_tree(arg)?.get(0).unwrap();
+                    }
+                    total += ctx.host.load_blob(arg)?.as_u64().unwrap();
+                }
+                ctx.host.create_blob(total.to_le_bytes().to_vec())
+            }),
+        )
+    }
+
+    /// The four programs on which a walk of its own once gave a task
+    /// other inputs or dependencies than its thunk's footprint (a strict
+    /// encode nested in a tree argument, a 1 MiB blob nested in a tree
+    /// argument, a 4 KiB blob passed twice, and a shallow encode of a
+    /// memoized 1 KiB result), then two that read that evaluated 1 KiB
+    /// result as data: through its strict encode (evaluated, not yet
+    /// forced) and as a selection's target.
+    fn six_programs(cc: &ClusterClient) -> [Handle; 6] {
+        let sum = register_sum(cc);
+        let in_a_tree = |h: Handle| cc.put_tree(Tree::from_handles(vec![h]));
+        let one = cc.put_blob(Blob::from_u64(1));
+        let inner = cc.apply(limits(), sum, &[one, one]).unwrap();
+        let nested_encode = in_a_tree(inner.strict().unwrap());
+        let nested_encode = cc.apply(limits(), sum, &[nested_encode, one]).unwrap();
+        let mib = cc.put_blob(Blob::from_vec(vec![7; 1 << 20]));
+        let nested_blob = cc.apply(limits(), sum, &[in_a_tree(mib)]).unwrap();
+        let four_kib = cc.put_blob(Blob::from_vec(vec![4; 4 << 10]));
+        let twice = cc.apply(limits(), sum, &[four_kib, four_kib]).unwrap();
+        let kib = cc.register_native("kib", Arc::new(|ctx| ctx.host.create_blob(vec![1; 1024])));
+        let made = cc.apply(limits(), kib, &[]).unwrap();
+        cc.eval(made).unwrap();
+        let shallow = cc
+            .apply(limits(), sum, &[made.shallow().unwrap(), one])
+            .unwrap();
+        let unforced = cc
+            .apply(limits(), sum, &[made.strict().unwrap(), one])
+            .unwrap();
+        let selection = cc.select_range(made, 0, 1).unwrap();
+        [
+            nested_encode,
+            nested_blob,
+            twice,
+            shallow,
+            unforced,
+            selection,
+        ]
+    }
+
+    /// The one-task graph of `thunk`.
+    fn one_task(cc: &ClusterClient, thunk: Handle) -> (JobGraph, TaskSpec) {
+        let graph = derive_job_graph(cc.inner(), &[thunk], false, &cc.setup().workers).unwrap();
+        assert_eq!(graph.tasks.len(), 1);
+        let task = graph.task(TaskId(0)).clone();
+        (graph, task)
+    }
+
+    /// Every task's inputs are its thunk's footprint objects, in order
+    /// and each once, then the value of each unresolved encode whose
+    /// thunk is evaluated (a strict encode not yet forced); its
+    /// dependencies are the tasks of the other unresolved encodes.
+    #[test]
+    fn a_task_reads_its_thunks_footprint() {
+        let cc = client();
+        for root in six_programs(&cc) {
+            let mut d = Deriver {
+                rt: cc.inner(),
+                builder: JobGraphBuilder::new(),
+                tasks: HandleMap::default(),
+                objects: HandleMap::default(),
+                workers: &cc.setup().workers,
+            };
+            d.task_for(root);
+            let (tasks, objects) = (d.tasks.clone(), d.objects.clone());
+            let graph = d.builder.build();
+            assert!(tasks.contains_key(&root));
+            for (&thunk, &task) in &tasks {
+                let footprint = cc.footprint(thunk).unwrap();
+                let spec = graph.task(task);
+                let mut inputs: Vec<ObjectId> =
+                    footprint.objects.iter().map(|o| objects[o]).collect();
+                let mut deps = Vec::new();
+                for encode in &footprint.unresolved_encodes {
+                    let dependency = encode.encoded_thunk().unwrap();
+                    match cc.inner().cache().get(Relation::Eval, dependency) {
+                        Some(value) => inputs.push(objects[&value]),
+                        None => deps.push(tasks[&dependency]),
+                    }
+                }
+                assert_eq!(spec.inputs, inputs);
+                assert_eq!(spec.deps, deps);
+                let mut once = spec.inputs.clone();
+                once.sort();
+                once.dedup();
+                assert_eq!(once.len(), inputs.len(), "each object once");
+                let bytes: u64 = inputs.iter().map(|&o| graph.object(o).size).sum();
+                let unforced = inputs.len() - footprint.objects.len();
+                assert_eq!(bytes, footprint.total_bytes + unforced as u64 * 1024);
+            }
+        }
+    }
+
+    /// Data nested in a tree argument is in the footprint, so it ships.
+    #[test]
+    fn a_tree_arguments_data_is_an_input() {
+        let cc = client();
+        let nested_blob = six_programs(&cc)[1];
+        let (graph, task) = one_task(&cc, nested_blob);
+        // The definition (3 entries), the tree argument (1) and the blob.
+        assert_eq!(task.inputs.len(), 3);
+        assert_eq!(graph.total_input_bytes(), 96 + 32 + (1 << 20));
+    }
+
+    #[test]
+    fn a_blob_passed_twice_is_one_input() {
+        let cc = client();
+        let twice = six_programs(&cc)[2];
+        let (graph, task) = one_task(&cc, twice);
+        assert_eq!(task.inputs.len(), 2);
+        assert_eq!(graph.total_input_bytes(), 128 + (4 << 10));
+    }
+
+    /// A resolved shallow encode splices in a Ref: metadata, not bytes.
+    #[test]
+    fn a_memoized_shallow_encode_ships_no_bytes() {
+        let cc = client();
+        let shallow = six_programs(&cc)[3];
+        let (graph, task) = one_task(&cc, shallow);
+        assert_eq!(task.inputs.len(), 1, "the definition alone");
+        assert_eq!(graph.total_input_bytes(), 128);
+        assert_eq!(cc.footprint(shallow).unwrap().refs.len(), 1);
+    }
+
+    /// An evaluated result read as data ships its bytes once, whether a
+    /// strict encode splices it in before it is forced (forcing runs no
+    /// procedure, so no task) or a selection reads its target; a literal
+    /// result rides in its handle.
+    #[test]
+    fn an_evaluated_result_read_as_data_ships() {
+        let cc = client();
+        let [.., unforced, selection] = six_programs(&cc);
+        let sum = register_sum(&cc);
+        let one = cc.put_blob(Blob::from_u64(1));
+        let made = cc.get_tree(selection.thunk_definition().unwrap());
+        let made = made.unwrap().get(0).unwrap();
+        let kib = cc.eval(made).unwrap();
+        let also_passed = cc
+            .apply(limits(), sum, &[made.strict().unwrap(), kib])
+            .unwrap();
+        let two = cc.apply(limits(), sum, &[one, one]).unwrap();
+        cc.eval(two).unwrap();
+        let literal = cc
+            .apply(limits(), sum, &[two.strict().unwrap(), one])
+            .unwrap();
+        // Definitions of 4 entries, or 3 (target, begin, end).
+        for (thunk, inputs, bytes) in [
+            (unforced, 2, 128 + 1024),
+            (selection, 2, 96 + 1024),
+            (also_passed, 2, 128 + 1024),
+            (literal, 1, 128),
+        ] {
+            let (graph, task) = one_task(&cc, thunk);
+            assert_eq!(task.inputs.len(), inputs);
+            assert_eq!(graph.total_input_bytes(), bytes);
+        }
+    }
+
+    /// A thunk whose data is missing gets no task; the thunk waiting on
+    /// it keeps its own.
+    #[test]
+    fn missing_data_drops_only_its_thunks_task() {
+        let cc = client();
+        let sum = register_sum(&cc);
+        let one = cc.put_blob(Blob::from_u64(1));
+        let missing = Blob::from_vec(vec![3; 64]).handle();
+        let inner = cc.apply(limits(), sum, &[missing, one]).unwrap();
+        let outer = cc
+            .apply(limits(), sum, &[inner.strict().unwrap(), one])
+            .unwrap();
+        let (graph, task) = one_task(&cc, outer);
+        assert!(task.deps.is_empty());
+        assert_eq!(graph.total_input_bytes(), 128);
     }
 
     #[test]
@@ -620,21 +794,50 @@ mod tests {
         );
     }
 
+    /// A strict encode is an edge whether it is an argument or sits in
+    /// a tree argument, and two styles of one thunk are one edge: the
+    /// cluster runs one task per procedure the node runs.
     #[test]
     fn dependencies_become_graph_edges() {
+        // The strict encode as the argument, or a tree argument holding
+        // the first one or both of [strict, shallow].
+        for in_a_tree in [None, Some(1), Some(2)] {
+            let cc = client();
+            let sum = register_sum(&cc);
+            let one = cc.put_blob(Blob::from_u64(1));
+            let inner = cc
+                .apply(limits(), sum, &[one, cc.put_blob(Blob::from_u64(2))])
+                .unwrap();
+            let styles = [inner.strict().unwrap(), inner.shallow().unwrap()];
+            let arg = match in_a_tree {
+                None => styles[0],
+                Some(n) => cc.put_tree(Tree::from_handles(styles[..n].to_vec())),
+            };
+            let outer = cc.apply(limits(), sum, &[arg, one]).unwrap();
+            let graph = derive_job_graph(cc.inner(), &[outer], false, &cc.setup().workers).unwrap();
+            assert_eq!(graph.task(TaskId(1)).deps, [TaskId(0)]);
+            let out = cc.eval(outer).unwrap();
+            assert_eq!(cc.get_u64(out).unwrap(), 4);
+            // Two applications: the inner sum and the outer sum.
+            assert_eq!(cc.last_report().unwrap().tasks_run, 2);
+            assert_eq!(cc.procedures_run(), 2);
+        }
+    }
+
+    /// A selection's thunk target runs first, so its task is the
+    /// selection's one dependency.
+    #[test]
+    fn a_selection_waits_on_its_thunk_target() {
         let cc = client();
-        let add = register_add(&cc);
+        let sum = register_sum(&cc);
         let one = cc.put_blob(Blob::from_u64(1));
-        let inner = cc
-            .apply(limits(), add, &[one, cc.put_blob(Blob::from_u64(2))])
-            .unwrap();
-        let outer = cc
-            .apply(limits(), add, &[inner.strict().unwrap(), one])
-            .unwrap();
-        let out = cc.eval(outer).unwrap();
-        assert_eq!(cc.get_u64(out).unwrap(), 4);
-        // Two applications: the inner add and the outer add.
-        assert_eq!(cc.last_report().unwrap().tasks_run, 2);
+        let target = cc.apply(limits(), sum, &[one, one]).unwrap();
+        let selection = cc.select_range(target, 0, 1).unwrap();
+        let graph = derive_job_graph(cc.inner(), &[selection], false, &cc.setup().workers).unwrap();
+        assert_eq!(graph.tasks.len(), 2);
+        assert_eq!(graph.task(TaskId(1)).deps, [TaskId(0)]);
+        let out = cc.eval(selection).unwrap();
+        assert_eq!(cc.get_blob(out).unwrap().as_slice(), [2]);
     }
 
     /// An application's declared output size reaches the scheduler as
@@ -684,7 +887,6 @@ mod tests {
 
     #[test]
     fn strict_eval_of_a_value_root_reports_the_force_phase() {
-        use fix_core::data::Tree;
         let cc = client();
         let add = register_add(&cc);
         // A *value* tree whose entries are strict encodes of thunks:

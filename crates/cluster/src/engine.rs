@@ -125,7 +125,8 @@ pub struct FixConfig {
     /// Binding policy.
     pub binding: Binding,
     /// Per-invocation platform overhead, charged as System time
-    /// (Fixpoint: ~1.5 µs, Fig. 7a).
+    /// (paper Fig. 7a: 1.46 µs; the default charges 2). Fig. 9's model
+    /// reads it too: Fixpoint's overhead is named here alone.
     pub invocation_overhead_us: Time,
     /// RNG seed (random placement).
     pub seed: u64,

@@ -23,7 +23,11 @@
 //! deriving each request's dataflow into a [`JobGraph`] and simulating
 //! it under the [`Profile`] it was built with (Fixpoint's by default) —
 //! so any generic workload doubles as a cluster benchmark, for Fix and
-//! for every comparator.
+//! for every comparator. The derivation ([`derive_job_graph`]) has one
+//! rule, the runtime's: a task's inputs are its thunk's minimum
+//! repository (`fix_core::semantics::footprint`, §3.3), and its
+//! dependencies are that footprint's unresolved encodes (a selection's
+//! thunk target among them).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

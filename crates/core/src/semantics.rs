@@ -12,7 +12,8 @@
 //! * Thunks contribute nothing (their definitions are lazily needed only
 //!   if *they* are evaluated);
 //! * Encodes must be resolved before launch, and their results join the
-//!   footprint according to the encode style.
+//!   footprint according to the encode style (a selection's thunk target
+//!   counts as its shallow encode).
 
 use crate::data::{literal_blob, Blob, Node, Tree};
 use crate::error::{Error, Result};
@@ -94,7 +95,8 @@ pub struct Footprint {
     /// Total bytes across `objects` (blob lengths + 32 bytes/tree entry).
     pub total_bytes: u64,
     /// Encodes that are not yet resolved; the runtime must evaluate these
-    /// before the footprint is complete.
+    /// before the footprint is complete. A selection's thunk target is
+    /// listed as its shallow encode: it is evaluated, not forced, first.
     pub unresolved_encodes: Vec<Handle>,
     /// Refs encountered: data that is *named* but must not be fetched.
     pub refs: Vec<Handle>,
@@ -133,7 +135,9 @@ fn merge_unique(dst: &mut Vec<Handle>, extra: &[Handle]) {
     }
 }
 
-/// Computes the minimum repository of `thunk` (paper §3.3).
+/// Computes the minimum repository of `thunk` (paper §3.3): the
+/// [`footprint_many`] of a batch of one, so every list in it names each
+/// handle once.
 ///
 /// For Application thunks, walks the definition tree applying the footprint
 /// rules. For Selection and Identification thunks, the target data itself
@@ -167,10 +171,7 @@ pub fn footprint(
     thunk: Handle,
     resolver: &dyn EncodeResolver,
 ) -> Result<Footprint> {
-    let mut fp = Footprint::default();
-    let mut seen = HandleSet::default();
-    footprint_into(source, thunk, resolver, &mut fp, &mut seen)?;
-    Ok(fp)
+    footprint_many(source, &[thunk], resolver)
 }
 
 /// Computes the combined minimum repository of a batch of thunks.
@@ -191,7 +192,7 @@ pub fn footprint_many(
         footprint_into(source, thunk, resolver, &mut fp, &mut seen)?;
     }
     // The object walk dedups via `seen`; refs and unresolved encodes are
-    // pushed per occurrence, so dedup them across the batch here.
+    // pushed per occurrence, so dedup them here.
     dedup_in_place(&mut fp.unresolved_encodes);
     dedup_in_place(&mut fp.refs);
     Ok(fp)
@@ -221,14 +222,23 @@ fn footprint_into(
             let tree = load_tree(source, def)?;
             let sel = Selection::from_tree(&tree)?;
             // The target's own data is needed (but not its children): the
-            // runtime reads it to perform the extraction.
-            match sel.target.kind() {
-                Kind::Object(_) | Kind::Ref(_) => add_data(source, sel.target, fp, seen)?,
-                Kind::Thunk(_) => { /* evaluated first; contributes nothing yet */ }
-                Kind::Encode(..) => match resolver.resolved(sel.target) {
-                    Some(r) => add_data(source, r, fp, seen)?,
-                    None => fp.unresolved_encodes.push(sel.target),
+            // runtime reads it to perform the extraction. A thunk target is
+            // evaluated first, as its shallow encode would be resolved, so
+            // it counts as that encode.
+            let target = match sel.target.kind() {
+                Kind::Thunk(_) => sel.target.shallow()?,
+                _ => sel.target,
+            };
+            match target.kind() {
+                Kind::Encode(..) => match resolver.resolved(target) {
+                    Some(r) => {
+                        add_data(source, r, fp, seen)?;
+                    }
+                    None => fp.unresolved_encodes.push(target),
                 },
+                _ => {
+                    add_data(source, target, fp, seen)?;
+                }
             }
         }
         Kind::Thunk(ThunkKind::Identification) => {
@@ -245,22 +255,23 @@ fn footprint_into(
     Ok(())
 }
 
-/// Adds a single datum (no recursion into tree children).
+/// Adds a single datum (no recursion into tree children), returning it
+/// when it was not in the footprint yet.
 fn add_data(
     source: &dyn DataSource,
     handle: Handle,
     fp: &mut Footprint,
     seen: &mut HandleSet<[u8; 32]>,
-) -> Result<()> {
+) -> Result<Option<Node>> {
     if handle.is_literal() || !seen.insert(payload_key(handle)) {
-        return Ok(());
+        return Ok(None);
     }
     // Record canonical-object residency; verify presence so that missing
     // data is reported at analysis time rather than mid-execution.
     let node = source.load(handle)?;
     fp.objects.push(handle.as_object_handle());
     fp.total_bytes += node.transfer_size();
-    Ok(())
+    Ok(Some(node))
 }
 
 /// Applies the footprint rules from an accessible handle, depth first
@@ -278,14 +289,14 @@ fn add_accessible(
     let mut stack = vec![handle];
     while let Some(handle) = stack.pop() {
         match handle.kind() {
-            Kind::Object(DataType::Blob) => add_data(source, handle, fp, seen)?,
-            Kind::Object(DataType::Tree) => {
-                if !handle.is_literal() && seen.contains(&payload_key(handle)) {
-                    continue;
-                }
+            Kind::Object(DataType::Blob) => {
                 add_data(source, handle, fp, seen)?;
-                let tree = load_tree(source, handle)?;
-                stack.extend(tree.entries().iter().rev());
+            }
+            // Trees are never literal, and one seen before was walked then.
+            Kind::Object(DataType::Tree) => {
+                if let Some(node) = add_data(source, handle, fp, seen)? {
+                    stack.extend(node.as_tree()?.entries().iter().rev());
+                }
             }
             Kind::Ref(_) => fp.refs.push(handle),
             // Lazy: a thunk's definition is not part of the parent's footprint.
@@ -461,12 +472,17 @@ mod tests {
         let inner = Tree::from_handles(vec![limits_handle(), code.handle(), data.handle()]);
         src.insert_tree(&inner);
         let enc = build::strict(inner.handle().application().unwrap()).unwrap();
-        let tree = Tree::from_handles(vec![limits_handle(), code.handle(), enc]);
-        src.insert_tree(&tree);
-        let thunk = tree.handle().application().unwrap();
-        let fp = footprint(&src, thunk, &NoResolution).unwrap();
-        assert_eq!(fp.unresolved_encodes, vec![enc]);
-        assert!(!fp.is_complete());
+        // The encode once, and twice: each lists it once, as a batch does.
+        for entries in [vec![enc], vec![enc, enc]] {
+            let mut handles = vec![limits_handle(), code.handle()];
+            handles.extend(entries);
+            let tree = Tree::from_handles(handles);
+            src.insert_tree(&tree);
+            let thunk = tree.handle().application().unwrap();
+            let fp = footprint(&src, thunk, &NoResolution).unwrap();
+            assert_eq!(fp.unresolved_encodes, vec![enc]);
+            assert!(!fp.is_complete());
+        }
     }
 
     #[test]
@@ -532,6 +548,31 @@ mod tests {
         // entry list. NOT the children blobs.
         assert_eq!(fp.objects.len(), 2);
         assert!(!fp.objects.contains(&child.handle()));
+    }
+
+    /// A selection over a thunk waits on the thunk's evaluation, and
+    /// once it is evaluated reads the value's own data.
+    #[test]
+    fn footprint_of_a_selection_over_a_thunk_waits_on_its_value() {
+        struct Fixed(Handle, Handle);
+        impl EncodeResolver for Fixed {
+            fn resolved(&self, e: Handle) -> Option<Handle> {
+                (e == self.0).then_some(self.1)
+            }
+        }
+        let (mut src, code, data) = setup();
+        src.insert_blob(&data);
+        let inner = Tree::from_handles(vec![limits_handle(), code.handle()]);
+        let target = inner.handle().application().unwrap();
+        let (sel_tree, sel_thunk) = build::selection(target, 0).unwrap();
+        src.insert_tree(&sel_tree);
+        let fp = footprint(&src, sel_thunk, &NoResolution).unwrap();
+        assert_eq!(fp.unresolved_encodes, vec![target.shallow().unwrap()]);
+        assert_eq!(fp.objects, vec![sel_tree.handle()]);
+        let resolved = Fixed(target.shallow().unwrap(), data.handle());
+        let fp = footprint(&src, sel_thunk, &resolved).unwrap();
+        assert!(fp.is_complete());
+        assert_eq!(fp.objects, vec![sel_tree.handle(), data.handle()]);
     }
 
     #[test]

@@ -475,6 +475,19 @@ fn one_name_per_object() {
     forbid(&["crates/durable/src/store.rs"], &["HandleMap<[u8; 32]"]);
 }
 
+/// One footprint rule: the cluster client's tasks read their inputs and
+/// dependencies off `fix_core::semantics::footprint` — the rule the
+/// runtime and every `Evaluator` share. A definition-tree walk of its
+/// own in the derivation (the frame's entry list and its
+/// selection-only flag) coming back fails nothing else — forbid both.
+#[test]
+fn one_footprint_rule() {
+    forbid(
+        &["crates/cluster/src"],
+        &["thunks_are_deps", "entries: Vec<Handle>"],
+    );
+}
+
 /// One serving crate: `serve`, `adaptive_serve` and `dispatch` live
 /// beside their kernel in `fix-serve`. `fix-adapt` and `fix-dispatch`
 /// stay only as one-file shells of re-exports, for dependents that
