@@ -6,7 +6,7 @@
 //! Prints jobs/s, CPU µs per job (process utime + stime from
 //! `/proc/self/stat`, 10 ms ticks) and jobs/s as a ratio to `workers(0)`.
 //! The wall-clock ledger (`fixbench/`) pins one worker; this is where the
-//! other counts are measured (ROADMAP item 6(e)).
+//! other counts are measured (ROADMAP item 2, counted rows).
 
 use fix_core::api::{ObjectApi, SubmitApi};
 use fix_core::data::Blob;

@@ -2,7 +2,7 @@
 //! evaluation section.
 //!
 //! ```text
-//! figures [fig7a|fig7b|fig8a|fig8b|fig9|fig10|table2|comparators|serve|adapt|sweep|trace|calibrate|recover|route|ledger|summary|all] [--quick]
+//! figures [fig7a|fig7b|fig8a|fig8b|fig9|fig10|table2|comparators|serve|adapt|sweep|trace|calibrate|recover|route|ledger|extgc|extbilling|summary|all] [--quick]
 //! ```
 //!
 //! `trace` runs the serving workload with the `fix-obs` event recorder
@@ -27,8 +27,34 @@
 //! `--quick` runs everything at reduced scale (CI-friendly); without it,
 //! the cluster simulations use the paper's full parameters (984 × 100 MiB
 //! shards, 2000 source files, 6 M keys).
+//!
+//! Any other subcommand prints the usage line to stderr and exits 2.
 
 use fix_workloads::wordcount::Fig8bParams;
+
+/// Every subcommand `main` accepts, in the module docs' order.
+const SUBCOMMANDS: &[&str] = &[
+    "fig7a",
+    "fig7b",
+    "fig8a",
+    "fig8b",
+    "fig9",
+    "fig10",
+    "table2",
+    "comparators",
+    "serve",
+    "adapt",
+    "sweep",
+    "trace",
+    "calibrate",
+    "recover",
+    "route",
+    "ledger",
+    "extgc",
+    "extbilling",
+    "summary",
+    "all",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,6 +73,13 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .map(String::as_str)
         .unwrap_or("all");
+    if !SUBCOMMANDS.contains(&which) {
+        eprintln!(
+            "figures: unknown subcommand `{which}`\nusage: figures [{}] [--quick]",
+            SUBCOMMANDS.join("|")
+        );
+        std::process::exit(2);
+    }
 
     // With --self-add, fig7a spawns this very binary as the add program
     // (closest to the paper's vfork'd add); default is /bin/true, whose
@@ -178,9 +211,5 @@ fn main() {
     if which == "all" || which == "extbilling" {
         let n = if quick { 128 } else { 1024 };
         println!("{}", fix_bench::ext_billing::run(n));
-    }
-    if which == "all" || which == "extdensity" {
-        let n = if quick { 128 } else { 1024 };
-        println!("{}", fix_bench::ext_density::run(n));
     }
 }

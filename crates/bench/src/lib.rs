@@ -12,7 +12,6 @@ pub mod adapt_table;
 pub mod calibrate;
 pub mod comparators;
 pub mod ext_billing;
-pub mod ext_density;
 pub mod ext_gc;
 pub mod fig10;
 pub mod fig7a;

@@ -50,10 +50,11 @@ use fix_core::data::Node;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{transfer_size, DataType, Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use fix_core::limits::ResourceLimits;
-use fix_core::semantics::Footprint;
+use fix_core::semantics::{self, DataSource, Footprint};
 use fix_netsim::{NetConfig, NodeId, NodeSpec, Time};
-use fix_storage::Relation;
+use fix_storage::{Relation, Store};
 use fixpoint::Runtime;
+use std::cell::Cell;
 
 /// Configures a [`ClusterClient`].
 pub struct ClusterClientBuilder {
@@ -311,6 +312,26 @@ struct Deriver<'a> {
     workers: &'a [NodeId],
 }
 
+/// The node's store as a thunk's footprint walk reads it, keeping entry
+/// 0 of the definition tree `def` (an application's limits) when the
+/// walk loads it: the output hint costs no second load of the tree.
+struct ReadsLimits<'a> {
+    store: &'a Store,
+    def: Handle,
+    limits: Cell<Option<Handle>>,
+}
+
+impl DataSource for ReadsLimits<'_> {
+    fn load(&self, handle: Handle) -> Result<Node> {
+        let node = self.store.load(handle)?;
+        if handle == self.def {
+            self.limits
+                .set(node.as_tree().ok().and_then(|tree| tree.get(0)));
+        }
+        Ok(node)
+    }
+}
+
 /// A thunk whose task is being assembled: the spec so far (its inputs
 /// are final) and the thunks it waits on, of which `next` is the first
 /// not yet visited.
@@ -364,11 +385,15 @@ impl<'a> Deriver<'a> {
         if self.rt.cache().get(Relation::Eval, h).is_some() {
             return Ok(Visit::Known(None)); // Already computed: pay for results.
         }
-        let footprint = self.rt.footprint(h)?;
         let def = h.thunk_definition()?;
-        // Entry 0 of an application's definition: its limits.
+        let source = ReadsLimits {
+            store: self.rt.store(),
+            def,
+            limits: Cell::new(None),
+        };
+        let footprint = semantics::footprint(&source, h, self.rt.cache())?;
         let limits = match kind {
-            ThunkKind::Application => self.rt.get_tree(def)?.get(0),
+            ThunkKind::Application => source.limits.get(),
             _ => None,
         };
         let mut waits_on = Vec::new();

@@ -33,16 +33,11 @@
 #![warn(missing_docs)]
 
 mod client;
-pub mod density;
 pub mod engine;
 mod graph;
 mod report;
 
 pub use client::{derive_job_graph, ClusterClient, ClusterClientBuilder};
-pub use density::{
-    simulate as simulate_density, simulate_profiles as simulate_density_profiles, Admission,
-    AppProfile, DensityParams, DensityReport, Phase,
-};
 pub use engine::{run_fix, run_profile, Binding, ClusterSetup, FixConfig, Placement, Profile};
 pub use graph::{small_task, JobGraph, JobGraphBuilder, ObjectId, ObjectSpec, TaskId, TaskSpec};
 pub use report::{ReportLog, RunReport};

@@ -29,13 +29,8 @@ fn truncate(digest: [u8; 32]) -> [u8; DIGEST_LEN] {
 }
 
 /// Computes the truncated, domain-separated digest of blob contents.
-pub fn blob_digest(data: &[u8]) -> [u8; DIGEST_LEN] {
+fn blob_digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     truncate(blob_key().hash(data))
-}
-
-/// Computes the truncated, domain-separated digest of serialized tree entries.
-pub fn tree_digest(serialized_entries: &[u8]) -> [u8; DIGEST_LEN] {
-    truncate(tree_key().hash(serialized_entries))
 }
 
 /// A region of memory: the atomic unit of Fix data.
@@ -270,14 +265,6 @@ impl Node {
         }
     }
 
-    /// The datum's type.
-    pub fn data_type(&self) -> DataType {
-        match self {
-            Node::Blob(_) => DataType::Blob,
-            Node::Tree(_) => DataType::Tree,
-        }
-    }
-
     /// Approximate storage / transfer size in bytes (blob length, or 32
     /// bytes per tree entry).
     pub fn transfer_size(&self) -> u64 {
@@ -327,6 +314,12 @@ pub fn literal_blob(handle: Handle) -> Option<Blob> {
 mod tests {
     use super::*;
     use crate::handle::Kind;
+
+    /// The truncated, domain-separated digest of serialized tree
+    /// entries: the reference a tree's handle is checked against.
+    fn tree_digest(serialized_entries: &[u8]) -> [u8; DIGEST_LEN] {
+        truncate(tree_key().hash(serialized_entries))
+    }
 
     #[test]
     fn small_blob_is_literal() {

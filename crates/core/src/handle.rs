@@ -298,7 +298,7 @@ impl Handle {
     /// and Selection thunks it is always [`DataType::Tree`] (the definition
     /// tree); for Identification thunks it is the identified datum's type.
     /// Encodes inherit from the wrapped thunk.
-    pub fn data_type(&self) -> DataType {
+    fn data_type(&self) -> DataType {
         if self.0[31] & FLAG_TREE != 0 {
             DataType::Tree
         } else {

@@ -142,11 +142,6 @@ impl Parcel {
         }
         Ok(VerifiedParcel { root, objects })
     }
-
-    /// Total payload bytes (the network cost of shipping this parcel).
-    pub fn payload_bytes(&self) -> u64 {
-        self.objects.iter().map(Node::transfer_size).sum()
-    }
 }
 
 /// A parcel as [`Parcel::verify`] hands it over: each object beside the
@@ -186,7 +181,6 @@ mod tests {
         let p = sample();
         let rt = Parcel::from_bytes(&p.to_bytes()).unwrap();
         assert_eq!(rt, p);
-        assert_eq!(rt.payload_bytes(), 100 + 64);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub struct PosixWorld<'a, 'b> {
 
 impl<'a, 'b> PosixWorld<'a, 'b> {
     /// Builds the world from a Flatware-convention invocation.
-    pub fn from_ctx(ctx: &'a mut NativeCtx<'b>) -> Result<(Vec<String>, PosixWorld<'a, 'b>)> {
+    fn from_ctx(ctx: &'a mut NativeCtx<'b>) -> Result<(Vec<String>, PosixWorld<'a, 'b>)> {
         let argv = decode_argv(&ctx.arg_blob(0)?)?;
         let fs_root = ctx.arg(1)?;
         Ok((

@@ -209,11 +209,6 @@ impl Hasher {
         Self::new_internal(IV, 0)
     }
 
-    /// Constructs a hasher for the keyed hash function.
-    pub fn new_keyed(key: &[u8; KEY_LEN]) -> Self {
-        Self::new_internal(Key::new(key).words, KEYED_HASH)
-    }
-
     fn push_stack(&mut self, cv: [u32; 8]) {
         self.cv_stack[self.cv_stack_len as usize] = cv;
         self.cv_stack_len += 1;
@@ -371,15 +366,5 @@ mod tests {
         h.finalize_xof(&mut short);
         h.finalize_xof(&mut long);
         assert_eq!(&long[..32], &short[..]);
-    }
-
-    #[test]
-    fn keyed_differs_from_unkeyed() {
-        let key = [0x42u8; KEY_LEN];
-        let mut a = Hasher::new();
-        let mut b = Hasher::new_keyed(&key);
-        a.update(b"data");
-        b.update(b"data");
-        assert_ne!(a.finalize(), b.finalize());
     }
 }

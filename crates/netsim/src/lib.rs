@@ -53,7 +53,6 @@ pub struct Sim {
     net: NetConfig,
     claims: HashMap<ClaimId, Claim>,
     next_claim: u64,
-    horizon: Option<Time>,
 }
 
 impl Sim {
@@ -66,7 +65,6 @@ impl Sim {
             net,
             claims: HashMap::new(),
             next_claim: 0,
-            horizon: None,
         }
     }
 
@@ -85,27 +83,15 @@ impl Sim {
         self.queue.push(self.now + delay, Box::new(f));
     }
 
-    /// Runs until the event queue is empty (or the horizon, if set).
+    /// Runs until the event queue is empty.
     /// Returns the final virtual time.
     pub fn run(&mut self) -> Time {
         while let Some((at, f)) = self.queue.pop() {
-            if let Some(h) = self.horizon {
-                if at > h {
-                    self.now = h;
-                    break;
-                }
-            }
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             f(self);
         }
         self.now
-    }
-
-    /// Stops [`Sim::run`] once virtual time would pass `t` (a safety net
-    /// against runaway simulations in tests).
-    pub fn set_horizon(&mut self, t: Time) {
-        self.horizon = Some(t);
     }
 
     // ------------------------------------------------------------------
@@ -408,18 +394,6 @@ mod tests {
         assert_eq!(report.user_core_us, 32 * 100);
         // 90% of the time all cores were claimed-but-waiting (or idle).
         assert!((report.waiting_percent() - 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn horizon_stops_runaway_simulations() {
-        let mut sim = two_nodes();
-        fn tick(sim: &mut Sim) {
-            sim.schedule(1000, tick);
-        }
-        sim.schedule(0, tick);
-        sim.set_horizon(50_000);
-        let end = sim.run();
-        assert!(end <= 50_000);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl TraceSummary {
         s
     }
 
-    /// Total deterministic events aggregated.
-    pub fn event_count(&self) -> u64 {
-        self.kinds.values().map(|r| r.count).sum()
-    }
-
     /// Deterministic events lost to recorder capacity. A nonzero value
     /// means the summary is no longer comparable across runs (and the
     /// rendered table says so).
@@ -193,7 +188,6 @@ mod tests {
 
         assert_eq!(a, b);
         assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.event_count(), 6, "steal event excluded");
         let s = a.to_string();
         assert!(s.contains("serve.admit"));
         assert!(!s.contains("scheduler.steal"));

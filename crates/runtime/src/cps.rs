@@ -191,7 +191,7 @@ pub fn start(rt: &Runtime, stepper: Handle, state: &[u8], args: &[Handle]) -> Re
 }
 
 /// [`start`] with explicit resource limits.
-pub fn start_with_limits(
+fn start_with_limits(
     rt: &Runtime,
     limits: ResourceLimits,
     stepper: Handle,

@@ -63,12 +63,7 @@ pub struct PoolShape {
 impl AdmissionPolicy {
     /// The lower bound on the queue wait a new arrival of `tenant`
     /// would face, in virtual µs (see the type docs for the argument).
-    pub fn predicted_wait_us(
-        &self,
-        queues: &TenantQueues,
-        tenant: usize,
-        pool: PoolShape,
-    ) -> Micros {
+    fn predicted_wait_us(&self, queues: &TenantQueues, tenant: usize, pool: PoolShape) -> Micros {
         let drivers = pool.active_drivers.max(1);
         let immediate = drivers * pool.batch.max(1);
         let prefix = queues.tenant_backlog_prefix_us(tenant, immediate - 1);

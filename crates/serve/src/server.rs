@@ -229,7 +229,7 @@ pub struct ServeReport {
 impl ServeReport {
     /// Served request throughput over the virtual makespan, in
     /// requests/second.
-    pub fn throughput_rps(&self) -> f64 {
+    fn throughput_rps(&self) -> f64 {
         if self.makespan_us == 0 {
             return 0.0;
         }
@@ -249,7 +249,7 @@ impl ServeReport {
 
     /// Union latency across all tenants (equivalently: across all
     /// drivers — the merge-equality the telemetry tests pin down).
-    pub fn total_latency(&self) -> LatencyHistogram {
+    fn total_latency(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
         for d in &self.drivers {
             h.merge(&d.latency);

@@ -145,7 +145,7 @@ impl SnfPipeline {
     /// Batches the fold for (`flow`, `batch`) would cover: everything
     /// the chain has not folded yet, through `batch`. 1 when the chain
     /// is caught up; larger after sheds (the catch-up debt).
-    pub fn fold_span(&self, flow: usize, batch: u64) -> u64 {
+    fn fold_span(&self, flow: usize, batch: u64) -> u64 {
         batch + 1 - self.flows[flow].next_batch
     }
 

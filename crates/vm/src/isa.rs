@@ -11,8 +11,6 @@
 //! *table index*: the handle table starts with the input tree at index 0
 //! and grows as the guest traverses trees or creates objects.
 
-use std::fmt;
-
 /// One decoded FixVM instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
@@ -159,7 +157,7 @@ pub mod kind_code {
 
 impl Instr {
     /// The opcode byte for this instruction.
-    pub fn opcode(&self) -> u8 {
+    fn opcode(&self) -> u8 {
         use Instr::*;
         match self {
             Nop => 0x00,
@@ -320,24 +318,6 @@ impl Instr {
             0x61 => simple(EqHandle),
             0x62 => simple(RetHandle),
             _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Instr::Const(v) => write!(f, "const {v}"),
-            Instr::LocalGet(i) => write!(f, "local.get {i}"),
-            Instr::LocalSet(i) => write!(f, "local.set {i}"),
-            Instr::Jump(t) => write!(f, "jump {t}"),
-            Instr::JumpIf(t) => write!(f, "jump_if {t}"),
-            Instr::JumpIfZero(t) => write!(f, "jump_if_zero {t}"),
-            Instr::Call(i) => write!(f, "call {i}"),
-            other => {
-                let s = format!("{other:?}");
-                write!(f, "{}", s.to_lowercase())
-            }
         }
     }
 }

@@ -177,21 +177,6 @@ impl Module {
         }
         Ok(())
     }
-
-    /// A disassembly listing for debugging and tests.
-    pub fn disassemble(&self) -> String {
-        let mut out = String::new();
-        for (idx, f) in self.functions.iter().enumerate() {
-            out.push_str(&format!(
-                "func {idx} args={} locals={}\n",
-                f.nargs, f.nlocals
-            ));
-            for (ip, instr) in f.code.iter().enumerate() {
-                out.push_str(&format!("  {ip:4}: {instr}\n"));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -295,13 +280,5 @@ mod tests {
             ],
         };
         assert!(Module::from_bytes(&m.to_bytes()).is_err());
-    }
-
-    #[test]
-    fn disassembly_is_readable() {
-        let text = trivial().disassemble();
-        assert!(text.contains("func 0 args=0 locals=1"));
-        assert!(text.contains("const 0"));
-        assert!(text.contains("rethandle"));
     }
 }

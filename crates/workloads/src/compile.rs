@@ -65,7 +65,7 @@ pub fn generate_source(seed: u64, index: u32, functions: usize) -> String {
 
 /// Token classes produced by the lexer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+enum Token {
     /// Identifier or keyword.
     Ident(String),
     /// Integer literal.
@@ -77,7 +77,7 @@ pub enum Token {
 }
 
 /// Lexes C-like source into tokens. Rejects unterminated strings.
-pub fn lex(source: &str) -> Result<Vec<Token>> {
+fn lex(source: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
     let bytes = source.as_bytes();
     let mut i = 0;
@@ -261,7 +261,7 @@ pub fn link(objects: &[ObjectFile]) -> Result<Blob> {
 // ----------------------------------------------------------------------
 
 /// Registers the compile codelet: `[rl, proc, source] -> object blob`.
-pub fn register_compile<R: InvocationApi>(rt: &R) -> Handle {
+fn register_compile<R: InvocationApi>(rt: &R) -> Handle {
     rt.register_native(
         "compile/cc",
         Arc::new(|ctx| {
@@ -275,7 +275,7 @@ pub fn register_compile<R: InvocationApi>(rt: &R) -> Handle {
 }
 
 /// Registers the link codelet: `[rl, proc, objects-tree] -> executable`.
-pub fn register_link<R: InvocationApi>(rt: &R) -> Handle {
+fn register_link<R: InvocationApi>(rt: &R) -> Handle {
     rt.register_native(
         "compile/ld",
         Arc::new(|ctx| {

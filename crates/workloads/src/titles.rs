@@ -54,7 +54,7 @@ const SECOND: &[&str] = &[
 ];
 
 /// Generates `n` unique titles (unsorted), deterministically.
-pub fn generate_titles(seed: u64, n: usize) -> Vec<String> {
+fn generate_titles(seed: u64, n: usize) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(n);
     for i in 0..n {

@@ -9,7 +9,8 @@
 //! optional `\b` at either end that asks for a word boundary there, as
 //! in grep (`\bPriority\b` is a whole word; `fn knows\b` is not the head
 //! of a longer name such as `fn knows_all`; a bare `set_stage` matches
-//! anywhere).
+//! anywhere). One guard asks the converse, that a name is found:
+//! `every_pub_fn_has_a_caller`.
 
 use std::fs;
 use std::path::Path;
@@ -526,4 +527,76 @@ fn one_serving_crate() {
             "#[test]",
         ],
     );
+}
+
+/// Every public function has a caller: each `pub fn NAME` in a `*.rs`
+/// file under `crates/*/src` is a word of some `*.rs` file under the
+/// code, tests and examples, or fixbench's sources, that defines no
+/// `pub fn NAME` itself (a test, bench, example or doctest elsewhere
+/// counts). A function only its own file calls is private, and one that
+/// nothing calls is deleted, unless `EXEMPT` gives the reason it stays.
+/// Each file is read once, into its set of words.
+#[test]
+fn every_pub_fn_has_a_caller() {
+    /// (file, function, why it stays public with no caller elsewhere).
+    const EXEMPT: &[(&str, &str, &str)] = &[(
+        "crates/netsim/src/lib.rs",
+        "node_stats",
+        "documented API: the crate doctest reads a node's counters with it",
+    )];
+    let mut files = Vec::new();
+    for tree in ALL.iter().chain(&["fixbench/src"]) {
+        walk(tree.to_string(), &mut files);
+    }
+    let texts: Vec<(String, String)> = files
+        .into_iter()
+        .filter(|path| path.ends_with(".rs") && path != GUARDS)
+        .map(|path| (fs::read_to_string(root().join(&path)).unwrap(), path))
+        .collect();
+    // Names are ASCII: any other byte ends a word.
+    let not_name = |b: &u8| !(b.is_ascii_alphanumeric() || *b == b'_');
+    let mut files_naming = std::collections::HashMap::<&[u8], usize>::new();
+    for (text, _) in &texts {
+        let words: std::collections::HashSet<&[u8]> = text
+            .as_bytes()
+            .split(not_name)
+            .filter(|word| !word.is_empty())
+            .collect();
+        for word in words {
+            *files_naming.entry(word).or_default() += 1;
+        }
+    }
+    // The files that define a `pub fn` of each name.
+    let mut defining = std::collections::BTreeMap::<&str, Vec<&str>>::new();
+    for (text, path) in &texts {
+        if !(path.starts_with("crates/") && path.contains("/src/")) {
+            continue;
+        }
+        for (at, head) in text.match_indices("pub fn ") {
+            let rest = &text[at + head.len()..];
+            let len = rest
+                .bytes()
+                .position(|b| not_name(&b))
+                .unwrap_or(rest.len());
+            let paths = defining.entry(&rest[..len]).or_default();
+            if !paths.contains(&path.as_str()) {
+                paths.push(path);
+            }
+        }
+    }
+    // A caller is a file that names the function and defines none of
+    // that name: two functions of one name do not vouch for each other.
+    let uncalled: Vec<(&str, &str)> = defining
+        .iter()
+        .filter(|(name, paths)| files_naming[name.as_bytes()] == paths.len())
+        .flat_map(|(name, paths)| paths.iter().map(move |path| (*path, *name)))
+        .collect();
+    let exempt: Vec<(&str, &str)> = EXEMPT.iter().map(|&(path, name, _)| (path, name)).collect();
+    let missing: Vec<_> = uncalled.iter().filter(|f| !exempt.contains(f)).collect();
+    assert!(
+        missing.is_empty(),
+        "a pub fn nothing else names: {missing:#?}"
+    );
+    let stale: Vec<_> = exempt.iter().filter(|f| !uncalled.contains(f)).collect();
+    assert!(stale.is_empty(), "exempt, but called elsewhere: {stale:#?}");
 }
