@@ -13,8 +13,10 @@
 //!   --quick` print, rendered through the same `fix_bench` functions;
 //! * `kernel_*.txt` — `to_string()` + `decomposition_table()` of
 //!   `serve` / `adaptive_serve` / `dispatch` on copies of the `fixbench`
-//!   `serve_tiers` configurations (seeds 1–3), and of the warm- and
-//!   cold-restart fault configuration from `fix_serve::dispatch`'s own tests;
+//!   `serve_tiers` configurations (seeds 1–3), of the warm- and
+//!   cold-restart fault configuration from `fix_serve::dispatch`'s own
+//!   tests, and of `kernel::run` on one composed `kernel::Config` literal
+//!   with and without a cold restart (`kernel_composed.txt`);
 //! * `figures_{fig7b,fig8a}.txt` and `figures_{fig8b,fig10,comparators,
 //!   extbilling}{_quick,}.txt` — what `figures <name> [--quick]` print
 //!   (`fig7b` and `fig8a` have one scale);
@@ -32,9 +34,9 @@ use fix_cluster::{
 };
 use fix_netsim::{NetConfig, NodeId, NodeSpec, MS};
 use fix_serve::{
-    adaptive_serve, dispatch, serve, AdaptConfig, AdmissionPolicy, ArrivalProcess, ClosedLoopSpec,
-    DispatchConfig, FaultPlan, NodeStorage, RequestKind, RestartKind, RoutingPolicy, ScalerConfig,
-    ServeConfig, ServeReport, SloClass, SnfSpec, Tenant, TenantSpec,
+    adaptive_serve, dispatch, kernel, serve, AdaptConfig, AdmissionPolicy, ArrivalProcess,
+    ClosedLoopSpec, DispatchConfig, FaultPlan, NodeStorage, RequestKind, RestartKind,
+    RoutingPolicy, ScalerConfig, ServeConfig, ServeReport, SloClass, SnfSpec, Tenant, TenantSpec,
 };
 use fix_workloads::compile::{fig10_graph, Fig10Params};
 use fix_workloads::wordcount::{
@@ -250,6 +252,96 @@ fn kernel_fault() -> String {
             )
         })
         .collect()
+}
+
+/// The kernel's plug points composed in one literal, with no engine code
+/// of its own: three nodes under HRW affinity, per-node admission and a
+/// 2..=4 driver autoscaler, serving an open flash crowd, a closed-loop
+/// portal and an SNF tenant.
+fn composed_config(fault: Option<FaultPlan>) -> kernel::Config {
+    kernel::Config {
+        seed: 29,
+        duration_us: 60_000,
+        batch: 8,
+        queue_capacity: 64,
+        batch_overhead_us: 5,
+        inflight: 2,
+        tenants: vec![
+            Tenant::Open(TenantSpec {
+                name: "crowd".into(),
+                weight: 2,
+                arrivals: ArrivalProcess::FlashCrowd {
+                    base_rps: 4_000.0,
+                    spike_at_us: 20_000,
+                    spike_len_us: 15_000,
+                    spike_rps: 60_000.0,
+                },
+                mix: vec![(RequestKind::Fib { max_n: 96 }, 1)],
+                slo: SloClass::latency(3_000),
+            }),
+            Tenant::Closed(ClosedLoopSpec {
+                name: "portal".into(),
+                weight: 1,
+                clients: 8,
+                think_mean_us: 2_000.0,
+                mix: vec![(RequestKind::SebsHtml { users: 4 }, 1)],
+                slo: SloClass::latency(8_000),
+            }),
+            Tenant::Snf(SnfSpec {
+                name: "snf".into(),
+                weight: 1,
+                flows: 4,
+                batch_period_us: 2_000,
+                slo: SloClass::default(),
+            }),
+        ],
+        admission: Some(AdmissionPolicy::default()),
+        scaler: ScalerConfig {
+            min_drivers: 2,
+            max_drivers: 4,
+            control_interval_us: 1_000,
+            up_backlog_us: 400,
+            down_backlog_us: 60,
+            hold_ticks: 2,
+        },
+        nodes: 3,
+        policy: RoutingPolicy::Affinity,
+        spill_margin: 16,
+        fault,
+    }
+}
+
+/// The composed scenario's tables with no fault and with node 1 killed
+/// and restarted cold, each run on a fresh runtime from `runtime`.
+fn kernel_composed_on(runtime: impl Fn() -> Runtime) -> String {
+    let cold = FaultPlan {
+        node: 1,
+        kill_at_us: 20_000,
+        restart_at_us: 40_000,
+        restart: RestartKind::Cold,
+    };
+    [None, Some(cold)]
+        .into_iter()
+        .map(|fault| {
+            let report = kernel::run(&runtime(), &composed_config(fault)).unwrap();
+            report.assert_accounting_closure();
+            format!("fault {fault:?}\n{}", tables(&report))
+        })
+        .collect()
+}
+
+fn kernel_composed() -> String {
+    kernel_composed_on(|| Runtime::builder().build())
+}
+
+/// The composed tables are a function of the configuration, not of the
+/// runtime that executes it.
+#[test]
+fn the_composed_kernel_is_the_same_inline_and_on_two_workers() {
+    assert_eq!(
+        kernel_composed(),
+        kernel_composed_on(|| Runtime::builder().workers(2).build())
+    );
 }
 
 fn figures_trace() -> String {
@@ -510,6 +602,7 @@ const GOLDEN: &[Golden] = &[
     golden!("kernel_adapt.txt", kernel_adapt),
     golden!("kernel_dispatch.txt", kernel_dispatch),
     golden!("kernel_fault.txt", kernel_fault),
+    golden!("kernel_composed.txt", kernel_composed),
     golden!("figures_fig7b.txt", || fix_bench::fig7b::run(500)
         .to_string()),
     golden!("figures_fig8a.txt", || fix_bench::fig8a::run(1024)

@@ -65,9 +65,6 @@ pub enum Error {
     },
     /// A guest procedure faulted (VM trap, invalid API use, panic, ...).
     Trap(String),
-    /// An operation that must run on an evaluated value received an
-    /// unevaluated one (internal invariant violation).
-    NotEvaluated(Handle),
     /// Evaluation recursion exceeded the configured depth bound.
     DepthExceeded {
         /// The configured bound.
@@ -117,7 +114,6 @@ impl fmt::Display for Error {
                 "guest exceeded memory limit ({requested} requested, {limit} allowed)"
             ),
             Error::Trap(msg) => write!(f, "guest trap: {msg}"),
-            Error::NotEvaluated(h) => write!(f, "expected an evaluated value, got {h}"),
             Error::DepthExceeded { limit } => {
                 write!(f, "evaluation depth exceeded the bound of {limit}")
             }

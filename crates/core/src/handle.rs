@@ -497,6 +497,16 @@ impl Handle {
     }
 }
 
+/// The trace id of a handle, or of its payload key, which shares its
+/// first bytes: those 8 bytes, little-endian. The serve layer's events
+/// and routing key, the scheduler's job events and the durable tier's
+/// frame events all take it from here, so one request's events carry
+/// one id. Collisions are irrelevant: ids only correlate events.
+pub fn trace_id(bytes: &[u8; 32]) -> u64 {
+    let [a, b, c, d, e, f, g, h, ..] = *bytes;
+    u64::from_le_bytes([a, b, c, d, e, f, g, h])
+}
+
 /// The canonical lookup key: the handle's payload and type, with the
 /// kind byte stripped (an Object and a Ref to the same bytes are the
 /// same stored datum). Because the canonical Object tag is zero, a

@@ -22,7 +22,6 @@ use crate::handle::{
     ThunkKind,
 };
 use crate::invocation::Selection;
-use std::borrow::Cow;
 
 /// Anything that can produce the data behind canonical handles.
 ///
@@ -217,10 +216,13 @@ fn footprint_into(
         }
         Kind::Thunk(ThunkKind::Selection) => {
             let def = thunk.thunk_definition()?;
-            // The definition tree is tiny ([target, begin, end?]) but needed.
-            add_data(source, def, fp, seen)?;
-            let tree = load_tree(source, def)?;
-            let sel = Selection::from_tree(&tree)?;
+            // The definition tree is tiny ([target, begin, end?]) but
+            // needed: parsed as added, or loaded again only when an
+            // earlier thunk of the batch added it.
+            let sel = match add_data(source, def, fp, seen)? {
+                Some(node) => Selection::from_tree(node.as_tree()?)?,
+                None => Selection::from_tree(&load_tree(source, def)?)?,
+            };
             // The target's own data is needed (but not its children): the
             // runtime reads it to perform the extraction. A thunk target is
             // evaluated first, as its shallow encode would be resolved, so
@@ -315,42 +317,6 @@ fn add_accessible(
         }
     }
     Ok(())
-}
-
-/// Collects every Encode appearing in an application tree, recursively
-/// through accessible sub-trees, each once and in first-seen order (depth
-/// first, entries in order). These are the dependencies the runtime must
-/// resolve before the invocation can launch.
-///
-/// An explicit worklist, not recursion: nesting depth is data (a cons
-/// list is as deep as it is long) and must not be bounded by the
-/// caller's stack. A tree with no Encode and no sub-tree — every native
-/// `add`, every map task — is one scan that allocates nothing.
-pub fn collect_encodes(source: &dyn DataSource, tree: &Tree) -> Result<Vec<Handle>> {
-    let mut found = Vec::new();
-    let mut seen = HandleSet::default();
-    // The tree being scanned with the next entry to look at, and the
-    // trees above it suspended where they descended.
-    let mut current = (Cow::Borrowed(tree), 0usize);
-    let mut suspended: Vec<(Cow<'_, Tree>, usize)> = Vec::new();
-    loop {
-        let Some(entry) = current.0.get(current.1) else {
-            match suspended.pop() {
-                Some(parent) => current = parent,
-                None => return Ok(found),
-            }
-            continue;
-        };
-        current.1 += 1;
-        match entry.kind() {
-            Kind::Encode(..) if seen.insert(*entry.raw()) => found.push(entry),
-            Kind::Object(DataType::Tree) if seen.insert(*entry.raw()) => {
-                let sub = (Cow::Owned(load_tree(source, entry)?), 0);
-                suspended.push(std::mem::replace(&mut current, sub));
-            }
-            _ => {}
-        }
-    }
 }
 
 /// A simple in-memory [`DataSource`] for tests, examples, and doc tests.
@@ -575,21 +541,30 @@ mod tests {
         assert_eq!(fp.objects, vec![sel_tree.handle(), data.handle()]);
     }
 
+    /// A selection's definition tree is loaded once per footprint: the
+    /// load that adds it to the footprint is the one parsed. A batch that
+    /// names it twice loads it once more, for the second thunk.
     #[test]
-    fn collect_encodes_recurses_into_subtrees() {
-        let (mut src, code, data) = setup();
-        src.insert_blob(&code);
+    fn a_selections_definition_is_loaded_once() {
+        struct Counting(MapSource, std::cell::Cell<usize>, Handle);
+        impl DataSource for Counting {
+            fn load(&self, handle: Handle) -> Result<Node> {
+                if handle == self.2 {
+                    self.1.set(self.1.get() + 1);
+                }
+                self.0.load(handle)
+            }
+        }
+        let (mut src, _, data) = setup();
         src.insert_blob(&data);
-        let inner_def = Tree::from_handles(vec![limits_handle(), code.handle()]);
-        src.insert_tree(&inner_def);
-        let enc1 = build::strict(inner_def.handle().application().unwrap()).unwrap();
-        let enc2 = build::shallow(inner_def.handle().application().unwrap()).unwrap();
-        let sub = Tree::from_handles(vec![enc2]);
-        src.insert_tree(&sub);
-        let top = Tree::from_handles(vec![limits_handle(), code.handle(), enc1, sub.handle()]);
-        src.insert_tree(&top);
-        let found = collect_encodes(&src, &top).unwrap();
-        assert_eq!(found, vec![enc1, enc2]);
+        let (sel_tree, sel_thunk) = build::selection(data.handle(), 0).unwrap();
+        src.insert_tree(&sel_tree);
+        let counting = Counting(src, std::cell::Cell::new(0), sel_tree.handle());
+        let fp = footprint(&counting, sel_thunk, &NoResolution).unwrap();
+        assert_eq!(fp.objects, vec![sel_tree.handle(), data.handle()]);
+        assert_eq!(counting.1.get(), 1);
+        footprint_many(&counting, &[sel_thunk, sel_thunk], &NoResolution).unwrap();
+        assert_eq!(counting.1.get(), 3);
     }
 
     #[test]

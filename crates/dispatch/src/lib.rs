@@ -5,9 +5,10 @@
 
 #![forbid(unsafe_code)]
 
+pub use fix_core::handle::trace_id;
 pub use fix_serve::dispatch::{
     self as dispatcher, dispatch, DispatchConfig, DispatchOutcome, NodeExecStats, NodeStorage,
     SegmentExec,
 };
 pub use fix_serve::kernel::{FaultPlan, RestartKind};
-pub use fix_serve::routing::{self, handle_key, hrw_score, Decision, Router, RoutingPolicy};
+pub use fix_serve::routing::{self, hrw_score, Decision, Router, RoutingPolicy};

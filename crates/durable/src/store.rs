@@ -19,7 +19,7 @@ use crate::fs::{self, File, OpenOptions};
 use crate::{DurableOptions, DurableStats, FsyncPolicy};
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, HandleSet};
+use fix_core::handle::{trace_id, Handle, HandleSet};
 use fix_storage::{payload_key, Loc, Relation, RelationCache, Store, Tier};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::io::{self, BufReader, Read};
@@ -152,18 +152,6 @@ impl Counters {
     }
 }
 
-/// Trace id for durable events: the first 8 bytes of the handle, which
-/// its payload key shares.
-fn trace_id(key: &[u8; 32]) -> u64 {
-    u64::from_le_bytes(first_word(key))
-}
-
-/// The first 8 of a handle's or a key's 32 bytes.
-fn first_word(bytes: &[u8; 32]) -> [u8; 8] {
-    let [a, b, c, d, e, f, g, h, ..] = *bytes;
-    [a, b, c, d, e, f, g, h]
-}
-
 struct Inner {
     dir: PathBuf,
     options: DurableOptions,
@@ -225,9 +213,7 @@ impl Inner {
     /// it unlocated, queues its node frame after them. They skip the
     /// backlog bound, since the writer needs those locks to drain it.
     fn tombstone(&self, mut dropped: Vec<([u8; 32], Loc)>) {
-        // Keys are digests, so their first word almost always decides.
-        let word = |key: &[u8; 32]| u64::from_be_bytes(first_word(key));
-        dropped.sort_unstable_by_key(|&(key, _)| (word(&key), key));
+        dropped.sort_unstable_by_key(|&(key, _)| key);
         let mut q = self.queue.lock();
         q.bytes.reserve(dropped.len() * frame::TOMBSTONE_FRAME);
         q.frames.reserve(dropped.len());

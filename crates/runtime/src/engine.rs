@@ -23,10 +23,13 @@
 //! again while the callee is still being evaluated.
 //!
 //! There is no job for an Encode: what it splices in is *derived* from
-//! those two relations ([`RelationCache::resolved`]), so a job that needs
-//! an unresolved Encode waits directly on the relation that is missing —
-//! the `Eval` of the encoded Thunk, then (strict style only) the `Force`
-//! of its value.
+//! those two relations by one rule, [`fix_storage::resolution`], which
+//! names the relation that is missing when there is none — the `Eval`
+//! of the encoded Thunk, then (strict style only) the `Force` of its
+//! value — so a job that needs an unresolved Encode waits directly on
+//! that relation's job. An application launches after one pass over its
+//! tree ([`Engine::launch`]), which splices every Encode or lists the
+//! jobs to wait on.
 
 use crate::registry::ProgramRegistry;
 use fix_core::api::NativeCtx;
@@ -34,8 +37,7 @@ use fix_core::data::{Blob, Node, Tree};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, EncodeStyle, Handle, HandleMap, Kind, ThunkKind};
 use fix_core::invocation::{Invocation, Selection};
-use fix_core::semantics::{collect_encodes, EncodeResolver};
-use fix_storage::{Relation, RelationCache, Store};
+use fix_storage::{resolution, Relation, RelationCache, Store};
 use fix_vm::{HostApi, Module, VmConfig};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,6 +58,15 @@ impl Job {
         match self {
             Job::Eval(h) => (Relation::Eval, h),
             Job::Force(h) => (Relation::Force, h),
+        }
+    }
+
+    /// The job that computes a missing relation: [`resolution`] only
+    /// ever misses an `Eval` or a `Force`.
+    fn of((relation, input): (Relation, Handle)) -> Job {
+        match relation {
+            Relation::Force => Job::Force(input),
+            _ => Job::Eval(input),
         }
     }
 }
@@ -207,9 +218,9 @@ impl Engine {
             Kind::Encode(style, _) => {
                 // Bare encodes are not values: eval(encode) is what the
                 // encode would splice into a tree.
-                Ok(match self.resolved_or_dep(h)? {
+                Ok(match resolution(&self.store, h) {
                     Ok(v) => Step::Done(splice(style, v)),
-                    Err(dep) => Step::Deps(vec![dep]),
+                    Err(missing) => Step::Deps(vec![Job::of(missing)]),
                 })
             }
             Kind::Object(_) | Kind::Ref(_) => Ok(Step::Done(h)),
@@ -226,9 +237,9 @@ impl Engine {
                 Some(v) => v,
                 None => return Ok(Step::Deps(vec![Job::Eval(sel.target)])),
             },
-            Kind::Encode(..) => match self.resolved_or_dep(sel.target)? {
+            Kind::Encode(..) => match resolution(&self.store, sel.target) {
                 Ok(v) => v,
-                Err(dep) => return Ok(Step::Deps(vec![dep])),
+                Err(missing) => return Ok(Step::Deps(vec![Job::of(missing)])),
             },
         };
         // Perform the extraction. The runtime — not the guest — touches the
@@ -268,31 +279,11 @@ impl Engine {
         let raw = match self.cache.get(Relation::Apply, tree_h) {
             Some(r) => r,
             None => {
-                let tree = self.store.get_tree(tree_h)?;
-                // Every Encode reachable through the tree comes first.
-                let encodes = collect_encodes(self.store.as_ref(), &tree)?;
-                let mut deps: Vec<Job> = Vec::new();
-                for &e in &encodes {
-                    match self.resolved_or_dep(e)? {
-                        // Two styles of one thunk wait on the same job.
-                        Err(dep) if !deps.contains(&dep) => deps.push(dep),
-                        _ => {}
-                    }
-                }
-                if !deps.is_empty() {
-                    return Ok(Step::Deps(deps));
-                }
-                // Substitute resolved Encodes; the procedure sees this
-                // tree. Without encodes that is the definition tree
-                // itself, already hashed and stored under `tree_h`.
-                let (resolved, resolved_h) = if encodes.is_empty() {
-                    (tree, tree_h)
-                } else {
-                    let resolved = self.substitute(&tree)?;
-                    let resolved_h = self.store.put_tree(resolved.clone());
-                    (resolved, resolved_h)
+                let (tree, launched_h) = match self.launch(tree_h)? {
+                    Ok(launched) => launched,
+                    Err(deps) => return Ok(Step::Deps(deps)),
                 };
-                let raw = self.run_procedure(&resolved, resolved_h)?;
+                let raw = self.run_procedure(&tree, launched_h)?;
                 if raw.is_thunk() {
                     // A tail call: until the callee finishes, `Apply` is
                     // what keeps a re-step from running the procedure
@@ -333,54 +324,79 @@ impl Engine {
         self.cache.put(relation, input, value);
     }
 
-    /// Rewrites an application tree, splicing in resolved Encode results
-    /// (strict → accessible Object, shallow → Ref) and descending through
-    /// accessible sub-trees; a sub-tree with nothing to splice keeps its
-    /// handle. All encodes must already be resolved.
+    /// The launch pass (paper §3.3): one walk of the application tree
+    /// `tree_h` and its accessible sub-trees, depth first with entries in
+    /// order, that splices every Encode it meets ([`splice`]). Returns the
+    /// tree the procedure sees with its handle (`tree_h` itself when
+    /// nothing was spliced), or, if some Encode is unresolved, the jobs
+    /// whose relations are missing, each once and first seen first (two
+    /// styles of one thunk wait on the same job).
     ///
-    /// An explicit worklist, not recursion: nesting depth is data (a cons
-    /// list is as deep as it is long) and must not be bounded by the
-    /// caller's stack.
-    fn substitute(&self, tree: &Tree) -> Result<Tree> {
-        // The tree being rewritten with its rewritten entries so far (so
-        // the next entry to look at is `out.len()`), and the trees above
-        // it suspended where they descended, each with the handle of
-        // the sub-tree it is waiting on.
-        let mut current = (tree.clone(), Vec::with_capacity(tree.len()));
-        let mut suspended: Vec<((Tree, Vec<Handle>), Handle)> = Vec::new();
+    /// A tree is copied only once one of its entries changes, so a
+    /// sub-tree with nothing to splice keeps its handle, and a tree with
+    /// no Encode and no sub-tree is one scan that allocates nothing. A
+    /// sub-tree met twice is walked once. An explicit worklist, not
+    /// recursion: nesting depth is data (a cons list is as deep as it is
+    /// long) and must not be bounded by the caller's stack.
+    fn launch(&self, tree_h: Handle) -> Result<std::result::Result<(Tree, Handle), Vec<Job>>> {
+        let mut deps = Vec::new();
+        // What each sub-tree walked so far became.
+        let mut walked: HandleMap<Handle, Handle> = HandleMap::default();
+        // The tree being walked — its data, its handle, the next entry,
+        // and, once one entry changed, its entries so far — and the
+        // trees above it, suspended at the sub-tree they descended into.
+        let mut current = (self.store.get_tree(tree_h)?, tree_h, 0, Vec::new());
+        let mut suspended = Vec::new();
         loop {
-            let (source, out) = &mut current;
-            let Some(entry) = source.get(out.len()) else {
-                let rewritten = Tree::from_handles(std::mem::take(out));
-                let Some((parent, sub)) = suspended.pop() else {
-                    return Ok(rewritten);
-                };
-                let unchanged = rewritten == current.0;
-                current = parent;
-                current.1.push(if unchanged {
-                    sub
-                } else {
-                    self.store.put_tree(rewritten)
-                });
-                continue;
+            let (tree, handle, next, out) = &mut current;
+            let value = match tree.get(*next) {
+                Some(entry) => match entry.kind() {
+                    Kind::Encode(style, _) => match resolution(&self.store, entry) {
+                        Ok(v) => splice(style, v),
+                        Err(missing) => {
+                            let job = Job::of(missing);
+                            if !deps.contains(&job) {
+                                deps.push(job);
+                            }
+                            entry
+                        }
+                    },
+                    Kind::Object(DataType::Tree) => match walked.get(&entry) {
+                        Some(&done) => done,
+                        None => {
+                            let sub = (self.store.get_tree(entry)?, entry, 0, Vec::new());
+                            suspended.push(std::mem::replace(&mut current, sub));
+                            continue;
+                        }
+                    },
+                    _ => entry,
+                },
+                None => {
+                    // Walked: a changed tree is stored, unless the launch
+                    // has to wait anyway. (A sub-tree walked before the
+                    // first unresolved Encode is stored: it is the one the
+                    // launch will store.)
+                    let done = if out.is_empty() || !deps.is_empty() {
+                        (tree.clone(), *handle)
+                    } else {
+                        let copy = Tree::from_handles(std::mem::take(out));
+                        (copy.clone(), self.store.put_tree(copy))
+                    };
+                    let Some(parent) = suspended.pop() else {
+                        return Ok(if deps.is_empty() { Ok(done) } else { Err(deps) });
+                    };
+                    walked.insert(*handle, done.1);
+                    current = parent;
+                    done.1
+                }
             };
-            match entry.kind() {
-                Kind::Encode(style, _) => {
-                    let r = self
-                        .cache
-                        .resolved(entry)
-                        .ok_or(Error::NotEvaluated(entry))?;
-                    out.push(splice(style, r));
-                }
-                Kind::Object(DataType::Tree) => {
-                    let sub = self.store.get_tree(entry)?;
-                    let capacity = sub.len();
-                    let parent =
-                        std::mem::replace(&mut current, (sub, Vec::with_capacity(capacity)));
-                    suspended.push((parent, entry));
-                }
-                _ => out.push(entry),
+            let (tree, _, next, out) = &mut current;
+            if !out.is_empty() || value != tree.entries()[*next] {
+                out.reserve(tree.len() - out.len());
+                out.extend_from_slice(&tree.entries()[out.len()..*next]);
+                out.push(value);
             }
+            *next += 1;
         }
     }
 
@@ -435,28 +451,6 @@ impl Engine {
         let module = Arc::new(Module::from_bytes(blob.as_slice())?);
         self.modules.write().insert(key, Arc::clone(&module));
         Ok(module)
-    }
-
-    // ------------------------------------------------------------------
-    // Encodes.
-    // ------------------------------------------------------------------
-
-    /// The value Encode `e` resolves to, exactly as
-    /// [`RelationCache::resolved`] derives it — the evaluation of its
-    /// Thunk, deep-forced for the strict style — or else the job whose
-    /// relation is still missing (`Eval` first, then `Force`).
-    fn resolved_or_dep(&self, e: Handle) -> Result<std::result::Result<Handle, Job>> {
-        let thunk = e.encoded_thunk()?;
-        let Some(value) = self.cache.get(Relation::Eval, thunk) else {
-            return Ok(Err(Job::Eval(thunk)));
-        };
-        Ok(match e.kind() {
-            Kind::Encode(EncodeStyle::Strict, _) => self
-                .cache
-                .get(Relation::Force, value)
-                .ok_or(Job::Force(value)),
-            _ => Ok(value),
-        })
     }
 
     // ------------------------------------------------------------------

@@ -561,10 +561,10 @@ mod tests {
             .expect("no overflow, no panic");
     }
 
-    /// Nesting depth is data for substitution too: a 10 000-deep list
-    /// with an encode at the bottom is rewritten by a worklist, and every
-    /// tree on the path to the encode is re-stored with the value
-    /// spliced in.
+    /// Nesting depth is data for the launch pass's rewrite too: a
+    /// 10 000-deep list with an encode at the bottom is rewritten by a
+    /// worklist, and every tree on the path to the encode is re-stored
+    /// with the value spliced in.
     #[test]
     fn a_deep_list_with_an_encode_at_the_bottom_substitutes_on_a_small_stack() {
         const DEPTH: u64 = 10_000;
@@ -639,6 +639,51 @@ mod tests {
         assert_eq!(step(select), Step::Done(leaf));
         assert_eq!(rt.eval(both).unwrap(), pair.as_ref_handle());
         assert_eq!(rt.procedures_run(), 4);
+    }
+
+    /// The launch pass walks nested encodes depth first, entries in
+    /// order: it waits on each missing relation once, walks a sub-tree
+    /// met twice once, and then splices: a sub-tree with an encode is
+    /// re-stored, one with nothing to splice keeps its handle.
+    #[test]
+    fn the_launch_pass_walks_each_subtree_once() {
+        let rt = Runtime::builder().build();
+        let first = rt.register_native("first4", Arc::new(|ctx| ctx.arg(0)));
+        let whole = rt.register_native("whole", Arc::new(|ctx| Ok(ctx.input)));
+        let blob = |b| rt.put_blob(Blob::from_vec(vec![b; 64]));
+        let (a, b) = (blob(1), blob(2));
+        let inner_a = rt.apply(limits(), first, &[a]).unwrap();
+        let inner_b = rt.apply(limits(), first, &[b]).unwrap();
+        let sub = rt.put_tree(Tree::from_handles(vec![
+            inner_b.strict().unwrap(),
+            inner_a.shallow().unwrap(),
+        ]));
+        let plain = rt.put_tree(Tree::from_handles(vec![a]));
+        let outer = rt
+            .apply(
+                limits(),
+                whole,
+                &[inner_a.strict().unwrap(), sub, sub, plain],
+            )
+            .unwrap();
+
+        let (_, misses) = rt.cache().stats();
+        let step = rt.engine().step(Job::Eval(outer)).unwrap();
+        assert_eq!(
+            step,
+            Step::Deps(vec![Job::Eval(inner_a), Job::Eval(inner_b)])
+        );
+        // `Eval` and `Apply` of `outer`, then three encodes: `sub`'s two
+        // are read once, not once per occurrence.
+        assert_eq!(rt.cache().stats().1 - misses, 5);
+
+        let launched = rt.get_tree(rt.eval(outer).unwrap()).unwrap();
+        let spliced = rt.get_tree(launched.get(3).unwrap()).unwrap();
+        assert_eq!(launched.get(3), launched.get(4));
+        assert_ne!(launched.get(3), Some(sub));
+        assert_eq!(spliced.entries(), &[b, a.as_ref_handle()]);
+        assert_eq!(launched.get(2), Some(a));
+        assert_eq!(launched.get(5), Some(plain));
     }
 
     #[test]

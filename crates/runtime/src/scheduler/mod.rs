@@ -180,11 +180,11 @@ use std::time::{Duration, Instant};
 /// parked thread is off the hot path by definition).
 const PARK_SAFETY: Duration = Duration::from_millis(2);
 
-/// Compact trace identity of a job: the first 8 bytes of its handle.
-/// Collisions are irrelevant — ids only correlate events in a trace.
+/// Compact trace identity of a job: its handle's
+/// [`trace_id`](fix_core::handle::trace_id).
 pub(crate) fn job_trace_id(job: &Job) -> u64 {
     let (Job::Eval(h) | Job::Force(h)) = job;
-    u64::from_le_bytes(h.raw()[..8].try_into().unwrap_or_default())
+    fix_core::handle::trace_id(h.raw())
 }
 
 /// The shared scheduler for one node.

@@ -5,7 +5,7 @@
 //! The kernel's virtual half routes every arrival at admission — the
 //! request's thunk is minted first, on the dispatcher's own router
 //! runtime, because the content-addressed handle *is* the routing key
-//! ([`handle_key`](crate::routing::handle_key)): the front-end knows the name of
+//! (its [`trace_id`](fix_core::handle::trace_id)): the front-end knows the name of
 //! the computation before any node does. (The price is that shedding a
 //! request is no longer O(1) as in single-node serve; that cost is
 //! confined to the router runtime and never touches a node.) Each node

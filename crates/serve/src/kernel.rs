@@ -56,14 +56,14 @@ use crate::closed_loop::ThinkStreams;
 use crate::controller::{AdmissionPolicy, Autoscaler, PoolShape, ScalerConfig};
 use crate::loadgen::{merge_timelines, tenant_seed, Arrival, Micros};
 use crate::queue::{QueuedRequest, TenantClass, TenantQueues};
-use crate::routing::{handle_key, Router, RoutingPolicy};
+use crate::routing::{Router, RoutingPolicy};
 use crate::server::{DriverReport, NodeReport, ServeConfig, ServeReport, TenantReport};
 use crate::snf::SnfPipeline;
 use crate::telemetry::LatencyHistogram;
 use crate::tenant::{draw_kind, RequestFactory, RequestKind, Tenant};
 use fix_core::api::{BatchTicket, InvocationApi, SubmitApi};
 use fix_core::error::{Error, Result};
-use fix_core::handle::{Handle, HandleSet};
+use fix_core::handle::{trace_id, Handle, HandleSet};
 use fix_obs::EventKind;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -676,7 +676,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
 
     /// Places `thunk` on an alive node by the routing policy.
     fn route(&mut self, thunk: Handle, t: Micros) -> usize {
-        let key = handle_key(thunk);
+        let key = trace_id(thunk.raw());
         let depths: Vec<usize> = self.nodes.iter().map(|n| n.queues.len()).collect();
         let d = self.router.route(key, &self.alive, &depths);
         if d.spilled {
@@ -720,7 +720,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
         } else {
             (0, None)
         };
-        let key = routed.map_or(0, |(_, thunk)| handle_key(thunk));
+        let key = routed.map_or(0, |(_, thunk)| trace_id(thunk.raw()));
         let node = &mut self.nodes[n];
         let refused = if node.queues.at_capacity(a.tenant) {
             node.queues.shed(a.tenant);
@@ -793,7 +793,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             fix_obs::emit(
                 EventKind::ServeAdmit,
                 a.time_us,
-                handle_key(thunk),
+                trace_id(thunk.raw()),
                 a.tenant as u32,
                 self.nodes[n].queues.tenant_depth(a.tenant) as u32,
             );
@@ -829,7 +829,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             self.nodes[m].report.rerouted_in += 1;
             self.price_placement(m, warm, t);
             if self.tracing {
-                let key = handle_key(req.thunk);
+                let key = trace_id(req.thunk.raw());
                 fix_obs::emit(EventKind::Route, t, key, m as u32, warm as u32);
             }
         }
@@ -893,7 +893,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             self.tenants[r.tenant].expired += 1;
             self.nodes[n].report.expired += 1;
             if self.tracing {
-                let id = handle_key(r.thunk);
+                let id = trace_id(r.thunk.raw());
                 fix_obs::emit(EventKind::ServeExpire, now, id, r.tenant as u32, 0);
             }
             self.resolve(r, now);
@@ -933,7 +933,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             tenant.fill.record(service - r.service_us);
             driver.latency.record(latency);
             if self.tracing {
-                let id = handle_key(r.thunk);
+                let id = trace_id(r.thunk.raw());
                 let clamp = |v: Micros| v.min(u32::MAX as Micros) as u32;
                 let tenant = r.tenant as u32;
                 fix_obs::emit(EventKind::ServeDispatch, now, id, tenant, clamp(wait));

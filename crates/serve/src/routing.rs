@@ -14,13 +14,16 @@
 //! configured margin, the request is diverted to the least-loaded node
 //! (losing its warm hit, keeping its latency).
 //!
+//! A request's key is its root handle's
+//! [`trace_id`](fix_core::handle::trace_id), the id its serve-layer and
+//! scheduler events carry too.
+//!
 //! Every decision is a pure function of the key, the alive set, the
 //! observed depths, and the router's own deterministic state (cursor or
 //! seeded PRNG) — no wall clock anywhere, which is what keeps the
 //! multi-node tables bit-identical across runs.
 
 use crate::loadgen::splitmix64_mix;
-use fix_core::handle::Handle;
 
 /// Which placement discipline the dispatcher runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,15 +62,6 @@ pub struct Decision {
     /// Whether load-based spill diverted the request away from its
     /// rendezvous target.
     pub spilled: bool,
-}
-
-/// The routing key *and* trace id of a request: the first 8 bytes of its
-/// root handle. One function, so routing decisions and serve-layer
-/// lifecycle events stitch into one span — and line up with the
-/// scheduler events for the same handle.
-pub fn handle_key(h: Handle) -> u64 {
-    let [a, b, c, d, e, f, g, i, ..] = *h.raw();
-    u64::from_le_bytes([a, b, c, d, e, f, g, i])
 }
 
 /// One SplitMix64 step: the same stateless mixer the serve layer draws

@@ -29,5 +29,5 @@ pub use hooks::Tier;
 pub use provenance::{
     apply_eviction, plan_eviction, recipes, support_closure, EvictionPlan, Victim,
 };
-pub use relations::{Relation, RelationCache};
+pub use relations::{resolution, Relation, RelationCache};
 pub use store::{Loc, Store};

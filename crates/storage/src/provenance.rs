@@ -26,7 +26,7 @@
 //! The recompute itself needs an evaluator, so it lives in the runtime
 //! crate (`fixpoint::Runtime::materialize`).
 
-use crate::relations::{resolved, Relation};
+use crate::relations::{resolution, Relation};
 use crate::store::Store;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{payload_key, Handle, HandleMap, HandleSet, Kind, ThunkKind};
@@ -126,8 +126,7 @@ fn is_range_selection(table: &Store, h: Handle) -> bool {
 /// A re-run sees a thunk (the target it selects from, say) or an Encode
 /// through the table's relations, so the walk does too: it descends into
 /// the memoized value when there is one (the thunk's `Eval`, an Encode's
-/// [`resolved`](fix_core::semantics::EncodeResolver::resolved) value)
-/// and into the definition otherwise.
+/// [`resolution`](crate::resolution)) and into the definition otherwise.
 ///
 /// Handles whose data is absent from `table` are still returned (the
 /// caller decides whether absence is acceptable); the walk simply can't
@@ -152,9 +151,9 @@ pub fn support_closure(table: &Store, recipe: Handle) -> Vec<Handle> {
                 Some(value) => stack.push(value),
                 None => stack.extend(h.thunk_definition().ok()),
             },
-            Kind::Encode(..) => match resolved(table, h) {
-                Some(value) => stack.push(value),
-                None => stack.extend(h.encoded_thunk().ok()),
+            Kind::Encode(..) => match resolution(table, h) {
+                Ok(value) => stack.push(value),
+                Err(_) => stack.extend(h.encoded_thunk().ok()),
             },
         }
     }

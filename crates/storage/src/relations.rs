@@ -25,7 +25,7 @@
 //! face: a handle on the table that spells each relation operation once.
 
 use crate::store::Store;
-use fix_core::handle::Handle;
+use fix_core::handle::{EncodeStyle, Handle, Kind};
 use std::sync::Arc;
 
 /// The kinds of memoized relations.
@@ -140,22 +140,28 @@ impl RelationCache {
 
 impl fix_core::semantics::EncodeResolver for RelationCache {
     fn resolved(&self, encode: Handle) -> Option<Handle> {
-        resolved(&self.table, encode)
+        resolution(&self.table, encode).ok()
     }
 }
 
-/// What `encode` splices in, read from `table`'s relations: an encode is
-/// resolved when its thunk has a memoized evaluation (both styles
-/// evaluate the thunk to a non-Thunk value first), and a strict one
-/// also needs that value's deep forcing.
-pub(crate) fn resolved(table: &Store, encode: Handle) -> Option<Handle> {
-    let thunk = encode.encoded_thunk().ok()?;
-    let value = table.memo(Relation::Eval, thunk)?;
+/// The one Encode rule: what `encode` splices in, read from `table`'s
+/// relations, or else the relation still missing and its input. Both
+/// styles evaluate the thunk to a non-Thunk value first (`Eval` of the
+/// thunk), and a strict one also needs that value's deep forcing
+/// (`Force` of the value). A handle that is no Encode misses its own
+/// `Eval`.
+pub fn resolution(table: &Store, encode: Handle) -> Result<Handle, (Relation, Handle)> {
+    let thunk = encode
+        .encoded_thunk()
+        .map_err(|_| (Relation::Eval, encode))?;
+    let value = table
+        .memo(Relation::Eval, thunk)
+        .ok_or((Relation::Eval, thunk))?;
     match encode.kind() {
-        fix_core::handle::Kind::Encode(fix_core::handle::EncodeStyle::Strict, _) => {
-            table.memo(Relation::Force, value)
-        }
-        _ => Some(value),
+        Kind::Encode(EncodeStyle::Strict, _) => table
+            .memo(Relation::Force, value)
+            .ok_or((Relation::Force, value)),
+        _ => Ok(value),
     }
 }
 

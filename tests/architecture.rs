@@ -489,6 +489,25 @@ fn one_footprint_rule() {
     );
 }
 
+/// One launch pass: the engine walks an application's tree once per
+/// step, splicing each resolved Encode and listing the jobs of the
+/// unresolved ones, and an Encode's value has one rule,
+/// `fix_storage::resolution`. A separate list of the encodes to wait on,
+/// a second walk that rewrites the tree, or the engine's own copy of the
+/// rule coming back fails nothing else (the step pins count steps, not
+/// walks) — forbid all three.
+#[test]
+fn one_launch_pass() {
+    forbid(
+        &["crates", "src", "tests", "examples"],
+        &[
+            r"\bcollect_encodes\b",
+            "fn substitute",
+            r"\bresolved_or_dep\b",
+        ],
+    );
+}
+
 /// One serving crate: `serve`, `adaptive_serve` and `dispatch` live
 /// beside their kernel in `fix-serve`. `fix-adapt` and `fix-dispatch`
 /// stay only as one-file shells of re-exports, for dependents that

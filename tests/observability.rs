@@ -102,6 +102,31 @@ fn trace_summary_is_backend_independent() {
     assert_eq!(inline_summary, again);
 }
 
+/// One request carries one id through the layers: every request the
+/// serve layer completes was submitted to the node's scheduler under the
+/// same id, its handle's `fix_core::handle::trace_id`, so the serve
+/// lifecycle and the scheduler diagnostics of one request line up.
+#[test]
+fn a_requests_serve_and_scheduler_events_share_its_id() {
+    let _g = TRACE_LOCK.lock().unwrap();
+    obs::recorder().clear();
+    obs::set_tracing(true);
+    serve(&Runtime::builder().build(), &cfg()).expect("traced serve run");
+    obs::set_tracing(false);
+    let trace = obs::recorder().drain();
+    assert_eq!(TraceSummary::of(&trace).dropped(), 0);
+    let ids = |kind| -> std::collections::HashSet<u64> {
+        trace
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.id)
+            .collect()
+    };
+    let completed = ids(obs::EventKind::ServeComplete);
+    assert!(!completed.is_empty(), "the run completes requests");
+    assert!(completed.is_subset(&ids(obs::EventKind::SchedSubmit)));
+}
+
 /// The traced run's Chrome export parses, is non-empty, and carries
 /// wall-clock diagnostics (scheduler events) alongside the
 /// deterministic serve stream.
