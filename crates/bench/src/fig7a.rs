@@ -64,7 +64,7 @@ fn time_per_iter(iters: u64, f: impl FnMut(u64)) -> f64 {
 }
 
 /// The FixVM add codelet source.
-pub const VM_ADD: &str = r#"
+const VM_ADD: &str = r#"
     func apply args=0 locals=0
       const 0
       const 2

@@ -63,11 +63,11 @@ pub struct Fig9 {
 }
 
 /// Paper-equivalent model parameters.
-pub const KEY_SIZE: u64 = 22;
+const KEY_SIZE: u64 = 22;
 /// Tree-entry (handle) size in bytes.
-pub const ENTRY_SIZE: u64 = 32;
+const ENTRY_SIZE: u64 = 32;
 /// Deserialization/scan bandwidth for loaded data (documented estimate).
-pub const LOAD_BW: u64 = 100_000_000;
+const LOAD_BW: u64 = 100_000_000;
 
 /// Runs the cost model at paper scale and real trees at `real_keys`.
 pub fn run(real_keys: usize, real_arities: &[u32]) -> Fig9 {

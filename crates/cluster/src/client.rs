@@ -43,18 +43,17 @@ use crate::engine::{try_run_profile, ClusterSetup, FixConfig, Profile};
 use crate::graph::{JobGraph, JobGraphBuilder, ObjectId, TaskId, TaskSpec};
 use crate::report::{ReportLog, RunReport};
 use fix_core::api::{
-    BatchTicket, Evaluator, InvocationApi, Mode, NativeFn, ObjectApi, SubmitApi, SubmitOptions,
+    BatchTicket, Evaluator, Footprint, InvocationApi, Mode, NativeFn, ObjectApi, SubmitApi,
+    SubmitOptions,
 };
 use fix_core::calibration::SERVICE_COSTS;
 use fix_core::data::Node;
 use fix_core::error::{Error, Result};
 use fix_core::handle::{transfer_size, DataType, Handle, HandleMap, HandleSet, Kind, ThunkKind};
 use fix_core::limits::ResourceLimits;
-use fix_core::semantics::{self, DataSource, Footprint};
 use fix_netsim::{NetConfig, NodeId, NodeSpec, Time};
-use fix_storage::{Relation, Store};
+use fix_storage::Relation;
 use fixpoint::Runtime;
-use std::cell::Cell;
 
 /// Configures a [`ClusterClient`].
 pub struct ClusterClientBuilder {
@@ -238,9 +237,6 @@ impl Evaluator for ClusterClient {
     fn footprint(&self, thunk: Handle) -> Result<Footprint> {
         self.inner.footprint(thunk)
     }
-    fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        self.inner.footprint_many(thunks)
-    }
     fn procedures_run(&self) -> u64 {
         self.inner.procedures_run()
     }
@@ -248,7 +244,7 @@ impl Evaluator for ClusterClient {
 
 /// Derives the cluster dataflow of `roots` from a node's objects and
 /// memoized relations by the runtime's own rule, the minimum repository
-/// (paper §3.3, [`fix_core::semantics::footprint`]): one task per
+/// (paper §3.3, [`fix_storage::footprint`]): one task per
 /// unevaluated thunk, whose inputs are its thunk's footprint objects,
 /// each once (scattered deterministically over `workers` by content
 /// hash), and whose dependencies are the tasks of the footprint's
@@ -312,26 +308,6 @@ struct Deriver<'a> {
     workers: &'a [NodeId],
 }
 
-/// The node's store as a thunk's footprint walk reads it, keeping entry
-/// 0 of the definition tree `def` (an application's limits) when the
-/// walk loads it: the output hint costs no second load of the tree.
-struct ReadsLimits<'a> {
-    store: &'a Store,
-    def: Handle,
-    limits: Cell<Option<Handle>>,
-}
-
-impl DataSource for ReadsLimits<'_> {
-    fn load(&self, handle: Handle) -> Result<Node> {
-        let node = self.store.load(handle)?;
-        if handle == self.def {
-            self.limits
-                .set(node.as_tree().ok().and_then(|tree| tree.get(0)));
-        }
-        Ok(node)
-    }
-}
-
 /// A thunk whose task is being assembled: the spec so far (its inputs
 /// are final) and the thunks it waits on, of which `next` is the first
 /// not yet visited.
@@ -386,14 +362,10 @@ impl<'a> Deriver<'a> {
             return Ok(Visit::Known(None)); // Already computed: pay for results.
         }
         let def = h.thunk_definition()?;
-        let source = ReadsLimits {
-            store: self.rt.store(),
-            def,
-            limits: Cell::new(None),
-        };
-        let footprint = semantics::footprint(&source, h, self.rt.cache())?;
+        let footprint = fix_storage::footprint(self.rt.store(), h)?;
+        // An application's limits are entry 0 of its definition.
         let limits = match kind {
-            ThunkKind::Application => source.limits.get(),
+            ThunkKind::Application => self.rt.store().get(def)?.as_tree()?.get(0),
             _ => None,
         };
         let mut waits_on = Vec::new();

@@ -25,7 +25,7 @@
 //! so any generic workload doubles as a cluster benchmark, for Fix and
 //! for every comparator. The derivation ([`derive_job_graph`]) has one
 //! rule, the runtime's: a task's inputs are its thunk's minimum
-//! repository (`fix_core::semantics::footprint`, §3.3), and its
+//! repository ([`fix_storage::footprint`], §3.3), and its
 //! dependencies are that footprint's unresolved encodes (a selection's
 //! thunk target among them).
 

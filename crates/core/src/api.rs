@@ -97,7 +97,6 @@ use crate::error::{Error, Result};
 use crate::handle::{EncodeStyle, Handle};
 use crate::invocation::application_tree;
 use crate::limits::ResourceLimits;
-use crate::semantics::Footprint;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -500,26 +499,35 @@ pub trait Evaluator: SubmitApi {
     /// whatever evaluation results the backend has already memoized.
     fn footprint(&self, thunk: Handle) -> Result<Footprint>;
 
-    /// Computes the combined minimum repository of a batch of requests:
-    /// the deduplicated union of per-thunk [`footprint`](Evaluator::footprint)s.
-    /// Data shared between requests appears — and is counted — once, so
-    /// `total_bytes` is what a batch transfer actually ships (and the
-    /// object set is exactly what a snapshot must pin to cover the batch).
-    ///
-    /// The default folds [`Footprint::merge`] over per-thunk footprints;
-    /// backends with direct store access override it to walk shared data
-    /// only once.
-    fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        let mut merged = Footprint::default();
-        for &thunk in thunks {
-            merged.merge(&self.footprint(thunk)?);
-        }
-        Ok(merged)
-    }
-
     /// Procedures the backend has actually executed (memoization cache
     /// misses). The conformance suite observes memoization through this.
     fn procedures_run(&self) -> u64;
+}
+
+/// The minimum repository of a Thunk (paper §3.3): what must be resident
+/// before launch. The rule that computes it reads a node's table, so it
+/// lives beside the table, as `fix_storage::footprint`; every backend's
+/// [`Evaluator::footprint`] is that rule over its node.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Canonical data handles whose contents must be local (deduplicated,
+    /// in discovery order). Literals never appear here.
+    pub objects: Vec<Handle>,
+    /// Total bytes across `objects` (blob lengths + 32 bytes/tree entry).
+    pub total_bytes: u64,
+    /// Encodes that are not yet resolved; the runtime must evaluate these
+    /// before the footprint is complete. A selection's thunk target is
+    /// listed as its shallow encode: it is evaluated, not forced, first.
+    pub unresolved_encodes: Vec<Handle>,
+    /// Refs encountered: data that is *named* but must not be fetched.
+    pub refs: Vec<Handle>,
+}
+
+impl Footprint {
+    /// True when every dependency is resolved and the footprint is final.
+    pub fn is_complete(&self) -> bool {
+        self.unresolved_encodes.is_empty()
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -529,12 +537,12 @@ pub trait Evaluator: SubmitApi {
 /// The one forwarding definition: implements each listed trait for every
 /// `P: Deref` whose target implements it (`&T`, `Arc<T>`, `Box<T>`, …),
 /// forwarding every method — provided ones included, so a target's
-/// overrides (the runtime's inline `eval`, its shared-walk
-/// `footprint_many`) are what a pointer to it runs. A required method
-/// missing from the list does not compile; a provided one would fall
-/// back to the trait default without a word, so a new provided method
-/// is added here *and* to `pointers_to_a_backend_reach_its_overrides`
-/// in `tests/api_conformance.rs`, which counts every override reached.
+/// overrides (the runtime's inline `eval` and `eval_strict`) are what a
+/// pointer to it runs. A required method missing from the list does not
+/// compile; a provided one would fall back to the trait default without
+/// a word, so a new provided method is added here *and* to
+/// `pointers_to_a_backend_reach_its_overrides` in
+/// `tests/api_conformance.rs`, which counts every override reached.
 macro_rules! forward_through_deref {
     ($($api:ident { $(fn $method:ident(&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)* })*) => {$(
         impl<P: Deref> $api for P
@@ -577,7 +585,6 @@ forward_through_deref! {
         fn eval_strict(&self, handle: Handle) -> Result<Handle>;
         fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>>;
         fn footprint(&self, thunk: Handle) -> Result<Footprint>;
-        fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint>;
         fn procedures_run(&self) -> u64;
     }
 }

@@ -131,7 +131,7 @@ pub const MAX_LITERAL: usize = 30;
 pub const DIGEST_LEN: usize = 24;
 
 /// Maximum representable size (48-bit field).
-pub const MAX_SIZE: u64 = (1 << 48) - 1;
+const MAX_SIZE: u64 = (1 << 48) - 1;
 
 /// A 256-bit Fix Handle.
 ///

@@ -11,17 +11,18 @@
 //! * [`invocation`] — the tree layouts for applications and selections,
 //!   plus the Table-1 construction API;
 //! * [`limits::ResourceLimits`] — explicit per-invocation resource bounds;
-//! * [`semantics`] — minimum-repository (footprint) analysis and the
-//!   data-access rules shared by the runtime and the scheduler;
 //! * [`api`] — the One Fix API: backend-agnostic [`api::ObjectApi`] /
 //!   [`api::InvocationApi`] / [`api::Evaluator`] / [`api::SubmitApi`]
 //!   traits implemented by every execution engine in the workspace,
-//!   plus the [`ticket`] machinery behind submission-first evaluation;
+//!   the [`api::Footprint`] an evaluator reports, and the [`ticket`]
+//!   machinery behind submission-first evaluation;
 //! * [`calibration`] — the shared service-cost table every simulating
 //!   layer (cluster tasks, serving clocks) charges from.
 //!
 //! The runtime that evaluates these objects is the `fixpoint` crate; the
-//! distributed engine is `fix-cluster`.
+//! distributed engine is `fix-cluster`. The rule for what data an
+//! invocation may touch (the minimum repository, §3.3) reads a node's
+//! table, so it lives beside the table, in `fix-storage`.
 //!
 //! # Examples
 //!
@@ -54,7 +55,6 @@ pub mod error;
 pub mod handle;
 pub mod invocation;
 pub mod limits;
-pub mod semantics;
 pub mod ticket;
 pub mod wire;
 

@@ -36,7 +36,7 @@ pub struct ResourceLimits {
 
 impl ResourceLimits {
     /// Serialized length in bytes.
-    pub const ENCODED_LEN: usize = 24;
+    const ENCODED_LEN: usize = 24;
 
     /// Creates limits with the given memory and fuel budgets and no
     /// output-size hint.

@@ -63,7 +63,7 @@ impl Job {
 
     /// The job that computes a missing relation: [`resolution`] only
     /// ever misses an `Eval` or a `Force`.
-    fn of((relation, input): (Relation, Handle)) -> Job {
+    pub(crate) fn of((relation, input): (Relation, Handle)) -> Job {
         match relation {
             Relation::Force => Job::Force(input),
             _ => Job::Eval(input),

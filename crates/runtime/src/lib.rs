@@ -686,6 +686,70 @@ mod tests {
         assert_eq!(launched.get(5), Some(plain));
     }
 
+    /// The launch pass and the footprint read one rule (paper §3.3): an
+    /// application whose footprint is incomplete waits on exactly the
+    /// jobs of its footprint's unresolved encodes, first seen first and
+    /// each once, and one whose footprint is complete launches.
+    #[test]
+    fn the_launch_pass_waits_on_the_footprints_unresolved_encodes() {
+        let rt = Runtime::builder().build();
+        let first = rt.register_native("first5", Arc::new(|ctx| ctx.arg(0)));
+        let whole = rt.register_native("whole5", Arc::new(|ctx| Ok(ctx.input)));
+        let blob = |b| rt.put_blob(Blob::from_vec(vec![b; 64]));
+        let tree = |entries: Vec<_>| rt.put_tree(Tree::from_handles(entries));
+        let (a, b, leaf) = (blob(1), blob(2), blob(3));
+        let inner_a = rt.apply(limits(), first, &[a]).unwrap();
+        let inner_b = rt.apply(limits(), first, &[b]).unwrap();
+        let (strict_a, shallow_a) = (inner_a.strict().unwrap(), inner_a.shallow().unwrap());
+        let (strict_b, shallow_b) = (inner_b.strict().unwrap(), inner_b.shallow().unwrap());
+        // Evaluated, not forced: its value's forcing differs from it.
+        let pair = tree(vec![leaf.as_ref_handle(), leaf]);
+        let unforced = rt.apply(limits(), first, &[pair]).unwrap();
+        assert_eq!(rt.eval(unforced).unwrap(), pair);
+        let nested = tree(vec![strict_b, tree(vec![shallow_a])]);
+        let twice = tree(vec![shallow_b, strict_a]);
+        let lazy = rt.apply(limits(), first, &[strict_b]).unwrap();
+        let applications = [
+            // Nested strict and shallow encodes.
+            vec![nested, strict_a],
+            // Both styles of one thunk.
+            vec![shallow_a, a, strict_a],
+            // A sub-tree named twice.
+            vec![twice, nested, twice],
+            // A strict encode evaluated but not forced, beside its
+            // resolved shallow style.
+            vec![
+                unforced.shallow().unwrap(),
+                unforced.strict().unwrap(),
+                shallow_b,
+            ],
+            // Behind a Ref and inside a thunk's definition: not entered.
+            vec![tree(vec![strict_a]).as_ref_handle(), lazy],
+            // Data only.
+            vec![a, tree(vec![b, pair])],
+        ];
+        let mut launched = 0;
+        for args in applications {
+            let app = rt.apply(limits(), whole, &args).unwrap();
+            let fp = fix_storage::footprint(rt.store(), app).unwrap();
+            let mut jobs = Vec::new();
+            for &encode in &fp.unresolved_encodes {
+                let job = Job::of(fix_storage::resolution(rt.store(), encode).unwrap_err());
+                if !jobs.contains(&job) {
+                    jobs.push(job);
+                }
+            }
+            let step = rt.engine().step(Job::Eval(app)).unwrap();
+            if fp.is_complete() {
+                assert!(!matches!(step, Step::Deps(_)), "{args:?}: {step:?}");
+                launched += 1;
+            } else {
+                assert_eq!(step, Step::Deps(jobs), "{args:?}");
+            }
+        }
+        assert_eq!(launched, 2);
+    }
+
     #[test]
     fn eval_strict_deep_forces_nested_results() {
         let rt = Runtime::builder().build();

@@ -10,12 +10,11 @@ use crate::registry::ProgramRegistry;
 use crate::scheduler::{Scheduler, WorkerPool};
 use crate::submit::strict_root;
 use fix_core::api::{
-    BatchTicket, Evaluator, InvocationApi, NativeFn, ObjectApi, SubmitApi, SubmitOptions,
+    BatchTicket, Evaluator, Footprint, InvocationApi, NativeFn, ObjectApi, SubmitApi, SubmitOptions,
 };
 use fix_core::data::{Blob, Node};
 use fix_core::error::Result;
 use fix_core::handle::Handle;
-use fix_core::semantics::{footprint, footprint_many, Footprint};
 use fix_durable::DurableStore;
 use fix_storage::{RelationCache, Store};
 use std::sync::Arc;
@@ -315,15 +314,10 @@ impl Evaluator for Runtime {
         self.scheduler.run_inline(root, then_force)
     }
 
-    /// Uses whatever evaluation results are already memoized.
+    /// [`fix_storage::footprint`] over the node's table: uses whatever
+    /// evaluation results are already memoized.
     fn footprint(&self, thunk: Handle) -> Result<Footprint> {
-        footprint(self.store().as_ref(), thunk, self.cache())
-    }
-
-    /// Walks data shared between requests once (see
-    /// [`fix_core::semantics::footprint_many`]).
-    fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint> {
-        footprint_many(self.store().as_ref(), thunks, self.cache())
+        fix_storage::footprint(self.store(), thunk)
     }
 
     fn procedures_run(&self) -> u64 {

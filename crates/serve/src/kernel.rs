@@ -237,7 +237,7 @@ impl Config {
 /// A virtual driver's planned batch: the requests it served, in order.
 /// Their tier was decided when [`TenantQueues`] assembled the batch, so
 /// the batch is submitted as it stands.
-pub struct PlannedBatch {
+struct PlannedBatch {
     requests: Vec<QueuedRequest>,
 }
 

@@ -9,6 +9,12 @@
 //! and one [`Tier`] hook connects the table to a backing tier, whose
 //! [`Loc`]ation of each object it holds sits in the object's shard.
 //!
+//! The rules that read the table at launch live beside it: what an
+//! Encode splices in ([`resolution`]), and the paper's minimum
+//! repository (§3.3), the data an invocation may touch ([`footprint`]).
+//! The runtime, every `Evaluator` and the cluster's job graphs share
+//! them.
+//!
 //! [`plan_eviction`] implements the storage side of the paper's
 //! computational garbage collection (§6): the memoized relations name
 //! the Thunk that produced each object ([`recipes`]), so the bytes can
@@ -29,5 +35,5 @@ pub use hooks::Tier;
 pub use provenance::{
     apply_eviction, plan_eviction, recipes, support_closure, EvictionPlan, Victim,
 };
-pub use relations::{resolution, Relation, RelationCache};
+pub use relations::{footprint, resolution, Relation, RelationCache};
 pub use store::{Loc, Store};

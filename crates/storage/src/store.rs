@@ -18,7 +18,6 @@ use crate::relations::Relation;
 use fix_core::data::{literal_blob, Blob, Node, Tree};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{payload_key, Handle, HandleBuildHasher, HandleMap, HandleSet};
-use fix_core::semantics::DataSource;
 use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -537,12 +536,6 @@ impl Store {
     }
 }
 
-impl DataSource for Store {
-    fn load(&self, handle: Handle) -> Result<Node> {
-        self.get(handle)
-    }
-}
-
 /// A bare store is the minimal [`ObjectApi`](fix_core::api::ObjectApi)
 /// backend: Table-1 data
 /// operations with no evaluator attached. Code that only moves data
@@ -905,9 +898,12 @@ mod tests {
 }
 
 impl Store {
-    /// Packages the minimum repository of `thunk` (or, for a value, its
-    /// reachable graph) into a [`fix_core::wire::Parcel`] so another node
-    /// can evaluate or read it without further round trips.
+    /// Packages every datum reachable from `root` into a
+    /// [`fix_core::wire::Parcel`], so another node can evaluate or read
+    /// it without further round trips. That is more than the minimum
+    /// repository ([`footprint`](crate::footprint)): the walk enters
+    /// thunk definitions and encoded thunks, and ships the bytes behind
+    /// Refs.
     pub fn export(&self, root: Handle) -> Result<fix_core::wire::Parcel> {
         let mut objects = Vec::new();
         let mut seen = HandleSet::default();

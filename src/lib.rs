@@ -10,10 +10,10 @@
 //! This umbrella crate re-exports the whole workspace:
 //!
 //! * [`core`] — the Fix ABI: 256-bit Handles, Blobs/Trees,
-//!   Thunks/Encodes, resource limits, footprint analysis;
+//!   Thunks/Encodes, resource limits, the One Fix API;
 //! * [`hash`] — BLAKE3, implemented from scratch;
-//! * [`storage`] — the content-addressed store and the
-//!   memoized relation cache;
+//! * [`storage`] — the content-addressed store, the memoized relation
+//!   cache, and the minimum-repository (footprint) rule that reads them;
 //! * [`vm`] — the deterministic guest bytecode VM (the paper's
 //!   Wasm-codelet substitute) and its assembler;
 //! * [`runtime`] — Fixpoint: the single-node runtime;

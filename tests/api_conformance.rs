@@ -13,7 +13,7 @@
 
 use fix::prelude::*;
 use fix_cluster::ClusterClient;
-use fix_core::semantics::Footprint;
+use fix_core::api::Footprint;
 use fix_workloads::guests;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -498,47 +498,6 @@ fn footprints_agree() {
     });
 }
 
-/// Batch footprints dedup across requests: data shared by two thunks is
-/// listed (and counted) once, and the batch equals the merged singles.
-#[test]
-fn batch_footprints_dedup_shared_data() {
-    on_every_backend(|rt| {
-        let add = register_add(rt);
-        let shared = rt.put_blob(Blob::from_vec(vec![3u8; 2048]));
-        let a = rt
-            .apply(limits(), add, &[shared, rt.put_blob(Blob::from_u64(1))])
-            .unwrap();
-        let b = rt
-            .apply(limits(), add, &[shared, rt.put_blob(Blob::from_u64(2))])
-            .unwrap();
-        let batch = rt.footprint_many(&[a, b]).unwrap();
-        assert!(batch.is_complete());
-        assert_eq!(
-            batch.objects.iter().filter(|h| **h == shared).count(),
-            1,
-            "shared data must appear once in the batch footprint"
-        );
-        // Batch == merged singles (order-insensitively).
-        let mut merged = rt.footprint(a).unwrap();
-        merged.merge(&rt.footprint(b).unwrap());
-        assert_eq!(batch.total_bytes, merged.total_bytes);
-        let sorted = |mut v: Vec<Handle>| {
-            v.sort_by_key(|h| *h.raw());
-            v
-        };
-        let batch_objs = sorted(batch.objects.clone());
-        assert_eq!(batch_objs, sorted(merged.objects));
-        // Sub-additive: strictly less than the sum of the parts.
-        let (fa, fb) = (rt.footprint(a).unwrap(), rt.footprint(b).unwrap());
-        assert!(batch.total_bytes < fa.total_bytes + fb.total_bytes);
-        assert!(batch.objects.len() < fa.objects.len() + fb.objects.len());
-        batch_objs
-    });
-}
-
-/// The whole real map-reduce workload, generically, with identical
-/// counts — the "a workload written once becomes a benchmark row for
-/// every backend" property.
 #[test]
 fn wordcount_workload_agrees() {
     use fix_workloads::wordcount::{run_wordcount_fix, store_shards};
@@ -1264,14 +1223,13 @@ impl Evaluator for Overriding {
         fn eval(&self, handle: Handle) -> Result<Handle>;
         fn eval_strict(&self, handle: Handle) -> Result<Handle>;
         fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>>;
-        fn footprint_many(&self, thunks: &[Handle]) -> Result<Footprint>;
     }
 }
 
 /// The pointer impls (`&T`, `Arc<T>`, `Box<T>`: one forwarding
 /// definition in `fix_core::api`) forward every provided method, so a
-/// backend's overrides — `Runtime`'s inline `eval`, its deduplicating
-/// `footprint_many` — are what runs behind a pointer. A method missing
+/// backend's overrides — `Runtime`'s inline `eval` and `eval_strict` —
+/// are what runs behind a pointer. A method missing
 /// from the forwarding list would silently run the trait default over
 /// the required methods instead, and its call would not be counted.
 #[test]
@@ -1317,12 +1275,10 @@ fn pointers_to_a_backend_reach_its_overrides() {
         counted("eval_strict");
         b.eval_many(&[thunk, strict]);
         counted("eval_many");
-        b.footprint_many(&[thunk, first]).unwrap();
-        counted("footprint_many");
     }
     let backend = Arc::new(Overriding(Runtime::builder().build(), AtomicUsize::new(0)));
     every_provided_method(&*backend, &backend.1);
     every_provided_method(Arc::clone(&backend), &backend.1);
     every_provided_method(Box::new(&*backend), &backend.1);
-    assert_eq!(backend.1.load(Ordering::Relaxed), 3 * 16);
+    assert_eq!(backend.1.load(Ordering::Relaxed), 3 * 15);
 }

@@ -476,16 +476,29 @@ fn one_name_per_object() {
     forbid(&["crates/durable/src/store.rs"], &["HandleMap<[u8; 32]"]);
 }
 
-/// One footprint rule: the cluster client's tasks read their inputs and
-/// dependencies off `fix_core::semantics::footprint` — the rule the
-/// runtime and every `Evaluator` share. A definition-tree walk of its
-/// own in the derivation (the frame's entry list and its
-/// selection-only flag) coming back fails nothing else — forbid both.
+/// One footprint rule: `fix_storage::footprint` reads the node's table
+/// directly, and the cluster client's tasks read their inputs and
+/// dependencies off it — the rule the runtime and every `Evaluator`
+/// share. A definition-tree walk of the derivation's own (the frame's
+/// entry list and its selection-only flag), a trait the rule reaches
+/// the table through (a data source, an encode resolver, their test
+/// fakes) or a batch form of the rule coming back fails nothing else —
+/// forbid them all.
 #[test]
 fn one_footprint_rule() {
     forbid(
         &["crates/cluster/src"],
         &["thunks_are_deps", "entries: Vec<Handle>"],
+    );
+    forbid(
+        ALL,
+        &[
+            r"trait DataSource\b",
+            r"trait EncodeResolver\b",
+            r"\bMapSource\b",
+            r"\bNoResolution\b",
+            r"fn footprint_many\b",
+        ],
     );
 }
 
