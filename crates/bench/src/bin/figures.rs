@@ -59,14 +59,6 @@ const SUBCOMMANDS: &[&str] = &[
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // Worker mode: `figures --add-worker A B` exits with code A+B — the
-    // spawned "add program" for the Fig. 7a process row.
-    if args.first().map(String::as_str) == Some("--add-worker") {
-        let a: u8 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-        let b: u8 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0);
-        std::process::exit(a.wrapping_add(b) as i32);
-    }
-
     let quick = args.iter().any(|a| a == "--quick");
     let which = args
         .iter()
@@ -79,13 +71,6 @@ fn main() {
             SUBCOMMANDS.join("|")
         );
         std::process::exit(2);
-    }
-
-    // With --self-add, fig7a spawns this very binary as the add program
-    // (closest to the paper's vfork'd add); default is /bin/true, whose
-    // startup is not inflated by the harness binary size.
-    if args.iter().any(|a| a == "--self-add") {
-        std::env::set_var("FIX_BENCH_SELF_ADD", "1");
     }
 
     let run_fig = |name: &str| which == "all" || which == name || which == "summary";

@@ -37,24 +37,31 @@ fn row(name: &str, r: &RunReport) -> Row {
     }
 }
 
+/// The client node, where Fixpoint's sources start.
+pub const CLIENT: NodeId = NodeId(11);
+
+/// The compile cluster: ten workers (`NodeId(0..10)`), a spare node and
+/// the [`CLIENT`], each a default node on the default network.
+pub fn setup() -> ClusterSetup {
+    ClusterSetup {
+        specs: vec![NodeSpec::default(); 12],
+        net: NetConfig::default(),
+        workers: (0..10).map(NodeId).collect(),
+        client: Some(CLIENT),
+    }
+}
+
 /// Runs the figure with `n_files` translation units.
 pub fn run(n_files: usize) -> Fig10 {
     let cost = CostModel::default();
-    let workers: Vec<NodeId> = (0..10).map(NodeId).collect();
+    let setup = setup();
     // MinIO is spread over the cluster nodes (paper §5.1).
-    let store: Vec<NodeId> = workers.clone();
-    let client = NodeId(11);
-    let setup = ClusterSetup {
-        specs: vec![NodeSpec::default(); 12],
-        net: NetConfig::default(),
-        workers: workers.clone(),
-        client: Some(client),
-    };
+    let store = &setup.workers;
 
     // Fixpoint: dependencies ship from the client with the invocations.
     let fix_graph = fig10_graph(&Fig10Params {
         n_files,
-        source_home: client,
+        source_home: CLIENT,
         ..Fig10Params::default()
     });
     let fix = run_fix(&setup, &fix_graph, &FixConfig::default());
@@ -70,9 +77,9 @@ pub fn run(n_files: usize) -> Fig10 {
     let ray = run_baseline(
         &setup,
         &minio_graph,
-        &profiles::ray_minio(client, &store, 100 << 20, &cost),
+        &profiles::ray_minio(CLIENT, store, 100 << 20, &cost),
     );
-    let ow = run_baseline(&setup, &minio_graph, &profiles::openwhisk(&store, &cost));
+    let ow = run_baseline(&setup, &minio_graph, &profiles::openwhisk(store, &cost));
 
     Fig10 {
         rows: vec![

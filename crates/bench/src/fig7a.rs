@@ -160,25 +160,14 @@ pub fn run(iters: u64, process_iters: u64) -> Fig7a {
     });
 
     // A real spawned process per invocation, like the paper's vfork'd
-    // add program: spawn + exec + exit. `figures --add-worker A B` makes
-    // the harness binary itself the add program; under `cargo test` we
-    // fall back to /bin/true (same spawn+exec+exit path).
-    let self_add = std::env::var_os("FIX_BENCH_SELF_ADD").is_some();
-    let exe: Option<std::path::PathBuf> = if self_add {
-        std::env::current_exe().ok()
-    } else {
-        ["true", "/bin/true", "/usr/bin/true"]
-            .iter()
-            .find(|c| std::process::Command::new(c).status().is_ok())
-            .map(std::path::PathBuf::from)
-    };
+    // add program: spawn + exec + exit of `true`, whose startup is the
+    // process path's floor.
+    let exe = ["true", "/bin/true", "/usr/bin/true"]
+        .into_iter()
+        .find(|c| std::process::Command::new(c).status().is_ok());
     if let Some(exe) = exe {
-        let ns = time_per_iter(process_iters.max(1), |i| {
-            let mut cmd = std::process::Command::new(&exe);
-            if self_add {
-                cmd.arg("--add-worker").arg((i as u8).to_string()).arg("12");
-            }
-            std::hint::black_box(cmd.status().ok());
+        let ns = time_per_iter(process_iters.max(1), |_| {
+            std::hint::black_box(std::process::Command::new(exe).status().ok());
         });
         rows.push(Row {
             name: "Linux process (spawn+exec)".into(),

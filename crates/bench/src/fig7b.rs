@@ -28,7 +28,12 @@ pub struct Fig7b {
     pub rows: Vec<Row>,
 }
 
-fn chain_graph(n: usize) -> JobGraph {
+/// The client's one-way latency beyond the base, nearby and remote: the
+/// remote client sits 21.3 ms RTT away, like the paper's.
+pub const CLIENT_EXTRA_US: [Time; 2] = [0, 10_650 - 50];
+
+/// A chain of `n` one-µs invocations, each depending on the last.
+pub fn chain_graph(n: usize) -> JobGraph {
     let mut b = JobGraphBuilder::new();
     let mut prev: Option<TaskId> = None;
     for _ in 0..n {
@@ -41,7 +46,9 @@ fn chain_graph(n: usize) -> JobGraph {
     b.build()
 }
 
-fn setup(client_extra_us: Time) -> ClusterSetup {
+/// Two workers and a client node (`NodeId(2)`) `client_extra_us` beyond
+/// the base latency.
+pub fn setup(client_extra_us: Time) -> ClusterSetup {
     let client = NodeId(2);
     let net = NetConfig::default().with_extra_latency(client, client_extra_us);
     ClusterSetup {
@@ -56,13 +63,10 @@ fn setup(client_extra_us: Time) -> ClusterSetup {
 pub fn run(n: usize) -> Fig7b {
     let cost = CostModel::default();
     let graph = chain_graph(n);
-    // Remote: 21.3 ms RTT like the paper; one-way extra beyond base.
-    let distances = [0u64, 10_650 - 50];
-
     let mut fix = Vec::new();
     let mut pher = Vec::new();
     let mut ray = Vec::new();
-    for extra in distances {
+    for extra in CLIENT_EXTRA_US {
         let s = setup(extra);
         fix.push(run_fix(&s, &graph, &FixConfig::default()).makespan_us);
         pher.push(run_baseline(&s, &graph, &profiles::pheromone(&[NodeId(1)], &cost)).makespan_us);

@@ -7,7 +7,7 @@
 //! stalls them during the fetch.
 
 use fix_cluster::{run_fix, Binding, ClusterSetup, FixConfig, RunReport};
-use fix_netsim::{NetConfig, NodeId, NodeSpec, Time, MS};
+use fix_netsim::{NetConfig, NodeId, NodeSpec, MS};
 use fix_workloads::wordcount::{fig8a_graph, Fig8aParams};
 
 /// One system's row in the paper's Fig. 8a table.
@@ -37,7 +37,9 @@ pub struct Fig8a {
 const WORKER: NodeId = NodeId(0);
 const STORAGE: NodeId = NodeId(1);
 
-fn setup(worker_cores: u32, storage_latency: Time) -> ClusterSetup {
+/// One worker with `worker_cores` cores and 64 GiB, and the storage node
+/// (`NodeId(1)`, Fig. 8a's default `storage`) 150 ms away.
+pub fn setup(worker_cores: u32) -> ClusterSetup {
     ClusterSetup {
         specs: vec![
             NodeSpec {
@@ -46,7 +48,7 @@ fn setup(worker_cores: u32, storage_latency: Time) -> ClusterSetup {
             },
             NodeSpec::default(),
         ],
-        net: NetConfig::default().with_extra_latency(STORAGE, storage_latency),
+        net: NetConfig::default().with_extra_latency(STORAGE, 150 * MS),
         workers: vec![WORKER],
         client: None,
     }
@@ -75,13 +77,13 @@ pub fn run(n_tasks: usize) -> Fig8a {
     let graph = fig8a_graph(&params);
 
     // Fixpoint: late binding, 32 real cores.
-    let fix = run_fix(&setup(32, 150 * MS), &graph, &FixConfig::default());
+    let fix = run_fix(&setup(32), &graph, &FixConfig::default());
 
     // Internal I/O: claim-then-fetch, cores oversubscribed to 200 (the
     // paper's configuration); RAM is NOT oversubscribed, so at most 64
     // one-GB invocations hold slices concurrently.
     let internal = run_fix(
-        &setup(200, 150 * MS),
+        &setup(200),
         &graph,
         &FixConfig {
             binding: Binding::Early,

@@ -40,6 +40,26 @@ fn row(name: &str, r: &RunReport) -> Row {
     }
 }
 
+/// The cluster: `params.nodes` as workers plus two more nodes (the
+/// last is the Ray driver), each with `cores` cores (32, or the 128 of
+/// the paper's oversubscribed ablation) and 128 GiB. Shards live on EBS
+/// gp3 volumes (paper §5.1), so a node streams at the volume's
+/// ~300 MB/s, not the 10 Gb NIC's.
+pub fn setup(params: &Fig8bParams, cores: u32) -> ClusterSetup {
+    ClusterSetup {
+        specs: vec![
+            NodeSpec {
+                cores,
+                ram_bytes: 128 << 30,
+            };
+            params.nodes.len() + 2
+        ],
+        net: NetConfig::default().with_bandwidth_bps(300_000_000),
+        workers: params.nodes.clone(),
+        client: None,
+    }
+}
+
 /// Runs the figure. `params` defaults reproduce the paper's scale
 /// (984 × 100 MiB); smaller values keep tests fast.
 pub fn run(params: &Fig8bParams) -> Fig8b {
@@ -59,32 +79,15 @@ pub fn run(params: &Fig8bParams) -> Fig8b {
         }
     };
 
-    let n_workers = params.nodes.len();
-    let workers: Vec<NodeId> = params.nodes.clone();
     // MinIO is deployed across the same cluster (paper §5.1), so store
     // traffic spreads over every node's bandwidth.
-    let store: Vec<NodeId> = workers.clone();
-    let driver = NodeId(n_workers + 1); // Ray driver / client.
-                                        // Shards live on EBS gp3 volumes (paper §5.1): effective per-node
-                                        // streaming bandwidth is the volume's ~300 MB/s, not the 10 Gb NIC.
-    let net = NetConfig::default().with_bandwidth_bps(300_000_000);
-    let mk_setup = |cores: u32| ClusterSetup {
-        specs: vec![
-            NodeSpec {
-                cores,
-                ram_bytes: 128 << 30,
-            };
-            n_workers + 2
-        ],
-        net: net.clone(),
-        workers: workers.clone(),
-        client: None,
-    };
-    let setup = mk_setup(32);
+    let store = &params.nodes;
+    let driver = NodeId(params.nodes.len() + 1); // Ray driver / client.
+    let cluster = setup(params, 32);
 
-    let fix = run_fix(&setup, &graph, &FixConfig::default());
+    let fix = run_fix(&cluster, &graph, &FixConfig::default());
     let no_loc = run_fix(
-        &setup,
+        &cluster,
         &graph,
         &FixConfig {
             placement: Placement::Random,
@@ -93,7 +96,7 @@ pub fn run(params: &Fig8bParams) -> Fig8b {
     );
     // Paper: "oversubscribes the CPU, running 128 threads instead of 31".
     let no_loc_internal = run_fix(
-        &mk_setup(128),
+        &setup(params, 128),
         &graph,
         &FixConfig {
             placement: Placement::Random,
@@ -101,10 +104,10 @@ pub fn run(params: &Fig8bParams) -> Fig8b {
             ..FixConfig::default()
         },
     );
-    let ray_cps = run_baseline(&setup, &graph, &profiles::ray_cps(driver, &cost));
-    let ray_blocking = run_baseline(&setup, &graph, &profiles::ray_blocking(driver, &cost));
-    let pheromone = run_baseline(&setup, &map_only, &profiles::pheromone(&store, &cost));
-    let openwhisk = run_baseline(&setup, &graph, &profiles::openwhisk(&store, &cost));
+    let ray_cps = run_baseline(&cluster, &graph, &profiles::ray_cps(driver, &cost));
+    let ray_blocking = run_baseline(&cluster, &graph, &profiles::ray_blocking(driver, &cost));
+    let pheromone = run_baseline(&cluster, &map_only, &profiles::pheromone(store, &cost));
+    let openwhisk = run_baseline(&cluster, &graph, &profiles::openwhisk(store, &cost));
 
     Fig8b {
         rows: vec![

@@ -28,11 +28,13 @@
 //! `cargo test --release -p fix-bench --test golden -- --ignored refresh`.
 
 use fix_baselines::{profiles, run_baseline, CostModel};
+use fix_bench::{fig10, fig7b, fig8a, fig8b};
 use fix_cluster::{
     run_fix, small_task, Binding, ClusterClient, ClusterSetup, FixConfig, JobGraph,
-    JobGraphBuilder, Placement, TaskId,
+    JobGraphBuilder, Placement,
 };
-use fix_netsim::{NetConfig, NodeId, NodeSpec, MS};
+use fix_core::calibration::SERVICE_COSTS;
+use fix_netsim::{NetConfig, NodeId, NodeSpec};
 use fix_serve::{
     adaptive_serve, dispatch, kernel, serve, AdaptConfig, AdmissionPolicy, ArrivalProcess,
     ClosedLoopSpec, DispatchConfig, FaultPlan, NodeStorage, RequestKind, RestartKind,
@@ -325,6 +327,9 @@ fn kernel_composed_on(runtime: impl Fn() -> Runtime) -> String {
         .map(|fault| {
             let report = kernel::run(&runtime(), &composed_config(fault)).unwrap();
             report.assert_accounting_closure();
+            // An SNF fold costs whole steps, also once a kill reroutes it.
+            let snf = &report.tenants[2];
+            assert!(snf.service.min() >= SERVICE_COSTS.snf_step_us, "{fault:?}");
             format!("fault {fault:?}\n{}", tables(&report))
         })
         .collect()
@@ -347,76 +352,6 @@ fn the_composed_kernel_is_the_same_inline_and_on_two_workers() {
 fn figures_trace() -> String {
     let dir = tempfile::tempdir().unwrap();
     fix_bench::trace::run(1, dir.path())
-}
-
-fn workers(n: usize) -> Vec<NodeId> {
-    (0..n).map(NodeId).collect()
-}
-
-fn cluster(
-    specs: Vec<NodeSpec>,
-    net: NetConfig,
-    n_workers: usize,
-    client: Option<usize>,
-) -> ClusterSetup {
-    ClusterSetup {
-        specs,
-        net,
-        workers: workers(n_workers),
-        client: client.map(NodeId),
-    }
-}
-
-/// `fix_bench::fig7b`'s chain and its near / remote (21.3 ms RTT) client.
-fn fig7b_case(client_extra_us: u64) -> (ClusterSetup, JobGraph) {
-    let mut b = JobGraphBuilder::new();
-    let mut prev: Option<TaskId> = None;
-    for _ in 0..500 {
-        let mut t = small_task(1, 8);
-        t.deps.extend(prev);
-        prev = Some(b.task(t));
-    }
-    let net = NetConfig::default().with_extra_latency(NodeId(2), client_extra_us);
-    (
-        cluster(vec![NodeSpec::default(); 3], net, 2, Some(2)),
-        b.build(),
-    )
-}
-
-/// `fix_bench::fig8a`: 1024 inputs behind 150 ms storage, one worker.
-fn fig8a_case(worker_cores: u32) -> (ClusterSetup, JobGraph) {
-    let worker = NodeSpec {
-        cores: worker_cores,
-        ram_bytes: 64 << 30,
-    };
-    let net = NetConfig::default().with_extra_latency(NodeId(1), 150 * MS);
-    let graph = fig8a_graph(&Fig8aParams::default());
-    (
-        cluster(vec![worker, NodeSpec::default()], net, 1, None),
-        graph,
-    )
-}
-
-/// `fix_bench::fig8b` at paper scale: ten workers on 300 MB/s volumes.
-fn fig8b_setup() -> ClusterSetup {
-    let net = NetConfig::default().with_bandwidth_bps(300_000_000);
-    cluster(vec![NodeSpec::default(); 12], net, 10, None)
-}
-
-/// `fix_bench::fig10` at `--quick` scale (500 files), sources at `home`.
-fn fig10_case(home: usize) -> (ClusterSetup, JobGraph) {
-    let graph = fig10_graph(&Fig10Params {
-        n_files: 500,
-        source_home: NodeId(home),
-        ..Fig10Params::default()
-    });
-    let setup = cluster(
-        vec![NodeSpec::default(); 12],
-        NetConfig::default(),
-        10,
-        Some(11),
-    );
-    (setup, graph)
 }
 
 /// A hinted pipeline (`f`'s 4 GiB output is consumed next to an 8 GiB
@@ -442,18 +377,38 @@ fn hinted_fanout_case() -> (ClusterSetup, JobGraph) {
         t.inputs.push(b.object_at(1 << 20, &[NodeId(i % 10)]));
         b.task(t);
     }
-    let net = NetConfig::default().with_extra_latency(NodeId(11), 5_000);
-    (
-        cluster(vec![NodeSpec::default(); 12], net, 10, Some(11)),
-        b.build(),
-    )
+    let setup = ClusterSetup {
+        specs: vec![NodeSpec::default(); 12],
+        net: NetConfig::default().with_extra_latency(NodeId(11), 5_000),
+        workers: (0..10).map(NodeId).collect(),
+        client: Some(NodeId(11)),
+    };
+    (setup, b.build())
+}
+
+/// Fig. 8a's graph on its cluster with `worker_cores` cores.
+fn fig8a_case(worker_cores: u32) -> (ClusterSetup, JobGraph) {
+    let graph = fig8a_graph(&Fig8aParams::default());
+    (fig8a::setup(worker_cores), graph)
+}
+
+/// Fig. 10's graph at `--quick` scale (500 files), sources at `home`.
+fn fig10_case(home: NodeId) -> (ClusterSetup, JobGraph) {
+    let graph = fig10_graph(&Fig10Params {
+        n_files: 500,
+        source_home: home,
+        ..Fig10Params::default()
+    });
+    (fig10::setup(), graph)
 }
 
 fn sim_reports() -> String {
     use std::fmt::Write as _;
     let cost = CostModel::default();
-    let fig8b = (fig8b_setup(), fig8b_graph(&Fig8bParams::default()));
-    let (near, remote) = (fig7b_case(0), fig7b_case(10_600));
+    let params = Fig8bParams::default();
+    let fig8b = (fig8b::setup(&params, 32), fig8b_graph(&params));
+    let chain = fig7b::chain_graph(500);
+    let [near, remote] = fig7b::CLIENT_EXTRA_US.map(|extra| (fig7b::setup(extra), chain.clone()));
     let mut out = String::new();
 
     let matrix = [
@@ -462,7 +417,7 @@ fn sim_reports() -> String {
         ("fig7b-remote", &remote),
         ("fig8a-32", &fig8a_case(32)),
         ("fig8a-200", &fig8a_case(200)),
-        ("fig10", &fig10_case(11)),
+        ("fig10", &fig10_case(fig10::CLIENT)),
         ("hinted-fanout", &hinted_fanout_case()),
     ];
     for (name, (setup, graph)) in matrix {
@@ -479,14 +434,14 @@ fn sim_reports() -> String {
         }
     }
 
-    let (store, driver) = (workers(10), NodeId(11));
+    let (store, driver) = (&params.nodes, NodeId(11));
     let (setup, graph) = &fig8b;
     let map_only = JobGraph {
         objects: graph.objects.clone(),
         tasks: graph.tasks[..984].to_vec(),
         outputs: graph.outputs[..984].to_vec(),
     };
-    let fig10 = fig10_case(0);
+    let fig10 = fig10_case(NodeId(0));
     let chain_store = [NodeId(1)];
     let baselines = [
         (
@@ -505,13 +460,13 @@ fn sim_reports() -> String {
             "pheromone fig8b-map",
             setup,
             &map_only,
-            profiles::pheromone(&store, &cost),
+            profiles::pheromone(store, &cost),
         ),
         (
             "openwhisk fig8b",
             setup,
             graph,
-            profiles::openwhisk(&store, &cost),
+            profiles::openwhisk(store, &cost),
         ),
         (
             "pheromone fig7b-near",
@@ -541,13 +496,13 @@ fn sim_reports() -> String {
             "ray_minio fig10",
             &fig10.0,
             &fig10.1,
-            profiles::ray_minio(driver, &store, 100 << 20, &cost),
+            profiles::ray_minio(driver, store, 100 << 20, &cost),
         ),
         (
             "openwhisk fig10",
             &fig10.0,
             &fig10.1,
-            profiles::openwhisk(&store, &cost),
+            profiles::openwhisk(store, &cost),
         ),
     ];
     for (name, setup, graph, profile) in baselines {

@@ -145,35 +145,6 @@ pub fn bill_results(usage: &InvocationUsage, price: &PriceSheet) -> Invoice {
     }
 }
 
-/// Bills under either model.
-pub fn bill(model: Model, usage: &InvocationUsage, price: &PriceSheet) -> Invoice {
-    match model {
-        Model::PayForEffort => bill_effort(usage, price),
-        Model::PayForResults => bill_results(usage, price),
-    }
-}
-
-/// Sums many usages into one aggregate usage (a statement line).
-pub fn aggregate(usages: &[InvocationUsage]) -> InvocationUsage {
-    let mut total = InvocationUsage::default();
-    for u in usages {
-        total.input_bytes += u.input_bytes;
-        total.ram_reserved_bytes += u.ram_reserved_bytes;
-        total.instructions += u.instructions;
-        total.l1_misses += u.l1_misses;
-        total.l2_misses += u.l2_misses;
-        total.l3_misses += u.l3_misses;
-        total.wall_us += u.wall_us;
-        // Aggregate slack is the tightest deadline in the batch.
-        total.deadline_slack_us = if total.deadline_slack_us == 0 {
-            u.deadline_slack_us
-        } else {
-            total.deadline_slack_us.min(u.deadline_slack_us)
-        };
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,17 +220,6 @@ mod tests {
             inv_later.items[2].amount,
             inv_now.items[2].amount.scaled(1, 2)
         );
-    }
-
-    #[test]
-    fn aggregate_sums_counters_and_keeps_tightest_deadline() {
-        let mut a = sample_usage();
-        a.deadline_slack_us = 50;
-        let mut b = sample_usage();
-        b.deadline_slack_us = 10;
-        let total = aggregate(&[a, b]);
-        assert_eq!(total.instructions, 2 * a.instructions);
-        assert_eq!(total.deadline_slack_us, 10);
     }
 
     #[test]

@@ -85,7 +85,9 @@ pub struct SchedulingIncentiveOutcome {
 }
 
 /// Builds the paper's Fig. 8a cluster: one 32-core/64-GiB worker and a
-/// storage node 150 ms away holding every input.
+/// storage node 150 ms away holding every input. The figure's own
+/// definition is `fix_bench::fig8a::setup`; fix-bench depends on this
+/// crate, so this one cannot call it and keeps its copy.
 fn fig8a_setup(params: &Fig8aParams) -> ClusterSetup {
     let net = NetConfig::default().with_extra_latency(params.storage, 150 * MS);
     ClusterSetup {

@@ -38,7 +38,7 @@ pub mod perf;
 pub mod price;
 pub mod usage;
 
-pub use bill::{aggregate, bill, bill_effort, bill_results, Invoice, LineItem, Model};
+pub use bill::{bill_effort, bill_results, Invoice, LineItem, Model};
 pub use experiment::{
     noisy_neighbor, scheduling_incentive, NoisyNeighborOutcome, SchedulingIncentiveOutcome,
 };

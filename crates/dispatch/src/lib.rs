@@ -11,4 +11,4 @@ pub use fix_serve::dispatch::{
     SegmentExec,
 };
 pub use fix_serve::kernel::{FaultPlan, RestartKind};
-pub use fix_serve::routing::{self, hrw_score, Decision, Router, RoutingPolicy};
+pub use fix_serve::routing::{self, Decision, Router, RoutingPolicy};

@@ -253,16 +253,6 @@ pub fn resolve<A: ObjectApi>(store: &A, root: Handle, path: &str) -> Result<Hand
     Ok(current.as_object_handle())
 }
 
-/// Lists a directory's entries (trusted path).
-pub fn list_dir<A: ObjectApi>(store: &A, dir: Handle) -> Result<Vec<DirEntry>> {
-    let tree = store.get_tree(dir)?;
-    let info_handle = tree.get(0).ok_or(Error::MalformedTree {
-        handle: dir,
-        reason: "directory has no info slot".into(),
-    })?;
-    Ok(DirInfo::from_blob(&store.get_blob(info_handle)?)?.entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,6 +266,16 @@ mod tests {
         fs.add_file("file0", b"zero".to_vec()).unwrap();
         let root = fs.build(&store);
         (store, root)
+    }
+
+    /// Lists a directory's entries (trusted path).
+    fn list_dir<A: ObjectApi>(store: &A, dir: Handle) -> Result<Vec<DirEntry>> {
+        let tree = store.get_tree(dir)?;
+        let info_handle = tree.get(0).ok_or(Error::MalformedTree {
+            handle: dir,
+            reason: "directory has no info slot".into(),
+        })?;
+        Ok(DirInfo::from_blob(&store.get_blob(info_handle)?)?.entries)
     }
 
     #[test]

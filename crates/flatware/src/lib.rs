@@ -5,7 +5,7 @@
 //! filesystem so off-the-shelf POSIX programs (CPython, clang) run on
 //! Fix. This crate reproduces that layer for the reproduction's guests:
 //!
-//! * [`FsBuilder`] / [`resolve`] / [`list_dir`] — directories as nested
+//! * [`FsBuilder`] / [`resolve`] — directories as nested
 //!   Trees with inode-info blobs (Fig. 4's representation);
 //! * [`register_get_file`] / [`get_file`] — the lazy path-walk procedure
 //!   of Algorithm 3, whose minimum repository stays O(one directory);
@@ -20,8 +20,6 @@ mod fs;
 mod getfile;
 mod program;
 
-pub use fs::{list_dir, resolve, DirEntry, DirInfo, EntryKind, FsBuilder};
+pub use fs::{resolve, DirEntry, DirInfo, EntryKind, FsBuilder};
 pub use getfile::{get_file, register_get_file};
-pub use program::{
-    decode_argv, encode_argv, parse_program_result, register_posix_program, run_program, PosixWorld,
-};
+pub use program::{encode_argv, register_posix_program, run_program, PosixWorld};

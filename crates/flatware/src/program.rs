@@ -33,7 +33,7 @@ pub fn encode_argv(args: &[&str]) -> Blob {
 }
 
 /// Decodes a NUL-separated argv blob.
-pub fn decode_argv(blob: &Blob) -> Result<Vec<String>> {
+fn decode_argv(blob: &Blob) -> Result<Vec<String>> {
     if blob.is_empty() {
         return Ok(Vec::new());
     }
@@ -163,7 +163,7 @@ pub fn run_program<R: InvocationApi + Evaluator>(
 }
 
 /// Parses the `[exit-code, stdout]` result tree.
-pub fn parse_program_result<A: ObjectApi>(store: &A, result: Handle) -> Result<(u8, Blob)> {
+fn parse_program_result<A: ObjectApi>(store: &A, result: Handle) -> Result<(u8, Blob)> {
     let tree: Tree = store.get_tree(result)?;
     let code_blob = store.get_blob(tree.get(0).ok_or(Error::MalformedTree {
         handle: result,

@@ -162,16 +162,6 @@ impl Sim {
         ns.ram_free += claim.ram;
     }
 
-    /// Free cores on a node right now.
-    pub fn cores_free(&self, node: NodeId) -> u32 {
-        self.nodes[node.0].cores_free
-    }
-
-    /// Free RAM on a node right now.
-    pub fn ram_free(&self, node: NodeId) -> u64 {
-        self.nodes[node.0].ram_free
-    }
-
     /// Records a completed task on a node (for the stats report).
     pub fn count_task(&mut self, node: NodeId) {
         self.nodes[node.0].stats.tasks_run += 1;
@@ -180,12 +170,6 @@ impl Sim {
     // ------------------------------------------------------------------
     // Network.
     // ------------------------------------------------------------------
-
-    /// Sends a control message (latency only); `f` runs on delivery.
-    pub fn message(&mut self, src: NodeId, dst: NodeId, f: impl FnOnce(&mut Sim) + 'static) {
-        let delay = self.net.latency(src, dst);
-        self.schedule(delay, f);
-    }
 
     /// Transfers `bytes` from `src` to `dst`; `f` runs when the last byte
     /// arrives. Models FIFO queueing on both NICs plus propagation delay.
@@ -280,8 +264,8 @@ mod tests {
         let stats = sim.node_stats(NodeId(0));
         assert_eq!(stats.waiting_core_us, 2 * 100);
         assert_eq!(stats.user_core_us, 2 * 300);
-        assert_eq!(sim.cores_free(NodeId(0)), 32);
-        assert_eq!(sim.ram_free(NodeId(0)), 128 << 30);
+        assert_eq!(sim.nodes[0].cores_free, 32);
+        assert_eq!(sim.nodes[0].ram_free, 128 << 30);
     }
 
     #[test]
@@ -361,20 +345,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(done_at.get(), 10);
-    }
-
-    #[test]
-    fn message_pays_latency_only() {
-        let storage = NodeId(1);
-        let net = NetConfig::default().with_extra_latency(storage, 150_000);
-        let mut sim = Sim::new(&[NodeSpec::default(); 2], net);
-        let done_at = Rc::new(Cell::new(0u64));
-        let d2 = Rc::clone(&done_at);
-        sim.schedule(0, move |sim| {
-            sim.message(NodeId(0), storage, move |sim| d2.set(sim.now()));
-        });
-        sim.run();
-        assert_eq!(done_at.get(), 150_050);
     }
 
     #[test]
@@ -493,14 +463,14 @@ mod proptests {
                 }
                 prop_assert!(cores_used <= spec.cores);
                 prop_assert!(ram_used <= spec.ram_bytes);
-                prop_assert_eq!(sim.cores_free(NodeId(0)), spec.cores - cores_used);
-                prop_assert_eq!(sim.ram_free(NodeId(0)), spec.ram_bytes - ram_used);
+                prop_assert_eq!(sim.nodes[0].cores_free, spec.cores - cores_used);
+                prop_assert_eq!(sim.nodes[0].ram_free, spec.ram_bytes - ram_used);
             }
             for id in held {
                 sim.release(id);
             }
-            prop_assert_eq!(sim.cores_free(NodeId(0)), spec.cores);
-            prop_assert_eq!(sim.ram_free(NodeId(0)), spec.ram_bytes);
+            prop_assert_eq!(sim.nodes[0].cores_free, spec.cores);
+            prop_assert_eq!(sim.nodes[0].ram_free, spec.ram_bytes);
         }
     }
 }

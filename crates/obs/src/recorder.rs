@@ -287,7 +287,7 @@ pub fn recorder() -> &'static Recorder {
 
 impl Recorder {
     /// Wall-clock nanoseconds since this recorder's epoch.
-    pub fn wall_ns(&self) -> u64 {
+    fn wall_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 

@@ -179,11 +179,6 @@ impl Autoscaler {
         self.active
     }
 
-    /// The resizes so far, in virtual-time order.
-    pub fn timeline(&self) -> &[ScaleEvent] {
-        &self.timeline
-    }
-
     /// Consumes the scaler, yielding its timeline for the report.
     pub fn into_timeline(self) -> Vec<ScaleEvent> {
         self.timeline
@@ -307,7 +302,7 @@ mod tests {
         assert_eq!(s.tick(12_000, 0, false), None);
         assert_eq!(s.tick(13_000, 0, false), None);
         assert_eq!(
-            s.timeline()
+            s.timeline
                 .iter()
                 .map(|e| (e.at_us, e.from, e.to))
                 .collect::<Vec<_>>(),

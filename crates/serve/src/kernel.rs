@@ -815,13 +815,17 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
         for mut req in drained {
             let m = self.route(req.thunk, t);
             // Re-price against the survivor's memoization: the dead
-            // node's warmth does not transfer.
+            // node's warmth does not transfer. An SNF fold keeps the
+            // price `offer` gave it: its kind is a carrier field, and
+            // its pipeline has already advanced past it.
             let warm = self.nodes[m].seen.contains(&req.thunk);
-            req.service_us = if warm {
-                req.kind.warm_service_us()
-            } else {
-                req.kind.cold_service_us()
-            };
+            if self.snf[req.tenant].is_none() {
+                req.service_us = if warm {
+                    req.kind.warm_service_us()
+                } else {
+                    req.kind.cold_service_us()
+                };
+            }
             // Force-enqueue: the request was admitted (and counted)
             // once already; failover must not shed or re-offer it.
             self.nodes[m].queues.requeue(req);
@@ -1147,8 +1151,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_name_table_holds_what_the_factory_mints() {
+    /// An open flash crowd, a closed-loop portal and an SNF tenant
+    /// (tenant 2) on `nodes` nodes, under admission and a 1..=4 driver
+    /// autoscaler.
+    fn three_tenants(nodes: usize) -> Config {
         let crowd = TenantSpec {
             name: "crowd".into(),
             weight: 2,
@@ -1184,19 +1190,24 @@ mod tests {
                 slo: SloClass::default(),
             }),
         ];
+        Config {
+            admission: Some(AdmissionPolicy::default()),
+            scaler: ScalerConfig {
+                min_drivers: 1,
+                max_drivers: 4,
+                control_interval_us: 500,
+                up_backlog_us: 400,
+                down_backlog_us: 60,
+                hold_ticks: 2,
+            },
+            ..config(tenants, nodes)
+        }
+    }
+
+    #[test]
+    fn the_name_table_holds_what_the_factory_mints() {
         for nodes in [1, 3] {
-            let cfg = Config {
-                admission: Some(AdmissionPolicy::default()),
-                scaler: ScalerConfig {
-                    min_drivers: 1,
-                    max_drivers: 4,
-                    control_interval_us: 500,
-                    up_backlog_us: 400,
-                    down_backlog_us: 60,
-                    hold_ticks: 2,
-                },
-                ..config(tenants.clone(), nodes)
-            };
+            let cfg = three_tenants(nodes);
             let plan = plan(&Runtime::builder().build(), &cfg).unwrap();
             assert!(plan.report.tenants[0].rejected > 0, "the crowd is refused");
             let cc = fix_cluster::ClusterClient::builder().build().unwrap();
@@ -1211,5 +1222,31 @@ mod tests {
             }
             assert!(checked > 1_000, "{nodes} nodes: {checked} requests checked");
         }
+    }
+
+    /// A fold rerouted off a killed node keeps the price `offer` gave
+    /// it, `k × snf_step_us`: its kind is a carrier field, so repricing
+    /// it by kind would charge a `k`-step fold as one native add.
+    #[test]
+    fn a_rerouted_snf_fold_keeps_its_price() {
+        let step = fix_core::calibration::SERVICE_COSTS.snf_step_us;
+        let mut rerouted = 0;
+        for kill_at_us in (1_000..9_000).step_by(500) {
+            let cfg = Config {
+                fault: Some(FaultPlan {
+                    node: 1,
+                    kill_at_us,
+                    restart_at_us: kill_at_us + 1_000,
+                    restart: RestartKind::Cold,
+                }),
+                ..three_tenants(3)
+            };
+            let plan = plan(&Runtime::builder().build(), &cfg).unwrap();
+            rerouted += plan.report.nodes.iter().map(|n| n.rerouted_in).sum::<u64>();
+            for r in planned(&plan).filter(|r| r.tenant == 2) {
+                assert_eq!(r.service_us % step, 0, "kill at {kill_at_us} µs: {r:?}");
+            }
+        }
+        assert!(rerouted > 0, "no kill stranded a request");
     }
 }

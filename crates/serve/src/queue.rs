@@ -360,13 +360,6 @@ impl TenantQueues {
         batch
     }
 
-    /// Assembles the next dispatch batch of at most `max` requests with
-    /// no deadline expiry — the plain weighted-fair entry point, kept
-    /// for single-tier callers and tests.
-    pub fn next_batch(&mut self, max: usize) -> Vec<QueuedRequest> {
-        self.next_dispatch(max, 0).requests
-    }
-
     /// Re-enqueues a request without admission accounting: no
     /// `offered` increment and no capacity check. This is the failover
     /// path — the request was already admitted (and counted) once on a
@@ -474,9 +467,9 @@ mod tests {
         assert_eq!(q.tenant_backlog_prefix_us(0, 5), 0);
         assert_eq!(q.tenant_backlog_prefix_us(0, 99), 0);
         // Dispatch drains the backlog along with the queue.
-        let _ = q.next_batch(3);
+        let _ = q.next_dispatch(3, 0);
         assert_eq!(q.tenant_backlog_us(0), 20);
-        let _ = q.next_batch(8);
+        let _ = q.next_dispatch(8, 0);
         assert_eq!(q.tenant_backlog_us(0), 0);
     }
 
@@ -502,7 +495,12 @@ mod tests {
         for i in 0..5 {
             q.offer(req(0, i));
         }
-        let arrivals: Vec<Micros> = q.next_batch(5).iter().map(|r| r.arrival_us).collect();
+        let arrivals: Vec<Micros> = q
+            .next_dispatch(5, 0)
+            .requests
+            .iter()
+            .map(|r| r.arrival_us)
+            .collect();
         assert_eq!(arrivals, vec![0, 1, 2, 3, 4]);
         assert!(q.is_empty());
     }
@@ -517,7 +515,7 @@ mod tests {
         }
         let mut served = [0usize; 2];
         for _ in 0..10 {
-            for r in q.next_batch(32) {
+            for r in q.next_dispatch(32, 0).requests {
                 served[r.tenant] += 1;
             }
         }
@@ -535,8 +533,12 @@ mod tests {
         for i in 0..7 {
             q.offer(req(1, i));
         }
-        assert_eq!(q.next_batch(32).len(), 7, "no other tenant to wait for");
-        assert!(q.next_batch(32).is_empty());
+        assert_eq!(
+            q.next_dispatch(32, 0).requests.len(),
+            7,
+            "no other tenant to wait for"
+        );
+        assert!(q.next_dispatch(32, 0).requests.is_empty());
     }
 
     #[test]
@@ -629,7 +631,12 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.offered, vec![2], "requeue never counts as offered");
         assert_eq!(q.dropped, vec![0]);
-        let arrivals: Vec<Micros> = q.next_batch(8).iter().map(|r| r.arrival_us).collect();
+        let arrivals: Vec<Micros> = q
+            .next_dispatch(8, 0)
+            .requests
+            .iter()
+            .map(|r| r.arrival_us)
+            .collect();
         assert_eq!(arrivals, vec![1, 2, 3], "requeued work keeps FIFO order");
     }
 
@@ -706,7 +713,12 @@ mod tests {
                 .iter()
                 .map(|r| r.arrival_us)
                 .collect();
-            let db: Vec<Micros> = b.next_batch(8).iter().map(|r| r.arrival_us).collect();
+            let db: Vec<Micros> = b
+                .next_dispatch(8, 0)
+                .requests
+                .iter()
+                .map(|r| r.arrival_us)
+                .collect();
             assert_eq!(da, db);
         }
     }

@@ -79,7 +79,7 @@ fn node_salt(node: usize) -> u64 {
 
 /// The rendezvous score of `(node, key)`: the node with the highest
 /// score among the alive set owns the key.
-pub fn hrw_score(node: usize, key: u64) -> u64 {
+fn hrw_score(node: usize, key: u64) -> u64 {
     splitmix64(node_salt(node) ^ key)
 }
 

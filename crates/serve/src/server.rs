@@ -284,7 +284,7 @@ impl ServeReport {
     }
 
     /// Total admitted requests cancelled mid-flight.
-    pub fn total_cancelled(&self) -> u64 {
+    fn total_cancelled(&self) -> u64 {
         self.tenants.iter().map(|t| t.cancelled).sum()
     }
 

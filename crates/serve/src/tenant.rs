@@ -274,8 +274,9 @@ impl Tenant {
 ///
 /// Thunks are content addressed, so the factory is deterministic by
 /// construction: the same configuration mints bit-identical handles on
-/// every backend — which is what lets the serving example compare
-/// backends under identical traffic.
+/// every backend — which is what lets `figures trace` and
+/// `runs_identically_on_the_cluster_backend` compare backends under
+/// identical traffic.
 pub struct RequestFactory {
     add_proc: Handle,
     fib_mod: Handle,

@@ -180,11 +180,6 @@ pub struct EvictionPlan {
 }
 
 impl EvictionPlan {
-    /// Total bytes the plan reclaims.
-    pub fn bytes_reclaimed(&self) -> u64 {
-        self.victims.iter().map(|v| v.bytes).sum()
-    }
-
     /// The largest recompute cascade any cold read will pay.
     pub fn max_depth(&self) -> u32 {
         self.victims.iter().map(|v| v.depth).max().unwrap_or(0)
@@ -481,7 +476,7 @@ mod tests {
         assert_eq!(plan.victims.len(), 1);
         assert_eq!(plan.victims[0].handle, output.as_object_handle());
         assert_eq!(plan.victims[0].depth, 1);
-        assert_eq!(plan.bytes_reclaimed(), 64);
+        assert_eq!(plan.victims[0].bytes, 64);
         let reclaimed = apply_eviction(&store, &plan).unwrap();
         assert_eq!(reclaimed, 64);
         assert!(!store.contains(output));

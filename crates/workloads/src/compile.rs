@@ -229,7 +229,7 @@ pub fn compile_unit(source: &str) -> Result<ObjectFile> {
 
 /// Links object files: merges symbol tables and checks that every
 /// reference resolves. Returns the "executable" (a summary blob).
-pub fn link(objects: &[ObjectFile]) -> Result<Blob> {
+fn link(objects: &[ObjectFile]) -> Result<Blob> {
     let mut defined = BTreeMap::new();
     let mut total_tokens = 0u64;
     for (i, o) in objects.iter().enumerate() {

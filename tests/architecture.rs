@@ -9,8 +9,9 @@
 //! optional `\b` at either end that asks for a word boundary there, as
 //! in grep (`\bPriority\b` is a whole word; `fn knows\b` is not the head
 //! of a longer name such as `fn knows_all`; a bare `set_stage` matches
-//! anywhere). One guard asks the converse, that a name is found:
-//! `every_pub_fn_has_a_caller`.
+//! anywhere). Two guards ask the converse, that something is found:
+//! `every_pub_fn_has_a_caller` (a call of each public function) and
+//! `every_example_teaches_what_no_figure_prints` (each listed example).
 
 use std::fs;
 use std::path::Path;
@@ -561,13 +562,56 @@ fn one_serving_crate() {
     );
 }
 
+/// Every example teaches what no figure prints: an experiment that a
+/// `figures` table or a test already runs has one program, the pinned
+/// one, and no unpinned copy in `examples/` kept in step by hand. Each
+/// walkthrough is listed with what only it shows; a file the list does
+/// not name, or a listed one gone, fails.
+#[test]
+fn every_example_teaches_what_no_figure_prints() {
+    /// (file, what it teaches), in name order.
+    const WALKTHROUGHS: &[(&str, &str)] = &[
+        (
+            "compile_farm.rs",
+            "§5.5's real compile and link; the only caller of `build_project_fix`",
+        ),
+        (
+            "lazy_filesystem.rs",
+            "Fig. 4: `get-file` descends a directory, one inode blob per step",
+        ),
+        (
+            "linked_list.rs",
+            "Listings 2–3; the only caller of `fixpoint::cps`'s stepper API",
+        ),
+        (
+            "quickstart.rs",
+            "the programming model, one program on the runtime and the cluster",
+        ),
+        (
+            "sebs_port.rs",
+            "§5.6: SeBS functions ported through Flatware's argv and files",
+        ),
+    ];
+    let listed: Vec<&str> = WALKTHROUGHS.iter().map(|&(file, _)| file).collect();
+    assert_eq!(
+        entries("examples"),
+        listed,
+        "examples/ must hold exactly the listed walkthroughs"
+    );
+}
+
 /// Every public function has a caller: each `pub fn NAME` in a `*.rs`
-/// file under `crates/*/src` is a word of some `*.rs` file under the
+/// file under `crates/*/src` is called in some `*.rs` file under the
 /// code, tests and examples, or fixbench's sources, that defines no
 /// `pub fn NAME` itself (a test, bench, example or doctest elsewhere
-/// counts). A function only its own file calls is private, and one that
-/// nothing calls is deleted, unless `EXEMPT` gives the reason it stays.
-/// Each file is read once, into its set of words.
+/// counts). A file calls `NAME` where it writes `NAME(` or `NAME::<`
+/// (a call, not a definition `fn NAME(`) or `::NAME` (a path), outside
+/// a `use` statement and a plain `//` comment (a doc comment's doctest
+/// counts): a re-export, a field or local of the same name, or a
+/// commented-out call is no caller. A function only its own file calls is private,
+/// and one that nothing calls is deleted, unless `EXEMPT` gives the
+/// reason it stays. Each file is read once, into the set of names it
+/// calls.
 #[test]
 fn every_pub_fn_has_a_caller() {
     /// (file, function, why it stays public with no caller elsewhere).
@@ -587,17 +631,40 @@ fn every_pub_fn_has_a_caller() {
         .collect();
     // Names are ASCII: any other byte ends a word.
     let not_name = |b: &u8| !(b.is_ascii_alphanumeric() || *b == b'_');
-    let mut files_naming = std::collections::HashMap::<&[u8], usize>::new();
-    for (text, _) in &texts {
-        let words: std::collections::HashSet<&[u8]> = text
-            .as_bytes()
-            .split(not_name)
-            .filter(|word| !word.is_empty())
-            .collect();
-        for word in words {
-            *files_naming.entry(word).or_default() += 1;
-        }
-    }
+    let calls: Vec<std::collections::HashSet<&[u8]>> = texts
+        .iter()
+        .map(|(text, _)| {
+            let mut called = std::collections::HashSet::new();
+            let mut in_use = false;
+            for line in text.lines() {
+                let code = line.trim_start();
+                let doc = code.starts_with("///") || code.starts_with("//!");
+                if code.starts_with("//") && !doc {
+                    continue;
+                }
+                in_use |= ["use ", "pub use ", "pub(crate) use "]
+                    .iter()
+                    .any(|head| code.starts_with(head));
+                if in_use {
+                    in_use = !line.contains(';');
+                    continue;
+                }
+                let line = line.as_bytes();
+                let mut at = 0;
+                for word in line.split(not_name) {
+                    let (head, tail) = (&line[..at], &line[at + word.len()..]);
+                    at += word.len() + 1;
+                    let call = (tail.starts_with(b"(") && !head.ends_with(b"fn "))
+                        || tail.starts_with(b"::<")
+                        || head.ends_with(b"::");
+                    if !word.is_empty() && call {
+                        called.insert(word);
+                    }
+                }
+            }
+            called
+        })
+        .collect();
     // The files that define a `pub fn` of each name.
     let mut defining = std::collections::BTreeMap::<&str, Vec<&str>>::new();
     for (text, path) in &texts {
@@ -616,18 +683,22 @@ fn every_pub_fn_has_a_caller() {
             }
         }
     }
-    // A caller is a file that names the function and defines none of
+    // A caller is a file that calls the function and defines none of
     // that name: two functions of one name do not vouch for each other.
     let uncalled: Vec<(&str, &str)> = defining
         .iter()
-        .filter(|(name, paths)| files_naming[name.as_bytes()] == paths.len())
+        .filter(|(name, paths)| {
+            !texts.iter().zip(&calls).any(|((_, path), called)| {
+                !paths.contains(&path.as_str()) && called.contains(name.as_bytes())
+            })
+        })
         .flat_map(|(name, paths)| paths.iter().map(move |path| (*path, *name)))
         .collect();
     let exempt: Vec<(&str, &str)> = EXEMPT.iter().map(|&(path, name, _)| (path, name)).collect();
     let missing: Vec<_> = uncalled.iter().filter(|f| !exempt.contains(f)).collect();
     assert!(
         missing.is_empty(),
-        "a pub fn nothing else names: {missing:#?}"
+        "a pub fn nothing else calls: {missing:#?}"
     );
     let stale: Vec<_> = exempt.iter().filter(|f| !uncalled.contains(f)).collect();
     assert!(stale.is_empty(), "exempt, but called elsewhere: {stale:#?}");

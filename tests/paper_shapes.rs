@@ -3,9 +3,9 @@
 //! These are the repository's executable version of EXPERIMENTS.md.
 
 use fix::baselines::{profiles, run_baseline, CostModel};
-use fix::cluster::{run_fix, Binding, ClusterSetup, FixConfig, Placement};
-use fix::netsim::{NetConfig, NodeId, NodeSpec, MS};
+use fix::cluster::{run_fix, Binding, FixConfig, Placement};
 use fix::workloads::wordcount::{fig8a_graph, fig8b_graph, Fig8aParams, Fig8bParams};
+use fix_bench::{fig8a, fig8b};
 
 /// §1 summary table 2 / Fig. 8b: Fixpoint avoids CPU starvation.
 #[test]
@@ -15,29 +15,10 @@ fn summary_table_cpu_starvation() {
         ..Fig8bParams::default()
     };
     let graph = fig8b_graph(&params);
-    let workers: Vec<NodeId> = (0..10).map(NodeId).collect();
-    let net = NetConfig::default().with_bandwidth_bps(300_000_000);
-    let setup = ClusterSetup {
-        specs: vec![NodeSpec::default(); 12],
-        net: net.clone(),
-        workers: workers.clone(),
-        client: None,
-    };
-
+    let setup = fig8b::setup(&params, 32);
     let fix = run_fix(&setup, &graph, &FixConfig::default());
     let internal = run_fix(
-        &ClusterSetup {
-            specs: vec![
-                NodeSpec {
-                    cores: 128,
-                    ram_bytes: 128 << 30,
-                };
-                12
-            ],
-            net,
-            workers: workers.clone(),
-            client: None,
-        },
+        &fig8b::setup(&params, 128),
         &graph,
         &FixConfig {
             placement: Placement::Random,
@@ -48,7 +29,7 @@ fn summary_table_cpu_starvation() {
     let ow = run_baseline(
         &setup,
         &graph,
-        &profiles::openwhisk(&workers, &CostModel::default()),
+        &profiles::openwhisk(&params.nodes, &CostModel::default()),
     );
 
     // Paper: Fix 3.25 s / 37% waiting; internal 33.8 s / 92%; OW 63.9 s / 92%.
@@ -62,24 +43,10 @@ fn summary_table_cpu_starvation() {
 /// Fig. 8a headline: late binding buys close to an order of magnitude.
 #[test]
 fn late_binding_order_of_magnitude() {
-    let params = Fig8aParams::default();
-    let graph = fig8a_graph(&params);
-    let storage = params.storage;
-    let mk = |cores| ClusterSetup {
-        specs: vec![
-            NodeSpec {
-                cores,
-                ram_bytes: 64 << 30,
-            },
-            NodeSpec::default(),
-        ],
-        net: NetConfig::default().with_extra_latency(storage, 150 * MS),
-        workers: vec![NodeId(0)],
-        client: None,
-    };
-    let fix = run_fix(&mk(32), &graph, &FixConfig::default());
+    let graph = fig8a_graph(&Fig8aParams::default());
+    let fix = run_fix(&fig8a::setup(32), &graph, &FixConfig::default());
     let internal = run_fix(
-        &mk(200),
+        &fig8a::setup(200),
         &graph,
         &FixConfig {
             binding: Binding::Early,
