@@ -9,8 +9,8 @@
 //! profile with externalized I/O. [`run_baseline`] and [`Profile`] are
 //! re-exports of that engine's entry point and knob set; this crate
 //! owns no simulation code. Per-invocation costs are calibrated from
-//! the paper's own Fig. 7a measurements ([`CostModel`]); see DESIGN.md
-//! for the substitution argument.
+//! the paper's own Fig. 7a measurements ([`CostModel`]); the README's
+//! "Fix is a profile" paragraph gives the substitution argument.
 //!
 //! A comparator goes behind the backend-agnostic `fix_core::api` traits
 //! the same way Fixpoint does —

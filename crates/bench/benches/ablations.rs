@@ -1,28 +1,61 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! What each of four design choices buys on the real runtime, as a pair
+//! of rows with the choice and without it:
 //!
-//! * **memoization** — evaluating a recursive Fix program with a warm vs
-//!   cleared relation cache (fib's call tree collapses from exponential
-//!   to linear);
-//! * **literal handles** — small values inline in handles vs forced
-//!   through storage;
-//! * **pinpoint selection** — fetching one child of a wide tree via a
+//! * **memoization**: fib(16) with the relation cache cleared before
+//!   each evaluation vs warm (the call tree collapses to one hit);
+//! * **literal handles**: a put and get of an 8-byte value, inline in its
+//!   handle, vs a 64-byte one, hashed and stored;
+//! * **pinpoint selection**: one child of a wide tree through a
 //!   Selection thunk vs loading the whole entry list;
-//! * **BLAKE3 content addressing** — the hash substrate's throughput;
-//! * **computational GC** — a warm read vs a cold read that recomputes
-//!   an evicted result chain (paper §6's delayed-availability storage).
+//! * **batched dispatch**: N warm (memoized) requests through one
+//!   `eval_many`, or one strict submission, vs a loop of single calls.
+//!   The warm path is where per-request scheduler cost is the largest
+//!   share of the total, so it bounds what batching can ever save.
+//!
+//! Prints ns per item, median [min, max] over runs. The rows nothing
+//! else times are here; BLAKE3 throughput is fixbench's
+//! `hash.ns_per_byte_*` and a recomputing cold read is `figures extgc`.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fix_core::api::{Evaluator, InvocationApi, NativeCtx, ObjectApi};
+mod common;
+
+use common::Spread;
+use fix_core::api::{Evaluator, InvocationApi, NativeCtx, ObjectApi, SubmitApi, SubmitOptions};
 use fix_core::data::{Blob, Tree};
+use fix_core::handle::Handle;
+use fix_core::invocation::Invocation;
 use fix_core::limits::ResourceLimits;
 use fixpoint::Runtime;
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
-fn fib_runtime() -> (Runtime, fix_core::Handle) {
+/// Runs timed per row.
+const REPS: usize = 11;
+
+/// ns per item, over `REPS` runs of `calls` calls of `call` (given a
+/// running count), each of which handles `items` items.
+fn ns_per_item(calls: u64, items: u64, mut call: impl FnMut(u64)) -> Spread {
+    let mut i = 0;
+    let run = |_| {
+        let t = Instant::now();
+        for _ in 0..calls {
+            i += 1;
+            call(i);
+        }
+        t.elapsed().as_nanos() as f64 / (calls * items) as f64
+    };
+    Spread::of((0..REPS).map(run).collect())
+}
+
+fn row(name: &str, ns: Spread) {
+    println!("  {name:<34} {ns:>10.1}");
+}
+
+/// A runtime with a native fib that calls itself through strict
+/// encodes and sums them with a second native, `bench/fib-add`.
+fn fib_runtime() -> (Runtime, Handle) {
     let rt = Runtime::builder().build();
-    let marker: Arc<parking_lot::Mutex<Option<fix_core::Handle>>> =
-        Arc::new(parking_lot::Mutex::new(None));
+    let marker: Arc<parking_lot::Mutex<Option<Handle>>> = Arc::new(parking_lot::Mutex::new(None));
     let m2 = Arc::clone(&marker);
     let fib = rt.register_native(
         "bench/fib",
@@ -33,8 +66,8 @@ fn fib_runtime() -> (Runtime, fix_core::Handle) {
             }
             let self_h = m2.lock().expect("registered");
             let limits = ResourceLimits::default_limits();
-            let call = |ctx: &mut NativeCtx<'_>, k: u64| -> fix_core::Result<fix_core::Handle> {
-                let t = fix_core::invocation::Invocation {
+            let call = |ctx: &mut NativeCtx<'_>, k: u64| -> fix_core::Result<Handle> {
+                let t = Invocation {
                     limits,
                     procedure: self_h,
                     args: vec![Blob::from_u64(k).handle()],
@@ -47,12 +80,9 @@ fn fib_runtime() -> (Runtime, fix_core::Handle) {
             };
             let e1 = call(ctx, n - 1)?;
             let e2 = call(ctx, n - 2)?;
-            // add(e1, e2) via a tiny summing procedure baked in here: use
-            // the same fib proc with a marker? Simplest: a second native.
-            let add = fixpoint::native_marker("bench/fib-add").handle();
-            let sum = fix_core::invocation::Invocation {
+            let sum = Invocation {
                 limits,
-                procedure: add,
+                procedure: fixpoint::native_marker("bench/fib-add").handle(),
                 args: vec![e1, e2],
             }
             .to_tree();
@@ -71,66 +101,49 @@ fn fib_runtime() -> (Runtime, fix_core::Handle) {
     (rt, fib)
 }
 
-fn bench_memoization(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_memoization");
-    group.sample_size(20);
+fn memoization() {
+    println!("memoization");
     let (rt, fib) = fib_runtime();
-    let eval_fib = |rt: &Runtime, n: u64| {
-        let thunk = rt
-            .apply(
-                ResourceLimits::default_limits(),
-                fib,
-                &[rt.put_blob(Blob::from_u64(n))],
-            )
-            .expect("apply");
-        rt.eval(thunk).expect("eval")
-    };
-    group.bench_function("fib16_cold_cache", |b| {
-        b.iter(|| {
-            rt.cache().clear();
-            black_box(eval_fib(&rt, 16))
-        })
+    let thunk = rt
+        .apply(
+            ResourceLimits::default_limits(),
+            fib,
+            &[rt.put_blob(Blob::from_u64(16))],
+        )
+        .expect("apply");
+    let cold = ns_per_item(20, 1, |_| {
+        rt.cache().clear();
+        black_box(rt.eval(thunk).expect("eval"));
     });
-    group.bench_function("fib16_warm_cache", |b| {
-        eval_fib(&rt, 16);
-        b.iter(|| black_box(eval_fib(&rt, 16)))
+    row("fib(16), cache cleared", cold);
+    let warm = ns_per_item(20_000, 1, |_| {
+        black_box(rt.eval(thunk).expect("eval"));
     });
-    group.finish();
+    row("fib(16), warm", warm);
 }
 
-fn bench_literals(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_literal_handles");
-    // 8-byte value: inline literal, storage never touched.
-    group.bench_function("put_get_8B_literal", |b| {
-        let rt = Runtime::builder().build();
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            let h = rt.put_blob(Blob::from_u64(i));
-            black_box(rt.get_blob(h).expect("literal"))
-        })
-    });
-    // 64-byte value: hashed, stored, fetched.
-    group.bench_function("put_get_64B_stored", |b| {
-        let rt = Runtime::builder().build();
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            let mut data = [0u8; 64];
-            data[..8].copy_from_slice(&i.to_le_bytes());
-            let h = rt.put_blob(Blob::from_slice(&data));
-            black_box(rt.get_blob(h).expect("stored"))
-        })
-    });
-    group.finish();
-}
-
-fn bench_selection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_pinpoint_selection");
-    group.sample_size(30);
+fn literal_handles() {
+    println!("literal handles");
     let rt = Runtime::builder().build();
-    // A wide tree of 4096 big children.
-    let children: Vec<fix_core::Handle> = (0..4096u64)
+    let literal = ns_per_item(100_000, 1, |i| {
+        let h = rt.put_blob(Blob::from_u64(i));
+        black_box(rt.get_blob(h).expect("literal"));
+    });
+    row("put + get, 8 B literal", literal);
+    let stored = ns_per_item(100_000, 1, |i| {
+        let mut data = [0u8; 64];
+        data[..8].copy_from_slice(&i.to_le_bytes());
+        let h = rt.put_blob(Blob::from_slice(&data));
+        black_box(rt.get_blob(h).expect("stored"));
+    });
+    row("put + get, 64 B stored", stored);
+}
+
+fn pinpoint_selection() {
+    const WIDTH: u64 = 4096;
+    println!("pinpoint selection ({WIDTH} children of 256 B)");
+    let rt = Runtime::builder().build();
+    let children: Vec<Handle> = (0..WIDTH)
         .map(|i| {
             let mut v = vec![0u8; 256];
             v[..8].copy_from_slice(&i.to_le_bytes());
@@ -138,89 +151,81 @@ fn bench_selection(c: &mut Criterion) {
         })
         .collect();
     let tree = rt.put_tree(Tree::from_handles(children));
-
-    group.bench_function("selection_one_child", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 4096;
-            let sel = rt.select(tree, i).expect("selection");
-            black_box(rt.eval(sel).expect("eval"))
-        })
+    let select = ns_per_item(WIDTH, 1, |i| {
+        let sel = rt.select(tree, i % WIDTH).expect("selection");
+        black_box(rt.eval(sel).expect("eval"));
     });
-    group.bench_function("load_whole_entry_list", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 4096;
-            let t = rt.get_tree(tree).expect("tree");
-            black_box(t.get(i as usize))
-        })
+    row("select one child", select);
+    let load = ns_per_item(WIDTH, 1, |i| {
+        let t = rt.get_tree(tree).expect("tree");
+        black_box(t.get((i % WIDTH) as usize));
     });
-    group.finish();
+    row("load the whole entry list", load);
 }
 
-fn bench_hash(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate_blake3");
-    for size in [64usize, 4096, 1 << 20] {
-        group.throughput(Throughput::Bytes(size as u64));
-        let data = vec![0xABu8; size];
-        group.bench_function(format!("hash_{size}B"), |b| {
-            b.iter(|| black_box(fix_hash::hash(black_box(&data))))
-        });
+/// A runtime with `n` distinct add thunks, each evaluated (and forced)
+/// once, so every later request is a relation-cache hit.
+fn warm_batch(n: u64) -> (Runtime, Vec<Handle>) {
+    let rt = Runtime::builder().build();
+    let add = rt.register_native(
+        "bench/add",
+        Arc::new(|ctx| {
+            let a = ctx.arg_blob(0)?.as_u64().unwrap();
+            let b = ctx.arg_blob(1)?.as_u64().unwrap();
+            ctx.host
+                .create_blob(a.wrapping_add(b).to_le_bytes().to_vec())
+        }),
+    );
+    let thunks: Vec<Handle> = (0..n)
+        .map(|i| {
+            let args = [Blob::from_u64(i), Blob::from_u64(1)].map(|b| rt.put_blob(b));
+            rt.apply(ResourceLimits::default_limits(), add, &args)
+                .unwrap()
+        })
+        .collect();
+    for r in rt.submit_with(&thunks, SubmitOptions::strict()).wait() {
+        r.expect("warm-up");
     }
-    group.finish();
+    (rt, thunks)
 }
 
-fn bench_recompute(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_computational_gc");
-    group.sample_size(20);
-
-    // A 4-stage transform chain over a 4 KiB blob; every stage's output
-    // has its recipe in the relation cache.
-    let build = || {
-        let rt = Runtime::builder().build();
-        let step = rt.register_native(
-            "bench/rot",
-            Arc::new(|ctx| {
-                let data = ctx.arg_blob(0)?;
-                let out: Vec<u8> = data
-                    .as_slice()
-                    .iter()
-                    .map(|b| b.rotate_left(3) ^ 0x5A)
-                    .collect();
-                ctx.host.create_blob(out)
-            }),
-        );
-        let mut cur = rt.put_blob(Blob::from_vec(vec![0xCD; 4096]));
-        for _ in 0..4 {
-            let t = rt
-                .apply(ResourceLimits::default_limits(), step, &[cur])
-                .expect("apply");
-            cur = rt.eval(t).expect("eval");
-        }
-        (rt, cur)
-    };
-
-    group.bench_function("warm_read_4stage", |b| {
-        let (rt, out) = build();
-        b.iter(|| black_box(rt.get_blob(out).expect("resident")))
-    });
-    group.bench_function("cold_read_recompute_4stage", |b| {
-        let (rt, out) = build();
-        b.iter(|| {
-            rt.evict_recomputable(&[]).expect("evict");
-            rt.materialize(out).expect("materialize");
-            black_box(rt.get_blob(out).expect("recomputed"))
-        })
-    });
-    group.finish();
+fn batched_dispatch() {
+    println!("batched dispatch (warm requests)");
+    for n in [16u64, 256] {
+        let (rt, thunks) = warm_batch(n);
+        let calls = 100_000 / n;
+        let each = ns_per_item(calls, n, |_| {
+            for &t in &thunks {
+                black_box(rt.eval(t).unwrap());
+            }
+        });
+        row(&format!("{n} x eval"), each);
+        let batched = ns_per_item(calls, n, |_| {
+            for r in rt.eval_many(black_box(&thunks)) {
+                black_box(r.unwrap());
+            }
+        });
+        row(&format!("eval_many of {n}"), batched);
+        let each = ns_per_item(calls, n, |_| {
+            for &t in &thunks {
+                black_box(rt.eval_strict(t).unwrap());
+            }
+        });
+        row(&format!("{n} x eval_strict"), each);
+        let batched = ns_per_item(calls, n, |_| {
+            let ticket = rt.submit_with(black_box(&thunks), SubmitOptions::strict());
+            for r in ticket.wait() {
+                black_box(r.unwrap());
+            }
+        });
+        row(&format!("strict submission of {n}"), batched);
+    }
 }
 
-criterion_group!(
-    benches,
-    bench_memoization,
-    bench_literals,
-    bench_selection,
-    bench_hash,
-    bench_recompute
-);
-criterion_main!(benches);
+fn main() {
+    println!("ablations: ns per item, median [min, max] of {REPS} runs");
+    memoization();
+    literal_handles();
+    pinpoint_selection();
+    batched_dispatch();
+}

@@ -12,8 +12,11 @@
 //! the batch column is their sum. A task's inputs are its footprint's
 //! objects, so N tasks over one L-cell list name about N·L of them, and
 //! each application's launch walks the whole list looking for encodes
-//! (ROADMAP item 16).
+//! (ROADMAP item 21).
 
+mod common;
+
+use common::Spread;
 use fix_cluster::{derive_job_graph, run_fix, ClusterClient, FixConfig};
 use fix_core::api::{Evaluator, InvocationApi, ObjectApi};
 use fix_core::data::{Blob, Tree};
@@ -26,11 +29,6 @@ use std::time::{Duration, Instant};
 const REPS: u64 = 5;
 /// (cells, tasks): flat arguments, then one shared list of two sizes.
 const ROWS: [(u64, u64); 3] = [(0, 1_000), (100, 100), (1_000, 100)];
-
-fn median_ms(mut times: Vec<Duration>) -> f64 {
-    times.sort();
-    times[times.len() / 2].as_secs_f64() * 1e3
-}
 
 /// The time `phase` takes, and its result.
 fn timed<T>(phase: impl FnOnce() -> T) -> (Duration, T) {
@@ -52,7 +50,7 @@ fn measure(cells: u64, tasks: u64) -> (usize, [f64; 4]) {
     let limits = ResourceLimits::default_limits();
     let profile = FixConfig::default();
     let mut inputs = 0;
-    let mut phases: [Vec<Duration>; 4] = Default::default();
+    let mut phases: [Vec<f64>; 4] = Default::default();
     for rep in 0..REPS {
         let thunks: Vec<Handle> = (0..tasks)
             .map(|t| {
@@ -69,12 +67,12 @@ fn measure(cells: u64, tasks: u64) -> (usize, [f64; 4]) {
         for result in results {
             result.expect("a task returns its argument");
         }
-        for (times, t) in phases.iter_mut().zip([derive, simulate, evaluate]) {
-            times.push(t);
+        let batch = derive + simulate + evaluate;
+        for (times, t) in phases.iter_mut().zip([derive, simulate, evaluate, batch]) {
+            times.push(t.as_secs_f64() * 1e3);
         }
-        phases[3].push(derive + simulate + evaluate);
     }
-    (inputs, phases.map(median_ms))
+    (inputs, phases.map(|ms| Spread::of(ms).median))
 }
 
 fn main() {

@@ -13,6 +13,9 @@
 //! `gc`, `snapshot` and `stats`, so the same file builds against older
 //! versions of the store for an A/B.
 
+mod common;
+
+use common::Spread;
 use fix_core::data::Blob;
 use fix_core::handle::Handle;
 use fix_durable::{DurableOptions, DurableStore, FsyncPolicy};
@@ -63,16 +66,6 @@ fn measure() -> ([f64; 3], u64) {
     ([gc_s, snapshot_s, open_s], live)
 }
 
-fn summary(mut ms: Vec<f64>) -> String {
-    ms.sort_by(f64::total_cmp);
-    format!(
-        "{:>8.1} [{:.1}, {:.1}]",
-        ms[ms.len() / 2],
-        ms[0],
-        ms[ms.len() - 1]
-    )
-}
-
 fn main() {
     println!(
         "durable_compaction: {OBJECTS} x 1 KiB objects, gc half, snapshot, reopen; \
@@ -90,6 +83,6 @@ fn main() {
     println!("ms per 100k live objects: median [min, max]");
     let names = ["gc", "snapshot", "gc + snapshot", "reopen"];
     for (name, row) in names.iter().zip(rows) {
-        println!("{name:>14} {}", summary(row));
+        println!("{name:>14} {:>8.1}", Spread::of(row));
     }
 }

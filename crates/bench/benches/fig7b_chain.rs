@@ -1,12 +1,16 @@
-//! Criterion bench for the real-runtime side of Fig. 7b: a chain of 500
-//! dependent invocations executed on the actual Fixpoint runtime (the
-//! simulated-cluster version lives in the `figures` binary).
+//! The real-runtime side of Fig. 7b: a chain of dependent invocations
+//! on the Fixpoint runtime (the simulated-cluster figure is `figures
+//! fig7b`).
 //!
-//! Each step increments its input by one; steps are expressed as
-//! tail-calling applications, so the whole chain is one trampolined
-//! evaluation — no blocked threads, no per-step round trips.
+//! Each step increments its input by one and tail-calls the next, so a
+//! whole chain is one trampolined evaluation: no blocked threads, no
+//! per-step round trips. Prints, per chain length, µs per step, median
+//! [min, max] over fresh chains (each starts from a new value, so none
+//! is memoized).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+mod common;
+
+use common::Spread;
 use fix_core::api::{Evaluator, InvocationApi, ObjectApi};
 use fix_core::data::Blob;
 use fix_core::invocation::Invocation;
@@ -14,6 +18,10 @@ use fix_core::limits::ResourceLimits;
 use fixpoint::Runtime;
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
+
+/// Fresh chains timed per row.
+const REPS: u64 = 20;
 
 fn chain_runtime() -> (Runtime, fix_core::Handle) {
     let rt = Runtime::builder().build();
@@ -45,32 +53,24 @@ fn chain_runtime() -> (Runtime, fix_core::Handle) {
     (rt, proc_h)
 }
 
-fn bench_chain(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig7b_chain_real_runtime");
-    group.sample_size(20);
+fn main() {
+    println!(
+        "fig7b_chain: tail-calling chains on the inline runtime; µs per step, \
+         median [min, max] of {REPS} fresh chains"
+    );
+    let (rt, step) = chain_runtime();
+    let mut salt = 0u64;
     for n in [100u64, 500] {
-        group.bench_function(format!("chain_{n}"), |b| {
-            let (rt, proc_h) = chain_runtime();
-            let mut salt = 0u64;
-            b.iter(|| {
-                // A fresh starting value defeats memoization of the chain.
-                salt += 1;
-                let thunk = rt
-                    .apply(
-                        ResourceLimits::default_limits(),
-                        proc_h,
-                        &[
-                            rt.put_blob(Blob::from_u64(n)),
-                            rt.put_blob(Blob::from_u64(salt << 20)),
-                        ],
-                    )
-                    .expect("apply");
-                black_box(rt.eval(thunk).expect("eval"))
-            })
+        let us = (0..REPS).map(|_| {
+            salt += 1;
+            let args = [Blob::from_u64(n), Blob::from_u64(salt << 20)].map(|b| rt.put_blob(b));
+            let thunk = rt
+                .apply(ResourceLimits::default_limits(), step, &args)
+                .expect("apply");
+            let t = Instant::now();
+            black_box(rt.eval(thunk).expect("eval"));
+            t.elapsed().as_secs_f64() * 1e6 / n as f64
         });
+        println!("{n:>5} steps {:>8.3}", Spread::of(us.collect()));
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_chain);
-criterion_main!(benches);

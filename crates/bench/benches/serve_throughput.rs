@@ -1,45 +1,36 @@
-//! Criterion bench for the serving layer's warm-memoized path: a full
-//! serve run — load generation, weighted-fair admission, the virtual
-//! clock, and the real driver pool — against a runtime whose relation
-//! cache already holds every result.
+//! What the serving kernel's real driver pool does with the in-flight
+//! window, and what the admission controller costs under a flash crowd.
 //!
-//! Two rows compare the driver pool's execution strategies under
-//! identical traffic:
+//! * **window 1 vs 4**: a warm `serve` run (two tenants, about 2 000
+//!   requests whose results the relation cache already holds) with the
+//!   submit-and-park loop (`inflight: 1`) and with batch *k+1* submitted
+//!   while *k* executes (`inflight: 4`), on the inline runtime and on
+//!   two pool workers;
+//! * **admission off vs on**: `adaptive_serve`'s flash crowd with the
+//!   static pool and with provably-late arrivals priced out at the door
+//!   (`fix_bench::adapt_table`'s two configs).
 //!
-//! * `blocking_window1` — `inflight: 1`, the classic submit-and-park
-//!   loop (each driver blocks on every batch);
-//! * `pipelined_window4` — `inflight: 4`, the submission-first pool
-//!   (batch *k+1* is submitted while *k* executes).
-//!
-//! The first (unmeasured) run pays the cold evaluations; the measured
-//! runs reuse the same seed, so every minted thunk is a cache hit and
-//! the bench isolates serving overhead per request. The virtual-clock
-//! tables are asserted identical across both strategies — the window
-//! may only move wall-clock throughput, never results.
-//!
-//! A third pair of rows, `tracing_off_window4` / `tracing_on_window4`,
-//! measures the cost of the `fix-obs` event recorder on the same warm
-//! pipelined traffic: off is one relaxed atomic load per
-//! instrumentation site, on pays the full emit-and-buffer path for
-//! every lifecycle event. The deterministic tables are asserted
-//! unchanged either way.
+//! Prints, per row, the requests completed, ms per run and the execution
+//! phase's requests per wall-clock second (`ServeReport::wall_rps`, what
+//! the window moves), median [min, max] over warm runs. The virtual
+//! tables do not move with the window, the worker count or the run;
+//! `fix-serve`'s and `fix-bench`'s tests pin that, and fixbench's
+//! `serve_tiers` times one round of each kernel.
 
-//! The `dispatch_*` rows lift the same idea one tier up: a full
-//! multi-node dispatch run — routing, per-node queues, node backends —
-//! at 1 node, 4 nodes under memoization-affinity routing, and 4 nodes
-//! under random placement. Affinity's warm-hit-rate delta over random
-//! is printed (virtual-clock, so exact), and both 4-node tables are
-//! pinned bit-identical across repeat runs.
+mod common;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use common::Spread;
+use fix_bench::adapt_table::{adaptive_config, static_config};
 use fix_serve::{
-    adaptive_serve, dispatch, serve, ArrivalProcess, DispatchConfig, NodeStorage, RequestKind,
-    RoutingPolicy, ServeConfig, SloClass, TenantSpec,
+    adaptive_serve, serve, ArrivalProcess, RequestKind, ServeConfig, ServeReport, TenantSpec,
 };
 use fixpoint::Runtime;
-use std::hint::black_box;
+use std::time::Instant;
 
-/// ~2000 requests across two tenants on a short virtual horizon.
+/// Warm runs timed per row.
+const REPS: usize = 9;
+
+/// About 2 000 requests across two tenants on a short virtual horizon.
 fn warm_config(inflight: usize) -> ServeConfig {
     ServeConfig {
         seed: 77,
@@ -66,294 +57,44 @@ fn warm_config(inflight: usize) -> ServeConfig {
     }
 }
 
-/// The same traffic with SLO classes attached: the add tenant rides the
-/// latency tier (50 ms deadline), the fib tenant the batch tier — so
-/// the measured path is the two-level dispatcher plus `submit_with` at
-/// per-batch priorities, not plain DRR.
-fn slo_config(inflight: usize) -> ServeConfig {
-    let mut cfg = warm_config(inflight);
-    cfg.tenants[0].slo = SloClass::latency(50_000);
-    cfg.tenants[1].slo = SloClass::batch();
-    cfg
+/// Runs `run` once to pay every cold evaluation, then `REPS` times;
+/// prints the row.
+fn row(name: &str, mut run: impl FnMut() -> ServeReport) {
+    let completed = run().completed;
+    let (mut ms, mut rps) = (Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        let t = Instant::now();
+        let report = run();
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+        rps.push(report.wall_rps());
+    }
+    let (ms, rps) = (Spread::of(ms), Spread::of(rps));
+    println!("{name:<24} {completed:>9} {ms:>8.2} {rps:>8.0}");
 }
 
-/// The dispatcher-tier traffic: the warm arrival rates over a
-/// repeat-heavy request mix (small Fib and SeBS key spaces), one driver
-/// per node — so routing, not the driver pool, is the moving part, and
-/// placement has memoization to win. The horizon is short enough that
-/// the baselines keep re-paying cold evaluations the affinity router
-/// pays once per distinct handle per node.
-fn dispatch_config(nodes: usize, policy: RoutingPolicy) -> DispatchConfig {
-    DispatchConfig {
-        base: ServeConfig {
-            drivers: 1, // per node
-            duration_us: 60_000,
-            tenants: vec![
-                TenantSpec::uniform_mix(
-                    "fibs",
-                    3,
-                    ArrivalProcess::Poisson { rate_rps: 6000.0 },
-                    RequestKind::Fib { max_n: 8 },
-                ),
-                TenantSpec::uniform_mix(
-                    "renders",
-                    1,
-                    ArrivalProcess::Poisson { rate_rps: 2000.0 },
-                    RequestKind::SebsHtml { users: 4 },
-                ),
-            ],
-            ..warm_config(2)
-        },
-        nodes,
-        policy,
-        spill_margin: 16,
-        storage: NodeStorage::Memory,
-        fault: None,
-    }
-}
-
-fn bench_dispatch_routing(c: &mut Criterion) {
-    let one = dispatch_config(1, RoutingPolicy::Affinity);
-    let affinity = dispatch_config(4, RoutingPolicy::Affinity);
-    let random = dispatch_config(4, RoutingPolicy::Random);
-
-    // Determinism pin: the virtual tables (tenant + per-node) must be
-    // bit-identical across repeat runs — wall-clock only moves time.
-    let aff = dispatch(&affinity).expect("affinity dispatch run");
-    let rnd = dispatch(&random).expect("random dispatch run");
-    for (cfg, first) in [(&affinity, &aff), (&random, &rnd)] {
-        assert_eq!(
-            first.report.to_string(),
-            dispatch(cfg)
-                .expect("repeat dispatch run")
-                .report
-                .to_string(),
-            "repeat dispatch runs must print identical tables"
-        );
-    }
-    let n: u64 = aff.report.tenants.iter().map(|t| t.admitted).sum();
+fn main() {
     println!(
-        "serve_throughput[dispatch]: {n} requests over 4 nodes; affinity hit \
-         rate {:.1}% vs random {:.1}% ({:+.1} points)",
-        aff.hit_rate() * 100.0,
-        rnd.hit_rate() * 100.0,
-        (aff.hit_rate() - rnd.hit_rate()) * 100.0
+        "serve_throughput: median [min, max] of {REPS} warm runs, {} cores",
+        std::thread::available_parallelism().map_or(0, |n| n.get())
     );
-
-    let mut group = c.benchmark_group("dispatch_routing");
-    for (label, cfg) in [
-        ("1node_affinity", &one),
-        ("4node_affinity", &affinity),
-        ("4node_random", &random),
-    ] {
-        group.bench_function(format!("{label}/{n}_reqs"), |b| {
-            b.iter(|| black_box(dispatch(black_box(cfg)).expect("dispatch")))
-        });
-    }
-    group.finish();
-}
-
-fn bench_serve_throughput(c: &mut Criterion) {
-    let blocking = warm_config(1);
-    let pipelined = warm_config(4);
-    let rt = Runtime::builder().build();
-    // Warm-up: evaluates every distinct thunk the seed will ever mint.
-    let warm = serve(&rt, &blocking).expect("warm-up serve run");
-    let n = warm.completed;
-
-    // The window must not perturb the deterministic tables.
-    let pipelined_report = serve(&rt, &pipelined).expect("pipelined serve run");
-    assert_eq!(
-        warm.to_string(),
-        pipelined_report.to_string(),
-        "in-flight window changed the virtual tables"
+    println!(
+        "{:<24} {:>9} {:>8} [min, max] {:>8} [min, max]",
+        "row", "completed", "ms/run", "exec req/s"
     );
-
-    // Pipelined-vs-blocking comparison on the warm path. Wall-clock, so
-    // indicative rather than exact: rounds are interleaved to cancel
-    // machine drift, and each mode reports its best round. On the
-    // pool-less runtime the waiter executes everything itself, so the
-    // window mostly improves cross-driver load balance; with a worker
-    // pool behind the scheduler, submission genuinely overlaps
-    // execution and the gap widens.
-    for (label, rt) in [
-        ("inline runtime", Runtime::builder().build()),
-        ("2-worker runtime", Runtime::builder().workers(2).build()),
-    ] {
-        serve(&rt, &blocking).expect("warm-up"); // Warm this runtime's cache.
-        let mut blocking_rps = 0.0f64;
-        let mut pipelined_rps = 0.0f64;
-        for _ in 0..9 {
-            blocking_rps = blocking_rps.max(serve(&rt, &blocking).expect("serve").wall_rps());
-            pipelined_rps = pipelined_rps.max(serve(&rt, &pipelined).expect("serve").wall_rps());
-        }
-        println!(
-            "serve_throughput[{label}]: {n} warm requests; blocking(window=1) ≈ \
-             {blocking_rps:.0} req/s, pipelined(window=4) ≈ {pipelined_rps:.0} req/s ({:+.1}%)",
-            (pipelined_rps / blocking_rps - 1.0) * 100.0
-        );
-    }
-
-    // Worker-pool scaling on the sharded scheduler: the same pipelined
-    // traffic against 2-, 4-, and 8-worker runtimes. Every run's
-    // virtual table must equal the warm run's (worker count can move
-    // wall-clock throughput, never results). Wall-clock scaling only
-    // shows on hardware with that many cores — the summary prints the
-    // machine's available parallelism alongside, so a flat line on a
-    // small box reads as a machine limit, not a scheduler one.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut scaling: Vec<(usize, f64)> = Vec::new();
-    for workers in [2usize, 4, 8] {
+    for (runtime, workers) in [("inline", 0), ("2 workers", 2)] {
         let rt = Runtime::builder().workers(workers).build();
-        serve(&rt, &pipelined).expect("warm-up"); // Warm this runtime's cache.
-        let mut best = 0.0f64;
-        for _ in 0..9 {
-            let report = serve(&rt, &pipelined).expect("serve");
-            assert_eq!(
-                warm.to_string(),
-                report.to_string(),
-                "worker count changed the virtual tables"
-            );
-            best = best.max(report.wall_rps());
+        for window in [1, 4] {
+            let cfg = warm_config(window);
+            row(&format!("window {window}, {runtime}"), || {
+                serve(&rt, &cfg).expect("serve")
+            });
         }
-        scaling.push((workers, best));
     }
-    let base = scaling[0].1;
-    let summary: Vec<String> = scaling
-        .iter()
-        .map(|&(w, rps)| format!("{w}w ≈ {rps:.0} req/s ({:.2}×)", rps / base))
-        .collect();
-    println!(
-        "serve_throughput[scaling, {cores} core(s) available]: {}",
-        summary.join(", ")
-    );
-
-    // Tracing overhead on the warm pipelined path: same seed, recorder
-    // on. The virtual tables must not move; the wall-clock gap is the
-    // whole price of tracing (machine dependent, so printed rather than
-    // asserted). Draining the buffers after each traced run is part of
-    // the workflow being measured.
-    fix_obs::recorder().clear();
-    fix_obs::set_tracing(true);
-    let traced = serve(&rt, &pipelined).expect("traced serve run");
-    fix_obs::set_tracing(false);
-    let events = fix_obs::recorder().drain().len();
-    assert_eq!(
-        warm.to_string(),
-        traced.to_string(),
-        "tracing must not perturb the virtual tables"
-    );
-    let mut off_rps = 0.0f64;
-    let mut on_rps = 0.0f64;
-    for _ in 0..9 {
-        off_rps = off_rps.max(serve(&rt, &pipelined).expect("serve").wall_rps());
-        fix_obs::set_tracing(true);
-        let r = serve(&rt, &pipelined).expect("traced serve");
-        fix_obs::set_tracing(false);
-        fix_obs::recorder().clear();
-        on_rps = on_rps.max(r.wall_rps());
-    }
-    println!(
-        "serve_throughput[tracing]: {n} warm requests, {events} events/run; \
-         off ≈ {off_rps:.0} req/s, on ≈ {on_rps:.0} req/s ({:+.1}%)",
-        (on_rps / off_rps - 1.0) * 100.0
-    );
-
-    // The SLO mix: same arrivals, two-level dispatch, per-batch
-    // priorities through submit_with. Its virtual tables differ from
-    // the DRR rows (dispatch order changes), so it gets its own warm-up
-    // and its own determinism pin.
-    let slo = slo_config(4);
-    let slo_warm = serve(&rt, &slo).expect("SLO warm-up serve run");
-    let slo_n = slo_warm.completed;
-    assert_eq!(
-        slo_warm.to_string(),
-        serve(&rt, &slo).expect("SLO repeat").to_string(),
-        "SLO dispatch must stay deterministic under the bench loop"
-    );
-
-    let mut group = c.benchmark_group("serve_throughput");
-    group.bench_function(format!("blocking_window1/{n}_reqs"), |b| {
-        b.iter(|| black_box(serve(&rt, black_box(&blocking)).expect("serve")))
-    });
-    group.bench_function(format!("pipelined_window4/{n}_reqs"), |b| {
-        b.iter(|| black_box(serve(&rt, black_box(&pipelined)).expect("serve")))
-    });
-    group.bench_function(format!("slo_two_class_window4/{slo_n}_reqs"), |b| {
-        b.iter(|| black_box(serve(&rt, black_box(&slo)).expect("serve")))
-    });
-    // The tracing pair: identical traffic, recorder off vs on. The on
-    // row drains its events each iteration (bounded buffers would
-    // otherwise saturate and measure the cheaper drop path instead).
-    group.bench_function(format!("tracing_off_window4/{n}_reqs"), |b| {
-        b.iter(|| black_box(serve(&rt, black_box(&pipelined)).expect("serve")))
-    });
-    group.bench_function(format!("tracing_on_window4/{n}_reqs"), |b| {
-        fix_obs::set_tracing(true);
-        b.iter(|| {
-            let r = black_box(serve(&rt, black_box(&pipelined)).expect("serve"));
-            fix_obs::recorder().clear();
-            r
-        });
-        fix_obs::set_tracing(false);
-        fix_obs::recorder().clear();
-    });
-    group.finish();
-}
-
-/// The `admission_*` rows run the `adaptive_serve` flash-crowd scenario with
-/// the admission controller off (the static pool — shed by deadline
-/// expiry) and on (provably-late arrivals priced out at the door),
-/// same seed. The attainment delta is virtual-clock exact and printed;
-/// both tables are pinned bit-identical across repeat runs.
-fn bench_adaptive_admission(c: &mut Criterion) {
-    let off_cfg = fix_bench::adapt_table::static_config(1);
-    let on_cfg = fix_bench::adapt_table::adaptive_config(1);
     let rt = Runtime::builder().build();
-    // Warm-up (pays every cold evaluation once) + determinism pin.
-    let off = adaptive_serve(&rt, &off_cfg)
-        .expect("admission-off run")
-        .serve;
-    let on = adaptive_serve(&rt, &on_cfg)
-        .expect("admission-on run")
-        .serve;
-    for (cfg, first) in [(&off_cfg, &off), (&on_cfg, &on)] {
-        assert_eq!(
-            first.to_string(),
-            adaptive_serve(&rt, cfg)
-                .expect("repeat run")
-                .serve
-                .to_string(),
-            "repeat adaptive runs must print identical tables"
-        );
+    for (name, cfg) in [
+        ("admission off", static_config(1)),
+        ("admission on", adaptive_config(1)),
+    ] {
+        row(name, || adaptive_serve(&rt, &cfg).expect("serve").serve);
     }
-    let offered: u64 = off.tenants.iter().map(|t| t.offered).sum();
-    println!(
-        "serve_throughput[admission]: {offered} offered under the flash crowd; \
-         off attainment {:.3} ({} expired), on {:.3} ({} rejected, {} expired) \
-         ({:+.3} points)",
-        off.attainment(),
-        off.total_expired(),
-        on.attainment(),
-        on.total_rejected(),
-        on.total_expired(),
-        on.attainment() - off.attainment(),
-    );
-
-    let mut group = c.benchmark_group("adaptive_admission");
-    group.bench_function(format!("admission_off/{offered}_offered"), |b| {
-        b.iter(|| black_box(adaptive_serve(&rt, black_box(&off_cfg)).expect("serve")))
-    });
-    group.bench_function(format!("admission_on/{offered}_offered"), |b| {
-        b.iter(|| black_box(adaptive_serve(&rt, black_box(&on_cfg)).expect("serve")))
-    });
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_serve_throughput,
-    bench_dispatch_routing,
-    bench_adaptive_admission
-);
-criterion_main!(benches);

@@ -12,9 +12,8 @@
 //! per backend under `target/trace/`.
 //!
 //! `sweep` runs the serving table across several seeds, one thread per
-//! seed (`--serial` to force the single-threaded driver). The output is
-//! byte-identical either way — the virtual clock, not thread timing,
-//! produces every number.
+//! seed. The output is byte-identical to running them one after another
+//! — the virtual clock, not thread timing, produces every number.
 //!
 //! `calibrate` audits the shared `fix_core::calibration::SERVICE_COSTS`
 //! table against measured warm/cold procedure paths on the real
@@ -139,13 +138,12 @@ fn main() {
         println!("{}", fix_bench::trace::run(scale, out));
         println!("chrome traces written under {}", out.display());
     }
-    // Multi-seed serving sweep, parallel by default (not part of `all`:
+    // Multi-seed serving sweep, one thread per seed (not part of `all`:
     // it reprints the serve table once per seed).
     if which == "sweep" {
         let scale = if quick { 1 } else { 5 };
         let seeds: &[u64] = &[2026, 7, 99, 1234];
-        let serial = args.iter().any(|a| a == "--serial");
-        println!("{}", fix_bench::serve_report::sweep(seeds, scale, !serial));
+        println!("{}", fix_bench::serve_report::sweep(seeds, scale, true));
     }
     // Measured calibration: wall-clock audit of the virtual-clock
     // constants (not part of `all`, which prints only deterministic

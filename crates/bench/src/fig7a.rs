@@ -84,7 +84,7 @@ const VM_ADD: &str = r#"
 
 /// Builds a runtime with native and VM `add` installed, returning
 /// `(runtime, native_handle, vm_handle)`.
-pub fn add_runtime() -> (Runtime, fix_core::Handle, fix_core::Handle) {
+fn add_runtime() -> (Runtime, fix_core::Handle, fix_core::Handle) {
     let rt = Runtime::builder().build();
     let native = rt.register_native(
         "bench/add",
@@ -102,7 +102,7 @@ pub fn add_runtime() -> (Runtime, fix_core::Handle, fix_core::Handle) {
 /// Evaluates `add(i, 12)` once on the runtime (the per-iteration body of
 /// the Fixpoint rows; a fresh `i` defeats memoization, as each paper
 /// invocation did real work).
-pub fn fixpoint_add_once(rt: &Runtime, proc_h: fix_core::Handle, i: u64) -> u64 {
+fn fixpoint_add_once(rt: &Runtime, proc_h: fix_core::Handle, i: u64) -> u64 {
     let a = rt.put_blob(Blob::from_u64(i));
     let b = rt.put_blob(Blob::from_u64(12));
     let thunk = rt

@@ -72,8 +72,8 @@ pub fn table_text(scale: u32) -> String {
 /// seed, in seed order. With `parallel`, each seed gets its own thread
 /// (and its own `Runtime` — runs share nothing), which is safe to do
 /// *because* every number comes off the virtual clock: the output is
-/// byte-identical to the serial driver no matter how the threads
-/// interleave, and the sweep test pins exactly that.
+/// byte-identical to the serial driver (`parallel: false`, the sweep
+/// test's reference) no matter how the threads interleave.
 pub fn sweep(seeds: &[u64], scale: u32, parallel: bool) -> String {
     let run_seed = |&seed: &u64| {
         let cfg = ServeConfig {

@@ -15,7 +15,7 @@
 use fix_core::api::ObjectApi;
 use fix_core::data::{Blob, Tree};
 use fix_core::error::{Error, Result};
-use fix_core::handle::{DataType, Handle, Kind};
+use fix_core::handle::Handle;
 use std::collections::BTreeMap;
 
 /// The kind of a directory entry.
@@ -117,16 +117,17 @@ enum NodeBuilder {
 /// # Examples
 ///
 /// ```
-/// use flatware::FsBuilder;
-/// use fix_storage::Store;
+/// use fix_core::api::ObjectApi;
+/// use fixpoint::Runtime;
+/// use flatware::{get_file, register_get_file, FsBuilder};
 ///
-/// let store = Store::new();
+/// let rt = Runtime::builder().build();
 /// let mut fs = FsBuilder::new();
 /// fs.add_file("src/main.rs", b"fn main() {}".to_vec()).unwrap();
 /// fs.add_file("README.md", b"# hi".to_vec()).unwrap();
-/// let root = fs.build(&store);
-/// let file = flatware::resolve(&store, root, "src/main.rs").unwrap();
-/// assert_eq!(store.get_blob(file).unwrap().as_slice(), b"fn main() {}");
+/// let root = fs.build(&rt);
+/// let file = get_file(&rt, register_get_file(&rt), root, "src/main.rs").unwrap();
+/// assert_eq!(rt.get_blob(file).unwrap().as_slice(), b"fn main() {}");
 /// ```
 pub struct FsBuilder {
     root: BTreeMap<String, NodeBuilder>,
@@ -213,9 +214,12 @@ fn build_dir<A: ObjectApi>(dir: &BTreeMap<String, NodeBuilder>, store: &A) -> Ha
     store.put_tree(Tree::from_handles(slots.collect()))
 }
 
-/// Trusted (runtime-side) path resolution: walks the directory trees
-/// directly. Returns the entry's handle (a Ref, as stored).
-pub fn resolve<A: ObjectApi>(store: &A, root: Handle, path: &str) -> Result<Handle> {
+/// Trusted path resolution, the oracle the builder's tests compare
+/// against: walks the directory trees directly. Returns the entry's
+/// handle (a Ref, as stored).
+#[cfg(test)]
+fn resolve<A: ObjectApi>(store: &A, root: Handle, path: &str) -> Result<Handle> {
+    use fix_core::handle::{DataType, Kind};
     let mut current = root;
     let parts: Vec<&str> = path.split('/').filter(|p| !p.is_empty()).collect();
     if parts.is_empty() {

@@ -9,9 +9,10 @@
 //! optional `\b` at either end that asks for a word boundary there, as
 //! in grep (`\bPriority\b` is a whole word; `fn knows\b` is not the head
 //! of a longer name such as `fn knows_all`; a bare `set_stage` matches
-//! anywhere). Two guards ask the converse, that something is found:
-//! `every_pub_fn_has_a_caller` (a call of each public function) and
-//! `every_example_teaches_what_no_figure_prints` (each listed example).
+//! anywhere). Three guards also ask the converse, that something is
+//! found: `every_pub_fn_has_a_caller` (a call of each public function),
+//! `every_example_teaches_what_no_figure_prints` (each listed example)
+//! and `one_bench_harness` (each bench's `harness = false`).
 
 use std::fs;
 use std::path::Path;
@@ -598,6 +599,44 @@ fn every_example_teaches_what_no_figure_prints() {
         listed,
         "examples/ must hold exactly the listed walkthroughs"
     );
+}
+
+/// One bench harness: a bench is a `fn main` that prints its medians
+/// (`harness = false`), and a row that a `figures` table or a fixbench
+/// metric already times is not timed again. The deleted criterion shim
+/// coming back, a file naming it, or a bench left to the default
+/// harness (a `[[bench]]` without `harness = false`, or a
+/// `benches/*.rs` no `[[bench]]` names) fails nothing else.
+#[test]
+fn one_bench_harness() {
+    forbid(&[ALL, &["Cargo.toml"]].concat(), &["criterion"]);
+    assert!(
+        !root().join("shims/criterion").exists(),
+        "the criterion shim is back"
+    );
+    let manifest = fs::read_to_string(root().join("crates/bench/Cargo.toml")).unwrap();
+    let mut declared = Vec::new();
+    for bench in manifest
+        .split("\n[")
+        .filter_map(|s| s.strip_prefix("[bench]]"))
+    {
+        let name = bench
+            .lines()
+            .find_map(|line| line.strip_prefix("name = "))
+            .expect("a [[bench]] has a name")
+            .trim_matches('"');
+        assert!(
+            bench.lines().any(|line| line == "harness = false"),
+            "bench `{name}` runs on the default harness"
+        );
+        declared.push(format!("{name}.rs"));
+    }
+    declared.sort();
+    let files: Vec<String> = entries("crates/bench/benches")
+        .into_iter()
+        .filter(|name| name.ends_with(".rs"))
+        .collect();
+    assert_eq!(files, declared, "every bench file is a [[bench]]");
 }
 
 /// Every public function has a caller: each `pub fn NAME` in a `*.rs`
