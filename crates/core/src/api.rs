@@ -488,9 +488,9 @@ pub trait Evaluator: SubmitApi {
     ///
     /// Semantically identical to mapping [`eval`](Evaluator::eval) over
     /// `handles` (results are positional), but the batch is one
-    /// submission: the single-node runtime enqueues it under one lock
-    /// acquisition, and the cluster client ships it through one
-    /// simulated run.
+    /// submission: the single-node runtime answers what its table
+    /// already holds on the spot and watches the rest as one batch, and
+    /// the cluster client ships it through one simulated run.
     fn eval_many(&self, handles: &[Handle]) -> Vec<Result<Handle>> {
         self.submit_many(handles).wait()
     }

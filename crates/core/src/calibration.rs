@@ -5,7 +5,7 @@
 //! cost per derived task, and the serving layer's virtual clock charges
 //! per-kind cold/warm service times. These constants used to live in
 //! two places (the cluster client's builder and
-//! `fix_serve::RequestKind::cold_service_us`) and could drift apart;
+//! `fix_serve::RequestKind`'s cold prices) and could drift apart;
 //! this module is the single table both consume.
 //!
 //! The values are *calibration constants, not measurements*: they

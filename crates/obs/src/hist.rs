@@ -1,5 +1,5 @@
-//! Fixed-bucket log-scale histograms (the mechanics behind
-//! `fix_serve::LatencyHistogram`, which re-exports this type).
+//! Fixed-bucket log-scale histograms (the serving layer's latency
+//! histograms among them).
 //!
 //! An HDR-style histogram with power-of-two major buckets subdivided 8
 //! ways. The layout is *fixed* — no configuration, no rescaling — which

@@ -48,11 +48,10 @@
 //! ## Metrics
 //!
 //! The [`Registry`] names counters, gauges, and log-scale
-//! [`LogHistogram`]s (the same fixed-bucket mechanics as
-//! `fix_serve::LatencyHistogram`, which is this crate's histogram
-//! re-exported). Snapshots merge commutatively — counters/gauges add,
-//! histograms merge element-wise — so per-worker registries merged
-//! equal one shared registry, sample for sample.
+//! [`LogHistogram`]s (the histogram the serving layer records its
+//! latencies in, too). Snapshots merge commutatively — counters and
+//! gauges add, histograms merge element-wise — so per-worker registries
+//! merged equal one shared registry, sample for sample.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

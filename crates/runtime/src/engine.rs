@@ -179,12 +179,19 @@ impl Engine {
         }
     }
 
-    /// `job`'s result if it is memoized: its relation, read from the
-    /// table. The table's relations are the only record of a finished
-    /// evaluation — a failure is never memoized, so `None` covers it.
+    /// `job`'s result if the table already holds it: a value's `Eval`
+    /// is the value itself, and any other job's is its relation, read
+    /// from the table. The table's relations are the only record of a
+    /// finished evaluation — a failure is never memoized, so `None`
+    /// covers it.
     pub(crate) fn memoized(&self, job: Job) -> Option<Handle> {
-        let (relation, input) = job.relation();
-        self.cache.get(relation, input)
+        match job {
+            Job::Eval(h) if h.is_value() => Some(h),
+            _ => {
+                let (relation, input) = job.relation();
+                self.cache.get(relation, input)
+            }
+        }
     }
 
     /// Executes one step of `job`.
@@ -200,10 +207,7 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn step_eval(&self, h: Handle) -> Result<Step> {
-        if h.is_value() {
-            return Ok(Step::Done(h));
-        }
-        if let Some(v) = self.cache.get(Relation::Eval, h) {
+        if let Some(v) = self.memoized(Job::Eval(h)) {
             return Ok(Step::Done(v));
         }
         match h.kind() {

@@ -934,6 +934,54 @@ mod tests {
         }
     }
 
+    /// What the node's table already holds is answered at the door: a
+    /// batch of warmed thunks with values mixed in — under WHNF, and
+    /// under strict once everything in it has been forced — is a ticket
+    /// born ready, with no watcher and no job-map entry behind it while
+    /// it is held, and its answers are positional.
+    #[test]
+    fn a_batch_the_table_answers_is_born_ready() {
+        use fix_core::api::{SubmitApi, SubmitOptions};
+        let rt = Runtime::builder().build();
+        let add = register_add(&rt);
+        let thunks: Vec<_> = (0..4u64)
+            .map(|i| {
+                let args = [Blob::from_u64(i).handle(), Blob::from_u64(1).handle()];
+                rt.apply(limits(), add, &args).unwrap()
+            })
+            .collect();
+        let values = [
+            Blob::from_u64(7).handle(),
+            rt.put_blob(Blob::from_vec(vec![3u8; 64])),
+            rt.put_tree(Tree::from_handles(vec![thunks[3]])),
+        ];
+        let batch = [
+            thunks[0], values[0], thunks[1], values[1], thunks[2], values[2], thunks[3],
+        ];
+        for &h in &batch {
+            rt.eval_strict(h).unwrap();
+        }
+        for options in [SubmitOptions::default(), SubmitOptions::strict()] {
+            let expected: Vec<_> = batch
+                .iter()
+                .map(|&h| match options.mode {
+                    fix_core::api::Mode::Whnf => rt.eval(h),
+                    fix_core::api::Mode::Strict => rt.eval_strict(h),
+                })
+                .collect();
+            let ran = rt.procedures_run();
+            let ticket = rt.submit_with(&batch, options);
+            assert!(
+                format!("{ticket:?}").contains("ready"),
+                "{options:?}: {ticket:?}"
+            );
+            assert_eq!(rt.submission_watchers(), 0, "{options:?}");
+            assert_eq!(rt.job_entries(), 0, "{options:?}");
+            assert_eq!(ticket.wait(), expected, "{options:?}");
+            assert_eq!(rt.procedures_run(), ran, "{options:?}");
+        }
+    }
+
     /// A finished job leaves no job-map record — inline or pooled,
     /// succeeded or failed, asked for by an eval or by a ticket that
     /// resolved or was dropped — and the relations it

@@ -5,10 +5,9 @@
 //! surface mirrors the paper's Table 1: create blobs and trees, build
 //! thunks and encodes, and ask for evaluation.
 
-use crate::engine::{Engine, Job};
+use crate::engine::Engine;
 use crate::registry::ProgramRegistry;
 use crate::scheduler::{Scheduler, WorkerPool};
-use crate::submit::strict_root;
 use fix_core::api::{
     BatchTicket, Evaluator, Footprint, InvocationApi, NativeFn, ObjectApi, SubmitApi, SubmitOptions,
 };
@@ -277,12 +276,15 @@ impl InvocationApi for Runtime {
 }
 
 impl SubmitApi for Runtime {
-    /// Submission reads each request's memo first — a memoized request
-    /// fills its slot on the spot — and otherwise takes the job's
-    /// job-map shard once to register a completion watcher (a strict
-    /// request watches its whole eval→force chain as one slot), then
-    /// returns; the scheduler's completion notifications fill the ticket
-    /// as jobs finish. No caller thread is parked per batch: with a
+    /// Submission answers each request from the node's table first — a
+    /// value, a memoized `Eval` and, for a strict request, the memoized
+    /// `Force` of that value answer it on the spot, and a batch answered
+    /// whole is a ready ticket with no scheduler state behind it. Any
+    /// other request takes its job's job-map shard once to register a
+    /// completion watcher (a strict request watches the rest of its
+    /// eval→force chain as one slot), then submission returns; the
+    /// scheduler's completion notifications fill the ticket as jobs
+    /// finish. No caller thread is parked per batch: with a
     /// worker pool the batch executes behind the caller's back, and on a
     /// pool-less runtime waiting on *any* ticket drives the shared queue
     /// (so overlapped batches still all make progress).
@@ -299,19 +301,16 @@ impl SubmitApi for Runtime {
 }
 
 impl Evaluator for Runtime {
-    /// Overrides the provided submit-and-wait with the allocation-free
-    /// inline drive (the Fig. 7a microsecond path).
+    /// Overrides the provided submit-and-wait with the inline drive (the
+    /// Fig. 7a microsecond path): the door, then one watched slot if the
+    /// table did not answer. An answered request allocates nothing.
     fn eval(&self, handle: Handle) -> Result<Handle> {
-        if handle.is_value() {
-            return Ok(handle);
-        }
-        self.scheduler.run_inline(Job::Eval(handle), false)
+        self.scheduler.run_inline(handle, false)
     }
 
     /// One strict slot: the eval→force chain a strict ticket watches.
     fn eval_strict(&self, handle: Handle) -> Result<Handle> {
-        let (root, then_force) = strict_root(handle);
-        self.scheduler.run_inline(root, then_force)
+        self.scheduler.run_inline(handle, true)
     }
 
     /// [`fix_storage::footprint`] over the node's table: uses whatever

@@ -24,6 +24,7 @@
 //! `BatchState` lives until the last entry holding one of its watchers
 //! goes.
 
+use super::Unanswered;
 use crate::engine::Job;
 use fix_core::error::{Error, Result};
 use fix_core::handle::Handle;
@@ -56,8 +57,9 @@ struct SlotCell {
     /// The result, written by the claim owner before `remaining` is
     /// decremented (so `is_done` ⇒ every result is readable).
     result: Mutex<Option<Result<Handle>>>,
-    /// The slot's root job (a strict slot's `Eval`, however far its
-    /// chain has advanced): what stall messages and trace ids name.
+    /// The slot's request, the `Eval` of the handle asked for (however
+    /// far the door or a strict chain has advanced past it): what stall
+    /// messages and trace ids name.
     job: Job,
 }
 
@@ -73,15 +75,15 @@ pub(crate) struct BatchState {
 }
 
 impl BatchState {
-    pub(super) fn new(roots: &[(Job, bool)]) -> BatchState {
-        let n = roots.len();
+    pub(super) fn new(pending: &[Unanswered]) -> BatchState {
+        let n = pending.len();
         BatchState {
-            slots: roots
+            slots: pending
                 .iter()
-                .map(|&(job, _)| SlotCell {
+                .map(|unanswered| SlotCell {
                     claimed: AtomicBool::new(false),
                     result: Mutex::new(None),
-                    job,
+                    job: Job::Eval(unanswered.request),
                 })
                 .collect(),
             remaining: AtomicUsize::new(n),
@@ -127,13 +129,8 @@ impl BatchState {
         *self.slots[pos].result.lock() = Some(result);
         let left = self.remaining.fetch_sub(1, Ordering::AcqRel) - 1;
         if fix_obs::tracing_enabled() {
-            fix_obs::emit(
-                fix_obs::EventKind::SchedBatchFill,
-                0,
-                super::job_trace_id(&self.job(pos)),
-                pos as u32,
-                left as u32,
-            );
+            let kind = fix_obs::EventKind::SchedBatchFill;
+            super::emit_job(kind, &self.job(pos), pos as u32, left as u32);
         }
         if left == 0 {
             self.done.store(true, Ordering::Release);
@@ -142,7 +139,7 @@ impl BatchState {
         false
     }
 
-    /// Slot `pos`'s root job.
+    /// Slot `pos`'s request.
     pub(super) fn job(&self, pos: usize) -> Job {
         self.slots[pos].job
     }

@@ -47,16 +47,22 @@
 //!
 //! * **inline** ([`Scheduler::run_inline`]) — the calling thread drains
 //!   jobs itself; this is the microsecond path used when a client
-//!   evaluates a single computation (no thread handoff): a memo read,
-//!   then one watched slot driven to completion;
+//!   evaluates a single computation (no thread handoff): the door, then,
+//!   if the table did not answer, one watched slot driven to completion;
 //! * **pooled** ([`WorkerPool`]) — N worker threads drain jobs
 //!   concurrently, each owning its own deque slot; independent
 //!   sub-computations (e.g. the branches of a parallel map) run in
 //!   parallel, and idle workers steal.
 //!
+//! Every request first meets **the door** (`admit`): it emits the
+//! request's `SchedSubmit` and applies the one answer rule (`answer`),
+//! so whatever the node's table already holds — a value, a memoized
+//! `Eval`, and for a strict request the memoized `Force` of that value —
+//! is the request's answer there, before any scheduler state exists.
+//!
 //! Batches can also be **watched** instead of driven:
-//! `submit_watched_with` enqueues a set of roots and registers a
-//! `BatchState` that the completion path fills in as each root
+//! `submit_watched_with` enqueues the requests the door left to run and
+//! registers a `BatchState` that the completion path fills in as each
 //! finishes — no caller thread parked, no per-job polling. This is the
 //! mechanism behind the One Fix API's submission tickets
 //! (`fix_core::api::SubmitApi`); `wait_batch` turns the calling thread
@@ -91,10 +97,13 @@
 //! of a job visits its shard at most once and carries what it read to
 //! whoever needs it next:
 //!
-//! * **memo read** — no visit: `run_inline` and `watch_job` ask the
-//!   engine for the job's relation first (`Engine::memoized`); a hit
-//!   fills the slot, or, for a strict slot, chains to the `Force` of
-//!   the value, without taking a shard or (inline) allocating;
+//! * **answer** — no visit: the answer rule (`answer`) reads what the
+//!   table holds for the job (`Engine::memoized`: a value's `Eval` is
+//!   the value); a hit answers the slot, or, for a strict slot, moves on
+//!   to the `Force` of the value, without taking a shard or allocating.
+//!   The door asks it before a batch is watched (an answered request
+//!   never reaches the job map), and a strict chain asks it again when
+//!   its `Eval` completes (`watch_job`);
 //! * **watch** — one visit: enqueue the job unless it is in flight, and
 //!   register the slot's watcher;
 //! * **claim** — one visit (`claim_token`): the token leaves its deque,
@@ -107,7 +116,7 @@
 //!   has no entry, so it is re-enqueued and its one step is a cache hit.
 //!
 //! A single-step inline request is therefore three visits — watch,
-//! claim, complete — and a memoized one none.
+//! claim, complete — and an answered one none.
 //!
 //! **A failure is not memoized.** A failed job fails every slot and
 //! waiter it reaches and then, like a success, leaves no record. The
@@ -180,11 +189,39 @@ use std::time::{Duration, Instant};
 /// parked thread is off the hot path by definition).
 const PARK_SAFETY: Duration = Duration::from_millis(2);
 
+/// What the answer rule ([`Scheduler::answer`]) returns: the slot's
+/// answer, or the job still to run and whether it chains to a `Force`.
+pub(crate) type Answer = std::result::Result<Handle, (Job, bool)>;
+
+/// A request the door left to run.
+#[derive(Clone, Copy)]
+pub(crate) struct Unanswered {
+    /// Its position in the submission.
+    pub(crate) pos: usize,
+    /// The handle asked for: what the slot's trace events and a stall
+    /// name.
+    pub(crate) request: Handle,
+    /// The answer rule's miss: the job still to run, and whether it
+    /// chains to a `Force`.
+    pub(crate) rest: (Job, bool),
+}
+
 /// Compact trace identity of a job: its handle's
 /// [`trace_id`](fix_core::handle::trace_id).
 pub(crate) fn job_trace_id(job: &Job) -> u64 {
     let (Job::Eval(h) | Job::Force(h)) = job;
     fix_core::handle::trace_id(h.raw())
+}
+
+/// Records a scheduler trace event for `job` (tracing is on). Kept out
+/// of line: with the trace id read inline in the door, a warm `eval`
+/// measured about 1.7× slower in the `ablations` bench though tracing
+/// was off (the compiler kept the request's handle in 8- and 16-byte
+/// stack pieces to serve that read).
+#[cold]
+#[inline(never)]
+pub(crate) fn emit_job(kind: EventKind, job: &Job, a: u32, b: u32) {
+    fix_obs::emit(kind, 0, job_trace_id(job), a, b);
 }
 
 /// The shared scheduler for one node.
@@ -259,12 +296,48 @@ impl Scheduler {
     }
 
     /// Emits a scheduler trace event for `job`. The disabled path is
-    /// one relaxed atomic load (argument evaluation included).
+    /// one relaxed atomic load (argument evaluation included; the
+    /// enabled path is [`emit_job`], out of line).
     #[inline]
     fn trace_job(&self, kind: EventKind, job: &Job, a: u32, b: u32) {
         if fix_obs::tracing_enabled() {
-            fix_obs::emit(kind, 0, job_trace_id(job), a, b);
+            emit_job(kind, job, a, b);
         }
+    }
+
+    // ----------------------------------------------------------------
+    // The door
+
+    /// The answer rule: what the node's table already holds for a slot
+    /// that waits on `job`. It reads `job`'s result
+    /// ([`Engine::memoized`]: a value's `Eval` is the value itself), and
+    /// a strict slot (`then_force`) whose `Eval` is held goes on to the
+    /// `Force` of the value it read. Returns the slot's answer, or the
+    /// job still to run and whether that job still chains to a `Force`.
+    /// Takes no shard and allocates nothing. It is the one place the
+    /// scheduler reads the memo: a request at the door
+    /// ([`admit`](Self::admit)) and a strict chain advancing onto its
+    /// `Force` ([`watch_job`](Self::watch_job)) both ask it.
+    fn answer(&self, mut job: Job, mut then_force: bool) -> Answer {
+        while let Some(v) = self.engine.memoized(job) {
+            if !then_force {
+                return Ok(v);
+            }
+            job = Job::Force(v);
+            then_force = false;
+        }
+        Err((job, then_force))
+    }
+
+    /// A request for `h` arriving as position `pos` of its submission
+    /// (`strict`: deep-forced too): emits its `SchedSubmit` under `h`'s
+    /// trace id, answered or not, and applies [`answer`](Self::answer)
+    /// to its `Eval`. A miss goes on to
+    /// [`submit_watched_with`](Self::submit_watched_with).
+    pub(crate) fn admit(&self, h: Handle, strict: bool, pos: usize) -> Answer {
+        let request = Job::Eval(h);
+        self.trace_job(EventKind::SchedSubmit, &request, pos as u32, 0);
+        self.answer(request, strict)
     }
 
     // ----------------------------------------------------------------
@@ -307,56 +380,62 @@ impl Scheduler {
         self.deques.push(slot, job);
     }
 
-    /// Submits every root and registers a completion watcher for each,
-    /// returning immediately — no caller thread is parked. Roots whose
-    /// relation is memoized fill their slots on the spot; the rest fill
-    /// as the completion path reaches them. Each root is `(job,
-    /// then_force)`: a strict slot submits its `Eval` with
-    /// `then_force`, and the watcher chains onto the `Force` of the
-    /// result when the eval completes. This is the scheduler half of
-    /// the One Fix API's `submit_with`, and of `run_inline`; tokens go
-    /// to the external slot.
-    pub(crate) fn submit_watched_with(&self, roots: &[(Job, bool)]) -> Arc<BatchState> {
-        let state = Arc::new(BatchState::new(roots));
+    /// Watches every request the door left to run, returning
+    /// immediately — no caller thread is parked. Each slot's job is
+    /// enqueued into the external slot unless it is in flight, and its
+    /// completion watcher registered on the job's entry; the slot fills
+    /// as the completion path reaches it. A strict miss still at its
+    /// `Eval` chains onto the `Force` of the result when the eval
+    /// completes. This is the scheduler half of the One Fix API's
+    /// `submit_with`, and of `run_inline`.
+    pub(crate) fn submit_watched_with(&self, pending: &[Unanswered]) -> Arc<BatchState> {
+        let state = Arc::new(BatchState::new(pending));
         let slot = self.deques.external();
-        for (pos, &(job, then_force)) in roots.iter().enumerate() {
-            self.trace_job(EventKind::SchedSubmit, &job, pos as u32, 0);
-            self.watch_job(&state, pos, job, then_force, slot);
+        for (pos, request) in pending.iter().enumerate() {
+            let (job, then_force) = request.rest;
+            self.register_watcher(&state, pos, job, then_force, slot);
         }
         state
     }
 
-    /// Points slot `pos` of `state` at `job`: reads the memo first and
-    /// fills on a hit (chaining through `Force` for strict slots),
-    /// otherwise enqueues the job into deque slot `slot` unless it is in
-    /// flight, and registers the completion watcher on the job's shard
-    /// entry. A claimed slot registers nothing: its watcher would be
-    /// dead on arrival. That check only skips useless work — a watcher
-    /// whose slot is claimed a moment later is freed with its job's
-    /// entry like any dead watcher.
+    /// Points slot `pos` of `state` at `job`: the answer rule first
+    /// ([`answer`](Self::answer)), which fills the slot on a hit, then
+    /// [`register_watcher`](Self::register_watcher). A claimed slot
+    /// registers nothing: its watcher would be dead on arrival. That
+    /// check only skips useless work — a watcher whose slot is claimed a
+    /// moment later is freed with its job's entry like any dead watcher.
     fn watch_job(
         &self,
         state: &Arc<BatchState>,
         pos: usize,
-        mut job: Job,
-        mut then_force: bool,
+        job: Job,
+        then_force: bool,
         slot: usize,
     ) {
         if state.slot_claimed(pos) {
             return;
         }
-        while let Some(v) = self.engine.memoized(job) {
-            if !then_force {
+        match self.answer(job, then_force) {
+            Ok(v) => {
                 if state.fill(pos, Ok(v)) {
                     self.notify_sleepers(slot);
                 }
-                return;
             }
-            // The eval stage is memoized: the slot's fate rests on the
-            // force of its value.
-            job = Job::Force(v);
-            then_force = false;
+            Err((job, then_force)) => self.register_watcher(state, pos, job, then_force, slot),
         }
+    }
+
+    /// Enqueues `job` into deque slot `slot` unless it is in flight, and
+    /// registers slot `pos` of `state` as a completion watcher on the
+    /// job's shard entry.
+    fn register_watcher(
+        &self,
+        state: &Arc<BatchState>,
+        pos: usize,
+        job: Job,
+        then_force: bool,
+        slot: usize,
+    ) {
         let pushed = {
             let mut shard = self.jobs.shard(&job);
             let (entry, pushed) = self.enqueue_entry(&mut shard, job, slot);
@@ -407,19 +486,22 @@ impl Scheduler {
         }
     }
 
-    /// Evaluates `root` on the calling thread: a memo read, then one
-    /// watched slot (`then_force`: a strict slot, the eval→force chain
-    /// tickets use) driven by [`wait_batch`](Scheduler::wait_batch), then
+    /// Evaluates `h` on the calling thread (`strict`: deep-forced too):
+    /// the door ([`admit`](Scheduler::admit)), then, on a miss, one
+    /// watched slot driven by [`wait_batch`](Scheduler::wait_batch), then
     /// the slot's result. Cooperates with pool workers and other drivers;
-    /// a memo hit takes no shard and allocates nothing. This is the
-    /// Fig. 7a microsecond path.
-    pub fn run_inline(&self, root: Job, then_force: bool) -> Result<Handle> {
-        if !then_force {
-            if let Some(v) = self.engine.memoized(root) {
-                return Ok(v);
-            }
-        }
-        let state = self.submit_watched_with(&[(root, then_force)]);
+    /// an answer at the door takes no shard and allocates nothing. This
+    /// is the Fig. 7a microsecond path.
+    pub fn run_inline(&self, h: Handle, strict: bool) -> Result<Handle> {
+        let rest = match self.admit(h, strict, 0) {
+            Ok(v) => return Ok(v),
+            Err(rest) => rest,
+        };
+        let state = self.submit_watched_with(&[Unanswered {
+            pos: 0,
+            request: h,
+            rest,
+        }]);
         self.wait_batch(&state);
         state.result(0)
     }
@@ -972,6 +1054,17 @@ mod tests {
         tree.application().expect("a tree names an application")
     }
 
+    /// Position `pos`'s request for `request` as the door leaves it when
+    /// the table holds nothing for it: its `Eval` to run, chaining to a
+    /// `Force` if `strict`.
+    fn unanswered(pos: usize, request: Handle, strict: bool) -> Unanswered {
+        Unanswered {
+            pos,
+            request,
+            rest: (Job::Eval(request), strict),
+        }
+    }
+
     /// The interleaving a stress loop does not find (a ≈ 30 ns window
     /// that needs a preemption), run by hand: a stepped job registers on
     /// a dependency, the dependency fails before the job settles its
@@ -984,11 +1077,12 @@ mod tests {
         let sched = Scheduler::new(Arc::new(engine), 0);
         let external = sched.deques.external();
         // Job identities only: nothing here is stepped by the engine.
-        let waiter = Job::Eval(Blob::from_u64(1).handle());
+        let request = Blob::from_u64(1).handle();
+        let waiter = Job::Eval(request);
         let dep = Job::Eval(Blob::from_u64(2).handle());
         // The waiter is mid-step (`Running`, token popped), and one
         // watched slot wants it.
-        let slot = Arc::new(BatchState::new(&[(waiter, false)]));
+        let slot = Arc::new(BatchState::new(&[unanswered(0, request, false)]));
         {
             let mut shard = sched.jobs.shard(&waiter);
             let entry = shard.entry(waiter).or_default();
@@ -1031,8 +1125,8 @@ mod tests {
         const N: u64 = 8;
         let (store, engine, add) = adder();
         let sched = Scheduler::new(Arc::clone(&engine), 0);
-        let jobs: Vec<(Job, bool)> = (0..N)
-            .map(|i| (Job::Eval(add_thunk(&store, add, i, 1)), false))
+        let jobs: Vec<Unanswered> = (0..N)
+            .map(|i| unanswered(i as usize, add_thunk(&store, add, i, 1), false))
             .collect();
 
         let dropped = sched.submit_watched_with(&jobs);
@@ -1057,8 +1151,9 @@ mod tests {
     fn dropping_a_ticket_takes_no_job_map_lock() {
         let (store, engine, add) = adder();
         let sched = Scheduler::new(engine, 0);
-        let job = Job::Eval(add_thunk(&store, add, 1, 2));
-        let state = sched.submit_watched_with(&[(job, false)]);
+        let thunk = add_thunk(&store, add, 1, 2);
+        let job = Job::Eval(thunk);
+        let state = sched.submit_watched_with(&[unanswered(0, thunk, false)]);
         std::thread::scope(|scope| {
             // Declared inside the scope, so a failed assert releases the
             // shard while unwinding, before the scope joins the canceller.
@@ -1091,8 +1186,9 @@ mod tests {
         let (store, engine, add) = adder();
         let sched = Scheduler::new(engine, 0);
         let external = sched.deques.external();
-        let eval = Job::Eval(add_thunk(&store, add, 3, 4));
-        let state = sched.submit_watched_with(&[(eval, true)]);
+        let thunk = add_thunk(&store, add, 3, 4);
+        let eval = Job::Eval(thunk);
+        let state = sched.submit_watched_with(&[unanswered(0, thunk, true)]);
         let claim = sched.try_claim(external).expect("the eval is wanted");
         assert_eq!(claim.job, eval);
         sched.cancel_batch(&state);

@@ -1,54 +1,49 @@
 //! Native submission tickets over the scheduler.
 //!
-//! `Runtime` implements `fix_core::api::SubmitApi` directly: a
-//! submitted batch becomes a watched scheduler batch
-//! ([`Scheduler::submit_watched_with`]) whose completion slots are
-//! filled by the scheduler's own completion notifications — one job-map
-//! lock acquisition at submission, no caller thread parked, no polling.
+//! `Runtime` implements `fix_core::api::SubmitApi` directly. Each
+//! requested handle meets the scheduler's door first
+//! ([`Scheduler::admit`]): what the node's table already holds — a
+//! value, a memoized `Eval`, and for a strict slot the memoized `Force`
+//! of that value — answers the slot on the spot, and the slot never
+//! reaches the job map. A batch answered whole is a ready ticket, with
+//! no scheduler state behind it. The rest become one watched scheduler
+//! batch ([`Scheduler::submit_watched_with`]) whose slots are filled by
+//! the scheduler's own completion notifications — one job-map shard
+//! visit per slot at submission, no caller thread parked, no polling.
 //! The [`RuntimePending`] here is the glue between that watched batch
-//! and the backend-agnostic ticket machinery in `fix_core`.
+//! and the backend-agnostic ticket machinery in `fix_core`: it holds the
+//! door's answers by position and writes each watched slot's result into
+//! its position when the batch is done.
 //!
-//! The submission's `SubmitOptions` map onto the scheduler directly:
-//! [`Mode::Strict`](fix_core::api::Mode) turns each slot into a watched
-//! eval→force chain. Under WHNF, value handles never touch the
-//! scheduler (they evaluate to themselves), so the pending batch
-//! carries a slot plan mapping each requested position either to its
-//! value or to a watched job slot; under strict evaluation *every*
-//! handle is watched — even a value must be deep-forced.
+//! [`Mode::Strict`](fix_core::api::Mode) makes each slot the eval→force
+//! chain, answered or watched as one slot: a value's `Eval` is itself,
+//! so a strict value still waits only for its deep force.
 
-use crate::engine::Job;
-use crate::scheduler::{BatchState, Scheduler};
+use crate::scheduler::{BatchState, Scheduler, Unanswered};
 use fix_core::api::{BatchTicket, Mode, PendingBatch, SubmitOptions};
 use fix_core::error::Result;
 use fix_core::handle::Handle;
 use std::sync::Arc;
 
-/// Where each requested position gets its answer.
-enum Slot {
-    /// A value handle under WHNF: evaluates to itself, scheduler never
-    /// involved.
-    Value(Handle),
-    /// Slot `i` of the watched scheduler batch.
-    Job(usize),
-}
-
 /// One in-flight submitted batch on the single-node runtime.
 pub(crate) struct RuntimePending {
     scheduler: Arc<Scheduler>,
     state: Arc<BatchState>,
-    plan: Vec<Slot>,
+    /// The positional results: the door's answers, and at each watched
+    /// position a stand-in (the request itself) until the batch is done.
+    answers: Vec<Result<Handle>>,
+    /// The requests the door left to run, in watched-slot order.
+    pending: Vec<Unanswered>,
 }
 
 impl RuntimePending {
     /// Assembles positional results from the (completed) watched batch.
     fn assemble(&self) -> Vec<Result<Handle>> {
-        self.plan
-            .iter()
-            .map(|slot| match slot {
-                Slot::Value(h) => Ok(*h),
-                Slot::Job(i) => self.state.result(*i),
-            })
-            .collect()
+        let mut results = self.answers.clone();
+        for (slot, request) in self.pending.iter().enumerate() {
+            results[request.pos] = self.state.result(slot);
+        }
+        results
     }
 }
 
@@ -66,51 +61,37 @@ impl PendingBatch for RuntimePending {
     }
 }
 
-/// The watched root of a strict request for `h`: a value still needs
-/// its deep force; a thunk is the full chain — eval, then force the
-/// produced value.
-pub(crate) fn strict_root(h: Handle) -> (Job, bool) {
-    if h.is_value() {
-        (Job::Force(h), false)
-    } else {
-        (Job::Eval(h), true)
-    }
-}
-
 /// Builds the ticket for a batch of handles under request-scoped
-/// options: WHNF values resolve eagerly, everything else becomes one
-/// watched scheduler batch submitted under a single lock acquisition —
-/// strict slots as eval→force chains.
+/// options: every handle passes the door, and what it leaves to run
+/// becomes one watched scheduler batch.
 pub(crate) fn submit_with(
     scheduler: &Arc<Scheduler>,
     handles: &[Handle],
     options: SubmitOptions,
 ) -> BatchTicket {
-    let mut jobs: Vec<(Job, bool)> = Vec::new();
-    let plan: Vec<Slot> = handles
-        .iter()
-        .map(|&h| match options.mode {
-            Mode::Whnf if h.is_value() => Slot::Value(h),
-            Mode::Whnf => {
-                jobs.push((Job::Eval(h), false));
-                Slot::Job(jobs.len() - 1)
+    let strict = options.mode == Mode::Strict;
+    let mut answers = Vec::with_capacity(handles.len());
+    let mut pending = Vec::new();
+    for (pos, &request) in handles.iter().enumerate() {
+        match scheduler.admit(request, strict, pos) {
+            Ok(v) => answers.push(Ok(v)),
+            Err(rest) => {
+                answers.push(Ok(request));
+                pending.push(Unanswered { pos, request, rest });
             }
-            Mode::Strict => {
-                jobs.push(strict_root(h));
-                Slot::Job(jobs.len() - 1)
-            }
-        })
-        .collect();
-    if jobs.is_empty() {
-        // All WHNF values: the ticket is born resolved.
-        return BatchTicket::ready(handles.iter().map(|&h| Ok(h)).collect());
+        }
     }
-    let state = scheduler.submit_watched_with(&jobs);
+    if pending.is_empty() {
+        // Answered whole at the door: the ticket is born resolved.
+        return BatchTicket::ready(answers);
+    }
+    let state = scheduler.submit_watched_with(&pending);
     BatchTicket::from_pending(
         Arc::new(RuntimePending {
             scheduler: Arc::clone(scheduler),
             state,
-            plan,
+            answers,
+            pending,
         }),
         handles.len(),
     )

@@ -59,12 +59,11 @@ use crate::queue::{QueuedRequest, TenantClass, TenantQueues};
 use crate::routing::{Router, RoutingPolicy};
 use crate::server::{DriverReport, NodeReport, ServeConfig, ServeReport, TenantReport};
 use crate::snf::SnfPipeline;
-use crate::telemetry::LatencyHistogram;
 use crate::tenant::{draw_kind, RequestFactory, RequestKind, Tenant};
 use fix_core::api::{BatchTicket, InvocationApi, SubmitApi};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{trace_id, Handle, HandleSet};
-use fix_obs::EventKind;
+use fix_obs::{EventKind, LogHistogram};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -491,7 +490,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
                 .collect(),
         );
         let max_drivers = cfg.scaler.max_drivers;
-        let histogram = LatencyHistogram::new;
+        let histogram = LogHistogram::new;
         let mut sim = Sim {
             rt,
             cfg,
@@ -762,8 +761,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
         let warm = self.nodes[n].seen.contains(&thunk);
         let service_us = match &self.snf[a.tenant] {
             Some(p) => p.service_us(p.flow_of(a.seq), p.batch_of(a.seq)),
-            None if warm => kind.warm_service_us(),
-            None => kind.cold_service_us(),
+            None => kind.service_us(warm),
         };
         let node = &mut self.nodes[n];
         let admitted = node.queues.offer(QueuedRequest {
@@ -820,11 +818,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             // its pipeline has already advanced past it.
             let warm = self.nodes[m].seen.contains(&req.thunk);
             if self.snf[req.tenant].is_none() {
-                req.service_us = if warm {
-                    req.kind.warm_service_us()
-                } else {
-                    req.kind.cold_service_us()
-                };
+                req.service_us = req.kind.service_us(warm);
             }
             // Force-enqueue: the request was admitted (and counted)
             // once already; failover must not shed or re-offer it.

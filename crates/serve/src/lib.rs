@@ -51,8 +51,8 @@
 //! `fib`, `count-string` shards, the SeBS `dynamic-html` port — minted
 //! as ordinary Fix thunks), [`queue`] (bounded per-tenant queues:
 //! strict [`Priority`] tiers, earliest-deadline-first within a tier,
-//! deficit round robin among equals) and [`telemetry`] (mergeable
-//! log-scale latency histograms).
+//! deficit round robin among equals). Latencies are recorded in
+//! [`fix_obs::LogHistogram`]s (mergeable log-scale histograms).
 //!
 //! Every table is a pure function of the seed and the configuration:
 //! bit-identical across runs, backends, worker counts and the failure
@@ -114,7 +114,6 @@ pub mod queue;
 pub mod routing;
 pub mod server;
 pub mod snf;
-pub mod telemetry;
 pub mod tenant;
 
 pub use adapt::{adaptive_serve, AdaptConfig, AdaptReport};
@@ -129,5 +128,4 @@ pub use server::{
     serve, DriverReport, NodeReport, ScaleEvent, ServeConfig, ServeReport, TenantReport,
 };
 pub use snf::SnfSpec;
-pub use telemetry::LatencyHistogram;
 pub use tenant::{Priority, RequestFactory, RequestKind, SloClass, Tenant, TenantSpec};

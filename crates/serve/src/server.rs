@@ -12,10 +12,10 @@
 
 use crate::kernel;
 use crate::loadgen::Micros;
-use crate::telemetry::LatencyHistogram;
 use crate::tenant::TenantSpec;
 use fix_core::api::{InvocationApi, SubmitApi};
 use fix_core::error::Result;
+use fix_obs::LogHistogram;
 
 /// Configuration of one serve run.
 #[derive(Debug, Clone)]
@@ -90,17 +90,17 @@ pub struct TenantReport {
     /// serve tables read it.
     pub cancelled: u64,
     /// Virtual queueing + service latency of admitted requests.
-    pub latency: LatencyHistogram,
+    pub latency: LogHistogram,
     /// Queue-wait component of each served request's latency (admission
     /// to dispatch), in virtual µs.
-    pub queue_wait: LatencyHistogram,
+    pub queue_wait: LogHistogram,
     /// Own-service component (the request's modeled service time).
-    pub service: LatencyHistogram,
+    pub service: LogHistogram,
     /// Batch-fill component: everything else — the fixed per-batch
     /// dispatch overhead plus the co-batched requests' service the
     /// request waits out. For every sample,
     /// `latency = queue_wait + service + fill` exactly.
-    pub fill: LatencyHistogram,
+    pub fill: LogHistogram,
 }
 
 impl TenantReport {
@@ -142,7 +142,7 @@ pub struct DriverReport {
     pub busy_us: Micros,
     /// Virtual latency recorded by this driver alone (merging these
     /// across drivers equals the union of tenant histograms).
-    pub latency: LatencyHistogram,
+    pub latency: LogHistogram,
 }
 
 /// Per-node serving outcome for multi-node (dispatcher) runs.
@@ -249,8 +249,8 @@ impl ServeReport {
 
     /// Union latency across all tenants (equivalently: across all
     /// drivers — the merge-equality the telemetry tests pin down).
-    fn total_latency(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
+    fn total_latency(&self) -> LogHistogram {
+        let mut h = LogHistogram::new();
         for d in &self.drivers {
             h.merge(&d.latency);
         }
@@ -565,7 +565,7 @@ mod tests {
         // Driver-side and tenant-side accounting agree.
         let driver_reqs: u64 = report.drivers.iter().map(|d| d.requests).sum();
         assert_eq!(driver_reqs, report.completed);
-        let mut tenant_union = LatencyHistogram::new();
+        let mut tenant_union = LogHistogram::new();
         for t in &report.tenants {
             tenant_union.merge(&t.latency);
         }

@@ -51,15 +51,20 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// Modeled service time of a *cold* (not yet memoized) request, in
-    /// µs of virtual time, read from the workspace-wide calibration
-    /// table ([`fix_core::calibration::SERVICE_COSTS`]) — the same
-    /// table `ClusterClient` charges its flat per-task compute cost
-    /// from, so the serving clock and the cluster clock share one
-    /// source of truth. Calibration constants, not measurements: they
-    /// anchor the virtual clock that makes latency tables reproducible.
-    pub fn cold_service_us(&self) -> Micros {
+    /// Modeled service time of a request, in µs of virtual time: a warm
+    /// (memoized) repeat pays the Fig. 7a warm-memoized path, independent
+    /// of the procedure; a cold one pays its kind's execution. Both are
+    /// read from the workspace-wide calibration table
+    /// ([`fix_core::calibration::SERVICE_COSTS`]) — the same table
+    /// `ClusterClient` charges its flat per-task compute cost from, so
+    /// the serving clock and the cluster clock share one source of
+    /// truth. Calibration constants, not measurements: they anchor the
+    /// virtual clock that makes latency tables reproducible.
+    pub fn service_us(&self, warm: bool) -> Micros {
         let c = fix_core::calibration::SERVICE_COSTS;
+        if warm {
+            return c.warm_hit_us;
+        }
         match self {
             RequestKind::Add => c.native_cold_us,
             RequestKind::Fib { max_n } => c.vm_start_us + c.vm_step_us * max_n,
@@ -68,12 +73,6 @@ impl RequestKind {
             }
             RequestKind::SebsHtml { .. } => c.sebs_html_cold_us,
         }
-    }
-
-    /// Modeled service time of a warm (memoized) repeat, in µs: the
-    /// Fig. 7a warm-memoized path, independent of the procedure.
-    pub fn warm_service_us(&self) -> Micros {
-        fix_core::calibration::SERVICE_COSTS.warm_hit_us
     }
 
     /// Which distinct request `seq` is within its tenant: two requests
@@ -517,7 +516,7 @@ mod tests {
     fn service_model_orders_kinds_sensibly() {
         let add = RequestKind::Add;
         let html = RequestKind::SebsHtml { users: 4 };
-        assert!(add.cold_service_us() < html.cold_service_us());
-        assert!(add.warm_service_us() < add.cold_service_us());
+        assert!(add.service_us(false) < html.service_us(false));
+        assert!(add.service_us(true) < add.service_us(false));
     }
 }

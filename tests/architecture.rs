@@ -523,6 +523,34 @@ fn one_launch_pass() {
     );
 }
 
+/// One answer rule: what the node's table already holds — a value, a
+/// memoized `Eval`, and for a strict request the memoized `Force` of
+/// that value — is answered by the scheduler's `answer`, which the door
+/// (`admit`: `eval`, `eval_strict` and every submission) and a strict
+/// chain advancing onto its `Force` call. Another copy of part of the
+/// rule answers correctly too, only at another price, so it fails
+/// nothing else: forbid a strict root of its own, a value test in the
+/// runtime's entry points, and a second memo read in the scheduler.
+#[test]
+fn one_answer_rule() {
+    forbid(ALL, &[r"\bstrict_root\b"]);
+    forbid(
+        &[
+            "crates/runtime/src/runtime.rs",
+            "crates/runtime/src/submit.rs",
+        ],
+        &["is_value()"],
+    );
+    let reads = found(&["crates/runtime/src/scheduler"], |line| {
+        holds(&line.text, "memoized(")
+    });
+    assert_eq!(
+        reads.len(),
+        1,
+        "the scheduler reads the memo in `answer` only: {reads:#?}"
+    );
+}
+
 /// One serving crate: `serve`, `adaptive_serve` and `dispatch` live
 /// beside their kernel in `fix-serve`. `fix-adapt` and `fix-dispatch`
 /// stay only as one-file shells of re-exports, for dependents that

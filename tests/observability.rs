@@ -127,6 +127,54 @@ fn a_requests_serve_and_scheduler_events_share_its_id() {
     assert!(completed.is_subset(&ids(obs::EventKind::SchedSubmit)));
 }
 
+/// Every slot of a submission emits one `SchedSubmit` under its
+/// handle's trace id, whether the node's table answered it at the door
+/// (a memoized thunk, a value) or the scheduler ran it (a cold thunk).
+#[test]
+fn every_slot_is_submitted_once_under_its_handles_id() {
+    let _g = TRACE_LOCK.lock().unwrap();
+    let rt = Runtime::builder().build();
+    let add = rt.register_native(
+        "obs/add",
+        Arc::new(|ctx| {
+            let a = ctx.arg_blob(0)?.as_u64().unwrap();
+            let b = ctx.arg_blob(1)?.as_u64().unwrap();
+            ctx.host.create_blob((a + b).to_le_bytes().to_vec())
+        }),
+    );
+    let thunk = |a: u64| {
+        let args = [Blob::from_u64(a).handle(), Blob::from_u64(1).handle()];
+        rt.apply(ResourceLimits::default_limits(), add, &args)
+            .unwrap()
+    };
+    let answered = thunk(1);
+    rt.eval(answered).unwrap();
+    let batch = [
+        answered,
+        Blob::from_u64(5).handle(),
+        thunk(2),
+        rt.put_blob(Blob::from_vec(vec![9u8; 64])),
+        thunk(3),
+    ];
+
+    obs::recorder().clear();
+    obs::set_tracing(true);
+    let results = rt.eval_many(&batch);
+    obs::set_tracing(false);
+    let trace = obs::recorder().drain();
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+    let submits: Vec<_> = trace
+        .iter()
+        .filter(|e| e.kind == obs::EventKind::SchedSubmit)
+        .collect();
+    assert_eq!(submits.len(), batch.len(), "one submission per slot");
+    for h in batch {
+        let id = fix::core::handle::trace_id(h.raw());
+        let n = submits.iter().filter(|e| e.id == id).count();
+        assert_eq!(n, 1, "slot {h} is submitted once under its id");
+    }
+}
+
 /// The traced run's Chrome export parses, is non-empty, and carries
 /// wall-clock diagnostics (scheduler events) alongside the
 /// deterministic serve stream.
