@@ -143,6 +143,8 @@ impl<'a> NativeCtx<'a> {
     }
 
     /// Loads argument `i` of the invocation (slot `2 + i`) as a blob.
+    /// On the node's engine the input tree is the one its launch already
+    /// holds, so only the blob itself is read from the table.
     pub fn arg_blob(&mut self, i: usize) -> Result<Blob> {
         let tree = self.input_tree()?;
         let h = tree.get(2 + i).ok_or(Error::MalformedTree {

@@ -122,19 +122,17 @@ pub struct Engine {
     pub stats: EngineStats,
 }
 
-/// A [`HostApi`] over the node's store: what procedures see.
-pub(crate) struct StoreHost<'a> {
+/// A [`HostApi`] over the node's store: what procedures see. The
+/// invocation's own input is the tree its launch returned, so a
+/// procedure reading its arguments (a native `arg`, FixVM's `tree.get`
+/// on its input) does not go back to the table for it.
+struct StoreHost<'a> {
     store: &'a Store,
+    /// The launched application tree and its handle.
+    input: (&'a Tree, Handle),
 }
 
-impl<'a> StoreHost<'a> {
-    /// Wraps a store.
-    pub(crate) fn new(store: &'a Store) -> StoreHost<'a> {
-        StoreHost { store }
-    }
-}
-
-impl<'a> HostApi for StoreHost<'a> {
+impl HostApi for StoreHost<'_> {
     fn load_blob(&mut self, handle: Handle) -> Result<Blob> {
         if !handle.is_accessible() {
             return Err(Error::Inaccessible(handle));
@@ -146,7 +144,10 @@ impl<'a> HostApi for StoreHost<'a> {
         if !handle.is_accessible() {
             return Err(Error::Inaccessible(handle));
         }
-        self.store.get_tree(handle)
+        match self.input {
+            (tree, input) if input == handle => Ok(tree.clone()),
+            _ => self.store.get_tree(handle),
+        }
     }
 
     fn create_blob(&mut self, data: Vec<u8>) -> Result<Handle> {
@@ -413,10 +414,13 @@ impl Engine {
         }
         self.stats.procedures_run.fetch_add(1, Ordering::Relaxed);
 
+        let mut host = StoreHost {
+            store: &self.store,
+            input: (tree, tree_handle),
+        };
         // Native codelet?
         if let Some(f) = self.registry.lookup(proc) {
             self.stats.native_runs.fetch_add(1, Ordering::Relaxed);
-            let mut host = StoreHost::new(&self.store);
             let mut ctx = NativeCtx {
                 input: tree_handle,
                 host: &mut host,
@@ -429,7 +433,6 @@ impl Engine {
         if Module::is_module(blob.as_slice()) {
             self.stats.vm_runs.fetch_add(1, Ordering::Relaxed);
             let module = self.load_module(proc, &blob)?;
-            let mut host = StoreHost::new(&self.store);
             let out = fix_vm::run(
                 &module,
                 &mut host,

@@ -823,6 +823,88 @@ mod tests {
         assert_eq!(rt.job_entries(), 0);
     }
 
+    /// The scheduler events of `request`, evaluated by `eval` on this
+    /// thread: the recorder is process-wide, so only the events of the
+    /// thread that emitted the request's `SchedSubmit` are kept.
+    fn sched_events_of(
+        request: fix_core::handle::Handle,
+        eval: impl FnOnce() -> fix_core::error::Result<fix_core::handle::Handle>,
+    ) -> (fix_core::handle::Handle, Vec<fix_obs::TraceEvent>) {
+        use fix_obs::EventKind;
+        let id = fix_core::handle::trace_id(request.raw());
+        fix_obs::recorder().clear();
+        fix_obs::set_tracing(true);
+        let out = eval();
+        fix_obs::set_tracing(false);
+        let trace = fix_obs::recorder().drain();
+        let events = trace
+            .threads
+            .into_iter()
+            .find(|t| {
+                t.events
+                    .iter()
+                    .any(|ev| ev.kind == EventKind::SchedSubmit && ev.id == id)
+            })
+            .expect("the request emitted its SchedSubmit")
+            .events;
+        (out.expect("the request succeeds"), events)
+    }
+
+    /// A cold single-step `eval` is stepped where it arrives: the door
+    /// claims its job (no deque token, so no enqueue and no pop), steps
+    /// it on the calling thread and completes it, leaving no entry, no
+    /// watcher and nothing queued. A request whose door step parks (a
+    /// salted FixVM `fib(12)`, on its tail call) falls back to the
+    /// watched path and takes the 30 steps it always did.
+    #[test]
+    fn a_cold_single_step_eval_never_queues() {
+        use fix_obs::EventKind;
+        let count = |events: &[fix_obs::TraceEvent], kind: EventKind| {
+            events.iter().filter(|ev| ev.kind == kind).count()
+        };
+        let rt = Runtime::builder().build();
+        let add = register_add(&rt);
+        let args = [5, 8].map(|n| rt.put_blob(Blob::from_u64(n)));
+        let thunk = rt.apply(limits(), add, &args).unwrap();
+        let (out, events) = sched_events_of(thunk, || rt.eval(thunk));
+        assert_eq!(rt.get_u64(out).unwrap(), 13);
+        assert_eq!(count(&events, EventKind::SchedSubmit), 1);
+        assert_eq!(count(&events, EventKind::SchedExecute), 1);
+        assert_eq!(count(&events, EventKind::SchedComplete), 1);
+        assert_eq!(count(&events, EventKind::SchedEnqueue), 0, "no token");
+        assert_eq!(count(&events, EventKind::SchedPop), 0, "no token");
+        assert_eq!(rt.queued_jobs(), 0);
+        assert_eq!(rt.job_entries(), 0);
+        assert_eq!(rt.submission_watchers(), 0);
+
+        let fib = rt
+            .install_vm_module(include_str!("../../../tests/guests/fib.fvm"))
+            .unwrap();
+        let vm_add = rt
+            .install_vm_module(include_str!("../../../tests/guests/add.fvm"))
+            .unwrap();
+        let n = rt.put_blob(Blob::from_u64(12));
+        let salted = |salt: u64| {
+            let limits = ResourceLimits::new(64 << 20, (1 << 32) + salt);
+            rt.apply(limits, fib, &[vm_add, n]).unwrap()
+        };
+        // The first salt memoizes the Fibonacci values' forcings, as in
+        // the benchmark's steady state.
+        assert_eq!(rt.get_u64(rt.eval_strict(salted(7)).unwrap()).unwrap(), 144);
+        let thunk = salted(8);
+        let (out, events) = sched_events_of(thunk, || rt.eval_strict(thunk));
+        assert_eq!(rt.get_u64(out).unwrap(), 144);
+        let steps: Vec<_> = events
+            .iter()
+            .filter(|ev| ev.kind == EventKind::SchedExecute)
+            .collect();
+        assert_eq!(steps.len(), 30, "scheduler steps for one salted fib(12)");
+        assert_eq!(steps[0].b, 1, "the door's step parks on its tail call");
+        assert_eq!(rt.queued_jobs(), 0);
+        assert_eq!(rt.job_entries(), 0);
+        assert_eq!(rt.submission_watchers(), 0);
+    }
+
     /// Regression: pool shutdown must not race a worker into a missed
     /// wakeup. The flag store now happens under the scheduler mutex;
     /// before that fix, roughly 1-in-10³ create/work/drop cycles left a

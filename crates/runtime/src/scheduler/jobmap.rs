@@ -5,9 +5,11 @@
 //! waiters, and the watched-batch watchers registered on it. A
 //! finished job has no entry — its result is its relation in the
 //! node's table, the only memo — so the map holds work
-//! queued, running or parked. An entry is created with the job's one
-//! queue token, so a `Queued` entry's token is in a deque; a job nothing
-//! wants any more keeps its entry until that token is popped.
+//! queued, running or parked. An entry a watch or a dependency creates
+//! comes with the job's one queue token, so a `Queued` entry's token is
+//! in a deque; a job nothing wants any more keeps its entry until that
+//! token is popped. The entry the scheduler's door creates has no token:
+//! it is `Running` from the start, stepped by the thread that made it.
 //! The map is sharded by the keyed word fold of the job identity
 //! (`fix_core::handle::HandleBuildHasher`, the same fold each shard's
 //! map buckets by, and the one the node's table shards by), so
@@ -39,7 +41,8 @@ pub(super) enum JobState {
     /// parked job was requeued.
     #[default]
     Queued,
-    /// Its token was popped and the job is being stepped.
+    /// The job is being stepped: its token was popped, or the door
+    /// claimed it.
     Running,
     /// Parked until the pending dependencies of its [`DepWait`] complete.
     Waiting,

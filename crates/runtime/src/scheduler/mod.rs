@@ -33,8 +33,9 @@
 //!    steals FIFO from other slots when empty. The queue is not tiered:
 //!    which request goes first is decided once, by the serving kernel
 //!    on its virtual clock, before the batch is submitted. A job has at
-//!    most one token: one is pushed only when its entry is created or
-//!    its parked job is requeued.
+//!    most one token: one is pushed only when a watch or a dependency
+//!    creates its entry, or its parked job is requeued. The entry the
+//!    door creates for the job it steps has none.
 //! 3. **Lock-free batch fills** (`batch`) — a watched batch's slots
 //!    are filled by first-writer-wins CAS claims; `remaining` counts
 //!    down atomically and only the final fill touches the condvar (and
@@ -48,7 +49,10 @@
 //! * **inline** ([`Scheduler::run_inline`]) — the calling thread drains
 //!   jobs itself; this is the microsecond path used when a client
 //!   evaluates a single computation (no thread handoff): the door, then,
-//!   if the table did not answer, one watched slot driven to completion;
+//!   if the table did not answer, the door's step — the job claimed and
+//!   stepped on the calling thread, no deque token — and only if the job
+//!   was in flight or the step parked, one watched slot driven to
+//!   completion;
 //! * **pooled** ([`WorkerPool`]) — N worker threads drain jobs
 //!   concurrently, each owning its own deque slot; independent
 //!   sub-computations (e.g. the branches of a parallel map) run in
@@ -107,7 +111,10 @@
 //! * **watch** — one visit: enqueue the job unless it is in flight, and
 //!   register the slot's watcher;
 //! * **claim** — one visit (`claim_token`): the token leaves its deque,
-//!   and the entry says whether anything still wants the job;
+//!   and the entry says whether anything still wants the job. The door's
+//!   claim (`claim_at_door`) is one visit too, and takes the place of
+//!   the watch and the token: a job with no entry gets one, `Running`,
+//!   and is stepped by the thread it arrived on;
 //! * **complete and remove** — one visit per completed job
 //!   (`complete_job`): take the watchers and waiters, drop the entry;
 //! * **park** — one visit per dependency and one for the job's own
@@ -115,8 +122,11 @@
 //!   dependency registers: one that finished just before registration
 //!   has no entry, so it is re-enqueued and its one step is a cache hit.
 //!
-//! A single-step inline request is therefore three visits — watch,
-//! claim, complete — and an answered one none.
+//! A single-step inline request is therefore two visits — the door's
+//! claim and the completion — with no deque token, and an answered one
+//! none. One whose door step parks adds the park's visits and one watch
+//! on its own entry; a submitted slot (a ticket) is still watch, claim
+//! and complete.
 //!
 //! **A failure is not memoized.** A failed job fails every slot and
 //! waiter it reaches and then, like a success, leaves no record. The
@@ -387,7 +397,7 @@ impl Scheduler {
     /// as the completion path reaches it. A strict miss still at its
     /// `Eval` chains onto the `Force` of the result when the eval
     /// completes. This is the scheduler half of the One Fix API's
-    /// `submit_with`, and of `run_inline`.
+    /// `submit_with`, and of the door's fallback (`run_at_door`).
     pub(crate) fn submit_watched_with(&self, pending: &[Unanswered]) -> Arc<BatchState> {
         let state = Arc::new(BatchState::new(pending));
         let slot = self.deques.external();
@@ -487,16 +497,42 @@ impl Scheduler {
     }
 
     /// Evaluates `h` on the calling thread (`strict`: deep-forced too):
-    /// the door ([`admit`](Scheduler::admit)), then, on a miss, one
-    /// watched slot driven by [`wait_batch`](Scheduler::wait_batch), then
-    /// the slot's result. Cooperates with pool workers and other drivers;
-    /// an answer at the door takes no shard and allocates nothing. This
-    /// is the Fig. 7a microsecond path.
+    /// the door ([`admit`](Scheduler::admit)), then, on a miss, the
+    /// door's step ([`run_at_door`](Scheduler::run_at_door)).
+    /// Cooperates with pool workers and other drivers; an answer at the
+    /// door takes no shard and allocates nothing. This is the Fig. 7a
+    /// microsecond path.
     pub fn run_inline(&self, h: Handle, strict: bool) -> Result<Handle> {
-        let rest = match self.admit(h, strict, 0) {
-            Ok(v) => return Ok(v),
-            Err(rest) => rest,
-        };
+        match self.admit(h, strict, 0) {
+            Ok(v) => Ok(v),
+            Err(rest) => self.run_at_door(h, rest),
+        }
+    }
+
+    /// Runs what the door could not answer for request `h`: while its
+    /// job is in nobody's hands, claims it ([`claim_at_door`]) and steps
+    /// it on the calling thread, and a strict request whose `Eval` is
+    /// done goes on to the answer rule for its `Force`, and steps that
+    /// too. A single-step request is thus two job-map visits, the claim
+    /// and the completion, and no deque token. A job already in flight,
+    /// or a step that parks, falls back to one watched slot driven by
+    /// [`wait_batch`](Scheduler::wait_batch). Out of line, so an answered
+    /// `eval` does not carry this frame.
+    ///
+    /// [`claim_at_door`]: Scheduler::claim_at_door
+    #[inline(never)]
+    fn run_at_door(&self, h: Handle, mut rest: (Job, bool)) -> Result<Handle> {
+        let slot = self.deques.external();
+        while let Some(claim) = self.claim_at_door(rest.0, slot) {
+            match claim.execute() {
+                Some(Ok(v)) if rest.1 => match self.answer(Job::Force(v), false) {
+                    Ok(forced) => return Ok(forced),
+                    Err(force) => rest = force,
+                },
+                Some(result) => return result,
+                None => break,
+            }
+        }
         let state = self.submit_watched_with(&[Unanswered {
             pos: 0,
             request: h,
@@ -504,6 +540,28 @@ impl Scheduler {
         }]);
         self.wait_batch(&state);
         state.result(0)
+    }
+
+    /// The door's claim on `job` for an owner of `slot`: when the job map
+    /// has no entry for it, inserts one, `Running` and with no token, and
+    /// raises the executor claim as [`try_claim`](Self::try_claim) does.
+    /// That one shard visit is the dedup: a request arriving meanwhile
+    /// finds the entry and watches it. `None` when the job is in flight.
+    fn claim_at_door(&self, job: Job, slot: usize) -> Option<Claim<'_>> {
+        let mut shard = self.jobs.shard(&job);
+        let Entry::Vacant(entry) = shard.entry(job) else {
+            return None;
+        };
+        self.executing.fetch_add(1, Ordering::SeqCst);
+        entry.insert(JobEntry {
+            state: JobState::Running,
+            ..JobEntry::default()
+        });
+        Some(Claim {
+            scheduler: self,
+            job,
+            slot,
+        })
     }
 
     /// Claims the next runnable job for an owner of slot `home`: raises
@@ -562,7 +620,9 @@ impl Scheduler {
     // Execution
 
     /// Steps a job claimed by an owner of `slot` and records the
-    /// outcome; what the step enqueues goes to `slot`.
+    /// outcome; what the step enqueues goes to `slot`. Returns the job's
+    /// result when the step completed it, `None` when it parked (on
+    /// dependencies or a tail call).
     ///
     /// A panicking codelet is caught at this boundary and recorded as a
     /// guest [`Error::Trap`] — panics are guest faults like VM traps, and
@@ -570,7 +630,7 @@ impl Scheduler {
     /// Letting the panic unwind instead would lose the job (its entry
     /// stays `Running` but nothing steps it any more), permanently
     /// hanging any driver or pool waiting on it.
-    fn execute(&self, job: Job, slot: usize) {
+    fn execute(&self, job: Job, slot: usize) -> Option<Result<Handle>> {
         let t0 = fix_obs::tracing_enabled().then(Instant::now);
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.engine.step(job)))
             .unwrap_or_else(|payload| {
@@ -594,13 +654,23 @@ impl Scheduler {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        match step {
-            Ok(Step::Done(h)) => self.complete_job(job, Ok(h), slot),
-            Err(e) => self.complete_job(job, Err(e), slot),
-            Ok(Step::Deps(deps)) => self.park_on_deps(job, &deps, false, slot),
-            Ok(Step::Tail(callee)) => self.park_on_deps(job, &[callee], true, slot),
+        let outcome = match step {
+            Ok(Step::Done(h)) => Some(Ok(h)),
+            Err(e) => Some(Err(e)),
+            Ok(Step::Deps(deps)) => {
+                self.park_on_deps(job, &deps, false, slot);
+                None
+            }
+            Ok(Step::Tail(callee)) => {
+                self.park_on_deps(job, &[callee], true, slot);
+                None
+            }
+        };
+        if let Some(result) = &outcome {
+            self.complete_job(job, result.clone(), slot);
         }
         self.notify_sleepers(slot);
+        outcome
     }
 
     /// Parks a stepped job on its unfinished dependencies via a fresh
@@ -945,7 +1015,8 @@ impl Scheduler {
 }
 
 /// A driver's executor claim on one popped job (see
-/// [`Scheduler::try_claim`]): while it lives, concurrent drivers that
+/// [`Scheduler::try_claim`]), or on the job the door claimed (see
+/// [`Scheduler::claim_at_door`]): while it lives, concurrent drivers that
 /// find the deques empty see the in-flight step (via the `executing`
 /// counter) instead of reporting a stall. Dropping releases the claim
 /// and wakes parked drivers — also on unwind, so a panicking codelet
@@ -959,9 +1030,10 @@ struct Claim<'a> {
 }
 
 impl Claim<'_> {
-    /// Steps the claimed job, then releases the claim.
-    fn execute(self) {
-        self.scheduler.execute(self.job, self.slot);
+    /// Steps the claimed job, then releases the claim; returns what
+    /// [`Scheduler::execute`] does.
+    fn execute(self) -> Option<Result<Handle>> {
+        self.scheduler.execute(self.job, self.slot)
         // Release happens in Drop, which also covers the panic path.
     }
 }
@@ -1023,35 +1095,40 @@ mod tests {
     use fix_core::limits::ResourceLimits;
     use fix_storage::Store;
 
-    /// A table, an engine over it and a registered native `add`.
-    fn adder() -> (Arc<Store>, Arc<Engine>, Handle) {
+    /// A table, an engine over it and a registered native `f`.
+    fn node_with(f: fix_core::api::NativeFn) -> (Arc<Store>, Arc<Engine>, Handle) {
         let store = Arc::new(Store::new());
         let registry = Arc::new(ProgramRegistry::new());
-        let (marker, add) = registry.register(
-            "add",
-            Arc::new(|ctx| {
-                let a = ctx.arg_blob(0)?.as_u64().expect("u64 arg");
-                let b = ctx.arg_blob(1)?.as_u64().expect("u64 arg");
-                ctx.host.create_blob((a + b).to_le_bytes().to_vec())
-            }),
-        );
+        let (marker, procedure) = registry.register("native", f);
         store.put_blob(marker);
         let engine = Arc::new(Engine::new(Arc::clone(&store), registry));
-        (store, engine, add)
+        (store, engine, procedure)
+    }
+
+    /// A table, an engine over it and a registered native `add`.
+    fn adder() -> (Arc<Store>, Arc<Engine>, Handle) {
+        node_with(Arc::new(|ctx| {
+            let a = ctx.arg_blob(0)?.as_u64().expect("u64 arg");
+            let b = ctx.arg_blob(1)?.as_u64().expect("u64 arg");
+            ctx.host.create_blob((a + b).to_le_bytes().to_vec())
+        }))
+    }
+
+    /// The thunk of `procedure(args)`.
+    fn thunk_of(store: &Store, procedure: Handle, args: Vec<Handle>) -> Handle {
+        let invocation = Invocation {
+            limits: ResourceLimits::default_limits(),
+            procedure,
+            args,
+        };
+        let tree = store.put_tree(invocation.to_tree());
+        tree.application().expect("a tree names an application")
     }
 
     /// The thunk of `add(a, b)`.
     fn add_thunk(store: &Store, add: Handle, a: u64, b: u64) -> Handle {
-        let invocation = Invocation {
-            limits: ResourceLimits::default_limits(),
-            procedure: add,
-            args: vec![
-                store.put_blob(Blob::from_u64(a)),
-                store.put_blob(Blob::from_u64(b)),
-            ],
-        };
-        let tree = store.put_tree(invocation.to_tree());
-        tree.application().expect("a tree names an application")
+        let args = [a, b].map(|n| store.put_blob(Blob::from_u64(n)));
+        thunk_of(store, add, args.to_vec())
     }
 
     /// Position `pos`'s request for `request` as the door leaves it when
@@ -1176,6 +1253,23 @@ mod tests {
         // The pop drops the job nothing live wants.
         assert!(sched.try_claim(sched.deques.external()).is_none());
         assert_eq!(sched.entry_count(), 0);
+    }
+
+    /// A panic in the door's step comes back as the step's `Trap`. The
+    /// door's entry goes with the completion and its executor claim with
+    /// the `Claim`, so a stall check afterwards finds nothing in flight.
+    #[test]
+    fn a_panic_at_the_door_leaves_no_entry_and_no_claim() {
+        let (store, engine, boom) = node_with(Arc::new(|_ctx| panic!("at the door")));
+        let sched = Scheduler::new(engine, 0);
+        let thunk = thunk_of(&store, boom, vec![]);
+        match sched.run_inline(thunk, false) {
+            Err(Error::Trap(msg)) => assert!(msg.contains("at the door"), "{msg}"),
+            other => panic!("expected the codelet's trap, got {other:?}"),
+        }
+        assert_eq!(sched.entry_count(), 0);
+        assert_eq!(sched.executing.load(Ordering::SeqCst), 0);
+        assert!(sched.stalled_now());
     }
 
     /// A strict slot cancelled while its `Eval` runs leaves a dead

@@ -26,9 +26,16 @@ impl Bytes {
         Bytes::from(Vec::new())
     }
 
-    /// Copies `data` into a fresh shared allocation.
+    /// Copies `data` into a fresh shared allocation (one allocation:
+    /// the `Arc<[u8]>` is built from the slice, with no `Vec` between).
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
+        let data: Arc<[u8]> = Arc::from(data);
+        let end = data.len();
+        Bytes {
+            data,
+            start: 0,
+            end,
+        }
     }
 
     /// Creates a region from a static slice (copies; the real crate

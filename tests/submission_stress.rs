@@ -22,12 +22,16 @@
 //!   that makes progress on them crossed a deque boundary: the steal
 //!   tests pin that cross-slot claiming keeps the same exactly-once
 //!   books, that a submitting thread's exit never strands its queued
-//!   work, and that a batch completes past a busy worker.
+//!   work, and that a batch completes past a busy worker;
+//! * **the door's claim** — a cold `eval` is stepped on the thread it
+//!   arrives on once the door claims its job: concurrent `eval`s of one
+//!   thunk still run it once, and a step that panics there leaves no
+//!   claim or entry behind.
 
 use fix::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 const PRODUCERS: usize = 4;
 const WAITERS: usize = 3;
@@ -592,4 +596,121 @@ fn a_batch_completes_past_a_busy_worker_via_stealing() {
     }
     assert_eq!(rt.submission_watchers(), 0);
     assert_eq!(rt.queued_jobs(), 0);
+}
+
+/// The door's claim is the dedup: each round, eight threads `eval` one
+/// fresh cold thunk at once on a 2-worker runtime. One of them claims
+/// the job and steps it where it arrived; the others find its entry and
+/// watch it. The procedure runs exactly once per round.
+#[test]
+fn concurrent_evals_of_one_cold_thunk_run_it_once() {
+    const THREADS: usize = 8;
+    const ROUNDS: u64 = 200;
+    let rt = Runtime::builder().workers(2).build();
+    let add = rt.register_native(
+        "stress/door-add",
+        Arc::new(|ctx| {
+            let a = ctx.arg_blob(0)?.as_u64().unwrap();
+            let b = ctx.arg_blob(1)?.as_u64().unwrap();
+            ctx.host
+                .create_blob(a.wrapping_add(b).to_le_bytes().to_vec())
+        }),
+    );
+    let thunks: Vec<Handle> = (0..ROUNDS)
+        .map(|r| {
+            let args = [9_000_000 + r, 3].map(|n| rt.put_blob(Blob::from_u64(n)));
+            rt.apply(limits(), add, &args).unwrap()
+        })
+        .collect();
+    let before = rt.procedures_run();
+    // Every thread passes the barrier twice a round: once to start the
+    // round together, once to let the leader read the count after every
+    // `eval` of the round returned and before any of the next begins.
+    let barrier = Barrier::new(THREADS);
+    let runs_after = Mutex::new(Vec::new());
+    let sums = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for &thunk in &thunks {
+                    barrier.wait();
+                    let sum = rt.eval(thunk).and_then(|h| rt.get_u64(h));
+                    sums.lock().unwrap().push(sum);
+                    if barrier.wait().is_leader() {
+                        runs_after.lock().unwrap().push(rt.procedures_run());
+                    }
+                }
+            });
+        }
+    });
+    let runs_after = runs_after.into_inner().unwrap();
+    let expected: Vec<u64> = (1..=ROUNDS).map(|r| before + r).collect();
+    assert_eq!(runs_after, expected, "one procedure run per round");
+    let mut sums: Vec<u64> = sums
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|s| s.expect("every eval of the round succeeds"))
+        .collect();
+    sums.sort_unstable();
+    let mut want: Vec<u64> = (0..ROUNDS)
+        .flat_map(|r| [9_000_000 + r + 3; THREADS])
+        .collect();
+    want.sort_unstable();
+    assert_eq!(sums, want);
+    assert_eq!(rt.submission_watchers(), 0);
+    assert_eq!(rt.queued_jobs(), 0);
+}
+
+/// A native that panics when the door steps it is a guest fault:
+/// `eval` returns `Error::Trap`, and the door's entry and claim go with
+/// the step. So the same thunk traps again (a leftover entry would leave
+/// its watcher on a job nobody steps: a stall, or with the claim also
+/// leaked, a hang), nothing is queued or watched, and the next `eval` on
+/// the runtime completes.
+#[test]
+fn a_panic_at_the_door_releases_its_claim() {
+    let rt = Runtime::builder().build();
+    let boom = rt.register_native(
+        "stress/door-panic",
+        Arc::new(|_ctx| -> Result<Handle> { panic!("guest bug at the door") }),
+    );
+    let bad = rt.apply(limits(), boom, &[]).unwrap();
+    for attempt in 0..2 {
+        match rt.eval(bad) {
+            Err(Error::Trap(msg)) => assert!(msg.contains("codelet panicked"), "{msg}"),
+            other => panic!("attempt {attempt}: expected the codelet's trap, got {other:?}"),
+        }
+    }
+    assert_eq!(rt.queued_jobs(), 0);
+    assert_eq!(rt.submission_watchers(), 0);
+
+    let add = rt.register_native(
+        "stress/after-panic-add",
+        Arc::new(|ctx| {
+            let a = ctx.arg_blob(0)?.as_u64().unwrap();
+            let b = ctx.arg_blob(1)?.as_u64().unwrap();
+            ctx.host
+                .create_blob(a.wrapping_add(b).to_le_bytes().to_vec())
+        }),
+    );
+    // A strict encode as an argument: the door's step parks on it, so
+    // this request also drives the watched path afterwards.
+    let inner = rt
+        .apply(
+            limits(),
+            add,
+            &[1, 2].map(|n| rt.put_blob(Blob::from_u64(n))),
+        )
+        .unwrap();
+    let outer = rt
+        .apply(
+            limits(),
+            add,
+            &[inner.strict().unwrap(), rt.put_blob(Blob::from_u64(4))],
+        )
+        .unwrap();
+    assert_eq!(rt.get_u64(rt.eval(outer).unwrap()).unwrap(), 7);
+    assert_eq!(rt.queued_jobs(), 0);
+    assert_eq!(rt.submission_watchers(), 0);
 }
