@@ -5,7 +5,7 @@ use crate::perf::PerfSample;
 use fix_core::api::{Evaluator, ObjectApi};
 use fix_core::error::Result;
 use fix_core::handle::Handle;
-use fix_core::invocation::Invocation;
+use fix_core::invocation::application_header;
 use fixpoint::Runtime;
 use std::sync::atomic::Ordering;
 
@@ -66,7 +66,7 @@ impl InvocationUsage {
 pub fn meter_eval(rt: &Runtime, thunk: Handle) -> Result<(Handle, InvocationUsage)> {
     let fp = rt.footprint(thunk)?;
     let def = rt.get_tree(thunk.thunk_definition()?)?;
-    let limits = Invocation::from_tree(&def)?.limits;
+    let (limits, _) = application_header(&def)?;
     let fuel = |rt: &Runtime| rt.engine().stats.fuel_used.load(Ordering::Relaxed);
     let start = std::time::Instant::now();
     let fuel_before = fuel(rt);

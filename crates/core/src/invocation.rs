@@ -23,7 +23,26 @@ pub(crate) fn application_tree(limits: ResourceLimits, procedure: Handle, args: 
         .collect()
 }
 
-/// A parsed application tree: `[limits, procedure, args...]`.
+/// The header of an application tree `[limits, procedure, args...]`:
+/// its limits and its procedure, read in place. Nothing is allocated;
+/// the arguments stay in the tree, where the procedure reads them.
+///
+/// The tree must have at least two entries, and slot 0 must be a
+/// literal resource-limits blob.
+pub fn application_header(tree: &Tree) -> Result<(ResourceLimits, Handle)> {
+    let &[limits, procedure, ..] = tree.entries() else {
+        return Err(Error::MalformedTree {
+            handle: tree.handle(),
+            reason: format!(
+                "application tree needs at least [limits, procedure], got {} entries",
+                tree.len()
+            ),
+        });
+    };
+    Ok((ResourceLimits::from_handle(limits)?, procedure))
+}
+
+/// An application tree to build: `[limits, procedure, args...]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Invocation {
     /// Resource limits for the invocation (slot 0).
@@ -39,27 +58,6 @@ impl Invocation {
     /// Builds the canonical application tree for this invocation.
     pub fn to_tree(&self) -> Tree {
         application_tree(self.limits, self.procedure, &self.args)
-    }
-
-    /// Parses an application tree.
-    ///
-    /// The tree must have at least two entries, and slot 0 must be a
-    /// literal resource-limits blob.
-    pub fn from_tree(tree: &Tree) -> Result<Invocation> {
-        let &[limits, procedure, ref args @ ..] = tree.entries() else {
-            return Err(Error::MalformedTree {
-                handle: tree.handle(),
-                reason: format!(
-                    "application tree needs at least [limits, procedure], got {} entries",
-                    tree.len()
-                ),
-            });
-        };
-        Ok(Invocation {
-            limits: ResourceLimits::from_handle(limits)?,
-            procedure,
-            args: args.to_vec(),
-        })
     }
 }
 
@@ -218,8 +216,10 @@ mod tests {
         };
         let tree = inv.to_tree();
         assert_eq!(tree.len(), 4);
-        let parsed = Invocation::from_tree(&tree).unwrap();
-        assert_eq!(parsed, inv);
+        assert_eq!(
+            application_header(&tree).unwrap(),
+            (inv.limits, inv.procedure)
+        );
     }
 
     #[test]
@@ -229,13 +229,13 @@ mod tests {
             Blob::from_slice(b"junk").handle(),
             Blob::from_slice(b"proc").handle(),
         ]);
-        assert!(Invocation::from_tree(&tree).is_err());
+        assert!(application_header(&tree).is_err());
     }
 
     #[test]
     fn invocation_requires_two_slots() {
         let tree = Tree::from_handles(vec![limits().handle()]);
-        assert!(Invocation::from_tree(&tree).is_err());
+        assert!(application_header(&tree).is_err());
     }
 
     #[test]

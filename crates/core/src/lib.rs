@@ -185,74 +185,96 @@ mod handle_tests {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/gen.rs"]
+mod gen;
+
+#[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::gen::{check, Rng};
 
-    proptest! {
-        /// Literal and canonical handles round-trip through raw bytes.
-        #[test]
-        fn handle_raw_round_trip(data in proptest::collection::vec(any::<u8>(), 0..200)) {
+    /// Literal and canonical handles round-trip through raw bytes.
+    #[test]
+    fn handle_raw_round_trip() {
+        check("handle_raw_round_trip", 64, |rng| {
+            let data = rng.vec(0..200, Rng::byte);
             let h = Blob::from_slice(&data).handle();
             let rt = Handle::from_raw(*h.raw()).unwrap();
-            prop_assert_eq!(h, rt);
-            prop_assert_eq!(h.size(), data.len() as u64);
-            prop_assert_eq!(h.is_literal(), data.len() <= 30);
-        }
+            assert_eq!(h, rt);
+            assert_eq!(h.size(), data.len() as u64);
+            assert_eq!(h.is_literal(), data.len() <= 30);
+        });
+    }
 
-        /// Content addressing: equal content gives equal handles, and
-        /// different content gives different handles.
-        #[test]
-        fn content_addressing(a in proptest::collection::vec(any::<u8>(), 0..100),
-                              b in proptest::collection::vec(any::<u8>(), 0..100)) {
+    /// Content addressing: equal content gives equal handles, and
+    /// different content gives different handles.
+    #[test]
+    fn content_addressing() {
+        check("content_addressing", 64, |rng| {
+            let a = rng.vec(0..100, Rng::byte);
+            let b = rng.vec(0..100, Rng::byte);
             let ha = Blob::from_slice(&a).handle();
             let hb = Blob::from_slice(&b).handle();
-            prop_assert_eq!(ha == hb, a == b);
-        }
+            assert_eq!(ha == hb, a == b);
+        });
+    }
 
-        /// Trees round-trip through their canonical serialization.
-        #[test]
-        fn tree_serialization_round_trip(blobs in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..64), 0..20)) {
-            let entries: Vec<Handle> =
-                blobs.iter().map(|b| Blob::from_slice(b).handle()).collect();
+    /// Trees round-trip through their canonical serialization.
+    #[test]
+    fn tree_serialization_round_trip() {
+        check("tree_serialization_round_trip", 64, |rng| {
+            let blobs = rng.vec(0..20, |rng| rng.vec(0..64, Rng::byte));
+            let entries: Vec<Handle> = blobs.iter().map(|b| Blob::from_slice(b).handle()).collect();
             let tree = Tree::from_handles(entries);
             let rt = Tree::from_canonical_bytes(&tree.canonical_bytes()).unwrap();
-            prop_assert_eq!(rt.handle(), tree.handle());
-        }
+            assert_eq!(rt.handle(), tree.handle());
+        });
+    }
 
-        /// Selection trees round-trip.
-        #[test]
-        fn selection_round_trip(begin in 0u64..1_000_000, len in 0u64..1_000_000,
-                                ranged in any::<bool>()) {
+    /// Selection trees round-trip.
+    #[test]
+    fn selection_round_trip() {
+        check("selection_round_trip", 64, |rng| {
+            let (begin, len) = (rng.range(0u64..1_000_000), rng.range(0u64..1_000_000));
             let target = Tree::from_handles(vec![]).handle();
-            let sel = if ranged {
+            let sel = if rng.bool() {
                 Selection::range(target, begin, begin + len)
             } else {
                 Selection::index(target, begin)
             };
             let rt = Selection::from_tree(&sel.to_tree()).unwrap();
-            prop_assert_eq!(rt, sel);
-        }
+            assert_eq!(rt, sel);
+        });
+    }
 
-        /// Kind transitions never alter payload, size, or literal status.
-        #[test]
-        fn transitions_preserve_identity(data in proptest::collection::vec(any::<u8>(), 0..64)) {
+    /// Kind transitions never alter payload, size, or literal status.
+    #[test]
+    fn transitions_preserve_identity() {
+        check("transitions_preserve_identity", 64, |rng| {
+            let data = rng.vec(0..64, Rng::byte);
             let obj = Blob::from_slice(&data).handle();
             let ident = obj.identification().unwrap();
             let enc = ident.shallow().unwrap();
-            for h in [obj.as_ref_handle(), ident, enc, enc.encoded_thunk().unwrap()] {
-                prop_assert_eq!(h.size(), obj.size());
-                prop_assert_eq!(h.is_literal(), obj.is_literal());
-                prop_assert_eq!(h.digest(), obj.digest());
+            for h in [
+                obj.as_ref_handle(),
+                ident,
+                enc,
+                enc.encoded_thunk().unwrap(),
+            ] {
+                assert_eq!(h.size(), obj.size());
+                assert_eq!(h.is_literal(), obj.is_literal());
+                assert_eq!(h.digest(), obj.digest());
             }
-        }
+        });
+    }
 
-        /// Resource limits round-trip.
-        #[test]
-        fn limits_round_trip(m in any::<u64>(), f in any::<u64>(), o in any::<u64>()) {
+    /// Resource limits round-trip.
+    #[test]
+    fn limits_round_trip() {
+        check("limits_round_trip", 64, |rng| {
+            let (m, f, o) = (rng.next(), rng.next(), rng.next());
             let l = ResourceLimits::new(m, f).with_output_hint(o);
-            prop_assert_eq!(ResourceLimits::from_handle(l.handle()).unwrap(), l);
-        }
+            assert_eq!(ResourceLimits::from_handle(l.handle()).unwrap(), l);
+        });
     }
 }

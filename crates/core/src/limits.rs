@@ -7,7 +7,7 @@
 
 use crate::data::Blob;
 use crate::error::{Error, Result};
-use crate::handle::Handle;
+use crate::handle::{DataType, Handle, Kind};
 
 /// Resource limits for one function invocation.
 ///
@@ -83,10 +83,30 @@ impl ResourceLimits {
 
     /// Parses limits back from a blob.
     pub fn from_blob(blob: &Blob) -> Result<Self> {
-        let data = blob.as_slice();
+        Self::parse(blob.as_slice(), || blob.handle())
+    }
+
+    /// Parses limits directly from a literal handle, in place: nothing
+    /// is allocated.
+    pub fn from_handle(handle: Handle) -> Result<Self> {
+        let literal = match handle.kind() {
+            Kind::Object(DataType::Blob) | Kind::Ref(DataType::Blob) => handle.literal_content(),
+            _ => None,
+        };
+        match literal {
+            Some(data) => Self::parse(data, || handle),
+            None => Err(Error::TypeMismatch {
+                handle,
+                expected: "literal resource-limits blob",
+            }),
+        }
+    }
+
+    /// Parses the canonical 24 bytes; `handle` names them in an error.
+    fn parse(data: &[u8], handle: impl FnOnce() -> Handle) -> Result<Self> {
         if data.len() != Self::ENCODED_LEN {
             return Err(Error::MalformedTree {
-                handle: blob.handle(),
+                handle: handle(),
                 reason: format!(
                     "resource limits must be {} bytes, got {}",
                     Self::ENCODED_LEN,
@@ -104,17 +124,6 @@ impl ResourceLimits {
             fuel: word(8),
             output_size_hint: word(16),
         })
-    }
-
-    /// Parses limits directly from a literal handle.
-    pub fn from_handle(handle: Handle) -> Result<Self> {
-        match crate::data::literal_blob(handle) {
-            Some(blob) => Self::from_blob(&blob),
-            None => Err(Error::TypeMismatch {
-                handle,
-                expected: "literal resource-limits blob",
-            }),
-        }
     }
 }
 

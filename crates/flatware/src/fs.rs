@@ -386,29 +386,26 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::gen::{check, Rng, LOWER};
     use fix_storage::Store;
-    use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// Strategy: plausible path segments (no '/', nonempty).
-    fn segment() -> impl Strategy<Value = String> {
-        "[a-z][a-z0-9_.]{0,8}".prop_map(|s| s)
+    /// A plausible path segment (no '/', nonempty): `[a-z][a-z0-9_.]{0,8}`.
+    fn segment(rng: &mut Rng) -> String {
+        let mut segment = rng.string(LOWER, 1..2);
+        segment.push_str(&rng.string(b"abcdefghijklmnopqrstuvwxyz0123456789_.", 0..9));
+        segment
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Any set of added files resolves back byte-identically; adds
-        /// that conflict (file vs directory) fail without corrupting
-        /// prior structure.
-        #[test]
-        fn random_trees_resolve_every_file(
-            files in proptest::collection::vec(
-                (proptest::collection::vec(segment(), 1..4),
-                 proptest::collection::vec(any::<u8>(), 0..64)),
-                1..20,
-            ),
-        ) {
+    /// Any set of added files resolves back byte-identically; adds
+    /// that conflict (file vs directory) fail without corrupting
+    /// prior structure.
+    #[test]
+    fn random_trees_resolve_every_file() {
+        check("random_trees_resolve_every_file", 32, |rng| {
+            let files = rng.vec(1..20, |rng| {
+                (rng.vec(1..4, segment), rng.vec(0..64, Rng::byte))
+            });
             let store = Store::new();
             let mut fs = FsBuilder::new();
             // Last successful write wins, like the builder's map insert.
@@ -429,19 +426,18 @@ mod proptests {
             for (path, contents) in &oracle {
                 let h = resolve(&store, root, path).unwrap();
                 let got = store.get_blob(h).unwrap();
-                prop_assert_eq!(got.as_slice(), contents.as_slice());
+                assert_eq!(got.as_slice(), contents.as_slice());
             }
-        }
+        });
+    }
 
-        /// The filesystem handle is canonical: insertion order of files
-        /// never changes the root handle (content addressing).
-        #[test]
-        fn build_is_order_independent(
-            mut files in proptest::collection::hash_map(
-                segment(), proptest::collection::vec(any::<u8>(), 0..32), 1..10,
-            ),
-        ) {
-            let forward: Vec<(String, Vec<u8>)> = files.drain().collect();
+    /// The filesystem handle is canonical: insertion order of files
+    /// never changes the root handle (content addressing).
+    #[test]
+    fn build_is_order_independent() {
+        check("build_is_order_independent", 32, |rng| {
+            let files = rng.map(1..10, segment, |rng| rng.vec(0..32, Rng::byte));
+            let forward: Vec<(String, Vec<u8>)> = files.into_iter().collect();
             let mut reverse = forward.clone();
             reverse.reverse();
             let build_root = |list: &[(String, Vec<u8>)]| {
@@ -452,7 +448,7 @@ mod proptests {
                 }
                 fs.build(&store)
             };
-            prop_assert_eq!(build_root(&forward), build_root(&reverse));
-        }
+            assert_eq!(build_root(&forward), build_root(&reverse));
+        });
     }
 }

@@ -17,6 +17,9 @@
 #![warn(missing_docs)]
 
 mod fs;
+#[cfg(test)]
+#[path = "../../../tests/support/gen.rs"]
+mod gen;
 mod getfile;
 mod program;
 

@@ -379,22 +379,23 @@ mod tests {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/gen.rs"]
+mod gen;
+
+#[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::gen::check;
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// For any program of scheduled delays, events fire exactly once
-        /// each, in nondecreasing virtual time, and the clock ends at
-        /// the latest delay.
-        #[test]
-        fn events_fire_once_in_time_order(
-            delays in proptest::collection::vec(0u64..100_000, 1..40),
-        ) {
+    /// For any program of scheduled delays, events fire exactly once
+    /// each, in nondecreasing virtual time, and the clock ends at
+    /// the latest delay.
+    #[test]
+    fn events_fire_once_in_time_order() {
+        check("events_fire_once_in_time_order", 32, |rng| {
+            let delays = rng.vec(1..40, |rng| rng.range(0u64..100_000));
             let mut sim = Sim::new(&[NodeSpec::default()], NetConfig::default());
             let fired: Rc<RefCell<Vec<Time>>> = Rc::new(RefCell::new(Vec::new()));
             for &d in &delays {
@@ -403,20 +404,21 @@ mod proptests {
             }
             let end = sim.run();
             let fired = fired.borrow();
-            prop_assert_eq!(fired.len(), delays.len());
-            prop_assert!(fired.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(fired.len(), delays.len());
+            assert!(fired.windows(2).all(|w| w[0] <= w[1]));
             let mut expect = delays.clone();
             expect.sort_unstable();
-            prop_assert_eq!(&*fired, &expect[..]);
-            prop_assert_eq!(end, *expect.last().unwrap());
-        }
+            assert_eq!(&*fired, &expect[..]);
+            assert_eq!(end, *expect.last().unwrap());
+        });
+    }
 
-        /// Transfer completion time is monotone in payload size, and a
-        /// transfer never completes before latency + serialization.
-        #[test]
-        fn transfer_time_monotone_in_size(
-            sizes in proptest::collection::vec(1u64..1_000_000_000, 2..8),
-        ) {
+    /// Transfer completion time is monotone in payload size, and a
+    /// transfer never completes before latency + serialization.
+    #[test]
+    fn transfer_time_monotone_in_size() {
+        check("transfer_time_monotone_in_size", 32, |rng| {
+            let sizes = rng.vec(2..8, |rng| rng.range(1u64..1_000_000_000));
             let net = NetConfig::default();
             let mut done: Vec<(u64, Time)> = Vec::new();
             for &bytes in &sizes {
@@ -429,20 +431,26 @@ mod proptests {
                 sim.run();
                 let at = *t.borrow();
                 let floor = net.latency(NodeId(0), NodeId(1)) + net.serialization_us(bytes);
-                prop_assert!(at >= floor, "{bytes} B arrived at {at} < floor {floor}");
+                assert!(at >= floor, "{bytes} B arrived at {at} < floor {floor}");
                 done.push((bytes, at));
             }
             done.sort_unstable();
-            prop_assert!(done.windows(2).all(|w| w[0].1 <= w[1].1));
-        }
+            assert!(done.windows(2).all(|w| w[0].1 <= w[1].1));
+        });
+    }
 
-        /// Claims never exceed a node's cores or RAM, and releasing
-        /// restores exactly what was claimed.
-        #[test]
-        fn claims_conserve_resources(
-            requests in proptest::collection::vec((1u32..8, 1u64..(8 << 30)), 1..20),
-        ) {
-            let spec = NodeSpec { cores: 16, ram_bytes: 32 << 30 };
+    /// Claims never exceed a node's cores or RAM, and releasing
+    /// restores exactly what was claimed.
+    #[test]
+    fn claims_conserve_resources() {
+        check("claims_conserve_resources", 32, |rng| {
+            let requests = rng.vec(1..20, |rng| {
+                (rng.range(1u32..8), rng.range(1u64..(8 << 30)))
+            });
+            let spec = NodeSpec {
+                cores: 16,
+                ram_bytes: 32 << 30,
+            };
             let mut sim = Sim::new(&[spec], NetConfig::default());
             let mut held = Vec::new();
             let (mut cores_used, mut ram_used) = (0u32, 0u64);
@@ -455,22 +463,19 @@ mod proptests {
                     }
                     None => {
                         // Refusal must be for a real shortage.
-                        prop_assert!(
-                            cores_used + cores > spec.cores
-                                || ram_used + ram > spec.ram_bytes
-                        );
+                        assert!(cores_used + cores > spec.cores || ram_used + ram > spec.ram_bytes);
                     }
                 }
-                prop_assert!(cores_used <= spec.cores);
-                prop_assert!(ram_used <= spec.ram_bytes);
-                prop_assert_eq!(sim.nodes[0].cores_free, spec.cores - cores_used);
-                prop_assert_eq!(sim.nodes[0].ram_free, spec.ram_bytes - ram_used);
+                assert!(cores_used <= spec.cores);
+                assert!(ram_used <= spec.ram_bytes);
+                assert_eq!(sim.nodes[0].cores_free, spec.cores - cores_used);
+                assert_eq!(sim.nodes[0].ram_free, spec.ram_bytes - ram_used);
             }
             for id in held {
                 sim.release(id);
             }
-            prop_assert_eq!(sim.nodes[0].cores_free, spec.cores);
-            prop_assert_eq!(sim.nodes[0].ram_free, spec.ram_bytes);
-        }
+            assert_eq!(sim.nodes[0].cores_free, spec.cores);
+            assert_eq!(sim.nodes[0].ram_free, spec.ram_bytes);
+        });
     }
 }

@@ -36,7 +36,7 @@ use fix_core::api::NativeCtx;
 use fix_core::data::{Blob, Node, Tree};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, EncodeStyle, Handle, HandleMap, Kind, ThunkKind};
-use fix_core::invocation::{Invocation, Selection};
+use fix_core::invocation::{application_header, Selection};
 use fix_storage::{resolution, Relation, RelationCache, Store};
 use fix_vm::{HostApi, Module, VmConfig};
 use parking_lot::RwLock;
@@ -407,8 +407,7 @@ impl Engine {
 
     /// Runs the procedure of a fully-resolved application tree.
     fn run_procedure(&self, tree: &Tree, tree_handle: Handle) -> Result<Handle> {
-        let inv = Invocation::from_tree(tree)?;
-        let proc = inv.procedure;
+        let (limits, proc) = application_header(tree)?;
         if !matches!(proc.kind(), Kind::Object(DataType::Blob)) {
             return Err(Error::UnknownProcedure(proc));
         }
@@ -437,7 +436,7 @@ impl Engine {
                 &module,
                 &mut host,
                 tree_handle,
-                VmConfig::from_limits(&inv.limits),
+                VmConfig::from_limits(&limits),
             )?;
             self.stats
                 .fuel_used

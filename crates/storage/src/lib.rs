@@ -23,6 +23,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+#[path = "../../../tests/support/gen.rs"]
+mod gen;
 mod hooks;
 mod provenance;
 mod relations;

@@ -995,30 +995,33 @@ mod wire_tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::gen::{check, Rng};
 
-    proptest! {
-        /// put/get identity for arbitrary blobs, across both tag forms.
-        #[test]
-        fn put_get_identity(data in proptest::collection::vec(any::<u8>(), 0..300)) {
+    /// put/get identity for arbitrary blobs, across both tag forms.
+    #[test]
+    fn put_get_identity() {
+        check("put_get_identity", 64, |rng| {
+            let data = rng.vec(0..300, Rng::byte);
             let store = Store::new();
             let blob = Blob::from_slice(&data);
             let h = store.put_blob(blob.clone());
-            prop_assert_eq!(store.get_blob(h).unwrap(), blob.clone());
-            prop_assert_eq!(store.get_blob(h.as_ref_handle()).unwrap(), blob);
-        }
+            assert_eq!(store.get_blob(h).unwrap(), blob.clone());
+            assert_eq!(store.get_blob(h.as_ref_handle()).unwrap(), blob);
+        });
+    }
 
-        /// GC never collects anything reachable from the roots, and the
-        /// byte accounting stays consistent.
-        #[test]
-        fn gc_preserves_reachability(
-            blobs in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 31..100), 1..12),
-            keep_mask in proptest::collection::vec(any::<bool>(), 12),
-        ) {
+    /// GC never collects anything reachable from the roots, and the
+    /// byte accounting stays consistent.
+    #[test]
+    fn gc_preserves_reachability() {
+        check("gc_preserves_reachability", 64, |rng| {
+            let blobs = rng.vec(1..12, |rng| rng.vec(31..100, Rng::byte));
+            let keep_mask = rng.vec(12..13, Rng::bool);
             let store = Store::new();
-            let handles: Vec<Handle> =
-                blobs.iter().map(|b| store.put_blob(Blob::from_slice(b))).collect();
+            let handles: Vec<Handle> = blobs
+                .iter()
+                .map(|b| store.put_blob(Blob::from_slice(b)))
+                .collect();
             let kept: Vec<Handle> = handles
                 .iter()
                 .zip(&keep_mask)
@@ -1028,35 +1031,37 @@ mod proptests {
             let root = store.put_tree(Tree::from_handles(kept.clone()));
             store.gc(&[root]);
             for h in &kept {
-                prop_assert!(store.contains(*h));
+                assert!(store.contains(*h));
             }
             let expect_bytes: u64 = kept
                 .iter()
                 .map(|h| store.get(*h).unwrap().transfer_size())
                 .sum::<u64>()
                 + (root.size() * 32);
-            prop_assert_eq!(store.total_bytes(), expect_bytes);
-        }
+            assert_eq!(store.total_bytes(), expect_bytes);
+        });
+    }
 
-        /// Export/import is lossless for arbitrary two-level graphs.
-        #[test]
-        fn parcel_round_trip_through_stores(
-            blobs in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 0..80), 1..8),
-        ) {
+    /// Export/import is lossless for arbitrary two-level graphs.
+    #[test]
+    fn parcel_round_trip_through_stores() {
+        check("parcel_round_trip_through_stores", 64, |rng| {
+            let blobs = rng.vec(1..8, |rng| rng.vec(0..80, Rng::byte));
             let a = Store::new();
-            let entries: Vec<Handle> =
-                blobs.iter().map(|bl| a.put_blob(Blob::from_slice(bl))).collect();
+            let entries: Vec<Handle> = blobs
+                .iter()
+                .map(|bl| a.put_blob(Blob::from_slice(bl)))
+                .collect();
             let root = a.put_tree(Tree::from_handles(entries.clone()));
             let bytes = a.export(root).unwrap().to_bytes();
 
             let b = Store::new();
             let got = b.import(fix_core::wire::Parcel::verify(&bytes).unwrap());
-            prop_assert_eq!(got, root);
+            assert_eq!(got, root);
             for (h, blob) in entries.iter().zip(&blobs) {
                 let got = b.get_blob(*h).unwrap();
-                prop_assert_eq!(got.as_slice(), blob.as_slice());
+                assert_eq!(got.as_slice(), blob.as_slice());
             }
-        }
+        });
     }
 }

@@ -623,32 +623,41 @@ mod tests {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/gen.rs"]
+mod gen;
+
+#[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::gen::check;
     use fix_core::data::{Blob, Tree};
-    use proptest::prelude::*;
     use vm::testing::TestHost;
 
-    proptest! {
-        /// Assembling then serializing then reparsing is the identity.
-        #[test]
-        fn module_bytes_round_trip(n in 1u64..2000) {
+    /// Assembling then serializing then reparsing is the identity.
+    #[test]
+    fn module_bytes_round_trip() {
+        check("module_bytes_round_trip", 64, |rng| {
+            let n = rng.range(1u64..2000);
             let src = format!(
                 "func apply args=0 locals=1\n const {n}\n local.set 0\n const 0\n ret_handle\nend"
             );
             let m = assemble(&src).unwrap();
             let rt = Module::from_bytes(&m.to_bytes()).unwrap();
-            prop_assert_eq!(rt, m);
-        }
+            assert_eq!(rt, m);
+        });
+    }
 
-        /// The guest add function agrees with native addition (wrapping).
-        #[test]
-        fn guest_add_matches_native(a in any::<u64>(), b in any::<u64>()) {
+    /// The guest add function agrees with native addition (wrapping).
+    #[test]
+    fn guest_add_matches_native() {
+        check("guest_add_matches_native", 64, |rng| {
+            let (a, b) = (rng.next(), rng.next());
             let mut host = TestHost::default();
             let ha = host.insert_blob(Blob::from_u64(a));
             let hb = host.insert_blob(Blob::from_u64(b));
             let input = host.insert_tree(Tree::from_handles(vec![ha, hb]));
-            let module = assemble(r#"
+            let module = assemble(
+                r#"
                 func apply args=0 locals=0
                   const 0
                   const 0
@@ -664,18 +673,24 @@ mod proptests {
                   blob.create_u64
                   ret_handle
                 end
-            "#).unwrap();
+            "#,
+            )
+            .unwrap();
             let out = run(&module, &mut host, input, VmConfig::default()).unwrap();
             let blob = fix_core::data::literal_blob(out.result).unwrap();
-            prop_assert_eq!(blob.as_u64(), Some(a.wrapping_add(b)));
-        }
+            assert_eq!(blob.as_u64(), Some(a.wrapping_add(b)));
+        });
+    }
 
-        /// Fuel accounting is monotone in loop iterations.
-        #[test]
-        fn fuel_scales_with_work(n in 1u64..500) {
+    /// Fuel accounting is monotone in loop iterations.
+    #[test]
+    fn fuel_scales_with_work() {
+        check("fuel_scales_with_work", 64, |rng| {
+            let n = rng.range(1u64..500);
             let mut host = TestHost::default();
             let input = host.insert_tree(Tree::from_handles(vec![]));
-            let src = format!(r#"
+            let src = format!(
+                r#"
                 func apply args=0 locals=1
                   const {n}
                   local.set 0
@@ -692,12 +707,13 @@ mod proptests {
                   const 0
                   ret_handle
                 end
-            "#);
+            "#
+            );
             let module = assemble(&src).unwrap();
             let out = run(&module, &mut host, input, VmConfig::default()).unwrap();
             // 2 setup + 8 per iteration + 5 exit epilogue.
-            prop_assert!(out.fuel_used >= 8 * n);
-            prop_assert!(out.fuel_used <= 8 * n + 8);
-        }
+            assert!(out.fuel_used >= 8 * n);
+            assert!(out.fuel_used <= 8 * n + 8);
+        });
     }
 }

@@ -520,22 +520,19 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::gen::{check, LOWER};
     use fixpoint::Runtime;
-    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// The on-Fix B+ tree agrees with a `BTreeMap` oracle for any
-        /// key set, arity, and probe pattern — both the trusted walk
-        /// and the Fix-level continuation-passing codelet.
-        #[test]
-        fn lookups_match_btreemap_oracle(
-            keys in proptest::collection::btree_set("[a-z]{1,12}", 2..80),
-            arity in 2usize..16,
-            probes in proptest::collection::vec(any::<u16>(), 1..8),
-        ) {
+    /// The on-Fix B+ tree agrees with a `BTreeMap` oracle for any
+    /// key set, arity, and probe pattern — both the trusted walk
+    /// and the Fix-level continuation-passing codelet.
+    #[test]
+    fn lookups_match_btreemap_oracle() {
+        check("lookups_match_btreemap_oracle", 16, |rng| {
+            let keys = rng.set(2..80, |rng| rng.string(LOWER, 1..13));
+            let arity = rng.range(2usize..16);
+            let probes = rng.vec(1..8, |rng| rng.next() as u16);
             let rt = Runtime::builder().build();
             let keys: Vec<String> = keys.into_iter().collect();
             let pairs: Vec<(String, Vec<u8>)> = keys
@@ -547,19 +544,19 @@ mod proptests {
                 .map(|(k, v)| (k.as_str(), v.as_slice()))
                 .collect();
             let tree = build(rt.store(), &pairs, arity);
-            prop_assert_eq!(tree.depth as u32, depth_for(arity, keys.len()));
+            assert_eq!(tree.depth as u32, depth_for(arity, keys.len()));
 
             for p in &probes {
                 let k = &keys[*p as usize % keys.len()];
                 let (v, stats) = lookup_trusted(rt.store(), &tree, k).unwrap();
-                prop_assert_eq!(v.as_deref(), oracle.get(k.as_str()).copied());
-                prop_assert_eq!(stats.nodes_visited, tree.depth as u64);
+                assert_eq!(v.as_deref(), oracle.get(k.as_str()).copied());
+                assert_eq!(stats.nodes_visited, tree.depth as u64);
             }
             // Keys outside the set are absent ('0' sorts before 'a').
             let (missing, _) = lookup_trusted(rt.store(), &tree, "0absent").unwrap();
-            prop_assert!(missing.is_none());
+            assert!(missing.is_none());
             let (beyond, _) = lookup_trusted(rt.store(), &tree, "zzzzzzzzzzzzz").unwrap();
-            prop_assert!(beyond.is_none());
+            assert!(beyond.is_none());
 
             // The Fix-level codelet returns the same bytes.
             let proc_h = register_lookup(&rt);
@@ -567,26 +564,25 @@ mod proptests {
             let h = lookup_fix(&rt, proc_h, &tree, k).unwrap();
             let got = rt.get_blob(h).unwrap();
             let expect = format!("V:{k}");
-            prop_assert_eq!(got.as_slice(), expect.as_bytes());
-        }
+            assert_eq!(got.as_slice(), expect.as_bytes());
+        });
+    }
 
-        /// Table-2 formulas hold structurally for any shape: Fix always
-        /// accesses no more than either Ray style, and invocation counts
-        /// follow `d` / `2d` / `1`.
-        #[test]
-        fn table2_orderings(
-            arity in 2u64..1_000_000,
-            depth in 1u64..12,
-            key_size in 1u64..100,
-            entry_size in 1u64..1_000,
-        ) {
+    /// Table-2 formulas hold structurally for any shape: Fix always
+    /// accesses no more than either Ray style, and invocation counts
+    /// follow `d` / `2d` / `1`.
+    #[test]
+    fn table2_orderings() {
+        check("table2_orderings", 16, |rng| {
+            let (arity, depth) = (rng.range(2u64..1_000_000), rng.range(1u64..12));
+            let (key_size, entry_size) = (rng.range(1u64..100), rng.range(1u64..1_000));
             let rows = table2(arity, depth, key_size, entry_size);
-            prop_assert_eq!(rows[0].invocations, depth);
-            prop_assert_eq!(rows[1].invocations, 2 * depth);
-            prop_assert_eq!(rows[2].invocations, 1);
-            prop_assert!(rows[0].data_accessed <= rows[1].data_accessed);
-            prop_assert!(rows[0].memory_footprint <= rows[2].memory_footprint);
-            prop_assert_eq!(rows[1].data_accessed, rows[2].data_accessed);
-        }
+            assert_eq!(rows[0].invocations, depth);
+            assert_eq!(rows[1].invocations, 2 * depth);
+            assert_eq!(rows[2].invocations, 1);
+            assert!(rows[0].data_accessed <= rows[1].data_accessed);
+            assert!(rows[0].memory_footprint <= rows[2].memory_footprint);
+            assert_eq!(rows[1].data_accessed, rows[2].data_accessed);
+        });
     }
 }

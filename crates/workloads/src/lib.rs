@@ -28,6 +28,9 @@ pub mod archive;
 pub mod bptree;
 pub mod compile;
 pub mod corpus;
+#[cfg(test)]
+#[path = "../../../tests/support/gen.rs"]
+mod gen;
 pub mod guests;
 pub mod mapreduce;
 pub mod sebs;

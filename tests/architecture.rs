@@ -435,28 +435,58 @@ fn unsafe_is_a_cpu_dispatch() {
     }
 }
 
-/// One fuzz kit: the hostile-bytes suites share
-/// `tests/support/hostile.rs` — its counting allocator, generator,
-/// byte mutators and panic-catching runner — and keep only their seeds,
-/// oracles and format-aware mutations. A suite growing a private copy
-/// back fails nothing else, so count the definitions. (fixbench's own
-/// counting allocator is outside these trees and frozen with the
-/// benchmark.)
+/// One fuzz kit: every property test and hostile-bytes suite draws
+/// from the seeded generator in `tests/support/gen.rs` (its `Rng`,
+/// draws and per-case runner), and the hostile-bytes suites share
+/// `tests/support/hostile.rs` — its counting allocator, byte mutators
+/// and panic-catching runner — keeping only their seeds, oracles and
+/// format-aware mutations. A suite growing a private copy back fails
+/// nothing else, so count the definitions. The property-test shim that
+/// was a second kit is deleted: no shim directory, macro, import or
+/// manifest line may bring it back. (fixbench's own counting allocator
+/// is outside these trees and frozen with the benchmark.)
 #[test]
 fn one_fuzz_kit() {
-    for name in ["GlobalAlloc for", "struct Rng"] {
-        let sites: Vec<String> = found(&["crates", "tests"], |line| {
-            line.path.ends_with(".rs") && line.text.contains(name)
-        })
-        .into_iter()
-        .map(|line| line.path)
+    assert!(
+        !root().join("shims/proptest").exists(),
+        "the property-test shim is back"
+    );
+    // One walk: the kit's two definitions, and every line naming the shim.
+    let kit = [
+        ("GlobalAlloc for", "tests/support/hostile.rs"),
+        ("struct Rng", "tests/support/gen.rs"),
+    ];
+    let trees: Vec<&str> = ALL
+        .iter()
+        .copied()
+        .chain(["Cargo.toml", "Cargo.lock"])
         .collect();
+    let lines = found(&trees, |line| {
+        line.text.contains("proptest") || kit.iter().any(|(name, _)| line.text.contains(name))
+    });
+    for (name, home) in kit {
+        let sites: Vec<&str> = lines
+            .iter()
+            .filter(|line| line.path.ends_with(".rs") && line.text.contains(name))
+            .map(|line| line.path.as_str())
+            .collect();
         assert_eq!(
             sites,
-            ["tests/support/hostile.rs"],
+            [home],
             "`{name}` must be defined once, in the fuzz kit"
         );
     }
+    let manifest = |path: &str| path.ends_with("Cargo.toml") || path.ends_with("Cargo.lock");
+    let shim: Vec<&Line> = lines
+        .iter()
+        .filter(|line| {
+            ["proptest!", "use proptest"]
+                .iter()
+                .any(|p| holds(&line.text, p))
+                || (manifest(&line.path) && holds(&line.text, r"\bproptest\b"))
+        })
+        .collect();
+    assert!(shim.is_empty(), "the property-test shim is back: {shim:#?}");
 }
 
 /// A logged object has one name and one entry: its payload key in the

@@ -2,8 +2,11 @@
 //! properties that make Fix's "pay for results" model sound.
 
 use fix::prelude::*;
-use proptest::prelude::*;
+use gen::{check, Rng};
 use std::sync::Arc;
+
+#[path = "support/gen.rs"]
+mod gen;
 
 fn limits() -> ResourceLimits {
     ResourceLimits::default_limits()
@@ -116,13 +119,12 @@ fn vm_guests_deterministic_across_runtimes() {
     assert_eq!(f1, f2);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Memoization coherence: evaluating any pipeline twice returns the
-    /// identical handle and runs zero additional procedures.
-    #[test]
-    fn eval_twice_is_coherent(inputs in proptest::collection::vec(any::<u64>(), 1..8)) {
+/// Memoization coherence: evaluating any pipeline twice returns the
+/// identical handle and runs zero additional procedures.
+#[test]
+fn eval_twice_is_coherent() {
+    check("eval_twice_is_coherent", 32, |rng| {
+        let inputs = rng.vec(1..8, Rng::next);
         let rt = Runtime::builder().build();
         let sum = rt.register_native(
             "sum-all",
@@ -130,53 +132,59 @@ proptest! {
                 let tree = ctx.input_tree()?;
                 let mut total = 0u64;
                 for slot in tree.entries().iter().skip(2) {
-                    total = total.wrapping_add(
-                        ctx.host.load_blob(*slot)?.as_u64().unwrap_or(0),
-                    );
+                    total = total.wrapping_add(ctx.host.load_blob(*slot)?.as_u64().unwrap_or(0));
                 }
                 ctx.host.create_blob(total.to_le_bytes().to_vec())
             }),
         );
-        let args: Vec<Handle> = inputs.iter().map(|&v| rt.put_blob(Blob::from_u64(v))).collect();
+        let args: Vec<Handle> = inputs
+            .iter()
+            .map(|&v| rt.put_blob(Blob::from_u64(v)))
+            .collect();
         let thunk = rt.apply(limits(), sum, &args).unwrap();
         let first = rt.eval(thunk).unwrap();
         let runs_before = rt.procedures_run();
         let second = rt.eval(thunk).unwrap();
         let runs_after = rt.procedures_run();
-        prop_assert_eq!(first, second);
-        prop_assert_eq!(runs_before, runs_after);
-        prop_assert_eq!(
+        assert_eq!(first, second);
+        assert_eq!(runs_before, runs_after);
+        assert_eq!(
             rt.get_u64(first).unwrap(),
             inputs.iter().copied().fold(0u64, u64::wrapping_add)
         );
-    }
+    });
+}
 
-    /// Selection agrees with direct indexing for arbitrary trees.
-    #[test]
-    fn selection_matches_direct_access(
-        blobs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..16),
-        pick in any::<proptest::sample::Index>(),
-    ) {
+/// Selection agrees with direct indexing for arbitrary trees.
+#[test]
+fn selection_matches_direct_access() {
+    check("selection_matches_direct_access", 32, |rng| {
+        let blobs = rng.vec(1..16, |rng| rng.vec(0..64, Rng::byte));
+        let i = rng.below(blobs.len());
         let rt = Runtime::builder().build();
-        let handles: Vec<Handle> =
-            blobs.iter().map(|b| rt.put_blob(Blob::from_slice(b))).collect();
+        let handles: Vec<Handle> = blobs
+            .iter()
+            .map(|b| rt.put_blob(Blob::from_slice(b)))
+            .collect();
         let tree = rt.put_tree(Tree::from_handles(handles.clone()));
-        let i = pick.index(handles.len());
         let sel = rt.select(tree, i as u64).unwrap();
-        prop_assert_eq!(rt.eval(sel).unwrap(), handles[i]);
-    }
+        assert_eq!(rt.eval(sel).unwrap(), handles[i]);
+    });
+}
 
-    /// Wordcount over arbitrary shard counts matches the oracle.
-    #[test]
-    fn wordcount_matches_oracle(n_shards in 1usize..10, seed in any::<u64>()) {
+/// Wordcount over arbitrary shard counts matches the oracle.
+#[test]
+fn wordcount_matches_oracle() {
+    check("wordcount_matches_oracle", 32, |rng| {
         use fix::workloads::corpus::{count_nonoverlapping, generate_shard};
         use fix::workloads::wordcount::{run_wordcount_fix, store_shards};
+        let (n_shards, seed) = (rng.range(1usize..10), rng.next());
         let rt = Runtime::builder().build();
         let shards = store_shards(&rt, seed, n_shards, 4096);
         let got = run_wordcount_fix(&rt, &shards, b"of").unwrap();
         let expect: u64 = (0..n_shards)
             .map(|i| count_nonoverlapping(&generate_shard(seed, i as u64, 4096), b"of"))
             .sum();
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
 }

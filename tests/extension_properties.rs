@@ -3,8 +3,11 @@
 
 use fix::prelude::*;
 use fix_billing::{bill_effort, bill_results, InvocationUsage, Money, PriceSheet};
-use proptest::prelude::*;
+use gen::{check, Rng};
 use std::sync::Arc;
+
+#[path = "support/gen.rs"]
+mod gen;
 
 fn limits() -> ResourceLimits {
     ResourceLimits::default_limits()
@@ -35,50 +38,53 @@ fn transform_runtime() -> (Runtime, Handle) {
     (rt, f)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Any chain of transforms survives eviction + rematerialization
-    /// with byte-identical results, whichever prefix is pinned.
-    #[test]
-    fn eviction_roundtrip_on_random_chains(
-        salts in proptest::collection::vec(any::<u64>(), 1..6),
-        pin_results in any::<bool>(),
-    ) {
+/// Any chain of transforms survives eviction + rematerialization
+/// with byte-identical results, whichever prefix is pinned.
+#[test]
+fn eviction_roundtrip_on_random_chains() {
+    check("eviction_roundtrip_on_random_chains", 24, |rng| {
+        let salts = rng.vec(1..6, Rng::next);
+        let pin_results = rng.bool();
         let (rt, f) = transform_runtime();
         let seed = rt.put_blob(Blob::from_vec(vec![0xAB; 64]));
         let mut cur = seed;
         let mut outputs = Vec::new();
         for &salt in &salts {
-            let t = rt.apply(limits(), f, &[cur, rt.put_blob(Blob::from_u64(salt))]).unwrap();
+            let t = rt
+                .apply(limits(), f, &[cur, rt.put_blob(Blob::from_u64(salt))])
+                .unwrap();
             cur = rt.eval(t).unwrap();
             outputs.push(cur);
         }
-        let originals: Vec<Blob> =
-            outputs.iter().map(|&h| rt.get_blob(h).unwrap()).collect();
+        let originals: Vec<Blob> = outputs.iter().map(|&h| rt.get_blob(h).unwrap()).collect();
 
         let pins: Vec<Handle> = if pin_results { vec![cur] } else { vec![] };
         let outcome = rt.evict_recomputable(&pins).unwrap();
         let expected_victims = salts.len() - usize::from(pin_results);
-        prop_assert_eq!(outcome.plan.victims.len(), expected_victims);
+        assert_eq!(outcome.plan.victims.len(), expected_victims);
 
         // Every stage rematerializes to its original bytes.
         for (&h, original) in outputs.iter().zip(&originals) {
             rt.materialize(h).unwrap();
-            prop_assert_eq!(&rt.get_blob(h).unwrap(), original);
+            assert_eq!(&rt.get_blob(h).unwrap(), original);
         }
-    }
+    });
+}
 
-    /// The eviction plan's depth bound is an upper bound on what
-    /// materialize actually does — also when an earlier pass evicted
-    /// part of the chain under pins that the last pass lifts.
-    #[test]
-    fn planned_depth_bounds_actual_cascade(chain_len in 1usize..6, lift_pins in any::<bool>()) {
+/// The eviction plan's depth bound is an upper bound on what
+/// materialize actually does — also when an earlier pass evicted
+/// part of the chain under pins that the last pass lifts.
+#[test]
+fn planned_depth_bounds_actual_cascade() {
+    check("planned_depth_bounds_actual_cascade", 24, |rng| {
+        let (chain_len, lift_pins) = (rng.range(1usize..6), rng.bool());
         let (rt, f) = transform_runtime();
         let mut cur = rt.put_blob(Blob::from_vec(vec![0x11; 64]));
         let mut outputs = Vec::new();
         for salt in 0..chain_len as u64 {
-            let t = rt.apply(limits(), f, &[cur, rt.put_blob(Blob::from_u64(salt))]).unwrap();
+            let t = rt
+                .apply(limits(), f, &[cur, rt.put_blob(Blob::from_u64(salt))])
+                .unwrap();
             cur = rt.eval(t).unwrap();
             outputs.push(cur);
         }
@@ -95,25 +101,24 @@ proptest! {
         let outcome = rt.evict_recomputable(&[]).unwrap();
         let planned = outcome.plan.max_depth();
         let report = rt.materialize(cur).unwrap();
-        prop_assert!(report.max_depth <= planned,
-            "materialized depth {} > planned {}", report.max_depth, planned);
-        prop_assert_eq!(report.objects_materialized, chain_len);
-    }
+        assert!(
+            report.max_depth <= planned,
+            "materialized depth {} > planned {}",
+            report.max_depth,
+            planned
+        );
+        assert_eq!(report.objects_materialized, chain_len);
+    });
+}
 
-    /// Pay-for-results is invariant in wall time and L3 misses, and
-    /// monotone in every billed counter.
-    #[test]
-    fn results_billing_invariants(
-        input in any::<u32>(),
-        ram in any::<u32>(),
-        instructions in any::<u32>(),
-        l1 in any::<u32>(),
-        l2 in any::<u32>(),
-        wall_a in any::<u32>(),
-        wall_b in any::<u32>(),
-        l3_a in any::<u32>(),
-        l3_b in any::<u32>(),
-    ) {
+/// Pay-for-results is invariant in wall time and L3 misses, and
+/// monotone in every billed counter.
+#[test]
+fn results_billing_invariants() {
+    check("results_billing_invariants", 24, |rng| {
+        let mut draw = || rng.next() as u32;
+        let (input, ram, instructions, l1, l2) = (draw(), draw(), draw(), draw(), draw());
+        let (wall_a, wall_b, l3_a, l3_b) = (draw(), draw(), draw(), draw());
         let price = PriceSheet::default();
         let mk = |wall: u32, l3: u32| InvocationUsage {
             input_bytes: input as u64,
@@ -125,7 +130,7 @@ proptest! {
             wall_us: wall as u64,
             deadline_slack_us: 0,
         };
-        prop_assert_eq!(
+        assert_eq!(
             bill_results(&mk(wall_a, l3_a), &price).total(),
             bill_results(&mk(wall_b, l3_b), &price).total()
         );
@@ -134,15 +139,15 @@ proptest! {
         let mut more = mk(0, 0);
         more.instructions = more.instructions.saturating_mul(2);
         more.l1_misses = more.l1_misses.saturating_mul(2);
-        prop_assert!(bill_results(&more, &price).total() >= base);
-    }
+        assert!(bill_results(&more, &price).total() >= base);
+    });
+}
 
-    /// Pay-for-effort is exactly linear in wall time.
-    #[test]
-    fn effort_billing_is_linear_in_wall_time(
-        ram_gib in 1u64..64,
-        wall_ms in 1u64..100_000,
-    ) {
+/// Pay-for-effort is exactly linear in wall time.
+#[test]
+fn effort_billing_is_linear_in_wall_time() {
+    check("effort_billing_is_linear_in_wall_time", 24, |rng| {
+        let (ram_gib, wall_ms) = (rng.range(1u64..64), rng.range(1u64..100_000));
         let price = PriceSheet::default();
         let usage = InvocationUsage {
             ram_reserved_bytes: ram_gib << 30,
@@ -153,7 +158,7 @@ proptest! {
         doubled.wall_us *= 2;
         let one = bill_effort(&usage, &price).total();
         let two = bill_effort(&doubled, &price).total();
-        prop_assert_eq!(two, one + one);
-        prop_assert!(one > Money::ZERO);
-    }
+        assert_eq!(two, one + one);
+        assert!(one > Money::ZERO);
+    });
 }

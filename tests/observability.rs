@@ -17,11 +17,19 @@ use fix::serve::{
     dispatch, serve, ArrivalProcess, DispatchConfig, FaultPlan, NodeStorage, RequestKind,
     RestartKind, RoutingPolicy, ServeConfig, TenantSpec,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The recorder and tracing toggle are process-global; tests in this
-/// binary run concurrently, so every test that records serializes here.
+/// The recorder and tracing toggle are process-global, and tests in this
+/// binary run concurrently: one that emits while another traces puts
+/// its events in that trace. So every test here holds [`traced_alone`].
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes the trace lock. A test that failed while holding it poisoned
+/// it, but left nothing to repair, so the next test runs and reports
+/// only its own failure.
+fn traced_alone() -> MutexGuard<'static, ()> {
+    TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A small fixed-seed two-tenant workload (short horizon: these run in
 /// debug CI).
@@ -78,7 +86,7 @@ where
 /// diagnostics are its embedded node's scheduler events.
 #[test]
 fn trace_summary_is_backend_independent() {
-    let _g = TRACE_LOCK.lock().unwrap();
+    let _g = traced_alone();
     let plain = serve(&Runtime::builder().build(), &cfg())
         .expect("untraced serve run")
         .to_string();
@@ -108,7 +116,7 @@ fn trace_summary_is_backend_independent() {
 /// lifecycle and the scheduler diagnostics of one request line up.
 #[test]
 fn a_requests_serve_and_scheduler_events_share_its_id() {
-    let _g = TRACE_LOCK.lock().unwrap();
+    let _g = traced_alone();
     obs::recorder().clear();
     obs::set_tracing(true);
     serve(&Runtime::builder().build(), &cfg()).expect("traced serve run");
@@ -132,7 +140,7 @@ fn a_requests_serve_and_scheduler_events_share_its_id() {
 /// (a memoized thunk, a value) or the scheduler ran it (a cold thunk).
 #[test]
 fn every_slot_is_submitted_once_under_its_handles_id() {
-    let _g = TRACE_LOCK.lock().unwrap();
+    let _g = traced_alone();
     let rt = Runtime::builder().build();
     let add = rt.register_native(
         "obs/add",
@@ -180,7 +188,7 @@ fn every_slot_is_submitted_once_under_its_handles_id() {
 /// deterministic serve stream.
 #[test]
 fn chrome_export_is_valid_and_layered() {
-    let _g = TRACE_LOCK.lock().unwrap();
+    let _g = traced_alone();
     obs::recorder().clear();
     obs::set_tracing(true);
     serve(&Runtime::builder().workers(2).build(), &cfg()).expect("traced serve run");
@@ -203,6 +211,7 @@ fn chrome_export_is_valid_and_layered() {
 /// in under their `durable.*` names.
 #[test]
 fn metrics_snapshot_agrees_with_legacy_accessors() {
+    let _g = traced_alone();
     let dir = tempfile::tempdir().unwrap();
     let durable = DurableStore::open(
         dir.path(),
@@ -266,7 +275,7 @@ fn metrics_snapshot_agrees_with_legacy_accessors() {
 /// deterministic (byte-identical summaries across runs).
 #[test]
 fn dispatcher_events_and_gauges_are_deterministic() {
-    let _g = TRACE_LOCK.lock().unwrap();
+    let _g = traced_alone();
     let dcfg = DispatchConfig {
         base: ServeConfig {
             seed: 31,
@@ -328,7 +337,7 @@ fn dispatcher_events_and_gauges_are_deterministic() {
 /// carrying the node index on the virtual clock.
 #[test]
 fn node_failure_is_traced() {
-    let _g = TRACE_LOCK.lock().unwrap();
+    let _g = traced_alone();
     let dir = tempfile::tempdir().unwrap();
     let dcfg = DispatchConfig {
         base: ServeConfig {
@@ -387,6 +396,7 @@ fn node_failure_is_traced() {
 /// histograms and queue-depth gauges.
 #[test]
 fn decomposition_and_global_registry_close() {
+    let _g = traced_alone();
     let report = serve(&Runtime::builder().build(), &cfg()).expect("serve run");
     for t in &report.tenants {
         let served = t.latency.count();

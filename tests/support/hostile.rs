@@ -1,8 +1,8 @@
 //! The kit the hostile-bytes suites share: an allocator that records the
-//! largest single request, a seeded generator, the byte mutators every
-//! format takes, and a runner that names the case and the input a panic
-//! came from. Each suite keeps its seeds, its oracle and its
-//! format-aware mutations, and pulls the kit in with
+//! largest single request, the byte mutators every format takes, and a
+//! runner that names the case and the input a panic came from; the
+//! seeded generator is `gen.rs`'s. Each suite keeps its seeds, its
+//! oracle and its format-aware mutations, and pulls the kit in with
 //! `#[path = "../../../tests/support/hostile.rs"] mod hostile;`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -10,6 +10,10 @@ use std::cell::Cell;
 use std::fmt::{Debug, Display};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+#[path = "gen.rs"]
+mod gen;
+pub use gen::Rng;
 
 /// How far past its input's length one allocation of a decoder may reach.
 const SLACK: usize = 64 << 10;
@@ -85,28 +89,6 @@ pub fn decode<I: AsRef<[u8]> + ?Sized, T>(input: &I, decode: impl FnOnce(&I) -> 
     decoded
 }
 
-/// A xorshift generator: seeded, so every run draws the same mutants.
-pub struct Rng(pub u64);
-
-impl Rng {
-    pub fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    /// A draw from `0..n`.
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// `n` bytes, one draw each.
-    pub fn bytes(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.next() as u8).collect()
-    }
-}
-
 /// Flips `1..=most` bits of `bytes`, each anywhere.
 pub fn flip_bits(rng: &mut Rng, bytes: &mut [u8], most: usize) {
     for _ in 0..1 + rng.below(most) {
@@ -162,11 +144,7 @@ impl Cases {
         self.run += 1;
         match catch_unwind(AssertUnwindSafe(|| check(input))) {
             Ok(accepted) => self.accepted += u64::from(accepted),
-            Err(panic) => {
-                let what = panic.downcast_ref::<String>().map(String::as_str);
-                let what = what.or_else(|| panic.downcast_ref::<&str>().copied());
-                panic!("{case}: {}\ninput: {input:02x?}", what.unwrap_or("a panic"));
-            }
+            Err(panic) => panic!("{case}: {}\ninput: {input:02x?}", gen::message(&*panic)),
         }
     }
 
