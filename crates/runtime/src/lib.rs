@@ -417,21 +417,36 @@ mod tests {
         assert!(matches!(err, Error::OutOfFuel { .. }), "{err}");
     }
 
+    /// A failing dependency fails every job waiting on it with its own
+    /// error: `outer` waits on the strict encode of `middle`, which
+    /// tail-calls `inner`, which traps. Nothing is left in flight — no
+    /// entry, so no waiter — and the failure is not memoized: each
+    /// evaluation re-attempts it.
     #[test]
     fn error_propagates_through_dependencies() {
-        let rt = Runtime::builder().build();
-        let bad = rt
-            .install_vm_module("func apply args=0 locals=0\n unreachable\nend")
-            .unwrap();
-        let first = rt.register_native("first2", Arc::new(|ctx| ctx.arg(0)));
-        let inner = rt.apply(limits(), bad, &[]).unwrap();
-        let outer = rt
-            .apply(limits(), first, &[inner.strict().unwrap()])
-            .unwrap();
-        let err = rt.eval(outer).unwrap_err();
-        assert!(matches!(err, Error::Trap(_)), "{err}");
-        // The application fails with the encoded thunk's own error.
-        assert_eq!(err, rt.eval(inner).unwrap_err());
+        for workers in [0usize, 2] {
+            let rt = Runtime::builder().workers(workers).build();
+            let bad = rt
+                .install_vm_module("func apply args=0 locals=0\n unreachable\nend")
+                .unwrap();
+            let first = rt.register_native("first2", Arc::new(|ctx| ctx.arg(0)));
+            let inner = rt.apply(limits(), bad, &[]).unwrap();
+            let middle = rt.apply(limits(), first, &[inner]).unwrap();
+            let outer = rt
+                .apply(limits(), first, &[middle.strict().unwrap()])
+                .unwrap();
+            let err = rt.eval(outer).unwrap_err();
+            assert!(matches!(err, Error::Trap(_)), "{err}");
+            let ran = rt.procedures_run();
+            assert_eq!(rt.job_entries(), 0, "workers={workers}");
+            assert_eq!(rt.queued_jobs(), 0, "workers={workers}");
+            assert_eq!(rt.submission_watchers(), 0, "workers={workers}");
+            // The application fails with the encoded thunk's own error.
+            for parent in [middle, inner] {
+                assert_eq!(err, rt.eval(parent).unwrap_err(), "workers={workers}");
+            }
+            assert!(rt.procedures_run() > ran, "workers={workers}");
+        }
     }
 
     /// A procedure that returns a Thunk made a tail call: its caller's
@@ -850,18 +865,18 @@ mod tests {
         (out.expect("the request succeeds"), events)
     }
 
+    /// Counts the events of one kind.
+    fn count(events: &[fix_obs::TraceEvent], kind: fix_obs::EventKind) -> usize {
+        events.iter().filter(|ev| ev.kind == kind).count()
+    }
+
     /// A cold single-step `eval` is stepped where it arrives: the door
     /// claims its job (no deque token, so no enqueue and no pop), steps
     /// it on the calling thread and completes it, leaving no entry, no
-    /// watcher and nothing queued. A request whose door step parks (a
-    /// salted FixVM `fib(12)`, on its tail call) falls back to the
-    /// watched path and takes the 30 steps it always did.
+    /// watcher and nothing queued.
     #[test]
     fn a_cold_single_step_eval_never_queues() {
         use fix_obs::EventKind;
-        let count = |events: &[fix_obs::TraceEvent], kind: EventKind| {
-            events.iter().filter(|ev| ev.kind == kind).count()
-        };
         let rt = Runtime::builder().build();
         let add = register_add(&rt);
         let args = [5, 8].map(|n| rt.put_blob(Blob::from_u64(n)));
@@ -876,7 +891,18 @@ mod tests {
         assert_eq!(rt.queued_jobs(), 0);
         assert_eq!(rt.job_entries(), 0);
         assert_eq!(rt.submission_watchers(), 0);
+    }
 
+    /// A multi-step `eval` runs to completion on the door's stack: a
+    /// salted FixVM `fib(12)` parks on tail calls and on strict encodes,
+    /// and each job it waits for is claimed and stepped next on the
+    /// calling thread. So its 30 steps are 24 claims and 24 completions,
+    /// with no deque token (no enqueue, no pop) and no watched slot (no
+    /// batch fill), and it leaves no entry, watcher or queued job.
+    #[test]
+    fn a_multi_step_eval_never_queues() {
+        use fix_obs::EventKind;
+        let rt = Runtime::builder().build();
         let fib = rt
             .install_vm_module(include_str!("../../../tests/guests/fib.fvm"))
             .unwrap();
@@ -894,12 +920,12 @@ mod tests {
         let thunk = salted(8);
         let (out, events) = sched_events_of(thunk, || rt.eval_strict(thunk));
         assert_eq!(rt.get_u64(out).unwrap(), 144);
-        let steps: Vec<_> = events
-            .iter()
-            .filter(|ev| ev.kind == EventKind::SchedExecute)
-            .collect();
-        assert_eq!(steps.len(), 30, "scheduler steps for one salted fib(12)");
-        assert_eq!(steps[0].b, 1, "the door's step parks on its tail call");
+        assert_eq!(rt.procedures_run(), 48);
+        assert_eq!(count(&events, EventKind::SchedExecute), 30, "steps");
+        assert_eq!(count(&events, EventKind::SchedComplete), 24, "one per job");
+        assert_eq!(count(&events, EventKind::SchedEnqueue), 0, "no token");
+        assert_eq!(count(&events, EventKind::SchedPop), 0, "no token");
+        assert_eq!(count(&events, EventKind::SchedBatchFill), 0, "no watcher");
         assert_eq!(rt.queued_jobs(), 0);
         assert_eq!(rt.job_entries(), 0);
         assert_eq!(rt.submission_watchers(), 0);

@@ -303,9 +303,10 @@ impl SubmitApi for Runtime {
 impl Evaluator for Runtime {
     /// Overrides the provided submit-and-wait with the inline drive (the
     /// Fig. 7a microsecond path): the door, then, if the table did not
-    /// answer, the job stepped on this thread; a watched slot only if the
-    /// job is already in flight or its step parks. An answered request
-    /// allocates nothing.
+    /// answer, every job the request needs claimed and stepped on this
+    /// thread, depth first; a watched slot only for a job another thread
+    /// holds, and the deques only while a pool worker is idle. An
+    /// answered request allocates nothing.
     fn eval(&self, handle: Handle) -> Result<Handle> {
         self.scheduler.run_inline(handle, false)
     }

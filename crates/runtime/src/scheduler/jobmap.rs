@@ -9,7 +9,9 @@
 //! comes with the job's one queue token, so a `Queued` entry's token is
 //! in a deque; a job nothing wants any more keeps its entry until that
 //! token is popped. The entry the scheduler's door creates has no token:
-//! it is `Running` from the start, stepped by the thread that made it.
+//! it is `Running` from the start, and stays so while its job waits on
+//! that thread's stack, until it completes (or is published: then it
+//! parks `Waiting` like a popped job's).
 //! The map is sharded by the keyed word fold of the job identity
 //! (`fix_core::handle::HandleBuildHasher`, the same fold each shard's
 //! map buckets by, and the one the node's table shards by), so
@@ -42,7 +44,8 @@ pub(super) enum JobState {
     #[default]
     Queued,
     /// The job is being stepped: its token was popped, or the door
-    /// claimed it.
+    /// claimed it (and keeps it `Running` on its stack while the job
+    /// waits there for a tail call or dependencies).
     Running,
     /// Parked until the pending dependencies of its [`DepWait`] complete.
     Waiting,

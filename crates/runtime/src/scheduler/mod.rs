@@ -46,13 +46,20 @@
 //!
 //! The scheduler can be driven two ways:
 //!
-//! * **inline** ([`Scheduler::run_inline`]) — the calling thread drains
-//!   jobs itself; this is the microsecond path used when a client
+//! * **inline** ([`Scheduler::run_inline`]) — the calling thread runs
+//!   the request itself; this is the microsecond path used when a client
 //!   evaluates a single computation (no thread handoff): the door, then,
-//!   if the table did not answer, the door's step — the job claimed and
-//!   stepped on the calling thread, no deque token — and only if the job
-//!   was in flight or the step parked, one watched slot driven to
-//!   completion;
+//!   if the table did not answer, the door's stack — the work-first rule
+//!   of Cilk-5 (Frigo, Leiserson and Randall, PLDI 1998). Each job the
+//!   request needs is claimed and stepped on the calling thread, depth
+//!   first, from an explicit stack of claimed jobs the thread owns: a
+//!   step that parks pushes its job, which waits there for its tail
+//!   call or for its dependencies, run last-first, and is completed (a
+//!   tail) or stepped again (dependencies) when they finish. No deque
+//!   token and no watched batch: only a job another thread holds is
+//!   watched (one slot driven to completion), and only while a pool
+//!   worker is idle does a job with more than one pending dependency
+//!   go to the deques for it to steal;
 //! * **pooled** ([`WorkerPool`]) — N worker threads drain jobs
 //!   concurrently, each owning its own deque slot; independent
 //!   sub-computations (e.g. the branches of a parallel map) run in
@@ -114,7 +121,8 @@
 //!   and the entry says whether anything still wants the job. The door's
 //!   claim (`claim_at_door`) is one visit too, and takes the place of
 //!   the watch and the token: a job with no entry gets one, `Running`,
-//!   and is stepped by the thread it arrived on;
+//!   and is stepped by the thread it arrived on, which keeps the entry
+//!   `Running` on its stack for as long as the job waits there;
 //! * **complete and remove** — one visit per completed job
 //!   (`complete_job`): take the watchers and waiters, drop the entry;
 //! * **park** — one visit per dependency and one for the job's own
@@ -122,11 +130,33 @@
 //!   dependency registers: one that finished just before registration
 //!   has no entry, so it is re-enqueued and its one step is a cache hit.
 //!
-//! A single-step inline request is therefore two visits — the door's
-//! claim and the completion — with no deque token, and an answered one
-//! none. One whose door step parks adds the park's visits and one watch
-//! on its own entry; a submitted slot (a ticket) is still watch, claim
-//! and complete.
+//! An inline request is therefore two visits per job — the door's claim
+//! and the completion — however many steps it takes: no park, no
+//! requeue, no deque token and no watch; an answered one is none. A
+//! stacked job's re-step, once its dependencies are done, visits
+//! nothing. Only a job in flight elsewhere costs a watch, and only a
+//! published job costs the park's visits. A submitted slot (a ticket)
+//! is still watch, claim and complete, and each step that parks, park
+//! and requeue.
+//!
+//! ## Gotchas of the door's stack
+//!
+//! - Stacked claims count in `executing`, so a stall check sees them as
+//!   work in flight; the door's own wait discounts the claims its stack
+//!   holds (`wait_batch`'s `held`). Every claim is released on the way
+//!   down, also at a panic two frames up
+//!   (`a_panic_at_the_door_leaves_no_entry_and_no_claim`).
+//! - A `Deps` list runs last-first, the order the LIFO deque ran it in;
+//!   another order moves the step pins (`tests/engine_steps.rs`'s
+//!   `requests_cost_a_fixed_number_of_procedures_and_steps`).
+//! - A dependency another thread holds is watched through one watched
+//!   slot, and the thread drives the deques until it fills; stacks that
+//!   meet there still run each procedure once (`tests/submission_stress.rs`'s
+//!   `concurrent_evals_of_one_cold_fib_run_each_procedure_once`).
+//! - A frame is published only on a runtime with pool workers, while
+//!   one is parked, and only with more than one pending dependency: it
+//!   parks through `park_on_deps` and the door watches it, so the inline
+//!   runtime never enqueues (`a_multi_step_eval_never_queues`).
 //!
 //! **A failure is not memoized.** A failed job fails every slot and
 //! waiter it reaches and then, like a success, leaves no record. The
@@ -153,7 +183,9 @@
 //! step completes the job; if it finishes *during*
 //! registration (the guard unit is still held), the job is requeued once
 //! and its step finds the value memoized. A failed callee fails the
-//! waiter with the same error.
+//! waiter with the same error. On the door's stack a tail caller is a
+//! `Tail` frame, completed the same way when its callee's result comes
+//! down the stack.
 //!
 //! # Parking and stall detection
 //!
@@ -260,6 +292,9 @@ pub(crate) struct Scheduler {
     shutdown: AtomicBool,
     /// Number of pool workers attached (used for stall detection).
     workers_running: AtomicUsize,
+    /// Pool workers parked for want of a token: while one is, the door
+    /// publishes a frame with more than one pending dependency.
+    idle_workers: AtomicUsize,
 }
 
 impl Scheduler {
@@ -277,6 +312,7 @@ impl Scheduler {
             executing: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             workers_running: AtomicUsize::new(0),
+            idle_workers: AtomicUsize::new(0),
         }
     }
 
@@ -397,7 +433,8 @@ impl Scheduler {
     /// as the completion path reaches it. A strict miss still at its
     /// `Eval` chains onto the `Force` of the result when the eval
     /// completes. This is the scheduler half of the One Fix API's
-    /// `submit_with`, and of the door's fallback (`run_at_door`).
+    /// `submit_with`, and of the door's watch and publish
+    /// ([`watch_one`](Self::watch_one)).
     pub(crate) fn submit_watched_with(&self, pending: &[Unanswered]) -> Arc<BatchState> {
         let state = Arc::new(BatchState::new(pending));
         let slot = self.deques.external();
@@ -472,8 +509,10 @@ impl Scheduler {
     /// slots (which kills their watchers) instead of parking forever,
     /// unless the batch turns out done after all: the finishing step and
     /// the stall read can race, and a result always wins. The caller is
-    /// an external thread: it owns the external slot.
-    pub(crate) fn wait_batch(&self, state: &BatchState) {
+    /// an external thread: it owns the external slot. It holds `held`
+    /// claims of its own meanwhile (the door's stack; a ticket's waiter
+    /// holds none), which the stall check does not count as progress.
+    pub(crate) fn wait_batch(&self, state: &BatchState, held: usize) {
         let slot = self.deques.external();
         while !state.is_done() {
             if let Some(claim) = self.try_claim(slot) {
@@ -482,7 +521,7 @@ impl Scheduler {
                 let mut stalled = false;
                 self.park_unless(slot, || {
                     state.is_done() || self.deques.queued() > 0 || {
-                        stalled = self.stalled_now();
+                        stalled = self.stalled_now(held);
                         stalled
                     }
                 });
@@ -498,7 +537,7 @@ impl Scheduler {
 
     /// Evaluates `h` on the calling thread (`strict`: deep-forced too):
     /// the door ([`admit`](Scheduler::admit)), then, on a miss, the
-    /// door's step ([`run_at_door`](Scheduler::run_at_door)).
+    /// door's stack ([`run_at_door`](Scheduler::run_at_door)).
     /// Cooperates with pool workers and other drivers; an answer at the
     /// door takes no shard and allocates nothing. This is the Fig. 7a
     /// microsecond path.
@@ -509,37 +548,173 @@ impl Scheduler {
         }
     }
 
-    /// Runs what the door could not answer for request `h`: while its
-    /// job is in nobody's hands, claims it ([`claim_at_door`]) and steps
-    /// it on the calling thread, and a strict request whose `Eval` is
-    /// done goes on to the answer rule for its `Force`, and steps that
-    /// too. A single-step request is thus two job-map visits, the claim
-    /// and the completion, and no deque token. A job already in flight,
-    /// or a step that parks, falls back to one watched slot driven by
-    /// [`wait_batch`](Scheduler::wait_batch). Out of line, so an answered
-    /// `eval` does not carry this frame.
+    /// Runs what the door could not answer for request `h` to completion
+    /// on the calling thread, depth first, from a stack of claimed jobs
+    /// the thread owns (the work-first rule). A job nobody holds is
+    /// claimed ([`claim_at_door`]) and stepped. A step that parks pushes
+    /// its job's [`Frame`]: a tail call's callee is run next, and a
+    /// dependency list is run last-first, as the LIFO deque ran it. A
+    /// finished job is completed ([`complete_job`]) and its result
+    /// handed down: a tail caller is completed with it
+    /// ([`Engine::complete_tail`]), a failure fails every frame below,
+    /// and a `Deps` frame runs its next dependency, or is stepped again
+    /// once it has none. A strict request whose `Eval` is done goes on
+    /// to the answer rule for its `Force`, and runs that too.
+    ///
+    /// So an inline request costs one claim and one completion per job,
+    /// with no park, no deque token and no watched batch. The door meets
+    /// the general path in two places only: a job another thread holds
+    /// is watched ([`watch_at_door`](Self::watch_at_door)), and a frame
+    /// is published ([`publish`](Self::publish)) when a pool worker is
+    /// idle.
+    ///
+    /// The request's first step is taken here; only a request it does
+    /// not finish goes on to the stack ([`run_stack`](Self::run_stack)).
+    /// Both are out of line, so an answered `eval` carries neither frame
+    /// and a single-step one does not carry the stack's.
     ///
     /// [`claim_at_door`]: Scheduler::claim_at_door
+    /// [`complete_job`]: Scheduler::complete_job
     #[inline(never)]
-    fn run_at_door(&self, h: Handle, mut rest: (Job, bool)) -> Result<Handle> {
+    fn run_at_door(&self, h: Handle, (job, then_force): (Job, bool)) -> Result<Handle> {
         let slot = self.deques.external();
-        while let Some(claim) = self.claim_at_door(rest.0, slot) {
-            match claim.execute() {
-                Some(Ok(v)) if rest.1 => match self.answer(Job::Force(v), false) {
-                    Ok(forced) => return Ok(forced),
-                    Err(force) => rest = force,
+        let first = match self.claim_at_door(job, slot) {
+            Some(claim) => match self.step_job(job, slot) {
+                // A request of one step (a cold native add) is done here,
+                // with no stack: the single-step path keeps its shape.
+                Ok(Step::Done(v)) if !then_force => return self.finish(claim, Ok(v)),
+                step => Next::Stepped(claim, step),
+            },
+            None => Next::Unwind(self.watch_at_door(h, job, 0)),
+        };
+        self.run_stack(h, first, then_force)
+    }
+
+    /// The door's stack: drives request `h` from `next` until its result
+    /// is known (see [`run_at_door`](Self::run_at_door)), going on to the
+    /// `Force` of the value if `then_force`.
+    #[inline(never)]
+    fn run_stack<'s>(
+        &'s self,
+        h: Handle,
+        mut next: Next<'s>,
+        mut then_force: bool,
+    ) -> Result<Handle> {
+        let slot = self.deques.external();
+        let mut stack: Vec<Frame<'s>> = Vec::new();
+        loop {
+            next = match next {
+                Next::Run(job) => match self.claim_at_door(job, slot) {
+                    Some(claim) => Next::Step(claim),
+                    None => Next::Unwind(self.watch_at_door(h, job, stack.len())),
                 },
-                Some(result) => return result,
-                None => break,
-            }
+                Next::Step(claim) => {
+                    let step = self.step_job(claim.job, slot);
+                    Next::Stepped(claim, step)
+                }
+                Next::Stepped(claim, step) => match step {
+                    Ok(Step::Deps(deps)) => self.resume(h, claim, deps, &mut stack),
+                    Ok(Step::Tail(callee)) => {
+                        stack.push(Frame {
+                            claim,
+                            waits: Waits::Tail,
+                        });
+                        Next::Run(callee)
+                    }
+                    Ok(Step::Done(v)) => Next::Unwind(self.finish(claim, Ok(v))),
+                    Err(e) => Next::Unwind(self.finish(claim, Err(e))),
+                },
+                Next::Unwind(result) => match stack.pop() {
+                    Some(Frame {
+                        claim,
+                        waits: Waits::Deps(deps),
+                    }) if result.is_ok() => self.resume(h, claim, deps, &mut stack),
+                    Some(Frame { claim, waits }) => {
+                        if let (Waits::Tail, Ok(v)) = (waits, &result) {
+                            self.engine.complete_tail(claim.job, *v);
+                        }
+                        Next::Unwind(self.finish(claim, result))
+                    }
+                    None => match result {
+                        Ok(v) if then_force => {
+                            then_force = false;
+                            match self.answer(Job::Force(v), false) {
+                                Ok(forced) => return Ok(forced),
+                                Err((force, _)) => Next::Run(force),
+                            }
+                        }
+                        result => return result,
+                    },
+                },
+            };
         }
-        let state = self.submit_watched_with(&[Unanswered {
+    }
+
+    /// What the door does with a claimed job whose step (or whose last
+    /// dependency) left it `deps` to wait on: runs the newest next, with
+    /// the job's frame on the stack, or steps the job again when none is
+    /// left. With more than one pending and a pool worker idle, the job
+    /// goes to the general path instead ([`publish`](Self::publish)), so
+    /// the worker can steal all but the newest.
+    fn resume<'s>(
+        &'s self,
+        h: Handle,
+        claim: Claim<'s>,
+        mut deps: Vec<Job>,
+        stack: &mut Vec<Frame<'s>>,
+    ) -> Next<'s> {
+        if deps.len() > 1 && self.idle_workers.load(Ordering::SeqCst) > 0 {
+            return Next::Unwind(self.publish(h, claim, &deps, stack.len()));
+        }
+        match deps.pop() {
+            Some(dep) => {
+                stack.push(Frame {
+                    claim,
+                    waits: Waits::Deps(deps),
+                });
+                Next::Run(dep)
+            }
+            None => Next::Step(claim),
+        }
+    }
+
+    /// Completes the door's claimed job with `result` and releases the
+    /// claim; returns `result` for the frame below.
+    fn finish(&self, claim: Claim<'_>, result: Result<Handle>) -> Result<Handle> {
+        self.complete_job(claim.job, result.clone(), claim.slot);
+        result
+    }
+
+    /// Waits for `job`, which another thread holds, through one watched
+    /// slot of request `h` driven by [`wait_batch`](Self::wait_batch);
+    /// the door's stack holds `held` claims meanwhile.
+    fn watch_at_door(&self, h: Handle, job: Job, held: usize) -> Result<Handle> {
+        let state = self.watch_one(h, job);
+        self.wait_batch(&state, held);
+        state.result(0)
+    }
+
+    /// Hands the door's claimed job to the general path: a watched slot
+    /// registers on its entry (still the door's, so no token), then the
+    /// job parks on `deps` ([`park_on_deps`](Self::park_on_deps): a
+    /// token each) and the claim goes. The door drives the slot like a
+    /// watch: its LIFO pop takes the newest dependency, and an idle
+    /// worker steals the older ones.
+    fn publish(&self, h: Handle, claim: Claim<'_>, deps: &[Job], held: usize) -> Result<Handle> {
+        let state = self.watch_one(h, claim.job);
+        self.park_on_deps(claim.job, deps, false, claim.slot);
+        drop(claim);
+        self.wait_batch(&state, held);
+        state.result(0)
+    }
+
+    /// One watched slot of request `h`, waiting on `job`.
+    fn watch_one(&self, h: Handle, job: Job) -> Arc<BatchState> {
+        self.submit_watched_with(&[Unanswered {
             pos: 0,
             request: h,
-            rest,
-        }]);
-        self.wait_batch(&state);
-        state.result(0)
+            rest: (job, false),
+        }])
     }
 
     /// The door's claim on `job` for an owner of `slot`: when the job map
@@ -619,10 +794,22 @@ impl Scheduler {
     // ----------------------------------------------------------------
     // Execution
 
-    /// Steps a job claimed by an owner of `slot` and records the
-    /// outcome; what the step enqueues goes to `slot`. Returns the job's
-    /// result when the step completed it, `None` when it parked (on
-    /// dependencies or a tail call).
+    /// Steps a job popped by an owner of `slot` and records the
+    /// outcome: completes it, or parks it on its dependencies or its tail
+    /// call, which enqueues them into `slot`.
+    fn execute(&self, job: Job, slot: usize) {
+        match self.step_job(job, slot) {
+            Ok(Step::Done(h)) => self.complete_job(job, Ok(h), slot),
+            Err(e) => self.complete_job(job, Err(e), slot),
+            Ok(Step::Deps(deps)) => self.park_on_deps(job, &deps, false, slot),
+            Ok(Step::Tail(callee)) => self.park_on_deps(job, &[callee], true, slot),
+        }
+        self.notify_sleepers(slot);
+    }
+
+    /// Steps `job` once for an owner of `slot`: the engine's step, traced
+    /// as a `SchedExecute` span. Both drivers step through it, the pop's
+    /// ([`execute`](Self::execute)) and the door's stack.
     ///
     /// A panicking codelet is caught at this boundary and recorded as a
     /// guest [`Error::Trap`] — panics are guest faults like VM traps, and
@@ -630,7 +817,7 @@ impl Scheduler {
     /// Letting the panic unwind instead would lose the job (its entry
     /// stays `Running` but nothing steps it any more), permanently
     /// hanging any driver or pool waiting on it.
-    fn execute(&self, job: Job, slot: usize) -> Option<Result<Handle>> {
+    fn step_job(&self, job: Job, slot: usize) -> Result<Step> {
         let t0 = fix_obs::tracing_enabled().then(Instant::now);
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.engine.step(job)))
             .unwrap_or_else(|payload| {
@@ -642,8 +829,8 @@ impl Scheduler {
                 Err(Error::Trap(format!("codelet panicked: {msg}")))
             });
         if let Some(t0) = t0 {
-            // Parked-on-deps steps count too: the span is "worker held
-            // this job", whatever the step reported.
+            // Parked-on-deps steps count too: the span is "this thread
+            // held this job", whatever the step reported.
             let parked = matches!(step, Ok(Step::Deps(_) | Step::Tail(_))) as u32;
             fix_obs::emit_span(
                 EventKind::SchedExecute,
@@ -654,23 +841,7 @@ impl Scheduler {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        let outcome = match step {
-            Ok(Step::Done(h)) => Some(Ok(h)),
-            Err(e) => Some(Err(e)),
-            Ok(Step::Deps(deps)) => {
-                self.park_on_deps(job, &deps, false, slot);
-                None
-            }
-            Ok(Step::Tail(callee)) => {
-                self.park_on_deps(job, &[callee], true, slot);
-                None
-            }
-        };
-        if let Some(result) = &outcome {
-            self.complete_job(job, result.clone(), slot);
-        }
-        self.notify_sleepers(slot);
-        outcome
+        step
     }
 
     /// Parks a stepped job on its unfinished dependencies via a fresh
@@ -909,9 +1080,10 @@ impl Scheduler {
     /// counter (increment-before-push / decrement-after-pop, with the
     /// popper's claim held until its consequences are published) exists
     /// to make checkable from one thread.
-    fn stalled_now(&self) -> bool {
+    /// The caller holds `held` claims itself, and is not stepping.
+    fn stalled_now(&self, held: usize) -> bool {
         self.workers_running.load(Ordering::SeqCst) == 0
-            && self.executing.load(Ordering::SeqCst) == 0
+            && self.executing.load(Ordering::SeqCst) == held
             && self.deques.queued() == 0
     }
 
@@ -1007,16 +1179,19 @@ impl Scheduler {
                 claim.execute();
                 continue;
             }
+            self.idle_workers.fetch_add(1, Ordering::SeqCst);
             self.park_unless(index, || {
                 self.shutdown.load(Ordering::SeqCst) || self.deques.queued() > 0
             });
+            self.idle_workers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
 /// A driver's executor claim on one popped job (see
-/// [`Scheduler::try_claim`]), or on the job the door claimed (see
-/// [`Scheduler::claim_at_door`]): while it lives, concurrent drivers that
+/// [`Scheduler::try_claim`]), or on a job the door claimed (see
+/// [`Scheduler::claim_at_door`]; the door's stack holds one per frame):
+/// while it lives, concurrent drivers that
 /// find the deques empty see the in-flight step (via the `executing`
 /// counter) instead of reporting a stall. Dropping releases the claim
 /// and wakes parked drivers — also on unwind, so a panicking codelet
@@ -1030,9 +1205,9 @@ struct Claim<'a> {
 }
 
 impl Claim<'_> {
-    /// Steps the claimed job, then releases the claim; returns what
-    /// [`Scheduler::execute`] does.
-    fn execute(self) -> Option<Result<Handle>> {
+    /// Steps the claimed job ([`Scheduler::execute`]), then releases the
+    /// claim.
+    fn execute(self) {
         self.scheduler.execute(self.job, self.slot)
         // Release happens in Drop, which also covers the panic path.
     }
@@ -1042,6 +1217,35 @@ impl Drop for Claim<'_> {
     fn drop(&mut self) {
         self.scheduler.release_claim(self.slot);
     }
+}
+
+/// A job on the door's stack (see [`Scheduler::run_at_door`]): its
+/// claim, held until the job completes, and what it waits for.
+struct Frame<'s> {
+    claim: Claim<'s>,
+    waits: Waits,
+}
+
+/// What a [`Frame`]'s job waits for.
+enum Waits {
+    /// Its dependencies not yet run, run last-first; the job is stepped
+    /// again once the list is empty.
+    Deps(Vec<Job>),
+    /// Its tail call, run just above it on the stack: the callee's
+    /// value completes the job with no second step.
+    Tail,
+}
+
+/// The door's next move (see [`Scheduler::run_stack`]).
+enum Next<'s> {
+    /// Claim and step this job, or watch it if another thread holds it.
+    Run(Job),
+    /// Step this claimed job (again, once its dependencies are done).
+    Step(Claim<'s>),
+    /// Act on what this claimed job's step reported.
+    Stepped(Claim<'s>, Result<Step>),
+    /// Hand the result of the job just finished to the frame below it.
+    Unwind(Result<Handle>),
 }
 
 /// A pool of worker threads draining a scheduler's deques: one worker
@@ -1097,12 +1301,24 @@ mod tests {
 
     /// A table, an engine over it and a registered native `f`.
     fn node_with(f: fix_core::api::NativeFn) -> (Arc<Store>, Arc<Engine>, Handle) {
+        let (store, engine, [procedure]) = node_with_all(["native"].map(|name| (name, f.clone())));
+        (store, engine, procedure)
+    }
+
+    /// A table, an engine over it and the natives `fs`, registered by
+    /// name in order.
+    fn node_with_all<const N: usize>(
+        fs: [(&str, fix_core::api::NativeFn); N],
+    ) -> (Arc<Store>, Arc<Engine>, [Handle; N]) {
         let store = Arc::new(Store::new());
         let registry = Arc::new(ProgramRegistry::new());
-        let (marker, procedure) = registry.register("native", f);
-        store.put_blob(marker);
+        let procedures = fs.map(|(name, f)| {
+            let (marker, procedure) = registry.register(name, f);
+            store.put_blob(marker);
+            procedure
+        });
         let engine = Arc::new(Engine::new(Arc::clone(&store), registry));
-        (store, engine, procedure)
+        (store, engine, procedures)
     }
 
     /// A table, an engine over it and a registered native `add`.
@@ -1211,7 +1427,7 @@ mod tests {
         let state = sched.submit_watched_with(&jobs);
         assert_eq!(sched.deques.queued(), N as usize, "one token per job");
 
-        sched.wait_batch(&state);
+        sched.wait_batch(&state, 0);
         for (i, pos) in (0..N).zip(0..) {
             let sum = store.get_blob(state.result(pos).expect("add succeeds"));
             assert_eq!(sum.expect("the sum is stored").as_u64(), Some(i + 1));
@@ -1255,21 +1471,31 @@ mod tests {
         assert_eq!(sched.entry_count(), 0);
     }
 
-    /// A panic in the door's step comes back as the step's `Trap`. The
-    /// door's entry goes with the completion and its executor claim with
-    /// the `Claim`, so a stall check afterwards finds nothing in flight.
+    /// A panic in the door's step comes back as the step's `Trap`, at
+    /// the top of the door's stack or two frames up it: `outer` waits on
+    /// the strict encode of `middle`, which tail-calls `boom`. Each
+    /// frame's entry goes with its completion and its executor claim
+    /// with the frame, so a stall check afterwards finds nothing in
+    /// flight.
     #[test]
     fn a_panic_at_the_door_leaves_no_entry_and_no_claim() {
-        let (store, engine, boom) = node_with(Arc::new(|_ctx| panic!("at the door")));
+        let (store, engine, [boom, first]) = node_with_all([
+            ("boom", Arc::new(|_ctx| panic!("at the door"))),
+            ("first", Arc::new(|ctx| ctx.arg(0))),
+        ]);
         let sched = Scheduler::new(engine, 0);
-        let thunk = thunk_of(&store, boom, vec![]);
-        match sched.run_inline(thunk, false) {
-            Err(Error::Trap(msg)) => assert!(msg.contains("at the door"), "{msg}"),
-            other => panic!("expected the codelet's trap, got {other:?}"),
+        let bad = thunk_of(&store, boom, vec![]);
+        let middle = thunk_of(&store, first, vec![bad]);
+        let outer = thunk_of(&store, first, vec![middle.strict().unwrap()]);
+        for request in [bad, outer] {
+            match sched.run_inline(request, false) {
+                Err(Error::Trap(msg)) => assert!(msg.contains("at the door"), "{msg}"),
+                other => panic!("expected the codelet's trap, got {other:?}"),
+            }
+            assert_eq!(sched.entry_count(), 0);
+            assert_eq!(sched.executing.load(Ordering::SeqCst), 0);
+            assert!(sched.stalled_now(0));
         }
-        assert_eq!(sched.entry_count(), 0);
-        assert_eq!(sched.executing.load(Ordering::SeqCst), 0);
-        assert!(sched.stalled_now());
     }
 
     /// A strict slot cancelled while its `Eval` runs leaves a dead

@@ -52,7 +52,7 @@ impl PendingBatch for RuntimePending {
         // The waiting thread turns into an inline driver: it executes
         // queued jobs (its own batch's and anyone else's) until the
         // watchers report this batch done.
-        self.scheduler.wait_batch(&self.state);
+        self.scheduler.wait_batch(&self.state, 0);
         self.assemble()
     }
 

@@ -1111,7 +1111,9 @@ const DEEP: u64 = 50_000;
 
 /// `derive_job_graph` walks a chain of strict applications with a
 /// worklist: the cluster client evaluates it like the runtime does, and
-/// the simulated run holds one task per link.
+/// the simulated run holds one task per link. On the runtime, `eval`
+/// holds the whole chain on the door's stack, one frame per link: the
+/// stack is data, not recursion.
 #[test]
 fn a_deep_strict_chain_evaluates_on_the_cluster_client() {
     fn chain(rt: &dyn BackendUnderTest) -> Handle {

@@ -98,10 +98,11 @@ fn a_cold_native_add_is_one_relation() {
 /// completion completes it, where it used to be stepped a second time
 /// only to copy the value: 41 before); `fib(1)` and `fib(0)` run (2, 2);
 /// each of the 11 adds runs (11, 11); and the six adds reached before
-/// their operands (n even: the deque is LIFO, so `fib(n-2)` is computed
-/// first and the odd adds find both operands memoized) take one more
-/// step to find their two strict encodes unresolved and park on them.
-/// Those six stay: they discover and enqueue the operands, and copy
+/// their operands (n even: the door's stack runs a dependency list
+/// last-first, as the LIFO deque did before it, so `fib(n-2)` is
+/// computed first and the odd adds find both operands memoized) take
+/// one more step to find their two strict encodes unresolved and park
+/// on them. Those six stay: they discover the operands, and copy
 /// nothing.
 ///
 /// The cache then holds 24 `Eval`s (one per application), 12 `Force`s

@@ -23,10 +23,11 @@
 //!   tests pin that cross-slot claiming keeps the same exactly-once
 //!   books, that a submitting thread's exit never strands its queued
 //!   work, and that a batch completes past a busy worker;
-//! * **the door's claim** — a cold `eval` is stepped on the thread it
-//!   arrives on once the door claims its job: concurrent `eval`s of one
-//!   thunk still run it once, and a step that panics there leaves no
-//!   claim or entry behind.
+//! * **the door's stack** — a cold `eval` runs on the thread it arrives
+//!   on, each job claimed at the door and stepped there: concurrent
+//!   `eval`s of one thunk, or of one multi-step `fib(12)` whose stacks
+//!   meet at jobs in flight, still run each procedure once, and a step
+//!   that panics there, at any depth, leaves no claim or entry behind.
 
 use fix::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -598,13 +599,55 @@ fn a_batch_completes_past_a_busy_worker_via_stealing() {
     assert_eq!(rt.queued_jobs(), 0);
 }
 
+/// Threads racing each round of `race_rounds`.
+const RACERS: usize = 8;
+
+/// Each round, `RACERS` threads evaluate `thunks[round]` at once
+/// (`strict`: deep-forced), meeting at a barrier before and after.
+/// Returns `procedures_run` after each round, read once every
+/// evaluation of that round returned, and every thread's results.
+fn race_rounds(rt: &Runtime, thunks: &[Handle], strict: bool) -> (Vec<u64>, Vec<Result<u64>>) {
+    // Every thread passes the barrier twice a round: once to start the
+    // round together, once to let the leader read the count after every
+    // evaluation of the round returned and before any of the next begins.
+    let barrier = Barrier::new(RACERS);
+    let runs_after = Mutex::new(Vec::new());
+    let results = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..RACERS {
+            scope.spawn(|| {
+                for &thunk in thunks {
+                    barrier.wait();
+                    let out = if strict {
+                        rt.eval_strict(thunk)
+                    } else {
+                        rt.eval(thunk)
+                    };
+                    results
+                        .lock()
+                        .unwrap()
+                        .push(out.and_then(|h| rt.get_u64(h)));
+                    if barrier.wait().is_leader() {
+                        runs_after.lock().unwrap().push(rt.procedures_run());
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(rt.submission_watchers(), 0);
+    assert_eq!(rt.queued_jobs(), 0);
+    (
+        runs_after.into_inner().unwrap(),
+        results.into_inner().unwrap(),
+    )
+}
+
 /// The door's claim is the dedup: each round, eight threads `eval` one
 /// fresh cold thunk at once on a 2-worker runtime. One of them claims
 /// the job and steps it where it arrived; the others find its entry and
 /// watch it. The procedure runs exactly once per round.
 #[test]
 fn concurrent_evals_of_one_cold_thunk_run_it_once() {
-    const THREADS: usize = 8;
     const ROUNDS: u64 = 200;
     let rt = Runtime::builder().workers(2).build();
     let add = rt.register_native(
@@ -623,51 +666,56 @@ fn concurrent_evals_of_one_cold_thunk_run_it_once() {
         })
         .collect();
     let before = rt.procedures_run();
-    // Every thread passes the barrier twice a round: once to start the
-    // round together, once to let the leader read the count after every
-    // `eval` of the round returned and before any of the next begins.
-    let barrier = Barrier::new(THREADS);
-    let runs_after = Mutex::new(Vec::new());
-    let sums = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            scope.spawn(|| {
-                for &thunk in &thunks {
-                    barrier.wait();
-                    let sum = rt.eval(thunk).and_then(|h| rt.get_u64(h));
-                    sums.lock().unwrap().push(sum);
-                    if barrier.wait().is_leader() {
-                        runs_after.lock().unwrap().push(rt.procedures_run());
-                    }
-                }
-            });
-        }
-    });
-    let runs_after = runs_after.into_inner().unwrap();
+    let (runs_after, sums) = race_rounds(&rt, &thunks, false);
     let expected: Vec<u64> = (1..=ROUNDS).map(|r| before + r).collect();
     assert_eq!(runs_after, expected, "one procedure run per round");
     let mut sums: Vec<u64> = sums
-        .into_inner()
-        .unwrap()
         .into_iter()
         .map(|s| s.expect("every eval of the round succeeds"))
         .collect();
     sums.sort_unstable();
     let mut want: Vec<u64> = (0..ROUNDS)
-        .flat_map(|r| [9_000_000 + r + 3; THREADS])
+        .flat_map(|r| [9_000_000 + r + 3; RACERS])
         .collect();
     want.sort_unstable();
     assert_eq!(sums, want);
-    assert_eq!(rt.submission_watchers(), 0);
-    assert_eq!(rt.queued_jobs(), 0);
+}
+
+/// Door stacks meet: each round, eight threads `eval_strict` one fresh
+/// salted FixVM `fib(12)` on a 2-worker runtime. Whichever thread
+/// claims a job steps it on its stack; another thread's stack that
+/// reaches it watches it, and a stack with two pending operands while
+/// a worker idles publishes them for the worker to steal. However they
+/// meet, the round runs its 24 procedures once.
+#[test]
+fn concurrent_evals_of_one_cold_fib_run_each_procedure_once() {
+    const ROUNDS: u64 = 40;
+    let rt = Runtime::builder().workers(2).build();
+    let fib = fix::workloads::guests::install_fib(&rt).unwrap();
+    let add = fix::workloads::guests::install_add(&rt).unwrap();
+    let n = rt.put_blob(Blob::from_u64(12));
+    let thunks: Vec<Handle> = (0..ROUNDS)
+        .map(|salt| {
+            let limits = ResourceLimits::new(64 << 20, (1 << 32) + salt);
+            rt.apply(limits, fib, &[add, n]).unwrap()
+        })
+        .collect();
+    let (runs_after, values) = race_rounds(&rt, &thunks, true);
+    let expected: Vec<u64> = (1..=ROUNDS).map(|r| 24 * r).collect();
+    assert_eq!(runs_after, expected, "24 procedure runs per round");
+    for value in values {
+        assert_eq!(value.expect("every eval of the round succeeds"), 144);
+    }
 }
 
 /// A native that panics when the door steps it is a guest fault:
 /// `eval` returns `Error::Trap`, and the door's entry and claim go with
-/// the step. So the same thunk traps again (a leftover entry would leave
-/// its watcher on a job nobody steps: a stall, or with the claim also
-/// leaked, a hang), nothing is queued or watched, and the next `eval` on
-/// the runtime completes.
+/// the step — also two frames up the door's stack, where the panicking
+/// job is the tail call of a job that a strict encode waits on. So the
+/// same thunks trap again (a leftover entry would leave its watcher on
+/// a job nobody steps: a stall, or with the claim also leaked, a hang),
+/// nothing is queued or watched, and the next `eval` on the runtime
+/// completes.
 #[test]
 fn a_panic_at_the_door_releases_its_claim() {
     let rt = Runtime::builder().build();
@@ -675,11 +723,18 @@ fn a_panic_at_the_door_releases_its_claim() {
         "stress/door-panic",
         Arc::new(|_ctx| -> Result<Handle> { panic!("guest bug at the door") }),
     );
+    let first = rt.register_native("stress/door-first", Arc::new(|ctx| ctx.arg(0)));
     let bad = rt.apply(limits(), boom, &[]).unwrap();
-    for attempt in 0..2 {
-        match rt.eval(bad) {
-            Err(Error::Trap(msg)) => assert!(msg.contains("codelet panicked"), "{msg}"),
-            other => panic!("attempt {attempt}: expected the codelet's trap, got {other:?}"),
+    let middle = rt.apply(limits(), first, &[bad]).unwrap();
+    let outer = rt
+        .apply(limits(), first, &[middle.strict().unwrap()])
+        .unwrap();
+    for request in [bad, outer] {
+        for attempt in 0..2 {
+            match rt.eval(request) {
+                Err(Error::Trap(msg)) => assert!(msg.contains("codelet panicked"), "{msg}"),
+                other => panic!("attempt {attempt}: expected the codelet's trap, got {other:?}"),
+            }
         }
     }
     assert_eq!(rt.queued_jobs(), 0);
@@ -695,7 +750,7 @@ fn a_panic_at_the_door_releases_its_claim() {
         }),
     );
     // A strict encode as an argument: the door's step parks on it, so
-    // this request also drives the watched path afterwards.
+    // this request runs two frames on the door's stack.
     let inner = rt
         .apply(
             limits(),
