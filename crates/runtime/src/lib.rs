@@ -921,7 +921,12 @@ mod tests {
         let (out, events) = sched_events_of(thunk, || rt.eval_strict(thunk));
         assert_eq!(rt.get_u64(out).unwrap(), 144);
         assert_eq!(rt.procedures_run(), 48);
-        assert_eq!(count(&events, EventKind::SchedExecute), 30, "steps");
+        let steps: Vec<_> = events
+            .iter()
+            .filter(|ev| ev.kind == EventKind::SchedExecute)
+            .collect();
+        assert_eq!(steps.len(), 30, "scheduler steps for one salted fib(12)");
+        assert_eq!(steps[0].b, 1, "the door's step parks on its tail call");
         assert_eq!(count(&events, EventKind::SchedComplete), 24, "one per job");
         assert_eq!(count(&events, EventKind::SchedEnqueue), 0, "no token");
         assert_eq!(count(&events, EventKind::SchedPop), 0, "no token");

@@ -72,10 +72,14 @@ pub(crate) struct BatchState {
     remaining: AtomicUsize,
     /// Set by whichever fill drains `remaining`.
     done: AtomicBool,
+    /// Executor claims the batch's waiter holds while it waits: the
+    /// claims on the door's stack below a watched job (a ticket's waiter
+    /// holds none). See the scheduler's `waiting_claims`.
+    held: usize,
 }
 
 impl BatchState {
-    pub(super) fn new(pending: &[Unanswered]) -> BatchState {
+    pub(super) fn new(pending: &[Unanswered], held: usize) -> BatchState {
         let n = pending.len();
         BatchState {
             slots: pending
@@ -88,7 +92,13 @@ impl BatchState {
                 .collect(),
             remaining: AtomicUsize::new(n),
             done: AtomicBool::new(n == 0),
+            held,
         }
+    }
+
+    /// The executor claims the batch's waiter holds while it waits.
+    pub(super) fn held(&self) -> usize {
+        self.held
     }
 
     /// True once every slot has a result.

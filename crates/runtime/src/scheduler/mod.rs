@@ -142,10 +142,12 @@
 //! ## Gotchas of the door's stack
 //!
 //! - Stacked claims count in `executing`, so a stall check sees them as
-//!   work in flight; the door's own wait discounts the claims its stack
-//!   holds (`wait_batch`'s `held`). Every claim is released on the way
-//!   down, also at a panic two frames up
-//!   (`a_panic_at_the_door_leaves_no_entry_and_no_claim`).
+//!   work in flight, except while their thread waits for another's job:
+//!   then they count in `waiting_claims` too, until the batch it waits
+//!   for is filled. Two stacks stuck on one self tail call still report
+//!   the stall (`two_stacks_stuck_on_a_self_tail_call_report_a_stall`).
+//!   Every claim is released on the way down, also at a panic two frames
+//!   up (`a_panic_at_the_door_leaves_no_entry_and_no_claim`).
 //! - A `Deps` list runs last-first, the order the LIFO deque ran it in;
 //!   another order moves the step pins (`tests/engine_steps.rs`'s
 //!   `requests_cost_a_fixed_number_of_procedures_and_steps`).
@@ -153,10 +155,11 @@
 //!   slot, and the thread drives the deques until it fills; stacks that
 //!   meet there still run each procedure once (`tests/submission_stress.rs`'s
 //!   `concurrent_evals_of_one_cold_fib_run_each_procedure_once`).
-//! - A frame is published only on a runtime with pool workers, while
-//!   one is parked, and only with more than one pending dependency: it
-//!   parks through `park_on_deps` and the door watches it, so the inline
-//!   runtime never enqueues (`a_multi_step_eval_never_queues`).
+//! - A frame is published only on a runtime with pool workers, while a
+//!   thread is parked (`sleepers`), and only with more than one pending
+//!   dependency: it parks through `park_on_deps` and the door watches
+//!   it, so the inline runtime never enqueues
+//!   (`a_multi_step_eval_never_queues`).
 //!
 //! **A failure is not memoized.** A failed job fails every slot and
 //! waiter it reaches and then, like a success, leaves no record. The
@@ -197,7 +200,8 @@
 //! `workers_running`. A waiter that reads all three as zero has proof
 //! no progress is possible — including jobs resident in *other*
 //! slots' deques or mid-steal, which a per-queue emptiness scan would
-//! miss. Threads park on one condvar behind a `sleepers` count, so the
+//! miss. (`executing` reads as zero when every claim in it is held on
+//! the stack of a door thread that waits: `waiting_claims`.) Threads park on one condvar behind a `sleepers` count, so the
 //! hot path's wakeups are a single atomic load; a bounded park timeout
 //! (`PARK_SAFETY`, the one park every thread uses) backstops the
 //! protocol against lost-wakeup bugs without masking genuine stalls.
@@ -292,9 +296,14 @@ pub(crate) struct Scheduler {
     shutdown: AtomicBool,
     /// Number of pool workers attached (used for stall detection).
     workers_running: AtomicUsize,
-    /// Pool workers parked for want of a token: while one is, the door
-    /// publishes a frame with more than one pending dependency.
-    idle_workers: AtomicUsize,
+    /// Claims on the stacks of door threads waiting in
+    /// [`wait_batch`](Scheduler::wait_batch) for a batch not yet done:
+    /// the waiter adds its batch's `held` as it starts to wait, and
+    /// whoever completes the batch takes it off
+    /// ([`fill`](Scheduler::fill)), before that completer's own claim
+    /// goes. A stall is `executing` equal to this: every claim in flight
+    /// is one that a waiting thread holds.
+    waiting_claims: AtomicUsize,
 }
 
 impl Scheduler {
@@ -312,7 +321,7 @@ impl Scheduler {
             executing: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             workers_running: AtomicUsize::new(0),
-            idle_workers: AtomicUsize::new(0),
+            waiting_claims: AtomicUsize::new(0),
         }
     }
 
@@ -434,9 +443,14 @@ impl Scheduler {
     /// `Eval` chains onto the `Force` of the result when the eval
     /// completes. This is the scheduler half of the One Fix API's
     /// `submit_with`, and of the door's watch and publish
-    /// ([`watch_one`](Self::watch_one)).
-    pub(crate) fn submit_watched_with(&self, pending: &[Unanswered]) -> Arc<BatchState> {
-        let state = Arc::new(BatchState::new(pending));
+    /// ([`watch_one`](Self::watch_one)), whose waiter holds `held`
+    /// claims on its stack (a ticket's, none).
+    pub(crate) fn submit_watched_with(
+        &self,
+        pending: &[Unanswered],
+        held: usize,
+    ) -> Arc<BatchState> {
+        let state = Arc::new(BatchState::new(pending, held));
         let slot = self.deques.external();
         for (pos, request) in pending.iter().enumerate() {
             let (job, then_force) = request.rest;
@@ -464,7 +478,7 @@ impl Scheduler {
         }
         match self.answer(job, then_force) {
             Ok(v) => {
-                if state.fill(pos, Ok(v)) {
+                if self.fill(state, pos, Ok(v)) {
                     self.notify_sleepers(slot);
                 }
             }
@@ -509,11 +523,19 @@ impl Scheduler {
     /// slots (which kills their watchers) instead of parking forever,
     /// unless the batch turns out done after all: the finishing step and
     /// the stall read can race, and a result always wins. The caller is
-    /// an external thread: it owns the external slot. It holds `held`
-    /// claims of its own meanwhile (the door's stack; a ticket's waiter
-    /// holds none), which the stall check does not count as progress.
-    pub(crate) fn wait_batch(&self, state: &BatchState, held: usize) {
+    /// an external thread: it owns the external slot. The claims it
+    /// holds on the door's stack meanwhile (the batch's `held`) count in
+    /// `waiting_claims` until the batch is done, so the stall check does
+    /// not take them for progress, this thread's or another's.
+    pub(crate) fn wait_batch(&self, state: &BatchState) {
         let slot = self.deques.external();
+        if state.held() > 0 {
+            // After the watch is registered: until then this thread was
+            // still making progress. A fill that came first has already
+            // taken the claims off, so the two cancel.
+            self.waiting_claims
+                .fetch_add(state.held(), Ordering::SeqCst);
+        }
         while !state.is_done() {
             if let Some(claim) = self.try_claim(slot) {
                 claim.execute();
@@ -521,7 +543,7 @@ impl Scheduler {
                 let mut stalled = false;
                 self.park_unless(slot, || {
                     state.is_done() || self.deques.queued() > 0 || {
-                        stalled = self.stalled_now(held);
+                        stalled = self.stalled_now();
                         stalled
                     }
                 });
@@ -605,13 +627,9 @@ impl Scheduler {
         loop {
             next = match next {
                 Next::Run(job) => match self.claim_at_door(job, slot) {
-                    Some(claim) => Next::Step(claim),
+                    Some(claim) => Next::Stepped(claim, self.step_job(job, slot)),
                     None => Next::Unwind(self.watch_at_door(h, job, stack.len())),
                 },
-                Next::Step(claim) => {
-                    let step = self.step_job(claim.job, slot);
-                    Next::Stepped(claim, step)
-                }
                 Next::Stepped(claim, step) => match step {
                     Ok(Step::Deps(deps)) => self.resume(h, claim, deps, &mut stack),
                     Ok(Step::Tail(callee)) => {
@@ -653,9 +671,10 @@ impl Scheduler {
     /// What the door does with a claimed job whose step (or whose last
     /// dependency) left it `deps` to wait on: runs the newest next, with
     /// the job's frame on the stack, or steps the job again when none is
-    /// left. With more than one pending and a pool worker idle, the job
-    /// goes to the general path instead ([`publish`](Self::publish)), so
-    /// the worker can steal all but the newest.
+    /// left. With more than one pending while a thread is parked on a
+    /// runtime with pool workers, the job goes to the general path
+    /// instead ([`publish`](Self::publish)), so the parked thread can
+    /// steal all but the newest.
     fn resume<'s>(
         &'s self,
         h: Handle,
@@ -663,7 +682,10 @@ impl Scheduler {
         mut deps: Vec<Job>,
         stack: &mut Vec<Frame<'s>>,
     ) -> Next<'s> {
-        if deps.len() > 1 && self.idle_workers.load(Ordering::SeqCst) > 0 {
+        if deps.len() > 1
+            && self.workers_running.load(Ordering::SeqCst) > 0
+            && self.sleepers.load(Ordering::SeqCst) > 0
+        {
             return Next::Unwind(self.publish(h, claim, &deps, stack.len()));
         }
         match deps.pop() {
@@ -674,7 +696,10 @@ impl Scheduler {
                 });
                 Next::Run(dep)
             }
-            None => Next::Step(claim),
+            None => {
+                let step = self.step_job(claim.job, claim.slot);
+                Next::Stepped(claim, step)
+            }
         }
     }
 
@@ -689,8 +714,8 @@ impl Scheduler {
     /// slot of request `h` driven by [`wait_batch`](Self::wait_batch);
     /// the door's stack holds `held` claims meanwhile.
     fn watch_at_door(&self, h: Handle, job: Job, held: usize) -> Result<Handle> {
-        let state = self.watch_one(h, job);
-        self.wait_batch(&state, held);
+        let state = self.watch_one(h, job, held);
+        self.wait_batch(&state);
         state.result(0)
     }
 
@@ -698,23 +723,28 @@ impl Scheduler {
     /// registers on its entry (still the door's, so no token), then the
     /// job parks on `deps` ([`park_on_deps`](Self::park_on_deps): a
     /// token each) and the claim goes. The door drives the slot like a
-    /// watch: its LIFO pop takes the newest dependency, and an idle
-    /// worker steals the older ones.
+    /// watch: its LIFO pop takes the newest dependency, and a parked
+    /// thread steals the older ones. The stack holds `held`
+    /// claims below the job meanwhile.
     fn publish(&self, h: Handle, claim: Claim<'_>, deps: &[Job], held: usize) -> Result<Handle> {
-        let state = self.watch_one(h, claim.job);
+        let state = self.watch_one(h, claim.job, held);
         self.park_on_deps(claim.job, deps, false, claim.slot);
         drop(claim);
-        self.wait_batch(&state, held);
+        self.wait_batch(&state);
         state.result(0)
     }
 
-    /// One watched slot of request `h`, waiting on `job`.
-    fn watch_one(&self, h: Handle, job: Job) -> Arc<BatchState> {
-        self.submit_watched_with(&[Unanswered {
-            pos: 0,
-            request: h,
-            rest: (job, false),
-        }])
+    /// One watched slot of request `h`, waiting on `job`, for a door
+    /// whose stack holds `held` claims.
+    fn watch_one(&self, h: Handle, job: Job, held: usize) -> Arc<BatchState> {
+        self.submit_watched_with(
+            &[Unanswered {
+                pos: 0,
+                request: h,
+                rest: (job, false),
+            }],
+            held,
+        )
     }
 
     /// The door's claim on `job` for an owner of `slot`: when the job map
@@ -956,7 +986,7 @@ impl Scheduler {
                         // deep-force of the evaluated value.
                         self.watch_job(&w.state, w.pos, Job::Force(*h), false, slot);
                     }
-                    _ => woke |= w.state.fill(w.pos, result.clone()),
+                    _ => woke |= self.fill(&w.state, w.pos, result.clone()),
                 }
             }
             for wait in waiters {
@@ -989,6 +1019,20 @@ impl Scheduler {
         }
     }
 
+    /// Fills slot `pos` of `state` ([`BatchState::fill`]); true when that
+    /// completed the batch. A completed batch's waiter is about to run
+    /// again, so the claims its stack holds leave `waiting_claims` here,
+    /// while the filler's own claim (or, for a stall, the waiter's) is
+    /// still in `executing`.
+    fn fill(&self, state: &BatchState, pos: usize, result: Result<Handle>) -> bool {
+        let done = state.fill(pos, result);
+        if done && state.held() > 0 {
+            self.waiting_claims
+                .fetch_sub(state.held(), Ordering::SeqCst);
+        }
+        done
+    }
+
     // ----------------------------------------------------------------
     // Cancel and stall
 
@@ -1016,7 +1060,8 @@ impl Scheduler {
     fn fail_stalled(&self, state: &BatchState) {
         for pos in 0..state.len() {
             let job = state.job(pos);
-            state.fill(
+            self.fill(
+                state,
                 pos,
                 Err(Error::Trap(format!(
                     "evaluation stalled: no runnable jobs for {job}"
@@ -1080,16 +1125,20 @@ impl Scheduler {
     /// counter (increment-before-push / decrement-after-pop, with the
     /// popper's claim held until its consequences are published) exists
     /// to make checkable from one thread.
-    /// The caller holds `held` claims itself, and is not stepping.
-    fn stalled_now(&self, held: usize) -> bool {
+    /// A claim a door thread holds on its stack while it waits for
+    /// another thread (`waiting_claims`) is no progress either.
+    /// `executing` is read first: a completer takes its waiter's claims
+    /// off `waiting_claims` before its own claim goes, so the two reads
+    /// never meet at a waiter whose batch is already done.
+    fn stalled_now(&self) -> bool {
         self.workers_running.load(Ordering::SeqCst) == 0
-            && self.executing.load(Ordering::SeqCst) == held
+            && self.executing.load(Ordering::SeqCst) == self.waiting_claims.load(Ordering::SeqCst)
             && self.deques.queued() == 0
     }
 
     /// Parks the calling thread until a notify (or [`PARK_SAFETY`]),
     /// unless `ready` already holds once the park lock is taken. The
-    /// sleepers-count handshake with [`notify_sleepers`] guarantees
+    /// sleepers-count handshake with [`notify_sleepers`](Self::notify_sleepers) guarantees
     /// that any state change making `ready` true after our check — all
     /// of which notify under the park lock when sleepers > 0 — wakes
     /// us. Callers re-check their predicate in a loop; `slot` is the
@@ -1179,11 +1228,9 @@ impl Scheduler {
                 claim.execute();
                 continue;
             }
-            self.idle_workers.fetch_add(1, Ordering::SeqCst);
             self.park_unless(index, || {
                 self.shutdown.load(Ordering::SeqCst) || self.deques.queued() > 0
             });
-            self.idle_workers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -1240,8 +1287,6 @@ enum Waits {
 enum Next<'s> {
     /// Claim and step this job, or watch it if another thread holds it.
     Run(Job),
-    /// Step this claimed job (again, once its dependencies are done).
-    Step(Claim<'s>),
     /// Act on what this claimed job's step reported.
     Stepped(Claim<'s>, Result<Step>),
     /// Hand the result of the job just finished to the frame below it.
@@ -1375,7 +1420,7 @@ mod tests {
         let dep = Job::Eval(Blob::from_u64(2).handle());
         // The waiter is mid-step (`Running`, token popped), and one
         // watched slot wants it.
-        let slot = Arc::new(BatchState::new(&[unanswered(0, request, false)]));
+        let slot = Arc::new(BatchState::new(&[unanswered(0, request, false)], 0));
         {
             let mut shard = sched.jobs.shard(&waiter);
             let entry = shard.entry(waiter).or_default();
@@ -1422,12 +1467,12 @@ mod tests {
             .map(|i| unanswered(i as usize, add_thunk(&store, add, i, 1), false))
             .collect();
 
-        let dropped = sched.submit_watched_with(&jobs);
+        let dropped = sched.submit_watched_with(&jobs, 0);
         sched.cancel_batch(&dropped);
-        let state = sched.submit_watched_with(&jobs);
+        let state = sched.submit_watched_with(&jobs, 0);
         assert_eq!(sched.deques.queued(), N as usize, "one token per job");
 
-        sched.wait_batch(&state, 0);
+        sched.wait_batch(&state);
         for (i, pos) in (0..N).zip(0..) {
             let sum = store.get_blob(state.result(pos).expect("add succeeds"));
             assert_eq!(sum.expect("the sum is stored").as_u64(), Some(i + 1));
@@ -1446,7 +1491,7 @@ mod tests {
         let sched = Scheduler::new(engine, 0);
         let thunk = add_thunk(&store, add, 1, 2);
         let job = Job::Eval(thunk);
-        let state = sched.submit_watched_with(&[unanswered(0, thunk, false)]);
+        let state = sched.submit_watched_with(&[unanswered(0, thunk, false)], 0);
         std::thread::scope(|scope| {
             // Declared inside the scope, so a failed assert releases the
             // shard while unwinding, before the scope joins the canceller.
@@ -1494,8 +1539,59 @@ mod tests {
             }
             assert_eq!(sched.entry_count(), 0);
             assert_eq!(sched.executing.load(Ordering::SeqCst), 0);
-            assert!(sched.stalled_now(0));
+            assert!(sched.stalled_now());
         }
+    }
+
+    /// Two door stacks stuck on one self tail call: `again` returns the
+    /// thunk of its own input, and `call` tail-calls it. Each thread
+    /// keeps its first job's claim on its stack and watches `again`'s
+    /// job, which nobody steps again, so `executing` reads 2 with
+    /// neither thread stepping. Both come back with the stall (the
+    /// second through the first's failure, or its own check) instead of
+    /// parking forever, and leave no entry and no claim.
+    #[test]
+    fn two_stacks_stuck_on_a_self_tail_call_report_a_stall() {
+        // Both first steps run at once, so each thread still holds its
+        // claim when it goes to watch.
+        let both = Arc::new(std::sync::Barrier::new(2));
+        let (meet, meet_too) = (Arc::clone(&both), both);
+        let (store, engine, [again, call]) = node_with_all([
+            (
+                "again",
+                Arc::new(move |ctx| {
+                    meet.wait();
+                    ctx.input.application()
+                }),
+            ),
+            (
+                "call",
+                Arc::new(move |ctx| {
+                    meet_too.wait();
+                    ctx.arg(0)
+                }),
+            ),
+        ]);
+        let sched = Arc::new(Scheduler::new(engine, 0));
+        let stuck = thunk_of(&store, again, vec![]);
+        let caller = thunk_of(&store, call, vec![stuck]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for request in [stuck, caller] {
+            let (sched, tx) = (Arc::clone(&sched), tx.clone());
+            std::thread::spawn(move || tx.send(sched.run_inline(request, false)));
+        }
+        for _ in 0..2 {
+            let result = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("both stacks report the stall instead of parking forever");
+            match result {
+                Err(Error::Trap(msg)) => assert!(msg.contains("stalled"), "{msg}"),
+                other => panic!("expected the stall, got {other:?}"),
+            }
+        }
+        assert_eq!(sched.entry_count(), 0);
+        assert_eq!(sched.executing.load(Ordering::SeqCst), 0);
+        assert_eq!(sched.waiting_claims.load(Ordering::SeqCst), 0);
     }
 
     /// A strict slot cancelled while its `Eval` runs leaves a dead
@@ -1508,7 +1604,7 @@ mod tests {
         let external = sched.deques.external();
         let thunk = add_thunk(&store, add, 3, 4);
         let eval = Job::Eval(thunk);
-        let state = sched.submit_watched_with(&[unanswered(0, thunk, true)]);
+        let state = sched.submit_watched_with(&[unanswered(0, thunk, true)], 0);
         let claim = sched.try_claim(external).expect("the eval is wanted");
         assert_eq!(claim.job, eval);
         sched.cancel_batch(&state);

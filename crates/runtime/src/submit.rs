@@ -52,7 +52,7 @@ impl PendingBatch for RuntimePending {
         // The waiting thread turns into an inline driver: it executes
         // queued jobs (its own batch's and anyone else's) until the
         // watchers report this batch done.
-        self.scheduler.wait_batch(&self.state, 0);
+        self.scheduler.wait_batch(&self.state);
         self.assemble()
     }
 
@@ -85,7 +85,7 @@ pub(crate) fn submit_with(
         // Answered whole at the door: the ticket is born resolved.
         return BatchTicket::ready(answers);
     }
-    let state = scheduler.submit_watched_with(&pending);
+    let state = scheduler.submit_watched_with(&pending, 0);
     BatchTicket::from_pending(
         Arc::new(RuntimePending {
             scheduler: Arc::clone(scheduler),
