@@ -20,7 +20,9 @@
 //! A finished application leaves one relation, its `Eval`. The third
 //! relation, `Apply(tree) → thunk`, is recorded only when a procedure
 //! makes a tail call: it keeps a re-step from running the procedure
-//! again while the callee is still being evaluated.
+//! again while the callee is still being evaluated. A thunk, its tree
+//! and both relations share one entry of the table, so an application's
+//! step reads all three in one probe ([`Store::applied`]).
 //!
 //! There is no job for an Encode: what it splices in is *derived* from
 //! those two relations by one rule, [`fix_storage::resolution`], which
@@ -37,7 +39,7 @@ use fix_core::data::{Blob, Node, Tree};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{DataType, EncodeStyle, Handle, HandleMap, Kind, ThunkKind};
 use fix_core::invocation::{application_header, Selection};
-use fix_storage::{resolution, Relation, RelationCache, Store};
+use fix_storage::{resolution, Applied, Relation, RelationCache, Store};
 use fix_vm::{HostApi, Module, VmConfig};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,10 +210,14 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn step_eval(&self, h: Handle) -> Result<Step> {
-        if let Some(v) = self.memoized(Job::Eval(h)) {
-            return Ok(Step::Done(v));
+        // An application reads its `Eval` with the rest of its entry.
+        let kind = h.kind();
+        if kind != Kind::Thunk(ThunkKind::Application) {
+            if let Some(v) = self.memoized(Job::Eval(h)) {
+                return Ok(Step::Done(v));
+            }
         }
-        match h.kind() {
+        match kind {
             Kind::Thunk(ThunkKind::Identification) => {
                 // The identity function: a pure renaming to the value.
                 let target = h.thunk_definition()?;
@@ -279,12 +285,15 @@ impl Engine {
         }
     }
 
+    /// Steps an application: its `Eval`, its tree's `Apply` and the tree
+    /// are one read of the table ([`Store::applied`]).
     fn step_eval_application(&self, h: Handle) -> Result<Step> {
         let tree_h = h.thunk_definition()?;
-        let raw = match self.cache.get(Relation::Apply, tree_h) {
-            Some(r) => r,
-            None => {
-                let (tree, launched_h) = match self.launch(tree_h)? {
+        let raw = match self.store.applied(h)? {
+            Applied::Evaluated(v) => return Ok(Step::Done(v)),
+            Applied::TailCalled(raw) => raw,
+            Applied::Pending(tree) => {
+                let (tree, launched_h) = match self.launch(tree_h, tree)? {
                     Ok(launched) => launched,
                     Err(deps) => return Ok(Step::Deps(deps)),
                 };
@@ -330,7 +339,8 @@ impl Engine {
     }
 
     /// The launch pass (paper §3.3): one walk of the application tree
-    /// `tree_h` and its accessible sub-trees, depth first with entries in
+    /// `tree_h` (its data `tree` when the caller read it already, else
+    /// read here) and its accessible sub-trees, depth first with entries in
     /// order, that splices every Encode it meets ([`splice`]). Returns the
     /// tree the procedure sees with its handle (`tree_h` itself when
     /// nothing was spliced), or, if some Encode is unresolved, the jobs
@@ -343,14 +353,22 @@ impl Engine {
     /// sub-tree met twice is walked once. An explicit worklist, not
     /// recursion: nesting depth is data (a cons list is as deep as it is
     /// long) and must not be bounded by the caller's stack.
-    fn launch(&self, tree_h: Handle) -> Result<std::result::Result<(Tree, Handle), Vec<Job>>> {
+    fn launch(
+        &self,
+        tree_h: Handle,
+        tree: Option<Tree>,
+    ) -> Result<std::result::Result<(Tree, Handle), Vec<Job>>> {
         let mut deps = Vec::new();
         // What each sub-tree walked so far became.
         let mut walked: HandleMap<Handle, Handle> = HandleMap::default();
         // The tree being walked — its data, its handle, the next entry,
         // and, once one entry changed, its entries so far — and the
         // trees above it, suspended at the sub-tree they descended into.
-        let mut current = (self.store.get_tree(tree_h)?, tree_h, 0, Vec::new());
+        let tree = match tree {
+            Some(tree) => tree,
+            None => self.store.get_tree(tree_h)?,
+        };
+        let mut current = (tree, tree_h, 0, Vec::new());
         let mut suspended = Vec::new();
         loop {
             let (tree, handle, next, out) = &mut current;

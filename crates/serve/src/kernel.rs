@@ -62,7 +62,7 @@ use crate::snf::SnfPipeline;
 use crate::tenant::{draw_kind, RequestFactory, RequestKind, Tenant};
 use fix_core::api::{BatchTicket, InvocationApi, SubmitApi};
 use fix_core::error::{Error, Result};
-use fix_core::handle::{trace_id, Handle, HandleSet};
+use fix_core::handle::{trace_id, Handle, HandleBuildHasher, HandleSet};
 use fix_obs::{EventKind, LogHistogram};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -431,8 +431,14 @@ struct Sim<'a, A: InvocationApi> {
     factory: RequestFactory,
     /// The run's name table: `(tenant, kind, instance)` → thunk, one
     /// entry per distinct request admitted or routed so far. Names, never
-    /// results — warmth is each node's `seen` mirror.
-    names: HashMap<(usize, RequestKind, u64), Handle>,
+    /// results — warmth is each node's `seen` mirror. The keys are the
+    /// kernel's own counters, hashed by the word fold, which skips a
+    /// `usize` (it reads one as a length prefix): the tenant is widened
+    /// to a `u64`. `Wordcount`'s `shard_bytes` stays a `usize` and is not
+    /// folded, which loses nothing: a tenant's shards are sized by its
+    /// first `Wordcount` kind, and its names are minted from the tenant
+    /// and instance alone.
+    names: HashMap<(u64, RequestKind, u64), Handle, HandleBuildHasher>,
     snf: Vec<Option<SnfPipeline>>,
     think: Vec<Option<ThinkStreams>>,
     router: Router,
@@ -448,7 +454,7 @@ struct Sim<'a, A: InvocationApi> {
     /// processed-arrival order (which is time order).
     closed_seq: Vec<u64>,
     /// Outstanding closed-loop requests: (tenant, seq) → client.
-    outstanding: HashMap<(usize, u64), usize>,
+    outstanding: HashMap<(u64, u64), usize, HandleBuildHasher>,
     tenants: Vec<TenantReport>,
     drivers: Vec<DriverReport>,
     tenant_gauges: Vec<fix_obs::Gauge>,
@@ -495,7 +501,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             rt,
             cfg,
             factory,
-            names: HashMap::new(),
+            names: HashMap::default(),
             snf: cfg
                 .tenants
                 .iter()
@@ -533,7 +539,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             next: 0,
             heap: BinaryHeap::new(),
             closed_seq: vec![0; cfg.tenants.len()],
-            outstanding: HashMap::new(),
+            outstanding: HashMap::default(),
             tenants: cfg
                 .tenants
                 .iter()
@@ -614,7 +620,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
         if self.think[r.tenant].is_none() {
             return; // Not a closed-loop tenant: no client waits on it.
         }
-        if let Some(client) = self.outstanding.remove(&(r.tenant, r.seq)) {
+        if let Some(client) = self.outstanding.remove(&(r.tenant as u64, r.seq)) {
             self.schedule_client(r.tenant, client, at);
         }
     }
@@ -665,7 +671,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
         let mint = || self.factory.mint(self.rt, a.tenant, a.seq, kind);
         let thunk = match kind.instance(a.seq) {
             None => mint()?,
-            Some(instance) => match self.names.entry((a.tenant, kind, instance)) {
+            Some(instance) => match self.names.entry((a.tenant as u64, kind, instance)) {
                 Entry::Occupied(named) => *named.get(),
                 Entry::Vacant(slot) => *slot.insert(mint()?),
             },
@@ -782,7 +788,7 @@ impl<'a, A: InvocationApi> Sim<'a, A> {
             p.admit(p.flow_of(a.seq), p.batch_of(a.seq), thunk)?;
         }
         if let Some(c) = client {
-            self.outstanding.insert((a.tenant, a.seq), c);
+            self.outstanding.insert((a.tenant as u64, a.seq), c);
         }
         if self.tracing {
             if routed.is_some() {

@@ -5,7 +5,7 @@
 //! relations (Eval / Apply / Force) over those names, the mechanism
 //! behind Fix's determinism-powered caching. Both are sharded by payload
 //! key, so an object and the relations whose input shares its payload
-//! sit under one lock. [`RelationCache`] is the relation side's face,
+//! sit under one lock, in one entry of one map. [`RelationCache`] is the relation side's face,
 //! and one [`Tier`] hook connects the table to a backing tier, whose
 //! [`Loc`]ation of each object it holds sits in the object's shard.
 //!
@@ -39,4 +39,4 @@ pub use provenance::{
     apply_eviction, plan_eviction, recipes, support_closure, EvictionPlan, Victim,
 };
 pub use relations::{footprint, resolution, Relation, RelationCache};
-pub use store::{Loc, Store};
+pub use store::{Applied, Loc, Store};

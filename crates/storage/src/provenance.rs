@@ -58,13 +58,13 @@ pub fn recipes(table: &Store) -> HandleMap<[u8; 32], (Handle, Handle)> {
     let mut out: HandleMap<[u8; 32], (Handle, Handle)> = HandleMap::default();
     // A selection's tree is read after its shard's lock is released.
     let mut selections = Vec::new();
-    table.scan_memos(|memos| {
-        for (&(relation, input), &output) in memos {
+    table.scan_memos(|shard| {
+        for (relation, input, output) in shard.iter() {
             let recipe = match relation {
                 Relation::Eval if input.kind() == Kind::Thunk(ThunkKind::Application) => {
                     let tail_call = |tree| {
-                        memos
-                            .get(&(Relation::Apply, tree))
+                        shard
+                            .get(Relation::Apply, tree)
                             .is_some_and(|raw| raw.is_thunk())
                     };
                     input
@@ -126,7 +126,7 @@ fn is_range_selection(table: &Store, h: Handle) -> bool {
 /// A re-run sees a thunk (the target it selects from, say) or an Encode
 /// through the table's relations, so the walk does too: it descends into
 /// the memoized value when there is one (the thunk's `Eval`, an Encode's
-/// [`resolution`](crate::resolution)) and into the definition otherwise.
+/// [`resolution`]) and into the definition otherwise.
 ///
 /// Handles whose data is absent from `table` are still returned (the
 /// caller decides whether absence is acceptable); the walk simply can't

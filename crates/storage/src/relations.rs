@@ -20,9 +20,11 @@
 //! story possible: an application's `Eval` names the recipe for the
 //! bytes it produced ([`recipes`](crate::recipes)).
 //!
-//! They live in the node's one table, [`Store`], beside the objects
-//! whose payload key their input shares. [`RelationCache`] is their
-//! face: a handle on the table that spells each relation operation once.
+//! They live in the node's one table, [`Store`], in the entry of the
+//! payload key their input shares, beside that key's object: one `Eval`
+//! inline in the entry, any other relation of the key in its shard's
+//! spill map, counted by the entry. [`RelationCache`] is their face: a
+//! handle on the table that spells each relation operation once.
 //! The two rules that read them at launch are here too: [`resolution`]
 //! (an Encode's value) and [`footprint`] (the minimum repository).
 
@@ -51,6 +53,14 @@ pub enum Relation {
 
 /// The relation side of a node's table: a cheap, clonable handle on a
 /// [`Store`] that reads and records its memoized relations.
+///
+/// A relation is kept in the table's entry for its input's payload key,
+/// the entry that also holds the object under that key. The entry keeps
+/// one `Eval` inline, so a warm `Eval` read is one probe of one map; the
+/// key's other relations (a tail call's `Apply`, a `Force`, a second
+/// `Eval` under the key) sit in the shard's spill map, which a read
+/// probes only when the entry counts some. Recording a relation
+/// allocates nothing beyond the map's own growth.
 ///
 /// # Examples
 ///
@@ -95,7 +105,7 @@ impl RelationCache {
     /// Number of recorded relations.
     pub fn len(&self) -> usize {
         let mut len = 0;
-        self.table.scan_memos(|memos| len += memos.len());
+        self.table.scan_memos(|shard| len += shard.len());
         len
     }
 
@@ -123,13 +133,7 @@ impl RelationCache {
     /// hook instead.
     pub fn entries(&self) -> Vec<(Relation, Handle, Handle)> {
         let mut out = Vec::new();
-        self.table.scan_memos(|memos| {
-            out.extend(
-                memos
-                    .iter()
-                    .map(|(&(r, input), &output)| (r, input, output)),
-            )
-        });
+        self.table.scan_memos(|shard| out.extend(shard.iter()));
         out
     }
 

@@ -2,10 +2,17 @@
 //! from Handles to Blob/Tree data (paper Fig. 6, "Runtime Storage:
 //! Handles ==> Data"), and the memoized relations over those names.
 //!
-//! Both sides are sharded by payload key. An object and the relations
-//! whose input shares its payload — a thunk's definition tree, that
-//! tree's `Apply` and the thunk's `Eval` — sit in one shard, under one
-//! lock. The relation side's public face is
+//! Both sides are sharded by payload key, and share one entry per key.
+//! An object and the relations whose input shares its payload — a
+//! thunk's definition tree, that tree's `Apply` and the thunk's `Eval` —
+//! sit in one shard, under one lock, in one entry of one map: storing a
+//! thunk's tree and recording its `Eval` is one probe each, of the same
+//! table. The entry keeps the object's bytes and one `Eval` inline, as
+//! its input's kind byte (handle byte 30, the one byte a payload key
+//! zeroes) and its output. Every other relation of the key waits in the
+//! shard's spill map, keyed by relation and input, and the entry counts
+//! them, so a key with none never probes it. An entry holding neither
+//! bytes nor relations is removed. The relation side's public face is
 //! [`RelationCache`](crate::RelationCache).
 //!
 //! A backing tier's [`Loc`]ations of the objects it holds sit in the same
@@ -19,14 +26,10 @@ use fix_core::data::{literal_blob, Blob, Node, Tree};
 use fix_core::error::{Error, Result};
 use fix_core::handle::{payload_key, Handle, HandleBuildHasher, HandleMap, HandleSet};
 use parking_lot::RwLock;
-use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 const SHARDS: usize = 64;
-
-/// Memoized relations, keyed by kind and input.
-pub(crate) type Memos = HandleMap<(Relation, Handle), Handle>;
 
 /// Where a backing tier holds an object: the frame of `len` bytes at
 /// `offset` in the tier's file of generation `generation`. Sixteen bytes,
@@ -83,20 +86,190 @@ pub struct Store {
     tier: OnceLock<Arc<dyn Tier>>,
 }
 
-/// What one lock guards: the objects of its payload keys, the backing
-/// tier's locations of them, and the relations whose inputs share them.
+/// What one lock guards: the entries of its payload keys, each holding
+/// the key's object and the relations whose inputs share the key, and
+/// the backing tier's locations of those objects.
 #[derive(Default)]
 struct Shard {
-    nodes: HandleMap<[u8; 32], Node>,
-    memos: Memos,
+    entries: HandleMap<[u8; 32], Held>,
+    /// The relations no entry keeps inline, keyed by kind and input; an
+    /// entry counts its own, so a key without any never probes here.
+    spilled: HandleMap<(Relation, Handle), Handle>,
+    /// Entries holding an object: the shard's share of
+    /// [`object_count`](Store::object_count).
+    objects: usize,
     /// Boxed on the first location, so a shard of a table without a tier
     /// grows by a pointer, not by a map.
     locs: Option<Box<HandleMap<[u8; 32], Loc>>>,
 }
 
+/// What a shard holds under one payload key: the resident object, and
+/// the relations whose input has that payload. One `Eval` sits inline,
+/// as its input's kind byte (handle byte 30) and its output, so a warm
+/// `Eval` read is one probe; the key's other relations are in the
+/// shard's spill map, counted here.
+#[derive(Default)]
+struct Held {
+    node: Option<Node>,
+    eval: Option<(u8, Handle)>,
+    /// The key's relations in the spill map, and how many are `Eval`s: an
+    /// `Eval` takes the empty inline place only when none of its key's
+    /// is spilled, so no relation is ever in both. A byte holds either:
+    /// a valid handle has one of 11 kind bytes, so a key has at most 33
+    /// relations.
+    spilled: u8,
+    spilled_evals: u8,
+}
+
+impl Held {
+    fn is_empty(&self) -> bool {
+        self.node.is_none() && self.eval.is_none() && self.spilled == 0
+    }
+
+    /// The inline `Eval`'s output, if `relation` of `input` is it.
+    fn inline(&self, relation: Relation, input: Handle) -> Option<Handle> {
+        let (kind, output) = self.eval?;
+        (relation == Relation::Eval && kind == input.raw()[30]).then_some(output)
+    }
+}
+
+/// `key` with handle byte 30 put back: the input of a relation kept
+/// inline.
+fn input_of(key: &[u8; 32], kind: u8) -> Handle {
+    let mut raw = *key;
+    raw[30] = kind;
+    Handle::from_raw(raw).expect("a recorded input is a valid handle")
+}
+
 impl Shard {
     fn loc(&self, key: &[u8; 32]) -> Option<Loc> {
         self.locs.as_ref()?.get(key).copied()
+    }
+
+    fn node(&self, key: &[u8; 32]) -> Option<&Node> {
+        self.entries.get(key)?.node.as_ref()
+    }
+
+    /// Removes `key`'s entry if it holds nothing any more.
+    fn prune(&mut self, key: &[u8; 32]) {
+        if self.entries.get(key).is_some_and(Held::is_empty) {
+            self.entries.remove(key);
+        }
+    }
+
+    /// Takes `key`'s object out of its entry.
+    fn take(&mut self, key: &[u8; 32]) -> Option<Node> {
+        let node = self.entries.get_mut(key)?.node.take()?;
+        self.objects -= 1;
+        self.prune(key);
+        Some(node)
+    }
+
+    /// `relation` of `input`, whose payload key is `key`.
+    fn relation(&self, key: &[u8; 32], relation: Relation, input: Handle) -> Option<Handle> {
+        self.related(self.entries.get(key)?, relation, input)
+    }
+
+    /// `relation` of `input`, whose entry is `held`.
+    fn related(&self, held: &Held, relation: Relation, input: Handle) -> Option<Handle> {
+        match held.inline(relation, input) {
+            None if held.spilled > 0 => self.spilled.get(&(relation, input)).copied(),
+            found => found,
+        }
+    }
+
+    /// Records `relation` of `input` (payload key `key`) as `output`,
+    /// returning the output it replaces.
+    fn record(
+        &mut self,
+        key: [u8; 32],
+        relation: Relation,
+        input: Handle,
+        output: Handle,
+    ) -> Option<Handle> {
+        let held = self.entries.entry(key).or_default();
+        if relation == Relation::Eval {
+            let kind = input.raw()[30];
+            match &mut held.eval {
+                Some((at, out)) if *at == kind => return Some(std::mem::replace(out, output)),
+                place @ None if held.spilled_evals == 0 => {
+                    *place = Some((kind, output));
+                    return None;
+                }
+                _ => {}
+            }
+        }
+        let prev = self.spilled.insert((relation, input), output);
+        if prev.is_none() {
+            held.spilled += 1;
+            held.spilled_evals += u8::from(relation == Relation::Eval);
+        }
+        prev
+    }
+
+    /// Forgets `relation` of `input` (payload key `key`), returning its
+    /// output.
+    fn forget(&mut self, key: [u8; 32], relation: Relation, input: Handle) -> Option<Handle> {
+        let held = self.entries.get_mut(&key)?;
+        let output = match held.inline(relation, input) {
+            Some(output) => {
+                held.eval = None;
+                Some(output)
+            }
+            None if held.spilled > 0 => {
+                let output = self.spilled.remove(&(relation, input));
+                if output.is_some() {
+                    held.spilled -= 1;
+                    held.spilled_evals -= u8::from(relation == Relation::Eval);
+                }
+                output
+            }
+            None => None,
+        };
+        self.prune(&key);
+        output
+    }
+}
+
+/// What the table holds for an application thunk
+/// ([`Store::applied`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// Its `Eval`: the value it reduced to.
+    Evaluated(Handle),
+    /// No `Eval` yet, but its tree's `Apply`: the thunk its procedure
+    /// tail-called.
+    TailCalled(Handle),
+    /// Neither: its procedure has not run. The definition tree, if it is
+    /// resident.
+    Pending(Option<Tree>),
+}
+
+/// One shard's relations, as [`Store::scan_memos`] hands them out under
+/// the shard's read lock.
+pub(crate) struct ShardRelations<'a>(&'a Shard);
+
+impl ShardRelations<'_> {
+    /// Every `(relation, input, output)` the shard holds.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Relation, Handle, Handle)> + '_ {
+        let inline = self.0.entries.iter().filter_map(|(key, held)| {
+            let (kind, output) = held.eval?;
+            Some((Relation::Eval, input_of(key, kind), output))
+        });
+        let spilled = self.0.spilled.iter();
+        inline.chain(spilled.map(|(&(relation, input), &output)| (relation, input, output)))
+    }
+
+    /// How many relations the shard holds.
+    pub(crate) fn len(&self) -> usize {
+        let inline = self.0.entries.values().filter(|held| held.eval.is_some());
+        inline.count() + self.0.spilled.len()
+    }
+
+    /// `relation` of `input`, if the shard holds it (`input`'s payload
+    /// key must be one of the shard's).
+    pub(crate) fn get(&self, relation: Relation, input: Handle) -> Option<Handle> {
+        self.0.relation(&payload_key(input), relation, input)
     }
 }
 
@@ -104,7 +277,8 @@ impl Shard {
 /// counting a lookup touches no line another shard's lookups write.
 ///
 /// They sit beside the shards rather than in them, so a shard is just the
-/// lock, its two maps and the boxed locations (104 bytes, unaligned).
+/// lock, its two maps, its object count and the boxed locations (112
+/// bytes, unaligned).
 /// Padding each shard to two cache lines made the shards one 8 KiB
 /// aligned block per table, and `serve_tiers`' peak RSS then jumped by
 /// 3–6 MiB in about one run in nine, against about one in twenty-five
@@ -114,6 +288,15 @@ impl Shard {
 struct Lookups {
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+impl Lookups {
+    /// Counts one relation lookup, a hit if `hit`.
+    #[inline]
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 impl Default for Store {
@@ -201,13 +384,19 @@ impl Store {
     #[inline]
     fn insert(&self, key: [u8; 32], node: Node, faulted: bool) -> bool {
         let size = node.transfer_size();
-        let mut shard = self.shard(&key).write();
-        let located = shard.loc(&key).is_some();
-        match shard.nodes.entry(key) {
-            Entry::Vacant(slot) if located || !faulted => slot.insert(node),
-            _ => return false,
-        };
-        drop(shard);
+        let mut guard = self.shard(&key).write();
+        let located = guard.loc(&key).is_some();
+        if faulted && !located {
+            return false;
+        }
+        let shard = &mut *guard;
+        let held = shard.entries.entry(key).or_default();
+        if held.node.is_some() {
+            return false;
+        }
+        held.node = Some(node);
+        shard.objects += 1;
+        drop(guard);
         self.total_bytes.fetch_add(size, Ordering::Relaxed);
         !located
     }
@@ -229,7 +418,7 @@ impl Store {
         }
         let key = payload_key(handle);
         let shard = self.shard(&key).read();
-        if let Some(node) = shard.nodes.get(&key) {
+        if let Some(node) = shard.node(&key) {
             return Ok(node.clone());
         }
         let loc = shard.loc(&key);
@@ -262,7 +451,7 @@ impl Store {
     /// faultable (always true for literals): one lookup under the shard's
     /// lock.
     pub fn contains(&self, handle: Handle) -> bool {
-        let held = |s: &Shard, k: &[u8; 32]| s.nodes.contains_key(k) || s.loc(k).is_some();
+        let held = |s: &Shard, k: &[u8; 32]| s.node(k).is_some() || s.loc(k).is_some();
         self.lookup(handle, held).unwrap_or(true)
     }
 
@@ -326,9 +515,9 @@ impl Store {
         let mut shards: Vec<_> = self.shards.iter().map(|shard| shard.write()).collect();
         let (mut objects, mut removed) = (0, Vec::new());
         for shard in &mut shards {
-            let Shard { nodes, locs, .. } = &mut **shard;
+            let Shard { entries, locs, .. } = &mut **shard;
             for (key, loc) in locs.iter_mut().flat_map(|l| l.extract_if(|k, _| !keep(k))) {
-                objects += usize::from(!nodes.contains_key(&key));
+                objects += usize::from(entries.get(&key).is_none_or(|held| held.node.is_none()));
                 removed.push((key, loc));
             }
             objects += self.unload(shard, &keep);
@@ -349,14 +538,24 @@ impl Store {
         if let Some(loc) = shard.locs.as_mut().and_then(|locs| locs.remove(&key)) {
             dropped(key, loc);
         }
-        shard.nodes.remove(&key).map(|node| self.unloaded(&node))
+        shard.take(&key).map(|node| self.unloaded(&node))
     }
 
     /// Drops the bytes of each object in `shard` whose payload key `keep`
     /// refuses, returning how many went.
     fn unload(&self, shard: &mut Shard, keep: impl Fn(&[u8; 32]) -> bool) -> usize {
-        let dropped = shard.nodes.extract_if(|key, _| !keep(key));
-        dropped.inspect(|(_, node)| _ = self.unloaded(node)).count()
+        let Shard {
+            entries, objects, ..
+        } = shard;
+        let before = *objects;
+        entries.retain(|key, held| {
+            if held.node.is_some() && !keep(key) {
+                held.node.take().inspect(|node| _ = self.unloaded(node));
+                *objects -= 1;
+            }
+            !held.is_empty()
+        });
+        before - *objects
     }
 
     /// Takes `node`'s bytes off the total, returning them.
@@ -371,13 +570,13 @@ impl Store {
     /// durable tier's compaction and eviction planning distinguish
     /// resident from merely-faultable objects through this.
     pub fn resident(&self, handle: Handle) -> bool {
-        let resident = |s: &Shard, k: &[u8; 32]| s.nodes.contains_key(k);
+        let resident = |s: &Shard, k: &[u8; 32]| s.node(k).is_some();
         self.lookup(handle, resident).unwrap_or(true)
     }
 
     /// Number of stored (non-literal) objects. Relations are not objects.
     pub fn object_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().nodes.len()).sum()
+        self.shards.iter().map(|s| s.read().objects).sum()
     }
 
     /// Total bytes of stored object payloads.
@@ -434,7 +633,7 @@ impl Store {
             return None;
         }
         let key = payload_key(handle);
-        let node = self.shard(&key).write().nodes.remove(&key)?;
+        let node = self.shard(&key).write().take(&key)?;
         Some(self.unloaded(&node))
     }
 
@@ -448,49 +647,65 @@ impl Store {
     pub fn inventory(&self) -> Vec<Handle> {
         let mut out = Vec::with_capacity(self.object_count());
         for shard in &self.shards {
-            out.extend(
-                shard
-                    .read()
-                    .nodes
-                    .keys()
-                    .filter_map(|k| Handle::from_raw(*k).ok()),
-            );
+            let shard = shard.read();
+            let keys = shard.entries.iter().filter(|(_, held)| held.node.is_some());
+            out.extend(keys.filter_map(|(k, _)| Handle::from_raw(*k).ok()));
         }
         out
     }
 
     // ---- the relation side, behind RelationCache -----------------------
-    // A relation lives in the shard of its input's payload key. The two
+    // A relation lives in the entry of its input's payload key. The two
     // hot calls are inlined into the face, so a read or record from
     // another crate is one call.
 
     /// Looks up a memoized result, counting the hit or miss.
     #[inline]
     pub(crate) fn memo(&self, relation: Relation, input: Handle) -> Option<Handle> {
-        let index = self.index(&payload_key(input));
-        let found = self.shards[index]
-            .read()
-            .memos
-            .get(&(relation, input))
-            .copied();
-        let lookups = &self.lookups[index];
-        let counter = if found.is_some() {
-            &lookups.hits
-        } else {
-            &lookups.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let key = payload_key(input);
+        let index = self.index(&key);
+        let found = self.shards[index].read().relation(&key, relation, input);
+        self.lookups[index].count(found.is_some());
         found
+    }
+
+    /// What the table holds for the application `thunk`, read in one
+    /// probe under one lock: the thunk, its definition tree and the
+    /// tree's `Apply` share a payload key, so one entry holds them all.
+    /// Counts in [`RelationCache::stats`](crate::RelationCache::stats)
+    /// the lookups two `RelationCache::get` calls would: the `Eval`, then
+    /// the `Apply` if the `Eval` missed.
+    pub fn applied(&self, thunk: Handle) -> Result<Applied> {
+        let tree = thunk.thunk_definition()?;
+        let key = payload_key(thunk);
+        let index = self.index(&key);
+        let shard = self.shards[index].read();
+        let held = shard.entries.get(&key);
+        let related = |relation, input| {
+            let found = held.and_then(|held| shard.related(held, relation, input));
+            self.lookups[index].count(found.is_some());
+            found
+        };
+        if let Some(value) = related(Relation::Eval, thunk) {
+            return Ok(Applied::Evaluated(value));
+        }
+        if let Some(raw) = related(Relation::Apply, tree) {
+            return Ok(Applied::TailCalled(raw));
+        }
+        let node = held.and_then(|held| held.node.as_ref());
+        Ok(Applied::Pending(
+            node.map(Node::as_tree).transpose()?.cloned(),
+        ))
     }
 
     /// Records a result; a fresh one is reported to the tier.
     #[inline]
     pub(crate) fn memoize(&self, relation: Relation, input: Handle, output: Handle) {
+        let key = payload_key(input);
         let prev = self
-            .shard(&payload_key(input))
+            .shard(&key)
             .write()
-            .memos
-            .insert((relation, input), output);
+            .record(key, relation, input, output);
         debug_assert!(
             prev.is_none() || prev == Some(output),
             "nondeterministic relation: {relation:?}({input}) was {prev:?}, now {output}"
@@ -504,17 +719,15 @@ impl Store {
 
     /// Forgets one relation, returning its result.
     pub(crate) fn unmemoize(&self, relation: Relation, input: Handle) -> Option<Handle> {
-        self.shard(&payload_key(input))
-            .write()
-            .memos
-            .remove(&(relation, input))
+        let key = payload_key(input);
+        self.shard(&key).write().forget(key, relation, input)
     }
 
     /// Hands each shard's relations to `each`, in shard order, under that
     /// shard's read lock alone.
-    pub(crate) fn scan_memos(&self, mut each: impl FnMut(&Memos)) {
+    pub(crate) fn scan_memos(&self, mut each: impl FnMut(ShardRelations<'_>)) {
         for shard in &self.shards {
-            each(&shard.read().memos);
+            each(ShardRelations(&shard.read()));
         }
     }
 
@@ -531,7 +744,12 @@ impl Store {
     /// Forgets every relation; objects stay.
     pub(crate) fn clear_memos(&self) {
         for shard in &self.shards {
-            shard.write().memos.clear();
+            let shard = &mut *shard.write();
+            shard.spilled.clear();
+            shard.entries.retain(|_, held| {
+                (held.eval, held.spilled, held.spilled_evals) = (None, 0, 0);
+                held.node.is_some()
+            });
         }
     }
 }
@@ -554,6 +772,9 @@ impl fix_core::api::ObjectApi for Store {
         Store::contains(self, handle)
     }
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -794,11 +1015,7 @@ mod tests {
             bytes[..8].copy_from_slice(&i.to_le_bytes());
             store.put_blob(Blob::from_slice(&bytes));
         }
-        let used = store
-            .shards
-            .iter()
-            .filter(|s| !s.read().nodes.is_empty())
-            .count();
+        let used = store.shards.iter().filter(|s| s.read().objects > 0).count();
         assert!(used > SHARDS / 2, "{used} of {SHARDS} shards used");
     }
 
@@ -815,7 +1032,7 @@ mod tests {
         let used = table
             .shards
             .iter()
-            .filter(|s| !s.read().memos.is_empty())
+            .filter(|s| !s.read().entries.is_empty())
             .count();
         assert!(used > SHARDS / 2, "{used} of {SHARDS} shards used");
     }
@@ -874,6 +1091,28 @@ mod tests {
         let mut after = table.inventory();
         after.sort();
         assert_eq!(after, inventory);
+    }
+
+    #[test]
+    fn applied_reads_an_application_and_counts_as_memo_would() {
+        let table = Arc::new(Store::new());
+        let cache = RelationCache::of(Arc::clone(&table));
+        let tree = Tree::from_handles(vec![Blob::from_slice(&[8u8; 64]).handle()]);
+        let def = table.put_tree(tree.clone());
+        let thunk = def.application().unwrap();
+        assert_eq!(table.applied(thunk).unwrap(), Applied::Pending(Some(tree)));
+        assert_eq!(cache.stats(), (0, 2));
+        let callee = Tree::from_handles(vec![]).handle().application().unwrap();
+        cache.put(Relation::Apply, def, callee);
+        assert_eq!(table.applied(thunk).unwrap(), Applied::TailCalled(callee));
+        assert_eq!(cache.stats(), (1, 3));
+        cache.put(Relation::Eval, thunk, def);
+        assert_eq!(table.applied(thunk).unwrap(), Applied::Evaluated(def));
+        assert_eq!(cache.stats(), (2, 3));
+        table.evict(def);
+        cache.clear();
+        assert_eq!(table.applied(thunk).unwrap(), Applied::Pending(None));
+        assert!(table.applied(def).is_err(), "a tree is no thunk");
     }
 
     #[test]

@@ -491,9 +491,10 @@ fn one_fuzz_kit() {
 
 /// A logged object has one name and one entry: its payload key in the
 /// node's table, `fix_storage::Store`, which keeps the object's location
-/// in the log beside its bytes. The durable tier keeps no index of its
-/// own, no slot copying the handle, and no key-keyed map in its store;
-/// the backing-tier hook has no `knows`.
+/// in the log beside its bytes, and the relations whose input shares the
+/// key in the same entry as the bytes. The durable tier keeps no index
+/// of its own, no slot copying the handle, and no key-keyed map in its
+/// store; the backing-tier hook has no `knows`.
 #[test]
 fn one_name_per_object() {
     forbid(
@@ -506,6 +507,22 @@ fn one_name_per_object() {
         ],
     );
     forbid(&["crates/durable/src/store.rs"], &["HandleMap<[u8; 32]"]);
+}
+
+/// One entry per payload key: a `Shard` of `fix_storage::Store` holds
+/// one payload-keyed map, whose entry keeps the key's object and the
+/// relations whose input shares the key (one `Eval` inline, the rest
+/// counted there and kept in the shard's spill map). A cold request's
+/// store and relation calls on one key then probe one table, and grow
+/// one. A second map beside it for either side — the `nodes` map, the
+/// `memos` field, their `Memos` type — coming back fails nothing else;
+/// forbid them.
+#[test]
+fn one_entry_per_key() {
+    forbid(
+        &["crates/storage/src/store.rs"],
+        &[r"type Memos\b", r"\bmemos:", r"\bnodes:"],
+    );
 }
 
 /// One footprint rule: `fix_storage::footprint` reads the node's table
